@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
+.PHONY: check vet build test race bench bench-test bench-route cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
 
 check: vet build race
 
@@ -21,6 +21,14 @@ race:
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem ./...
+
+# The repository benchmark (bench/, a module of its own — see bench/README.md):
+# its harness tests, and one 12-second pass of the routing-bound workload.
+bench-test:
+	cd bench && $(GO) test ./...
+
+bench-route:
+	bash bench/run.sh --workload route --seed 1 --seconds 12 --trace 0
 
 cover:
 	$(GO) test -cover ./...
@@ -44,6 +52,13 @@ smoke-scale:
 	$(GO) test -race ./internal/vtime/
 	$(GO) test -run 'Virtual|TestRunScale' ./internal/eval/ ./internal/chaos/
 	$(GO) test -run 'TestVirtualTime' .
+
+# The twin and same-seed determinism tests of smoke-scale at one scheduler
+# width: `make smoke-determinism GOMAXPROCS=2`. CI runs it at 1, 2 and 8 so
+# that a scheduling-dependent quantity cannot slip into the determinism
+# contract on a host size nobody tried.
+smoke-determinism:
+	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run 'Virtual' ./internal/eval/ ./internal/chaos/ .
 
 # Real-socket transport smoke: the pooled multiplexed TCP transport (pool
 # lifecycle, mux demux, reconnect, timeout taxonomy), the naive dial-per-RPC

@@ -213,9 +213,9 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 // Get returns the live value stored under key. Entries that expired or
 // predate the current generation are dropped and reported as misses.
 func (c *Cache[V]) Get(key string) (V, bool) {
-	var zero V
+	var val V
 	if c == nil {
-		return zero, false
+		return val, false
 	}
 	start := c.cfg.Clock.Now()
 	s := c.shardFor(key)
@@ -223,17 +223,18 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	e, live := c.lookupLocked(s, key)
 	if live {
 		s.moveToFront(e)
+		val = e.val // copied under the lock: a concurrent Put rewrites the entry in place
 	}
 	s.mu.Unlock()
 	c.met.lookupNS.Observe(c.cfg.Clock.Now().Sub(start).Nanoseconds())
 	if !live {
 		c.misses.Add(1)
 		c.met.misses.Inc()
-		return zero, false
+		return val, false
 	}
 	c.hits.Add(1)
 	c.met.hits.Inc()
-	return e.val, true
+	return val, true
 }
 
 // lookupLocked finds a servable entry, removing it (and counting why) when
@@ -312,11 +313,12 @@ func (c *Cache[V]) GetOrFill(key string, fill func() (V, int, error)) (V, Outcom
 	s.mu.Lock()
 	if e, live := c.lookupLocked(s, key); live {
 		s.moveToFront(e)
+		val := e.val // copied under the lock, as in Get
 		s.mu.Unlock()
 		c.met.lookupNS.Observe(c.cfg.Clock.Now().Sub(start).Nanoseconds())
 		c.hits.Add(1)
 		c.met.hits.Inc()
-		return e.val, Hit, nil
+		return val, Hit, nil
 	}
 	if f, ok := s.inflight[key]; ok {
 		s.mu.Unlock()

@@ -5,11 +5,18 @@
 // the peer responsible for a key is the key's successor.
 //
 // The implementation follows the paper's protocol: each node keeps a finger
-// table (finger[k] = successor(n + 2^k)), a predecessor pointer, and a
-// successor list for fault tolerance. Lookups are iterative — the querying
-// node repeatedly asks the closest preceding node for a better candidate,
-// one RPC per hop — which makes hop counting exact and lets the experiment
-// harness validate the O(log N) bound.
+// table, a predecessor pointer, and a successor list for fault tolerance.
+// Lookups are iterative — the querying node repeatedly asks the closest
+// preceding node for a better candidate, one RPC per hop — which makes hop
+// counting exact and lets the experiment harness validate the O(log N) bound.
+//
+// The finger table is Chord's generalized to base 16 (finger[ℓ][j] =
+// successor(n + j·16^ℓ), j = 1…15), which resolves one hex digit of the
+// remaining distance per hop instead of one bit. Fingers are routing hints
+// only: ownership of a key is always decided from the successor list, so the
+// table's shape changes how many hops a lookup takes, never its answer. A
+// node stores just the fingers that can differ from its immediate successor
+// (see Node.fingers), so the table sizes itself to the ring.
 //
 // Because the surrounding system is a simulation, a Ring manager owns all
 // nodes and offers two construction modes: protocol joins with explicit
@@ -23,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"github.com/spritedht/sprite/internal/chordid"
@@ -52,9 +60,6 @@ type Config struct {
 	// SuccessorListLen is the length r of each node's successor list. Chord
 	// tolerates up to r-1 consecutive node failures. Default 4.
 	SuccessorListLen int
-	// FingerBits is the number of finger-table entries maintained (the top
-	// FingerBits of the 128 possible). Default chordid.Bits (the full table).
-	FingerBits int
 	// MaxLookupHops bounds an iterative lookup as a safety net against
 	// routing loops in a badly damaged ring. Default 256.
 	MaxLookupHops int
@@ -90,9 +95,6 @@ func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 func (c Config) withDefaults() Config {
 	if c.SuccessorListLen <= 0 {
 		c.SuccessorListLen = 4
-	}
-	if c.FingerBits <= 0 || c.FingerBits > chordid.Bits {
-		c.FingerBits = chordid.Bits
 	}
 	if c.MaxLookupHops <= 0 {
 		c.MaxLookupHops = 256
@@ -134,11 +136,16 @@ type Node struct {
 	cfg Config
 	met nodeMetrics
 
-	mu      sync.Mutex
-	pred    Ref
-	succs   []Ref // succs[0] is the immediate successor; may equal self
-	fingers []Ref // fingers[i] ~ successor(id + 2^(Bits-FingerBits+i))
-	nextFix int   // round-robin finger refresh cursor
+	mu    sync.Mutex
+	pred  Ref
+	succs []Ref // succs[0] is the immediate successor; may equal self
+	// fingers holds the stored finger slots in ascending slot order, which is
+	// ascending clockwise distance from this node. Only slots whose start
+	// lies past succs[0] are stored: every slot starting in (self, succs[0]]
+	// resolves to succs[0] by definition, and a slot that resolves to this
+	// node itself routes nowhere, so neither is kept or refreshed.
+	fingers []finger
+	nextFix int // slot the next fixFinger call refreshes; walks from the top down
 
 	app      simnet.Handler     // application handler for non-chord messages
 	predHook func(old, new Ref) // arc-change notification, see SetPredChangeHook
@@ -154,7 +161,7 @@ func NewNode(net simnet.Transport, name string, cfg Config) *Node {
 		net:     net,
 		cfg:     cfg,
 		met:     newNodeMetrics(cfg.Telemetry),
-		fingers: make([]Ref, cfg.FingerBits),
+		nextFix: fingerSlots - 1,
 	}
 	n.succs = []Ref{n.ref}
 	net.Register(n.ref.Addr, n)
@@ -214,9 +221,67 @@ func (n *Node) Predecessor() Ref {
 	return n.pred
 }
 
-// fingerStart returns the ring offset exponent for finger index i.
-func (n *Node) fingerStart(i int) int {
-	return chordid.Bits - n.cfg.FingerBits + i
+// FingerCount returns how many finger slots the node currently stores.
+func (n *Node) FingerCount() int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return len(n.fingers)
+}
+
+const (
+	// fingerDigitBits is the width of one routing digit: base 16, the knee of
+	// the hops-versus-entries curve (DESIGN.md §3). It must divide 8 so that
+	// a digit never straddles a byte of the identifier.
+	fingerDigitBits = 4
+	// fingerDigits is the number of non-zero digits per level.
+	fingerDigits = 1<<fingerDigitBits - 1
+	// fingerSlots is the size of the full (mostly implied) table.
+	fingerSlots = chordid.Bits / fingerDigitBits * fingerDigits
+)
+
+// finger is one stored finger-table slot.
+type finger struct {
+	ref  Ref
+	slot uint16
+}
+
+// slotStart returns the ring position finger slot targets from id:
+// id + j·16^ℓ for slot = ℓ·fingerDigits + (j−1). Offsets grow with the slot
+// number, so slot order is clockwise-distance order.
+func slotStart(id chordid.ID, slot int) chordid.ID {
+	bit := slot / fingerDigits * fingerDigitBits
+	var off chordid.ID
+	off[chordid.Bytes-1-bit/8] = byte(slot%fingerDigits+1) << (bit % 8)
+	return id.Add(off)
+}
+
+// slotImpliedLocked reports whether slot starts in (self, succs[0]] — where
+// its value is succs[0] without asking anyone. Every lower slot is then
+// implied too. Slot 0 (offset 1) always is, so a downward walk ends here.
+func (n *Node) slotImpliedLocked(slot int) bool {
+	return slotStart(n.ref.ID, slot).BetweenRightIncl(n.ref.ID, n.succs[0].ID)
+}
+
+// setFingerLocked stores ref in slot, keeping fingers sorted, and reports
+// whether the table changed. A slot that resolves to this node is removed.
+func (n *Node) setFingerLocked(slot int, ref Ref) bool {
+	i := sort.Search(len(n.fingers), func(i int) bool { return int(n.fingers[i].slot) >= slot })
+	found := i < len(n.fingers) && int(n.fingers[i].slot) == slot
+	switch {
+	case ref.ID == n.ref.ID:
+		if found {
+			n.fingers = append(n.fingers[:i], n.fingers[i+1:]...)
+		}
+		return found
+	case found:
+		changed := n.fingers[i].ref != ref
+		n.fingers[i].ref = ref
+		return changed
+	}
+	n.fingers = append(n.fingers, finger{})
+	copy(n.fingers[i+1:], n.fingers[i:])
+	n.fingers[i] = finger{ref: ref, slot: uint16(slot)}
+	return true
 }
 
 // HandleMessage implements simnet.Handler: overlay messages are served here,
@@ -306,7 +371,7 @@ func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bo
 	var bestDist chordid.ID
 	first := true
 	for i := len(n.fingers) - 1; i >= 0; i-- {
-		if r := n.fingers[i]; acceptable(r) {
+		if r := n.fingers[i].ref; acceptable(r) {
 			best, bestDist, first = r, r.ID.Distance(key), false
 			break
 		}
@@ -567,26 +632,49 @@ func (n *Node) stabilize() {
 	n.mu.Unlock()
 }
 
-// fixFinger refreshes one finger-table entry per call (round-robin), as in
-// the Chord paper's fix_fingers.
-func (n *Node) fixFinger() {
+// fixFinger refreshes one stored finger slot per call, as in the Chord
+// paper's fix_fingers, walking from the farthest slot down. When the walk
+// reaches a slot implied by the immediate successor it drops whatever is
+// stored at or below it (the ring around this node has thinned), wraps to the
+// top without a lookup and reports false: one refresh cycle is done.
+func (n *Node) fixFinger() bool {
 	n.mu.Lock()
-	i := n.nextFix
-	n.nextFix = (n.nextFix + 1) % n.cfg.FingerBits
-	start := n.ref.ID.AddPowerOfTwo(n.fingerStart(i))
+	slot := n.nextFix
+	if n.slotImpliedLocked(slot) {
+		keep := sort.Search(len(n.fingers), func(i int) bool { return int(n.fingers[i].slot) > slot })
+		n.fingers = append(n.fingers[:0], n.fingers[keep:]...)
+		n.nextFix = fingerSlots - 1
+		n.mu.Unlock()
+		return false
+	}
+	n.nextFix = slot - 1
+	start := slotStart(n.ref.ID, slot)
 	n.mu.Unlock()
 
 	ref, _, err := n.Lookup(start)
 	if err != nil {
-		return
+		return true
 	}
 	n.mu.Lock()
-	repaired := n.fingers[i] != ref
-	n.fingers[i] = ref
+	repaired := n.setFingerLocked(slot, ref)
 	n.mu.Unlock()
 	if repaired {
 		n.met.fingerRepairs.Inc()
 	}
+	return true
+}
+
+// RepairFingers runs one full fixFinger cycle from the top slot and returns
+// the number of fixFinger rounds it took.
+func (n *Node) RepairFingers() int {
+	n.mu.Lock()
+	n.nextFix = fingerSlots - 1
+	n.mu.Unlock()
+	rounds := 1
+	for n.fixFinger() {
+		rounds++
+	}
+	return rounds
 }
 
 // Join attaches this node to the ring containing bootstrap: it resolves its
@@ -636,11 +724,13 @@ func (n *Node) dropPeer(gone Ref) {
 	if n.pred.ID == gone.ID {
 		n.pred = Ref{}
 	}
-	for i, f := range n.fingers {
-		if f.ID == gone.ID {
-			n.fingers[i] = Ref{}
+	fingers := n.fingers[:0]
+	for _, f := range n.fingers {
+		if f.ref.ID != gone.ID {
+			fingers = append(fingers, f)
 		}
 	}
+	n.fingers = fingers
 }
 
 func (n *Node) adoptSuccessor(succ Ref) {

@@ -2,7 +2,6 @@ package chord
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -101,36 +100,6 @@ func TestLookupMatchesOracle(t *testing.T) {
 	}
 }
 
-func TestLookupHopBound(t *testing.T) {
-	for _, size := range []int{8, 32, 128, 512} {
-		r := buildRing(t, size, Config{})
-		nodes := r.Nodes()
-		rng := rand.New(rand.NewSource(11))
-		total, trials := 0, 200
-		maxHops := 0
-		for i := 0; i < trials; i++ {
-			key := chordid.HashKey(fmt.Sprintf("hopkey-%d", i))
-			from := nodes[rng.Intn(len(nodes))]
-			_, hops, err := from.Lookup(key)
-			if err != nil {
-				t.Fatalf("Lookup: %v", err)
-			}
-			total += hops
-			if hops > maxHops {
-				maxHops = hops
-			}
-		}
-		avg := float64(total) / float64(trials)
-		logN := math.Log2(float64(size))
-		if avg > logN+2 {
-			t.Errorf("N=%d: avg hops %.2f exceeds log2(N)+2 = %.2f", size, avg, logN+2)
-		}
-		if float64(maxHops) > 3*logN+4 {
-			t.Errorf("N=%d: max hops %d exceeds 3·log2(N)+4", size, maxHops)
-		}
-	}
-}
-
 func TestLookupCountsRPCs(t *testing.T) {
 	r := buildRing(t, 32, Config{})
 	nodes := r.Nodes()
@@ -147,7 +116,7 @@ func TestLookupCountsRPCs(t *testing.T) {
 
 func TestJoinAllConverges(t *testing.T) {
 	net := simnet.New(5)
-	r := NewRing(net, Config{FingerBits: 24})
+	r := NewRing(net, Config{})
 	if _, err := r.AddNodes("j", 20); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +145,7 @@ func TestJoinAllConverges(t *testing.T) {
 
 func TestLateJoinThenStabilize(t *testing.T) {
 	net := simnet.New(6)
-	r := NewRing(net, Config{FingerBits: 24})
+	r := NewRing(net, Config{})
 	if _, err := r.AddNodes("base", 8); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +241,7 @@ func TestLookupSurvivesMultipleFailures(t *testing.T) {
 
 func TestStabilizeRepairsAfterFailure(t *testing.T) {
 	net := simnet.New(8)
-	r := NewRing(net, Config{SuccessorListLen: 4, FingerBits: 24})
+	r := NewRing(net, Config{SuccessorListLen: 4})
 	if _, err := r.AddNodes("s", 12); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +257,7 @@ func TestStabilizeRepairsAfterFailure(t *testing.T) {
 
 func TestRecoverRejoins(t *testing.T) {
 	net := simnet.New(9)
-	r := NewRing(net, Config{SuccessorListLen: 4, FingerBits: 24})
+	r := NewRing(net, Config{SuccessorListLen: 4})
 	if _, err := r.AddNodes("rc", 10); err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +278,7 @@ func TestRecoverRejoins(t *testing.T) {
 
 func TestLeave(t *testing.T) {
 	net := simnet.New(10)
-	r := NewRing(net, Config{SuccessorListLen: 4, FingerBits: 24})
+	r := NewRing(net, Config{SuccessorListLen: 4})
 	if _, err := r.AddNodes("lv", 8); err != nil {
 		t.Fatal(err)
 	}
@@ -378,12 +347,8 @@ func TestOwnerOracleSkipsDeadNodes(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.SuccessorListLen != 4 || cfg.FingerBits != chordid.Bits || cfg.MaxLookupHops != 256 {
+	if cfg.SuccessorListLen != 4 || cfg.MaxLookupHops != 256 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
-	}
-	cfg = Config{FingerBits: 1000}.withDefaults()
-	if cfg.FingerBits != chordid.Bits {
-		t.Fatalf("FingerBits not clamped: %d", cfg.FingerBits)
 	}
 }
 
@@ -400,7 +365,7 @@ func TestRefString(t *testing.T) {
 
 func TestJoinRemoteSimulated(t *testing.T) {
 	net := simnet.New(13)
-	r := NewRing(net, Config{FingerBits: 24})
+	r := NewRing(net, Config{})
 	if _, err := r.AddNodes("jr", 10); err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +373,7 @@ func TestJoinRemoteSimulated(t *testing.T) {
 	boot := r.Nodes()[0]
 
 	// A node on the same transport joins knowing only the bootstrap address.
-	joiner := NewNode(net, "remote-joiner", Config{FingerBits: 24})
+	joiner := NewNode(net, "remote-joiner", Config{})
 	if err := joiner.JoinRemote(boot.Addr()); err != nil {
 		t.Fatalf("JoinRemote: %v", err)
 	}
@@ -486,25 +451,6 @@ func TestBuildIdempotent(t *testing.T) {
 	for _, n := range r.Nodes() {
 		if n.Successor() != before[string(n.Addr())] {
 			t.Fatal("Build is not idempotent")
-		}
-	}
-}
-
-// Property: after Build, every finger entry equals the oracle successor of
-// its start position.
-func TestFingerTableMatchesOracle(t *testing.T) {
-	r := buildRing(t, 24, Config{FingerBits: 32})
-	for _, n := range r.Nodes() {
-		for i := 0; i < 32; i++ {
-			start := n.ID().AddPowerOfTwo(n.fingerStart(i))
-			want, _ := r.Owner(start)
-			n.mu.Lock()
-			got := n.fingers[i]
-			n.mu.Unlock()
-			if got.ID != want.ID() {
-				t.Fatalf("node %s finger %d = %s, oracle %s",
-					n.Addr(), i, got.ID.Short(), want.ID().Short())
-			}
 		}
 	}
 }

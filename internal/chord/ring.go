@@ -105,6 +105,7 @@ func (r *Ring) Build() {
 		ids[i] = node.ID()
 	}
 	succRef := func(i int) Ref { return r.order[i%n].Ref() }
+	var top []finger // scratch, reused across nodes
 
 	for i, node := range r.order {
 		node.mu.Lock()
@@ -121,10 +122,25 @@ func (r *Ring) Build() {
 				node.succs = append(node.succs, succRef(i+j))
 			}
 		}
-		for k := range node.fingers {
-			start := node.ref.ID.AddPowerOfTwo(node.fingerStart(k))
-			node.fingers[k] = r.order[successorIndex(ids, start)].Ref()
+		// Fingers from the top slot down to the first one that resolves to
+		// the immediate successor — on a correct ring exactly the slots that
+		// start past it; slot 0 (offset 1) always ends the walk. Collected
+		// farthest-first, stored nearest-first.
+		top = top[:0]
+		for slot := fingerSlots - 1; ; slot-- {
+			owner := successorIndex(ids, slotStart(node.ref.ID, slot))
+			if owner == (i+1)%n {
+				break
+			}
+			if owner != i {
+				top = append(top, finger{ref: r.order[owner].ref, slot: uint16(slot)})
+			}
 		}
+		node.fingers = make([]finger, len(top))
+		for k, f := range top {
+			node.fingers[len(top)-1-k] = f
+		}
+		node.nextFix = fingerSlots - 1
 		node.mu.Unlock()
 	}
 }
@@ -273,14 +289,15 @@ func (r *Ring) StabilizeLists(rounds int) int {
 	return rounds
 }
 
-// RepairFingers fully refreshes every alive node's finger table via lookups.
-// Used after churn when an experiment needs log-N routing restored promptly.
-func (r *Ring) RepairFingers() {
+// RepairFingers runs one full finger refresh cycle on every alive node via
+// lookups and returns the total number of fixFinger rounds that took. Used
+// after churn when an experiment needs log-N routing restored promptly.
+func (r *Ring) RepairFingers() int {
+	rounds := 0
 	for _, n := range r.aliveNodes() {
-		for i := 0; i < n.cfg.FingerBits; i++ {
-			n.fixFinger()
-		}
+		rounds += n.RepairFingers()
 	}
+	return rounds
 }
 
 // Fail crashes the named node (it stays registered so Recover can revive

@@ -35,7 +35,7 @@ func (d *dieOnCall) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Messa
 // better successor through b's predecessor pointer.
 func stabilizeCandidateRing(t *testing.T, net simnet.Transport) (a, v, b *Node) {
 	t.Helper()
-	r := NewRing(net, Config{SuccessorListLen: 3, FingerBits: 24})
+	r := NewRing(net, Config{SuccessorListLen: 3})
 	if _, err := r.AddNodes("sc", 4); err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,8 @@
 // are hashed using MD5", §6), and compared on a ring of size 2^128.
 //
 // The package provides the modular arithmetic Chord needs: clockwise interval
-// tests for successor resolution, power-of-two offsets for finger-table
-// construction, and clockwise distance for "closest term" selection during
+// tests for successor resolution, modular addition for finger-table offsets,
+// and clockwise distance for "closest term" selection during
 // SPRITE's de-duplicated query polling (§3).
 package chordid
 
@@ -135,19 +135,6 @@ func (id ID) Sub(other ID) ID {
 	lo, borrow := bits.Sub64(alo, blo, 0)
 	hi, _ := bits.Sub64(ahi, bhi, borrow)
 	return fromWords(hi, lo)
-}
-
-// AddPowerOfTwo returns id + 2^k modulo 2^128, for 0 <= k < Bits. It is the
-// offset used to place the k-th finger of a Chord node. It panics if k is out
-// of range, which indicates a programming error in the overlay.
-func (id ID) AddPowerOfTwo(k int) ID {
-	if k < 0 || k >= Bits {
-		panic(fmt.Sprintf("chordid: AddPowerOfTwo exponent %d out of [0,%d)", k, Bits))
-	}
-	var p ID
-	byteIdx := Bytes - 1 - k/8
-	p[byteIdx] = 1 << (k % 8)
-	return id.Add(p)
 }
 
 // Distance returns the clockwise distance from id to other: the number of

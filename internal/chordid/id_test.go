@@ -96,36 +96,6 @@ func TestAddWraps(t *testing.T) {
 	}
 }
 
-func TestAddPowerOfTwo(t *testing.T) {
-	base := FromUint64(10)
-	if got := base.AddPowerOfTwo(0).Uint64(); got != 11 {
-		t.Errorf("10 + 2^0 = %d, want 11", got)
-	}
-	if got := base.AddPowerOfTwo(10).Uint64(); got != 10+1024 {
-		t.Errorf("10 + 2^10 = %d, want %d", got, 10+1024)
-	}
-	// 2^127 flips the top bit.
-	got := (ID{}).AddPowerOfTwo(Bits - 1)
-	var want ID
-	want[0] = 0x80
-	if got != want {
-		t.Errorf("0 + 2^127 = %v, want %v", got, want)
-	}
-}
-
-func TestAddPowerOfTwoPanics(t *testing.T) {
-	for _, k := range []int{-1, Bits} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("AddPowerOfTwo(%d) did not panic", k)
-				}
-			}()
-			(ID{}).AddPowerOfTwo(k)
-		}()
-	}
-}
-
 func TestBetweenNoWrap(t *testing.T) {
 	a, m, b := FromUint64(10), FromUint64(20), FromUint64(30)
 	if !m.Between(a, b) {

@@ -234,7 +234,9 @@ func TestHistoryParityWithCache(t *testing.T) {
 
 // TestSingleflightOneFetchPerTerm is the acceptance test for coalescing:
 // N concurrent identical cold queries issue exactly one remote postings
-// fetch per term, and the coalesce counter reads N-1.
+// fetch per term. How the other N-1 split between joining the flight and
+// hitting the filled cache is up to the scheduler; that exactly one miss was
+// not coalesced is not.
 func TestSingleflightOneFetchPerTerm(t *testing.T) {
 	n, sim := cacheTestNetwork(t, 8, Config{
 		Cache: CacheConfig{Enabled: true, DisableResults: true},
@@ -275,8 +277,8 @@ func TestSingleflightOneFetchPerTerm(t *testing.T) {
 		t.Fatalf("%d concurrent cold queries issued %d remote fetches; want exactly 1", callers, got)
 	}
 	st := n.PostingsCacheStats()
-	if st.Hits+st.Coalesced != callers-1 || st.Misses != 1 {
-		t.Fatalf("stats = %+v; want misses=1 and hits+coalesced=%d", st, callers-1)
+	if st.Hits+st.Misses != callers || st.Misses-st.Coalesced != 1 {
+		t.Fatalf("stats = %+v; want hits+misses=%d and misses-coalesced=1", st, callers)
 	}
 }
 

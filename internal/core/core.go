@@ -606,7 +606,9 @@ func (n *Network) IndexedTerms(doc index.DocID) ([]string, error) {
 func (n *Network) TotalPostings() int {
 	total := 0
 	for _, p := range n.Peers() {
+		p.indexing.mu.Lock()
 		total += p.indexing.ix.NumPostings()
+		p.indexing.mu.Unlock()
 	}
 	return total
 }

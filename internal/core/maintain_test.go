@@ -88,7 +88,7 @@ func TestRefreshMigratesAfterJoin(t *testing.T) {
 	// A new node joins and takes over part of the key space; entries it now
 	// owns are unfindable until the owner refreshes.
 	net := simnet.New(3)
-	ring := chord.NewRing(net, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(net, chord.Config{})
 	if _, err := ring.AddNodes("m", 6); err != nil {
 		t.Fatal(err)
 	}

@@ -267,9 +267,12 @@ type indexingState struct {
 	// successor addresses hold replicas pushed by this peer. replicateDrop
 	// consumes it so withdrawals reach stale locations too.
 	replicaLocs map[string]map[index.DocID][]simnet.Addr
-	history     []storedQuery
-	historyCap  int
-	seq         uint64
+	// history ascends by seq cyclically from index oldest: it is filled in
+	// arrival order and, once full, overwritten oldest-first like a ring.
+	history    []storedQuery
+	oldest     int
+	historyCap int
+	seq        uint64
 }
 
 // recordReplicaLocs unions targets into the replica-location record for
@@ -397,16 +400,30 @@ func (s *indexingState) cacheQuery(terms []string) {
 	}
 	if len(s.history) >= s.historyCap {
 		// Evict the oldest issuance.
-		oldest := 0
-		for i := range s.history {
-			if s.history[i].seq < s.history[oldest].seq {
-				oldest = i
-			}
-		}
-		s.history[oldest] = sq
+		s.history[s.oldest] = sq
+		s.oldest = (s.oldest + 1) % len(s.history)
 		return
 	}
 	s.history = append(s.history, sq)
+}
+
+// restoreHistory installs a history loaded from a snapshot and re-establishes
+// the ring order cacheQuery evicts by. A snapshot of a full history is
+// already such a ring, so only its oldest entry has to be found — it may be
+// longer than a smaller historyCap, and then keeps its length and evicts in
+// place. One shorter than historyCap will grow by appending, which needs it
+// in arrival order from index 0. The caller holds s.mu.
+func (s *indexingState) restoreHistory(h []storedQuery) {
+	s.history, s.oldest = h, 0
+	if len(h) < s.historyCap {
+		sort.Slice(h, func(i, j int) bool { return h[i].seq < h[j].seq })
+		return
+	}
+	for i := range h {
+		if h[i].seq < h[s.oldest].seq {
+			s.oldest = i
+		}
+	}
 }
 
 // poll answers an owner's index-update poll: among cached queries newer than

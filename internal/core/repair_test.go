@@ -14,7 +14,7 @@ import (
 func joinableNetwork(t *testing.T, cfg Config) (*Network, *chord.Ring) {
 	t.Helper()
 	net := simnet.New(3)
-	ring := chord.NewRing(net, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(net, chord.Config{})
 	if _, err := ring.AddNodes("m", 6); err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestAntiEntropyRestoresLostReplica(t *testing.T) {
 func TestRepairTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	net := simnet.New(3)
-	ring := chord.NewRing(net, chord.Config{FingerBits: 24, Telemetry: reg})
+	ring := chord.NewRing(net, chord.Config{Telemetry: reg})
 	if _, err := ring.AddNodes("m", 6); err != nil {
 		t.Fatal(err)
 	}

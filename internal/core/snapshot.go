@@ -174,21 +174,22 @@ func (n *Network) Restore(r io.Reader) error {
 		// Replica-location records are rebuilt as post-restore publishes
 		// happen; stale pre-snapshot locations must not leak into them.
 		p.indexing.replicaLocs = nil
-		p.indexing.history = nil
 		for _, e := range ps.Postings {
 			p.indexing.ix.Add(e.Term, e.Posting)
 		}
 		for _, e := range ps.Replicas {
 			p.indexing.replicas.Add(e.Term, e.Posting)
 		}
+		history := make([]storedQuery, 0, len(ps.History))
 		for _, h := range ps.History {
-			p.indexing.history = append(p.indexing.history, storedQuery{
+			history = append(history, storedQuery{
 				terms: h.Terms,
 				key:   canonicalQuery(h.Terms),
 				hash:  queryHash(h.Terms),
 				seq:   h.Seq,
 			})
 		}
+		p.indexing.restoreHistory(history)
 		p.indexing.seq = ps.Seq
 		p.indexing.mu.Unlock()
 

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -17,11 +16,10 @@ import (
 // ScaleArm is one ring size of the scale sweep: a full deployment trained
 // per §6.2, then measured over a Zipf query stream on the virtual clock.
 type ScaleArm struct {
-	// Peers is the ring size; FingerBits the per-node finger-table size the
-	// sweep tuned to ~log2(Peers)+8 (the full 128-entry default would cost
-	// hundreds of MB at 100k peers for no routing benefit).
-	Peers      int
-	FingerBits int
+	// Peers is the ring size; Fingers the mean number of finger-table
+	// entries a node stores at that size (the table sizes itself).
+	Peers   int
+	Fingers float64
 	// Queries is the measured Zipf stream volume.
 	Queries int
 	// Exact per-query virtual latency (microseconds): order statistics over
@@ -42,7 +40,15 @@ type ScaleArm struct {
 	// state lands with whichever peer owns the term, so quality must not
 	// move with ring size; the column is the evidence.
 	Quality quality
+	// FixMsgs and FixRounds are the maintenance price of the finger table:
+	// chord.next_hop messages and fixFinger rounds per node for one full
+	// refresh cycle of its table, measured after the query stream.
+	FixMsgs   float64
+	FixRounds float64
 }
+
+// fixSample bounds how many nodes per arm have their finger refresh measured.
+const fixSample = 4096
 
 // quality is the slim P/R pair the scale table reports.
 type quality struct {
@@ -61,20 +67,9 @@ type ScaleResult struct {
 	Arms  []ScaleArm
 }
 
-// scaleFingerBits tunes the finger-table size to the ring: enough bits to
-// halve the remaining distance down to single steps (log2 n) plus headroom
-// so routing stays ~(1/2)·log2 n hops, without the full-table memory bill.
-func scaleFingerBits(peers int) int {
-	b := int(math.Ceil(math.Log2(float64(peers)))) + 8
-	if b < 16 {
-		b = 16
-	}
-	return b
-}
-
 // RunScale measures query latency and message cost as a function of ring
-// size: for each ring in rings it builds a deployment (tuned finger tables,
-// sequential fan-out, no telemetry — the configuration that maximizes
+// size: for each ring in rings it builds a deployment (sequential fan-out,
+// lean transport stats, no telemetry — the configuration that maximizes
 // simulated throughput), trains it per §6.2, then replays volume queries
 // drawn Zipf(slope) from the test set with every link delay slept on the
 // deployment's virtual clock. Latency columns are exact virtual
@@ -132,17 +127,16 @@ func RunScale(cfg Config, rings []int, volume int, slope float64, delay time.Dur
 }
 
 // runScaleArm builds, trains, and measures one ring size. The deployment is
-// assembled here rather than through NewDeployment because the sweep tunes
-// chord's finger-table size per ring.
+// assembled here rather than through NewDeployment because the sweep sets the
+// ring size per arm and runs the transport with lean stats.
 func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration) (ScaleArm, error) {
 	wallStart := time.Now()
-	fingerBits := scaleFingerBits(peers)
 	clk := vtime.NewSim()
 	snet := simnet.New(env.Cfg.Seed+1,
 		simnet.WithClock(clk),
 		simnet.WithLatency(simnet.UniformLatency(delay, delay)),
 		simnet.WithLeanStats())
-	ring := chord.NewRing(snet, chord.Config{FingerBits: fingerBits})
+	ring := chord.NewRing(snet, chord.Config{})
 
 	coreCfg := env.Cfg.Core
 	coreCfg.Parallelism = 1
@@ -150,7 +144,7 @@ func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration
 	coreCfg.Clock = clk
 	d := &Deployment{Env: env, Sim: snet, Ring: ring, Clk: clk}
 
-	arm := ScaleArm{Peers: peers, FingerBits: fingerBits, Queries: volume}
+	arm := ScaleArm{Peers: peers, Queries: volume}
 	var (
 		samples []int64
 		runErr  error
@@ -198,6 +192,25 @@ func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration
 		// sleeping) — ring size must not move precision or recall.
 		m := Measure(d.SpriteSearcher(), env.Test, env.Cfg.TopK)
 		arm.Quality = quality{Precision: m.Precision, Recall: m.Recall}
+
+		// The other side of the routing ledger: what one full refresh of a
+		// finger table costs, over every node up to fixSample peers and an
+		// evenly spaced sample of that many above (a refresh of all 100k
+		// tables is 18M lookup hops, half the arm's wall time). Measured
+		// last — on a built ring a refresh changes nothing, and the counters
+		// above are already taken.
+		d.Sim.ResetStats()
+		stride, sampled, rounds := (peers+fixSample-1)/fixSample, 0, 0
+		for i, n := range ring.Nodes() {
+			arm.Fingers += float64(n.FingerCount())
+			if i%stride == 0 {
+				rounds += n.RepairFingers()
+				sampled++
+			}
+		}
+		arm.Fingers /= float64(peers)
+		arm.FixRounds = float64(rounds) / float64(sampled)
+		arm.FixMsgs = float64(d.Sim.Stats().Calls) / float64(sampled)
 	})
 	if runErr != nil {
 		return ScaleArm{}, runErr
@@ -213,13 +226,13 @@ func (r *ScaleResult) Table() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Scale sweep: virtual-time query latency vs ring size (%v link delay, zipf %.2f)\n",
 		r.Delay, r.Slope)
-	fmt.Fprintf(&b, "%-9s %-8s %-9s %-10s %-9s %-9s %-9s %-10s %-10s %-9s %-9s %-18s\n",
+	fmt.Fprintf(&b, "%-9s %-8s %-9s %-10s %-9s %-9s %-9s %-10s %-10s %-9s %-9s %-9s %-10s %-18s\n",
 		"peers", "fingers", "queries", "mean_us", "p50_us", "p95_us", "p99_us",
-		"msgs/q", "bytes/q", "vsecs", "wall_ms", "precision/recall")
+		"msgs/q", "bytes/q", "vsecs", "wall_ms", "fix_msgs", "fix_rounds", "precision/recall")
 	for _, a := range r.Arms {
-		fmt.Fprintf(&b, "%-9d %-8d %-9d %-10.1f %-9d %-9d %-9d %-10.2f %-10.1f %-9.1f %-9d P=%.4f R=%.4f\n",
-			a.Peers, a.FingerBits, a.Queries, a.MeanUS, a.P50US, a.P95US, a.P99US,
-			a.MsgsPerQuery, a.BytesPerQuery, a.VirtualSecs, a.WallMS,
+		fmt.Fprintf(&b, "%-9d %-8.1f %-9d %-10.1f %-9d %-9d %-9d %-10.2f %-10.1f %-9.1f %-9d %-9.1f %-10.1f P=%.4f R=%.4f\n",
+			a.Peers, a.Fingers, a.Queries, a.MeanUS, a.P50US, a.P95US, a.P99US,
+			a.MsgsPerQuery, a.BytesPerQuery, a.VirtualSecs, a.WallMS, a.FixMsgs, a.FixRounds,
 			a.Quality.Precision, a.Quality.Recall)
 	}
 	return b.String()
@@ -230,13 +243,14 @@ func (r *ScaleResult) CSV() string {
 	rows := make([][]string, 0, len(r.Arms))
 	for _, a := range r.Arms {
 		rows = append(rows, []string{
-			fmt.Sprint(a.Peers), fmt.Sprint(a.FingerBits), fmt.Sprint(a.Queries),
+			fmt.Sprint(a.Peers), fmt.Sprintf("%.1f", a.Fingers), fmt.Sprint(a.Queries),
 			fmt.Sprint(r.Delay.Microseconds()), fmt.Sprintf("%.2f", r.Slope),
 			fmt.Sprintf("%.1f", a.MeanUS), fmt.Sprint(a.P50US), fmt.Sprint(a.P95US), fmt.Sprint(a.P99US),
 			fmt.Sprintf("%.2f", a.MsgsPerQuery), fmt.Sprintf("%.1f", a.BytesPerQuery),
 			fmt.Sprintf("%.1f", a.VirtualSecs), fmt.Sprint(a.WallMS),
 			f4(a.Quality.Precision), f4(a.Quality.Recall),
+			fmt.Sprintf("%.1f", a.FixMsgs), fmt.Sprintf("%.1f", a.FixRounds),
 		})
 	}
-	return csvRows("peers,finger_bits,queries,link_delay_us,zipf_slope,mean_us,p50_us,p95_us,p99_us,msgs_per_query,bytes_per_query,virtual_secs,wall_ms,precision,recall", rows)
+	return csvRows("peers,fingers_per_node,queries,link_delay_us,zipf_slope,mean_us,p50_us,p95_us,p99_us,msgs_per_query,bytes_per_query,virtual_secs,wall_ms,precision,recall,fix_msgs_per_node,fix_rounds_per_node", rows)
 }

@@ -145,7 +145,7 @@ func runTCPArm(mode string, peers, conc, queries int) (TCPArm, error) {
 	if err != nil {
 		return arm, err
 	}
-	ring := chord.NewRing(tr, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(tr, chord.Config{})
 	for _, a := range addrs {
 		if _, err := ring.AddNode(string(a)); err != nil {
 			return arm, err

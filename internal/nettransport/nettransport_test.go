@@ -153,7 +153,7 @@ func TestChordRingOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := chord.NewRing(tr, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(tr, chord.Config{})
 	for _, a := range addrs {
 		if _, err := ring.AddNode(string(a)); err != nil {
 			t.Fatal(err)
@@ -189,7 +189,7 @@ func TestSpriteOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := chord.NewRing(tr, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(tr, chord.Config{})
 	for _, a := range addrs {
 		if _, err := ring.AddNode(string(a)); err != nil {
 			t.Fatal(err)
@@ -246,7 +246,7 @@ func TestJoinRemoteAcrossTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := chord.NewRing(trA, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(trA, chord.Config{})
 	for _, a := range addrs[:4] {
 		if _, err := ring.AddNode(string(a)); err != nil {
 			t.Fatal(err)
@@ -256,7 +256,7 @@ func TestJoinRemoteAcrossTransports(t *testing.T) {
 
 	// The joiner lives on a different Transport instance — it shares nothing
 	// with the ring but the wire protocol.
-	joiner := chord.NewNode(trB, string(addrs[4]), chord.Config{FingerBits: 24})
+	joiner := chord.NewNode(trB, string(addrs[4]), chord.Config{})
 	if err := joiner.JoinRemote(addrs[0]); err != nil {
 		t.Fatalf("JoinRemote: %v", err)
 	}

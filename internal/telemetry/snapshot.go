@@ -13,12 +13,28 @@ import (
 // Snapshot is a point-in-time, immutable export of a registry: every
 // instrument's current value plus the retained trace trees. It marshals
 // directly to JSON and renders as a text report with WriteText.
+//
+// Counters, Gauges and Histograms are part of the determinism contract: two
+// runs of one seed on the virtual clock export identical values whatever the
+// host's core count or scheduler does. GaugePeaks and Traces are not, and
+// Deterministic drops them: a peak is the high-water mark of a gauge that
+// concurrent goroutines move, so it records how many of them the scheduler
+// happened to overlap, and spans carry wall-clock start times.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters,omitempty"`
 	Gauges     map[string]int64        `json:"gauges,omitempty"`
-	GaugePeaks map[string]int64        `json:"gauge_peaks,omitempty"`
+	GaugePeaks map[string]int64        `json:"gauge_peaks,omitempty"` // scheduling-dependent
 	Histograms map[string]HistSnapshot `json:"histograms,omitempty"`
-	Traces     []TraceSnapshot         `json:"traces,omitempty"`
+	Traces     []TraceSnapshot         `json:"traces,omitempty"` // wall-clock-dependent
+}
+
+// Deterministic returns the snapshot without its scheduling- and
+// wall-clock-dependent fields (GaugePeaks, Traces) — the part two same-seed
+// runs must agree on bit for bit.
+func (s Snapshot) Deterministic() Snapshot {
+	s.GaugePeaks = nil
+	s.Traces = nil
+	return s
 }
 
 // HistSnapshot summarizes one histogram.

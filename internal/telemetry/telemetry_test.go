@@ -235,6 +235,8 @@ func TestSnapshotExport(t *testing.T) {
 	r.Counter("simnet.calls.chord.next_hop").Add(12)
 	r.Counter("simnet.bytes.chord.next_hop").Add(340)
 	r.Gauge("peers.alive").Set(16)
+	r.Gauge("fanout.inflight").Add(3)
+	r.Gauge("fanout.inflight").Add(-3)
 	h := r.Histogram("chord.lookup.hops")
 	for _, v := range []int64{1, 2, 2, 3, 4} {
 		h.Observe(v)
@@ -256,6 +258,17 @@ func TestSnapshotExport(t *testing.T) {
 	}
 	if len(snap.Traces) != 1 {
 		t.Fatalf("traces = %d", len(snap.Traces))
+	}
+	det := snap.Deterministic()
+	if det.GaugePeaks != nil || det.Traces != nil {
+		t.Fatalf("Deterministic kept peaks or traces: %+v", det)
+	}
+	if det.Counters["simnet.calls.chord.next_hop"] != 12 || det.Gauges["peers.alive"] != 16 ||
+		det.Histograms["chord.lookup.hops"] != hs {
+		t.Fatalf("Deterministic dropped a deterministic field: %+v", det)
+	}
+	if snap.GaugePeaks["fanout.inflight"] != 3 || len(snap.Traces) != 1 {
+		t.Fatalf("Deterministic modified its receiver: %+v", snap)
 	}
 
 	var text bytes.Buffer

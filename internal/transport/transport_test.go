@@ -457,7 +457,7 @@ func TestChordRingOverPooledTransport(t *testing.T) {
 	tr := New(WithDialTimeout(500 * time.Millisecond))
 	defer tr.Close()
 	addrs := freeAddrs(t, 8)
-	ring := chord.NewRing(tr, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(tr, chord.Config{})
 	for _, a := range addrs {
 		if _, err := ring.AddNode(string(a)); err != nil {
 			t.Fatal(err)
@@ -492,7 +492,7 @@ func TestSpriteOverPooledTransport(t *testing.T) {
 	tr := New(WithDialTimeout(500*time.Millisecond), WithTelemetry(reg))
 	defer tr.Close()
 	addrs := freeAddrs(t, 6)
-	ring := chord.NewRing(tr, chord.Config{FingerBits: 24})
+	ring := chord.NewRing(tr, chord.Config{})
 	for _, a := range addrs {
 		if _, err := ring.AddNode(string(a)); err != nil {
 			t.Fatal(err)
