@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
+.PHONY: check vet build test race bench bench-test bench-route bench-trace-route cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
 
 check: vet build race
 
@@ -29,6 +29,17 @@ bench-test:
 
 bench-route:
 	bash bench/run.sh --workload route --seed 1 --seconds 12 --trace 0
+
+# Attribution guard: a short traced pass of the routing workload must still
+# explain every nanosecond — span self times summing to the roots, and
+# chord.route + core.fetch summing to the virtual latency — and be correct. A
+# protocol change that moves query traffic to a message type the benchmark's
+# tracer does not know breaks the second sum, and this target, first.
+bench-trace-route:
+	@out=$$(bash bench/run.sh --workload route --seed 1 --seconds 2 --trace 1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E 'check:|^rank_hash|^operations attempted'; \
+	[ "$$(echo "$$out" | grep -c '(equal: true)')" -eq 2 ] || { echo "bench-trace-route: want both sum checks to print (equal: true)"; exit 1; }; \
+	echo "$$out" | grep -q '"correct":true' || { echo "bench-trace-route: run is not correct"; exit 1; }
 
 cover:
 	$(GO) test -cover ./...

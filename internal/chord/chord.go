@@ -18,6 +18,14 @@
 // node stores just the fingers that can differ from its immediate successor
 // (see Node.fingers), so the table sizes itself to the ring.
 //
+// Route fuses the lookup with the delivery it exists for. A node that is asked
+// for the next hop also names the node its fingers or successor list say owns
+// the key (an owner hint), and Route delivers straight to it instead of first
+// visiting the owner's predecessor to be told the same. A hint may be stale, so
+// it never decides ownership: the hinted delivery carries the key, and the
+// receiver serves it only if the key lies in its own arc (predecessor, self] —
+// otherwise it refuses and the lookup carries on as if no hint had been given.
+//
 // Because the surrounding system is a simulation, a Ring manager owns all
 // nodes and offers two construction modes: protocol joins with explicit
 // stabilization rounds (used by churn tests), and Build, which wires
@@ -76,19 +84,27 @@ type nodeMetrics struct {
 	lookups       *telemetry.Counter
 	lookupsFailed *telemetry.Counter
 	hops          *telemetry.Histogram
-	stabilizes    *telemetry.Counter
-	fingerRepairs *telemetry.Counter
-	succDepth     *telemetry.Gauge
+	// Routed deliveries sent on an owner hint, hints the receiver refused
+	// (one wasted round trip each), and hinted nodes found dead before sending.
+	hinted          *telemetry.Counter
+	hintRejected    *telemetry.Counter
+	hintUnreachable *telemetry.Counter
+	stabilizes      *telemetry.Counter
+	fingerRepairs   *telemetry.Counter
+	succDepth       *telemetry.Gauge
 }
 
 func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 	return nodeMetrics{
-		lookups:       reg.Counter("chord.lookups"),
-		lookupsFailed: reg.Counter("chord.lookups_failed"),
-		hops:          reg.Histogram("chord.lookup.hops"),
-		stabilizes:    reg.Counter("chord.stabilize.rounds"),
-		fingerRepairs: reg.Counter("chord.finger.repairs"),
-		succDepth:     reg.Gauge("chord.successors.depth"),
+		lookups:         reg.Counter("chord.lookups"),
+		lookupsFailed:   reg.Counter("chord.lookups_failed"),
+		hops:            reg.Histogram("chord.lookup.hops"),
+		hinted:          reg.Counter("chord.route.hinted"),
+		hintRejected:    reg.Counter("chord.route.hint_rejected"),
+		hintUnreachable: reg.Counter("chord.route.hint_unreachable"),
+		stabilizes:      reg.Counter("chord.stabilize.rounds"),
+		fingerRepairs:   reg.Counter("chord.finger.repairs"),
+		succDepth:       reg.Gauge("chord.successors.depth"),
 	}
 }
 
@@ -122,6 +138,25 @@ type nextHopReq struct {
 type nextHopResp struct {
 	Done bool // Key is owned by Ref (it is the asked node's successor or itself)
 	Ref  Ref
+	// Hint, when non-zero, is the node the asked node's fingers or successor
+	// list say owns Key. Only a not-Done answer to a request without
+	// exclusions carries one, and only the hinted node itself can confirm it.
+	Hint Ref
+}
+
+// routed is the envelope of a delivery sent on an owner hint. It travels under
+// the application message's own Type with the application payload inside, and
+// carries the key so the receiver can check the key against its own arc before
+// the application handler sees anything.
+type routed struct {
+	Key     chordid.ID
+	Payload any
+}
+
+// notOwner is the reply to a routed delivery whose key the receiver does not
+// own (or cannot tell, its predecessor being unknown).
+type notOwner struct {
+	Key chordid.ID
 }
 
 type stateResp struct {
@@ -249,10 +284,16 @@ type finger struct {
 // id + j·16^ℓ for slot = ℓ·fingerDigits + (j−1). Offsets grow with the slot
 // number, so slot order is clockwise-distance order.
 func slotStart(id chordid.ID, slot int) chordid.ID {
+	return id.Add(slotOffset(slot))
+}
+
+// slotOffset returns the clockwise distance j·16^ℓ from a node to the start
+// of its finger slot.
+func slotOffset(slot int) chordid.ID {
 	bit := slot / fingerDigits * fingerDigitBits
 	var off chordid.ID
 	off[chordid.Bytes-1-bit/8] = byte(slot%fingerDigits+1) << (bit % 8)
-	return id.Add(off)
+	return off
 }
 
 // slotImpliedLocked reports whether slot starts in (self, succs[0]] — where
@@ -291,7 +332,7 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 	case msgNextHop:
 		req := msg.Payload.(nextHopReq)
 		resp := n.nextHop(req)
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: refSize}, nil
+		return simnet.Message{Type: msg.Type, Payload: resp, Size: nextHopRespSize(resp)}, nil
 	case msgGetState:
 		n.mu.Lock()
 		st := stateResp{Pred: n.pred, Succs: append([]Ref(nil), n.succs...)}
@@ -305,10 +346,19 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 	}
 	n.mu.Lock()
-	app := n.app
+	app, pred := n.app, n.pred
 	n.mu.Unlock()
 	if app == nil {
 		return simnet.Message{}, fmt.Errorf("chord: node %s: no handler for message type %q", n.ref, msg.Type)
+	}
+	if env, ok := msg.Payload.(routed); ok {
+		// Sent on a hint, which may be stale: responsibility is decided here,
+		// by this node about its own arc, exactly as a lookup would have
+		// decided it at our predecessor. An unknown predecessor proves nothing.
+		if pred.IsZero() || !env.Key.BetweenRightIncl(pred.ID, n.ref.ID) {
+			return simnet.Message{Type: msg.Type, Payload: notOwner{Key: env.Key}, Size: chordid.Bytes}, nil
+		}
+		msg.Payload, msg.Size = env.Payload, msg.Size-chordid.Bytes
 	}
 	return app.HandleMessage(from, msg)
 }
@@ -316,10 +366,23 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 // refSize is the simulated wire size of a Ref (16-byte ID + address).
 const refSize = 24
 
+// nextHopReqSize is the simulated wire size of a hop request: the key plus
+// one identifier per exclusion.
+func nextHopReqSize(exclude []chordid.ID) int { return chordid.Bytes * (1 + len(exclude)) }
+
+// nextHopRespSize is the simulated wire size of a hop answer.
+func nextHopRespSize(resp nextHopResp) int {
+	if resp.Hint.IsZero() {
+		return refSize
+	}
+	return 2 * refSize
+}
+
 // nextHop answers one step of an iterative lookup: if the key falls between
 // this node and its first live, non-excluded successor, the lookup is done;
 // otherwise return the closest preceding candidate from the finger table and
-// successor list.
+// successor list — and, when the request excludes nobody, the node this one
+// believes owns the key (see ownerHintLocked).
 func (n *Node) nextHop(req nextHopReq) nextHopResp {
 	// Most hops carry no exclusions; reads on a nil map are free, so only
 	// allocate when the lookup is actually routing around failures.
@@ -343,8 +406,12 @@ func (n *Node) nextHop(req nextHopReq) nextHopResp {
 		}
 		break // first acceptable successor does not own the key
 	}
-	if best := n.closestPrecedingLocked(req.Key, excluded); !best.IsZero() {
-		return nextHopResp{Ref: best}
+	if best, above := n.closestPrecedingLocked(req.Key, excluded); !best.IsZero() {
+		resp := nextHopResp{Ref: best}
+		if excluded == nil {
+			resp.Hint = n.ownerHintLocked(req.Key, above)
+		}
+		return resp
 	}
 	// Nothing better than ourselves: fall back to the first acceptable
 	// successor so the lookup can limp around the ring.
@@ -357,8 +424,11 @@ func (n *Node) nextHop(req nextHopReq) nextHopResp {
 }
 
 // closestPrecedingLocked scans fingers and the successor list for the node
-// closest to key that strictly precedes it, skipping excluded nodes.
-func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bool) Ref {
+// closest to key that strictly precedes it, skipping excluded nodes. above is
+// the index of the lowest stored finger past the one the scan settled on (0
+// when no finger precedes the key): the only finger that can name the key's
+// owner.
+func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bool) (best Ref, above int) {
 	acceptable := func(r Ref) bool {
 		return !r.IsZero() && !excluded[r.ID] && r.ID != n.ref.ID &&
 			r.ID.Between(n.ref.ID, key)
@@ -367,12 +437,11 @@ func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bo
 	// Fingers are ordered by clockwise distance from this node, so scanning
 	// from the top the first acceptable in-interval finger is already the
 	// closest finger preceding the key — the rest need not be scored.
-	var best Ref
 	var bestDist chordid.ID
 	first := true
 	for i := len(n.fingers) - 1; i >= 0; i-- {
 		if r := n.fingers[i].ref; acceptable(r) {
-			best, bestDist, first = r, r.ID.Distance(key), false
+			best, bestDist, first, above = r, r.ID.Distance(key), false, i+1
 			break
 		}
 	}
@@ -384,7 +453,29 @@ func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bo
 			best, bestDist, first = s, d, false
 		}
 	}
-	return best
+	return best, above
+}
+
+// ownerHintLocked names the node this node's own state says owns key, or the
+// zero Ref when it cannot tell: a later successor-list entry whose arc holds
+// the key, else fingers[above] — the scan in closestPrecedingLocked left it as
+// the lowest finger at or past the key — if its slot starts at or before the
+// key. finger[s] = successor(slotStart(s)), so no node lies between that start
+// and the finger, and the finger is the key's successor. Every higher finger
+// starting at or before the key names the same node, and if this one starts
+// past the key so do they, which is why one comparison decides it.
+func (n *Node) ownerHintLocked(key chordid.ID, above int) Ref {
+	for i := 1; i < len(n.succs); i++ {
+		if key.BetweenRightIncl(n.succs[i-1].ID, n.succs[i].ID) {
+			return n.succs[i]
+		}
+	}
+	if above < len(n.fingers) {
+		if f := n.fingers[above]; slotOffset(int(f.slot)).Cmp(n.ref.ID.Distance(key)) <= 0 {
+			return f.ref
+		}
+	}
+	return Ref{}
 }
 
 // notify implements Chord's notify: cand believes it may be our predecessor.
@@ -440,84 +531,193 @@ func (n *Node) LookupExcluding(ctx context.Context, key chordid.ID, exclude []ch
 	return n.lookupFrom(ctx, n.ref, key, append([]chordid.ID(nil), exclude...), parent)
 }
 
-// lookupFrom runs the iterative lookup protocol starting at an arbitrary
-// node (used by Lookup with start = self, and by JoinRemote with start = a
-// bootstrap peer known only by address), with the exclusion list seeded from
-// exclude. Each remote hop is timed as a child span of parent when tracing is
-// on; hop counts and failures feed the overlay metrics.
-func (n *Node) lookupFrom(ctx context.Context, start Ref, key chordid.ID, exclude []chordid.ID, parent *telemetry.Span) (ref Ref, hops int, err error) {
-	n.met.lookups.Inc()
+// Sender performs the delivery leg of a route: one request/reply exchange
+// with the node at to. RouteVia's caller supplies it to put its own policy —
+// timeouts, retries, hedges, spans — around that one exchange.
+type Sender func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error)
+
+// Route delivers msg to the node responsible for key and returns its reply,
+// the owner that served it, and the routing round trips spent before the
+// delivery. It is Lookup followed by a call to the owner, minus one round
+// trip whenever a node on the way can name the owner itself: the message then
+// goes straight to that node inside an envelope carrying the key, under msg's
+// own Type, and the receiver hands it to its application handler only if the
+// key lies in its own arc. A refused hint costs that one round trip and turns
+// hints off for the rest of the route; a hinted node that is not alive is
+// excluded like any dead owner.
+//
+// A delivery error is returned as it is, together with the owner the message
+// was sent to; nothing is delivered twice. A done ctx aborts the route with
+// an error wrapping ctx.Err(). span receives one child per routing hop and
+// the annotation hinted=true|false|rejected.
+func (n *Node) Route(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span) (reply simnet.Message, owner Ref, hops int, err error) {
+	return n.RouteVia(ctx, key, msg, span, n.call)
+}
+
+// call is the plain Sender: one call from this node over its transport.
+func (n *Node) call(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	return n.net.CallCtx(ctx, n.ref.Addr, to, msg)
+}
+
+// RouteVia is Route with the delivery leg performed by send, which receives
+// the message exactly as it must reach the owner (enveloped or bare) and may
+// repeat it to the same node.
+func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span, send Sender) (reply simnet.Message, owner Ref, hops int, err error) {
+	// The walk runs below this frame and returns before each delivery, so a
+	// handler at the far end of send does not execute on top of it.
+	w := n.newWalk(n.ref, key, nil)
+	w.hints = true
+	hinted := "false"
 	defer func() {
-		if err != nil {
-			n.met.lookupsFailed.Inc()
-		} else {
-			n.met.hops.Observe(int64(hops))
-		}
+		n.observeLookup(owner, w.hops)
+		span.Annotate("hinted", hinted)
 	}()
-	cur := start
-	// The hop request only changes when the exclusion list grows, so box the
-	// payload once per (re)start instead of once per hop — the per-hop
-	// interface allocation is pure GC pressure at sweep scale.
-	req := nextHopReq{Key: key, Exclude: exclude}
-	var boxed any = req
-	size := chordid.Bytes + refSize*len(exclude)/2
-	rebox := func() {
-		req.Exclude = exclude
-		boxed = req
-		size = chordid.Bytes + refSize*len(exclude)/2
+	for {
+		var byHint bool
+		if owner, byHint, err = n.advance(ctx, &w, span); err != nil {
+			return simnet.Message{}, Ref{}, w.hops, err
+		}
+		if !byHint {
+			reply, err = send(ctx, owner.Addr, msg)
+			return reply, owner, w.hops, err
+		}
+		n.met.hinted.Inc()
+		hinted = "true"
+		reply, err = send(ctx, owner.Addr, simnet.Message{
+			Type:    msg.Type,
+			Payload: routed{Key: key, Payload: msg.Payload},
+			Size:    msg.Size + chordid.Bytes,
+		})
+		if _, refused := reply.Payload.(notOwner); err != nil || !refused {
+			return reply, owner, w.hops, err
+		}
+		// The hint was stale. That round trip is spent; the walk carries on
+		// from the closest preceding node the same answer named, hints off.
+		n.met.hintRejected.Inc()
+		hinted = "rejected"
+		w.hints = false
+		w.hops++
 	}
-	for hops <= n.cfg.MaxLookupHops {
+}
+
+// lookupFrom resolves key's owner starting at an arbitrary node (used by
+// Lookup with start = self, and by JoinRemote with start = a bootstrap peer
+// known only by address), with the exclusion list seeded from exclude. It
+// never acts on an owner hint, which a bare lookup has no way to verify.
+func (n *Node) lookupFrom(ctx context.Context, start Ref, key chordid.ID, exclude []chordid.ID, parent *telemetry.Span) (Ref, int, error) {
+	w := n.newWalk(start, key, exclude)
+	owner, _, err := n.advance(ctx, &w, parent)
+	n.observeLookup(owner, w.hops)
+	return owner, w.hops, err
+}
+
+// walk is the state of one iterative lookup, kept outside advance so that a
+// route can leave the loop to deliver on a hint and re-enter it if refused.
+type walk struct {
+	start, cur Ref
+	// The hop request only changes when the exclusion list grows, so the
+	// payload is boxed once per (re)start instead of once per hop — the
+	// per-hop interface allocation is pure GC pressure at sweep scale.
+	req   nextHopReq
+	boxed any
+	hops  int
+	hints bool // stop at a hinted node, not only at the authoritative owner
+	// after is where the walk goes on if the node it last stopped at, on a
+	// hint, refuses: the closest preceding node the same answer named.
+	after Ref
+}
+
+func (n *Node) newWalk(start Ref, key chordid.ID, exclude []chordid.ID) walk {
+	n.met.lookups.Inc()
+	w := walk{start: start, cur: start, req: nextHopReq{Key: key, Exclude: exclude}}
+	w.boxed = w.req
+	return w
+}
+
+// exclude restarts the walk from its first node with id excluded.
+func (w *walk) exclude(id chordid.ID) {
+	w.req.Exclude = appendExcluded(w.req.Exclude, id)
+	w.boxed = w.req
+	w.cur, w.after = w.start, Ref{}
+}
+
+// observeLookup feeds a finished walk into the overlay metrics. owner is zero
+// exactly when the lookup failed, whatever became of a delivery after it.
+func (n *Node) observeLookup(owner Ref, hops int) {
+	if owner.IsZero() {
+		n.met.lookupsFailed.Inc()
+	} else {
+		n.met.hops.Observe(int64(hops))
+	}
+}
+
+// advance runs the iterative lookup protocol until it can name a live node
+// to deliver to: the key's authoritative owner, or — when w.hints is set and
+// nothing is excluded, since exclusions redefine who owns the key in a way
+// only successor lists express — a node some answer hinted at (byHint), which
+// only that node can confirm. Called again after such a stop, it carries on
+// as if the hint had not been given. Each remote hop is timed as a child span
+// of parent when tracing is on.
+func (n *Node) advance(ctx context.Context, w *walk, parent *telemetry.Span) (target Ref, byHint bool, err error) {
+	if !w.after.IsZero() {
+		w.cur, w.after = w.after, Ref{}
+	}
+	for w.hops <= n.cfg.MaxLookupHops {
 		var resp nextHopResp
-		if cur.Addr == n.ref.Addr {
-			resp = n.nextHop(req)
+		if w.cur.Addr == n.ref.Addr {
+			resp = n.nextHop(w.req)
 		} else {
 			sp := parent.StartChild("chord.hop")
-			sp.Annotate("to", string(cur.Addr))
-			reply, err := n.net.CallCtx(ctx, n.ref.Addr, cur.Addr, simnet.Message{
+			sp.Annotate("to", string(w.cur.Addr))
+			reply, err := n.net.CallCtx(ctx, n.ref.Addr, w.cur.Addr, simnet.Message{
 				Type:    msgNextHop,
-				Payload: boxed,
-				Size:    size,
+				Payload: w.boxed,
+				Size:    nextHopReqSize(w.req.Exclude),
 			})
-			hops++
+			w.hops++
 			if err != nil {
 				sp.Annotate("error", err.Error())
 				sp.Finish()
 				if ctx.Err() != nil {
 					// The caller gave up: propagate its error, do not route on.
-					return Ref{}, hops, fmt.Errorf("chord: lookup aborted at hop %d: %w", hops, err)
+					return Ref{}, false, fmt.Errorf("chord: lookup aborted at hop %d: %w", w.hops, err)
 				}
 				// cur died mid-lookup; restart with cur excluded.
-				exclude = appendExcluded(exclude, cur.ID)
-				rebox()
-				cur = start
+				w.exclude(w.cur.ID)
 				continue
 			}
 			sp.Finish()
 			resp = reply.Payload.(nextHopResp)
 		}
-		if resp.Done {
-			if containsID(exclude, resp.Ref.ID) {
+		byHint = !resp.Done && w.hints && len(w.req.Exclude) == 0 && !resp.Hint.IsZero()
+		switch {
+		case byHint:
+			target, w.after = resp.Hint, resp.Ref
+		case resp.Done:
+			if target = resp.Ref; containsID(w.req.Exclude, target.ID) {
 				// The ring could not route past the exclusions (e.g. every
 				// candidate for the key is excluded or dead): fail rather
 				// than loop forever on the same answer.
-				return Ref{}, hops, fmt.Errorf("%w: all candidates for key excluded", ErrLookupFailed)
+				return Ref{}, false, fmt.Errorf("%w: all candidates for key excluded", ErrLookupFailed)
 			}
-			if n.net.Alive(resp.Ref.Addr) {
-				return resp.Ref, hops, nil
+		default:
+			if resp.Ref.IsZero() || resp.Ref.ID == w.cur.ID {
+				return Ref{}, false, fmt.Errorf("%w: no progress at %s", ErrLookupFailed, w.cur)
 			}
-			// The owner is dead: exclude it so the responsibility falls
-			// through to the next successor (where replicas live, §7).
-			exclude = appendExcluded(exclude, resp.Ref.ID)
-			rebox()
-			cur = start
+			w.cur = resp.Ref
 			continue
 		}
-		if resp.Ref.IsZero() || resp.Ref.ID == cur.ID {
-			return Ref{}, hops, fmt.Errorf("%w: no progress at %s", ErrLookupFailed, cur)
+		if n.net.Alive(target.Addr) {
+			return target, byHint, nil
 		}
-		cur = resp.Ref
+		// The owner is dead: exclude it so the responsibility falls
+		// through to the next successor (where replicas live, §7).
+		if byHint {
+			n.met.hintUnreachable.Inc()
+		}
+		w.exclude(target.ID)
 	}
-	return Ref{}, hops, fmt.Errorf("%w: exceeded %d hops", ErrLookupFailed, n.cfg.MaxLookupHops)
+	return Ref{}, false, fmt.Errorf("%w: exceeded %d hops", ErrLookupFailed, n.cfg.MaxLookupHops)
 }
 
 func appendExcluded(list []chordid.ID, id chordid.ID) []chordid.ID {

@@ -13,5 +13,7 @@ func init() {
 		nextHopResp{},
 		stateResp{},
 		Ref{},
+		routed{},
+		notOwner{},
 	)
 }

@@ -1,6 +1,9 @@
 package chord
 
 import (
+	"encoding/binary"
+	"errors"
+
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/wire"
@@ -12,6 +15,18 @@ import (
 // hand-rolled encoding spares each of them gob's per-stream type dictionary
 // and reflection walk. Gob registration (gob.go) is kept as the negotiated
 // fallback and for the simulator's by-value path.
+
+// kindRouted is the envelope's kind, which its own decoder must recognize to
+// refuse an envelope inside an envelope.
+const kindRouted = wire.KindChordBase + 4
+
+// nextHopResp's leading byte: the Done bool of the hint-less form, plus a bit
+// saying a Hint follows — so an answer without one costs what it always did.
+const (
+	flagDone = 1 << iota
+	flagHint
+)
+
 func init() {
 	wire.RegisterBinary(wire.KindChordBase+0, nextHopReq{},
 		func(e *wire.Encoder, v any) {
@@ -37,13 +52,30 @@ func init() {
 	wire.RegisterBinary(wire.KindChordBase+1, nextHopResp{},
 		func(e *wire.Encoder, v any) {
 			r := v.(nextHopResp)
-			e.Bool(r.Done)
+			var flags uint64
+			if r.Done {
+				flags |= flagDone
+			}
+			if !r.Hint.IsZero() {
+				flags |= flagHint
+			}
+			e.Uint(flags)
 			encodeRef(e, r.Ref)
+			if flags&flagHint != 0 {
+				encodeRef(e, r.Hint)
+			}
 		},
 		func(d *wire.Decoder) any {
 			var r nextHopResp
-			r.Done = d.Bool()
+			flags := d.Uint()
+			if flags&^(flagDone|flagHint) != 0 {
+				d.Fail(errors.New("chord: unknown next-hop flags"))
+			}
+			r.Done = flags&flagDone != 0
 			r.Ref = decodeRef(d)
+			if flags&flagHint != 0 {
+				r.Hint = decodeRef(d)
+			}
 			return r
 		})
 
@@ -72,6 +104,49 @@ func init() {
 	wire.RegisterBinary(wire.KindChordBase+3, Ref{},
 		func(e *wire.Encoder, v any) { encodeRef(e, v.(Ref)) },
 		func(d *wire.Decoder) any { return decodeRef(d) })
+
+	// The envelope is the key followed by the application payload's own
+	// kind-prefixed encoding, running to the end of the value. A nil payload
+	// is no bytes; a payload without a binary codec cannot cross a socket
+	// inside an envelope and is written as the unassigned kind 0, which the
+	// receiver refuses.
+	wire.RegisterBinary(kindRouted, routed{},
+		func(e *wire.Encoder, v any) {
+			r := v.(routed)
+			e.Raw(r.Key[:])
+			if r.Payload != nil && !e.Append(r.Payload) {
+				e.Raw([]byte{0, 0})
+			}
+		},
+		func(d *wire.Decoder) any {
+			var r routed
+			copy(r.Key[:], d.Raw(chordid.Bytes))
+			inner := d.Raw(d.Remaining())
+			if len(inner) == 0 {
+				return r
+			}
+			// Checked before decoding, so a frame of envelopes all the way
+			// down costs one comparison, not one stack frame per level.
+			if len(inner) >= 2 && binary.BigEndian.Uint16(inner) == kindRouted {
+				d.Fail(errors.New("chord: routed envelope inside a routed envelope"))
+				return r
+			}
+			v, err := wire.DecodeBinary(inner)
+			d.Fail(err)
+			r.Payload = v
+			return r
+		})
+
+	wire.RegisterBinary(wire.KindChordBase+5, notOwner{},
+		func(e *wire.Encoder, v any) {
+			r := v.(notOwner)
+			e.Raw(r.Key[:])
+		},
+		func(d *wire.Decoder) any {
+			var r notOwner
+			copy(r.Key[:], d.Raw(chordid.Bytes))
+			return r
+		})
 }
 
 func encodeRef(e *wire.Encoder, r Ref) {

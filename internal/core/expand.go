@@ -124,16 +124,12 @@ func (p *Peer) searchWithOwners(terms []string, k int) ownedHits {
 		resp getPostingsResp
 		ok   bool
 	}
-	outs, _ := fanout.Map(context.Background(), p.net.exec, "expand_fetch", len(dts), func(_ context.Context, i int) (fetchOut, error) {
-		ref, _, err := p.node.Lookup(chordid.HashKey(dts[i]))
-		if err != nil {
-			return fetchOut{}, nil
-		}
-		reply, err := p.net.ring.Net().Call(p.Addr(), ref.Addr, simnet.Message{
+	outs, _ := fanout.Map(context.Background(), p.net.exec, "expand_fetch", len(dts), func(ctx context.Context, i int) (fetchOut, error) {
+		reply, _, _, err := p.node.Route(ctx, chordid.HashKey(dts[i]), simnet.Message{
 			Type:    msgGetPostings,
 			Payload: getPostingsReq{Term: dts[i], Query: terms},
 			Size:    len(dts[i]) + sizeTerms(terms),
-		})
+		}, nil)
 		if err != nil {
 			return fetchOut{}, nil
 		}

@@ -134,11 +134,12 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 // publishTerm routes a (term → posting) publication through the DHT to the
 // term's indexing peer and records it in the document's indexed set.
 func (p *Peer) publishTerm(ctx context.Context, st *docState, term string) error {
-	ref, _, err := p.node.LookupCtx(ctx, chordid.HashKey(term), nil)
+	_, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), p.publishMsg(st, term), nil)
 	if err != nil {
 		return fmt.Errorf("core: publish %q: %w", term, err)
 	}
-	return p.publishTermTo(ctx, st, term, ref.Addr)
+	p.recordPublished(st, term, owner.Addr)
+	return nil
 }
 
 // publishTermTo publishes to a known indexing peer and, on success, records
@@ -148,18 +149,23 @@ func (p *Peer) publishTermTo(ctx context.Context, st *docState, term string, tar
 	if err := p.sendPublish(ctx, st, term, target); err != nil {
 		return err
 	}
+	p.recordPublished(st, term, target)
+	return nil
+}
+
+// recordPublished notes that target accepted term's posting.
+func (p *Peer) recordPublished(st *docState, term string, target simnet.Addr) {
 	p.net.met.termsPublished.Inc()
 	st.indexed[term] = true
 	if st.publishedAt == nil {
 		st.publishedAt = make(map[string]simnet.Addr)
 	}
 	st.publishedAt[term] = target
-	return nil
 }
 
-// sendPublish performs the raw publish call with no docState bookkeeping; it
-// is safe to fan out while st.mu is held by the caller (workers only read).
-func (p *Peer) sendPublish(ctx context.Context, st *docState, term string, target simnet.Addr) error {
+// publishMsg builds the publication of st's posting for term. It only reads
+// st, so it is safe while the caller holds st.mu across a fan-out.
+func (p *Peer) publishMsg(st *docState, term string) simnet.Message {
 	posting := index.Posting{
 		Doc:    st.doc.ID,
 		Owner:  string(p.Addr()),
@@ -167,12 +173,17 @@ func (p *Peer) sendPublish(ctx context.Context, st *docState, term string, targe
 		DocLen: st.doc.Length,
 		Sketch: st.sketch,
 	}
-	_, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), target, simnet.Message{
+	return simnet.Message{
 		Type:    msgPublish,
 		Payload: publishReq{Term: term, Posting: posting},
 		Size:    len(term) + posting.WireSize(),
-	})
-	if err != nil {
+	}
+}
+
+// sendPublish performs the raw publish call with no docState bookkeeping; it
+// is safe to fan out while st.mu is held by the caller (workers only read).
+func (p *Peer) sendPublish(ctx context.Context, st *docState, term string, target simnet.Addr) error {
+	if _, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), target, p.publishMsg(st, term)); err != nil {
 		return fmt.Errorf("core: publish %q to %s: %w", term, target, err)
 	}
 	return nil
@@ -253,15 +264,11 @@ func (p *Peer) indexedTerms(doc index.DocID) []string {
 func (p *Peer) insertQuery(ctx context.Context, terms []string) error {
 	dts := distinctTerms(terms)
 	errs := fanout.ForEach(ctx, p.net.exec, "insert", len(dts), func(ctx context.Context, i int) error {
-		ref, _, err := p.node.LookupCtx(ctx, chordid.HashKey(dts[i]), nil)
-		if err != nil {
-			return err
-		}
-		_, err = p.net.ring.Net().CallCtx(ctx, p.Addr(), ref.Addr, simnet.Message{
+		_, _, _, err := p.node.Route(ctx, chordid.HashKey(dts[i]), simnet.Message{
 			Type:    msgCacheQuery,
 			Payload: cacheQueryReq{Query: terms},
 			Size:    sizeTerms(terms),
-		})
+		}, nil)
 		return err
 	})
 	return fanout.FirstError(errs)
@@ -362,7 +369,8 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 	dts := distinctTerms(terms)
 	outs, errs := fanout.Map(ctx, p.net.exec, "fetch", len(dts), func(ctx context.Context, i int) (termOut, error) {
 		term := dts[i]
-		tsp := span.StartChild("term " + term)
+		tsp := span.StartChild("term")
+		tsp.Annotate("term", term)
 		var resp getPostingsResp
 		var peer simnet.Addr
 		if pc != nil {
@@ -478,11 +486,7 @@ func (p *Peer) learnDoc(ctx context.Context, docID index.DocID) (int, error) {
 	}
 	outs, perrs := fanout.Map(ctx, p.net.exec, "poll", len(docTerms), func(ctx context.Context, i int) (pollOut, error) {
 		term := docTerms[i]
-		ref, _, err := p.node.LookupCtx(ctx, chordid.HashKey(term), nil)
-		if err != nil {
-			return pollOut{}, nil // indexing peer unreachable; learn from the rest
-		}
-		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), ref.Addr, simnet.Message{
+		reply, _, _, err := p.node.Route(ctx, chordid.HashKey(term), simnet.Message{
 			Type: msgPoll,
 			Payload: pollReq{
 				Term:     term,
@@ -491,9 +495,9 @@ func (p *Peer) learnDoc(ctx context.Context, docID index.DocID) (int, error) {
 				Since:    st.since[term],
 			},
 			Size: len(term) + sizeTerms(docTerms) + 8,
-		})
+		}, nil)
 		if err != nil {
-			return pollOut{}, nil
+			return pollOut{}, nil // indexing peer unreachable; learn from the rest
 		}
 		return pollOut{resp: reply.Payload.(pollResp), ok: true}, nil
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -348,5 +349,90 @@ func TestSentinelErrors(t *testing.T) {
 	}
 	if _, err := n.LearnDocCtx(context.Background(), "nope"); !errors.Is(err, ErrNoSuchDoc) {
 		t.Fatalf("LearnDocCtx unknown doc: %v, want ErrNoSuchDoc", err)
+	}
+}
+
+// payloadLog wraps the simulator and notes the Go type of every postings
+// request's payload, in order.
+type payloadLog struct {
+	*simnet.Network
+	mu    sync.Mutex
+	types []string
+}
+
+func (l *payloadLog) CallCtx(ctx context.Context, from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	if msg.Type == msgGetPostings {
+		l.mu.Lock()
+		l.types = append(l.types, fmt.Sprintf("%T", msg.Payload))
+		l.mu.Unlock()
+	}
+	return l.Network.CallCtx(ctx, from, to, msg)
+}
+
+func (l *payloadLog) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	return l.CallCtx(context.Background(), from, to, msg)
+}
+
+func TestRetriesRepeatOnlyTheDeliveryLeg(t *testing.T) {
+	// A holder the route reached on an owner hint drops two fetches. The
+	// retries must go to that same holder, one round trip each with no fresh
+	// lookup, and still inside the envelope: a node named only by a hint must
+	// never be sent a bare key-addressed request.
+	log := &payloadLog{Network: simnet.New(1)}
+	ring := chord.NewRing(log, chord.Config{})
+	if _, err := ring.AddNodes("p", 16); err != nil {
+		t.Fatal(err)
+	}
+	ring.Build()
+	n, err := NewNetwork(ring, Config{
+		InitialTerms: 2,
+		Resilience:   ResilienceConfig{MaxRetries: 3, BaseBackoff: time.Microsecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5})); err != nil {
+		t.Fatal(err)
+	}
+	owner := ownerOfTerm(t, n, "chord")
+
+	probe := func(searcher simnet.Addr) (results any, hops int64, payloads []string) {
+		log.ResetStats()
+		log.types = nil
+		rl, err := n.ProbeCtx(context.Background(), searcher, []string{"chord"}, 10)
+		if err != nil {
+			t.Fatalf("probe from %s: %v", searcher, err)
+		}
+		return rl, log.Stats().CallsByType["chord.next_hop"], log.types
+	}
+	var searcher simnet.Addr
+	var healthy any
+	var healthyHops int64
+	for _, p := range n.Peers() {
+		if p.Addr() == owner.Addr() {
+			continue
+		}
+		if rl, hops, payloads := probe(p.Addr()); len(payloads) == 1 && payloads[0] == "chord.routed" {
+			searcher, healthy, healthyHops = p.Addr(), rl, hops
+			break
+		}
+	}
+	if searcher == "" {
+		t.Fatal("no peer reaches the term's holder on an owner hint")
+	}
+
+	log.DropCalls(owner.Addr(), 2)
+	got, hops, payloads := probe(searcher)
+	if !reflect.DeepEqual(got, healthy) {
+		t.Fatalf("results after two dropped fetches differ: %v vs %v", got, healthy)
+	}
+	if hops != healthyHops {
+		t.Fatalf("retries cost %d routing round trips, the healthy route %d — a retry looked the holder up again", hops, healthyHops)
+	}
+	if want := []string{"chord.routed", "chord.routed", "chord.routed"}; !reflect.DeepEqual(payloads, want) {
+		t.Fatalf("postings requests sent as %v, want %v", payloads, want)
+	}
+	if dropped := log.Stats().Dropped; dropped != 2 {
+		t.Fatalf("%d calls dropped, want the 2 injected", dropped)
 	}
 }

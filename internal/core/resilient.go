@@ -102,14 +102,14 @@ func newResil(cfg ResilienceConfig, clk vtime.Clock) resil {
 	return r
 }
 
-// fetchTermPostings resolves a term's indexing peer and fetches its postings
-// under the network's resilience policy: retry with backoff against the
-// resolved holder, optionally hedged; if the holder stays unreachable, look
-// the key up again with that holder excluded so responsibility falls to the
-// successor carrying the replica (§7), and try there — up to
-// ReplicationFactor failovers. query/record control history recording at the
-// serving peer, exactly as the direct fetch would (nil query sends the bare
-// Record-off request the postings cache uses).
+// fetchTermPostings routes a postings request to a term's indexing peer under
+// the network's resilience policy: the delivery leg of the route is retried
+// with backoff against the holder the route resolved, optionally hedged; if
+// that holder stays unreachable, look the key up again with it excluded so
+// responsibility falls to the successor carrying the replica (§7), and try
+// there — up to ReplicationFactor failovers. query/record control history
+// recording at the serving peer, exactly as the direct fetch would (nil query
+// sends the bare Record-off request the postings cache uses).
 //
 // The caller's ctx dominates: once it is done, no retry or failover is
 // attempted and the returned error wraps ctx.Err().
@@ -126,49 +126,31 @@ func (p *Peer) fetchTermPostings(ctx context.Context, term string, query []strin
 		req = getPostingsReq{Term: term, Query: query, Record: record}
 		size = len(term) + sizeTerms(query)
 	}
+	msg := simnet.Message{Type: msgGetPostings, Payload: req, Size: size}
 
-	var exclude []chordid.ID
-	var lastErr error
 	attempts := 0
 	defer func() {
 		if attempts > 0 {
 			p.net.met.fetchAttempts.Observe(int64(attempts))
 		}
 	}()
-	for holder := 0; holder <= maxFailovers; holder++ {
-		var ref chord.Ref
-		var err error
-		if holder == 0 {
-			ref, _, err = p.node.LookupCtx(ctx, key, tsp)
-		} else {
-			ref, _, err = p.node.LookupExcluding(ctx, key, exclude, tsp)
-		}
-		if err != nil {
-			// The lookup itself routes around dead nodes; when even it fails
-			// there is no holder left to fail over to.
-			if lastErr == nil {
-				lastErr = err
-			}
-			break
-		}
-
-		call := func(cctx context.Context) (getPostingsResp, error) {
+	// send is one resilient delivery to one holder: every attempt — first,
+	// retry or hedge — is a single round trip carrying exactly the message it
+	// was handed, so a holder reached on an owner hint keeps receiving the
+	// enveloped form.
+	send := func(ctx context.Context, to simnet.Addr, m simnet.Message) (simnet.Message, error) {
+		call := func(cctx context.Context) (simnet.Message, error) {
 			fsp := tsp.StartChild(msgGetPostings)
 			defer fsp.Finish()
-			reply, cerr := p.net.ring.Net().CallCtx(cctx, p.Addr(), ref.Addr, simnet.Message{
-				Type:    msgGetPostings,
-				Payload: req,
-				Size:    size,
-			})
+			reply, cerr := p.net.ring.Net().CallCtx(cctx, p.Addr(), to, m)
 			if cerr != nil {
 				fsp.Annotate("error", cerr.Error())
-				return getPostingsResp{}, cerr
 			}
-			return reply.Payload.(getPostingsResp), nil
+			return reply, cerr
 		}
 		op := call
 		if r.hedgeAfter > 0 {
-			op = func(cctx context.Context) (getPostingsResp, error) {
+			op = func(cctx context.Context) (simnet.Message, error) {
 				v, hedged, herr := resilience.DoHedged(cctx, r.clock, r.hedgeAfter, r.budget, call)
 				if hedged {
 					p.net.met.hedges.Inc()
@@ -176,17 +158,39 @@ func (p *Peer) fetchTermPostings(ctx context.Context, term string, query []strin
 				return v, herr
 			}
 		}
-
-		resp, retries, err := resilience.Do(ctx, r.policy, op)
+		reply, retries, err := resilience.Do(ctx, r.policy, op)
 		attempts += retries + 1
 		if retries > 0 {
 			p.net.met.retries.Add(int64(retries))
+		}
+		return reply, err
+	}
+
+	var exclude []chordid.ID
+	var lastErr error
+	for holder := 0; holder <= maxFailovers; holder++ {
+		var reply simnet.Message
+		var ref chord.Ref
+		var err error
+		if holder == 0 {
+			reply, ref, _, err = p.node.RouteVia(ctx, key, msg, tsp, send)
+		} else if ref, _, err = p.node.LookupExcluding(ctx, key, exclude, tsp); err == nil {
+			reply, err = send(ctx, ref.Addr, msg)
 		}
 		if err == nil {
 			if holder > 0 {
 				tsp.Annotate("failover", string(ref.Addr))
 			}
-			return resp, ref.Addr, nil
+			return reply.Payload.(getPostingsResp), ref.Addr, nil
+		}
+		if ref.IsZero() {
+			// No holder resolved: the lookup itself routes around dead nodes,
+			// so when even it fails there is no one left to fail over to. The
+			// previous holder's delivery error, if any, says more.
+			if lastErr == nil {
+				lastErr = err
+			}
+			break
 		}
 		lastErr = err
 		if resilience.Classify(err) != resilience.Transient || ctx.Err() != nil {

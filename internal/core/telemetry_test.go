@@ -29,10 +29,15 @@ func telemetryNetwork(t *testing.T, peers int, cfg Config) (*Network, *telemetry
 
 func TestSearchTracedProducesSpanTree(t *testing.T) {
 	n, _ := telemetryNetwork(t, 16, Config{})
-	if err := n.Share("p0", doc("d1", map[string]int{"alpha": 5, "beta": 3})); err != nil {
+	terms := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"}
+	tf := make(map[string]int, len(terms))
+	for i, term := range terms {
+		tf[term] = i + 1
+	}
+	if err := n.Share("p0", doc("d1", tf)); err != nil {
 		t.Fatalf("Share: %v", err)
 	}
-	rl, tr, err := n.SearchTraced("p3", []string{"alpha", "beta"}, 5)
+	rl, tr, err := n.SearchTraced("p3", terms, 5)
 	if err != nil {
 		t.Fatalf("SearchTraced: %v", err)
 	}
@@ -46,12 +51,27 @@ func TestSearchTracedProducesSpanTree(t *testing.T) {
 	if snap.Root.Name != "sprite.search" {
 		t.Fatalf("root span = %q, want sprite.search", snap.Root.Name)
 	}
-	if len(snap.Root.Children) != 2 {
-		t.Fatalf("root has %d term spans, want 2", len(snap.Root.Children))
+	if len(snap.Root.Children) != len(terms) {
+		t.Fatalf("root has %d term spans, want %d", len(snap.Root.Children), len(terms))
 	}
-	// Each term span holds the postings fetch (and chord.hop spans when the
-	// lookup left the issuing peer).
+	// Each term span has a fixed name with the term as an attribute, says
+	// whether the route ended on an owner hint, and holds the postings fetch
+	// (and chord.hop spans when the lookup left the issuing peer) — for
+	// deliveries sent on a hint like for any other.
+	named := map[string]bool{}
+	hintedFetches := 0
 	for _, term := range snap.Root.Children {
+		if term.Name != "term" {
+			t.Fatalf("term span named %q, want the fixed name \"term\"", term.Name)
+		}
+		attrs := map[string]string{}
+		for _, a := range term.Attrs {
+			attrs[a.Key] = fmt.Sprint(a.Value)
+		}
+		named[attrs["term"]] = true
+		if h := attrs["hinted"]; h != "true" && h != "false" && h != "rejected" {
+			t.Fatalf("term span %q annotated hinted=%q", attrs["term"], h)
+		}
 		var fetch bool
 		for _, c := range term.Children {
 			if c.Name == msgGetPostings {
@@ -59,8 +79,19 @@ func TestSearchTracedProducesSpanTree(t *testing.T) {
 			}
 		}
 		if !fetch {
-			t.Fatalf("term span %q has no postings-fetch child", term.Name)
+			t.Fatalf("term span %q (hinted=%s) has no postings-fetch child", attrs["term"], attrs["hinted"])
 		}
+		if attrs["hinted"] == "true" {
+			hintedFetches++
+		}
+	}
+	for _, term := range terms {
+		if !named[term] {
+			t.Fatalf("no span carries term=%q", term)
+		}
+	}
+	if hintedFetches == 0 {
+		t.Fatal("none of the eight fetches was delivered on an owner hint")
 	}
 	if tr.Root().SpanCount() < 2 {
 		t.Fatalf("span count = %d, want >= 2", tr.Root().SpanCount())

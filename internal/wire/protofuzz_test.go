@@ -102,9 +102,38 @@ func fill(t *testing.T, v reflect.Value, fd *feeder) {
 			}
 			fill(t, v.Field(i), fd)
 		}
+	case reflect.Interface:
+		// An `any` field carries another protocol payload (chord's routed
+		// envelope): nil, or one of the registered payloads that has no such
+		// field itself — envelopes do not nest.
+		var plain []reflect.Type
+		for _, proto := range wire.BinaryPrototypes() {
+			if pt := reflect.TypeOf(proto); !hasInterfaceField(pt) {
+				plain = append(plain, pt)
+			}
+		}
+		pick := int(fd.next()) % (len(plain) + 1)
+		if pick == len(plain) {
+			return
+		}
+		inner := reflect.New(plain[pick]).Elem()
+		fill(t, inner, fd)
+		v.Set(inner)
 	default:
 		t.Fatalf("fill: unsupported kind %v in %v — extend the filler alongside the new payload field", v.Kind(), v.Type())
 	}
+}
+
+func hasInterfaceField(t reflect.Type) bool {
+	if t.Kind() != reflect.Struct {
+		return false
+	}
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Type.Kind() == reflect.Interface {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzBinaryProtocol round-trips EVERY registered protocol payload — chord's

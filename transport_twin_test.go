@@ -1,8 +1,22 @@
 package sprite
 
 import (
+	"context"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+
+	"github.com/spritedht/sprite/internal/chord"
+	"github.com/spritedht/sprite/internal/chordid"
+	"github.com/spritedht/sprite/internal/core"
+	"github.com/spritedht/sprite/internal/corpus"
+	"github.com/spritedht/sprite/internal/index"
+	"github.com/spritedht/sprite/internal/ir"
+	"github.com/spritedht/sprite/internal/nettransport"
+	"github.com/spritedht/sprite/internal/simnet"
+	"github.com/spritedht/sprite/internal/telemetry"
+	"github.com/spritedht/sprite/internal/transport"
 )
 
 // TestTransportTwinDeterminism runs one workload — share, search, learn,
@@ -89,6 +103,186 @@ func TestTransportTwinDeterminism(t *testing.T) {
 			}
 		}
 	}
+}
+
+// namedTransport gives the peers of a socket transport the simulator's names.
+// Ring positions are hashes of names, so with it the ring — and every route,
+// hint and refusal — is the same on every transport, which is what lets the
+// twin below compare message counts and not only rankings. It counts the calls
+// between distinct peers by message type.
+type namedTransport struct {
+	inner   simnet.Transport
+	real    map[simnet.Addr]simnet.Addr // name → socket address; empty on simnet
+	logical map[simnet.Addr]simnet.Addr // socket address → name
+
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (nt *namedTransport) toReal(a simnet.Addr) simnet.Addr {
+	if r, ok := nt.real[a]; ok {
+		return r
+	}
+	return a
+}
+
+func (nt *namedTransport) Register(addr simnet.Addr, h simnet.Handler) {
+	nt.inner.Register(nt.toReal(addr), simnet.HandlerFunc(func(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+		if name, ok := nt.logical[from]; ok {
+			from = name
+		}
+		return h.HandleMessage(from, msg)
+	}))
+}
+
+func (nt *namedTransport) Unregister(addr simnet.Addr) { nt.inner.Unregister(nt.toReal(addr)) }
+
+func (nt *namedTransport) Alive(addr simnet.Addr) bool { return nt.inner.Alive(nt.toReal(addr)) }
+
+func (nt *namedTransport) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	return nt.CallCtx(context.Background(), from, to, msg)
+}
+
+func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	if from != to {
+		nt.mu.Lock()
+		nt.calls[msg.Type]++
+		nt.mu.Unlock()
+	}
+	return nt.inner.CallCtx(ctx, nt.toReal(from), nt.toReal(to), msg)
+}
+
+// TestTransportTwinMessageCounts runs share, search, a protocol join, learn
+// and search again on one ring over the simulator and over both socket
+// transports, and requires the same rankings and the same number of messages
+// of every type. Routed deliveries travel inside chord's envelope, and the
+// half-stabilized join leaves nodes that still hint at the joiner's successor
+// for its arc, so this is also the check that the envelope, its refusal and
+// the hint in a hop answer cross a socket, in both codecs, meaning what they
+// mean in process.
+func TestTransportTwinMessageCounts(t *testing.T) {
+	const peers = 24
+	docs := []map[string]int{
+		{"chord": 4, "lookup": 3, "protocol": 2, "scalable": 1},
+		{"hash": 4, "table": 3, "peers": 2, "keys": 1},
+		{"index": 4, "tuning": 3, "query": 2, "learns": 1},
+		{"replication": 4, "churn": 3, "postings": 2, "peers": 1},
+		{"retrieval": 4, "weights": 3, "term": 2, "lookup": 1},
+	}
+	queries := [][]string{{"lookup", "peers"}, {"index", "tuning", "query"}, {"replication", "churn"}, {"retrieval", "weights"}, {"chord", "keys", "term"}}
+
+	type outcome struct {
+		rankings []ir.RankedList
+		calls    map[string]int
+	}
+	run := func(name string, inner simnet.Transport, closeFn func()) outcome {
+		defer closeFn()
+		nt := &namedTransport{inner: inner, real: map[simnet.Addr]simnet.Addr{}, logical: map[simnet.Addr]simnet.Addr{}, calls: map[string]int{}}
+		if _, sockets := inner.(*simnet.Network); !sockets {
+			addrs, err := nettransport.FreeAddrs(peers + 1) // the last one is the joiner's
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, a := range addrs {
+				peer := simnet.Addr(fmt.Sprintf("peer%d", i))
+				nt.real[peer], nt.logical[a] = a, peer
+			}
+		}
+		reg := telemetry.NewRegistry()
+		ring := chord.NewRing(nt, chord.Config{Telemetry: reg})
+		if _, err := ring.AddNodes("peer", peers); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		ring.Build()
+		n, err := core.NewNetwork(ring, core.Config{InitialTerms: 3, TermsPerIteration: 2, MaxIndexTerms: 8})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		peer := func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("peer%d", i%peers)) }
+		for i, tf := range docs {
+			if err := n.Share(peer(i), corpus.NewDocument(index.DocID(fmt.Sprintf("doc-%d", i)), tf)); err != nil {
+				t.Fatalf("%s: Share doc-%d: %v", name, i, err)
+			}
+		}
+		var out outcome
+		search := func(from simnet.Addr, q []string) {
+			rl, err := n.Search(from, q, 10)
+			if err != nil {
+				t.Fatalf("%s: Search %v: %v", name, q, err)
+			}
+			out.rankings = append(out.rankings, rl)
+		}
+		for i, q := range queries {
+			search(peer(i+5), q)
+		}
+		joiner, err := ring.AddNode(fmt.Sprintf("peer%d", peers))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		n.Adopt(joiner)
+		if err := joiner.Join(ring.Nodes()[0]); err != nil {
+			t.Fatalf("%s: join: %v", name, err)
+		}
+		// One round: the joiner's successor adopts it, but the nodes before
+		// it have not heard yet and still place its arc at that successor.
+		ring.Stabilize(1)
+		// Terms of the joiner's new arc, published and searched from all over
+		// the ring.
+		nodes := ring.Nodes() // sorted by ring position
+		before := nodes[len(nodes)-1]
+		for i, nd := range nodes[1:] {
+			if nd == joiner {
+				before = nodes[i]
+			}
+		}
+		var arcTerms []string
+		arcTF := map[string]int{}
+		for i := 0; len(arcTerms) < 3; i++ {
+			term := fmt.Sprintf("arc%d", i)
+			if chordid.HashKey(term).BetweenRightIncl(before.ID(), joiner.ID()) {
+				arcTerms = append(arcTerms, term)
+				arcTF[term] = len(arcTerms)
+			}
+		}
+		if err := n.Share(peer(3), corpus.NewDocument("doc-arc", arcTF)); err != nil {
+			t.Fatalf("%s: Share doc-arc: %v", name, err)
+		}
+		for _, term := range arcTerms {
+			for i := 0; i < peers; i += 3 {
+				search(peer(i), []string{term})
+			}
+		}
+		if _, err := n.LearnAll(); err != nil {
+			t.Fatalf("%s: LearnAll: %v", name, err)
+		}
+		for i, q := range queries {
+			search(peer(i+7), q)
+		}
+		out.calls = nt.calls
+		for _, c := range []string{"chord.route.hinted", "chord.route.hint_rejected"} {
+			out.calls[c] = int(reg.Counter(c).Value())
+		}
+		return out
+	}
+
+	want := run("simnet", simnet.New(7), func() {})
+	if want.calls["chord.route.hinted"] == 0 || want.calls["chord.route.hint_rejected"] == 0 {
+		t.Fatalf("simnet run exchanged %v — the workload follows or refuses no owner hint", want.calls)
+	}
+	pooled := transport.New()
+	dial := nettransport.New()
+	for name, got := range map[string]outcome{
+		"pooled": run("pooled", pooled, pooled.Close),
+		"dial":   run("dial", dial, dial.Close),
+	} {
+		if !reflect.DeepEqual(got.rankings, want.rankings) {
+			t.Fatalf("%s rankings differ from simnet:\n%v\nvs\n%v", name, got.rankings, want.rankings)
+		}
+		if !reflect.DeepEqual(got.calls, want.calls) {
+			t.Fatalf("%s message counts differ from simnet:\n%v\nvs\n%v", name, got.calls, want.calls)
+		}
+	}
+	t.Logf("messages by type on every transport: %v", want.calls)
 }
 
 // TestTCPTransportOptionValidation pins the facade's option contract.
