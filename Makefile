@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-trace-route cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
+.PHONY: check vet build test race bench bench-test bench-route bench-trace-route bench-trace-mixed cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
 
 check: vet build race
 
@@ -40,6 +40,22 @@ bench-trace-route:
 	echo "$$out" | grep -E 'check:|^rank_hash|^operations attempted'; \
 	[ "$$(echo "$$out" | grep -c '(equal: true)')" -eq 2 ] || { echo "bench-trace-route: want both sum checks to print (equal: true)"; exit 1; }; \
 	echo "$$out" | grep -q '"correct":true' || { echo "bench-trace-route: run is not correct"; exit 1; }
+
+# Invalidation guard: a short traced pass of the write-mixed workload must
+# sum and be correct like the routing one (on the wall clock only the
+# self-time check prints; the virtual-latency one belongs to `route`), and its
+# postings cache must stay warm across writes. At --seconds 2, seed 1, a write
+# that invalidates only its own terms reads cache.postings_hit_ratio 0.955;
+# one that flushes every term, as the global generation bump did, reads 0.198.
+MIXED_HIT_FLOOR = 0.80
+
+bench-trace-mixed:
+	@out=$$(bash bench/run.sh --workload mixed --seed 1 --seconds 2 --trace 1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E 'check:|^rank_hash|^operations attempted|^cache\.postings_hit_ratio'; \
+	echo "$$out" | grep -q '(equal: true)' && ! echo "$$out" | grep -q '(equal: false)' || { echo "bench-trace-mixed: want every sum check to print (equal: true)"; exit 1; }; \
+	echo "$$out" | grep -q '"correct":true' || { echo "bench-trace-mixed: run is not correct"; exit 1; }; \
+	echo "$$out" | awk '$$1 == "cache.postings_hit_ratio" { seen = 1; ok = ($$2 >= $(MIXED_HIT_FLOOR)) } END { exit !(seen && ok) }' \
+		|| { echo "bench-trace-mixed: cache.postings_hit_ratio missing or below $(MIXED_HIT_FLOOR)"; exit 1; }
 
 cover:
 	$(GO) test -cover ./...

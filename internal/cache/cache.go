@@ -5,13 +5,15 @@
 // messages and bytes — highly cacheable close to the requester.
 //
 // The cache is a sharded, concurrency-safe LRU with optional TTL, entry and
-// approximate-byte accounting, generation-based bulk invalidation (a writer
-// bumps the generation and every older entry dies lazily), and singleflight
-// request coalescing: N concurrent misses on the same key issue exactly one
-// fill, the other N−1 callers wait and share the result. Every event —
-// hit, miss, store, eviction, expiry, stale-generation drop, coalesced
-// wait — is counted, occupancy is tracked in gauges, and lookup latency is
-// recorded in a histogram when a telemetry registry is installed.
+// approximate-byte accounting, generation-based invalidation in two scopes —
+// Invalidate bumps one global generation and every older entry dies lazily,
+// InvalidateKey bumps the generation of one key's stripe and only that
+// stripe's entries die — and singleflight request coalescing: N concurrent
+// misses on the same key issue exactly one fill, the other N−1 callers wait
+// and share the result. Every event — hit, miss, store, eviction, expiry,
+// stale-generation drop, coalesced wait — is counted, occupancy is tracked in
+// gauges, and lookup latency is recorded in a histogram when a telemetry
+// registry is installed.
 package cache
 
 import (
@@ -105,7 +107,7 @@ type Stats struct {
 	Stores      int64 // values inserted (Put or successful fill)
 	Evictions   int64 // entries dropped for capacity (LRU order)
 	Expirations int64 // entries dropped because their TTL elapsed
-	Invalidated int64 // entries dropped for belonging to an old generation
+	Invalidated int64 // entries dropped for belonging to an old generation (global or key)
 	Entries     int   // live entries right now (stale ones count until touched)
 	Bytes       int64 // approximate bytes held by live entries
 	Generation  uint64
@@ -125,8 +127,9 @@ type entry[V any] struct {
 	key        string
 	val        V
 	bytes      int64
-	gen        uint64
-	expires    int64 // unix nanos; 0 = no expiry
+	gen        uint64 // global generation at store time
+	keyGen     uint64 // the key's stripe generation at store time
+	expires    int64  // unix nanos; 0 = no expiry
 	prev, next *entry[V]
 }
 
@@ -166,6 +169,10 @@ type Cache[V any] struct {
 	seed   maphash.Seed
 	gen    atomic.Uint64
 	shards []*shard[V]
+	// keyGens are the key-scoped generations InvalidateKey bumps, striped by
+	// keyStripe. Keys sharing a stripe are invalidated together, which costs
+	// an extra miss and never a stale hit.
+	keyGens [keyStripes]atomic.Uint64
 
 	hits, misses, coalesced  atomic.Int64
 	stores, evictions        atomic.Int64
@@ -202,6 +209,30 @@ func New[V any](cfg Config) *Cache[V] {
 	return c
 }
 
+// keyStripes is the size of the key-generation table. A key-scoped
+// invalidation also kills the other cached keys of its stripe — about
+// entries/keyStripes of them, a handful at the default 4096-entry capacity.
+const keyStripes = 1024
+
+// keyStripe maps a key to its generation stripe with FNV-1a, xor-folded to
+// the table size. Unlike the shard hash it is deliberately seed-free: which
+// keys share a stripe decides which unrelated entries an InvalidateKey takes
+// along, so a per-process seed would make miss counts — and the remote
+// fetches behind them — differ from run to run.
+func keyStripe(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return (h ^ h>>16) % keyStripes
+}
+
+// keyGenFor returns the key-scoped generation that covers key.
+func (c *Cache[V]) keyGenFor(key string) *atomic.Uint64 {
+	return &c.keyGens[keyStripe(key)]
+}
+
 func (c *Cache[V]) shardFor(key string) *shard[V] {
 	if len(c.shards) == 1 {
 		return c.shards[0]
@@ -211,7 +242,8 @@ func (c *Cache[V]) shardFor(key string) *shard[V] {
 }
 
 // Get returns the live value stored under key. Entries that expired or
-// predate the current generation are dropped and reported as misses.
+// predate the current global or key generation are dropped and reported as
+// misses.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	var val V
 	if c == nil {
@@ -220,7 +252,7 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 	start := c.cfg.Clock.Now()
 	s := c.shardFor(key)
 	s.mu.Lock()
-	e, live := c.lookupLocked(s, key)
+	e, live := c.lookupLocked(s, key, c.keyGenFor(key))
 	if live {
 		s.moveToFront(e)
 		val = e.val // copied under the lock: a concurrent Put rewrites the entry in place
@@ -238,13 +270,14 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 }
 
 // lookupLocked finds a servable entry, removing it (and counting why) when
-// it is expired or from an old generation. Caller holds s.mu.
-func (c *Cache[V]) lookupLocked(s *shard[V], key string) (*entry[V], bool) {
+// it is expired or from an old generation, global or keyGen (the key's, from
+// keyGenFor). Caller holds s.mu.
+func (c *Cache[V]) lookupLocked(s *shard[V], key string, keyGen *atomic.Uint64) (*entry[V], bool) {
 	e, ok := s.entries[key]
 	if !ok {
 		return nil, false
 	}
-	if e.gen != c.gen.Load() {
+	if e.gen != c.gen.Load() || e.keyGen != keyGen.Load() {
 		c.removeLocked(s, e)
 		c.invalidated.Add(1)
 		c.met.invalidated.Inc()
@@ -268,7 +301,7 @@ func (c *Cache[V]) Put(key string, val V, bytes int) {
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
-	c.storeLocked(s, key, val, int64(bytes), c.gen.Load())
+	c.storeLocked(s, key, val, int64(bytes), c.gen.Load(), c.keyGenFor(key).Load())
 	s.mu.Unlock()
 }
 
@@ -277,7 +310,9 @@ func (c *Cache[V]) Put(key string, val V, bytes int) {
 // caller that reads remote state, computes, and stores must use this instead
 // of Put: an Invalidate racing the computation (e.g. a peer failure injected
 // mid-search) would otherwise be erased by a Put of the stale value at the
-// new generation. Returns whether the value was stored.
+// new generation. The guard covers the global generation only; a caller that
+// must also survive InvalidateKey uses GetOrFill. Returns whether the value
+// was stored.
 func (c *Cache[V]) PutAt(gen uint64, key string, val V, bytes int) bool {
 	if c == nil {
 		return false
@@ -291,16 +326,16 @@ func (c *Cache[V]) PutAt(gen uint64, key string, val V, bytes int) bool {
 	// Store tagged with the observed generation: an Invalidate that lands
 	// between the check above and a later lookup still kills the entry, since
 	// lookups compare the entry's generation against the current one.
-	c.storeLocked(s, key, val, int64(bytes), gen)
+	c.storeLocked(s, key, val, int64(bytes), gen, c.keyGenFor(key).Load())
 	return true
 }
 
 // GetOrFill returns the cached value for key, or runs fill to produce it.
 // Concurrent callers that miss on the same key are coalesced: exactly one
 // runs fill, the rest block and share its value (and error). Fill errors are
-// not cached. A fill that completes after Invalidate was called is returned
-// to its waiters but not stored, so a fill started against pre-invalidation
-// state can never outlive the invalidation.
+// not cached. A fill that completes after Invalidate or InvalidateKey(key)
+// was called is returned to its waiters but not stored, so a fill started
+// against pre-invalidation state can never outlive the invalidation.
 //
 // fill returns the value and its approximate byte size.
 func (c *Cache[V]) GetOrFill(key string, fill func() (V, int, error)) (V, Outcome, error) {
@@ -310,8 +345,9 @@ func (c *Cache[V]) GetOrFill(key string, fill func() (V, int, error)) (V, Outcom
 	}
 	start := c.cfg.Clock.Now()
 	s := c.shardFor(key)
+	keyGen := c.keyGenFor(key)
 	s.mu.Lock()
-	if e, live := c.lookupLocked(s, key); live {
+	if e, live := c.lookupLocked(s, key, keyGen); live {
 		s.moveToFront(e)
 		val := e.val // copied under the lock, as in Get
 		s.mu.Unlock()
@@ -340,14 +376,14 @@ func (c *Cache[V]) GetOrFill(key string, fill func() (V, int, error)) (V, Outcom
 	c.misses.Add(1)
 	c.met.misses.Inc()
 
-	gen := c.gen.Load()
+	gen, kgen := c.gen.Load(), keyGen.Load()
 	val, bytes, err := fill()
 	f.val, f.err = val, err
 
 	s.mu.Lock()
 	delete(s.inflight, key)
-	if err == nil && gen == c.gen.Load() {
-		c.storeLocked(s, key, val, int64(bytes), gen)
+	if err == nil && gen == c.gen.Load() && kgen == keyGen.Load() {
+		c.storeLocked(s, key, val, int64(bytes), gen, kgen)
 	}
 	s.mu.Unlock()
 	close(f.done)
@@ -378,7 +414,19 @@ func (c *Cache[V]) Invalidate() {
 	c.met.genGauge.Set(int64(g))
 }
 
-// Generation returns the current invalidation generation.
+// InvalidateKey is Invalidate scoped to one key: the entry stored under key
+// before this call is dead, and an in-progress fill of key that started
+// before it will not be stored — which a Delete cannot promise, since the
+// fill would store its pre-write value afterwards. Other keys survive, save
+// the few that share key's generation stripe. O(len(key)).
+func (c *Cache[V]) InvalidateKey(key string) {
+	if c == nil {
+		return
+	}
+	c.keyGenFor(key).Add(1)
+}
+
+// Generation returns the current global invalidation generation.
 func (c *Cache[V]) Generation() uint64 {
 	if c == nil {
 		return 0
@@ -428,15 +476,15 @@ func (c *Cache[V]) Stats() Stats {
 // storeLocked inserts or replaces an entry and evicts from the LRU tail
 // until the shard is back within its entry and byte budgets. Caller holds
 // s.mu.
-func (c *Cache[V]) storeLocked(s *shard[V], key string, val V, bytes int64, gen uint64) {
+func (c *Cache[V]) storeLocked(s *shard[V], key string, val V, bytes int64, gen, keyGen uint64) {
 	if e, ok := s.entries[key]; ok {
 		s.bytes += bytes - e.bytes
 		c.met.bytesGauge.Add(bytes - e.bytes)
-		e.val, e.bytes, e.gen = val, bytes, gen
+		e.val, e.bytes, e.gen, e.keyGen = val, bytes, gen, keyGen
 		e.expires = c.expiry()
 		s.moveToFront(e)
 	} else {
-		e = &entry[V]{key: key, val: val, bytes: bytes, gen: gen, expires: c.expiry()}
+		e = &entry[V]{key: key, val: val, bytes: bytes, gen: gen, keyGen: keyGen, expires: c.expiry()}
 		s.entries[key] = e
 		s.bytes += bytes
 		s.pushFront(e)

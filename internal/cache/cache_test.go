@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -240,6 +241,119 @@ func TestInvalidateDuringFillNotStored(t *testing.T) {
 	}
 }
 
+// differentStripeKey returns a key that does not share key's generation
+// stripe, so the pair exercises the scoping rather than a collision.
+func differentStripeKey(t *testing.T, key string) string {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		if other := fmt.Sprintf("other%d", i); keyStripe(other) != keyStripe(key) {
+			return other
+		}
+	}
+	t.Fatalf("no key found off the stripe of %q", key)
+	return ""
+}
+
+func TestInvalidateKeyScope(t *testing.T) {
+	c := New[int](Config{MaxEntries: 8, Shards: 1})
+	b := differentStripeKey(t, "a")
+	c.Put("a", 1, 1)
+	c.Put(b, 2, 1)
+	c.InvalidateKey("a")
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("entry served after InvalidateKey of its key")
+	}
+	if v, ok := c.Get(b); !ok || v != 2 {
+		t.Fatalf("InvalidateKey(a) took unrelated key %q along: %v, %v", b, v, ok)
+	}
+	c.Put("a", 3, 1)
+	if v, ok := c.Get("a"); !ok || v != 3 {
+		t.Fatalf("store after InvalidateKey not served: %v, %v", v, ok)
+	}
+	st := c.Stats()
+	if st.Invalidated != 1 {
+		t.Fatalf("invalidated = %d; want 1", st.Invalidated)
+	}
+	if st.Generation != 0 {
+		t.Fatalf("InvalidateKey moved the global generation to %d", st.Generation)
+	}
+	// The global scope still covers every key.
+	c.Invalidate()
+	if _, ok := c.Get(b); ok {
+		t.Fatal("entry served after Invalidate")
+	}
+}
+
+// TestInvalidateKeyDuringFillNotStored is the key-scoped twin of
+// TestInvalidateDuringFillNotStored, with a coalesced waiter on the flight:
+// both callers get the value, the cache does not keep it.
+func TestInvalidateKeyDuringFillNotStored(t *testing.T) {
+	c := New[int](Config{MaxEntries: 8, Shards: 1})
+	inFill := make(chan struct{})
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	call := func(fill func() (int, int, error)) {
+		defer wg.Done()
+		if v, _, err := c.GetOrFill("k", fill); err != nil || v != 7 {
+			t.Errorf("GetOrFill = %d, %v; want 7, nil", v, err)
+		}
+	}
+	wg.Add(1)
+	go call(func() (int, int, error) {
+		close(inFill)
+		<-gate
+		return 7, 1, nil
+	})
+	<-inFill
+	wg.Add(1)
+	go call(func() (int, int, error) {
+		t.Error("waiter ran its own fill instead of coalescing")
+		return 0, 0, nil
+	})
+	for deadline := time.Now().Add(5 * time.Second); c.Stats().Coalesced < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("waiter never coalesced on the flight")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	c.InvalidateKey("k") // k's source changed while the fill was in flight
+	close(gate)
+	wg.Wait()
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("fill that started before InvalidateKey was stored")
+	}
+}
+
+// TestKeyStripeSeedFree pins that the stripe of a key does not depend on the
+// cache instance or process: collateral invalidations, and with them miss and
+// message counts, must repeat from run to run.
+func TestKeyStripeSeedFree(t *testing.T) {
+	// The stripe is the standard library's FNV-1a, xor-folded onto the table.
+	for _, k := range []string{"", "a", "alpha", "beta gamma\x005"} {
+		h := fnv.New32a()
+		h.Write([]byte(k))
+		if got, want := keyStripe(k), (h.Sum32()^h.Sum32()>>16)%keyStripes; got != want {
+			t.Fatalf("keyStripe(%q) = %d; want %d", k, got, want)
+		}
+	}
+	// Two caches (two maphash seeds) agree on what a collision is: a key
+	// invalidated through a stripe-mate dies in both or in neither.
+	mate := ""
+	for i := 0; mate == ""; i++ {
+		if k := fmt.Sprintf("k%d", i); keyStripe(k) == keyStripe("alpha") {
+			mate = k
+		}
+	}
+	for i := 0; i < 2; i++ {
+		c := New[int](Config{MaxEntries: 8})
+		c.Put("alpha", 1, 1)
+		c.InvalidateKey(mate)
+		if _, ok := c.Get("alpha"); ok {
+			t.Fatalf("cache %d: alpha survived the invalidation of its stripe-mate %q", i, mate)
+		}
+	}
+}
+
 func TestTelemetryInstruments(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	c := New[int](Config{MaxEntries: 2, Shards: 1, Telemetry: reg, Name: "cache.test"})
@@ -276,6 +390,7 @@ func TestNilCacheIsInert(t *testing.T) {
 	c.Put("k", 1, 1)
 	c.Delete("k")
 	c.Invalidate()
+	c.InvalidateKey("k")
 	v, out, err := c.GetOrFill("k", func() (int, int, error) { return 9, 1, nil })
 	if err != nil || v != 9 || out != Filled {
 		t.Fatalf("nil GetOrFill = %d, %v, %v; want 9, Filled, nil", v, out, err)
@@ -322,6 +437,7 @@ func TestConcurrentHammer(t *testing.T) {
 					if i%100 == 0 {
 						c.Invalidate()
 					}
+					c.InvalidateKey(key)
 					c.Stats()
 				}
 			}

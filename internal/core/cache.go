@@ -25,19 +25,36 @@ import (
 //   - A result cache keyed by (canonical query terms, k) with a short TTL,
 //     for verbatim repeats of whole queries.
 //
-// Consistency: every index mutation — publish, unpublish, replica add/drop,
-// unshare, learning re-publication, snapshot restore — bumps the caches'
-// generation, so a cached entry can never outlive the index state it was
-// read from (entries die lazily; see cache.Invalidate). Learning stays
-// unaffected by caching: a search served from cache still records its query
-// at the indexing peers via msgCacheQuery, so query histories — and hence
-// QF/qScore statistics — match an uncached run exactly.
+// Consistency: a cached entry can never outlive the index state it was read
+// from, and an invalidation is as narrow as the event behind it (entries die
+// lazily; see cache.Invalidate and cache.InvalidateKey).
+//
+//   - A write to one term's list invalidates that term's postings entry and
+//     no other: publish, unpublish, replica add/drop, handoff revert — every
+//     such message names its term — and hence share, unshare, learning
+//     re-publication and refresh, which are made of them. Unshare and the
+//     stale-withdrawal retries also invalidate the terms whose holder they
+//     could not reach, since no handler ran there. Scoring a term reads
+//     nothing but that term's list (its length is IndexedDF; SurrogateN is a
+//     constant), so nothing else can have gone stale.
+//   - An event that moves lists between peers flushes everything: handoff
+//     installs, anti-entropy pushes and sheds, graceful leave, snapshot
+//     restore, and InvalidateCaches (peer failure or recovery injected below
+//     the core). There the cached indexing-peer address changes, not just
+//     the list, for terms the event does not enumerate.
+//   - Either kind flushes the whole result cache: a result depends on every
+//     term of its query.
+//
+// Learning stays unaffected by caching: a search served from cache still
+// records its query at the indexing peers via msgCacheQuery, so query
+// histories — and hence QF/qScore statistics — match an uncached run exactly.
 //
 // Staleness window: a peer failure is invisible to the core (it happens at
 // the transport), so cached postings owned by a just-failed peer are served
-// until the next index mutation, InvalidateCaches call, or TTL expiry —
+// until the next write to their term, the next flush, or TTL expiry —
 // strictly better availability than the uncached path, which would skip the
-// term (§7 degraded mode), at the price of a bounded staleness window.
+// term (§7 degraded mode), at the price of a staleness window that only a TTL
+// or an InvalidateCaches call from the host bounds.
 
 // CacheConfig tunes the query-path caches. The zero value disables caching
 // entirely, preserving the paper's exact message accounting.
@@ -49,16 +66,18 @@ type CacheConfig struct {
 	// PostingsBytes optionally caps the postings cache by approximate wire
 	// bytes (0 = entry bound only).
 	PostingsBytes int64
-	// PostingsTTL bounds postings age. The default 0 keeps entries until the
-	// next index mutation (generation invalidation), which in the simulator
-	// is exact; deployments with out-of-band failures should set a TTL.
+	// PostingsTTL bounds postings age. The default 0 keeps a term's entry
+	// until the next write to that term or the next flush (membership change,
+	// restore, InvalidateCaches), which in the simulator is exact; deployments
+	// with out-of-band failures should set a TTL.
 	PostingsTTL time.Duration
 	// DisablePostings switches the postings cache off individually.
 	DisablePostings bool
 	// ResultEntries caps the result cache (default 1024 queries).
 	ResultEntries int
-	// ResultTTL bounds result age (default 2s). Results are also dropped on
-	// every index mutation, like postings.
+	// ResultTTL bounds result age (default 2s). Results are also dropped, all
+	// of them, on every index mutation — unlike postings, which a write drops
+	// for its own term only.
 	ResultTTL time.Duration
 	// DisableResults switches the result cache off individually.
 	DisableResults bool
@@ -149,10 +168,22 @@ func (nc netCaches) invalidate() {
 	nc.results.Invalidate()
 }
 
+// invalidateTerm is the narrow form for a write to one term's list: that
+// term's cached postings die, every other term's stay. Results are still
+// flushed wholesale — a result hit saves no messages (it replays one
+// msgCacheQuery per term), and which permutation of a query a result entry
+// is served to is pinned by the benchmark's rank hash (see ROADMAP).
+func (nc netCaches) invalidateTerm(term string) {
+	nc.postings.InvalidateKey(term)
+	nc.results.Invalidate()
+}
+
 // InvalidateCaches drops all cached postings and query results. The core
-// calls it on every index mutation; hosts should call it when they know the
-// network changed under the core's feet (peer failure or recovery injected
-// at the transport level, overlay membership changes, …).
+// invalidates by itself on every index mutation — one term for a write, all
+// of them when entries move between peers — so hosts call this only when
+// they know the network changed under the core's feet (peer failure or
+// recovery injected at the transport level, overlay membership changes, …):
+// such an event names no term, and it changes which peer answers for many.
 func (n *Network) InvalidateCaches() {
 	n.caches.invalidate()
 }

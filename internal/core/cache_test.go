@@ -10,6 +10,7 @@ import (
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/index"
+	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
 )
 
@@ -130,34 +131,50 @@ func TestResultCacheServesRepeats(t *testing.T) {
 // TestNoStalePostingsAfterMutations is the acceptance test that the cache
 // never serves stale postings: a cache-on network must answer exactly like a
 // cache-off twin after every kind of index mutation — publish (share),
-// unshare, and learning-driven re-publication.
+// unshare, learning-driven re-publication, and an unshare that cannot reach
+// an indexing peer — with and without successor replicas. A write invalidates
+// only the terms it touched, so each comparison runs with the other terms'
+// entries still warm from the round before; wantWarm asserts that they are.
 func TestNoStalePostingsAfterMutations(t *testing.T) {
-	cacheOff, _ := cacheTestNetwork(t, 8, Config{InitialTerms: 2})
-	cacheOn, _ := cacheTestNetwork(t, 8, Config{
-		InitialTerms: 2,
-		Cache:        CacheConfig{Enabled: true, ResultTTL: time.Hour},
+	for _, replicas := range []int{0, 1} {
+		t.Run(fmt.Sprintf("replicas=%d", replicas), func(t *testing.T) {
+			testNoStalePostingsAfterMutations(t, replicas)
+		})
+	}
+}
+
+func testNoStalePostingsAfterMutations(t *testing.T, replicas int) {
+	cacheOff, simOff := cacheTestNetwork(t, 8, Config{InitialTerms: 2, ReplicationFactor: replicas})
+	cacheOn, simOn := cacheTestNetwork(t, 8, Config{
+		InitialTerms:      2,
+		ReplicationFactor: replicas,
+		Cache:             CacheConfig{Enabled: true, ResultTTL: time.Hour},
 	})
 	nets := []*Network{cacheOff, cacheOn}
-
-	step := func(label string, op func(n *Network) error) {
-		t.Helper()
-		for _, n := range nets {
-			if err := op(n); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+	surface := [][]string{{"alpha"}, {"beta"}, {"delta"}, {"alpha", "delta"}, {"beta", "gamma", "zeta"}}
+	distinct := make(map[string]bool)
+	for _, q := range surface {
+		for _, term := range q {
+			distinct[term] = true
 		}
-		// Compare the full query surface after every mutation, twice per
-		// network so the second round on cacheOn is served from warm caches.
-		queries := [][]string{{"alpha"}, {"beta"}, {"delta"}, {"alpha", "delta"}, {"beta", "gamma", "zeta"}}
+	}
+	surfaceTerms := int64(len(distinct))
+
+	// compare checks the query surface, twice per network so the second round
+	// on cacheOn is served from warm caches.
+	compare := func(label string, queries [][]string) {
+		t.Helper()
 		for _, q := range queries {
-			var lists []interface{}
+			var lists []ir.RankedList
 			for _, n := range nets {
 				for round := 0; round < 2; round++ {
 					rl, err := n.Probe("p0", q, 10)
 					if err != nil {
 						t.Fatalf("%s: probe %v: %v", label, q, err)
 					}
-					lists = append(lists, rl)
+					// An empty answer is nil from the result cache and
+					// empty from the ranker; the two are the same answer.
+					lists = append(lists, append(ir.RankedList{}, rl...))
 				}
 			}
 			for i := 1; i < len(lists); i++ {
@@ -168,12 +185,27 @@ func TestNoStalePostingsAfterMutations(t *testing.T) {
 			}
 		}
 	}
+	step := func(label string, wantWarm bool, op func(n *Network) error) {
+		t.Helper()
+		for _, n := range nets {
+			if err := op(n); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+		}
+		before := cacheOn.PostingsCacheStats().Misses
+		compare(label, surface)
+		// A mutation that flushed everything would re-fetch every term of the
+		// surface once; fewer misses mean untouched terms were served warm.
+		if misses := cacheOn.PostingsCacheStats().Misses - before; wantWarm && misses >= surfaceTerms {
+			t.Fatalf("%s: %d postings misses over %d terms; no entry survived the mutation", label, misses, surfaceTerms)
+		}
+	}
 
-	step("share", func(n *Network) error {
+	step("share", false, func(n *Network) error {
 		shareCacheCorpus(t, n)
 		return nil
 	})
-	step("training", func(n *Network) error {
+	step("training", true, func(n *Network) error {
 		for _, q := range [][]string{{"zeta", "delta"}, {"gamma"}, {"zeta"}, {"alpha", "gamma"}} {
 			for i := 0; i < 3; i++ {
 				if _, err := n.Search("p2", q, 10); err != nil {
@@ -183,16 +215,134 @@ func TestNoStalePostingsAfterMutations(t *testing.T) {
 		}
 		return nil
 	})
-	step("learning", func(n *Network) error {
+	step("learning", true, func(n *Network) error {
 		_, err := n.LearnAll()
 		return err
 	})
-	step("unshare", func(n *Network) error {
+	step("unshare", true, func(n *Network) error {
 		return n.Unshare("d2")
 	})
-	step("reshare", func(n *Network) error {
+	step("reshare", true, func(n *Network) error {
 		return n.Share("p3", doc("d2", map[string]int{"alpha": 3, "delta": 8, "epsilon": 5}))
 	})
+
+	// Unshare a document while the indexing peer of one of its terms is down,
+	// the failure injected at the transport without InvalidateCaches. No
+	// msgUnpublish handler runs for that term, and the uncached twin now finds
+	// an empty list at the failover peer (or the successor replica): only
+	// Unshare's own invalidation keeps the cached list from serving d3 on.
+	terms, err := cacheOn.IndexedTerms("d3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var down simnet.Addr
+	for _, term := range terms {
+		if a := ownerOfTerm(t, cacheOn, term).Addr(); a != "p0" {
+			down = a
+			break
+		}
+	}
+	if down == "" {
+		t.Fatal("every index term of d3 lives on the querying peer; pick another fixture")
+	}
+	// Other terms held by the failed peer stay cached — the documented
+	// staleness window of an unannounced failure — so they are not compared.
+	var reachable [][]string
+	for _, q := range surface {
+		stale := false
+		for _, term := range q {
+			if !containsTerm(terms, term) && ownerOfTerm(t, cacheOn, term).Addr() == down {
+				stale = true
+			}
+		}
+		if !stale {
+			reachable = append(reachable, q)
+		}
+	}
+	simOff.Fail(down)
+	simOn.Fail(down)
+	for _, n := range nets {
+		if err := n.Unshare("d3"); err != nil {
+			t.Fatalf("unshare with %s down: %v", down, err)
+		}
+	}
+	compare("unshare with indexing peer down", reachable)
+}
+
+// TestWriteInvalidatesOnlyItsTerms pins the scope of a write's invalidation:
+// sharing, learning and unsharing one document re-fetch the terms that
+// document indexes and nothing else.
+func TestWriteInvalidatesOnlyItsTerms(t *testing.T) {
+	n, sim := cacheTestNetwork(t, 8, Config{
+		InitialTerms: 2,
+		Cache:        CacheConfig{Enabled: true, DisableResults: true},
+	})
+	shareCacheCorpus(t, n)
+
+	// probe runs one unrecorded query and reports what it cost the postings
+	// cache: misses, and msgGetPostings calls on the wire.
+	probe := func(q ...string) (ir.RankedList, int64, int64) {
+		t.Helper()
+		misses, calls := n.PostingsCacheStats().Misses, sim.Stats().CallsByType[msgGetPostings]
+		rl, err := n.Probe("p0", q, 10)
+		if err != nil {
+			t.Fatalf("probe %v: %v", q, err)
+		}
+		return rl, n.PostingsCacheStats().Misses - misses, sim.Stats().CallsByType[msgGetPostings] - calls
+	}
+	has := func(rl ir.RankedList, id index.DocID) bool {
+		for _, h := range rl {
+			if h.Doc == id {
+				return true
+			}
+		}
+		return false
+	}
+	// check asserts that the corpus terms w1 never indexes are served warm,
+	// and that each of its written terms misses once and shows w1 or not.
+	check := func(label string, listed bool, written ...string) {
+		t.Helper()
+		if _, misses, calls := probe("beta", "zeta", "gamma"); misses != 0 || calls != 0 {
+			t.Fatalf("%s: query over untouched terms cost %d misses, %d fetches; want 0, 0", label, misses, calls)
+		}
+		for _, term := range written {
+			rl, misses, _ := probe(term)
+			if misses != 1 {
+				t.Fatalf("%s: written term %q cost %d misses; want 1", label, term, misses)
+			}
+			if has(rl, "w1") != listed {
+				t.Fatalf("%s: %q lists w1 = %v; want %v (%v)", label, term, !listed, listed, rl)
+			}
+		}
+	}
+
+	// Warm every term involved, those nothing indexes yet included.
+	probe("beta", "zeta", "gamma")
+	probe("omega", "psi", "chi")
+
+	if err := n.Share("p1", doc("w1", map[string]int{"omega": 9, "psi": 7, "chi": 2})); err != nil {
+		t.Fatal(err)
+	}
+	check("share", true, "omega", "psi")
+	if _, misses, _ := probe("chi"); misses != 0 {
+		t.Fatalf("share: chi, which w1 does not index yet, cost %d misses; want 0", misses)
+	}
+
+	// Teach w1 that chi is asked for along with omega; learning publishes it.
+	for i := 0; i < 3; i++ {
+		if _, err := n.Search("p2", []string{"omega", "chi"}, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if changes, err := n.LearnDoc("w1"); err != nil || changes == 0 {
+		t.Fatalf("LearnDoc(w1) = %d, %v; want a newly published term", changes, err)
+	}
+	check("learn", true, "chi")
+
+	if err := n.Unshare("w1"); err != nil {
+		t.Fatal(err)
+	}
+	check("unshare", false, "omega", "psi", "chi")
 }
 
 // TestHistoryParityWithCache proves caching is transparent to learning: the

@@ -40,10 +40,6 @@ func (n *Network) Unshare(doc index.DocID) error {
 		}
 	}
 	n.mu.Unlock()
-	// Unreachable indexing peers are skipped above without an unpublish
-	// message (their entries die with them), so the message handlers' bumps
-	// don't cover every removal — invalidate explicitly.
-	n.caches.invalidate()
 	return nil
 }
 
@@ -64,6 +60,10 @@ func (p *Peer) unshare(docID index.DocID) error {
 			delete(st.since, term)
 			delete(st.publishedAt, term)
 		}
+		// An unreachable indexing peer ran no msgUnpublish handler, so the
+		// handlers' invalidations don't cover every removal: drop the term's
+		// cached list here, reached or not.
+		p.net.caches.invalidateTerm(term)
 	}
 	p.mu.Lock()
 	delete(p.owned, docID)
@@ -95,6 +95,8 @@ func (p *Peer) flushStale(st *docState) {
 			// copies it pushed earlier; keep chasing those.
 			remaining = append(remaining, stale...)
 		}
+		// As in unshare: a holder that stays unreachable invalidates nothing.
+		p.net.caches.invalidateTerm(term)
 		if len(remaining) == 0 {
 			delete(st.stale, term)
 		} else {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strings"
+
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/repair"
@@ -248,14 +250,7 @@ func queryHash(terms []string) chordid.ID {
 func canonicalQuery(terms []string) string {
 	sorted := append([]string(nil), terms...)
 	insertionSort(sorted)
-	out := ""
-	for i, t := range sorted {
-		if i > 0 {
-			out += " "
-		}
-		out += t
-	}
-	return out
+	return strings.Join(sorted, " ")
 }
 
 // insertionSort keeps the hot path allocation-free for the short slices

@@ -63,7 +63,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		req := msg.Payload.(publishReq)
 		p.indexing.publish(req.Term, req.Posting)
 		p.replicateOut(req.Term, req.Posting)
-		p.net.caches.invalidate()
+		p.net.caches.invalidateTerm(req.Term)
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
 	case msgUnpublish:
@@ -74,7 +74,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		// able to clear its copy through the same message.
 		p.indexing.dropReplica(req.Term, req.Doc)
 		stale := p.replicateDrop(req.Term, req.Doc)
-		p.net.caches.invalidate()
+		p.net.caches.invalidateTerm(req.Term)
 		return simnet.Message{
 			Type:    msg.Type,
 			Payload: unpublishResp{StaleReplicas: stale},
@@ -119,13 +119,13 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 	case msgReplica:
 		req := msg.Payload.(replicaReq)
 		p.indexing.addReplica(req.Term, req.Posting)
-		p.net.caches.invalidate()
+		p.net.caches.invalidateTerm(req.Term)
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
 	case msgReplicaDrop:
 		req := msg.Payload.(replicaDropReq)
 		p.indexing.dropReplica(req.Term, req.Doc)
-		p.net.caches.invalidate()
+		p.net.caches.invalidateTerm(req.Term)
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
 	case msgDocTerms:
@@ -147,7 +147,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		req := msg.Payload.(handoffDropReq)
 		p.indexing.unpublish(req.Term, req.Doc)
 		p.indexing.takeReplicaLocs(req.Term, req.Doc)
-		p.net.caches.invalidate()
+		p.net.caches.invalidateTerm(req.Term)
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
 	case msgRelocate:

@@ -124,9 +124,11 @@ type Options struct {
 	// Cache configures the query-path caches (postings by term with
 	// singleflight coalescing, whole results by query with a short TTL).
 	// The zero value disables caching, preserving the paper's exact message
-	// accounting. Caches are invalidated on every index mutation, so stale
-	// postings are never served; see the README's Caching section for the
-	// staleness/TTL trade-off under transport-level failures.
+	// accounting. Every index mutation invalidates what it could have made
+	// stale — the written term's postings, or everything when lists move
+	// between peers — so stale postings are never served; see the README's
+	// Caching section for the scopes and for the staleness/TTL trade-off
+	// under transport-level failures.
 	Cache CacheOptions
 	// Resilience configures the query path's fault tolerance: retry with
 	// backoff, per-attempt timeouts, hedged fetches, and failover to the §7
@@ -186,14 +188,16 @@ type CacheOptions struct {
 	Enabled bool
 	// PostingsEntries caps the postings cache (default 4096 terms).
 	PostingsEntries int
-	// PostingsTTL bounds postings age; 0 keeps entries until the next index
-	// mutation.
+	// PostingsTTL bounds postings age; 0 keeps a term's entry until the next
+	// write to that term or the next full flush (join, leave, repair,
+	// restore, InvalidateCaches).
 	PostingsTTL time.Duration
 	// NoPostings disables the postings cache individually.
 	NoPostings bool
 	// ResultEntries caps the result cache (default 1024 queries).
 	ResultEntries int
-	// ResultTTL bounds result age (default 2s).
+	// ResultTTL bounds result age (default 2s). Every index mutation also
+	// drops all cached results.
 	ResultTTL time.Duration
 	// NoResults disables the result cache individually.
 	NoResults bool
@@ -633,8 +637,12 @@ func fromCacheStats(st cache.Stats) CacheStats {
 }
 
 // InvalidateCaches drops every cached postings list and query result. The
-// core invalidates automatically on index mutations; call this when the
-// network changed out of band (e.g. transport-level churn in TCP mode).
+// core invalidates automatically on index mutations — the written term's
+// postings for a share, learn or unshare; everything when a join, leave or
+// repair moves lists between peers — so call this only when the network
+// changed out of band (e.g. transport-level churn in TCP mode): a failure
+// names no term, and changes which peer answers for many. FailPeer and
+// RecoverPeer call it themselves.
 func (n *Network) InvalidateCaches() { n.core.InvalidateCaches() }
 
 // ResetStats zeroes the traffic counters (the index footprint is
