@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-trace-route bench-trace-mixed cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
+.PHONY: check vet build test race bench bench-test bench-route bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
 
 check: vet build race
 
@@ -56,6 +56,18 @@ bench-trace-mixed:
 	echo "$$out" | grep -q '"correct":true' || { echo "bench-trace-mixed: run is not correct"; exit 1; }; \
 	echo "$$out" | awk '$$1 == "cache.postings_hit_ratio" { seen = 1; ok = ($$2 >= $(MIXED_HIT_FLOOR)) } END { exit !(seen && ok) }' \
 		|| { echo "bench-trace-mixed: cache.postings_hit_ratio missing or below $(MIXED_HIT_FLOOR)"; exit 1; }
+
+# Ingest trend: a short traced pass of the CPU-bound workload must sum and be
+# correct like the other two, and echoes the write path's per-layer readings —
+# what one posting costs to add to and take out of an index, and the reference
+# system's whole build — so a run's log shows them next to the last one's.
+# They are wall-clock on a shared host: trended, not thresholded.
+bench-trace-postings:
+	@out=$$(bash bench/run.sh --workload postings --seed 1 --seconds 2 --trace 1) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E 'check:|^rank_hash|^operations attempted|^index\.(add|remove)_ns|^central\.build_s'; \
+	echo "$$out" | grep -q '(equal: true)' && ! echo "$$out" | grep -q '(equal: false)' || { echo "bench-trace-postings: want every sum check to print (equal: true)"; exit 1; }; \
+	echo "$$out" | grep -q '"correct":true' || { echo "bench-trace-postings: run is not correct"; exit 1; }; \
+	[ "$$(echo "$$out" | grep -cE '^index\.(add|remove)_ns|^central\.build_s')" -eq 3 ] || { echo "bench-trace-postings: index.add_ns, index.remove_ns or central.build_s missing"; exit 1; }
 
 cover:
 	$(GO) test -cover ./...
@@ -130,7 +142,9 @@ chaos-smoke:
 	$(GO) test ./internal/chaos -run TestChaos -chaos.steps=150 -timeout 5m
 
 # Native Go fuzz targets, 10s each: the text pipeline (never panic, stemming
-# idempotent) and the wire codec (payload round-trip, garbage never panics).
+# idempotent), the wire codec (payload round-trip, garbage never panics), and
+# the postings blocks (decode of garbage, and write sequences through the
+# encoded splice staying canonical and valid).
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzStem -fuzztime=10s ./internal/text
 	$(GO) test -run=NONE -fuzz=FuzzTokenize -fuzztime=10s ./internal/text
@@ -138,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzCodec -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzBinaryProtocol -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzPostingsBlock -fuzztime=10s ./internal/index
+	$(GO) test -run=NONE -fuzz=FuzzPostingsSplice -fuzztime=10s ./internal/index
 	$(GO) test -run=NONE -fuzz='FuzzSketch$$' -fuzztime=10s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzSketchCodec -fuzztime=10s ./internal/sketch
 

@@ -333,15 +333,7 @@ func (s *indexingState) publish(term string, p index.Posting) {
 func (s *indexingState) publishReporting(term string, p index.Posting) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	existed := false
-	for got := range s.ix.All(term) {
-		if got.Doc == p.Doc {
-			existed = true
-			break
-		}
-	}
-	s.ix.Add(term, p)
-	return existed
+	return s.ix.Put(term, p)
 }
 
 func (s *indexingState) unpublish(term string, doc index.DocID) {

@@ -29,11 +29,16 @@
 //	        sketch (internal/sketch), empty when the deployment does not
 //	        sketch — one byte of overhead per posting then
 //
-// Blocks are immutable after encoding: every mutation decodes the one
-// affected block, rebuilds it, and installs a fresh block slice, so any
-// Encoded snapshot or Cursor taken earlier keeps reading the old bytes
+// Blocks are immutable after encoding: a mutation builds the affected block's
+// successor — by editing a copy of its bytes around the one posting that
+// changes (splice.go), not by decoding it — and installs a fresh block slice,
+// so any Encoded snapshot or Cursor taken earlier keeps reading the old bytes
 // untouched — the same copy-on-write snapshot contract the slice-backed
-// index gave Postings callers.
+// index gave Postings callers. The encoding is canonical: the owner
+// dictionary holds exactly the owners in use, sorted, and every prefix length
+// is the longest possible, so a block's bytes are a function of its postings
+// alone and an edited block is byte-identical to encodeBlock of the same
+// postings.
 //
 // Decoding follows the wire package's safety discipline: every declared
 // length is validated against the bytes actually remaining before it sizes
@@ -54,7 +59,7 @@ const (
 	// blockMax is the count at which an insert splits a block in two. Bulk
 	// ascending loads instead seal a full last block and start a new one,
 	// so sorted ingestion produces tightly packed blockMax-sized blocks
-	// without ever re-encoding.
+	// and never decodes or re-encodes a posting it already stored.
 	blockMax = 2 * blockTarget
 	// freqEscape marks a packed tf/doclen entry whose zigzag frequency did
 	// not fit the 5 packed bits and follows as an explicit varint.
@@ -87,7 +92,7 @@ func uvarintLen(v uint64) int {
 }
 
 // sharedPrefix returns the length of the longest common prefix of a and b.
-func sharedPrefix(a, b string) int {
+func sharedPrefix[A, B string | []byte](a A, b B) int {
 	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
@@ -124,33 +129,43 @@ func encodeBlock(ps []Posting) *block {
 	buf = binary.AppendUvarint(buf, uint64(len(owners)))
 	prev := ""
 	for _, o := range owners {
-		pre := sharedPrefix(prev, o)
-		buf = binary.AppendUvarint(buf, uint64(pre))
-		buf = binary.AppendUvarint(buf, uint64(len(o)-pre))
-		buf = append(buf, o[pre:]...)
+		buf = appendFrontCoded(buf, sharedPrefix(prev, o), o)
 		prev = o
 	}
 	prev = ""
-	for _, p := range ps {
-		doc := string(p.Doc)
-		pre := sharedPrefix(prev, doc)
-		buf = binary.AppendUvarint(buf, uint64(pre))
-		buf = binary.AppendUvarint(buf, uint64(len(doc)-pre))
-		buf = append(buf, doc[pre:]...)
+	for i := range ps {
+		p := &ps[i]
 		oi, _ := searchString(owners, p.Owner)
-		buf = binary.AppendUvarint(buf, uint64(oi))
-		zf, zl := zigzag(int64(p.Freq)), zigzag(int64(p.DocLen))
-		if zf < freqEscape {
-			buf = binary.AppendUvarint(buf, zl<<5|zf)
-		} else {
-			buf = binary.AppendUvarint(buf, zl<<5|freqEscape)
-			buf = binary.AppendUvarint(buf, zf)
-		}
-		buf = binary.AppendUvarint(buf, uint64(len(p.Sketch)))
-		buf = append(buf, p.Sketch...)
-		prev = doc
+		buf = appendPosting(buf, sharedPrefix(prev, string(p.Doc)), p, oi)
+		prev = string(p.Doc)
 	}
 	return &block{data: buf, n: len(ps), first: ps[0].Doc, last: ps[len(ps)-1].Doc}
+}
+
+// appendFrontCoded appends s as a front-coded entry — the length of the
+// prefix it shares with its predecessor, then the remaining bytes.
+func appendFrontCoded(buf []byte, pre int, s string) []byte {
+	buf = binary.AppendUvarint(buf, uint64(pre))
+	buf = binary.AppendUvarint(buf, uint64(len(s)-pre))
+	return append(buf, s[pre:]...)
+}
+
+// appendPosting appends p's encoding: its doc front-coded on the pre bytes
+// shared with the previous posting's doc, oi its owner's dictionary index.
+// It is the only writer of posting bytes, so encodeBlock and the splice
+// cannot disagree on them.
+func appendPosting(buf []byte, pre int, p *Posting, oi int) []byte {
+	buf = appendFrontCoded(buf, pre, string(p.Doc))
+	buf = binary.AppendUvarint(buf, uint64(oi))
+	zf, zl := zigzag(int64(p.Freq)), zigzag(int64(p.DocLen))
+	if zf < freqEscape {
+		buf = binary.AppendUvarint(buf, zl<<5|zf)
+	} else {
+		buf = binary.AppendUvarint(buf, zl<<5|freqEscape)
+		buf = binary.AppendUvarint(buf, zf)
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(p.Sketch)))
+	return append(buf, p.Sketch...)
 }
 
 // searchString returns the insertion index of s in the ascending slice list

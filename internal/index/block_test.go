@@ -9,7 +9,8 @@ import (
 )
 
 // drive applies the same pseudo-random add/remove/removeDoc sequence to both
-// Store implementations.
+// Store implementations, which must agree on every return value and, after
+// every step, on how many documents and postings they hold.
 func drive(seed int64, steps int, a, b Store) {
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < steps; i++ {
@@ -43,6 +44,28 @@ func drive(seed int64, steps int, a, b Store) {
 				panic(fmt.Sprintf("RemoveDoc(%s): plain=%d compressed=%d", doc, rb, ra))
 			}
 		}
+		if a.NumDocs() != b.NumDocs() || a.NumPostings() != b.NumPostings() {
+			panic(fmt.Sprintf("step %d: (%d docs, %d postings) vs (%d, %d)",
+				i, a.NumDocs(), a.NumPostings(), b.NumDocs(), b.NumPostings()))
+		}
+	}
+}
+
+// checkRoundTrip demands that an index-built list passes the wire's full
+// validation and comes back from MarshalBinary → UnmarshalBinary unchanged.
+func checkRoundTrip(t *testing.T, e Encoded, term string) {
+	t.Helper()
+	raw, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatalf("MarshalBinary(%q): %v", term, err)
+	}
+	var back Encoded
+	if err := back.UnmarshalBinary(raw); err != nil {
+		t.Fatalf("UnmarshalBinary(%q): %v", term, err)
+	}
+	if back.Len() != e.Len() || back.Size() != e.Size() ||
+		!reflect.DeepEqual(back.Slice(), e.Slice()) {
+		t.Fatalf("term %q: round trip diverged", term)
 	}
 }
 
@@ -87,19 +110,7 @@ func TestCompressedPlainTwin(t *testing.T) {
 		storesEqual(t, ix, px)
 		// The encoded form must survive a marshal round trip unchanged.
 		for _, term := range ix.Terms() {
-			e := ix.Encoded(term)
-			raw, err := e.MarshalBinary()
-			if err != nil {
-				t.Fatalf("MarshalBinary(%q): %v", term, err)
-			}
-			var back Encoded
-			if err := back.UnmarshalBinary(raw); err != nil {
-				t.Fatalf("UnmarshalBinary(%q): %v", term, err)
-			}
-			if back.Len() != e.Len() || back.Size() != e.Size() ||
-				!reflect.DeepEqual(back.Slice(), e.Slice()) {
-				t.Fatalf("term %q: round trip diverged", term)
-			}
+			checkRoundTrip(t, ix.Encoded(term), term)
 		}
 		return !t.Failed()
 	}

@@ -22,6 +22,7 @@ package index
 import (
 	"fmt"
 	"iter"
+	"slices"
 	"sort"
 )
 
@@ -97,15 +98,23 @@ type termList struct {
 // create with NewInverted.
 type Inverted struct {
 	lists    map[string]*termList
-	docs     map[DocID]bool
+	docs     map[DocID]int // postings held per document
 	postings int
+
+	// Scratch the splice reuses across mutations (splice.go): the block
+	// under construction, its renumbered copy, and the doc ID a walk last
+	// reconstructed.
+	buf, buf2, doc []byte
+	// rebuilds counts the Adds that went through decode → rebuild because
+	// the splice declined them; the tests pin when that may happen.
+	rebuilds int
 }
 
 // NewInverted returns an empty index.
 func NewInverted() *Inverted {
 	return &Inverted{
 		lists: make(map[string]*termList),
-		docs:  make(map[DocID]bool),
+		docs:  make(map[DocID]int),
 	}
 }
 
@@ -141,7 +150,8 @@ func searchPostings(ps []Posting, doc DocID) (int, bool) {
 }
 
 // decodeBlock decodes one index-built block. Blocks produced by encodeBlock
-// are well-formed by construction, so decoding cannot fail here.
+// or the splice are well-formed by construction, so decoding cannot fail
+// here.
 func decodeBlock(b *block) []Posting {
 	return Encoded{blocks: []*block{b}, n: b.n, bytes: len(b.data)}.Slice()
 }
@@ -156,23 +166,25 @@ func rebuild(ps []Posting) []*block {
 	return []*block{encodeBlock(ps)}
 }
 
-// spliced returns a fresh block slice with blocks[bi] replaced by repl
-// (which may be empty, one, or two blocks). The input slice is never
-// modified — snapshots hold it.
-func spliced(blocks []*block, bi int, repl []*block) []*block {
-	out := make([]*block, 0, len(blocks)-1+len(repl))
-	out = append(out, blocks[:bi]...)
-	out = append(out, repl...)
-	return append(out, blocks[bi+1:]...)
-}
-
-// listStats recomputes a block slice's posting and byte totals.
-func listStats(blocks []*block) (n, bytes int) {
-	for _, b := range blocks {
+// install replaces block bi of term's list with repl — none, one, or the two
+// halves of a split — in a fresh block slice (snapshots hold the old one),
+// moving the list's totals by the difference. A list left empty is deleted.
+func (ix *Inverted) install(term string, tl *termList, bi int, repl ...*block) {
+	old := tl.blocks[bi]
+	n, bytes := tl.n-old.n, tl.bytes-len(old.data)
+	for _, b := range repl {
 		n += b.n
 		bytes += len(b.data)
 	}
-	return n, bytes
+	if n == 0 {
+		delete(ix.lists, term)
+		return
+	}
+	blocks := make([]*block, 0, len(tl.blocks)-1+len(repl))
+	blocks = append(blocks, tl.blocks[:bi]...)
+	blocks = append(blocks, repl...)
+	blocks = append(blocks, tl.blocks[bi+1:]...)
+	ix.lists[term] = &termList{blocks: blocks, n: n, bytes: bytes}
 }
 
 // Add inserts a posting for term. Adding the same (term, doc) pair twice
@@ -180,59 +192,67 @@ func listStats(blocks []*block) (n, bytes int) {
 // SPRITE's periodic index refresh (§3).
 //
 // Mutations are copy-on-write at block granularity: the one block whose
-// doc-ID range covers p.Doc is decoded, rebuilt, and swapped into a fresh
-// block slice. Blocks are never modified in place, so snapshots previously
-// returned by Encoded (and cursors over them) stay valid and immutable.
-// Ascending-doc insertion — the bulk-load order — seals full blocks and
-// appends, so it never re-encodes existing data.
-func (ix *Inverted) Add(term string, p Posting) {
-	ix.docs[p.Doc] = true
+// doc-ID range covers p.Doc gets a successor, swapped into a fresh block
+// slice. Blocks are never modified in place, so snapshots previously
+// returned by Encoded (and cursors over them) stay valid and immutable. The
+// successor is made by editing the block's encoded bytes (splice.go): a doc
+// above the list's last one — the bulk-load order — copies the tail block
+// and writes one posting after it, and a doc inside a block is walked to
+// without decoding. Only an edit the splice declines — an insert into a block
+// already at blockMax, which splits it, or a replace that swaps one owner out
+// of the block's dictionary and another in — decodes the block into postings
+// and re-encodes it.
+func (ix *Inverted) Add(term string, p Posting) { ix.Put(term, p) }
+
+// Put is Add reporting whether it replaced a posting the index already held
+// for (term, p.Doc).
+func (ix *Inverted) Put(term string, p Posting) (replaced bool) {
 	tl := ix.lists[term]
-	if tl == nil {
+	switch {
+	case tl == nil:
 		b := encodeBlock([]Posting{p})
 		ix.lists[term] = &termList{blocks: []*block{b}, n: 1, bytes: len(b.data)}
-		ix.postings++
-		return
-	}
-	blocks := tl.blocks
-	bi := searchBlocks(blocks, p.Doc)
-	if bi == len(blocks) {
-		if last := blocks[len(blocks)-1]; last.n >= blockMax {
-			b := encodeBlock([]Posting{p})
-			nb := make([]*block, len(blocks), len(blocks)+1)
-			copy(nb, blocks)
-			ix.lists[term] = &termList{blocks: append(nb, b), n: tl.n + 1, bytes: tl.bytes + len(b.data)}
-			ix.postings++
-			return
+	case p.Doc > tl.blocks[len(tl.blocks)-1].last && tl.blocks[len(tl.blocks)-1].n >= blockMax:
+		// The tail block is full: seal it and start the next.
+		b := encodeBlock([]Posting{p})
+		blocks := make([]*block, len(tl.blocks)+1)
+		copy(blocks, tl.blocks)
+		blocks[len(tl.blocks)] = b
+		ix.lists[term] = &termList{blocks: blocks, n: tl.n + 1, bytes: tl.bytes + len(b.data)}
+	default:
+		bi := min(searchBlocks(tl.blocks, p.Doc), len(tl.blocks)-1)
+		old := tl.blocks[bi]
+		nb, found, ok := ix.spliceAdd(old, &p)
+		if ok {
+			ix.install(term, tl, bi, nb)
+		} else {
+			ix.rebuilds++
+			ps := decodeBlock(old)
+			var i int
+			if i, found = searchPostings(ps, p.Doc); found {
+				ps[i] = p
+			} else {
+				ps = slices.Insert(ps, i, p)
+			}
+			ix.install(term, tl, bi, rebuild(ps)...)
 		}
-		bi = len(blocks) - 1
+		replaced = found
 	}
-	ps := decodeBlock(blocks[bi])
-	i, found := searchPostings(ps, p.Doc)
-	if found {
-		ps[i] = p
-	} else {
-		ps = append(ps, Posting{})
-		copy(ps[i+1:], ps[i:])
-		ps[i] = p
+	if !replaced {
 		ix.postings++
+		ix.docs[p.Doc]++
 	}
-	nb := spliced(blocks, bi, rebuild(ps))
-	n, bytes := listStats(nb)
-	ix.lists[term] = &termList{blocks: nb, n: n, bytes: bytes}
+	return replaced
 }
 
 // Remove deletes the posting for (term, doc) if present and reports whether
 // it was found. SPRITE's learning removes obsolete terms this way (§5.3).
 func (ix *Inverted) Remove(term string, doc DocID) bool {
 	tl := ix.lists[term]
-	if tl == nil || !ix.removeFrom(term, tl, doc) {
-		return false
-	}
-	return true
+	return tl != nil && ix.removeFrom(term, tl, doc)
 }
 
-// removeFrom drops doc from term's list, installing the rebuilt list (or
+// removeFrom drops doc from term's list, installing the list's successor (or
 // deleting the term when its last posting goes). Reports whether doc was
 // present.
 func (ix *Inverted) removeFrom(term string, tl *termList, doc DocID) bool {
@@ -240,38 +260,40 @@ func (ix *Inverted) removeFrom(term string, tl *termList, doc DocID) bool {
 	if bi == len(tl.blocks) || tl.blocks[bi].first > doc {
 		return false
 	}
-	ps := decodeBlock(tl.blocks[bi])
-	i, found := searchPostings(ps, doc)
-	if !found {
+	old := tl.blocks[bi]
+	if old.n == 1 {
+		// first <= doc <= last of a one-posting block: it is the posting.
+		ix.install(term, tl, bi)
+	} else if nb := ix.spliceRemove(old, doc); nb != nil {
+		ix.install(term, tl, bi, nb)
+	} else {
 		return false
 	}
-	ps = append(ps[:i], ps[i+1:]...)
-	var repl []*block
-	if len(ps) > 0 {
-		repl = []*block{encodeBlock(ps)}
-	}
-	nb := spliced(tl.blocks, bi, repl)
 	ix.postings--
-	if len(nb) == 0 {
-		delete(ix.lists, term)
-		return true
+	if ix.docs[doc]--; ix.docs[doc] == 0 {
+		delete(ix.docs, doc)
 	}
-	n, bytes := listStats(nb)
-	ix.lists[term] = &termList{blocks: nb, n: n, bytes: bytes}
 	return true
 }
 
 // RemoveDoc deletes every posting belonging to doc (un-sharing a document).
-// It returns the number of postings removed. Per-term cost is a block-range
-// binary search; only terms that actually hold the doc decode anything.
+// It returns the number of postings removed. A doc the index holds nothing
+// of costs one map probe; otherwise per-term cost is a block-range binary
+// search — only terms that actually hold the doc walk a block — and the scan
+// over terms ends at the doc's last posting.
 func (ix *Inverted) RemoveDoc(doc DocID) int {
+	held := ix.docs[doc]
+	if held == 0 {
+		return 0
+	}
 	removed := 0
 	for term, tl := range ix.lists {
 		if ix.removeFrom(term, tl, doc) {
-			removed++
+			if removed++; removed == held {
+				break
+			}
 		}
 	}
-	delete(ix.docs, doc)
 	return removed
 }
 
@@ -335,8 +357,9 @@ func (ix *Inverted) Terms() []string {
 // NumTerms returns the number of distinct indexed terms.
 func (ix *Inverted) NumTerms() int { return len(ix.lists) }
 
-// NumDocs returns the number of distinct documents with at least one posting
-// ever added (documents fully removed via RemoveDoc are not counted).
+// NumDocs returns the number of distinct documents the index currently holds
+// at least one posting of: a document leaves the count with its last posting,
+// whether Remove or RemoveDoc took it.
 func (ix *Inverted) NumDocs() int { return len(ix.docs) }
 
 // NumPostings returns the total number of postings across all terms — the

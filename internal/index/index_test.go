@@ -1,6 +1,7 @@
 package index
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -79,6 +80,47 @@ func TestEncodedSnapshotImmutable(t *testing.T) {
 	if got := ix.PostingsSlice("t"); got != nil {
 		t.Fatalf("fresh read missed RemoveDoc: %v", got)
 	}
+
+	// The same, byte for byte, for each of the four edits the splice makes
+	// to the block a snapshot was taken from.
+	ix = NewInverted()
+	for i := 0; i < 40; i++ {
+		ix.Add("t", Posting{Doc: DocID(fmt.Sprintf("doc%04d", i*10)), Owner: "peer", Freq: i%5 + 1, DocLen: 90 + i})
+	}
+	edits := []struct {
+		name string
+		do   func()
+	}{
+		{"append", func() { ix.Add("t", Posting{Doc: "doc9999", Owner: "peer", Freq: 2, DocLen: 7}) }},
+		{"mid-block insert", func() { ix.Add("t", Posting{Doc: "doc0105", Owner: "peer", Freq: 2, DocLen: 7}) }},
+		{"replace", func() { ix.Add("t", Posting{Doc: "doc0200", Owner: "peer", Freq: 77, DocLen: 7}) }},
+		{"remove", func() { ix.Remove("t", "doc0300") }},
+	}
+	for _, e := range edits {
+		snap := ix.Encoded("t")
+		cur := snap.Cursor()
+		want, _ := snap.MarshalBinary()
+		wantPostings := snap.Slice()
+		was := ix.rebuilds
+		e.do()
+		if ix.rebuilds != was {
+			t.Fatalf("%s went through rebuild; it is a splice case", e.name)
+		}
+		if got, _ := snap.MarshalBinary(); !bytes.Equal(got, want) {
+			t.Fatalf("%s moved the bytes of a snapshot taken before it", e.name)
+		}
+		var got []Posting
+		for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+			got = append(got, p)
+		}
+		if cur.Err() != nil || !slices.Equal(got, wantPostings) {
+			t.Fatalf("%s disturbed a cursor opened before it (err %v)", e.name, cur.Err())
+		}
+		if now, _ := ix.Encoded("t").MarshalBinary(); bytes.Equal(now, want) {
+			t.Fatalf("%s did not reach a fresh read", e.name)
+		}
+		checkCanonical(t, ix, "t")
+	}
 }
 
 func TestPostingsMissingTerm(t *testing.T) {
@@ -131,6 +173,32 @@ func TestRemoveDoc(t *testing.T) {
 	}
 	if ix.NumDocs() != 1 {
 		t.Fatalf("NumDocs = %d, want 1", ix.NumDocs())
+	}
+}
+
+// A document is counted while it holds a posting, whichever call took its
+// last one: indexing peers only ever Remove (learning's term replacement,
+// unshare), and their doc count must come back down.
+func TestNumDocsFollowsRemove(t *testing.T) {
+	for name, st := range map[string]Store{"inverted": NewInverted(), "plain": NewPlain()} {
+		st.Add("a", post("d1", 1, 10))
+		st.Add("b", post("d1", 2, 10))
+		st.Add("b", post("d1", 3, 10)) // a republish is not a second posting
+		st.Add("b", post("d2", 1, 20))
+		st.Remove("a", "d1")
+		if st.NumDocs() != 2 {
+			t.Fatalf("%s: NumDocs = %d with d1 still under b, want 2", name, st.NumDocs())
+		}
+		st.Remove("b", "d1")
+		if st.NumDocs() != 1 {
+			t.Fatalf("%s: NumDocs = %d after d1's last posting went, want 1", name, st.NumDocs())
+		}
+		if got := st.RemoveDoc("d1"); got != 0 {
+			t.Fatalf("%s: RemoveDoc of a doc already gone removed %d", name, got)
+		}
+		if got := st.RemoveDoc("d2"); got != 1 || st.NumDocs() != 0 || st.NumTerms() != 0 {
+			t.Fatalf("%s: RemoveDoc(d2) = %d, left %d docs in %d terms", name, got, st.NumDocs(), st.NumTerms())
+		}
 	}
 }
 

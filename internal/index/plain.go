@@ -13,7 +13,7 @@ import (
 // same served order, same semantics, ~65 bytes per posting instead of ~8.
 type Plain struct {
 	lists    map[string][]Posting
-	docs     map[DocID]bool
+	docs     map[DocID]int // postings held per document
 	postings int
 }
 
@@ -21,7 +21,7 @@ type Plain struct {
 func NewPlain() *Plain {
 	return &Plain{
 		lists: make(map[string][]Posting),
-		docs:  make(map[DocID]bool),
+		docs:  make(map[DocID]int),
 	}
 }
 
@@ -29,7 +29,6 @@ func NewPlain() *Plain {
 // (term, doc) pair. The stored slice is never modified in place, so slices
 // returned by PostingsSlice remain immutable snapshots.
 func (px *Plain) Add(term string, p Posting) {
-	px.docs[p.Doc] = true
 	list := px.lists[term]
 	// Ascending bulk-load fast path: a doc sorting after the current tail
 	// appends without the O(n) copy, mirroring the compressed index's
@@ -39,6 +38,7 @@ func (px *Plain) Add(term string, p Posting) {
 	if len(list) == 0 || list[len(list)-1].Doc < p.Doc {
 		px.lists[term] = append(list, p)
 		px.postings++
+		px.docs[p.Doc]++
 		return
 	}
 	i, found := searchPostings(list, p.Doc)
@@ -51,6 +51,7 @@ func (px *Plain) Add(term string, p Posting) {
 		copy(nl[i+1:], nl[i:])
 		nl[i] = p
 		px.postings++
+		px.docs[p.Doc]++
 	}
 	px.lists[term] = nl
 }
@@ -64,6 +65,9 @@ func (px *Plain) Remove(term string, doc DocID) bool {
 		return false
 	}
 	px.postings--
+	if px.docs[doc]--; px.docs[doc] == 0 {
+		delete(px.docs, doc)
+	}
 	if len(list) == 1 {
 		delete(px.lists, term)
 		return true
@@ -78,13 +82,18 @@ func (px *Plain) Remove(term string, doc DocID) bool {
 // RemoveDoc deletes every posting belonging to doc and returns the number
 // removed.
 func (px *Plain) RemoveDoc(doc DocID) int {
+	held := px.docs[doc]
+	if held == 0 {
+		return 0
+	}
 	removed := 0
 	for term := range px.lists {
 		if px.Remove(term, doc) {
-			removed++
+			if removed++; removed == held {
+				break
+			}
 		}
 	}
-	delete(px.docs, doc)
 	return removed
 }
 
@@ -124,8 +133,8 @@ func (px *Plain) Terms() []string {
 // NumTerms returns the number of distinct indexed terms.
 func (px *Plain) NumTerms() int { return len(px.lists) }
 
-// NumDocs returns the number of distinct documents with at least one posting
-// ever added.
+// NumDocs returns the number of distinct documents currently holding at
+// least one posting.
 func (px *Plain) NumDocs() int { return len(px.docs) }
 
 // NumPostings returns the total number of postings across all terms.
