@@ -151,7 +151,9 @@ func testNoStalePostingsAfterMutations(t *testing.T, replicas int) {
 		Cache:             CacheConfig{Enabled: true, ResultTTL: time.Hour},
 	})
 	nets := []*Network{cacheOff, cacheOn}
-	surface := [][]string{{"alpha"}, {"beta"}, {"delta"}, {"alpha", "delta"}, {"beta", "gamma", "zeta"}}
+	// {"omega"} matches nothing: its answer is an empty list, not a nil one,
+	// whether the ranker or the result cache produced it.
+	surface := [][]string{{"alpha"}, {"beta"}, {"delta"}, {"alpha", "delta"}, {"beta", "gamma", "zeta"}, {"omega"}}
 	distinct := make(map[string]bool)
 	for _, q := range surface {
 		for _, term := range q {
@@ -172,9 +174,7 @@ func testNoStalePostingsAfterMutations(t *testing.T, replicas int) {
 					if err != nil {
 						t.Fatalf("%s: probe %v: %v", label, q, err)
 					}
-					// An empty answer is nil from the result cache and
-					// empty from the ranker; the two are the same answer.
-					lists = append(lists, append(ir.RankedList{}, rl...))
+					lists = append(lists, rl)
 				}
 			}
 			for i := 1; i < len(lists); i++ {

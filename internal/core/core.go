@@ -266,11 +266,6 @@ type Network struct {
 	// pipelines (searchCtx, insertQuery, expansion) and owner sweeps
 	// (LearnAll, RefreshAll, replication) all share its concurrency bound.
 	exec *fanout.Executor
-	// accPool recycles score accumulators across searches. The per-query
-	// bucket arrays are the query path's largest allocation; reuse keeps
-	// them out of the GC's way. Rankings are unaffected — contribution
-	// order, not map layout, determines the result.
-	accPool sync.Pool
 
 	// mu guards the membership and ownership maps below. It is never held
 	// across a network call, only around map reads/writes, so it cannot

@@ -400,7 +400,7 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 	p.indexing.mu.Lock()
 	defer p.indexing.mu.Unlock()
 	for _, sq := range p.indexing.history {
-		if sq.key == "q1" {
+		if canonicalQuery(sq.terms) == "q1" {
 			t.Fatal("oldest query not evicted")
 		}
 	}

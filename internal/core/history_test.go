@@ -5,25 +5,39 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
+
+	"github.com/spritedht/sprite/internal/chordid"
+	"github.com/spritedht/sprite/internal/index"
+	"github.com/spritedht/sprite/internal/simnet"
 )
 
-// scanHistory is the reference the eviction cursor is pinned against: the
-// bounded history that finds its victim by scanning for the smallest seq.
+// queryHash is the eager form of what storedQuery.canon memoises: a query's
+// ring position, recomputed from its terms on every call.
+func queryHash(terms []string) chordid.ID {
+	return chordid.HashKey(canonicalQuery(terms))
+}
+
+// refQuery is one entry of the reference history: what a recording stores.
+type refQuery struct {
+	terms []string
+	seq   uint64
+}
+
+// scanHistory is the reference the production history is pinned against. It
+// finds its eviction victim by scanning for the smallest seq (the production
+// one keeps a cursor), and its poll memoises nothing: every entry is hashed
+// afresh and the result sorted by canonicalising inside the comparator.
 type scanHistory struct {
-	entries []storedQuery
+	entries []refQuery
 	cap     int
 	seq     uint64
 }
 
 func (h *scanHistory) record(terms []string) {
 	h.seq++
-	sq := storedQuery{
-		terms: append([]string(nil), terms...),
-		key:   canonicalQuery(terms),
-		hash:  queryHash(terms),
-		seq:   h.seq,
-	}
+	sq := refQuery{terms: append([]string(nil), terms...), seq: h.seq}
 	if len(h.entries) >= h.cap {
 		oldest := 0
 		for i := range h.entries {
@@ -47,11 +61,58 @@ func (h *scanHistory) restoreInto(cap int) {
 	}
 }
 
+func (h *scanHistory) poll(ix *index.Inverted, req pollReq) pollResp {
+	resp := pollResp{NewSince: h.seq, IndexedDF: ix.DocFreq(req.Term)}
+	for _, sq := range h.entries {
+		if sq.seq <= req.Since || !containsTerm(sq.terms, req.Term) {
+			continue
+		}
+		var candidates []string
+		for _, dt := range req.DocTerms {
+			if containsTerm(sq.terms, dt) {
+				candidates = append(candidates, dt)
+			}
+		}
+		if closestTerm(queryHash(sq.terms), candidates) != req.Term {
+			continue
+		}
+		resp.Queries = append(resp.Queries, append([]string(nil), sq.terms...))
+	}
+	sort.Slice(resp.Queries, func(i, j int) bool {
+		return canonicalQuery(resp.Queries[i]) < canonicalQuery(resp.Queries[j])
+	})
+	return resp
+}
+
+func (h *scanHistory) multiset() map[string]int {
+	m := make(map[string]int, len(h.entries))
+	for _, sq := range h.entries {
+		m[canonicalQuery(sq.terms)]++
+	}
+	return m
+}
+
+// checkMemo demands that whatever an entry has memoised is what an eager
+// computation over its terms gives.
+func checkMemo(t *testing.T, history []storedQuery) {
+	t.Helper()
+	for i, sq := range history {
+		if sq.key == "" {
+			continue
+		}
+		if sq.key != canonicalQuery(sq.terms) || sq.hash != queryHash(sq.terms) {
+			t.Fatalf("history[%d] %v memoised (%q, %v), eager (%q, %v)",
+				i, sq.terms, sq.key, sq.hash, canonicalQuery(sq.terms), queryHash(sq.terms))
+		}
+	}
+}
+
 // TestHistoryCursorMatchesScan drives random record / poll / snapshot-restore
 // sequences (restoring into smaller, equal and larger HistoryCap) through a
-// one-peer network and demands the same history slice, entry for entry, as
-// the scanning reference — so polls, HistoryMultiset and snapshots cannot
-// tell the two apart.
+// one-peer network and demands the same history slice, entry for entry, the
+// same poll responses and the same HistoryMultiset as the scanning, eagerly
+// hashing reference — so neither the eviction cursor nor the memoised keys
+// can be told from it.
 func TestHistoryCursorMatchesScan(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -86,7 +147,7 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 				if state.seq > 0 {
 					req.Since = uint64(rng.Int63n(int64(state.seq) + 1))
 				}
-				want := (&indexingState{ix: state.ix, history: ref.entries, seq: ref.seq}).poll(req)
+				want := ref.poll(state.ix, req)
 				if got := state.poll(req); !reflect.DeepEqual(got, want) {
 					t.Fatalf("seed %d step %d: poll(%+v) = %+v, reference %+v", seed, step, req, got, want)
 				}
@@ -106,12 +167,133 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 				t.Fatalf("seed %d step %d: seq/len %d/%d, reference %d/%d",
 					seed, step, state.seq, len(state.history), ref.seq, len(ref.entries))
 			}
-			for i := range ref.entries {
-				if !reflect.DeepEqual(state.history[i], ref.entries[i]) {
-					t.Fatalf("seed %d step %d: history[%d] = %+v, reference %+v",
-						seed, step, i, state.history[i], ref.entries[i])
+			for i, want := range ref.entries {
+				if got := state.history[i]; got.seq != want.seq || !reflect.DeepEqual(got.terms, want.terms) {
+					t.Fatalf("seed %d step %d: history[%d] = %v @%d, reference %v @%d",
+						seed, step, i, got.terms, got.seq, want.terms, want.seq)
 				}
 			}
+			checkMemo(t, state.history)
+			wantSet := map[simnet.Addr]map[string]int{}
+			if len(ref.entries) > 0 {
+				wantSet["p0"] = ref.multiset()
+			}
+			if got := n.HistoryMultiset(); !reflect.DeepEqual(got, wantSet) {
+				t.Fatalf("seed %d step %d: HistoryMultiset = %v, reference %v", seed, step, got, wantSet)
+			}
 		}
+	}
+}
+
+// TestHistoryKeysAreLazy pins who pays for a stored query's key and hash: not
+// the recording, not HistoryMultiset, not a snapshot or a restore — only a
+// poll, and only for the entries it has to place.
+func TestHistoryKeysAreLazy(t *testing.T) {
+	n := testNetwork(t, 1, Config{HistoryCap: 4})
+	state := &n.Peers()[0].indexing
+	keyed := func() []string {
+		var out []string
+		for _, sq := range state.history {
+			if sq.key != "" {
+				out = append(out, sq.key)
+			}
+		}
+		sort.Strings(out)
+		return out
+	}
+	for _, q := range [][]string{{"b", "a"}, {"c"}, {"a", "c"}, {"d"}, {"e", "a"}} {
+		state.cacheQuery(q) // five into four: {"b", "a"} is evicted unpolled
+	}
+	n.HistoryMultiset()
+	if got := keyed(); len(got) != 0 {
+		t.Fatalf("entries never polled carry keys %q", got)
+	}
+
+	// Entries 3 ({"a", "c"}) and 5 ({"e", "a"}) mention "a"; only 5 is past
+	// the watermark, so only 5 is placed.
+	req := pollReq{Term: "a", DocTerms: []string{"a"}, Since: 3}
+	before := state.poll(req)
+	if want := [][]string{{"e", "a"}}; !reflect.DeepEqual(before.Queries, want) {
+		t.Fatalf("poll = %v, want %v", before.Queries, want)
+	}
+	if got, want := keyed(), []string{"a e"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("after one poll the keyed entries are %q, want %q", got, want)
+	}
+	checkMemo(t, state.history)
+
+	var buf bytes.Buffer
+	if err := n.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n = testNetwork(t, 1, Config{HistoryCap: 4})
+	if err := n.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	state = &n.Peers()[0].indexing
+	if got := keyed(); len(got) != 0 {
+		t.Fatalf("restored entries carry keys %q before any poll", got)
+	}
+	if after := state.poll(req); !reflect.DeepEqual(after, before) {
+		t.Fatalf("poll after restore = %+v, before the snapshot %+v", after, before)
+	}
+}
+
+// TestHistoryConcurrentRecordAndPoll runs recorders and pollers against one
+// indexing state at once — the memo is written by poll into entries that
+// cacheQuery overwrites — and is meaningful under -race. What survives must
+// be internally consistent and a final poll must equal the eager reference
+// over the same entries.
+func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
+	const recorders, pollers, perWorker = 4, 4, 300
+	state := &indexingState{ix: index.NewInverted(), historyCap: 64}
+	vocab := []string{"alpha", "beta", "gamma", "delta"}
+	var wg sync.WaitGroup
+	for w := 0; w < recorders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < perWorker; i++ {
+				state.cacheQuery([]string{vocab[rng.Intn(len(vocab))], vocab[rng.Intn(len(vocab))]})
+			}
+		}(w)
+	}
+	for w := 0; w < pollers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				state.poll(pollReq{Term: vocab[(w+i)%len(vocab)], DocTerms: vocab})
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	if state.seq != recorders*perWorker || len(state.history) != state.historyCap {
+		t.Fatalf("seq/len %d/%d, want %d/%d", state.seq, len(state.history), recorders*perWorker, state.historyCap)
+	}
+	checkMemo(t, state.history)
+	ref := &scanHistory{seq: state.seq}
+	for _, sq := range state.history {
+		ref.entries = append(ref.entries, refQuery{terms: sq.terms, seq: sq.seq})
+	}
+	for _, term := range vocab {
+		req := pollReq{Term: term, DocTerms: vocab}
+		if got, want := state.poll(req), ref.poll(state.ix, req); !reflect.DeepEqual(got, want) {
+			t.Fatalf("poll(%s) = %+v, reference %+v", term, got, want)
+		}
+	}
+}
+
+// TestCacheQueryAllocatesOnlyTheTermsCopy: at capacity a recording costs one
+// allocation — the copy of the caller's terms — whatever the query's length.
+func TestCacheQueryAllocatesOnlyTheTermsCopy(t *testing.T) {
+	state := &indexingState{ix: index.NewInverted(), historyCap: 8}
+	q := []string{"delta", "alpha", "charlie", "bravo"}
+	for i := 0; i < state.historyCap; i++ {
+		state.cacheQuery(q)
+	}
+	if got := testing.AllocsPerRun(200, func() { state.cacheQuery(q) }); got != 1 {
+		t.Fatalf("cacheQuery at cap: %v allocs per call, want 1", got)
 	}
 }

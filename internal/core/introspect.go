@@ -89,7 +89,7 @@ func (n *Network) HistoryMultiset() map[simnet.Addr]map[string]int {
 		if len(p.indexing.history) > 0 {
 			m := make(map[string]int, len(p.indexing.history))
 			for _, sq := range p.indexing.history {
-				m[sq.key]++
+				m[canonicalQuery(sq.terms)]++
 			}
 			out[p.Addr()] = m
 		}

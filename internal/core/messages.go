@@ -238,15 +238,12 @@ func sizeTerms(terms []string) int {
 	return n
 }
 
-// queryHash returns the canonical ring position of a query's keyword set.
-// The paper hashes every cached query (precomputable offline) so that the
-// single indexing peer holding the closest term — by hash-space distance —
-// returns it during polling, avoiding duplicate transmissions (§3).
-func queryHash(terms []string) chordid.ID {
-	q := canonicalQuery(terms)
-	return chordid.HashKey(q)
-}
-
+// canonicalQuery is a query's keyword multiset as one string: its terms
+// sorted and space-joined. Its hash is the query's ring position — the paper
+// hashes every cached query (precomputable offline) so that the single
+// indexing peer holding the closest term, by hash-space distance, returns it
+// during polling, avoiding duplicate transmissions (§3); storedQuery.canon
+// computes it.
 func canonicalQuery(terms []string) string {
 	sorted := append([]string(nil), terms...)
 	insertionSort(sorted)

@@ -291,7 +291,9 @@ func (p *Peer) search(terms []string, k int, record bool) ir.RankedList {
 // span: each query term gets a child span covering its DHT lookup (one
 // grandchild span per Chord hop) and the postings fetch from the indexing
 // peer. Fetches run under the network's resilience policy (retry, hedging,
-// replica failover — see fetchTermPostings).
+// replica failover — see fetchTermPostings). The fetched lists stay
+// compressed: ranking is one k-way merge over their cursors, terms in query
+// order (ir.MergeTopK), and nothing is built per posting.
 //
 // Error contract: a done context aborts the search, returning nil and an
 // error wrapping ctx.Err(). Terms that failed for any other reason are
@@ -337,7 +339,9 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 					}
 				}
 			}
-			return append(ir.RankedList(nil), ent.rl...), nil
+			// A copy, so the caller cannot reach the cached list — and never
+			// nil, so a query that matched nothing reads the same as uncached.
+			return append(ir.RankedList{}, ent.rl...), nil
 		}
 	}
 	// The generation observed before any remote read; the result is stored
@@ -356,68 +360,45 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 	}
 
 	// Per-term pipeline, fanned out: each worker performs the Chord lookup,
-	// postings fetch (cached or resilient), query-history recording, and
-	// scores its term into a private partial accumulator. The single-threaded
-	// collection below folds the partials in term order, so ranked lists,
-	// failure lists, and counters are bit-identical to the sequential loop
-	// regardless of completion order.
+	// postings fetch (cached or resilient) and query-history recording, and
+	// hands back the term's still-compressed list. The single-threaded
+	// collection below walks the terms in query order, so failure lists and
+	// counters are identical to the sequential loop regardless of completion
+	// order, and one streaming merge over the fetched cursors (ir.MergeTopK)
+	// adds each document's contributions in that same order.
 	type termOut struct {
 		resp getPostingsResp
 		peer simnet.Addr
-		part []ir.Contribution
 	}
 	dts := distinctTerms(terms)
 	outs, errs := fanout.Map(ctx, p.net.exec, "fetch", len(dts), func(ctx context.Context, i int) (termOut, error) {
 		term := dts[i]
 		tsp := span.StartChild("term")
 		tsp.Annotate("term", term)
-		var resp getPostingsResp
-		var peer simnet.Addr
+		defer tsp.Finish()
 		if pc != nil {
 			ent, outcome, err := p.fetchPostingsCached(ctx, term, tsp)
 			if err != nil {
 				tsp.Annotate("error", err.Error())
-				tsp.Finish()
 				return termOut{}, err
 			}
 			tsp.Annotate("postings_cache", outcome.String())
 			if record {
 				p.recordQueryAt(ent.peer, terms)
 			}
-			resp, peer = ent.resp, ent.peer
-		} else {
-			var err error
-			resp, peer, err = p.fetchTermPostings(ctx, term, terms, record, tsp)
-			if err != nil {
-				tsp.Annotate("error", err.Error())
-				tsp.Finish()
-				return termOut{}, err
-			}
-			tsp.Annotate("indexing_peer", string(peer))
+			return termOut{resp: ent.resp, peer: ent.peer}, nil
 		}
-		tsp.Finish()
-		var part []ir.Contribution
-		if resp.IndexedDF > 0 {
-			// Score straight off the compressed blocks: the cursor decodes one
-			// posting at a time, so the full list is never materialized.
-			wq := ir.QueryWeight(qtf[term], len(terms), n, resp.IndexedDF)
-			part = ir.CollectStream(resp.Postings.Cursor(), wq, n, resp.IndexedDF,
-				make([]ir.Contribution, 0, resp.Postings.Len()))
+		resp, peer, err := p.fetchTermPostings(ctx, term, terms, record, tsp)
+		if err != nil {
+			tsp.Annotate("error", err.Error())
+			return termOut{}, err
 		}
-		return termOut{resp: resp, peer: peer, part: part}, nil
+		tsp.Annotate("indexing_peer", string(peer))
+		return termOut{resp: resp, peer: peer}, nil
 	})
 
-	accSize := 0
-	for i := range outs {
-		if errs[i] == nil {
-			accSize += len(outs[i].part)
-		}
-	}
-	acc, _ := p.net.accPool.Get().(*ir.Accumulator)
-	if acc == nil {
-		acc = ir.NewAccumulatorSized(accSize)
-	}
 	var failed []TermFailure
+	merge := make([]ir.MergeTerm, 0, len(dts))
 	for i, term := range dts {
 		if errs[i] != nil {
 			// A done caller context aborts the whole search; any other fetch
@@ -432,11 +413,16 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 		if termPeers != nil {
 			termPeers[term] = outs[i].peer
 		}
-		acc.AccumulateAll(outs[i].part)
+		if df := outs[i].resp.IndexedDF; df > 0 {
+			merge = append(merge, ir.MergeTerm{
+				Cursor: outs[i].resp.Postings.Cursor(),
+				WQ:     ir.QueryWeight(qtf[term], len(terms), n, df),
+				N:      n,
+				DF:     df,
+			})
+		}
 	}
-	rl := acc.RankedTop(k)
-	acc.Reset()
-	p.net.accPool.Put(acc)
+	rl := ir.MergeTopK(merge, k)
 	if rc != nil && len(failed) == 0 {
 		ent := resultEntry{rl: append(ir.RankedList(nil), rl...), peers: termPeers}
 		rc.PutAt(rcGen, rkey, ent, resultBytes(ent))

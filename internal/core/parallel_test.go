@@ -101,7 +101,7 @@ func peerHistories(n *Network) map[simnet.Addr][]string {
 		p.indexing.mu.Lock()
 		keys := make([]string, 0, len(p.indexing.history))
 		for _, sq := range p.indexing.history {
-			keys = append(keys, sq.key)
+			keys = append(keys, canonicalQuery(sq.terms))
 		}
 		p.indexing.mu.Unlock()
 		sort.Strings(keys)

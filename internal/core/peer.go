@@ -310,14 +310,27 @@ func (s *indexingState) takeReplicaLocs(term string, doc index.DocID) []simnet.A
 	return locs
 }
 
-// storedQuery is one cached query: its keyword set, canonical key (for
-// dedup), precomputed hash (§3: "every cached query is hashed also, which
-// can be precomputed offline"), and arrival sequence number.
+// storedQuery is one cached query: its keyword set and arrival sequence
+// number. Recording stores nothing else. The canonical key and the query
+// hash (§3: "every cached query is hashed also, which can be precomputed
+// offline") are off the query's path: canon computes both, once, the first
+// time a poll has to place the entry, so an entry evicted before any poll
+// reached it never pays for them.
 type storedQuery struct {
 	terms []string
-	key   string
-	hash  chordid.ID
 	seq   uint64
+	key   string     // canonicalQuery(terms); "" until canon has run
+	hash  chordid.ID // chordid.HashKey(key); valid once key is set
+}
+
+// canon memoises the entry's canonical key and ring hash and returns the
+// hash. The caller holds the indexing state's lock.
+func (sq *storedQuery) canon() chordid.ID {
+	if sq.key == "" {
+		sq.key = canonicalQuery(sq.terms)
+		sq.hash = chordid.HashKey(sq.key)
+	}
+	return sq.hash
 }
 
 func (s *indexingState) publish(term string, p index.Posting) {
@@ -384,12 +397,7 @@ func (s *indexingState) cacheQuery(terms []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
-	sq := storedQuery{
-		terms: append([]string(nil), terms...),
-		key:   canonicalQuery(terms),
-		hash:  queryHash(terms),
-		seq:   s.seq,
-	}
+	sq := storedQuery{terms: append([]string(nil), terms...), seq: s.seq}
 	if len(s.history) >= s.historyCap {
 		// Evict the oldest issuance.
 		s.history[s.oldest] = sq
@@ -427,7 +435,10 @@ func (s *indexingState) poll(req pollReq) pollResp {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	resp := pollResp{NewSince: s.seq, IndexedDF: s.ix.DocFreq(req.Term)}
-	for _, sq := range s.history {
+	var matched []*storedQuery // valid while s.mu is held
+	var candidates []string
+	for i := range s.history {
+		sq := &s.history[i]
 		if sq.seq <= req.Since {
 			continue
 		}
@@ -438,21 +449,27 @@ func (s *indexingState) poll(req pollReq) pollResp {
 		// query cached at their indexing peers, so the closest-term election
 		// runs over that intersection; electing an absent term would leave
 		// the query unreturned by everyone.
-		var candidates []string
+		candidates = candidates[:0]
 		for _, dt := range req.DocTerms {
 			if containsTerm(sq.terms, dt) {
 				candidates = append(candidates, dt)
 			}
 		}
-		if closestTerm(sq.hash, candidates) != req.Term {
+		if closestTerm(sq.canon(), candidates) != req.Term {
 			continue
 		}
-		resp.Queries = append(resp.Queries, append([]string(nil), sq.terms...))
+		matched = append(matched, sq)
 	}
-	// Deterministic order for the owner's incremental processing.
-	sort.Slice(resp.Queries, func(i, j int) bool {
-		return canonicalQuery(resp.Queries[i]) < canonicalQuery(resp.Queries[j])
-	})
+	if len(matched) == 0 {
+		return resp
+	}
+	// Deterministic order for the owner's incremental processing: by
+	// canonical key, which canon left in every matched entry.
+	sort.Slice(matched, func(i, j int) bool { return matched[i].key < matched[j].key })
+	resp.Queries = make([][]string, len(matched))
+	for i, m := range matched {
+		resp.Queries[i] = append([]string(nil), m.terms...)
+	}
 	return resp
 }
 

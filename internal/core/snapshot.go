@@ -182,12 +182,7 @@ func (n *Network) Restore(r io.Reader) error {
 		}
 		history := make([]storedQuery, 0, len(ps.History))
 		for _, h := range ps.History {
-			history = append(history, storedQuery{
-				terms: h.Terms,
-				key:   canonicalQuery(h.Terms),
-				hash:  queryHash(h.Terms),
-				seq:   h.Seq,
-			})
+			history = append(history, storedQuery{terms: h.Terms, seq: h.Seq})
 		}
 		p.indexing.restoreHistory(history)
 		p.indexing.seq = ps.Seq

@@ -34,7 +34,7 @@ func benchFixture(n int) ([]index.Posting, *index.Inverted) {
 // []Posting and fold Weight per posting.
 func BenchmarkAccumulateSlice(b *testing.B) {
 	ps, _ := benchFixture(50000)
-	acc := NewAccumulatorSized(len(ps))
+	acc := NewAccumulator()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc.Reset()
@@ -44,19 +44,7 @@ func BenchmarkAccumulateSlice(b *testing.B) {
 	}
 }
 
-// BenchmarkAccumulateEncoded is the streaming accumulator path: stream the
-// block cursor through the zero-string accumulator.
-func BenchmarkAccumulateEncoded(b *testing.B) {
-	ps, ix := benchFixture(50000)
-	acc := NewAccumulatorSized(len(ps))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		acc.Reset()
-		acc.AccumulateEncoded(ix.Cursor("t"), 0.37, LargeN, len(ps))
-	}
-}
-
-// BenchmarkMergeTopK is the compressed arm's query path: merge the term
+// BenchmarkMergeTopK is the query path over one long list: merge the term
 // cursor straight into a bounded top-k heap, no accumulator at all.
 func BenchmarkMergeTopK(b *testing.B) {
 	ps, ix := benchFixture(50000)
@@ -65,3 +53,60 @@ func BenchmarkMergeTopK(b *testing.B) {
 		MergeTopK([]MergeTerm{{Cursor: ix.Cursor("t"), WQ: 0.37, N: LargeN, DF: len(ps)}}, 10)
 	}
 }
+
+// BenchmarkScoreQuery scores one query of the benchmark's postings workload
+// shape — 4 terms × 60 postings drawn from 150 documents, k = 20 — the way
+// the query path does now (merge) and the way it did before (collect: one
+// []Contribution per term, folded through a sized accumulator, RankedTop):
+//
+//	go test -run XXX -bench ScoreQuery -benchmem ./internal/ir
+func BenchmarkScoreQuery(b *testing.B) {
+	const (
+		terms, perTerm, docs, k = 4, 60, 150, 20
+	)
+	rng := rand.New(rand.NewSource(7))
+	ix := index.NewInverted()
+	for t := 0; t < terms; t++ {
+		for _, d := range rng.Perm(docs)[:perTerm] {
+			ix.Add(fmt.Sprint("t", t), index.Posting{
+				Doc:    index.DocID(fmt.Sprintf("doc%06d", d)),
+				Owner:  fmt.Sprintf("peer%02d", d%16),
+				Freq:   1 + rng.Intn(9),
+				DocLen: 60 + rng.Intn(180),
+			})
+		}
+	}
+	lists := make([]index.Encoded, terms)
+	for t := range lists {
+		lists[t] = ix.Encoded(fmt.Sprint("t", t))
+	}
+	wq := QueryWeight(1, terms, LargeN, perTerm)
+
+	b.Run("merge", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mts := make([]MergeTerm, 0, terms)
+			for _, e := range lists {
+				mts = append(mts, MergeTerm{Cursor: e.Cursor(), WQ: wq, N: LargeN, DF: perTerm})
+			}
+			scoreSink = MergeTopK(mts, k)
+		}
+	})
+	b.Run("collect", func(b *testing.B) {
+		b.ReportAllocs()
+		acc := NewAccumulator()
+		for i := 0; i < b.N; i++ {
+			parts := make([][]Contribution, 0, terms)
+			for _, e := range lists {
+				parts = append(parts, CollectStream(e.Cursor(), wq, LargeN, perTerm, make([]Contribution, 0, e.Len())))
+			}
+			for _, part := range parts {
+				acc.AccumulateAll(part)
+			}
+			scoreSink = acc.RankedTop(k)
+			acc.Reset()
+		}
+	})
+}
+
+var scoreSink RankedList

@@ -110,27 +110,19 @@ func (rl RankedList) Rank(doc index.DocID) int {
 
 // Accumulator consolidates per-term partial scores into document scores —
 // the querying peer's job in SPRITE (§3: "index entries for the same
-// document are consolidated"). Document lengths arrive with postings.
+// document are consolidated") — from decoded postings. It is the slice loop
+// of the paper's baselines (central, eSearch, expansion) and the oracle the
+// production scorer, MergeTopK, is pinned against; the query path itself
+// never builds one.
 //
 // Each document keeps a running sum updated in contribution arrival order.
 // Float addition is not associative, so the order of the additions is the
 // determinism contract: accumulating the same (term, posting) stream in the
-// same order always yields the same bits. The parallel query engine upholds
-// it by collecting per-term Contribution slices and folding them in term
-// order, which performs exactly the additions the sequential per-term loop
-// would have. Documents live in a flat arrival-order slice with a position
-// map on the side — the hot path touches the map once per contribution and
-// allocates nothing.
+// same order always yields the same bits. Documents live in a flat
+// arrival-order slice with a position map on the side.
 type Accumulator struct {
 	pos     map[index.DocID]int32
 	entries []accEntry
-	// arena is the current intern chunk for doc IDs arriving as raw bytes
-	// (AccumulateKey). Chunk bytes are append-once — written when a key is
-	// interned and never touched again — so the string views handed to the
-	// map and entries stay immutable. Reset drops the reference instead of
-	// reusing the bytes, because ranked results returned to callers alias
-	// them.
-	arena []byte
 }
 
 // accEntry is one document's running state: the dot-product sum so far and
@@ -143,34 +135,19 @@ type accEntry struct {
 
 // NewAccumulator returns an empty accumulator.
 func NewAccumulator() *Accumulator {
-	return NewAccumulatorSized(0)
-}
-
-// NewAccumulatorSized returns an empty accumulator pre-sized for about n
-// documents. Query paths that know the postings count up front use it to
-// skip incremental map growth — at millions of queries per experiment the
-// rehashing otherwise dominates the scoring profile.
-func NewAccumulatorSized(n int) *Accumulator {
-	if n < 0 {
-		n = 0
-	}
-	return &Accumulator{
-		pos:     make(map[index.DocID]int32, n),
-		entries: make([]accEntry, 0, n),
-	}
+	return &Accumulator{pos: make(map[index.DocID]int32)}
 }
 
 // Len reports how many documents hold contributions.
 func (a *Accumulator) Len() int { return len(a.entries) }
 
 // Reset empties the accumulator in place, retaining map and slice capacity.
-// Query engines pool accumulators across searches: the bucket array and
-// entry backing store are by far their largest allocation, and a reset
-// keeps both.
+//
+// Retained for the benchmark: nothing in the module calls it, but
+// bench/api.go pins it and bench/probes.go times it (see Contribution).
 func (a *Accumulator) Reset() {
 	clear(a.pos)
 	a.entries = a.entries[:0]
-	a.arena = nil
 }
 
 // Accumulate adds the contribution of one (query term, posting) pair.
@@ -185,21 +162,34 @@ func (a *Accumulator) Accumulate(doc index.DocID, contribution float64, docLen i
 	a.entries = append(a.entries, accEntry{doc: doc, dot: contribution, docLen: docLen})
 }
 
-// Contribution is one (document, partial score) entry produced while scoring
-// a single term's postings list. Workers that score one term at a time can
-// collect contributions in a slice — a postings list never repeats a document,
-// so no map is needed until the per-term partials are folded together, and at
-// millions of queries the per-term map allocations otherwise dominate the
-// heap profile.
+// Contribution is one (document, partial score) entry of a term's scored
+// list, as the query path built them before it merged the compressed
+// cursors directly.
+//
+// Contribution, CollectStream, AccumulateAll, Reset and (outside eval's
+// plain-index arm) RankedTop are off every production path. They stay
+// exported only because bench/api.go pins them and bench/probes.go times
+// them as ir.collect_ns, ir.accumulate_ns and ir.rank_top_us, and bench/ does
+// not change in a PR that claims a gain; ROADMAP item 5 re-points those
+// probes at MergeTopK and deletes them.
 type Contribution struct {
 	Doc    index.DocID
 	Score  float64
 	DocLen int
 }
 
-// AccumulateAll accumulates a contribution sequence in order. Folding
-// per-term slices in term order performs exactly the Accumulate calls the
-// sequential per-term loop would have, so rankings stay bit-identical.
+// CollectStream scores one term's postings into a contribution slice,
+// materializing every posting. dst is appended to and returned. Retained for
+// the benchmark (see Contribution).
+func CollectStream(cur *index.Cursor, wq float64, n, df int, dst []Contribution) []Contribution {
+	for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+		dst = append(dst, Contribution{Doc: p.Doc, Score: wq * Weight(p.NormFreq(), n, df), DocLen: p.DocLen})
+	}
+	return dst
+}
+
+// AccumulateAll accumulates a contribution sequence in order. Retained for
+// the benchmark (see Contribution).
 func (a *Accumulator) AccumulateAll(cs []Contribution) {
 	for _, c := range cs {
 		a.Accumulate(c.Doc, c.Score, c.DocLen)

@@ -7,12 +7,11 @@ import (
 	"github.com/spritedht/sprite/internal/index"
 )
 
-// This file is the fully streaming end of the scoring pipeline: a k-way
-// merge over the query terms' compressed cursors. Every cursor yields its
-// postings in ascending doc-ID order, so all of a document's contributions
-// are adjacent in the merged stream — the document can be scored completely
-// and offered to a bounded top-k heap the moment the merge moves past it.
-// Unlike the accumulator paths, no per-document map entry, interned key, or
+// This file is the production scorer: a k-way merge over the query terms'
+// compressed cursors. Every cursor yields its postings in ascending doc-ID
+// order, so all of a document's contributions are adjacent in the merged
+// stream — the document can be scored completely and offered to a bounded
+// top-k heap the moment the merge reaches it. No per-document map entry or
 // materialized string is ever built for documents that do not reach the
 // top k; a query's working state is the cursors plus k hits.
 //
@@ -23,7 +22,7 @@ import (
 // insensitive to the order documents are offered in.
 
 // MergeTerm is one query term's input to MergeTopK: a cursor over the
-// term's postings plus the scoring inputs AccumulateEncoded would take.
+// term's postings plus the term's scoring inputs.
 type MergeTerm struct {
 	Cursor *index.Cursor
 	WQ     float64 // query-side weight of the term
@@ -39,75 +38,82 @@ type mergeState struct {
 	wq, idf      float64
 	doc          []byte
 	freq, docLen int
-	ok           bool
 }
 
-func (s *mergeState) advance() {
-	s.doc, s.freq, s.docLen, s.ok = s.cur.NextBytes()
+// advance decodes the term's next head and reports whether there was one.
+func (s *mergeState) advance() (ok bool) {
+	s.doc, s.freq, s.docLen, ok = s.cur.NextBytes()
+	return ok
+}
+
+// contribution is the head posting's share of its document's dot product:
+// wq · Weight(ntf, N, DF) with the loop-invariant IDF factor computed once,
+// multiplied in the same order, so the bits are those of the slice loop.
+func (s *mergeState) contribution() float64 {
+	nf := 0.0
+	if s.docLen != 0 {
+		nf = float64(s.freq) / float64(s.docLen)
+	}
+	return s.wq * (nf * s.idf)
 }
 
 // MergeTopK scores the documents covered by terms and returns the k best
-// hits in rank order — the same list RankedTop(k) produces after
-// AccumulateEncoded runs per term, selected without building the
-// accumulator. Cursor decode errors end that term's stream early, exactly
-// as they end AccumulateEncoded.
+// hits in rank order — the list Accumulator.Ranked().Top(k) produces after
+// Accumulate runs over every term's decoded postings in terms order,
+// selected without decoding a list or building the accumulator. A cursor
+// decode error ends that term's stream early.
 func MergeTopK(terms []MergeTerm, k int) RankedList {
 	if k <= 0 {
 		return RankedList{}
 	}
-	states := make([]mergeState, len(terms))
-	active := 0
-	for i, t := range terms {
-		s := &states[i]
-		s.cur, s.wq = t.Cursor, t.WQ
+	// live holds the terms that still have a head, in terms order; an
+	// exhausted term is cut out so the loop below never looks at it again.
+	live := make([]mergeState, 0, len(terms))
+	candidates := 0
+	for _, t := range terms {
+		s := mergeState{cur: t.Cursor, wq: t.WQ}
 		if t.DF > 0 && t.N > 0 {
 			s.idf = math.Log(float64(t.N) / float64(t.DF))
+			candidates += t.DF
 		}
-		s.advance()
-		if s.ok {
-			active++
+		if s.advance() {
+			live = append(live, s)
 		}
 	}
-	top := topkHeap{h: make(RankedList, 0, k), k: k}
-	var cur []byte // the doc being scored; copied out of cursor scratch
-	for active > 0 {
-		var minDoc []byte
-		for i := range states {
-			if states[i].ok && (minDoc == nil || bytes.Compare(states[i].doc, minDoc) < 0) {
-				minDoc = states[i].doc
+	// DF is the list's length wherever a list is scored whole, which bounds
+	// the hits; the heap grows past the hint if a caller's DF is smaller.
+	top := topkHeap{h: make(RankedList, 0, min(k, candidates)), k: k}
+	eq := make([]int, 0, len(live)) // the live terms whose head is the current doc
+	for len(live) > 0 {
+		// One comparison pass finds the smallest head and every term sharing
+		// it, ascending — the addition order of the per-term accumulator.
+		minDoc := live[0].doc
+		eq = append(eq[:0], 0)
+		for i := 1; i < len(live); i++ {
+			switch c := bytes.Compare(live[i].doc, minDoc); {
+			case c < 0:
+				minDoc = live[i].doc
+				eq = append(eq[:0], i)
+			case c == 0:
+				eq = append(eq, i)
 			}
 		}
-		cur = append(cur[:0], minDoc...)
-		// Fold the document's contributions in term order — the addition
-		// order the sequential per-term accumulator would use — advancing
-		// each contributing cursor past it.
-		first := true
-		var (
-			dot    float64
-			docLen int
-		)
-		for i := range states {
-			s := &states[i]
-			if !s.ok || !bytes.Equal(s.doc, cur) {
-				continue
-			}
-			nf := 0.0
-			if s.docLen != 0 {
-				nf = float64(s.freq) / float64(s.docLen)
-			}
-			c := s.wq * (nf * s.idf)
-			if first {
-				dot, first = c, false
-			} else {
-				dot += c
-			}
+		s := &live[eq[0]]
+		dot, docLen := s.contribution(), s.docLen
+		for _, i := range eq[1:] {
+			s = &live[i]
+			dot += s.contribution()
 			docLen = s.docLen
-			s.advance()
-			if !s.ok {
-				active--
+		}
+		// minDoc aliases a cursor's scratch: offer it before that cursor moves.
+		top.offerKey(minDoc, Similarity(dot, docLen))
+		// Advance back to front so cutting an exhausted term out does not
+		// shift the positions still to visit.
+		for n := len(eq) - 1; n >= 0; n-- {
+			if i := eq[n]; !live[i].advance() {
+				live = append(live[:i], live[i+1:]...)
 			}
 		}
-		top.offerKey(cur, Similarity(dot, docLen))
 	}
 	return top.ranked()
 }

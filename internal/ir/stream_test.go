@@ -35,10 +35,28 @@ func randomPostings(rng *rand.Rand, n int) []index.Posting {
 	return ix.PostingsSlice("t")
 }
 
-// All four accumulation paths — the slice loop, AccumulateStream,
-// AccumulateEncoded over the compressed cursor, and CollectStream folded via
-// AccumulateAll — must produce bit-identical rankings: same docs, same float
-// bits, same order.
+// sliceOracle folds decoded postings lists through the accumulator term by
+// term — the slice loop every other scoring path is pinned against.
+type oracleTerm struct {
+	ps []index.Posting
+	wq float64
+	df int
+}
+
+func sliceOracle(terms []oracleTerm, n int) *Accumulator {
+	acc := NewAccumulator()
+	for _, t := range terms {
+		for _, p := range t.ps {
+			acc.Accumulate(p.Doc, t.wq*Weight(p.NormFreq(), n, t.df), p.DocLen)
+		}
+	}
+	return acc
+}
+
+// The scoring paths over one term — the slice loop, the production merge
+// over the compressed cursor, and the benchmark's retained CollectStream
+// folded via AccumulateAll — must produce bit-identical rankings: same docs,
+// same float bits, same order.
 func TestStreamPathsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ps := randomPostings(rng, 500)
@@ -51,23 +69,11 @@ func TestStreamPathsBitIdentical(t *testing.T) {
 		n  = LargeN
 		df = 500
 	)
+	want := sliceOracle([]oracleTerm{{ps, wq, df}}, n).Ranked()
 
-	ref := NewAccumulator()
-	for _, p := range ps {
-		ref.Accumulate(p.Doc, wq*Weight(p.NormFreq(), n, df), p.DocLen)
-	}
-	want := ref.Ranked()
-
-	stream := NewAccumulator()
-	stream.AccumulateStream(NewSlicePostings(ps), wq, n, df)
-	if got := stream.Ranked(); !reflect.DeepEqual(got, want) {
-		t.Fatal("AccumulateStream diverges from the slice loop")
-	}
-
-	enc := NewAccumulator()
-	enc.AccumulateEncoded(ix.Cursor("t"), wq, n, df)
-	if got := enc.Ranked(); !reflect.DeepEqual(got, want) {
-		t.Fatal("AccumulateEncoded diverges from the slice loop")
+	merged := MergeTopK([]MergeTerm{{Cursor: ix.Cursor("t"), WQ: wq, N: n, DF: df}}, len(ps))
+	if !reflect.DeepEqual(merged, want) {
+		t.Fatal("MergeTopK diverges from the slice loop")
 	}
 
 	part := CollectStream(ix.Cursor("t"), wq, n, df, make([]Contribution, 0, len(ps)))
@@ -78,57 +84,64 @@ func TestStreamPathsBitIdentical(t *testing.T) {
 	}
 }
 
-// MergeTopK must return exactly RankedTop(k) over the same per-term
-// streams: same docs, same float bits, same order — for every k, including
-// k beyond the candidate count, over terms with overlapping doc sets and
-// differing df/weights.
+// MergeTopK — the production scorer — must return exactly what the slice
+// oracle ranks over the same per-term lists: same docs, same float bits,
+// same order — for every k, including k beyond the candidate count.
 func TestMergeTopKMatchesAccumulator(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	ix := index.NewInverted()
-	terms := []string{"alpha", "beta", "gamma"}
-	for _, term := range terms {
-		for _, p := range randomPostings(rng, 200+rng.Intn(200)) {
-			ix.Add(term, p)
-		}
-	}
 	const n = LargeN
-	for _, k := range []int{1, 3, 10, 100, 5000} {
-		acc := NewAccumulator()
-		mts := make([]MergeTerm, 0, len(terms))
-		for i, term := range terms {
-			df := ix.DocFreq(term)
-			wq := 0.2 + 0.1*float64(i)
-			acc.AccumulateEncoded(ix.Cursor(term), wq, n, df)
-			mts = append(mts, MergeTerm{Cursor: ix.Cursor(term), WQ: wq, N: n, DF: df})
+	rng := rand.New(rand.NewSource(7))
+	shared := randomPostings(rng, 150)
+	reweigh := func(ps []index.Posting) []index.Posting {
+		out := append([]index.Posting(nil), ps...)
+		for i := range out {
+			// Same documents, another term's frequencies — and now and then
+			// another length, so "docLen of the last contributing term" shows.
+			out[i].Freq = 1 + rng.Intn(9)
+			if rng.Intn(4) == 0 {
+				out[i].DocLen += 1 + rng.Intn(5)
+			}
 		}
-		want := acc.RankedTop(k)
-		if got := MergeTopK(mts, k); !reflect.DeepEqual(got, want) {
-			t.Fatalf("k=%d: MergeTopK diverges from RankedTop", k)
+		return out
+	}
+	cases := map[string][][]index.Posting{
+		// Overlapping doc sets, differing df and weights.
+		"overlap": {randomPostings(rng, 200+rng.Intn(200)), randomPostings(rng, 200+rng.Intn(200)), randomPostings(rng, 200+rng.Intn(200))},
+		// Every document under every term: each merge step folds all heads.
+		"duplicate-doc-across-all-terms": {shared, reweigh(shared), reweigh(shared), reweigh(shared)},
+		// A term with no postings between two that have them.
+		"empty-term-in-the-middle": {randomPostings(rng, 120), nil, randomPostings(rng, 300)},
+		// Lists of very different lengths: terms run out one by one.
+		"uneven": {randomPostings(rng, 5), randomPostings(rng, 400), randomPostings(rng, 40), randomPostings(rng, 1)},
+	}
+	for name, lists := range cases {
+		ix := index.NewInverted()
+		oracle := make([]oracleTerm, len(lists))
+		for i, ps := range lists {
+			for _, p := range ps {
+				ix.Add(fmt.Sprint("term", i), p)
+			}
+			// The index serves ascending doc IDs; the oracle must fold in
+			// that order too.
+			oracle[i] = oracleTerm{ps: ix.PostingsSlice(fmt.Sprint("term", i)), wq: 0.2 + 0.1*float64(i), df: max(len(ps), 1)}
+		}
+		for _, k := range []int{1, 3, 10, 100, 5000} {
+			mts := make([]MergeTerm, len(lists))
+			for i, o := range oracle {
+				mts[i] = MergeTerm{Cursor: ix.Cursor(fmt.Sprint("term", i)), WQ: o.wq, N: n, DF: o.df}
+			}
+			acc := sliceOracle(oracle, n)
+			want := acc.Ranked().Top(k)
+			if got := MergeTopK(mts, k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s k=%d: MergeTopK diverges from the slice oracle", name, k)
+			}
+			if got := acc.RankedTop(k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s k=%d: RankedTop diverges from Ranked().Top", name, k)
+			}
 		}
 	}
-	if got := MergeTopK(nil, 10); len(got) != 0 {
-		t.Fatalf("MergeTopK(nil) = %v, want empty", got)
-	}
-}
-
-// AccumulateKey must behave exactly like Accumulate: first sight inserts,
-// repeats fold into the same entry, and mutating the caller's byte buffer
-// afterwards must not corrupt stored doc IDs (the bytes are copied on
-// insert).
-func TestAccumulateKeyAliasSafe(t *testing.T) {
-	a := NewAccumulator()
-	buf := []byte("docA")
-	a.AccumulateKey(buf, 1.5, 100)
-	buf[3] = 'B' // simulates the cursor reusing its scratch buffer
-	a.AccumulateKey(buf, 2.0, 80)
-	buf[3] = 'A'
-	a.AccumulateKey(buf, 0.25, 100)
-
-	b := NewAccumulator()
-	b.Accumulate("docA", 1.5, 100)
-	b.Accumulate("docB", 2.0, 80)
-	b.Accumulate("docA", 0.25, 100)
-	if got, want := a.Ranked(), b.Ranked(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("AccumulateKey ranking %v, want %v", got, want)
+	for _, k := range []int{0, -1, 10} {
+		if got := MergeTopK(nil, k); got == nil || len(got) != 0 {
+			t.Fatalf("MergeTopK(nil, %d) = %#v, want a non-nil empty list", k, got)
+		}
 	}
 }
