@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
+.PHONY: check vet build test race bench bench-test bench-route bench-learn-route bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
 
 check: vet build race
 
@@ -40,6 +40,19 @@ bench-trace-route:
 	echo "$$out" | grep -E 'check:|^rank_hash|^operations attempted'; \
 	[ "$$(echo "$$out" | grep -c '(equal: true)')" -eq 2 ] || { echo "bench-trace-route: want both sum checks to print (equal: true)"; exit 1; }; \
 	echo "$$out" | grep -q '"correct":true' || { echo "bench-trace-route: run is not correct"; exit 1; }
+
+# Learning-traffic guard: an owner polls the peer it published a term at, so
+# on the 4 096-peer ring a learning iteration costs ≈ 25.4 messages per
+# document; routing every poll cost 46.4. learn_msgs is counted during set-up,
+# which does not scale with --seconds, so one second reads what twelve do.
+LEARN_MSGS_CEIL = 27
+
+bench-learn-route:
+	@out=$$(bash bench/run.sh --workload route --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+	echo "$$out" | grep -E '^learn_msgs|^rank_hash|^operations attempted'; \
+	echo "$$out" | grep -q '"correct":true' || { echo "bench-learn-route: run is not correct"; exit 1; }; \
+	echo "$$out" | awk '$$1 == "learn_msgs" { seen = 1; ok = ($$2 <= $(LEARN_MSGS_CEIL)) } END { exit !(seen && ok) }' \
+		|| { echo "bench-learn-route: learn_msgs missing or above $(LEARN_MSGS_CEIL)"; exit 1; }
 
 # Invalidation guard: a short traced pass of the write-mixed workload must
 # sum and be correct like the routing one (on the wall clock only the

@@ -25,6 +25,8 @@
 // it never decides ownership: the hinted delivery carries the key, and the
 // receiver serves it only if the key lies in its own arc (predecessor, self] —
 // otherwise it refuses and the lookup carries on as if no hint had been given.
+// A caller that remembers who served a key may pass that address as a hint of
+// its own, tried first under the same check: a route cache needs no protocol.
 //
 // Because the surrounding system is a simulation, a Ring manager owns all
 // nodes and offers two construction modes: protocol joins with explicit
@@ -546,12 +548,18 @@ type Sender func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simne
 // hints off for the rest of the route; a hinted node that is not alive is
 // excluded like any dead owner.
 //
+// hint, when not empty, is the caller's own guess at the owner — typically the
+// node that served the key last time. It is tried first, in the same envelope
+// and under the same check, so a good one makes the route that one message
+// and a stale one costs the one refused round trip; one that is this node or
+// is not alive is not sent to, and the walk runs as if none had been given.
+//
 // A delivery error is returned as it is, together with the owner the message
 // was sent to; nothing is delivered twice. A done ctx aborts the route with
 // an error wrapping ctx.Err(). span receives one child per routing hop and
-// the annotation hinted=true|false|rejected.
-func (n *Node) Route(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span) (reply simnet.Message, owner Ref, hops int, err error) {
-	return n.RouteVia(ctx, key, msg, span, n.call)
+// the annotation hinted=true|false|rejected|caller.
+func (n *Node) Route(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span, hint simnet.Addr) (reply simnet.Message, owner Ref, hops int, err error) {
+	return n.RouteVia(ctx, key, msg, span, n.call, hint)
 }
 
 // call is the plain Sender: one call from this node over its transport.
@@ -562,7 +570,7 @@ func (n *Node) call(ctx context.Context, to simnet.Addr, msg simnet.Message) (si
 // RouteVia is Route with the delivery leg performed by send, which receives
 // the message exactly as it must reach the owner (enveloped or bare) and may
 // repeat it to the same node.
-func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span, send Sender) (reply simnet.Message, owner Ref, hops int, err error) {
+func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span, send Sender, hint simnet.Addr) (reply simnet.Message, owner Ref, hops int, err error) {
 	// The walk runs below this frame and returns before each delivery, so a
 	// handler at the far end of send does not execute on top of it.
 	w := n.newWalk(n.ref, key, nil)
@@ -572,17 +580,28 @@ func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message,
 		n.observeLookup(owner, w.hops)
 		span.Annotate("hinted", hinted)
 	}()
+	var byHint bool
+	switch {
+	case hint == "" || hint == n.ref.Addr:
+	case !n.net.Alive(hint):
+		n.met.hintUnreachable.Inc()
+	default:
+		// The caller's hint stands in for the first stop of the walk (a
+		// node's ring position is the hash of its address, see NewNode).
+		byHint, hinted, owner = true, "caller", Ref{ID: chordid.HashKey(string(hint)), Addr: hint}
+	}
 	for {
-		var byHint bool
-		if owner, byHint, err = n.advance(ctx, &w, span); err != nil {
-			return simnet.Message{}, Ref{}, w.hops, err
-		}
 		if !byHint {
-			reply, err = send(ctx, owner.Addr, msg)
-			return reply, owner, w.hops, err
+			if owner, byHint, err = n.advance(ctx, &w, span); err != nil {
+				return simnet.Message{}, Ref{}, w.hops, err
+			}
+			if !byHint {
+				reply, err = send(ctx, owner.Addr, msg)
+				return reply, owner, w.hops, err
+			}
+			hinted = "true"
 		}
 		n.met.hinted.Inc()
-		hinted = "true"
 		reply, err = send(ctx, owner.Addr, simnet.Message{
 			Type:    msg.Type,
 			Payload: routed{Key: key, Payload: msg.Payload},
@@ -592,10 +611,11 @@ func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message,
 			return reply, owner, w.hops, err
 		}
 		// The hint was stale. That round trip is spent; the walk carries on
-		// from the closest preceding node the same answer named, hints off.
+		// from the closest preceding node the same answer named (from this
+		// node, if the hint was the caller's), hints off.
 		n.met.hintRejected.Inc()
 		hinted = "rejected"
-		w.hints = false
+		w.hints, byHint = false, false
 		w.hops++
 	}
 }

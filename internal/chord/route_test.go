@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestHintsAndRouteMatchOracle(t *testing.T) {
 			if err != nil || ref != want {
 				t.Fatalf("N=%d: Lookup = %s, %v; oracle %s", size, ref, err, want)
 			}
-			reply, owner, _, err := start.Route(context.Background(), key, echoMsg(), nil)
+			reply, owner, _, err := start.Route(context.Background(), key, echoMsg(), nil, "")
 			if err != nil {
 				t.Fatalf("N=%d: Route: %v", size, err)
 			}
@@ -181,7 +182,7 @@ func meanRoundTrips(t testing.TB, r *Ring, trials int) float64 {
 	total := 0
 	for i := 0; i < trials; i++ {
 		start := nodes[rng.Intn(len(nodes))]
-		_, owner, hops, err := start.Route(context.Background(), chordid.HashKey(fmt.Sprintf("hopkey-%d", i)), echoMsg(), nil)
+		_, owner, hops, err := start.Route(context.Background(), chordid.HashKey(fmt.Sprintf("hopkey-%d", i)), echoMsg(), nil, "")
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
@@ -221,7 +222,7 @@ func routeAgainstLookup(t *testing.T, r *Ring, w *hintWatch, keys []chordid.ID) 
 		if err != nil {
 			t.Fatalf("LookupCtx: %v", err)
 		}
-		reply, owner, hops, err := start.Route(context.Background(), key, echoMsg(), nil)
+		reply, owner, hops, err := start.Route(context.Background(), key, echoMsg(), nil, "")
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
@@ -366,7 +367,7 @@ func TestRouteDeliveryErrorIsNotRepeated(t *testing.T) {
 	}
 	net.ResetStats()
 	net.DropCalls(owner.Addr(), 1_000_000)
-	_, got, _, err := start.Route(context.Background(), key, echoMsg(), nil)
+	_, got, _, err := start.Route(context.Background(), key, echoMsg(), nil, "")
 	if err == nil {
 		t.Fatal("Route to a dropping owner succeeded")
 	}
@@ -383,7 +384,7 @@ func TestRouteCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i, n := range r.Nodes()[:8] {
-		_, _, _, err := n.Route(ctx, chordid.HashKey(fmt.Sprintf("cancel-%d", i)), echoMsg(), nil)
+		_, _, _, err := n.Route(ctx, chordid.HashKey(fmt.Sprintf("cancel-%d", i)), echoMsg(), nil, "")
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Route under a canceled context: %v, want context.Canceled", err)
 		}
@@ -395,7 +396,7 @@ func TestRouteAnnotatesSpan(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
 		tr := reg.StartTrace("route-test")
-		if _, _, _, err := r.Nodes()[i%64].Route(context.Background(), chordid.HashKey(fmt.Sprintf("span-%d", i)), echoMsg(), tr.Root()); err != nil {
+		if _, _, _, err := r.Nodes()[i%64].Route(context.Background(), chordid.HashKey(fmt.Sprintf("span-%d", i)), echoMsg(), tr.Root(), ""); err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish()
@@ -412,6 +413,198 @@ func TestRouteAnnotatesSpan(t *testing.T) {
 	}
 	if !seen["true"] {
 		t.Fatal("no route on a healthy 64-node ring was annotated hinted=true")
+	}
+	// A route on the caller's hint says so, and says when the hint was refused.
+	start := r.Nodes()[0]
+	key := chordid.HashKey("span-caller")
+	want, _, err := start.Lookup(key)
+	if err != nil || want.Addr == start.Addr() || want.Addr == start.Successor().Addr {
+		t.Fatalf("Lookup = %s, %v: want a key owned two or more nodes past %s", want, err, start.Addr())
+	}
+	for hint, annotation := range map[simnet.Addr]string{want.Addr: "caller", start.Successor().Addr: "rejected"} {
+		tr := reg.StartTrace("route-test")
+		if _, owner, _, err := start.Route(context.Background(), key, echoMsg(), tr.Root(), hint); err != nil || owner != want {
+			t.Fatalf("Route hinted %s = owner %s, %v; want %s", hint, owner, err, want)
+		}
+		tr.Finish()
+		var hinted string
+		for _, a := range tr.Snapshot().Root.Attrs {
+			if a.Key == "hinted" {
+				hinted = fmt.Sprint(a.Value)
+			}
+		}
+		if hinted != annotation {
+			t.Fatalf("route hinted %s annotated hinted=%q, want %q", hint, hinted, annotation)
+		}
+	}
+}
+
+// routeStats routes key from start with the caller's hint and returns who
+// served it, the owner and hops Route reported, and what the network counted
+// on the route's behalf.
+func routeStats(t *testing.T, w *hintWatch, start *Node, key chordid.ID, hint simnet.Addr) (simnet.Addr, Ref, int, simnet.Stats) {
+	t.Helper()
+	w.ResetStats()
+	reply, owner, hops, err := start.Route(context.Background(), key, echoMsg(), nil, hint)
+	if err != nil {
+		t.Fatalf("Route from %s hinted %q: %v", start.Addr(), hint, err)
+	}
+	return servedBy(reply), owner, hops, w.Stats()
+}
+
+// A hint that names the owner makes the route that one message.
+func TestRouteCallerHintFresh(t *testing.T) {
+	r, w, reg := watchedRing(t, 64)
+	nodes := r.Nodes()
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 500; i++ {
+		key := chordid.HashKey(fmt.Sprintf("fresh-%d", i))
+		start := nodes[rng.Intn(len(nodes))]
+		want, _, err := start.Lookup(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Addr == start.Addr() {
+			continue
+		}
+		served, owner, hops, st := routeStats(t, w, start, key, want.Addr)
+		if served != want.Addr || owner != want || hops != 0 {
+			t.Fatalf("key %s from %s hinted %s: served by %s, owner %s, %d hops; Lookup names %s", key.Short(), start.Addr(), want.Addr, served, owner, hops, want)
+		}
+		if st.CallsByType[msgNextHop] != 0 || st.Calls != 1 || st.CallsByDest[want.Addr] != 1 {
+			t.Fatalf("key %s from %s hinted %s: %d messages, %d of them next_hop; want the delivery alone", key.Short(), start.Addr(), want.Addr, st.Calls, st.CallsByType[msgNextHop])
+		}
+	}
+	if w.violation != "" {
+		t.Fatal(w.violation)
+	}
+	if got := reg.Counter("chord.route.hinted").Value(); got == 0 || got != int64(w.enveloped) || w.refused != 0 {
+		t.Fatalf("chord.route.hinted = %d, %d enveloped deliveries seen, %d refused", got, w.enveloped, w.refused)
+	}
+}
+
+// A hint made stale by a join that took the key's arc costs exactly the one
+// refused round trip, after which the walk finds the owner Lookup names.
+func TestRouteCallerHintStaleAfterJoin(t *testing.T) {
+	r, w, reg := watchedRing(t, 64)
+	keys := randomKeys(300)
+	before := make([]Ref, len(keys))
+	for i, key := range keys {
+		before[i], _, _ = r.Nodes()[0].Lookup(key)
+	}
+	for i := 0; i < 16; i++ {
+		if _, err := r.AddNode(fmt.Sprintf("joiner%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Build()
+	w.track(r)
+	echoRing(r)
+	nodes := r.Nodes()
+	rng := rand.New(rand.NewSource(4))
+	moved := 0
+	for i, key := range keys {
+		start := nodes[rng.Intn(len(nodes))]
+		want, lookupHops, err := start.Lookup(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == before[i] || before[i].Addr == start.Addr() || want.Addr == start.Addr() {
+			continue
+		}
+		moved++
+		rejected, refused := reg.Counter("chord.route.hint_rejected").Value(), w.refused
+		served, owner, hops, st := routeStats(t, w, start, key, before[i].Addr)
+		if served != want.Addr || owner != want {
+			t.Fatalf("key %s from %s hinted %s: served by %s, owner %s; Lookup names %s", key.Short(), start.Addr(), before[i].Addr, served, owner, want)
+		}
+		if w.refused != refused+1 || reg.Counter("chord.route.hint_rejected").Value() != rejected+1 {
+			t.Fatalf("key %s: %d refusals, hint_rejected +%d; want one each", key.Short(), w.refused-refused, reg.Counter("chord.route.hint_rejected").Value()-rejected)
+		}
+		// After the refusal the walk runs hints off: a plain lookup and the
+		// bare delivery, on top of the spent round trip.
+		if hops != lookupHops+1 || st.Calls != int64(lookupHops)+2 || st.CallsByDest[before[i].Addr] < 1 {
+			t.Fatalf("key %s from %s: %d hops and %d messages after a stale hint, Lookup takes %d hops", key.Short(), start.Addr(), hops, st.Calls, lookupHops)
+		}
+	}
+	if moved < 10 {
+		t.Fatalf("only %d keys changed owner: the joins moved too little", moved)
+	}
+	if w.violation != "" {
+		t.Fatal(w.violation)
+	}
+}
+
+// A hint that is not alive is never sent to; the walk excludes and fails over
+// as it does without a hint.
+func TestRouteCallerHintNotAlive(t *testing.T) {
+	r, w, reg := watchedRing(t, 64)
+	nodes := r.Nodes()
+	rng := rand.New(rand.NewSource(6))
+	for i := 0; i < 40; i++ {
+		key := chordid.HashKey(fmt.Sprintf("dead-%d", i))
+		dead, _ := r.Owner(key)
+		start := nodes[rng.Intn(len(nodes))]
+		if start == dead {
+			continue
+		}
+		r.Fail(dead)
+		want, _, err := start.LookupExcluding(context.Background(), key, []chordid.ID{dead.ID()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unreachable := reg.Counter("chord.route.hint_unreachable")
+		base := unreachable.Value()
+		_, plain, plainHops, plainSt := routeStats(t, w, start, key, "")
+		byWalk := unreachable.Value() - base // a node on the way may hint at the dead owner too
+		served, owner, hops, st := routeStats(t, w, start, key, dead.Addr())
+		if served != want.Addr || owner != want || plain != want {
+			t.Fatalf("key %s from %s hinted dead %s: served by %s, owner %s (unhinted %s); LookupExcluding names %s", key.Short(), start.Addr(), dead.Addr(), served, owner, plain, want)
+		}
+		if st.CallsByDest[dead.Addr()] != 0 {
+			t.Fatalf("key %s: %d messages addressed to the dead hint %s", key.Short(), st.CallsByDest[dead.Addr()], dead.Addr())
+		}
+		if hops != plainHops || st.Calls != plainSt.Calls {
+			t.Fatalf("key %s: %d hops / %d messages with a dead hint, %d / %d without", key.Short(), hops, st.Calls, plainHops, plainSt.Calls)
+		}
+		if got := unreachable.Value() - base - byWalk; got != byWalk+1 {
+			t.Fatalf("key %s: hint_unreachable +%d with the caller's dead hint, +%d without; want one more", key.Short(), got, byWalk)
+		}
+		r.Recover(dead)
+	}
+}
+
+// No hint, and a hint that is the routing node itself, are today's route
+// message for message.
+func TestRouteCallerHintSelfOrEmpty(t *testing.T) {
+	rec := &recorder{Transport: simnet.New(1)}
+	r := NewRing(rec, Config{})
+	if _, err := r.AddNodes("peer", 64); err != nil {
+		t.Fatal(err)
+	}
+	r.Build()
+	echoRing(r)
+	nodes := r.Nodes()
+	for i := 0; i < 300; i++ {
+		key := chordid.HashKey(fmt.Sprintf("self-%d", i))
+		start := nodes[i%len(nodes)]
+		route := func(hint simnet.Addr) ([]simnet.Message, Ref, int) {
+			rec.msgs = nil
+			_, owner, hops, err := start.Route(context.Background(), key, echoMsg(), nil, hint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rec.msgs, owner, hops
+		}
+		msgs, owner, hops := route("")
+		selfMsgs, selfOwner, selfHops := route(start.Addr())
+		if !reflect.DeepEqual(msgs, selfMsgs) || owner != selfOwner || hops != selfHops {
+			t.Fatalf("key %s from %s: hinting the node itself changed the route:\n%v\nvs\n%v", key.Short(), start.Addr(), selfMsgs, msgs)
+		}
+		want, lookupHops, _ := start.Lookup(key)
+		if owner != want || hops > lookupHops {
+			t.Fatalf("key %s from %s: unhinted route reached %s in %d hops, Lookup %s in %d", key.Short(), start.Addr(), owner, hops, want, lookupHops)
+		}
 	}
 }
 
@@ -457,7 +650,7 @@ func TestSimulatedSizesTrackEncodedLength(t *testing.T) {
 		if _, _, err := nodes[i%len(nodes)].LookupExcluding(context.Background(), key, exclude, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := nodes[i%len(nodes)].Route(context.Background(), key, echoMsg(), nil); err != nil {
+		if _, _, _, err := nodes[i%len(nodes)].Route(context.Background(), key, echoMsg(), nil, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -325,17 +325,27 @@ func TestTermStatScoreMatchesPaperExample(t *testing.T) {
 }
 
 func TestClosestTermDeterministic(t *testing.T) {
-	q := queryHash([]string{"alpha", "beta"})
-	terms := []string{"alpha", "beta", "gamma"}
-	first := closestTerm(q, terms)
+	query := []string{"alpha", "beta"}
+	q := queryHash(query)
+	elect := func(docTerms ...string) string {
+		return closestTerm(q, query, docTerms, make([]termID, len(docTerms)))
+	}
+	first := elect("alpha", "beta", "gamma")
 	for i := 0; i < 5; i++ {
-		if got := closestTerm(q, terms); got != first {
+		if got := elect("alpha", "beta", "gamma"); got != first {
 			t.Fatal("closestTerm not deterministic")
 		}
 	}
 	// Order of candidates must not matter.
-	if got := closestTerm(q, []string{"gamma", "beta", "alpha"}); got != first {
+	if got := elect("gamma", "beta", "alpha"); got != first {
 		t.Fatal("closestTerm depends on candidate order")
+	}
+	// Only a document term that occurs in the query can be elected.
+	if got := elect("gamma"); got != "" {
+		t.Fatalf("closestTerm elected %q, which the query does not contain", got)
+	}
+	if got := elect("gamma", "beta"); got != "beta" {
+		t.Fatalf("closestTerm = %q, want the one candidate %q", got, "beta")
 	}
 }
 

@@ -129,7 +129,7 @@ func (p *Peer) searchWithOwners(terms []string, k int) ownedHits {
 			Type:    msgGetPostings,
 			Payload: getPostingsReq{Term: dts[i], Query: terms},
 			Size:    len(dts[i]) + sizeTerms(terms),
-		}, nil)
+		}, nil, "")
 		if err != nil {
 			return fetchOut{}, nil
 		}

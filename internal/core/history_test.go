@@ -19,6 +19,20 @@ func queryHash(terms []string) chordid.ID {
 	return chordid.HashKey(canonicalQuery(terms))
 }
 
+// eagerClosestTerm is the election as the reference runs it: every candidate
+// hashed again for every query it is asked to place.
+func eagerClosestTerm(qh chordid.ID, candidates []string) string {
+	best := ""
+	var bestDist chordid.ID
+	for _, t := range candidates {
+		d := qh.Distance(chordid.HashKey(t))
+		if best == "" || d.Cmp(bestDist) < 0 || (d.Cmp(bestDist) == 0 && t < best) {
+			best, bestDist = t, d
+		}
+	}
+	return best
+}
+
 // refQuery is one entry of the reference history: what a recording stores.
 type refQuery struct {
 	terms []string
@@ -27,8 +41,9 @@ type refQuery struct {
 
 // scanHistory is the reference the production history is pinned against. It
 // finds its eviction victim by scanning for the smallest seq (the production
-// one keeps a cursor), and its poll memoises nothing: every entry is hashed
-// afresh and the result sorted by canonicalising inside the comparator.
+// one keeps a cursor), and its poll memoises nothing: every entry and every
+// candidate of its election is hashed afresh, and the result sorted by
+// canonicalising inside the comparator.
 type scanHistory struct {
 	entries []refQuery
 	cap     int
@@ -73,7 +88,7 @@ func (h *scanHistory) poll(ix *index.Inverted, req pollReq) pollResp {
 				candidates = append(candidates, dt)
 			}
 		}
-		if closestTerm(queryHash(sq.terms), candidates) != req.Term {
+		if eagerClosestTerm(queryHash(sq.terms), candidates) != req.Term {
 			continue
 		}
 		resp.Queries = append(resp.Queries, append([]string(nil), sq.terms...))

@@ -260,15 +260,31 @@ func insertionSort(s []string) {
 	}
 }
 
-// closestTerm returns the term among candidates whose hash is closest to the
-// query hash by clockwise ring distance, ties broken by term string so every
-// peer reaches the same answer independently.
-func closestTerm(qh chordid.ID, candidates []string) string {
+// termID memoises a document term's ring position across the queries one
+// poll places.
+type termID struct {
+	id     chordid.ID
+	hashed bool
+}
+
+// closestTerm returns the term among those of docTerms that occur in query
+// whose hash is closest to the query hash qh by clockwise ring distance, ties
+// broken by term string so every peer reaches the same answer independently;
+// "" if none occurs. ids[i] holds chordid.HashKey(docTerms[i]) once an
+// election has needed it: a poll hashes each term at most once, not once per
+// query it places.
+func closestTerm(qh chordid.ID, query, docTerms []string, ids []termID) string {
 	best := ""
 	var bestDist chordid.ID
-	for _, t := range candidates {
-		d := qh.Distance(chordid.HashKey(t))
-		if best == "" || d.Cmp(bestDist) < 0 || (d.Cmp(bestDist) == 0 && t < best) {
+	for i, t := range docTerms {
+		if !containsTerm(query, t) {
+			continue
+		}
+		if !ids[i].hashed {
+			ids[i] = termID{chordid.HashKey(t), true}
+		}
+		d := qh.Distance(ids[i].id)
+		if c := d.Cmp(bestDist); best == "" || c < 0 || (c == 0 && t < best) {
 			best, bestDist = t, d
 		}
 	}

@@ -43,9 +43,10 @@ type docState struct {
 	// seen query ("At every owner peer, for each term in a document, two
 	// values are stored: qScore and QF", §5.1).
 	stats map[string]*termStat
-	// since is the per-term poll watermark into each indexing peer's
-	// history: only newer queries are pulled (the incremental query set Q′).
-	since map[string]uint64
+	// since is the per-term poll watermark into the history of the indexing
+	// peer that issued it: only newer queries are pulled (the incremental
+	// query set Q′).
+	since map[string]pollMark
 	// publishedAt remembers which peer last accepted each term's posting, so
 	// refresh can detect ownership migration after churn.
 	publishedAt map[string]simnet.Addr
@@ -59,6 +60,27 @@ type docState struct {
 	// until the copy is confirmed gone (or the holder leaves for good).
 	stale map[string][]simnet.Addr
 }
+
+// pollMark is a poll watermark with the peer it belongs to: Since is a
+// position in At's private sequence counter (indexingState.seq) and means
+// nothing at any other peer. Fields are exported for the snapshot.
+type pollMark struct {
+	At    simnet.Addr
+	Since uint64
+}
+
+// sinceAt is the watermark a poll that at serves must carry.
+func (m pollMark) sinceAt(at simnet.Addr) uint64 {
+	if m.At != at {
+		return 0
+	}
+	return m.Since
+}
+
+// pollHint maps the peer a poll is bound for to the owner hint its route is
+// given: the identity. A variable so that a test can route the polls unhinted
+// and demand the same learning (export_test.go); nothing else assigns it.
+var pollHint = func(at simnet.Addr) simnet.Addr { return at }
 
 type termStat struct {
 	qf    int     // cumulative query frequency QF(t)
@@ -110,7 +132,7 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 		sketch:  p.net.docSketchFor(doc),
 		indexed: make(map[string]bool),
 		stats:   make(map[string]*termStat),
-		since:   make(map[string]uint64),
+		since:   make(map[string]pollMark),
 	}
 	for _, term := range doc.TopTerms(p.net.cfg.InitialTerms) {
 		if err := p.publishTerm(ctx, st, term); err != nil {
@@ -134,7 +156,7 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 // publishTerm routes a (term → posting) publication through the DHT to the
 // term's indexing peer and records it in the document's indexed set.
 func (p *Peer) publishTerm(ctx context.Context, st *docState, term string) error {
-	_, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), p.publishMsg(st, term), nil)
+	_, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), p.publishMsg(st, term), nil, "")
 	if err != nil {
 		return fmt.Errorf("core: publish %q: %w", term, err)
 	}
@@ -268,7 +290,7 @@ func (p *Peer) insertQuery(ctx context.Context, terms []string) error {
 			Type:    msgCacheQuery,
 			Payload: cacheQueryReq{Query: terms},
 			Size:    sizeTerms(terms),
-		}, nil)
+		}, nil, "")
 		return err
 	})
 	return fanout.FirstError(errs)
@@ -465,27 +487,32 @@ func (p *Peer) learnDoc(ctx context.Context, docID index.DocID) (int, error) {
 
 	// The polls are pure reads of the indexing peers' histories, so they fan
 	// out; the watermark updates and incremental-set assembly fold in term
-	// order below (st.mu is held across the fan-out — workers never touch st).
+	// order below (st.mu is held across the fan-out — workers never write st).
+	// Each poll is bound for the peer holding the term's posting, which is
+	// where the term's queries are recorded unless the ring has changed: that
+	// address is the route's owner hint, and the watermark goes along only if
+	// that peer issued it.
 	type pollOut struct {
 		resp pollResp
-		ok   bool
+		at   simnet.Addr
 	}
 	outs, perrs := fanout.Map(ctx, p.net.exec, "poll", len(docTerms), func(ctx context.Context, i int) (pollOut, error) {
 		term := docTerms[i]
-		reply, _, _, err := p.node.Route(ctx, chordid.HashKey(term), simnet.Message{
-			Type: msgPoll,
-			Payload: pollReq{
-				Term:     term,
-				Doc:      docID,
-				DocTerms: docTerms,
-				Since:    st.since[term],
-			},
-			Size: len(term) + sizeTerms(docTerms) + 8,
-		}, nil)
+		mark, at := st.since[term], st.publishedAt[term]
+		req := pollReq{Term: term, Doc: docID, DocTerms: docTerms, Since: mark.sinceAt(at)}
+		msg := simnet.Message{Type: msgPoll, Payload: req, Size: len(term) + sizeTerms(docTerms) + 8}
+		reply, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), msg, nil, pollHint(at))
+		if since := mark.sinceAt(owner.Addr); err == nil && since != req.Since {
+			// The ring gave the poll to another peer, whose history it read
+			// with a watermark that is not its own: ask that peer again.
+			req.Since = since
+			msg.Payload = req
+			reply, err = p.net.ring.Net().CallCtx(ctx, p.Addr(), owner.Addr, msg)
+		}
 		if err != nil {
 			return pollOut{}, nil // indexing peer unreachable; learn from the rest
 		}
-		return pollOut{resp: reply.Payload.(pollResp), ok: true}, nil
+		return pollOut{resp: reply.Payload.(pollResp), at: owner.Addr}, nil
 	})
 	// Workers never return errors themselves; a non-nil slot means the item
 	// was skipped because the context was done — abort, as the sequential
@@ -496,11 +523,11 @@ func (p *Peer) learnDoc(ctx context.Context, docID index.DocID) (int, error) {
 	var incremental [][]string
 	var hot []string
 	for i, term := range docTerms {
-		if !outs[i].ok {
+		if outs[i].at == "" {
 			continue
 		}
 		resp := outs[i].resp
-		st.since[term] = resp.NewSince
+		st.since[term] = pollMark{At: outs[i].at, Since: resp.NewSince}
 		if p.net.cfg.HotTermDF > 0 && resp.IndexedDF >= p.net.cfg.HotTermDF {
 			hot = append(hot, term)
 		}
@@ -535,8 +562,10 @@ func (p *Peer) learnDoc(ctx context.Context, docID index.DocID) (int, error) {
 	// Step 2: fold Q′ into the running statistics (Algorithm 1 lines 4–16).
 	for _, q := range incremental {
 		qs := qScore(q, st.doc)
-		for _, t := range distinctTerms(q) {
-			if !st.doc.Contains(t) {
+		for i, t := range q {
+			// Each distinct term once: queries are a handful of terms, so a
+			// scan of the prefix de-duplicates without building a set.
+			if containsTerm(q[:i], t) || !st.doc.Contains(t) {
 				continue
 			}
 			ts := st.stats[t]

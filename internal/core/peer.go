@@ -436,7 +436,7 @@ func (s *indexingState) poll(req pollReq) pollResp {
 	defer s.mu.Unlock()
 	resp := pollResp{NewSince: s.seq, IndexedDF: s.ix.DocFreq(req.Term)}
 	var matched []*storedQuery // valid while s.mu is held
-	var candidates []string
+	var ids []termID           // ring positions of req.DocTerms, see closestTerm
 	for i := range s.history {
 		sq := &s.history[i]
 		if sq.seq <= req.Since {
@@ -445,17 +445,14 @@ func (s *indexingState) poll(req pollReq) pollResp {
 		if !containsTerm(sq.terms, req.Term) {
 			continue
 		}
+		if ids == nil {
+			ids = make([]termID, len(req.DocTerms))
+		}
 		// Only document index terms that occur in the query can have the
 		// query cached at their indexing peers, so the closest-term election
 		// runs over that intersection; electing an absent term would leave
 		// the query unreturned by everyone.
-		candidates = candidates[:0]
-		for _, dt := range req.DocTerms {
-			if containsTerm(sq.terms, dt) {
-				candidates = append(candidates, dt)
-			}
-		}
-		if closestTerm(sq.canon(), candidates) != req.Term {
+		if closestTerm(sq.canon(), sq.terms, req.DocTerms, ids) != req.Term {
 			continue
 		}
 		matched = append(matched, sq)

@@ -173,7 +173,7 @@ func (p *Peer) fetchTermPostings(ctx context.Context, term string, query []strin
 		var ref chord.Ref
 		var err error
 		if holder == 0 {
-			reply, ref, _, err = p.node.RouteVia(ctx, key, msg, tsp, send)
+			reply, ref, _, err = p.node.RouteVia(ctx, key, msg, tsp, send, "")
 		} else if ref, _, err = p.node.LookupExcluding(ctx, key, exclude, tsp); err == nil {
 			reply, err = send(ctx, ref.Addr, msg)
 		}

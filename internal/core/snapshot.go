@@ -20,8 +20,8 @@ import (
 // pure function of the peer names).
 
 // snapshotVersion guards against decoding snapshots from incompatible
-// layouts.
-const snapshotVersion = 1
+// layouts. 2: a poll watermark is stored with the peer that issued it.
+const snapshotVersion = 2
 
 type snapshotFile struct {
 	Version int
@@ -55,7 +55,7 @@ type docSnapshot struct {
 	Length      int
 	Indexed     []string
 	Stats       []termStatSnapshot
-	Since       map[string]uint64
+	Since       map[string]pollMark
 	PublishedAt map[string]simnet.Addr
 	Banned      []string
 }
@@ -204,7 +204,7 @@ func (n *Network) Restore(r io.Reader) error {
 				return fmt.Errorf("core: restore: document %q length mismatch", ds.ID)
 			}
 			if st.since == nil {
-				st.since = make(map[string]uint64)
+				st.since = make(map[string]pollMark)
 			}
 			for _, t := range ds.Indexed {
 				st.indexed[t] = true

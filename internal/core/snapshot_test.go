@@ -80,6 +80,20 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("indexed terms for %s differ: %v vs %v", id, a, b)
 		}
 	}
+	// Every poll watermark must come back with the peer that issued it.
+	for i, p := range orig.Peers() {
+		for id, st := range p.owned {
+			got := restored.Peers()[i].owned[id].since
+			if len(st.since) == 0 || !reflect.DeepEqual(got, st.since) {
+				t.Fatalf("poll watermarks of %s differ after restore: %v vs %v", id, got, st.since)
+			}
+			for term, mark := range got {
+				if mark.At != st.publishedAt[term] {
+					t.Fatalf("watermark of %s/%q belongs to %q, posting is at %q", id, term, mark.At, st.publishedAt[term])
+				}
+			}
+		}
+	}
 	if orig.TotalPostings() != restored.TotalPostings() {
 		t.Fatalf("postings differ: %d vs %d", orig.TotalPostings(), restored.TotalPostings())
 	}

@@ -55,7 +55,8 @@ func TestSearchTracedProducesSpanTree(t *testing.T) {
 		t.Fatalf("root has %d term spans, want %d", len(snap.Root.Children), len(terms))
 	}
 	// Each term span has a fixed name with the term as an attribute, says
-	// whether the route ended on an owner hint, and holds the postings fetch
+	// whether the route ended on an owner hint (one a node on the way gave: a
+	// search brings none of its own, so never "caller"), and holds the fetch
 	// (and chord.hop spans when the lookup left the issuing peer) — for
 	// deliveries sent on a hint like for any other.
 	named := map[string]bool{}

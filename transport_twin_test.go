@@ -155,11 +155,13 @@ func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg
 // TestTransportTwinMessageCounts runs share, search, a protocol join, learn
 // and search again on one ring over the simulator and over both socket
 // transports, and requires the same rankings and the same number of messages
-// of every type. Routed deliveries travel inside chord's envelope, and the
-// half-stabilized join leaves nodes that still hint at the joiner's successor
-// for its arc, so this is also the check that the envelope, its refusal and
-// the hint in a hop answer cross a socket, in both codecs, meaning what they
-// mean in process.
+// of every type — those of the learning iteration on their own as well, where
+// every poll that leaves its owner travels on the owner's own hint — and the
+// same index terms learned. Routed deliveries travel inside chord's envelope,
+// and the half-stabilized join leaves nodes that still hint at the joiner's
+// successor for its arc, so this is also the check that the envelope, its
+// refusal and the hint in a hop answer cross a socket, in both codecs, meaning
+// what they mean in process.
 func TestTransportTwinMessageCounts(t *testing.T) {
 	const peers = 24
 	docs := []map[string]int{
@@ -174,6 +176,8 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	type outcome struct {
 		rankings []ir.RankedList
 		calls    map[string]int
+		learn    map[string]int // the share of calls the learning iteration sent
+		indexed  map[index.DocID][]string
 	}
 	run := func(name string, inner simnet.Transport, closeFn func()) outcome {
 		defer closeFn()
@@ -252,22 +256,47 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 				search(peer(i), []string{term})
 			}
 		}
+		counters := []string{"chord.route.hinted", "chord.route.hint_rejected"}
+		tally := func() map[string]int {
+			nt.mu.Lock()
+			defer nt.mu.Unlock()
+			calls := map[string]int{}
+			for typ, c := range nt.calls {
+				calls[typ] = c
+			}
+			for _, c := range counters {
+				calls[c] = int(reg.Counter(c).Value())
+			}
+			return calls
+		}
+		prior := tally()
 		if _, err := n.LearnAll(); err != nil {
 			t.Fatalf("%s: LearnAll: %v", name, err)
+		}
+		out.learn = tally()
+		for typ := range out.learn {
+			out.learn[typ] -= prior[typ]
+		}
+		out.indexed = map[index.DocID][]string{}
+		for _, id := range n.Documents() {
+			out.indexed[id], _ = n.IndexedTerms(id)
 		}
 		for i, q := range queries {
 			search(peer(i+7), q)
 		}
-		out.calls = nt.calls
-		for _, c := range []string{"chord.route.hinted", "chord.route.hint_rejected"} {
-			out.calls[c] = int(reg.Counter(c).Value())
-		}
+		out.calls = tally()
 		return out
 	}
 
 	want := run("simnet", simnet.New(7), func() {})
 	if want.calls["chord.route.hinted"] == 0 || want.calls["chord.route.hint_rejected"] == 0 {
 		t.Fatalf("simnet run exchanged %v — the workload follows or refuses no owner hint", want.calls)
+	}
+	// One message per poll, no routing round trip in front of it: the learning
+	// iteration's hinted deliveries cover its polls, and its next_hop traffic
+	// is what its publishes alone would need (at most two walks' worth each).
+	if l := want.learn; l["sprite.poll"] == 0 || l["chord.route.hinted"] < l["sprite.poll"] || l["chord.next_hop"] > 4*l["sprite.publish"] {
+		t.Fatalf("simnet learning iteration exchanged %v — its polls are not travelling on the owner's hint", l)
 	}
 	pooled := transport.New()
 	dial := nettransport.New()
@@ -278,11 +307,14 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 		if !reflect.DeepEqual(got.rankings, want.rankings) {
 			t.Fatalf("%s rankings differ from simnet:\n%v\nvs\n%v", name, got.rankings, want.rankings)
 		}
-		if !reflect.DeepEqual(got.calls, want.calls) {
-			t.Fatalf("%s message counts differ from simnet:\n%v\nvs\n%v", name, got.calls, want.calls)
+		if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.learn, want.learn) {
+			t.Fatalf("%s message counts differ from simnet:\n%v, learning %v\nvs\n%v, learning %v", name, got.calls, got.learn, want.calls, want.learn)
+		}
+		if !reflect.DeepEqual(got.indexed, want.indexed) {
+			t.Fatalf("%s learned other index terms than simnet:\n%v\nvs\n%v", name, got.indexed, want.indexed)
 		}
 	}
-	t.Logf("messages by type on every transport: %v", want.calls)
+	t.Logf("messages by type on every transport: %v, of which learning: %v", want.calls, want.learn)
 }
 
 // TestTCPTransportOptionValidation pins the facade's option contract.
