@@ -120,13 +120,17 @@ smoke-scale:
 smoke-determinism:
 	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run 'Virtual' ./internal/eval/ ./internal/chaos/ .
 
-# Real-socket transport smoke: the pooled multiplexed TCP transport (pool
-# lifecycle, mux demux, reconnect, timeout taxonomy), the naive dial-per-RPC
-# baseline, the binary codec, and the facade twin test that demands identical
-# rankings from simnet and both TCP transports — all under the race detector.
+# Real-socket transport smoke: the TCP transport (pool lifecycle, mux demux,
+# reconnect, timeout taxonomy, frame cap, unencodable payloads), the binary
+# codec, and the facade twin tests that demand identical rankings and message
+# counts from simnet and TCP — all under the race detector. Then a guard that
+# the wire has one codec: no non-test package but internal/core (whose
+# snapshots are gob files) may import encoding/gob.
 smoke-tcp:
-	$(GO) test -race ./internal/transport/ ./internal/nettransport/ ./internal/wire/ ./internal/fanout/
-	$(GO) test -race -run 'TransportTwin|TCPTransportOption' .
+	$(GO) test -race ./internal/transport/ ./internal/wire/ ./internal/fanout/
+	$(GO) test -race -run 'TransportTwin' .
+	@gob=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | awk '/ encoding\/gob( |$$)/ && $$1 != "github.com/spritedht/sprite/internal/core" { print $$1 }'); \
+	[ -z "$$gob" ] || { echo "smoke-tcp: encoding/gob imported outside internal/core: $$gob"; exit 1; }
 
 # Compressed-postings smoke: the block codec's property tests (compressed ≡
 # plain twin, marshal round-trip, cursor snapshot semantics), the streaming

@@ -7,11 +7,10 @@
 //	spritebench [flags] <experiment>...
 //
 // Experiments: fig4a fig4b fig4c chord cost ablation churn cache parallel
-// scale postings similarity tcp chaos config all ("chaos" is the correctness
-// smoke gate, "tcp" the real-socket transport benchmark, "scale" the
-// virtual-time ring-size sweep, "postings" the compressed-storage benchmark,
-// and "similarity" the sketch-retrieval benchmark, not figures; all five are
-// excluded from "all"). -virtual-time moves the parallel and chaos
+// scale postings similarity chaos config all ("chaos" is the correctness
+// smoke gate, "scale" the virtual-time ring-size sweep, "postings" the
+// compressed-storage benchmark, and "similarity" the sketch-retrieval
+// benchmark, not figures; all four are excluded from "all"). -virtual-time moves the parallel and chaos
 // experiments onto the deterministic event clock.
 //
 // Flags scale the setup; the defaults are the paper's configuration at the
@@ -70,7 +69,7 @@ func main() {
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: spritebench [flags] <experiment>...\n")
-		fmt.Fprintf(os.Stderr, "experiments: fig4a fig4a-replicated fig4b fig4c chord cost ablation churn expansion maintenance load learncost cache parallel scale postings similarity tcp chaos config all\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "experiments: fig4a fig4a-replicated fig4b fig4c chord cost ablation churn expansion maintenance load learncost cache parallel scale postings similarity chaos config all\n\nflags:\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -399,12 +398,6 @@ func run(exp string, cfg eval.Config, o runOpts, out *output) error {
 		out.emit(res)
 	case "similarity":
 		res, err := eval.RunSimilarity(cfg, o.simTiers, o.simPeers, o.simVol)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
-	case "tcp":
-		res, err := eval.RunTCP(nil, nil, 0)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,7 @@
 // Tcpdemo: the same SPRITE network, but over real loopback TCP sockets
 // instead of the in-process simulator. Every publish, lookup hop, postings
 // fetch, learning poll, and expansion download in this program is a
-// gob-framed RPC over an actual connection.
+// binary-framed RPC over a pooled connection.
 //
 // Run with:
 //

@@ -12,9 +12,9 @@ import (
 // Binary codecs for the overlay's hot-path payloads. Every lookup hop is a
 // nextHopReq/nextHopResp exchange and every stabilization round a
 // stateResp, so these four types dominate the overlay's wire traffic; the
-// hand-rolled encoding spares each of them gob's per-stream type dictionary
-// and reflection walk. Gob registration (gob.go) is kept as the negotiated
-// fallback and for the simulator's by-value path.
+// hand-rolled encoding spares each of them a type dictionary and reflection
+// walk. The simulator passes payloads by value and never uses these codecs;
+// over a socket they are the only encoding.
 
 // kindRouted is the envelope's kind, which its own decoder must recognize to
 // refuse an envelope inside an envelope.

@@ -11,10 +11,10 @@ import (
 
 // Binary codecs for SPRITE's application payloads — the postings fetches,
 // publishes/unpublishes, polls, and replica pushes that carry nearly all of
-// the system's bytes (§1's index-construction and maintenance cost). The
-// decoders mirror gob's empty-slice/map normalization (nil), so results are
-// identical whichever codec carried the frame; the transport tags each
-// payload with its codec and unregistered types still travel as gob.
+// the system's bytes (§1's index-construction and maintenance cost). Every
+// payload type core sends is registered here or in similar.go: over a
+// socket, a type without a codec is an encode error at the caller. The
+// decoders normalize empty slices and maps to nil, as gob does.
 func init() {
 	wire.RegisterBinary(wire.KindCoreBase+0, publishReq{},
 		func(e *wire.Encoder, v any) {

@@ -279,21 +279,27 @@ func (c *Cursor) openBlock() bool {
 	return c.err == nil
 }
 
-// skipOwners advances past the owner dictionary without building strings.
+// skipOwners advances past the owner dictionary without building strings. It
+// checks what materializeOwners will, tracking only lengths, so a block that
+// validates always decodes its owners.
 func (c *Cursor) skipOwners() bool {
+	var prevLen uint64
 	for i := 0; i < c.ownerCnt; i++ {
-		if _, ok := c.uvarint(); !ok {
+		pre, ok := c.uvarint()
+		if !ok {
 			return false
 		}
 		suf, ok := c.uvarint()
 		if !ok {
 			return false
 		}
-		if suf > uint64(len(c.data)-c.off) {
-			c.fail("owner suffix length %d exceeds %d remaining bytes", suf, len(c.data)-c.off)
+		if pre > prevLen || suf > uint64(len(c.data)-c.off) {
+			c.fail("owner entry %d: prefix %d of %d, suffix %d of %d remaining",
+				i, pre, prevLen, suf, len(c.data)-c.off)
 			return false
 		}
 		c.off += int(suf)
+		prevLen = pre + suf
 	}
 	return true
 }
@@ -506,8 +512,7 @@ func (e Encoded) Slice() []Posting {
 //
 //	uvarint blockCount, then per block: uvarint len(data), data bytes
 //
-// It also serves gob (getPostingsResp snapshots and any fallback-codec
-// frame) via encoding.BinaryMarshaler, so every transport carries the same
+// It is the list's wire form: getPostingsResp's binary codec ships these
 // bytes.
 func (e Encoded) MarshalBinary() ([]byte, error) {
 	size := 1
@@ -530,9 +535,11 @@ func (e Encoded) MarshalBinary() ([]byte, error) {
 func (e *Encoded) UnmarshalBinary(data []byte) error {
 	*e = Encoded{}
 	off := 0
+	// Lengths must be in canonical (shortest) form: MarshalBinary writes
+	// them so, and an accepted payload re-marshals to the same bytes.
 	count, k := binary.Uvarint(data[off:])
-	if k <= 0 {
-		return fmt.Errorf("index: truncated block count")
+	if k <= 0 || k != uvarintLen(count) {
+		return fmt.Errorf("index: truncated or overlong block count")
 	}
 	off += k
 	if count > uint64(len(data)-off) {
@@ -546,7 +553,7 @@ func (e *Encoded) UnmarshalBinary(data []byte) error {
 	)
 	for i := uint64(0); i < count; i++ {
 		blen, k := binary.Uvarint(data[off:])
-		if k <= 0 || blen > uint64(len(data)-off-k) {
+		if k <= 0 || k != uvarintLen(blen) || blen > uint64(len(data)-off-k) {
 			return fmt.Errorf("index: block %d: bad length", i)
 		}
 		off += k

@@ -1,16 +1,16 @@
-package nettransport
+// Package nettransport_test holds the contract tests of the deleted
+// dial-per-RPC transport, kept under their original names and run against
+// internal/transport, the one socket transport that replaced it. There is no
+// non-test code here: every behaviour these tests pin is internal/transport's.
+package nettransport_test
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
-	"os"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -21,7 +21,19 @@ import (
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
+	"github.com/spritedht/sprite/internal/transport"
+	"github.com/spritedht/sprite/internal/wire"
 )
+
+// note is the payload these tests send; like every payload it has a binary
+// codec, since a type without one cannot be sent.
+type note struct{ Text string }
+
+func init() {
+	wire.RegisterBinary(wire.KindTestBase, note{},
+		func(e *wire.Encoder, v any) { e.String(v.(note).Text) },
+		func(d *wire.Decoder) any { return note{Text: d.String()} })
+}
 
 func echo() simnet.Handler {
 	return simnet.HandlerFunc(func(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
@@ -29,42 +41,59 @@ func echo() simnet.Handler {
 	})
 }
 
-func TestFreeAddrsDistinct(t *testing.T) {
-	addrs, err := FreeAddrs(5)
-	if err != nil {
-		t.Fatalf("FreeAddrs: %v", err)
-	}
-	seen := map[simnet.Addr]bool{}
-	for _, a := range addrs {
-		if seen[a] {
-			t.Fatalf("duplicate address %s", a)
-		}
-		seen[a] = true
-	}
-}
-
-func TestCallRoundTripOverTCP(t *testing.T) {
-	tr := New()
-	defer tr.Close()
-	addrs, err := FreeAddrs(1)
+func freeAddrs(t *testing.T, n int) []simnet.Addr {
+	t.Helper()
+	addrs, err := transport.FreeAddrs(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.Register(addrs[0], echo())
+	return addrs
+}
+
+// slamDoor listens on loopback and closes every accepted connection at once,
+// after setting linger to zero when rst is true so the close is a reset
+// rather than an orderly EOF.
+func slamDoor(t *testing.T, rst bool) simnet.Addr {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			if tc, ok := conn.(*net.TCPConn); ok && rst {
+				tc.SetLinger(0)
+			}
+			conn.Close()
+		}
+	}()
+	return simnet.Addr(ln.Addr().String())
+}
+
+func TestCallRoundTripOverTCP(t *testing.T) {
+	tr := transport.New()
+	defer tr.Close()
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
 	if err := tr.LastError(); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	reply, err := tr.Call("client", addrs[0], simnet.Message{Type: "ping", Payload: "hello", Size: 5})
+	reply, err := tr.Call("client", addr, simnet.Message{Type: "ping", Payload: note{Text: "hello"}, Size: 5})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	if reply.Type != "ping.ok" || reply.Payload.(string) != "hello" {
+	if reply.Type != "ping.ok" || reply.Payload.(note).Text != "hello" || reply.Size != 5 {
 		t.Fatalf("reply = %+v", reply)
 	}
 }
 
 func TestCallUnreachable(t *testing.T) {
-	tr := New(WithDialTimeout(200 * time.Millisecond))
+	tr := transport.New(transport.WithDialTimeout(200 * time.Millisecond))
 	defer tr.Close()
 	_, err := tr.Call("client", "127.0.0.1:1", simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
@@ -76,53 +105,56 @@ func TestCallUnreachable(t *testing.T) {
 }
 
 func TestHandlerErrorPropagates(t *testing.T) {
-	tr := New()
+	tr := transport.New()
 	defer tr.Close()
-	addrs, _ := FreeAddrs(1)
-	tr.Register(addrs[0], simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
 		return simnet.Message{}, errors.New("kaboom")
 	}))
-	_, err := tr.Call("client", addrs[0], simnet.Message{Type: "x"})
+	_, err := tr.Call("client", addr, simnet.Message{Type: "x"})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("handler error lost: %v", err)
+	}
+	if errors.Is(err, simnet.ErrUnreachable) {
+		t.Fatalf("handler error reads as unreachable: %v", err)
 	}
 }
 
 func TestUnregisterStopsServing(t *testing.T) {
-	tr := New(WithDialTimeout(200 * time.Millisecond))
+	tr := transport.New(transport.WithDialTimeout(200 * time.Millisecond))
 	defer tr.Close()
-	addrs, _ := FreeAddrs(1)
-	tr.Register(addrs[0], echo())
-	if _, err := tr.Call("c", addrs[0], simnet.Message{Type: "a"}); err != nil {
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
+	if _, err := tr.Call("c", addr, simnet.Message{Type: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	tr.Unregister(addrs[0])
-	if _, err := tr.Call("c", addrs[0], simnet.Message{Type: "a"}); !errors.Is(err, simnet.ErrUnreachable) {
+	tr.Unregister(addr)
+	if _, err := tr.Call("c", addr, simnet.Message{Type: "a"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("call after unregister: %v", err)
 	}
 }
 
 func TestAliveLocalAndRemote(t *testing.T) {
-	tr := New(WithDialTimeout(200 * time.Millisecond))
+	tr := transport.New(transport.WithDialTimeout(200 * time.Millisecond))
 	defer tr.Close()
-	addrs, _ := FreeAddrs(1)
-	tr.Register(addrs[0], echo())
-	if !tr.Alive(addrs[0]) {
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
+	if !tr.Alive(addr) {
 		t.Fatal("local listener not alive")
 	}
 	// A second transport (remote view) can probe it too.
-	tr2 := New(WithDialTimeout(200 * time.Millisecond))
+	tr2 := transport.New(transport.WithDialTimeout(200 * time.Millisecond))
 	defer tr2.Close()
-	if !tr2.Alive(addrs[0]) {
+	if !tr2.Alive(addr) {
 		t.Fatal("remote probe failed")
 	}
 }
 
 func TestConcurrentCalls(t *testing.T) {
-	tr := New()
+	tr := transport.New()
 	defer tr.Close()
-	addrs, _ := FreeAddrs(1)
-	tr.Register(addrs[0], echo())
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for w := 0; w < 8; w++ {
@@ -130,8 +162,14 @@ func TestConcurrentCalls(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
-				if _, err := tr.Call("c", addrs[0], simnet.Message{Type: "t", Payload: fmt.Sprintf("%d-%d", w, i)}); err != nil {
+				want := fmt.Sprintf("%d-%d", w, i)
+				reply, err := tr.Call("c", addr, simnet.Message{Type: "t", Payload: note{Text: want}})
+				if err != nil {
 					errs <- err
+					return
+				}
+				if got := reply.Payload.(note).Text; got != want {
+					errs <- fmt.Errorf("reply %q, want %q", got, want)
 					return
 				}
 			}
@@ -147,12 +185,9 @@ func TestConcurrentCalls(t *testing.T) {
 // TestChordRingOverTCP runs the real overlay protocol — joins, stabilization,
 // iterative lookups — over loopback sockets.
 func TestChordRingOverTCP(t *testing.T) {
-	tr := New(WithDialTimeout(500 * time.Millisecond))
+	tr := transport.New(transport.WithDialTimeout(500 * time.Millisecond))
 	defer tr.Close()
-	addrs, err := FreeAddrs(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addrs := freeAddrs(t, 8)
 	ring := chord.NewRing(tr, chord.Config{})
 	for _, a := range addrs {
 		if _, err := ring.AddNode(string(a)); err != nil {
@@ -183,12 +218,9 @@ func TestChordRingOverTCP(t *testing.T) {
 // TestSpriteOverTCP runs the full SPRITE stack — share, search, learn — over
 // loopback sockets, proving the protocol does not depend on the simulator.
 func TestSpriteOverTCP(t *testing.T) {
-	tr := New(WithDialTimeout(500 * time.Millisecond))
+	tr := transport.New(transport.WithDialTimeout(500 * time.Millisecond))
 	defer tr.Close()
-	addrs, err := FreeAddrs(6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addrs := freeAddrs(t, 6)
 	ring := chord.NewRing(tr, chord.Config{})
 	for _, a := range addrs {
 		if _, err := ring.AddNode(string(a)); err != nil {
@@ -201,11 +233,10 @@ func TestSpriteOverTCP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	owner := addrs[0]
 	doc := corpus.NewDocument(index.DocID("tcp-doc"), map[string]int{
-		"socket": 5, "frame": 3, "gob": 1,
+		"socket": 5, "frame": 3, "codec": 1,
 	})
-	if err := net.Share(owner, doc); err != nil {
+	if err := net.Share(addrs[0], doc); err != nil {
 		t.Fatalf("Share over TCP: %v", err)
 	}
 	rl, err := net.Search(addrs[3], []string{"socket"}, 5)
@@ -218,13 +249,13 @@ func TestSpriteOverTCP(t *testing.T) {
 	// The rare term is unindexed; query it together with an indexed term,
 	// learn, and verify it becomes findable — the full learning loop over
 	// real sockets.
-	if _, err := net.Search(addrs[4], []string{"socket", "gob"}, 5); err != nil {
+	if _, err := net.Search(addrs[4], []string{"socket", "codec"}, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := net.LearnAll(); err != nil {
 		t.Fatalf("LearnAll over TCP: %v", err)
 	}
-	rl, err = net.Search(addrs[5], []string{"gob"}, 5)
+	rl, err = net.Search(addrs[5], []string{"codec"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,78 +264,18 @@ func TestSpriteOverTCP(t *testing.T) {
 	}
 }
 
-// TestJoinRemoteAcrossTransports joins a node hosted on one Transport into a
-// ring hosted on another, knowing only the bootstrap's TCP address — the
-// cross-process join path.
-func TestJoinRemoteAcrossTransports(t *testing.T) {
-	trA := New(WithDialTimeout(500 * time.Millisecond))
-	defer trA.Close()
-	trB := New(WithDialTimeout(500 * time.Millisecond))
-	defer trB.Close()
-
-	addrs, err := FreeAddrs(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ring := chord.NewRing(trA, chord.Config{})
-	for _, a := range addrs[:4] {
-		if _, err := ring.AddNode(string(a)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ring.Build()
-
-	// The joiner lives on a different Transport instance — it shares nothing
-	// with the ring but the wire protocol.
-	joiner := chord.NewNode(trB, string(addrs[4]), chord.Config{})
-	if err := joiner.JoinRemote(addrs[0]); err != nil {
-		t.Fatalf("JoinRemote: %v", err)
-	}
-	succ := joiner.Successor()
-	if succ.IsZero() || succ.ID == joiner.ID() {
-		t.Fatalf("joiner successor = %v", succ)
-	}
-	// The successor must be the globally correct one.
-	want, _ := ring.Owner(joiner.ID())
-	if succ.ID != want.ID() {
-		t.Fatalf("joiner successor = %s, want %s", succ.ID.Short(), want.ID().Short())
-	}
-}
-
-func TestLargePayloadOverTCP(t *testing.T) {
-	gob.Register(map[string]int{}) // test-only payload type
-	tr := New()
-	defer tr.Close()
-	addrs, _ := FreeAddrs(1)
-	tr.Register(addrs[0], echo())
-	// A postings-sized payload (map with many entries) must survive the gob
-	// round trip intact.
-	big := make(map[string]int, 5000)
-	for i := 0; i < 5000; i++ {
-		big[fmt.Sprintf("term%04d", i)] = i
-	}
-	reply, err := tr.Call("c", addrs[0], simnet.Message{Type: "big", Payload: big, Size: len(big) * 12})
-	if err != nil {
-		t.Fatalf("Call: %v", err)
-	}
-	got := reply.Payload.(map[string]int)
-	if len(got) != len(big) || got["term4999"] != 4999 {
-		t.Fatalf("large payload corrupted: %d entries", len(got))
-	}
-}
-
 func TestCallTimeoutOnStuckHandler(t *testing.T) {
-	tr := New(WithCallTimeout(300 * time.Millisecond))
+	tr := transport.New(transport.WithCallTimeout(300 * time.Millisecond))
 	defer tr.Close()
-	addrs, _ := FreeAddrs(1)
+	addr := freeAddrs(t, 1)[0]
 	block := make(chan struct{})
-	tr.Register(addrs[0], simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
+	tr.Register(addr, simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
 		<-block // never replies within the deadline
 		return simnet.Message{}, nil
 	}))
 	defer close(block)
 	start := time.Now()
-	_, err := tr.Call("c", addrs[0], simnet.Message{Type: "stuck"})
+	_, err := tr.Call("c", addr, simnet.Message{Type: "stuck"})
 	if err == nil {
 		t.Fatal("stuck handler did not time out")
 	}
@@ -313,44 +284,11 @@ func TestCallTimeoutOnStuckHandler(t *testing.T) {
 	}
 }
 
-func TestReRegisterSwapsHandler(t *testing.T) {
-	tr := New()
-	defer tr.Close()
-	addrs, _ := FreeAddrs(1)
-	tr.Register(addrs[0], simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
-		return simnet.Message{Type: "v1"}, nil
-	}))
-	tr.Register(addrs[0], simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
-		return simnet.Message{Type: "v2"}, nil
-	}))
-	reply, err := tr.Call("c", addrs[0], simnet.Message{Type: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Type != "v2" {
-		t.Fatalf("re-register did not swap handler: got %q", reply.Type)
-	}
-}
-
-func TestRegisterUnbindableAddress(t *testing.T) {
-	tr := New(WithDialTimeout(200 * time.Millisecond))
-	defer tr.Close()
-	// Port 1 requires privileges; Register must record the failure instead
-	// of panicking, and the peer must read as dead.
-	tr.Register("127.0.0.1:1", echo())
-	if tr.LastError() == nil {
-		t.Skip("binding to port 1 unexpectedly allowed in this environment")
-	}
-	if tr.Alive("127.0.0.1:1") {
-		t.Fatal("unbindable peer reported alive")
-	}
-}
-
 func TestRegisterAfterClose(t *testing.T) {
-	tr := New()
+	tr := transport.New()
 	tr.Close()
-	addrs, _ := FreeAddrs(1)
-	tr.Register(addrs[0], echo())
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
 	if tr.LastError() == nil {
 		t.Fatal("register after Close did not record an error")
 	}
@@ -361,36 +299,33 @@ func TestRegisterAfterClose(t *testing.T) {
 // overlay routes around it, and the dial-error counter must tick.
 func TestDialFailureWrapsUnreachable(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := New(WithDialTimeout(300*time.Millisecond), WithTelemetry(reg))
+	tr := transport.New(transport.WithDialTimeout(300*time.Millisecond), transport.WithTelemetry(reg))
 	defer tr.Close()
 	// Reserve-and-release guarantees nothing is listening at the address.
-	addrs, err := FreeAddrs(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = tr.Call("c", addrs[0], simnet.Message{Type: "ping"})
+	addr := freeAddrs(t, 1)[0]
+	_, err := tr.Call("c", addr, simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("dial failure error = %v, want wrapping simnet.ErrUnreachable", err)
 	}
-	if got := reg.Counter("net.errors.dial").Value(); got != 1 {
-		t.Fatalf("net.errors.dial = %d, want 1", got)
+	if got := reg.Counter("tcp.errors.dial").Value(); got != 1 {
+		t.Fatalf("tcp.errors.dial = %d, want 1", got)
 	}
-	if tr.Alive(addrs[0]) {
+	if tr.Alive(addr) {
 		t.Fatal("dead peer still reads as alive")
 	}
 }
 
 // TestCallTimeoutWrapsUnreachable covers the harder half of the timeout
-// contract: the server accepts the connection but never replies. The reply
-// deadline must expire within the call timeout, surface as
-// simnet.ErrUnreachable, tick net.errors.timeout, and mark the peer dead.
+// contract: the server accepts the connection but never replies. The call
+// timeout must expire, surface as simnet.ErrUnreachable, tick
+// tcp.errors.timeout, and mark the peer dead.
 func TestCallTimeoutWrapsUnreachable(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := New(WithCallTimeout(300*time.Millisecond), WithTelemetry(reg))
+	tr := transport.New(transport.WithCallTimeout(300*time.Millisecond), transport.WithTelemetry(reg))
 	defer tr.Close()
 	// A raw listener that accepts and then sits on the connection: the
-	// request frame is consumed by TCP buffers, so the caller blocks on the
-	// reply read until its deadline fires.
+	// request frame is consumed by TCP buffers, so the caller waits on the
+	// reply until its timer fires.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -416,204 +351,105 @@ func TestCallTimeoutWrapsUnreachable(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("timeout took %v, want ~300ms", elapsed)
 	}
-	if got := reg.Counter("net.errors.timeout").Value(); got != 1 {
-		t.Fatalf("net.errors.timeout = %d, want 1", got)
+	if got := reg.Counter("tcp.errors.timeout").Value(); got != 1 {
+		t.Fatalf("tcp.errors.timeout = %d, want 1", got)
 	}
-	tr.mu.Lock()
-	_, dead := tr.deadUntil[addr]
-	tr.mu.Unlock()
-	if !dead {
+	// The listener still accepts, so only the negative cache makes Alive false.
+	if tr.Alive(addr) {
 		t.Fatal("timed-out peer was not negative-cached as dead")
-	}
-}
-
-// TestTelemetryCountsCallsAndServes checks the success-path instrumentation:
-// caller-side per-type calls/bytes/latency and server-side served counts.
-func TestTelemetryCountsCallsAndServes(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := New(WithTelemetry(reg))
-	defer tr.Close()
-	addrs, err := FreeAddrs(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Register(addrs[0], echo())
-	for i := 0; i < 3; i++ {
-		if _, err := tr.Call("c", addrs[0], simnet.Message{Type: "ping", Size: 8}); err != nil {
-			t.Fatalf("Call: %v", err)
-		}
-	}
-	if got := reg.Counter("net.calls.ping").Value(); got != 3 {
-		t.Fatalf("net.calls.ping = %d, want 3", got)
-	}
-	if got := reg.Counter("net.served.ping").Value(); got != 3 {
-		t.Fatalf("net.served.ping = %d, want 3", got)
-	}
-	if got := reg.Counter("net.bytes.ping").Value(); got != 48 {
-		t.Fatalf("net.bytes.ping = %d, want 48 (3 x (8 req + 8 reply))", got)
-	}
-	if got := reg.Histogram("net.latency_us").Count(); got != 3 {
-		t.Fatalf("net.latency_us count = %d, want 3", got)
-	}
-}
-
-// TestDeadPeerTTLExpiryAndReuse covers the configurable negative cache: a
-// failed dial marks the peer dead for the configured TTL (calls fail fast,
-// Alive is false without re-probing), and once the TTL passes the address is
-// probed — and usable — again.
-func TestDeadPeerTTLExpiryAndReuse(t *testing.T) {
-	const ttl = 150 * time.Millisecond
-	tr := New(WithDialTimeout(200*time.Millisecond), WithDeadPeerTTL(ttl))
-	defer tr.Close()
-	addrs, err := FreeAddrs(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := addrs[0]
-
-	// Nothing listens yet: the first call fails and negative-caches addr.
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping"}); !errors.Is(err, simnet.ErrUnreachable) {
-		t.Fatalf("call to vacant addr: err = %v, want ErrUnreachable", err)
-	}
-	if tr.Alive(addr) {
-		t.Fatal("addr alive while negative-cached")
-	}
-
-	// The peer comes up inside the TTL window; the cache still says dead.
-	tr2 := New()
-	defer tr2.Close()
-	tr2.Register(addr, echo())
-	if err := tr2.LastError(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Alive(addr) {
-		t.Fatal("negative cache ignored before TTL expiry")
-	}
-
-	// After expiry the address is probed again and reused.
-	deadline := time.Now().Add(5 * time.Second)
-	for !tr.Alive(addr) {
-		if time.Now().After(deadline) {
-			t.Fatal("addr still dead long after the TTL expired")
-		}
-		time.Sleep(ttl / 3)
-	}
-	reply, err := tr.Call("client", addr, simnet.Message{Type: "ping"})
-	if err != nil {
-		t.Fatalf("call after TTL expiry: %v", err)
-	}
-	if reply.Type != "ping.ok" {
-		t.Fatalf("reply type = %q, want ping.ok", reply.Type)
-	}
-}
-
-// TestDeadPeerTTLDefault pins the default (1s) so the zero-config behaviour
-// stays what the overlay's failure handling was tuned against.
-func TestDeadPeerTTLDefault(t *testing.T) {
-	if d := New().deadTTL; d != time.Second {
-		t.Fatalf("default dead-peer TTL = %v, want 1s", d)
-	}
-	if d := New(WithDeadPeerTTL(-time.Second)).deadTTL; d != time.Second {
-		t.Fatalf("non-positive TTL accepted: %v", d)
-	}
-	if d := New(WithDeadPeerTTL(3 * time.Second)).deadTTL; d != 3*time.Second {
-		t.Fatalf("configured TTL = %v, want 3s", d)
 	}
 }
 
 // TestPeerDiesMidCallWrapsUnreachable pins the audit half of the error
 // contract: a peer that accepts the connection and then closes it before
-// replying (crash, restart) must classify as simnet.ErrUnreachable via
-// structural error matching, and be negative-cached — same as a peer that
-// never answered the dial.
+// replying (crash, restart) must read as simnet.ErrUnreachable and be
+// negative-cached — same as a peer that never answered the dial.
 func TestPeerDiesMidCallWrapsUnreachable(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tr := New(WithTelemetry(reg))
+	tr := transport.New()
 	defer tr.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			// Slam the door: the caller's reply read sees EOF or a reset.
-			conn.Close()
-		}
-	}()
-	addr := simnet.Addr(ln.Addr().String())
-	_, err = tr.Call("c", addr, simnet.Message{Type: "ping"})
+	addr := slamDoor(t, false)
+	_, err := tr.Call("c", addr, simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("mid-call peer death error = %v, want wrapping simnet.ErrUnreachable", err)
 	}
-	tr.mu.Lock()
-	_, dead := tr.deadUntil[addr]
-	tr.mu.Unlock()
-	if !dead {
+	// The listener still accepts, so only the negative cache makes Alive false.
+	if tr.Alive(addr) {
 		t.Fatal("peer that died mid-call was not negative-cached")
 	}
 }
 
-// TestIsPeerGoneClassification drives the classifier with the error shapes
-// the net package actually produces — wrapped in *net.OpError chains, the
-// way Call sees them.
+// TestIsPeerGoneClassification drives the peer-gone classification end to
+// end with the failure shapes sockets actually produce — refused dial,
+// orderly close (EOF), reset (RST) — each of which must read as
+// simnet.ErrUnreachable, and with the shapes that are not a vanished peer —
+// a handler error, caller cancellation — which must not.
 func TestIsPeerGoneClassification(t *testing.T) {
-	gone := []error{
-		io.EOF,
-		io.ErrUnexpectedEOF,
-		&net.OpError{Op: "read", Err: os.NewSyscallError("read", syscall.ECONNRESET)},
-		&net.OpError{Op: "write", Err: os.NewSyscallError("write", syscall.EPIPE)},
-		&net.OpError{Op: "dial", Err: os.NewSyscallError("connect", syscall.ECONNREFUSED)},
-		fmt.Errorf("wrapped: %w", io.EOF),
+	gone := map[string]simnet.Addr{
+		"refused": freeAddrs(t, 1)[0],
+		"eof":     slamDoor(t, false),
+		"reset":   slamDoor(t, true),
 	}
-	for _, err := range gone {
-		if !isPeerGone(err) {
-			t.Errorf("isPeerGone(%v) = false, want true", err)
+	for name, addr := range gone {
+		tr := transport.New(transport.WithDialTimeout(300 * time.Millisecond))
+		_, err := tr.Call("c", addr, simnet.Message{Type: "ping"})
+		tr.Close()
+		if !errors.Is(err, simnet.ErrUnreachable) {
+			t.Errorf("%s: err = %v, want wrapping simnet.ErrUnreachable", name, err)
 		}
 	}
-	notGone := []error{
-		nil,
-		errors.New("gob: type mismatch"),
-		context.Canceled,
-		&net.OpError{Op: "read", Err: os.NewSyscallError("read", syscall.ENOMEM)},
-	}
-	for _, err := range notGone {
-		if isPeerGone(err) {
-			t.Errorf("isPeerGone(%v) = true, want false", err)
+
+	tr := transport.New()
+	defer tr.Close()
+	addr := freeAddrs(t, 1)[0]
+	release := make(chan struct{})
+	defer close(release)
+	tr.Register(addr, simnet.HandlerFunc(func(_ simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+		if msg.Type == "wait" {
+			<-release
 		}
+		return simnet.Message{}, errors.New("handler says no")
+	}))
+	if _, err := tr.Call("c", addr, simnet.Message{Type: "x"}); err == nil || errors.Is(err, simnet.ErrUnreachable) {
+		t.Errorf("handler error = %v, want a non-unreachable error", err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err := tr.CallCtx(ctx, "c", addr, simnet.Message{Type: "wait"})
+	if !errors.Is(err, context.DeadlineExceeded) || errors.Is(err, simnet.ErrUnreachable) {
+		t.Errorf("caller deadline = %v, want context.DeadlineExceeded and not unreachable", err)
+	}
+	if !tr.Alive(addr) {
+		t.Error("caller cancellation negative-cached a live peer")
 	}
 }
 
-// TestDialAndConnGaugeInstrumentation checks the pooling comparison's
-// denominators: every call on this transport dials once, and the
-// open-connection gauge returns to zero but retains its peak.
+// TestDialAndConnGaugeInstrumentation checks the connection instrumentation:
+// sequential calls share one pooled dial, the open-connection gauge holds
+// that connection while the pool keeps it, and returns to zero on Close
+// while retaining its peak.
 func TestDialAndConnGaugeInstrumentation(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	tr := New(WithTelemetry(reg))
-	defer tr.Close()
-	addrs, err := FreeAddrs(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Register(addrs[0], echo())
+	tr := transport.New(transport.WithTelemetry(reg))
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
 	const calls = 7
 	for i := 0; i < calls; i++ {
-		if _, err := tr.Call("c", addrs[0], simnet.Message{Type: "ping"}); err != nil {
+		if _, err := tr.Call("c", addr, simnet.Message{Type: "ping"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := reg.Counter("net.dials").Value(); got != calls {
-		t.Fatalf("net.dials = %d, want %d (dial-per-RPC)", got, calls)
+	if got := reg.Counter("tcp.dials").Value(); got != 1 {
+		t.Fatalf("tcp.dials = %d, want 1 (pooled, not dial-per-RPC)", got)
 	}
-	g := reg.Gauge("net.conns.open")
+	g := reg.Gauge("tcp.conns.open")
+	if got := g.Value(); got != 1 {
+		t.Fatalf("tcp.conns.open = %d while pooled, want 1", got)
+	}
+	tr.Close()
 	if got := g.Value(); got != 0 {
-		t.Fatalf("net.conns.open = %d after calls completed, want 0", got)
+		t.Fatalf("tcp.conns.open = %d after Close, want 0", got)
 	}
 	if g.Peak() < 1 {
-		t.Fatalf("net.conns.open peak = %d, want >= 1", g.Peak())
+		t.Fatalf("tcp.conns.open peak = %d, want >= 1", g.Peak())
 	}
 }

@@ -61,7 +61,7 @@ var ErrUnreachable = errors.New("simnet: peer unreachable")
 
 // Transport is the abstract peer-to-peer message substrate the overlay and
 // SPRITE run on. Network (the in-process simulator) is the primary
-// implementation; internal/nettransport provides a TCP implementation so the
+// implementation; internal/transport provides a TCP implementation so the
 // same stack runs over real sockets. Implementations must be safe for
 // concurrent use.
 type Transport interface {
@@ -440,8 +440,8 @@ func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Mess
 		n.stats.Failed++
 		n.mu.Unlock()
 		if n.tel != nil {
-			n.tel.Counter("simnet.calls."+msg.Type).Inc()
-			n.tel.Counter("simnet.bytes."+msg.Type).Add(int64(msg.Size))
+			n.tel.Counter("simnet.calls." + msg.Type).Inc()
+			n.tel.Counter("simnet.bytes." + msg.Type).Add(int64(msg.Size))
 			n.tel.Counter("simnet.unreachable").Inc()
 		}
 		return Message{}, fmt.Errorf("%w: %s", ErrUnreachable, to)
@@ -462,8 +462,8 @@ func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Mess
 		n.stats.Dropped++
 		n.mu.Unlock()
 		if n.tel != nil {
-			n.tel.Counter("simnet.calls."+msg.Type).Inc()
-			n.tel.Counter("simnet.bytes."+msg.Type).Add(int64(msg.Size))
+			n.tel.Counter("simnet.calls." + msg.Type).Inc()
+			n.tel.Counter("simnet.bytes." + msg.Type).Add(int64(msg.Size))
 			n.tel.Counter("simnet.dropped").Inc()
 		}
 		return Message{}, fmt.Errorf("%w: %s (packet lost)", ErrUnreachable, to)
@@ -475,8 +475,8 @@ func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Mess
 		n.stats.Expired++
 		n.mu.Unlock()
 		if n.tel != nil {
-			n.tel.Counter("simnet.calls."+msg.Type).Inc()
-			n.tel.Counter("simnet.bytes."+msg.Type).Add(int64(msg.Size))
+			n.tel.Counter("simnet.calls." + msg.Type).Inc()
+			n.tel.Counter("simnet.bytes." + msg.Type).Add(int64(msg.Size))
 			n.tel.Counter("simnet.ctx_expired").Inc()
 		}
 		return Message{}, fmt.Errorf("simnet: %s to %s overran deadline (simulated rtt %v): %w",
@@ -494,8 +494,8 @@ func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Mess
 			n.stats.Expired++
 			n.mu.Unlock()
 			if n.tel != nil {
-				n.tel.Counter("simnet.calls."+msg.Type).Inc()
-				n.tel.Counter("simnet.bytes."+msg.Type).Add(int64(msg.Size))
+				n.tel.Counter("simnet.calls." + msg.Type).Inc()
+				n.tel.Counter("simnet.bytes." + msg.Type).Add(int64(msg.Size))
 				n.tel.Counter("simnet.ctx_expired").Inc()
 			}
 			return Message{}, fmt.Errorf("simnet: %s to %s aborted in flight: %w", msg.Type, to, serr)
@@ -512,8 +512,8 @@ func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Mess
 		n.mu.Unlock()
 	}
 	if n.tel != nil {
-		n.tel.Counter("simnet.calls."+msg.Type).Inc()
-		n.tel.Counter("simnet.bytes."+msg.Type).Add(int64(msg.Size) + int64(reply.Size))
+		n.tel.Counter("simnet.calls." + msg.Type).Inc()
+		n.tel.Counter("simnet.bytes." + msg.Type).Add(int64(msg.Size) + int64(reply.Size))
 		if n.latency != nil {
 			n.tel.Histogram("simnet.latency_us").Observe(simRTT.Microseconds())
 		}

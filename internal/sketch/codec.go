@@ -18,8 +18,7 @@ import (
 	"github.com/spritedht/sprite/internal/wire"
 )
 
-// MarshalBinary encodes the vector in formatV1. It also serves gob via
-// encoding.BinaryMarshaler, so the fallback codec ships identical bytes.
+// MarshalBinary encodes the vector in formatV1.
 func (v Vector) MarshalBinary() ([]byte, error) {
 	if len(v) > MaxDims {
 		return nil, fmt.Errorf("sketch: %d dims exceeds max %d", len(v), MaxDims)
@@ -139,9 +138,8 @@ func HammingBytes(a, b []byte) int {
 	return d
 }
 
-// The standalone wire codec: a Vector payload travels under its own kind on
-// the binary path, and as its MarshalBinary bytes under gob — the two codecs
-// agree byte-for-byte on the embedded serialized form (FuzzSketchCodec).
+// The standalone wire codec: a Vector payload travels under its own kind as
+// its length-prefixed MarshalBinary bytes (FuzzSketchCodec).
 func init() {
 	wire.RegisterBinary(wire.KindSketchBase+0, Vector(nil),
 		func(e *wire.Encoder, v any) {

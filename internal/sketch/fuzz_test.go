@@ -2,7 +2,6 @@ package sketch
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/wire"
@@ -42,10 +41,8 @@ func FuzzSketch(f *testing.F) {
 	})
 }
 
-// FuzzSketchCodec drives the wire-level codecs with generated vectors: the
-// binary path (AppendBinary/DecodeBinary) and the gob fallback must both
-// round-trip the vector exactly and agree with each other on the decoded
-// value.
+// FuzzSketchCodec drives the wire codec (AppendBinary/DecodeBinary) with
+// generated vectors, which must round-trip exactly.
 func FuzzSketchCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 127, 255, 1})
@@ -72,21 +69,8 @@ func FuzzSketchCodec(f *testing.F) {
 			t.Fatalf("binary decode returned %T", got)
 		}
 
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-			t.Fatalf("gob encode: %v", err)
-		}
-		var gv Vector
-		if err := gob.NewDecoder(&buf).Decode(&gv); err != nil {
-			t.Fatalf("gob decode: %v", err)
-		}
-
-		want := toBytes(v)
-		if !bytes.Equal(toBytes(bv), want) {
+		if !bytes.Equal(toBytes(bv), toBytes(v)) {
 			t.Fatalf("binary codec changed the vector")
-		}
-		if !bytes.Equal(toBytes(gv), want) {
-			t.Fatalf("gob codec changed the vector")
 		}
 	})
 }

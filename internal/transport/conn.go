@@ -96,12 +96,12 @@ func (c *clientConn) call(from simnet.Addr, msg simnet.Message) (uint64, chan ca
 	c.mu.Unlock()
 	c.pool.inflight.Add(1)
 
-	frame, codec, err := appendRequestFrame(nil, id, string(from), msg.Type, msg.Size, msg.Payload)
+	frame, err := appendRequestFrame(nil, id, string(from), msg.Type, msg.Size, msg.Payload)
 	if err != nil {
 		c.finish(id)
 		return 0, nil, err
 	}
-	c.t.met.countCodec(codec, len(frame))
+	c.t.met.countCodec(msg.Payload, len(frame))
 	if !c.out.Push(frame) {
 		c.finish(id)
 		c.mu.Lock()
@@ -304,17 +304,17 @@ func (s *serverConn) dispatch(req *request) {
 		// whole response.
 		reply = simnet.Message{}
 	}
-	frame, codec, err := appendResponseFrame(nil, req.id, reply.Type, reply.Size, errMsg, reply.Payload)
+	frame, err := appendResponseFrame(nil, req.id, reply.Type, reply.Size, errMsg, reply.Payload)
 	if err != nil {
 		// Response payload failed to encode: report that instead so the
 		// caller is not left to time out.
-		frame, codec, err = appendResponseFrame(nil, req.id, "", 0, "transport: encode response: "+err.Error(), nil)
-		if err != nil {
+		if frame, err = appendResponseFrame(nil, req.id, "", 0, err.Error(), nil); err != nil {
 			s.close()
 			return
 		}
+	} else {
+		s.t.met.countCodec(reply.Payload, len(frame))
 	}
-	s.t.met.countCodec(codec, len(frame))
 	s.out.Push(frame) // a refused push means the conn died; the client copes
 }
 

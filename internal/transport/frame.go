@@ -1,9 +1,7 @@
 package transport
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -25,18 +23,17 @@ import (
 // message's simulated accounting size, and the payload runs to the end of
 // the body (its length is implied by the frame length). `id` ties a response
 // to the request it answers, which is what lets many in-flight RPCs share
-// one socket: responses may come back in any order. `codec` records how the
-// payload was encoded — the hand-rolled binary codec when the concrete type
-// registered one (wire.RegisterBinary), gob otherwise — so each frame is
-// self-describing and unregistered payload types degrade gracefully instead
-// of breaking the connection.
+// one socket: responses may come back in any order. `codec` is 0 for a nil
+// payload and 1 for one in the wire package's binary codec; any other value
+// is refused by the receiver. A payload type with no binary codec
+// (wire.RegisterBinary) fails to encode at the caller and never reaches the
+// socket.
 const (
 	frameRequest  = 0
 	frameResponse = 1
 
 	codecNone   = 0 // nil payload
 	codecBinary = 1
-	codecGob    = 2
 
 	// frameHeaderLen is the fixed prefix before the variable fields: the
 	// kind byte and the request ID.
@@ -50,35 +47,31 @@ const (
 const DefaultMaxFrame = 64 << 20
 
 // appendRequestFrame encodes one request frame, including the length prefix.
-func appendRequestFrame(dst []byte, id uint64, from, msgType string, size int, payload any) ([]byte, byte, error) {
+func appendRequestFrame(dst []byte, id uint64, from, msgType string, size int, payload any) ([]byte, error) {
 	e := wire.NewEncoder(append(dst, 0, 0, 0, 0)) // length placeholder
 	e.Raw([]byte{frameRequest})
 	e.Raw(binary.BigEndian.AppendUint64(nil, id))
 	e.String(from)
 	e.String(msgType)
 	e.Uint(uint64(size))
-	codec, err := appendPayload(e, payload)
-	if err != nil {
-		return dst, codec, fmt.Errorf("transport: encode %s request: %w", msgType, err)
+	if err := appendPayload(e, payload); err != nil {
+		return dst, fmt.Errorf("transport: encode %s request: %w", msgType, err)
 	}
-	framed, err := finishFrame(dst, e.Bytes())
-	return framed, codec, err
+	return finishFrame(dst, e.Bytes())
 }
 
 // appendResponseFrame encodes one response frame.
-func appendResponseFrame(dst []byte, id uint64, msgType string, size int, errMsg string, payload any) ([]byte, byte, error) {
+func appendResponseFrame(dst []byte, id uint64, msgType string, size int, errMsg string, payload any) ([]byte, error) {
 	e := wire.NewEncoder(append(dst, 0, 0, 0, 0))
 	e.Raw([]byte{frameResponse})
 	e.Raw(binary.BigEndian.AppendUint64(nil, id))
 	e.String(msgType)
 	e.Uint(uint64(size))
 	e.String(errMsg)
-	codec, err := appendPayload(e, payload)
-	if err != nil {
-		return dst, codec, fmt.Errorf("transport: encode %s response: %w", msgType, err)
+	if err := appendPayload(e, payload); err != nil {
+		return dst, fmt.Errorf("transport: encode %s response: %w", msgType, err)
 	}
-	framed, err := finishFrame(dst, e.Bytes())
-	return framed, codec, err
+	return finishFrame(dst, e.Bytes())
 }
 
 // finishFrame back-fills the length prefix and enforces the frame cap.
@@ -91,26 +84,18 @@ func finishFrame(dst, framed []byte) ([]byte, error) {
 	return framed, nil
 }
 
-// appendPayload writes the codec byte and the encoded payload.
-func appendPayload(e *wire.Encoder, payload any) (byte, error) {
-	switch {
-	case payload == nil:
+// appendPayload writes the codec byte and the encoded payload, or fails when
+// the payload's type has no binary codec.
+func appendPayload(e *wire.Encoder, payload any) error {
+	if payload == nil {
 		e.Raw([]byte{codecNone})
-		return codecNone, nil
-	case wire.HasBinary(payload):
-		e.Raw([]byte{codecBinary})
-		e.Append(payload)
-		return codecBinary, nil
-	default:
-		e.Raw([]byte{codecGob})
-		var buf bytes.Buffer
-		iface := payload
-		if err := gob.NewEncoder(&buf).Encode(&iface); err != nil {
-			return codecGob, err
-		}
-		e.Raw(buf.Bytes())
-		return codecGob, nil
+		return nil
 	}
+	e.Raw([]byte{codecBinary})
+	if !e.Append(payload) {
+		return fmt.Errorf("no binary codec for %T", payload)
+	}
+	return nil
 }
 
 // decodePayload reverses appendPayload given the codec byte and raw bytes.
@@ -123,12 +108,6 @@ func decodePayload(codec byte, data []byte) (any, error) {
 		return nil, nil
 	case codecBinary:
 		return wire.DecodeBinary(data)
-	case codecGob:
-		var v any
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&v); err != nil {
-			return nil, fmt.Errorf("transport: gob payload: %w", err)
-		}
-		return v, nil
 	default:
 		return nil, fmt.Errorf("transport: unknown payload codec %d", codec)
 	}

@@ -9,7 +9,7 @@ import (
 // metrics caches the transport's fixed-name instruments so the hot path
 // never takes the registry lock. All fields are nil (valid no-ops) when no
 // registry is installed; only the per-type counters still resolve names per
-// call, matching what nettransport pays.
+// call.
 type metrics struct {
 	tel *telemetry.Registry
 
@@ -23,7 +23,6 @@ type metrics struct {
 	latency     *telemetry.Histogram
 
 	codecBinaryBytes *telemetry.Counter
-	codecGobBytes    *telemetry.Counter
 
 	errCtx     *telemetry.Counter
 	errDead    *telemetry.Counter
@@ -45,7 +44,6 @@ func (m *metrics) init(tel *telemetry.Registry) {
 	m.batchBytes = tel.Histogram("tcp.batch.bytes")
 	m.latency = tel.Histogram("tcp.latency_us")
 	m.codecBinaryBytes = tel.Counter("tcp.codec.binary.bytes")
-	m.codecGobBytes = tel.Counter("tcp.codec.gob.bytes")
 	m.errCtx = tel.Counter("tcp.errors.ctx")
 	m.errDead = tel.Counter("tcp.errors.dead")
 	m.errTimeout = tel.Counter("tcp.errors.timeout")
@@ -63,14 +61,11 @@ func (m *metrics) observeBatch(frames, bytes int) {
 	m.batchBytes.Observe(int64(bytes))
 }
 
-// countCodec attributes one encoded frame's bytes to the codec that carried
-// its payload.
-func (m *metrics) countCodec(codec byte, frameBytes int) {
-	switch codec {
-	case codecBinary:
+// countCodec counts one encoded frame's bytes against the binary codec when
+// the frame carries a payload.
+func (m *metrics) countCodec(payload any, frameBytes int) {
+	if payload != nil {
 		m.codecBinaryBytes.Add(int64(frameBytes))
-	case codecGob:
-		m.codecGobBytes.Add(int64(frameBytes))
 	}
 }
 

@@ -1,17 +1,14 @@
-// Package transport is the production TCP implementation of
-// simnet.Transport: persistent per-peer connection pools, request-ID
-// multiplexing so any number of in-flight RPCs share a socket, a
-// length-prefixed binary codec (internal/wire) for hot-path payloads with
-// gob as the negotiated per-frame fallback, and per-destination
-// micro-batching of concurrent sends into single buffered writes.
+// Package transport is the TCP implementation of simnet.Transport:
+// persistent per-peer connection pools, request-ID multiplexing so any number
+// of in-flight RPCs share a socket, the length-prefixed binary codec of
+// internal/wire for every payload, and per-destination micro-batching of
+// concurrent sends into single buffered writes.
 //
-// internal/nettransport remains in the tree as the naive baseline — one
-// dial, one gob stream, one RPC per connection — which is exactly what the
-// `tcp` experiment in cmd/spritebench compares against. The contract is the
-// simnet one: transport-level failures (dial refused, peer hung, connection
-// reset mid-call) wrap simnet.ErrUnreachable so the overlay routes around
-// them, while caller-initiated cancellation wraps ctx.Err() and is never
-// retried or negative-cached.
+// The contract is the simnet one: transport-level failures (dial refused,
+// peer hung, connection reset mid-call) wrap simnet.ErrUnreachable so the
+// overlay routes around them, while caller-initiated cancellation wraps
+// ctx.Err() and is never retried or negative-cached. A payload whose type
+// has no binary codec is an encode error at the caller; nothing is sent.
 package transport
 
 import (
@@ -433,7 +430,7 @@ func (p *pool) size() int {
 }
 
 // OpenConns reports the total pooled client connections currently open —
-// what the mux tests assert on and the tcp experiment reports.
+// what the mux tests assert on and the benchmark reports.
 func (t *Transport) OpenConns() int {
 	t.mu.Lock()
 	pools := make([]*pool, 0, len(t.pools))
@@ -549,6 +546,9 @@ func (t *Transport) CallCtx(ctx context.Context, from, to simnet.Addr, msg simne
 		t.met.call(msg.Type, msg.Size+reply.Size, time.Since(start))
 		return reply, nil
 	}
+	// Neither attempt's connection stayed open long enough to carry the
+	// frame: the peer drops connections, as one dying mid-call does.
+	t.markDead(to)
 	t.met.errSend.Inc()
 	return simnet.Message{}, fmt.Errorf("%w: %s: %v", simnet.ErrUnreachable, to, lastErr)
 }
@@ -570,11 +570,13 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 		c.touch()
 		if res.err != nil {
 			// Connection died mid-call: the request may or may not have been
-			// delivered, so this is unreachable, not retryable.
+			// delivered, so this is unreachable, not retryable, and the peer
+			// (crashed or restarting) is negative-cached.
 			if cerr := ctx.Err(); cerr != nil {
 				t.met.errCtx.Inc()
 				return simnet.Message{}, fmt.Errorf("transport: %s to %s: %w", msg.Type, to, cerr)
 			}
+			t.markDead(to)
 			t.met.errConn.Inc()
 			return simnet.Message{}, fmt.Errorf("%w: %s: %v", simnet.ErrUnreachable, to, res.err)
 		}
@@ -640,6 +642,28 @@ func (t *Transport) markDead(addr simnet.Addr) {
 	t.mu.Lock()
 	t.deadUntil[addr] = time.Now().Add(t.deadTTL)
 	t.mu.Unlock()
+}
+
+// FreeAddrs reserves n distinct loopback TCP addresses and returns them.
+// Each address was bound once (so the kernel considers it assigned) and
+// released; callers should Register promptly to reclaim it.
+func FreeAddrs(n int) ([]simnet.Addr, error) {
+	addrs := make([]simnet.Addr, 0, n)
+	lns := make([]net.Listener, 0, n)
+	defer func() {
+		for _, ln := range lns {
+			ln.Close()
+		}
+	}()
+	for i := 0; i < n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("transport: reserve address: %w", err)
+		}
+		lns = append(lns, ln)
+		addrs = append(addrs, simnet.Addr(ln.Addr().String()))
+	}
+	return addrs, nil
 }
 
 var _ simnet.Transport = (*Transport)(nil)

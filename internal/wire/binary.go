@@ -1,15 +1,11 @@
-// The hand-rolled binary codec for hot-path protocol payloads.
+// Package wire is the codec for every protocol payload that crosses a
+// socket: a hand-rolled binary encoding per registered type.
 //
-// Gob is a fine bootstrap codec — self-describing, zero schema maintenance —
-// but it re-transmits type descriptors on every fresh stream and walks
-// reflection on every value, which is exactly the per-message overhead a
-// DHT-scale transport cannot afford. The binary codec trades that generality
-// for a fixed, length-disciplined wire form: each registered payload type is
-// assigned a stable 16-bit kind and a pair of hand-written encode/decode
-// functions over varint/length-prefixed primitives. Types that never
-// registered a binary codec still travel as gob (the transport tags every
-// payload with the codec that produced it), so the hot path gets the fast
-// encoding while exotic or test-only payloads keep working unchanged.
+// Each payload type is assigned a stable 16-bit kind and a pair of
+// hand-written encode/decode functions over varint/length-prefixed
+// primitives — no type descriptors on the wire, no reflection per value. A
+// type that never registered a codec cannot be sent: AppendBinary reports
+// false and the transport fails the call with an encode error.
 //
 // Safety discipline: decoding works over a single []byte with a sticky
 // error, and every declared length (strings, byte runs, element counts) is
@@ -25,6 +21,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
 )
 
 // Kind ranges, one block per registering package, so the numbering is stable
@@ -59,6 +56,7 @@ type binaryCodec struct {
 }
 
 var (
+	mu        sync.Mutex
 	binByKind = make(map[uint16]*binaryCodec)
 	binByType = make(map[reflect.Type]*binaryCodec)
 )
@@ -66,8 +64,7 @@ var (
 // RegisterBinary installs a binary codec for prototype's concrete type under
 // the given kind. Registration normally happens in package init functions;
 // duplicate kinds or types panic immediately (a mis-wired codec table must
-// never reach the network). The type is also gob-registered so the fallback
-// path can carry it too.
+// never reach the network).
 func RegisterBinary(kind uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	mu.Lock()
 	defer mu.Unlock()
@@ -81,15 +78,6 @@ func RegisterBinary(kind uint16, prototype any, enc EncodeFunc, dec DecodeFunc) 
 	c := &binaryCodec{kind: kind, typ: t, enc: enc, dec: dec}
 	binByKind[kind] = c
 	binByType[t] = c
-	registerGobLocked(prototype)
-}
-
-// HasBinary reports whether v's concrete type has a registered binary codec.
-func HasBinary(v any) bool {
-	mu.Lock()
-	defer mu.Unlock()
-	_, ok := binByType[reflect.TypeOf(v)]
-	return ok
 }
 
 // BinaryPrototypes returns one zero prototype per registered binary codec,
@@ -112,8 +100,8 @@ func BinaryPrototypes() []any {
 
 // AppendBinary appends the binary encoding of v — a 2-byte kind followed by
 // the codec's field stream — to dst and reports whether v's type had a
-// registered codec. When it reports false, dst is returned unchanged and the
-// caller should fall back to gob.
+// registered codec. When it reports false, dst is returned unchanged: the
+// value has no wire form.
 func AppendBinary(dst []byte, v any) ([]byte, bool) {
 	mu.Lock()
 	c, ok := binByType[reflect.TypeOf(v)]
@@ -356,8 +344,7 @@ func (d *Decoder) Count(minBytes int) int {
 }
 
 // StringSlice reads a count-prefixed string slice. A zero count decodes as a
-// nil slice, matching gob's round-trip of empty slices so the two codecs are
-// interchangeable under reflect.DeepEqual.
+// nil slice, as gob decodes one (TestEmptySliceDecodesNilLikeGob).
 func (d *Decoder) StringSlice() []string {
 	n := d.Count(1)
 	if n == 0 || d.err != nil {

@@ -2,13 +2,12 @@ package wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 )
 
-// fuzzPayload mirrors the shape of the protocol payloads that cross
-// nettransport's frames (strings, integers, nested structs, slices), so the
+// fuzzPayload mirrors the shape of the protocol payloads that cross the
+// transport's frames (strings, integers, nested structs, slices), so the
 // round trip exercises the same encoder paths without depending on the
 // unexported message types of internal/core and internal/chord.
 type fuzzPayload struct {
@@ -25,8 +24,6 @@ type fuzzInner struct {
 	Score float64
 }
 
-// kindFuzzPayload gives fuzzPayload a binary codec too, so FuzzCodec drives
-// both wire formats with the same values and can demand they agree.
 const kindFuzzPayload = KindTestBase + 100
 
 func init() {
@@ -54,21 +51,20 @@ func init() {
 		})
 }
 
-// FuzzCodec fuzzes the wire codec the way nettransport uses it: the payload
-// travels as an interface value (wireRequest.Payload has type any), so
-// encoding depends on the Register machinery and decoding must return the
-// original concrete value bit-for-bit. The raw tail bytes are also fed to a
-// decoder directly — corrupted frames must fail with an error, never a panic.
+// FuzzCodec fuzzes the wire codec the way the transport uses it: the payload
+// travels as an interface value, so encoding goes through the registry and
+// decoding must return the original concrete value bit-for-bit. Truncations
+// and the raw tail bytes are also fed to the decoder — corrupted frames must
+// fail with an error, never a panic.
 func FuzzCodec(f *testing.F) {
 	f.Add("w03", "doc01", int64(7), 3, "c0,c1", 0.5, []byte{})
 	f.Add("", "", int64(0), 0, "", 0.0, []byte{0xff, 0x00})
 	f.Add("日本語", "doc\x00", int64(-1), 1<<20, "a", -1.5, []byte("garbage"))
 	f.Fuzz(func(t *testing.T, term, doc string, freq int64, hops int, addrCSV string, score float64, raw []byte) {
-		Register(fuzzPayload{})
 		if score != score {
 			score = 0 // NaN round-trips correctly but breaks DeepEqual
 		}
-		var addrs []string
+		var addrs []string // nil when empty, as the decoder returns it
 		for _, a := range bytes.Split([]byte(addrCSV), []byte{','}) {
 			if len(a) > 0 {
 				addrs = append(addrs, string(a))
@@ -78,34 +74,16 @@ func FuzzCodec(f *testing.F) {
 			Term: term, Doc: doc, Freq: freq, Hops: hops, Addrs: addrs,
 			Inner: fuzzInner{Key: term, Score: score},
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-			t.Fatalf("encode %#v: %v", in, err)
-		}
-		var out any
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&out); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if !reflect.DeepEqual(out, in.(fuzzPayload)) {
-			t.Fatalf("round trip changed the payload:\n in: %#v\nout: %#v", in, out)
-		}
-		// A decoder fed arbitrary bytes may error, but must not panic.
-		var junk any
-		_ = gob.NewDecoder(bytes.NewReader(raw)).Decode(&junk)
-
-		// The binary codec must agree with gob's round trip of the same
-		// value — the codecs are interchangeable on the wire or they are
-		// wrong.
-		bin, ok := AppendBinary(nil, in.(fuzzPayload))
+		bin, ok := AppendBinary(nil, in)
 		if !ok {
 			t.Fatal("binary codec not registered for fuzzPayload")
 		}
-		bout, err := DecodeBinary(bin)
+		out, err := DecodeBinary(bin)
 		if err != nil {
-			t.Fatalf("binary decode of own encoding: %v", err)
+			t.Fatalf("decode of own encoding: %v", err)
 		}
-		if !reflect.DeepEqual(bout, out) {
-			t.Fatalf("binary and gob round trips disagree:\nbinary: %#v\ngob:    %#v", bout, out)
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("round trip changed the payload:\n in: %#v\nout: %#v", in, out)
 		}
 		// Truncations and raw garbage must fail cleanly, never panic or
 		// size an allocation from an unvalidated declared length.

@@ -1,8 +1,6 @@
 package wire_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 
@@ -70,7 +68,7 @@ func fill(t *testing.T, v reflect.Value, fd *feeder) {
 	case reflect.Slice:
 		n := int(fd.next() % 4)
 		if n == 0 {
-			return // nil: both codecs round-trip empty containers to nil
+			return // nil: the codecs decode empty containers as nil
 		}
 		s := reflect.MakeSlice(v.Type(), n, n)
 		for i := 0; i < n; i++ {
@@ -137,13 +135,12 @@ func hasInterfaceField(t reflect.Type) bool {
 }
 
 // FuzzBinaryProtocol round-trips EVERY registered protocol payload — chord's
-// and core's, discovered through wire.BinaryPrototypes — through both codecs
-// and demands the results be identical under reflect.DeepEqual: the binary
-// codec must be a drop-in replacement for gob on the wire, or mixed
-// codec-version peers would disagree about what was said. It then feeds the
-// decoder truncations, single-bit corruptions, and raw fuzz garbage, which
-// must all fail (or decode to something) without panicking or sizing an
-// allocation from an unvalidated length.
+// and core's, discovered through wire.BinaryPrototypes — filled with
+// fuzz-derived content, and demands the decoded value equal the original
+// under reflect.DeepEqual: a codec that drops, reorders or truncates a field
+// fails here. It then feeds the decoder truncations, single-bit corruptions,
+// and raw fuzz garbage, which must all fail (or decode to something) without
+// panicking or sizing an allocation from an unvalidated length.
 func FuzzBinaryProtocol(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte("seed-data-1234567890 with spread"), uint8(3))
@@ -167,18 +164,8 @@ func FuzzBinaryProtocol(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decode own encoding of %#v: %v", val, err)
 			}
-
-			var iface any = val
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&iface); err != nil {
-				t.Fatalf("gob encode %#v: %v", val, err)
-			}
-			var gout any
-			if err := gob.NewDecoder(&buf).Decode(&gout); err != nil {
-				t.Fatalf("gob decode %T: %v", val, err)
-			}
-			if !reflect.DeepEqual(dec, gout) {
-				t.Fatalf("codecs disagree for %T:\nbinary: %#v\ngob:    %#v", val, dec, gout)
+			if !reflect.DeepEqual(dec, val) {
+				t.Fatalf("round trip changed %T:\n in: %#v\nout: %#v", val, val, dec)
 			}
 
 			for n := 0; n < len(enc); n++ {

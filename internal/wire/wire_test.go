@@ -1,49 +1,54 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
+	"reflect"
 	"sync"
 	"testing"
 )
 
-type payloadA struct{ N int }
-type payloadB struct{ S string }
-
-func TestRegisterIdempotent(t *testing.T) {
-	before := Registered()
-	Register(payloadA{}, payloadB{})
-	Register(payloadA{}, payloadB{}) // must not panic or double-count
-	Register(payloadA{})
-	if got := Registered() - before; got != 2 {
-		t.Fatalf("registered %d new types, want 2", got)
-	}
-}
-
+// TestRegisteredTypesRoundTrip round-trips the zero value of every registered
+// type — nil slices and empty strings, what a hand-written codec most easily
+// gets wrong.
 func TestRegisteredTypesRoundTrip(t *testing.T) {
-	Register(payloadA{})
-	var buf bytes.Buffer
-	var in any = payloadA{N: 42}
-	if err := gob.NewEncoder(&buf).Encode(&in); err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	var out any
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if got, ok := out.(payloadA); !ok || got.N != 42 {
-		t.Fatalf("round trip: got %#v", out)
+	for _, proto := range BinaryPrototypes() {
+		data, ok := AppendBinary(nil, proto)
+		if !ok {
+			t.Fatalf("%T listed by BinaryPrototypes but not encodable", proto)
+		}
+		out, err := DecodeBinary(data)
+		if err != nil || !reflect.DeepEqual(out, proto) {
+			t.Fatalf("%T zero value round trip = %#v, %v", proto, out, err)
+		}
 	}
 }
 
+type late struct{ N uint64 }
+
+var registerLate sync.Once
+
+// TestRegisterConcurrent installs a codec while other goroutines encode,
+// decode and list through the registry; the race detector checks the locking.
 func TestRegisterConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			Register(payloadA{}, payloadB{})
+			data, _ := AppendBinary(nil, binPayload{Term: "x"})
+			if _, err := DecodeBinary(data); err != nil {
+				t.Error(err)
+			}
+			AppendBinary(nil, late{1}) // encodable or not, depending on the race
+			BinaryPrototypes()
 		}()
 	}
+	registerLate.Do(func() {
+		RegisterBinary(KindTestBase+8, late{},
+			func(e *Encoder, v any) { e.Uint(v.(late).N) },
+			func(d *Decoder) any { return late{d.Uint()} })
+	})
 	wg.Wait()
+	if _, ok := AppendBinary(nil, late{1}); !ok {
+		t.Fatal("codec registered concurrently is missing")
+	}
 }

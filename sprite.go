@@ -35,7 +35,6 @@ import (
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
-	"github.com/spritedht/sprite/internal/nettransport"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/sketch"
 	"github.com/spritedht/sprite/internal/text"
@@ -103,13 +102,6 @@ type Options struct {
 	// — sharing, searching, learning, expansion, replication, refresh —
 	// behaves identically.
 	TCP bool
-	// TCPTransport selects the socket layer when TCP is set: "pooled" (the
-	// default) multiplexes calls over pooled per-peer connections with the
-	// binary wire codec, "dial" opens one gob-framed connection per RPC
-	// (the naive baseline internal/nettransport). Rankings are
-	// byte-identical across both; see the tcp benchmark for the cost
-	// difference. Any other value is an error.
-	TCPTransport string
 	// HotTermDF enables the hot-term advisory: index terms whose indexed
 	// document frequency reaches this value are retired by their owners at
 	// the next learning iteration (0 = off).
@@ -269,8 +261,9 @@ type Network struct {
 	opts      Options
 	analyzer  text.Analyzer
 	transport simnet.Transport
-	sim       *simnet.Network // nil in TCP mode
-	vclk      *vtime.Sim     // nil unless Options.VirtualTime
+	sim       *simnet.Network      // nil in TCP mode
+	tcp       *transport.Transport // nil unless TCP mode
+	vclk      *vtime.Sim           // nil unless Options.VirtualTime
 	ring      *chord.Ring
 	core      *core.Network
 	peers     []string
@@ -304,20 +297,15 @@ func New(opts Options) (*Network, error) {
 	var (
 		tport simnet.Transport
 		sim   *simnet.Network
+		tcp   *transport.Transport
 		vclk  *vtime.Sim
 	)
 	if opts.VirtualTime {
 		vclk = vtime.NewSim()
 	}
 	if opts.TCP {
-		switch opts.TCPTransport {
-		case "", "pooled":
-			tport = transport.New(transport.WithTelemetry(reg))
-		case "dial":
-			tport = nettransport.New(nettransport.WithTelemetry(reg))
-		default:
-			return nil, fmt.Errorf("sprite: TCPTransport = %q, want \"pooled\" or \"dial\"", opts.TCPTransport)
-		}
+		tcp = transport.New(transport.WithTelemetry(reg))
+		tport = tcp
 	} else {
 		snetOpts := []simnet.Option{simnet.WithTelemetry(reg)}
 		if vclk != nil {
@@ -328,7 +316,7 @@ func New(opts Options) (*Network, error) {
 	}
 	ring := chord.NewRing(tport, chord.Config{Telemetry: reg})
 	if opts.TCP {
-		addrs, err := nettransport.FreeAddrs(opts.Peers)
+		addrs, err := transport.FreeAddrs(opts.Peers)
 		if err != nil {
 			return nil, fmt.Errorf("sprite: %w", err)
 		}
@@ -337,7 +325,7 @@ func New(opts Options) (*Network, error) {
 				return nil, fmt.Errorf("sprite: %w", err)
 			}
 		}
-		if err := transportLastError(tport); err != nil {
+		if err := tcp.LastError(); err != nil {
 			return nil, fmt.Errorf("sprite: %w", err)
 		}
 	} else if _, err := ring.AddNodes(opts.PeerPrefix, opts.Peers); err != nil {
@@ -391,6 +379,7 @@ func New(opts Options) (*Network, error) {
 		analyzer:  text.Analyzer{KeepStopWords: opts.KeepStopWords, NoStemming: opts.NoStemming},
 		transport: tport,
 		sim:       sim,
+		tcp:       tcp,
 		vclk:      vclk,
 		ring:      ring,
 		core:      c,
@@ -657,24 +646,9 @@ func (n *Network) ResetStats() {
 // Simulated networks hold no external resources, so Close is then a no-op.
 // The network is unusable afterwards.
 func (n *Network) Close() {
-	switch t := n.transport.(type) {
-	case *nettransport.Transport:
-		t.Close()
-	case *transport.Transport:
-		t.Close()
+	if n.tcp != nil {
+		n.tcp.Close()
 	}
-}
-
-// transportLastError surfaces a TCP transport's listener-binding failure;
-// the Register interface cannot return one directly.
-func transportLastError(t simnet.Transport) error {
-	switch tt := t.(type) {
-	case *nettransport.Transport:
-		return tt.LastError()
-	case *transport.Transport:
-		return tt.LastError()
-	}
-	return nil
 }
 
 // Unshare withdraws a shared document: its index entries are removed from

@@ -13,17 +13,16 @@ import (
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
-	"github.com/spritedht/sprite/internal/nettransport"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
 	"github.com/spritedht/sprite/internal/transport"
 )
 
 // TestTransportTwinDeterminism runs one workload — share, search, learn,
-// search again — on the simulator, the pooled multiplexed TCP transport, and
-// the naive dial-per-RPC TCP transport, and requires byte-identical rankings
-// (document IDs and scores) from all three. The transport is infrastructure:
-// if changing it changes what a search returns, the transport is wrong.
+// search again — on the simulator and on the TCP transport, and requires
+// byte-identical rankings (document IDs and scores) from both. The transport
+// is infrastructure: if changing it changes what a search returns, the
+// transport is wrong.
 func TestTransportTwinDeterminism(t *testing.T) {
 	docs := []string{
 		"chord scalable lookup protocol for internet applications",
@@ -80,10 +79,6 @@ func TestTransportTwinDeterminism(t *testing.T) {
 	pooled := base
 	pooled.TCP = true
 	variants["pooled"] = run(pooled)
-	dial := base
-	dial.TCP = true
-	dial.TCPTransport = "dial"
-	variants["dial"] = run(dial)
 
 	want := variants["simnet"]
 	for name, got := range variants {
@@ -153,15 +148,15 @@ func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg
 }
 
 // TestTransportTwinMessageCounts runs share, search, a protocol join, learn
-// and search again on one ring over the simulator and over both socket
-// transports, and requires the same rankings and the same number of messages
+// and search again on one ring over the simulator and over the socket
+// transport, and requires the same rankings and the same number of messages
 // of every type — those of the learning iteration on their own as well, where
 // every poll that leaves its owner travels on the owner's own hint — and the
 // same index terms learned. Routed deliveries travel inside chord's envelope,
 // and the half-stabilized join leaves nodes that still hint at the joiner's
 // successor for its arc, so this is also the check that the envelope, its
-// refusal and the hint in a hop answer cross a socket, in both codecs, meaning
-// what they mean in process.
+// refusal and the hint in a hop answer cross a socket meaning what they mean
+// in process.
 func TestTransportTwinMessageCounts(t *testing.T) {
 	const peers = 24
 	docs := []map[string]int{
@@ -183,7 +178,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 		defer closeFn()
 		nt := &namedTransport{inner: inner, real: map[simnet.Addr]simnet.Addr{}, logical: map[simnet.Addr]simnet.Addr{}, calls: map[string]int{}}
 		if _, sockets := inner.(*simnet.Network); !sockets {
-			addrs, err := nettransport.FreeAddrs(peers + 1) // the last one is the joiner's
+			addrs, err := transport.FreeAddrs(peers + 1) // the last one is the joiner's
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -298,34 +293,16 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	if l := want.learn; l["sprite.poll"] == 0 || l["chord.route.hinted"] < l["sprite.poll"] || l["chord.next_hop"] > 4*l["sprite.publish"] {
 		t.Fatalf("simnet learning iteration exchanged %v — its polls are not travelling on the owner's hint", l)
 	}
-	pooled := transport.New()
-	dial := nettransport.New()
-	for name, got := range map[string]outcome{
-		"pooled": run("pooled", pooled, pooled.Close),
-		"dial":   run("dial", dial, dial.Close),
-	} {
-		if !reflect.DeepEqual(got.rankings, want.rankings) {
-			t.Fatalf("%s rankings differ from simnet:\n%v\nvs\n%v", name, got.rankings, want.rankings)
-		}
-		if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.learn, want.learn) {
-			t.Fatalf("%s message counts differ from simnet:\n%v, learning %v\nvs\n%v, learning %v", name, got.calls, got.learn, want.calls, want.learn)
-		}
-		if !reflect.DeepEqual(got.indexed, want.indexed) {
-			t.Fatalf("%s learned other index terms than simnet:\n%v\nvs\n%v", name, got.indexed, want.indexed)
-		}
+	tcp := transport.New()
+	got := run("tcp", tcp, tcp.Close)
+	if !reflect.DeepEqual(got.rankings, want.rankings) {
+		t.Fatalf("tcp rankings differ from simnet:\n%v\nvs\n%v", got.rankings, want.rankings)
 	}
-	t.Logf("messages by type on every transport: %v, of which learning: %v", want.calls, want.learn)
-}
-
-// TestTCPTransportOptionValidation pins the facade's option contract.
-func TestTCPTransportOptionValidation(t *testing.T) {
-	if _, err := New(Options{Peers: 2, TCP: true, TCPTransport: "quic"}); err == nil {
-		t.Fatal("unknown TCPTransport accepted")
+	if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.learn, want.learn) {
+		t.Fatalf("tcp message counts differ from simnet:\n%v, learning %v\nvs\n%v, learning %v", got.calls, got.learn, want.calls, want.learn)
 	}
-	// TCPTransport without TCP is ignored (simulated mode).
-	n, err := New(Options{Peers: 2, TCPTransport: "dial"})
-	if err != nil {
-		t.Fatalf("TCPTransport in sim mode: %v", err)
+	if !reflect.DeepEqual(got.indexed, want.indexed) {
+		t.Fatalf("tcp learned other index terms than simnet:\n%v\nvs\n%v", got.indexed, want.indexed)
 	}
-	n.Close()
+	t.Logf("messages by type on both transports: %v, of which learning: %v", want.calls, want.learn)
 }
