@@ -13,6 +13,7 @@ package sprite
 // suite completes in minutes. Use cmd/spritebench for the full-scale runs.
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -290,7 +291,7 @@ func BenchmarkLearnDocument(b *testing.B) {
 	docs := dep.Net.Documents()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dep.Net.LearnDoc(docs[i%len(docs)]); err != nil {
+		if _, err := dep.Net.LearnDocCtx(context.Background(), docs[i%len(docs)]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package sprite
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -110,7 +111,7 @@ func TestConcurrentFacadeUse(t *testing.T) {
 							return
 						}
 					} else if g == 0 {
-						if _, err := n.Learn(); err != nil {
+						if _, err := n.LearnCtx(context.Background()); err != nil {
 							t.Errorf("Learn: %v", err)
 							return
 						}

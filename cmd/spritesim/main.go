@@ -28,6 +28,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -245,7 +246,7 @@ func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 			fmt.Printf("%2d. %-20s score=%.4f owner=%s\n", i+1, r.DocID, r.Score, r.Owner)
 		}
 	case "learn":
-		changes, err := net.Learn()
+		changes, err := net.LearnCtx(context.Background())
 		if err != nil {
 			fail("%v", err)
 			return false

@@ -1,6 +1,7 @@
 package sprite_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,7 @@ func ExampleNew() {
 
 // Learning promotes terms that appear in queries but were not frequent
 // enough for the initial index.
-func ExampleNetwork_Learn() {
+func ExampleNetwork_LearnCtx() {
 	net, err := sprite.New(sprite.Options{
 		Peers:             8,
 		Seed:              100,
@@ -46,7 +47,7 @@ func ExampleNetwork_Learn() {
 	// A user query pairs the indexed term with the rare one; the indexing
 	// peer remembers it, and the next learning iteration indexes "obscure".
 	net.SearchTerms("peer2", []string{"popular", "obscure"}, 5)
-	net.Learn()
+	net.LearnCtx(context.Background())
 
 	after, _ := net.SearchTerms("peer2", []string{"obscure"}, 5)
 	fmt.Println("after:", len(after))

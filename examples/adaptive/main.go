@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -105,7 +106,7 @@ func main() {
 	fmt.Println("phase 1: users ask about networking problems")
 	for iter := 1; iter <= 3; iter++ {
 		rate := hitRate(netQueries, "net") // searching also trains
-		if _, err := net.Learn(); err != nil {
+		if _, err := net.LearnCtx(context.Background()); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  iteration %d: networking hit rate %.0f%%\n", iter, rate*100)
@@ -122,7 +123,7 @@ func main() {
 		} else {
 			fmt.Printf("  iteration %d: billing hit rate %.0f%%\n", iter, rate*100)
 		}
-		if _, err := net.Learn(); err != nil {
+		if _, err := net.LearnCtx(context.Background()); err != nil {
 			log.Fatal(err)
 		}
 	}

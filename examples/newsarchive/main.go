@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -122,7 +123,7 @@ func main() {
 
 	fmt.Printf("recall over the query log before learning: %.0f%%\n", recall()*100)
 	for iter := 1; iter <= 3; iter++ {
-		changes, err := net.Learn()
+		changes, err := net.LearnCtx(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

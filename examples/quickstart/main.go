@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -63,7 +64,7 @@ func main() {
 	show("chord finger tables")
 
 	// Owners poll the indexing peers and re-tune their documents' terms.
-	changes, err := net.Learn()
+	changes, err := net.LearnCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

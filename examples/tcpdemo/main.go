@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -58,7 +59,7 @@ func main() {
 	if _, err := net.Search(peers[2], "retransmission sequence acknowledgements", 5); err != nil {
 		log.Fatal(err)
 	}
-	changes, err := net.Learn()
+	changes, err := net.LearnCtx(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package sprite
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -63,7 +64,7 @@ func TestFullLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := net.Learn(); err != nil {
+	if _, err := net.LearnCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	res, err = net.Search(peers[9], "finger", 10)
@@ -177,7 +178,7 @@ func TestLifecycleDeterminism(t *testing.T) {
 			}
 			out.WriteByte('\n')
 		}
-		changes, err := net.Learn()
+		changes, err := net.LearnCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

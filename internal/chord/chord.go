@@ -348,21 +348,33 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 	}
 	n.mu.Lock()
-	app, pred := n.app, n.pred
+	app := n.app
 	n.mu.Unlock()
 	if app == nil {
 		return simnet.Message{}, fmt.Errorf("chord: node %s: no handler for message type %q", n.ref, msg.Type)
 	}
 	if env, ok := msg.Payload.(routed); ok {
 		// Sent on a hint, which may be stale: responsibility is decided here,
-		// by this node about its own arc, exactly as a lookup would have
-		// decided it at our predecessor. An unknown predecessor proves nothing.
-		if pred.IsZero() || !env.Key.BetweenRightIncl(pred.ID, n.ref.ID) {
+		// by this node about its own arc.
+		if !n.Serves(env.Key) {
 			return simnet.Message{Type: msg.Type, Payload: notOwner{Key: env.Key}, Size: chordid.Bytes}, nil
 		}
 		msg.Payload, msg.Size = env.Payload, msg.Size-chordid.Bytes
 	}
 	return app.HandleMessage(from, msg)
+}
+
+// Serves reports whether key lies in this node's own arc, (predecessor, self]:
+// the rule a routed delivery is checked by, and the same fact a lookup would
+// have read off the predecessor's successor pointer. An unknown predecessor
+// proves nothing, so a node that has none serves no key. An application that
+// addresses items to a node from its own records (a batch to the peer that
+// last held them) checks each item's key with it.
+func (n *Node) Serves(key chordid.ID) bool {
+	n.mu.Lock()
+	pred := n.pred
+	n.mu.Unlock()
+	return !pred.IsZero() && key.BetweenRightIncl(pred.ID, n.ref.ID)
 }
 
 // refSize is the simulated wire size of a Ref (16-byte ID + address).

@@ -693,3 +693,29 @@ func TestSimulatedSizesTrackEncodedLength(t *testing.T) {
 		}
 	}
 }
+
+// Serves is the rule a routed delivery is checked by: on a built ring each key
+// is served by exactly the node Owner names, and a node whose predecessor is
+// unknown serves nothing.
+func TestServesIsTheOwnerArc(t *testing.T) {
+	r := NewRing(simnet.New(1), Config{})
+	if _, err := r.AddNodes("peer", 32); err != nil {
+		t.Fatal(err)
+	}
+	r.Build()
+	for _, key := range randomKeys(300) {
+		owner, _ := r.Owner(key)
+		for _, n := range r.Nodes() {
+			if n.Serves(key) != (n == owner) {
+				t.Fatalf("key %s: %s serves it = %v, owner is %s", key.Short(), n.Addr(), n.Serves(key), owner.Addr())
+			}
+		}
+	}
+	fresh, err := r.AddNode("fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Serves(fresh.ID()) {
+		t.Fatal("a node with no predecessor serves its own ID")
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -12,7 +13,11 @@ import (
 
 // advisoryNet builds a 5-peer network with three documents sharing one hot
 // term, owned by the given peers. HotTermDF is 3, so the first learning
-// sweep retires "hot" from the first document polled.
+// sweep retires "hot" from all three: every poll of a sweep reads the
+// indexed document frequency before any withdrawal of the sweep. The sweep
+// runs sequentially, so that each call to the hot term's indexing peer comes
+// at the same position in every run — the fault sweep below drops calls by
+// position.
 func advisoryNet(t *testing.T, owners [3]simnet.Addr) (*simnet.Network, *Network, []*corpus.Document) {
 	t.Helper()
 	sim := simnet.New(42)
@@ -21,7 +26,7 @@ func advisoryNet(t *testing.T, owners [3]simnet.Addr) (*simnet.Network, *Network
 		t.Fatalf("AddNodes: %v", err)
 	}
 	ring.Build()
-	n, err := NewNetwork(ring, Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 4, HotTermDF: 3})
+	n, err := NewNetwork(ring, Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 4, HotTermDF: 3, Parallelism: 1})
 	if err != nil {
 		t.Fatalf("NewNetwork: %v", err)
 	}
@@ -121,11 +126,11 @@ func checkAdvisoryConsistent(t *testing.T, n *Network, docs []*corpus.Document, 
 func TestHotTermAdvisoryConsistentUnderSingleDrop(t *testing.T) {
 	owners, hotAt := advisoryOwners(t)
 
-	// Baseline, no faults: the advisory retires "hot" from the first
-	// document and the entry is gone.
+	// Baseline, no faults: the advisory retires "hot" from every document
+	// and the entries are gone.
 	sim, n, docs := advisoryNet(t, owners)
 	before := sim.Stats().CallsByDest[hotAt]
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("baseline LearnAll: %v", err)
 	}
 	total := sim.Stats().CallsByDest[hotAt] - before
@@ -133,16 +138,14 @@ func TestHotTermAdvisoryConsistentUnderSingleDrop(t *testing.T) {
 		t.Fatal("baseline learning sweep made no calls to the hot term's indexing peer")
 	}
 	checkAdvisoryConsistent(t, n, docs, "baseline")
-	if got := n.BannedTerms(docs[0].ID); len(got) != 1 || got[0] != "hot" {
-		t.Fatalf("baseline: banned terms for d1 = %v, want [hot]", got)
-	}
+	checkHotRetired(t, n, docs, "baseline")
 
 	// Fault sweep: one dropped call per run, at every position.
 	sawDroppedRetirement := false
 	for skip := int64(0); skip < total; skip++ {
 		sim, n, docs := advisoryNet(t, owners)
 		sim.DropCallsAfter(hotAt, int(skip), 1)
-		_, _ = n.LearnAll() // a dropped publish may surface as an error; consistency must hold regardless
+		_, _ = n.LearnAllCtx(context.Background()) // a dropped publish may surface as an error; consistency must hold regardless
 		checkAdvisoryConsistent(t, n, docs, fmt.Sprintf("skip=%d", skip))
 
 		di, _ := n.DocIndexInfo(docs[0].ID)
@@ -173,15 +176,24 @@ func TestHotTermAdvisoryRetriesAfterFault(t *testing.T) {
 	// the poll that flags the hot term may or may not land — either way no
 	// retirement can complete this round.
 	sim.DropCalls(hotAt, 1<<20)
-	_, _ = n.LearnAll()
+	_, _ = n.LearnAllCtx(context.Background())
 	checkAdvisoryConsistent(t, n, docs, "faulted sweep")
 
 	sim.DropCalls(hotAt, 0)
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("healthy LearnAll: %v", err)
 	}
 	checkAdvisoryConsistent(t, n, docs, "healthy sweep")
-	if got := n.BannedTerms(docs[0].ID); len(got) != 1 || got[0] != "hot" {
-		t.Fatalf("after retry: banned terms for d1 = %v, want [hot]", got)
+	checkHotRetired(t, n, docs, "after retry")
+}
+
+// checkHotRetired asserts that every document has retired "hot" and nothing
+// else.
+func checkHotRetired(t *testing.T, n *Network, docs []*corpus.Document, tag string) {
+	t.Helper()
+	for _, d := range docs {
+		if got := n.BannedTerms(d.ID); len(got) != 1 || got[0] != "hot" {
+			t.Fatalf("%s: banned terms for %s = %v, want [hot]", tag, d.ID, got)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -156,7 +157,7 @@ func TestAlgorithm1SelectionEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if _, err := n.LearnAll(); err != nil {
+		if _, err := n.LearnAllCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,12 +243,12 @@ func TestPollDedupAtScale(t *testing.T) {
 		}
 		reply, err := n.Ring().Net().Call(p.Addr(), ref.Addr, simnet.Message{
 			Type:    msgPoll,
-			Payload: pollReq{Term: term, Doc: "D", DocTerms: docTerms, Since: 0},
+			Payload: pollReq{Docs: []pollDoc{{Doc: "D", DocTerms: docTerms, Terms: []pollTerm{{Term: term}}}}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range reply.Payload.(pollResp).Queries {
+		for _, q := range reply.Payload.(pollResp).Items[0].Queries {
 			delivered[canonicalQuery(q)]++
 		}
 	}

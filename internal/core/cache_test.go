@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -216,7 +217,7 @@ func testNoStalePostingsAfterMutations(t *testing.T, replicas int) {
 		return nil
 	})
 	step("learning", true, func(n *Network) error {
-		_, err := n.LearnAll()
+		_, err := n.LearnAllCtx(context.Background())
 		return err
 	})
 	step("unshare", true, func(n *Network) error {
@@ -334,7 +335,7 @@ func TestWriteInvalidatesOnlyItsTerms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if changes, err := n.LearnDoc("w1"); err != nil || changes == 0 {
+	if changes, err := n.LearnDocCtx(context.Background(), "w1"); err != nil || changes == 0 {
 		t.Fatalf("LearnDoc(w1) = %d, %v; want a newly published term", changes, err)
 	}
 	check("learn", true, "chi")
@@ -369,7 +370,7 @@ func TestHistoryParityWithCache(t *testing.T) {
 		}
 	}
 	for _, n := range []*Network{cacheOff, cacheOn} {
-		if _, err := n.LearnAll(); err != nil {
+		if _, err := n.LearnAllCtx(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -469,7 +470,7 @@ func TestConcurrentSearchPublishUnshare(t *testing.T) {
 					}
 				}
 				if i%7 == 0 {
-					if _, err := n.LearnAll(); err != nil {
+					if _, err := n.LearnAllCtx(context.Background()); err != nil {
 						t.Errorf("LearnAll: %v", err)
 						return
 					}

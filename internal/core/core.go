@@ -19,7 +19,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -79,8 +78,9 @@ type Config struct {
 	// disables it all, preserving the paper's exact message counts.
 	Resilience ResilienceConfig
 	// Parallelism bounds the query execution engine's per-term fan-out: the
-	// number of concurrent DHT lookups/postings fetches per query, and the
-	// concurrent document sweeps in LearnAll/RefreshAll. 0 derives the bound
+	// number of concurrent DHT lookups/postings fetches per query, the
+	// concurrent exchanges of each phase of a learning sweep, and the
+	// concurrent document refreshes in RefreshAll. 0 derives the bound
 	// from GOMAXPROCS; 1 is the legacy sequential path. Results are
 	// bit-identical across settings (see internal/fanout).
 	Parallelism int
@@ -113,6 +113,7 @@ type netMetrics struct {
 	pollQueries      *telemetry.Counter
 	learnRounds      *telemetry.Counter
 	learnChanges     *telemetry.Counter
+	learnRerouted    *telemetry.Counter
 	termsPublished   *telemetry.Counter
 	termsRetired     *telemetry.Counter
 	expansionRounds  *telemetry.Counter
@@ -144,6 +145,7 @@ func newNetMetrics(reg *telemetry.Registry) netMetrics {
 		pollQueries:      reg.Counter("sprite.polls.queries_returned"),
 		learnRounds:      reg.Counter("sprite.learn.rounds"),
 		learnChanges:     reg.Counter("sprite.learn.index_changes"),
+		learnRerouted:    reg.Counter("sprite.learn.rerouted"),
 		termsPublished:   reg.Counter("sprite.index.terms_published"),
 		termsRetired:     reg.Counter("sprite.index.terms_retired"),
 		expansionRounds:  reg.Counter("sprite.search.expansions"),
@@ -264,7 +266,7 @@ type Network struct {
 	sketcher *sketch.Sketcher
 	// exec is the query execution engine's fan-out executor. Per-term
 	// pipelines (searchCtx, insertQuery, expansion) and owner sweeps
-	// (LearnAll, RefreshAll, replication) all share its concurrency bound.
+	// (learning, RefreshAll, replication) all share its concurrency bound.
 	exec *fanout.Executor
 
 	// mu guards the membership and ownership maps below. It is never held
@@ -506,24 +508,16 @@ func (n *Network) ProbeCtx(ctx context.Context, from simnet.Addr, terms []string
 	return p.searchCtx(ctx, terms, k, false, nil)
 }
 
-// LearnAll runs one learning iteration (§5.3, Algorithm 1) for every shared
-// document, in share order. It returns the total number of index-term
-// changes (additions plus replacements) applied across the network. The
-// sweep runs over a snapshot of the document set; documents unshared
-// concurrently are skipped rather than failing the sweep.
-func (n *Network) LearnAll() (changes int, err error) {
-	return n.LearnAllCtx(context.Background())
-}
-
-// LearnAllCtx is LearnAll honoring ctx: polls and re-publications carry the
-// caller's deadline, and the sweep stops at the first cancellation.
-//
-// With Parallelism > 1 the per-document iterations run concurrently (each
-// document's polls and publishes are independent of the others'), except when
-// the HotTermDF advisory is enabled: the advisory reads each poll's IndexedDF,
-// which concurrent publishes from other documents would perturb in a
-// schedule-dependent way, so that configuration keeps the sequential sweep to
-// preserve determinism.
+// LearnAllCtx runs one learning iteration (§5.3, Algorithm 1) for every
+// shared document and returns the total number of index-term changes
+// (additions plus replacements) applied across the network. The sweep runs
+// over a snapshot of the document set; documents unshared concurrently are
+// skipped rather than failing it. It runs in three network-wide phases — every
+// owner polls, every document folds, every owner publishes — with one poll
+// and one publish per owner and indexing peer (see learn.go), so the result
+// does not depend on Parallelism: every poll reads the indexing peers' state
+// before any publish or withdrawal of the sweep. Polls and re-publications
+// carry ctx's deadline, and a done ctx stops the sweep.
 func (n *Network) LearnAllCtx(ctx context.Context) (changes int, err error) {
 	n.mu.RLock()
 	docs := make([]index.DocID, len(n.docOrder))
@@ -533,47 +527,12 @@ func (n *Network) LearnAllCtx(ctx context.Context) (changes int, err error) {
 		owners[i] = n.ownerOf[id]
 	}
 	n.mu.RUnlock()
-	if !n.exec.Parallel() || n.cfg.HotTermDF > 0 {
-		for i, id := range docs {
-			p := owners[i]
-			if p == nil {
-				continue
-			}
-			ch, lerr := p.learnDoc(ctx, id)
-			if lerr != nil {
-				if errors.Is(lerr, errNotOwned) {
-					continue
-				}
-				return changes, fmt.Errorf("core: learning %s: %w", id, lerr)
-			}
-			changes += ch
-		}
-		return changes, nil
-	}
-	chs, errs := fanout.Map(ctx, n.exec, "learn_doc", len(docs), func(ctx context.Context, i int) (int, error) {
-		if owners[i] == nil {
-			return 0, nil
-		}
-		return owners[i].learnDoc(ctx, docs[i])
-	})
-	for i, lerr := range errs {
-		if lerr != nil {
-			if errors.Is(lerr, errNotOwned) {
-				continue
-			}
-			return changes, fmt.Errorf("core: learning %s: %w", docs[i], lerr)
-		}
-		changes += chs[i]
-	}
-	return changes, nil
+	return n.learn(ctx, docs, owners)
 }
 
-// LearnDoc runs one learning iteration for a single document.
-func (n *Network) LearnDoc(doc index.DocID) (int, error) {
-	return n.LearnDocCtx(context.Background(), doc)
-}
-
-// LearnDocCtx is LearnDoc honoring ctx. An unshared doc wraps ErrNoSuchDoc.
+// LearnDocCtx runs one learning iteration for a single document: the sweep
+// of LearnAllCtx over that document alone. An unshared doc wraps
+// ErrNoSuchDoc.
 func (n *Network) LearnDocCtx(ctx context.Context, doc index.DocID) (int, error) {
 	n.mu.RLock()
 	p, ok := n.ownerOf[doc]
@@ -581,7 +540,13 @@ func (n *Network) LearnDocCtx(ctx context.Context, doc index.DocID) (int, error)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchDoc, doc)
 	}
-	return p.learnDoc(ctx, doc)
+	p.mu.Lock()
+	_, owned := p.owned[doc]
+	p.mu.Unlock()
+	if !owned {
+		return 0, fmt.Errorf("core: peer %s: %q: %w", p.Addr(), doc, errNotOwned)
+	}
+	return n.learn(ctx, []index.DocID{doc}, []*Peer{p})
 }
 
 // IndexedTerms returns the current global index terms of a shared document,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sync"
@@ -168,7 +169,7 @@ func TestLearnAddsQueriedTerms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	changes, err := n.LearnAll()
+	changes, err := n.LearnAllCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestLearnRespectsCapAndReplaces(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	terms, _ := n.IndexedTerms("doc1")
@@ -245,14 +246,14 @@ func TestLearnIncrementalWatermark(t *testing.T) {
 	}
 	n.InsertQuery("p3", []string{"a", "c"})
 	n.InsertQuery("p3", []string{"a", "d"})
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	termsAfter1, _ := n.IndexedTerms("doc1")
 
 	net := n.Ring().Net().(*simnet.Network)
 	net.ResetStats()
-	changes, err := n.LearnAll()
+	changes, err := n.LearnAllCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +285,7 @@ func TestLearnedTermImprovesSearch(t *testing.T) {
 	// A user finds the doc via "common" but their query also had "niche".
 	n.InsertQuery("p4", []string{"common", "niche"})
 	n.InsertQuery("p4", []string{"common", "niche"})
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after, _ := n.Search("p4", []string{"niche"}, 5)
@@ -379,16 +380,16 @@ func TestPollDeduplication(t *testing.T) {
 		}
 		reply, err := n.ring.Net().Call(p.Addr(), ref.Addr, simnet.Message{
 			Type: msgPoll,
-			Payload: pollReq{
-				Term: term, Doc: "doc1",
+			Payload: pollReq{Docs: []pollDoc{{
+				Doc:      "doc1",
 				DocTerms: []string{"aaa", "bbb"},
-				Since:    0,
-			},
+				Terms:    []pollTerm{{Term: term}},
+			}}},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		count += len(reply.Payload.(pollResp).Queries)
+		count += len(reply.Payload.(pollResp).Items[0].Queries)
 	}
 	if count != 1 {
 		t.Fatalf("query returned %d times across polls, want exactly 1", count)
@@ -446,7 +447,7 @@ func TestHistoryRepeatsDriveQF(t *testing.T) {
 		n.InsertQuery("p3", []string{"anchor", "hotterm"})
 	}
 	n.InsertQuery("p3", []string{"anchor", "coldterm"})
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	terms, _ := n.IndexedTerms("D")
@@ -510,7 +511,7 @@ func TestConcurrentSearchDuringLearning(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if _, err := n.LearnAll(); err != nil {
+			if _, err := n.LearnAllCtx(context.Background()); err != nil {
 				errs <- err
 				return
 			}
@@ -536,7 +537,7 @@ func TestConcurrentLearnAndInspect(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
 			n.InsertQuery("p3", []string{"aa", "cc"})
-			n.LearnDoc("hotdoc")
+			n.LearnDocCtx(context.Background(), "hotdoc")
 		}
 	}()
 	go func() {

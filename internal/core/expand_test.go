@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/index"
@@ -156,55 +157,41 @@ func TestHotTermAdvisoryDropsUbiquitousTerm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// All 8 docs index "ubiquit" (df = 8 >= threshold 5). The advisory is
-	// self-stabilizing: owners drop the term one by one until its indexed
-	// document frequency falls below the threshold, then stop — the term is
-	// no longer hot and the survivors keep their (now discriminative) entry.
-	if _, err := n.LearnAll(); err != nil {
+	// All 8 docs index "ubiquit" (df = 8 >= threshold 5). Every poll of a
+	// sweep reads the indexed document frequency before any withdrawal of the
+	// sweep, so every owner sees 8 and every document retires the term — the
+	// same decision whatever the order or parallelism of the sweep.
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	df := 0
 	for _, p := range n.Peers() {
 		df += p.Index().DocFreq("ubiquit")
 	}
-	if df >= 5 {
-		t.Fatalf("hot term df = %d, want < threshold 5", df)
+	if df != 0 {
+		t.Fatalf("hot term df = %d after the sweep, want every posting retired", df)
 	}
-	if df == 0 {
-		t.Fatal("advisory over-reacted: every posting dropped")
-	}
-	dropped := 0
 	for i := 0; i < 8; i++ {
-		id := string(rune('a' + i))
-		terms, _ := n.IndexedTerms(index.DocID(id))
-		has := false
-		for _, term := range terms {
-			if term == "ubiquit" {
-				has = true
-			}
+		id := index.DocID(rune('a' + i))
+		terms, _ := n.IndexedTerms(id)
+		// The freed slot must have been refilled — the doc stays at its term
+		// budget rather than shrinking.
+		if len(terms) < 2 {
+			t.Fatalf("doc %s under-indexed after advisory: %v", id, terms)
 		}
-		if !has {
-			dropped++
-			// The freed slot must have been refilled — the doc stays at its
-			// term budget rather than shrinking.
-			if len(terms) < 2 {
-				t.Fatalf("doc %s under-indexed after advisory: %v", id, terms)
-			}
+		if banned := n.BannedTerms(id); len(banned) != 1 || banned[0] != "ubiquit" {
+			t.Fatalf("doc %s banned %v, want [ubiquit]", id, banned)
 		}
 	}
-	if dropped < 4 {
-		t.Fatalf("only %d docs dropped the hot term", dropped)
-	}
-	// A second iteration must not oscillate (re-add then re-drop).
-	if _, err := n.LearnAll(); err != nil {
+	// A second iteration must not oscillate: a retired term is never
+	// re-selected.
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	df2 := 0
 	for _, p := range n.Peers() {
-		df2 += p.Index().DocFreq("ubiquit")
-	}
-	if df2 != df {
-		t.Fatalf("advisory oscillated: df %d -> %d", df, df2)
+		if got := p.Index().DocFreq("ubiquit"); got != 0 {
+			t.Fatalf("advisory oscillated: %s indexes the retired term for %d docs", p.Addr(), got)
+		}
 	}
 }
 
@@ -216,7 +203,7 @@ func TestHotTermAdvisoryDisabledByDefault(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	stillIndexed := false

@@ -54,8 +54,8 @@ func BenchmarkPoll(b *testing.B) {
 		for j := 0; j < 64; j++ {
 			state.cacheQuery(queries[(i*64+j)%len(queries)])
 		}
-		pollSink = state.poll(pollReq{Term: docTerms[i%len(docTerms)], DocTerms: docTerms})
+		pollSink = state.poll(docTerms[i%len(docTerms)], docTerms, 0, nil)
 	}
 }
 
-var pollSink pollResp
+var pollSink pollResult

@@ -76,19 +76,19 @@ func (h *scanHistory) restoreInto(cap int) {
 	}
 }
 
-func (h *scanHistory) poll(ix *index.Inverted, req pollReq) pollResp {
-	resp := pollResp{NewSince: h.seq, IndexedDF: ix.DocFreq(req.Term)}
+func (h *scanHistory) poll(ix *index.Inverted, term string, docTerms []string, since uint64) pollResult {
+	resp := pollResult{NewSince: h.seq, IndexedDF: ix.DocFreq(term)}
 	for _, sq := range h.entries {
-		if sq.seq <= req.Since || !containsTerm(sq.terms, req.Term) {
+		if sq.seq <= since || !containsTerm(sq.terms, term) {
 			continue
 		}
 		var candidates []string
-		for _, dt := range req.DocTerms {
+		for _, dt := range docTerms {
 			if containsTerm(sq.terms, dt) {
 				candidates = append(candidates, dt)
 			}
 		}
-		if eagerClosestTerm(queryHash(sq.terms), candidates) != req.Term {
+		if eagerClosestTerm(queryHash(sq.terms), candidates) != term {
 			continue
 		}
 		resp.Queries = append(resp.Queries, append([]string(nil), sq.terms...))
@@ -157,14 +157,15 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 					ref.record(q)
 				}
 			case op < 18:
-				req := pollReq{Term: vocab[rng.Intn(len(vocab))], DocTerms: pick()}
-				req.DocTerms = append(req.DocTerms, req.Term)
+				term := vocab[rng.Intn(len(vocab))]
+				docTerms := append(pick(), term)
+				var since uint64
 				if state.seq > 0 {
-					req.Since = uint64(rng.Int63n(int64(state.seq) + 1))
+					since = uint64(rng.Int63n(int64(state.seq) + 1))
 				}
-				want := ref.poll(state.ix, req)
-				if got := state.poll(req); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: poll(%+v) = %+v, reference %+v", seed, step, req, got, want)
+				want := ref.poll(state.ix, term, docTerms, since)
+				if got := state.poll(term, docTerms, since, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: poll(%s, %v, %d) = %+v, reference %+v", seed, step, term, docTerms, since, got, want)
 				}
 			default:
 				var buf bytes.Buffer
@@ -226,8 +227,8 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 
 	// Entries 3 ({"a", "c"}) and 5 ({"e", "a"}) mention "a"; only 5 is past
 	// the watermark, so only 5 is placed.
-	req := pollReq{Term: "a", DocTerms: []string{"a"}, Since: 3}
-	before := state.poll(req)
+	poll := func() pollResult { return state.poll("a", []string{"a"}, 3, nil) }
+	before := poll()
 	if want := [][]string{{"e", "a"}}; !reflect.DeepEqual(before.Queries, want) {
 		t.Fatalf("poll = %v, want %v", before.Queries, want)
 	}
@@ -248,7 +249,7 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 	if got := keyed(); len(got) != 0 {
 		t.Fatalf("restored entries carry keys %q before any poll", got)
 	}
-	if after := state.poll(req); !reflect.DeepEqual(after, before) {
+	if after := poll(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("poll after restore = %+v, before the snapshot %+v", after, before)
 	}
 }
@@ -278,7 +279,7 @@ func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				state.poll(pollReq{Term: vocab[(w+i)%len(vocab)], DocTerms: vocab})
+				state.poll(vocab[(w+i)%len(vocab)], vocab, 0, nil)
 			}
 		}(w)
 	}
@@ -293,8 +294,7 @@ func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
 		ref.entries = append(ref.entries, refQuery{terms: sq.terms, seq: sq.seq})
 	}
 	for _, term := range vocab {
-		req := pollReq{Term: term, DocTerms: vocab}
-		if got, want := state.poll(req), ref.poll(state.ix, req); !reflect.DeepEqual(got, want) {
+		if got, want := state.poll(term, vocab, 0, nil), ref.poll(state.ix, term, vocab, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("poll(%s) = %+v, reference %+v", term, got, want)
 		}
 	}

@@ -52,6 +52,7 @@ func (p *Peer) unshare(docID index.DocID) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	st.unshared = true
 	p.flushStale(st)
 	for _, term := range sortedIndexedTerms(st) {
 		// Best-effort: a dead indexing peer takes its entries with it.

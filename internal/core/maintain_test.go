@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -52,7 +53,7 @@ func TestUnshareRemovesFromLearningSweep(t *testing.T) {
 	if got := n.Documents(); len(got) != 1 || got[0] != "b" {
 		t.Fatalf("Documents = %v", got)
 	}
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("LearnAll after unshare: %v", err)
 	}
 }

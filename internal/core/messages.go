@@ -12,8 +12,8 @@ import (
 // SPRITE's application-level message types, dispatched by chord.Node to the
 // owning Peer. Sizes are simulated wire sizes for bandwidth accounting.
 const (
-	// msgPublish carries one (term, posting) pair from an owner peer to the
-	// indexing peer responsible for the term.
+	// msgPublish carries (term, posting) pairs from an owner peer to the
+	// indexing peer responsible for the terms.
 	msgPublish = "sprite.publish"
 	// msgUnpublish removes a (term, doc) posting — learning retired the term.
 	msgUnpublish = "sprite.unpublish"
@@ -24,9 +24,9 @@ const (
 	// msgCacheQuery inserts a query into an indexing peer's history without
 	// retrieving postings (the training-set insertion of §6.2).
 	msgCacheQuery = "sprite.cache_query"
-	// msgPoll is the owner peer's periodic index-update poll: it announces
-	// all global index terms of a document and asks for the new queries for
-	// which this peer holds the closest term (§3).
+	// msgPoll is the owner peer's periodic index-update poll: per document it
+	// announces all global index terms and asks, per polled term, for the new
+	// queries for which this peer holds the closest term (§3).
 	msgPoll = "sprite.poll"
 	// msgReplica pushes a copy of an index entry to a successor peer (§7).
 	msgReplica = "sprite.replica"
@@ -59,9 +59,36 @@ const (
 	msgReplicaRetire = "sprite.repair.retire"
 )
 
+// publishReq carries (term, posting) pairs from one owner peer to one
+// indexing peer: a single pair when it is routed by the term's key, every pair
+// bound for the peer when the owner addresses it from its own records.
 type publishReq struct {
+	Items []publishItem
+	// CheckArc asks the receiver to check each item's key against its own
+	// arc (chord.Node.Serves) and refuse what it does not serve: set when the
+	// owner picked the receiver itself rather than letting the ring route.
+	CheckArc bool
+}
+
+type publishItem struct {
 	Term    string
 	Posting index.Posting
+}
+
+// size is the request's simulated wire size: each item's term and posting,
+// so a batch of one costs what a single publish always has.
+func (r publishReq) size() int {
+	n := 0
+	for _, it := range r.Items {
+		n += len(it.Term) + it.Posting.WireSize()
+	}
+	return n
+}
+
+// publishResp lists, by position in the request, the items the receiver
+// refused because their keys are outside its arc; the rest it indexed.
+type publishResp struct {
+	Refused []int
 }
 
 type unpublishReq struct {
@@ -106,19 +133,79 @@ type cacheQueryReq struct {
 	Query []string
 }
 
+// pollReq is an owner peer's index-update poll of one indexing peer: for
+// each document, its global index terms once and the terms to poll with their
+// watermarks. One document with one term is a single (document, term) poll.
 type pollReq struct {
-	Term string
-	Doc  index.DocID
+	Docs []pollDoc
+	// CheckArc is publishReq's: refuse the items whose keys are not this
+	// peer's to serve.
+	CheckArc bool
+}
+
+type pollDoc struct {
+	Doc index.DocID
 	// DocTerms lists all current global index terms of the document, so the
 	// indexing peer can decide for which cached queries it is the
 	// closest-term peer (§3's de-duplication).
 	DocTerms []string
+	Terms    []pollTerm
+}
+
+type pollTerm struct {
+	Term string
 	// Since is the history watermark from the previous poll; only newer
 	// queries are returned (Algorithm 1's incremental query set).
 	Since uint64
 }
 
+// size is the poll's simulated wire size. One (document, term) item costs
+// what a single poll always has — the term, the document's terms and an
+// 8-byte watermark — and every further document or term adds what the codec
+// writes for it: a document its ID, terms and two list counts, a term itself,
+// its length byte and a watermark varint of about two bytes.
+func (r pollReq) size() int {
+	n, terms := 8, 0
+	for i, d := range r.Docs {
+		n += sizeTerms(d.DocTerms)
+		if i > 0 {
+			n += len(d.Doc) + 3
+		}
+		for _, t := range d.Terms {
+			n += len(t.Term)
+		}
+		terms += len(d.Terms)
+	}
+	return n + 3*max(terms-1, 0)
+}
+
+// pollResp answers a pollReq item by item, document by document and term by
+// term in request order.
 type pollResp struct {
+	Items []pollResult
+}
+
+// size is the reply's simulated wire size. One served item costs what a
+// single poll's reply always has — its queries' terms and 8 bytes — and each
+// further item its queries' terms and 6 bytes, or a byte if refused.
+func (r pollResp) size() int {
+	n := 2
+	for _, it := range r.Items {
+		n++
+		if !it.Refused {
+			n += 5
+			for _, q := range it.Queries {
+				n += sizeTerms(q)
+			}
+		}
+	}
+	return n
+}
+
+type pollResult struct {
+	// Refused reports that the term's key is outside the answering peer's
+	// arc (a CheckArc request only); nothing else is set.
+	Refused  bool
 	Queries  [][]string
 	NewSince uint64
 	// IndexedDF is the polled term's current indexed document frequency at

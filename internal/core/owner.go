@@ -18,8 +18,9 @@ import (
 )
 
 // This file implements the owner-peer role: initial term selection (§5.2),
-// the periodic learning iteration (§5.3, Algorithm 1), and query processing
-// from the querying peer's side (§4).
+// the rank list of the periodic learning iteration (§5.3, Algorithm 1; the
+// sweep that runs it is in learn.go), and query processing from the querying
+// peer's side (§4).
 
 // docState is the owner's per-document learning state. Per Algorithm 1, the
 // owner does not retain past queries — only, per term of the document, the
@@ -59,6 +60,10 @@ type docState struct {
 	// failed leaves the address here, and later refreshes/unshares retry
 	// until the copy is confirmed gone (or the holder leaves for good).
 	stale map[string][]simnet.Addr
+	// unshared is set by unshare: a learning sweep that found the state
+	// before the document left and locked it after must leave it alone, or
+	// it would publish postings for a document nobody owns.
+	unshared bool
 }
 
 // pollMark is a poll watermark with the peer it belongs to: Since is a
@@ -76,11 +81,6 @@ func (m pollMark) sinceAt(at simnet.Addr) uint64 {
 	}
 	return m.Since
 }
-
-// pollHint maps the peer a poll is bound for to the owner hint its route is
-// given: the identity. A variable so that a test can route the polls unhinted
-// and demand the same learning (export_test.go); nothing else assigns it.
-var pollHint = func(at simnet.Addr) simnet.Addr { return at }
 
 type termStat struct {
 	qf    int     // cumulative query frequency QF(t)
@@ -156,12 +156,23 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 // publishTerm routes a (term → posting) publication through the DHT to the
 // term's indexing peer and records it in the document's indexed set.
 func (p *Peer) publishTerm(ctx context.Context, st *docState, term string) error {
+	at, err := p.routePublish(ctx, st, term)
+	if err != nil {
+		return err
+	}
+	p.recordPublished(st, term, at)
+	return nil
+}
+
+// routePublish routes st's posting for term to the term's indexing peer and
+// returns the peer that accepted it, with no docState bookkeeping: it only
+// reads st, so it is safe while the caller holds st.mu across a fan-out.
+func (p *Peer) routePublish(ctx context.Context, st *docState, term string) (simnet.Addr, error) {
 	_, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), p.publishMsg(st, term), nil, "")
 	if err != nil {
-		return fmt.Errorf("core: publish %q: %w", term, err)
+		return "", fmt.Errorf("core: publish %q: %w", term, err)
 	}
-	p.recordPublished(st, term, owner.Addr)
-	return nil
+	return owner.Addr, nil
 }
 
 // publishTermTo publishes to a known indexing peer and, on success, records
@@ -185,21 +196,22 @@ func (p *Peer) recordPublished(st *docState, term string, target simnet.Addr) {
 	st.publishedAt[term] = target
 }
 
-// publishMsg builds the publication of st's posting for term. It only reads
-// st, so it is safe while the caller holds st.mu across a fan-out.
-func (p *Peer) publishMsg(st *docState, term string) simnet.Message {
-	posting := index.Posting{
+// itemFor is st's (term, posting) pair for term. It only reads st, so it is
+// safe while the caller holds st.mu across a fan-out.
+func (p *Peer) itemFor(st *docState, term string) publishItem {
+	return publishItem{Term: term, Posting: index.Posting{
 		Doc:    st.doc.ID,
 		Owner:  string(p.Addr()),
 		Freq:   st.doc.TF[term],
 		DocLen: st.doc.Length,
 		Sketch: st.sketch,
-	}
-	return simnet.Message{
-		Type:    msgPublish,
-		Payload: publishReq{Term: term, Posting: posting},
-		Size:    len(term) + posting.WireSize(),
-	}
+	}}
+}
+
+// publishMsg builds the publication of st's posting for term alone.
+func (p *Peer) publishMsg(st *docState, term string) simnet.Message {
+	req := publishReq{Items: []publishItem{p.itemFor(st, term)}}
+	return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
 }
 
 // sendPublish performs the raw publish call with no docState bookkeeping; it
@@ -297,7 +309,8 @@ func (p *Peer) insertQuery(ctx context.Context, terms []string) error {
 }
 
 // errNotOwned reports a learning request for a document this peer no longer
-// owns (it raced with an unshare); sweeps skip it rather than failing.
+// owns (it raced with an unshare). LearnDocCtx returns it; a sweep over many
+// documents skips such a document instead.
 var errNotOwned = errors.New("document not owned by peer")
 
 // search implements §4's query processing from the querying peer: hash each
@@ -456,136 +469,6 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 	return rl, nil
 }
 
-// learnDoc runs one learning iteration for a document (§5.3, Algorithm 1):
-//
-//  1. Poll the indexing peer of every current index term for the incremental
-//     query set Q′ (each query returned by exactly one peer).
-//  2. Fold Q′ into the per-term running statistics (max qScore, cumulative
-//     QF) and recompute Score(t) = qScore·log₁₀(QF) for the rank list RL.
-//  3. Publish up to TermsPerIteration new high-Score terms; once the
-//     MaxIndexTerms cap is reached, replace the lowest-scoring indexed terms
-//     instead (Fig. 2(a)'s insertion + replacement behaviour).
-//
-// It returns the number of index changes (publishes + replacements).
-func (p *Peer) learnDoc(ctx context.Context, docID index.DocID) (int, error) {
-	p.mu.Lock()
-	st := p.owned[docID]
-	p.mu.Unlock()
-	if st == nil {
-		return 0, fmt.Errorf("core: peer %s: %q: %w", p.Addr(), docID, errNotOwned)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	p.net.met.learnRounds.Inc()
-
-	// Step 1: pull the incremental query set.
-	docTerms := make([]string, 0, len(st.indexed))
-	for t := range st.indexed {
-		docTerms = append(docTerms, t)
-	}
-	sort.Strings(docTerms)
-
-	// The polls are pure reads of the indexing peers' histories, so they fan
-	// out; the watermark updates and incremental-set assembly fold in term
-	// order below (st.mu is held across the fan-out — workers never write st).
-	// Each poll is bound for the peer holding the term's posting, which is
-	// where the term's queries are recorded unless the ring has changed: that
-	// address is the route's owner hint, and the watermark goes along only if
-	// that peer issued it.
-	type pollOut struct {
-		resp pollResp
-		at   simnet.Addr
-	}
-	outs, perrs := fanout.Map(ctx, p.net.exec, "poll", len(docTerms), func(ctx context.Context, i int) (pollOut, error) {
-		term := docTerms[i]
-		mark, at := st.since[term], st.publishedAt[term]
-		req := pollReq{Term: term, Doc: docID, DocTerms: docTerms, Since: mark.sinceAt(at)}
-		msg := simnet.Message{Type: msgPoll, Payload: req, Size: len(term) + sizeTerms(docTerms) + 8}
-		reply, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), msg, nil, pollHint(at))
-		if since := mark.sinceAt(owner.Addr); err == nil && since != req.Since {
-			// The ring gave the poll to another peer, whose history it read
-			// with a watermark that is not its own: ask that peer again.
-			req.Since = since
-			msg.Payload = req
-			reply, err = p.net.ring.Net().CallCtx(ctx, p.Addr(), owner.Addr, msg)
-		}
-		if err != nil {
-			return pollOut{}, nil // indexing peer unreachable; learn from the rest
-		}
-		return pollOut{resp: reply.Payload.(pollResp), at: owner.Addr}, nil
-	})
-	// Workers never return errors themselves; a non-nil slot means the item
-	// was skipped because the context was done — abort, as the sequential
-	// loop's per-term ctx check did.
-	if cerr := fanout.FirstError(perrs); cerr != nil {
-		return 0, cerr
-	}
-	var incremental [][]string
-	var hot []string
-	for i, term := range docTerms {
-		if outs[i].at == "" {
-			continue
-		}
-		resp := outs[i].resp
-		st.since[term] = pollMark{At: outs[i].at, Since: resp.NewSince}
-		if p.net.cfg.HotTermDF > 0 && resp.IndexedDF >= p.net.cfg.HotTermDF {
-			hot = append(hot, term)
-		}
-		incremental = append(incremental, resp.Queries...)
-	}
-
-	// §7 hot-term advisory: drop terms whose indexed document frequency is
-	// so high that their IDF — and hence their contribution to similarity —
-	// is negligible, while their maintenance load on the indexing peer is
-	// maximal. The freed slots are refilled by this iteration's selection.
-	for _, term := range hot {
-		if len(st.indexed) <= 1 {
-			break // never strip a document's last index term
-		}
-		if st.banned == nil {
-			st.banned = make(map[string]bool)
-		}
-		st.banned[term] = true
-		// The advisory commits only if the entry's removal went through. On
-		// failure (the indexing peer died between the poll and the removal)
-		// the ban is rolled back and the term stays indexed, so the next
-		// iteration retries. Keeping the ban while the entry survives would
-		// wedge the document: the term would never be re-selected or
-		// refreshed, and the stale entry would resurface ownerless when the
-		// indexing peer recovers.
-		if err := p.unpublishTerm(ctx, st, term); err != nil {
-			delete(st.banned, term)
-			continue
-		}
-	}
-
-	// Step 2: fold Q′ into the running statistics (Algorithm 1 lines 4–16).
-	for _, q := range incremental {
-		qs := qScore(q, st.doc)
-		for i, t := range q {
-			// Each distinct term once: queries are a handful of terms, so a
-			// scan of the prefix de-duplicates without building a set.
-			if containsTerm(q[:i], t) || !st.doc.Contains(t) {
-				continue
-			}
-			ts := st.stats[t]
-			if ts == nil {
-				ts = &termStat{}
-				st.stats[t] = ts
-			}
-			ts.qf++
-			if qs > ts.maxQS {
-				ts.maxQS = qs
-			}
-		}
-	}
-
-	// Step 3: rebuild the rank list and apply additions/replacements.
-	changes, err := p.applyRankList(ctx, st)
-	p.net.met.learnChanges.Add(int64(changes))
-	return changes, err
-}
-
 // rankedTerm pairs a term with its learning rank key.
 type rankedTerm struct {
 	term  string
@@ -618,7 +501,14 @@ func (p *Peer) rankList(st *docState) []rankedTerm {
 	return rl
 }
 
-func (p *Peer) applyRankList(ctx context.Context, st *docState) (int, error) {
+// applyRankList is Algorithm 1's step 3 over st's rank list: publish up to
+// TermsPerIteration new high-Score terms; once the MaxIndexTerms cap is
+// reached, replace the lowest-scoring indexed terms instead (Fig. 2(a)'s
+// insertion + replacement behaviour). It returns the number of index changes
+// (publishes + replacements). Replaced terms are withdrawn here; each new term
+// goes to publish, which must add it to st.indexed before it returns nil —
+// the learning sweep defers the message and only marks the term.
+func (p *Peer) applyRankList(ctx context.Context, st *docState, publish func(term string) error) (int, error) {
 	rl := p.rankList(st)
 	budget := p.net.cfg.TermsPerIteration
 	cap := p.net.cfg.MaxIndexTerms
@@ -644,7 +534,7 @@ func (p *Peer) applyRankList(ctx context.Context, st *docState) (int, error) {
 			continue
 		}
 		if len(st.indexed) < cap {
-			if err := p.publishTerm(ctx, st, cand.term); err != nil {
+			if err := publish(cand.term); err != nil {
 				return changes, err
 			}
 			changes++
@@ -665,7 +555,7 @@ func (p *Peer) applyRankList(ctx context.Context, st *docState) (int, error) {
 			if err := p.unpublishTerm(ctx, st, worst); err != nil {
 				return changes, err
 			}
-			if err := p.publishTerm(ctx, st, cand.term); err != nil {
+			if err := publish(cand.term); err != nil {
 				return changes, err
 			}
 			changes++
@@ -691,7 +581,7 @@ func (p *Peer) applyRankList(ctx context.Context, st *docState) (int, error) {
 			if st.indexed[term] || st.banned[term] {
 				continue
 			}
-			if err := p.publishTerm(ctx, st, term); err != nil {
+			if err := publish(term); err != nil {
 				return changes, err
 			}
 			changes++

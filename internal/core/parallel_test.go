@@ -51,7 +51,7 @@ func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 			t.Fatalf("InsertQuery %v: %v", q, err)
 		}
 	}
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("LearnAll: %v", err)
 	}
 	queries := [][]string{
@@ -68,7 +68,7 @@ func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 		}
 		out = append(out, rl)
 	}
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("second LearnAll: %v", err)
 	}
 	erl, _, err := n.SearchExpanded("p1", []string{"chord", "dht"}, 10, ExpandOptions{})
@@ -203,7 +203,7 @@ func TestParallelEngineRaceRegression(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			n.LearnAll()
+			n.LearnAllCtx(context.Background())
 		}
 	}()
 	go func() {

@@ -61,10 +61,17 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 	switch msg.Type {
 	case msgPublish:
 		req := msg.Payload.(publishReq)
-		p.indexing.publish(req.Term, req.Posting)
-		p.replicateOut(req.Term, req.Posting)
-		p.net.caches.invalidateTerm(req.Term)
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
+		var resp publishResp
+		for i, it := range req.Items {
+			if req.CheckArc && !p.node.Serves(chordid.HashKey(it.Term)) {
+				resp.Refused = append(resp.Refused, i)
+				continue
+			}
+			p.indexing.publish(it.Term, it.Posting)
+			p.replicateOut(it.Term, it.Posting)
+			p.net.caches.invalidateTerm(it.Term)
+		}
+		return simnet.Message{Type: msg.Type, Payload: resp, Size: 1 + 2*len(resp.Refused)}, nil
 
 	case msgUnpublish:
 		req := msg.Payload.(unpublishReq)
@@ -106,15 +113,8 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
 	case msgPoll:
-		req := msg.Payload.(pollReq)
-		resp := p.indexing.poll(req)
-		p.net.met.pollsServed.Inc()
-		p.net.met.pollQueries.Add(int64(len(resp.Queries)))
-		size := 8
-		for _, q := range resp.Queries {
-			size += sizeTerms(q)
-		}
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: size}, nil
+		resp := p.handlePoll(msg.Payload.(pollReq))
+		return simnet.Message{Type: msg.Type, Payload: resp, Size: resp.size()}, nil
 
 	case msgReplica:
 		req := msg.Payload.(replicaReq)
@@ -426,33 +426,56 @@ func (s *indexingState) restoreHistory(h []storedQuery) {
 	}
 }
 
-// poll answers an owner's index-update poll: among cached queries newer than
-// the watermark that mention req.Term, return those for which req.Term is
-// the closest of the document's global index terms to the query hash —
-// guaranteeing each query is shipped to the owner by exactly one indexing
-// peer (§3).
-func (s *indexingState) poll(req pollReq) pollResp {
+// handlePoll answers a poll item by item. A CheckArc request's items whose
+// keys lie outside this peer's arc are refused, untouched: the owner sends
+// them by the per-term route instead, which is what makes the answer the
+// ring's and not a stale record's.
+func (p *Peer) handlePoll(req pollReq) pollResp {
+	var resp pollResp
+	for _, d := range req.Docs {
+		ids := make([]termID, len(d.DocTerms)) // shared by the document's terms
+		for _, t := range d.Terms {
+			if req.CheckArc && !p.node.Serves(chordid.HashKey(t.Term)) {
+				resp.Items = append(resp.Items, pollResult{Refused: true})
+				continue
+			}
+			r := p.indexing.poll(t.Term, d.DocTerms, t.Since, ids)
+			p.net.met.pollsServed.Inc()
+			p.net.met.pollQueries.Add(int64(len(r.Queries)))
+			resp.Items = append(resp.Items, r)
+		}
+	}
+	return resp
+}
+
+// poll answers one (document, term) item of an owner's index-update poll:
+// among cached queries newer than the watermark since that mention term,
+// return those for which term is the closest of the document's global index
+// terms to the query hash — guaranteeing each query is shipped to the owner
+// by exactly one indexing peer (§3). ids memoises the ring positions of
+// docTerms (see closestTerm) and may be shared by polls of the same document's
+// terms; nil allocates one.
+func (s *indexingState) poll(term string, docTerms []string, since uint64, ids []termID) pollResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := pollResp{NewSince: s.seq, IndexedDF: s.ix.DocFreq(req.Term)}
+	resp := pollResult{NewSince: s.seq, IndexedDF: s.ix.DocFreq(term)}
 	var matched []*storedQuery // valid while s.mu is held
-	var ids []termID           // ring positions of req.DocTerms, see closestTerm
 	for i := range s.history {
 		sq := &s.history[i]
-		if sq.seq <= req.Since {
+		if sq.seq <= since {
 			continue
 		}
-		if !containsTerm(sq.terms, req.Term) {
+		if !containsTerm(sq.terms, term) {
 			continue
 		}
 		if ids == nil {
-			ids = make([]termID, len(req.DocTerms))
+			ids = make([]termID, len(docTerms))
 		}
 		// Only document index terms that occur in the query can have the
 		// query cached at their indexing peers, so the closest-term election
 		// runs over that intersection; electing an absent term would leave
 		// the query unreturned by everyone.
-		if closestTerm(sq.canon(), sq.terms, req.DocTerms, ids) != req.Term {
+		if closestTerm(sq.canon(), sq.terms, docTerms, ids) != term {
 			continue
 		}
 		matched = append(matched, sq)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
@@ -201,7 +202,7 @@ func TestSimilarRouteTermsFollowLearning(t *testing.T) {
 	}
 	n.InsertQuery("p3", []string{"common", "niche"})
 	n.InsertQuery("p3", []string{"common", "niche"})
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after, err := n.SimilarRouteTerms("ld")

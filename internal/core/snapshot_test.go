@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -35,7 +36,7 @@ func snapshotFixture(t *testing.T) *Network {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	return n
@@ -119,11 +120,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	// ...and identical continued learning (watermarks survived).
-	ca, err := orig.LearnAll()
+	ca, err := orig.LearnAllCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb, err := restored.LearnAll()
+	cb, err := restored.LearnAllCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -122,7 +123,7 @@ func TestCountersAcrossLifecycle(t *testing.T) {
 	if reg.Counter("sprite.queries.cached").Value() == 0 {
 		t.Fatal("sprite.queries.cached did not tick")
 	}
-	if _, err := n.LearnAll(); err != nil {
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("LearnAll: %v", err)
 	}
 	if reg.Counter("sprite.learn.rounds").Value() == 0 {

@@ -19,13 +19,46 @@ func init() {
 	wire.RegisterBinary(wire.KindCoreBase+0, publishReq{},
 		func(e *wire.Encoder, v any) {
 			r := v.(publishReq)
-			e.String(r.Term)
-			encodePosting(e, r.Posting)
+			e.Uint(uint64(len(r.Items)))
+			for _, it := range r.Items {
+				e.String(it.Term)
+				encodePosting(e, it.Posting)
+			}
+			e.Bool(r.CheckArc)
 		},
 		func(d *wire.Decoder) any {
 			var r publishReq
-			r.Term = d.String()
-			r.Posting = decodePosting(d)
+			// A term's length byte and a posting's five fields.
+			if n := d.Count(6); n > 0 {
+				r.Items = make([]publishItem, n)
+				for i := range r.Items {
+					r.Items[i].Term = d.String()
+					r.Items[i].Posting = decodePosting(d)
+					if d.Err() != nil {
+						break
+					}
+				}
+			}
+			r.CheckArc = d.Bool()
+			return r
+		})
+
+	wire.RegisterBinary(wire.KindCoreBase+23, publishResp{},
+		func(e *wire.Encoder, v any) {
+			r := v.(publishResp)
+			e.Uint(uint64(len(r.Refused)))
+			for _, i := range r.Refused {
+				e.Int(int64(i))
+			}
+		},
+		func(d *wire.Decoder) any {
+			var r publishResp
+			if n := d.Count(1); n > 0 {
+				r.Refused = make([]int, n)
+				for i := range r.Refused {
+					r.Refused[i] = int(d.Int())
+				}
+			}
 			return r
 		})
 
@@ -115,40 +148,77 @@ func init() {
 	wire.RegisterBinary(wire.KindCoreBase+6, pollReq{},
 		func(e *wire.Encoder, v any) {
 			r := v.(pollReq)
-			e.String(r.Term)
-			e.String(string(r.Doc))
-			e.StringSlice(r.DocTerms)
-			e.Uint(r.Since)
+			e.Uint(uint64(len(r.Docs)))
+			for _, doc := range r.Docs {
+				e.String(string(doc.Doc))
+				e.StringSlice(doc.DocTerms)
+				e.Uint(uint64(len(doc.Terms)))
+				for _, t := range doc.Terms {
+					e.String(t.Term)
+					e.Uint(t.Since)
+				}
+			}
+			e.Bool(r.CheckArc)
 		},
 		func(d *wire.Decoder) any {
 			var r pollReq
-			r.Term = d.String()
-			r.Doc = index.DocID(d.String())
-			r.DocTerms = d.StringSlice()
-			r.Since = d.Uint()
+			// A document's ID length byte and its two list counts.
+			if n := d.Count(3); n > 0 {
+				r.Docs = make([]pollDoc, n)
+				for i := range r.Docs {
+					doc := &r.Docs[i]
+					doc.Doc = index.DocID(d.String())
+					doc.DocTerms = d.StringSlice()
+					if m := d.Count(2); m > 0 {
+						doc.Terms = make([]pollTerm, m)
+						for j := range doc.Terms {
+							doc.Terms[j] = pollTerm{Term: d.String(), Since: d.Uint()}
+						}
+					}
+					if d.Err() != nil {
+						break
+					}
+				}
+			}
+			r.CheckArc = d.Bool()
 			return r
 		})
 
 	wire.RegisterBinary(wire.KindCoreBase+7, pollResp{},
 		func(e *wire.Encoder, v any) {
 			r := v.(pollResp)
-			e.Uint(uint64(len(r.Queries)))
-			for _, q := range r.Queries {
-				e.StringSlice(q)
+			e.Uint(uint64(len(r.Items)))
+			for _, it := range r.Items {
+				e.Bool(it.Refused)
+				e.Uint(uint64(len(it.Queries)))
+				for _, q := range it.Queries {
+					e.StringSlice(q)
+				}
+				e.Uint(it.NewSince)
+				e.Int(int64(it.IndexedDF))
 			}
-			e.Uint(r.NewSince)
-			e.Int(int64(r.IndexedDF))
 		},
 		func(d *wire.Decoder) any {
 			var r pollResp
-			if n := d.Count(1); n > 0 {
-				r.Queries = make([][]string, n)
-				for i := range r.Queries {
-					r.Queries[i] = d.StringSlice()
+			// The refusal flag, the query count and two varints.
+			if n := d.Count(4); n > 0 {
+				r.Items = make([]pollResult, n)
+				for i := range r.Items {
+					it := &r.Items[i]
+					it.Refused = d.Bool()
+					if m := d.Count(1); m > 0 {
+						it.Queries = make([][]string, m)
+						for j := range it.Queries {
+							it.Queries[j] = d.StringSlice()
+						}
+					}
+					it.NewSince = d.Uint()
+					it.IndexedDF = int(d.Int())
+					if d.Err() != nil {
+						break
+					}
 				}
 			}
-			r.NewSince = d.Uint()
-			r.IndexedDF = int(d.Int())
 			return r
 		})
 

@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -318,7 +319,7 @@ func (d *Deployment) ShareAll() error {
 // Learn runs the given number of learning iterations over all documents.
 func (d *Deployment) Learn(iterations int) error {
 	for i := 0; i < iterations; i++ {
-		if _, err := d.Net.LearnAll(); err != nil {
+		if _, err := d.Net.LearnAllCtx(context.Background()); err != nil {
 			return err
 		}
 	}

@@ -252,7 +252,7 @@ func TestSpriteOverTCP(t *testing.T) {
 	if _, err := net.Search(addrs[4], []string{"socket", "codec"}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.LearnAll(); err != nil {
+	if _, err := net.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("LearnAll over TCP: %v", err)
 	}
 	rl, err = net.Search(addrs[5], []string{"codec"}, 5)

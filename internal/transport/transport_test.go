@@ -560,7 +560,7 @@ func TestSpriteOverPooledTransport(t *testing.T) {
 	if _, err := net.Search(addrs[4], []string{"socket", "mux"}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.LearnAll(); err != nil {
+	if _, err := net.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("LearnAll: %v", err)
 	}
 	rl, err = net.Search(addrs[5], []string{"mux"}, 5)

@@ -17,7 +17,7 @@
 //	net.Share("peer0", "doc-1", "Chord is a scalable peer-to-peer lookup service")
 //	net.Share("peer1", "doc-2", "Porter stemming strips suffixes from English words")
 //	results, _ := net.Search("peer2", "peer-to-peer lookup", 10)
-//	net.Learn() // tune indexes from the queries seen so far
+//	net.LearnCtx(context.Background()) // tune indexes from the queries seen so far
 //
 // Everything runs in-process on a simulated, message-metered network; see
 // Stats for the traffic the protocol generated.
@@ -527,16 +527,11 @@ func stripPartial(err error) error {
 	return err
 }
 
-// Learn runs one learning iteration over every shared document: owners poll
-// the indexing peers for the queries seen since the last iteration and
+// LearnCtx runs one learning iteration over every shared document: owners
+// poll the indexing peers for the queries seen since the last iteration and
 // re-tune their documents' index terms. It returns the number of index-term
-// changes applied.
-func (n *Network) Learn() (int, error) {
-	return n.LearnCtx(context.Background())
-}
-
-// LearnCtx is Learn honoring ctx: polls and re-publications carry the
-// caller's deadline and the sweep stops at the first cancellation.
+// changes applied. Polls and re-publications carry the caller's deadline and
+// the sweep stops at the first cancellation.
 func (n *Network) LearnCtx(ctx context.Context) (int, error) {
 	return n.core.LearnAllCtx(ctx)
 }

@@ -2,6 +2,7 @@ package sprite
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -124,7 +125,7 @@ func TestLearnPromotesQueriedTerms(t *testing.T) {
 	if _, err := n.SearchTerms("peer3", []string{"protocol", "gossip"}, 5); err != nil {
 		t.Fatal(err)
 	}
-	changes, err := n.Learn()
+	changes, err := n.LearnCtx(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +418,7 @@ func TestTCPModeEndToEnd(t *testing.T) {
 	if len(res) != 1 || res[0].DocID != "tcp-doc" {
 		t.Fatalf("results = %v", res)
 	}
-	if _, err := n.Learn(); err != nil {
+	if _, err := n.LearnCtx(context.Background()); err != nil {
 		t.Fatalf("Learn over TCP: %v", err)
 	}
 	// Simulator-only capabilities must be inert, not crash.
@@ -437,7 +438,7 @@ func TestHotTermDFOption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := n.Learn(); err != nil {
+	if _, err := n.LearnCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	// df must have been driven below the threshold.
@@ -466,7 +467,7 @@ func TestSaveLoadFacade(t *testing.T) {
 	if _, err := a.Search("peer2", "durable snapshots", 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Learn(); err != nil {
+	if _, err := a.LearnCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer

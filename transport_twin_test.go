@@ -64,7 +64,7 @@ func TestTransportTwinDeterminism(t *testing.T) {
 		for i, q := range queries {
 			collect(peers[(i+1)%len(peers)], q)
 		}
-		if _, err := n.Learn(); err != nil {
+		if _, err := n.LearnCtx(context.Background()); err != nil {
 			t.Fatalf("Learn: %v", err)
 		}
 		for i, q := range queries {
@@ -150,13 +150,14 @@ func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg
 // TestTransportTwinMessageCounts runs share, search, a protocol join, learn
 // and search again on one ring over the simulator and over the socket
 // transport, and requires the same rankings and the same number of messages
-// of every type — those of the learning iteration on their own as well, where
-// every poll that leaves its owner travels on the owner's own hint — and the
-// same index terms learned. Routed deliveries travel inside chord's envelope,
-// and the half-stabilized join leaves nodes that still hint at the joiner's
-// successor for its arc, so this is also the check that the envelope, its
-// refusal and the hint in a hop answer cross a socket meaning what they mean
-// in process.
+// of every type — those of the learning iteration on their own as well, whose
+// polls go to each holder of record in one batch and whose items a holder
+// refuses go round on the ring — and the same index terms learned. Routed
+// deliveries travel inside chord's envelope, and the half-stabilized join
+// leaves nodes that still hint at the joiner's successor for its arc, and that
+// successor refusing the arc's items in a batch, so this is also the check
+// that the envelope, both refusals and the hint in a hop answer cross a
+// socket meaning what they mean in process.
 func TestTransportTwinMessageCounts(t *testing.T) {
 	const peers = 24
 	docs := []map[string]int{
@@ -265,7 +266,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 			return calls
 		}
 		prior := tally()
-		if _, err := n.LearnAll(); err != nil {
+		if _, err := n.LearnAllCtx(context.Background()); err != nil {
 			t.Fatalf("%s: LearnAll: %v", name, err)
 		}
 		out.learn = tally()
@@ -287,11 +288,12 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	if want.calls["chord.route.hinted"] == 0 || want.calls["chord.route.hint_rejected"] == 0 {
 		t.Fatalf("simnet run exchanged %v — the workload follows or refuses no owner hint", want.calls)
 	}
-	// One message per poll, no routing round trip in front of it: the learning
-	// iteration's hinted deliveries cover its polls, and its next_hop traffic
-	// is what its publishes alone would need (at most two walks' worth each).
-	if l := want.learn; l["sprite.poll"] == 0 || l["chord.route.hinted"] < l["sprite.poll"] || l["chord.next_hop"] > 4*l["sprite.publish"] {
-		t.Fatalf("simnet learning iteration exchanged %v — its polls are not travelling on the owner's hint", l)
+	// The learning iteration polls the holders of record directly; only the
+	// items the joiner's successor refuses walk the ring (each refused once more
+	// on its hint), so its next_hop traffic is what those and its publishes
+	// need (at most two walks' worth each).
+	if l := want.learn; l["sprite.poll"] == 0 || l["chord.route.hint_rejected"] == 0 || l["chord.next_hop"] > 4*(l["sprite.publish"]+l["chord.route.hint_rejected"]) {
+		t.Fatalf("simnet learning iteration exchanged %v — its polls are not going straight to the holders, or none was refused", l)
 	}
 	tcp := transport.New()
 	got := run("tcp", tcp, tcp.Close)

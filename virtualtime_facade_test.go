@@ -1,6 +1,7 @@
 package sprite
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -24,7 +25,7 @@ func driveSession(t *testing.T, n *Network) string {
 				return
 			}
 		}
-		if _, err := n.Learn(); err != nil {
+		if _, err := n.LearnCtx(context.Background()); err != nil {
 			t.Errorf("Learn: %v", err)
 			return
 		}
