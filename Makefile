@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity chaos-smoke fuzz-smoke vulncheck
+.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck
 
 check: vet build race
 
@@ -167,6 +167,16 @@ smoke-similarity:
 	$(GO) test -race ./internal/sketch/
 	$(GO) test -race -run 'Similar' ./internal/core/ ./internal/ir/ ./internal/eval/ .
 	$(GO) run ./cmd/spritebench -similarity-tiers 1000 -similarity-peers 128 -similarity-queries 20 similarity
+
+# Examples smoke: each simulator example must print exactly its committed
+# examples/<name>/expected.txt — rankings, learned terms, message counts and
+# the churn table are all deterministic for a fixed seed. tcpdemo's peer names
+# are the kernel's choice of ports, so it only has to exit 0.
+examples-smoke:
+	@for e in quickstart churn adaptive newsarchive; do \
+		$(GO) run ./examples/$$e | diff -u examples/$$e/expected.txt - || { echo "examples-smoke: $$e output differs from expected.txt"; exit 1; }; \
+	done
+	$(GO) run ./examples/tcpdemo > /dev/null
 
 # Deterministic whole-system smoke: the chaos harness on its fixed seed set.
 # Violations print a shrunk repro and a `-chaos.seed=N` replay recipe (see

@@ -315,7 +315,7 @@ func BenchmarkShareDocument(b *testing.B) {
 		src := docs[i%len(docs)]
 		clone := corpus.NewDocument(index.DocID(fmt.Sprintf("%s-clone%d", src.ID, i)), src.TF)
 		owner := dep.Net.Peers()[i%cfg.Peers].Addr()
-		if err := dep.Net.Share(owner, clone); err != nil {
+		if err := dep.Net.ShareCtx(context.Background(), owner, clone); err != nil {
 			b.Fatal(err)
 		}
 	}

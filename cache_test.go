@@ -12,17 +12,17 @@ import (
 // repeats hit, stats surface, and invalidation keeps results correct.
 func TestCacheOptionsEndToEnd(t *testing.T) {
 	n := newNet(t, Options{Peers: 8, Cache: CacheOptions{Enabled: true, ResultTTL: time.Hour}})
-	if err := n.Share("peer0", "d1", "chord is a scalable peer to peer lookup service"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "d1", "chord is a scalable peer to peer lookup service"); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Share("peer1", "d2", "porter stemming strips suffixes from english words"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer1", "d2", "porter stemming strips suffixes from english words"); err != nil {
 		t.Fatal(err)
 	}
-	first, err := n.Search("peer2", "peer lookup service", 10)
+	first, err := n.SearchCtx(context.Background(), "peer2", "peer lookup service", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := n.Search("peer2", "peer lookup service", 10)
+	second, err := n.SearchCtx(context.Background(), "peer2", "peer lookup service", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestCacheOptionsEndToEnd(t *testing.T) {
 	if err := n.Unshare("d1"); err != nil {
 		t.Fatal(err)
 	}
-	third, err := n.Search("peer2", "peer lookup service", 10)
+	third, err := n.SearchCtx(context.Background(), "peer2", "peer lookup service", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestCacheOptionsEndToEnd(t *testing.T) {
 	if p, r := postingsEntriesOf(n); p != 0 || r != 0 {
 		// Entries die lazily; occupancy gauges may lag, so probe behaviour
 		// instead: a fresh search must not be served from a stale entry.
-		if _, err := n.Search("peer2", "peer lookup service", 10); err != nil {
+		if _, err := n.SearchCtx(context.Background(), "peer2", "peer lookup service", 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -94,12 +94,12 @@ func TestConcurrentFacadeUse(t *testing.T) {
 				switch i % 4 {
 				case 0:
 					id := fmt.Sprintf("g%d-d%d", g, i)
-					if err := n.Share(peer, id, texts[(g+i)%len(texts)]); err != nil {
+					if err := n.ShareCtx(context.Background(), peer, id, texts[(g+i)%len(texts)]); err != nil {
 						t.Errorf("Share: %v", err)
 						return
 					}
 				case 1, 2:
-					if _, err := n.Search(peer, queries[(g+i)%len(queries)], 5); err != nil {
+					if _, err := n.SearchCtx(context.Background(), peer, queries[(g+i)%len(queries)], 5); err != nil {
 						t.Errorf("Search: %v", err)
 						return
 					}

@@ -29,6 +29,7 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -132,6 +133,17 @@ func main() {
 	}
 }
 
+// ranked reports whether a query's error still left a ranking to print: none,
+// or a partial-results error, which it prints first — it names the terms whose
+// holders were unreachable.
+func ranked(err error) bool {
+	if errors.Is(err, sprite.ErrPartialResults) {
+		fmt.Println("degraded:", err)
+		return true
+	}
+	return err == nil
+}
+
 // execute runs one command line; it returns true when the session should end.
 func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 	fields := strings.Fields(line)
@@ -153,7 +165,7 @@ func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 			fail("usage: share <peer> <docID> <text...>")
 			return false
 		}
-		if err := net.Share(args[0], args[1], strings.Join(args[2:], " ")); err != nil {
+		if err := net.ShareCtx(context.Background(), args[0], args[1], strings.Join(args[2:], " ")); err != nil {
 			fail("%v", err)
 			return false
 		}
@@ -169,8 +181,8 @@ func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 			fail("bad k %q", args[1])
 			return false
 		}
-		results, err := net.Search(args[0], strings.Join(args[2:], " "), k)
-		if err != nil {
+		results, err := net.SearchCtx(context.Background(), args[0], strings.Join(args[2:], " "), k)
+		if !ranked(err) {
 			fail("%v", err)
 			return false
 		}
@@ -191,8 +203,8 @@ func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 			fail("bad k %q", args[1])
 			return false
 		}
-		results, err := net.SearchSimilar(args[0], args[2], k)
-		if err != nil {
+		results, err := net.SearchSimilarCtx(context.Background(), args[0], args[2], k)
+		if !ranked(err) {
 			fail("%v", err)
 			return false
 		}
@@ -231,7 +243,7 @@ func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 			return false
 		}
 		results, expansion, err := net.SearchExpanded(args[0], strings.Join(args[2:], " "), k, sprite.Expansion{})
-		if err != nil {
+		if !ranked(err) {
 			fail("%v", err)
 			return false
 		}

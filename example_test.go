@@ -2,6 +2,7 @@ package sprite_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -14,10 +15,16 @@ func ExampleNew() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.Share("peer0", "chord", "Chord is a scalable lookup protocol for peer to peer systems")
-	net.Share("peer1", "porter", "The Porter stemmer strips suffixes from English words")
+	ctx := context.Background()
+	net.ShareCtx(ctx, "peer0", "chord", "Chord is a scalable lookup protocol for peer to peer systems")
+	net.ShareCtx(ctx, "peer1", "porter", "The Porter stemmer strips suffixes from English words")
 
-	results, _ := net.Search("peer3", "lookup protocol", 5)
+	// A search that lost terms to unreachable holders still returns the
+	// ranking over the rest, with an error wrapping sprite.ErrPartialResults.
+	results, err := net.SearchCtx(ctx, "peer3", "lookup protocol", 5)
+	if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
+		log.Fatal(err)
+	}
 	for _, r := range results {
 		fmt.Println(r.DocID)
 	}
@@ -40,16 +47,17 @@ func ExampleNetwork_LearnCtx() {
 	}
 	net.ShareTerms("peer0", "doc", map[string]int{"popular": 9, "obscure": 1})
 
+	ctx := context.Background()
 	// Before learning, the rare term is not indexed.
-	before, _ := net.SearchTerms("peer2", []string{"obscure"}, 5)
+	before, _ := net.SearchTermsCtx(ctx, "peer2", []string{"obscure"}, 5)
 	fmt.Println("before:", len(before))
 
 	// A user query pairs the indexed term with the rare one; the indexing
 	// peer remembers it, and the next learning iteration indexes "obscure".
-	net.SearchTerms("peer2", []string{"popular", "obscure"}, 5)
-	net.LearnCtx(context.Background())
+	net.SearchTermsCtx(ctx, "peer2", []string{"popular", "obscure"}, 5)
+	net.LearnCtx(ctx)
 
-	after, _ := net.SearchTerms("peer2", []string{"obscure"}, 5)
+	after, _ := net.SearchTermsCtx(ctx, "peer2", []string{"obscure"}, 5)
 	fmt.Println("after:", len(after))
 	// Output:
 	// before: 0
@@ -77,7 +85,7 @@ func ExampleNetwork_Unshare() {
 	}
 	net.ShareTerms("peer0", "doc", map[string]int{"fleeting": 2})
 	net.Unshare("doc")
-	results, _ := net.SearchTerms("peer1", []string{"fleeting"}, 5)
+	results, _ := net.SearchTermsCtx(context.Background(), "peer1", []string{"fleeting"}, 5)
 	fmt.Println(len(results))
 	// Output:
 	// 0

@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 
@@ -76,9 +77,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	peers := net.Peers()
 	for i, tk := range tickets {
-		if err := net.Share(peers[i%len(peers)], tk.id, tk.text); err != nil {
+		if err := net.ShareCtx(ctx, peers[i%len(peers)], tk.id, tk.text); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -89,8 +91,8 @@ func main() {
 		hits := 0
 		for i, q := range queries {
 			want := fmt.Sprintf("%s-%04d", prefix, i/2+1)
-			res, err := net.Search(peers[(i+3)%len(peers)], q, 3)
-			if err != nil {
+			res, err := net.SearchCtx(ctx, peers[(i+3)%len(peers)], q, 3)
+			if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
 				continue
 			}
 			for _, r := range res {
@@ -106,7 +108,7 @@ func main() {
 	fmt.Println("phase 1: users ask about networking problems")
 	for iter := 1; iter <= 3; iter++ {
 		rate := hitRate(netQueries, "net") // searching also trains
-		if _, err := net.LearnCtx(context.Background()); err != nil {
+		if _, err := net.LearnCtx(ctx); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  iteration %d: networking hit rate %.0f%%\n", iter, rate*100)
@@ -123,7 +125,7 @@ func main() {
 		} else {
 			fmt.Printf("  iteration %d: billing hit rate %.0f%%\n", iter, rate*100)
 		}
-		if _, err := net.LearnCtx(context.Background()); err != nil {
+		if _, err := net.LearnCtx(ctx); err != nil {
 			log.Fatal(err)
 		}
 	}

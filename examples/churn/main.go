@@ -11,8 +11,12 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"github.com/spritedht/sprite"
 )
@@ -43,22 +47,21 @@ func build(replicas int) *sprite.Network {
 		log.Fatal(err)
 	}
 	peers := net.Peers()
-	i := 0
-	for id, text := range library {
-		if err := net.Share(peers[i%len(peers)], id, text); err != nil {
+	for i, id := range slices.Sorted(maps.Keys(library)) {
+		if err := net.ShareCtx(context.Background(), peers[i%len(peers)], id, library[id]); err != nil {
 			log.Fatal(err)
 		}
-		i++
 	}
 	return net
 }
 
-// answered reports how many probe queries still find their document.
+// answered reports how many probe queries still find their document, a
+// degraded ranking (ErrPartialResults) included.
 func answered(net *sprite.Network) int {
 	hits := 0
 	for i, p := range probes {
-		res, err := net.Search(net.Peers()[(i+11)%20], p.query, 3)
-		if err != nil {
+		res, err := net.SearchCtx(context.Background(), net.Peers()[(i+11)%20], p.query, 3)
+		if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
 			continue
 		}
 		for _, r := range res {

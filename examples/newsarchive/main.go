@@ -11,6 +11,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
 	"strings"
@@ -90,9 +91,10 @@ func main() {
 		log.Fatal(err)
 	}
 
+	ctx := context.Background()
 	peers := net.Peers()
 	for i, a := range archive {
-		if err := net.Share(peers[i%len(peers)], a.id, a.text); err != nil {
+		if err := net.ShareCtx(ctx, peers[i%len(peers)], a.id, a.text); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -106,8 +108,8 @@ func main() {
 			for _, q := range a.queries {
 				n++
 				// Readers issue from arbitrary peers.
-				res, err := net.Search(peers[(qi+7)%len(peers)], q, 3)
-				if err != nil {
+				res, err := net.SearchCtx(ctx, peers[(qi+7)%len(peers)], q, 3)
+				if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
 					continue
 				}
 				for _, r := range res {
@@ -123,7 +125,7 @@ func main() {
 
 	fmt.Printf("recall over the query log before learning: %.0f%%\n", recall()*100)
 	for iter := 1; iter <= 3; iter++ {
-		changes, err := net.LearnCtx(context.Background())
+		changes, err := net.LearnCtx(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,8 +8,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"strings"
 
 	"github.com/spritedht/sprite"
@@ -29,18 +32,19 @@ func main() {
 		"porter-paper": "An algorithm for suffix stripping. The Porter stemmer removes endings such as ed and ing from English words to unify related terms for retrieval.",
 		"sprite-paper": "SPRITE selects a small set of representative index terms per document and progressively tunes the selection by learning from past keyword queries in a DHT network.",
 	}
+	ctx := context.Background()
 	peers := net.Peers()
-	i := 0
-	for id, text := range docs {
-		if err := net.Share(peers[i%len(peers)], id, text); err != nil {
+	for i, id := range slices.Sorted(maps.Keys(docs)) {
+		if err := net.ShareCtx(ctx, peers[i%len(peers)], id, docs[id]); err != nil {
 			log.Fatal(err)
 		}
-		i++
 	}
 
 	show := func(query string) {
-		results, err := net.Search(peers[5], query, 5)
-		if err != nil {
+		// An error wrapping ErrPartialResults comes with the ranking over
+		// the terms whose holders answered; any other error has none.
+		results, err := net.SearchCtx(ctx, peers[5], query, 5)
+		if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
 			log.Fatal(err)
 		}
 		fmt.Printf("search %-28q -> ", query)
@@ -64,7 +68,7 @@ func main() {
 	show("chord finger tables")
 
 	// Owners poll the indexing peers and re-tune their documents' terms.
-	changes, err := net.LearnCtx(context.Background())
+	changes, err := net.LearnCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

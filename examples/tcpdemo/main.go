@@ -10,8 +10,11 @@ package main
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"strings"
 
 	"github.com/spritedht/sprite"
@@ -27,6 +30,7 @@ func main() {
 	}
 	defer net.Close()
 
+	ctx := context.Background()
 	peers := net.Peers()
 	fmt.Println("peers listening on:")
 	for _, p := range peers {
@@ -38,16 +42,14 @@ func main() {
 		"udp-rfc":  "The user datagram protocol offers connectionless best effort delivery of datagrams with minimal overhead and no retransmission",
 		"quic-rfc": "QUIC multiplexes streams over encrypted datagrams with connection migration and loss recovery replacing much of the transport layer",
 	}
-	i := 0
-	for id, text := range docs {
-		if err := net.Share(peers[i%len(peers)], id, text); err != nil {
+	for i, id := range slices.Sorted(maps.Keys(docs)) {
+		if err := net.ShareCtx(ctx, peers[i%len(peers)], id, docs[id]); err != nil {
 			log.Fatal(err)
 		}
-		i++
 	}
 
-	res, err := net.Search(peers[5], "control protocol datagrams", 5)
-	if err != nil {
+	res, err := net.SearchCtx(ctx, peers[5], "control protocol datagrams", 5)
+	if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
 		log.Fatal(err)
 	}
 	fmt.Println("\nsearch \"control protocol datagrams\":")
@@ -56,10 +58,11 @@ func main() {
 	}
 
 	// The learning loop runs over the sockets too.
-	if _, err := net.Search(peers[2], "retransmission sequence acknowledgements", 5); err != nil {
+	_, err = net.SearchCtx(ctx, peers[2], "retransmission sequence acknowledgements", 5)
+	if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
 		log.Fatal(err)
 	}
-	changes, err := net.LearnCtx(context.Background())
+	changes, err := net.LearnCtx(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +74,7 @@ func main() {
 	// Expanded search: term vectors of the top hits are downloaded from
 	// their owner peers over the wire.
 	exp, expansion, err := net.SearchExpanded(peers[6], "datagrams", 5, sprite.Expansion{Terms: 2})
-	if err != nil {
+	if err != nil && !errors.Is(err, sprite.ErrPartialResults) {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nexpanded search \"datagrams\" (+%s):\n", strings.Join(expansion, ", +"))

@@ -34,7 +34,7 @@ func TestFullLifecycle(t *testing.T) {
 	peers := net.Peers()
 	i := 0
 	for id, text := range library {
-		if err := net.Share(peers[i%len(peers)], id, text); err != nil {
+		if err := net.ShareCtx(context.Background(), peers[i%len(peers)], id, text); err != nil {
 			t.Fatalf("share %s: %v", id, err)
 		}
 		i++
@@ -44,7 +44,7 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// --- Search on initially indexed terms works...
-	res, err := net.Search(peers[9], "consensus", 10)
+	res, err := net.SearchCtx(context.Background(), peers[9], "consensus", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,21 +53,21 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// --- ...and search on deep terms misses until users query them.
-	if res, _ = net.Search(peers[9], "finger tables", 10); len(res) != 0 {
+	if res, _ = net.SearchCtx(context.Background(), peers[9], "finger tables", 10); len(res) != 0 {
 		// "finger" may or may not be in chord's top-2; accept either but
 		// remember the state for the learning assertion below.
 		t.Logf("finger already indexed initially: %v", res)
 	}
 	// Users pair known terms with deep ones; the network remembers.
 	for j := 0; j < 3; j++ {
-		if _, err := net.Search(peers[j], "chord finger ring", 10); err != nil {
+		if _, err := net.SearchCtx(context.Background(), peers[j], "chord finger ring", 10); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := net.LearnCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	res, err = net.Search(peers[9], "finger", 10)
+	res, err = net.SearchCtx(context.Background(), peers[9], "finger", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestFullLifecycle(t *testing.T) {
 	for _, victim := range peers[4:9] {
 		net.FailPeer(victim)
 	}
-	afterFail, err := net.Search(peers[0], "consensus", 10)
+	afterFail, err := net.SearchCtx(context.Background(), peers[0], "consensus", 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestFullLifecycle(t *testing.T) {
 	if _, err := net.Refresh(); err != nil {
 		t.Fatal(err)
 	}
-	res, err = net.Search(peers[9], "finger", 10)
+	res, err = net.SearchCtx(context.Background(), peers[9], "finger", 10)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("post-heal search broken: %v %v", res, err)
 	}
@@ -119,7 +119,7 @@ func TestFullLifecycle(t *testing.T) {
 	if err := net.Unshare("bloom"); err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := net.Search(peers[2], "bloom filters", 10); len(res) != 0 {
+	if res, _ := net.SearchCtx(context.Background(), peers[2], "bloom filters", 10); len(res) != 0 {
 		t.Fatalf("unshared document still findable: %v", res)
 	}
 
@@ -135,7 +135,7 @@ func TestFullLifecycle(t *testing.T) {
 	if err := fresh.Load(&snap); err != nil {
 		t.Fatal(err)
 	}
-	res, err = fresh.Search(fresh.Peers()[2], "bloom", 10)
+	res, err = fresh.SearchCtx(context.Background(), fresh.Peers()[2], "bloom", 10)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("restored network lost bloom: %v %v", res, err)
 	}
@@ -164,12 +164,12 @@ func TestLifecycleDeterminism(t *testing.T) {
 		for d := 0; d < 10; d++ {
 			id := fmt.Sprintf("doc%d", d)
 			text := fmt.Sprintf("subject%d topic%d detail%d shared vocabulary corpus", d, d%3, d%5)
-			if err := net.Share(net.Peers()[d%12], id, text); err != nil {
+			if err := net.ShareCtx(context.Background(), net.Peers()[d%12], id, text); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for q := 0; q < 8; q++ {
-			res, err := net.Search(net.Peers()[(q*5)%12], fmt.Sprintf("topic%d vocabulary", q%3), 5)
+			res, err := net.SearchCtx(context.Background(), net.Peers()[(q*5)%12], fmt.Sprintf("topic%d vocabulary", q%3), 5)
 			if err != nil {
 				t.Fatal(err)
 			}

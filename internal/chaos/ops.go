@@ -412,7 +412,7 @@ func (h *harness) apply(d *deployment, op Op) opOut {
 		if !ok {
 			return opOut{err: fmt.Errorf("chaos: unknown doc %s", op.Doc)}
 		}
-		return opOut{err: d.net.Share(simnet.Addr(op.Peer), doc)}
+		return opOut{err: d.net.ShareCtx(context.Background(), simnet.Addr(op.Peer), doc)}
 	case KUnshare:
 		return opOut{err: d.net.Unshare(index.DocID(op.Doc))}
 	case KSearch:

@@ -522,15 +522,11 @@ func (n *Node) Lookup(key chordid.ID) (Ref, int, error) {
 	return n.lookupFrom(context.Background(), n.ref, key, nil, nil)
 }
 
-// LookupTraced is Lookup recording one child span per remote hop under
-// parent. A nil parent span (the no-telemetry case) is accepted and free.
-func (n *Node) LookupTraced(key chordid.ID, parent *telemetry.Span) (Ref, int, error) {
-	return n.lookupFrom(context.Background(), n.ref, key, nil, parent)
-}
-
-// LookupCtx is LookupTraced honoring ctx: every hop RPC carries the caller's
-// deadline, and a canceled context aborts the lookup with an error wrapping
-// ctx.Err() rather than excluding the hop and routing on.
+// LookupCtx is Lookup honoring ctx and recording one child span per remote
+// hop under parent (a nil parent, the no-telemetry case, is accepted and
+// free): every hop RPC carries the caller's deadline, and a canceled context
+// aborts the lookup with an error wrapping ctx.Err() rather than excluding
+// the hop and routing on.
 func (n *Node) LookupCtx(ctx context.Context, key chordid.ID, parent *telemetry.Span) (Ref, int, error) {
 	return n.lookupFrom(ctx, n.ref, key, nil, parent)
 }
@@ -798,7 +794,8 @@ func (n *Node) stabilize() {
 	}
 
 	if succ.ID != self.ID {
-		reply, err := n.net.Call(self.Addr, succ.Addr, simnet.Message{Type: msgGetState, Size: 1})
+		ctx := context.Background()
+		reply, err := n.net.CallCtx(ctx, self.Addr, succ.Addr, simnet.Message{Type: msgGetState, Size: 1})
 		if err == nil {
 			st := reply.Payload.(stateResp)
 			if !st.Pred.IsZero() && st.Pred.ID.Between(self.ID, succ.ID) && n.net.Alive(st.Pred.Addr) {
@@ -810,7 +807,7 @@ func (n *Node) stabilize() {
 				// message loss: promote anyway and pick its list up next
 				// round.
 				cand := st.Pred
-				if reply2, err2 := n.net.Call(self.Addr, cand.Addr, simnet.Message{Type: msgGetState, Size: 1}); err2 == nil {
+				if reply2, err2 := n.net.CallCtx(ctx, self.Addr, cand.Addr, simnet.Message{Type: msgGetState, Size: 1}); err2 == nil {
 					succ, st = cand, reply2.Payload.(stateResp)
 				} else if n.net.Alive(cand.Addr) {
 					succ = cand
@@ -831,7 +828,7 @@ func (n *Node) stabilize() {
 			n.succs = newSuccs
 			n.mu.Unlock()
 			n.met.succDepth.Set(int64(len(newSuccs)))
-			n.net.Call(self.Addr, succ.Addr, simnet.Message{Type: msgNotify, Payload: self, Size: refSize})
+			n.net.CallCtx(ctx, self.Addr, succ.Addr, simnet.Message{Type: msgNotify, Payload: self, Size: refSize})
 		} else if !n.net.Alive(succ.Addr) {
 			// Successor died between the liveness check and the call; drop it.
 			n.mu.Lock()

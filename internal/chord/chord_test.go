@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -318,7 +319,7 @@ func TestAppHandlerDispatch(t *testing.T) {
 		}
 		return simnet.Message{Type: "sprite.test.ok", Size: 1}, nil
 	}))
-	reply, err := net.Call(a.Addr(), b.Addr(), simnet.Message{Type: "sprite.test", Size: 1})
+	reply, err := net.CallCtx(context.Background(), a.Addr(), b.Addr(), simnet.Message{Type: "sprite.test", Size: 1})
 	if err != nil {
 		t.Fatalf("app call: %v", err)
 	}
@@ -326,7 +327,7 @@ func TestAppHandlerDispatch(t *testing.T) {
 		t.Fatalf("reply = %+v", reply)
 	}
 	// Without a handler the node must reject unknown types.
-	if _, err := net.Call(b.Addr(), a.Addr(), simnet.Message{Type: "sprite.test"}); err == nil {
+	if _, err := net.CallCtx(context.Background(), b.Addr(), a.Addr(), simnet.Message{Type: "sprite.test"}); err == nil {
 		t.Fatal("node without app handler accepted app message")
 	}
 }

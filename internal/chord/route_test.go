@@ -87,10 +87,6 @@ func (w *hintWatch) CallCtx(ctx context.Context, from, to simnet.Addr, msg simne
 	return reply, err
 }
 
-func (w *hintWatch) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	return w.CallCtx(context.Background(), from, to, msg)
-}
-
 // watchedRing builds an n-node ring named peer0… over a hint-watching
 // transport with telemetry installed.
 func watchedRing(t testing.TB, n int) (*Ring, *hintWatch, *telemetry.Registry) {
@@ -624,10 +620,6 @@ func (rec *recorder) CallCtx(ctx context.Context, from, to simnet.Addr, msg simn
 	}
 	rec.mu.Unlock()
 	return reply, err
-}
-
-func (rec *recorder) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	return rec.CallCtx(context.Background(), from, to, msg)
 }
 
 // The simulated sizes the byte counts are built from must track what the

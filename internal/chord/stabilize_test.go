@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -18,7 +19,7 @@ type dieOnCall struct {
 	kill   bool // fail the victim for real, not just this one call
 }
 
-func (d *dieOnCall) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+func (d *dieOnCall) CallCtx(ctx context.Context, from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
 	if d.armed && to == d.victim {
 		d.armed = false
 		if d.kill {
@@ -26,7 +27,7 @@ func (d *dieOnCall) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Messa
 		}
 		return simnet.Message{}, fmt.Errorf("chord test: call to %s lost: %w", d.victim, simnet.ErrUnreachable)
 	}
-	return d.Transport.Call(from, to, msg)
+	return d.Transport.CallCtx(ctx, from, to, msg)
 }
 
 // stabilizeCandidateRing builds a 4-node ring a < v < b < c where node a

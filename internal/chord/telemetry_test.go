@@ -1,6 +1,7 @@
 package chord
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -59,9 +60,9 @@ func TestLookupTracedBuildsHopSpans(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// Find a key that needs at least one remote hop so the span tree is
 		// non-trivial.
-		_, hops, err = nodes[0].LookupTraced(chordid.HashKey(fmt.Sprintf("k%d", i)), tr.Root())
+		_, hops, err = nodes[0].LookupCtx(context.Background(), chordid.HashKey(fmt.Sprintf("k%d", i)), tr.Root())
 		if err != nil {
-			t.Fatalf("LookupTraced: %v", err)
+			t.Fatalf("LookupCtx: %v", err)
 		}
 		if hops > 0 {
 			break

@@ -36,7 +36,7 @@ func advisoryNet(t *testing.T, owners [3]simnet.Addr) (*simnet.Network, *Network
 		doc("d3", map[string]int{"hot": 9, "gg": 5, "hh": 3, "ii": 2}),
 	}
 	for i, d := range docs {
-		if err := n.Share(owners[i], d); err != nil {
+		if err := n.ShareCtx(context.Background(), owners[i], d); err != nil {
 			t.Fatalf("Share %s: %v", d.ID, err)
 		}
 	}

@@ -127,7 +127,7 @@ func TestAlgorithm1SelectionEquivalence(t *testing.T) {
 	d := doc("D", map[string]int{
 		"alpha": 10, "beta": 8, "gamma": 6, "delta": 4, "eps": 2, "zeta": 1,
 	})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,7 +153,7 @@ func TestAlgorithm1SelectionEquivalence(t *testing.T) {
 				q = append(q, "alpha")
 			}
 			history = append(history, q)
-			if err := n.InsertQuery("p3", q); err != nil {
+			if err := n.InsertQueryCtx(context.Background(), "p3", q); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -216,7 +216,7 @@ func TestPollDedupAtScale(t *testing.T) {
 		tf[term] = 10 - i
 		vocab = append(vocab, term)
 	}
-	if err := n.Share("p0", doc("D", tf)); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("D", tf)); err != nil {
 		t.Fatal(err)
 	}
 	// Queries with heavy overlap with the indexed set; some keyword sets
@@ -225,7 +225,7 @@ func TestPollDedupAtScale(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		q := []string{vocab[i%5], vocab[(i+1)%5], vocab[5+i%5]}
 		issued[canonicalQuery(q)]++
-		if err := n.InsertQuery("p2", q); err != nil {
+		if err := n.InsertQueryCtx(context.Background(), "p2", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestPollDedupAtScale(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, err := n.Ring().Net().Call(p.Addr(), ref.Addr, simnet.Message{
+		reply, err := n.Ring().Net().CallCtx(context.Background(), p.Addr(), ref.Addr, simnet.Message{
 			Type:    msgPoll,
 			Payload: pollReq{Docs: []pollDoc{{Doc: "D", DocTerms: docTerms, Terms: []pollTerm{{Term: term}}}}},
 		})

@@ -240,20 +240,15 @@ func (p *Peer) fetchPostingsCached(ctx context.Context, term string, tsp *teleme
 	})
 }
 
-// recordQueryAt inserts the query into the indexing peer's history —
-// the side effect an uncached recorded search gets for free from its
-// msgGetPostings — so caching never starves learning. Best-effort: an
-// unreachable peer is skipped, exactly as the uncached path would skip it.
-func (p *Peer) recordQueryAt(peer simnet.Addr, query []string) {
-	p.recordQueryAtErr(context.Background(), peer, query)
-}
-
-// recordQueryAtErr is recordQueryAt surfacing the recording failure, so the
-// result-cache-hit replay can count dropped history entries (a silent drop
-// skews learning) instead of swallowing them. An unknown peer ("" — the term
-// matched nothing when the entry was cached) records nothing and is not an
-// error.
-func (p *Peer) recordQueryAtErr(ctx context.Context, peer simnet.Addr, query []string) error {
+// recordQueryAt inserts the query into the indexing peer's history — the
+// side effect an uncached recorded search gets for free from its
+// msgGetPostings — so caching never starves learning. It reports the
+// recording failure, so the result-cache-hit replay can count dropped history
+// entries (a silent drop skews learning); the postings-cache path records
+// best-effort, skipping an unreachable peer exactly as the uncached path
+// would. An unknown peer ("" — the term matched nothing when the entry was
+// cached) records nothing and is not an error.
+func (p *Peer) recordQueryAt(ctx context.Context, peer simnet.Addr, query []string) error {
 	if peer == "" {
 		return nil
 	}

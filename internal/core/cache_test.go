@@ -43,7 +43,7 @@ func shareCacheCorpus(t testing.TB, n *Network) {
 	}
 	peers := n.Peers()
 	for i, d := range docs {
-		if err := n.Share(peers[i%len(peers)].Addr(), doc(d.id, d.tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), peers[i%len(peers)].Addr(), doc(d.id, d.tf)); err != nil {
 			t.Fatalf("Share %s: %v", d.id, err)
 		}
 	}
@@ -61,7 +61,7 @@ func TestWarmPostingsCacheZeroRemoteFetches(t *testing.T) {
 	shareCacheCorpus(t, n)
 
 	query := []string{"alpha", "delta"}
-	first, err := n.Search("p0", query, 10)
+	first, err := n.SearchCtx(context.Background(), "p0", query, 10)
 	if err != nil {
 		t.Fatalf("cold search: %v", err)
 	}
@@ -70,7 +70,7 @@ func TestWarmPostingsCacheZeroRemoteFetches(t *testing.T) {
 		t.Fatal("cold search issued no postings fetches; test is vacuous")
 	}
 
-	second, err := n.Search("p0", query, 10)
+	second, err := n.SearchCtx(context.Background(), "p0", query, 10)
 	if err != nil {
 		t.Fatalf("warm search: %v", err)
 	}
@@ -84,6 +84,24 @@ func TestWarmPostingsCacheZeroRemoteFetches(t *testing.T) {
 	if st.Hits != int64(len(query)) {
 		t.Fatalf("postings cache hits = %d; want %d", st.Hits, len(query))
 	}
+
+	// Expansion fetches through the same stage: once its expansion terms are
+	// warm too, a repeated expansion sends no postings fetch at all.
+	rl, exp, err := n.SearchExpanded("p0", query, 10, ExpandOptions{})
+	if err != nil || len(exp) == 0 {
+		t.Fatalf("cold expansion: terms %v, err %v", exp, err)
+	}
+	cold = sim.Stats().CallsByType[msgGetPostings]
+	rl2, exp2, err := n.SearchExpanded("p0", query, 10, ExpandOptions{})
+	if err != nil {
+		t.Fatalf("warm expansion: %v", err)
+	}
+	if got := sim.Stats().CallsByType[msgGetPostings]; got != cold {
+		t.Fatalf("warm expansion issued %d remote postings fetches; want 0", got-cold)
+	}
+	if !reflect.DeepEqual(rl, rl2) || !reflect.DeepEqual(exp, exp2) {
+		t.Fatalf("warm expansion diverged:\ncold: %v %v\nwarm: %v %v", rl, exp, rl2, exp2)
+	}
 }
 
 func TestResultCacheServesRepeats(t *testing.T) {
@@ -93,12 +111,12 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	shareCacheCorpus(t, n)
 
 	query := []string{"beta", "gamma"}
-	first, err := n.Search("p1", query, 5)
+	first, err := n.SearchCtx(context.Background(), "p1", query, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := sim.Stats()
-	second, err := n.Search("p1", query, 5)
+	second, err := n.SearchCtx(context.Background(), "p1", query, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +140,7 @@ func TestResultCacheServesRepeats(t *testing.T) {
 	// Mutating the result list a caller got back must not corrupt the cache.
 	if len(second) > 0 {
 		second[0].Doc = "corrupted"
-		third, _ := n.Search("p1", query, 5)
+		third, _ := n.SearchCtx(context.Background(), "p1", query, 5)
 		if !reflect.DeepEqual(first, third) {
 			t.Fatal("caller mutation leaked into the result cache")
 		}
@@ -171,7 +189,7 @@ func testNoStalePostingsAfterMutations(t *testing.T, replicas int) {
 			var lists []ir.RankedList
 			for _, n := range nets {
 				for round := 0; round < 2; round++ {
-					rl, err := n.Probe("p0", q, 10)
+					rl, err := n.ProbeCtx(context.Background(), "p0", q, 10)
 					if err != nil {
 						t.Fatalf("%s: probe %v: %v", label, q, err)
 					}
@@ -209,7 +227,7 @@ func testNoStalePostingsAfterMutations(t *testing.T, replicas int) {
 	step("training", true, func(n *Network) error {
 		for _, q := range [][]string{{"zeta", "delta"}, {"gamma"}, {"zeta"}, {"alpha", "gamma"}} {
 			for i := 0; i < 3; i++ {
-				if _, err := n.Search("p2", q, 10); err != nil {
+				if _, err := n.SearchCtx(context.Background(), "p2", q, 10); err != nil {
 					return err
 				}
 			}
@@ -224,7 +242,7 @@ func testNoStalePostingsAfterMutations(t *testing.T, replicas int) {
 		return n.Unshare("d2")
 	})
 	step("reshare", true, func(n *Network) error {
-		return n.Share("p3", doc("d2", map[string]int{"alpha": 3, "delta": 8, "epsilon": 5}))
+		return n.ShareCtx(context.Background(), "p3", doc("d2", map[string]int{"alpha": 3, "delta": 8, "epsilon": 5}))
 	})
 
 	// Unshare a document while the indexing peer of one of its terms is down,
@@ -285,7 +303,7 @@ func TestWriteInvalidatesOnlyItsTerms(t *testing.T) {
 	probe := func(q ...string) (ir.RankedList, int64, int64) {
 		t.Helper()
 		misses, calls := n.PostingsCacheStats().Misses, sim.Stats().CallsByType[msgGetPostings]
-		rl, err := n.Probe("p0", q, 10)
+		rl, err := n.ProbeCtx(context.Background(), "p0", q, 10)
 		if err != nil {
 			t.Fatalf("probe %v: %v", q, err)
 		}
@@ -321,7 +339,7 @@ func TestWriteInvalidatesOnlyItsTerms(t *testing.T) {
 	probe("beta", "zeta", "gamma")
 	probe("omega", "psi", "chi")
 
-	if err := n.Share("p1", doc("w1", map[string]int{"omega": 9, "psi": 7, "chi": 2})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p1", doc("w1", map[string]int{"omega": 9, "psi": 7, "chi": 2})); err != nil {
 		t.Fatal(err)
 	}
 	check("share", true, "omega", "psi")
@@ -331,7 +349,7 @@ func TestWriteInvalidatesOnlyItsTerms(t *testing.T) {
 
 	// Teach w1 that chi is asked for along with omega; learning publishes it.
 	for i := 0; i < 3; i++ {
-		if _, err := n.Search("p2", []string{"omega", "chi"}, 10); err != nil {
+		if _, err := n.SearchCtx(context.Background(), "p2", []string{"omega", "chi"}, 10); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,7 +376,7 @@ func TestHistoryParityWithCache(t *testing.T) {
 	for _, n := range []*Network{cacheOff, cacheOn} {
 		shareCacheCorpus(t, n)
 		for _, q := range [][]string{{"alpha", "delta"}, {"alpha", "delta"}, {"beta"}, {"alpha", "delta"}, {"zeta", "beta"}} {
-			if _, err := n.Search("p1", q, 10); err != nil {
+			if _, err := n.SearchCtx(context.Background(), "p1", q, 10); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -414,7 +432,7 @@ func TestSingleflightOneFetchPerTerm(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = n.Probe(from, []string{"epsilon"}, 10)
+			_, errs[i] = n.ProbeCtx(context.Background(), from, []string{"epsilon"}, 10)
 		}()
 	}
 	wg.Wait()
@@ -454,12 +472,12 @@ func TestConcurrentSearchPublishUnshare(t *testing.T) {
 				id := fmt.Sprintf("g%d-doc%d", g, i)
 				tf := map[string]int{terms[(g+i)%len(terms)]: 5, terms[(g+i+1)%len(terms)]: 3}
 				owner := peers[(g+i)%len(peers)].Addr()
-				if err := n.Share(owner, doc(id, tf)); err != nil {
+				if err := n.ShareCtx(context.Background(), owner, doc(id, tf)); err != nil {
 					t.Errorf("Share %s: %v", id, err)
 					return
 				}
 				q := []string{terms[i%len(terms)], terms[(i+2)%len(terms)]}
-				if _, err := n.Search(owner, q, 5); err != nil {
+				if _, err := n.SearchCtx(context.Background(), owner, q, 5); err != nil {
 					t.Errorf("Search: %v", err)
 					return
 				}

@@ -24,6 +24,7 @@ import (
 	"sync"
 
 	"github.com/spritedht/sprite/internal/chord"
+	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
@@ -85,10 +86,10 @@ type Config struct {
 	// bit-identical across settings (see internal/fanout).
 	Parallelism int
 	// Sketch configures per-document feature sketches and the similarity
-	// query path (SearchSimilar). When enabled, every published posting
+	// query path (SearchSimilarCtx). When enabled, every published posting
 	// carries the owning document's serialized sketch, costing
 	// ~Dims+2 bytes per posting on the wire and in indexing-peer storage.
-	// The zero value disables sketching; SearchSimilar then fails with
+	// The zero value disables sketching; SearchSimilarCtx then fails with
 	// ErrSketchDisabled.
 	Sketch sketch.Config
 	// Clock drives every time-dependent mechanism in the core: fan-out
@@ -343,14 +344,6 @@ func (n *Network) Peer(addr simnet.Addr) (*Peer, bool) {
 	return p, ok
 }
 
-// peer is Peer for internal callers.
-func (n *Network) peer(addr simnet.Addr) (*Peer, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	p, ok := n.peers[addr]
-	return p, ok
-}
-
 // Adopt attaches SPRITE peer state to a node that joined the ring after the
 // network was created, so the newcomer can serve application messages
 // (publishes, query caching, polls). Adopting an already-known node returns
@@ -370,17 +363,12 @@ func (n *Network) Adopt(node *chord.Node) *Peer {
 	return p
 }
 
-// Share registers doc at the owner peer and publishes its initial global
+// ShareCtx registers doc at the owner peer and publishes its initial global
 // index terms (the top-F most frequent, §5.2). Ownership is reserved under
 // the lock before the (network-calling) publish, so two concurrent shares of
 // the same document cannot both proceed; on publish failure the reservation
-// is rolled back.
-func (n *Network) Share(owner simnet.Addr, doc *corpus.Document) error {
-	return n.ShareCtx(context.Background(), owner, doc)
-}
-
-// ShareCtx is Share honoring ctx: the per-term DHT publications carry the
-// caller's deadline and stop at the first cancellation.
+// is rolled back. The per-term DHT publications carry ctx's deadline and stop
+// at the first cancellation.
 func (n *Network) ShareCtx(ctx context.Context, owner simnet.Addr, doc *corpus.Document) error {
 	n.mu.Lock()
 	p, ok := n.peers[owner]
@@ -428,58 +416,47 @@ func (n *Network) Documents() []index.DocID {
 	return out
 }
 
-// InsertQuery caches the query's keywords at the indexing peers responsible
-// for them without retrieving results — the §6.2 training step ("For each
-// query in the training set, the keywords are inserted into SPRITE").
-func (n *Network) InsertQuery(from simnet.Addr, terms []string) error {
-	return n.InsertQueryCtx(context.Background(), from, terms)
-}
-
-// InsertQueryCtx is InsertQuery honoring ctx.
+// InsertQueryCtx caches the query's keywords at the indexing peers
+// responsible for them without retrieving results — the §6.2 training step
+// ("For each query in the training set, the keywords are inserted into
+// SPRITE"). Per-term insertions fan out; every reachable peer is reached even
+// when some fail, and the first failure in term order is reported.
 func (n *Network) InsertQueryCtx(ctx context.Context, from simnet.Addr, terms []string) error {
-	p, ok := n.peer(from)
+	p, ok := n.Peer(from)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
 	}
-	return p.insertQuery(ctx, terms)
+	dts := distinctTerms(terms)
+	errs := fanout.ForEach(ctx, n.exec, "insert", len(dts), func(ctx context.Context, i int) error {
+		_, _, _, err := p.node.Route(ctx, chordid.HashKey(dts[i]), simnet.Message{
+			Type:    msgCacheQuery,
+			Payload: cacheQueryReq{Query: terms},
+			Size:    sizeTerms(terms),
+		}, nil, "")
+		return err
+	})
+	return fanout.FirstError(errs)
 }
 
-// Search executes a keyword query from the given peer and returns the top-k
-// ranked documents (§4). Terms whose indexing peer is unreachable are
-// discarded from the computation rather than failing the query (§7), with a
-// nil error — this entry point predates the partial-results contract; use
-// SearchCtx to observe ErrPartialResults. The query is cached in the
-// contacted indexing peers' histories, feeding future learning. When a
-// telemetry registry is configured the query is traced; the completed span
-// tree lands in the registry's recent-trace buffer.
-func (n *Network) Search(from simnet.Addr, terms []string, k int) (ir.RankedList, error) {
-	rl, _, err := n.SearchTraced(from, terms, k)
-	return rl, err
-}
-
-// SearchCtx is Search under a context, with the full error contract:
-// deadlines and cancellation reach every lookup hop and postings fetch; a
-// canceled context aborts the search with an error wrapping ctx.Err(); a
-// search that lost some terms to unreachable holders returns the ranked list
-// over the remaining terms plus a *PartialError (errors.Is(err,
-// ErrPartialResults)). An unknown from wraps ErrNoSuchPeer.
+// SearchCtx executes a keyword query from the given peer and returns the
+// top-k ranked documents (§4). The query is cached in the contacted indexing
+// peers' histories, feeding future learning, and traced when a telemetry
+// registry is configured. Deadlines and cancellation reach every lookup hop
+// and postings fetch; a canceled context aborts the search with an error
+// wrapping ctx.Err(); a search that lost some terms to unreachable holders
+// returns the ranked list over the remaining terms plus a *PartialError
+// (errors.Is(err, ErrPartialResults)). An unknown from wraps ErrNoSuchPeer.
 func (n *Network) SearchCtx(ctx context.Context, from simnet.Addr, terms []string, k int) (ir.RankedList, error) {
 	rl, _, err := n.SearchTracedCtx(ctx, from, terms, k)
 	return rl, err
 }
 
-// SearchTraced is Search returning the query's trace (nil when no telemetry
-// registry is configured). The trace's span tree has one child span per
-// query term, under which each Chord hop and the postings fetch from the
+// SearchTracedCtx is SearchCtx returning the query's trace (nil when no
+// telemetry registry is configured). The trace's span tree has one child span
+// per query term, under which each Chord hop and the postings fetch from the
 // indexing peer are timed individually.
-func (n *Network) SearchTraced(from simnet.Addr, terms []string, k int) (ir.RankedList, *telemetry.Trace, error) {
-	rl, tr, err := n.SearchTracedCtx(context.Background(), from, terms, k)
-	return rl, tr, stripPartial(err)
-}
-
-// SearchTracedCtx is SearchCtx returning the query's trace.
 func (n *Network) SearchTracedCtx(ctx context.Context, from simnet.Addr, terms []string, k int) (ir.RankedList, *telemetry.Trace, error) {
-	p, ok := n.peer(from)
+	p, ok := n.Peer(from)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
 	}
@@ -491,17 +468,12 @@ func (n *Network) SearchTracedCtx(ctx context.Context, from simnet.Addr, terms [
 	return rl, tr, err
 }
 
-// Probe is Search without the history side effect: the query is processed
-// but not cached at indexing peers. The experiment harness uses it so that
-// measurement runs do not leak the testing queries into the learning state.
-func (n *Network) Probe(from simnet.Addr, terms []string, k int) (ir.RankedList, error) {
-	rl, err := n.ProbeCtx(context.Background(), from, terms, k)
-	return rl, stripPartial(err)
-}
-
-// ProbeCtx is Probe under a context, with the SearchCtx error contract.
+// ProbeCtx is SearchCtx without the history side effect: the query is
+// processed but not cached at indexing peers. The experiment harness uses it
+// so that measurement runs do not leak the testing queries into the learning
+// state. Same error contract as SearchCtx.
 func (n *Network) ProbeCtx(ctx context.Context, from simnet.Addr, terms []string, k int) (ir.RankedList, error) {
-	p, ok := n.peer(from)
+	p, ok := n.Peer(from)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
 	}

@@ -58,7 +58,7 @@ func TestConfigValidation(t *testing.T) {
 func TestShareIndexesTopFrequentTerms(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 2})
 	d := doc("d1", map[string]int{"alpha": 9, "beta": 7, "gamma": 2, "delta": 1})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatalf("Share: %v", err)
 	}
 	terms, err := n.IndexedTerms("d1")
@@ -77,23 +77,23 @@ func TestShareIndexesTopFrequentTerms(t *testing.T) {
 func TestShareRejectsDuplicatesAndUnknownPeer(t *testing.T) {
 	n := testNetwork(t, 4, Config{})
 	d := doc("d1", map[string]int{"a": 1})
-	if err := n.Share("ghost", d); err == nil {
+	if err := n.ShareCtx(context.Background(), "ghost", d); err == nil {
 		t.Fatal("unknown peer accepted")
 	}
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Share("p1", d); err == nil {
+	if err := n.ShareCtx(context.Background(), "p1", d); err == nil {
 		t.Fatal("duplicate share accepted")
 	}
 }
 
 func TestSearchFindsSharedDocument(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 3})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5, "dht": 3, "ring": 2})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5, "dht": 3, "ring": 2})); err != nil {
 		t.Fatal(err)
 	}
-	rl, err := n.Search("p3", []string{"chord"}, 10)
+	rl, err := n.SearchCtx(context.Background(), "p3", []string{"chord"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,10 +104,10 @@ func TestSearchFindsSharedDocument(t *testing.T) {
 
 func TestSearchUnindexedTermMisses(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 1})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5, "rare": 1})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5, "rare": 1})); err != nil {
 		t.Fatal(err)
 	}
-	rl, err := n.Search("p1", []string{"rare"}, 10)
+	rl, err := n.SearchCtx(context.Background(), "p1", []string{"rare"}, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSearchUnindexedTermMisses(t *testing.T) {
 
 func TestQueriesCachedAtIndexingPeers(t *testing.T) {
 	n := testNetwork(t, 6, Config{})
-	if err := n.InsertQuery("p0", []string{"storage", "engine"}); err != nil {
+	if err := n.InsertQueryCtx(context.Background(), "p0", []string{"storage", "engine"}); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -134,10 +134,10 @@ func TestQueriesCachedAtIndexingPeers(t *testing.T) {
 
 func TestSearchAlsoCachesQuery(t *testing.T) {
 	n := testNetwork(t, 6, Config{InitialTerms: 1})
-	if err := n.Share("p0", doc("d1", map[string]int{"engine": 3})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"engine": 3})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Search("p2", []string{"engine", "turbo"}, 5); err != nil {
+	if _, err := n.SearchCtx(context.Background(), "p2", []string{"engine", "turbo"}, 5); err != nil {
 		t.Fatal(err)
 	}
 	total := 0
@@ -160,12 +160,12 @@ func TestLearnAddsQueriedTerms(t *testing.T) {
 		"c": 8,         // frequent but never queried (the paper's term c)
 		"d": 3, "e": 2, // queried terms
 	})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
 	// Queries arrive containing the indexed term a plus the unindexed d / e.
 	for _, q := range [][]string{{"a", "d"}, {"a", "d", "e"}, {"b", "e"}, {"a", "d"}} {
-		if err := n.InsertQuery("p5", q); err != nil {
+		if err := n.InsertQueryCtx(context.Background(), "p5", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestLearnRespectsCapAndReplaces(t *testing.T) {
 	d := doc("doc1", map[string]int{
 		"a": 10, "b": 9, "x": 5, "y": 4, "z": 3,
 	})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
 	// Queries strongly favor x, y, z — none of the initial terms appear
@@ -206,7 +206,7 @@ func TestLearnRespectsCapAndReplaces(t *testing.T) {
 	for _, q := range [][]string{
 		{"a", "x", "y"}, {"a", "x", "z"}, {"a", "x", "y"}, {"a", "y", "z"},
 	} {
-		if err := n.InsertQuery("p5", q); err != nil {
+		if err := n.InsertQueryCtx(context.Background(), "p5", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -241,11 +241,11 @@ func TestLearnIncrementalWatermark(t *testing.T) {
 	// must pull nothing and change nothing.
 	n := testNetwork(t, 8, Config{InitialTerms: 2, TermsPerIteration: 3, MaxIndexTerms: 10})
 	d := doc("doc1", map[string]int{"a": 5, "b": 4, "c": 2, "d": 1})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
-	n.InsertQuery("p3", []string{"a", "c"})
-	n.InsertQuery("p3", []string{"a", "d"})
+	n.InsertQueryCtx(context.Background(), "p3", []string{"a", "c"})
+	n.InsertQueryCtx(context.Background(), "p3", []string{"a", "d"})
 	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -275,20 +275,20 @@ func TestLearnedTermImprovesSearch(t *testing.T) {
 	// learning.
 	n := testNetwork(t, 10, Config{InitialTerms: 1, TermsPerIteration: 2, MaxIndexTerms: 5})
 	d := doc("doc1", map[string]int{"common": 10, "niche": 2})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := n.Search("p4", []string{"niche"}, 5)
+	before, _ := n.SearchCtx(context.Background(), "p4", []string{"niche"}, 5)
 	if len(before) != 0 {
 		t.Fatalf("niche should miss before learning: %v", before)
 	}
 	// A user finds the doc via "common" but their query also had "niche".
-	n.InsertQuery("p4", []string{"common", "niche"})
-	n.InsertQuery("p4", []string{"common", "niche"})
+	n.InsertQueryCtx(context.Background(), "p4", []string{"common", "niche"})
+	n.InsertQueryCtx(context.Background(), "p4", []string{"common", "niche"})
 	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	after, _ := n.Search("p4", []string{"niche"}, 5)
+	after, _ := n.SearchCtx(context.Background(), "p4", []string{"niche"}, 5)
 	if len(after) != 1 || after[0].Doc != "doc1" {
 		t.Fatalf("niche should hit after learning: %v", after)
 	}
@@ -363,11 +363,11 @@ func TestPollDeduplication(t *testing.T) {
 	// exactly one indexing peer across a full poll sweep.
 	n := testNetwork(t, 10, Config{InitialTerms: 2, TermsPerIteration: 5, MaxIndexTerms: 10})
 	d := doc("doc1", map[string]int{"aaa": 5, "bbb": 4, "ccc": 1})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
 	// Query contains both indexed terms plus ccc.
-	n.InsertQuery("p3", []string{"aaa", "bbb", "ccc"})
+	n.InsertQueryCtx(context.Background(), "p3", []string{"aaa", "bbb", "ccc"})
 	p, _ := n.Owner("doc1")
 	st := p.owned["doc1"]
 
@@ -378,7 +378,7 @@ func TestPollDeduplication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reply, err := n.ring.Net().Call(p.Addr(), ref.Addr, simnet.Message{
+		reply, err := n.ring.Net().CallCtx(context.Background(), p.Addr(), ref.Addr, simnet.Message{
 			Type: msgPoll,
 			Payload: pollReq{Docs: []pollDoc{{
 				Doc:      "doc1",
@@ -401,7 +401,7 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 	n := testNetwork(t, 1, Config{HistoryCap: 3})
 	p := n.Peers()[0]
 	for _, q := range [][]string{{"q1"}, {"q2"}, {"q3"}, {"q4"}} {
-		if err := n.InsertQuery(p.Addr(), q); err != nil {
+		if err := n.InsertQueryCtx(context.Background(), p.Addr(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -423,7 +423,7 @@ func TestRepeatedQueriesCountAsIssuances(t *testing.T) {
 	n := testNetwork(t, 1, Config{HistoryCap: 10})
 	p := n.Peers()[0]
 	for i := 0; i < 5; i++ {
-		n.InsertQuery(p.Addr(), []string{"popular", "query"})
+		n.InsertQueryCtx(context.Background(), p.Addr(), []string{"popular", "query"})
 	}
 	// One query with two terms on a single peer: the cache message is sent
 	// once per distinct term, so each insertion stores two issuances... on a
@@ -440,13 +440,13 @@ func TestHistoryRepeatsDriveQF(t *testing.T) {
 	// both queries match the document equally well.
 	n := testNetwork(t, 8, Config{InitialTerms: 1, TermsPerIteration: 1, MaxIndexTerms: 2})
 	d := doc("D", map[string]int{"anchor": 9, "hotterm": 2, "coldterm": 2})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		n.InsertQuery("p3", []string{"anchor", "hotterm"})
+		n.InsertQueryCtx(context.Background(), "p3", []string{"anchor", "hotterm"})
 	}
-	n.InsertQuery("p3", []string{"anchor", "coldterm"})
+	n.InsertQueryCtx(context.Background(), "p3", []string{"anchor", "coldterm"})
 	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +481,7 @@ func TestConcurrentSearchDuringLearning(t *testing.T) {
 			fmt.Sprintf("term%02d", i+1): 2,
 			"shared":                     1,
 		}
-		if err := n.Share(n.Peers()[i%16].Addr(), doc(id, tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), n.Peers()[i%16].Addr(), doc(id, tf)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -492,7 +492,7 @@ func TestConcurrentSearchDuringLearning(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			q := []string{fmt.Sprintf("term%02d", i%21), "shared"}
-			if _, err := n.Search(n.Peers()[i%16].Addr(), q, 10); err != nil {
+			if _, err := n.SearchCtx(context.Background(), n.Peers()[i%16].Addr(), q, 10); err != nil {
 				errs <- err
 				return
 			}
@@ -502,7 +502,7 @@ func TestConcurrentSearchDuringLearning(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
 			q := []string{fmt.Sprintf("term%02d", (i+7)%21)}
-			if err := n.InsertQuery(n.Peers()[(i+3)%16].Addr(), q); err != nil {
+			if err := n.InsertQueryCtx(context.Background(), n.Peers()[(i+3)%16].Addr(), q); err != nil {
 				errs <- err
 				return
 			}
@@ -528,7 +528,7 @@ func TestConcurrentLearnAndInspect(t *testing.T) {
 	// LearnDoc and IndexedTerms race on the same document's state; the
 	// per-document mutex must make this safe under -race.
 	n := testNetwork(t, 8, Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 8})
-	if err := n.Share("p0", doc("hotdoc", map[string]int{"aa": 5, "bb": 3, "cc": 2, "dd": 1})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("hotdoc", map[string]int{"aa": 5, "bb": 3, "cc": 2, "dd": 1})); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -536,7 +536,7 @@ func TestConcurrentLearnAndInspect(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
-			n.InsertQuery("p3", []string{"aa", "cc"})
+			n.InsertQueryCtx(context.Background(), "p3", []string{"aa", "cc"})
 			n.LearnDocCtx(context.Background(), "hotdoc")
 		}
 	}()
@@ -551,10 +551,10 @@ func TestConcurrentLearnAndInspect(t *testing.T) {
 
 func TestSearchReturnsValidOwners(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 2})
-	if err := n.Share("p2", doc("owned", map[string]int{"specific": 3, "marker": 1})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p2", doc("owned", map[string]int{"specific": 3, "marker": 1})); err != nil {
 		t.Fatal(err)
 	}
-	rl, err := n.Search("p5", []string{"specific"}, 5)
+	rl, err := n.SearchCtx(context.Background(), "p5", []string{"specific"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,10 +574,10 @@ func TestSurrogateNConsistency(t *testing.T) {
 	// networks differing only in SurrogateN must produce identical rankings.
 	build := func(surrogate int) ir.RankedList {
 		n := testNetwork(t, 8, Config{InitialTerms: 3, SurrogateN: surrogate})
-		n.Share("p0", doc("a", map[string]int{"x": 5, "y": 2, "z": 1}))
-		n.Share("p1", doc("b", map[string]int{"x": 1, "y": 4, "w": 2}))
-		n.Share("p2", doc("c", map[string]int{"x": 2, "w": 5, "z": 2}))
-		rl, err := n.Search("p4", []string{"x", "y"}, 10)
+		n.ShareCtx(context.Background(), "p0", doc("a", map[string]int{"x": 5, "y": 2, "z": 1}))
+		n.ShareCtx(context.Background(), "p1", doc("b", map[string]int{"x": 1, "y": 4, "w": 2}))
+		n.ShareCtx(context.Background(), "p2", doc("c", map[string]int{"x": 2, "w": 5, "z": 2}))
+		rl, err := n.SearchCtx(context.Background(), "p4", []string{"x", "y"}, 10)
 		if err != nil {
 			t.Fatal(err)
 		}

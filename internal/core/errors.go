@@ -65,13 +65,3 @@ func (e *PartialError) Unwrap() []error {
 	}
 	return out
 }
-
-// stripPartial converts a partial-results error to success, for entry points
-// that predate the error contract and promised "unreachable terms are
-// skipped" with a nil error. Any other error passes through.
-func stripPartial(err error) error {
-	if errors.Is(err, ErrPartialResults) {
-		return nil
-	}
-	return err
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
@@ -78,27 +77,37 @@ func (p *Peer) handleDocTerms(req docTermsReq) docTermsResp {
 }
 
 // SearchExpanded runs a two-phase expanded search from the given peer: a
-// normal first-phase search, local-context analysis over the top results'
-// term vectors, then a second search with the enriched query. It returns
-// the final ranked list and the expansion terms used.
+// first-phase ranking, local-context analysis over the top results' term
+// vectors, then a second search with the enriched query. It returns the final
+// ranked list and the expansion terms used. Neither phase records the query
+// in histories. Error contract: an unknown from wraps ErrNoSuchPeer; terms
+// lost to unreachable holders return the ranking over the rest plus a
+// *PartialError (errors.Is(err, ErrPartialResults)) — the final search's, or
+// the first phase's when that ranked nothing.
 func (n *Network) SearchExpanded(from simnet.Addr, terms []string, k int, opts ExpandOptions) (ir.RankedList, []string, error) {
-	p, ok := n.peer(from)
+	p, ok := n.Peer(from)
 	if !ok {
-		return nil, nil, fmt.Errorf("core: unknown peer %q", from)
+		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
 	}
 	opts = opts.withDefaults()
 	n.met.expansionRounds.Inc()
 
-	first := p.searchWithOwners(terms, opts.FeedbackDocs)
-	if len(first.hits) == 0 {
-		return nil, nil, nil
+	ctx := context.Background()
+	first, failed, err := p.feedbackHits(ctx, terms, opts.FeedbackDocs)
+	if err != nil {
+		return nil, nil, err
 	}
-	expansion := p.localContextTerms(terms, first, opts.ExpansionTerms)
+	if len(first.hits) == 0 {
+		return nil, nil, p.partial(failed)
+	}
+	expansion := p.localContextTerms(ctx, terms, first, opts.ExpansionTerms)
 	if len(expansion) == 0 {
-		return p.search(terms, k, false), nil, nil
+		rl, err := p.searchCtx(ctx, terms, k, false, nil)
+		return rl, nil, err
 	}
 	expanded := append(append([]string(nil), terms...), expansion...)
-	return p.search(expanded, k, false), expansion, nil
+	rl, err := p.searchCtx(ctx, expanded, k, false, nil)
+	return rl, expansion, err
 }
 
 // ownedHits is a first-phase result list that retains owner addresses.
@@ -107,50 +116,31 @@ type ownedHits struct {
 	owners map[index.DocID]simnet.Addr
 }
 
-// searchWithOwners is the first expansion phase: like search, but it records
-// which owner peer holds each result so the term vectors can be fetched.
-// It does not record the query in histories (the follow-up full search in
-// the caller's hands decides that).
-func (p *Peer) searchWithOwners(terms []string, k int) ownedHits {
-	qtf := make(map[string]int, len(terms))
-	for _, t := range terms {
-		qtf[t]++
-	}
-	nTotal := p.net.cfg.SurrogateN
-	// Per-term fetches fan out (network I/O only); scoring and owner
-	// collection fold in term order below, reproducing the sequential result.
+// feedbackHits is the first expansion phase: the top k documents for terms,
+// fetched and ranked as searchCtx does but without recording the query (the
+// follow-up search decides that), plus each hit's owner peer, read from the
+// fetched postings so the term vectors can be downloaded. A document several
+// lists carry takes its owner from the last of them, in query order.
+func (p *Peer) feedbackHits(ctx context.Context, terms []string, k int) (ownedHits, []TermFailure, error) {
 	dts := distinctTerms(terms)
-	type fetchOut struct {
-		resp getPostingsResp
-		ok   bool
+	outs, failed, err := p.fetchStage(ctx, "expand_fetch", dts, terms, false, nil)
+	if err != nil {
+		return ownedHits{}, nil, err
 	}
-	outs, _ := fanout.Map(context.Background(), p.net.exec, "expand_fetch", len(dts), func(ctx context.Context, i int) (fetchOut, error) {
-		reply, _, _, err := p.node.Route(ctx, chordid.HashKey(dts[i]), simnet.Message{
-			Type:    msgGetPostings,
-			Payload: getPostingsReq{Term: dts[i], Query: terms},
-			Size:    len(dts[i]) + sizeTerms(terms),
-		}, nil, "")
-		if err != nil {
-			return fetchOut{}, nil
-		}
-		return fetchOut{resp: reply.Payload.(getPostingsResp), ok: true}, nil
-	})
-	acc := ir.NewAccumulator()
-	owners := make(map[index.DocID]simnet.Addr)
-	for i, term := range dts {
-		if !outs[i].ok || outs[i].resp.IndexedDF == 0 {
-			continue
-		}
-		resp := outs[i].resp
-		wq := ir.QueryWeight(qtf[term], len(terms), nTotal, resp.IndexedDF)
-		cur := resp.Postings.Cursor()
+	hits := ir.MergeTopK(p.mergeTerms(terms, dts, outs), k)
+	owners := make(map[index.DocID]simnet.Addr, len(hits))
+	for _, h := range hits {
+		owners[h.Doc] = ""
+	}
+	for _, out := range outs {
+		cur := out.resp.Postings.Cursor()
 		for posting, ok := cur.Next(); ok; posting, ok = cur.Next() {
-			wd := ir.Weight(posting.NormFreq(), nTotal, resp.IndexedDF)
-			acc.Accumulate(posting.Doc, wq*wd, posting.DocLen)
-			owners[posting.Doc] = simnet.Addr(posting.Owner)
+			if _, hit := owners[posting.Doc]; hit {
+				owners[posting.Doc] = simnet.Addr(posting.Owner)
+			}
 		}
 	}
-	return ownedHits{hits: acc.Ranked().Top(k), owners: owners}
+	return ownedHits{hits: hits, owners: owners}, failed, nil
 }
 
 // localContextTerms fetches the feedback documents' term vectors from their
@@ -160,7 +150,7 @@ func (p *Peer) searchWithOwners(terms []string, k int) ownedHits {
 //	lca(t) = Σ_d sim(d) · tf(t, d)/|d|   over the feedback documents
 //
 // Query terms themselves are excluded; ties break alphabetically.
-func (p *Peer) localContextTerms(queryTerms []string, first ownedHits, want int) []string {
+func (p *Peer) localContextTerms(ctx context.Context, queryTerms []string, first ownedHits, want int) []string {
 	inQuery := make(map[string]bool, len(queryTerms))
 	for _, t := range queryTerms {
 		inQuery[t] = true
@@ -172,12 +162,8 @@ func (p *Peer) localContextTerms(queryTerms []string, first ownedHits, want int)
 		resp docTermsResp
 		ok   bool
 	}
-	outs, _ := fanout.Map(context.Background(), p.net.exec, "expand_vectors", len(first.hits), func(_ context.Context, i int) (vecOut, error) {
-		owner, ok := first.owners[first.hits[i].Doc]
-		if !ok {
-			return vecOut{}, nil
-		}
-		reply, err := p.net.ring.Net().Call(p.Addr(), owner, simnet.Message{
+	outs, _ := fanout.Map(ctx, p.net.exec, "expand_vectors", len(first.hits), func(ctx context.Context, i int) (vecOut, error) {
+		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), first.owners[first.hits[i].Doc], simnet.Message{
 			Type:    msgDocTerms,
 			Payload: docTermsReq{Doc: first.hits[i].Doc},
 			Size:    len(first.hits[i].Doc),

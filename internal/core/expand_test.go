@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/index"
@@ -14,17 +15,17 @@ func expansionFixture(t *testing.T) *Network {
 	t.Helper()
 	n := testNetwork(t, 10, Config{InitialTerms: 4})
 	// Two related documents about distributed consensus; a third unrelated.
-	if err := n.Share("p0", doc("raft", map[string]int{
+	if err := n.ShareCtx(context.Background(), "p0", doc("raft", map[string]int{
 		"consensu": 6, "leader": 4, "elect": 3, "replic": 3, "quorum": 2,
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Share("p1", doc("paxos", map[string]int{
+	if err := n.ShareCtx(context.Background(), "p1", doc("paxos", map[string]int{
 		"consensu": 5, "quorum": 4, "ballot": 3, "acceptor": 3, "replic": 1,
 	})); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Share("p2", doc("bakery", map[string]int{
+	if err := n.ShareCtx(context.Background(), "p2", doc("bakery", map[string]int{
 		"bread": 5, "oven": 4, "flour": 3, "yeast": 2,
 	})); err != nil {
 		t.Fatal(err)
@@ -83,8 +84,8 @@ func TestSearchExpandedNoResults(t *testing.T) {
 
 func TestSearchExpandedUnknownPeer(t *testing.T) {
 	n := expansionFixture(t)
-	if _, _, err := n.SearchExpanded("ghost", []string{"consensu"}, 5, ExpandOptions{}); err == nil {
-		t.Fatal("unknown peer accepted")
+	if _, _, err := n.SearchExpanded("ghost", []string{"consensu"}, 5, ExpandOptions{}); !errors.Is(err, ErrNoSuchPeer) {
+		t.Fatalf("unknown peer: err = %v, want ErrNoSuchPeer", err)
 	}
 }
 
@@ -112,7 +113,7 @@ func TestSearchExpandedImprovesRecallOfRelatedDoc(t *testing.T) {
 	// expanded query (enriched with paxos's co-occurring terms like consensu
 	// and quorum) also surfaces raft.
 	n := expansionFixture(t)
-	plain, err := n.Search("p4", []string{"ballot"}, 5)
+	plain, err := n.SearchCtx(context.Background(), "p4", []string{"ballot"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestHotTermAdvisoryDropsUbiquitousTerm(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 2, HotTermDF: 5, TermsPerIteration: 2, MaxIndexTerms: 6})
 	for i := 0; i < 8; i++ {
 		id := string(rune('a' + i))
-		if err := n.Share("p0", doc(id, map[string]int{"ubiquit": 5, "rare" + id: 3, "other" + id: 1})); err != nil {
+		if err := n.ShareCtx(context.Background(), "p0", doc(id, map[string]int{"ubiquit": 5, "rare" + id: 3, "other" + id: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -199,7 +200,7 @@ func TestHotTermAdvisoryDisabledByDefault(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 2})
 	for i := 0; i < 8; i++ {
 		id := string(rune('a' + i))
-		if err := n.Share("p0", doc(id, map[string]int{"common": 5, "x" + id: 3})); err != nil {
+		if err := n.ShareCtx(context.Background(), "p0", doc(id, map[string]int{"common": 5, "x" + id: 3})); err != nil {
 			t.Fatal(err)
 		}
 	}

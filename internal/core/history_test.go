@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -149,7 +150,7 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 			case op < 15:
 				q := pick()
 				before := state.seq
-				if err := n.InsertQuery("p0", q); err != nil {
+				if err := n.InsertQueryCtx(context.Background(), "p0", q); err != nil {
 					t.Fatal(err)
 				}
 				// One recording per distinct term: every term lives here.

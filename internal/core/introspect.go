@@ -69,7 +69,7 @@ func (n *Network) snapshotIndexes(replicas bool) []IndexEntry {
 // indexingState.postings without a network call, so an oracle can predict a
 // search's inputs from ground truth.
 func (n *Network) ServedPostings(addr simnet.Addr, term string) ([]index.Posting, bool, bool) {
-	p, ok := n.peer(addr)
+	p, ok := n.Peer(addr)
 	if !ok {
 		return nil, false, false
 	}
@@ -172,7 +172,7 @@ func (n *Network) BannedTerms(doc index.DocID) []string {
 // replicas whose withdrawal is transitively pending: the owner only knows the
 // holder owes a withdrawal, and the holder's record is what reaches them.
 func (n *Network) ReplicaLocsAt(addr simnet.Addr, term string, doc index.DocID) []simnet.Addr {
-	p, ok := n.peer(addr)
+	p, ok := n.Peer(addr)
 	if !ok {
 		return nil
 	}
@@ -190,11 +190,11 @@ func (n *Network) ReplicaLocsAt(addr simnet.Addr, term string, doc index.DocID) 
 // verify the stranded-entry invariant actually bites. Returns whether the
 // entry existed and was moved.
 func (n *Network) RelocatePrimaryEntry(from, to simnet.Addr, term string, doc index.DocID) bool {
-	src, ok := n.peer(from)
+	src, ok := n.Peer(from)
 	if !ok {
 		return false
 	}
-	dst, ok := n.peer(to)
+	dst, ok := n.Peer(to)
 	if !ok {
 		return false
 	}
@@ -217,7 +217,7 @@ func (n *Network) RelocatePrimaryEntry(from, to simnet.Addr, term string, doc in
 	dst.indexing.mu.Unlock()
 	// Keep the owner's ledger consistent with the corrupted placement so
 	// only the placement invariant can catch it.
-	if owner, ok := n.peer(simnet.Addr(moved.Owner)); ok {
+	if owner, ok := n.Peer(simnet.Addr(moved.Owner)); ok {
 		owner.mu.Lock()
 		st := owner.owned[doc]
 		owner.mu.Unlock()
@@ -239,7 +239,7 @@ func (n *Network) RelocatePrimaryEntry(from, to simnet.Addr, term string, doc in
 // checkers actually catch replica divergence. It returns whether the entry
 // existed.
 func (n *Network) DropReplicaEntry(addr simnet.Addr, term string, doc index.DocID) bool {
-	p, ok := n.peer(addr)
+	p, ok := n.Peer(addr)
 	if !ok {
 		return false
 	}

@@ -40,10 +40,6 @@ func (l *msgLog) CallCtx(ctx context.Context, from, to simnet.Addr, msg simnet.M
 	return reply, err
 }
 
-func (l *msgLog) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	return l.CallCtx(context.Background(), from, to, msg)
-}
-
 // drain empties the log and returns what it held.
 func (l *msgLog) drain() []sentMsg {
 	l.mu.Lock()
@@ -467,13 +463,13 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 				}
 			}
 			for i, id := range docs {
-				if err := n.Share(ownerAddr, doc(string(id), map[string]int{"terma": 4 + i, "termb": 3, "termc": 2, "termd": 1})); err != nil {
+				if err := n.ShareCtx(context.Background(), ownerAddr, doc(string(id), map[string]int{"terma": 4 + i, "termb": 3, "termc": 2, "termd": 1})); err != nil {
 					t.Fatal(err)
 				}
 			}
 			ctx := context.Background()
 			for i := 0; i < 6; i++ {
-				if err := n.InsertQuery("m1", terms); err != nil {
+				if err := n.InsertQueryCtx(context.Background(), "m1", terms); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -498,7 +494,7 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 					t.Fatalf("%q is served by %s after the join, not the joiner", term, holder.Addr())
 				}
 			}
-			owner, _ := n.peer(ownerAddr)
+			owner, _ := n.Peer(ownerAddr)
 			for _, id := range docs {
 				old := owner.owned[id].since[moved[0]]
 				if old.At == "" || old.At == joiner.Addr() || old.Since < 6 {
@@ -507,11 +503,11 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 			}
 			const fresh = 3
 			for i := 0; i < fresh; i++ {
-				if err := n.InsertQuery("m2", []string{moved[0]}); err != nil {
+				if err := n.InsertQueryCtx(context.Background(), "m2", []string{moved[0]}); err != nil {
 					t.Fatal(err)
 				}
 			}
-			newPeer, _ := n.peer(joiner.Addr())
+			newPeer, _ := n.Peer(joiner.Addr())
 			if got := newPeer.HistoryLen(); got != fresh {
 				t.Fatalf("the joiner recorded %d queries, want %d", got, fresh)
 			}

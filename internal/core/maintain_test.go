@@ -12,7 +12,7 @@ import (
 func TestUnshareRemovesAllPostings(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 3})
 	d := doc("d1", map[string]int{"aa": 3, "bb": 2, "cc": 1})
-	if err := n.Share("p0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 		t.Fatal(err)
 	}
 	if n.TotalPostings() != 3 {
@@ -27,11 +27,11 @@ func TestUnshareRemovesAllPostings(t *testing.T) {
 	if _, err := n.IndexedTerms("d1"); err == nil {
 		t.Fatal("unshared document still known")
 	}
-	if rl, _ := n.Search("p1", []string{"aa"}, 5); len(rl) != 0 {
+	if rl, _ := n.SearchCtx(context.Background(), "p1", []string{"aa"}, 5); len(rl) != 0 {
 		t.Fatalf("unshared document still findable: %v", rl)
 	}
 	// The document can be shared again (fresh state).
-	if err := n.Share("p2", doc("d1", map[string]int{"aa": 1})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p2", doc("d1", map[string]int{"aa": 1})); err != nil {
 		t.Fatalf("re-share after unshare: %v", err)
 	}
 }
@@ -45,8 +45,8 @@ func TestUnshareUnknownDoc(t *testing.T) {
 
 func TestUnshareRemovesFromLearningSweep(t *testing.T) {
 	n := testNetwork(t, 6, Config{InitialTerms: 1})
-	n.Share("p0", doc("a", map[string]int{"x": 1}))
-	n.Share("p1", doc("b", map[string]int{"y": 1}))
+	n.ShareCtx(context.Background(), "p0", doc("a", map[string]int{"x": 1}))
+	n.ShareCtx(context.Background(), "p1", doc("b", map[string]int{"y": 1}))
 	if err := n.Unshare("a"); err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestUnshareRemovesFromLearningSweep(t *testing.T) {
 
 func TestUnshareWithReplication(t *testing.T) {
 	n := testNetwork(t, 10, Config{InitialTerms: 2, ReplicationFactor: 2})
-	n.Share("p0", doc("d", map[string]int{"rep": 2, "lic": 1}))
+	n.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"rep": 2, "lic": 1}))
 	if err := n.Unshare("d"); err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestUnshareWithReplication(t *testing.T) {
 
 func TestRefreshNoChurnMovesNothing(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 3})
-	n.Share("p0", doc("d", map[string]int{"qq": 3, "ww": 2, "ee": 1}))
+	n.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"qq": 3, "ww": 2, "ee": 1}))
 	moved, err := n.RefreshAll()
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestRefreshMigratesAfterJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := doc("d", map[string]int{"terma": 4, "termb": 3, "termc": 2, "termd": 1})
-	if err := n.Share("m0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "m0", d); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +143,7 @@ func TestRefreshMigratesAfterJoin(t *testing.T) {
 	}
 	// Every term must be findable again.
 	for _, term := range []string{"terma", "termb", "termc", "termd"} {
-		rl, err := n.Search("m1", []string{term}, 5)
+		rl, err := n.SearchCtx(context.Background(), "m1", []string{term}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -168,14 +168,14 @@ func TestRefreshAfterRecoveryRestoresEntries(t *testing.T) {
 	// An indexing peer fails; its entries are lost (no replication). When a
 	// key moves to the failover peer, refresh republished the entries there.
 	n := testNetwork(t, 10, Config{InitialTerms: 2})
-	n.Share("p0", doc("d", map[string]int{"alpha": 2, "beta": 1}))
+	n.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"alpha": 2, "beta": 1}))
 
 	// Fail the peer holding "alpha".
 	key := chordid.HashKey("alpha")
 	owner, _ := n.Ring().Owner(key)
 	n.Ring().Fail(owner)
 
-	if rl, _ := n.Search("p1", []string{"alpha"}, 5); len(rl) != 0 {
+	if rl, _ := n.SearchCtx(context.Background(), "p1", []string{"alpha"}, 5); len(rl) != 0 {
 		t.Fatalf("entries on failed peer still served: %v", rl)
 	}
 	moved, err := n.RefreshAll()
@@ -185,7 +185,7 @@ func TestRefreshAfterRecoveryRestoresEntries(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("refresh did not migrate entries off the failed peer")
 	}
-	rl, err := n.Search("p1", []string{"alpha"}, 5)
+	rl, err := n.SearchCtx(context.Background(), "p1", []string{"alpha"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

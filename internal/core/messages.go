@@ -293,10 +293,10 @@ type repairDigestResp struct {
 }
 
 // termPostings is one term's full authoritative posting list in a repair
-// push.
+// push, in the block-compressed form the index stores and get_postings ships.
 type termPostings struct {
 	Term     string
-	Postings []index.Posting
+	Postings index.Encoded
 }
 
 type repairPushReq struct {

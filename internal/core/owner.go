@@ -291,44 +291,72 @@ func (p *Peer) indexedTerms(doc index.DocID) []string {
 	return out
 }
 
-// insertQuery caches the keywords at every responsible indexing peer without
-// retrieving postings. Per-term insertions are independent, so they fan out;
-// every reachable peer is reached even when some fail, and the first failure
-// in term order is reported (the sequential loop's contract).
-func (p *Peer) insertQuery(ctx context.Context, terms []string) error {
-	dts := distinctTerms(terms)
-	errs := fanout.ForEach(ctx, p.net.exec, "insert", len(dts), func(ctx context.Context, i int) error {
-		_, _, _, err := p.node.Route(ctx, chordid.HashKey(dts[i]), simnet.Message{
-			Type:    msgCacheQuery,
-			Payload: cacheQueryReq{Query: terms},
-			Size:    sizeTerms(terms),
-		}, nil, "")
-		return err
-	})
-	return fanout.FirstError(errs)
-}
-
 // errNotOwned reports a learning request for a document this peer no longer
 // owns (it raced with an unshare). LearnDocCtx returns it; a sweep over many
 // documents skips such a document instead.
 var errNotOwned = errors.New("document not owned by peer")
 
-// search implements §4's query processing from the querying peer: hash each
-// keyword, fetch postings from the responsible indexing peers, consolidate
-// per-document partial scores, and rank with the Lee et al. similarity.
-// Unreachable terms are skipped (§7's degraded mode).
-func (p *Peer) search(terms []string, k int, record bool) ir.RankedList {
-	rl, _ := p.searchCtx(context.Background(), terms, k, record, nil)
-	return rl
+// termFetch is one term's fetched, still-compressed list and the indexing
+// peer that served it; zero for a skipped term.
+type termFetch struct {
+	resp getPostingsResp
+	peer simnet.Addr
 }
 
-// searchCtx is search under a context with an optional (possibly nil) trace
-// span: each query term gets a child span covering its DHT lookup (one
-// grandchild span per Chord hop) and the postings fetch from the indexing
-// peer. Fetches run under the network's resilience policy (retry, hedging,
-// replica failover — see fetchTermPostings). The fetched lists stay
-// compressed: ranking is one k-way merge over their cursors, terms in query
-// order (ir.MergeTopK), and nothing is built per posting.
+// fetchStage is §4's fetch step, run by every query path (searchCtx,
+// searchSimilarCtx, SearchExpanded's first phase): the distinct terms dts fan
+// out under stage, each fetched through the postings cache when enabled (then
+// query is re-recorded at the serving peer if record is set, see
+// recordQueryAt) or under the resilience policy, with one child span of span
+// per term. The fold walks dts in order, so failures and counters match a
+// sequential loop: a done ctx aborts with an error wrapping ctx.Err(); any
+// other failure skips the term (§7), counted in termsSkipped and returned.
+func (p *Peer) fetchStage(ctx context.Context, stage string, dts, query []string, record bool, span *telemetry.Span) ([]termFetch, []TermFailure, error) {
+	pc := p.net.caches.postings
+	outs, errs := fanout.Map(ctx, p.net.exec, stage, len(dts), func(ctx context.Context, i int) (termFetch, error) {
+		term := dts[i]
+		tsp := span.StartChild("term")
+		tsp.Annotate("term", term)
+		defer tsp.Finish()
+		if pc != nil {
+			ent, outcome, err := p.fetchPostingsCached(ctx, term, tsp)
+			if err != nil {
+				tsp.Annotate("error", err.Error())
+				return termFetch{}, err
+			}
+			tsp.Annotate("postings_cache", outcome.String())
+			if record {
+				p.recordQueryAt(context.Background(), ent.peer, query) //nolint:errcheck // best-effort, see recordQueryAt
+			}
+			return termFetch{resp: ent.resp, peer: ent.peer}, nil
+		}
+		resp, peer, err := p.fetchTermPostings(ctx, term, query, record, tsp)
+		if err != nil {
+			tsp.Annotate("error", err.Error())
+			return termFetch{}, err
+		}
+		tsp.Annotate("indexing_peer", string(peer))
+		return termFetch{resp: resp, peer: peer}, nil
+	})
+	var failed []TermFailure
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if ctx.Err() != nil {
+			return nil, nil, fmt.Errorf("core: fetch %q: %w", dts[i], err)
+		}
+		p.net.met.termsSkipped.Inc()
+		failed = append(failed, TermFailure{Term: dts[i], Err: err})
+	}
+	return outs, failed, nil
+}
+
+// searchCtx implements §4's query processing from the querying peer, with an
+// optional (possibly nil) trace span: hash each keyword, fetch postings from
+// the responsible indexing peers (fetchStage), and rank with the Lee et al.
+// similarity. The fetched lists stay compressed: ranking is one k-way merge
+// over their cursors, terms in query order (ir.MergeTopK).
 //
 // Error contract: a done context aborts the search, returning nil and an
 // error wrapping ctx.Err(). Terms that failed for any other reason are
@@ -366,7 +394,7 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 				// learning under partial outages is visible in telemetry.
 				dts := distinctTerms(terms)
 				errs := fanout.ForEach(ctx, p.net.exec, "record", len(dts), func(ctx context.Context, i int) error {
-					return p.recordQueryAtErr(ctx, ent.peers[dts[i]], terms)
+					return p.recordQueryAt(ctx, ent.peers[dts[i]], terms)
 				})
 				for _, rerr := range errs {
 					if rerr != nil {
@@ -383,71 +411,33 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 	// only if it is still current at store time (see cache.PutAt).
 	rcGen := rc.Generation()
 
-	pc := p.net.caches.postings
+	dts := distinctTerms(terms)
+	outs, failed, err := p.fetchStage(ctx, "fetch", dts, terms, record, span)
+	if err != nil {
+		return nil, err
+	}
+	rl := ir.MergeTopK(p.mergeTerms(terms, dts, outs), k)
+	if rc != nil && len(failed) == 0 {
+		peers := make(map[string]simnet.Addr, len(dts))
+		for i, term := range dts {
+			peers[term] = outs[i].peer
+		}
+		ent := resultEntry{rl: append(ir.RankedList(nil), rl...), peers: peers}
+		rc.PutAt(rcGen, rkey, ent, resultBytes(ent))
+	}
+	return rl, p.partial(failed)
+}
+
+// mergeTerms is ir.MergeTopK's input over the fetched lists: one weighted
+// cursor per term that matched anything, in dts (query) order.
+func (p *Peer) mergeTerms(terms, dts []string, outs []termFetch) []ir.MergeTerm {
 	qtf := make(map[string]int, len(terms))
 	for _, t := range terms {
 		qtf[t]++
 	}
 	n := p.net.cfg.SurrogateN
-	var termPeers map[string]simnet.Addr
-	if rc != nil {
-		termPeers = make(map[string]simnet.Addr, len(terms))
-	}
-
-	// Per-term pipeline, fanned out: each worker performs the Chord lookup,
-	// postings fetch (cached or resilient) and query-history recording, and
-	// hands back the term's still-compressed list. The single-threaded
-	// collection below walks the terms in query order, so failure lists and
-	// counters are identical to the sequential loop regardless of completion
-	// order, and one streaming merge over the fetched cursors (ir.MergeTopK)
-	// adds each document's contributions in that same order.
-	type termOut struct {
-		resp getPostingsResp
-		peer simnet.Addr
-	}
-	dts := distinctTerms(terms)
-	outs, errs := fanout.Map(ctx, p.net.exec, "fetch", len(dts), func(ctx context.Context, i int) (termOut, error) {
-		term := dts[i]
-		tsp := span.StartChild("term")
-		tsp.Annotate("term", term)
-		defer tsp.Finish()
-		if pc != nil {
-			ent, outcome, err := p.fetchPostingsCached(ctx, term, tsp)
-			if err != nil {
-				tsp.Annotate("error", err.Error())
-				return termOut{}, err
-			}
-			tsp.Annotate("postings_cache", outcome.String())
-			if record {
-				p.recordQueryAt(ent.peer, terms)
-			}
-			return termOut{resp: ent.resp, peer: ent.peer}, nil
-		}
-		resp, peer, err := p.fetchTermPostings(ctx, term, terms, record, tsp)
-		if err != nil {
-			tsp.Annotate("error", err.Error())
-			return termOut{}, err
-		}
-		tsp.Annotate("indexing_peer", string(peer))
-		return termOut{resp: resp, peer: peer}, nil
-	})
-
-	var failed []TermFailure
 	merge := make([]ir.MergeTerm, 0, len(dts))
 	for i, term := range dts {
-		if errs[i] != nil {
-			// A done caller context aborts the whole search; any other fetch
-			// failure records the term as skipped and degrades (§7).
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("core: search term %q: %w", term, errs[i])
-			}
-			p.net.met.termsSkipped.Inc()
-			failed = append(failed, TermFailure{Term: term, Err: errs[i]})
-			continue
-		}
-		if termPeers != nil {
-			termPeers[term] = outs[i].peer
-		}
 		if df := outs[i].resp.IndexedDF; df > 0 {
 			merge = append(merge, ir.MergeTerm{
 				Cursor: outs[i].resp.Postings.Cursor(),
@@ -457,16 +447,17 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 			})
 		}
 	}
-	rl := ir.MergeTopK(merge, k)
-	if rc != nil && len(failed) == 0 {
-		ent := resultEntry{rl: append(ir.RankedList(nil), rl...), peers: termPeers}
-		rc.PutAt(rcGen, rkey, ent, resultBytes(ent))
+	return merge
+}
+
+// partial is a query's error for the terms it skipped: nil or a counted
+// *PartialError.
+func (p *Peer) partial(failed []TermFailure) error {
+	if len(failed) == 0 {
+		return nil
 	}
-	if len(failed) > 0 {
-		p.net.met.partials.Inc()
-		return rl, &PartialError{Failures: failed}
-	}
-	return rl, nil
+	p.net.met.partials.Inc()
+	return &PartialError{Failures: failed}
 }
 
 // rankedTerm pairs a term with its learning rank key.

@@ -37,7 +37,7 @@ func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 		}
 		tf[fmt.Sprintf("uniq%d", d)] = 2
 		owner := simnet.Addr(fmt.Sprintf("p%d", d%8))
-		if err := n.Share(owner, doc(fmt.Sprintf("d%d", d), tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), owner, doc(fmt.Sprintf("d%d", d), tf)); err != nil {
 			t.Fatalf("Share d%d: %v", d, err)
 		}
 	}
@@ -47,7 +47,7 @@ func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 	}
 	for i, q := range training {
 		from := simnet.Addr(fmt.Sprintf("p%d", i%8))
-		if err := n.InsertQuery(from, q); err != nil {
+		if err := n.InsertQueryCtx(context.Background(), from, q); err != nil {
 			t.Fatalf("InsertQuery %v: %v", q, err)
 		}
 	}
@@ -62,7 +62,7 @@ func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 	var out []ir.RankedList
 	for i, q := range queries {
 		from := simnet.Addr(fmt.Sprintf("p%d", (i+2)%8))
-		rl, err := n.Search(from, q, 10)
+		rl, err := n.SearchCtx(context.Background(), from, q, 10)
 		if err != nil {
 			t.Fatalf("Search %v: %v", q, err)
 		}
@@ -80,7 +80,7 @@ func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 		t.Fatalf("RefreshAll: %v", err)
 	}
 	for _, q := range queries[:3] {
-		rl, err := n.Search("p5", q, 10)
+		rl, err := n.SearchCtx(context.Background(), "p5", q, 10)
 		if err != nil {
 			t.Fatalf("post-refresh Search %v: %v", q, err)
 		}
@@ -178,7 +178,7 @@ func TestParallelEngineRaceRegression(t *testing.T) {
 		Parallelism:       8,
 		Cache:             CacheConfig{Enabled: true},
 	})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5, "dht": 3})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5, "dht": 3})); err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerOfTerm(t, n, "chord")
@@ -196,7 +196,7 @@ func TestParallelEngineRaceRegression(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
 			id := index.DocID(fmt.Sprintf("r%d", i))
-			n.Share("p1", corpus.NewDocument(id, map[string]int{"chord": 2, "extra": 1}))
+			n.ShareCtx(context.Background(), "p1", corpus.NewDocument(id, map[string]int{"chord": 2, "extra": 1}))
 			n.Unshare(id)
 		}
 	}()
@@ -239,13 +239,13 @@ func TestParallelRecordErrorsCounted(t *testing.T) {
 		Telemetry:    reg,
 		Cache:        CacheConfig{Enabled: true},
 	})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5})); err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerOfTerm(t, n, "chord")
 	searcher := searcherAvoiding(t, n, owner.Addr())
 
-	if _, err := n.Search(searcher, []string{"chord"}, 10); err != nil {
+	if _, err := n.SearchCtx(context.Background(), searcher, []string{"chord"}, 10); err != nil {
 		t.Fatalf("priming search: %v", err)
 	}
 	if c := reg.Counter("sprite.fanout.record_errors").Value(); c != 0 {
@@ -256,7 +256,7 @@ func TestParallelRecordErrorsCounted(t *testing.T) {
 	// The repeat hits the result cache; its history replay runs into the
 	// outage and must be counted, not swallowed.
 	sim.DropCalls(owner.Addr(), 1)
-	rl, err := n.Search(searcher, []string{"chord"}, 10)
+	rl, err := n.SearchCtx(context.Background(), searcher, []string{"chord"}, 10)
 	if err != nil {
 		t.Fatalf("cached search: %v", err)
 	}
@@ -271,7 +271,7 @@ func TestParallelRecordErrorsCounted(t *testing.T) {
 	}
 
 	// Outage over: the next cached hit records again, with no new drops.
-	if _, err := n.Search(searcher, []string{"chord"}, 10); err != nil {
+	if _, err := n.SearchCtx(context.Background(), searcher, []string{"chord"}, 10); err != nil {
 		t.Fatal(err)
 	}
 	if c := reg.Counter("sprite.fanout.record_errors").Value(); c != 1 {

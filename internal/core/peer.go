@@ -205,8 +205,8 @@ func (p *Peer) replicaTargets() []simnet.Addr {
 func (p *Peer) replicateOut(term string, posting index.Posting) {
 	targets := p.replicaTargets()
 	p.indexing.recordReplicaLocs(term, posting.Doc, targets)
-	fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(_ context.Context, i int) error {
-		p.net.ring.Net().Call(p.Addr(), targets[i], simnet.Message{
+	fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) error {
+		p.net.ring.Net().CallCtx(ctx, p.Addr(), targets[i], simnet.Message{
 			Type:    msgReplica,
 			Payload: replicaReq{Term: term, Posting: posting},
 			Size:    len(term) + posting.WireSize(),
@@ -224,8 +224,8 @@ func (p *Peer) replicateOut(term string, posting index.Posting) {
 // operation addresses the entry at that peer.
 func (p *Peer) replicateDrop(term string, doc index.DocID) []simnet.Addr {
 	targets := mergeAddrs(p.indexing.takeReplicaLocs(term, doc), p.replicaTargets())
-	_, errs := fanout.Map(context.Background(), p.net.exec, "replicate", len(targets), func(_ context.Context, i int) (struct{}, error) {
-		_, err := p.net.ring.Net().Call(p.Addr(), targets[i], simnet.Message{
+	_, errs := fanout.Map(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) (struct{}, error) {
+		_, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), targets[i], simnet.Message{
 			Type:    msgReplicaDrop,
 			Payload: replicaDropReq{Term: term, Doc: doc},
 			Size:    len(term) + len(doc),

@@ -115,7 +115,7 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 	for _, e := range entries {
 		size += len(e.Term) + e.Posting.WireSize() + 8*len(e.ReplicaLocs)
 	}
-	reply, err := p.net.ring.Net().Call(p.Addr(), target, simnet.Message{
+	reply, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{
 		Type:    msgHandoff,
 		Payload: handoffReq{Entries: entries},
 		Size:    size,
@@ -159,7 +159,7 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 			// A failed revert means the target died mid-protocol — its state
 			// is gone (or will be rebuilt by its own repair), so the extra
 			// copy cannot linger.
-			p.net.ring.Net().Call(p.Addr(), target, simnet.Message{ //nolint:errcheck
+			p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{ //nolint:errcheck
 				Type:    msgHandoffDrop,
 				Payload: handoffDropReq{Term: e.Term, Doc: e.Posting.Doc},
 				Size:    len(e.Term) + len(e.Posting.Doc),
@@ -177,7 +177,7 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 // from this peer to target.
 func (p *Peer) relocateEntry(e handoffEntry, target simnet.Addr) bool {
 	owner := simnet.Addr(e.Posting.Owner)
-	reply, err := p.net.ring.Net().Call(p.Addr(), owner, simnet.Message{
+	reply, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), owner, simnet.Message{
 		Type:    msgRelocate,
 		Payload: relocateReq{Term: e.Term, Doc: e.Posting.Doc, From: p.Addr(), To: target},
 		Size:    len(e.Term) + len(e.Posting.Doc) + 16,
@@ -227,7 +227,7 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 	p.indexing.mu.Unlock()
 	sum := repair.Fold(digests)
 	for _, target := range p.replicaTargets() {
-		reply, err := p.net.ring.Net().Call(p.Addr(), target, simnet.Message{
+		reply, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{
 			Type:    msgRepairDigest,
 			Payload: repairDigestReq{Arc: arc, Summary: sum},
 			Size:    2*chordid.Bytes + 8*(1+repair.Buckets),
@@ -251,15 +251,15 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 		size := 0
 		p.indexing.mu.Lock()
 		for _, t := range need {
-			posts := p.indexing.ix.PostingsSlice(t)
-			set = append(set, termPostings{Term: t, Postings: posts})
+			list := p.indexing.ix.Encoded(t)
+			set = append(set, termPostings{Term: t, Postings: list})
 			size += len(t)
-			for _, post := range posts {
+			for post := range list.All() {
 				size += post.WireSize()
 			}
 		}
 		p.indexing.mu.Unlock()
-		if _, err := p.net.ring.Net().Call(p.Addr(), target, simnet.Message{
+		if _, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{
 			Type:    msgRepairPush,
 			Payload: repairPushReq{Arc: arc, Set: set},
 			Size:    size,
@@ -269,7 +269,7 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 		// The push created copies at target; record them so withdrawals
 		// reach this holder like any replicateOut target.
 		for _, tp := range set {
-			for _, post := range tp.Postings {
+			for post := range tp.Postings.All() {
 				p.indexing.recordReplicaLocs(tp.Term, post.Doc, []simnet.Addr{target})
 			}
 		}
@@ -289,14 +289,16 @@ func (p *Peer) handleRepairDigest(req repairDigestReq) repairDigestResp {
 	return repairDigestResp{Buckets: div, Local: repair.InBuckets(local, div)}
 }
 
-// handleRepairPush replaces the pushed terms' replica lists wholesale.
+// handleRepairPush replaces the pushed terms' replica lists wholesale. Add
+// re-encodes each pushed posting, so the installed blocks are canonical
+// whatever layout the list arrived in.
 func (p *Peer) handleRepairPush(req repairPushReq) {
 	p.indexing.mu.Lock()
 	for _, tp := range req.Set {
-		for _, post := range p.indexing.replicas.PostingsSlice(tp.Term) {
+		for post := range p.indexing.replicas.All(tp.Term) {
 			p.indexing.replicas.Remove(tp.Term, post.Doc)
 		}
-		for _, post := range tp.Postings {
+		for post := range tp.Postings.All() {
 			p.indexing.replicas.Add(tp.Term, post)
 		}
 	}
@@ -548,7 +550,7 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 		if err != nil || ref.Addr == addr {
 			continue
 		}
-		if _, err := n.ring.Net().Call(addr, ref.Addr, simnet.Message{
+		if _, err := n.ring.Net().CallCtx(context.Background(), addr, ref.Addr, simnet.Message{
 			Type:    msgReplicaRetire,
 			Payload: replicaRetireReq{Holder: addr, Term: term, Docs: held[term]},
 			Size:    len(term) + 8*len(held[term]),

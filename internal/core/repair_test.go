@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -24,7 +25,7 @@ func joinableNetwork(t *testing.T, cfg Config) (*Network, *chord.Ring) {
 		t.Fatal(err)
 	}
 	d := doc("d", map[string]int{"terma": 4, "termb": 3, "termc": 2, "termd": 1})
-	if err := n.Share("m0", d); err != nil {
+	if err := n.ShareCtx(context.Background(), "m0", d); err != nil {
 		t.Fatal(err)
 	}
 	return n, ring
@@ -68,7 +69,7 @@ func TestJoinHandoffMigratesWithoutRefresh(t *testing.T) {
 	// No owner refresh ran, yet every term must already be findable: the
 	// successor handed the joiner's arc over when it adopted it as pred.
 	for _, term := range []string{"terma", "termb", "termc", "termd"} {
-		rl, err := n.Search("m1", []string{term}, 5)
+		rl, err := n.SearchCtx(context.Background(), "m1", []string{term}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func TestLeaveHandsEntriesToSuccessor(t *testing.T) {
 	ring.Stabilize(200)
 	ring.RepairFingers()
 	for _, term := range []string{"terma", "termb", "termc", "termd"} {
-		rl, err := n.Search("m0", []string{term}, 5)
+		rl, err := n.SearchCtx(context.Background(), "m0", []string{term}, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func TestRepairTelemetryCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Share("m0", doc("d", map[string]int{"terma": 4, "termb": 3, "termc": 2, "termd": 1})); err != nil {
+	if err := n.ShareCtx(context.Background(), "m0", doc("d", map[string]int{"terma": 4, "termb": 3, "termc": 2, "termd": 1})); err != nil {
 		t.Fatal(err)
 	}
 	// Provoke a handoff (stranded entry) and replica divergence.

@@ -104,7 +104,7 @@ func TestSearchFailoverMatchesHealthyRun(t *testing.T) {
 		"d3": {"failover": 1, "gamma": 2},
 	}
 	for id, tf := range docs {
-		if err := n.Share(n.Peers()[0].Addr(), doc(id, tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), n.Peers()[0].Addr(), doc(id, tf)); err != nil {
 			t.Fatalf("Share %s: %v", id, err)
 		}
 	}
@@ -130,6 +130,27 @@ func TestSearchFailoverMatchesHealthyRun(t *testing.T) {
 	}
 	if !reflect.DeepEqual(healthy, got) {
 		t.Fatalf("failover results differ from healthy run:\nhealthy: %v\nfailover: %v", healthy, got)
+	}
+
+	// SearchExpanded's first phase fetches through the same stage, so it
+	// reaches the replica too: its feedback documents are the healthy top
+	// hits, each with its owner read off the replica's postings.
+	failovers := reg.Counter("sprite.resilience.failovers").Value()
+	p, _ := n.Peer(searcher)
+	first, failed, err := p.feedbackHits(context.Background(), []string{"failover"}, 10)
+	if err != nil || len(failed) != 0 {
+		t.Fatalf("expansion first phase under failover: failed %v, err %v", failed, err)
+	}
+	if !reflect.DeepEqual(healthy, first.hits) {
+		t.Fatalf("expansion first phase differs from healthy run:\nhealthy: %v\nfirst phase: %v", healthy, first.hits)
+	}
+	for _, h := range first.hits {
+		if first.owners[h.Doc] != n.Peers()[0].Addr() {
+			t.Fatalf("feedback doc %s: owner %q, want %s", h.Doc, first.owners[h.Doc], n.Peers()[0].Addr())
+		}
+	}
+	if reg.Counter("sprite.resilience.failovers").Value() == failovers {
+		t.Error("expansion first phase did not fail over")
 	}
 	if v := reg.Counter("sprite.resilience.retries").Value(); v == 0 {
 		t.Error("no retries counted against the dropping owner")
@@ -159,10 +180,10 @@ func TestSearchAllHoldersDownReturnsPartial(t *testing.T) {
 			FailoverToReplicas: true,
 		},
 	})
-	if err := n.Share(n.Peers()[0].Addr(), doc("dead", map[string]int{"deadterm": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), n.Peers()[0].Addr(), doc("dead", map[string]int{"deadterm": 5})); err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Share(n.Peers()[1].Addr(), doc("alive", map[string]int{"aliveterm": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), n.Peers()[1].Addr(), doc("alive", map[string]int{"aliveterm": 5})); err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerOfTerm(t, n, "deadterm")
@@ -197,14 +218,13 @@ func TestSearchAllHoldersDownReturnsPartial(t *testing.T) {
 		t.Errorf("partials counter = %d, want 1", v)
 	}
 
-	// The pre-context entry points keep their old contract: degraded results
-	// with a nil error.
-	rl2, err := n.Probe(searcher, []string{"aliveterm", "deadterm"}, 10)
-	if err != nil {
-		t.Fatalf("Probe surfaced the partial error: %v", err)
+	// A probe degrades the same way: the same ranking, the same dropped term.
+	rl2, err := n.ProbeCtx(context.Background(), searcher, []string{"aliveterm", "deadterm"}, 10)
+	if !errors.As(err, &pe) || len(pe.Failures) != 1 || pe.Failures[0].Term != "deadterm" {
+		t.Fatalf("ProbeCtx error = %v, want a partial error dropping deadterm", err)
 	}
 	if !reflect.DeepEqual(rl, rl2) {
-		t.Fatalf("Probe results differ from SearchCtx: %v vs %v", rl, rl2)
+		t.Fatalf("ProbeCtx results differ from SearchCtx: %v vs %v", rl, rl2)
 	}
 }
 
@@ -213,7 +233,7 @@ func TestSearchCtxExpiredContextReturnsPromptly(t *testing.T) {
 		InitialTerms: 2,
 		Resilience:   ResilienceConfig{MaxRetries: 3, BaseBackoff: time.Second},
 	})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5})); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -240,7 +260,7 @@ func TestSearchCtxCancellationAbortsRetries(t *testing.T) {
 		InitialTerms: 2,
 		Resilience:   ResilienceConfig{MaxRetries: 50, BaseBackoff: 20 * time.Millisecond},
 	})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5})); err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerOfTerm(t, n, "chord")
@@ -266,9 +286,9 @@ func TestSearchCtxCancellationAbortsRetries(t *testing.T) {
 
 func TestZeroResilienceSingleAttempt(t *testing.T) {
 	// The zero config must behave exactly like the pre-resilience code: one
-	// fetch attempt, no failover, term skipped on failure (old entry point).
+	// fetch attempt, no failover, term skipped on failure.
 	n, sim := resilientNetwork(t, 8, Config{InitialTerms: 2, ReplicationFactor: 1})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5})); err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerOfTerm(t, n, "chord")
@@ -276,9 +296,9 @@ func TestZeroResilienceSingleAttempt(t *testing.T) {
 	sim.ResetStats()
 	sim.DropCalls(owner.Addr(), 1_000_000)
 
-	rl, err := n.Search(searcher, []string{"chord"}, 10)
-	if err != nil {
-		t.Fatalf("degraded search errored: %v", err)
+	rl, err := n.SearchCtx(context.Background(), searcher, []string{"chord"}, 10)
+	if !errors.Is(err, ErrPartialResults) {
+		t.Fatalf("degraded search error = %v, want ErrPartialResults", err)
 	}
 	if len(rl) != 0 {
 		t.Fatalf("degraded search found %v despite single-attempt config", rl)
@@ -297,7 +317,7 @@ func TestFailPeerInvalidatesResultCacheUnderConcurrentSearch(t *testing.T) {
 		InitialTerms: 2,
 		Cache:        CacheConfig{Enabled: true},
 	})
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5})); err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerOfTerm(t, n, "chord")
@@ -308,7 +328,7 @@ func TestFailPeerInvalidatesResultCacheUnderConcurrentSearch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			n.Probe(searcher, []string{"chord"}, 10)
+			n.ProbeCtx(context.Background(), searcher, []string{"chord"}, 10)
 		}
 	}()
 	go func() {
@@ -327,7 +347,7 @@ func TestFailPeerInvalidatesResultCacheUnderConcurrentSearch(t *testing.T) {
 	// slipped in behind the last invalidation.
 	sim.Fail(owner.Addr())
 	n.InvalidateCaches()
-	rl, err := n.Probe(searcher, []string{"chord"}, 10)
+	rl, err := n.ProbeCtx(context.Background(), searcher, []string{"chord"}, 10)
 	if err != nil {
 		t.Fatalf("post-failure probe: %v", err)
 	}
@@ -338,7 +358,7 @@ func TestFailPeerInvalidatesResultCacheUnderConcurrentSearch(t *testing.T) {
 
 func TestSentinelErrors(t *testing.T) {
 	n, _ := resilientNetwork(t, 4, Config{})
-	if err := n.Share("ghost", doc("d1", map[string]int{"a": 1})); !errors.Is(err, ErrNoSuchPeer) {
+	if err := n.ShareCtx(context.Background(), "ghost", doc("d1", map[string]int{"a": 1})); !errors.Is(err, ErrNoSuchPeer) {
 		t.Fatalf("Share unknown peer: %v, want ErrNoSuchPeer", err)
 	}
 	if _, err := n.SearchCtx(context.Background(), "ghost", []string{"a"}, 5); !errors.Is(err, ErrNoSuchPeer) {
@@ -369,10 +389,6 @@ func (l *payloadLog) CallCtx(ctx context.Context, from, to simnet.Addr, msg simn
 	return l.Network.CallCtx(ctx, from, to, msg)
 }
 
-func (l *payloadLog) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	return l.CallCtx(context.Background(), from, to, msg)
-}
-
 func TestRetriesRepeatOnlyTheDeliveryLeg(t *testing.T) {
 	// A holder the route reached on an owner hint drops two fetches. The
 	// retries must go to that same holder, one round trip each with no fresh
@@ -391,7 +407,7 @@ func TestRetriesRepeatOnlyTheDeliveryLeg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := n.Share("p0", doc("d1", map[string]int{"chord": 5})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"chord": 5})); err != nil {
 		t.Fatal(err)
 	}
 	owner := ownerOfTerm(t, n, "chord")

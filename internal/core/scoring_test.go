@@ -8,12 +8,13 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
 )
 
 // sliceOracle is §4's query processing the slow, obvious way: decode each
-// distinct term's served list whole, fold it through the accumulator in
+// distinct term's served list whole, sum each document's contributions in
 // query-term order, sort every candidate, cut at k. skip names terms whose
 // fetch is expected to fail; they count toward the query's length and
 // nothing else.
@@ -23,7 +24,8 @@ func sliceOracle(t testing.TB, n *Network, terms []string, k int, skip map[strin
 	for _, term := range terms {
 		qtf[term]++
 	}
-	acc := ir.NewAccumulator()
+	dot := make(map[index.DocID]float64)
+	docLen := make(map[index.DocID]int)
 	for _, term := range distinctTerms(terms) {
 		if skip[term] {
 			continue
@@ -35,10 +37,16 @@ func sliceOracle(t testing.TB, n *Network, terms []string, k int, skip map[strin
 		df := len(ps)
 		wq := ir.QueryWeight(qtf[term], len(terms), n.cfg.SurrogateN, df)
 		for _, p := range ps {
-			acc.Accumulate(p.Doc, wq*ir.Weight(p.NormFreq(), n.cfg.SurrogateN, df), p.DocLen)
+			dot[p.Doc] += wq * ir.Weight(p.NormFreq(), n.cfg.SurrogateN, df)
+			docLen[p.Doc] = p.DocLen
 		}
 	}
-	return acc.Ranked().Top(max(k, 0))
+	rl := make(ir.RankedList, 0, len(dot))
+	for doc, d := range dot {
+		rl = append(rl, ir.Hit{Doc: doc, Score: ir.Similarity(d, docLen[doc])})
+	}
+	rl.Sort()
+	return rl.Top(max(k, 0))
 }
 
 // sameBits compares two rankings document for document and score bit for
@@ -66,7 +74,7 @@ func shareScoringCorpus(t testing.TB, n *Network, rng *rand.Rand, docs, vocab, t
 		for len(tf) < termsPerDoc {
 			tf[fmt.Sprintf("t%02d", rng.Intn(vocab))] = 1 + rng.Intn(9)
 		}
-		if err := n.Share(peers[d%len(peers)].Addr(), doc(fmt.Sprintf("doc%04d", d), tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), peers[d%len(peers)].Addr(), doc(fmt.Sprintf("doc%04d", d), tf)); err != nil {
 			t.Fatalf("Share: %v", err)
 		}
 	}
@@ -162,7 +170,7 @@ func searchAllocs(t *testing.T, perTerm int) float64 {
 	q := []string{"wa", "wb", "wc", "wd"}
 	tf := map[string]int{"wa": 3, "wb": 2, "wc": 5, "wd": 1}
 	for d := 0; d < perTerm; d++ {
-		if err := n.Share(simnet.Addr(fmt.Sprintf("p%d", d%4)), doc(fmt.Sprintf("doc%04d", d), tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), simnet.Addr(fmt.Sprintf("p%d", d%4)), doc(fmt.Sprintf("doc%04d", d), tf)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -173,7 +181,7 @@ func searchAllocs(t *testing.T, perTerm int) float64 {
 	}
 	var rl ir.RankedList
 	allocs := testing.AllocsPerRun(50, func() {
-		rl, _ = n.Probe("p0", q, 10)
+		rl, _ = n.ProbeCtx(context.Background(), "p0", q, 10)
 	})
 	if len(rl) != 10 {
 		t.Fatalf("search returned %d hits, want 10", len(rl))

@@ -30,7 +30,7 @@ import (
 //     sketch against X's sketch, streamed through ir.SketchRanker straight
 //     off the compressed blocks.
 //
-// The flooding baseline (FloodSimilar) asks every peer for the sketches of
+// The flooding baseline (FloodSimilarCtx) asks every peer for the sketches of
 // the documents it owns — one message per peer — and ranks them all. It is
 // exact over reachable owners and exists as the measurement control: the
 // spritebench similarity experiment compares its message bill against the
@@ -171,57 +171,31 @@ func (n *Network) similarQuery(doc index.DocID) (qsketch string, route []string,
 	return st.sketch, routeTermsLocked(st, n.cfg.Sketch.RouteTerms), qtf, nil
 }
 
-// SearchSimilar finds the k shared documents most similar to doc, ranked by
-// sketch cosine (descending; ties ascending by doc ID). The query document
-// itself is excluded. Like Search, it degrades silently on unreachable
-// routing terms; use SearchSimilarCtx to observe ErrPartialResults. The
-// routing terms are recorded as a query in the contacted indexing peers'
-// histories, so similarity traffic feeds learning like keyword traffic does.
-func (n *Network) SearchSimilar(from simnet.Addr, doc index.DocID, k int) (ir.RankedList, error) {
-	rl, err := n.SearchSimilarCtx(context.Background(), from, doc, k)
-	return rl, stripPartial(err)
-}
-
-// SearchSimilarCtx is SearchSimilar with the full error contract: a done
-// context aborts the query; routing terms lost to unreachable holders return
-// the ranking over the remaining candidates plus a *PartialError. An
-// unshared doc wraps ErrNoSuchDoc; a sketch-disabled network returns
-// ErrSketchDisabled.
+// SearchSimilarCtx finds the k shared documents most similar to doc, ranked
+// by sketch cosine (descending; ties ascending by doc ID). The query document
+// itself is excluded. The routing terms are recorded as a query in the
+// contacted indexing peers' histories, so similarity traffic feeds learning
+// like keyword traffic does. Error contract: a done context aborts the
+// query; routing terms lost to unreachable holders return the ranking over
+// the remaining candidates plus a *PartialError. An unshared doc wraps
+// ErrNoSuchDoc; a sketch-disabled network returns ErrSketchDisabled.
 func (n *Network) SearchSimilarCtx(ctx context.Context, from simnet.Addr, doc index.DocID, k int) (ir.RankedList, error) {
 	return n.similarCtx(ctx, from, doc, k, true)
 }
 
-// ProbeSimilar is SearchSimilar without the history side effect, for
+// ProbeSimilarCtx is SearchSimilarCtx without the history side effect, for
 // measurement runs that must not leak probe traffic into learning state.
-func (n *Network) ProbeSimilar(from simnet.Addr, doc index.DocID, k int) (ir.RankedList, error) {
-	rl, err := n.ProbeSimilarCtx(context.Background(), from, doc, k)
-	return rl, stripPartial(err)
-}
-
-// ProbeSimilarCtx is ProbeSimilar with the SearchSimilarCtx error contract.
 func (n *Network) ProbeSimilarCtx(ctx context.Context, from simnet.Addr, doc index.DocID, k int) (ir.RankedList, error) {
 	return n.similarCtx(ctx, from, doc, k, false)
 }
 
-func (n *Network) similarCtx(ctx context.Context, from simnet.Addr, doc index.DocID, k int, record bool) (ir.RankedList, error) {
-	qsketch, route, qtf, err := n.similarQuery(doc)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := n.peer(from)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
-	}
-	return p.searchSimilarCtx(ctx, doc, qsketch, route, qtf, k, record)
-}
-
-// searchSimilarCtx executes the routed similarity query from the querying
-// peer: fetch each routing term's postings (through the postings cache when
-// enabled, under the resilience policy otherwise — the same paths searchCtx
-// uses), then fold the candidate streams in routing-term order into a
-// SketchRanker. The fold order plus the ranker's first-wins dedup make the
-// ranking a pure function of the fetched postings, so it is bit-identical
-// across Parallelism settings, cache on/off, and clock sources.
+// similarCtx executes the routed similarity query from the querying peer:
+// resolve the query document's sketch and routing terms, fetch each routing
+// term's postings through the query path's fetch stage (fetchStage), then
+// fold the candidate streams in routing-term order into a SketchRanker. The
+// fold order plus the ranker's first-wins dedup make the ranking a pure
+// function of the fetched postings, so it is bit-identical across
+// Parallelism settings, cache on/off, and clock sources.
 //
 // With Config.Sketch.Refine > 0 the sketch ranking becomes a first-stage
 // filter: the top Refine candidates have their full term vectors fetched from
@@ -232,34 +206,31 @@ func (n *Network) similarCtx(ctx context.Context, from simnet.Addr, doc index.Do
 // The result cache is deliberately not consulted: a similarity result is
 // already one bounded ranked list per query document, and keeping the path
 // result-cache-free keeps its message accounting legible in experiments.
-func (p *Peer) searchSimilarCtx(ctx context.Context, qdoc index.DocID, qsketch string, route []string, qtf map[string]int, k int, record bool) (ir.RankedList, error) {
-	p.net.met.simSearches.Inc()
-	if p.net.cfg.Telemetry != nil {
-		start := p.net.clock.Now()
+func (n *Network) similarCtx(ctx context.Context, from simnet.Addr, qdoc index.DocID, k int, record bool) (ir.RankedList, error) {
+	qsketch, route, qtf, err := n.similarQuery(qdoc)
+	if err != nil {
+		return nil, err
+	}
+	p, ok := n.Peer(from)
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
+	}
+	n.met.simSearches.Inc()
+	if n.cfg.Telemetry != nil {
+		start := n.clock.Now()
 		defer func() {
-			p.net.met.queryLatency.Observe(p.net.clock.Now().Sub(start).Microseconds())
+			n.met.queryLatency.Observe(n.clock.Now().Sub(start).Microseconds())
 		}()
 	}
 
-	pc := p.net.caches.postings
-	outs, errs := fanout.Map(ctx, p.net.exec, "sim_fetch", len(route), func(ctx context.Context, i int) (getPostingsResp, error) {
-		term := route[i]
-		if pc != nil {
-			ent, _, err := p.fetchPostingsCached(ctx, term, nil)
-			if err != nil {
-				return getPostingsResp{}, err
-			}
-			if record {
-				p.recordQueryAt(ent.peer, route)
-			}
-			return ent.resp, nil
-		}
-		return fetchOnly(p.fetchTermPostings(ctx, term, route, record, nil))
-	})
+	outs, failed, err := p.fetchStage(ctx, "sim_fetch", route, route, record, nil)
+	if err != nil {
+		return nil, err
+	}
 
 	// With refinement the ranker keeps the wider candidate pool; without it
 	// the sketch cosine is the final score and k suffices.
-	refine := p.net.cfg.Sketch.Refine
+	refine := n.cfg.Sketch.Refine
 	pool := k
 	if refine > pool {
 		pool = refine
@@ -269,17 +240,8 @@ func (p *Peer) searchSimilarCtx(ctx context.Context, qdoc index.DocID, qsketch s
 	if refine > 0 {
 		owners = make(map[index.DocID]simnet.Addr)
 	}
-	var failed []TermFailure
-	for i, term := range route {
-		if errs[i] != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("core: similar term %q: %w", term, errs[i])
-			}
-			p.net.met.termsSkipped.Inc()
-			failed = append(failed, TermFailure{Term: term, Err: errs[i]})
-			continue
-		}
-		cur := outs[i].Postings.Cursor()
+	for _, out := range outs {
+		cur := out.resp.Postings.Cursor()
 		if owners != nil {
 			for {
 				pst, ok := cur.Next()
@@ -307,16 +269,12 @@ func (p *Peer) searchSimilarCtx(ctx context.Context, qdoc index.DocID, qsketch s
 			r.Offer(docBytes, cur.SketchBytes())
 		}
 	}
-	p.net.met.simCandidates.Add(int64(r.Candidates()))
+	n.met.simCandidates.Add(int64(r.Candidates()))
 	rl := r.Ranked()
 	if refine > 0 {
 		rl = p.refineSimilar(ctx, rl, qtf, owners, k)
 	}
-	if len(failed) > 0 {
-		p.net.met.partials.Inc()
-		return rl, &PartialError{Failures: failed}
-	}
-	return rl, nil
+	return rl, p.partial(failed)
 }
 
 // refineSimilar re-scores the sketch-ranked candidates by exact weighted
@@ -404,29 +362,19 @@ func exactCosine(qw map[string]float64, qn float64, tf map[string]int) float64 {
 	return dot / (qn * math.Sqrt(n2))
 }
 
-// fetchOnly drops fetchTermPostings's peer address, which the similarity
-// path has no use for (history recording rides the fetch itself).
-func fetchOnly(resp getPostingsResp, _ simnet.Addr, err error) (getPostingsResp, error) {
-	return resp, err
-}
-
-// FloodSimilar is the flooding baseline: ask every peer for its owned
+// FloodSimilarCtx is the flooding baseline: ask every peer for its owned
 // documents' sketches (one message per peer, the querying peer's own
 // documents included via a self-call) and rank all of them against doc's
 // sketch. Exact over reachable owners, at a message bill linear in network
 // size — the control arm of BENCH_similarity.json. Peers that cannot be
-// reached contribute nothing, mirroring the routed path's degraded mode.
-func (n *Network) FloodSimilar(from simnet.Addr, doc index.DocID, k int) (ir.RankedList, error) {
-	return n.FloodSimilarCtx(context.Background(), from, doc, k)
-}
-
-// FloodSimilarCtx is FloodSimilar honoring ctx.
+// reached contribute nothing, mirroring the routed path's degraded mode; a
+// done ctx aborts the flood.
 func (n *Network) FloodSimilarCtx(ctx context.Context, from simnet.Addr, doc index.DocID, k int) (ir.RankedList, error) {
 	qsketch, _, _, err := n.similarQuery(doc)
 	if err != nil {
 		return nil, err
 	}
-	p, ok := n.peer(from)
+	p, ok := n.Peer(from)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
 	}

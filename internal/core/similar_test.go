@@ -34,7 +34,7 @@ func similarCorpus(t *testing.T, n *Network) []index.DocID {
 	}
 	ids := make([]index.DocID, 0, len(docs))
 	for i, d := range docs {
-		if err := n.Share(n.Peers()[i%len(n.Peers())].Addr(), doc(d.id, d.tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), n.Peers()[i%len(n.Peers())].Addr(), doc(d.id, d.tf)); err != nil {
 			t.Fatalf("Share %s: %v", d.id, err)
 		}
 		ids = append(ids, index.DocID(d.id))
@@ -70,9 +70,9 @@ func TestFloodSimilarMatchesExactRanking(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 3, Sketch: sketchConfig()})
 	ids := similarCorpus(t, n)
 	for _, q := range ids {
-		got, err := n.FloodSimilar("p3", q, 10)
+		got, err := n.FloodSimilarCtx(context.Background(), "p3", q, 10)
 		if err != nil {
-			t.Fatalf("FloodSimilar(%s): %v", q, err)
+			t.Fatalf("FloodSimilarCtx(%s): %v", q, err)
 		}
 		want := exactRanking(t, n, q, ids, 10)
 		if !reflect.DeepEqual(got, want) {
@@ -84,7 +84,7 @@ func TestFloodSimilarMatchesExactRanking(t *testing.T) {
 func TestSearchSimilarFindsNeighbors(t *testing.T) {
 	n := testNetwork(t, 8, Config{InitialTerms: 3, Sketch: sketchConfig()})
 	ids := similarCorpus(t, n)
-	rl, err := n.SearchSimilar("p5", "d0", 3)
+	rl, err := n.SearchSimilarCtx(context.Background(), "p5", "d0", 3)
 	if err != nil {
 		t.Fatalf("SearchSimilar: %v", err)
 	}
@@ -115,7 +115,7 @@ func TestSearchSimilarSubsetOfFlood(t *testing.T) {
 	for _, h := range full {
 		scores[h.Doc] = h.Score
 	}
-	rl, err := n.SearchSimilar("p2", "d0", 10)
+	rl, err := n.SearchSimilarCtx(context.Background(), "p2", "d0", 10)
 	if err != nil {
 		t.Fatalf("SearchSimilar: %v", err)
 	}
@@ -142,12 +142,12 @@ func TestSearchSimilarDeterministicAcrossCacheAndParallelism(t *testing.T) {
 		}
 		n := testNetwork(t, 8, cfg)
 		similarCorpus(t, n)
-		rl, err := n.SearchSimilar("p4", "d2", 5)
+		rl, err := n.SearchSimilarCtx(context.Background(), "p4", "d2", 5)
 		if err != nil {
-			t.Fatalf("SearchSimilar(cache=%v,par=%d): %v", cache, par, err)
+			t.Fatalf("SearchSimilarCtx(cache=%v,par=%d): %v", cache, par, err)
 		}
 		// A second identical query (cache warm) must agree with the first.
-		rl2, err := n.SearchSimilar("p4", "d2", 5)
+		rl2, err := n.SearchSimilarCtx(context.Background(), "p4", "d2", 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestSimilarRouteTermsOrderAndCap(t *testing.T) {
 	cfg := sketchConfig()
 	cfg.RouteTerms = 2
 	n := testNetwork(t, 6, Config{InitialTerms: 4, Sketch: cfg})
-	if err := n.Share("p0", doc("rt", map[string]int{"hi": 9, "mid": 5, "lo": 2, "tail": 1})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("rt", map[string]int{"hi": 9, "mid": 5, "lo": 2, "tail": 1})); err != nil {
 		t.Fatal(err)
 	}
 	route, err := n.SimilarRouteTerms("rt")
@@ -190,7 +190,7 @@ func TestSimilarRouteTermsFollowLearning(t *testing.T) {
 		InitialTerms: 1, TermsPerIteration: 2, MaxIndexTerms: 4,
 		Sketch: sketchConfig(),
 	})
-	if err := n.Share("p0", doc("ld", map[string]int{"common": 9, "niche": 3})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("ld", map[string]int{"common": 9, "niche": 3})); err != nil {
 		t.Fatal(err)
 	}
 	before, err := n.SimilarRouteTerms("ld")
@@ -200,8 +200,8 @@ func TestSimilarRouteTermsFollowLearning(t *testing.T) {
 	if len(before) != 1 || before[0] != "common" {
 		t.Fatalf("pre-learning route = %v", before)
 	}
-	n.InsertQuery("p3", []string{"common", "niche"})
-	n.InsertQuery("p3", []string{"common", "niche"})
+	n.InsertQueryCtx(context.Background(), "p3", []string{"common", "niche"})
+	n.InsertQueryCtx(context.Background(), "p3", []string{"common", "niche"})
 	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -217,24 +217,24 @@ func TestSimilarRouteTermsFollowLearning(t *testing.T) {
 func TestSearchSimilarErrors(t *testing.T) {
 	// Disabled sketching refuses similarity queries outright.
 	off := testNetwork(t, 4, Config{InitialTerms: 2})
-	if err := off.Share("p0", doc("x", map[string]int{"a": 1})); err != nil {
+	if err := off.ShareCtx(context.Background(), "p0", doc("x", map[string]int{"a": 1})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := off.SearchSimilar("p1", "x", 5); !errors.Is(err, ErrSketchDisabled) {
+	if _, err := off.SearchSimilarCtx(context.Background(), "p1", "x", 5); !errors.Is(err, ErrSketchDisabled) {
 		t.Fatalf("disabled: err = %v, want ErrSketchDisabled", err)
 	}
-	if _, err := off.FloodSimilar("p1", "x", 5); !errors.Is(err, ErrSketchDisabled) {
+	if _, err := off.FloodSimilarCtx(context.Background(), "p1", "x", 5); !errors.Is(err, ErrSketchDisabled) {
 		t.Fatalf("disabled flood: err = %v, want ErrSketchDisabled", err)
 	}
 
 	on := testNetwork(t, 4, Config{InitialTerms: 2, Sketch: sketchConfig()})
-	if _, err := on.SearchSimilar("p1", "ghost", 5); !errors.Is(err, ErrNoSuchDoc) {
+	if _, err := on.SearchSimilarCtx(context.Background(), "p1", "ghost", 5); !errors.Is(err, ErrNoSuchDoc) {
 		t.Fatalf("unshared doc: err = %v, want ErrNoSuchDoc", err)
 	}
-	if err := on.Share("p0", doc("y", map[string]int{"b": 2})); err != nil {
+	if err := on.ShareCtx(context.Background(), "p0", doc("y", map[string]int{"b": 2})); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := on.SearchSimilar("nobody", "y", 5); !errors.Is(err, ErrNoSuchPeer) {
+	if _, err := on.SearchSimilarCtx(context.Background(), "nobody", "y", 5); !errors.Is(err, ErrNoSuchPeer) {
 		t.Fatalf("unknown peer: err = %v, want ErrNoSuchPeer", err)
 	}
 }
@@ -249,9 +249,9 @@ func TestSearchSimilarRecordsHistoryProbeDoesNot(t *testing.T) {
 		similarCorpus(t, n)
 		var err error
 		if probe {
-			_, err = n.ProbeSimilar("p3", "d0", 5)
+			_, err = n.ProbeSimilarCtx(context.Background(), "p3", "d0", 5)
 		} else {
-			_, err = n.SearchSimilar("p3", "d0", 5)
+			_, err = n.SearchSimilarCtx(context.Background(), "p3", "d0", 5)
 		}
 		if err != nil {
 			t.Fatalf("query (cache=%v probe=%v): %v", cache, probe, err)
@@ -280,7 +280,7 @@ func TestFloodSimilarMessageBill(t *testing.T) {
 	similarCorpus(t, n)
 	net := n.Ring().Net().(*simnet.Network)
 	net.ResetStats()
-	if _, err := n.FloodSimilar("p0", "d1", 5); err != nil {
+	if _, err := n.FloodSimilarCtx(context.Background(), "p0", "d1", 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := net.Stats().CallsByType[msgSketchScan]; got != 11 {
@@ -293,7 +293,7 @@ func TestSketchScanHandlerSortedAndComplete(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		// All on one peer, shared in scrambled ID order.
 		id := fmt.Sprintf("s%d", (i*4)%9)
-		if err := n.Share("p1", doc(id, map[string]int{"w": i + 1})); err != nil {
+		if err := n.ShareCtx(context.Background(), "p1", doc(id, map[string]int{"w": i + 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -318,10 +318,10 @@ func TestSketchScanHandlerSortedAndComplete(t *testing.T) {
 func TestSimilarMetrics(t *testing.T) {
 	n, reg := telemetryNetwork(t, 6, Config{InitialTerms: 3, Sketch: sketchConfig()})
 	similarCorpus(t, n)
-	if _, err := n.SearchSimilar("p0", "d0", 5); err != nil {
+	if _, err := n.SearchSimilarCtx(context.Background(), "p0", "d0", 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.FloodSimilar("p0", "d0", 5); err != nil {
+	if _, err := n.FloodSimilarCtx(context.Background(), "p0", "d0", 5); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("sprite.similar.searches").Value(); got != 1 {
@@ -353,7 +353,7 @@ func TestSearchSimilarRefineMatchesExact(t *testing.T) {
 
 	net := n.Ring().Net().(*simnet.Network)
 	net.ResetStats()
-	rl, err := n.SearchSimilar("p5", "d0", 4)
+	rl, err := n.SearchSimilarCtx(context.Background(), "p5", "d0", 4)
 	if err != nil {
 		t.Fatalf("SearchSimilar: %v", err)
 	}
@@ -383,7 +383,7 @@ func TestSearchSimilarRefineMatchesExact(t *testing.T) {
 	for _, par := range []int{1, 8} {
 		n2 := testNetwork(t, 8, Config{InitialTerms: 3, Sketch: cfg, Parallelism: par})
 		similarCorpus(t, n2)
-		got, err := n2.SearchSimilar("p5", "d0", 4)
+		got, err := n2.SearchSimilarCtx(context.Background(), "p5", "d0", 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -407,7 +407,7 @@ func TestSearchSimilarRefineDegradesToSketchScore(t *testing.T) {
 	net := n.Ring().Net().(*simnet.Network)
 	net.Fail(owner.Addr())
 
-	rl, err := n.SearchSimilar("p5", "d0", 4)
+	rl, err := n.SearchSimilarCtx(context.Background(), "p5", "d0", 4)
 	if err != nil {
 		t.Fatalf("SearchSimilar: %v", err)
 	}
@@ -434,7 +434,7 @@ func TestPostingSketchSurvivesDHTRoundTrip(t *testing.T) {
 	// query-side cursor yields after the posting crossed the simulated wire
 	// inside an Encoded block.
 	n := testNetwork(t, 8, Config{InitialTerms: 2, Sketch: sketchConfig()})
-	if err := n.Share("p0", doc("rt1", map[string]int{"foo": 5, "bar": 2})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("rt1", map[string]int{"foo": 5, "bar": 2})); err != nil {
 		t.Fatal(err)
 	}
 	want, _ := n.DocSketch("rt1")

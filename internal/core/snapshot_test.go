@@ -24,7 +24,7 @@ func snapshotFixture(t *testing.T) *Network {
 	}
 	for i, d := range docs {
 		owner := n.Peers()[i%4].Addr()
-		if err := n.Share(owner, doc(d.id, d.tf)); err != nil {
+		if err := n.ShareCtx(context.Background(), owner, doc(d.id, d.tf)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -32,7 +32,7 @@ func snapshotFixture(t *testing.T) *Network {
 		{"storage", "compaction"}, {"lookup", "finger"}, {"stemming", "porter"},
 		{"storage", "compaction"}, {"engine", "storage"},
 	} {
-		if err := n.InsertQuery("p5", q); err != nil {
+		if err := n.InsertQueryCtx(context.Background(), "p5", q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,11 +107,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 
 	// Behaviour must match: identical searches...
 	for _, q := range [][]string{{"storage"}, {"compaction"}, {"finger", "lookup"}} {
-		a, err := orig.Search("p3", q, 10)
+		a, err := orig.SearchCtx(context.Background(), "p3", q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := restored.Search("p3", q, 10)
+		b, err := restored.SearchCtx(context.Background(), "p3", q, 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestRestoreDiscardsPriorState(t *testing.T) {
 	}
 	target := freshTwin(t)
 	// Give the target some state that must vanish.
-	if err := target.Share("p0", doc("stale", map[string]int{"leftover": 1})); err != nil {
+	if err := target.ShareCtx(context.Background(), "p0", doc("stale", map[string]int{"leftover": 1})); err != nil {
 		t.Fatal(err)
 	}
 	if err := target.Restore(&buf); err != nil {
@@ -190,7 +190,7 @@ func TestRestoreDiscardsPriorState(t *testing.T) {
 	if _, err := target.IndexedTerms("stale"); err == nil {
 		t.Fatal("pre-restore document survived")
 	}
-	if rl, _ := target.Search("p1", []string{"leftover"}, 5); len(rl) != 0 {
+	if rl, _ := target.SearchCtx(context.Background(), "p1", []string{"leftover"}, 5); len(rl) != 0 {
 		t.Fatalf("pre-restore postings survived: %v", rl)
 	}
 }

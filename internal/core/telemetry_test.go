@@ -35,10 +35,10 @@ func TestSearchTracedProducesSpanTree(t *testing.T) {
 	for i, term := range terms {
 		tf[term] = i + 1
 	}
-	if err := n.Share("p0", doc("d1", tf)); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", tf)); err != nil {
 		t.Fatalf("Share: %v", err)
 	}
-	rl, tr, err := n.SearchTraced("p3", terms, 5)
+	rl, tr, err := n.SearchTracedCtx(context.Background(), "p3", terms, 5)
 	if err != nil {
 		t.Fatalf("SearchTraced: %v", err)
 	}
@@ -104,14 +104,14 @@ func TestCountersAcrossLifecycle(t *testing.T) {
 	n, reg := telemetryNetwork(t, 16, Config{InitialTerms: 2})
 	for i := 0; i < 4; i++ {
 		d := doc(fmt.Sprintf("d%d", i), map[string]int{"alpha": 5, "beta": 3, "gamma": 2})
-		if err := n.Share("p0", d); err != nil {
+		if err := n.ShareCtx(context.Background(), "p0", d); err != nil {
 			t.Fatalf("Share: %v", err)
 		}
 	}
 	if got := reg.Counter("sprite.index.terms_published").Value(); got != 8 {
 		t.Fatalf("terms_published = %d, want 8 (4 docs x 2 initial terms)", got)
 	}
-	if _, err := n.Search("p5", []string{"alpha", "gamma"}, 5); err != nil {
+	if _, err := n.SearchCtx(context.Background(), "p5", []string{"alpha", "gamma"}, 5); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	if got := reg.Counter("sprite.searches").Value(); got != 1 {
@@ -142,10 +142,10 @@ func TestCountersAcrossLifecycle(t *testing.T) {
 
 func TestSearchMissCountsSkippedOrMiss(t *testing.T) {
 	n, reg := telemetryNetwork(t, 8, Config{})
-	if err := n.Share("p0", doc("d1", map[string]int{"alpha": 2})); err != nil {
+	if err := n.ShareCtx(context.Background(), "p0", doc("d1", map[string]int{"alpha": 2})); err != nil {
 		t.Fatalf("Share: %v", err)
 	}
-	if _, err := n.Search("p1", []string{"nosuchterm"}, 5); err != nil {
+	if _, err := n.SearchCtx(context.Background(), "p1", []string{"nosuchterm"}, 5); err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	if reg.Counter("sprite.postings.misses").Value() == 0 {

@@ -112,30 +112,13 @@ func init() {
 	wire.RegisterBinary(wire.KindCoreBase+4, getPostingsResp{},
 		func(e *wire.Encoder, v any) {
 			r := v.(getPostingsResp)
-			// The compressed blocks ship exactly as the indexing peer stores
-			// them; MarshalBinary only adds the block framing.
-			raw, _ := r.Postings.MarshalBinary()
-			e.Uint(uint64(len(raw)))
-			e.Raw(raw)
+			encodeList(e, r.Postings)
 			e.Int(int64(r.IndexedDF))
 			e.Bool(r.FromReplica)
 		},
 		func(d *wire.Decoder) any {
 			var r getPostingsResp
-			n := d.Uint()
-			if n > uint64(d.Remaining()) {
-				d.Fail(fmt.Errorf("core: postings payload length %d exceeds %d remaining bytes", n, d.Remaining()))
-				return r
-			}
-			if raw := d.Raw(int(n)); d.Err() == nil {
-				// UnmarshalBinary revalidates every block, so a corrupted
-				// frame poisons the decode instead of smuggling malformed
-				// blocks into the query path.
-				if err := r.Postings.UnmarshalBinary(raw); err != nil {
-					d.Fail(err)
-					return r
-				}
-			}
+			r.Postings = decodeList(d)
 			r.IndexedDF = int(d.Int())
 			r.FromReplica = d.Bool()
 			return r
@@ -405,26 +388,19 @@ func init() {
 			e.Uint(uint64(len(r.Set)))
 			for _, tp := range r.Set {
 				e.String(tp.Term)
-				e.Uint(uint64(len(tp.Postings)))
-				for _, p := range tp.Postings {
-					encodePosting(e, p)
-				}
+				encodeList(e, tp.Postings)
 			}
 		},
 		func(d *wire.Decoder) any {
 			var r repairPushReq
 			copy(r.Arc.From[:], d.Raw(chordid.Bytes))
 			copy(r.Arc.To[:], d.Raw(chordid.Bytes))
-			if n := d.Count(2); n > 0 {
+			// A term's length byte, the list's length and its block count.
+			if n := d.Count(3); n > 0 {
 				r.Set = make([]termPostings, n)
 				for i := range r.Set {
 					r.Set[i].Term = d.String()
-					if m := d.Count(4); m > 0 {
-						r.Set[i].Postings = make([]index.Posting, m)
-						for j := range r.Set[i].Postings {
-							r.Set[i].Postings[j] = decodePosting(d)
-						}
-					}
+					r.Set[i].Postings = decodeList(d)
 					if d.Err() != nil {
 						break
 					}
@@ -485,6 +461,32 @@ func init() {
 			r.Length = int(d.Int())
 			return r
 		})
+}
+
+// encodeList ships a postings list's blocks exactly as the index stores them,
+// length-prefixed; MarshalBinary only adds the block framing.
+func encodeList(e *wire.Encoder, l index.Encoded) {
+	raw, _ := l.MarshalBinary()
+	e.Uint(uint64(len(raw)))
+	e.Raw(raw)
+}
+
+// decodeList reads encodeList's form. UnmarshalBinary revalidates every
+// block, so a corrupted frame poisons the decode instead of smuggling
+// malformed blocks into a query or a replica index.
+func decodeList(d *wire.Decoder) index.Encoded {
+	var l index.Encoded
+	n := d.Uint()
+	if n > uint64(d.Remaining()) {
+		d.Fail(fmt.Errorf("core: postings payload length %d exceeds %d remaining bytes", n, d.Remaining()))
+		return l
+	}
+	if raw := d.Raw(int(n)); d.Err() == nil {
+		if err := l.UnmarshalBinary(raw); err != nil {
+			d.Fail(err)
+		}
+	}
+	return l
 }
 
 func encodePosting(e *wire.Encoder, p index.Posting) {

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -99,7 +101,8 @@ func RunCacheRepeat(cfg Config, volume int, slope float64) (*CacheRepeatResult, 
 		d.Sim.ResetStats()
 		for _, r := range ranks {
 			q := env.Test[r]
-			if _, perr := d.Net.Probe(d.nextIssuer(), q.Terms, cfg.TopK); perr != nil {
+			_, perr := d.Net.ProbeCtx(context.Background(), d.nextIssuer(), q.Terms, cfg.TopK)
+			if perr != nil && !errors.Is(perr, core.ErrPartialResults) {
 				return 0, 0, 0, fmt.Errorf("eval: replay %s: %w", q.ID, perr)
 			}
 		}

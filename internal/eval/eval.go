@@ -7,6 +7,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -251,7 +252,7 @@ func (d *Deployment) nextIssuer() simnet.Addr {
 // insertion of §6.2), issuing from round-robin peers.
 func (d *Deployment) InsertQueries(queries []*corpus.Query) error {
 	for _, q := range queries {
-		if err := d.Net.InsertQuery(d.nextIssuer(), q.Terms); err != nil {
+		if err := d.Net.InsertQueryCtx(context.Background(), d.nextIssuer(), q.Terms); err != nil {
 			return fmt.Errorf("eval: insert query %s: %w", q.ID, err)
 		}
 	}
@@ -265,7 +266,7 @@ func (d *Deployment) InsertQueries(queries []*corpus.Query) error {
 func (d *Deployment) InsertZipfQueryStream(queries []*corpus.Query, volume int, slope float64, seed int64) error {
 	for _, r := range zipfRanks(len(queries), volume, slope, seed) {
 		q := queries[r]
-		if err := d.Net.InsertQuery(d.nextIssuer(), q.Terms); err != nil {
+		if err := d.Net.InsertQueryCtx(context.Background(), d.nextIssuer(), q.Terms); err != nil {
 			return fmt.Errorf("eval: zipf insert %s: %w", q.ID, err)
 		}
 	}
@@ -309,7 +310,7 @@ func zipfRanks(n, volume int, slope float64, seed int64) []int {
 func (d *Deployment) ShareAll() error {
 	for i, doc := range d.Env.Col.Corpus.Docs() {
 		owner := d.addrs[i%len(d.addrs)]
-		if err := d.Net.Share(owner, doc); err != nil {
+		if err := d.Net.ShareCtx(context.Background(), owner, doc); err != nil {
 			return fmt.Errorf("eval: share %s: %w", doc.ID, err)
 		}
 	}
@@ -332,11 +333,12 @@ type Searcher func(terms []string, k int) ir.RankedList
 
 // SpriteSearcher returns a non-perturbing searcher over the deployment
 // (queries are processed but not cached, so measurement does not train the
-// system being measured).
+// system being measured). A degraded query is scored on the ranking over the
+// terms it reached (§7).
 func (d *Deployment) SpriteSearcher() Searcher {
 	return func(terms []string, k int) ir.RankedList {
-		rl, err := d.Net.Probe(d.nextIssuer(), terms, k)
-		if err != nil {
+		rl, err := d.Net.ProbeCtx(context.Background(), d.nextIssuer(), terms, k)
+		if err != nil && !errors.Is(err, core.ErrPartialResults) {
 			return nil
 		}
 		return rl

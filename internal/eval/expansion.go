@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -61,7 +63,8 @@ func RunExpansion(cfg Config) (*ExpansionResult, error) {
 }
 
 // expansionSearcher returns a searcher using the given expansion depth
-// (0 = plain Probe) plus a counter of the RPCs it generated.
+// (0 = plain ProbeCtx) plus a counter of the RPCs it generated. A degraded
+// query is scored on the ranking over the terms it reached.
 func (d *Deployment) expansionSearcher(depth int) (Searcher, *int64) {
 	msgs := new(int64)
 	return func(terms []string, k int) ir.RankedList {
@@ -70,7 +73,7 @@ func (d *Deployment) expansionSearcher(depth int) (Searcher, *int64) {
 		var err error
 		from := d.nextIssuer()
 		if depth == 0 {
-			rl, err = d.Net.Probe(from, terms, k)
+			rl, err = d.Net.ProbeCtx(context.Background(), from, terms, k)
 		} else {
 			rl, _, err = d.Net.SearchExpanded(from, terms, k, core.ExpandOptions{
 				FeedbackDocs:   5,
@@ -78,7 +81,7 @@ func (d *Deployment) expansionSearcher(depth int) (Searcher, *int64) {
 			})
 		}
 		*msgs += d.Sim.Stats().Calls - before
-		if err != nil {
+		if err != nil && !errors.Is(err, core.ErrPartialResults) {
 			return nil
 		}
 		return rl

@@ -55,10 +55,10 @@ type PostingsArm struct {
 	// as-is for compressed, per-posting varint frames for plain.
 	WireBytes int64
 	// Query latency order statistics (nanoseconds, wall clock).
-	MeanNS        float64
-	P50NS         int64
-	P95NS         int64
-	P99NS         int64
+	MeanNS float64
+	P50NS  int64
+	P95NS  int64
+	P99NS  int64
 	// RankHash fingerprints every query's ranked list (doc IDs and exact
 	// score bits, in rank order).
 	RankHash string
@@ -311,7 +311,7 @@ func postingsQuery(st index.Store, compressed bool, terms []string, n, k int) ir
 			continue
 		}
 		wq := ir.QueryWeight(qtf[t], len(terms), n, df)
-		for _, p := range st.PostingsSlice(t) {
+		for p := range st.All(t) {
 			acc.Accumulate(p.Doc, wq*ir.Weight(p.NormFreq(), n, df), p.DocLen)
 		}
 	}

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -150,7 +152,7 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 		addrs = append(addrs, p.Addr())
 	}
 	for i, doc := range col.Corpus.Docs() {
-		if err := n.Share(addrs[i%len(addrs)], doc); err != nil {
+		if err := n.ShareCtx(context.Background(), addrs[i%len(addrs)], doc); err != nil {
 			return nil, fmt.Errorf("share %s: %w", doc.ID, err)
 		}
 	}
@@ -175,7 +177,7 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 		sum := 0.0
 		for i, q := range queries {
 			rl, err := search(addrs[i%len(addrs)], q.ID, topK)
-			if err != nil {
+			if err != nil && !errors.Is(err, core.ErrPartialResults) {
 				return 0, 0, 0, err
 			}
 			sum += overlap(rl.Docs(), oracle.topK(q, topK))
@@ -187,14 +189,14 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 
 	tier.RoutedMsgs, tier.RoutedBytes, tier.RoutedRecall, err = measure(
 		func(from simnet.Addr, doc index.DocID, k int) (interface{ Docs() []index.DocID }, error) {
-			return n.ProbeSimilar(from, doc, k)
+			return n.ProbeSimilarCtx(context.Background(), from, doc, k)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("routed arm: %w", err)
 	}
 	tier.FloodMsgs, tier.FloodBytes, tier.FloodRecall, err = measure(
 		func(from simnet.Addr, doc index.DocID, k int) (interface{ Docs() []index.DocID }, error) {
-			return n.FloodSimilar(from, doc, k)
+			return n.FloodSimilarCtx(context.Background(), from, doc, k)
 		})
 	if err != nil {
 		return nil, fmt.Errorf("flooding arm: %w", err)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -62,9 +63,9 @@ func TestSimilarityTwins(t *testing.T) {
 			var b strings.Builder
 			for i := 0; i < 12; i++ {
 				q := docs[(i*7)%len(docs)].ID
-				rl, err := dep.Net.SearchSimilar(dep.nextIssuer(), q, 5)
+				rl, err := dep.Net.SearchSimilarCtx(context.Background(), dep.nextIssuer(), q, 5)
 				if err != nil {
-					t.Errorf("SearchSimilar(%s): %v", q, err)
+					t.Errorf("SearchSimilarCtx(%s): %v", q, err)
 					return
 				}
 				b.WriteString(string(q))

@@ -68,13 +68,12 @@ func (p Posting) WireSize() int {
 // Store is the index API shared by the compressed production implementation
 // (Inverted) and the uncompressed reference (Plain). Reads stream: All
 // yields postings in ascending doc-ID order without materializing a decoded
-// list; PostingsSlice is the compatibility helper for callers that need one.
+// list (slices.Collect builds one where a caller needs it).
 type Store interface {
 	Add(term string, p Posting)
 	Remove(term string, doc DocID) bool
 	RemoveDoc(doc DocID) int
 	All(term string) iter.Seq[Posting]
-	PostingsSlice(term string) []Posting
 	DocFreq(term string) int
 	Has(term string) bool
 	Terms() []string
@@ -320,13 +319,6 @@ func (ix *Inverted) All(term string) iter.Seq[Posting] {
 // counterpart to All for accumulator loops that interleave other work.
 func (ix *Inverted) Cursor(term string) *Cursor {
 	return ix.Encoded(term).Cursor()
-}
-
-// PostingsSlice decodes term's full postings list into a fresh slice (nil if
-// the term is not indexed) — a compatibility helper for random-access
-// callers; the query path streams through All or Cursor instead.
-func (ix *Inverted) PostingsSlice(term string) []Posting {
-	return ix.Encoded(term).Slice()
 }
 
 // DocFreq returns the number of documents in whose postings list term

@@ -18,7 +18,7 @@ func TestAddAndPostings(t *testing.T) {
 	ix := NewInverted()
 	ix.Add("chord", post("d2", 1, 50))
 	ix.Add("chord", post("d1", 3, 100))
-	got := ix.PostingsSlice("chord")
+	got := slices.Collect(ix.All("chord"))
 	if len(got) != 2 {
 		t.Fatalf("postings = %v", got)
 	}
@@ -33,7 +33,7 @@ func TestAddIsIdempotentPerDoc(t *testing.T) {
 	ix := NewInverted()
 	ix.Add("term", post("d1", 3, 100))
 	ix.Add("term", post("d1", 5, 120)) // republish with fresh metadata
-	got := ix.PostingsSlice("term")
+	got := slices.Collect(ix.All("term"))
 	if len(got) != 1 {
 		t.Fatalf("republish duplicated the posting: %v", got)
 	}
@@ -55,7 +55,7 @@ func TestEncodedSnapshotImmutable(t *testing.T) {
 	if got := snap.Slice(); got[0].Freq != 1 {
 		t.Fatalf("snapshot mutated by republish: %+v", got[0])
 	}
-	if got := ix.PostingsSlice("t")[0].Freq; got != 999 {
+	if got := slices.Collect(ix.All("t"))[0].Freq; got != 999 {
 		t.Fatalf("fresh read missed republish: freq = %d", got)
 	}
 
@@ -64,7 +64,7 @@ func TestEncodedSnapshotImmutable(t *testing.T) {
 	if got := snap.Slice(); len(got) != 2 || got[0].Doc != "d1" || got[1].Doc != "d2" {
 		t.Fatalf("snapshot mutated by Remove: %v", got)
 	}
-	if got := ix.PostingsSlice("t"); len(got) != 1 || got[0].Doc != "d2" {
+	if got := slices.Collect(ix.All("t")); len(got) != 1 || got[0].Doc != "d2" {
 		t.Fatalf("fresh read missed Remove: %v", got)
 	}
 
@@ -77,7 +77,7 @@ func TestEncodedSnapshotImmutable(t *testing.T) {
 	if p, ok := cur.Next(); !ok || p.Doc != "d2" {
 		t.Fatalf("pre-mutation cursor = %+v, %v", p, ok)
 	}
-	if got := ix.PostingsSlice("t"); got != nil {
+	if got := slices.Collect(ix.All("t")); got != nil {
 		t.Fatalf("fresh read missed RemoveDoc: %v", got)
 	}
 
@@ -125,8 +125,8 @@ func TestEncodedSnapshotImmutable(t *testing.T) {
 
 func TestPostingsMissingTerm(t *testing.T) {
 	ix := NewInverted()
-	if got := ix.PostingsSlice("ghost"); got != nil {
-		t.Fatalf("PostingsSlice(missing) = %v, want nil", got)
+	if got := ix.Encoded("ghost").Slice(); got != nil {
+		t.Fatalf("Encoded(missing).Slice() = %v, want nil", got)
 	}
 	for range ix.All("ghost") {
 		t.Fatal("All(missing) yielded a posting")
@@ -338,7 +338,7 @@ func TestInvariantPostingsConsistency(t *testing.T) {
 			return false
 		}
 		for k, p := range want {
-			if !slices.Contains(ix.PostingsSlice(k.term), p) {
+			if !slices.Contains(slices.Collect(ix.All(k.term)), p) {
 				return false
 			}
 		}

@@ -26,14 +26,14 @@ func NewPlain() *Plain {
 }
 
 // Add inserts a posting for term, replacing any earlier posting for the same
-// (term, doc) pair. The stored slice is never modified in place, so slices
-// returned by PostingsSlice remain immutable snapshots.
+// (term, doc) pair. The stored slice is never modified in place, so a
+// sequence All returned keeps iterating an immutable snapshot.
 func (px *Plain) Add(term string, p Posting) {
 	list := px.lists[term]
 	// Ascending bulk-load fast path: a doc sorting after the current tail
 	// appends without the O(n) copy, mirroring the compressed index's
 	// seal-and-append path. Snapshot safety holds because existing elements
-	// are never modified — an outstanding PostingsSlice has a fixed length,
+	// are never modified — an outstanding All snapshot has a fixed length,
 	// and append only ever writes beyond it.
 	if len(list) == 0 || list[len(list)-1].Doc < p.Doc {
 		px.lists[term] = append(list, p)
@@ -109,10 +109,6 @@ func (px *Plain) All(term string) iter.Seq[Posting] {
 		}
 	}
 }
-
-// PostingsSlice returns term's postings (nil if unindexed). The slice is an
-// immutable copy-on-write snapshot, shared with the index — do not modify.
-func (px *Plain) PostingsSlice(term string) []Posting { return px.lists[term] }
 
 // DocFreq returns the number of documents whose postings list contains term.
 func (px *Plain) DocFreq(term string) int { return len(px.lists[term]) }

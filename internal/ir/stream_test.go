@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/index"
@@ -32,7 +33,7 @@ func randomPostings(rng *rand.Rand, n int) []index.Posting {
 	for _, p := range out {
 		ix.Add("t", p)
 	}
-	return ix.PostingsSlice("t")
+	return slices.Collect(ix.All("t"))
 }
 
 // sliceOracle folds decoded postings lists through the accumulator term by
@@ -122,7 +123,7 @@ func TestMergeTopKMatchesAccumulator(t *testing.T) {
 			}
 			// The index serves ascending doc IDs; the oracle must fold in
 			// that order too.
-			oracle[i] = oracleTerm{ps: ix.PostingsSlice(fmt.Sprint("term", i)), wq: 0.2 + 0.1*float64(i), df: max(len(ps), 1)}
+			oracle[i] = oracleTerm{ps: slices.Collect(ix.All(fmt.Sprint("term", i))), wq: 0.2 + 0.1*float64(i), df: max(len(ps), 1)}
 		}
 		for _, k := range []int{1, 3, 10, 100, 5000} {
 			mts := make([]MergeTerm, len(lists))

@@ -83,7 +83,7 @@ func TestCallRoundTripOverTCP(t *testing.T) {
 	if err := tr.LastError(); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	reply, err := tr.Call("client", addr, simnet.Message{Type: "ping", Payload: note{Text: "hello"}, Size: 5})
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: note{Text: "hello"}, Size: 5})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -95,7 +95,7 @@ func TestCallRoundTripOverTCP(t *testing.T) {
 func TestCallUnreachable(t *testing.T) {
 	tr := transport.New(transport.WithDialTimeout(200 * time.Millisecond))
 	defer tr.Close()
-	_, err := tr.Call("client", "127.0.0.1:1", simnet.Message{Type: "ping"})
+	_, err := tr.CallCtx(context.Background(), "client", "127.0.0.1:1", simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -111,7 +111,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	tr.Register(addr, simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
 		return simnet.Message{}, errors.New("kaboom")
 	}))
-	_, err := tr.Call("client", addr, simnet.Message{Type: "x"})
+	_, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "x"})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("handler error lost: %v", err)
 	}
@@ -125,11 +125,11 @@ func TestUnregisterStopsServing(t *testing.T) {
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
-	if _, err := tr.Call("c", addr, simnet.Message{Type: "a"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Unregister(addr)
-	if _, err := tr.Call("c", addr, simnet.Message{Type: "a"}); !errors.Is(err, simnet.ErrUnreachable) {
+	if _, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "a"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("call after unregister: %v", err)
 	}
 }
@@ -163,7 +163,7 @@ func TestConcurrentCalls(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				want := fmt.Sprintf("%d-%d", w, i)
-				reply, err := tr.Call("c", addr, simnet.Message{Type: "t", Payload: note{Text: want}})
+				reply, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "t", Payload: note{Text: want}})
 				if err != nil {
 					errs <- err
 					return
@@ -236,10 +236,10 @@ func TestSpriteOverTCP(t *testing.T) {
 	doc := corpus.NewDocument(index.DocID("tcp-doc"), map[string]int{
 		"socket": 5, "frame": 3, "codec": 1,
 	})
-	if err := net.Share(addrs[0], doc); err != nil {
+	if err := net.ShareCtx(context.Background(), addrs[0], doc); err != nil {
 		t.Fatalf("Share over TCP: %v", err)
 	}
-	rl, err := net.Search(addrs[3], []string{"socket"}, 5)
+	rl, err := net.SearchCtx(context.Background(), addrs[3], []string{"socket"}, 5)
 	if err != nil {
 		t.Fatalf("Search over TCP: %v", err)
 	}
@@ -249,13 +249,13 @@ func TestSpriteOverTCP(t *testing.T) {
 	// The rare term is unindexed; query it together with an indexed term,
 	// learn, and verify it becomes findable — the full learning loop over
 	// real sockets.
-	if _, err := net.Search(addrs[4], []string{"socket", "codec"}, 5); err != nil {
+	if _, err := net.SearchCtx(context.Background(), addrs[4], []string{"socket", "codec"}, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := net.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("LearnAll over TCP: %v", err)
 	}
-	rl, err = net.Search(addrs[5], []string{"codec"}, 5)
+	rl, err = net.SearchCtx(context.Background(), addrs[5], []string{"codec"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCallTimeoutOnStuckHandler(t *testing.T) {
 	}))
 	defer close(block)
 	start := time.Now()
-	_, err := tr.Call("c", addr, simnet.Message{Type: "stuck"})
+	_, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "stuck"})
 	if err == nil {
 		t.Fatal("stuck handler did not time out")
 	}
@@ -303,7 +303,7 @@ func TestDialFailureWrapsUnreachable(t *testing.T) {
 	defer tr.Close()
 	// Reserve-and-release guarantees nothing is listening at the address.
 	addr := freeAddrs(t, 1)[0]
-	_, err := tr.Call("c", addr, simnet.Message{Type: "ping"})
+	_, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("dial failure error = %v, want wrapping simnet.ErrUnreachable", err)
 	}
@@ -344,7 +344,7 @@ func TestCallTimeoutWrapsUnreachable(t *testing.T) {
 	}()
 	addr := simnet.Addr(ln.Addr().String())
 	start := time.Now()
-	_, err = tr.Call("c", addr, simnet.Message{Type: "stuck"})
+	_, err = tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "stuck"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("reply timeout error = %v, want wrapping simnet.ErrUnreachable", err)
 	}
@@ -368,7 +368,7 @@ func TestPeerDiesMidCallWrapsUnreachable(t *testing.T) {
 	tr := transport.New()
 	defer tr.Close()
 	addr := slamDoor(t, false)
-	_, err := tr.Call("c", addr, simnet.Message{Type: "ping"})
+	_, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("mid-call peer death error = %v, want wrapping simnet.ErrUnreachable", err)
 	}
@@ -391,7 +391,7 @@ func TestIsPeerGoneClassification(t *testing.T) {
 	}
 	for name, addr := range gone {
 		tr := transport.New(transport.WithDialTimeout(300 * time.Millisecond))
-		_, err := tr.Call("c", addr, simnet.Message{Type: "ping"})
+		_, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "ping"})
 		tr.Close()
 		if !errors.Is(err, simnet.ErrUnreachable) {
 			t.Errorf("%s: err = %v, want wrapping simnet.ErrUnreachable", name, err)
@@ -409,7 +409,7 @@ func TestIsPeerGoneClassification(t *testing.T) {
 		}
 		return simnet.Message{}, errors.New("handler says no")
 	}))
-	if _, err := tr.Call("c", addr, simnet.Message{Type: "x"}); err == nil || errors.Is(err, simnet.ErrUnreachable) {
+	if _, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "x"}); err == nil || errors.Is(err, simnet.ErrUnreachable) {
 		t.Errorf("handler error = %v, want a non-unreachable error", err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -434,7 +434,7 @@ func TestDialAndConnGaugeInstrumentation(t *testing.T) {
 	tr.Register(addr, echo())
 	const calls = 7
 	for i := 0; i < calls; i++ {
-		if _, err := tr.Call("c", addr, simnet.Message{Type: "ping"}); err != nil {
+		if _, err := tr.CallCtx(context.Background(), "c", addr, simnet.Message{Type: "ping"}); err != nil {
 			t.Fatal(err)
 		}
 	}

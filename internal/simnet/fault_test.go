@@ -64,14 +64,14 @@ func TestDropCalls(t *testing.T) {
 	n := echoNet()
 	n.DropCalls("b", 2)
 	for i := 0; i < 2; i++ {
-		if _, err := n.Call("a", "b", Message{Type: "x", Size: 1}); !errors.Is(err, ErrUnreachable) {
+		if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1}); !errors.Is(err, ErrUnreachable) {
 			t.Fatalf("drop %d: err = %v, want ErrUnreachable", i, err)
 		}
 		if !n.Alive("b") {
 			t.Fatal("dropped peer must stay Alive")
 		}
 	}
-	if _, err := n.Call("a", "b", Message{Type: "x", Size: 1}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1}); err != nil {
 		t.Fatalf("call after drop schedule drained: %v", err)
 	}
 	if s := n.Stats(); s.Dropped != 2 || s.Failed != 0 {
@@ -80,7 +80,7 @@ func TestDropCalls(t *testing.T) {
 	// Clearing a schedule stops the drops.
 	n.DropCalls("b", 5)
 	n.DropCalls("b", 0)
-	if _, err := n.Call("a", "b", Message{Type: "x", Size: 1}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1}); err != nil {
 		t.Fatalf("call after schedule cleared: %v", err)
 	}
 }
@@ -93,7 +93,7 @@ func TestPacketLossDeterministicAndIndependent(t *testing.T) {
 		n := echoNet(WithPacketLoss(0.5))
 		var out []bool
 		for i := 0; i < 32; i++ {
-			_, err := n.Call("a", "b", Message{Type: "x", Size: 1})
+			_, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1})
 			out = append(out, err == nil)
 		}
 		return out
@@ -115,7 +115,7 @@ func TestPacketLossDeterministicAndIndependent(t *testing.T) {
 	lat := func(p float64) time.Duration {
 		n := echoNet(WithLatency(UniformLatency(time.Millisecond, time.Second)), WithPacketLoss(p))
 		for i := 0; i < 16; i++ {
-			n.Call("a", "b", Message{Type: "x", Size: 1})
+			n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1})
 		}
 		return n.Stats().SimLatency
 	}
@@ -128,11 +128,11 @@ func TestPacketLossDeterministicAndIndependent(t *testing.T) {
 func TestSetPacketLoss(t *testing.T) {
 	n := echoNet()
 	n.SetPacketLoss(1.0)
-	if _, err := n.Call("a", "b", Message{Type: "x", Size: 1}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("p=1 call survived: %v", err)
 	}
 	n.SetPacketLoss(0)
-	if _, err := n.Call("a", "b", Message{Type: "x", Size: 1}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1}); err != nil {
 		t.Fatalf("p=0 call failed: %v", err)
 	}
 }

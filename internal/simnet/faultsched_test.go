@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"context"
 	"reflect"
 	"testing"
 )
@@ -19,7 +20,7 @@ func TestDropCallsAfterSkipsThenDrops(t *testing.T) {
 
 	var got []bool
 	for i := 0; i < 7; i++ {
-		_, err := net.Call("a", "b", Message{Type: "ping", Size: 1})
+		_, err := net.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 1})
 		got = append(got, err == nil)
 	}
 	want := []bool{true, true, false, false, false, true, true}
@@ -47,13 +48,13 @@ func TestDropCallsAfterClear(t *testing.T) {
 	if net.PendingDrops() != 0 {
 		t.Fatalf("PendingDrops = %d after clear", net.PendingDrops())
 	}
-	if _, err := net.Call("a", "b", Message{Type: "ping", Size: 1}); err != nil {
+	if _, err := net.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 1}); err != nil {
 		t.Fatalf("call after clear failed: %v", err)
 	}
 
 	net.DropCalls("b", 2)
 	net.ClearDrops()
-	if _, err := net.Call("a", "b", Message{Type: "ping", Size: 1}); err != nil {
+	if _, err := net.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 1}); err != nil {
 		t.Fatalf("call after ClearDrops failed: %v", err)
 	}
 }

@@ -6,7 +6,7 @@
 // maintenance costs (§1) can be measured rather than asserted.
 //
 // The model is a synchronous RPC network: every inter-peer interaction is a
-// Call from one address to another carrying a typed message. Delivery is
+// CallCtx from one address to another carrying a typed message. Delivery is
 // reliable unless the destination has been failed with Fail, which models
 // peer departure/crash (§7). Latency is simulated, not real: each call is
 // assigned a deterministic pseudo-random latency and accounted in Stats, so
@@ -40,7 +40,7 @@ type Message struct {
 }
 
 // Handler processes one incoming message and produces a reply. Handlers are
-// invoked synchronously by Call; they must not call back into the network
+// invoked synchronously by CallCtx; they must not call back into the network
 // endpoint that is mid-call on the same goroutine chain unless the overlay is
 // re-entrant (the Chord implementation is).
 type Handler interface {
@@ -55,7 +55,7 @@ func (f HandlerFunc) HandleMessage(from Addr, msg Message) (Message, error) {
 	return f(from, msg)
 }
 
-// ErrUnreachable is returned by Call when the destination peer is failed or
+// ErrUnreachable is returned by CallCtx when the destination peer is failed or
 // was never registered.
 var ErrUnreachable = errors.New("simnet: peer unreachable")
 
@@ -69,17 +69,15 @@ type Transport interface {
 	Register(addr Addr, h Handler)
 	// Unregister removes the peer.
 	Unregister(addr Addr)
-	// Call performs a synchronous RPC; transport-level failures are
-	// reported with errors wrapping ErrUnreachable. It is CallCtx without
-	// cancellation, kept for call sites with no deadline to carry.
-	Call(from, to Addr, msg Message) (Message, error)
-	// CallCtx is Call honoring the caller's context: an already-canceled
-	// or expired context fails immediately with an error wrapping ctx.Err()
-	// (never ErrUnreachable, so retry layers do not retry a caller that
-	// gave up), and deadlines bound the call's duration.
+	// CallCtx performs a synchronous RPC; transport-level failures are
+	// reported with errors wrapping ErrUnreachable. An already-canceled or
+	// expired context fails immediately with an error wrapping ctx.Err()
+	// (never ErrUnreachable, so retry layers do not retry a caller that gave
+	// up), and deadlines bound the call's duration. Call sites with no
+	// deadline to carry pass context.Background().
 	CallCtx(ctx context.Context, from, to Addr, msg Message) (Message, error)
 	// Alive reports whether addr is believed reachable. Implementations may
-	// be optimistic — a true result does not guarantee the next Call
+	// be optimistic — a true result does not guarantee the next CallCtx
 	// succeeds — but must return false for peers known to be gone.
 	Alive(addr Addr) bool
 }
@@ -385,19 +383,15 @@ func (n *Network) aliveLocked(addr Addr) bool {
 	return ok && !n.failed[addr]
 }
 
-// Call performs a synchronous RPC from one peer to another. The reply and
+// CallCtx performs a synchronous RPC from one peer to another. The reply and
 // error come from the destination handler; transport-level failures surface
 // as ErrUnreachable. Calls from a peer to itself bypass the network and are
-// not metered unless WithLocalCallsCounted was set.
-func (n *Network) Call(from, to Addr, msg Message) (Message, error) {
-	return n.CallCtx(context.Background(), from, to, msg)
-}
-
-// CallCtx is Call honoring ctx: a context that is already done fails
-// immediately with an error wrapping ctx.Err() (never ErrUnreachable), and a
-// call whose simulated round trip would overrun the context's deadline fails
-// with context.DeadlineExceeded — the simulator's stand-in for a wall-clock
-// timeout, since simulated latency is accounted rather than slept.
+// not metered unless WithLocalCallsCounted was set. A context that is already
+// done fails immediately with an error wrapping ctx.Err() (never
+// ErrUnreachable), and a call whose simulated round trip would overrun the
+// context's deadline fails with context.DeadlineExceeded — the simulator's
+// stand-in for a wall-clock timeout, since simulated latency is accounted
+// rather than slept.
 func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Message, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		n.mu.Lock()

@@ -20,7 +20,7 @@ func echoHandler(t *testing.T) Handler {
 func TestCallRoundTrip(t *testing.T) {
 	n := New(1)
 	n.Register("b", echoHandler(t))
-	reply, err := n.Call("a", "b", Message{Type: "ping", Payload: 42, Size: 8})
+	reply, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Payload: 42, Size: 8})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -38,7 +38,7 @@ func TestCallRoundTrip(t *testing.T) {
 
 func TestCallUnregistered(t *testing.T) {
 	n := New(1)
-	_, err := n.Call("a", "ghost", Message{Type: "ping"})
+	_, err := n.CallCtx(context.Background(), "a", "ghost", Message{Type: "ping"})
 	if !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -54,14 +54,14 @@ func TestFailRecover(t *testing.T) {
 	if n.Alive("b") {
 		t.Fatal("failed peer reported alive")
 	}
-	if _, err := n.Call("a", "b", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("call to failed peer: err = %v", err)
 	}
 	n.Recover("b")
 	if !n.Alive("b") {
 		t.Fatal("recovered peer reported dead")
 	}
-	if _, err := n.Call("a", "b", Message{Type: "ping"}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
 		t.Fatalf("call after recover: %v", err)
 	}
 }
@@ -78,7 +78,7 @@ func TestUnregister(t *testing.T) {
 	n := New(1)
 	n.Register("b", echoHandler(t))
 	n.Unregister("b")
-	if _, err := n.Call("a", "b", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("call to unregistered peer: err = %v", err)
 	}
 	if got := n.Peers(); len(got) != 0 {
@@ -89,7 +89,7 @@ func TestUnregister(t *testing.T) {
 func TestLocalCallsBypassAccounting(t *testing.T) {
 	n := New(1)
 	n.Register("a", echoHandler(t))
-	if _, err := n.Call("a", "a", Message{Type: "self", Size: 100}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "a", Message{Type: "self", Size: 100}); err != nil {
 		t.Fatalf("self call: %v", err)
 	}
 	s := n.Stats()
@@ -104,7 +104,7 @@ func TestLocalCallsBypassAccounting(t *testing.T) {
 func TestLocalCallsCountedOption(t *testing.T) {
 	n := New(1, WithLocalCallsCounted())
 	n.Register("a", echoHandler(t))
-	if _, err := n.Call("a", "a", Message{Type: "self", Size: 10}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "a", Message{Type: "self", Size: 10}); err != nil {
 		t.Fatalf("self call: %v", err)
 	}
 	if s := n.Stats(); s.Calls != 1 {
@@ -116,7 +116,7 @@ func TestSelfCallToFailedSelf(t *testing.T) {
 	n := New(1)
 	n.Register("a", echoHandler(t))
 	n.Fail("a")
-	if _, err := n.Call("a", "a", Message{Type: "self"}); !errors.Is(err, ErrUnreachable) {
+	if _, err := n.CallCtx(context.Background(), "a", "a", Message{Type: "self"}); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("self call to failed self: err = %v", err)
 	}
 }
@@ -125,7 +125,7 @@ func TestLatencyAccounting(t *testing.T) {
 	n := New(7, WithLatency(UniformLatency(time.Millisecond, 2*time.Millisecond)))
 	n.Register("b", echoHandler(t))
 	for i := 0; i < 10; i++ {
-		if _, err := n.Call("a", "b", Message{Type: "ping"}); err != nil {
+		if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -140,7 +140,7 @@ func TestLatencyDeterministic(t *testing.T) {
 		n := New(99, WithLatency(UniformLatency(0, time.Second)))
 		n.Register("b", echoHandler(t))
 		for i := 0; i < 50; i++ {
-			n.Call("a", "b", Message{Type: "p"})
+			n.CallCtx(context.Background(), "a", "b", Message{Type: "p"})
 		}
 		return n.Stats().SimLatency
 	}
@@ -152,7 +152,7 @@ func TestLatencyDeterministic(t *testing.T) {
 func TestUniformLatencySwappedBounds(t *testing.T) {
 	n := New(1, WithLatency(UniformLatency(time.Second, 0)))
 	n.Register("b", echoHandler(t))
-	if _, err := n.Call("a", "b", Message{Type: "p"}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "p"}); err != nil {
 		t.Fatal(err)
 	}
 	if n.Stats().SimLatency > 2*time.Second {
@@ -166,7 +166,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	n.Register("b", HandlerFunc(func(Addr, Message) (Message, error) {
 		return Message{}, wantErr
 	}))
-	_, err := n.Call("a", "b", Message{Type: "boom"})
+	_, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "boom"})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want handler error", err)
 	}
@@ -179,7 +179,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 func TestResetStats(t *testing.T) {
 	n := New(1)
 	n.Register("b", echoHandler(t))
-	n.Call("a", "b", Message{Type: "ping", Size: 4})
+	n.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 4})
 	n.ResetStats()
 	s := n.Stats()
 	if s.Calls != 0 || s.Bytes != 0 || len(s.CallsByType) != 0 {
@@ -193,7 +193,7 @@ func TestResetStats(t *testing.T) {
 func TestStatsSnapshotIsolated(t *testing.T) {
 	n := New(1)
 	n.Register("b", echoHandler(t))
-	n.Call("a", "b", Message{Type: "ping"})
+	n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"})
 	s := n.Stats()
 	s.CallsByType["ping"] = 999
 	if n.Stats().CallsByType["ping"] != 1 {
@@ -218,8 +218,8 @@ func TestPeersSorted(t *testing.T) {
 func TestTypesSorted(t *testing.T) {
 	n := New(1)
 	n.Register("b", echoHandler(t))
-	n.Call("a", "b", Message{Type: "zeta"})
-	n.Call("a", "b", Message{Type: "alpha"})
+	n.CallCtx(context.Background(), "a", "b", Message{Type: "zeta"})
+	n.CallCtx(context.Background(), "a", "b", Message{Type: "alpha"})
 	types := n.Stats().TypesSorted()
 	if len(types) != 2 || types[0] != "alpha" || types[1] != "zeta" {
 		t.Fatalf("TypesSorted() = %v", types)
@@ -236,7 +236,7 @@ func TestConcurrentCalls(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if _, err := n.Call("a", "b", Message{Type: "ping", Size: 1}); err != nil {
+				if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 1}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -264,7 +264,7 @@ func TestDeterminismIndependentOfGlobalRand(t *testing.T) {
 			if pollute {
 				rand.Int63() // global source; must not influence the network
 			}
-			if _, err := n.Call("a", "b", Message{Type: "p"}); err != nil {
+			if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "p"}); err != nil {
 				t.Fatal(err)
 			}
 			cur := n.Stats().SimLatency
@@ -292,13 +292,13 @@ func TestTelemetryMirrorsAccounting(t *testing.T) {
 		return Message{}, errors.New("boom")
 	}))
 	for i := 0; i < 4; i++ {
-		if _, err := n.Call("a", "b", Message{Type: "ping", Size: 10}); err != nil {
+		if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	n.Call("a", "gone", Message{Type: "ping", Size: 10}) // unreachable
-	n.Call("b", "b", Message{Type: "ping", Size: 10})    // local bypass
-	n.Call("a", "c", Message{Type: "ping", Size: 10})    // handler error
+	n.CallCtx(context.Background(), "a", "gone", Message{Type: "ping", Size: 10}) // unreachable
+	n.CallCtx(context.Background(), "b", "b", Message{Type: "ping", Size: 10})    // local bypass
+	n.CallCtx(context.Background(), "a", "c", Message{Type: "ping", Size: 10})    // handler error
 
 	if got := reg.Counter("simnet.calls.ping").Value(); got != 6 {
 		t.Fatalf("simnet.calls.ping = %d, want 6", got)
@@ -325,7 +325,7 @@ func TestSleepingLatencyWallClock(t *testing.T) {
 	n := New(1, WithLatency(UniformLatency(d, d)), WithSleepingLatency())
 	n.Register("b", echoHandler(t))
 	start := time.Now()
-	if _, err := n.Call("a", "b", Message{Type: "ping"}); err != nil {
+	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
 		t.Fatalf("Call: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed < 2*d {
@@ -362,19 +362,19 @@ func TestSetSleepLatencyRuntimeToggle(t *testing.T) {
 	n := New(1, WithLatency(UniformLatency(d, d)))
 	n.Register("b", echoHandler(t))
 	start := time.Now()
-	n.Call("a", "b", Message{Type: "ping"})
+	n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"})
 	if time.Since(start) >= 2*d {
 		t.Fatal("latency slept while sleep mode off")
 	}
 	n.SetSleepLatency(true)
 	start = time.Now()
-	n.Call("a", "b", Message{Type: "ping"})
+	n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"})
 	if time.Since(start) < 2*d {
 		t.Fatal("latency not slept after SetSleepLatency(true)")
 	}
 	n.SetSleepLatency(false)
 	start = time.Now()
-	n.Call("a", "b", Message{Type: "ping"})
+	n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"})
 	if time.Since(start) >= 2*d {
 		t.Fatal("latency slept after SetSleepLatency(false)")
 	}

@@ -495,12 +495,8 @@ func (t *Transport) reapOnce(now time.Time) {
 	t.met.connsIdle.Set(idle)
 }
 
-// Call performs a synchronous RPC over a pooled connection.
-func (t *Transport) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	return t.CallCtx(context.Background(), from, to, msg)
-}
-
-// CallCtx is Call honoring ctx. Caller-initiated cancellation wraps
+// CallCtx performs a synchronous RPC over a pooled connection, honoring ctx.
+// Caller-initiated cancellation wraps
 // ctx.Err(); transport failures — dial refused, negative-cached dead peer,
 // per-call timeout against a wedged peer, connection reset mid-call — wrap
 // simnet.ErrUnreachable. A call whose request frame provably never reached

@@ -67,7 +67,7 @@ func TestCallRoundTrip(t *testing.T) {
 	if err := tr.LastError(); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	reply, err := tr.Call("client", addr, simnet.Message{Type: "ping", Payload: note{Text: "hello"}, Size: 5})
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: note{Text: "hello"}, Size: 5})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestPoolReusesOneConnAcrossSequentialCalls(t *testing.T) {
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
 	for i := 0; i < 50; i++ {
-		if _, err := tr.Call("client", addr, simnet.Message{Type: "ping", Size: 1}); err != nil {
+		if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Size: 1}); err != nil {
 			t.Fatalf("call %d: %v", i, err)
 		}
 	}
@@ -119,7 +119,7 @@ func TestConcurrentCallsMultiplexOnOneSocket(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			reply, err := tr.Call("client", addr, simnet.Message{Type: "hold", Payload: note{Text: fmt.Sprintf("v%d", i)}})
+			reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "hold", Payload: note{Text: fmt.Sprintf("v%d", i)}})
 			if err != nil {
 				errs <- err
 				return
@@ -159,7 +159,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	defer client.Close()
 	addr := freeAddrs(t, 1)[0]
 	server.Register(addr, echo())
-	if _, err := client.Call("client", addr, simnet.Message{Type: "ping"}); err != nil {
+	if _, err := client.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
 		t.Fatalf("pre-restart call: %v", err)
 	}
 	if got := client.OpenConns(); got != 1 {
@@ -185,7 +185,7 @@ func TestReconnectAfterPeerRestart(t *testing.T) {
 	// from a lost race — and succeed without any caller-visible reset.
 	deadline = time.Now().Add(5 * time.Second)
 	for {
-		_, err := client.Call("client", addr, simnet.Message{Type: "ping"})
+		_, err := client.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"})
 		if err == nil {
 			break
 		}
@@ -214,7 +214,7 @@ func TestCtxCancellationLeavesPoolHealthy(t *testing.T) {
 		}
 		return simnet.Message{Type: "ok"}, nil
 	}))
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "fast"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "fast"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -236,7 +236,7 @@ func TestCtxCancellationLeavesPoolHealthy(t *testing.T) {
 
 	// The same connection must still work: the canceled call only
 	// deregistered its pending entry, it did not poison the socket.
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "fast"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "fast"}); err != nil {
 		t.Fatalf("call after cancellation: %v", err)
 	}
 	if got := tr.OpenConns(); got != 1 {
@@ -262,7 +262,7 @@ func TestCallUnreachableAndNegativeCache(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := New(WithDialTimeout(200*time.Millisecond), WithTelemetry(reg))
 	defer tr.Close()
-	_, err := tr.Call("client", "127.0.0.1:1", simnet.Message{Type: "ping"})
+	_, err := tr.CallCtx(context.Background(), "client", "127.0.0.1:1", simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -273,7 +273,7 @@ func TestCallUnreachableAndNegativeCache(t *testing.T) {
 		t.Fatal("dead peer reported alive (negative cache miss)")
 	}
 	// Second call hits the negative cache, not the network.
-	_, err = tr.Call("client", "127.0.0.1:1", simnet.Message{Type: "ping"})
+	_, err = tr.CallCtx(context.Background(), "client", "127.0.0.1:1", simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("cached err = %v, want ErrUnreachable", err)
 	}
@@ -294,7 +294,7 @@ func TestCallTimeoutOnWedgedPeerWrapsUnreachable(t *testing.T) {
 		return simnet.Message{}, nil
 	}))
 	start := time.Now()
-	_, err := tr.Call("client", addr, simnet.Message{Type: "wedge"})
+	_, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "wedge"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", err)
 	}
@@ -327,7 +327,7 @@ func TestHandlerErrorPropagates(t *testing.T) {
 	tr.Register(addr, simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
 		return simnet.Message{}, errors.New("kaboom")
 	}))
-	_, err := tr.Call("client", addr, simnet.Message{Type: "ping"})
+	_, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want remote kaboom", err)
 	}
@@ -341,13 +341,13 @@ func TestUnregisterStopsServing(t *testing.T) {
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	tr.Unregister(addr)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		_, err := tr.Call("client", addr, simnet.Message{Type: "ping"})
+		_, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"})
 		if errors.Is(err, simnet.ErrUnreachable) {
 			break
 		}
@@ -385,7 +385,7 @@ func TestIdleReaperClosesQuietConns(t *testing.T) {
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
@@ -396,7 +396,7 @@ func TestIdleReaperClosesQuietConns(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	// A new call after reaping dials fresh and succeeds.
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
 		t.Fatalf("call after reap: %v", err)
 	}
 }
@@ -408,7 +408,7 @@ func TestRegisterAfterCloseFails(t *testing.T) {
 	if tr.LastError() == nil {
 		t.Fatal("Register after Close did not record an error")
 	}
-	if _, err := tr.Call("a", "127.0.0.1:1", simnet.Message{Type: "ping"}); !errors.Is(err, simnet.ErrUnreachable) {
+	if _, err := tr.CallCtx(context.Background(), "a", "127.0.0.1:1", simnet.Message{Type: "ping"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("Call after Close: err = %v, want ErrUnreachable", err)
 	}
 }
@@ -426,7 +426,7 @@ func TestCloseIsIdempotentAndFailsInflight(t *testing.T) {
 	}))
 	done := make(chan error, 1)
 	go func() {
-		_, err := client.Call("client", addr, simnet.Message{Type: "slow"})
+		_, err := client.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "slow"})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -465,7 +465,7 @@ func TestRaceSoak(t *testing.T) {
 			for i := 0; i < callsPerCaller; i++ {
 				to := addrs[(c+i)%peers]
 				want := fmt.Sprintf("c%d-i%d", c, i)
-				reply, err := tr.Call("client", to, simnet.Message{Type: "soak", Payload: note{Text: want}, Size: len(want)})
+				reply, err := tr.CallCtx(context.Background(), "client", to, simnet.Message{Type: "soak", Payload: note{Text: want}, Size: len(want)})
 				if err != nil {
 					errs <- fmt.Errorf("caller %d call %d: %w", c, i, err)
 					return
@@ -547,23 +547,23 @@ func TestSpriteOverPooledTransport(t *testing.T) {
 	doc := corpus.NewDocument(index.DocID("pooled-doc"), map[string]int{
 		"socket": 5, "frame": 3, "mux": 1,
 	})
-	if err := net.Share(owner, doc); err != nil {
+	if err := net.ShareCtx(context.Background(), owner, doc); err != nil {
 		t.Fatalf("Share: %v", err)
 	}
-	rl, err := net.Search(addrs[3], []string{"socket"}, 5)
+	rl, err := net.SearchCtx(context.Background(), addrs[3], []string{"socket"}, 5)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
 	if len(rl) != 1 || rl[0].Doc != "pooled-doc" {
 		t.Fatalf("search results = %v", rl)
 	}
-	if _, err := net.Search(addrs[4], []string{"socket", "mux"}, 5); err != nil {
+	if _, err := net.SearchCtx(context.Background(), addrs[4], []string{"socket", "mux"}, 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := net.LearnAllCtx(context.Background()); err != nil {
 		t.Fatalf("LearnAll: %v", err)
 	}
-	rl, err = net.Search(addrs[5], []string{"mux"}, 5)
+	rl, err = net.SearchCtx(context.Background(), addrs[5], []string{"mux"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func TestReRegisterSwapsHandler(t *testing.T) {
 	tr.Register(addr, simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
 		return simnet.Message{Type: "v2"}, nil
 	}))
-	reply, err := tr.Call("client", addr, simnet.Message{Type: "x"})
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +681,7 @@ func TestPeerDiesMidCallWrapsUnreachable(t *testing.T) {
 		}
 	}()
 	addr := simnet.Addr(ln.Addr().String())
-	_, err = tr.Call("client", addr, simnet.Message{Type: "ping"})
+	_, err = tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"})
 	if !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("mid-call peer death error = %v, want wrapping simnet.ErrUnreachable", err)
 	}
@@ -703,7 +703,7 @@ func TestLargePayloadOverTCP(t *testing.T) {
 	for i := range big.Items {
 		big.Items[i] = fmt.Sprintf("term%06d", i)
 	}
-	reply, err := tr.Call("client", addr, simnet.Message{Type: "big", Payload: big, Size: 11 * len(big.Items)})
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "big", Payload: big, Size: 11 * len(big.Items)})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
@@ -730,7 +730,7 @@ func TestLargePayloadOverTCP(t *testing.T) {
 	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.As(err, &ne) && ne.Timeout() {
 		t.Fatalf("oversized frame header: read = %v, want the server to close the connection", err)
 	}
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
 		t.Fatalf("listener stopped serving after an oversized frame: %v", err)
 	}
 }
@@ -750,10 +750,10 @@ func TestUnregisteredPayloadFailsAtCaller(t *testing.T) {
 		}
 		return echo().HandleMessage(from, msg)
 	}))
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping", Payload: note{Text: "warm"}}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: note{Text: "warm"}}); err != nil {
 		t.Fatal(err)
 	}
-	_, err := tr.Call("client", addr, simnet.Message{Type: "odd", Payload: struct{ X int }{1}})
+	_, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "odd", Payload: struct{ X int }{1}})
 	if err == nil || !strings.Contains(err.Error(), "no binary codec for struct { X int }") {
 		t.Fatalf("unregistered payload: err = %v, want a no-binary-codec error", err)
 	}
@@ -763,14 +763,14 @@ func TestUnregisteredPayloadFailsAtCaller(t *testing.T) {
 	if got := reg.Counter("tcp.errors.encode").Value(); got != 1 {
 		t.Fatalf("tcp.errors.encode = %d, want 1", got)
 	}
-	reply, err := tr.Call("client", addr, simnet.Message{Type: "ping", Payload: note{Text: "after"}})
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: note{Text: "after"}})
 	if err != nil || reply.Payload.(note).Text != "after" {
 		t.Fatalf("call after the encode error: %+v, %v", reply, err)
 	}
 	if got := reg.Counter("tcp.served.odd").Value(); got != 0 {
 		t.Fatalf("tcp.served.odd = %d: the unencodable call reached the peer", got)
 	}
-	_, err = tr.Call("client", addr, simnet.Message{Type: "odd-reply"})
+	_, err = tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "odd-reply"})
 	if err == nil || !strings.Contains(err.Error(), "no binary codec for struct { Y int }") || errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("unregistered reply: err = %v, want the replier's encode error", err)
 	}
@@ -820,7 +820,7 @@ func TestUnknownCodecByteGetsDecodeErrorReply(t *testing.T) {
 	if resp := exchange(frame); resp.errMsg != "" || resp.msgType != "ping.ok" {
 		t.Fatalf("next frame on the same connection: %+v", resp)
 	}
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping"}); err != nil {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
 		t.Fatalf("listener stopped serving: %v", err)
 	}
 }
@@ -835,7 +835,7 @@ func TestDeadPeerTTLExpiryAndReuse(t *testing.T) {
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 
-	if _, err := tr.Call("client", addr, simnet.Message{Type: "ping"}); !errors.Is(err, simnet.ErrUnreachable) {
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); !errors.Is(err, simnet.ErrUnreachable) {
 		t.Fatalf("call to vacant addr: err = %v, want ErrUnreachable", err)
 	}
 	if tr.Alive(addr) {
@@ -859,7 +859,7 @@ func TestDeadPeerTTLExpiryAndReuse(t *testing.T) {
 		}
 		time.Sleep(ttl / 3)
 	}
-	reply, err := tr.Call("client", addr, simnet.Message{Type: "ping"})
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"})
 	if err != nil {
 		t.Fatalf("call after TTL expiry: %v", err)
 	}
@@ -897,7 +897,7 @@ func TestTelemetryCountsCallsAndServes(t *testing.T) {
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
 	for i := 0; i < 3; i++ {
-		if _, err := tr.Call("client", addr, simnet.Message{Type: "ping", Size: 8}); err != nil {
+		if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Size: 8}); err != nil {
 			t.Fatalf("Call: %v", err)
 		}
 	}

@@ -27,7 +27,7 @@ func TestNewValidatesResilienceOptions(t *testing.T) {
 
 func TestSearchCtxDeadline(t *testing.T) {
 	n := newNet(t, Options{Peers: 8})
-	if err := n.Share("peer0", "d1", "distributed hash table lookup"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "d1", "distributed hash table lookup"); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -44,7 +44,7 @@ func TestShareCtxAndLearnCtxCancellation(t *testing.T) {
 	if err := n.ShareCtx(ctx, "peer0", "d1", "chord ring routing"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled ShareCtx: %v, want context.Canceled", err)
 	}
-	if err := n.Share("peer0", "d1", "chord ring routing"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "d1", "chord ring routing"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.LearnCtx(ctx); !errors.Is(err, context.Canceled) {
@@ -54,7 +54,7 @@ func TestShareCtxAndLearnCtxCancellation(t *testing.T) {
 
 func TestSentinelErrorsAtFacade(t *testing.T) {
 	n := newNet(t, Options{Peers: 4})
-	if err := n.Share("nobody", "d1", "some text here"); !errors.Is(err, ErrNoSuchPeer) {
+	if err := n.ShareCtx(context.Background(), "nobody", "d1", "some text here"); !errors.Is(err, ErrNoSuchPeer) {
 		t.Fatalf("Share unknown peer: %v, want ErrNoSuchPeer", err)
 	}
 	if _, err := n.SearchCtx(context.Background(), "nobody", "text", 5); !errors.Is(err, ErrNoSuchPeer) {
@@ -122,15 +122,6 @@ func TestSearchCtxPartialResults(t *testing.T) {
 	if len(res) != 1 || res[0].DocID != "B" {
 		t.Fatalf("remaining-term results = %+v, want [B]", res)
 	}
-
-	// Old entry point: same degraded ranking, nil error.
-	res2, err := n.SearchTerms("peer2", []string{"qrstu", "klmno"}, 5)
-	if err != nil {
-		t.Fatalf("SearchTerms surfaced partial error: %v", err)
-	}
-	if len(res2) != 1 || res2[0].DocID != "B" {
-		t.Fatalf("SearchTerms degraded results = %+v", res2)
-	}
 }
 
 func TestFailPeerConcurrentSearchRace(t *testing.T) {
@@ -138,7 +129,7 @@ func TestFailPeerConcurrentSearchRace(t *testing.T) {
 	// liveness flip plus cache invalidation must never let a racing search
 	// re-store a pre-failure result. Run under -race.
 	n := newNet(t, Options{Peers: 8, Cache: CacheOptions{Enabled: true}})
-	if err := n.Share("peer0", "d1", "chord ring lookup protocol"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "d1", "chord ring lookup protocol"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -146,7 +137,7 @@ func TestFailPeerConcurrentSearchRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			n.SearchTerms("peer2", []string{"chord"}, 5)
+			n.SearchTermsCtx(context.Background(), "peer2", []string{"chord"}, 5)
 		}
 	}()
 	go func() {
@@ -172,7 +163,7 @@ func TestResilientSearchRecoversFromTransientDrops(t *testing.T) {
 	if err := n.ShareTerms("peer0", "D", map[string]int{"vwxyz": 3}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.SearchTerms("peer1", []string{"vwxyz"}, 5)
+	res, err := n.SearchTermsCtx(context.Background(), "peer1", []string{"vwxyz"}, 5)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("healthy search: %v %+v", err, res)
 	}
@@ -181,7 +172,7 @@ func TestResilientSearchRecoversFromTransientDrops(t *testing.T) {
 	for _, p := range n.Peers() {
 		n.sim.DropCalls(simnet.Addr(p), 2)
 	}
-	res, err = n.SearchTerms("peer1", []string{"vwxyz"}, 5)
+	res, err = n.SearchTermsCtx(context.Background(), "peer1", []string{"vwxyz"}, 5)
 	if err != nil {
 		t.Fatalf("search under transient drops: %v", err)
 	}

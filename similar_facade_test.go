@@ -1,6 +1,7 @@
 package sprite
 
 import (
+	"context"
 	"errors"
 	"testing"
 )
@@ -13,11 +14,11 @@ func TestSearchSimilarFacade(t *testing.T) {
 		{"peer2", "doc-porter", "The Porter stemmer strips suffixes from English words for text processing"},
 	}
 	for _, s := range shares {
-		if err := n.Share(s.peer, s.id, s.text); err != nil {
+		if err := n.ShareCtx(context.Background(), s.peer, s.id, s.text); err != nil {
 			t.Fatalf("Share %s: %v", s.id, err)
 		}
 	}
-	res, err := n.SearchSimilar("peer3", "doc-chord", 2)
+	res, err := n.SearchSimilarCtx(context.Background(), "peer3", "doc-chord", 2)
 	if err != nil {
 		t.Fatalf("SearchSimilar: %v", err)
 	}
@@ -38,17 +39,17 @@ func TestSearchSimilarFacade(t *testing.T) {
 		}
 	}
 
-	if _, err := n.SearchSimilar("peer3", "no-such-doc", 2); !errors.Is(err, ErrNoSuchDoc) {
+	if _, err := n.SearchSimilarCtx(context.Background(), "peer3", "no-such-doc", 2); !errors.Is(err, ErrNoSuchDoc) {
 		t.Fatalf("unknown doc: err = %v, want ErrNoSuchDoc", err)
 	}
 }
 
 func TestSearchSimilarDisabledFacade(t *testing.T) {
 	n := newNet(t, Options{Peers: 4, Seed: 4})
-	if err := n.Share("peer0", "d", "some document text here"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "d", "some document text here"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.SearchSimilar("peer1", "d", 3); !errors.Is(err, ErrSketchDisabled) {
+	if _, err := n.SearchSimilarCtx(context.Background(), "peer1", "d", 3); !errors.Is(err, ErrSketchDisabled) {
 		t.Fatalf("err = %v, want ErrSketchDisabled", err)
 	}
 }

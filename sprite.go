@@ -13,11 +13,14 @@
 //
 // Quick start:
 //
+//	ctx := context.Background()
 //	net, _ := sprite.New(sprite.Options{Peers: 16})
-//	net.Share("peer0", "doc-1", "Chord is a scalable peer-to-peer lookup service")
-//	net.Share("peer1", "doc-2", "Porter stemming strips suffixes from English words")
-//	results, _ := net.Search("peer2", "peer-to-peer lookup", 10)
-//	net.LearnCtx(context.Background()) // tune indexes from the queries seen so far
+//	net.ShareCtx(ctx, "peer0", "doc-1", "Chord is a scalable peer-to-peer lookup service")
+//	net.ShareCtx(ctx, "peer1", "doc-2", "Porter stemming strips suffixes from English words")
+//	// A degraded search still ranks what it reached: an error wrapping
+//	// ErrPartialResults comes with the results and names the dropped terms.
+//	results, err := net.SearchCtx(ctx, "peer2", "peer-to-peer lookup", 10)
+//	net.LearnCtx(ctx) // tune indexes from the queries seen so far
 //
 // Everything runs in-process on a simulated, message-metered network; see
 // Stats for the traffic the protocol generated.
@@ -35,6 +38,7 @@ import (
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
+	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/sketch"
 	"github.com/spritedht/sprite/internal/text"
@@ -397,16 +401,11 @@ func (n *Network) Peers() []string {
 	return out
 }
 
-// Share publishes a document from the named owner peer. The raw text runs
+// ShareCtx publishes a document from the named owner peer. The raw text runs
 // through the standard pipeline (tokenize, stop words, Porter stemming) and
 // the document's most frequent terms become its initial global index terms.
-// An unknown peer wraps ErrNoSuchPeer.
-func (n *Network) Share(peer, docID, rawText string) error {
-	return n.ShareCtx(context.Background(), peer, docID, rawText)
-}
-
-// ShareCtx is Share honoring ctx: the per-term DHT publications carry the
-// caller's deadline and stop at the first cancellation.
+// The per-term DHT publications carry ctx's deadline and stop at the first
+// cancellation. An unknown peer wraps ErrNoSuchPeer.
 func (n *Network) ShareCtx(ctx context.Context, peer, docID, rawText string) error {
 	doc := corpus.NewDocumentFromText(n.analyzer, index.DocID(docID), rawText)
 	if doc.Length == 0 {
@@ -425,85 +424,53 @@ func (n *Network) ShareTerms(peer, docID string, termFreq map[string]int) error 
 	for t, f := range termFreq {
 		tf[t] = f
 	}
-	return n.core.Share(simnet.Addr(peer), corpus.NewDocument(index.DocID(docID), tf))
+	return n.core.ShareCtx(context.Background(), simnet.Addr(peer), corpus.NewDocument(index.DocID(docID), tf))
 }
 
-// Search runs a keyword query from the named peer and returns the top k
+// SearchCtx runs a keyword query from the named peer and returns the top k
 // results. The query text runs through the same pipeline as documents, and
 // its keywords are cached at the contacted indexing peers, feeding future
-// learning. Terms whose holders are unreachable are silently dropped from
-// the ranking (use SearchCtx to observe them as ErrPartialResults).
-func (n *Network) Search(peer, query string, k int) ([]Result, error) {
-	res, err := n.SearchCtx(context.Background(), peer, query, k)
-	return res, stripPartial(err)
-}
-
-// SearchCtx is Search under a context, with the full error contract:
-// deadlines and cancellation reach every DHT hop and postings fetch, and a
-// canceled context aborts the search with an error wrapping ctx.Err(). A
-// search that lost some terms to unreachable holders returns the ranking
-// over the remaining terms together with an error wrapping ErrPartialResults
-// (inspect the dropped terms via errors.As with *PartialError). An unknown
-// peer wraps ErrNoSuchPeer.
+// learning. Deadlines and cancellation reach every DHT hop and postings
+// fetch; a canceled context aborts the search with an error wrapping
+// ctx.Err(). A search that lost some terms to unreachable holders returns the
+// ranking over the remaining terms together with an error wrapping
+// ErrPartialResults (inspect the dropped terms via errors.As with
+// *PartialError). An unknown peer wraps ErrNoSuchPeer.
 func (n *Network) SearchCtx(ctx context.Context, peer, query string, k int) ([]Result, error) {
 	terms := n.analyzer.Terms(query)
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("sprite: query %q has no searchable terms", query)
 	}
-	return n.searchTermsCtx(ctx, peer, terms, k)
+	return n.results(n.core.SearchCtx(ctx, simnet.Addr(peer), terms, k))
 }
 
-// SearchTerms runs a query given pre-analyzed terms, with Search's
-// drop-silently degraded mode.
-func (n *Network) SearchTerms(peer string, terms []string, k int) ([]Result, error) {
-	res, err := n.SearchTermsCtx(context.Background(), peer, terms, k)
-	return res, stripPartial(err)
-}
-
-// SearchTermsCtx is SearchTerms under a context, with the SearchCtx error
-// contract.
+// SearchTermsCtx runs a query given pre-analyzed terms, with the SearchCtx
+// error contract.
 func (n *Network) SearchTermsCtx(ctx context.Context, peer string, terms []string, k int) ([]Result, error) {
 	if len(terms) == 0 {
 		return nil, fmt.Errorf("sprite: empty term list")
 	}
-	return n.searchTermsCtx(ctx, peer, terms, k)
+	return n.results(n.core.SearchCtx(ctx, simnet.Addr(peer), terms, k))
 }
 
-func (n *Network) searchTermsCtx(ctx context.Context, peer string, terms []string, k int) ([]Result, error) {
-	rl, err := n.core.SearchCtx(ctx, simnet.Addr(peer), terms, k)
-	if err != nil && !errors.Is(err, ErrPartialResults) {
-		return nil, err
-	}
-	out := make([]Result, 0, len(rl))
-	for _, h := range rl {
-		owner := ""
-		if p, ok := n.core.Owner(h.Doc); ok {
-			owner = string(p.Addr())
-		}
-		out = append(out, Result{DocID: string(h.Doc), Score: h.Score, Owner: owner})
-	}
-	return out, err
-}
-
-// SearchSimilar finds the k shared documents most similar to the named
+// SearchSimilarCtx finds the k shared documents most similar to the named
 // document, ranked by the cosine similarity of their sketches (the query
 // document itself is excluded). Candidates are gathered by routing through
 // the document's learned index terms — the same message bill as a keyword
 // query over those terms — so it scales with the overlay, not the corpus.
 // Requires Options.Sketch.Enabled (ErrSketchDisabled otherwise); an unshared
-// document wraps ErrNoSuchDoc. Terms whose holders are unreachable are
-// silently dropped (use SearchSimilarCtx to observe them).
-func (n *Network) SearchSimilar(peer, docID string, k int) ([]Result, error) {
-	res, err := n.SearchSimilarCtx(context.Background(), peer, docID, k)
-	return res, stripPartial(err)
+// document wraps ErrNoSuchDoc. Otherwise the SearchCtx error contract holds:
+// cancellation aborts the query, and routing terms lost to unreachable
+// holders surface as ErrPartialResults alongside the ranking over the
+// remaining candidates.
+func (n *Network) SearchSimilarCtx(ctx context.Context, peer, docID string, k int) ([]Result, error) {
+	return n.results(n.core.SearchSimilarCtx(ctx, simnet.Addr(peer), index.DocID(docID), k))
 }
 
-// SearchSimilarCtx is SearchSimilar under a context, with the SearchCtx
-// error contract: cancellation aborts the query, and routing terms lost to
-// unreachable holders surface as ErrPartialResults alongside the ranking
-// over the remaining candidates.
-func (n *Network) SearchSimilarCtx(ctx context.Context, peer, docID string, k int) ([]Result, error) {
-	rl, err := n.core.SearchSimilarCtx(ctx, simnet.Addr(peer), index.DocID(docID), k)
+// results converts a core ranking into facade results, naming each hit's
+// owner peer. A partial-results error passes through with the ranking; any
+// other error returns no results.
+func (n *Network) results(rl ir.RankedList, err error) ([]Result, error) {
 	if err != nil && !errors.Is(err, ErrPartialResults) {
 		return nil, err
 	}
@@ -516,15 +483,6 @@ func (n *Network) SearchSimilarCtx(ctx context.Context, peer, docID string, k in
 		out = append(out, Result{DocID: string(h.Doc), Score: h.Score, Owner: owner})
 	}
 	return out, err
-}
-
-// stripPartial drops a partial-results error, restoring the pre-context
-// entry points' contract (degraded results, nil error).
-func stripPartial(err error) error {
-	if errors.Is(err, ErrPartialResults) {
-		return nil
-	}
-	return err
 }
 
 // LearnCtx runs one learning iteration over every shared document: owners
@@ -757,7 +715,10 @@ type Expansion struct {
 // SearchExpanded runs a query with local-context-analysis expansion: a
 // first-phase search, co-occurrence analysis over the top results' term
 // vectors (fetched from their owner peers), then a second search with the
-// enriched query. It returns the results and the expansion terms applied.
+// enriched query. It returns the results and the expansion terms applied. An
+// unknown peer wraps ErrNoSuchPeer; terms lost to unreachable holders return
+// the ranking over the rest with an error wrapping ErrPartialResults, as
+// SearchCtx does.
 func (n *Network) SearchExpanded(peer, query string, k int, opts Expansion) ([]Result, []string, error) {
 	terms := n.analyzer.Terms(query)
 	if len(terms) == 0 {
@@ -767,18 +728,8 @@ func (n *Network) SearchExpanded(peer, query string, k int, opts Expansion) ([]R
 		FeedbackDocs:   opts.FeedbackDocs,
 		ExpansionTerms: opts.Terms,
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]Result, 0, len(rl))
-	for _, h := range rl {
-		owner := ""
-		if p, ok := n.core.Owner(h.Doc); ok {
-			owner = string(p.Addr())
-		}
-		out = append(out, Result{DocID: string(h.Doc), Score: h.Score, Owner: owner})
-	}
-	return out, expansion, nil
+	out, err := n.results(rl, err)
+	return out, expansion, err
 }
 
 // Save serializes the network's complete SPRITE state — every peer's index,

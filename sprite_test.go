@@ -3,6 +3,7 @@ package sprite
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -40,14 +41,14 @@ func TestNewValidation(t *testing.T) {
 
 func TestShareAndSearch(t *testing.T) {
 	n := newNet(t, Options{Peers: 8, Seed: 2})
-	err := n.Share("peer0", "doc-chord", "Chord is a scalable peer-to-peer lookup protocol for internet applications")
+	err := n.ShareCtx(context.Background(), "peer0", "doc-chord", "Chord is a scalable peer-to-peer lookup protocol for internet applications")
 	if err != nil {
 		t.Fatalf("Share: %v", err)
 	}
-	if err := n.Share("peer1", "doc-porter", "The Porter stemmer strips suffixes from English words"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer1", "doc-porter", "The Porter stemmer strips suffixes from English words"); err != nil {
 		t.Fatalf("Share: %v", err)
 	}
-	res, err := n.Search("peer3", "chord lookup", 10)
+	res, err := n.SearchCtx(context.Background(), "peer3", "chord lookup", 10)
 	if err != nil {
 		t.Fatalf("Search: %v", err)
 	}
@@ -64,11 +65,11 @@ func TestShareAndSearch(t *testing.T) {
 
 func TestSearchAppliesTextPipeline(t *testing.T) {
 	n := newNet(t, Options{Peers: 8, Seed: 3})
-	if err := n.Share("peer0", "d", "databases indexing retrieval systems experiments"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "d", "databases indexing retrieval systems experiments"); err != nil {
 		t.Fatal(err)
 	}
 	// "Databases!" must stem to the same term as "databases".
-	res, err := n.Search("peer2", "Databases!", 5)
+	res, err := n.SearchCtx(context.Background(), "peer2", "Databases!", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestSearchAppliesTextPipeline(t *testing.T) {
 
 func TestShareRejectsEmptyDocument(t *testing.T) {
 	n := newNet(t, Options{Peers: 4})
-	if err := n.Share("peer0", "empty", "the and of is"); err == nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "empty", "the and of is"); err == nil {
 		t.Fatal("stop-words-only document accepted")
 	}
 	if err := n.ShareTerms("peer0", "empty2", nil); err == nil {
@@ -89,10 +90,10 @@ func TestShareRejectsEmptyDocument(t *testing.T) {
 
 func TestSearchRejectsEmptyQuery(t *testing.T) {
 	n := newNet(t, Options{Peers: 4})
-	if _, err := n.Search("peer0", "the of and", 5); err == nil {
+	if _, err := n.SearchCtx(context.Background(), "peer0", "the of and", 5); err == nil {
 		t.Fatal("stop-words-only query accepted")
 	}
-	if _, err := n.SearchTerms("peer0", nil, 5); err == nil {
+	if _, err := n.SearchTermsCtx(context.Background(), "peer0", nil, 5); err == nil {
 		t.Fatal("empty terms accepted")
 	}
 }
@@ -102,7 +103,7 @@ func TestShareTermsBypassesPipeline(t *testing.T) {
 	if err := n.ShareTerms("peer0", "raw", map[string]int{"presupplied": 3, "stems": 1}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.SearchTerms("peer1", []string{"presupplied"}, 5)
+	res, err := n.SearchTermsCtx(context.Background(), "peer1", []string{"presupplied"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestLearnPromotesQueriedTerms(t *testing.T) {
 		t.Fatalf("initial terms = %v", terms)
 	}
 	// A user's query pairs the indexed term with the rare one.
-	if _, err := n.SearchTerms("peer3", []string{"protocol", "gossip"}, 5); err != nil {
+	if _, err := n.SearchTermsCtx(context.Background(), "peer3", []string{"protocol", "gossip"}, 5); err != nil {
 		t.Fatal(err)
 	}
 	changes, err := n.LearnCtx(context.Background())
@@ -132,7 +133,7 @@ func TestLearnPromotesQueriedTerms(t *testing.T) {
 	if changes == 0 {
 		t.Fatal("Learn made no changes")
 	}
-	res, err := n.SearchTerms("peer4", []string{"gossip"}, 5)
+	res, err := n.SearchTermsCtx(context.Background(), "peer4", []string{"gossip"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestIndexedTermsUnknownDoc(t *testing.T) {
 
 func TestStatsAccounting(t *testing.T) {
 	n := newNet(t, Options{Peers: 8, Seed: 6})
-	if err := n.Share("peer0", "d", "alpha beta gamma delta epsilon"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "d", "alpha beta gamma delta epsilon"); err != nil {
 		t.Fatal(err)
 	}
 	s := n.Stats()
@@ -180,7 +181,7 @@ func TestFailoverWithReplication(t *testing.T) {
 	if err := n.ShareTerms("peer0", "d", map[string]int{"failsafe": 4, "redundant": 2}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := n.SearchTerms("peer5", []string{"failsafe"}, 5)
+	res, err := n.SearchTermsCtx(context.Background(), "peer5", []string{"failsafe"}, 5)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("pre-failure search: %v %+v", err, res)
 	}
@@ -190,7 +191,7 @@ func TestFailoverWithReplication(t *testing.T) {
 	// single peer dies — verify by failing each peer in turn.
 	for _, victim := range n.Peers() {
 		n.FailPeer(victim)
-		got, err := n.SearchTerms("peer5", []string{"failsafe"}, 5)
+		got, err := n.SearchTermsCtx(context.Background(), "peer5", []string{"failsafe"}, 5)
 		n.RecoverPeer(victim)
 		if victim == "peer5" || victim == "peer0" {
 			continue // querying peer itself or owner; not the failover path
@@ -215,9 +216,9 @@ func TestStabilizeAfterFailure(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() []Result {
 		n := newNet(t, Options{Peers: 8, Seed: 42})
-		n.Share("peer0", "a", "storage engines write amplification compaction levels")
-		n.Share("peer1", "b", "log structured merge trees compaction strategies")
-		res, _ := n.Search("peer2", "compaction", 10)
+		n.ShareCtx(context.Background(), "peer0", "a", "storage engines write amplification compaction levels")
+		n.ShareCtx(context.Background(), "peer1", "b", "log structured merge trees compaction strategies")
+		res, _ := n.SearchCtx(context.Background(), "peer2", "compaction", 10)
 		return res
 	}
 	a, b := run(), run()
@@ -233,17 +234,17 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 
 func TestUnshareFacade(t *testing.T) {
 	n := newNet(t, Options{Peers: 8, Seed: 12})
-	if err := n.Share("peer0", "gone", "ephemeral document about vanishing data"); err != nil {
+	if err := n.ShareCtx(context.Background(), "peer0", "gone", "ephemeral document about vanishing data"); err != nil {
 		t.Fatal(err)
 	}
-	res, _ := n.Search("peer1", "vanishing", 5)
+	res, _ := n.SearchCtx(context.Background(), "peer1", "vanishing", 5)
 	if len(res) != 1 {
 		t.Fatalf("doc not findable before unshare: %v", res)
 	}
 	if err := n.Unshare("gone"); err != nil {
 		t.Fatalf("Unshare: %v", err)
 	}
-	res, _ = n.Search("peer1", "vanishing", 5)
+	res, _ = n.SearchCtx(context.Background(), "peer1", "vanishing", 5)
 	if len(res) != 0 {
 		t.Fatalf("doc still findable after unshare: %v", res)
 	}
@@ -264,7 +265,7 @@ func TestRefreshFacadeHealsAfterFailure(t *testing.T) {
 			continue
 		}
 		n.FailPeer(p)
-		res, _ := n.SearchTerms("peer0", []string{"resilient"}, 5)
+		res, _ := n.SearchTermsCtx(context.Background(), "peer0", []string{"resilient"}, 5)
 		if len(res) == 0 {
 			victim = p
 			break
@@ -281,7 +282,7 @@ func TestRefreshFacadeHealsAfterFailure(t *testing.T) {
 	if moved == 0 {
 		t.Fatal("Refresh moved nothing")
 	}
-	res, err := n.SearchTerms("peer0", []string{"resilient"}, 5)
+	res, err := n.SearchTermsCtx(context.Background(), "peer0", []string{"resilient"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +300,7 @@ func TestJoinLeaveFacade(t *testing.T) {
 		"text": "stemming and stop word removal normalize document text",
 	}
 	for id, body := range docs {
-		if err := n.Share("peer0", id, body); err != nil {
+		if err := n.ShareCtx(context.Background(), "peer0", id, body); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +317,7 @@ func TestJoinLeaveFacade(t *testing.T) {
 	// Every document stays findable with no refresh sweep: the join-time
 	// handoff moved the newcomer's arc to it.
 	for id := range docs {
-		res, err := n.SearchTerms("peer1", termsOf(t, n, id), 5)
+		res, err := n.SearchTermsCtx(context.Background(), "peer1", termsOf(t, n, id), 5)
 		if err != nil {
 			t.Fatalf("search after join: %v", err)
 		}
@@ -340,7 +341,7 @@ func TestJoinLeaveFacade(t *testing.T) {
 		t.Fatal("Repair ran no shed rounds")
 	}
 	for id := range docs {
-		res, err := n.SearchTerms("peer1", termsOf(t, n, id), 5)
+		res, err := n.SearchTermsCtx(context.Background(), "peer1", termsOf(t, n, id), 5)
 		if err != nil {
 			t.Fatalf("search after leave: %v", err)
 		}
@@ -370,8 +371,8 @@ func containsDoc(res []Result, id string) bool {
 
 func TestSearchExpandedFacade(t *testing.T) {
 	n := newNet(t, Options{Peers: 10, Seed: 14})
-	n.Share("peer0", "go-doc", "goroutines channels scheduler preemption garbage collector runtime")
-	n.Share("peer1", "rust-doc", "borrow checker lifetimes ownership zero cost abstractions runtime")
+	n.ShareCtx(context.Background(), "peer0", "go-doc", "goroutines channels scheduler preemption garbage collector runtime")
+	n.ShareCtx(context.Background(), "peer1", "rust-doc", "borrow checker lifetimes ownership zero cost abstractions runtime")
 	res, expansion, err := n.SearchExpanded("peer2", "goroutines scheduler", 5, Expansion{Terms: 2})
 	if err != nil {
 		t.Fatalf("SearchExpanded: %v", err)
@@ -391,6 +392,9 @@ func TestSearchExpandedFacade(t *testing.T) {
 	if _, _, err := n.SearchExpanded("peer2", "the of", 5, Expansion{}); err == nil {
 		t.Fatal("stop-word query accepted")
 	}
+	if _, _, err := n.SearchExpanded("ghost", "goroutines", 5, Expansion{}); !errors.Is(err, ErrNoSuchPeer) {
+		t.Fatalf("unknown peer: err = %v, want ErrNoSuchPeer", err)
+	}
 }
 
 func TestTCPModeEndToEnd(t *testing.T) {
@@ -408,10 +412,10 @@ func TestTCPModeEndToEnd(t *testing.T) {
 			t.Fatalf("TCP peer name %q is not host:port", p)
 		}
 	}
-	if err := n.Share(peers[0], "tcp-doc", "sockets frames and gob encoding over loopback"); err != nil {
+	if err := n.ShareCtx(context.Background(), peers[0], "tcp-doc", "sockets frames and gob encoding over loopback"); err != nil {
 		t.Fatalf("Share over TCP: %v", err)
 	}
-	res, err := n.Search(peers[3], "gob encoding", 5)
+	res, err := n.SearchCtx(context.Background(), peers[3], "gob encoding", 5)
 	if err != nil {
 		t.Fatalf("Search over TCP: %v", err)
 	}
@@ -461,10 +465,10 @@ func TestSaveLoadFacade(t *testing.T) {
 		return newNet(t, Options{Peers: 8, Seed: 33, InitialTerms: 2})
 	}
 	a := build()
-	if err := a.Share("peer0", "persisted", "durable state surviving restarts via snapshots"); err != nil {
+	if err := a.ShareCtx(context.Background(), "peer0", "persisted", "durable state surviving restarts via snapshots"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Search("peer2", "durable snapshots", 5); err != nil {
+	if _, err := a.SearchCtx(context.Background(), "peer2", "durable snapshots", 5); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.LearnCtx(context.Background()); err != nil {
@@ -479,8 +483,8 @@ func TestSaveLoadFacade(t *testing.T) {
 	if err := b.Load(&buf); err != nil {
 		t.Fatalf("Load: %v", err)
 	}
-	ra, _ := a.Search("peer3", "durable", 5)
-	rb, _ := b.Search("peer3", "durable", 5)
+	ra, _ := a.SearchCtx(context.Background(), "peer3", "durable", 5)
+	rb, _ := b.SearchCtx(context.Background(), "peer3", "durable", 5)
 	if len(ra) != len(rb) {
 		t.Fatalf("post-load search differs: %v vs %v", ra, rb)
 	}

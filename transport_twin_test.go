@@ -45,13 +45,13 @@ func TestTransportTwinDeterminism(t *testing.T) {
 		defer n.Close()
 		peers := n.Peers()
 		for i, text := range docs {
-			if err := n.Share(peers[i%len(peers)], fmt.Sprintf("doc-%d", i), text); err != nil {
+			if err := n.ShareCtx(context.Background(), peers[i%len(peers)], fmt.Sprintf("doc-%d", i), text); err != nil {
 				t.Fatalf("Share doc-%d: %v", i, err)
 			}
 		}
 		var rankings [][]hit
 		collect := func(peer, q string) {
-			res, err := n.Search(peer, q, 10)
+			res, err := n.SearchCtx(context.Background(), peer, q, 10)
 			if err != nil {
 				t.Fatalf("Search %q: %v", q, err)
 			}
@@ -134,10 +134,6 @@ func (nt *namedTransport) Unregister(addr simnet.Addr) { nt.inner.Unregister(nt.
 
 func (nt *namedTransport) Alive(addr simnet.Addr) bool { return nt.inner.Alive(nt.toReal(addr)) }
 
-func (nt *namedTransport) Call(from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	return nt.CallCtx(context.Background(), from, to, msg)
-}
-
 func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
 	if from != to {
 		nt.mu.Lock()
@@ -147,12 +143,16 @@ func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg
 	return nt.inner.CallCtx(ctx, nt.toReal(from), nt.toReal(to), msg)
 }
 
-// TestTransportTwinMessageCounts runs share, search, a protocol join, learn
-// and search again on one ring over the simulator and over the socket
-// transport, and requires the same rankings and the same number of messages
-// of every type — those of the learning iteration on their own as well, whose
-// polls go to each holder of record in one batch and whose items a holder
-// refuses go round on the ring — and the same index terms learned. Routed
+// TestTransportTwinMessageCounts runs share, search, a protocol join, learn,
+// search again and one anti-entropy round on one replicated ring over the
+// simulator and over the socket transport, and requires the same rankings and
+// the same number of messages of every type — those of the learning iteration
+// and of the repair round on their own as well — the same index terms learned
+// and the same replica indexes after the repair. The learning iteration's
+// polls go to each holder of record in one batch and the items a holder
+// refuses go round on the ring; the repair round pushes the joiner's
+// successor the replica lists of the arc it handed off, block-compressed, so
+// this also carries sprite.repair.push across a socket. Routed
 // deliveries travel inside chord's envelope, and the half-stabilized join
 // leaves nodes that still hint at the joiner's successor for its arc, and that
 // successor refusing the arc's items in a batch, so this is also the check
@@ -173,7 +173,9 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 		rankings []ir.RankedList
 		calls    map[string]int
 		learn    map[string]int // the share of calls the learning iteration sent
+		repair   map[string]int // the share of calls the anti-entropy round sent
 		indexed  map[index.DocID][]string
+		replicas []core.IndexEntry
 	}
 	run := func(name string, inner simnet.Transport, closeFn func()) outcome {
 		defer closeFn()
@@ -194,19 +196,19 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ring.Build()
-		n, err := core.NewNetwork(ring, core.Config{InitialTerms: 3, TermsPerIteration: 2, MaxIndexTerms: 8})
+		n, err := core.NewNetwork(ring, core.Config{InitialTerms: 3, TermsPerIteration: 2, MaxIndexTerms: 8, ReplicationFactor: 2})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		peer := func(i int) simnet.Addr { return simnet.Addr(fmt.Sprintf("peer%d", i%peers)) }
 		for i, tf := range docs {
-			if err := n.Share(peer(i), corpus.NewDocument(index.DocID(fmt.Sprintf("doc-%d", i)), tf)); err != nil {
+			if err := n.ShareCtx(context.Background(), peer(i), corpus.NewDocument(index.DocID(fmt.Sprintf("doc-%d", i)), tf)); err != nil {
 				t.Fatalf("%s: Share doc-%d: %v", name, i, err)
 			}
 		}
 		var out outcome
 		search := func(from simnet.Addr, q []string) {
-			rl, err := n.Search(from, q, 10)
+			rl, err := n.SearchCtx(context.Background(), from, q, 10)
 			if err != nil {
 				t.Fatalf("%s: Search %v: %v", name, q, err)
 			}
@@ -244,7 +246,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 				arcTF[term] = len(arcTerms)
 			}
 		}
-		if err := n.Share(peer(3), corpus.NewDocument("doc-arc", arcTF)); err != nil {
+		if err := n.ShareCtx(context.Background(), peer(3), corpus.NewDocument("doc-arc", arcTF)); err != nil {
 			t.Fatalf("%s: Share doc-arc: %v", name, err)
 		}
 		for _, term := range arcTerms {
@@ -265,14 +267,18 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 			}
 			return calls
 		}
+		since := func(prior map[string]int) map[string]int {
+			calls := tally()
+			for typ := range calls {
+				calls[typ] -= prior[typ]
+			}
+			return calls
+		}
 		prior := tally()
 		if _, err := n.LearnAllCtx(context.Background()); err != nil {
 			t.Fatalf("%s: LearnAll: %v", name, err)
 		}
-		out.learn = tally()
-		for typ := range out.learn {
-			out.learn[typ] -= prior[typ]
-		}
+		out.learn = since(prior)
 		out.indexed = map[index.DocID][]string{}
 		for _, id := range n.Documents() {
 			out.indexed[id], _ = n.IndexedTerms(id)
@@ -280,6 +286,14 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 		for i, q := range queries {
 			search(peer(i+7), q)
 		}
+		// Let the ring settle around the joiner, then repair: the joiner now
+		// serves its arc, and its successor — which held that arc as primary —
+		// holds no replica of it.
+		ring.StabilizeLists(64)
+		prior = tally()
+		n.Repair()
+		out.repair = since(prior)
+		out.replicas = n.ReplicaSnapshot()
 		out.calls = tally()
 		return out
 	}
@@ -295,16 +309,23 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	if l := want.learn; l["sprite.poll"] == 0 || l["chord.route.hint_rejected"] == 0 || l["chord.next_hop"] > 4*(l["sprite.publish"]+l["chord.route.hint_rejected"]) {
 		t.Fatalf("simnet learning iteration exchanged %v — its polls are not going straight to the holders, or none was refused", l)
 	}
+	if want.repair["sprite.repair.push"] == 0 || len(want.replicas) == 0 {
+		t.Fatalf("simnet repair round exchanged %v over %d replica entries — it pushed no replica list", want.repair, len(want.replicas))
+	}
 	tcp := transport.New()
 	got := run("tcp", tcp, tcp.Close)
 	if !reflect.DeepEqual(got.rankings, want.rankings) {
 		t.Fatalf("tcp rankings differ from simnet:\n%v\nvs\n%v", got.rankings, want.rankings)
 	}
-	if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.learn, want.learn) {
-		t.Fatalf("tcp message counts differ from simnet:\n%v, learning %v\nvs\n%v, learning %v", got.calls, got.learn, want.calls, want.learn)
+	if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.learn, want.learn) || !reflect.DeepEqual(got.repair, want.repair) {
+		t.Fatalf("tcp message counts differ from simnet:\n%v, learning %v, repair %v\nvs\n%v, learning %v, repair %v",
+			got.calls, got.learn, got.repair, want.calls, want.learn, want.repair)
+	}
+	if !reflect.DeepEqual(got.replicas, want.replicas) {
+		t.Fatalf("tcp replica indexes differ from simnet after the repair round:\n%v\nvs\n%v", got.replicas, want.replicas)
 	}
 	if !reflect.DeepEqual(got.indexed, want.indexed) {
 		t.Fatalf("tcp learned other index terms than simnet:\n%v\nvs\n%v", got.indexed, want.indexed)
 	}
-	t.Logf("messages by type on both transports: %v, of which learning: %v", want.calls, want.learn)
+	t.Logf("messages by type on both transports: %v, of which learning: %v, repair: %v", want.calls, want.learn, want.repair)
 }

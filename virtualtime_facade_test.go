@@ -20,7 +20,7 @@ func driveSession(t *testing.T, n *Network) string {
 		}
 		peers := n.Peers()
 		for i, d := range docs {
-			if err := n.Share(peers[i%len(peers)], d.id, d.text); err != nil {
+			if err := n.ShareCtx(context.Background(), peers[i%len(peers)], d.id, d.text); err != nil {
 				t.Errorf("Share %s: %v", d.id, err)
 				return
 			}
@@ -29,7 +29,7 @@ func driveSession(t *testing.T, n *Network) string {
 			t.Errorf("Learn: %v", err)
 			return
 		}
-		res, err := n.Search(peers[0], "ranking terms frequency", 5)
+		res, err := n.SearchCtx(context.Background(), peers[0], "ranking terms frequency", 5)
 		if err != nil {
 			t.Errorf("Search: %v", err)
 			return
