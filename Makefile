@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck
+.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -141,13 +141,12 @@ smoke-tcp:
 	[ -z "$$gob" ] || { echo "smoke-tcp: encoding/gob imported outside internal/core: $$gob"; exit 1; }
 
 # Compressed-postings smoke: the block codec's property tests (compressed ≡
-# plain twin, marshal round-trip, cursor snapshot semantics), the streaming
-# scoring bit-identity tests, and a small-tier run of the postings benchmark
-# checking compression ratio and identical rankings end to end.
+# plain twin, marshal round-trip, cursor snapshot semantics, compression
+# ratio) and the streaming scoring bit-identity tests. The benchmark's
+# `postings` workload measures the store end to end.
 smoke-postings:
 	$(GO) test -race ./internal/index/
 	$(GO) test -race -run 'Stream|Merge' ./internal/ir/
-	$(GO) run ./cmd/spritebench -postings-tiers 5000 -postings-queries 100 postings
 
 # Peer-driven placement smoke: the repair package's digest property tests,
 # the join/leave handoff + anti-entropy protocol suites in core, the facade
@@ -198,6 +197,33 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPostingsSplice -fuzztime=10s ./internal/index
 	$(GO) test -run=NONE -fuzz='FuzzSketch$$' -fuzztime=10s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzSketchCodec -fuzztime=10s ./internal/sketch
+
+# Generated experiment tables: each block of EXPERIMENTS.md that opens with
+# `<!-- BEGIN spritebench ARGS -->` and closes with `<!-- END spritebench -->`
+# holds the text output of `spritebench ARGS`. `make experiments` rewrites
+# every block in place (≈ 40 s at the default scale on 2 cores);
+# `make experiments-check` then fails if that moved anything, so a change
+# that moves a number the tables show regenerates them in the same commit.
+# Only deterministic experiments go in blocks: their output is a function of
+# the flags alone, identical at any GOMAXPROCS and -parallel.
+EXPERIMENTS_BIN = .bench_build/spritebench
+
+experiments:
+	$(GO) build -o $(EXPERIMENTS_BIN) ./cmd/spritebench
+	@awk -v bin=$(EXPERIMENTS_BIN) ' \
+		/^<!-- END spritebench -->$$/ { skip = 0 } \
+		skip { next } \
+		{ print } \
+		/^<!-- BEGIN spritebench .* -->$$/ { \
+			cmd = $$0; sub(/^<!-- BEGIN spritebench /, "", cmd); sub(/ -->$$/, "", cmd); cmd = bin " " cmd; \
+			print "```text"; \
+			while ((cmd | getline line) > 0) print line; \
+			if (close(cmd) != 0) { print "experiments: " cmd " failed" > "/dev/stderr"; exit 1 } \
+			print "```"; skip = 1 \
+		}' EXPERIMENTS.md > EXPERIMENTS.md.tmp && mv EXPERIMENTS.md.tmp EXPERIMENTS.md || { rm -f EXPERIMENTS.md.tmp; exit 1; }
+
+experiments-check: experiments
+	git diff --exit-code -- EXPERIMENTS.md
 
 # Coverage floor on the invariant-bearing packages. The threshold guards the
 # correctness tooling itself: chaos checkers or core introspection that rot

@@ -15,6 +15,8 @@ package sprite
 import (
 	"context"
 	"fmt"
+	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -55,7 +57,7 @@ func BenchmarkFig4a(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("fig4a", res.Table())
+		printTable("fig4a", res.Report().Text())
 		b.ReportMetric(res.Sprite[3].Precision, "sprite-P@20-ratio")
 		b.ReportMetric(res.ESearch[3].Precision, "esearch-P@20-ratio")
 	}
@@ -68,7 +70,7 @@ func BenchmarkFig4bWithoutRepeats(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("fig4b-wor", res.Table())
+		printTable("fig4b-wor", res.Report().Text())
 		b.ReportMetric(res.Sprite[3].Precision, "sprite-P@20terms-ratio")
 	}
 }
@@ -80,7 +82,7 @@ func BenchmarkFig4bZipf(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("fig4b-zipf", res.Table())
+		printTable("fig4b-zipf", res.Report().Text())
 		b.ReportMetric(res.Sprite[3].Precision, "sprite-P@20terms-ratio")
 	}
 }
@@ -92,7 +94,7 @@ func BenchmarkFig4c(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("fig4c", res.Table())
+		printTable("fig4c", res.Report().Text())
 		b.ReportMetric(res.Sprite[5].Precision, "sprite-P-at-switch")
 		b.ReportMetric(res.Sprite[9].Precision, "sprite-P-final")
 	}
@@ -145,15 +147,38 @@ func BenchmarkChordLookupTelemetry(b *testing.B) {
 	}
 }
 
-// BenchmarkChordHops runs the hop-count experiment table.
+// BenchmarkChordHops measures iterative-lookup hop counts across ring sizes
+// 16 … 1 024, 200 lookups each, and fails unless the average stays within
+// log2 N + 2 hops and grows with N — the O(log N) bound the overlay inherits
+// from Chord.
 func BenchmarkChordHops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := eval.RunChordHops([]int{16, 64, 256, 1024}, 200, 5)
-		if err != nil {
-			b.Fatal(err)
+		var avg float64
+		for _, size := range []int{16, 64, 256, 1024} {
+			ring := chord.NewRing(simnet.New(5), chord.Config{})
+			if _, err := ring.AddNodes("n", size); err != nil {
+				b.Fatal(err)
+			}
+			ring.Build()
+			nodes := ring.Nodes()
+			rng := rand.New(rand.NewSource(5 + int64(size)))
+			const trials = 200
+			total := 0
+			for t := 0; t < trials; t++ {
+				key := chordid.HashKey(fmt.Sprintf("k-%d-%d", size, t))
+				_, hops, err := nodes[rng.Intn(len(nodes))].Lookup(key)
+				if err != nil {
+					b.Fatal(err)
+				}
+				total += hops
+			}
+			a := float64(total) / trials
+			if a > math.Log2(float64(size))+2 || a <= avg {
+				b.Fatalf("N=%d: avg hops %.2f, want at most log2N+2 and above %.2f at the smaller ring", size, a, avg)
+			}
+			avg = a
 		}
-		printTable("chord-hops", res.Table())
-		b.ReportMetric(res.AvgHops[len(res.AvgHops)-1], "avg-hops-1024")
+		b.ReportMetric(avg, "avg-hops-1024")
 	}
 }
 
@@ -166,7 +191,7 @@ func BenchmarkInsertCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("insert-cost", res.Table())
+		printTable("insert-cost", res.Report().Text())
 		b.ReportMetric(res.MsgRatio, "full/selective-msgs")
 	}
 }
@@ -178,7 +203,7 @@ func BenchmarkScoreAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("ablation", res.Table())
+		printTable("ablation", res.Report().Text())
 		b.ReportMetric(res.Metrics[0].Precision, "paper-variant-P-ratio")
 	}
 }
@@ -190,7 +215,7 @@ func BenchmarkChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("churn", res.Table())
+		printTable("churn", res.Report().Text())
 		b.ReportMetric(res.NoReplication.Precision, "P-ratio-no-replication")
 		b.ReportMetric(res.Replicated.Precision, "P-ratio-replicated")
 	}
@@ -203,7 +228,7 @@ func BenchmarkExpansion(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("expansion", res.Table())
+		printTable("expansion", res.Report().Text())
 		b.ReportMetric(res.Metrics[0].Precision, "P-ratio-plain")
 		b.ReportMetric(res.Metrics[len(res.Metrics)-1].Precision, "P-ratio-expanded")
 	}
@@ -217,7 +242,7 @@ func BenchmarkMaintenance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("maintenance", res.Table())
+		printTable("maintenance", res.Report().Text())
 		b.ReportMetric(res.Degraded.Precision, "P-degraded")
 		b.ReportMetric(res.AfterRefresh.Precision, "P-after-refresh")
 	}
@@ -230,7 +255,7 @@ func BenchmarkLoadBalance(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("load", res.Table())
+		printTable("load", res.Report().Text())
 		b.ReportMetric(res.PostingsGini, "postings-gini")
 		b.ReportMetric(res.TrafficGini, "traffic-gini")
 	}
@@ -243,7 +268,7 @@ func BenchmarkLearnCost(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		printTable("learncost", res.Table())
+		printTable("learncost", res.Report().Text())
 		b.ReportMetric(res.MsgsPerDoc[len(res.MsgsPerDoc)-1], "msgs/doc/iter")
 	}
 }

@@ -1,24 +1,27 @@
 // Command spritebench regenerates every figure of the SPRITE paper's
-// evaluation (§6.3) plus the supplementary systems-level experiments indexed
-// in DESIGN.md, printing the same rows/series the paper reports.
+// evaluation (§6.3) plus the supplementary experiments indexed in DESIGN.md
+// that nothing else in the repository measures, printing the same
+// rows/series the paper reports.
 //
 // Usage:
 //
 //	spritebench [flags] <experiment>...
 //
-// Experiments: fig4a fig4b fig4c chord cost ablation churn cache parallel
-// scale postings similarity chaos config all ("chaos" is the correctness
-// smoke gate, "scale" the virtual-time ring-size sweep, "postings" the
-// compressed-storage benchmark, and "similarity" the sketch-retrieval
-// benchmark, not figures; all four are excluded from "all"). -virtual-time moves the parallel and chaos
-// experiments onto the deterministic event clock.
+// Experiments: config fig4a fig4a-replicated fig4b fig4c cost ablation churn
+// expansion maintenance load learncost scale similarity all. "all" runs every
+// experiment but fig4a-replicated, scale (the virtual-time ring-size sweep)
+// and similarity (the sketch-retrieval sweep).
+//
+// Each experiment prints one report per result: an aligned text table by
+// default, CSV with -csv, or one JSON document with -json. Standard output is
+// a function of the flags alone; how long each experiment took goes to
+// standard error.
 //
 // Flags scale the setup; the defaults are the paper's configuration at the
 // laptop scale documented in DESIGN.md.
 package main
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,6 +36,8 @@ import (
 	"github.com/spritedht/sprite/internal/telemetry"
 )
 
+const experiments = "config fig4a fig4a-replicated fig4b fig4c cost ablation churn expansion maintenance load learncost scale similarity all"
+
 func main() {
 	var (
 		docs      = flag.Int("docs", 2000, "corpus size (documents)")
@@ -44,32 +49,26 @@ func main() {
 		topK      = flag.Int("topk", 20, "answers retrieved per query (paper: 20)")
 		iters     = flag.Int("iterations", 3, "learning iterations for fig4a (paper: 3)")
 		seed      = flag.Int64("seed", 17, "master random seed")
-		failFrac  = flag.Float64("fail", 0.25, "fraction of peers failed in the churn experiment")
-		replicas  = flag.Int("replicas", 2, "successor replicas in the churn experiment")
+		failFrac  = flag.Float64("fail", 0.25, "fraction of peers failed in the churn and maintenance experiments")
+		replicas  = flag.Int("replicas", 2, "successor replicas in the churn and maintenance experiments")
 		churnRot  = flag.Int("churn-interval", 0, "queries between fault rotations in the churn experiment's transient arms (0 = quarter of the test stream)")
 		colPath   = flag.String("collection", "", "run against an external judged collection (JSON, as emitted by corpusgen) instead of synthesizing one")
 		asCSV     = flag.Bool("csv", false, "emit CSV instead of tables")
 		asJSON    = flag.Bool("json", false, "emit one JSON document with all experiment results")
 		withTel   = flag.Bool("telemetry", false, "record metrics/traces during experiments; report to stderr")
 		repeats   = flag.Int("repeats", 5, "independent replications for fig4a-replicated")
-		cacheVol  = flag.Int("cache-volume", 0, "replayed queries in the cache experiment (0 = 4x the test set)")
-		cacheZip  = flag.Float64("cache-slope", 0.5, "Zipf slope of the cache experiment's repeated-query stream")
 		parallel  = flag.Int("parallel", 0, "query fan-out parallelism for all experiments (0 = GOMAXPROCS, 1 = sequential)")
-		linkDelay = flag.Duration("link-delay", time.Millisecond, "constant link delay slept in the parallel experiment")
-		virtual   = flag.Bool("virtual-time", false, "run the parallel and chaos experiments on the deterministic event clock (internal/vtime) instead of the wall clock")
+		linkDelay = flag.Duration("link-delay", time.Millisecond, "constant link delay slept on the virtual clock in the scale experiment")
 		scaleRing = flag.String("scale-rings", "", "comma-separated ring sizes for the scale experiment (default 10000,25000,50000,100000)")
 		scaleVol  = flag.Int("scale-queries", 0, "measured Zipf queries per ring in the scale experiment (default 250000)")
 		scaleZip  = flag.Float64("scale-slope", 0.5, "Zipf slope of the scale experiment's query stream")
-		postTiers = flag.String("postings-tiers", "", "comma-separated corpus sizes for the postings experiment (default 10000,100000,1000000)")
-		postVol   = flag.Int("postings-queries", 0, "measured queries per tier in the postings experiment (default 2000)")
-		postPlain = flag.Int("postings-plain-max", 0, "largest tier the uncompressed arm is built at (default 100000)")
 		simTiers  = flag.String("similarity-tiers", "", "comma-separated corpus sizes for the similarity experiment (default 2000,10000)")
 		simPeers  = flag.Int("similarity-peers", 0, "DHT peers in the similarity experiment (default 512)")
 		simVol    = flag.Int("similarity-queries", 0, "sampled query documents per tier in the similarity experiment (default 100)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: spritebench [flags] <experiment>...\n")
-		fmt.Fprintf(os.Stderr, "experiments: fig4a fig4a-replicated fig4b fig4c chord cost ablation churn expansion maintenance load learncost cache parallel scale postings similarity chaos config all\n\nflags:\n")
+		fmt.Fprintf(os.Stderr, "experiments: %s\n\nflags:\n", experiments)
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -98,20 +97,17 @@ func main() {
 		LearningIterations: *iters,
 		Seed:               *seed + 14,
 		ChurnRotateEvery:   *churnRot,
-		VirtualTime:        *virtual,
 	}
 
 	if *colPath != "" {
 		f, err := os.Open(*colPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spritebench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		col, err := corpus.ReadCollection(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "spritebench:", err)
-			os.Exit(1)
+			fail(err)
 		}
 		cfg.Collection = col
 	}
@@ -123,47 +119,51 @@ func main() {
 	}
 	for _, exp := range args {
 		if exp == "all" {
-			args = []string{"config", "fig4a", "fig4b", "fig4c", "chord", "cost", "ablation", "churn", "expansion", "maintenance", "load", "learncost", "cache", "parallel"}
+			args = []string{"config", "fig4a", "fig4b", "fig4c", "cost", "ablation", "churn", "expansion", "maintenance", "load", "learncost"}
 			break
 		}
 	}
 
-	timeMode := "wall"
-	if *virtual {
-		timeMode = "virtual"
-	}
 	opts := runOpts{
 		failFrac:   *failFrac,
 		replicas:   *replicas,
 		repeats:    *repeats,
-		cacheVol:   *cacheVol,
-		cacheSlope: *cacheZip,
 		linkDelay:  *linkDelay,
-		scaleRings: parseRings(*scaleRing),
+		scaleRings: parseSizes("scale-rings", *scaleRing),
 		scaleVol:   *scaleVol,
 		scaleSlope: *scaleZip,
-		postTiers:  parseRings(*postTiers),
-		postVol:    *postVol,
-		postPlain:  *postPlain,
-		simTiers:   parseRings(*simTiers),
+		simTiers:   parseSizes("similarity-tiers", *simTiers),
 		simPeers:   *simPeers,
 		simVol:     *simVol,
 	}
-	out := &output{asCSV: *asCSV, asJSON: *asJSON, timeMode: timeMode}
-	for _, exp := range args {
+	var all []jsonReport
+	for i, exp := range args {
 		start := time.Now()
-		if err := run(exp, cfg, opts, out); err != nil {
+		reports, err := run(exp, cfg, opts)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "spritebench: %s: %v\n", exp, err)
 			os.Exit(1)
 		}
-		out.finishExperiment(exp, time.Since(start))
+		fmt.Fprintf(os.Stderr, "[%s completed in %v]\n", exp, time.Since(start).Round(time.Millisecond))
+		for j, r := range reports {
+			switch {
+			case *asJSON:
+				all = append(all, jsonReport{exp, r})
+			case *asCSV:
+				fmt.Print(r.CSV())
+			default:
+				if i+j > 0 {
+					fmt.Println()
+				}
+				fmt.Print(r.Text())
+			}
+		}
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out.results); err != nil {
-			fmt.Fprintln(os.Stderr, "spritebench:", err)
-			os.Exit(1)
+		if err := enc.Encode(all); err != nil {
+			fail(err)
 		}
 	}
 	if reg != nil {
@@ -171,85 +171,16 @@ func main() {
 	}
 }
 
-// renderable is any experiment result printable as a table or CSV.
-type renderable interface {
-	Table() string
-	CSV() string
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "spritebench:", err)
+	os.Exit(1)
 }
 
-// jsonResult is one experiment's machine-readable output: the CSV rows
-// decoded into header-keyed maps, plus wall-clock time and which clock the
-// experiment's latencies were measured on ("wall" or "virtual").
-type jsonResult struct {
-	Experiment string              `json:"experiment"`
-	TimeMode   string              `json:"time_mode"`
-	ElapsedMS  int64               `json:"elapsed_ms"`
-	Rows       []map[string]string `json:"rows,omitempty"`
-}
-
-// output routes experiment results to the selected format: tables (default),
-// raw CSV, or an accumulated JSON document emitted after the last experiment.
-type output struct {
-	asCSV    bool
-	asJSON   bool
-	timeMode string
-	pending  []map[string]string
-	results  []jsonResult
-}
-
-func (o *output) emit(r renderable) {
-	switch {
-	case o.asJSON:
-		o.pending = append(o.pending, csvRows(r.CSV())...)
-	case o.asCSV:
-		fmt.Print(r.CSV())
-	default:
-		fmt.Print(r.Table())
-	}
-}
-
-// finishExperiment closes out one experiment: in JSON mode it files the
-// accumulated rows under the experiment name; in table mode it prints the
-// timing footer.
-func (o *output) finishExperiment(exp string, elapsed time.Duration) {
-	if o.asJSON {
-		mode := o.timeMode
-		if exp == "scale" {
-			mode = "virtual" // the scale sweep always runs on the event clock
-		}
-		o.results = append(o.results, jsonResult{
-			Experiment: exp,
-			TimeMode:   mode,
-			ElapsedMS:  elapsed.Milliseconds(),
-			Rows:       o.pending,
-		})
-		o.pending = nil
-		return
-	}
-	if !o.asCSV {
-		fmt.Printf("[%s completed in %v]\n\n", exp, elapsed.Round(time.Millisecond))
-	}
-}
-
-// csvRows decodes a CSV document into one map per record keyed by the header
-// row. Experiments emit regular CSV, so decode errors reduce to "no rows".
-func csvRows(doc string) []map[string]string {
-	recs, err := csv.NewReader(strings.NewReader(doc)).ReadAll()
-	if err != nil || len(recs) < 2 {
-		return nil
-	}
-	header := recs[0]
-	rows := make([]map[string]string, 0, len(recs)-1)
-	for _, rec := range recs[1:] {
-		row := make(map[string]string, len(header))
-		for i, v := range rec {
-			if i < len(header) {
-				row[header[i]] = v
-			}
-		}
-		rows = append(rows, row)
-	}
-	return rows
+// jsonReport is one report of the -json document, filed under the
+// experiment that produced it.
+type jsonReport struct {
+	Experiment string       `json:"experiment"`
+	Report     *eval.Report `json:"report"`
 }
 
 // runOpts carries the per-experiment flag values into run.
@@ -257,22 +188,18 @@ type runOpts struct {
 	failFrac   float64
 	replicas   int
 	repeats    int
-	cacheVol   int
-	cacheSlope float64
 	linkDelay  time.Duration
 	scaleRings []int
 	scaleVol   int
 	scaleSlope float64
-	postTiers  []int
-	postVol    int
-	postPlain  int
 	simTiers   []int
 	simPeers   int
 	simVol     int
 }
 
-// parseRings decodes a comma-separated ring-size list; empty means defaults.
-func parseRings(s string) []int {
+// parseSizes decodes the comma-separated list of positive sizes given to
+// -name; empty means the experiment's defaults.
+func parseSizes(name, s string) []int {
 	if s == "" {
 		return nil
 	}
@@ -280,7 +207,7 @@ func parseRings(s string) []int {
 	for _, part := range strings.Split(s, ",") {
 		var n int
 		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d", &n); err != nil || n < 1 {
-			fmt.Fprintf(os.Stderr, "spritebench: bad -scale-rings entry %q\n", part)
+			fmt.Fprintf(os.Stderr, "spritebench: bad -%s entry %q\n", name, part)
 			os.Exit(2)
 		}
 		out = append(out, n)
@@ -288,147 +215,52 @@ func parseRings(s string) []int {
 	return out
 }
 
-func run(exp string, cfg eval.Config, o runOpts, out *output) error {
+// one wraps a single experiment result as that experiment's report.
+func one[R interface{ Report() *eval.Report }](res R, err error) ([]*eval.Report, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*eval.Report{res.Report()}, nil
+}
+
+func run(exp string, cfg eval.Config, o runOpts) ([]*eval.Report, error) {
 	switch exp {
 	case "config":
-		if !out.asJSON {
-			printConfig(cfg)
-		}
-		return nil
+		return []*eval.Report{cfg.Report()}, nil
 	case "fig4a":
-		res, err := eval.RunFig4a(cfg)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunFig4a(cfg))
 	case "fig4a-replicated":
-		res, err := eval.RunFig4aReplicated(cfg, o.repeats)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunFig4aReplicated(cfg, o.repeats))
 	case "fig4b":
+		var out []*eval.Report
 		for _, v := range []eval.Fig4bVariant{eval.WithoutRepeats, eval.WithZipf} {
 			res, err := eval.RunFig4b(cfg, v)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			out.emit(res)
-			if !out.asCSV && !out.asJSON {
-				fmt.Println()
-			}
+			out = append(out, res.Report())
 		}
+		return out, nil
 	case "fig4c":
-		res, err := eval.RunFig4c(cfg)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
-	case "chord":
-		res, err := eval.RunChordHops([]int{16, 64, 256, 1024}, 200, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunFig4c(cfg))
 	case "cost":
-		res, err := eval.RunInsertCost(cfg)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunInsertCost(cfg))
 	case "ablation":
-		res, err := eval.RunScoreAblation(cfg)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunScoreAblation(cfg))
 	case "churn":
-		res, err := eval.RunChurn(cfg, o.failFrac, o.replicas)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunChurn(cfg, o.failFrac, o.replicas))
 	case "expansion":
-		res, err := eval.RunExpansion(cfg)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunExpansion(cfg))
 	case "maintenance":
-		res, err := eval.RunMaintenance(cfg, o.failFrac, o.replicas)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunMaintenance(cfg, o.failFrac, o.replicas))
 	case "load":
-		res, err := eval.RunLoadBalance(cfg)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunLoadBalance(cfg))
 	case "learncost":
-		res, err := eval.RunLearnCost(cfg)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
-	case "cache":
-		res, err := eval.RunCacheRepeat(cfg, o.cacheVol, o.cacheSlope)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
-	case "parallel":
-		res, err := eval.RunParallel(cfg, nil, o.linkDelay)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunLearnCost(cfg))
 	case "scale":
-		res, err := eval.RunScale(cfg, o.scaleRings, o.scaleVol, o.scaleSlope, o.linkDelay)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
-	case "postings":
-		res, err := eval.RunPostings(o.postTiers, o.postVol, o.postPlain, cfg.Seed)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
+		return one(eval.RunScale(cfg, o.scaleRings, o.scaleVol, o.scaleSlope, o.linkDelay))
 	case "similarity":
-		res, err := eval.RunSimilarity(cfg, o.simTiers, o.simPeers, o.simVol)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
-	case "chaos":
-		res, err := eval.RunChaos(nil, 0, cfg.Core.Parallelism, cfg.VirtualTime)
-		if err != nil {
-			return err
-		}
-		out.emit(res)
-		if n := res.Failures(); n > 0 {
-			return fmt.Errorf("%d/%d seeds violated an invariant", n, len(res.Seeds))
-		}
-	default:
-		return fmt.Errorf("unknown experiment %q", exp)
+		return one(eval.RunSimilarity(cfg, o.simTiers, o.simPeers, o.simVol))
 	}
-	return nil
-}
-
-func printConfig(cfg eval.Config) {
-	cc := cfg.Corpus.FillDefaults()
-	qc := cfg.QueryGen.FillDefaults()
-	cr := cfg.Core.FillDefaults()
-	fmt.Println("Experimental setup (cf. paper §6.2)")
-	fmt.Printf("  corpus:    %d docs, %d topics, doc length %d-%d tokens\n",
-		cc.NumDocs, cc.NumTopics, cc.DocLenMin, cc.DocLenMax)
-	fmt.Printf("  queries:   %d originals x (1+%d) = %d total, overlap O=%.0f%%\n",
-		cc.NumQueries, qc.PerOriginal, cc.NumQueries*(1+qc.PerOriginal), qc.Overlap*100)
-	fmt.Printf("  network:   %d peers (Chord, MD5 128-bit IDs)\n", cfg.Peers)
-	fmt.Printf("  sprite:    %d initial terms, %d per iteration, cap %d, history %d\n",
-		cr.InitialTerms, cr.TermsPerIteration, cr.MaxIndexTerms, cr.HistoryCap)
-	fmt.Printf("  retrieval: top-%d answers, %d learning iterations\n",
-		cfg.TopK, cfg.LearningIterations)
+	return nil, fmt.Errorf("unknown experiment %q (experiments: %s)", exp, experiments)
 }

@@ -64,7 +64,7 @@ type Config struct {
 	// LinkDelay, when positive, gives every simulated call a constant
 	// one-way link delay. Constant (not drawn) so the transport's RNG stream
 	// — and therefore every routed message — is identical with the delay on
-	// or off; the parallel experiment depends on that invariance.
+	// or off; the parallelism and clock twin tests depend on that invariance.
 	LinkDelay time.Duration
 	// VirtualTime runs each deployment on a deterministic discrete-event
 	// clock (internal/vtime): link-delay sleeps, retry backoff, hedging

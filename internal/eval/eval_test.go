@@ -2,14 +2,25 @@ package eval
 
 import (
 	"bytes"
+	"context"
+	"encoding/csv"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"github.com/spritedht/sprite/internal/chord"
+	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/querygen"
+	"github.com/spritedht/sprite/internal/simnet"
 )
 
 // tiny returns a configuration small enough for unit tests but large enough
@@ -175,8 +186,8 @@ func TestRunFig4aShape(t *testing.T) {
 				res.Sprite[i].Precision, res.ESearch[i].Precision)
 		}
 	}
-	if res.Table() == "" {
-		t.Fatal("empty table")
+	if got := len(res.Report().Rows); got != len(res.Ks) {
+		t.Fatalf("report has %d rows, want %d", got, len(res.Ks))
 	}
 }
 
@@ -239,18 +250,37 @@ func TestRunFig4cShape(t *testing.T) {
 	}
 }
 
+// TestRunChordHops pins the O(log N) routing bound the overlay inherits from
+// Chord: iterative lookups from random nodes to hashed keys average at most
+// log2 N + 2 hops, and the average grows with the ring.
 func TestRunChordHops(t *testing.T) {
-	res, err := RunChordHops([]int{8, 32}, 50, 1)
-	if err != nil {
-		t.Fatalf("RunChordHops: %v", err)
-	}
-	for i := range res.Sizes {
-		if res.AvgHops[i] > res.Log2N[i]+2 {
-			t.Errorf("N=%d: avg hops %.2f above log2N+2", res.Sizes[i], res.AvgHops[i])
+	var avg []float64
+	for _, size := range []int{8, 32} {
+		ring := chord.NewRing(simnet.New(1), chord.Config{})
+		if _, err := ring.AddNodes("n", size); err != nil {
+			t.Fatal(err)
 		}
+		ring.Build()
+		nodes := ring.Nodes()
+		rng := rand.New(rand.NewSource(1 + int64(size)))
+		const trials = 50
+		total := 0
+		for i := 0; i < trials; i++ {
+			key := chordid.HashKey(fmt.Sprintf("k-%d-%d", size, i))
+			_, hops, err := nodes[rng.Intn(len(nodes))].Lookup(key)
+			if err != nil {
+				t.Fatalf("N=%d: Lookup: %v", size, err)
+			}
+			total += hops
+		}
+		a := float64(total) / trials
+		if a > math.Log2(float64(size))+2 {
+			t.Errorf("N=%d: avg hops %.2f above log2N+2", size, a)
+		}
+		avg = append(avg, a)
 	}
-	if res.AvgHops[1] <= res.AvgHops[0] {
-		t.Error("hops did not grow with network size")
+	if avg[1] <= avg[0] {
+		t.Errorf("hops did not grow with network size: %v", avg)
 	}
 }
 
@@ -410,8 +440,8 @@ func TestRunExpansion(t *testing.T) {
 			t.Errorf("expansion depth %d produced zero precision", res.Depths[i])
 		}
 	}
-	if res.Table() == "" {
-		t.Fatal("empty table")
+	if got := len(res.Report().Rows); got != len(res.Depths) {
+		t.Fatalf("report has %d rows, want %d", got, len(res.Depths))
 	}
 }
 
@@ -482,8 +512,8 @@ func TestRunLoadBalance(t *testing.T) {
 		t.Errorf("advisory increased max load: %d -> %d",
 			res.PostingsMax, res.WithAdvisory.PostingsMax)
 	}
-	if res.Table() == "" {
-		t.Fatal("empty table")
+	if rows := res.Report().Rows; rows[2][5] != res.WithAdvisory.HotThreshold {
+		t.Fatalf("advisory row reports hot_df %v, want %d", rows[2][5], res.WithAdvisory.HotThreshold)
 	}
 }
 
@@ -540,59 +570,100 @@ func TestSetupWithExternalCollection(t *testing.T) {
 	}
 }
 
+// TestCSVRendering pins the one-report contract: for every experiment result,
+// the aligned text, the CSV and the JSON rendering carry the same columns and
+// the same rows, and the numbers the tables used to print only in their
+// footers and titles are columns.
 func TestCSVRendering(t *testing.T) {
-	// Light-weight structural checks: every CSV has its header and one line
-	// per data row, with the right column count.
-	checkCSV := func(name, csv string, wantRows, wantCols int) {
-		t.Helper()
-		lines := strings.Split(strings.TrimSpace(csv), "\n")
-		if len(lines) != wantRows+1 {
-			t.Fatalf("%s: %d lines, want %d", name, len(lines), wantRows+1)
+	m := make([]ir.Metrics, 2)
+	one := []float64{0.5}
+	agg := &Fig4aAggregate{Seeds: 3, Ks: []int{5},
+		SpriteMean: one, SpriteStd: one, ESearchMean: one, ESearchStd: one,
+		SpriteRecMean: one, SpriteRecStd: one, ESearchRecMean: one, ESearchRecStd: one}
+	reports := map[string]*Report{
+		"config":           tiny().Report(),
+		"fig4a":            (&Fig4aResult{Ks: []int{5, 10}, Sprite: m, ESearch: m}).Report(),
+		"fig4a-replicated": agg.Report(),
+		"fig4b":            (&Fig4bResult{Variant: WithZipf, Terms: []int{5, 10}, Sprite: m, ESearch: m}).Report(),
+		"fig4c":            (&Fig4cResult{Iterations: []int{1, 2}, SwitchAt: 2, Sprite: m, ESearch: m}).Report(),
+		"cost":             (&InsertCostResult{Docs: 10, SelectiveMsgs: 40, FullMsgs: 200, MsgRatio: 5}).Report(),
+		"ablation":         (&AblationResult{Variants: []core.ScoreVariant{core.ScoreQScoreLogQF}, Metrics: m[:1]}).Report(),
+		"churn":            (&ChurnResult{Replicas: 2, FailedFraction: 0.25, PostingsLost: 0.24}).Report(),
+		"maintenance":      (&MaintenanceResult{Replicas: 2, RefreshMoved: 10437, RefreshMsgs: 186512}).Report(),
+		"expansion":        (&ExpansionResult{Depths: []int{0, 2}, Metrics: m, ExtraMessages: []float64{0, 30}}).Report(),
+		"load":             (&LoadResult{}).Report(),
+		"learncost":        (&LearnCostResult{Iterations: []int{1}, MsgsPerDoc: []float64{7.5}, TermsPerDoc: []float64{10}, FullMsgsPerDoc: 141, AvgHops: 0.4}).Report(),
+		"scale":            (&ScaleResult{Arms: make([]ScaleArm, 2)}).Report(),
+		"similarity":       (&SimilarityResult{Tiers: make([]SimilarityTier, 1)}).Report(),
+	}
+	for name, r := range reports {
+		var names []string
+		for _, c := range r.Columns {
+			names = append(names, c.Name)
 		}
-		for i, line := range lines {
-			if got := len(strings.Split(line, ",")); got != wantCols {
-				t.Fatalf("%s line %d: %d columns, want %d: %q", name, i, got, wantCols, line)
+		if len(r.Rows) == 0 {
+			t.Fatalf("%s: no rows", name)
+		}
+
+		text := strings.Split(strings.TrimSuffix(r.Text(), "\n"), "\n")
+		if text[0] != r.Title || strings.Join(strings.Fields(text[1]), ",") != strings.Join(names, ",") {
+			t.Errorf("%s: text title/header %q, want %q / %v", name, text[:2], r.Title, names)
+		}
+		if got := len(text) - 2 - len(r.Notes); got != len(r.Rows) {
+			t.Errorf("%s: text has %d rows, want %d", name, got, len(r.Rows))
+		}
+
+		recs, err := csv.NewReader(strings.NewReader(r.CSV())).ReadAll()
+		if err != nil {
+			t.Fatalf("%s: CSV does not parse: %v", name, err)
+		}
+		if !reflect.DeepEqual(recs[0], names) || len(recs)-1 != len(r.Rows) {
+			t.Errorf("%s: CSV header %v with %d rows, want %v with %d", name, recs[0], len(recs)-1, names, len(r.Rows))
+		}
+
+		js, err := json.Marshal(r)
+		if err != nil {
+			t.Fatalf("%s: JSON: %v", name, err)
+		}
+		var doc struct {
+			Columns []string
+			Rows    [][]any
+		}
+		if err := json.Unmarshal(js, &doc); err != nil {
+			t.Fatalf("%s: JSON does not parse: %v", name, err)
+		}
+		if !reflect.DeepEqual(doc.Columns, names) || len(doc.Rows) != len(r.Rows) {
+			t.Errorf("%s: JSON columns %v with %d rows, want %v with %d", name, doc.Columns, len(doc.Rows), names, len(r.Rows))
+		}
+		for i, row := range doc.Rows {
+			for j, v := range row {
+				if _, isNum := v.(float64); isNum == (reflect.TypeOf(r.Rows[i][j]).Kind() == reflect.String) {
+					t.Errorf("%s: JSON cell %s of row %d is %T for a %T", name, names[j], i, v, r.Rows[i][j])
+				}
 			}
 		}
 	}
 
-	a := &Fig4aResult{Ks: []int{5, 10}, Sprite: make([]ir.Metrics, 2), ESearch: make([]ir.Metrics, 2)}
-	checkCSV("fig4a", a.CSV(), 2, 5)
-
-	b := &Fig4bResult{Variant: WithZipf, Terms: []int{5, 10, 15},
-		Sprite: make([]ir.Metrics, 3), ESearch: make([]ir.Metrics, 3)}
-	checkCSV("fig4b", b.CSV(), 3, 6)
-
-	c := &Fig4cResult{Iterations: []int{1, 2}, SwitchAt: 2,
-		Sprite: make([]ir.Metrics, 2), ESearch: make([]ir.Metrics, 2)}
-	checkCSV("fig4c", c.CSV(), 2, 6)
-	if !strings.Contains(c.CSV(), "2,1,") {
-		t.Fatal("fig4c switch iteration not marked")
+	// Values only the old tables printed are columns now.
+	for name, want := range map[string][]string{
+		"cost":        {"msg_ratio", "docs"},
+		"maintenance": {"moved", "msgs", "faulty"},
+		"load":        {"hot_df", "peers"},
+		"churn":       {"postings_lost", "faulty", "retries", "moved", "repair_msgs"},
+		"learncost":   {"full_msgs_per_doc", "avg_hops"},
+	} {
+		for _, col := range want {
+			if !strings.Contains(reports[name].CSV(), col) {
+				t.Errorf("%s: CSV has no %s column", name, col)
+			}
+		}
 	}
-
-	h := &ChordHopsResult{Sizes: []int{16}, AvgHops: []float64{1.5}, MaxHops: []int{3}, Log2N: []float64{4}}
-	checkCSV("chord", h.CSV(), 1, 4)
-
-	cost := &InsertCostResult{}
-	checkCSV("cost", cost.CSV(), 2, 3)
-
-	abl := &AblationResult{Variants: []core.ScoreVariant{core.ScoreQScoreLogQF}, Metrics: make([]ir.Metrics, 1)}
-	checkCSV("ablation", abl.CSV(), 1, 3)
-
-	ch := &ChurnResult{Replicas: 2}
-	checkCSV("churn", ch.CSV(), 8, 9)
-	if !strings.Contains(ch.CSV(), "retries,failovers,hedges,partials,moved,repair_msgs") {
-		t.Fatal("churn CSV missing resilience counter or repair cost columns")
+	if csv := reports["maintenance"].CSV(); !strings.Contains(csv, "after_refresh,0.0000,0.0000,10437,186512,") {
+		t.Errorf("maintenance CSV lost the refresh cost: %q", csv)
 	}
-
-	m := &MaintenanceResult{Replicas: 2}
-	checkCSV("maintenance", m.CSV(), 4, 3)
-
-	e := &ExpansionResult{Depths: []int{0, 2}, Metrics: make([]ir.Metrics, 2), ExtraMessages: []float64{0, 30}}
-	checkCSV("expansion", e.CSV(), 2, 4)
-
-	l := &LoadResult{}
-	checkCSV("load", l.CSV(), 3, 4)
+	if csv := reports["fig4c"].CSV(); !strings.Contains(csv, "\n2,1,") {
+		t.Errorf("fig4c switch iteration not marked: %q", csv)
+	}
 }
 
 func TestMeanStd(t *testing.T) {
@@ -636,8 +707,8 @@ func TestRunFig4aReplicated(t *testing.T) {
 	if spread == 0 {
 		t.Fatal("replications produced identical results — seeds not varied")
 	}
-	if agg.Table() == "" || agg.CSV() == "" {
-		t.Fatal("empty rendering")
+	if got := len(agg.Report().Rows); got != len(agg.Ks) {
+		t.Fatalf("report has %d rows, want %d", got, len(agg.Ks))
 	}
 	if _, err := RunFig4aReplicated(cfg, 0); err == nil {
 		t.Fatal("zero seeds accepted")
@@ -674,40 +745,76 @@ func TestRunLearnCost(t *testing.T) {
 		t.Fatalf("full maintenance (%.1f) not clearly above SPRITE (%.1f)",
 			res.FullMsgsPerDoc, worst)
 	}
-	if res.Table() == "" || res.CSV() == "" {
-		t.Fatal("empty rendering")
+	if got := len(res.Report().Rows); got != len(res.Iterations) {
+		t.Fatalf("report has %d rows, want %d", got, len(res.Iterations))
 	}
 }
 
+// TestRunCacheRepeat checks the query-path caches under the paper's skewed,
+// repetitive workload: two identically trained deployments, caches off and
+// on, replay the same Zipf stream of test queries. Caching must save
+// messages, bytes and postings fetches, and must not move retrieval quality
+// at all (the no-stale guarantee).
 func TestRunCacheRepeat(t *testing.T) {
-	res, err := RunCacheRepeat(tiny(), 120, 0.5)
+	env, err := Setup(tiny())
 	if err != nil {
-		t.Fatalf("RunCacheRepeat: %v", err)
+		t.Fatal(err)
 	}
-	if res.OffMessages == 0 || res.OffBytes == 0 {
-		t.Fatalf("cache-off replay produced no traffic: %+v", res)
+	ranks := zipfRanks(len(env.Test), 120, 0.5, env.Cfg.Seed+13)
+	type replay struct {
+		msgs, bytes, fetches int64
+		dep                  *Deployment
 	}
-	if res.OnMessages >= res.OffMessages {
-		t.Fatalf("caching did not reduce messages: on %d >= off %d", res.OnMessages, res.OffMessages)
+	run := func(cache core.CacheConfig) replay {
+		coreCfg := env.Cfg.Core
+		coreCfg.Cache = cache
+		dep, err := env.NewDeployment(coreCfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dep.InsertQueries(env.Train); err != nil {
+			t.Fatal(err)
+		}
+		if err := dep.ShareAll(); err != nil {
+			t.Fatal(err)
+		}
+		if err := dep.Learn(env.Cfg.LearningIterations); err != nil {
+			t.Fatal(err)
+		}
+		dep.Sim.ResetStats()
+		for _, r := range ranks {
+			q := env.Test[r]
+			if _, err := dep.Net.ProbeCtx(context.Background(), dep.nextIssuer(), q.Terms, env.Cfg.TopK); err != nil && !errors.Is(err, core.ErrPartialResults) {
+				t.Fatalf("replay %s: %v", q.ID, err)
+			}
+		}
+		st := dep.Sim.Stats()
+		return replay{st.Calls, st.Bytes, st.CallsByType["sprite.get_postings"], dep}
 	}
-	if res.OnBytes >= res.OffBytes {
-		t.Fatalf("caching did not reduce bytes: on %d >= off %d", res.OnBytes, res.OffBytes)
+	off := run(core.CacheConfig{})
+	// ResultTTL is pinned far past the run so the measurement is a pure
+	// function of the workload, not of wall-clock scheduling.
+	on := run(core.CacheConfig{Enabled: true, ResultTTL: time.Hour})
+
+	if off.msgs == 0 || off.bytes == 0 {
+		t.Fatalf("cache-off replay produced no traffic: %+v", off)
 	}
-	if res.OnPostingsFetches >= res.OffPostingsFetches {
-		t.Fatalf("postings fetches not reduced: on %d >= off %d", res.OnPostingsFetches, res.OffPostingsFetches)
+	if on.msgs >= off.msgs {
+		t.Fatalf("caching did not reduce messages: on %d >= off %d", on.msgs, off.msgs)
 	}
-	if res.PostingsHitRate <= 0 {
-		t.Fatalf("postings hit rate = %v, want > 0", res.PostingsHitRate)
+	if on.bytes >= off.bytes {
+		t.Fatalf("caching did not reduce bytes: on %d >= off %d", on.bytes, off.bytes)
 	}
-	// The no-stale guarantee: caching must not change retrieval quality.
-	if res.OffQuality != res.OnQuality {
-		t.Fatalf("quality moved with caching: off %+v, on %+v", res.OffQuality, res.OnQuality)
+	if on.fetches >= off.fetches {
+		t.Fatalf("postings fetches not reduced: on %d >= off %d", on.fetches, off.fetches)
 	}
-	if !strings.Contains(res.Table(), "cache on") {
-		t.Fatal("Table missing expected column")
+	if hr := on.dep.Net.PostingsCacheStats().HitRate(); hr <= 0 {
+		t.Fatalf("postings hit rate = %v, want > 0", hr)
 	}
-	if !strings.Contains(res.CSV(), "msg_reduction") {
-		t.Fatal("CSV missing header")
+	offQ := Measure(off.dep.SpriteSearcher(), env.Test, env.Cfg.TopK)
+	onQ := Measure(on.dep.SpriteSearcher(), env.Test, env.Cfg.TopK)
+	if offQ != onQ {
+		t.Fatalf("quality moved with caching: off %+v, on %+v", offQ, onQ)
 	}
 }
 

@@ -3,8 +3,6 @@ package eval
 import (
 	"context"
 	"errors"
-	"fmt"
-	"strings"
 
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/ir"
@@ -88,18 +86,14 @@ func (d *Deployment) expansionSearcher(depth int) (Searcher, *int64) {
 	}, msgs
 }
 
-// Table renders the result.
-func (r *ExpansionResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Query expansion (local context analysis, §7): quality vs cost\n")
-	fmt.Fprintf(&b, "%-14s %-12s %-12s %-16s\n", "expansion", "precision", "recall", "extra msgs/query")
-	for i, depth := range r.Depths {
-		label := "plain"
-		if depth > 0 {
-			label = fmt.Sprintf("+%d terms", depth)
-		}
-		fmt.Fprintf(&b, "%-14s %-12.3f %-12.3f %-16.1f\n",
-			label, r.Metrics[i].Precision, r.Metrics[i].Recall, r.ExtraMessages[i])
+// Report renders the result; expansion_terms 0 is the plain baseline.
+func (r *ExpansionResult) Report() *Report {
+	rep := &Report{
+		Title:   "Query expansion (local context analysis, §7): quality vs cost",
+		Columns: []Column{{"expansion_terms", 0}, {"precision", 4}, {"recall", 4}, {"extra_msgs_per_query", 1}},
 	}
-	return b.String()
+	for i, d := range r.Depths {
+		rep.Rows = append(rep.Rows, []any{d, r.Metrics[i].Precision, r.Metrics[i].Recall, r.ExtraMessages[i]})
+	}
+	return rep
 }

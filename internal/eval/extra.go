@@ -2,13 +2,11 @@ package eval
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"time"
 
 	"github.com/spritedht/sprite/internal/chord"
-	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -16,62 +14,8 @@ import (
 )
 
 // This file implements the supplementary systems-level experiments indexed
-// in DESIGN.md: they validate the substrate (chord-hops) and quantify the
-// cost and robustness arguments the paper makes qualitatively (§1, §7), plus
-// an ablation of the §5.3 score formula.
-
-// ChordHopsResult reports average and maximum lookup hops per network size.
-type ChordHopsResult struct {
-	Sizes   []int
-	AvgHops []float64
-	MaxHops []int
-	Log2N   []float64
-}
-
-// RunChordHops measures iterative-lookup hop counts across ring sizes,
-// validating the O(log N) routing bound the overlay inherits from Chord.
-func RunChordHops(sizes []int, trials int, seed int64) (*ChordHopsResult, error) {
-	res := &ChordHopsResult{}
-	for _, size := range sizes {
-		net := simnet.New(seed)
-		ring := chord.NewRing(net, chord.Config{})
-		if _, err := ring.AddNodes("n", size); err != nil {
-			return nil, err
-		}
-		ring.Build()
-		nodes := ring.Nodes()
-		rng := rand.New(rand.NewSource(seed + int64(size)))
-		total, maxHops := 0, 0
-		for i := 0; i < trials; i++ {
-			key := chordid.HashKey(fmt.Sprintf("k-%d-%d", size, i))
-			from := nodes[rng.Intn(len(nodes))]
-			_, hops, err := from.Lookup(key)
-			if err != nil {
-				return nil, err
-			}
-			total += hops
-			if hops > maxHops {
-				maxHops = hops
-			}
-		}
-		res.Sizes = append(res.Sizes, size)
-		res.AvgHops = append(res.AvgHops, float64(total)/float64(trials))
-		res.MaxHops = append(res.MaxHops, maxHops)
-		res.Log2N = append(res.Log2N, math.Log2(float64(size)))
-	}
-	return res, nil
-}
-
-// Table renders the result.
-func (r *ChordHopsResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Chord lookup hops vs network size (expect avg <= log2 N)\n")
-	fmt.Fprintf(&b, "%-8s %-10s %-10s %-10s\n", "N", "avg", "max", "log2N")
-	for i := range r.Sizes {
-		fmt.Fprintf(&b, "%-8d %-10.2f %-10d %-10.2f\n", r.Sizes[i], r.AvgHops[i], r.MaxHops[i], r.Log2N[i])
-	}
-	return b.String()
-}
+// in DESIGN.md: they quantify the cost and robustness arguments the paper
+// makes qualitatively (§1, §7), plus an ablation of the §5.3 score formula.
 
 // InsertCostResult compares the DHT traffic of publishing documents under
 // selective indexing (SPRITE's ≤30-term budget) against indexing every term
@@ -140,15 +84,17 @@ func RunInsertCost(cfg Config) (*InsertCostResult, error) {
 	return res, nil
 }
 
-// Table renders the result.
-func (r *InsertCostResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Index construction cost: selective (SPRITE) vs full-term indexing\n")
-	fmt.Fprintf(&b, "%-12s %-16s %-16s\n", "", "messages", "postings")
-	fmt.Fprintf(&b, "%-12s %-16d %-16d\n", "selective", r.SelectiveMsgs, r.SelectivePostings)
-	fmt.Fprintf(&b, "%-12s %-16d %-16d\n", "full", r.FullMsgs, r.FullPostings)
-	fmt.Fprintf(&b, "full/selective message ratio: %.1fx over %d documents\n", r.MsgRatio, r.Docs)
-	return b.String()
+// Report renders the result; msg_ratio is each scheme's messages over the
+// selective scheme's.
+func (r *InsertCostResult) Report() *Report {
+	return &Report{
+		Title:   "Index construction cost: selective (SPRITE) vs full-term indexing",
+		Columns: []Column{{"scheme", 0}, {"messages", 0}, {"postings", 0}, {"msg_ratio", 2}, {"docs", 0}},
+		Rows: [][]any{
+			{"selective", r.SelectiveMsgs, r.SelectivePostings, 1.0, r.Docs},
+			{"full", r.FullMsgs, r.FullPostings, r.MsgRatio, r.Docs},
+		},
+	}
 }
 
 // AblationResult reports retrieval quality (ratio to centralized) for each
@@ -204,15 +150,16 @@ func RunScoreAblation(cfg Config) (*AblationResult, error) {
 	return res, nil
 }
 
-// Table renders the result.
-func (r *AblationResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Score-function ablation (ratio to centralized)\n")
-	fmt.Fprintf(&b, "%-16s %-12s %-12s\n", "variant", "precision", "recall")
-	for i, v := range r.Variants {
-		fmt.Fprintf(&b, "%-16s %-12.3f %-12.3f\n", v, r.Metrics[i].Precision, r.Metrics[i].Recall)
+// Report renders the result.
+func (r *AblationResult) Report() *Report {
+	rep := &Report{
+		Title:   "Score-function ablation (ratio to centralized)",
+		Columns: []Column{{"variant", 0}, {"precision", 4}, {"recall", 4}},
 	}
-	return b.String()
+	for i, v := range r.Variants {
+		rep.Rows = append(rep.Rows, []any{v.String(), r.Metrics[i].Precision, r.Metrics[i].Recall})
+	}
+	return rep
 }
 
 // ResilienceCounters snapshots the query path's fault-tolerance counters for
@@ -516,31 +463,35 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 	return res, nil
 }
 
-// Table renders the result.
-func (r *ChurnResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Churn: %.0f%% of peers faulty, %.0f%% of postings lost (ratios to centralized)\n",
-		r.FailedFraction*100, r.PostingsLost*100)
-	fmt.Fprintf(&b, "%-28s %-12s %-12s %s\n", "configuration", "precision", "recall", "retries/failovers/hedges/partials")
-	row := func(name string, m ir.Metrics, c *ResilienceCounters) {
-		counters := ""
-		if c != nil {
-			counters = fmt.Sprintf("%d/%d/%d/%d", c.Retries, c.Failovers, c.Hedges, c.Partials)
-		}
-		fmt.Fprintf(&b, "%-28s %-12.3f %-12.3f %s\n", name, m.Precision, m.Recall, counters)
+// Report renders the result, one row per arm. The resilience counters
+// (sprite.resilience.*) come from each transient arm's own registry; faulty
+// is the fraction of peers failed or dropping calls in the arm, and
+// postings_lost the fraction of primary postings the dead peers held. moved
+// counts primary entries that changed holder during a membership wave, and
+// the index_total row's moved the whole index an owner refresh sweep would
+// republish.
+func (r *ChurnResult) Report() *Report {
+	rep := &Report{
+		Title: "Churn: dead and transient faults, and membership waves repaired without owners (ratios to centralized)",
+		Columns: []Column{
+			{"state", 0}, {"precision", 4}, {"recall", 4},
+			{"retries", 0}, {"failovers", 0}, {"hedges", 0}, {"partials", 0},
+			{"moved", 0}, {"repair_msgs", 0}, {"faulty", 2}, {"postings_lost", 4},
+		},
 	}
-	row("healthy network", r.Baseline, nil)
-	row("dead, no replication", r.NoReplication, nil)
-	row(fmt.Sprintf("dead, %d replicas", r.Replicas), r.Replicated, nil)
-	row("transient, failover off", r.FailoverOff, &r.Off)
-	row("transient, failover on", r.FailoverOn, &r.On)
-	row(fmt.Sprintf("mass join +%d, repair only", r.JoinedPeers), r.AfterMassJoin, nil)
-	row(fmt.Sprintf("mass leave -%d, repair only", r.JoinedPeers), r.AfterMassLeave, nil)
-	if r.IndexPostings > 0 {
-		fmt.Fprintf(&b, "repair moved %d/%d entries on join (%.1f%%), %d/%d on leave (%.1f%%); %d + %d repair msgs\n",
-			r.JoinMoved, r.IndexPostings, 100*float64(r.JoinMoved)/float64(r.IndexPostings),
-			r.LeaveMoved, r.IndexPostings, 100*float64(r.LeaveMoved)/float64(r.IndexPostings),
-			r.JoinRepairMsgs, r.LeaveRepairMsgs)
+	row := func(state string, m ir.Metrics, c ResilienceCounters, moved int, msgs int64, faulty, lost float64) {
+		rep.Rows = append(rep.Rows, []any{state, m.Precision, m.Recall,
+			c.Retries, c.Failovers, c.Hedges, c.Partials, moved, msgs, faulty, lost})
 	}
-	return b.String()
+	none := ResilienceCounters{}
+	f := r.FailedFraction
+	row("healthy", r.Baseline, none, 0, 0, 0, 0)
+	row("dead_no_replication", r.NoReplication, none, 0, 0, f, r.PostingsLost)
+	row(fmt.Sprintf("dead_%d_replicas", r.Replicas), r.Replicated, none, 0, 0, f, r.PostingsLost)
+	row("transient_failover_off", r.FailoverOff, r.Off, 0, 0, f, 0)
+	row("transient_failover_on", r.FailoverOn, r.On, 0, 0, f, 0)
+	row(fmt.Sprintf("mass_join_%d_repair", r.JoinedPeers), r.AfterMassJoin, none, r.JoinMoved, r.JoinRepairMsgs, 0, 0)
+	row(fmt.Sprintf("mass_leave_%d_repair", r.JoinedPeers), r.AfterMassLeave, none, r.LeaveMoved, r.LeaveRepairMsgs, 0, 0)
+	row("index_total", ir.Metrics{}, none, r.IndexPostings, 0, 0, 0)
+	return rep
 }

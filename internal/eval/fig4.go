@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/ir"
@@ -64,17 +63,27 @@ func RunFig4a(cfg Config) (*Fig4aResult, error) {
 	return res, nil
 }
 
-// Table renders the result in the paper's row form.
-func (r *Fig4aResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 4(a): precision/recall ratio vs number of answers\n")
-	fmt.Fprintf(&b, "%-8s %-14s %-14s %-14s %-14s\n", "K", "SPRITE-prec", "eSearch-prec", "SPRITE-rec", "eSearch-rec")
-	for i, k := range r.Ks {
-		fmt.Fprintf(&b, "%-8d %-14.3f %-14.3f %-14.3f %-14.3f\n",
-			k, r.Sprite[i].Precision, r.ESearch[i].Precision,
-			r.Sprite[i].Recall, r.ESearch[i].Recall)
+// ratioColumns are the four ratio-to-centralized columns every Figure 4
+// panel reports after its x-axis.
+var ratioColumns = []Column{
+	{"sprite_precision", 4}, {"esearch_precision", 4}, {"sprite_recall", 4}, {"esearch_recall", 4},
+}
+
+// ratioCells returns the four ratio cells of one Figure 4 point.
+func ratioCells(sprite, es ir.Metrics) []any {
+	return []any{sprite.Precision, es.Precision, sprite.Recall, es.Recall}
+}
+
+// Report renders Figure 4(a) in the paper's row form.
+func (r *Fig4aResult) Report() *Report {
+	rep := &Report{
+		Title:   "Figure 4(a): precision/recall ratio vs number of answers K",
+		Columns: append([]Column{{"k", 0}}, ratioColumns...),
 	}
-	return b.String()
+	for i, k := range r.Ks {
+		rep.Rows = append(rep.Rows, append([]any{k}, ratioCells(r.Sprite[i], r.ESearch[i])...))
+	}
+	return rep
 }
 
 // Fig4bVariant names the two query workloads of Figure 4(b).
@@ -155,17 +164,16 @@ func RunFig4b(cfg Config, variant Fig4bVariant) (*Fig4bResult, error) {
 	return res, nil
 }
 
-// Table renders the result in the paper's row form.
-func (r *Fig4bResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 4(b) [%s]: precision ratio vs number of indexed terms\n", r.Variant)
-	fmt.Fprintf(&b, "%-8s %-14s %-14s %-14s %-14s\n", "terms", "SPRITE-prec", "eSearch-prec", "SPRITE-rec", "eSearch-rec")
-	for i, terms := range r.Terms {
-		fmt.Fprintf(&b, "%-8d %-14.3f %-14.3f %-14.3f %-14.3f\n",
-			terms, r.Sprite[i].Precision, r.ESearch[i].Precision,
-			r.Sprite[i].Recall, r.ESearch[i].Recall)
+// Report renders one workload of Figure 4(b) in the paper's row form.
+func (r *Fig4bResult) Report() *Report {
+	rep := &Report{
+		Title:   "Figure 4(b): precision/recall ratio vs number of indexed terms",
+		Columns: append([]Column{{"variant", 0}, {"terms", 0}}, ratioColumns...),
 	}
-	return b.String()
+	for i, terms := range r.Terms {
+		rep.Rows = append(rep.Rows, append([]any{string(r.Variant), terms}, ratioCells(r.Sprite[i], r.ESearch[i])...))
+	}
+	return rep
 }
 
 // Fig4cResult is Figure 4(c): precision and recall per learning iteration
@@ -278,19 +286,19 @@ func pickBatch(queries []*corpus.Query, i, n int) []*corpus.Query {
 	return queries[lo:hi]
 }
 
-// Table renders the result in the paper's row form.
-func (r *Fig4cResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 4(c): precision/recall ratio per learning iteration (pattern change at %d)\n", r.SwitchAt)
-	fmt.Fprintf(&b, "%-6s %-14s %-14s %-14s %-14s\n", "iter", "SPRITE-prec", "eSearch-prec", "SPRITE-rec", "eSearch-rec")
-	for i, iter := range r.Iterations {
-		marker := ""
-		if iter == r.SwitchAt {
-			marker = "  <- pattern change"
-		}
-		fmt.Fprintf(&b, "%-6d %-14.3f %-14.3f %-14.3f %-14.3f%s\n",
-			iter, r.Sprite[i].Precision, r.ESearch[i].Precision,
-			r.Sprite[i].Recall, r.ESearch[i].Recall, marker)
+// Report renders Figure 4(c) in the paper's row form; pattern_change is 1 on
+// the iteration the second query group takes over.
+func (r *Fig4cResult) Report() *Report {
+	rep := &Report{
+		Title:   "Figure 4(c): precision/recall ratio per learning iteration",
+		Columns: append([]Column{{"iteration", 0}, {"pattern_change", 0}}, ratioColumns...),
 	}
-	return b.String()
+	for i, iter := range r.Iterations {
+		change := 0
+		if iter == r.SwitchAt {
+			change = 1
+		}
+		rep.Rows = append(rep.Rows, append([]any{iter, change}, ratioCells(r.Sprite[i], r.ESearch[i])...))
+	}
+	return rep
 }

@@ -1,10 +1,5 @@
 package eval
 
-import (
-	"fmt"
-	"strings"
-)
-
 // LearnCostResult quantifies the §1 maintenance-cost argument over time: the
 // DHT traffic of each learning iteration (polls + publications + removals),
 // per document, as the index grows from the initial F terms toward the cap.
@@ -83,28 +78,17 @@ func RunLearnCost(cfg Config) (*LearnCostResult, error) {
 	return res, nil
 }
 
-// Table renders the result.
-func (r *LearnCostResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Learning/maintenance traffic per document per iteration (§1 cost argument)\n")
-	fmt.Fprintf(&b, "%-10s %-14s %-14s\n", "iteration", "msgs/doc", "terms/doc")
-	for i, iter := range r.Iterations {
-		fmt.Fprintf(&b, "%-10d %-14.1f %-14.1f\n", iter, r.MsgsPerDoc[i], r.TermsPerDoc[i])
+// Report renders the result; the analytic full-term cost and the measured
+// mean routing cost it is priced at repeat on every row.
+func (r *LearnCostResult) Report() *Report {
+	rep := &Report{
+		Title: "Learning/maintenance traffic per document per iteration (§1 cost argument)",
+		Columns: []Column{{"iteration", 0}, {"msgs_per_doc", 2}, {"terms_per_doc", 2},
+			{"full_msgs_per_doc", 2}, {"avg_hops", 2}},
+		Notes: []string{"full_msgs_per_doc is analytic: every distinct term of a document polled once per period at avg_hops + 1 messages."},
 	}
-	fmt.Fprintf(&b, "full-term index maintenance (analytic): %.1f msgs/doc/period at %.1f avg hops\n",
-		r.FullMsgsPerDoc, r.AvgHops)
-	return b.String()
-}
-
-// CSV renders the result.
-func (r *LearnCostResult) CSV() string {
-	rows := make([][]string, 0, len(r.Iterations))
 	for i, iter := range r.Iterations {
-		rows = append(rows, []string{
-			fmt.Sprint(iter),
-			fmt.Sprintf("%.2f", r.MsgsPerDoc[i]),
-			fmt.Sprintf("%.2f", r.TermsPerDoc[i]),
-		})
+		rep.Rows = append(rep.Rows, []any{iter, r.MsgsPerDoc[i], r.TermsPerDoc[i], r.FullMsgsPerDoc, r.AvgHops})
 	}
-	return csvRows("iteration,msgs_per_doc,terms_per_doc", rows)
+	return rep
 }

@@ -1,10 +1,8 @@
 package eval
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // LoadResult quantifies the §7(b) load-imbalance concern: how unevenly
@@ -29,6 +27,7 @@ type LoadResult struct {
 	// advisory enabled (threshold = 2× mean indexed df).
 	WithAdvisory struct {
 		PostingsMax  int
+		PostingsMean float64
 		PostingsGini float64
 		HotThreshold int
 	}
@@ -126,6 +125,7 @@ func RunLoadBalance(cfg Config) (*LoadResult, error) {
 			res.WithAdvisory.PostingsMax = n
 		}
 	}
+	res.WithAdvisory.PostingsMean = mean(advPostings)
 	res.WithAdvisory.PostingsGini = gini(advPostings)
 	return res, nil
 }
@@ -166,14 +166,17 @@ func gini(xs []float64) float64 {
 	return (n + 1 - 2*lorenz/total) / n
 }
 
-// Table renders the result.
-func (r *LoadResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Load distribution across %d peers (§7 imbalance concern)\n", r.Peers)
-	fmt.Fprintf(&b, "%-28s %-10s %-10s %-8s\n", "", "max", "mean", "gini")
-	fmt.Fprintf(&b, "%-28s %-10d %-10.1f %-8.3f\n", "postings per peer", r.PostingsMax, r.PostingsMean, r.PostingsGini)
-	fmt.Fprintf(&b, "%-28s %-10d %-10.1f %-8.3f\n", "query RPCs per peer", r.TrafficMax, r.TrafficMean, r.TrafficGini)
-	fmt.Fprintf(&b, "%-28s %-10d %-10s %-8.3f  (hot-term df >= %d)\n",
-		"postings w/ advisory", r.WithAdvisory.PostingsMax, "-", r.WithAdvisory.PostingsGini, r.WithAdvisory.HotThreshold)
-	return b.String()
+// Report renders the result; hot_df is the advisory's document-frequency
+// threshold on the row it applies to.
+func (r *LoadResult) Report() *Report {
+	a := r.WithAdvisory
+	return &Report{
+		Title:   "Load distribution across peers (§7 imbalance concern)",
+		Columns: []Column{{"metric", 0}, {"max", 0}, {"mean", 1}, {"gini", 4}, {"peers", 0}, {"hot_df", 0}},
+		Rows: [][]any{
+			{"postings", r.PostingsMax, r.PostingsMean, r.PostingsGini, r.Peers, 0},
+			{"query_rpcs", r.TrafficMax, r.TrafficMean, r.TrafficGini, r.Peers, 0},
+			{"postings_with_advisory", a.PostingsMax, a.PostingsMean, a.PostingsGini, r.Peers, a.HotThreshold},
+		},
+	}
 }

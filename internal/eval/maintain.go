@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"github.com/spritedht/sprite/internal/ir"
 )
@@ -91,16 +90,18 @@ func RunMaintenance(cfg Config, failFraction float64, replicas int) (*Maintenanc
 	return res, nil
 }
 
-// Table renders the result.
-func (r *MaintenanceResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Recovery after failing %.0f%% of peers (ratios to centralized)\n", r.FailedFraction*100)
-	fmt.Fprintf(&b, "%-26s %-12s %-12s\n", "state", "precision", "recall")
-	fmt.Fprintf(&b, "%-26s %-12.3f %-12.3f\n", "healthy", r.Healthy.Precision, r.Healthy.Recall)
-	fmt.Fprintf(&b, "%-26s %-12.3f %-12.3f\n", "degraded (no recovery)", r.Degraded.Precision, r.Degraded.Recall)
-	fmt.Fprintf(&b, "%-26s %-12.3f %-12.3f   (%d postings moved, %d msgs)\n",
-		"after owner refresh", r.AfterRefresh.Precision, r.AfterRefresh.Recall, r.RefreshMoved, r.RefreshMsgs)
-	fmt.Fprintf(&b, "%-26s %-12.3f %-12.3f\n",
-		fmt.Sprintf("%d replicas (no refresh)", r.Replicas), r.Replicated.Precision, r.Replicated.Recall)
-	return b.String()
+// Report renders the result; moved and msgs are what the owners' refresh
+// sweep re-homed and cost, and faulty the fraction of peers failed.
+func (r *MaintenanceResult) Report() *Report {
+	f := r.FailedFraction
+	return &Report{
+		Title:   "Recovery after failing peers: owner refresh vs successor replication (ratios to centralized)",
+		Columns: []Column{{"state", 0}, {"precision", 4}, {"recall", 4}, {"moved", 0}, {"msgs", 0}, {"faulty", 2}},
+		Rows: [][]any{
+			{"healthy", r.Healthy.Precision, r.Healthy.Recall, 0, int64(0), 0.0},
+			{"degraded", r.Degraded.Precision, r.Degraded.Recall, 0, int64(0), f},
+			{"after_refresh", r.AfterRefresh.Precision, r.AfterRefresh.Recall, r.RefreshMoved, r.RefreshMsgs, f},
+			{fmt.Sprintf("replicated_%d", r.Replicas), r.Replicated.Precision, r.Replicated.Recall, 0, int64(0), f},
+		},
+	}
 }

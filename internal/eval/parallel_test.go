@@ -1,51 +1,27 @@
 package eval
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
 
-// TestRunParallelInvariants checks the sweep's determinism contract at the
-// harness level: retrieval quality and transport accounting must be
-// bit-identical across fan-out limits. Latency ordering is deliberately NOT
-// asserted — wall-clock comparisons are scheduler-dependent and belong in the
-// committed benchmark, not a unit test.
+// TestRunParallelInvariants checks the fan-out engine's determinism contract
+// at the harness level: two deployments that differ only in Parallelism (1
+// and 4), measured with a real slept link delay, must produce byte-identical
+// rankings — hence identical quality — and identical transport call and byte
+// counts. Latency ordering is deliberately NOT asserted: wall-clock
+// comparisons are scheduler-dependent and belong in the benchmark.
 func TestRunParallelInvariants(t *testing.T) {
-	res, err := RunParallel(tiny(), []int{1, 4}, 200*time.Microsecond)
-	if err != nil {
-		t.Fatalf("RunParallel: %v", err)
+	cfg := tiny()
+	cfg.LinkDelay = 200 * time.Microsecond
+	cfg.Core.Parallelism = 1
+	seq, _, seqCalls, seqBytes := trainAndRender(t, cfg)
+	cfg.Core.Parallelism = 4
+	par, _, parCalls, parBytes := trainAndRender(t, cfg)
+	if seq == "" || seq != par {
+		t.Errorf("rankings moved with parallelism:\nseq:\n%s\npar:\n%s", seq, par)
 	}
-	if len(res.Arms) != 2 {
-		t.Fatalf("arm count = %d, want 2", len(res.Arms))
-	}
-	seq, par := res.Arms[0], res.Arms[1]
-	if seq.Parallelism != 1 || par.Parallelism != 4 {
-		t.Fatalf("arm order wrong: %d, %d", seq.Parallelism, par.Parallelism)
-	}
-	if seq.Quality != par.Quality {
-		t.Errorf("quality moved with parallelism: seq %+v par %+v", seq.Quality, par.Quality)
-	}
-	if seq.Messages != par.Messages || seq.Bytes != par.Bytes {
-		t.Errorf("traffic moved with parallelism: seq %d/%d par %d/%d",
-			seq.Messages, seq.Bytes, par.Messages, par.Bytes)
-	}
-	for _, a := range res.Arms {
-		if a.MeanUS <= 0 || a.P50US <= 0 || a.P95US < a.P50US || a.P99US < a.P95US {
-			t.Errorf("arm %d: degenerate latency stats %+v", a.Parallelism, a)
-		}
-	}
-	if par.Speedup <= 0 {
-		t.Errorf("speedup not computed: %+v", par)
-	}
-	csv := res.CSV()
-	if !strings.HasPrefix(csv, "parallelism,link_delay_us,queries,") {
-		t.Errorf("CSV header missing: %q", csv)
-	}
-	if got := strings.Count(csv, "\n"); got != 3 {
-		t.Errorf("CSV rows = %d lines, want 3", got)
-	}
-	if res.Table() == "" {
-		t.Error("empty table")
+	if seqCalls == 0 || seqCalls != parCalls || seqBytes != parBytes {
+		t.Errorf("traffic moved with parallelism: seq %d/%d par %d/%d", seqCalls, seqBytes, parCalls, parBytes)
 	}
 }

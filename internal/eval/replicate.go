@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"math"
-	"strings"
 )
 
 // This file adds statistical replication: the headline experiment re-run
@@ -82,34 +81,21 @@ func meanStd(xs []float64) (float64, float64) {
 	return m, math.Sqrt(v / float64(len(xs)))
 }
 
-// Table renders the aggregate in the paper's row form, one ± column pair per
-// system.
-func (r *Fig4aAggregate) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 4(a) over %d seeds: precision/recall ratio vs number of answers (mean ± std)\n", r.Seeds)
-	fmt.Fprintf(&b, "%-6s %-18s %-18s %-18s %-18s\n", "K", "SPRITE-prec", "eSearch-prec", "SPRITE-rec", "eSearch-rec")
-	for i, k := range r.Ks {
-		fmt.Fprintf(&b, "%-6d %6.3f ± %-9.3f %6.3f ± %-9.3f %6.3f ± %-9.3f %6.3f ± %-9.3f\n",
-			k,
-			r.SpriteMean[i], r.SpriteStd[i],
-			r.ESearchMean[i], r.ESearchStd[i],
-			r.SpriteRecMean[i], r.SpriteRecStd[i],
-			r.ESearchRecMean[i], r.ESearchRecStd[i])
+// Report renders the aggregate, one mean and standard deviation column pair
+// per system and metric.
+func (r *Fig4aAggregate) Report() *Report {
+	rep := &Report{
+		Title: "Figure 4(a) over independent seeds: precision/recall ratio vs number of answers K (mean, std)",
+		Columns: []Column{{"k", 0},
+			{"sprite_p_mean", 4}, {"sprite_p_std", 4}, {"esearch_p_mean", 4}, {"esearch_p_std", 4},
+			{"sprite_r_mean", 4}, {"sprite_r_std", 4}, {"esearch_r_mean", 4}, {"esearch_r_std", 4},
+			{"seeds", 0}},
 	}
-	return b.String()
-}
-
-// CSV renders the aggregate.
-func (r *Fig4aAggregate) CSV() string {
-	rows := make([][]string, 0, len(r.Ks))
 	for i, k := range r.Ks {
-		rows = append(rows, []string{
-			fmt.Sprint(k),
-			f4(r.SpriteMean[i]), f4(r.SpriteStd[i]),
-			f4(r.ESearchMean[i]), f4(r.ESearchStd[i]),
-			f4(r.SpriteRecMean[i]), f4(r.SpriteRecStd[i]),
-			f4(r.ESearchRecMean[i]), f4(r.ESearchRecStd[i]),
-		})
+		rep.Rows = append(rep.Rows, []any{k,
+			r.SpriteMean[i], r.SpriteStd[i], r.ESearchMean[i], r.ESearchStd[i],
+			r.SpriteRecMean[i], r.SpriteRecStd[i], r.ESearchRecMean[i], r.ESearchRecStd[i],
+			r.Seeds})
 	}
-	return csvRows("k,sprite_p_mean,sprite_p_std,esearch_p_mean,esearch_p_std,sprite_r_mean,sprite_r_std,esearch_r_mean,esearch_r_std", rows)
+	return rep
 }

@@ -1,154 +1,151 @@
 package eval
 
 import (
+	"encoding/csv"
+	"encoding/json"
 	"fmt"
 	"strconv"
 	"strings"
-
-	"github.com/spritedht/sprite/internal/ir"
 )
 
-// This file renders every experiment result as CSV, for plotting pipelines.
-// Each CSV carries a header row; ratios are emitted with 4 decimals.
+// Report is one experiment result as a typed table: every number an
+// experiment reports is a cell, so the three renderings below — aligned text,
+// CSV and JSON — carry the same data. Title and Notes are prose: they name
+// and explain the table, and hold no measurement of their own.
+type Report struct {
+	Title   string
+	Columns []Column
+	// Rows holds one value per column: int, int64, float64 or string.
+	Rows  [][]any
+	Notes []string
+}
 
-func csvRows(header string, rows [][]string) string {
+// Column names one field of a Report. Prec is the number of decimals its
+// float64 values are rendered with, in every format alike.
+type Column struct {
+	Name string
+	Prec int
+}
+
+// cell renders one value at its column's precision.
+func (c Column) cell(v any) string {
+	switch v := v.(type) {
+	case float64:
+		return strconv.FormatFloat(v, 'f', c.Prec, 64)
+	case int:
+		return strconv.Itoa(v)
+	case int64:
+		return strconv.FormatInt(v, 10)
+	case string:
+		return v
+	}
+	panic(fmt.Sprintf("eval: report cell of type %T", v))
+}
+
+// cells renders the header and every row as strings.
+func (r *Report) cells() (header []string, rows [][]string) {
+	for _, c := range r.Columns {
+		header = append(header, c.Name)
+	}
+	for _, row := range r.Rows {
+		out := make([]string, len(row))
+		for i, v := range row {
+			out[i] = r.Columns[i].cell(v)
+		}
+		rows = append(rows, out)
+	}
+	return header, rows
+}
+
+// Text renders the title, the table with left-aligned columns, and the
+// notes, one per line.
+func (r *Report) Text() string {
+	header, rows := r.cells()
+	lines := append([][]string{header}, rows...)
+	width := make([]int, len(header))
+	for _, row := range lines {
+		for i, s := range row {
+			width[i] = max(width[i], len(s))
+		}
+	}
 	var b strings.Builder
-	b.WriteString(header)
+	b.WriteString(r.Title)
 	b.WriteByte('\n')
-	for _, row := range rows {
-		b.WriteString(strings.Join(row, ","))
+	for _, row := range lines {
+		for i, s := range row {
+			if i == len(row)-1 {
+				b.WriteString(s)
+				break
+			}
+			fmt.Fprintf(&b, "%-*s", width[i]+2, s)
+		}
+		b.WriteByte('\n')
+	}
+	for _, n := range r.Notes {
+		b.WriteString(n)
 		b.WriteByte('\n')
 	}
 	return b.String()
 }
 
-func f4(v float64) string { return fmt.Sprintf("%.4f", v) }
-
-// CSV renders Figure 4(a) as rows of K and the four ratios.
-func (r *Fig4aResult) CSV() string {
-	rows := make([][]string, 0, len(r.Ks))
-	for i, k := range r.Ks {
-		rows = append(rows, []string{
-			fmt.Sprint(k),
-			f4(r.Sprite[i].Precision), f4(r.ESearch[i].Precision),
-			f4(r.Sprite[i].Recall), f4(r.ESearch[i].Recall),
-		})
-	}
-	return csvRows("k,sprite_precision,esearch_precision,sprite_recall,esearch_recall", rows)
+// CSV renders the header row and one record per row.
+func (r *Report) CSV() string {
+	header, rows := r.cells()
+	var b strings.Builder
+	w := csv.NewWriter(&b)
+	w.Write(header)
+	w.WriteAll(rows) // flushes; a strings.Builder cannot fail
+	return b.String()
 }
 
-// CSV renders Figure 4(b) rows with the workload variant as a column.
-func (r *Fig4bResult) CSV() string {
-	rows := make([][]string, 0, len(r.Terms))
-	for i, terms := range r.Terms {
-		rows = append(rows, []string{
-			string(r.Variant), fmt.Sprint(terms),
-			f4(r.Sprite[i].Precision), f4(r.ESearch[i].Precision),
-			f4(r.Sprite[i].Recall), f4(r.ESearch[i].Recall),
-		})
-	}
-	return csvRows("variant,terms,sprite_precision,esearch_precision,sprite_recall,esearch_recall", rows)
-}
-
-// CSV renders Figure 4(c) rows; the switch iteration is marked.
-func (r *Fig4cResult) CSV() string {
-	rows := make([][]string, 0, len(r.Iterations))
-	for i, iter := range r.Iterations {
-		change := "0"
-		if iter == r.SwitchAt {
-			change = "1"
+// MarshalJSON renders the report as an object whose rows are arrays of JSON
+// numbers and strings, each float written at its column's precision.
+func (r *Report) MarshalJSON() ([]byte, error) {
+	header, _ := r.cells()
+	rows := make([][]any, len(r.Rows))
+	for i, row := range r.Rows {
+		rows[i] = make([]any, len(row))
+		for j, v := range row {
+			if _, ok := v.(string); ok {
+				rows[i][j] = v
+			} else {
+				rows[i][j] = json.Number(r.Columns[j].cell(v))
+			}
 		}
-		rows = append(rows, []string{
-			fmt.Sprint(iter), change,
-			f4(r.Sprite[i].Precision), f4(r.ESearch[i].Precision),
-			f4(r.Sprite[i].Recall), f4(r.ESearch[i].Recall),
-		})
 	}
-	return csvRows("iteration,pattern_change,sprite_precision,esearch_precision,sprite_recall,esearch_recall", rows)
+	return json.Marshal(struct {
+		Title   string   `json:"title"`
+		Columns []string `json:"columns"`
+		Rows    [][]any  `json:"rows"`
+		Notes   []string `json:"notes,omitempty"`
+	}{r.Title, header, rows, r.Notes})
 }
 
-// CSV renders the hop-count experiment.
-func (r *ChordHopsResult) CSV() string {
-	rows := make([][]string, 0, len(r.Sizes))
-	for i := range r.Sizes {
-		rows = append(rows, []string{
-			fmt.Sprint(r.Sizes[i]), f4(r.AvgHops[i]),
-			fmt.Sprint(r.MaxHops[i]), f4(r.Log2N[i]),
-		})
+// Report renders the experimental setup (§6.2) the other reports ran under.
+func (c Config) Report() *Report {
+	c = c.fillDefaults()
+	cc := c.Corpus.FillDefaults()
+	qc := c.QueryGen.FillDefaults()
+	return &Report{
+		Title:   "Experimental setup (cf. paper §6.2)",
+		Columns: []Column{{"setting", 0}, {"value", 2}},
+		Rows: [][]any{
+			{"corpus_docs", cc.NumDocs},
+			{"corpus_topics", cc.NumTopics},
+			{"doc_len_min", cc.DocLenMin},
+			{"doc_len_max", cc.DocLenMax},
+			{"original_queries", cc.NumQueries},
+			{"derived_per_original", qc.PerOriginal},
+			{"total_queries", cc.NumQueries * (1 + qc.PerOriginal)},
+			{"query_overlap", qc.Overlap},
+			{"peers", c.Peers},
+			{"initial_terms", c.Core.InitialTerms},
+			{"terms_per_iteration", c.Core.TermsPerIteration},
+			{"max_index_terms", c.Core.MaxIndexTerms},
+			{"history_cap", c.Core.HistoryCap},
+			{"topk", c.TopK},
+			{"learning_iterations", c.LearningIterations},
+		},
+		Notes: []string{"Chord overlay, MD5 128-bit identifiers."},
 	}
-	return csvRows("n,avg_hops,max_hops,log2_n", rows)
-}
-
-// CSV renders the insert-cost experiment.
-func (r *InsertCostResult) CSV() string {
-	return csvRows("scheme,messages,postings", [][]string{
-		{"selective", fmt.Sprint(r.SelectiveMsgs), fmt.Sprint(r.SelectivePostings)},
-		{"full", fmt.Sprint(r.FullMsgs), fmt.Sprint(r.FullPostings)},
-	})
-}
-
-// CSV renders the score ablation.
-func (r *AblationResult) CSV() string {
-	rows := make([][]string, 0, len(r.Variants))
-	for i, v := range r.Variants {
-		rows = append(rows, []string{v.String(), f4(r.Metrics[i].Precision), f4(r.Metrics[i].Recall)})
-	}
-	return csvRows("variant,precision,recall", rows)
-}
-
-// CSV renders the churn experiment, including the per-arm resilience
-// counters (sprite.resilience.*) and the repair-cost columns of the
-// mass-join/mass-leave arms, so they surface in spritebench -json. The moved
-// column counts primary entries that changed holder during the wave against
-// total_postings, the whole index an owner refresh sweep would republish.
-func (r *ChurnResult) CSV() string {
-	row := func(state string, m ir.Metrics, c ResilienceCounters, moved, msgs int64) []string {
-		return []string{state, f4(m.Precision), f4(m.Recall),
-			strconv.FormatInt(c.Retries, 10), strconv.FormatInt(c.Failovers, 10),
-			strconv.FormatInt(c.Hedges, 10), strconv.FormatInt(c.Partials, 10),
-			strconv.FormatInt(moved, 10), strconv.FormatInt(msgs, 10)}
-	}
-	return csvRows("state,precision,recall,retries,failovers,hedges,partials,moved,repair_msgs", [][]string{
-		row("healthy", r.Baseline, ResilienceCounters{}, 0, 0),
-		row("dead_no_replication", r.NoReplication, ResilienceCounters{}, 0, 0),
-		row(fmt.Sprintf("dead_%d_replicas", r.Replicas), r.Replicated, ResilienceCounters{}, 0, 0),
-		row("transient_failover_off", r.FailoverOff, r.Off, 0, 0),
-		row("transient_failover_on", r.FailoverOn, r.On, 0, 0),
-		row(fmt.Sprintf("mass_join_%d_repair", r.JoinedPeers), r.AfterMassJoin,
-			ResilienceCounters{}, int64(r.JoinMoved), r.JoinRepairMsgs),
-		row(fmt.Sprintf("mass_leave_%d_repair", r.JoinedPeers), r.AfterMassLeave,
-			ResilienceCounters{}, int64(r.LeaveMoved), r.LeaveRepairMsgs),
-		row("index_total", ir.Metrics{}, ResilienceCounters{}, int64(r.IndexPostings), 0),
-	})
-}
-
-// CSV renders the maintenance experiment.
-func (r *MaintenanceResult) CSV() string {
-	return csvRows("state,precision,recall", [][]string{
-		{"healthy", f4(r.Healthy.Precision), f4(r.Healthy.Recall)},
-		{"degraded", f4(r.Degraded.Precision), f4(r.Degraded.Recall)},
-		{"after_refresh", f4(r.AfterRefresh.Precision), f4(r.AfterRefresh.Recall)},
-		{fmt.Sprintf("replicated_%d", r.Replicas), f4(r.Replicated.Precision), f4(r.Replicated.Recall)},
-	})
-}
-
-// CSV renders the expansion experiment.
-func (r *ExpansionResult) CSV() string {
-	rows := make([][]string, 0, len(r.Depths))
-	for i, d := range r.Depths {
-		rows = append(rows, []string{
-			fmt.Sprint(d), f4(r.Metrics[i].Precision), f4(r.Metrics[i].Recall),
-			fmt.Sprintf("%.1f", r.ExtraMessages[i]),
-		})
-	}
-	return csvRows("expansion_terms,precision,recall,extra_msgs_per_query", rows)
-}
-
-// CSV renders the load-distribution experiment.
-func (r *LoadResult) CSV() string {
-	return csvRows("metric,max,mean,gini", [][]string{
-		{"postings", fmt.Sprint(r.PostingsMax), fmt.Sprintf("%.1f", r.PostingsMean), f4(r.PostingsGini)},
-		{"query_rpcs", fmt.Sprint(r.TrafficMax), fmt.Sprintf("%.1f", r.TrafficMean), f4(r.TrafficGini)},
-		{"postings_with_advisory", fmt.Sprint(r.WithAdvisory.PostingsMax), "", f4(r.WithAdvisory.PostingsGini)},
-	})
 }

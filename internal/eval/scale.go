@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"time"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -221,36 +220,26 @@ func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration
 	return arm, nil
 }
 
-// Table renders the sweep.
-func (r *ScaleResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Scale sweep: virtual-time query latency vs ring size (%v link delay, zipf %.2f)\n",
-		r.Delay, r.Slope)
-	fmt.Fprintf(&b, "%-9s %-8s %-9s %-10s %-9s %-9s %-9s %-10s %-10s %-9s %-9s %-9s %-10s %-18s\n",
-		"peers", "fingers", "queries", "mean_us", "p50_us", "p95_us", "p99_us",
-		"msgs/q", "bytes/q", "vsecs", "wall_ms", "fix_msgs", "fix_rounds", "precision/recall")
-	for _, a := range r.Arms {
-		fmt.Fprintf(&b, "%-9d %-8.1f %-9d %-10.1f %-9d %-9d %-9d %-10.2f %-10.1f %-9.1f %-9d %-9.1f %-10.1f P=%.4f R=%.4f\n",
-			a.Peers, a.Fingers, a.Queries, a.MeanUS, a.P50US, a.P95US, a.P99US,
-			a.MsgsPerQuery, a.BytesPerQuery, a.VirtualSecs, a.WallMS, a.FixMsgs, a.FixRounds,
-			a.Quality.Precision, a.Quality.Recall)
+// Report renders one row per ring size. Latencies are exact virtual
+// microseconds; wall_ms is the arm's real time and the one column that
+// varies between runs.
+func (r *ScaleResult) Report() *Report {
+	rep := &Report{
+		Title: "Scale sweep: query latency on the virtual clock vs ring size",
+		Columns: []Column{
+			{"peers", 0}, {"fingers_per_node", 1}, {"queries", 0}, {"link_delay_us", 0}, {"zipf_slope", 2},
+			{"mean_us", 1}, {"p50_us", 0}, {"p95_us", 0}, {"p99_us", 0},
+			{"msgs_per_query", 2}, {"bytes_per_query", 1}, {"virtual_secs", 1}, {"wall_ms", 0},
+			{"precision", 4}, {"recall", 4}, {"fix_msgs_per_node", 1}, {"fix_rounds_per_node", 1},
+		},
 	}
-	return b.String()
-}
-
-// CSV renders one row per ring size.
-func (r *ScaleResult) CSV() string {
-	rows := make([][]string, 0, len(r.Arms))
 	for _, a := range r.Arms {
-		rows = append(rows, []string{
-			fmt.Sprint(a.Peers), fmt.Sprintf("%.1f", a.Fingers), fmt.Sprint(a.Queries),
-			fmt.Sprint(r.Delay.Microseconds()), fmt.Sprintf("%.2f", r.Slope),
-			fmt.Sprintf("%.1f", a.MeanUS), fmt.Sprint(a.P50US), fmt.Sprint(a.P95US), fmt.Sprint(a.P99US),
-			fmt.Sprintf("%.2f", a.MsgsPerQuery), fmt.Sprintf("%.1f", a.BytesPerQuery),
-			fmt.Sprintf("%.1f", a.VirtualSecs), fmt.Sprint(a.WallMS),
-			f4(a.Quality.Precision), f4(a.Quality.Recall),
-			fmt.Sprintf("%.1f", a.FixMsgs), fmt.Sprintf("%.1f", a.FixRounds),
+		rep.Rows = append(rep.Rows, []any{
+			a.Peers, a.Fingers, a.Queries, r.Delay.Microseconds(), r.Slope,
+			a.MeanUS, a.P50US, a.P95US, a.P99US,
+			a.MsgsPerQuery, a.BytesPerQuery, a.VirtualSecs, a.WallMS,
+			a.Quality.Precision, a.Quality.Recall, a.FixMsgs, a.FixRounds,
 		})
 	}
-	return csvRows("peers,fingers_per_node,queries,link_delay_us,zipf_slope,mean_us,p50_us,p95_us,p99_us,msgs_per_query,bytes_per_query,virtual_secs,wall_ms,precision,recall,fix_msgs_per_node,fix_rounds_per_node", rows)
+	return rep
 }

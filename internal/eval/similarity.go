@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -304,37 +303,23 @@ func (o *cosineOracle) topK(q *corpus.Document, k int) []index.DocID {
 	return out
 }
 
-// Table renders the result.
-func (r *SimilarityResult) Table() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Similarity retrieval: term-routed sketch filter + exact refine vs flooding (dims %d, %d route terms, refine %d, top-%d)\n",
-		r.Dims, r.RouteTerms, r.Refine, r.TopK)
-	fmt.Fprintf(&b, "%-8s %-6s %-8s %-12s %-12s %-10s %-12s %-12s %-10s\n",
-		"docs", "peers", "queries", "routed-msgs", "flood-msgs", "advantage", "routed-rec", "flood-rec", "wall-ms")
-	for _, t := range r.Tiers {
-		fmt.Fprintf(&b, "%-8d %-6d %-8d %-12.1f %-12.1f %-9.1fx %-12.4f %-12.4f %-10d\n",
-			t.Docs, t.Peers, t.Queries, t.RoutedMsgs, t.FloodMsgs, t.MsgAdvantage,
-			t.RoutedRecall, t.FloodRecall, t.WallMS)
+// Report renders one row per corpus tier; msg_advantage is flood_msgs over
+// routed_msgs, and wall_ms the tier's real time.
+func (r *SimilarityResult) Report() *Report {
+	rep := &Report{
+		Title: "Similarity retrieval: term-routed sketch filter + exact refine vs flooding",
+		Columns: []Column{
+			{"docs", 0}, {"peers", 0}, {"queries", 0}, {"dims", 0}, {"route_terms", 0}, {"refine", 0}, {"topk", 0},
+			{"routed_msgs", 2}, {"flood_msgs", 2}, {"routed_bytes", 2}, {"flood_bytes", 2},
+			{"msg_advantage", 2}, {"routed_recall", 4}, {"flood_recall", 4}, {"wall_ms", 0},
+		},
 	}
-	return b.String()
-}
-
-// CSV renders the result, one row per tier.
-func (r *SimilarityResult) CSV() string {
-	rows := make([][]string, 0, len(r.Tiers))
 	for _, t := range r.Tiers {
-		rows = append(rows, []string{
-			fmt.Sprint(t.Docs), fmt.Sprint(t.Peers), fmt.Sprint(t.Queries),
-			fmt.Sprint(r.Dims), fmt.Sprint(r.RouteTerms), fmt.Sprint(r.Refine), fmt.Sprint(r.TopK),
-			fmt.Sprintf("%.2f", t.RoutedMsgs), fmt.Sprintf("%.2f", t.FloodMsgs),
-			fmt.Sprintf("%.2f", t.RoutedBytes), fmt.Sprintf("%.2f", t.FloodBytes),
-			fmt.Sprintf("%.2f", t.MsgAdvantage),
-			f4(t.RoutedRecall), f4(t.FloodRecall),
-			fmt.Sprint(t.WallMS),
+		rep.Rows = append(rep.Rows, []any{
+			t.Docs, t.Peers, t.Queries, r.Dims, r.RouteTerms, r.Refine, r.TopK,
+			t.RoutedMsgs, t.FloodMsgs, t.RoutedBytes, t.FloodBytes,
+			t.MsgAdvantage, t.RoutedRecall, t.FloodRecall, t.WallMS,
 		})
 	}
-	return csvRows(
-		"docs,peers,queries,dims,route_terms,refine,topk,routed_msgs,flood_msgs,routed_bytes,flood_bytes,"+
-			"msg_advantage,routed_recall,flood_recall,wall_ms",
-		rows)
+	return rep
 }

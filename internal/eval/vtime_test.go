@@ -170,11 +170,8 @@ func TestRunScaleSmoke(t *testing.T) {
 	if a.Fingers <= 0 || a.FixRounds < a.Fingers+1 || a.FixMsgs <= 0 {
 		t.Errorf("finger table cost not recorded: %+v", a)
 	}
-	if !strings.HasPrefix(res.CSV(), "peers,fingers_per_node,queries,") {
-		t.Errorf("CSV header missing: %q", res.CSV())
-	}
-	if res.Table() == "" {
-		t.Error("empty table")
+	if got := len(res.Report().Rows); got != 1 {
+		t.Errorf("report has %d rows, want 1", got)
 	}
 }
 

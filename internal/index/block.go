@@ -8,7 +8,7 @@
 // or two — owners are deduplicated into a per-block sorted, front-coded
 // dictionary referenced by index, and the (tf, doclen) pair is packed into a
 // single varint for the common small-frequency case. The result is 6–12
-// bytes per posting where a []Posting slice costs ~65 (see Posting.MemSize),
+// bytes per posting where a []Posting slice costs ~65 (struct plus strings),
 // which is what lets an indexing peer hold a million-document shard without
 // GC becoming the wall (ROADMAP: "Compressed postings + million-document
 // peers").
@@ -50,7 +50,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"iter"
-	"unsafe"
 )
 
 const (
@@ -613,12 +612,4 @@ func (b *block) validate() error {
 	}
 	b.n, b.last = count, prev
 	return nil
-}
-
-// MemSize returns the in-memory footprint of the posting as a []Posting
-// element: the struct itself plus the string bytes it points at. This is the
-// per-posting cost the block representation is measured against in
-// BENCH_postings.json.
-func (p Posting) MemSize() int {
-	return int(unsafe.Sizeof(Posting{})) + len(p.Doc) + len(p.Owner) + len(p.Sketch)
 }

@@ -9,14 +9,14 @@
 // frequency and apply the Lee et al. similarity denominator without any
 // extra round trip (§4).
 //
-// Two implementations share the Store interface. Inverted is the production
-// store: per-term lists of immutable block-compressed postings (see block.go
-// for the byte layout) mutated copy-on-write at block granularity, read
-// through iterators and cursors so queries decode one posting at a time.
-// Plain is the uncompressed reference the property and twin tests compare
-// against. Both serve postings in ascending doc-ID order — the served order
-// is part of the contract, because query-side float accumulation must fold
-// identically whichever store produced the stream.
+// Inverted is the store: per-term lists of immutable block-compressed
+// postings (see block.go for the byte layout) mutated copy-on-write at block
+// granularity, read through iterators and cursors so queries decode one
+// posting at a time. Its uncompressed twin, Plain, lives in the package's
+// tests as the reference the property tests compare against. Both serve
+// postings in ascending doc-ID order — the served order is part of the
+// contract, because query-side float accumulation must fold identically
+// whichever store produced the stream.
 package index
 
 import (
@@ -63,23 +63,6 @@ func (p Posting) WireSize() int {
 		uvarintLen(uint64(len(p.Owner))) + len(p.Owner) +
 		uvarintLen(zigzag(int64(p.Freq))) + uvarintLen(zigzag(int64(p.DocLen))) +
 		uvarintLen(uint64(len(p.Sketch))) + len(p.Sketch)
-}
-
-// Store is the index API shared by the compressed production implementation
-// (Inverted) and the uncompressed reference (Plain). Reads stream: All
-// yields postings in ascending doc-ID order without materializing a decoded
-// list (slices.Collect builds one where a caller needs it).
-type Store interface {
-	Add(term string, p Posting)
-	Remove(term string, doc DocID) bool
-	RemoveDoc(doc DocID) int
-	All(term string) iter.Seq[Posting]
-	DocFreq(term string) int
-	Has(term string) bool
-	Terms() []string
-	NumTerms() int
-	NumDocs() int
-	NumPostings() int
 }
 
 // termList is one term's postings: a sequence of immutable encoded blocks
@@ -393,5 +376,3 @@ func (ix *Inverted) String() string {
 	return fmt.Sprintf("inverted{terms=%d docs=%d postings=%d}",
 		ix.NumTerms(), ix.NumDocs(), ix.NumPostings())
 }
-
-var _ Store = (*Inverted)(nil)

@@ -4,13 +4,38 @@ import (
 	"fmt"
 	"iter"
 	"sort"
+	"unsafe"
 )
+
+// Store is the index API the compressed Inverted and its uncompressed twin
+// Plain share, so the property tests can drive both through one sequence of
+// operations. Reads stream: All yields postings in ascending doc-ID order.
+type Store interface {
+	Add(term string, p Posting)
+	Remove(term string, doc DocID) bool
+	RemoveDoc(doc DocID) int
+	All(term string) iter.Seq[Posting]
+	DocFreq(term string) int
+	Has(term string) bool
+	Terms() []string
+	NumTerms() int
+	NumDocs() int
+	NumPostings() int
+}
+
+var _ Store = (*Inverted)(nil)
+
+// MemSize returns the in-memory footprint of the posting as a []Posting
+// element: the struct itself plus the string bytes it points at — the
+// per-posting cost the block representation is measured against.
+func (p Posting) MemSize() int {
+	return int(unsafe.Sizeof(Posting{})) + len(p.Doc) + len(p.Owner) + len(p.Sketch)
+}
 
 // Plain is the uncompressed reference implementation of Store: per-term
 // []Posting slices kept in ascending doc-ID order, mutated copy-on-write.
-// It exists for the property tests that pin the compressed Inverted to
-// identical behavior, and as the baseline arm of the postings benchmark —
-// same served order, same semantics, ~65 bytes per posting instead of ~8.
+// It is the twin the property tests pin the compressed Inverted to — same
+// served order, same semantics, ~65 bytes per posting instead of ~8.
 type Plain struct {
 	lists    map[string][]Posting
 	docs     map[DocID]int // postings held per document

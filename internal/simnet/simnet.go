@@ -275,8 +275,9 @@ func (n *Network) SetPacketLoss(p float64) {
 }
 
 // SetSleepLatency toggles sleeping-latency mode at runtime; see
-// WithSleepingLatency. The parallel experiment enables it only for the
-// measured query phase so deployment construction stays fast.
+// WithSleepingLatency. The scale experiment and the eval twin tests enable
+// it only for the measured query phase so deployment construction stays
+// fast.
 func (n *Network) SetSleepLatency(on bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
