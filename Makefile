@@ -104,7 +104,7 @@ cover:
 # Fast fault-tolerance smoke: every churn/failover/resilience test under the
 # race detector, without the rest of the suite.
 smoke-churn:
-	$(GO) test -race -run 'Churn|Resilien|Failover|Partial|TestDo|Backoff|Jitter|Classify|Budget' ./...
+	$(GO) test -race -run 'Churn|Resilien|Failover|Partial|TestDo|Backoff|Jitter|Classify' ./...
 
 # Fast concurrency smoke: the query execution engine's determinism and race
 # regression tests (sequential ≡ parallel), plus the fanout executor and

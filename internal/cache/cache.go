@@ -4,8 +4,8 @@
 // skew makes the postings fetched over the DHT — the dominant cost in
 // messages and bytes — highly cacheable close to the requester.
 //
-// The cache is a sharded, concurrency-safe LRU with optional TTL, entry and
-// approximate-byte accounting, generation-based invalidation in two scopes —
+// The cache is a sharded, concurrency-safe LRU with optional TTL, an entry
+// bound, approximate-byte accounting, generation-based invalidation in two scopes —
 // Invalidate bumps one global generation and every older entry dies lazily,
 // InvalidateKey bumps the generation of one key's stripe and only that
 // stripe's entries die — and singleflight request coalescing: N concurrent
@@ -32,9 +32,6 @@ type Config struct {
 	// is enforced per shard, so the effective capacity is the closest multiple
 	// of Shards.
 	MaxEntries int
-	// MaxBytes, when positive, additionally bounds the sum of the entry sizes
-	// reported at store time. Like MaxEntries it is enforced per shard.
-	MaxBytes int64
 	// TTL bounds entry age; expired entries are dropped lazily on lookup.
 	// Zero disables expiry (generation invalidation still applies).
 	TTL time.Duration
@@ -293,8 +290,8 @@ func (c *Cache[V]) lookupLocked(s *shard[V], key string, keyGen *atomic.Uint64) 
 }
 
 // Put stores a value under key, replacing any previous entry. bytes is the
-// caller's estimate of the value's memory/wire footprint, used only for the
-// MaxBytes bound and the occupancy gauge.
+// caller's estimate of the value's memory/wire footprint, used only for
+// Stats.Bytes and the occupancy gauge.
 func (c *Cache[V]) Put(key string, val V, bytes int) {
 	if c == nil {
 		return
@@ -474,8 +471,7 @@ func (c *Cache[V]) Stats() Stats {
 }
 
 // storeLocked inserts or replaces an entry and evicts from the LRU tail
-// until the shard is back within its entry and byte budgets. Caller holds
-// s.mu.
+// until the shard is back within its entry budget. Caller holds s.mu.
 func (c *Cache[V]) storeLocked(s *shard[V], key string, val V, bytes int64, gen, keyGen uint64) {
 	if e, ok := s.entries[key]; ok {
 		s.bytes += bytes - e.bytes
@@ -498,9 +494,7 @@ func (c *Cache[V]) storeLocked(s *shard[V], key string, val V, bytes int64, gen,
 	if maxEntries < 1 {
 		maxEntries = 1
 	}
-	maxBytes := c.cfg.MaxBytes / int64(len(c.shards))
-	for s.tail != nil &&
-		(len(s.entries) > maxEntries || (maxBytes > 0 && s.bytes > maxBytes && len(s.entries) > 1)) {
+	for s.tail != nil && len(s.entries) > maxEntries {
 		c.removeLocked(s, s.tail)
 		c.evictions.Add(1)
 		c.met.evictions.Inc()

@@ -55,25 +55,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestMaxBytesEviction(t *testing.T) {
-	c := New[int](Config{MaxEntries: 100, MaxBytes: 10, Shards: 1})
-	c.Put("a", 1, 4)
-	c.Put("b", 2, 4)
-	c.Put("c", 3, 4) // 12 bytes > 10: a (LRU) must go
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("a should have been evicted for the byte bound")
-	}
-	if st := c.Stats(); st.Bytes > 10 {
-		t.Fatalf("bytes = %d; want <= 10", st.Bytes)
-	}
-	// A single oversized entry is kept (never evict the only entry for bytes).
-	c2 := New[int](Config{MaxEntries: 4, MaxBytes: 10, Shards: 1})
-	c2.Put("huge", 1, 1000)
-	if _, ok := c2.Get("huge"); !ok {
-		t.Fatal("sole oversized entry should be retained")
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
@@ -415,7 +396,7 @@ func TestHitRate(t *testing.T) {
 // TestConcurrentHammer drives every operation from many goroutines; its
 // value is running under -race.
 func TestConcurrentHammer(t *testing.T) {
-	c := New[int](Config{MaxEntries: 64, MaxBytes: 4096, TTL: 50 * time.Millisecond, Shards: 4})
+	c := New[int](Config{MaxEntries: 64, TTL: 50 * time.Millisecond, Shards: 4})
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g

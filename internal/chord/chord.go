@@ -65,14 +65,15 @@ func (r Ref) String() string {
 	return fmt.Sprintf("%s@%s", r.ID.Short(), r.Addr)
 }
 
+// maxLookupHops bounds an iterative lookup as a safety net against routing
+// loops in a badly damaged ring.
+const maxLookupHops = 256
+
 // Config holds overlay parameters.
 type Config struct {
 	// SuccessorListLen is the length r of each node's successor list. Chord
 	// tolerates up to r-1 consecutive node failures. Default 4.
 	SuccessorListLen int
-	// MaxLookupHops bounds an iterative lookup as a safety net against
-	// routing loops in a badly damaged ring. Default 256.
-	MaxLookupHops int
 	// Telemetry, when non-nil, receives overlay metrics: a lookup hop-count
 	// histogram, lookup/failure counts, stabilization rounds, and
 	// finger-table repairs. Nil (the default) disables instrumentation; the
@@ -113,9 +114,6 @@ func newNodeMetrics(reg *telemetry.Registry) nodeMetrics {
 func (c Config) withDefaults() Config {
 	if c.SuccessorListLen <= 0 {
 		c.SuccessorListLen = 4
-	}
-	if c.MaxLookupHops <= 0 {
-		c.MaxLookupHops = 256
 	}
 	return c
 }
@@ -517,7 +515,7 @@ func (n *Node) notify(cand Ref) {
 // Lookup resolves the node responsible for key (its successor on the ring),
 // counting one hop per remote RPC issued. Lookups route around failed nodes
 // using the exclusion protocol; they fail only if no live owner is reachable
-// within cfg.MaxLookupHops.
+// within maxLookupHops.
 func (n *Node) Lookup(key chordid.ID) (Ref, int, error) {
 	return n.lookupFrom(context.Background(), n.ref, key, nil, nil)
 }
@@ -543,7 +541,7 @@ func (n *Node) LookupExcluding(ctx context.Context, key chordid.ID, exclude []ch
 
 // Sender performs the delivery leg of a route: one request/reply exchange
 // with the node at to. RouteVia's caller supplies it to put its own policy —
-// timeouts, retries, hedges, spans — around that one exchange.
+// timeouts, retries, spans — around that one exchange.
 type Sender func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error)
 
 // Route delivers msg to the node responsible for key and returns its reply,
@@ -690,7 +688,7 @@ func (n *Node) advance(ctx context.Context, w *walk, parent *telemetry.Span) (ta
 	if !w.after.IsZero() {
 		w.cur, w.after = w.after, Ref{}
 	}
-	for w.hops <= n.cfg.MaxLookupHops {
+	for w.hops <= maxLookupHops {
 		var resp nextHopResp
 		if w.cur.Addr == n.ref.Addr {
 			resp = n.nextHop(w.req)
@@ -745,7 +743,7 @@ func (n *Node) advance(ctx context.Context, w *walk, parent *telemetry.Span) (ta
 		}
 		w.exclude(target.ID)
 	}
-	return Ref{}, false, fmt.Errorf("%w: exceeded %d hops", ErrLookupFailed, n.cfg.MaxLookupHops)
+	return Ref{}, false, fmt.Errorf("%w: exceeded %d hops", ErrLookupFailed, maxLookupHops)
 }
 
 func appendExcluded(list []chordid.ID, id chordid.ID) []chordid.ID {

@@ -348,7 +348,7 @@ func TestOwnerOracleSkipsDeadNodes(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}.withDefaults()
-	if cfg.SuccessorListLen != 4 || cfg.MaxLookupHops != 256 {
+	if cfg.SuccessorListLen != 4 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
 }

@@ -56,6 +56,9 @@ import (
 // term (§7 degraded mode), at the price of a staleness window that only a TTL
 // or an InvalidateCaches call from the host bounds.
 
+// resultEntries caps the result cache.
+const resultEntries = 1024
+
 // CacheConfig tunes the query-path caches. The zero value disables caching
 // entirely, preserving the paper's exact message accounting.
 type CacheConfig struct {
@@ -63,21 +66,15 @@ type CacheConfig struct {
 	Enabled bool
 	// PostingsEntries caps the postings cache (default 4096 terms).
 	PostingsEntries int
-	// PostingsBytes optionally caps the postings cache by approximate wire
-	// bytes (0 = entry bound only).
-	PostingsBytes int64
 	// PostingsTTL bounds postings age. The default 0 keeps a term's entry
 	// until the next write to that term or the next flush (membership change,
 	// restore, InvalidateCaches), which in the simulator is exact; deployments
 	// with out-of-band failures should set a TTL.
 	PostingsTTL time.Duration
-	// DisablePostings switches the postings cache off individually.
-	DisablePostings bool
-	// ResultEntries caps the result cache (default 1024 queries).
-	ResultEntries int
-	// ResultTTL bounds result age (default 2s). Results are also dropped, all
-	// of them, on every index mutation — unlike postings, which a write drops
-	// for its own term only.
+	// ResultTTL bounds result age (default 2s); the result cache holds up to
+	// resultEntries queries. Results are also dropped, all of them, on every
+	// index mutation — unlike postings, which a write drops for its own term
+	// only.
 	ResultTTL time.Duration
 	// DisableResults switches the result cache off individually.
 	DisableResults bool
@@ -91,9 +88,6 @@ func (c CacheConfig) fillDefaults() CacheConfig {
 	if c.PostingsEntries == 0 {
 		c.PostingsEntries = 4096
 	}
-	if c.ResultEntries == 0 {
-		c.ResultEntries = 1024
-	}
 	if c.ResultTTL == 0 {
 		c.ResultTTL = 2 * time.Second
 	}
@@ -105,8 +99,6 @@ func (c CacheConfig) validate() error {
 	switch {
 	case c.PostingsEntries < 0:
 		return fmt.Errorf("core: Cache.PostingsEntries = %d, need >= 0", c.PostingsEntries)
-	case c.ResultEntries < 0:
-		return fmt.Errorf("core: Cache.ResultEntries = %d, need >= 0", c.ResultEntries)
 	case c.PostingsTTL < 0 || c.ResultTTL < 0:
 		return fmt.Errorf("core: cache TTLs must be >= 0")
 	}
@@ -140,19 +132,18 @@ func newNetCaches(cfg CacheConfig, reg *telemetry.Registry, clk vtime.Clock) net
 		return netCaches{}
 	}
 	var nc netCaches
-	if !cfg.DisablePostings && cfg.PostingsEntries > 0 {
+	if cfg.PostingsEntries > 0 {
 		nc.postings = cache.New[postingsEntry](cache.Config{
 			MaxEntries: cfg.PostingsEntries,
-			MaxBytes:   cfg.PostingsBytes,
 			TTL:        cfg.PostingsTTL,
 			Telemetry:  reg,
 			Name:       "cache.postings",
 			Clock:      clk,
 		})
 	}
-	if !cfg.DisableResults && cfg.ResultEntries > 0 {
+	if !cfg.DisableResults {
 		nc.results = cache.New[resultEntry](cache.Config{
-			MaxEntries: cfg.ResultEntries,
+			MaxEntries: resultEntries,
 			TTL:        cfg.ResultTTL,
 			Telemetry:  reg,
 			Name:       "cache.results",
@@ -223,7 +214,7 @@ func postingsBytes(e postingsEntry) int {
 
 // fetchPostingsCached resolves a term's postings through the postings cache.
 // Misses run the resilient DHT path — Chord lookup, then msgGetPostings with
-// Record off, under the network's retry/hedge/failover policy — with
+// Record off, under the network's retry/failover policy — with
 // singleflight, so concurrent misses on the same term issue exactly one
 // remote fetch. The fetch itself never records the query (cached hits would
 // then under-count history); recording is the caller's job via

@@ -75,7 +75,7 @@ type Config struct {
 	// value disables caching, preserving the paper's exact message counts.
 	Cache CacheConfig
 	// Resilience configures the query path's fault tolerance (retry/backoff,
-	// per-attempt timeouts, hedging, replica failover). The zero value
+	// per-attempt timeouts, replica failover). The zero value
 	// disables it all, preserving the paper's exact message counts.
 	Resilience ResilienceConfig
 	// Parallelism bounds the query execution engine's per-term fan-out: the
@@ -93,7 +93,7 @@ type Config struct {
 	// ErrSketchDisabled.
 	Sketch sketch.Config
 	// Clock drives every time-dependent mechanism in the core: fan-out
-	// worker registration, resilience backoff/timeouts/hedging, cache TTLs,
+	// worker registration, resilience backoff/timeouts, cache TTLs,
 	// and query-latency observation. Nil is the wall clock (production
 	// behavior); virtual-time experiments inject the deployment's
 	// *vtime.Sim so all of it runs on the deterministic scheduler.
@@ -123,7 +123,6 @@ type netMetrics struct {
 	simCandidates    *telemetry.Counter
 	retries          *telemetry.Counter
 	failovers        *telemetry.Counter
-	hedges           *telemetry.Counter
 	partials         *telemetry.Counter
 	recordErrors     *telemetry.Counter
 	repairHandoffs   *telemetry.Counter
@@ -155,7 +154,6 @@ func newNetMetrics(reg *telemetry.Registry) netMetrics {
 		simCandidates:    reg.Counter("sprite.similar.candidates"),
 		retries:          reg.Counter("sprite.resilience.retries"),
 		failovers:        reg.Counter("sprite.resilience.failovers"),
-		hedges:           reg.Counter("sprite.resilience.hedges"),
 		partials:         reg.Counter("sprite.resilience.partials"),
 		recordErrors:     reg.Counter("sprite.fanout.record_errors"),
 		repairHandoffs:   reg.Counter(repair.MetricHandoffs),

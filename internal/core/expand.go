@@ -76,6 +76,29 @@ func (p *Peer) handleDocTerms(req docTermsReq) docTermsResp {
 	return docTermsResp{Found: true, TF: tf, Length: st.doc.Length}
 }
 
+// fetchDocTerms downloads each hit's term vector from its owner, one
+// msgDocTerms per hit fanned out under the given stage name. out[i] belongs to
+// hits[i]; it is not Found when the hit has no known owner, the owner is
+// unreachable, or the owner no longer holds the document.
+func (p *Peer) fetchDocTerms(ctx context.Context, stage string, hits ir.RankedList, owners map[index.DocID]simnet.Addr) []docTermsResp {
+	out, _ := fanout.Map(ctx, p.net.exec, stage, len(hits), func(ctx context.Context, i int) (docTermsResp, error) {
+		owner, ok := owners[hits[i].Doc]
+		if !ok {
+			return docTermsResp{}, nil
+		}
+		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), owner, simnet.Message{
+			Type:    msgDocTerms,
+			Payload: docTermsReq{Doc: hits[i].Doc},
+			Size:    len(hits[i].Doc),
+		})
+		if err != nil {
+			return docTermsResp{}, nil // owner offline: no evidence from it
+		}
+		return reply.Payload.(docTermsResp), nil
+	})
+	return out
+}
+
 // SearchExpanded runs a two-phase expanded search from the given peer: a
 // first-phase ranking, local-context analysis over the top results' term
 // vectors, then a second search with the enriched query. It returns the final
@@ -158,25 +181,11 @@ func (p *Peer) localContextTerms(ctx context.Context, queryTerms []string, first
 	// Term-vector downloads from the feedback documents' owners fan out;
 	// the co-occurrence scores fold in hit-rank order so the float sums match
 	// the sequential loop exactly.
-	type vecOut struct {
-		resp docTermsResp
-		ok   bool
-	}
-	outs, _ := fanout.Map(ctx, p.net.exec, "expand_vectors", len(first.hits), func(ctx context.Context, i int) (vecOut, error) {
-		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), first.owners[first.hits[i].Doc], simnet.Message{
-			Type:    msgDocTerms,
-			Payload: docTermsReq{Doc: first.hits[i].Doc},
-			Size:    len(first.hits[i].Doc),
-		})
-		if err != nil {
-			return vecOut{}, nil // owner offline: skip its evidence
-		}
-		return vecOut{resp: reply.Payload.(docTermsResp), ok: true}, nil
-	})
+	vecs := p.fetchDocTerms(ctx, "expand_vectors", first.hits, first.owners)
 	scores := make(map[string]float64)
 	for i, hit := range first.hits {
-		resp := outs[i].resp
-		if !outs[i].ok || !resp.Found || resp.Length == 0 {
+		resp := vecs[i]
+		if !resp.Found || resp.Length == 0 {
 			continue
 		}
 		for t, f := range resp.TF {

@@ -70,8 +70,6 @@ func TestResilienceConfigValidation(t *testing.T) {
 		{MaxRetries: -1},
 		{BaseBackoff: -time.Millisecond},
 		{PerCallTimeout: -1},
-		{HedgeAfter: -1},
-		{BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Millisecond},
 	}
 	net := simnet.New(1)
 	ring := chord.NewRing(net, chord.Config{})

@@ -289,28 +289,14 @@ func (p *Peer) refineSimilar(ctx context.Context, cands ir.RankedList, qtf map[s
 		return cands
 	}
 	qw, qn := cosineWeights(qtf)
-	outs, errs := fanout.Map(ctx, p.net.exec, "sim_refine", len(cands), func(ctx context.Context, i int) (docTermsResp, error) {
-		owner, ok := owners[cands[i].Doc]
-		if !ok {
-			return docTermsResp{}, nil
-		}
-		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), owner, simnet.Message{
-			Type:    msgDocTerms,
-			Payload: docTermsReq{Doc: cands[i].Doc},
-			Size:    len(cands[i].Doc),
-		})
-		if err != nil {
-			return docTermsResp{}, err
-		}
-		return reply.Payload.(docTermsResp), nil
-	})
+	vecs := p.fetchDocTerms(ctx, "sim_refine", cands, owners)
 	out := make(ir.RankedList, len(cands))
 	copy(out, cands)
 	for i := range out {
-		if errs[i] != nil || !outs[i].Found {
+		if !vecs[i].Found {
 			continue
 		}
-		out[i].Score = exactCosine(qw, qn, outs[i].TF)
+		out[i].Score = exactCosine(qw, qn, vecs[i].TF)
 	}
 	out.Sort()
 	return out.Top(k)

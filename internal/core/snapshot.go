@@ -141,31 +141,24 @@ func (n *Network) Snapshot(w io.Writer) error {
 // Restore loads a snapshot into this network. The network must have been
 // freshly constructed over a ring with exactly the same peer names as the
 // snapshotted one; any SPRITE state accumulated before Restore is discarded.
+// The whole file is decoded and validated before anything is installed, so a
+// refused file leaves the network as it was.
 func (n *Network) Restore(r io.Reader) error {
 	var file snapshotFile
 	if err := gob.NewDecoder(r).Decode(&file); err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
-	if file.Version != snapshotVersion {
-		return fmt.Errorf("core: restore: snapshot version %d, want %d", file.Version, snapshotVersion)
-	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
+	owned, err := n.checkSnapshot(file)
+	if err != nil {
+		return fmt.Errorf("core: restore: %w", err)
+	}
 	// Whatever the caches held describes pre-restore state.
 	defer n.caches.invalidate()
-	if len(file.Peers) != len(n.order) {
-		return fmt.Errorf("core: restore: snapshot has %d peers, network has %d", len(file.Peers), len(n.order))
-	}
-	for _, ps := range file.Peers {
-		if _, ok := n.peers[ps.Addr]; !ok {
-			return fmt.Errorf("core: restore: snapshot peer %q not in network", ps.Addr)
-		}
-	}
 
-	// Wipe and rebuild.
 	n.ownerOf = make(map[index.DocID]*Peer)
-	n.docOrder = nil
-	for _, ps := range file.Peers {
+	for i, ps := range file.Peers {
 		p := n.peers[ps.Addr]
 
 		p.indexing.mu.Lock()
@@ -189,46 +182,95 @@ func (n *Network) Restore(r io.Reader) error {
 		p.indexing.mu.Unlock()
 
 		p.mu.Lock()
-		p.owned = make(map[index.DocID]*docState, len(ps.Owned))
-		for _, ds := range ps.Owned {
-			st := &docState{
-				doc:         corpus.NewDocument(ds.ID, ds.TF),
-				indexed:     make(map[string]bool, len(ds.Indexed)),
-				stats:       make(map[string]*termStat, len(ds.Stats)),
-				since:       ds.Since,
-				publishedAt: ds.PublishedAt,
-			}
-			if st.doc.Length != ds.Length {
-				// TF is authoritative; Length is redundant but must agree.
-				p.mu.Unlock()
-				return fmt.Errorf("core: restore: document %q length mismatch", ds.ID)
-			}
-			if st.since == nil {
-				st.since = make(map[string]pollMark)
-			}
-			for _, t := range ds.Indexed {
-				st.indexed[t] = true
-			}
-			for _, ts := range ds.Stats {
-				st.stats[ts.Term] = &termStat{qf: ts.QF, maxQS: ts.MaxQS}
-			}
-			if len(ds.Banned) > 0 {
-				st.banned = make(map[string]bool, len(ds.Banned))
-				for _, t := range ds.Banned {
-					st.banned[t] = true
-				}
-			}
-			p.owned[ds.ID] = st
-			n.ownerOf[ds.ID] = p
+		p.owned = owned[i]
+		for id := range owned[i] {
+			n.ownerOf[id] = p
 		}
 		p.mu.Unlock()
 	}
 	n.docOrder = file.DocOrder
-	// Validate the doc order references restored documents.
-	for _, id := range n.docOrder {
-		if _, ok := n.ownerOf[id]; !ok {
-			return fmt.Errorf("core: restore: doc order references unknown document %q", id)
+	return nil
+}
+
+// checkSnapshot validates a decoded snapshot against this network and builds
+// each peer's owned-document states, indexed like file.Peers. It refuses a
+// file that does not list every network peer exactly once, lists a document
+// under two peers or with a length its TF disagrees with, or whose DocOrder is
+// not exactly the owned documents, each once. Caller holds n.mu.
+func (n *Network) checkSnapshot(file snapshotFile) ([]map[index.DocID]*docState, error) {
+	if file.Version != snapshotVersion {
+		return nil, fmt.Errorf("snapshot version %d, want %d", file.Version, snapshotVersion)
+	}
+	if len(file.Peers) != len(n.order) {
+		return nil, fmt.Errorf("snapshot has %d peers, network has %d", len(file.Peers), len(n.order))
+	}
+	listed := make(map[simnet.Addr]bool, len(file.Peers))
+	ownerOf := make(map[index.DocID]simnet.Addr)
+	owned := make([]map[index.DocID]*docState, len(file.Peers))
+	for i, ps := range file.Peers {
+		if _, ok := n.peers[ps.Addr]; !ok {
+			return nil, fmt.Errorf("snapshot peer %q not in network", ps.Addr)
+		}
+		if listed[ps.Addr] {
+			return nil, fmt.Errorf("snapshot lists peer %q twice", ps.Addr)
+		}
+		listed[ps.Addr] = true
+		owned[i] = make(map[index.DocID]*docState, len(ps.Owned))
+		for _, ds := range ps.Owned {
+			if prev, dup := ownerOf[ds.ID]; dup {
+				return nil, fmt.Errorf("document %q listed under both %q and %q", ds.ID, prev, ps.Addr)
+			}
+			ownerOf[ds.ID] = ps.Addr
+			st, err := restoreDoc(ds)
+			if err != nil {
+				return nil, err
+			}
+			owned[i][ds.ID] = st
 		}
 	}
-	return nil
+	ordered := make(map[index.DocID]bool, len(file.DocOrder))
+	for _, id := range file.DocOrder {
+		if _, ok := ownerOf[id]; !ok {
+			return nil, fmt.Errorf("doc order references unknown document %q", id)
+		}
+		if ordered[id] {
+			return nil, fmt.Errorf("doc order lists document %q twice", id)
+		}
+		ordered[id] = true
+	}
+	if len(ordered) != len(ownerOf) {
+		return nil, fmt.Errorf("doc order lists %d documents, snapshot owns %d", len(ordered), len(ownerOf))
+	}
+	return owned, nil
+}
+
+// restoreDoc rebuilds one owned document's learning state.
+func restoreDoc(ds docSnapshot) (*docState, error) {
+	st := &docState{
+		doc:         corpus.NewDocument(ds.ID, ds.TF),
+		indexed:     make(map[string]bool, len(ds.Indexed)),
+		stats:       make(map[string]*termStat, len(ds.Stats)),
+		since:       ds.Since,
+		publishedAt: ds.PublishedAt,
+	}
+	if st.doc.Length != ds.Length {
+		// TF is authoritative; Length is redundant but must agree.
+		return nil, fmt.Errorf("document %q length mismatch", ds.ID)
+	}
+	if st.since == nil {
+		st.since = make(map[string]pollMark)
+	}
+	for _, t := range ds.Indexed {
+		st.indexed[t] = true
+	}
+	for _, ts := range ds.Stats {
+		st.stats[ts.Term] = &termStat{qf: ts.QF, maxQS: ts.MaxQS}
+	}
+	if len(ds.Banned) > 0 {
+		st.banned = make(map[string]bool, len(ds.Banned))
+		for _, t := range ds.Banned {
+			st.banned[t] = true
+		}
+	}
+	return st, nil
 }

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -170,6 +172,110 @@ func TestRestoreValidation(t *testing.T) {
 	fresh := freshTwin(t)
 	if err := fresh.Restore(bytes.NewReader([]byte("not a snapshot"))); err == nil {
 		t.Fatal("garbage restore succeeded")
+	}
+
+	// Crafted files that decode but describe no network this one could be.
+	last := len(orig.Peers()) - 1
+	for _, c := range []struct {
+		name   string
+		mutate func(f *snapshotFile)
+	}{
+		{"peer listed twice, another missing", func(f *snapshotFile) {
+			f.Peers[last] = f.Peers[0]
+		}},
+		{"document under two peers", func(f *snapshotFile) {
+			f.Peers[last].Owned = append(f.Peers[last].Owned, f.Peers[0].Owned[0])
+		}},
+		{"doc order repeats a document", func(f *snapshotFile) {
+			f.DocOrder = append(f.DocOrder, f.DocOrder[0])
+		}},
+		{"doc order misses a document", func(f *snapshotFile) {
+			f.DocOrder = f.DocOrder[1:]
+		}},
+		{"doc order names an unknown document", func(f *snapshotFile) {
+			f.DocOrder = append(f.DocOrder, "ghost")
+		}},
+	} {
+		target := freshTwin(t)
+		if err := target.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatalf("%s: valid restore: %v", c.name, err)
+		}
+		if err := target.Restore(bytes.NewReader(craftSnapshot(t, buf.Bytes(), c.mutate))); err == nil {
+			t.Errorf("%s: restore succeeded", c.name)
+		}
+		learnWithin(t, c.name, target, 10*time.Second)
+	}
+}
+
+// craftSnapshot decodes a snapshot, applies mutate, and re-encodes it.
+func craftSnapshot(t *testing.T, snap []byte, mutate func(f *snapshotFile)) []byte {
+	t.Helper()
+	var f snapshotFile
+	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&f); err != nil {
+		t.Fatal(err)
+	}
+	mutate(&f)
+	var out bytes.Buffer
+	if err := gob.NewEncoder(&out).Encode(f); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
+}
+
+// learnWithin runs a learning sweep and fails if it has not returned within
+// d: a sweep that locks one document's state twice never returns.
+func learnWithin(t *testing.T, name string, n *Network, d time.Duration) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), d)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := n.LearnAllCtx(ctx)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%s: LearnAllCtx after refused restore: %v", name, err)
+		}
+	case <-time.After(2 * d):
+		t.Fatalf("%s: LearnAllCtx after refused restore did not return", name)
+	}
+}
+
+// TestRestoreRefusalLeavesNetworkIntact: a file whose last peer fails
+// validation is refused before any earlier peer is wiped.
+func TestRestoreRefusalLeavesNetworkIntact(t *testing.T) {
+	orig := snapshotFixture(t)
+	var buf bytes.Buffer
+	if err := orig.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	bad := craftSnapshot(t, buf.Bytes(), func(f *snapshotFile) {
+		last := &f.Peers[len(f.Peers)-1]
+		last.Owned = append(last.Owned, docSnapshot{ID: "late", TF: map[string]int{"tail": 2}, Length: 3})
+		f.DocOrder = append(f.DocOrder, "late")
+	})
+
+	target := snapshotFixture(t)
+	q := []string{"storage", "compaction"}
+	docsBefore := target.Documents()
+	rlBefore, err := target.SearchCtx(context.Background(), "p3", q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := target.Restore(bytes.NewReader(bad)); err == nil {
+		t.Fatal("restore with a length mismatch on the last peer succeeded")
+	}
+	if got := target.Documents(); !reflect.DeepEqual(got, docsBefore) {
+		t.Fatalf("Documents after refused restore = %v, want %v", got, docsBefore)
+	}
+	rl, err := target.SearchCtx(context.Background(), "p3", q, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rl) == 0 || !reflect.DeepEqual(rl, rlBefore) {
+		t.Fatalf("search after refused restore = %v, want %v", rl, rlBefore)
 	}
 }
 

@@ -67,10 +67,10 @@ type Config struct {
 	// or off; the parallelism and clock twin tests depend on that invariance.
 	LinkDelay time.Duration
 	// VirtualTime runs each deployment on a deterministic discrete-event
-	// clock (internal/vtime): link-delay sleeps, retry backoff, hedging
-	// triggers, and per-attempt timeouts become scheduler events, so a
-	// measured phase that "sleeps" hours of simulated latency completes in
-	// seconds of wall time with exact, jitter-free latency percentiles.
+	// clock (internal/vtime): link-delay sleeps, retry backoff and
+	// per-attempt timeouts become scheduler events, so a measured phase that
+	// "sleeps" hours of simulated latency completes in seconds of wall time
+	// with exact, jitter-free latency percentiles.
 	// Experiment phases that touch a virtual deployment must run inside
 	// Deployment.Run.
 	VirtualTime bool
@@ -175,7 +175,7 @@ type Deployment struct {
 	Ring *chord.Ring
 	Net  *core.Network
 	// Clk is the deployment's virtual clock (nil unless Config.VirtualTime):
-	// the transport, retry/hedging layer, and fan-out engine all schedule on
+	// the transport, retry layer, and fan-out engine all schedule on
 	// it. Wrap deployment-touching phases in Run so the driving goroutine
 	// participates in virtual scheduling.
 	Clk   *vtime.Sim

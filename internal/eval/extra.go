@@ -167,7 +167,6 @@ func (r *AblationResult) Report() *Report {
 type ResilienceCounters struct {
 	Retries   int64 // sprite.resilience.retries
 	Failovers int64 // sprite.resilience.failovers
-	Hedges    int64 // sprite.resilience.hedges
 	Partials  int64 // sprite.resilience.partials
 }
 
@@ -175,7 +174,6 @@ func snapshotResilience(reg *telemetry.Registry) ResilienceCounters {
 	return ResilienceCounters{
 		Retries:   reg.Counter("sprite.resilience.retries").Value(),
 		Failovers: reg.Counter("sprite.resilience.failovers").Value(),
-		Hedges:    reg.Counter("sprite.resilience.hedges").Value(),
 		Partials:  reg.Counter("sprite.resilience.partials").Value(),
 	}
 }
@@ -475,13 +473,13 @@ func (r *ChurnResult) Report() *Report {
 		Title: "Churn: dead and transient faults, and membership waves repaired without owners (ratios to centralized)",
 		Columns: []Column{
 			{"state", 0}, {"precision", 4}, {"recall", 4},
-			{"retries", 0}, {"failovers", 0}, {"hedges", 0}, {"partials", 0},
+			{"retries", 0}, {"failovers", 0}, {"partials", 0},
 			{"moved", 0}, {"repair_msgs", 0}, {"faulty", 2}, {"postings_lost", 4},
 		},
 	}
 	row := func(state string, m ir.Metrics, c ResilienceCounters, moved int, msgs int64, faulty, lost float64) {
 		rep.Rows = append(rep.Rows, []any{state, m.Precision, m.Recall,
-			c.Retries, c.Failovers, c.Hedges, c.Partials, moved, msgs, faulty, lost})
+			c.Retries, c.Failovers, c.Partials, moved, msgs, faulty, lost})
 	}
 	none := ResilienceCounters{}
 	f := r.FailedFraction

@@ -1,7 +1,6 @@
 // Package resilience is the fault-tolerance layer of the query path: a retry
-// policy (exponential backoff with full jitter, per-attempt timeouts), typed
-// classification of transport versus application errors, a concurrency budget
-// for hedged requests, and a hedged-execution combinator.
+// policy (exponential backoff with full jitter, per-attempt timeouts) and
+// typed classification of transport versus application errors.
 //
 // The SPRITE paper argues (§7) that successor replication makes the system
 // tolerate node dynamism, but replication only helps if the read path knows
@@ -22,7 +21,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/spritedht/sprite/internal/simnet"
@@ -84,13 +82,9 @@ type Policy struct {
 	// attempt total).
 	MaxRetries int
 	// BaseBackoff is the cap of the first retry's jittered sleep (full
-	// jitter: the sleep is uniform in [0, cap)). Zero retries immediately.
+	// jitter: the sleep is uniform in [0, cap)). The cap doubles with each
+	// further retry, up to 50× BaseBackoff. Zero retries immediately.
 	BaseBackoff time.Duration
-	// MaxBackoff bounds the exponential growth of the backoff cap
-	// (default 50× BaseBackoff when zero).
-	MaxBackoff time.Duration
-	// Multiplier scales the backoff cap between attempts (default 2).
-	Multiplier float64
 	// PerCallTimeout bounds each individual attempt; the attempt's context
 	// is the caller's with this deadline layered on. Zero applies none.
 	PerCallTimeout time.Duration
@@ -121,30 +115,19 @@ func NewJitter(seed int64) func() float64 {
 var defaultJitter = NewJitter(1)
 
 // BackoffCap returns the un-jittered backoff cap before retry attempt
-// (attempt 1 is the first retry): min(MaxBackoff, BaseBackoff·Multiplier^(attempt-1)).
+// (attempt 1 is the first retry): min(50·BaseBackoff, BaseBackoff·2^(attempt-1)).
 func (p Policy) BackoffCap(attempt int) time.Duration {
 	if p.BaseBackoff <= 0 || attempt < 1 {
 		return 0
 	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = 2
-	}
-	max := p.MaxBackoff
-	if max <= 0 {
-		max = 50 * p.BaseBackoff
-	}
-	d := float64(p.BaseBackoff)
+	max := 50 * p.BaseBackoff
+	d := p.BaseBackoff
 	for i := 1; i < attempt; i++ {
-		d *= mult
-		if d >= float64(max) {
+		if d *= 2; d >= max {
 			return max
 		}
 	}
-	if d > float64(max) {
-		return max
-	}
-	return time.Duration(d)
+	return d
 }
 
 // backoff returns the jittered sleep before retry attempt: uniform in
@@ -213,127 +196,4 @@ func Do[T any](ctx context.Context, p Policy, op func(ctx context.Context) (T, e
 			return val, attempt, fmt.Errorf("resilience: retry aborted: %w (last attempt: %w)", cerr, err)
 		}
 	}
-}
-
-// Budget caps the number of concurrently outstanding hedged requests, so a
-// latency spike cannot double the offered load network-wide. The zero Budget
-// is unlimited; use NewBudget for a cap.
-type Budget struct {
-	max int64
-	out atomic.Int64
-	// denied counts hedges suppressed by an exhausted budget.
-	denied atomic.Int64
-}
-
-// NewBudget returns a budget allowing at most max concurrent hedges
-// (max <= 0 = unlimited).
-func NewBudget(max int) *Budget {
-	return &Budget{max: int64(max)}
-}
-
-// Acquire takes a hedge token, returning false (and counting the denial)
-// when the budget is exhausted. A nil budget always grants.
-func (b *Budget) Acquire() bool {
-	if b == nil || b.max <= 0 {
-		return true
-	}
-	if b.out.Add(1) > b.max {
-		b.out.Add(-1)
-		b.denied.Add(1)
-		return false
-	}
-	return true
-}
-
-// Release returns a token taken by Acquire. Only call after a successful
-// Acquire on a capped budget.
-func (b *Budget) Release() {
-	if b != nil && b.max > 0 {
-		b.out.Add(-1)
-	}
-}
-
-// Denied reports how many hedges the budget suppressed.
-func (b *Budget) Denied() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.denied.Load()
-}
-
-// Outstanding reports the hedges currently in flight.
-func (b *Budget) Outstanding() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.out.Load()
-}
-
-// DoHedged runs op and, if it has not settled after hedgeAfter, launches one
-// duplicate attempt, returning whichever settles first with a usable outcome
-// (a transient failure on one arm waits for the other). hedged reports
-// whether the duplicate was actually launched — the caller's signal to count
-// a hedge. The budget caps concurrent duplicates network-wide; when it is
-// exhausted, op runs unhedged. A hedgeAfter of 0 disables hedging entirely.
-//
-// The loser's goroutine is not interrupted beyond ctx: ops must be safe to
-// run to completion after the race is decided (every SPRITE fetch is — it is
-// an idempotent read).
-//
-// clk times the hedge trigger and registers the op goroutines; nil uses the
-// wall clock. Under a virtual clock the trigger is a scheduler event, so
-// whether a hedge fires depends only on the ops' virtual latencies.
-func DoHedged[T any](ctx context.Context, clk vtime.Clock, hedgeAfter time.Duration, budget *Budget, op func(ctx context.Context) (T, error)) (val T, hedged bool, err error) {
-	clk = vtime.Default(clk)
-	if hedgeAfter <= 0 {
-		val, err = op(ctx)
-		return val, false, err
-	}
-	type outcome struct {
-		val T
-		err error
-	}
-	results := make(chan outcome, 2)
-	launch := func() {
-		clk.Go(func() {
-			v, e := op(ctx)
-			results <- outcome{v, e}
-		})
-	}
-	launch()
-	timer := clk.NewTimer(hedgeAfter)
-	defer timer.Stop()
-	acquired := false
-	launched := 1
-	// The race arbitration waits on real channels, which a virtual clock
-	// cannot see; Blocking deregisters this goroutine so virtual time
-	// advances through the op goroutines' waits instead.
-	clk.Blocking(func() {
-		for settled := 0; settled < launched; {
-			select {
-			case <-timer.C:
-				if launched == 1 && budget.Acquire() {
-					acquired = true
-					launch()
-					launched, hedged = 2, true
-				}
-			case r := <-results:
-				settled++
-				// First success wins; a failure only settles the race when
-				// no other arm can still answer.
-				if r.err == nil || settled == launched {
-					val, err = r.val, r.err
-					return
-				}
-			case <-ctx.Done():
-				var zero T
-				val, err = zero, ctx.Err()
-				return
-			}
-		}
-	})
-	if acquired {
-		budget.Release()
-	}
-	return val, hedged, err
 }

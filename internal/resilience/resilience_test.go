@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,9 +42,9 @@ func TestBackoffCapBounds(t *testing.T) {
 		{"zero policy", Policy{}, 1, 0},
 		{"first retry", Policy{BaseBackoff: 10 * time.Millisecond}, 1, 10 * time.Millisecond},
 		{"doubles", Policy{BaseBackoff: 10 * time.Millisecond}, 3, 40 * time.Millisecond},
-		{"capped", Policy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 25 * time.Millisecond}, 3, 25 * time.Millisecond},
+		{"capped", Policy{BaseBackoff: 10 * time.Millisecond}, 7, 500 * time.Millisecond},
 		{"default cap 50x", Policy{BaseBackoff: time.Millisecond}, 20, 50 * time.Millisecond},
-		{"custom multiplier", Policy{BaseBackoff: 10 * time.Millisecond, Multiplier: 3}, 2, 30 * time.Millisecond},
+		{"x2 growth below 50x cap", Policy{BaseBackoff: 10 * time.Millisecond}, 6, 320 * time.Millisecond},
 		{"attempt zero", Policy{BaseBackoff: 10 * time.Millisecond}, 0, 0},
 	}
 	for _, c := range cases {
@@ -207,100 +206,5 @@ func TestDoPerCallTimeoutIsTransient(t *testing.T) {
 	})
 	if err != nil || v != "recovered" || retries != 1 {
 		t.Fatalf("Do = (%q, %d, %v), want (recovered, 1, nil)", v, retries, err)
-	}
-}
-
-func TestBudgetExhaustion(t *testing.T) {
-	b := NewBudget(2)
-	if !b.Acquire() || !b.Acquire() {
-		t.Fatal("budget denied within capacity")
-	}
-	if b.Acquire() {
-		t.Fatal("budget granted beyond capacity")
-	}
-	if b.Denied() != 1 {
-		t.Fatalf("Denied = %d, want 1", b.Denied())
-	}
-	b.Release()
-	if !b.Acquire() {
-		t.Fatal("budget denied after release")
-	}
-	if got := b.Outstanding(); got != 2 {
-		t.Fatalf("Outstanding = %d, want 2", got)
-	}
-	var unlimited *Budget
-	if !unlimited.Acquire() {
-		t.Fatal("nil budget must always grant")
-	}
-}
-
-// TestDoHedgedFiresOnSlowPrimary: the duplicate launches after hedgeAfter and
-// its (fast) result wins over the stalled first attempt.
-func TestDoHedgedFiresOnSlowPrimary(t *testing.T) {
-	var n atomic.Int32
-	op := func(ctx context.Context) (string, error) {
-		if n.Add(1) == 1 {
-			select { // first arm stalls until the test ends
-			case <-ctx.Done():
-			case <-time.After(5 * time.Second):
-			}
-			return "slow", nil
-		}
-		return "hedge", nil
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	v, hedged, err := DoHedged(ctx, nil, time.Millisecond, NewBudget(4), op)
-	if err != nil || v != "hedge" || !hedged {
-		t.Fatalf("DoHedged = (%q, hedged=%v, %v), want (hedge, true, nil)", v, hedged, err)
-	}
-}
-
-func TestDoHedgedFastPrimarySkipsHedge(t *testing.T) {
-	calls := 0
-	v, hedged, err := DoHedged(context.Background(), nil, time.Minute, nil, func(ctx context.Context) (int, error) {
-		calls++
-		return 7, nil
-	})
-	if err != nil || v != 7 || hedged || calls != 1 {
-		t.Fatalf("fast primary: v=%d hedged=%v calls=%d err=%v", v, hedged, calls, err)
-	}
-}
-
-func TestDoHedgedBudgetExhausted(t *testing.T) {
-	b := NewBudget(1)
-	if !b.Acquire() { // someone else holds the only token
-		t.Fatal("setup acquire failed")
-	}
-	started := make(chan struct{})
-	release := make(chan struct{})
-	go func() {
-		<-started
-		time.Sleep(5 * time.Millisecond)
-		close(release)
-	}()
-	calls := 0
-	v, hedged, err := DoHedged(context.Background(), nil, time.Millisecond, b, func(ctx context.Context) (int, error) {
-		calls++
-		close(started)
-		<-release
-		return 9, nil
-	})
-	if err != nil || v != 9 || hedged || calls != 1 {
-		t.Fatalf("exhausted budget must suppress hedge: v=%d hedged=%v calls=%d err=%v", v, hedged, calls, err)
-	}
-	if b.Denied() != 1 {
-		t.Fatalf("Denied = %d, want 1", b.Denied())
-	}
-}
-
-func TestDoHedgedZeroDelayDisabled(t *testing.T) {
-	calls := 0
-	_, hedged, _ := DoHedged(context.Background(), nil, 0, nil, func(ctx context.Context) (int, error) {
-		calls++
-		return 0, nil
-	})
-	if hedged || calls != 1 {
-		t.Fatalf("hedgeAfter=0 must run exactly one attempt inline: calls=%d hedged=%v", calls, hedged)
 	}
 }

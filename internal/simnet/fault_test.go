@@ -90,7 +90,8 @@ func TestDropCalls(t *testing.T) {
 // sequence (separate rngs).
 func TestPacketLossDeterministicAndIndependent(t *testing.T) {
 	outcomes := func() []bool {
-		n := echoNet(WithPacketLoss(0.5))
+		n := echoNet()
+		n.SetPacketLoss(0.5)
 		var out []bool
 		for i := 0; i < 32; i++ {
 			_, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1})
@@ -113,7 +114,8 @@ func TestPacketLossDeterministicAndIndependent(t *testing.T) {
 	}
 
 	lat := func(p float64) time.Duration {
-		n := echoNet(WithLatency(UniformLatency(time.Millisecond, time.Second)), WithPacketLoss(p))
+		n := echoNet(WithLatency(UniformLatency(time.Millisecond, time.Second)))
+		n.SetPacketLoss(p)
 		for i := 0; i < 16; i++ {
 			n.CallCtx(context.Background(), "a", "b", Message{Type: "x", Size: 1})
 		}

@@ -146,17 +146,16 @@ func (s Stats) TypesSorted() []string {
 // of what other goroutines or packages draw, including under -race and
 // parallel tests.
 type Network struct {
-	mu       sync.Mutex
-	peers    map[Addr]Handler
-	failed   map[Addr]bool
-	rng      *rand.Rand
-	latency  LatencyModel
-	stats    Stats
-	countOwn bool // whether from==to calls count as network traffic
-	sleep    bool // whether simulated latency is also slept (wall-clock mode)
-	lean     bool // aggregate counters only, no per-type/per-dest breakdowns
-	clock    vtime.Clock
-	tel      *telemetry.Registry
+	mu      sync.Mutex
+	peers   map[Addr]Handler
+	failed  map[Addr]bool
+	rng     *rand.Rand
+	latency LatencyModel
+	stats   Stats
+	sleep   bool // whether simulated latency is also slept (wall-clock mode)
+	lean    bool // aggregate counters only, no per-type/per-dest breakdowns
+	clock   vtime.Clock
+	tel     *telemetry.Registry
 
 	// Fault-injection knobs for resilience testing. lossRng is a separate
 	// source (seeded from the main seed) so enabling packet loss never
@@ -178,28 +177,12 @@ func WithLatency(m LatencyModel) Option {
 	return func(n *Network) { n.latency = m }
 }
 
-// WithSleepingLatency makes each call actually sleep its simulated round
-// trip (context-aware) in addition to accounting it in Stats. By default
-// latency is accounted only, keeping experiments fast; sleeping mode turns
-// simulated latency into wall-clock latency so concurrency benefits (e.g.
-// parallel per-term fan-out) become measurable with real clocks.
-func WithSleepingLatency() Option {
-	return func(n *Network) { n.sleep = true }
-}
-
 // WithClock installs the clock used for deadline checks and slept latency.
 // The default is the wall clock; experiments install a *vtime.Sim so slept
 // round trips become deterministic virtual waits and deadline math runs on
 // virtual time (see DESIGN.md §9).
 func WithClock(c vtime.Clock) Option {
 	return func(n *Network) { n.clock = c }
-}
-
-// WithLocalCallsCounted makes calls where from == to count toward traffic
-// statistics. By default a peer messaging itself is free, matching the usual
-// DHT cost model in which local index access costs nothing.
-func WithLocalCallsCounted() Option {
-	return func(n *Network) { n.countOwn = true }
 }
 
 // WithTelemetry mirrors the network's per-message-type accounting into the
@@ -217,15 +200,6 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // tens of millions of calls through a single-threaded simulation.
 func WithLeanStats() Option {
 	return func(n *Network) { n.lean = true }
-}
-
-// WithPacketLoss drops each inter-peer call independently with probability
-// p (clamped to [0, 1]). Lost calls fail with ErrUnreachable while the
-// destination stays Alive — the transient-fault signature retry layers are
-// built for. Loss draws come from a dedicated rng, so turning the knob does
-// not change the latency sequences of loss-free runs.
-func WithPacketLoss(p float64) Option {
-	return func(n *Network) { n.lossProb = clamp01(p) }
 }
 
 func clamp01(p float64) float64 {
@@ -265,19 +239,25 @@ func New(seed int64, opts ...Option) *Network {
 // Clock returns the network's clock (never nil).
 func (n *Network) Clock() vtime.Clock { return n.clock }
 
-// SetPacketLoss changes the packet-loss probability at runtime (clamped to
-// [0, 1]); see WithPacketLoss. The churn experiment uses it to switch loss on
-// only for the query phase.
+// SetPacketLoss drops each later inter-peer call independently with
+// probability p (clamped to [0, 1]). Lost calls fail with ErrUnreachable
+// while the destination stays Alive — the transient-fault signature retry
+// layers are built for. Loss draws come from a dedicated rng, so turning the
+// knob does not change the latency sequences of loss-free runs. The churn
+// experiment uses it to switch loss on only for the query phase.
 func (n *Network) SetPacketLoss(p float64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.lossProb = clamp01(p)
 }
 
-// SetSleepLatency toggles sleeping-latency mode at runtime; see
-// WithSleepingLatency. The scale experiment and the eval twin tests enable
-// it only for the measured query phase so deployment construction stays
-// fast.
+// SetSleepLatency toggles sleeping-latency mode: each call actually sleeps
+// its simulated round trip (context-aware) in addition to accounting it in
+// Stats. By default latency is accounted only, keeping experiments fast;
+// sleeping mode turns simulated latency into clock latency so concurrency
+// benefits (e.g. parallel per-term fan-out) become measurable. The scale
+// experiment and the eval twin tests enable it only for the measured query
+// phase so deployment construction stays fast.
 func (n *Network) SetSleepLatency(on bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -287,7 +267,7 @@ func (n *Network) SetSleepLatency(on bool) {
 // DropCalls schedules the next count calls addressed to to (local-bypass
 // calls excluded) to be dropped with ErrUnreachable while the peer stays
 // Alive. count <= 0 clears the schedule. This is the deterministic
-// counterpart of WithPacketLoss for retry/failover tests: exactly the first
+// counterpart of SetPacketLoss for retry/failover tests: exactly the first
 // count attempts fail, every later one succeeds.
 func (n *Network) DropCalls(to Addr, count int) {
 	n.DropCallsAfter(to, 0, count)
@@ -387,12 +367,12 @@ func (n *Network) aliveLocked(addr Addr) bool {
 // CallCtx performs a synchronous RPC from one peer to another. The reply and
 // error come from the destination handler; transport-level failures surface
 // as ErrUnreachable. Calls from a peer to itself bypass the network and are
-// not metered unless WithLocalCallsCounted was set. A context that is already
-// done fails immediately with an error wrapping ctx.Err() (never
-// ErrUnreachable), and a call whose simulated round trip would overrun the
-// context's deadline fails with context.DeadlineExceeded — the simulator's
-// stand-in for a wall-clock timeout, since simulated latency is accounted
-// rather than slept.
+// not metered, matching the usual DHT cost model in which local index access
+// costs nothing. A context that is already done fails immediately with an
+// error wrapping ctx.Err() (never ErrUnreachable), and a call whose simulated
+// round trip would overrun the context's deadline fails with
+// context.DeadlineExceeded — the simulator's stand-in for a wall-clock
+// timeout, since simulated latency is accounted rather than slept.
 func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Message, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		n.mu.Lock()
@@ -407,7 +387,7 @@ func (n *Network) CallCtx(ctx context.Context, from, to Addr, msg Message) (Mess
 	h, ok := n.peers[to]
 	alive := ok && !n.failed[to]
 	local := from == to
-	if local && !n.countOwn {
+	if local {
 		n.stats.LocalBypass++
 		n.mu.Unlock()
 		if n.tel != nil {

@@ -101,17 +101,6 @@ func TestLocalCallsBypassAccounting(t *testing.T) {
 	}
 }
 
-func TestLocalCallsCountedOption(t *testing.T) {
-	n := New(1, WithLocalCallsCounted())
-	n.Register("a", echoHandler(t))
-	if _, err := n.CallCtx(context.Background(), "a", "a", Message{Type: "self", Size: 10}); err != nil {
-		t.Fatalf("self call: %v", err)
-	}
-	if s := n.Stats(); s.Calls != 1 {
-		t.Fatalf("self call not metered with WithLocalCallsCounted: %+v", s)
-	}
-}
-
 func TestSelfCallToFailedSelf(t *testing.T) {
 	n := New(1)
 	n.Register("a", echoHandler(t))
@@ -322,7 +311,8 @@ func TestTelemetryMirrorsAccounting(t *testing.T) {
 
 func TestSleepingLatencyWallClock(t *testing.T) {
 	const d = 10 * time.Millisecond
-	n := New(1, WithLatency(UniformLatency(d, d)), WithSleepingLatency())
+	n := New(1, WithLatency(UniformLatency(d, d)))
+	n.SetSleepLatency(true)
 	n.Register("b", echoHandler(t))
 	start := time.Now()
 	if _, err := n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"}); err != nil {
@@ -337,7 +327,8 @@ func TestSleepingLatencyWallClock(t *testing.T) {
 }
 
 func TestSleepingLatencyCancellation(t *testing.T) {
-	n := New(1, WithLatency(UniformLatency(time.Second, time.Second)), WithSleepingLatency())
+	n := New(1, WithLatency(UniformLatency(time.Second, time.Second)))
+	n.SetSleepLatency(true)
 	n.Register("b", echoHandler(t))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {

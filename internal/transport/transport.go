@@ -61,17 +61,6 @@ func WithIdleTimeout(d time.Duration) Option {
 	}
 }
 
-// WithMaxConnsPerPeer caps the pool size per destination (default 2). The
-// pool dials a second connection only when every existing one has
-// muxPressure calls in flight, so the cap is a burst valve, not a target.
-func WithMaxConnsPerPeer(n int) Option {
-	return func(t *Transport) {
-		if n > 0 {
-			t.maxConns = n
-		}
-	}
-}
-
 // WithTelemetry records dials, open/idle connection gauges (with peaks),
 // per-peer in-flight gauges, batch-size and latency histograms, per-codec
 // byte counters, and per-type call counts into reg.
@@ -80,8 +69,13 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 }
 
 // muxPressure is the in-flight count on the least-loaded connection above
-// which the pool dials another (subject to WithMaxConnsPerPeer).
+// which the pool dials another, up to maxConnsPerPeer.
 const muxPressure = 64
+
+// maxConnsPerPeer caps the pool size per destination. The pool dials a second
+// connection only when every existing one has muxPressure calls in flight, so
+// the cap is a burst valve, not a target.
+const maxConnsPerPeer = 2
 
 // Transport is a pooled, multiplexed TCP implementation of simnet.Transport.
 // One instance can host many local peers (each Register binds a listener)
@@ -91,7 +85,6 @@ type Transport struct {
 	callTimeout time.Duration
 	idleTimeout time.Duration
 	deadTTL     time.Duration
-	maxConns    int
 	tel         *telemetry.Registry
 	met         metrics
 
@@ -114,7 +107,6 @@ func New(opts ...Option) *Transport {
 		callTimeout: 5 * time.Second,
 		idleTimeout: 60 * time.Second,
 		deadTTL:     time.Second,
-		maxConns:    2,
 		local:       make(map[simnet.Addr]*listener),
 		pools:       make(map[simnet.Addr]*pool),
 		deadUntil:   make(map[simnet.Addr]time.Time),
@@ -307,7 +299,7 @@ func (p *pool) get(ctx context.Context) (*clientConn, error) {
 		best := p.leastLoadedLocked()
 		if best != nil {
 			_, inflight := best.idleState()
-			if len(p.conns)+p.dialing >= p.t.maxConns || inflight < muxPressure {
+			if len(p.conns)+p.dialing >= maxConnsPerPeer || inflight < muxPressure {
 				p.mu.Unlock()
 				return best, nil
 			}
@@ -559,8 +551,6 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 		t.met.errEncode.Inc()
 		return simnet.Message{}, err
 	}
-	timer := time.NewTimer(t.callTimeout)
-	defer timer.Stop()
 	select {
 	case res := <-ch:
 		c.touch()
@@ -590,7 +580,7 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 		c.finish(id)
 		t.met.errCtx.Inc()
 		return simnet.Message{}, fmt.Errorf("transport: %s to %s: %w", msg.Type, to, ctx.Err())
-	case <-timer.C:
+	case <-time.After(t.callTimeout):
 		// The peer accepted the frame but never answered within the call
 		// timeout: presume it wedged, retire the shared socket (other calls
 		// on it fail fast instead of waiting out their own timers), and

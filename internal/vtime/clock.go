@@ -1,8 +1,8 @@
 // Package vtime provides the clock abstraction behind every time-dependent
 // code path in the SPRITE stack: simulated link latency (internal/simnet),
-// retry backoff, hedging timers and per-attempt timeouts
-// (internal/resilience), cache TTL expiry (internal/cache), and the fan-out
-// executor's stage timings (internal/fanout).
+// retry backoff and per-attempt timeouts (internal/resilience), cache TTL
+// expiry (internal/cache), and the fan-out executor's stage timings
+// (internal/fanout).
 //
 // Two implementations exist. Wall delegates to the standard library and is
 // the default everywhere, so production paths behave exactly as before this
@@ -17,7 +17,7 @@
 // The interface is deliberately wider than time.Now/time.Sleep: the
 // scheduler can only advance time safely when it knows which goroutines
 // count as runnable, so code running under a Clock must create goroutines
-// with Go/GoGroup and wrap waits on non-virtual events (channel receives,
+// with GoGroup and wrap waits on non-virtual events (channel receives,
 // WaitGroups) in Blocking. The Wall implementations of those are the obvious
 // zero-cost passthroughs, so callers pay nothing for the discipline in
 // production.
@@ -42,22 +42,10 @@ type Clock interface {
 	// waits interleave deterministically with it.
 	Sleep(ctx context.Context, d time.Duration) error
 
-	// After returns a channel that delivers the clock's time after d.
-	// The timer cannot be stopped; prefer NewTimer when it can be.
-	After(d time.Duration) <-chan time.Time
-
-	// NewTimer returns a stoppable timer that fires once after d.
-	NewTimer(d time.Duration) *Timer
-
 	// WithTimeout derives a context that is canceled after d on this
 	// clock. Under Sim the deadline is a virtual instant (comparable with
 	// Now) and expiry is a deterministic scheduler event.
 	WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc)
-
-	// Go runs fn on a new goroutine registered with the clock. The
-	// goroutine may use virtual waits; it is counted as runnable until fn
-	// returns. Under Wall this is the `go` statement.
-	Go(fn func())
 
 	// GoGroup runs fn(0..n-1) on n registered goroutines and blocks until
 	// all return. The calling goroutine's runnable slot is handed to the
@@ -68,21 +56,6 @@ type Clock interface {
 	// clock, for waits on real events (channel receives, I/O) that the
 	// scheduler cannot see. Under Wall it just calls fn.
 	Blocking(fn func())
-}
-
-// Timer is a one-shot timer bound to a Clock. C delivers the fire time.
-type Timer struct {
-	C    <-chan time.Time
-	stop func() bool
-}
-
-// Stop cancels the timer, reporting whether it was still pending. It does
-// not drain C.
-func (t *Timer) Stop() bool {
-	if t == nil || t.stop == nil {
-		return false
-	}
-	return t.stop()
 }
 
 // Wall is the real-time clock: every method delegates to the standard
@@ -106,28 +79,17 @@ func (wallClock) Sleep(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
 	select {
 	case <-ctx.Done():
 		return ctx.Err()
-	case <-t.C:
+	case <-time.After(d):
 		return nil
 	}
-}
-
-func (wallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
-
-func (wallClock) NewTimer(d time.Duration) *Timer {
-	t := time.NewTimer(d)
-	return &Timer{C: t.C, stop: t.Stop}
 }
 
 func (wallClock) WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc) {
 	return context.WithTimeout(parent, d)
 }
-
-func (wallClock) Go(fn func()) { go fn() }
 
 func (wallClock) GoGroup(n int, fn func(i int)) {
 	var wg sync.WaitGroup

@@ -16,7 +16,7 @@ var Epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // Sim is a deterministic discrete-event virtual clock.
 //
-// Goroutines register with the clock (Run/Attach/Go/GoGroup) and are counted
+// Goroutines register with the clock (Run/Attach/GoGroup) and are counted
 // as runnable until they enter a virtual wait (Sleep) or deregister. The
 // scheduler advances time only at quiescence — when every registered
 // goroutine is blocked on a virtual wait — by firing the earliest pending
@@ -54,7 +54,7 @@ func NewSim() *Sim { return &Sim{} }
 
 // event is one entry in the virtual timeline. A waiter event (ch non-nil)
 // wakes a parked goroutine; a detached event (fn non-nil) runs a callback —
-// timer fires and context deadlines — outside the scheduler lock.
+// a context deadline — outside the scheduler lock.
 type event struct {
 	at  time.Duration
 	seq uint64
@@ -179,7 +179,7 @@ func (s *Sim) advanceLocked() func(time.Time) {
 			heap.Pop(&s.events)
 		}
 		if len(s.events) == 0 {
-			panic(fmt.Sprintf("vtime: deadlock: all %d registered goroutines blocked on virtual waits with no pending events (a real-event wait is missing a Blocking wrapper, or a goroutine was not registered via Go/GoGroup)", s.workers))
+			panic(fmt.Sprintf("vtime: deadlock: all %d registered goroutines blocked on virtual waits with no pending events (a real-event wait is missing a Blocking wrapper, or a goroutine was not registered via Attach/GoGroup)", s.workers))
 		}
 		ev := heap.Pop(&s.events).(*event)
 		if ev.at > s.now {
@@ -204,7 +204,7 @@ func (s *Sim) pushLocked(ev *event) {
 }
 
 // Sleep blocks the calling goroutine for d of virtual time, or until ctx is
-// done. The goroutine must be registered (Run/Attach/Go/GoGroup).
+// done. The goroutine must be registered (Run/Attach/GoGroup).
 func (s *Sim) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -215,7 +215,7 @@ func (s *Sim) Sleep(ctx context.Context, d time.Duration) error {
 	s.mu.Lock()
 	if s.workers <= 0 {
 		s.mu.Unlock()
-		panic("vtime: Sleep with no registered goroutines (wrap the caller in Sim.Run, or create it with Go/GoGroup)")
+		panic("vtime: Sleep with no registered goroutines (wrap the caller in Sim.Run, or create it with Attach/GoGroup)")
 	}
 	at := s.now + d
 	// Fast path: this goroutine is the only registered one and nothing
@@ -243,35 +243,6 @@ func (s *Sim) Sleep(ctx context.Context, d time.Duration) error {
 		return err
 	}
 	return nil
-}
-
-// After returns a channel delivering the virtual time after d. The
-// underlying event fires when virtual time reaches it, whether or not
-// anything is receiving.
-func (s *Sim) After(d time.Duration) <-chan time.Time { return s.NewTimer(d).C }
-
-// NewTimer returns a timer that fires after d of virtual time. The fire is a
-// detached event: it is delivered into a buffered channel by the scheduler
-// and does not require a registered goroutine to be waiting. Select on
-// timer.C from a registered goroutine through Blocking.
-func (s *Sim) NewTimer(d time.Duration) *Timer {
-	if d < 0 {
-		d = 0
-	}
-	ch := make(chan time.Time, 1)
-	s.mu.Lock()
-	ev := &event{at: s.now + d, fn: func(now time.Time) { ch <- now }}
-	s.pushLocked(ev)
-	s.mu.Unlock()
-	return &Timer{C: ch, stop: func() bool {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		if ev.fired || ev.removed {
-			return false
-		}
-		ev.removed = true
-		return true
-	}}
 }
 
 // WithTimeout derives a context whose deadline is d of virtual time from
@@ -349,18 +320,6 @@ func (s *Sim) removeEvent(ev *event) {
 		ev.removed = true
 	}
 	s.mu.Unlock()
-}
-
-// Go runs fn on a new registered goroutine. The registration happens before
-// Go returns, so the scheduler never advances past a spawn it hasn't seen.
-func (s *Sim) Go(fn func()) {
-	s.mu.Lock()
-	s.workers++
-	s.mu.Unlock()
-	go func() {
-		defer s.deregister()
-		fn()
-	}()
 }
 
 // GoGroup runs fn(0..n-1) on n registered goroutines and blocks until all

@@ -25,17 +25,6 @@ func TestWallSleep(t *testing.T) {
 }
 
 func TestWallTimerAndGroup(t *testing.T) {
-	tm := Wall.NewTimer(time.Microsecond)
-	<-tm.C
-	if tm.Stop() {
-		t.Fatal("Stop after fire should report false")
-	}
-	var nilTimer *Timer
-	if nilTimer.Stop() {
-		t.Fatal("nil timer Stop should report false")
-	}
-	<-Wall.After(time.Microsecond)
-
 	var sum atomic.Int64
 	Wall.GoGroup(8, func(i int) { sum.Add(int64(i)) })
 	if got := sum.Load(); got != 28 {
@@ -46,10 +35,6 @@ func TestWallTimerAndGroup(t *testing.T) {
 	if !ran {
 		t.Fatal("Blocking did not run fn")
 	}
-	done := make(chan struct{})
-	Wall.Go(func() { close(done) })
-	<-done
-
 	ctx, cancel := Wall.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
@@ -147,55 +132,6 @@ func TestSimGoGroupHandoff(t *testing.T) {
 	})
 }
 
-func TestSimGo(t *testing.T) {
-	s := NewSim()
-	var woke atomic.Int64
-	s.Run(func() {
-		s.Go(func() {
-			_ = s.Sleep(context.Background(), 2*time.Millisecond)
-			woke.Add(1)
-		})
-		_ = s.Sleep(context.Background(), 5*time.Millisecond)
-		if got := woke.Load(); got != 1 {
-			t.Errorf("background goroutine not woken before later sleep finished (woke=%d)", got)
-		}
-	})
-	if got := s.Elapsed(); got != 5*time.Millisecond {
-		t.Fatalf("Elapsed = %v, want 5ms", got)
-	}
-}
-
-// TestSimTimer checks detached timer events: they fire at their virtual
-// instant while registered goroutines sleep past them, and Stop removes
-// pending ones.
-func TestSimTimer(t *testing.T) {
-	s := NewSim()
-	s.Run(func() {
-		tm := s.NewTimer(2 * time.Millisecond)
-		stopped := s.NewTimer(time.Millisecond)
-		if !stopped.Stop() {
-			t.Error("Stop on pending timer should report true")
-		}
-		_ = s.Sleep(context.Background(), 5*time.Millisecond)
-		select {
-		case at := <-tm.C:
-			if !at.Equal(Epoch.Add(2 * time.Millisecond)) {
-				t.Errorf("timer fired at %v, want %v", at, Epoch.Add(2*time.Millisecond))
-			}
-		default:
-			t.Error("timer did not fire during the sleep")
-		}
-		if tm.Stop() {
-			t.Error("Stop after fire should report false")
-		}
-		select {
-		case <-stopped.C:
-			t.Error("stopped timer fired")
-		default:
-		}
-	})
-}
-
 // TestSimWithTimeout checks virtual deadlines: Deadline() reports a virtual
 // instant, expiry cancels a virtual sleep at the exact virtual time, and
 // early cancel removes the event.
@@ -273,10 +209,12 @@ func TestSimBlocking(t *testing.T) {
 	s := NewSim()
 	s.Run(func() {
 		ch := make(chan time.Duration, 1)
-		s.Go(func() {
+		detach := s.Attach() // registered before it starts, on its behalf
+		go func() {
+			defer detach()
 			_ = s.Sleep(context.Background(), 7*time.Millisecond)
 			ch <- s.Elapsed()
-		})
+		}()
 		var got time.Duration
 		// The receive is a real-channel wait: without Blocking the
 		// scheduler would count this goroutine runnable forever.
@@ -342,7 +280,9 @@ func TestSimDeadlockPanics(t *testing.T) {
 	s := NewSim()
 	panicked := make(chan any, 1)
 	done := make(chan struct{})
-	s.Go(func() {
+	detach := s.Attach()
+	go func() {
+		defer detach()
 		defer close(done)
 		defer func() { panicked <- recover() }()
 		// Registered goroutine blocks forever on a bare channel without
@@ -354,7 +294,7 @@ func TestSimDeadlockPanics(t *testing.T) {
 		cb := s.advanceLocked() // channel wait in a virtual wait incorrectly)
 		s.mu.Unlock()
 		_ = cb
-	})
+	}()
 	<-done
 	if p := <-panicked; p == nil {
 		t.Fatal("expected deadlock panic")

@@ -16,7 +16,6 @@ func TestNewValidatesResilienceOptions(t *testing.T) {
 		{MaxRetries: -1},
 		{BaseBackoff: -time.Millisecond},
 		{PerCallTimeout: -time.Millisecond},
-		{Hedge: -time.Millisecond},
 	}
 	for i, rc := range bad {
 		if _, err := New(Options{Peers: 2, Resilience: rc}); err == nil {

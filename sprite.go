@@ -127,8 +127,8 @@ type Options struct {
 	// under transport-level failures.
 	Cache CacheOptions
 	// Resilience configures the query path's fault tolerance: retry with
-	// backoff, per-attempt timeouts, hedged fetches, and failover to the §7
-	// successor replicas. The zero value disables it all — one attempt per
+	// backoff, per-attempt timeouts, and failover to the §7 successor
+	// replicas. The zero value disables it all — one attempt per
 	// fetch, exactly the paper's message accounting. Validated in New.
 	Resilience ResilienceOptions
 	// Parallelism bounds the query execution engine's fan-out: how many
@@ -147,7 +147,7 @@ type Options struct {
 	Sketch SketchOptions
 	// VirtualTime runs the deployment on a deterministic discrete-event
 	// clock (internal/vtime) instead of the wall clock: simulated link
-	// latency, retry backoff, hedging triggers, per-attempt timeouts, and
+	// latency, retry backoff, per-attempt timeouts, and
 	// cache TTLs all become scheduler events, so a 100k-peer,
 	// million-query experiment "sleeps" through hours of simulated time in
 	// seconds of wall time while producing bit-identical timelines for a
@@ -165,13 +165,10 @@ type ResilienceOptions struct {
 	// (0 = single attempt).
 	MaxRetries int
 	// BaseBackoff caps the first retry's full-jitter sleep; each further
-	// retry doubles the cap.
+	// retry doubles the cap, up to 50× BaseBackoff.
 	BaseBackoff time.Duration
 	// PerCallTimeout bounds each individual fetch attempt (0 = none).
 	PerCallTimeout time.Duration
-	// Hedge, when positive, duplicates a fetch that has not settled after
-	// this long; the first usable answer wins.
-	Hedge time.Duration
 	// FailoverToReplicas retries a term whose holder stayed unreachable
 	// against the successor peers holding its replicas. Requires
 	// Replicas > 0 to find anything.
@@ -188,15 +185,9 @@ type CacheOptions struct {
 	// write to that term or the next full flush (join, leave, repair,
 	// restore, InvalidateCaches).
 	PostingsTTL time.Duration
-	// NoPostings disables the postings cache individually.
-	NoPostings bool
-	// ResultEntries caps the result cache (default 1024 queries).
-	ResultEntries int
-	// ResultTTL bounds result age (default 2s). Every index mutation also
-	// drops all cached results.
+	// ResultTTL bounds result age (default 2s); the result cache holds up to
+	// 1024 queries. Every index mutation also drops all cached results.
 	ResultTTL time.Duration
-	// NoResults disables the result cache individually.
-	NoResults bool
 }
 
 // SketchOptions tunes vector-similarity retrieval; see Options.Sketch.
@@ -354,10 +345,7 @@ func New(opts Options) (*Network, error) {
 			Enabled:         opts.Cache.Enabled,
 			PostingsEntries: opts.Cache.PostingsEntries,
 			PostingsTTL:     opts.Cache.PostingsTTL,
-			DisablePostings: opts.Cache.NoPostings,
-			ResultEntries:   opts.Cache.ResultEntries,
 			ResultTTL:       opts.Cache.ResultTTL,
-			DisableResults:  opts.Cache.NoResults,
 		},
 		Sketch: sketch.Config{
 			Enabled:    opts.Sketch.Enabled,
@@ -370,7 +358,6 @@ func New(opts Options) (*Network, error) {
 			MaxRetries:         opts.Resilience.MaxRetries,
 			BaseBackoff:        opts.Resilience.BaseBackoff,
 			PerCallTimeout:     opts.Resilience.PerCallTimeout,
-			HedgeAfter:         opts.Resilience.Hedge,
 			FailoverToReplicas: opts.Resilience.FailoverToReplicas,
 			JitterSeed:         opts.Seed,
 		},
