@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
+.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -44,13 +44,13 @@ bench-trace-route:
 # Learning-traffic guard: a learning sweep sends each indexing peer one poll
 # and one publish per owner, and a poll goes straight to the peer the owner
 # published the term at. On the 4 096-peer ring, where an owner has about a
-# quarter of a document, that leaves ≈ 25.4 messages per document per
+# quarter of a document, that leaves ≈ 24.1 messages per document per
 # iteration (routing every poll cost 46.4); on postings, 125 documents per
-# owner on 16 peers, ≈ 3.0 (one poll per term cost 16.3). learn_msgs is
+# owner on 16 peers, ≈ 2.7 (one poll per term cost 16.3). learn_msgs is
 # counted during set-up, which does not scale with --seconds, so one second
-# reads what twelve do.
-LEARN_CEIL_route = 26
-LEARN_CEIL_postings = 3.5
+# reads what twelve do. The ceilings are those readings plus about 2 %.
+LEARN_CEIL_route = 24.6
+LEARN_CEIL_postings = 2.75
 
 bench-learn:
 	@for w in route postings; do \
@@ -60,6 +60,26 @@ bench-learn:
 		echo "$$out" | grep -q '"correct":true' || { echo "bench-learn: $$w run is not correct"; exit 1; }; \
 		echo "$$out" | awk -v c=$$ceil '$$1 == "learn_msgs" { seen = 1; ok = ($$2 <= c) } END { exit !(seen && ok) }' \
 			|| { echo "bench-learn: $$w learn_msgs missing or above $$ceil"; exit 1; }; \
+	done
+
+# Query-traffic guard: a query names the indexing peer of nearly every term
+# from its own node's state — every finger knows its node's whole arc — and
+# sends each such peer one get_postings for all of its terms. On the two
+# 16-peer workloads that leaves ≈ 4.2 messages per query on postings and ≈ 4.0
+# on tcp (asking the ring for each term's peer, one get_postings per term,
+# cost 5.72 and 5.64). query_msgs is a count that repeats exactly for a seed;
+# one second's stream reads within a percent of twelve seconds'.
+FETCH_CEIL_postings = 4.4
+FETCH_CEIL_tcp = 4.3
+
+bench-fetch:
+	@for w in postings tcp; do \
+		ceil=$$([ $$w = postings ] && echo $(FETCH_CEIL_postings) || echo $(FETCH_CEIL_tcp)); \
+		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
+		echo "$$w: $$(echo "$$out" | grep -E '^query_msgs|^rank_hash|^operations attempted' | tr -s ' ' | paste -sd ';' -)"; \
+		echo "$$out" | grep -q '"correct":true' || { echo "bench-fetch: $$w run is not correct"; exit 1; }; \
+		echo "$$out" | awk -v c=$$ceil '$$1 == "query_msgs" { seen = 1; ok = ($$2 <= c) } END { exit !(seen && ok) }' \
+			|| { echo "bench-fetch: $$w query_msgs missing or above $$ceil"; exit 1; }; \
 	done
 
 # Invalidation guard: a short traced pass of the write-mixed workload must

@@ -26,7 +26,15 @@
 // receiver serves it only if the key lies in its own arc (predecessor, self] —
 // otherwise it refuses and the lookup carries on as if no hint had been given.
 // A caller that remembers who served a key may pass that address as a hint of
-// its own, tried first under the same check: a route cache needs no protocol.
+// its own, tried first under the same check.
+//
+// Each finger also knows its node's whole arc: the entry keeps the top 32 bits
+// of the arc's length, read off the predecessor Build wired or the node that
+// ended the finger's refresh lookup. A node can therefore name the owner of
+// every key that falls in one of its fingers' arcs, and LocalOwner lets an
+// application ask it that without a message. A ring has as many arcs as
+// peers, so this knowledge is bounded by the table, where a per-key route
+// cache would grow with the keys asked for; no such cache is planned.
 //
 // Because the surrounding system is a simulation, a Ring manager owns all
 // nodes and offers two construction modes: protocol joins with explicit
@@ -38,6 +46,7 @@ package chord
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -278,6 +287,21 @@ const (
 type finger struct {
 	ref  Ref
 	slot uint16
+	// arc is the top 32 bits of the clockwise length of ref's arc
+	// (predecessor, ref] — see arcTop; 0 when the predecessor is unknown. It
+	// sits in what would otherwise be padding after slot, so the entry stays
+	// 40 bytes.
+	arc uint32
+}
+
+// arcTop returns the top 32 bits of the clockwise distance from pred to node:
+// finger.arc for a node whose predecessor is pred. A key lies in (pred, node]
+// if arcTop(key, node) < arcTop(pred, node), which compares the leading 32
+// bits of two distances and so is exact except when they tie. When pred is
+// node itself, or lies within 2^96 of it, the value is 0 and no key passes.
+func arcTop(pred, node chordid.ID) uint32 {
+	d := pred.Distance(node)
+	return binary.BigEndian.Uint32(d[:4])
 }
 
 // slotStart returns the ring position finger slot targets from id:
@@ -303,11 +327,13 @@ func (n *Node) slotImpliedLocked(slot int) bool {
 	return slotStart(n.ref.ID, slot).BetweenRightIncl(n.ref.ID, n.succs[0].ID)
 }
 
-// setFingerLocked stores ref in slot, keeping fingers sorted, and reports
-// whether the table changed. A slot that resolves to this node is removed.
-func (n *Node) setFingerLocked(slot int, ref Ref) bool {
+// setFingerLocked stores ref with its arc in slot, keeping fingers sorted, and
+// reports whether the table changed. A slot that resolves to this node is
+// removed.
+func (n *Node) setFingerLocked(slot int, ref Ref, arc uint32) bool {
 	i := sort.Search(len(n.fingers), func(i int) bool { return int(n.fingers[i].slot) >= slot })
 	found := i < len(n.fingers) && int(n.fingers[i].slot) == slot
+	f := finger{ref: ref, slot: uint16(slot), arc: arc}
 	switch {
 	case ref.ID == n.ref.ID:
 		if found {
@@ -315,13 +341,13 @@ func (n *Node) setFingerLocked(slot int, ref Ref) bool {
 		}
 		return found
 	case found:
-		changed := n.fingers[i].ref != ref
-		n.fingers[i].ref = ref
+		changed := n.fingers[i] != f
+		n.fingers[i] = f
 		return changed
 	}
 	n.fingers = append(n.fingers, finger{})
 	copy(n.fingers[i+1:], n.fingers[i:])
-	n.fingers[i] = finger{ref: ref, slot: uint16(slot)}
+	n.fingers[i] = f
 	return true
 }
 
@@ -471,11 +497,14 @@ func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bo
 // ownerHintLocked names the node this node's own state says owns key, or the
 // zero Ref when it cannot tell: a later successor-list entry whose arc holds
 // the key, else fingers[above] — the scan in closestPrecedingLocked left it as
-// the lowest finger at or past the key — if its slot starts at or before the
-// key. finger[s] = successor(slotStart(s)), so no node lies between that start
-// and the finger, and the finger is the key's successor. Every higher finger
-// starting at or before the key names the same node, and if this one starts
-// past the key so do they, which is why one comparison decides it.
+// the lowest finger at or past the key, the only one whose arc can hold it —
+// if the key lies in that finger's arc (predecessor, finger]. Two facts place
+// it there. The finger's stored arc length (see arcTop) covers the whole arc,
+// except for a tie in its top 32 bits or an unknown predecessor. The slot rule
+// covers the part from the slot's start up: finger[s] = successor(slotStart(s)),
+// so no node lies between that start and the finger. Either fact can be stale
+// after a join; the receiver's own arc check (Serves) catches that, at the
+// cost of the refused round trip.
 func (n *Node) ownerHintLocked(key chordid.ID, above int) Ref {
 	for i := 1; i < len(n.succs); i++ {
 		if key.BetweenRightIncl(n.succs[i-1].ID, n.succs[i].ID) {
@@ -483,11 +512,26 @@ func (n *Node) ownerHintLocked(key chordid.ID, above int) Ref {
 		}
 	}
 	if above < len(n.fingers) {
-		if f := n.fingers[above]; slotOffset(int(f.slot)).Cmp(n.ref.ID.Distance(key)) <= 0 {
+		f := n.fingers[above]
+		if arcTop(key, f.ref.ID) < f.arc || slotOffset(int(f.slot)).Cmp(n.ref.ID.Distance(key)) <= 0 {
 			return f.ref
 		}
 	}
 	return Ref{}
+}
+
+// LocalOwner names the node this node's own state says owns key, without
+// sending a message: the successor its next-hop answer would call the owner,
+// or the owner hint that answer would carry (see ownerHintLocked). It returns
+// the zero Ref when this node cannot tell. Like any hint the answer may be
+// stale, so an application that addresses the node directly has it check the
+// key with Serves.
+func (n *Node) LocalOwner(key chordid.ID) Ref {
+	resp := n.nextHop(nextHopReq{Key: key})
+	if resp.Done {
+		return resp.Ref
+	}
+	return resp.Hint
 }
 
 // notify implements Chord's notify: cand believes it may be our predecessor.
@@ -878,12 +922,16 @@ func (n *Node) fixFinger() bool {
 	start := slotStart(n.ref.ID, slot)
 	n.mu.Unlock()
 
-	ref, _, err := n.Lookup(start)
+	w := n.newWalk(n.ref, start, nil)
+	ref, _, err := n.advance(context.Background(), &w, nil)
+	n.observeLookup(ref, w.hops)
 	if err != nil {
 		return true
 	}
+	// The walk ended at the node whose successor list named ref the owner:
+	// its own ring position is where ref's arc begins.
 	n.mu.Lock()
-	repaired := n.setFingerLocked(slot, ref)
+	repaired := n.setFingerLocked(slot, ref, arcTop(w.cur.ID, ref.ID))
 	n.mu.Unlock()
 	if repaired {
 		n.met.fingerRepairs.Inc()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -37,7 +38,8 @@ func builtFingers(t *testing.T, cfg Config, names []simnet.Addr) map[simnet.Addr
 }
 
 // requireFingersMatchBuild fails unless every alive node of r holds exactly
-// the table Build computes over the alive population.
+// the table Build computes over the alive population: the same slots, nodes
+// and recorded arcs (the comparison is of whole entries).
 func requireFingersMatchBuild(t *testing.T, r *Ring) {
 	t.Helper()
 	alive := r.aliveNodes()
@@ -155,7 +157,7 @@ func TestLookupHopBound(t *testing.T) {
 }
 
 // The protocol path (join, stabilize, fixFinger) must reach exactly the
-// table the global-knowledge path (Build) wires.
+// table the global-knowledge path (Build) wires, each finger's arc included.
 func TestFixFingersConvergeToBuild(t *testing.T) {
 	r := NewRing(simnet.New(21), Config{})
 	if _, err := r.AddNodes("cv", 64); err != nil {
@@ -248,6 +250,98 @@ func TestDropPeerDeletesFingers(t *testing.T) {
 	n.dropPeer(gone)
 	if got := fingersOf(n); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after dropPeer(%s) table = %v, want %v", gone, got, want)
+	}
+}
+
+// The arc a finger records must cost the table nothing: it lives in the
+// padding after slot, where a 16-byte predecessor ID would have grown every
+// entry by 40 %.
+func TestFingerEntrySize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(finger{}); got != 40 {
+		t.Fatalf("finger entry is %d bytes, want 40", got)
+	}
+}
+
+// A node that joins inside a finger's arc makes the arc the finger records
+// stale. A route on it, before any refresh, is refused by the finger's node
+// (whose predecessor is now the joiner), counted, and still reaches the
+// owner; one refresh cycle restores the table Build wires, arcs included.
+func TestStaleFingerArcAfterJoin(t *testing.T) {
+	r, w, reg := watchedRing(t, 64)
+	nodes := r.Nodes()
+	a := nodes[0]
+	// Of the top level's fingers, far outside a's successor list, the one
+	// whose arc begins longest before its slot's start: keys there are named
+	// by the recorded arc alone, not by the slot rule.
+	var f finger
+	var gap chordid.ID
+	for _, c := range fingersOf(a) {
+		pred := w.nodes[c.ref.Addr].Predecessor()
+		if c.arc != arcTop(pred.ID, c.ref.ID) {
+			t.Fatalf("finger %s records arc %#x, its predecessor %s gives %#x", c.ref, c.arc, pred, arcTop(pred.ID, c.ref.ID))
+		}
+		if int(c.slot) >= fingerSlots-fingerDigits {
+			if g := pred.ID.Distance(slotStart(a.ID(), int(c.slot))); g.Cmp(gap) > 0 {
+				f, gap = c, g
+			}
+		}
+	}
+	fNode := w.nodes[f.ref.Addr]
+	pred := fNode.Predecessor()
+	slotStartID := slotStart(a.ID(), int(f.slot))
+	var j *Node
+	for i := 0; j == nil; i++ {
+		name := fmt.Sprintf("arc-joiner%d", i)
+		if id := chordid.HashKey(name); id.Between(pred.ID, slotStartID) {
+			var err error
+			if j, err = r.AddNode(name); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	key := keysIn(pred.ID, j.ID(), 1)[0]
+	if a.LocalOwner(key) != f.ref || slotOffset(int(f.slot)).Cmp(a.ID().Distance(key)) <= 0 {
+		t.Fatalf("key %s: %s names %s, want %s by the finger's arc alone", key.Short(), a.Addr(), a.LocalOwner(key), f.ref)
+	}
+
+	// The joiner's successor and predecessor adopt it; a's fingers do not.
+	if err := j.Join(a); err != nil {
+		t.Fatal(err)
+	}
+	j.stabilize()
+	w.nodes[pred.Addr].stabilize()
+	if fNode.Predecessor() != j.Ref() || j.Predecessor() != pred || w.nodes[pred.Addr].Successor() != j.Ref() {
+		t.Fatalf("join not stitched in: %s's predecessor %s, joiner's %s", fNode.Addr(), fNode.Predecessor(), j.Predecessor())
+	}
+	w.track(r)
+	echoRing(r)
+
+	rejected := reg.Counter("chord.route.hint_rejected").Value()
+	reply, owner, _, err := a.Route(context.Background(), key, echoMsg(), nil, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := r.Owner(key)
+	if want != j || owner != j.Ref() || servedBy(reply) != j.Addr() {
+		t.Fatalf("key %s: route reached %s (served by %s), Ring.Owner is %s", key.Short(), owner, servedBy(reply), want.Addr())
+	}
+	if got := reg.Counter("chord.route.hint_rejected").Value() - rejected; got != 1 || w.refused != 1 {
+		t.Fatalf("hint_rejected +%d, refusals seen %d; want one stale arc refused once", got, w.refused)
+	}
+	if w.violation != "" {
+		t.Fatal(w.violation)
+	}
+
+	a.RepairFingers()
+	var names []simnet.Addr
+	for _, m := range r.Nodes() {
+		names = append(names, m.Addr())
+	}
+	if got, want := fingersOf(a), builtFingers(t, r.cfg, names)[a.Addr()]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("table after one refresh cycle = %v, Build gives %v", got, want)
 	}
 }
 

@@ -89,11 +89,12 @@ func (r *Ring) sortNodes() {
 	r.dirty = false
 }
 
-// Build wires every node's predecessor, successor list, and finger table
-// directly from global knowledge. The resulting overlay state is the unique
-// fixed point that Chord's join/stabilize protocol converges to for this
-// node population, so experiments that are not about churn can skip the
-// convergence phase. Build is idempotent.
+// Build wires every node's predecessor, successor list, and finger table —
+// each finger with its node's arc — directly from global knowledge. The
+// resulting overlay state is the unique fixed point that Chord's
+// join/stabilize protocol converges to for this node population, so
+// experiments that are not about churn can skip the convergence phase. Build
+// is idempotent.
 func (r *Ring) Build() {
 	r.sortNodes()
 	n := len(r.order)
@@ -133,7 +134,8 @@ func (r *Ring) Build() {
 				break
 			}
 			if owner != i {
-				top = append(top, finger{ref: r.order[owner].ref, slot: uint16(slot)})
+				arc := arcTop(ids[(owner+n-1)%n], ids[owner])
+				top = append(top, finger{ref: r.order[owner].ref, slot: uint16(slot), arc: arc})
 			}
 		}
 		node.fingers = make([]finger, len(top))

@@ -169,6 +169,44 @@ func TestHintsAndRouteMatchOracle(t *testing.T) {
 	}
 }
 
+// Property: on a correct ring a node's own answer is the key's owner or
+// nothing, and asking costs no message. With fingers that know their whole
+// arcs a small ring's nodes can name the owner of most keys themselves.
+func TestLocalOwnerMatchesOracle(t *testing.T) {
+	for _, c := range []struct {
+		size     int
+		coverage float64 // share of keys a node must name itself, at least
+	}{{16, 0.8}, {64, 0.4}, {4096, 0.01}} {
+		r, w, _ := watchedRing(t, c.size)
+		nodes := r.Nodes()
+		oracle := fastOracle(r)
+		rng := rand.New(rand.NewSource(int64(c.size)))
+		w.ResetStats()
+		named := 0
+		const trials = 4000
+		for i := 0; i < trials; i++ {
+			key := chordid.HashKey(fmt.Sprintf("local-%d-%d", c.size, i))
+			from := nodes[rng.Intn(len(nodes))]
+			got := from.LocalOwner(key)
+			if got.IsZero() {
+				continue
+			}
+			named++
+			if want := oracle(key); got != want {
+				t.Fatalf("N=%d key %s: %s names %s, owner is %s", c.size, key.Short(), from.Addr(), got, want)
+			}
+		}
+		if calls := w.Stats().Calls; calls != 0 {
+			t.Fatalf("N=%d: LocalOwner sent %d messages", c.size, calls)
+		}
+		share := float64(named) / trials
+		t.Logf("N=%d: a node names the owner of %.1f%% of keys itself", c.size, 100*share)
+		if share < c.coverage {
+			t.Fatalf("N=%d: a node names the owner of %.1f%% of keys itself, want at least %.1f%%", c.size, 100*share, 100*c.coverage)
+		}
+	}
+}
+
 // meanRoundTrips routes trials random keys from random nodes and returns the
 // mean number of sequential round trips per delivery: the routing hops plus
 // the delivery itself when it left the node.

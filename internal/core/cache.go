@@ -109,7 +109,7 @@ func (c CacheConfig) validate() error {
 // plus its address, retained so cache hits can still route msgCacheQuery
 // history recordings to it.
 type postingsEntry struct {
-	resp getPostingsResp
+	resp postingsList
 	peer simnet.Addr
 }
 
@@ -225,7 +225,6 @@ func (p *Peer) fetchPostingsCached(ctx context.Context, term string, tsp *teleme
 		if err != nil {
 			return postingsEntry{}, 0, err
 		}
-		tsp.Annotate("indexing_peer", string(peer))
 		ent := postingsEntry{resp: resp, peer: peer}
 		return ent, postingsBytes(ent), nil
 	})

@@ -78,8 +78,9 @@ type Config struct {
 	// per-attempt timeouts, replica failover). The zero value
 	// disables it all, preserving the paper's exact message counts.
 	Resilience ResilienceConfig
-	// Parallelism bounds the query execution engine's per-term fan-out: the
-	// number of concurrent DHT lookups/postings fetches per query, the
+	// Parallelism bounds the query execution engine's fan-out: the number of
+	// concurrent postings exchanges per query (one per indexing peer the
+	// querier names itself, one per term routed on the ring), the
 	// concurrent exchanges of each phase of a learning sweep, and the
 	// concurrent document refreshes in RefreshAll. 0 derives the bound
 	// from GOMAXPROCS; 1 is the legacy sequential path. Results are
@@ -115,6 +116,7 @@ type netMetrics struct {
 	learnRounds      *telemetry.Counter
 	learnChanges     *telemetry.Counter
 	learnRerouted    *telemetry.Counter
+	fetchRerouted    *telemetry.Counter
 	termsPublished   *telemetry.Counter
 	termsRetired     *telemetry.Counter
 	expansionRounds  *telemetry.Counter
@@ -146,6 +148,7 @@ func newNetMetrics(reg *telemetry.Registry) netMetrics {
 		learnRounds:      reg.Counter("sprite.learn.rounds"),
 		learnChanges:     reg.Counter("sprite.learn.index_changes"),
 		learnRerouted:    reg.Counter("sprite.learn.rerouted"),
+		fetchRerouted:    reg.Counter("sprite.fetch.rerouted"),
 		termsPublished:   reg.Counter("sprite.index.terms_published"),
 		termsRetired:     reg.Counter("sprite.index.terms_retired"),
 		expansionRounds:  reg.Counter("sprite.search.expansions"),
@@ -451,8 +454,9 @@ func (n *Network) SearchCtx(ctx context.Context, from simnet.Addr, terms []strin
 
 // SearchTracedCtx is SearchCtx returning the query's trace (nil when no
 // telemetry registry is configured). The trace's span tree has one child span
-// per query term, under which each Chord hop and the postings fetch from the
-// indexing peer are timed individually.
+// per exchange: a "batch" per indexing peer the searcher's own node named,
+// annotated with its terms, and a "term" per term that went round on the
+// ring; under each, every Chord hop and postings fetch is timed individually.
 func (n *Network) SearchTracedCtx(ctx context.Context, from simnet.Addr, terms []string, k int) (ir.RankedList, *telemetry.Trace, error) {
 	p, ok := n.Peer(from)
 	if !ok {

@@ -65,7 +65,7 @@ func (n *Network) snapshotIndexes(replicas bool) []IndexEntry {
 
 // ServedPostings returns what the indexing peer at addr would serve for term
 // right now: the primary list, or the replica fallback (§7) when the primary
-// is empty. The boolean mirrors getPostingsResp.FromReplica. It reproduces
+// is empty. The boolean mirrors postingsList.FromReplica. It reproduces
 // indexingState.postings without a network call, so an oracle can predict a
 // search's inputs from ground truth.
 func (n *Network) ServedPostings(addr simnet.Addr, term string) ([]index.Posting, bool, bool) {

@@ -25,12 +25,13 @@ import (
 //     documents has a holder for; the route names the holder. Every other
 //     publish goes in one sprite.publish per holder.
 //
-// A batch is addressed from the owner's records, so the holder checks each
-// item's key against its own arc (chord.Node.Serves) and refuses what it does
-// not serve. Refused items, items whose holder is the owner itself or unknown,
-// and every item of a batch whose holder did not answer take the per-term
-// route instead — chord.Route on the term's key, exactly as a single poll or
-// publish always did — so a stale or dead holder costs only its own batch.
+// A batch is addressed from the owner's records (batch.go), so the holder
+// checks each item's key against its own arc (chord.Node.Serves) and refuses
+// what it does not serve. Refused items, items whose holder is the owner
+// itself or unknown, and every item of a batch whose holder did not answer
+// take the per-term route instead — chord.Route on the term's key, exactly as
+// a single poll or publish always did — so a stale or dead holder costs only
+// its own batch.
 
 // sweepDoc is one document's part in a learning sweep.
 type sweepDoc struct {
@@ -64,13 +65,8 @@ type learnItem struct {
 	i int
 }
 
-// learnJob is one exchange of a phase: an owner's items bound for one holder
-// in a batch, or — holder "" — a single item for the per-term route.
-type learnJob struct {
-	p      *Peer
-	holder simnet.Addr
-	items  []learnItem
-}
+// peer is the owner the item's exchange goes from.
+func (it learnItem) peer() *Peer { return it.d.p }
 
 // learn runs one learning iteration over the given documents (owners[i] owns
 // ids[i]). A document no longer owned is skipped. It returns the number of
@@ -156,30 +152,6 @@ func openSweep(ids []index.DocID, owners []*Peer) []*sweepDoc {
 	return docs
 }
 
-// groupJobs makes each owner's items bound for one holder a batch, in order
-// of first appearance, and every item whose holder is unknown ("") or the
-// owner itself a job of its own.
-func groupJobs(items []learnItem, holderOf func(learnItem) simnet.Addr) []*learnJob {
-	var jobs []*learnJob
-	batch := make(map[[2]simnet.Addr]*learnJob)
-	for _, it := range items {
-		p, h := it.d.p, holderOf(it)
-		if h == "" || h == p.Addr() {
-			jobs = append(jobs, &learnJob{p: p, items: []learnItem{it}})
-			continue
-		}
-		k := [2]simnet.Addr{p.Addr(), h}
-		j := batch[k]
-		if j == nil {
-			j = &learnJob{p: p, holder: h}
-			batch[k] = j
-			jobs = append(jobs, j)
-		}
-		j.items = append(j.items, it)
-	}
-	return jobs
-}
-
 // pollPhase polls every document's index terms and leaves the answers in
 // d.polls. Polls only read the indexing peers' histories, so every one of
 // the sweep reads its IndexedDF before any publish or withdrawal of the sweep.
@@ -190,9 +162,9 @@ func (n *Network) pollPhase(ctx context.Context, docs []*sweepDoc) {
 			items = append(items, learnItem{d, i})
 		}
 	}
-	jobs := groupJobs(items, func(it learnItem) simnet.Addr { return it.d.st.publishedAt[it.d.terms[it.i]] })
+	jobs := groupJobs(items, learnItem.peer, func(it learnItem) simnet.Addr { return it.d.st.publishedAt[it.d.terms[it.i]] })
 	outs, _ := fanout.Map(ctx, n.exec, "poll", len(jobs), func(ctx context.Context, i int) ([]pollOut, error) {
-		return jobs[i].p.pollJob(ctx, jobs[i]), nil
+		return jobs[i].p.pollJob(ctx, &jobs[i]), nil
 	})
 	for i, j := range jobs {
 		for k, it := range j.items {
@@ -203,35 +175,9 @@ func (n *Network) pollPhase(ctx context.Context, docs []*sweepDoc) {
 	}
 }
 
-// settle runs one job of a phase and returns its items' outcomes in item
-// order. A job with a live holder goes as one batch first: send returns each
-// item's outcome and whether the holder refused it, ok false if the holder did
-// not answer. Every item the batch did not settle goes by the per-term route.
-func settle[R any](p *Peer, j *learnJob, send func() (out []R, refused []bool, ok bool), route func(learnItem) R) []R {
-	var out []R
-	var refused []bool
-	batched := j.holder != "" && p.net.ring.Net().Alive(j.holder)
-	if batched {
-		out, refused, batched = send()
-	}
-	if !batched {
-		out = make([]R, len(j.items))
-	}
-	for k, it := range j.items {
-		if batched && !refused[k] {
-			continue
-		}
-		if j.holder != "" {
-			p.net.met.learnRerouted.Inc()
-		}
-		out[k] = route(it)
-	}
-	return out
-}
-
 // pollJob sends one poll job: in a batch, the items grouped by document, each
 // document's terms once.
-func (p *Peer) pollJob(ctx context.Context, j *learnJob) []pollOut {
+func (p *Peer) pollJob(ctx context.Context, j *job[learnItem]) []pollOut {
 	send := func() ([]pollOut, []bool, bool) {
 		req := pollReq{CheckArc: true}
 		for _, it := range j.items {
@@ -253,7 +199,7 @@ func (p *Peer) pollJob(ctx context.Context, j *learnJob) []pollOut {
 		}
 		return out, refused, true
 	}
-	return settle(p, j, send, func(it learnItem) pollOut {
+	return settle(j, p.net.met.learnRerouted, send, func(it learnItem) pollOut {
 		return p.pollRouted(ctx, it.d.st, it.d.terms, it.d.terms[it.i])
 	})
 }
@@ -392,9 +338,9 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 			rest = append(rest, it)
 		}
 	}
-	run := func(jobs []*learnJob) {
+	run := func(jobs []job[learnItem]) {
 		outs, errs := fanout.Map(ctx, n.exec, "publish", len(jobs), func(ctx context.Context, i int) ([]publishResult, error) {
-			return jobs[i].p.publishJob(ctx, jobs[i]), nil
+			return jobs[i].p.publishJob(ctx, &jobs[i]), nil
 		})
 		for i, j := range jobs {
 			for k, it := range j.items {
@@ -406,11 +352,11 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 			}
 		}
 	}
-	run(groupJobs(firsts, func(learnItem) simnet.Addr { return "" }))
+	run(groupJobs(firsts, learnItem.peer, func(learnItem) simnet.Addr { return "" }))
 	for _, it := range firsts {
 		holders[keyOf(it)] = it.d.landed[it.i].at // "" on failure: the term's other items route too
 	}
-	run(groupJobs(rest, func(it learnItem) simnet.Addr { return holders[keyOf(it)] }))
+	run(groupJobs(rest, learnItem.peer, func(it learnItem) simnet.Addr { return holders[keyOf(it)] }))
 
 	for _, d := range docs {
 		for i, t := range d.publish {
@@ -428,7 +374,7 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 }
 
 // publishJob sends one publish job: in a batch, every item's posting.
-func (p *Peer) publishJob(ctx context.Context, j *learnJob) []publishResult {
+func (p *Peer) publishJob(ctx context.Context, j *job[learnItem]) []publishResult {
 	send := func() ([]publishResult, []bool, bool) {
 		req := publishReq{CheckArc: true}
 		for _, it := range j.items {
@@ -450,7 +396,7 @@ func (p *Peer) publishJob(ctx context.Context, j *learnJob) []publishResult {
 		}
 		return out, refused, true
 	}
-	return settle(p, j, send, func(it learnItem) publishResult {
+	return settle(j, p.net.met.learnRerouted, send, func(it learnItem) publishResult {
 		at, err := p.routePublish(ctx, it.d.st, it.d.publish[it.i])
 		return publishResult{at, err}
 	})

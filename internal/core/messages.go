@@ -106,22 +106,65 @@ type unpublishResp struct {
 	StaleReplicas []simnet.Addr
 }
 
+// getPostingsReq asks one indexing peer for inverted lists: a single term's
+// when it is routed by the term's key, every term of the query the querier's
+// own node names the peer for when the querier addresses it directly.
 type getPostingsReq struct {
-	Term string
+	Terms []string
 	// Query is the complete keyword set of the query being processed; the
-	// indexing peer caches it for future learning when Record is set.
+	// indexing peer caches it for future learning when Record is set, once
+	// per term it serves.
 	Query []string
 	// Record controls whether the indexing peer adds Query to its history.
 	// Normal query processing records; measurement probes do not.
 	Record bool
+	// CheckArc is publishReq's: refuse the terms whose keys are not this
+	// peer's to serve.
+	CheckArc bool
 }
 
+// size is the request's simulated wire size: the terms, a length byte for
+// each after the first, and the query — or one byte without one — so a
+// request for one term costs what a single fetch always has.
+func (r getPostingsReq) size() int {
+	n := len(r.Terms) - 1 + max(sizeTerms(r.Query), 1)
+	for _, t := range r.Terms {
+		n += len(t)
+	}
+	return n
+}
+
+// getPostingsResp answers a getPostingsReq term by term in request order.
 type getPostingsResp struct {
+	Items []postingsList
+}
+
+// size is the reply's simulated wire size: a byte for the count, a served
+// list its encoded bytes and 7 more for its framing, frequency and flags, and
+// a refused one the 5 bytes of its flag and empty fields. A reply of one list
+// costs what a single fetch's reply always has.
+func (r getPostingsResp) size() int {
+	n := 1
+	for _, it := range r.Items {
+		if it.Refused {
+			n += 5
+			continue
+		}
+		n += it.Postings.Size() + 7
+	}
+	return n
+}
+
+// postingsList is one term's answer to a getPostingsReq.
+type postingsList struct {
+	// Refused reports that the term's key is outside the answering peer's
+	// arc (a CheckArc request only); nothing else is set.
+	Refused bool
 	// Postings is the term's inverted list in its block-compressed form:
 	// the indexing peer's encoded blocks travel as-is and the querier
 	// decodes them lazily, one posting at a time, through a cursor.
 	Postings index.Encoded
-	// IndexedDF is n'_k — the number of documents that chose Term as a
+	// IndexedDF is n'_k — the number of documents that chose the term as a
 	// global index term (§4).
 	IndexedDF int
 	// FromReplica reports that the primary had no entries and a successor

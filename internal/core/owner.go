@@ -299,45 +299,39 @@ var errNotOwned = errors.New("document not owned by peer")
 // termFetch is one term's fetched, still-compressed list and the indexing
 // peer that served it; zero for a skipped term.
 type termFetch struct {
-	resp getPostingsResp
+	resp postingsList
 	peer simnet.Addr
 }
 
 // fetchStage is §4's fetch step, run by every query path (searchCtx,
-// searchSimilarCtx, SearchExpanded's first phase): the distinct terms dts fan
-// out under stage, each fetched through the postings cache when enabled (then
-// query is re-recorded at the serving peer if record is set, see
-// recordQueryAt) or under the resilience policy, with one child span of span
-// per term. The fold walks dts in order, so failures and counters match a
-// sequential loop: a done ctx aborts with an error wrapping ctx.Err(); any
-// other failure skips the term (§7), counted in termsSkipped and returned.
+// searchSimilarCtx, SearchExpanded's first phase). With the postings cache
+// enabled the distinct terms dts fan out under stage one by one through the
+// cache (then query is re-recorded at the serving peer if record is set, see
+// recordQueryAt), one "term" child span of span each. Otherwise they go in one
+// get_postings per indexing peer (fetchBatched). The fold walks dts in order,
+// so failures and counters match a sequential loop: a done ctx aborts with an
+// error wrapping ctx.Err(); any other failure skips the term (§7), counted in
+// termsSkipped and returned.
 func (p *Peer) fetchStage(ctx context.Context, stage string, dts, query []string, record bool, span *telemetry.Span) ([]termFetch, []TermFailure, error) {
-	pc := p.net.caches.postings
-	outs, errs := fanout.Map(ctx, p.net.exec, stage, len(dts), func(ctx context.Context, i int) (termFetch, error) {
-		term := dts[i]
-		tsp := span.StartChild("term")
-		tsp.Annotate("term", term)
-		defer tsp.Finish()
-		if pc != nil {
-			ent, outcome, err := p.fetchPostingsCached(ctx, term, tsp)
-			if err != nil {
-				tsp.Annotate("error", err.Error())
-				return termFetch{}, err
-			}
-			tsp.Annotate("postings_cache", outcome.String())
-			if record {
-				p.recordQueryAt(context.Background(), ent.peer, query) //nolint:errcheck // best-effort, see recordQueryAt
-			}
-			return termFetch{resp: ent.resp, peer: ent.peer}, nil
-		}
-		resp, peer, err := p.fetchTermPostings(ctx, term, query, record, tsp)
-		if err != nil {
-			tsp.Annotate("error", err.Error())
-			return termFetch{}, err
-		}
-		tsp.Annotate("indexing_peer", string(peer))
-		return termFetch{resp: resp, peer: peer}, nil
-	})
+	var outs []termFetch
+	var errs []error
+	if p.net.caches.postings != nil {
+		outs, errs = fanout.Map(ctx, p.net.exec, stage, len(dts), func(ctx context.Context, i int) (termFetch, error) {
+			return fetchTerm(span, dts[i], func(tsp *telemetry.Span) (postingsList, simnet.Addr, error) {
+				ent, outcome, err := p.fetchPostingsCached(ctx, dts[i], tsp)
+				if err != nil {
+					return postingsList{}, "", err
+				}
+				tsp.Annotate("postings_cache", outcome.String())
+				if record {
+					p.recordQueryAt(context.Background(), ent.peer, query) //nolint:errcheck // best-effort, see recordQueryAt
+				}
+				return ent.resp, ent.peer, nil
+			})
+		})
+	} else {
+		outs, errs = p.fetchBatched(ctx, stage, dts, query, record, span)
+	}
 	var failed []TermFailure
 	for i, err := range errs {
 		if err == nil {

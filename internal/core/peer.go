@@ -90,21 +90,15 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 
 	case msgGetPostings:
 		req := msg.Payload.(getPostingsReq)
-		if req.Record {
-			p.indexing.cacheQuery(req.Query)
-			p.net.met.queriesCached.Inc()
+		resp := getPostingsResp{Items: make([]postingsList, len(req.Terms))}
+		for i, term := range req.Terms {
+			if req.CheckArc && !p.node.Serves(chordid.HashKey(term)) {
+				resp.Items[i].Refused = true
+				continue
+			}
+			resp.Items[i] = p.servePostings(term, req.Query, req.Record)
 		}
-		resp := p.indexing.postings(req.Term)
-		p.net.met.postingsServed.Inc()
-		switch {
-		case resp.FromReplica:
-			p.net.met.replicaHits.Inc()
-		case resp.IndexedDF > 0:
-			p.net.met.primaryHits.Inc()
-		default:
-			p.net.met.misses.Inc()
-		}
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: resp.Postings.Size() + 8}, nil
+		return simnet.Message{Type: msg.Type, Payload: resp, Size: resp.size()}, nil
 
 	case msgCacheQuery:
 		req := msg.Payload.(cacheQueryReq)
@@ -174,6 +168,27 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		return simnet.Message{Type: msg.Type, Payload: resp, Size: sketchScanSize(resp)}, nil
 	}
 	return simnet.Message{}, fmt.Errorf("core: peer %s: unknown message type %q", p.Addr(), msg.Type)
+}
+
+// servePostings answers one term of a postings request: the query goes into
+// the history first when record is set, once per term served, exactly as a
+// request for that term alone would put it there.
+func (p *Peer) servePostings(term string, query []string, record bool) postingsList {
+	if record {
+		p.indexing.cacheQuery(query)
+		p.net.met.queriesCached.Inc()
+	}
+	resp := p.indexing.postings(term)
+	p.net.met.postingsServed.Inc()
+	switch {
+	case resp.FromReplica:
+		p.net.met.replicaHits.Inc()
+	case resp.IndexedDF > 0:
+		p.net.met.primaryHits.Inc()
+	default:
+		p.net.met.misses.Inc()
+	}
+	return resp
 }
 
 // replicaTargets returns the first ReplicationFactor successors excluding the
@@ -372,16 +387,16 @@ func (s *indexingState) dropReplica(term string, doc index.DocID) {
 // survivable (§7). The response carries the index's immutable encoded blocks
 // zero-copy: mutations swap in fresh blocks, so the snapshot stays valid
 // after the lock is released.
-func (s *indexingState) postings(term string) getPostingsResp {
+func (s *indexingState) postings(term string) postingsList {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e := s.ix.Encoded(term); e.Len() > 0 {
-		return getPostingsResp{Postings: e, IndexedDF: e.Len()}
+		return postingsList{Postings: e, IndexedDF: e.Len()}
 	}
 	if re := s.replicas.Encoded(term); re.Len() > 0 {
-		return getPostingsResp{Postings: re, IndexedDF: re.Len(), FromReplica: true}
+		return postingsList{Postings: re, IndexedDF: re.Len(), FromReplica: true}
 	}
-	return getPostingsResp{}
+	return postingsList{}
 }
 
 // cacheQuery records a query issuance in the bounded history. Repeats are

@@ -388,13 +388,16 @@ func (l *payloadLog) CallCtx(ctx context.Context, from, to simnet.Addr, msg simn
 }
 
 func TestRetriesRepeatOnlyTheDeliveryLeg(t *testing.T) {
-	// A holder the route reached on an owner hint drops two fetches. The
-	// retries must go to that same holder, one round trip each with no fresh
-	// lookup, and still inside the envelope: a node named only by a hint must
-	// never be sent a bare key-addressed request.
+	// A holder drops two fetches. The retries must go to that same holder,
+	// one round trip each with no fresh lookup, in the form of the first
+	// attempt: inside the envelope when the route reached the holder on an
+	// owner hint (a node named only by a hint must never be sent a bare
+	// key-addressed request), as the same arc-checked request when the
+	// searcher's own node named the holder. A ring of 64 has searchers of
+	// both kinds for one term.
 	log := &payloadLog{Network: simnet.New(1)}
 	ring := chord.NewRing(log, chord.Config{})
-	if _, err := ring.AddNodes("p", 16); err != nil {
+	if _, err := ring.AddNodes("p", 64); err != nil {
 		t.Fatal(err)
 	}
 	ring.Build()
@@ -419,34 +422,36 @@ func TestRetriesRepeatOnlyTheDeliveryLeg(t *testing.T) {
 		}
 		return rl, log.Stats().CallsByType["chord.next_hop"], log.types
 	}
-	var searcher simnet.Addr
-	var healthy any
-	var healthyHops int64
-	for _, p := range n.Peers() {
-		if p.Addr() == owner.Addr() {
-			continue
+	for _, form := range []string{"chord.routed", "core.getPostingsReq"} {
+		var searcher simnet.Addr
+		var healthy any
+		var healthyHops int64
+		for _, p := range n.Peers() {
+			if p.Addr() == owner.Addr() {
+				continue
+			}
+			if rl, hops, payloads := probe(p.Addr()); len(payloads) == 1 && payloads[0] == form {
+				searcher, healthy, healthyHops = p.Addr(), rl, hops
+				break
+			}
 		}
-		if rl, hops, payloads := probe(p.Addr()); len(payloads) == 1 && payloads[0] == "chord.routed" {
-			searcher, healthy, healthyHops = p.Addr(), rl, hops
-			break
+		if searcher == "" {
+			t.Fatalf("no peer reaches the term's holder with a %s", form)
 		}
-	}
-	if searcher == "" {
-		t.Fatal("no peer reaches the term's holder on an owner hint")
-	}
 
-	log.DropCalls(owner.Addr(), 2)
-	got, hops, payloads := probe(searcher)
-	if !reflect.DeepEqual(got, healthy) {
-		t.Fatalf("results after two dropped fetches differ: %v vs %v", got, healthy)
-	}
-	if hops != healthyHops {
-		t.Fatalf("retries cost %d routing round trips, the healthy route %d — a retry looked the holder up again", hops, healthyHops)
-	}
-	if want := []string{"chord.routed", "chord.routed", "chord.routed"}; !reflect.DeepEqual(payloads, want) {
-		t.Fatalf("postings requests sent as %v, want %v", payloads, want)
-	}
-	if dropped := log.Stats().Dropped; dropped != 2 {
-		t.Fatalf("%d calls dropped, want the 2 injected", dropped)
+		log.DropCalls(owner.Addr(), 2)
+		got, hops, payloads := probe(searcher)
+		if !reflect.DeepEqual(got, healthy) {
+			t.Fatalf("%s: results after two dropped fetches differ: %v vs %v", form, got, healthy)
+		}
+		if hops != healthyHops {
+			t.Fatalf("%s: retries cost %d routing round trips, the healthy fetch %d — a retry looked the holder up again", form, hops, healthyHops)
+		}
+		if want := []string{form, form, form}; !reflect.DeepEqual(payloads, want) {
+			t.Fatalf("postings requests sent as %v, want %v", payloads, want)
+		}
+		if dropped := log.Stats().Dropped; dropped != 2 {
+			t.Fatalf("%s: %d calls dropped, want the 2 injected", form, dropped)
+		}
 	}
 }

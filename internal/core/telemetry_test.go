@@ -52,48 +52,57 @@ func TestSearchTracedProducesSpanTree(t *testing.T) {
 	if snap.Root.Name != "sprite.search" {
 		t.Fatalf("root span = %q, want sprite.search", snap.Root.Name)
 	}
-	if len(snap.Root.Children) != len(terms) {
-		t.Fatalf("root has %d term spans, want %d", len(snap.Root.Children), len(terms))
-	}
-	// Each term span has a fixed name with the term as an attribute, says
-	// whether the route ended on an owner hint (one a node on the way gave: a
-	// search brings none of its own, so never "caller"), and holds the fetch
-	// (and chord.hop spans when the lookup left the issuing peer) — for
-	// deliveries sent on a hint like for any other.
-	named := map[string]bool{}
-	hintedFetches := 0
-	for _, term := range snap.Root.Children {
-		if term.Name != "term" {
-			t.Fatalf("term span named %q, want the fixed name \"term\"", term.Name)
-		}
+	// The root has one child per exchange, each with a fixed name and the
+	// terms as attributes, and each holding the fetch. A "batch" span is one
+	// get_postings to an indexing peer the searcher's own node named, carrying
+	// every term that peer holds. A "term" span is a term that went by the
+	// ring: it says whether the route ended on an owner hint (one a node on
+	// the way gave, so never "caller") and holds chord.hop spans when the
+	// lookup left the issuing peer. On a healthy ring nothing is refused, so
+	// every term is named exactly once.
+	named := map[string]int{}
+	batches, batchedTerms := 0, 0
+	for _, ex := range snap.Root.Children {
 		attrs := map[string]string{}
-		for _, a := range term.Attrs {
+		var exTerms []string
+		for _, a := range ex.Attrs {
 			attrs[a.Key] = fmt.Sprint(a.Value)
-		}
-		named[attrs["term"]] = true
-		if h := attrs["hinted"]; h != "true" && h != "false" && h != "rejected" {
-			t.Fatalf("term span %q annotated hinted=%q", attrs["term"], h)
-		}
-		var fetch bool
-		for _, c := range term.Children {
-			if c.Name == msgGetPostings {
-				fetch = true
+			if a.Key == "term" {
+				exTerms = append(exTerms, fmt.Sprint(a.Value))
+				named[fmt.Sprint(a.Value)]++
 			}
 		}
-		if !fetch {
-			t.Fatalf("term span %q (hinted=%s) has no postings-fetch child", attrs["term"], attrs["hinted"])
+		switch ex.Name {
+		case "batch":
+			batches++
+			batchedTerms += len(exTerms)
+			if len(exTerms) == 0 || attrs["indexing_peer"] == "" {
+				t.Fatalf("batch span annotated %v: want its terms and its indexing peer", ex.Attrs)
+			}
+		case "term":
+			if h := attrs["hinted"]; len(exTerms) != 1 || (h != "true" && h != "false" && h != "rejected") {
+				t.Fatalf("term span annotated %v: want one term and hinted=true|false|rejected", ex.Attrs)
+			}
+		default:
+			t.Fatalf("exchange span named %q, want the fixed name \"batch\" or \"term\"", ex.Name)
 		}
-		if attrs["hinted"] == "true" {
-			hintedFetches++
+		fetches := 0
+		for _, c := range ex.Children {
+			if c.Name == msgGetPostings {
+				fetches++
+			}
+		}
+		if fetches != 1 {
+			t.Fatalf("%s span %v holds %d postings fetches, want 1", ex.Name, exTerms, fetches)
 		}
 	}
 	for _, term := range terms {
-		if !named[term] {
-			t.Fatalf("no span carries term=%q", term)
+		if named[term] != 1 {
+			t.Fatalf("%d spans carry term=%q, want 1", named[term], term)
 		}
 	}
-	if hintedFetches == 0 {
-		t.Fatal("none of the eight fetches was delivered on an owner hint")
+	if batches == 0 || batchedTerms <= batches {
+		t.Fatalf("%d terms in %d batches: the searcher's own node named no indexing peer holding two of the eight", batchedTerms, batches)
 	}
 	if tr.Root().SpanCount() < 2 {
 		t.Fatalf("span count = %d, want >= 2", tr.Root().SpanCount())

@@ -97,30 +97,48 @@ func init() {
 	wire.RegisterBinary(wire.KindCoreBase+3, getPostingsReq{},
 		func(e *wire.Encoder, v any) {
 			r := v.(getPostingsReq)
-			e.String(r.Term)
+			e.StringSlice(r.Terms)
 			e.StringSlice(r.Query)
 			e.Bool(r.Record)
+			e.Bool(r.CheckArc)
 		},
 		func(d *wire.Decoder) any {
 			var r getPostingsReq
-			r.Term = d.String()
+			r.Terms = d.StringSlice()
 			r.Query = d.StringSlice()
 			r.Record = d.Bool()
+			r.CheckArc = d.Bool()
 			return r
 		})
 
 	wire.RegisterBinary(wire.KindCoreBase+4, getPostingsResp{},
 		func(e *wire.Encoder, v any) {
 			r := v.(getPostingsResp)
-			encodeList(e, r.Postings)
-			e.Int(int64(r.IndexedDF))
-			e.Bool(r.FromReplica)
+			e.Uint(uint64(len(r.Items)))
+			for _, it := range r.Items {
+				e.Bool(it.Refused)
+				encodeList(e, it.Postings)
+				e.Int(int64(it.IndexedDF))
+				e.Bool(it.FromReplica)
+			}
 		},
 		func(d *wire.Decoder) any {
 			var r getPostingsResp
-			r.Postings = decodeList(d)
-			r.IndexedDF = int(d.Int())
-			r.FromReplica = d.Bool()
+			// The refusal flag, the list's length and block count, the
+			// document frequency and the replica flag.
+			if n := d.Count(5); n > 0 {
+				r.Items = make([]postingsList, n)
+				for i := range r.Items {
+					it := &r.Items[i]
+					it.Refused = d.Bool()
+					it.Postings = decodeList(d)
+					it.IndexedDF = int(d.Int())
+					it.FromReplica = d.Bool()
+					if d.Err() != nil {
+						break
+					}
+				}
+			}
 			return r
 		})
 

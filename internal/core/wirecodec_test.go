@@ -60,3 +60,47 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 		t.Fatalf("poll reply of one item: Size %d, want %d", got, want)
 	}
 }
+
+// The wire forms of the batched postings fetch, byte for byte, and their round
+// trip; a request or reply of one term keeps the simulated size a single
+// fetch always had, so routed fetches cost the bytes they did.
+func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		value  any
+		golden string
+	}{
+		// the terms, the query, the record and arc-check flags.
+		{"getPostingsReq", getPostingsReq{Terms: []string{"ab", "cd"}, Query: []string{"ab", "cd", "x"}, Record: true, CheckArc: true},
+			"0013" + "02" + "026162" + "026364" + "03" + "026162" + "026364" + "0178" + "01" + "01"},
+		// count, then per item the refusal flag, the list (length, then an
+		// empty block sequence), the zig-zag IndexedDF and the replica flag.
+		{"getPostingsResp", getPostingsResp{Items: []postingsList{{Refused: true}, {IndexedDF: 2, FromReplica: true}}},
+			"0014" + "02" + "01" + "01" + "00" + "00" + "00" + "00" + "01" + "00" + "04" + "01"},
+	} {
+		enc, ok := wire.AppendBinary(nil, c.value)
+		if !ok {
+			t.Fatalf("%s: no binary codec", c.name)
+		}
+		if got := hex.EncodeToString(enc); got != c.golden {
+			t.Fatalf("%s encodes as\n  %s\nwant\n  %s", c.name, got, c.golden)
+		}
+		dec, err := wire.DecodeBinary(enc)
+		if err != nil || !reflect.DeepEqual(dec, c.value) {
+			t.Fatalf("%s: binary round trip = %#v, %v", c.name, dec, err)
+		}
+	}
+
+	if got, want := (getPostingsReq{Terms: []string{"ab"}, Query: []string{"ab", "x"}}).size(), len("ab")+sizeTerms([]string{"ab", "x"}); got != want {
+		t.Fatalf("request for one term: Size %d, want %d", got, want)
+	}
+	if got, want := (getPostingsReq{Terms: []string{"ab"}}).size(), len("ab")+1; got != want {
+		t.Fatalf("request for one term without a query: Size %d, want %d", got, want)
+	}
+	ix := index.NewInverted()
+	ix.Add("ab", index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7})
+	list := ix.Encoded("ab")
+	if got, want := (getPostingsResp{Items: []postingsList{{Postings: list, IndexedDF: 1}}}).size(), list.Size()+8; got != want {
+		t.Fatalf("reply of one list: Size %d, want %d", got, want)
+	}
+}

@@ -28,6 +28,14 @@
 //  4. Observability. The executor maintains an inflight gauge and a per-stage
 //     latency histogram (microseconds) so the engine's concurrency and each
 //     pipeline stage's cost distribution are visible in telemetry.
+//
+// The bound is per Map call, not per process. An item that itself calls Map
+// (a query's fetch fanning out over indexing peers inside a fan-out over
+// queries, say) runs up to Limit() items of its own, so nested fan-outs
+// multiply: at most Limit()^depth items are in flight at once. This keeps
+// nesting free of deadlock — no item ever waits for a slot its ancestors
+// hold — and callers that need a global bound flatten their work into one
+// Map instead, as the learning sweep's phases do.
 package fanout
 
 import (
@@ -106,19 +114,25 @@ func (e *Executor) stageHist(stage string) *telemetry.Histogram {
 
 // run executes one item with instrumentation. Stage latency is measured on
 // the executor's clock, so under virtual time the histograms report virtual
-// (deterministic) durations.
+// (deterministic) durations; with no histogram to feed, the clock is not read.
 func (e *Executor) run(hist *telemetry.Histogram, fn func()) {
 	e.inflight.Add(1)
-	start := e.clock.Now()
-	fn()
-	hist.Observe(e.clock.Now().Sub(start).Microseconds())
+	if hist == nil {
+		fn()
+	} else {
+		start := e.clock.Now()
+		fn()
+		hist.Observe(e.clock.Now().Sub(start).Microseconds())
+	}
 	e.inflight.Add(-1)
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) with at most e.Limit() items in
-// flight, and returns the results index-ordered: values[i] and errs[i] are
-// item i's outcome no matter when it completed. stage names the pipeline
-// stage for the per-stage latency histogram.
+// Map runs fn(ctx, i) for every i in [0, n) with at most e.Limit() of this
+// call's items in flight, and returns the results index-ordered: values[i] and
+// errs[i] are item i's outcome no matter when it completed. stage names the
+// pipeline stage for the per-stage latency histogram. The bound is this
+// call's alone: an fn that calls Map again gets Limit() more (see the package
+// documentation).
 //
 // Context contract: an item observed to start after ctx is done is not run;
 // its errs[i] is ctx.Err(). With limit 1 the items run inline in index order

@@ -64,6 +64,50 @@ func TestMapRespectsLimit(t *testing.T) {
 	}
 }
 
+// The bound is per Map call: items of a nested Map run beside their parents',
+// each call keeping its own Limit(). Two levels at limit 3 peak at nine leaves
+// in flight — limit², not limit — while the outer call never exceeds three.
+func TestNestedMapBoundIsPerCall(t *testing.T) {
+	const limit = 3
+	e := New(limit, nil)
+	var outer, leaves, outerPeak, leafPeak atomic.Int64
+	raise := func(peak *atomic.Int64, v int64) {
+		for p := peak.Load(); v > p && !peak.CompareAndSwap(p, v); p = peak.Load() {
+		}
+	}
+	// A leaf holds its slot until limit² leaves are in flight at once, which
+	// only a per-call bound allows, or until a deadline passes.
+	full := make(chan struct{})
+	var once sync.Once
+	_, errs := Map(context.Background(), e, "outer", limit+1, func(ctx context.Context, i int) (struct{}, error) {
+		raise(&outerPeak, outer.Add(1))
+		defer outer.Add(-1)
+		_, errs := Map(ctx, e, "inner", limit, func(context.Context, int) (struct{}, error) {
+			n := leaves.Add(1)
+			raise(&leafPeak, n)
+			if n == limit*limit {
+				once.Do(func() { close(full) })
+			}
+			select {
+			case <-full:
+			case <-time.After(2 * time.Second):
+			}
+			leaves.Add(-1)
+			return struct{}{}, nil
+		})
+		return struct{}{}, FirstError(errs)
+	})
+	if err := FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+	if p := leafPeak.Load(); p != limit*limit {
+		t.Fatalf("nested fan-outs peaked at %d leaves in flight, want %d = limit²", p, limit*limit)
+	}
+	if p := outerPeak.Load(); p > limit {
+		t.Fatalf("outer call peaked at %d items in flight, limit %d", p, limit)
+	}
+}
+
 func TestSequentialModeRunsInline(t *testing.T) {
 	// Limit 1 must run items in index order on the calling goroutine.
 	e := New(1, nil)

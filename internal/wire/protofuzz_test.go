@@ -134,6 +134,24 @@ func hasInterfaceField(t reflect.Type) bool {
 	return false
 }
 
+// protocolSeed returns the encoding of the registered payload type named name
+// (an unexported protocol type, reached through its prototype), built by set.
+func protocolSeed(f *testing.F, name string, set func(v reflect.Value)) []byte {
+	for _, proto := range wire.BinaryPrototypes() {
+		if t := reflect.TypeOf(proto); t.Name() == name {
+			v := reflect.New(t).Elem()
+			set(v)
+			enc, ok := wire.AppendBinary(nil, v.Interface())
+			if !ok {
+				f.Fatalf("%s is not encodable", name)
+			}
+			return enc
+		}
+	}
+	f.Fatalf("no registered payload type %s", name)
+	return nil
+}
+
 // FuzzBinaryProtocol round-trips EVERY registered protocol payload — chord's
 // and core's, discovered through wire.BinaryPrototypes — filled with
 // fuzz-derived content, and demands the decoded value equal the original
@@ -145,6 +163,31 @@ func FuzzBinaryProtocol(f *testing.F) {
 	f.Add([]byte{}, uint8(0))
 	f.Add([]byte("seed-data-1234567890 with spread"), uint8(3))
 	f.Add([]byte{0xff, 0x01, 0x80, 0x7f, 0x00, 0xfe, 0x41}, uint8(9))
+	// Valid frames of a batched postings fetch — a request for three terms,
+	// and replies of three lists with and without a refused one — so that
+	// the mutator starts from the multi-item shapes and the raw decode below
+	// reads them whole.
+	f.Add(protocolSeed(f, "getPostingsReq", func(v reflect.Value) {
+		v.FieldByName("Terms").Set(reflect.ValueOf([]string{"chord", "hash", "ring"}))
+		v.FieldByName("Query").Set(reflect.ValueOf([]string{"chord", "hash", "ring", "peer"}))
+		v.FieldByName("Record").SetBool(true)
+		v.FieldByName("CheckArc").SetBool(true)
+	}), uint8(5))
+	for _, refused := range []int{-1, 1} {
+		f.Add(protocolSeed(f, "getPostingsResp", func(v reflect.Value) {
+			items := reflect.MakeSlice(v.FieldByName("Items").Type(), 3, 3)
+			for i := 0; i < 3; i++ {
+				it := items.Index(i)
+				if i == refused {
+					it.FieldByName("Refused").SetBool(true)
+					continue
+				}
+				it.FieldByName("IndexedDF").SetInt(int64(2 + i))
+				it.FieldByName("FromReplica").SetBool(i == 2)
+			}
+			v.FieldByName("Items").Set(items)
+		}), uint8(11))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, flip uint8) {
 		protos := wire.BinaryPrototypes()
 		if len(protos) == 0 {

@@ -132,8 +132,9 @@ type Options struct {
 	// fetch, exactly the paper's message accounting. Validated in New.
 	Resilience ResilienceOptions
 	// Parallelism bounds the query execution engine's fan-out: how many
-	// per-term pipelines (DHT lookup → postings fetch → history recording →
-	// scoring) run concurrently per query, and how many documents the
+	// postings exchanges (one per indexing peer the querying peer can name
+	// itself, one DHT route per other term) run concurrently per query, and
+	// how many documents the
 	// learning/refresh sweeps process at once. 0 (the default) derives the
 	// bound from GOMAXPROCS; 1 forces the legacy sequential path. Rankings,
 	// query histories, and message accounting are bit-identical across

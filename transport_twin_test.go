@@ -147,7 +147,8 @@ func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg
 // search again and one anti-entropy round on one replicated ring over the
 // simulator and over the socket transport, and requires the same rankings and
 // the same number of messages of every type — those of the learning iteration
-// and of the repair round on their own as well — the same index terms learned
+// and of the repair round on their own as well, and those of the searches
+// while the ring is half joined — the same index terms learned
 // and the same replica indexes after the repair. The learning iteration's
 // polls go to each holder of record in one batch and the items a holder
 // refuses go round on the ring; the repair round pushes the joiner's
@@ -155,9 +156,10 @@ func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg
 // this also carries sprite.repair.push across a socket. Routed
 // deliveries travel inside chord's envelope, and the half-stabilized join
 // leaves nodes that still hint at the joiner's successor for its arc, and that
-// successor refusing the arc's items in a batch, so this is also the check
-// that the envelope, both refusals and the hint in a hop answer cross a
-// socket meaning what they mean in process.
+// successor refusing the arc's items in a poll batch and the arc's terms in a
+// get_postings the searchers address to it from their own nodes' state, so
+// this is also the check that the envelope, all three refusals and the hint in
+// a hop answer cross a socket meaning what they mean in process.
 func TestTransportTwinMessageCounts(t *testing.T) {
 	const peers = 24
 	docs := []map[string]int{
@@ -172,6 +174,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	type outcome struct {
 		rankings []ir.RankedList
 		calls    map[string]int
+		join     map[string]int // the share of calls the searches of the half-joined ring sent
 		learn    map[string]int // the share of calls the learning iteration sent
 		repair   map[string]int // the share of calls the anti-entropy round sent
 		indexed  map[index.DocID][]string
@@ -196,7 +199,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ring.Build()
-		n, err := core.NewNetwork(ring, core.Config{InitialTerms: 3, TermsPerIteration: 2, MaxIndexTerms: 8, ReplicationFactor: 2})
+		n, err := core.NewNetwork(ring, core.Config{InitialTerms: 3, TermsPerIteration: 2, MaxIndexTerms: 8, ReplicationFactor: 2, Telemetry: reg})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -249,12 +252,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 		if err := n.ShareCtx(context.Background(), peer(3), corpus.NewDocument("doc-arc", arcTF)); err != nil {
 			t.Fatalf("%s: Share doc-arc: %v", name, err)
 		}
-		for _, term := range arcTerms {
-			for i := 0; i < peers; i += 3 {
-				search(peer(i), []string{term})
-			}
-		}
-		counters := []string{"chord.route.hinted", "chord.route.hint_rejected"}
+		counters := []string{"chord.route.hinted", "chord.route.hint_rejected", "sprite.fetch.rerouted"}
 		tally := func() map[string]int {
 			nt.mu.Lock()
 			defer nt.mu.Unlock()
@@ -275,6 +273,13 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 			return calls
 		}
 		prior := tally()
+		for _, term := range arcTerms {
+			for i := 0; i < peers; i += 3 {
+				search(peer(i), []string{term})
+			}
+		}
+		out.join = since(prior)
+		prior = tally()
 		if _, err := n.LearnAllCtx(context.Background()); err != nil {
 			t.Fatalf("%s: LearnAll: %v", name, err)
 		}
@@ -309,6 +314,12 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	if l := want.learn; l["sprite.poll"] == 0 || l["chord.route.hint_rejected"] == 0 || l["chord.next_hop"] > 4*(l["sprite.publish"]+l["chord.route.hint_rejected"]) {
 		t.Fatalf("simnet learning iteration exchanged %v — its polls are not going straight to the holders, or none was refused", l)
 	}
+	// The searches of the joiner's arc go to the successor the searchers'
+	// own nodes still name for it, in one get_postings each, and it refuses
+	// them: each term then goes round on the ring.
+	if j := want.join; j["sprite.fetch.rerouted"] == 0 || j["sprite.get_postings"] <= j["sprite.fetch.rerouted"] {
+		t.Fatalf("simnet searches of the half-joined ring exchanged %v — no batched fetch was refused", j)
+	}
 	if want.repair["sprite.repair.push"] == 0 || len(want.replicas) == 0 {
 		t.Fatalf("simnet repair round exchanged %v over %d replica entries — it pushed no replica list", want.repair, len(want.replicas))
 	}
@@ -317,9 +328,9 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	if !reflect.DeepEqual(got.rankings, want.rankings) {
 		t.Fatalf("tcp rankings differ from simnet:\n%v\nvs\n%v", got.rankings, want.rankings)
 	}
-	if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.learn, want.learn) || !reflect.DeepEqual(got.repair, want.repair) {
-		t.Fatalf("tcp message counts differ from simnet:\n%v, learning %v, repair %v\nvs\n%v, learning %v, repair %v",
-			got.calls, got.learn, got.repair, want.calls, want.learn, want.repair)
+	if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.join, want.join) || !reflect.DeepEqual(got.learn, want.learn) || !reflect.DeepEqual(got.repair, want.repair) {
+		t.Fatalf("tcp message counts differ from simnet:\n%v, half-joined searches %v, learning %v, repair %v\nvs\n%v, half-joined searches %v, learning %v, repair %v",
+			got.calls, got.join, got.learn, got.repair, want.calls, want.join, want.learn, want.repair)
 	}
 	if !reflect.DeepEqual(got.replicas, want.replicas) {
 		t.Fatalf("tcp replica indexes differ from simnet after the repair round:\n%v\nvs\n%v", got.replicas, want.replicas)
@@ -327,5 +338,5 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	if !reflect.DeepEqual(got.indexed, want.indexed) {
 		t.Fatalf("tcp learned other index terms than simnet:\n%v\nvs\n%v", got.indexed, want.indexed)
 	}
-	t.Logf("messages by type on both transports: %v, of which learning: %v, repair: %v", want.calls, want.learn, want.repair)
+	t.Logf("messages by type on both transports: %v, of which half-joined searches: %v, learning: %v, repair: %v", want.calls, want.join, want.learn, want.repair)
 }
