@@ -168,13 +168,15 @@ smoke-postings:
 	$(GO) test -race ./internal/index/
 	$(GO) test -race -run 'Stream|Merge' ./internal/ir/
 
-# Peer-driven placement smoke: the repair package's digest property tests,
-# the join/leave handoff + anti-entropy protocol suites in core, the facade
-# and REPL join/leave paths (race detector on all of those), plus the
-# mass-churn determinism soak and the stranded-entry mutation test.
+# Placement smoke: the repair package's digest property tests, the join/leave
+# handoff + anti-entropy protocol suites in core, the learning sweep's
+# re-anchoring of postings lost to a crash or a join without handoff
+# (TestRefresh*), the facade and REPL join/leave paths (race detector on all
+# of those), plus the mass-churn determinism soak and the stranded-entry
+# mutation test.
 smoke-repair:
 	$(GO) test -race ./internal/repair/
-	$(GO) test -race -run 'Handoff|Leave|Repair|AntiEntropy' ./internal/core/
+	$(GO) test -race -run 'Handoff|Leave|Repair|AntiEntropy|Refresh' ./internal/core/
 	$(GO) test -race -run 'JoinLeave' . ./cmd/spritesim/
 	$(GO) test -run 'MassChurnSoak|StrandedEntry' ./internal/chaos/
 

@@ -234,8 +234,8 @@ func BenchmarkExpansion(b *testing.B) {
 	}
 }
 
-// BenchmarkMaintenance runs the churn-recovery comparison (degraded vs owner
-// refresh vs successor replication).
+// BenchmarkMaintenance runs the churn-recovery comparison (degraded vs one
+// learning sweep vs successor replication).
 func BenchmarkMaintenance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := eval.RunMaintenance(benchConfig(), 0.25, 2)
@@ -244,7 +244,7 @@ func BenchmarkMaintenance(b *testing.B) {
 		}
 		printTable("maintenance", res.Report().Text())
 		b.ReportMetric(res.Degraded.Precision, "P-degraded")
-		b.ReportMetric(res.AfterRefresh.Precision, "P-after-refresh")
+		b.ReportMetric(res.AfterSweep.Precision, "P-after-sweep")
 	}
 }
 

@@ -225,13 +225,6 @@ func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 			return false
 		}
 		fmt.Printf("%s withdrawn from the network\n", args[0])
-	case "refresh":
-		moved, err := net.Refresh()
-		if err != nil {
-			fail("%v", err)
-			return false
-		}
-		fmt.Printf("refresh migrated %d index entries\n", moved)
 	case "expand":
 		if len(args) < 3 {
 			fail("usage: expand <peer> <k> <query...>")
@@ -397,8 +390,7 @@ const helpText = `commands:
   search <peer> <k> <query...>     keyword search, top-k results
   expand <peer> <k> <query...>     search with query expansion
   similar <peer> <k> <docID>       find documents similar to one (-sketch)
-  refresh                          re-publish all index entries (heal churn)
-  learn                            run one learning iteration over all docs
+  learn                            one learning iteration; re-publishes lost entries
   terms <docID>                    show a document's current index terms
   fail <peer> | recover <peer>     crash / revive a peer
   join <peer> | leave <peer>       grow / shrink the ring with entry handoff

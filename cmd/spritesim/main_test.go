@@ -83,9 +83,9 @@ func TestExecuteUnshareRefreshExpand(t *testing.T) {
 	if !strings.Contains(out, "d1") {
 		t.Fatalf("expand output: %q", out)
 	}
-	out, _ = capture(t, net, "refresh")
-	if !strings.Contains(out, "migrated") {
-		t.Fatalf("refresh output: %q", out)
+	out, _ = capture(t, net, "learn")
+	if !strings.Contains(out, "learning iteration") {
+		t.Fatalf("learn output: %q", out)
 	}
 	out, _ = capture(t, net, "unshare d1")
 	if !strings.Contains(out, "withdrawn") {

@@ -10,8 +10,8 @@ import (
 
 // TestFullLifecycle exercises every public capability in one coherent
 // scenario: a small library of documents is shared, searched, learned over,
-// expanded, checkpointed, damaged by churn, healed by refresh, and finally
-// partially withdrawn — asserting the visible behaviour at each step.
+// expanded, checkpointed, damaged by churn, healed by a learning sweep, and
+// finally partially withdrawn — asserting the visible behaviour at each step.
 func TestFullLifecycle(t *testing.T) {
 	net := newNet(t, Options{
 		Peers:             16,
@@ -102,12 +102,13 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatal("replication failed to keep 'consensus' findable")
 	}
 
-	// --- Recover and heal: stabilize the overlay, refresh the entries.
+	// --- Recover and heal: stabilize the overlay, and one learning sweep
+	// re-publishes whatever its polls find missing.
 	for _, victim := range peers[4:9] {
 		net.RecoverPeer(victim)
 	}
 	net.Stabilize(100)
-	if _, err := net.Refresh(); err != nil {
+	if _, err := net.LearnCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	res, err = net.SearchCtx(context.Background(), peers[9], "finger", 10)

@@ -1,7 +1,7 @@
 // Package chaos is a seeded, deterministic whole-system test harness for the
 // SPRITE stack. It generates a randomized but fully replayable sequence of
-// operations — shares, unshares, searches, learning and refresh sweeps, peer
-// crashes and recoveries, ring joins, packet loss and scheduled call drops —
+// operations — shares, unshares, searches, learning sweeps, peer crashes and
+// recoveries, ring joins, packet loss and scheduled call drops —
 // executes it against a live network (optionally alongside a cache-disabled
 // twin), and checks a registry of invariants after every step:
 //
@@ -318,7 +318,7 @@ type harness struct {
 	// can silently corrupt ring maintenance itself.
 	taint bool
 	// churned: ring membership or liveness changed since the last heal, so
-	// index placement may legitimately lag the oracle until a refresh.
+	// index placement may legitimately lag the oracle until a heal.
 	churned       bool
 	baseGoroutine int
 }

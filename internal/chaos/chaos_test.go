@@ -160,7 +160,7 @@ func TestChaosVirtualTime(t *testing.T) {
 // random fault ops) with a mass-join wave and a mass-leave wave spliced in,
 // turning over more than 30% of the initial ring in two bursts. Placement
 // after each burst is entirely the repair subsystem's doing — the heal path
-// runs no owner refresh sweep — and the whole soak runs twice on the virtual
+// runs no learning sweep — and the whole soak runs twice on the virtual
 // clock, asserting the final distributed state is bit-identical across runs.
 func TestChaosMassChurnSoak(t *testing.T) {
 	cfg := Config{
@@ -173,7 +173,7 @@ func TestChaosMassChurnSoak(t *testing.T) {
 		HotTermDF:         6,
 		VirtualTime:       true,
 	}
-	base := Generate(cfg) // FaultOps off: shares, searches, learning, refreshes
+	base := Generate(cfg) // FaultOps off: shares, searches, learning
 	joiners := []string{"j0", "j1", "j2"}
 	leavers := []string{"c1", "c4", "c7"}
 	if turnover := len(joiners) + len(leavers); turnover*100 < 30*cfg.Peers {

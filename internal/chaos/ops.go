@@ -23,7 +23,6 @@ const (
 	KSearchExpanded
 	KInsertQuery
 	KLearn
-	KRefresh
 	KFail
 	KRecover
 	KJoin
@@ -39,7 +38,7 @@ const (
 var kindNames = map[Kind]string{
 	KShare: "share", KUnshare: "unshare", KSearch: "search",
 	KSearchExpanded: "search_expanded", KInsertQuery: "insert_query",
-	KLearn: "learn", KRefresh: "refresh", KFail: "fail", KRecover: "recover",
+	KLearn: "learn", KFail: "fail", KRecover: "recover",
 	KJoin: "join", KLoss: "loss", KDrop: "drop", KHeal: "heal",
 	KLeave: "leave", KMassJoin: "mass_join", KMassLeave: "mass_leave",
 	KSimilar: "similar",
@@ -109,7 +108,7 @@ func Generate(cfg Config) []Op {
 	}
 	table := []wk{
 		{KShare, 14}, {KUnshare, 5}, {KSearch, 28}, {KSearchExpanded, 5},
-		{KSimilar, 6}, {KInsertQuery, 8}, {KLearn, 8}, {KRefresh, 5},
+		{KSimilar, 6}, {KInsertQuery, 8}, {KLearn, 13},
 	}
 	if cfg.FaultOps {
 		table = append(table, wk{KFail, 6}, wk{KRecover, 5}, wk{KJoin, 2}, wk{KHeal, 4},
@@ -429,9 +428,6 @@ func (h *harness) apply(d *deployment, op Op) opOut {
 	case KLearn:
 		_, err := d.net.LearnAllCtx(context.Background())
 		return opOut{err: err}
-	case KRefresh:
-		_, err := d.net.RefreshAll()
-		return opOut{err: err}
 	case KFail:
 		d.sim.Fail(simnet.Addr(op.Peer))
 		d.ring.StabilizeLists(stabilizeRounds)
@@ -549,8 +545,8 @@ func (h *harness) leave(d *deployment, name string) error {
 // injected faults, repair the ring, and run the peer-driven maintenance sweep
 // — misplaced entries shed to their arc owners, replica sets reconcile via
 // anti-entropy, and owners flush stale withdrawals and reclaim records
-// orphaned by departures. No owner refresh sweep is involved: placement after
-// a heal is entirely the repair subsystem's doing. heal is also the first
+// orphaned by departures. No learning sweep is involved: placement after a
+// heal is entirely the repair subsystem's doing. heal is also the first
 // stage of the final sweep, so it must always converge — failure to do so is
 // itself a violation.
 func (h *harness) heal() *Violation {

@@ -31,8 +31,8 @@ import (
 //
 //   - A write to one term's list invalidates that term's postings entry and
 //     no other: publish, unpublish, replica add/drop, handoff revert — every
-//     such message names its term — and hence share, unshare, learning
-//     re-publication and refresh, which are made of them. Unshare and the
+//     such message names its term — and hence share, unshare and learning
+//     (re-anchors included), which are made of them. Unshare and the
 //     stale-withdrawal retries also invalidate the terms whose holder they
 //     could not reach, since no handler ran there. Scoring a term reads
 //     nothing but that term's list (its length is IndexedDF; SurrogateN is a

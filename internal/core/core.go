@@ -81,9 +81,8 @@ type Config struct {
 	// Parallelism bounds the query execution engine's fan-out: the number of
 	// concurrent postings exchanges per query (one per indexing peer the
 	// querier names itself, one per term routed on the ring), the
-	// concurrent exchanges of each phase of a learning sweep, and the
-	// concurrent document refreshes in RefreshAll. 0 derives the bound
-	// from GOMAXPROCS; 1 is the legacy sequential path. Results are
+	// concurrent exchanges of each phase of a learning sweep. 0 derives the
+	// bound from GOMAXPROCS; 1 is the legacy sequential path. Results are
 	// bit-identical across settings (see internal/fanout).
 	Parallelism int
 	// Sketch configures per-document feature sketches and the similarity
@@ -116,6 +115,7 @@ type netMetrics struct {
 	learnRounds      *telemetry.Counter
 	learnChanges     *telemetry.Counter
 	learnRerouted    *telemetry.Counter
+	learnReanchored  *telemetry.Counter
 	fetchRerouted    *telemetry.Counter
 	termsPublished   *telemetry.Counter
 	termsRetired     *telemetry.Counter
@@ -148,6 +148,7 @@ func newNetMetrics(reg *telemetry.Registry) netMetrics {
 		learnRounds:      reg.Counter("sprite.learn.rounds"),
 		learnChanges:     reg.Counter("sprite.learn.index_changes"),
 		learnRerouted:    reg.Counter("sprite.learn.rerouted"),
+		learnReanchored:  reg.Counter("sprite.learn.reanchored"),
 		fetchRerouted:    reg.Counter("sprite.fetch.rerouted"),
 		termsPublished:   reg.Counter("sprite.index.terms_published"),
 		termsRetired:     reg.Counter("sprite.index.terms_retired"),
@@ -267,8 +268,8 @@ type Network struct {
 	// Config.Sketch is disabled.
 	sketcher *sketch.Sketcher
 	// exec is the query execution engine's fan-out executor. Per-term
-	// pipelines (searchCtx, insertQuery, expansion) and owner sweeps
-	// (learning, RefreshAll, replication) all share its concurrency bound.
+	// pipelines (searchCtx, insertQuery, expansion), learning sweeps and
+	// replication all share its concurrency bound.
 	exec *fanout.Executor
 
 	// mu guards the membership and ownership maps below. It is never held
@@ -490,8 +491,9 @@ func (n *Network) ProbeCtx(ctx context.Context, from simnet.Addr, terms []string
 // owner polls, every document folds, every owner publishes — with one poll
 // and one publish per owner and indexing peer (see learn.go), so the result
 // does not depend on Parallelism: every poll reads the indexing peers' state
-// before any publish or withdrawal of the sweep. Polls and re-publications
-// carry ctx's deadline, and a done ctx stops the sweep.
+// before any publish or withdrawal of the sweep. Re-anchors (learn.go) are
+// not changes. Polls and re-publications carry ctx's deadline, and a done ctx
+// stops the sweep.
 func (n *Network) LearnAllCtx(ctx context.Context) (changes int, err error) {
 	n.mu.RLock()
 	docs := make([]index.DocID, len(n.docOrder))

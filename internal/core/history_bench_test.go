@@ -54,7 +54,7 @@ func BenchmarkPoll(b *testing.B) {
 		for j := 0; j < 64; j++ {
 			state.cacheQuery(queries[(i*64+j)%len(queries)])
 		}
-		pollSink = state.poll(docTerms[i%len(docTerms)], docTerms, 0, nil)
+		pollSink = state.poll(docTerms[i%len(docTerms)], "d", docTerms, 0, nil)
 	}
 }
 

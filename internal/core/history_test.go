@@ -77,8 +77,13 @@ func (h *scanHistory) restoreInto(cap int) {
 	}
 }
 
-func (h *scanHistory) poll(ix *index.Inverted, term string, docTerms []string, since uint64) pollResult {
-	resp := pollResult{NewSince: h.seq, IndexedDF: ix.DocFreq(term)}
+func (h *scanHistory) poll(ix *index.Inverted, term string, doc index.DocID, docTerms []string, since uint64) pollResult {
+	resp := pollResult{Missing: true, NewSince: h.seq, IndexedDF: ix.DocFreq(term)}
+	for p := range ix.All(term) {
+		if p.Doc == doc {
+			resp.Missing = false
+		}
+	}
 	for _, sq := range h.entries {
 		if sq.seq <= since || !containsTerm(sq.terms, term) {
 			continue
@@ -143,6 +148,11 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 		capOf := func() int { return 1 + rng.Intn(12) }
 
 		n := testNetwork(t, 1, Config{HistoryCap: capOf()})
+		// The polled document is "d", whose postings the peer holds, or one
+		// it holds nothing of.
+		if err := n.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"alpha": 3, "beta": 2, "gamma": 1})); err != nil {
+			t.Fatal(err)
+		}
 		ref := &scanHistory{cap: n.cfg.HistoryCap}
 		for step := 0; step < 400; step++ {
 			state := &n.Peers()[0].indexing
@@ -160,13 +170,14 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 			case op < 18:
 				term := vocab[rng.Intn(len(vocab))]
 				docTerms := append(pick(), term)
+				polled := []index.DocID{"d", "ghost"}[rng.Intn(2)]
 				var since uint64
 				if state.seq > 0 {
 					since = uint64(rng.Int63n(int64(state.seq) + 1))
 				}
-				want := ref.poll(state.ix, term, docTerms, since)
-				if got := state.poll(term, docTerms, since, nil); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: poll(%s, %v, %d) = %+v, reference %+v", seed, step, term, docTerms, since, got, want)
+				want := ref.poll(state.ix, term, polled, docTerms, since)
+				if got := state.poll(term, polled, docTerms, since, nil); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: poll(%s, %s, %v, %d) = %+v, reference %+v", seed, step, term, polled, docTerms, since, got, want)
 				}
 			default:
 				var buf bytes.Buffer
@@ -228,7 +239,7 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 
 	// Entries 3 ({"a", "c"}) and 5 ({"e", "a"}) mention "a"; only 5 is past
 	// the watermark, so only 5 is placed.
-	poll := func() pollResult { return state.poll("a", []string{"a"}, 3, nil) }
+	poll := func() pollResult { return state.poll("a", "d", []string{"a"}, 3, nil) }
 	before := poll()
 	if want := [][]string{{"e", "a"}}; !reflect.DeepEqual(before.Queries, want) {
 		t.Fatalf("poll = %v, want %v", before.Queries, want)
@@ -280,7 +291,7 @@ func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				state.poll(vocab[(w+i)%len(vocab)], vocab, 0, nil)
+				state.poll(vocab[(w+i)%len(vocab)], "d", vocab, 0, nil)
 			}
 		}(w)
 	}
@@ -295,7 +306,7 @@ func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
 		ref.entries = append(ref.entries, refQuery{terms: sq.terms, seq: sq.seq})
 	}
 	for _, term := range vocab {
-		if got, want := state.poll(term, vocab, 0, nil), ref.poll(state.ix, term, vocab, 0); !reflect.DeepEqual(got, want) {
+		if got, want := state.poll(term, "d", vocab, 0, nil), ref.poll(state.ix, term, "d", vocab, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("poll(%s) = %+v, reference %+v", term, got, want)
 		}
 	}

@@ -20,10 +20,11 @@ import (
 //     (publishedAt), each with its watermark.
 //  2. Fold. Each document folds its answers in sorted-term order into the
 //     per-term statistics, runs the §7 hot-term advisory and rebuilds its rank
-//     list, deciding what to withdraw (done here) and what to publish.
+//     list, deciding what to withdraw (done here) and what to publish, and
+//     re-anchors the postings a poll found missing (reanchor).
 //  3. Publish. Each owner routes the first publish of every term none of its
 //     documents has a holder for; the route names the holder. Every other
-//     publish goes in one sprite.publish per holder.
+//     publish, re-anchors included, goes in one sprite.publish per holder.
 //
 // A batch is addressed from the owner's records (batch.go), so the holder
 // checks each item's key against its own arc (chord.Node.Serves) and refuses
@@ -46,6 +47,7 @@ type sweepDoc struct {
 	// publish holds the terms the fold decided to publish, in decision order;
 	// landed[i] is where publish[i] went.
 	publish []string
+	added   int // publish[:added] are new terms, the rest re-anchored ones
 	landed  []publishResult
 	changes int
 	err     error
@@ -94,6 +96,8 @@ func (n *Network) learn(ctx context.Context, ids []index.DocID, owners []*Peer) 
 			d.publish = append(d.publish, term)
 			return nil
 		})
+		d.added = len(d.publish)
+		d.p.reanchor(ctx, d.st, d.terms, d.polls, func(term string) { d.publish = append(d.publish, term) })
 		return nil
 	})
 	for i, err := range errs {
@@ -265,7 +269,7 @@ func (p *Peer) foldPolls(ctx context.Context, st *docState, terms []string, poll
 		// the ban is rolled back and the term stays indexed, so the next
 		// iteration retries. Keeping the ban while the entry survives would
 		// wedge the document: the term would never be re-selected or
-		// refreshed, and the stale entry would resurface ownerless when the
+		// re-anchored, and the stale entry would resurface ownerless when the
 		// indexing peer recovers.
 		if err := p.unpublishTerm(ctx, st, term); err != nil {
 			delete(st.banned, term)
@@ -294,6 +298,34 @@ func (p *Peer) foldPolls(ctx context.Context, st *docState, terms []string, poll
 	}
 }
 
+// reanchor makes the peer that answered Missing the holder of record of every
+// term still indexed — its holder crashed, or its key moved to a peer nobody
+// handed the entry to — and has publish send the posting there: §1's owner
+// probing made effectful. The copy at a different previous holder goes first,
+// as its replica withdrawals could erase the new holder's fresh replicas; one
+// it cannot reach goes on the stale list. Re-anchors count in
+// sprite.learn.reanchored, not as index changes.
+func (p *Peer) reanchor(ctx context.Context, st *docState, terms []string, polls []pollOut, publish func(term string)) {
+	for i, term := range terms {
+		last := st.publishedAt[term]
+		if !polls[i].res.Missing || !st.indexed[term] || last == "" {
+			continue
+		}
+		if last != polls[i].at {
+			stale, err := p.sendUnpublish(ctx, last, term, st.doc.ID)
+			if err != nil {
+				markStale(st, term, last)
+			}
+			for _, a := range stale {
+				markStale(st, term, a)
+			}
+		}
+		st.publishedAt[term] = polls[i].at
+		p.net.met.learnReanchored.Inc()
+		publish(term)
+	}
+}
+
 // publishResult is where one publish item landed, or why it did not.
 type publishResult struct {
 	at  simnet.Addr
@@ -301,8 +333,8 @@ type publishResult struct {
 }
 
 // publishPhase publishes the terms the fold decided on and records where each
-// landed; a term that could not be published leaves the indexed set again and
-// fails its document.
+// landed. A new term that could not be published leaves the indexed set again
+// and fails its document; a re-anchored one is forgotten.
 func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 	// Each owner's term → holder map, from its documents' records in sweep
 	// order: the first record of a term wins, and the holder's arc check
@@ -356,7 +388,12 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 	for _, it := range firsts {
 		holders[keyOf(it)] = it.d.landed[it.i].at // "" on failure: the term's other items route too
 	}
-	run(groupJobs(rest, learnItem.peer, func(it learnItem) simnet.Addr { return holders[keyOf(it)] }))
+	run(groupJobs(rest, learnItem.peer, func(it learnItem) simnet.Addr {
+		if it.i >= it.d.added {
+			return it.d.st.publishedAt[it.d.publish[it.i]] // the peer that answered Missing
+		}
+		return holders[keyOf(it)]
+	}))
 
 	for _, d := range docs {
 		for i, t := range d.publish {
@@ -364,10 +401,12 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 				d.p.recordPublished(d.st, t, r.at)
 				continue
 			}
-			delete(d.st.indexed, t)
-			d.changes--
-			if d.err == nil {
-				d.err = d.landed[i].err
+			forgetTerm(d.st, t)
+			if i < d.added {
+				d.changes--
+				if d.err == nil {
+					d.err = d.landed[i].err
+				}
 			}
 		}
 	}

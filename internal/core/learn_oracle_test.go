@@ -46,7 +46,8 @@ func (n *Network) learnAllPerTerm(ctx context.Context) (int, error) {
 
 // learnDocPerTerm is one document's per-term iteration: every poll on the
 // per-term route (pollRouted, the path a batch's refused items take), then the
-// fold, then every publish routed and recorded the moment it is decided.
+// fold, then every publish routed and recorded the moment it is decided, and
+// every re-anchor sent straight to the peer that answered Missing.
 func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error) {
 	p.mu.Lock()
 	st := p.owned[id]
@@ -64,5 +65,11 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 		return 0, err
 	}
 	p.foldPolls(ctx, st, terms, polls)
-	return p.applyRankList(ctx, st, func(term string) error { return p.publishTerm(ctx, st, term) })
+	changes, err := p.applyRankList(ctx, st, func(term string) error { return p.publishTerm(ctx, st, term) })
+	p.reanchor(ctx, st, terms, polls, func(term string) {
+		if p.publishTermTo(ctx, st, term, st.publishedAt[term]) != nil {
+			forgetTerm(st, term)
+		}
+	})
+	return changes, err
 }

@@ -419,12 +419,13 @@ func TestLearnPollsGoStraightToThePosting(t *testing.T) {
 // fewer than the old peer's watermark, so that number applied to the joiner's
 // history would skip them all — and demands that the next sweep folds each of
 // them exactly once into each of three documents and the one after it none,
-// however the owner comes to poll the joiner: after a refresh migrated the
-// postings, after the join's handoff relocated them — both times in one
-// batch — or with the postings still at the old peer, which refuses its
-// batch's items for the moved key and leaves them to the ring.
+// however the owner comes to poll the joiner: after the join's handoff
+// relocated the postings, in one batch, or with the postings still at the old
+// peer, which refuses its batch's items for the moved key and leaves them to
+// the ring — where the joiner answers them Missing, so that sweep re-anchors
+// the postings at the joiner and the next one polls it in one batch.
 func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
-	for _, mode := range []string{"refresh", "handoff", "ring"} {
+	for _, mode := range []string{"handoff", "ring"} {
 		t.Run(mode, func(t *testing.T) {
 			log := &msgLog{Network: simnet.New(3)}
 			ring := chord.NewRing(log, chord.Config{})
@@ -511,11 +512,6 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 			if got := newPeer.HistoryLen(); got != fresh {
 				t.Fatalf("the joiner recorded %d queries, want %d", got, fresh)
 			}
-			if mode == "refresh" {
-				if movedEntries, err := n.RefreshAll(); err != nil || movedEntries != len(docs)*len(moved) {
-					t.Fatalf("RefreshAll = %d, %v; want the %d postings of %v migrated", movedEntries, err, len(docs)*len(moved), moved)
-				}
-			}
 			before := map[index.DocID]int{}
 			for _, id := range docs {
 				st := owner.owned[id]
@@ -531,6 +527,8 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 				refused = len(docs) * len(moved)
 			}
 			for round, want := range []int{fresh, 0} {
+				ringRound := mode == "ring" && round == 0
+				reanchored := reg.Counter("sprite.learn.reanchored").Value()
 				log.drain()
 				rerouted := reg.Counter("sprite.learn.rerouted").Value()
 				if _, err := n.LearnAllCtx(ctx); err != nil {
@@ -538,12 +536,16 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 				}
 				batches := pollBatches(log.drain())[[2]simnet.Addr{ownerAddr, joiner.Addr()}]
 				rerouted = reg.Counter("sprite.learn.rerouted").Value() - rerouted
+				reanchored = reg.Counter("sprite.learn.reanchored").Value() - reanchored
 				switch {
-				case mode != "ring" && (len(batches) != 1 || len(batches[0]) != len(docs)*len(moved)):
+				case !ringRound && (len(batches) != 1 || len(batches[0]) != len(docs)*len(moved)):
 					t.Fatalf("round %d: the owner polled the joiner with %v, want one batch of every document's moved terms", round+1, batches)
 				case rerouted != int64(refused):
 					t.Fatalf("round %d: %d items re-routed, want the %d the old holder no longer serves", round+1, rerouted, refused)
+				case reanchored != int64(refused):
+					t.Fatalf("round %d: %d postings re-anchored, want the %d the old holder no longer serves", round+1, reanchored, refused)
 				}
+				refused = 0 // only the first sweep finds the postings misplaced
 				for _, id := range docs {
 					st := owner.owned[id]
 					if got := st.stats[moved[0]].qf - before[id]; got != want {

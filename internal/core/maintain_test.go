@@ -6,7 +6,9 @@ import (
 
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/chordid"
+	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
+	"github.com/spritedht/sprite/internal/telemetry"
 )
 
 func TestUnshareRemovesAllPostings(t *testing.T) {
@@ -73,55 +75,66 @@ func TestUnshareWithReplication(t *testing.T) {
 	}
 }
 
-func TestRefreshNoChurnMovesNothing(t *testing.T) {
-	n := testNetwork(t, 8, Config{InitialTerms: 3})
-	n.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"qq": 3, "ww": 2, "ee": 1}))
-	moved, err := n.RefreshAll()
-	if err != nil {
+// sweepReanchors runs one learning sweep and returns how many postings it
+// re-anchored and how many items it re-routed; n needs a telemetry registry.
+func sweepReanchors(t *testing.T, n *Network) (reanchored, rerouted int64) {
+	t.Helper()
+	reg := n.cfg.Telemetry
+	if reg == nil {
+		t.Fatal("sweepReanchors needs a telemetry registry")
+	}
+	a, r := reg.Counter("sprite.learn.reanchored").Value(), reg.Counter("sprite.learn.rerouted").Value()
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if moved != 0 {
-		t.Fatalf("refresh on a stable ring moved %d entries", moved)
+	return reg.Counter("sprite.learn.reanchored").Value() - a, reg.Counter("sprite.learn.rerouted").Value() - r
+}
+
+// holdersOf lists the peers whose primary index holds doc's posting of term.
+func holdersOf(n *Network, term string, doc index.DocID) []simnet.Addr {
+	var out []simnet.Addr
+	for _, e := range n.PrimarySnapshot() {
+		if e.Term == term && e.Posting.Doc == doc {
+			out = append(out, e.Peer)
+		}
+	}
+	return out
+}
+
+// TestRefreshNoChurnMovesNothing: on a stable ring every poll finds its
+// posting, so a learning sweep re-anchors nothing.
+func TestRefreshNoChurnMovesNothing(t *testing.T) {
+	n := testNetwork(t, 8, Config{InitialTerms: 3, Telemetry: telemetry.NewRegistry()})
+	n.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"qq": 3, "ww": 2, "ee": 1}))
+	if reanchored, _ := sweepReanchors(t, n); reanchored != 0 {
+		t.Fatalf("a sweep on a stable ring re-anchored %d postings", reanchored)
 	}
 }
 
+// TestRefreshMigratesAfterJoin: a node joins and takes over part of the key
+// space before it can accept a handoff, so the entries it now serves stay at
+// their old holder. One learning sweep finds them missing at the joiner and
+// leaves exactly one copy of each, there; the next sweep polls the joiner
+// directly and finds everything in place.
 func TestRefreshMigratesAfterJoin(t *testing.T) {
-	// A new node joins and takes over part of the key space; entries it now
-	// owns are unfindable until the owner refreshes.
 	net := simnet.New(3)
 	ring := chord.NewRing(net, chord.Config{})
 	if _, err := ring.AddNodes("m", 6); err != nil {
 		t.Fatal(err)
 	}
 	ring.Build()
-	n, err := NewNetwork(ring, Config{InitialTerms: 4})
+	n, err := NewNetwork(ring, Config{InitialTerms: 4, Telemetry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := doc("d", map[string]int{"terma": 4, "termb": 3, "termc": 2, "termd": 1})
-	if err := n.ShareCtx(context.Background(), "m0", d); err != nil {
+	terms := []string{"terma", "termb", "termc", "termd"}
+	if err := n.ShareCtx(context.Background(), "m0", doc("d", map[string]int{"terma": 4, "termb": 3, "termc": 2, "termd": 1})); err != nil {
 		t.Fatal(err)
 	}
-
-	// Find a joiner name that would own at least one of the doc's terms.
-	joinName := ""
-	for i := 0; i < 200 && joinName == ""; i++ {
-		cand := chordid.HashKey(nameFor(i))
-		for _, term := range []string{"terma", "termb", "termc", "termd"} {
-			key := chordid.HashKey(term)
-			owner, _ := ring.Owner(key)
-			// The candidate becomes the key's owner iff it lies on the
-			// clockwise arc [key, currentOwner).
-			if cand.BetweenLeftIncl(key, owner.ID()) {
-				joinName = nameFor(i)
-				break
-			}
-		}
-	}
+	joinName := findJoiner(ring)
 	if joinName == "" {
 		t.Skip("no joiner candidate found (hash layout)")
 	}
-
 	joiner, err := ring.AddNode(joinName)
 	if err != nil {
 		t.Fatal(err)
@@ -131,25 +144,40 @@ func TestRefreshMigratesAfterJoin(t *testing.T) {
 	}
 	ring.Stabilize(200)
 	ring.RepairFingers()
-	// Attach SPRITE state to the new node so it can serve app messages.
+	// Attached only now: the successor's handoff during stabilization found
+	// no one to take the entries.
 	n.Adopt(joiner)
+	var moved []string
+	for _, term := range terms {
+		if holder, _ := ring.Owner(chordid.HashKey(term)); holder == joiner {
+			moved = append(moved, term)
+			if got := holdersOf(n, term, "d"); len(got) != 1 || got[0] == joiner.Addr() {
+				t.Fatalf("%q held at %v before the sweep, want only its old holder", term, got)
+			}
+		}
+	}
+	if len(moved) == 0 {
+		t.Fatal("the joiner serves none of the document's terms")
+	}
 
-	moved, err := n.RefreshAll()
-	if err != nil {
-		t.Fatal(err)
+	if reanchored, _ := sweepReanchors(t, n); reanchored != int64(len(moved)) {
+		t.Fatalf("the sweep re-anchored %d postings, want the joiner's %d", reanchored, len(moved))
 	}
-	if moved == 0 {
-		t.Fatal("refresh after join moved nothing")
+	for _, term := range moved {
+		if got := holdersOf(n, term, "d"); len(got) != 1 || got[0] != joiner.Addr() {
+			t.Fatalf("%q held at %v after the sweep, want only the joiner", term, got)
+		}
 	}
-	// Every term must be findable again.
-	for _, term := range []string{"terma", "termb", "termc", "termd"} {
-		rl, err := n.SearchCtx(context.Background(), "m1", []string{term}, 5)
-		if err != nil {
-			t.Fatal(err)
+	for _, term := range terms {
+		if rl, err := n.SearchCtx(context.Background(), "m1", []string{term}, 5); err != nil || len(rl) != 1 {
+			t.Fatalf("term %q unfindable after the sweep: %v, %v", term, rl, err)
 		}
-		if len(rl) != 1 {
-			t.Fatalf("term %q unfindable after refresh", term)
-		}
+	}
+	if st := n.Repair(); st.Moved != 0 {
+		t.Fatalf("repair moved %d entries the sweep left misplaced", st.Moved)
+	}
+	if reanchored, rerouted := sweepReanchors(t, n); reanchored != 0 || rerouted != 0 {
+		t.Fatalf("the next sweep re-anchored %d postings and re-routed %d items, want none", reanchored, rerouted)
 	}
 }
 
@@ -157,39 +185,37 @@ func nameFor(i int) string {
 	return "joiner" + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26))
 }
 
-func TestRefreshUnknownDoc(t *testing.T) {
-	n := testNetwork(t, 4, Config{})
-	if _, err := n.RefreshDoc("ghost"); err == nil {
-		t.Fatal("refreshing unknown doc succeeded")
-	}
-}
-
+// TestRefreshAfterRecoveryRestoresEntries: the unreplicated holder of a term
+// crashes and its entry dies with it. Once the ring has stabilized around it,
+// one learning sweep's poll reaches the key's new owner, which answers that
+// the posting is missing; the owner re-publishes it there and queues the
+// crashed holder for the withdrawal it could not deliver.
 func TestRefreshAfterRecoveryRestoresEntries(t *testing.T) {
-	// An indexing peer fails; its entries are lost (no replication). When a
-	// key moves to the failover peer, refresh republished the entries there.
-	n := testNetwork(t, 10, Config{InitialTerms: 2})
+	reg := telemetry.NewRegistry()
+	n := testNetwork(t, 10, Config{InitialTerms: 2, Telemetry: reg})
 	n.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"alpha": 2, "beta": 1}))
-
-	// Fail the peer holding "alpha".
-	key := chordid.HashKey("alpha")
-	owner, _ := n.Ring().Owner(key)
-	n.Ring().Fail(owner)
-
+	holder, _ := n.Ring().Owner(chordid.HashKey("alpha"))
+	if holder.Addr() == "p0" {
+		t.Skip("the owner indexes the term itself (hash layout)")
+	}
+	n.Ring().Fail(holder)
+	n.Ring().StabilizeLists(64)
+	n.Ring().RepairFingers()
 	if rl, _ := n.SearchCtx(context.Background(), "p1", []string{"alpha"}, 5); len(rl) != 0 {
 		t.Fatalf("entries on failed peer still served: %v", rl)
 	}
-	moved, err := n.RefreshAll()
-	if err != nil {
-		t.Fatal(err)
+
+	if reanchored, _ := sweepReanchors(t, n); reanchored != 1 {
+		t.Fatalf("the sweep re-anchored %d postings, want alpha's 1", reanchored)
 	}
-	if moved == 0 {
-		t.Fatal("refresh did not migrate entries off the failed peer")
+	if rl, err := n.SearchCtx(context.Background(), "p1", []string{"alpha"}, 5); err != nil || len(rl) != 1 {
+		t.Fatalf("alpha unfindable after the sweep: %v, %v", rl, err)
 	}
-	rl, err := n.SearchCtx(context.Background(), "p1", []string{"alpha"}, 5)
-	if err != nil {
-		t.Fatal(err)
+	info, _ := n.DocIndexInfo("d")
+	if got := info.Stale["alpha"]; len(got) != 1 || got[0] != holder.Addr() {
+		t.Fatalf("stale withdrawals for alpha = %v, want the crashed holder %s", got, holder.Addr())
 	}
-	if len(rl) != 1 {
-		t.Fatal("entries not restored on the failover peer")
+	if at := info.PublishedAt["alpha"]; at == holder.Addr() {
+		t.Fatalf("alpha still recorded at the crashed holder %s", at)
 	}
 }

@@ -248,7 +248,10 @@ func (r pollResp) size() int {
 type pollResult struct {
 	// Refused reports that the term's key is outside the answering peer's
 	// arc (a CheckArc request only); nothing else is set.
-	Refused  bool
+	Refused bool
+	// Missing reports that the answering peer serves the term's key but holds
+	// no primary posting of the document under it (see reanchor).
+	Missing  bool
 	Queries  [][]string
 	NewSince uint64
 	// IndexedDF is the polled term's current indexed document frequency at

@@ -28,8 +28,8 @@ import (
 // together make Score computable from each iteration's incremental query set
 // alone.
 type docState struct {
-	// mu serializes learning, refresh, unshare, and term inspection for
-	// this document. It is never held across another peer's handler that
+	// mu serializes learning, stale flushes, unshare, and term inspection
+	// for this document. It is never held across another peer's handler that
 	// takes it back (handlers only touch indexingState), so lock ordering
 	// is trivially acyclic.
 	mu  sync.Mutex
@@ -48,16 +48,16 @@ type docState struct {
 	// peer that issued it: only newer queries are pulled (the incremental
 	// query set Q′).
 	since map[string]pollMark
-	// publishedAt remembers which peer last accepted each term's posting, so
-	// refresh can detect ownership migration after churn.
+	// publishedAt remembers which peer last accepted each term's posting: the
+	// one polls and withdrawals address, and a re-anchor moves away from.
 	publishedAt map[string]simnet.Addr
 	// banned holds terms retired by the §7 hot-term advisory; they are never
 	// re-selected for this document ("The document owner peers can then
 	// discard the term and pick an analogously important term to index").
 	banned map[string]bool
 	// stale records peers that may still hold a withdrawn copy of a term's
-	// posting: a refresh migration whose withdrawal at the old indexing peer
-	// failed leaves the address here, and later refreshes/unshares retry
+	// posting: a re-anchor whose withdrawal at the old indexing peer failed
+	// leaves the address here, and later stale flushes and unshares retry
 	// until the copy is confirmed gone (or the holder leaves for good).
 	stale map[string][]simnet.Addr
 	// unshared is set by unshare: a learning sweep that found the state
@@ -176,11 +176,10 @@ func (p *Peer) routePublish(ctx context.Context, st *docState, term string) (sim
 }
 
 // publishTermTo publishes to a known indexing peer and, on success, records
-// the term as indexed there. Callers that resolved the target themselves
-// (refresh) use it to keep the lookup and the bookkeeping apart.
+// the term as indexed there. Orphan reclaim uses it after its own lookup.
 func (p *Peer) publishTermTo(ctx context.Context, st *docState, term string, target simnet.Addr) error {
-	if err := p.sendPublish(ctx, st, term, target); err != nil {
-		return err
+	if _, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), target, p.publishMsg(st, term)); err != nil {
+		return fmt.Errorf("core: publish %q to %s: %w", term, target, err)
 	}
 	p.recordPublished(st, term, target)
 	return nil
@@ -194,6 +193,13 @@ func (p *Peer) recordPublished(st *docState, term string, target simnet.Addr) {
 		st.publishedAt = make(map[string]simnet.Addr)
 	}
 	st.publishedAt[term] = target
+}
+
+// forgetTerm drops term from st's index bookkeeping, sending nothing.
+func forgetTerm(st *docState, term string) {
+	delete(st.indexed, term)
+	delete(st.since, term)
+	delete(st.publishedAt, term)
 }
 
 // itemFor is st's (term, posting) pair for term. It only reads st, so it is
@@ -214,15 +220,6 @@ func (p *Peer) publishMsg(st *docState, term string) simnet.Message {
 	return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
 }
 
-// sendPublish performs the raw publish call with no docState bookkeeping; it
-// is safe to fan out while st.mu is held by the caller (workers only read).
-func (p *Peer) sendPublish(ctx context.Context, st *docState, term string, target simnet.Addr) error {
-	if _, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), target, p.publishMsg(st, term)); err != nil {
-		return fmt.Errorf("core: publish %q to %s: %w", term, target, err)
-	}
-	return nil
-}
-
 // unpublishTerm removes a retired term's posting from its indexing peer. The
 // entry lives at the peer that last accepted it (publishedAt), so the
 // removal is addressed there directly — after churn a fresh lookup can name
@@ -230,7 +227,7 @@ func (p *Peer) sendPublish(ctx context.Context, st *docState, term string, targe
 // at the wrong peer would orphan the real copy. Local bookkeeping is dropped
 // only once the remote removal succeeds; on failure the term stays indexed,
 // so callers can retry, force-forget (unshare), or leave it for the next
-// refresh.
+// learning sweep to re-anchor.
 func (p *Peer) unpublishTerm(ctx context.Context, st *docState, term string) error {
 	target, known := st.publishedAt[term]
 	if !known {
@@ -247,9 +244,7 @@ func (p *Peer) unpublishTerm(ctx context.Context, st *docState, term string) err
 	for _, a := range stale {
 		markStale(st, term, a)
 	}
-	delete(st.indexed, term)
-	delete(st.since, term)
-	delete(st.publishedAt, term)
+	forgetTerm(st, term)
 	p.net.met.termsRetired.Inc()
 	return nil
 }

@@ -23,8 +23,8 @@ import (
 // path) and Parallelism=8 (full fan-out).
 
 // parallelWorkload drives one deployment through a fixed mixed workload —
-// shares, training inserts, learning sweeps, recorded searches, expansion,
-// refresh — and returns every ranked list produced, in order.
+// shares, training inserts, learning sweeps, recorded searches, expansion —
+// and returns every ranked list produced, in order.
 func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 	t.Helper()
 	vocab := []string{"chord", "dht", "ring", "hash", "peer", "index", "query", "learn", "route", "store"}
@@ -76,13 +76,13 @@ func parallelWorkload(t *testing.T, n *Network) []ir.RankedList {
 		t.Fatalf("SearchExpanded: %v", err)
 	}
 	out = append(out, erl)
-	if _, err := n.RefreshAll(); err != nil {
-		t.Fatalf("RefreshAll: %v", err)
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
+		t.Fatalf("third LearnAll: %v", err)
 	}
 	for _, q := range queries[:3] {
 		rl, err := n.SearchCtx(context.Background(), "p5", q, 10)
 		if err != nil {
-			t.Fatalf("post-refresh Search %v: %v", q, err)
+			t.Fatalf("post-learning Search %v: %v", q, err)
 		}
 		out = append(out, rl)
 	}

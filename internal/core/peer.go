@@ -444,7 +444,7 @@ func (s *indexingState) restoreHistory(h []storedQuery) {
 // handlePoll answers a poll item by item. A CheckArc request's items whose
 // keys lie outside this peer's arc are refused, untouched: the owner sends
 // them by the per-term route instead, which is what makes the answer the
-// ring's and not a stale record's.
+// ring's and not a stale record's. An item served but not held is Missing.
 func (p *Peer) handlePoll(req pollReq) pollResp {
 	var resp pollResp
 	for _, d := range req.Docs {
@@ -454,7 +454,7 @@ func (p *Peer) handlePoll(req pollReq) pollResp {
 				resp.Items = append(resp.Items, pollResult{Refused: true})
 				continue
 			}
-			r := p.indexing.poll(t.Term, d.DocTerms, t.Since, ids)
+			r := p.indexing.poll(t.Term, d.Doc, d.DocTerms, t.Since, ids)
 			p.net.met.pollsServed.Inc()
 			p.net.met.pollQueries.Add(int64(len(r.Queries)))
 			resp.Items = append(resp.Items, r)
@@ -467,13 +467,14 @@ func (p *Peer) handlePoll(req pollReq) pollResp {
 // among cached queries newer than the watermark since that mention term,
 // return those for which term is the closest of the document's global index
 // terms to the query hash — guaranteeing each query is shipped to the owner
-// by exactly one indexing peer (§3). ids memoises the ring positions of
-// docTerms (see closestTerm) and may be shared by polls of the same document's
-// terms; nil allocates one.
-func (s *indexingState) poll(term string, docTerms []string, since uint64, ids []termID) pollResult {
+// by exactly one indexing peer (§3) — and whether the primary index lacks
+// doc's posting under term. ids memoises the ring positions of docTerms (see
+// closestTerm) and may be shared by polls of the same document's terms; nil
+// allocates one.
+func (s *indexingState) poll(term string, doc index.DocID, docTerms []string, since uint64, ids []termID) pollResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := pollResult{NewSince: s.seq, IndexedDF: s.ix.DocFreq(term)}
+	resp := pollResult{Missing: !s.ix.Contains(term, doc), NewSince: s.seq, IndexedDF: s.ix.DocFreq(term)}
 	var matched []*storedQuery // valid while s.mu is held
 	for i := range s.history {
 		sq := &s.history[i]

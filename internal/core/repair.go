@@ -13,8 +13,8 @@ import (
 )
 
 // This file implements peer-driven data placement: the peers holding index
-// entries keep them placed, instead of waiting for the owners' periodic
-// refresh sweep to re-publish everything.
+// entries keep them placed, instead of waiting for the owners to find them
+// misplaced.
 //
 // Three mechanisms cooperate:
 //
@@ -143,7 +143,7 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 			// The owner is unreachable (or disagrees); its record now points
 			// at a peer that is leaving. The copy at the target is the one
 			// that keeps the term findable — queries route there — and the
-			// owner's next stale-withdrawal or refresh reconciles the record.
+			// owner's next stale flush or learning sweep reconciles the record.
 			p.indexing.unpublish(e.Term, e.Posting.Doc)
 			p.indexing.takeReplicaLocs(e.Term, e.Posting.Doc)
 			failed = append(failed, e)
@@ -351,9 +351,9 @@ type RepairStats struct {
 // Repair runs one peer-driven maintenance sweep: every alive peer sheds
 // misplaced primary entries to its predecessor (repeated until a fixpoint,
 // so chains of misplacement drain), then every primary reconciles its arc
-// with its replica holders. Unlike RefreshAll it involves no owners and no
-// per-term lookups — its message cost is proportional to what actually
-// diverged, not to the index size.
+// with its replica holders. It involves no owners and no per-term lookups —
+// its message cost is proportional to what actually diverged, not to the
+// index size.
 func (n *Network) Repair() RepairStats {
 	var st RepairStats
 	// A misplaced entry moves at least one hop counter-clockwise per round,
@@ -387,9 +387,8 @@ func (n *Network) Repair() RepairStats {
 }
 
 // FlushStaleAll retries every owner's pending stale withdrawals and repairs
-// records orphaned by graceful departures — the cheap owner-side half of the
-// old refresh sweep (it sends only the overdue unpublishes and the orphaned
-// re-publishes, not a re-publication of every term). Heal sequences run it
+// records orphaned by graceful departures: it sends only the overdue
+// unpublishes and the orphaned re-publishes. Heal sequences run it
 // after Repair so recovered holders shed withdrawn copies and owners whose
 // recorded holder left the network re-anchor those terms.
 func (n *Network) FlushStaleAll() {

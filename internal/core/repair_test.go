@@ -48,7 +48,7 @@ func findJoiner(ring *chord.Ring) string {
 }
 
 func TestJoinHandoffMigratesWithoutRefresh(t *testing.T) {
-	n, ring := joinableNetwork(t, Config{InitialTerms: 4})
+	n, ring := joinableNetwork(t, Config{InitialTerms: 4, Telemetry: telemetry.NewRegistry()})
 	joinName := findJoiner(ring)
 	if joinName == "" {
 		t.Skip("no joiner candidate found (hash layout)")
@@ -66,7 +66,7 @@ func TestJoinHandoffMigratesWithoutRefresh(t *testing.T) {
 	ring.Stabilize(200)
 	ring.RepairFingers()
 
-	// No owner refresh ran, yet every term must already be findable: the
+	// No owner acted, yet every term must already be findable: the
 	// successor handed the joiner's arc over when it adopted it as pred.
 	for _, term := range []string{"terma", "termb", "termc", "termd"} {
 		rl, err := n.SearchCtx(context.Background(), "m1", []string{term}, 5)
@@ -74,17 +74,13 @@ func TestJoinHandoffMigratesWithoutRefresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(rl) != 1 {
-			t.Fatalf("term %q unfindable after join without refresh", term)
+			t.Fatalf("term %q unfindable after join without a sweep", term)
 		}
 	}
-	// The owner's holder-of-record followed the entries, so a refresh sweep
-	// has nothing left to migrate.
-	moved, err := n.RefreshAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved != 0 {
-		t.Fatalf("refresh still moved %d entries after join handoff", moved)
+	// The owner's holder-of-record followed the entries, so a learning sweep
+	// finds every posting where it polls.
+	if reanchored, rerouted := sweepReanchors(t, n); reanchored != 0 || rerouted != 0 {
+		t.Fatalf("a sweep after join handoff re-anchored %d postings and re-routed %d items", reanchored, rerouted)
 	}
 	// And no primary entry sits outside its holder's arc.
 	if st := n.Repair(); st.Moved != 0 {
@@ -93,7 +89,7 @@ func TestJoinHandoffMigratesWithoutRefresh(t *testing.T) {
 }
 
 func TestLeaveHandsEntriesToSuccessor(t *testing.T) {
-	n, ring := joinableNetwork(t, Config{InitialTerms: 4})
+	n, ring := joinableNetwork(t, Config{InitialTerms: 4, Telemetry: telemetry.NewRegistry()})
 	// Find a peer (not the owner m0) holding at least one primary entry.
 	var leaver simnet.Addr
 	for _, p := range n.Peers() {
@@ -138,8 +134,8 @@ func TestLeaveHandsEntriesToSuccessor(t *testing.T) {
 			t.Fatalf("term %q unfindable after graceful leave", term)
 		}
 	}
-	if moved, _ := n.RefreshAll(); moved != 0 {
-		t.Fatalf("refresh migrated %d entries after graceful leave", moved)
+	if reanchored, _ := sweepReanchors(t, n); reanchored != 0 {
+		t.Fatalf("a sweep re-anchored %d postings after graceful leave", reanchored)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/spritedht/sprite/internal/chordid"
@@ -190,7 +191,14 @@ func init() {
 			r := v.(pollResp)
 			e.Uint(uint64(len(r.Items)))
 			for _, it := range r.Items {
-				e.Bool(it.Refused)
+				var flags uint64
+				if it.Refused {
+					flags |= pollRefused
+				}
+				if it.Missing {
+					flags |= pollMissing
+				}
+				e.Uint(flags)
 				e.Uint(uint64(len(it.Queries)))
 				for _, q := range it.Queries {
 					e.StringSlice(q)
@@ -201,12 +209,16 @@ func init() {
 		},
 		func(d *wire.Decoder) any {
 			var r pollResp
-			// The refusal flag, the query count and two varints.
+			// The flags, the query count and two varints.
 			if n := d.Count(4); n > 0 {
 				r.Items = make([]pollResult, n)
 				for i := range r.Items {
 					it := &r.Items[i]
-					it.Refused = d.Bool()
+					flags := d.Uint()
+					if flags&^(pollRefused|pollMissing) != 0 {
+						d.Fail(errors.New("core: unknown poll flags"))
+					}
+					it.Refused, it.Missing = flags&pollRefused != 0, flags&pollMissing != 0
 					if m := d.Count(1); m > 0 {
 						it.Queries = make([][]string, m)
 						for j := range it.Queries {
@@ -480,6 +492,12 @@ func init() {
 			return r
 		})
 }
+
+// Bits of a poll reply item's flags varint.
+const (
+	pollRefused = 1 << iota
+	pollMissing
+)
 
 // encodeList ships a postings list's blocks exactly as the index stores them,
 // length-prefixed; MarshalBinary only adds the block framing.

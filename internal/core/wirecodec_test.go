@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/hex"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/index"
@@ -17,6 +18,7 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	one := publishReq{Items: []publishItem{{Term: "ab", Posting: posting}}, CheckArc: true}
 	poll := pollReq{Docs: []pollDoc{{Doc: "d1", DocTerms: []string{"ab", "cd"}, Terms: []pollTerm{{Term: "ab", Since: 300}}}}, CheckArc: true}
 	answer := pollResp{Items: []pollResult{{Queries: [][]string{{"ab", "x"}}, NewSince: 5, IndexedDF: 2}, {Refused: true}}}
+	missing := pollResp{Items: []pollResult{{Missing: true, NewSince: 5}, {Refused: true}}}
 	for _, c := range []struct {
 		name   string
 		value  any
@@ -32,9 +34,11 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 		// count, then per document its ID, its terms and its polled terms,
 		// each with its watermark (300 = ac 02), then the arc-check flag.
 		{"pollReq", poll, "0016" + "01" + "026431" + "02" + "026162" + "026364" + "01" + "026162" + "ac02" + "01"},
-		// count, then per item the refusal flag, the queries, NewSince and the
-		// zig-zag IndexedDF.
+		// count, then per item the flags (refused 1, missing 2), the queries,
+		// NewSince and the zig-zag IndexedDF. An item with no flag set is the
+		// bytes a refusal bool wrote before there was a second flag.
 		{"pollResp", answer, "0017" + "02" + "00" + "01" + "02" + "026162" + "0178" + "05" + "04" + "01" + "00" + "00" + "00"},
+		{"pollResp/missing", missing, "0017" + "02" + "02" + "00" + "05" + "00" + "01" + "00" + "00" + "00"},
 	} {
 		enc, ok := wire.AppendBinary(nil, c.value)
 		if !ok {
@@ -47,6 +51,11 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 		if err != nil || !reflect.DeepEqual(dec, c.value) {
 			t.Fatalf("%s: binary round trip = %#v, %v", c.name, dec, err)
 		}
+	}
+
+	// A flag the codec does not know is an error, not a silently dropped bit.
+	if _, err := wire.DecodeBinary([]byte{0x00, 0x17, 0x01, 0x04, 0x00, 0x00, 0x00}); err == nil || !strings.Contains(err.Error(), "flags") {
+		t.Fatalf("poll reply with an unknown flag: %v, want a flags error", err)
 	}
 
 	// A single item's simulated size is the one it had before batching.

@@ -343,7 +343,7 @@ func TestRunChurn(t *testing.T) {
 		t.Errorf("failover-off arm retried or failed over: %+v", res.Off)
 	}
 	// Mass-join/mass-leave arms: recall must recover to the healthy baseline
-	// with no owner refresh sweep — placement recovery is peer-driven.
+	// with no learning sweep — placement recovery is peer-driven.
 	if res.JoinedPeers < 1 {
 		t.Fatalf("no peers joined in the mass-join arm")
 	}
@@ -356,8 +356,8 @@ func TestRunChurn(t *testing.T) {
 			res.AfterMassLeave.Recall, res.Baseline.Recall)
 	}
 	// Repair cost is O(entries in the changed arcs), not O(index): each wave
-	// must move a strict minority of the index, where a refresh sweep would
-	// republish all of it.
+	// must move a strict minority of the index, where re-publishing every
+	// entry would move all of it.
 	if res.IndexPostings == 0 {
 		t.Fatal("no index postings counted in the placement arms")
 	}
@@ -456,17 +456,18 @@ func TestRunMaintenance(t *testing.T) {
 	if res.Degraded.Recall > res.Healthy.Recall+1e-9 {
 		t.Errorf("degraded recall %v above healthy %v", res.Degraded.Recall, res.Healthy.Recall)
 	}
-	// Refresh must restore recall to (at least) the healthy level: every
-	// entry is re-published to a live peer.
-	if res.AfterRefresh.Recall+1e-9 < res.Healthy.Recall {
-		t.Errorf("refresh did not restore recall: healthy %v, after refresh %v",
-			res.Healthy.Recall, res.AfterRefresh.Recall)
+	// One learning sweep must restore recall to (at least) the healthy
+	// level: every lost entry is found missing and re-published to a live
+	// peer.
+	if res.AfterSweep.Recall+1e-9 < res.Healthy.Recall {
+		t.Errorf("the sweep did not restore recall: healthy %v, after the sweep %v",
+			res.Healthy.Recall, res.AfterSweep.Recall)
 	}
-	if res.RefreshMoved == 0 {
-		t.Error("refresh moved no postings despite 25% failures")
+	if res.SweepMoved == 0 {
+		t.Error("the sweep re-anchored no postings despite 25% failures")
 	}
-	if res.RefreshMsgs == 0 {
-		t.Error("refresh reported zero message cost")
+	if res.SweepMsgs == 0 {
+		t.Error("the sweep reported zero message cost")
 	}
 	if _, err := RunMaintenance(tiny(), -0.1, 2); err == nil {
 		t.Error("negative failFraction accepted")
@@ -589,7 +590,7 @@ func TestCSVRendering(t *testing.T) {
 		"cost":             (&InsertCostResult{Docs: 10, SelectiveMsgs: 40, FullMsgs: 200, MsgRatio: 5}).Report(),
 		"ablation":         (&AblationResult{Variants: []core.ScoreVariant{core.ScoreQScoreLogQF}, Metrics: m[:1]}).Report(),
 		"churn":            (&ChurnResult{Replicas: 2, FailedFraction: 0.25, PostingsLost: 0.24}).Report(),
-		"maintenance":      (&MaintenanceResult{Replicas: 2, RefreshMoved: 10437, RefreshMsgs: 186512}).Report(),
+		"maintenance":      (&MaintenanceResult{Replicas: 2, SweepMoved: 10437, SweepMsgs: 155852}).Report(),
 		"expansion":        (&ExpansionResult{Depths: []int{0, 2}, Metrics: m, ExtraMessages: []float64{0, 30}}).Report(),
 		"load":             (&LoadResult{}).Report(),
 		"learncost":        (&LearnCostResult{Iterations: []int{1}, MsgsPerDoc: []float64{7.5}, TermsPerDoc: []float64{10}, FullMsgsPerDoc: 141, AvgHops: 0.4}).Report(),
@@ -658,8 +659,8 @@ func TestCSVRendering(t *testing.T) {
 			}
 		}
 	}
-	if csv := reports["maintenance"].CSV(); !strings.Contains(csv, "after_refresh,0.0000,0.0000,10437,186512,") {
-		t.Errorf("maintenance CSV lost the refresh cost: %q", csv)
+	if csv := reports["maintenance"].CSV(); !strings.Contains(csv, "after_sweep,0.0000,0.0000,10437,155852,") {
+		t.Errorf("maintenance CSV lost the sweep's cost: %q", csv)
 	}
 	if csv := reports["fig4c"].CSV(); !strings.Contains(csv, "\n2,1,") {
 		t.Errorf("fig4c switch iteration not marked: %q", csv)

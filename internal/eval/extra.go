@@ -207,7 +207,7 @@ type ChurnResult struct {
 	On          ResilienceCounters
 
 	// Peer-driven placement arms: the ring grows by JoinedPeers fresh peers,
-	// then those same peers retire gracefully. No owner refresh sweep runs in
+	// then those same peers retire gracefully. No learning sweep runs in
 	// either arm — placement recovery is entirely the repair subsystem's
 	// doing (join-time handoff via arc-change hooks, graceful-leave handoff,
 	// Merkle anti-entropy), so AfterMassJoin / AfterMassLeave holding the
@@ -217,8 +217,8 @@ type ChurnResult struct {
 	JoinedPeers    int
 	// JoinMoved / LeaveMoved count primary entries relocated per wave, and
 	// IndexPostings the total primary postings before the waves: moved over
-	// total is the repair-cost ratio, O(arc moved) rather than O(index) as an
-	// owner refresh sweep would be.
+	// total is the repair-cost ratio, O(arc moved) rather than O(index) as
+	// re-publishing every entry would be.
 	JoinMoved     int
 	LeaveMoved    int
 	IndexPostings int
@@ -386,7 +386,7 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 	// of joining peers and later shrinks back as the same peers retire
 	// gracefully. Recovery is the repair subsystem's alone — arc-change
 	// handoffs fire during stabilization, Repair() finishes leftovers and
-	// reconciles replica sets — with no owner refresh sweep in either arm.
+	// reconciles replica sets — with no learning sweep in either arm.
 	place, err := build(withReplication)
 	if err != nil {
 		return nil, err
@@ -466,8 +466,8 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 // is the fraction of peers failed or dropping calls in the arm, and
 // postings_lost the fraction of primary postings the dead peers held. moved
 // counts primary entries that changed holder during a membership wave, and
-// the index_total row's moved the whole index an owner refresh sweep would
-// republish.
+// the index_total row's moved the whole index that re-publishing every
+// entry would move.
 func (r *ChurnResult) Report() *Report {
 	rep := &Report{
 		Title: "Churn: dead and transient faults, and membership waves repaired without owners (ratios to centralized)",

@@ -1,10 +1,12 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"github.com/spritedht/sprite/internal/ir"
+	"github.com/spritedht/sprite/internal/telemetry"
 )
 
 // MaintenanceResult compares the two recovery mechanisms the paper offers
@@ -14,17 +16,18 @@ type MaintenanceResult struct {
 	FailedFraction float64
 	Healthy        ir.Metrics // ratio to centralized before failures
 	Degraded       ir.Metrics // after failures, no recovery
-	AfterRefresh   ir.Metrics // after failures + owner RefreshAll
+	AfterSweep     ir.Metrics // after failures + one learning sweep
 	Replicated     ir.Metrics // after failures, with successor replication
-	RefreshMoved   int        // postings migrated by RefreshAll
-	RefreshMsgs    int64      // messages RefreshAll cost
+	SweepMoved     int64      // postings the sweep re-anchored
+	SweepMsgs      int64      // messages the sweep cost
 	Replicas       int
 }
 
 // RunMaintenance trains and learns a deployment, fails a fraction of peers,
-// and measures retrieval quality (a) degraded, (b) after the owners run a
-// refresh sweep (entries migrate to the failover peers), and (c) on an
-// identical deployment that had successor replication on from the start.
+// and measures retrieval quality (a) degraded, (b) after the owners run one
+// more learning sweep, whose polls find the failed peers' postings missing at
+// the failover peers and re-publish them there, and (c) on an identical
+// deployment that had successor replication on from the start.
 func RunMaintenance(cfg Config, failFraction float64, replicas int) (*MaintenanceResult, error) {
 	cfg = cfg.fillDefaults()
 	if failFraction < 0 || failFraction >= 1 {
@@ -34,6 +37,11 @@ func RunMaintenance(cfg Config, failFraction float64, replicas int) (*Maintenanc
 	if err != nil {
 		return nil, err
 	}
+	// The sweep's re-anchors are read off the deployment's registry.
+	if env.Cfg.Telemetry == nil {
+		env.Cfg.Telemetry = telemetry.NewRegistry()
+	}
+	reanchored := env.Cfg.Telemetry.Counter("sprite.learn.reanchored")
 	centralAbs := Measure(env.CentralSearcher(), env.Test, cfg.TopK)
 
 	build := func(reps int) (*Deployment, error) {
@@ -72,14 +80,13 @@ func RunMaintenance(cfg Config, failFraction float64, replicas int) (*Maintenanc
 	fail(plain)
 	res.Degraded = ir.Ratio(Measure(plain.SpriteSearcher(), env.Test, cfg.TopK), centralAbs)
 
-	before := plain.Sim.Stats().Calls
-	moved, err := plain.Net.RefreshAll()
-	if err != nil {
+	before, moved := plain.Sim.Stats().Calls, reanchored.Value()
+	if _, err := plain.Net.LearnAllCtx(context.Background()); err != nil {
 		return nil, err
 	}
-	res.RefreshMoved = moved
-	res.RefreshMsgs = plain.Sim.Stats().Calls - before
-	res.AfterRefresh = ir.Ratio(Measure(plain.SpriteSearcher(), env.Test, cfg.TopK), centralAbs)
+	res.SweepMoved = reanchored.Value() - moved
+	res.SweepMsgs = plain.Sim.Stats().Calls - before
+	res.AfterSweep = ir.Ratio(Measure(plain.SpriteSearcher(), env.Test, cfg.TopK), centralAbs)
 
 	rep, err := build(replicas)
 	if err != nil {
@@ -90,18 +97,18 @@ func RunMaintenance(cfg Config, failFraction float64, replicas int) (*Maintenanc
 	return res, nil
 }
 
-// Report renders the result; moved and msgs are what the owners' refresh
-// sweep re-homed and cost, and faulty the fraction of peers failed.
+// Report renders the result; moved and msgs are what the owners' learning
+// sweep re-anchored and cost, and faulty the fraction of peers failed.
 func (r *MaintenanceResult) Report() *Report {
 	f := r.FailedFraction
 	return &Report{
-		Title:   "Recovery after failing peers: owner refresh vs successor replication (ratios to centralized)",
+		Title:   "Recovery after failing peers: a learning sweep vs successor replication (ratios to centralized)",
 		Columns: []Column{{"state", 0}, {"precision", 4}, {"recall", 4}, {"moved", 0}, {"msgs", 0}, {"faulty", 2}},
 		Rows: [][]any{
-			{"healthy", r.Healthy.Precision, r.Healthy.Recall, 0, int64(0), 0.0},
-			{"degraded", r.Degraded.Precision, r.Degraded.Recall, 0, int64(0), f},
-			{"after_refresh", r.AfterRefresh.Precision, r.AfterRefresh.Recall, r.RefreshMoved, r.RefreshMsgs, f},
-			{fmt.Sprintf("replicated_%d", r.Replicas), r.Replicated.Precision, r.Replicated.Recall, 0, int64(0), f},
+			{"healthy", r.Healthy.Precision, r.Healthy.Recall, int64(0), int64(0), 0.0},
+			{"degraded", r.Degraded.Precision, r.Degraded.Recall, int64(0), int64(0), f},
+			{"after_sweep", r.AfterSweep.Precision, r.AfterSweep.Recall, r.SweepMoved, r.SweepMsgs, f},
+			{fmt.Sprintf("replicated_%d", r.Replicas), r.Replicated.Precision, r.Replicated.Recall, int64(0), int64(0), f},
 		},
 	}
 }

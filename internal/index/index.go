@@ -170,8 +170,8 @@ func (ix *Inverted) install(term string, tl *termList, bi int, repl ...*block) {
 }
 
 // Add inserts a posting for term. Adding the same (term, doc) pair twice
-// replaces the earlier posting — publishing is idempotent, as required for
-// SPRITE's periodic index refresh (§3).
+// replaces the earlier posting — publishing is idempotent, as re-publication
+// after churn requires (§3).
 //
 // Mutations are copy-on-write at block granularity: the one block whose
 // doc-ID range covers p.Doc gets a successor, swapped into a fresh block
@@ -318,6 +318,22 @@ func (ix *Inverted) DocFreq(term string) int {
 
 // Has reports whether term has at least one posting.
 func (ix *Inverted) Has(term string) bool { return ix.lists[term] != nil }
+
+// Contains reports whether term's list holds a posting of doc: a binary search
+// over the blocks' doc-ID ranges, then a walk of one block's front-coded doc
+// IDs. The walk uses the index's scratch space: it needs Add's exclusive access.
+func (ix *Inverted) Contains(term string, doc DocID) bool {
+	tl := ix.lists[term]
+	if tl == nil {
+		return false
+	}
+	bi := searchBlocks(tl.blocks, doc)
+	if bi == len(tl.blocks) || tl.blocks[bi].first > doc {
+		return false
+	}
+	b := tl.blocks[bi]
+	return ix.seek(b.data, parseLayout(b.data).postings, b.n, true, string(doc)).found
+}
 
 // Terms returns all indexed terms in sorted order.
 func (ix *Inverted) Terms() []string {

@@ -157,6 +157,34 @@ func TestRemove(t *testing.T) {
 	}
 }
 
+// Contains agrees with a scan of the list for docs inside, between, before and
+// after several blocks' ranges, as postings come and go.
+func TestContainsMatchesScan(t *testing.T) {
+	ix := NewInverted()
+	if ix.Contains("t", "doc0000") {
+		t.Fatal("Contains on a missing term")
+	}
+	for i := 0; i < 3*blockMax; i++ {
+		ix.Add("t", Posting{Doc: DocID(fmt.Sprintf("doc%04d", 2*i+1)), Owner: "peer", Freq: 1, DocLen: 9})
+	}
+	for i := 0; i < 3*blockMax; i += 7 {
+		ix.Remove("t", DocID(fmt.Sprintf("doc%04d", 2*i+1)))
+	}
+	held := map[DocID]bool{}
+	for p := range ix.All("t") {
+		held[p.Doc] = true
+	}
+	for i := 0; i <= 6*blockMax+2; i++ {
+		doc := DocID(fmt.Sprintf("doc%04d", i))
+		if got := ix.Contains("t", doc); got != held[doc] {
+			t.Fatalf("Contains(%s) = %v, the list says %v", doc, got, held[doc])
+		}
+	}
+	if ix.Contains("t", "a") || ix.Contains("t", "zzz") || ix.Contains("u", "doc0001") {
+		t.Fatal("Contains found a doc outside every block")
+	}
+}
+
 func TestRemoveDoc(t *testing.T) {
 	ix := NewInverted()
 	ix.Add("a", post("d1", 1, 10))

@@ -188,6 +188,15 @@ func FuzzBinaryProtocol(f *testing.F) {
 			v.FieldByName("Items").Set(items)
 		}), uint8(11))
 	}
+	// A poll reply whose first item reports its posting missing, so the
+	// mutator starts from the flags varint with its second bit set.
+	f.Add(protocolSeed(f, "pollResp", func(v reflect.Value) {
+		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 2, 2)
+		items.Index(0).FieldByName("Missing").SetBool(true)
+		items.Index(0).FieldByName("NewSince").SetUint(7)
+		items.Index(1).FieldByName("Refused").SetBool(true)
+		v.FieldByName("Items").Set(items)
+	}), uint8(2))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint8) {
 		protos := wire.BinaryPrototypes()
 		if len(protos) == 0 {

@@ -103,7 +103,7 @@ type Options struct {
 	// in-process simulator. Peer names become their "host:port" addresses.
 	// Traffic statistics, FailPeer/RecoverPeer, and per-message accounting
 	// are simulator capabilities and are inert in TCP mode; everything else
-	// — sharing, searching, learning, expansion, replication, refresh —
+	// — sharing, searching, learning, expansion, replication, repair —
 	// behaves identically.
 	TCP bool
 	// HotTermDF enables the hot-term advisory: index terms whose indexed
@@ -134,11 +134,10 @@ type Options struct {
 	// Parallelism bounds the query execution engine's fan-out: how many
 	// postings exchanges (one per indexing peer the querying peer can name
 	// itself, one DHT route per other term) run concurrently per query, and
-	// how many documents the
-	// learning/refresh sweeps process at once. 0 (the default) derives the
-	// bound from GOMAXPROCS; 1 forces the legacy sequential path. Rankings,
-	// query histories, and message accounting are bit-identical across
-	// settings — only wall-clock latency changes.
+	// how many exchanges each phase of a learning sweep runs at once. 0 (the
+	// default) derives the bound from GOMAXPROCS; 1 forces the legacy
+	// sequential path. Rankings, query histories, and message accounting are
+	// bit-identical across settings — only wall-clock latency changes.
 	Parallelism int
 	// Sketch enables vector-similarity retrieval: every shared document
 	// carries a compact random-projection sketch of its term vector inside
@@ -475,7 +474,9 @@ func (n *Network) results(rl ir.RankedList, err error) ([]Result, error) {
 
 // LearnCtx runs one learning iteration over every shared document: owners
 // poll the indexing peers for the queries seen since the last iteration and
-// re-tune their documents' index terms. It returns the number of index-term
+// re-tune their documents' index terms. A posting a poll finds missing is
+// re-published at the peer that answered (sprite.learn.reanchored), so a
+// sweep also heals placement after churn. It returns the number of index-term
 // changes applied. Polls and re-publications carry the caller's deadline and
 // the sweep stops at the first cancellation.
 func (n *Network) LearnCtx(ctx context.Context) (int, error) {
@@ -598,23 +599,10 @@ func (n *Network) Unshare(docID string) error {
 	return n.core.Unshare(index.DocID(docID))
 }
 
-// Refresh re-publishes every shared document's index terms through fresh
-// DHT lookups. After churn — failures, recoveries, new peers — the peer
-// responsible for a term may have changed; Refresh migrates entries to the
-// current owners, restoring findability. It returns the number of entries
-// that moved.
-//
-// Refresh is the owner-driven O(index) sweep; ring membership changes no
-// longer need it — JoinPeer and LeavePeer hand the affected arc's entries
-// off peer-to-peer, and Repair reconciles any remainder.
-func (n *Network) Refresh() (int, error) {
-	return n.core.RefreshAll()
-}
-
 // JoinPeer adds a fresh peer to the running network: the node joins the
 // Chord ring through an existing member, stabilization splices it in, and
 // the join-time handoff migrates the index entries of its new arc from its
-// successor — peer-driven, no owner refresh sweep involved. The name must
+// successor — peer-driven, no owner involved. The name must
 // not collide with an existing peer; in TCP mode it must be a bindable
 // "host:port" address.
 func (n *Network) JoinPeer(peer string) error {
@@ -675,9 +663,8 @@ type RepairStats struct {
 // Repair runs one peer-driven maintenance sweep: every peer sheds primary
 // entries outside its arc back toward their owner, and (with Replicas > 0)
 // reconciles its replica holders through compact Merkle digests, pushing
-// only the divergent term lists. This is the churn-repair path the paper's
-// owner refresh sweep used to cover, at O(entries in changed arcs) instead
-// of O(index).
+// only the divergent term lists, at O(entries in changed arcs). An
+// unreplicated posting lost in a crash is LearnCtx's to re-publish.
 func (n *Network) Repair() RepairStats {
 	st := n.core.Repair()
 	n.core.FlushStaleAll()

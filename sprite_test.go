@@ -253,8 +253,12 @@ func TestUnshareFacade(t *testing.T) {
 	}
 }
 
+// TestRefreshFacadeHealsAfterFailure: the unreplicated holder of a term
+// crashes, and one learning sweep re-publishes its posting at the peer that
+// now answers for the key.
 func TestRefreshFacadeHealsAfterFailure(t *testing.T) {
-	n := newNet(t, Options{Peers: 12, Seed: 13})
+	tel := NewTelemetry()
+	n := newNet(t, Options{Peers: 12, Seed: 13, Telemetry: tel})
 	if err := n.ShareTerms("peer0", "doc", map[string]int{"resilient": 3, "entries": 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,19 +279,18 @@ func TestRefreshFacadeHealsAfterFailure(t *testing.T) {
 	if victim == "" {
 		t.Skip("term hosted on the owner peer itself")
 	}
-	moved, err := n.Refresh()
-	if err != nil {
-		t.Fatalf("Refresh: %v", err)
+	if _, err := n.LearnCtx(context.Background()); err != nil {
+		t.Fatalf("LearnCtx: %v", err)
 	}
-	if moved == 0 {
-		t.Fatal("Refresh moved nothing")
+	if got := tel.Counter("sprite.learn.reanchored"); got != 1 {
+		t.Fatalf("the sweep re-anchored %d postings, want 1", got)
 	}
 	res, err := n.SearchTermsCtx(context.Background(), "peer0", []string{"resilient"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res) != 1 {
-		t.Fatalf("doc not findable after refresh: %v", res)
+		t.Fatalf("doc not findable after the sweep: %v", res)
 	}
 }
 
