@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
+.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -159,6 +159,14 @@ smoke-tcp:
 	$(GO) test -race -run 'TransportTwin' .
 	@gob=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | awk '/ encoding\/gob( |$$)/ && $$1 != "github.com/spritedht/sprite/internal/core" { print $$1 }'); \
 	[ -z "$$gob" ] || { echo "smoke-tcp: encoding/gob imported outside internal/core: $$gob"; exit 1; }
+
+# One way out of a peer: in internal/core only send.go calls the transport
+# or routes on the ring, so routing, resilience, spans and batching have one
+# home. Fails naming every other non-test core line that calls CallCtx,
+# Route, RouteVia, Lookup, LookupCtx or LookupExcluding.
+send-guard:
+	@calls=$$(grep -nE '\.(CallCtx|Route|RouteVia|Lookup|LookupCtx|LookupExcluding)\(' internal/core/*.go | grep -vE '^internal/core/(send\.go|[^:]*_test\.go):'); \
+	[ -z "$$calls" ] || { echo "send-guard: calls outside internal/core/send.go:"; echo "$$calls"; exit 1; }
 
 # Compressed-postings smoke: the block codec's property tests (compressed ≡
 # plain twin, marshal round-trip, cursor snapshot semantics, compression

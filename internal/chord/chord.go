@@ -18,10 +18,10 @@
 // node stores just the fingers that can differ from its immediate successor
 // (see Node.fingers), so the table sizes itself to the ring.
 //
-// Route fuses the lookup with the delivery it exists for. A node that is asked
-// for the next hop also names the node its fingers or successor list say owns
-// the key (an owner hint), and Route delivers straight to it instead of first
-// visiting the owner's predecessor to be told the same. A hint may be stale, so
+// RouteVia fuses the lookup with the delivery it exists for. A node that is
+// asked for the next hop also names the node its fingers or successor list say
+// owns the key (an owner hint), and RouteVia delivers straight to it instead of
+// first visiting the owner's predecessor to be told the same. A hint may be stale, so
 // it never decides ownership: the hinted delivery carries the key, and the
 // receiver serves it only if the key lies in its own arc (predecessor, self] —
 // otherwise it refuses and the lookup carries on as if no hint had been given.
@@ -356,7 +356,10 @@ func (n *Node) setFingerLocked(slot int, ref Ref, arc uint32) bool {
 func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
 	switch msg.Type {
 	case msgNextHop:
-		req := msg.Payload.(nextHopReq)
+		req, ok := msg.Payload.(nextHopReq)
+		if !ok {
+			return simnet.Message{}, n.badPayload(msg)
+		}
 		resp := n.nextHop(req)
 		return simnet.Message{Type: msg.Type, Payload: resp, Size: nextHopRespSize(resp)}, nil
 	case msgGetState:
@@ -365,7 +368,10 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		n.mu.Unlock()
 		return simnet.Message{Type: msg.Type, Payload: st, Size: refSize * (1 + len(st.Succs))}, nil
 	case msgNotify:
-		cand := msg.Payload.(Ref)
+		cand, ok := msg.Payload.(Ref)
+		if !ok {
+			return simnet.Message{}, n.badPayload(msg)
+		}
 		n.notify(cand)
 		return simnet.Message{Type: msg.Type, Size: 1}, nil
 	case msgPing:
@@ -386,6 +392,12 @@ func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		msg.Payload, msg.Size = env.Payload, msg.Size-chordid.Bytes
 	}
 	return app.HandleMessage(from, msg)
+}
+
+// badPayload is the error for an overlay message carrying another payload
+// than its type's, or none: a peer's bytes can say anything.
+func (n *Node) badPayload(msg simnet.Message) error {
+	return fmt.Errorf("chord: node %s: %q carrying %T", n.ref, msg.Type, msg.Payload)
 }
 
 // Serves reports whether key lies in this node's own arc, (predecessor, self]:
@@ -588,15 +600,17 @@ func (n *Node) LookupExcluding(ctx context.Context, key chordid.ID, exclude []ch
 // timeouts, retries, spans — around that one exchange.
 type Sender func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error)
 
-// Route delivers msg to the node responsible for key and returns its reply,
-// the owner that served it, and the routing round trips spent before the
-// delivery. It is Lookup followed by a call to the owner, minus one round
-// trip whenever a node on the way can name the owner itself: the message then
-// goes straight to that node inside an envelope carrying the key, under msg's
-// own Type, and the receiver hands it to its application handler only if the
-// key lies in its own arc. A refused hint costs that one round trip and turns
-// hints off for the rest of the route; a hinted node that is not alive is
-// excluded like any dead owner.
+// RouteVia delivers msg to the node responsible for key through send and
+// returns its reply, the owner that served it, and the routing round trips
+// spent before the delivery. It is Lookup followed by a send to the owner,
+// minus one round trip whenever a node on the way can name the owner itself:
+// the message then goes straight to that node inside an envelope carrying the
+// key, under msg's own Type, and the receiver hands it to its application
+// handler only if the key lies in its own arc. A refused hint costs that one
+// round trip and turns hints off for the rest of the route; a hinted node that
+// is not alive is excluded like any dead owner. send receives the message
+// exactly as it must reach the owner (enveloped or bare) and may repeat it to
+// the same node.
 //
 // hint, when not empty, is the caller's own guess at the owner — typically the
 // node that served the key last time. It is tried first, in the same envelope
@@ -605,21 +619,9 @@ type Sender func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simne
 // is not alive is not sent to, and the walk runs as if none had been given.
 //
 // A delivery error is returned as it is, together with the owner the message
-// was sent to; nothing is delivered twice. A done ctx aborts the route with
+// was sent to; send is called once per node. A done ctx aborts the route with
 // an error wrapping ctx.Err(). span receives one child per routing hop and
 // the annotation hinted=true|false|rejected|caller.
-func (n *Node) Route(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span, hint simnet.Addr) (reply simnet.Message, owner Ref, hops int, err error) {
-	return n.RouteVia(ctx, key, msg, span, n.call, hint)
-}
-
-// call is the plain Sender: one call from this node over its transport.
-func (n *Node) call(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	return n.net.CallCtx(ctx, n.ref.Addr, to, msg)
-}
-
-// RouteVia is Route with the delivery leg performed by send, which receives
-// the message exactly as it must reach the owner (enveloped or bare) and may
-// repeat it to the same node.
 func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span, send Sender, hint simnet.Addr) (reply simnet.Message, owner Ref, hops int, err error) {
 	// The walk runs below this frame and returns before each delivery, so a
 	// handler at the far end of send does not execute on top of it.
@@ -745,6 +747,10 @@ func (n *Node) advance(ctx context.Context, w *walk, parent *telemetry.Span) (ta
 				Size:    nextHopReqSize(w.req.Exclude),
 			})
 			w.hops++
+			var ok bool
+			if resp, ok = reply.Payload.(nextHopResp); err == nil && !ok {
+				err = fmt.Errorf("chord: %s answered %s with %T", w.cur, msgNextHop, reply.Payload)
+			}
 			if err != nil {
 				sp.Annotate("error", err.Error())
 				sp.Finish()
@@ -752,12 +758,12 @@ func (n *Node) advance(ctx context.Context, w *walk, parent *telemetry.Span) (ta
 					// The caller gave up: propagate its error, do not route on.
 					return Ref{}, false, fmt.Errorf("chord: lookup aborted at hop %d: %w", w.hops, err)
 				}
-				// cur died mid-lookup; restart with cur excluded.
+				// cur died mid-lookup, or answers nonsense; restart with cur
+				// excluded.
 				w.exclude(w.cur.ID)
 				continue
 			}
 			sp.Finish()
-			resp = reply.Payload.(nextHopResp)
 		}
 		byHint = !resp.Done && w.hints && len(w.req.Exclude) == 0 && !resp.Hint.IsZero()
 		switch {
@@ -838,19 +844,19 @@ func (n *Node) stabilize() {
 	if succ.ID != self.ID {
 		ctx := context.Background()
 		reply, err := n.net.CallCtx(ctx, self.Addr, succ.Addr, simnet.Message{Type: msgGetState, Size: 1})
-		if err == nil {
-			st := reply.Payload.(stateResp)
+		if st, ok := reply.Payload.(stateResp); err == nil && ok {
 			if !st.Pred.IsZero() && st.Pred.ID.Between(self.ID, succ.ID) && n.net.Alive(st.Pred.Addr) {
 				// Re-fetch state from the better successor — but re-check
 				// liveness before installing it: the candidate can die
 				// between the two getState calls, and promoting a corpse
 				// would wedge succs[0] on a node that notify can never
 				// reach. A failed re-fetch from a still-alive candidate is
-				// message loss: promote anyway and pick its list up next
-				// round.
+				// message loss (as is an answer that is no state): promote
+				// anyway and pick its list up next round.
 				cand := st.Pred
-				if reply2, err2 := n.net.CallCtx(ctx, self.Addr, cand.Addr, simnet.Message{Type: msgGetState, Size: 1}); err2 == nil {
-					succ, st = cand, reply2.Payload.(stateResp)
+				reply2, err2 := n.net.CallCtx(ctx, self.Addr, cand.Addr, simnet.Message{Type: msgGetState, Size: 1})
+				if st2, ok := reply2.Payload.(stateResp); err2 == nil && ok {
+					succ, st = cand, st2
 				} else if n.net.Alive(cand.Addr) {
 					succ = cand
 				}

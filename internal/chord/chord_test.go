@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -199,6 +200,28 @@ func TestLookupRoutesAroundFailedNode(t *testing.T) {
 	}
 	if got.ID == owner.ID() {
 		t.Fatal("lookup returned the failed node")
+	}
+}
+
+// TestNonsenseAnswersAreNotTrusted: a live node that answers every overlay
+// request with some other payload is routed around like a dead one — a
+// lookup excludes it and still names an owner — and a stabilization round
+// that asks it for its state keeps the asker's list; nothing panics.
+func TestNonsenseAnswersAreNotTrusted(t *testing.T) {
+	r := buildRing(t, 16, Config{})
+	liar := r.Nodes()[5]
+	r.Net().Register(liar.Addr(), simnet.HandlerFunc(func(simnet.Addr, simnet.Message) (simnet.Message, error) {
+		return simnet.Message{Type: "nonsense", Payload: Ref{Addr: "nonsense"}, Size: 1}, nil
+	}))
+	for i := 0; i < 200; i++ {
+		if _, _, err := r.Nodes()[i%16].Lookup(chordid.HashKey(fmt.Sprintf("liar-%d", i))); err != nil {
+			t.Fatalf("lookup %d: %v", i, err)
+		}
+	}
+	before := r.Nodes()[4].SuccessorList()
+	r.Stabilize(2)
+	if got := r.Nodes()[4].SuccessorList(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("the liar's predecessor changed its successor list %v to %v", before, got)
 	}
 }
 

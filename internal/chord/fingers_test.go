@@ -320,7 +320,7 @@ func TestStaleFingerArcAfterJoin(t *testing.T) {
 	echoRing(r)
 
 	rejected := reg.Counter("chord.route.hint_rejected").Value()
-	reply, owner, _, err := a.Route(context.Background(), key, echoMsg(), nil, "")
+	reply, owner, _, err := a.RouteVia(context.Background(), key, echoMsg(), nil, a.call, "")
 	if err != nil {
 		t.Fatal(err)
 	}

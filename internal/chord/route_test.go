@@ -31,6 +31,11 @@ func echoRing(r *Ring) {
 	}
 }
 
+// call is the plain Sender: one call from this node over its transport.
+func (n *Node) call(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	return n.net.CallCtx(ctx, n.ref.Addr, to, msg)
+}
+
 func echoMsg() simnet.Message {
 	return simnet.Message{Type: msgEcho, Payload: Ref{Addr: "ping"}, Size: 8}
 }
@@ -146,7 +151,7 @@ func TestHintsAndRouteMatchOracle(t *testing.T) {
 			if err != nil || ref != want {
 				t.Fatalf("N=%d: Lookup = %s, %v; oracle %s", size, ref, err, want)
 			}
-			reply, owner, _, err := start.Route(context.Background(), key, echoMsg(), nil, "")
+			reply, owner, _, err := start.RouteVia(context.Background(), key, echoMsg(), nil, start.call, "")
 			if err != nil {
 				t.Fatalf("N=%d: Route: %v", size, err)
 			}
@@ -216,7 +221,7 @@ func meanRoundTrips(t testing.TB, r *Ring, trials int) float64 {
 	total := 0
 	for i := 0; i < trials; i++ {
 		start := nodes[rng.Intn(len(nodes))]
-		_, owner, hops, err := start.Route(context.Background(), chordid.HashKey(fmt.Sprintf("hopkey-%d", i)), echoMsg(), nil, "")
+		_, owner, hops, err := start.RouteVia(context.Background(), chordid.HashKey(fmt.Sprintf("hopkey-%d", i)), echoMsg(), nil, start.call, "")
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
@@ -256,7 +261,7 @@ func routeAgainstLookup(t *testing.T, r *Ring, w *hintWatch, keys []chordid.ID) 
 		if err != nil {
 			t.Fatalf("LookupCtx: %v", err)
 		}
-		reply, owner, hops, err := start.Route(context.Background(), key, echoMsg(), nil, "")
+		reply, owner, hops, err := start.RouteVia(context.Background(), key, echoMsg(), nil, start.call, "")
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
@@ -401,7 +406,7 @@ func TestRouteDeliveryErrorIsNotRepeated(t *testing.T) {
 	}
 	net.ResetStats()
 	net.DropCalls(owner.Addr(), 1_000_000)
-	_, got, _, err := start.Route(context.Background(), key, echoMsg(), nil, "")
+	_, got, _, err := start.RouteVia(context.Background(), key, echoMsg(), nil, start.call, "")
 	if err == nil {
 		t.Fatal("Route to a dropping owner succeeded")
 	}
@@ -418,7 +423,7 @@ func TestRouteCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for i, n := range r.Nodes()[:8] {
-		_, _, _, err := n.Route(ctx, chordid.HashKey(fmt.Sprintf("cancel-%d", i)), echoMsg(), nil, "")
+		_, _, _, err := n.RouteVia(ctx, chordid.HashKey(fmt.Sprintf("cancel-%d", i)), echoMsg(), nil, n.call, "")
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("Route under a canceled context: %v, want context.Canceled", err)
 		}
@@ -430,7 +435,7 @@ func TestRouteAnnotatesSpan(t *testing.T) {
 	seen := map[string]bool{}
 	for i := 0; i < 50; i++ {
 		tr := reg.StartTrace("route-test")
-		if _, _, _, err := r.Nodes()[i%64].Route(context.Background(), chordid.HashKey(fmt.Sprintf("span-%d", i)), echoMsg(), tr.Root(), ""); err != nil {
+		if _, _, _, err := r.Nodes()[i%64].RouteVia(context.Background(), chordid.HashKey(fmt.Sprintf("span-%d", i)), echoMsg(), tr.Root(), r.Nodes()[i%64].call, ""); err != nil {
 			t.Fatal(err)
 		}
 		tr.Finish()
@@ -457,7 +462,7 @@ func TestRouteAnnotatesSpan(t *testing.T) {
 	}
 	for hint, annotation := range map[simnet.Addr]string{want.Addr: "caller", start.Successor().Addr: "rejected"} {
 		tr := reg.StartTrace("route-test")
-		if _, owner, _, err := start.Route(context.Background(), key, echoMsg(), tr.Root(), hint); err != nil || owner != want {
+		if _, owner, _, err := start.RouteVia(context.Background(), key, echoMsg(), tr.Root(), start.call, hint); err != nil || owner != want {
 			t.Fatalf("Route hinted %s = owner %s, %v; want %s", hint, owner, err, want)
 		}
 		tr.Finish()
@@ -479,7 +484,7 @@ func TestRouteAnnotatesSpan(t *testing.T) {
 func routeStats(t *testing.T, w *hintWatch, start *Node, key chordid.ID, hint simnet.Addr) (simnet.Addr, Ref, int, simnet.Stats) {
 	t.Helper()
 	w.ResetStats()
-	reply, owner, hops, err := start.Route(context.Background(), key, echoMsg(), nil, hint)
+	reply, owner, hops, err := start.RouteVia(context.Background(), key, echoMsg(), nil, start.call, hint)
 	if err != nil {
 		t.Fatalf("Route from %s hinted %q: %v", start.Addr(), hint, err)
 	}
@@ -624,7 +629,7 @@ func TestRouteCallerHintSelfOrEmpty(t *testing.T) {
 		start := nodes[i%len(nodes)]
 		route := func(hint simnet.Addr) ([]simnet.Message, Ref, int) {
 			rec.msgs = nil
-			_, owner, hops, err := start.Route(context.Background(), key, echoMsg(), nil, hint)
+			_, owner, hops, err := start.RouteVia(context.Background(), key, echoMsg(), nil, start.call, hint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -680,7 +685,7 @@ func TestSimulatedSizesTrackEncodedLength(t *testing.T) {
 		if _, _, err := nodes[i%len(nodes)].LookupExcluding(context.Background(), key, exclude, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := nodes[i%len(nodes)].Route(context.Background(), key, echoMsg(), nil, ""); err != nil {
+		if _, _, _, err := nodes[i%len(nodes)].RouteVia(context.Background(), key, echoMsg(), nil, nodes[i%len(nodes)].call, ""); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -234,7 +234,7 @@ func TestPollDedupAtScale(t *testing.T) {
 
 	// Count deliveries per keyword set across a manual poll sweep of all
 	// indexed terms with fresh watermarks.
-	docTerms := sortedIndexedTerms(st)
+	docTerms := sortedKeys(st.indexed)
 	delivered := map[string]int{}
 	for _, term := range docTerms {
 		ref, _, err := p.node.Lookup(hashOfTerm(term))

@@ -105,14 +105,6 @@ func (c CacheConfig) validate() error {
 	return nil
 }
 
-// postingsEntry is one cached postings fetch: the indexing peer's response
-// plus its address, retained so cache hits can still route msgCacheQuery
-// history recordings to it.
-type postingsEntry struct {
-	resp postingsList
-	peer simnet.Addr
-}
-
 // resultEntry is one cached ranked list plus the indexing peers contacted to
 // compute it, so recorded repeats keep feeding those peers' query histories.
 type resultEntry struct {
@@ -123,7 +115,7 @@ type resultEntry struct {
 // netCaches bundles the two query-path caches; both pointers are nil when
 // caching is disabled (a nil cache is inert).
 type netCaches struct {
-	postings *cache.Cache[postingsEntry]
+	postings *cache.Cache[termFetch]
 	results  *cache.Cache[resultEntry]
 }
 
@@ -133,7 +125,7 @@ func newNetCaches(cfg CacheConfig, reg *telemetry.Registry, clk vtime.Clock) net
 	}
 	var nc netCaches
 	if cfg.PostingsEntries > 0 {
-		nc.postings = cache.New[postingsEntry](cache.Config{
+		nc.postings = cache.New[termFetch](cache.Config{
 			MaxEntries: cfg.PostingsEntries,
 			TTL:        cfg.PostingsTTL,
 			Telemetry:  reg,
@@ -208,26 +200,8 @@ func resultBytes(e resultEntry) int {
 // postingsBytes approximates a cached postings entry's footprint. The
 // postings travel and are retained in their encoded block form, so the
 // encoded size is the honest byte cost of the entry.
-func postingsBytes(e postingsEntry) int {
+func postingsBytes(e termFetch) int {
 	return e.resp.Postings.Size() + len(e.peer) + 16
-}
-
-// fetchPostingsCached resolves a term's postings through the postings cache.
-// Misses run the resilient DHT path — Chord lookup, then msgGetPostings with
-// Record off, under the network's retry/failover policy — with
-// singleflight, so concurrent misses on the same term issue exactly one
-// remote fetch. The fetch itself never records the query (cached hits would
-// then under-count history); recording is the caller's job via
-// recordQueryAt.
-func (p *Peer) fetchPostingsCached(ctx context.Context, term string, tsp *telemetry.Span) (postingsEntry, cache.Outcome, error) {
-	return p.net.caches.postings.GetOrFill(term, func() (postingsEntry, int, error) {
-		resp, peer, err := p.fetchTermPostings(ctx, term, nil, false, tsp)
-		if err != nil {
-			return postingsEntry{}, 0, err
-		}
-		ent := postingsEntry{resp: resp, peer: peer}
-		return ent, postingsBytes(ent), nil
-	})
 }
 
 // recordQueryAt inserts the query into the indexing peer's history — the
@@ -242,10 +216,10 @@ func (p *Peer) recordQueryAt(ctx context.Context, peer simnet.Addr, query []stri
 	if peer == "" {
 		return nil
 	}
-	_, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), peer, simnet.Message{
+	_, _, err := p.send(ctx, dest{addr: peer}, simnet.Message{
 		Type:    msgCacheQuery,
 		Payload: cacheQueryReq{Query: query},
 		Size:    sizeTerms(query),
-	})
+	}, policy{})
 	return err
 }

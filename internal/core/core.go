@@ -20,6 +20,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -316,8 +317,6 @@ func NewNetwork(ring *chord.Ring, cfg Config) (*Network, error) {
 		p := newPeer(n, node)
 		n.peers[node.Addr()] = p
 		n.order = append(n.order, p)
-		node.SetAppHandler(p)
-		n.attachRepair(p)
 	}
 	sort.Slice(n.order, func(i, j int) bool { return n.order[i].Addr() < n.order[j].Addr() })
 	return n, nil
@@ -360,8 +359,6 @@ func (n *Network) Adopt(node *chord.Node) *Peer {
 	n.peers[node.Addr()] = p
 	n.order = append(n.order, p)
 	sort.Slice(n.order, func(i, j int) bool { return n.order[i].Addr() < n.order[j].Addr() })
-	node.SetAppHandler(p)
-	n.attachRepair(p)
 	return p
 }
 
@@ -387,15 +384,7 @@ func (n *Network) ShareCtx(ctx context.Context, owner simnet.Addr, doc *corpus.D
 	n.mu.Unlock()
 
 	if err := p.share(ctx, doc); err != nil {
-		n.mu.Lock()
-		delete(n.ownerOf, doc.ID)
-		for i, id := range n.docOrder {
-			if id == doc.ID {
-				n.docOrder = append(n.docOrder[:i], n.docOrder[i+1:]...)
-				break
-			}
-		}
-		n.mu.Unlock()
+		n.forget(doc.ID)
 		return err
 	}
 	return nil
@@ -407,6 +396,45 @@ func (n *Network) Owner(doc index.DocID) (*Peer, bool) {
 	defer n.mu.RUnlock()
 	p, ok := n.ownerOf[doc]
 	return p, ok
+}
+
+// ownedDoc returns doc's owner and the owner's state for it: a nil state when
+// doc is not shared or its owner no longer holds it.
+func (n *Network) ownedDoc(doc index.DocID) (*Peer, *docState) {
+	p, ok := n.Owner(doc)
+	if !ok {
+		return nil, nil
+	}
+	return p, p.state(doc)
+}
+
+// state returns p's state for doc, nil if p does not own it.
+func (p *Peer) state(doc index.DocID) *docState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.owned[doc]
+}
+
+// forget drops doc from the shared documents.
+func (n *Network) forget(doc index.DocID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	delete(n.ownerOf, doc)
+	if i := slices.Index(n.docOrder, doc); i >= 0 {
+		n.docOrder = slices.Delete(n.docOrder, i, i+1)
+	}
+}
+
+// sharedDocs returns the shared documents in share order and their owners.
+func (n *Network) sharedDocs() ([]index.DocID, []*Peer) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	docs := slices.Clone(n.docOrder)
+	owners := make([]*Peer, len(docs))
+	for i, id := range docs {
+		owners[i] = n.ownerOf[id]
+	}
+	return docs, owners
 }
 
 // Documents returns the IDs of all shared documents in share order.
@@ -430,11 +458,11 @@ func (n *Network) InsertQueryCtx(ctx context.Context, from simnet.Addr, terms []
 	}
 	dts := distinctTerms(terms)
 	errs := fanout.ForEach(ctx, n.exec, "insert", len(dts), func(ctx context.Context, i int) error {
-		_, _, _, err := p.node.Route(ctx, chordid.HashKey(dts[i]), simnet.Message{
+		_, _, err := p.send(ctx, dest{key: chordid.HashKey(dts[i])}, simnet.Message{
 			Type:    msgCacheQuery,
 			Payload: cacheQueryReq{Query: terms},
 			Size:    sizeTerms(terms),
-		}, nil, "")
+		}, policy{})
 		return err
 	})
 	return fanout.FirstError(errs)
@@ -495,14 +523,7 @@ func (n *Network) ProbeCtx(ctx context.Context, from simnet.Addr, terms []string
 // not changes. Polls and re-publications carry ctx's deadline, and a done ctx
 // stops the sweep.
 func (n *Network) LearnAllCtx(ctx context.Context) (changes int, err error) {
-	n.mu.RLock()
-	docs := make([]index.DocID, len(n.docOrder))
-	copy(docs, n.docOrder)
-	owners := make([]*Peer, len(docs))
-	for i, id := range docs {
-		owners[i] = n.ownerOf[id]
-	}
-	n.mu.RUnlock()
+	docs, owners := n.sharedDocs()
 	return n.learn(ctx, docs, owners)
 }
 
@@ -510,16 +531,11 @@ func (n *Network) LearnAllCtx(ctx context.Context) (changes int, err error) {
 // of LearnAllCtx over that document alone. An unshared doc wraps
 // ErrNoSuchDoc.
 func (n *Network) LearnDocCtx(ctx context.Context, doc index.DocID) (int, error) {
-	n.mu.RLock()
-	p, ok := n.ownerOf[doc]
-	n.mu.RUnlock()
+	p, ok := n.Owner(doc)
 	if !ok {
 		return 0, fmt.Errorf("%w: %q", ErrNoSuchDoc, doc)
 	}
-	p.mu.Lock()
-	_, owned := p.owned[doc]
-	p.mu.Unlock()
-	if !owned {
+	if p.state(doc) == nil {
 		return 0, fmt.Errorf("core: peer %s: %q: %w", p.Addr(), doc, errNotOwned)
 	}
 	return n.learn(ctx, []index.DocID{doc}, []*Peer{p})
@@ -528,9 +544,7 @@ func (n *Network) LearnDocCtx(ctx context.Context, doc index.DocID) (int, error)
 // IndexedTerms returns the current global index terms of a shared document,
 // sorted.
 func (n *Network) IndexedTerms(doc index.DocID) ([]string, error) {
-	n.mu.RLock()
-	p, ok := n.ownerOf[doc]
-	n.mu.RUnlock()
+	p, ok := n.Owner(doc)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchDoc, doc)
 	}

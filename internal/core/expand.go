@@ -63,9 +63,7 @@ const msgDocTerms = "sprite.doc_terms"
 // handleDocTerms serves a document's term vector from the owner's local
 // index. Registered in Peer.HandleMessage.
 func (p *Peer) handleDocTerms(req docTermsReq) docTermsResp {
-	p.mu.Lock()
-	st := p.owned[req.Doc]
-	p.mu.Unlock()
+	st := p.state(req.Doc)
 	if st == nil {
 		return docTermsResp{}
 	}
@@ -86,15 +84,14 @@ func (p *Peer) fetchDocTerms(ctx context.Context, stage string, hits ir.RankedLi
 		if !ok {
 			return docTermsResp{}, nil
 		}
-		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), owner, simnet.Message{
+		reply, _, err := p.send(ctx, dest{addr: owner}, simnet.Message{
 			Type:    msgDocTerms,
 			Payload: docTermsReq{Doc: hits[i].Doc},
 			Size:    len(hits[i].Doc),
-		})
-		if err != nil {
-			return docTermsResp{}, nil // owner offline: no evidence from it
-		}
-		return reply.Payload.(docTermsResp), nil
+		}, policy{})
+		// An offline owner, or one answering something else, gives no evidence.
+		resp, _ := reply.Payload.(docTermsResp)
+		return resp, err
 	})
 	return out
 }

@@ -14,13 +14,14 @@ import (
 )
 
 // searchPerTerm is a recorded search as it ran before fetches were batched:
-// every distinct term fetched on its own route (fetchTermPostings, the path a
-// batch's refused terms take), then the one merge.
+// every distinct term fetched on its own route (the postings protocol's
+// one-item form, the path a batch's refused terms take), then the one merge.
 func (p *Peer) searchPerTerm(ctx context.Context, terms []string, k int) (ir.RankedList, error) {
 	dts := distinctTerms(terms)
+	fetch := p.fetching("fetch", dts, terms, true, nil)
 	outs, errs := fanout.Map(ctx, p.net.exec, "fetch", len(dts), func(ctx context.Context, i int) (termFetch, error) {
-		resp, peer, err := p.fetchTermPostings(ctx, dts[i], terms, true, nil)
-		return termFetch{resp: resp, peer: peer}, err
+		out, _, err := fetch.route(ctx, i, dest{}, nil)
+		return out, err
 	})
 	if err := fanout.FirstError(errs); err != nil {
 		return nil, err

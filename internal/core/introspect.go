@@ -118,15 +118,7 @@ type DocIndex struct {
 // DocIndexInfo returns the owner's view of doc's index state, or false if
 // the document is not shared.
 func (n *Network) DocIndexInfo(doc index.DocID) (DocIndex, bool) {
-	n.mu.RLock()
-	p, ok := n.ownerOf[doc]
-	n.mu.RUnlock()
-	if !ok {
-		return DocIndex{}, false
-	}
-	p.mu.Lock()
-	st := p.owned[doc]
-	p.mu.Unlock()
+	p, st := n.ownedDoc(doc)
 	if st == nil {
 		return DocIndex{}, false
 	}
@@ -134,19 +126,15 @@ func (n *Network) DocIndexInfo(doc index.DocID) (DocIndex, bool) {
 	defer st.mu.Unlock()
 	di := DocIndex{
 		Owner:       p.Addr(),
+		Terms:       sortedKeys(st.indexed),
 		PublishedAt: make(map[string]simnet.Addr, len(st.publishedAt)),
 	}
-	for t := range st.indexed {
-		di.Terms = append(di.Terms, t)
-	}
-	sort.Strings(di.Terms)
 	for t, a := range st.publishedAt {
 		di.PublishedAt[t] = a
 	}
-	for t := range st.banned {
-		di.Banned = append(di.Banned, t)
+	if len(st.banned) > 0 {
+		di.Banned = sortedKeys(st.banned)
 	}
-	sort.Strings(di.Banned)
 	if len(st.stale) > 0 {
 		di.Stale = make(map[string][]simnet.Addr, len(st.stale))
 		for t, addrs := range st.stale {
@@ -218,10 +206,7 @@ func (n *Network) RelocatePrimaryEntry(from, to simnet.Addr, term string, doc in
 	// Keep the owner's ledger consistent with the corrupted placement so
 	// only the placement invariant can catch it.
 	if owner, ok := n.Peer(simnet.Addr(moved.Owner)); ok {
-		owner.mu.Lock()
-		st := owner.owned[doc]
-		owner.mu.Unlock()
-		if st != nil {
+		if st := owner.state(doc); st != nil {
 			st.mu.Lock()
 			if st.publishedAt[term] == from {
 				st.publishedAt[term] = to

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -26,13 +25,13 @@ import (
 //     documents has a holder for; the route names the holder. Every other
 //     publish, re-anchors included, goes in one sprite.publish per holder.
 //
-// A batch is addressed from the owner's records (batch.go), so the holder
+// Poll and publish are two protocols (polls, publishes) of exchange
+// (send.go): a batch is addressed from the owner's records, so the holder
 // checks each item's key against its own arc (chord.Node.Serves) and refuses
 // what it does not serve. Refused items, items whose holder is the owner
-// itself or unknown, and every item of a batch whose holder did not answer
-// take the per-term route instead — chord.Route on the term's key, exactly as
-// a single poll or publish always did — so a stale or dead holder costs only
-// its own batch.
+// itself or unknown, and every item of a batch whose holder is dead or did not
+// answer go alone by the term's key — exactly as a single poll or publish
+// always did — so a stale or dead holder costs only its own batch.
 
 // sweepDoc is one document's part in a learning sweep.
 type sweepDoc struct {
@@ -66,9 +65,6 @@ type learnItem struct {
 	d *sweepDoc
 	i int
 }
-
-// peer is the owner the item's exchange goes from.
-func (it learnItem) peer() *Peer { return it.d.p }
 
 // learn runs one learning iteration over the given documents (owners[i] owns
 // ids[i]). A document no longer owned is skipped. It returns the number of
@@ -130,10 +126,7 @@ func openSweep(ids []index.DocID, owners []*Peer) []*sweepDoc {
 		if p == nil {
 			continue
 		}
-		p.mu.Lock()
-		st := p.owned[id]
-		p.mu.Unlock()
-		if st != nil {
+		if st := p.state(id); st != nil {
 			found = append(found, &sweepDoc{p: p, id: id, st: st})
 		}
 	}
@@ -148,7 +141,7 @@ func openSweep(ids []index.DocID, owners []*Peer) []*sweepDoc {
 			d.st.mu.Unlock()
 			continue
 		}
-		d.terms = sortedIndexedTerms(d.st)
+		d.terms = sortedKeys(d.st.indexed)
 		d.polls = make([]pollOut, len(d.terms))
 		d.p.net.met.learnRounds.Inc()
 		docs = append(docs, d)
@@ -166,69 +159,54 @@ func (n *Network) pollPhase(ctx context.Context, docs []*sweepDoc) {
 			items = append(items, learnItem{d, i})
 		}
 	}
-	jobs := groupJobs(items, learnItem.peer, func(it learnItem) simnet.Addr { return it.d.st.publishedAt[it.d.terms[it.i]] })
-	outs, _ := fanout.Map(ctx, n.exec, "poll", len(jobs), func(ctx context.Context, i int) ([]pollOut, error) {
-		return jobs[i].p.pollJob(ctx, &jobs[i]), nil
-	})
-	for i, j := range jobs {
-		for k, it := range j.items {
-			if outs[i] != nil {
-				it.d.polls[it.i] = outs[i][k]
-			}
-		}
+	outs, _ := exchange(ctx, items, n.polls())
+	for k, it := range items {
+		it.d.polls[it.i] = outs[k]
 	}
 }
 
-// pollJob sends one poll job: in a batch, the items grouped by document, each
-// document's terms once.
-func (p *Peer) pollJob(ctx context.Context, j *job[learnItem]) []pollOut {
-	send := func() ([]pollOut, []bool, bool) {
-		req := pollReq{CheckArc: true}
-		for _, it := range j.items {
-			if len(req.Docs) == 0 || req.Docs[len(req.Docs)-1].Doc != it.d.id {
-				req.Docs = append(req.Docs, pollDoc{Doc: it.d.id, DocTerms: it.d.terms})
+// polls is the poll protocol: an item is terms[i] of its document, answered
+// with the poll's result and the peer that gave it, or left unanswered (at
+// "") — the document learns from the rest. A batch lists each document's
+// terms once. An item's watermark goes only to the peer that issued it
+// (sinceAt), so one routed to its holder of record as the route's hint and
+// served by another peer is asked once more, directly, with that peer's own.
+func (n *Network) polls() *protocol[learnItem, pollOut] {
+	term := func(it learnItem) string { return it.d.terms[it.i] }
+	return &protocol[learnItem, pollOut]{
+		stage:    "poll",
+		rerouted: n.met.learnRerouted,
+		hinted:   true,
+		from:     func(it learnItem) *Peer { return it.d.p },
+		term:     term,
+		holder:   func(it learnItem) simnet.Addr { return it.d.st.publishedAt[term(it)] },
+		request: func(to simnet.Addr, items []learnItem, checkArc bool) simnet.Message {
+			req := pollReq{CheckArc: checkArc}
+			for _, it := range items {
+				if len(req.Docs) == 0 || req.Docs[len(req.Docs)-1].Doc != it.d.id {
+					req.Docs = append(req.Docs, pollDoc{Doc: it.d.id, DocTerms: it.d.terms})
+				}
+				doc := &req.Docs[len(req.Docs)-1]
+				doc.Terms = append(doc.Terms, pollTerm{Term: term(it), Since: it.d.st.since[term(it)].sinceAt(to)})
 			}
-			term := it.d.terms[it.i]
-			doc := &req.Docs[len(req.Docs)-1]
-			doc.Terms = append(doc.Terms, pollTerm{Term: term, Since: it.d.st.since[term].sinceAt(j.holder)})
-		}
-		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), j.holder, simnet.Message{Type: msgPoll, Payload: req, Size: req.size()})
-		resp, ok := reply.Payload.(pollResp)
-		if err != nil || !ok || len(resp.Items) != len(j.items) {
-			return nil, nil, false
-		}
-		out, refused := make([]pollOut, len(j.items)), make([]bool, len(j.items))
-		for k, r := range resp.Items {
-			out[k], refused[k] = pollOut{res: r, at: j.holder}, r.Refused
-		}
-		return out, refused, true
+			return simnet.Message{Type: msgPoll, Payload: req, Size: req.size()}
+		},
+		read: func(reply simnet.Message, at simnet.Addr, n int) ([]pollOut, []bool, error) {
+			resp, ok := reply.Payload.(pollResp)
+			if !ok || len(resp.Items) != n {
+				return nil, nil, badReply(reply, at, n)
+			}
+			out, refused := make([]pollOut, n), make([]bool, n)
+			for k, r := range resp.Items {
+				out[k], refused[k] = pollOut{res: r, at: at}, r.Refused
+			}
+			return out, refused, nil
+		},
+		reask: func(it learnItem, sent, served simnet.Addr) bool {
+			mark := it.d.st.since[term(it)]
+			return mark.sinceAt(served) != mark.sinceAt(sent)
+		},
 	}
-	return settle(j, p.net.met.learnRerouted, send, func(it learnItem) pollOut {
-		return p.pollRouted(ctx, it.d.st, it.d.terms, it.d.terms[it.i])
-	})
-}
-
-// pollRouted polls one (document, term) item on the per-term route: routed by
-// the term's key with the holder of record as the route's owner hint, the
-// watermark going along only if the peer it is bound for issued it. If the
-// ring hands the poll to another peer, that peer read its history with a
-// watermark that is not its own, and is asked once more with its own. An
-// unreachable indexing peer leaves the item unanswered (at ""): the document
-// learns from the rest.
-func (p *Peer) pollRouted(ctx context.Context, st *docState, docTerms []string, term string) pollOut {
-	mark, at := st.since[term], st.publishedAt[term]
-	msg := func(since uint64) simnet.Message {
-		req := pollReq{Docs: []pollDoc{{Doc: st.doc.ID, DocTerms: docTerms, Terms: []pollTerm{{Term: term, Since: since}}}}}
-		return simnet.Message{Type: msgPoll, Payload: req, Size: req.size()}
-	}
-	reply, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), msg(mark.sinceAt(at)), nil, at)
-	if since := mark.sinceAt(owner.Addr); err == nil && since != mark.sinceAt(at) {
-		reply, err = p.net.ring.Net().CallCtx(ctx, p.Addr(), owner.Addr, msg(since))
-	}
-	if resp, ok := reply.Payload.(pollResp); err == nil && ok && len(resp.Items) == 1 && !resp.Items[0].Refused {
-		return pollOut{res: resp.Items[0], at: owner.Addr}
-	}
-	return pollOut{}
 }
 
 // foldPolls is Algorithm 1's steps 1 and 2 for one document, given the
@@ -312,7 +290,7 @@ func (p *Peer) reanchor(ctx context.Context, st *docState, terms []string, polls
 			continue
 		}
 		if last != polls[i].at {
-			stale, err := p.sendUnpublish(ctx, last, term, st.doc.ID)
+			stale, err := p.sendUnpublish(ctx, dest{addr: last}, term, st.doc.ID)
 			if err != nil {
 				markStale(st, term, last)
 			}
@@ -370,30 +348,22 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 			rest = append(rest, it)
 		}
 	}
-	run := func(jobs []job[learnItem]) {
-		outs, errs := fanout.Map(ctx, n.exec, "publish", len(jobs), func(ctx context.Context, i int) ([]publishResult, error) {
-			return jobs[i].p.publishJob(ctx, &jobs[i]), nil
-		})
-		for i, j := range jobs {
-			for k, it := range j.items {
-				if errs[i] != nil {
-					it.d.landed[it.i] = publishResult{err: errs[i]}
-				} else {
-					it.d.landed[it.i] = outs[i][k]
-				}
-			}
+	run := func(items []learnItem, holder func(learnItem) simnet.Addr) {
+		ats, errs := exchange(ctx, items, n.publishes(holder))
+		for k, it := range items {
+			it.d.landed[it.i] = publishResult{ats[k], errs[k]}
 		}
 	}
-	run(groupJobs(firsts, learnItem.peer, func(learnItem) simnet.Addr { return "" }))
+	run(firsts, func(learnItem) simnet.Addr { return "" })
 	for _, it := range firsts {
 		holders[keyOf(it)] = it.d.landed[it.i].at // "" on failure: the term's other items route too
 	}
-	run(groupJobs(rest, learnItem.peer, func(it learnItem) simnet.Addr {
+	run(rest, func(it learnItem) simnet.Addr {
 		if it.i >= it.d.added {
 			return it.d.st.publishedAt[it.d.publish[it.i]] // the peer that answered Missing
 		}
 		return holders[keyOf(it)]
-	}))
+	})
 
 	for _, d := range docs {
 		for i, t := range d.publish {
@@ -405,38 +375,45 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 			if i < d.added {
 				d.changes--
 				if d.err == nil {
-					d.err = d.landed[i].err
+					d.err = fmt.Errorf("core: publish %q: %w", t, d.landed[i].err)
 				}
 			}
 		}
 	}
 }
 
-// publishJob sends one publish job: in a batch, every item's posting.
-func (p *Peer) publishJob(ctx context.Context, j *job[learnItem]) []publishResult {
-	send := func() ([]publishResult, []bool, bool) {
-		req := publishReq{CheckArc: true}
-		for _, it := range j.items {
-			req.Items = append(req.Items, p.itemFor(it.d.st, it.d.publish[it.i]))
-		}
-		reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), j.holder, simnet.Message{Type: msgPublish, Payload: req, Size: req.size()})
-		resp, ok := reply.Payload.(publishResp)
-		if err != nil || !ok {
-			return nil, nil, false
-		}
-		out, refused := make([]publishResult, len(j.items)), make([]bool, len(j.items))
-		for k := range out {
-			out[k].at = j.holder
-		}
-		for _, k := range resp.Refused {
-			if k >= 0 && k < len(refused) {
-				refused[k] = true
+// publishes is the publish protocol: an item is publish[i] of its document,
+// answered with the peer that accepted the posting. holder names each item's
+// holder for the batches.
+func (n *Network) publishes(holder func(learnItem) simnet.Addr) *protocol[learnItem, simnet.Addr] {
+	return &protocol[learnItem, simnet.Addr]{
+		stage:    "publish",
+		rerouted: n.met.learnRerouted,
+		from:     func(it learnItem) *Peer { return it.d.p },
+		term:     func(it learnItem) string { return it.d.publish[it.i] },
+		holder:   holder,
+		request: func(_ simnet.Addr, items []learnItem, checkArc bool) simnet.Message {
+			req := publishReq{CheckArc: checkArc}
+			for _, it := range items {
+				req.Items = append(req.Items, it.d.p.itemFor(it.d.st, it.d.publish[it.i]))
 			}
-		}
-		return out, refused, true
+			return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
+		},
+		read: func(reply simnet.Message, at simnet.Addr, n int) ([]simnet.Addr, []bool, error) {
+			resp, ok := reply.Payload.(publishResp)
+			if !ok {
+				return nil, nil, badReply(reply, at, n)
+			}
+			out, refused := make([]simnet.Addr, n), make([]bool, n)
+			for k := range out {
+				out[k] = at
+			}
+			for _, k := range resp.Refused {
+				if k >= 0 && k < n {
+					refused[k] = true
+				}
+			}
+			return out, refused, nil
+		},
 	}
-	return settle(j, p.net.met.learnRerouted, send, func(it learnItem) publishResult {
-		at, err := p.routePublish(ctx, it.d.st, it.d.publish[it.i])
-		return publishResult{at, err}
-	})
 }

@@ -18,13 +18,7 @@ import (
 // advisory is where the two part: a per-term document polls after earlier
 // documents' withdrawals.
 func (n *Network) learnAllPerTerm(ctx context.Context) (int, error) {
-	n.mu.RLock()
-	docs := append([]index.DocID(nil), n.docOrder...)
-	owners := make([]*Peer, len(docs))
-	for i, id := range docs {
-		owners[i] = n.ownerOf[id]
-	}
-	n.mu.RUnlock()
+	docs, owners := n.sharedDocs()
 	chs, errs := fanout.Map(ctx, n.exec, "learn_doc", len(docs), func(ctx context.Context, i int) (int, error) {
 		if owners[i] == nil {
 			return 0, nil
@@ -45,9 +39,9 @@ func (n *Network) learnAllPerTerm(ctx context.Context) (int, error) {
 }
 
 // learnDocPerTerm is one document's per-term iteration: every poll on the
-// per-term route (pollRouted, the path a batch's refused items take), then the
-// fold, then every publish routed and recorded the moment it is decided, and
-// every re-anchor sent straight to the peer that answered Missing.
+// poll protocol's one-item route (the path a batch's refused items take), then
+// the fold, then every publish routed and recorded the moment it is decided,
+// and every re-anchor sent straight to the peer that answered Missing.
 func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error) {
 	p.mu.Lock()
 	st := p.owned[id]
@@ -57,9 +51,11 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	terms := sortedIndexedTerms(st)
+	terms := sortedKeys(st.indexed)
+	d := &sweepDoc{p: p, id: id, st: st, terms: terms}
 	polls, errs := fanout.Map(ctx, p.net.exec, "poll", len(terms), func(ctx context.Context, i int) (pollOut, error) {
-		return p.pollRouted(ctx, st, terms, terms[i]), nil
+		out, _, _ := p.net.polls().route(ctx, learnItem{d, i}, dest{}, nil)
+		return out, nil
 	})
 	if err := fanout.FirstError(errs); err != nil {
 		return 0, err
@@ -67,8 +63,12 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 	p.foldPolls(ctx, st, terms, polls)
 	changes, err := p.applyRankList(ctx, st, func(term string) error { return p.publishTerm(ctx, st, term) })
 	p.reanchor(ctx, st, terms, polls, func(term string) {
-		if p.publishTermTo(ctx, st, term, st.publishedAt[term]) != nil {
+		at, one := st.publishedAt[term], &sweepDoc{p: p, id: id, st: st, publish: []string{term}}
+		msg := p.net.publishes(nil).request(at, []learnItem{{one, 0}}, false)
+		if _, _, err := p.send(ctx, dest{addr: at}, msg, policy{}); err != nil {
 			forgetTerm(st, term)
+		} else {
+			p.recordPublished(st, term, at)
 		}
 	})
 	return changes, err

@@ -147,7 +147,7 @@ func (n *Network) docViews() map[index.DocID]docView {
 		p.mu.Lock()
 		for id, st := range p.owned {
 			st.mu.Lock()
-			v := docView{Indexed: sortedIndexedTerms(st), Stats: map[string]termStat{}, Since: map[string]pollMark{}, PublishedAt: map[string]simnet.Addr{}}
+			v := docView{Indexed: sortedKeys(st.indexed), Stats: map[string]termStat{}, Since: map[string]pollMark{}, PublishedAt: map[string]simnet.Addr{}}
 			for t, ts := range st.stats {
 				v.Stats[t] = *ts
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -19,31 +20,19 @@ import (
 // the document's learning state. Terms whose indexing peer is unreachable
 // are skipped — their entries die with the peer.
 func (n *Network) Unshare(doc index.DocID) error {
-	n.mu.RLock()
-	p, ok := n.ownerOf[doc]
-	n.mu.RUnlock()
+	p, ok := n.Owner(doc)
 	if !ok {
 		return fmt.Errorf("core: document %q not shared", doc)
 	}
 	if err := p.unshare(doc); err != nil {
 		return err
 	}
-	n.mu.Lock()
-	delete(n.ownerOf, doc)
-	for i, id := range n.docOrder {
-		if id == doc {
-			n.docOrder = append(n.docOrder[:i], n.docOrder[i+1:]...)
-			break
-		}
-	}
-	n.mu.Unlock()
+	n.forget(doc)
 	return nil
 }
 
 func (p *Peer) unshare(docID index.DocID) error {
-	p.mu.Lock()
-	st := p.owned[docID]
-	p.mu.Unlock()
+	st := p.state(docID)
 	if st == nil {
 		return fmt.Errorf("core: peer %s does not own %q", p.Addr(), docID)
 	}
@@ -51,7 +40,7 @@ func (p *Peer) unshare(docID index.DocID) error {
 	defer st.mu.Unlock()
 	st.unshared = true
 	p.flushStale(st)
-	for _, term := range sortedIndexedTerms(st) {
+	for _, term := range sortedKeys(st.indexed) {
 		// Best-effort: a dead indexing peer takes its entries with it.
 		if err := p.unpublishTerm(context.Background(), st, term); err != nil {
 			forgetTerm(st, term)
@@ -72,7 +61,7 @@ func (p *Peer) unshare(docID index.DocID) error {
 // are forgotten; unreachable ones stay recorded for the next sweep. Callers
 // hold st.mu.
 func (p *Peer) flushStale(st *docState) {
-	for _, term := range sortedStaleTerms(st) {
+	for _, term := range sortedKeys(st.stale) {
 		var remaining []simnet.Addr
 		for _, addr := range st.stale[term] {
 			if st.publishedAt[term] == addr {
@@ -82,7 +71,7 @@ func (p *Peer) flushStale(st *docState) {
 				// the withdrawal would delete the live entry.
 				continue
 			}
-			stale, err := p.sendUnpublish(context.Background(), addr, term, st.doc.ID)
+			stale, err := p.sendUnpublish(context.Background(), dest{addr: addr}, term, st.doc.ID)
 			if err != nil {
 				remaining = append(remaining, addr)
 				continue
@@ -106,28 +95,17 @@ func markStale(st *docState, term string, addr simnet.Addr) {
 	if st.stale == nil {
 		st.stale = make(map[string][]simnet.Addr)
 	}
-	for _, a := range st.stale[term] {
-		if a == addr {
-			return
-		}
+	if !slices.Contains(st.stale[term], addr) {
+		st.stale[term] = append(st.stale[term], addr)
 	}
-	st.stale[term] = append(st.stale[term], addr)
 }
 
-func sortedStaleTerms(st *docState) []string {
-	out := make([]string, 0, len(st.stale))
-	for t := range st.stale {
-		out = append(out, t)
+// sortedKeys returns m's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
 	}
-	insertionSort(out)
-	return out
-}
-
-func sortedIndexedTerms(st *docState) []string {
-	out := make([]string, 0, len(st.indexed))
-	for t := range st.indexed {
-		out = append(out, t)
-	}
-	insertionSort(out)
+	slices.Sort(out)
 	return out
 }

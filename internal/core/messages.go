@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 
 	"github.com/spritedht/sprite/internal/chordid"
@@ -378,19 +379,9 @@ func sizeTerms(terms []string) int {
 // during polling, avoiding duplicate transmissions (§3); storedQuery.canon
 // computes it.
 func canonicalQuery(terms []string) string {
-	sorted := append([]string(nil), terms...)
-	insertionSort(sorted)
+	sorted := slices.Clone(terms)
+	slices.Sort(sorted)
 	return strings.Join(sorted, " ")
-}
-
-// insertionSort keeps the hot path allocation-free for the short slices
-// queries are (typically 3–6 terms).
-func insertionSort(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // termID memoises a document term's ring position across the queries one

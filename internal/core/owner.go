@@ -141,7 +141,7 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 			// as shared. Best-effort, on a fresh context — the caller's may
 			// already be done, and an unreachable indexing peer keeps its
 			// copy only until it dies or is recycled.
-			for _, t := range sortedIndexedTerms(st) {
+			for _, t := range sortedKeys(st.indexed) {
 				p.unpublishTerm(context.Background(), st, t) //nolint:errcheck
 			}
 			return err
@@ -153,35 +153,16 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 	return nil
 }
 
-// publishTerm routes a (term → posting) publication through the DHT to the
-// term's indexing peer and records it in the document's indexed set.
+// publishTerm routes st's posting for term to the term's indexing peer — the
+// publish protocol's one-item form — and records it in the document's indexed
+// set.
 func (p *Peer) publishTerm(ctx context.Context, st *docState, term string) error {
-	at, err := p.routePublish(ctx, st, term)
+	d := &sweepDoc{p: p, id: st.doc.ID, st: st, publish: []string{term}}
+	at, _, err := p.net.publishes(nil).route(ctx, learnItem{d, 0}, dest{}, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("core: publish %q: %w", term, err)
 	}
 	p.recordPublished(st, term, at)
-	return nil
-}
-
-// routePublish routes st's posting for term to the term's indexing peer and
-// returns the peer that accepted it, with no docState bookkeeping: it only
-// reads st, so it is safe while the caller holds st.mu across a fan-out.
-func (p *Peer) routePublish(ctx context.Context, st *docState, term string) (simnet.Addr, error) {
-	_, owner, _, err := p.node.Route(ctx, chordid.HashKey(term), p.publishMsg(st, term), nil, "")
-	if err != nil {
-		return "", fmt.Errorf("core: publish %q: %w", term, err)
-	}
-	return owner.Addr, nil
-}
-
-// publishTermTo publishes to a known indexing peer and, on success, records
-// the term as indexed there. Orphan reclaim uses it after its own lookup.
-func (p *Peer) publishTermTo(ctx context.Context, st *docState, term string, target simnet.Addr) error {
-	if _, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), target, p.publishMsg(st, term)); err != nil {
-		return fmt.Errorf("core: publish %q to %s: %w", term, target, err)
-	}
-	p.recordPublished(st, term, target)
 	return nil
 }
 
@@ -214,12 +195,6 @@ func (p *Peer) itemFor(st *docState, term string) publishItem {
 	}}
 }
 
-// publishMsg builds the publication of st's posting for term alone.
-func (p *Peer) publishMsg(st *docState, term string) simnet.Message {
-	req := publishReq{Items: []publishItem{p.itemFor(st, term)}}
-	return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
-}
-
 // unpublishTerm removes a retired term's posting from its indexing peer. The
 // entry lives at the peer that last accepted it (publishedAt), so the
 // removal is addressed there directly — after churn a fresh lookup can name
@@ -229,15 +204,11 @@ func (p *Peer) publishMsg(st *docState, term string) simnet.Message {
 // so callers can retry, force-forget (unshare), or leave it for the next
 // learning sweep to re-anchor.
 func (p *Peer) unpublishTerm(ctx context.Context, st *docState, term string) error {
-	target, known := st.publishedAt[term]
-	if !known {
-		ref, _, err := p.node.LookupCtx(ctx, chordid.HashKey(term), nil)
-		if err != nil {
-			return fmt.Errorf("core: unpublish %q: %w", term, err)
-		}
-		target = ref.Addr
+	to := dest{addr: st.publishedAt[term]}
+	if to.addr == "" {
+		to.key = chordid.HashKey(term)
 	}
-	stale, err := p.sendUnpublish(ctx, target, term, st.doc.ID)
+	stale, err := p.sendUnpublish(ctx, to, term, st.doc.ID)
 	if err != nil {
 		return err
 	}
@@ -249,18 +220,18 @@ func (p *Peer) unpublishTerm(ctx context.Context, st *docState, term string) err
 	return nil
 }
 
-// sendUnpublish performs the raw unpublish call against a known holder. It
-// returns the replica holders the indexing peer could not reach while
-// dropping the entry's copies; callers must queue those on the document's
-// stale list or the copies leak.
-func (p *Peer) sendUnpublish(ctx context.Context, target simnet.Addr, term string, doc index.DocID) ([]simnet.Addr, error) {
-	reply, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), target, simnet.Message{
+// sendUnpublish withdraws doc's posting for term at to. It returns the
+// replica holders the indexing peer could not reach while dropping the
+// entry's copies; callers must queue those on the document's stale list or
+// the copies leak.
+func (p *Peer) sendUnpublish(ctx context.Context, to dest, term string, doc index.DocID) ([]simnet.Addr, error) {
+	reply, at, err := p.send(ctx, to, simnet.Message{
 		Type:    msgUnpublish,
 		Payload: unpublishReq{Term: term, Doc: doc},
 		Size:    len(term) + len(doc),
-	})
+	}, policy{})
 	if err != nil {
-		return nil, fmt.Errorf("core: unpublish %q from %s: %w", term, target, err)
+		return nil, fmt.Errorf("core: unpublish %q from %s: %w", term, at, err)
 	}
 	if resp, ok := reply.Payload.(unpublishResp); ok {
 		return resp.StaleReplicas, nil
@@ -270,20 +241,13 @@ func (p *Peer) sendUnpublish(ctx context.Context, target simnet.Addr, term strin
 
 // indexedTerms returns the document's current global index terms, sorted.
 func (p *Peer) indexedTerms(doc index.DocID) []string {
-	p.mu.Lock()
-	st := p.owned[doc]
-	p.mu.Unlock()
+	st := p.state(doc)
 	if st == nil {
 		return nil
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	out := make([]string, 0, len(st.indexed))
-	for t := range st.indexed {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
+	return sortedKeys(st.indexed)
 }
 
 // errNotOwned reports a learning request for a document this peer no longer
@@ -292,7 +256,8 @@ func (p *Peer) indexedTerms(doc index.DocID) []string {
 var errNotOwned = errors.New("document not owned by peer")
 
 // termFetch is one term's fetched, still-compressed list and the indexing
-// peer that served it; zero for a skipped term.
+// peer that served it; zero for a skipped term. The postings cache holds
+// them too, its peer the one a hit re-records the query at.
 type termFetch struct {
 	resp postingsList
 	peer simnet.Addr
@@ -301,9 +266,12 @@ type termFetch struct {
 // fetchStage is §4's fetch step, run by every query path (searchCtx,
 // searchSimilarCtx, SearchExpanded's first phase). With the postings cache
 // enabled the distinct terms dts fan out under stage one by one through the
-// cache (then query is re-recorded at the serving peer if record is set, see
-// recordQueryAt), one "term" child span of span each. Otherwise they go in one
-// get_postings per indexing peer (fetchBatched). The fold walks dts in order,
+// cache, one "term" child span of span each: a miss fetches the term alone
+// with Record off (the postings protocol's one-item form), singleflight
+// making concurrent misses one fetch, and query is recorded at the serving
+// peer apart if record is set (recordQueryAt), so that hits record it too.
+// Otherwise they go in one get_postings per indexing peer (fetching). The fold
+// walks dts in order,
 // so failures and counters match a sequential loop: a done ctx aborts with an
 // error wrapping ctx.Err(); any other failure skips the term (§7), counted in
 // termsSkipped and returned.
@@ -312,20 +280,27 @@ func (p *Peer) fetchStage(ctx context.Context, stage string, dts, query []string
 	var errs []error
 	if p.net.caches.postings != nil {
 		outs, errs = fanout.Map(ctx, p.net.exec, stage, len(dts), func(ctx context.Context, i int) (termFetch, error) {
-			return fetchTerm(span, dts[i], func(tsp *telemetry.Span) (postingsList, simnet.Addr, error) {
-				ent, outcome, err := p.fetchPostingsCached(ctx, dts[i], tsp)
+			return inTerm(span, dts[i], func(tsp *telemetry.Span) (termFetch, simnet.Addr, error) {
+				ent, outcome, err := p.net.caches.postings.GetOrFill(dts[i], func() (termFetch, int, error) {
+					ent, _, err := p.fetching(stage, dts[i:i+1], nil, false, nil).route(ctx, 0, dest{}, tsp)
+					return ent, postingsBytes(ent), err
+				})
 				if err != nil {
-					return postingsList{}, "", err
+					return termFetch{}, "", err
 				}
 				tsp.Annotate("postings_cache", outcome.String())
 				if record {
 					p.recordQueryAt(context.Background(), ent.peer, query) //nolint:errcheck // best-effort, see recordQueryAt
 				}
-				return ent.resp, ent.peer, nil
+				return ent, ent.peer, nil
 			})
 		})
 	} else {
-		outs, errs = p.fetchBatched(ctx, stage, dts, query, record, span)
+		items := make([]int, len(dts))
+		for i := range items {
+			items[i] = i
+		}
+		outs, errs = exchange(ctx, items, p.fetching(stage, dts, query, record, span))
 	}
 	var failed []TermFailure
 	for i, err := range errs {

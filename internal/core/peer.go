@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,8 +27,12 @@ type Peer struct {
 	owned map[index.DocID]*docState
 }
 
+// newPeer makes node's peer and installs it as the node's application
+// handler and arc-change listener: the hook fires the moment notify (or a
+// graceful-leave splice) installs a new predecessor, which is exactly when the
+// peer's owner arc changes shape (see shedToPred).
 func newPeer(n *Network, node *chord.Node) *Peer {
-	return &Peer{
+	p := &Peer{
 		net:  n,
 		node: node,
 		indexing: indexingState{
@@ -37,6 +42,9 @@ func newPeer(n *Network, node *chord.Node) *Peer {
 		},
 		owned: make(map[index.DocID]*docState),
 	}
+	node.SetAppHandler(p)
+	node.SetPredChangeHook(func(_, _ chord.Ref) { p.shedToPred() })
+	return p
 }
 
 // Addr returns the peer's network address.
@@ -57,10 +65,13 @@ func (p *Peer) HistoryLen() int {
 }
 
 // HandleMessage implements simnet.Handler for SPRITE's application messages.
+// It dispatches on the payload's type, which the codec decoded by its own
+// kind, so a message whose type string names another payload, or none, gets
+// an error, never a panic.
 func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	switch msg.Type {
-	case msgPublish:
-		req := msg.Payload.(publishReq)
+	reply := simnet.Message{Type: msg.Type, Size: 1}
+	switch req := msg.Payload.(type) {
+	case publishReq:
 		var resp publishResp
 		for i, it := range req.Items {
 			if req.CheckArc && !p.node.Serves(chordid.HashKey(it.Term)) {
@@ -71,10 +82,9 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 			p.replicateOut(it.Term, it.Posting)
 			p.net.caches.invalidateTerm(it.Term)
 		}
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: 1 + 2*len(resp.Refused)}, nil
+		reply.Payload, reply.Size = resp, 1+2*len(resp.Refused)
 
-	case msgUnpublish:
-		req := msg.Payload.(unpublishReq)
+	case unpublishReq:
 		p.indexing.unpublish(req.Term, req.Doc)
 		// Also shed any replica copy held locally: stale-withdrawal retries
 		// address the holder directly, and a former replica target must be
@@ -82,14 +92,9 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		p.indexing.dropReplica(req.Term, req.Doc)
 		stale := p.replicateDrop(req.Term, req.Doc)
 		p.net.caches.invalidateTerm(req.Term)
-		return simnet.Message{
-			Type:    msg.Type,
-			Payload: unpublishResp{StaleReplicas: stale},
-			Size:    1 + 8*len(stale),
-		}, nil
+		reply.Payload, reply.Size = unpublishResp{StaleReplicas: stale}, 1+8*len(stale)
 
-	case msgGetPostings:
-		req := msg.Payload.(getPostingsReq)
+	case getPostingsReq:
 		resp := getPostingsResp{Items: make([]postingsList, len(req.Terms))}
 		for i, term := range req.Terms {
 			if req.CheckArc && !p.node.Serves(chordid.HashKey(term)) {
@@ -98,76 +103,63 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 			}
 			resp.Items[i] = p.servePostings(term, req.Query, req.Record)
 		}
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: resp.size()}, nil
+		reply.Payload, reply.Size = resp, resp.size()
 
-	case msgCacheQuery:
-		req := msg.Payload.(cacheQueryReq)
+	case cacheQueryReq:
 		p.indexing.cacheQuery(req.Query)
 		p.net.met.queriesCached.Inc()
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
-	case msgPoll:
-		resp := p.handlePoll(msg.Payload.(pollReq))
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: resp.size()}, nil
+	case pollReq:
+		resp := p.handlePoll(req)
+		reply.Payload, reply.Size = resp, resp.size()
 
-	case msgReplica:
-		req := msg.Payload.(replicaReq)
+	case replicaReq:
 		p.indexing.addReplica(req.Term, req.Posting)
 		p.net.caches.invalidateTerm(req.Term)
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
-	case msgReplicaDrop:
-		req := msg.Payload.(replicaDropReq)
+	case replicaDropReq:
 		p.indexing.dropReplica(req.Term, req.Doc)
 		p.net.caches.invalidateTerm(req.Term)
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
-	case msgDocTerms:
-		req := msg.Payload.(docTermsReq)
+	case docTermsReq:
 		resp := p.handleDocTerms(req)
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: 8 * len(resp.TF)}, nil
+		reply.Payload, reply.Size = resp, 8*len(resp.TF)
 
-	case msgHandoff:
-		req := msg.Payload.(handoffReq)
+	case handoffReq:
 		resp := handoffResp{Existing: make([]bool, len(req.Entries))}
 		for i, e := range req.Entries {
 			resp.Existing[i] = p.indexing.publishReporting(e.Term, e.Posting)
 			p.indexing.recordReplicaLocs(e.Term, e.Posting.Doc, e.ReplicaLocs)
 		}
 		p.net.caches.invalidate()
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: 1 + len(resp.Existing)}, nil
+		reply.Payload, reply.Size = resp, 1+len(resp.Existing)
 
-	case msgHandoffDrop:
-		req := msg.Payload.(handoffDropReq)
+	case handoffDropReq:
 		p.indexing.unpublish(req.Term, req.Doc)
 		p.indexing.takeReplicaLocs(req.Term, req.Doc)
 		p.net.caches.invalidateTerm(req.Term)
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
-	case msgRelocate:
-		req := msg.Payload.(relocateReq)
-		return simnet.Message{Type: msg.Type, Payload: p.handleRelocate(req), Size: 1}, nil
+	case relocateReq:
+		reply.Payload = p.handleRelocate(req)
 
-	case msgRepairDigest:
-		req := msg.Payload.(repairDigestReq)
+	case repairDigestReq:
 		resp := p.handleRepairDigest(req)
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: 1 + 8*len(resp.Buckets) + 16*len(resp.Local)}, nil
+		reply.Payload, reply.Size = resp, 1+8*len(resp.Buckets)+16*len(resp.Local)
 
-	case msgRepairPush:
-		req := msg.Payload.(repairPushReq)
+	case repairPushReq:
 		p.handleRepairPush(req)
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
-	case msgReplicaRetire:
-		req := msg.Payload.(replicaRetireReq)
+	case replicaRetireReq:
 		p.handleReplicaRetire(req)
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
 
-	case msgSketchScan:
+	case sketchScanReq:
 		resp := p.handleSketchScan()
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: sketchScanSize(resp)}, nil
+		reply.Payload, reply.Size = resp, sketchScanSize(resp)
+
+	default:
+		return simnet.Message{}, fmt.Errorf("core: peer %s: no handler for %q carrying %T", p.Addr(), msg.Type, msg.Payload)
 	}
-	return simnet.Message{}, fmt.Errorf("core: peer %s: unknown message type %q", p.Addr(), msg.Type)
+	return reply, nil
 }
 
 // servePostings answers one term of a postings request: the query goes into
@@ -221,11 +213,11 @@ func (p *Peer) replicateOut(term string, posting index.Posting) {
 	targets := p.replicaTargets()
 	p.indexing.recordReplicaLocs(term, posting.Doc, targets)
 	fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) error {
-		p.net.ring.Net().CallCtx(ctx, p.Addr(), targets[i], simnet.Message{
+		p.send(ctx, dest{addr: targets[i]}, simnet.Message{ //nolint:errcheck // best-effort, see above
 			Type:    msgReplica,
 			Payload: replicaReq{Term: term, Posting: posting},
 			Size:    len(term) + posting.WireSize(),
-		})
+		}, policy{})
 		return nil
 	})
 }
@@ -239,13 +231,13 @@ func (p *Peer) replicateOut(term string, posting index.Posting) {
 // operation addresses the entry at that peer.
 func (p *Peer) replicateDrop(term string, doc index.DocID) []simnet.Addr {
 	targets := mergeAddrs(p.indexing.takeReplicaLocs(term, doc), p.replicaTargets())
-	_, errs := fanout.Map(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) (struct{}, error) {
-		_, err := p.net.ring.Net().CallCtx(ctx, p.Addr(), targets[i], simnet.Message{
+	errs := fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) error {
+		_, _, err := p.send(ctx, dest{addr: targets[i]}, simnet.Message{
 			Type:    msgReplicaDrop,
 			Payload: replicaDropReq{Term: term, Doc: doc},
 			Size:    len(term) + len(doc),
-		})
-		return struct{}{}, err
+		}, policy{})
+		return err
 	})
 	var failed []simnet.Addr
 	for i, err := range errs {
@@ -258,18 +250,9 @@ func (p *Peer) replicateDrop(term string, doc index.DocID) []simnet.Addr {
 
 // mergeAddrs unions two address lists, sorted for deterministic fan-out.
 func mergeAddrs(a, b []simnet.Addr) []simnet.Addr {
-	seen := make(map[simnet.Addr]bool, len(a)+len(b))
-	out := make([]simnet.Addr, 0, len(a)+len(b))
-	for _, list := range [][]simnet.Addr{a, b} {
-		for _, addr := range list {
-			if !seen[addr] {
-				seen[addr] = true
-				out = append(out, addr)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	out := append(append(make([]simnet.Addr, 0, len(a)+len(b)), a...), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // indexingState is the indexing-peer role's state: primary inverted lists,

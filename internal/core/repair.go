@@ -3,9 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
-	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/repair"
@@ -20,7 +20,7 @@ import (
 //
 //   - Join handoff: when stabilization makes a node adopt a new predecessor,
 //     its owner arc shrinks, and the entries that fell outside it are handed
-//     to the adopted peer immediately (the arc-change hook below).
+//     to the adopted peer immediately (newPeer installs the hook).
 //   - Graceful leave: Network.Leave hands the departing peer's primary
 //     entries to its ring successor and retires its replica-holder records
 //     at the primaries before unregistering it.
@@ -42,15 +42,6 @@ import (
 // Entries whose owner cannot confirm thus stay exactly where the owner
 // believes they are.
 
-// attachRepair subscribes a peer to its node's arc changes. The hook fires
-// the moment notify (or a graceful-leave splice) installs a new predecessor,
-// which is exactly when the peer's owner arc changes shape.
-func (n *Network) attachRepair(p *Peer) {
-	p.node.SetPredChangeHook(func(_, _ chord.Ref) {
-		p.shedToPred()
-	})
-}
-
 // shedToPred hands every primary entry outside this peer's current owner arc
 // to its predecessor. The predecessor's arc need not cover all of them — a
 // mass join inserts several peers at once — but each receiver's own arc
@@ -63,7 +54,7 @@ func (p *Peer) shedToPred() int {
 		return 0 // no predecessor known (or singleton ring): whole space is ours
 	}
 	arc := chordid.OwnerArc(pred.ID, p.node.ID())
-	entries := p.collectOutsideArc(arc)
+	entries := p.primaryEntries(&arc)
 	if len(entries) == 0 {
 		return 0
 	}
@@ -71,31 +62,17 @@ func (p *Peer) shedToPred() int {
 	return moved
 }
 
-// collectOutsideArc snapshots the primary entries whose term keys fall
-// outside arc, with their recorded replica locations.
-func (p *Peer) collectOutsideArc(arc chordid.Arc) []handoffEntry {
+// primaryEntries snapshots the primary entries whose term keys fall outside
+// arc, with their recorded replica locations — every entry for a nil arc
+// (graceful leave hands the whole index over, not a misplaced subset).
+func (p *Peer) primaryEntries(arc *chordid.Arc) []handoffEntry {
 	p.indexing.mu.Lock()
 	defer p.indexing.mu.Unlock()
 	var out []handoffEntry
 	for _, term := range p.indexing.ix.Terms() {
-		if arc.ContainsKey(term) {
+		if arc != nil && arc.ContainsKey(term) {
 			continue
 		}
-		for posting := range p.indexing.ix.All(term) {
-			locs := append([]simnet.Addr(nil), p.indexing.replicaLocs[term][posting.Doc]...)
-			out = append(out, handoffEntry{Term: term, Posting: posting, ReplicaLocs: locs})
-		}
-	}
-	return out
-}
-
-// allPrimaryEntries snapshots every primary entry (graceful leave hands the
-// whole index over, not just a misplaced subset).
-func (p *Peer) allPrimaryEntries() []handoffEntry {
-	p.indexing.mu.Lock()
-	defer p.indexing.mu.Unlock()
-	var out []handoffEntry
-	for _, term := range p.indexing.ix.Terms() {
 		for posting := range p.indexing.ix.All(term) {
 			locs := append([]simnet.Addr(nil), p.indexing.replicaLocs[term][posting.Doc]...)
 			out = append(out, handoffEntry{Term: term, Posting: posting, ReplicaLocs: locs})
@@ -115,11 +92,11 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 	for _, e := range entries {
 		size += len(e.Term) + e.Posting.WireSize() + 8*len(e.ReplicaLocs)
 	}
-	reply, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{
+	reply, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
 		Type:    msgHandoff,
 		Payload: handoffReq{Entries: entries},
 		Size:    size,
-	})
+	}, policy{})
 	if err != nil {
 		// Target unreachable: nothing was installed, nothing moves. Under
 		// force the caller is departing and these entries die with it.
@@ -159,11 +136,11 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 			// A failed revert means the target died mid-protocol — its state
 			// is gone (or will be rebuilt by its own repair), so the extra
 			// copy cannot linger.
-			p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{ //nolint:errcheck
+			p.send(context.Background(), dest{addr: target}, simnet.Message{ //nolint:errcheck
 				Type:    msgHandoffDrop,
 				Payload: handoffDropReq{Term: e.Term, Doc: e.Posting.Doc},
 				Size:    len(e.Term) + len(e.Posting.Doc),
-			})
+			}, policy{})
 		}
 	}
 	if moved > 0 || len(failed) > 0 {
@@ -176,12 +153,11 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 // relocateEntry asks the entry's document owner to flip its holder-of-record
 // from this peer to target.
 func (p *Peer) relocateEntry(e handoffEntry, target simnet.Addr) bool {
-	owner := simnet.Addr(e.Posting.Owner)
-	reply, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), owner, simnet.Message{
+	reply, _, err := p.send(context.Background(), dest{addr: simnet.Addr(e.Posting.Owner)}, simnet.Message{
 		Type:    msgRelocate,
 		Payload: relocateReq{Term: e.Term, Doc: e.Posting.Doc, From: p.Addr(), To: target},
 		Size:    len(e.Term) + len(e.Posting.Doc) + 16,
-	})
+	}, policy{})
 	if err != nil {
 		return false
 	}
@@ -193,9 +169,7 @@ func (p *Peer) relocateEntry(e handoffEntry, target simnet.Addr) bool {
 // compare-and-swap on From makes concurrent movers safe: whichever relocate
 // reaches the owner first wins, and the loser reverts its installed copy.
 func (p *Peer) handleRelocate(req relocateReq) relocateResp {
-	p.mu.Lock()
-	st := p.owned[req.Doc]
-	p.mu.Unlock()
+	st := p.state(req.Doc)
 	if st == nil {
 		return relocateResp{}
 	}
@@ -227,11 +201,11 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 	p.indexing.mu.Unlock()
 	sum := repair.Fold(digests)
 	for _, target := range p.replicaTargets() {
-		reply, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{
+		reply, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
 			Type:    msgRepairDigest,
 			Payload: repairDigestReq{Arc: arc, Summary: sum},
 			Size:    2*chordid.Bytes + 8*(1+repair.Buckets),
-		})
+		}, policy{})
 		if err != nil {
 			continue
 		}
@@ -259,11 +233,11 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 			}
 		}
 		p.indexing.mu.Unlock()
-		if _, err := p.net.ring.Net().CallCtx(context.Background(), p.Addr(), target, simnet.Message{
+		if _, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
 			Type:    msgRepairPush,
 			Payload: repairPushReq{Arc: arc, Set: set},
 			Size:    size,
-		}); err != nil {
+		}, policy{}); err != nil {
 			continue
 		}
 		// The push created copies at target; record them so withdrawals
@@ -308,32 +282,20 @@ func (p *Peer) handleRepairPush(req repairPushReq) {
 
 // handleReplicaRetire erases a departing holder from the replica-location
 // records of the listed entries.
-func (p *Peer) handleReplicaRetire(req replicaRetireReq) int {
+func (p *Peer) handleReplicaRetire(req replicaRetireReq) {
 	p.indexing.mu.Lock()
 	defer p.indexing.mu.Unlock()
-	cleared := 0
 	byDoc := p.indexing.replicaLocs[req.Term]
 	for _, doc := range req.Docs {
-		locs := byDoc[doc]
-		kept := locs[:0]
-		for _, a := range locs {
-			if a == req.Holder {
-				cleared++
-			} else {
-				kept = append(kept, a)
-			}
-		}
-		switch {
-		case len(kept) == 0 && len(locs) > 0:
+		if locs := slices.DeleteFunc(byDoc[doc], func(a simnet.Addr) bool { return a == req.Holder }); len(locs) > 0 {
+			byDoc[doc] = locs
+		} else {
 			delete(byDoc, doc)
-		case len(kept) < len(locs):
-			byDoc[doc] = kept
 		}
 	}
 	if len(byDoc) == 0 {
 		delete(p.indexing.replicaLocs, req.Term)
 	}
-	return cleared
 }
 
 // RepairStats summarizes one Network.Repair sweep.
@@ -392,22 +354,13 @@ func (n *Network) Repair() RepairStats {
 // after Repair so recovered holders shed withdrawn copies and owners whose
 // recorded holder left the network re-anchor those terms.
 func (n *Network) FlushStaleAll() {
-	n.mu.RLock()
-	docs := make([]index.DocID, len(n.docOrder))
-	copy(docs, n.docOrder)
-	owners := make([]*Peer, len(docs))
-	for i, id := range docs {
-		owners[i] = n.ownerOf[id]
-	}
-	n.mu.RUnlock()
+	docs, owners := n.sharedDocs()
 	for i, id := range docs {
 		p := owners[i]
 		if p == nil || !n.ring.Net().Alive(p.Addr()) {
 			continue
 		}
-		p.mu.Lock()
-		st := p.owned[id]
-		p.mu.Unlock()
+		st := p.state(id)
 		if st == nil {
 			continue
 		}
@@ -447,7 +400,7 @@ func (n *Network) dropDepartedStale(st *docState) {
 // to the orphaned records, not the index. Caller holds st.mu.
 func (p *Peer) reclaimOrphans(st *docState) int {
 	reclaimed := 0
-	for _, term := range sortedIndexedTerms(st) {
+	for _, term := range sortedKeys(st.indexed) {
 		at, ok := st.publishedAt[term]
 		if !ok {
 			continue
@@ -455,14 +408,9 @@ func (p *Peer) reclaimOrphans(st *docState) int {
 		if _, exists := p.net.Peer(at); exists {
 			continue
 		}
-		ref, _, err := p.node.Lookup(chordid.HashKey(term))
-		if err != nil {
-			continue
+		if p.publishTerm(context.Background(), st, term) == nil {
+			reclaimed++
 		}
-		if err := p.publishTermTo(context.Background(), st, term, ref.Addr); err != nil {
-			continue
-		}
-		reclaimed++
 	}
 	return reclaimed
 }
@@ -491,9 +439,7 @@ type LeaveReport struct {
 // records of the primaries it held copies for. The departed peer is
 // forgotten by the network; the address cannot be revived.
 func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
-	n.mu.RLock()
-	p, ok := n.peers[addr]
-	n.mu.RUnlock()
+	p, ok := n.Peer(addr)
 	var rep LeaveReport
 	if !ok {
 		return rep, fmt.Errorf("%w: %q", ErrNoSuchPeer, addr)
@@ -503,17 +449,12 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 	}
 
 	// Owner role: the documents leave with their owner.
-	n.mu.RLock()
-	var docs []index.DocID
-	for _, id := range n.docOrder {
-		if n.ownerOf[id] == p {
-			docs = append(docs, id)
+	docs, owners := n.sharedDocs()
+	for i, id := range docs {
+		if owners[i] == p {
+			n.Unshare(id) //nolint:errcheck // best-effort: unreachable holders keep copies until they die
+			rep.Docs++
 		}
-	}
-	n.mu.RUnlock()
-	for _, id := range docs {
-		n.Unshare(id) //nolint:errcheck // best-effort: unreachable holders keep copies until they die
-		rep.Docs++
 	}
 
 	// Indexing role: hand every primary entry to the first alive successor.
@@ -525,7 +466,7 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 		}
 	}
 	if succ != "" {
-		moved, failed := p.handoffEntries(succ, p.allPrimaryEntries(), true)
+		moved, failed := p.handoffEntries(succ, p.primaryEntries(nil), true)
 		rep.Handoffs = moved
 		for _, e := range failed {
 			rep.Unrelocated = append(rep.Unrelocated, IndexEntry{Peer: succ, Term: e.Term, Posting: e.Posting})
@@ -545,15 +486,15 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 	}
 	p.indexing.mu.Unlock()
 	for _, term := range heldTerms {
-		ref, _, err := p.node.Lookup(chordid.HashKey(term))
-		if err != nil || ref.Addr == addr {
-			continue
+		key := chordid.HashKey(term)
+		if p.node.Serves(key) {
+			continue // the primary is the peer itself
 		}
-		if _, err := n.ring.Net().CallCtx(context.Background(), addr, ref.Addr, simnet.Message{
+		if _, _, err := p.send(context.Background(), dest{key: key}, simnet.Message{
 			Type:    msgReplicaRetire,
 			Payload: replicaRetireReq{Holder: addr, Term: term, Docs: held[term]},
 			Size:    len(term) + 8*len(held[term]),
-		}); err == nil {
+		}, policy{}); err == nil {
 			rep.Retired += len(held[term])
 		}
 	}
@@ -563,12 +504,7 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 	// sheds) and unregister it.
 	n.mu.Lock()
 	delete(n.peers, addr)
-	for i, q := range n.order {
-		if q == p {
-			n.order = append(n.order[:i], n.order[i+1:]...)
-			break
-		}
-	}
+	n.order = slices.DeleteFunc(n.order, func(q *Peer) bool { return q == p })
 	n.mu.Unlock()
 	n.ring.Leave(p.node)
 	n.caches.invalidate()

@@ -98,19 +98,10 @@ func (n *Network) docSketchFor(doc *corpus.Document) string {
 // configuration returns "". Experiments and invariant oracles use it to
 // recompute expected rankings.
 func (n *Network) DocSketch(doc index.DocID) (string, bool) {
-	n.mu.RLock()
-	owner := n.ownerOf[doc]
-	n.mu.RUnlock()
-	if owner == nil {
-		return "", false
+	if _, st := n.ownedDoc(doc); st != nil {
+		return st.sketch, true
 	}
-	owner.mu.Lock()
-	st := owner.owned[doc]
-	owner.mu.Unlock()
-	if st == nil {
-		return "", false
-	}
-	return st.sketch, true
+	return "", false
 }
 
 // routeTermsLocked selects the query document's routing terms: its learned
@@ -150,15 +141,7 @@ func (n *Network) similarQuery(doc index.DocID) (qsketch string, route []string,
 	if n.sketcher == nil {
 		return "", nil, nil, ErrSketchDisabled
 	}
-	n.mu.RLock()
-	owner := n.ownerOf[doc]
-	n.mu.RUnlock()
-	if owner == nil {
-		return "", nil, nil, fmt.Errorf("%w: %q", ErrNoSuchDoc, doc)
-	}
-	owner.mu.Lock()
-	st := owner.owned[doc]
-	owner.mu.Unlock()
+	_, st := n.ownedDoc(doc)
 	if st == nil {
 		return "", nil, nil, fmt.Errorf("%w: %q", ErrNoSuchDoc, doc)
 	}
@@ -367,15 +350,19 @@ func (n *Network) FloodSimilarCtx(ctx context.Context, from simnet.Addr, doc ind
 	n.met.simFloods.Inc()
 	peers := n.Peers()
 	outs, errs := fanout.Map(ctx, n.exec, "sim_flood", len(peers), func(ctx context.Context, i int) (sketchScanResp, error) {
-		reply, err := n.ring.Net().CallCtx(ctx, p.Addr(), peers[i].Addr(), simnet.Message{
+		reply, at, err := p.send(ctx, dest{addr: peers[i].Addr()}, simnet.Message{
 			Type:    msgSketchScan,
 			Payload: sketchScanReq{},
 			Size:    1,
-		})
+		}, policy{})
 		if err != nil {
 			return sketchScanResp{}, err
 		}
-		return reply.Payload.(sketchScanResp), nil
+		resp, ok := reply.Payload.(sketchScanResp)
+		if !ok {
+			return resp, badReply(reply, at, 1)
+		}
+		return resp, nil
 	})
 	r := ir.NewSketchRanker([]byte(qsketch), k)
 	for i := range peers {

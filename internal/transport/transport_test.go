@@ -825,6 +825,75 @@ func TestUnknownCodecByteGetsDecodeErrorReply(t *testing.T) {
 	}
 }
 
+// TestMismatchedPayloadGetsErrorReply hand-builds well-formed request frames
+// whose type string names one message and whose payload is another's, or
+// none, and writes them to a SPRITE peer's socket. A handler that asserted the
+// payload's type would panic in the server's dispatch goroutine and take the
+// process down; each frame must instead get an error reply, and the peer must
+// keep answering on the same connection and on new calls.
+func TestMismatchedPayloadGetsErrorReply(t *testing.T) {
+	tr := New(WithDialTimeout(500 * time.Millisecond))
+	defer tr.Close()
+	addrs := freeAddrs(t, 2)
+	ring := chord.NewRing(tr, chord.Config{})
+	for _, a := range addrs {
+		if _, err := ring.AddNode(string(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring.Build()
+	if _, err := core.NewNetwork(ring, core.Config{}); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialTimeout("tcp", string(addrs[0]), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	exchange := func(id uint64, msgType string, payload any) *response {
+		t.Helper()
+		frame, err := appendRequestFrame(nil, id, "client", msgType, 1, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		body, err := readFrame(conn, DefaultMaxFrame)
+		if err != nil {
+			t.Fatalf("%s: no reply: %v", msgType, err)
+		}
+		_, resp, err := parseFrame(body)
+		if err != nil || resp == nil || resp.id != id {
+			t.Fatalf("%s: reply is not the response frame: %+v, %v", msgType, resp, err)
+		}
+		return resp
+	}
+	for i, c := range []struct {
+		msgType string
+		payload any
+	}{
+		{"chord.next_hop", chord.Ref{Addr: "x"}},
+		{"chord.next_hop", nil},
+		{"chord.notify", note{Text: "x"}},
+		{"chord.notify", nil},
+		{"sprite.get_postings", chord.Ref{Addr: "x"}},
+		{"sprite.poll", nil},
+		{"sprite.publish", note{Text: "x"}},
+	} {
+		if resp := exchange(uint64(i+1), c.msgType, c.payload); resp.errMsg == "" {
+			t.Fatalf("%s carrying %T answered %+v, want an error", c.msgType, c.payload, resp)
+		}
+	}
+	if resp := exchange(100, "chord.ping", nil); resp.errMsg != "" {
+		t.Fatalf("ping on the same connection after the mismatched frames: %+v", resp)
+	}
+	if _, _, err := ring.Nodes()[1].Lookup(chordid.HashKey("after")); err != nil {
+		t.Fatalf("lookup after the mismatched frames: %v", err)
+	}
+}
+
 // TestDeadPeerTTLExpiryAndReuse covers the negative cache: a failed dial
 // marks the peer dead for the configured TTL (calls fail fast, Alive is false
 // without re-probing, even once the peer is up), and once the TTL passes the
