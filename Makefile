@@ -42,24 +42,31 @@ bench-trace-route:
 	echo "$$out" | grep -q '"correct":true' || { echo "bench-trace-route: run is not correct"; exit 1; }
 
 # Learning-traffic guard: a learning sweep sends each indexing peer one poll
-# and one publish per owner, and a poll goes straight to the peer the owner
-# published the term at. On the 4 096-peer ring, where an owner has about a
-# quarter of a document, that leaves ≈ 24.1 messages per document per
-# iteration (routing every poll cost 46.4); on postings, 125 documents per
-# owner on 16 peers, ≈ 2.7 (one poll per term cost 16.3). learn_msgs is
-# counted during set-up, which does not scale with --seconds, so one second
-# reads what twelve do. The ceilings are those readings plus about 2 %.
+# and one publish per owner, a poll goes straight to the peer the owner
+# published the term at, and a term's first publish to the peer the owner's
+# own node names for its key — a share's publishes too, one per indexing peer.
+# On the 4 096-peer ring, where an owner has about a quarter of a document and
+# its node rarely knows a key's arc, that leaves ≈ 24.1 messages per document
+# per iteration (routing every poll cost 46.4); on postings, 125 documents per
+# owner on 16 peers, ≈ 1.44 (one poll per term cost 16.3; routing each first
+# publish, 2.68), and a share ≈ 4.47 messages per document (routing each
+# initial term, 5.27). learn_msgs and share_msgs are counted during set-up,
+# which does not scale with --seconds, so one second reads what twelve do. The
+# ceilings are those readings plus about 2 %.
 LEARN_CEIL_route = 24.6
-LEARN_CEIL_postings = 2.75
+LEARN_CEIL_postings = 1.47
+SHARE_CEIL_postings = 4.56
 
 bench-learn:
 	@for w in route postings; do \
 		ceil=$$([ $$w = route ] && echo $(LEARN_CEIL_route) || echo $(LEARN_CEIL_postings)); \
 		out=$$(bash bench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || { echo "$$out"; exit 1; }; \
-		echo "$$w: $$(echo "$$out" | grep -E '^learn_msgs|^rank_hash|^operations attempted' | tr -s ' ' | paste -sd ';' -)"; \
+		echo "$$w: $$(echo "$$out" | grep -E '^learn_msgs|^share_msgs|^rank_hash|^operations attempted' | tr -s ' ' | paste -sd ';' -)"; \
 		echo "$$out" | grep -q '"correct":true' || { echo "bench-learn: $$w run is not correct"; exit 1; }; \
 		echo "$$out" | awk -v c=$$ceil '$$1 == "learn_msgs" { seen = 1; ok = ($$2 <= c) } END { exit !(seen && ok) }' \
 			|| { echo "bench-learn: $$w learn_msgs missing or above $$ceil"; exit 1; }; \
+		[ $$w = route ] || echo "$$out" | awk -v c=$(SHARE_CEIL_postings) '$$1 == "share_msgs" { seen = 1; ok = ($$2 <= c) } END { exit !(seen && ok) }' \
+			|| { echo "bench-learn: $$w share_msgs missing or above $(SHARE_CEIL_postings)"; exit 1; }; \
 	done
 
 # Query-traffic guard: a query names the indexing peer of nearly every term

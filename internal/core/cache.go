@@ -205,13 +205,13 @@ func postingsBytes(e termFetch) int {
 }
 
 // recordQueryAt inserts the query into the indexing peer's history — the
-// side effect an uncached recorded search gets for free from its
-// msgGetPostings — so caching never starves learning. It reports the
-// recording failure, so the result-cache-hit replay can count dropped history
-// entries (a silent drop skews learning); the postings-cache path records
-// best-effort, skipping an unreachable peer exactly as the uncached path
-// would. An unknown peer ("" — the term matched nothing when the entry was
-// cached) records nothing and is not an error.
+// side effect a recorded search's own msgGetPostings has, which a cache hit
+// or a shared fill sends none of — so caching never starves learning. It
+// reports the recording failure, so the result-cache-hit replay can count
+// dropped history entries (a silent drop skews learning); the postings-cache
+// path records best-effort, skipping an unreachable peer exactly as the
+// uncached path would. An unknown peer ("" — the term matched nothing when
+// the entry was cached) records nothing and is not an error.
 func (p *Peer) recordQueryAt(ctx context.Context, peer simnet.Addr, query []string) error {
 	if peer == "" {
 		return nil

@@ -401,6 +401,86 @@ func TestHistoryParityWithCache(t *testing.T) {
 	}
 }
 
+// TestCacheMissRecordsInItsFetch: with the postings cache on, the fetch that
+// fills a term's entry records the query at the holder itself, so a cold
+// search sends one get_postings per term and no sprite.cache_query; a search
+// served from the cache, or by another caller's fill, sends exactly one
+// cache_query per term; and every peer's history is the cache-off twin's.
+func TestCacheMissRecordsInItsFetch(t *testing.T) {
+	on, sim := cacheTestNetwork(t, 8, Config{Cache: CacheConfig{Enabled: true, DisableResults: true}})
+	off, _ := cacheTestNetwork(t, 8, Config{})
+	cold, shared := []string{"alpha", "delta"}, []string{"epsilon"}
+	// Search from a peer that holds none of the terms: simnet does not meter
+	// self-calls.
+	holders := map[simnet.Addr]bool{}
+	for _, term := range append(append([]string(nil), cold...), shared...) {
+		at, _ := on.Ring().Owner(chordid.HashKey(term))
+		holders[at.Addr()] = true
+	}
+	var from simnet.Addr
+	for _, p := range on.Peers() {
+		if !holders[p.Addr()] {
+			from = p.Addr()
+			break
+		}
+	}
+	if from == "" {
+		t.Fatal("every peer holds one of the terms")
+	}
+	const callers = 12
+	for _, n := range []*Network{on, off} {
+		shareCacheCorpus(t, n)
+	}
+	delta := func(run func()) (fetches, records int64) {
+		before := sim.Stats().CallsByType
+		run()
+		after := sim.Stats().CallsByType
+		return after[msgGetPostings] - before[msgGetPostings], after[msgCacheQuery] - before[msgCacheQuery]
+	}
+	search := func(n *Network, q []string) {
+		if _, err := n.SearchCtx(context.Background(), from, q, 10); err != nil {
+			t.Error(err)
+		}
+	}
+
+	if fetches, records := delta(func() { search(on, cold) }); fetches != int64(len(cold)) || records != 0 {
+		t.Fatalf("cold search: %d get_postings and %d cache_query, want %d and 0", fetches, records, len(cold))
+	}
+	if fetches, records := delta(func() { search(on, cold) }); fetches != 0 || records != int64(len(cold)) {
+		t.Fatalf("warm search: %d get_postings and %d cache_query, want 0 and %d", fetches, records, len(cold))
+	}
+	stats := on.PostingsCacheStats()
+	fetches, records := delta(func() {
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				search(on, shared)
+			}()
+		}
+		wg.Wait()
+	})
+	after := on.PostingsCacheStats()
+	if hits, coalesced := after.Hits-stats.Hits, after.Coalesced-stats.Coalesced; fetches != 1 || records != hits+coalesced || records != callers-1 {
+		t.Fatalf("%d concurrent cold searches: %d get_postings and %d cache_query (%d hits, %d coalesced), want 1 and %d",
+			callers, fetches, records, hits, coalesced, callers-1)
+	}
+
+	for _, q := range [][]string{cold, cold} {
+		search(off, q)
+	}
+	for i := 0; i < callers; i++ {
+		search(off, shared)
+	}
+	offPeers, onPeers := off.Peers(), on.Peers()
+	for i := range offPeers {
+		if o, c := offPeers[i].HistoryLen(), onPeers[i].HistoryLen(); o != c {
+			t.Fatalf("peer %s history length: cache-off %d, cache-on %d", offPeers[i].Addr(), o, c)
+		}
+	}
+}
+
 // TestSingleflightOneFetchPerTerm is the acceptance test for coalescing:
 // N concurrent identical cold queries issue exactly one remote postings
 // fetch per term. How the other N-1 split between joining the flight and

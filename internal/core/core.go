@@ -366,8 +366,9 @@ func (n *Network) Adopt(node *chord.Node) *Peer {
 // index terms (the top-F most frequent, §5.2). Ownership is reserved under
 // the lock before the (network-calling) publish, so two concurrent shares of
 // the same document cannot both proceed; on publish failure the reservation
-// is rolled back. The per-term DHT publications carry ctx's deadline and stop
-// at the first cancellation.
+// is rolled back. The publications fan out one sprite.publish per indexing
+// peer, not one per term, and carry ctx's deadline; a cancellation stops
+// those not yet sent.
 func (n *Network) ShareCtx(ctx context.Context, owner simnet.Addr, doc *corpus.Document) error {
 	n.mu.Lock()
 	p, ok := n.peers[owner]

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -21,9 +22,12 @@ import (
 //     per-term statistics, runs the §7 hot-term advisory and rebuilds its rank
 //     list, deciding what to withdraw (done here) and what to publish, and
 //     re-anchors the postings a poll found missing (reanchor).
-//  3. Publish. Each owner routes the first publish of every term none of its
-//     documents has a holder for; the route names the holder. Every other
-//     publish, re-anchors included, goes in one sprite.publish per holder.
+//  3. Publish. Each owner sends each indexing peer one sprite.publish carrying
+//     every publish bound there: a re-anchor to the peer that answered
+//     Missing, a term one of its documents has a holder for to that holder,
+//     and any other term to the peer its own node names for the key
+//     (chord.Node.LocalOwner), as a query's fetch does. No publish is routed
+//     first.
 //
 // Poll and publish are two protocols (polls, publishes) of exchange
 // (send.go): a batch is addressed from the owner's records, so the holder
@@ -315,8 +319,10 @@ type publishResult struct {
 // and fails its document; a re-anchored one is forgotten.
 func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 	// Each owner's term → holder map, from its documents' records in sweep
-	// order: the first record of a term wins, and the holder's arc check
-	// makes a stale one cost a refusal, not a misplaced posting.
+	// order: the first record of a term wins. A term none of them holds goes
+	// to the peer the owner's own node names for its key, as a query's fetch
+	// does. The holder's arc check makes a stale name cost a refusal, not a
+	// misplaced posting.
 	type ownerTerm struct {
 		p    *Peer
 		term string
@@ -334,36 +340,19 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 			items = append(items, learnItem{d, i})
 		}
 	}
-	keyOf := func(it learnItem) ownerTerm { return ownerTerm{it.d.p, it.d.publish[it.i]} }
-
-	// The first publish of each term its owner has no holder for is routed;
-	// the peer that accepts it is the holder of the term's other items.
-	var firsts, rest []learnItem
-	routing := make(map[ownerTerm]bool)
-	for _, it := range items {
-		if k := keyOf(it); holders[k] == "" && !routing[k] {
-			routing[k] = true
-			firsts = append(firsts, it)
-		} else {
-			rest = append(rest, it)
-		}
-	}
-	run := func(items []learnItem, holder func(learnItem) simnet.Addr) {
-		ats, errs := exchange(ctx, items, n.publishes(holder))
-		for k, it := range items {
-			it.d.landed[it.i] = publishResult{ats[k], errs[k]}
-		}
-	}
-	run(firsts, func(learnItem) simnet.Addr { return "" })
-	for _, it := range firsts {
-		holders[keyOf(it)] = it.d.landed[it.i].at // "" on failure: the term's other items route too
-	}
-	run(rest, func(it learnItem) simnet.Addr {
+	ats, errs := exchange(ctx, items, n.publishes(func(it learnItem) simnet.Addr {
+		t := it.d.publish[it.i]
 		if it.i >= it.d.added {
-			return it.d.st.publishedAt[it.d.publish[it.i]] // the peer that answered Missing
+			return it.d.st.publishedAt[t] // the peer that answered Missing
 		}
-		return holders[keyOf(it)]
-	})
+		if at := holders[ownerTerm{it.d.p, t}]; at != "" {
+			return at
+		}
+		return it.d.p.node.LocalOwner(chordid.HashKey(t)).Addr
+	}))
+	for k, it := range items {
+		it.d.landed[it.i] = publishResult{ats[k], errs[k]}
+	}
 
 	for _, d := range docs {
 		for i, t := range d.publish {

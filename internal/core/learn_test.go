@@ -705,3 +705,113 @@ func TestConcurrentSweepsShareNoLockCycle(t *testing.T) {
 		}
 	}
 }
+
+// TestSharePublishesOncePerHolder shares a document of twelve terms on a
+// stable 16-peer ring and demands that the share names every term's holder
+// from the owner's own node: one sprite.publish per distinct indexing peer, no
+// chord.next_hop round trip, and each term recorded at the peer that owns its
+// key. The terms avoid the owner's own arc, whose keys its node does not name
+// and still routes.
+func TestSharePublishesOncePerHolder(t *testing.T) {
+	n, sim := cacheTestNetwork(t, 16, Config{InitialTerms: 12})
+	const owner = simnet.Addr("p0")
+	tf := map[string]int{}
+	holders := map[simnet.Addr]bool{}
+	for i := 0; len(tf) < 12; i++ {
+		term := fmt.Sprintf("s%d", i)
+		if at, _ := n.Ring().Owner(chordid.HashKey(term)); at.Addr() != owner {
+			tf[term] = 1 + i%4
+			holders[at.Addr()] = true
+		}
+	}
+	if len(holders) < 2 || len(holders) == len(tf) {
+		t.Fatalf("%d terms on %d remote holders: no batch would carry two terms", len(tf), len(holders))
+	}
+	before := sim.Stats().CallsByType
+	if err := n.ShareCtx(context.Background(), owner, doc("d", tf)); err != nil {
+		t.Fatal(err)
+	}
+	after := sim.Stats().CallsByType
+	if got := after[msgPublish] - before[msgPublish]; got != int64(len(holders)) {
+		t.Fatalf("share sent %d sprite.publish, want one per remote holder: %d", got, len(holders))
+	}
+	if got := after["chord.next_hop"] - before["chord.next_hop"]; got != 0 {
+		t.Fatalf("share took %d chord.next_hop round trips, want 0", got)
+	}
+	di, _ := n.DocIndexInfo("d")
+	for term := range tf {
+		if at, _ := n.Ring().Owner(chordid.HashKey(term)); di.PublishedAt[term] != at.Addr() {
+			t.Fatalf("%s recorded at %s, owned by %s", term, di.PublishedAt[term], at.Addr())
+		}
+	}
+}
+
+// TestShareIntoHalfJoinReroutesRefusals shares a document whose terms lie in
+// a joiner's new arc while the join has only half stabilized: the owner's node
+// still names the joiner's successor for them, which no longer serves the arc
+// and refuses them. Each refused term must go on by its key and land where the
+// ring's route ends, be recorded there, and count in sprite.learn.rerouted.
+func TestShareIntoHalfJoinReroutesRefusals(t *testing.T) {
+	f := newLearnFixture(t, 16, 4, 0, Config{Parallelism: 1})
+	f.halfJoin(t)
+	joiner, _ := f.n.Peer("j0")
+	nodes := f.ring.Nodes() // sorted by ring position
+	before := nodes[len(nodes)-1]
+	for i, nd := range nodes[1:] {
+		if nd == joiner.Node() {
+			before = nodes[i]
+		}
+	}
+	owner, _ := f.n.Peer("p1")
+	tf := map[string]int{}
+	var stale simnet.Addr
+	for i := 0; len(tf) < 3; i++ {
+		term := fmt.Sprintf("arc%d", i)
+		key := chordid.HashKey(term)
+		if !key.BetweenRightIncl(before.ID(), joiner.Node().ID()) {
+			continue
+		}
+		tf[term] = 1 + len(tf)
+		named := owner.Node().LocalOwner(key).Addr
+		if p, ok := f.n.Peer(named); !ok || named == owner.Addr() || p.Node().Serves(key) {
+			t.Fatalf("%s: the owner names %q, want a peer that refuses the key", term, named)
+		}
+		if stale != "" && named != stale {
+			t.Fatalf("%s: the owner names %s, want %s as for the other terms", term, named, stale)
+		}
+		stale = named
+	}
+	rerouted := f.reg.Counter("sprite.learn.rerouted").Value()
+	f.log.drain()
+	if err := f.n.ShareCtx(context.Background(), owner.Addr(), doc("d-arc", tf)); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.reg.Counter("sprite.learn.rerouted").Value() - rerouted; got != int64(len(tf)) {
+		t.Fatalf("%d items re-routed, want the %d %s refused", got, len(tf), stale)
+	}
+	batches := 0
+	for _, m := range f.log.drain() {
+		if req, ok := m.req.Payload.(publishReq); ok && req.CheckArc {
+			if batches++; m.to != stale || len(req.Items) != len(tf) {
+				t.Fatalf("batch of %d items to %s, want one of %d to %s", len(req.Items), m.to, len(tf), stale)
+			}
+		}
+	}
+	if batches != 1 {
+		t.Fatalf("%d publish batches, want 1", batches)
+	}
+	di, _ := f.n.DocIndexInfo("d-arc")
+	for term := range tf {
+		at, _, err := owner.Node().Lookup(chordid.HashKey(term))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if di.PublishedAt[term] != at.Addr {
+			t.Fatalf("%s recorded at %s, the route ends at %s", term, di.PublishedAt[term], at.Addr)
+		}
+		holder, _ := f.n.Peer(at.Addr)
+		if !holder.Index().Contains(term, "d-arc") {
+			t.Fatalf("%s holds no posting of d-arc under %s", at.Addr, term)
+		}
+	}
+}

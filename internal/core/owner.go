@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/spritedht/sprite/internal/cache"
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/fanout"
@@ -125,7 +126,8 @@ func qScore(queryTerms []string, doc *corpus.Document) float64 {
 
 // share performs initial term selection and publication (§5.2): the top-F
 // most frequent terms of the (already preprocessed) document become its
-// first global index terms.
+// first global index terms. They go as the publish phase of a one-document
+// learning sweep: one sprite.publish per indexing peer the owner's node names.
 func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 	st := &docState{
 		doc:     doc,
@@ -134,18 +136,19 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 		stats:   make(map[string]*termStat),
 		since:   make(map[string]pollMark),
 	}
-	for _, term := range doc.TopTerms(p.net.cfg.InitialTerms) {
-		if err := p.publishTerm(ctx, st, term); err != nil {
-			// Roll back the terms already published: a failed share must not
-			// leave entries behind for a document the network will never list
-			// as shared. Best-effort, on a fresh context — the caller's may
-			// already be done, and an unreachable indexing peer keeps its
-			// copy only until it dies or is recycled.
-			for _, t := range sortedKeys(st.indexed) {
-				p.unpublishTerm(context.Background(), st, t) //nolint:errcheck
-			}
-			return err
+	d := &sweepDoc{p: p, id: doc.ID, st: st, publish: doc.TopTerms(p.net.cfg.InitialTerms)}
+	d.added = len(d.publish)
+	p.net.publishPhase(ctx, []*sweepDoc{d})
+	if d.err != nil {
+		// Roll back the terms published: a failed share must not leave
+		// entries behind for a document the network will never list as
+		// shared. Best-effort, on a fresh context — the caller's may already
+		// be done, and an unreachable indexing peer keeps its copy only until
+		// it dies or is recycled.
+		for _, t := range sortedKeys(st.indexed) {
+			p.unpublishTerm(context.Background(), st, t) //nolint:errcheck
 		}
+		return d.err
 	}
 	p.mu.Lock()
 	p.owned[doc.ID] = st
@@ -267,11 +270,11 @@ type termFetch struct {
 // searchSimilarCtx, SearchExpanded's first phase). With the postings cache
 // enabled the distinct terms dts fan out under stage one by one through the
 // cache, one "term" child span of span each: a miss fetches the term alone
-// with Record off (the postings protocol's one-item form), singleflight
-// making concurrent misses one fetch, and query is recorded at the serving
-// peer apart if record is set (recordQueryAt), so that hits record it too.
-// Otherwise they go in one get_postings per indexing peer (fetching). The fold
-// walks dts in order,
+// (the postings protocol's one-item form), its get_postings recording query
+// as the uncached fetch does, and singleflight makes concurrent misses one
+// fetch; a hit or a caller that shared another's fetch records query at the
+// serving peer apart if record is set (recordQueryAt). Otherwise they go in
+// one get_postings per indexing peer (fetching). The fold walks dts in order,
 // so failures and counters match a sequential loop: a done ctx aborts with an
 // error wrapping ctx.Err(); any other failure skips the term (§7), counted in
 // termsSkipped and returned.
@@ -282,14 +285,14 @@ func (p *Peer) fetchStage(ctx context.Context, stage string, dts, query []string
 		outs, errs = fanout.Map(ctx, p.net.exec, stage, len(dts), func(ctx context.Context, i int) (termFetch, error) {
 			return inTerm(span, dts[i], func(tsp *telemetry.Span) (termFetch, simnet.Addr, error) {
 				ent, outcome, err := p.net.caches.postings.GetOrFill(dts[i], func() (termFetch, int, error) {
-					ent, _, err := p.fetching(stage, dts[i:i+1], nil, false, nil).route(ctx, 0, dest{}, tsp)
+					ent, _, err := p.fetching(stage, dts[i:i+1], query, record, nil).route(ctx, 0, dest{}, tsp)
 					return ent, postingsBytes(ent), err
 				})
 				if err != nil {
 					return termFetch{}, "", err
 				}
 				tsp.Annotate("postings_cache", outcome.String())
-				if record {
+				if record && outcome != cache.Filled {
 					p.recordQueryAt(context.Background(), ent.peer, query) //nolint:errcheck // best-effort, see recordQueryAt
 				}
 				return ent, ent.peer, nil
