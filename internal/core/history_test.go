@@ -68,13 +68,10 @@ func (h *scanHistory) record(terms []string) {
 }
 
 // restoreInto moves the reference into a peer with another capacity, the way
-// Snapshot/Restore moves the real one: the slice as it lies, except that a
-// history with room to grow is put in arrival order first.
+// Snapshot/Restore moves the real one: in arrival order, oldest first.
 func (h *scanHistory) restoreInto(cap int) {
 	h.cap = cap
-	if len(h.entries) < cap {
-		sort.Slice(h.entries, func(i, j int) bool { return h.entries[i].seq < h.entries[j].seq })
-	}
+	sort.Slice(h.entries, func(i, j int) bool { return h.entries[i].seq < h.entries[j].seq })
 }
 
 func (h *scanHistory) poll(ix *index.Inverted, term string, doc index.DocID, docTerms []string, since uint64) pollResult {

@@ -101,8 +101,8 @@ func markStale(st *docState, term string, addr simnet.Addr) {
 }
 
 // sortedKeys returns m's keys in order.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
+func sortedKeys[K ~string, V any](m map[K]V) []K {
+	out := make([]K, 0, len(m))
 	for k := range m {
 		out = append(out, k)
 	}

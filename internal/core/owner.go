@@ -69,7 +69,7 @@ type docState struct {
 
 // pollMark is a poll watermark with the peer it belongs to: Since is a
 // position in At's private sequence counter (indexingState.seq) and means
-// nothing at any other peer. Fields are exported for the snapshot.
+// nothing at any other peer.
 type pollMark struct {
 	At    simnet.Addr
 	Since uint64

@@ -405,25 +405,6 @@ func (s *indexingState) cacheQuery(terms []string) {
 	s.history = append(s.history, sq)
 }
 
-// restoreHistory installs a history loaded from a snapshot and re-establishes
-// the ring order cacheQuery evicts by. A snapshot of a full history is
-// already such a ring, so only its oldest entry has to be found — it may be
-// longer than a smaller historyCap, and then keeps its length and evicts in
-// place. One shorter than historyCap will grow by appending, which needs it
-// in arrival order from index 0. The caller holds s.mu.
-func (s *indexingState) restoreHistory(h []storedQuery) {
-	s.history, s.oldest = h, 0
-	if len(h) < s.historyCap {
-		sort.Slice(h, func(i, j int) bool { return h[i].seq < h[j].seq })
-		return
-	}
-	for i := range h {
-		if h[i].seq < h[s.oldest].seq {
-			s.oldest = i
-		}
-	}
-}
-
 // handlePoll answers a poll item by item. A CheckArc request's items whose
 // keys lie outside this peer's arc are refused, untouched: the owner sends
 // them by the per-term route instead, which is what makes the answer the

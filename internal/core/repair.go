@@ -263,18 +263,12 @@ func (p *Peer) handleRepairDigest(req repairDigestReq) repairDigestResp {
 	return repairDigestResp{Buckets: div, Local: repair.InBuckets(local, div)}
 }
 
-// handleRepairPush replaces the pushed terms' replica lists wholesale. Add
-// re-encodes each pushed posting, so the installed blocks are canonical
-// whatever layout the list arrived in.
+// handleRepairPush installs the pushed terms' replica lists wholesale. A list
+// Replace refuses keeps the old one, which the next digest exchange re-pushes.
 func (p *Peer) handleRepairPush(req repairPushReq) {
 	p.indexing.mu.Lock()
 	for _, tp := range req.Set {
-		for post := range p.indexing.replicas.All(tp.Term) {
-			p.indexing.replicas.Remove(tp.Term, post.Doc)
-		}
-		for post := range tp.Postings.All() {
-			p.indexing.replicas.Add(tp.Term, post)
-		}
+		p.indexing.replicas.Replace(tp.Term, tp.Postings) //nolint:errcheck
 	}
 	p.indexing.mu.Unlock()
 	p.net.caches.invalidate()

@@ -1,141 +1,99 @@
 package core
 
 import (
-	"encoding/gob"
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
 
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
+	"github.com/spritedht/sprite/internal/wire"
 )
 
-// This file implements whole-network state snapshots: every peer's inverted
-// lists, replicas, and query history, plus every owner's documents and
-// learning statistics, serialized with gob. Long experiments checkpoint
-// after the expensive share+train+learn phases and restore instantly;
-// simulations can be persisted across process restarts. A snapshot captures
-// SPRITE state only — the Chord ring is reconstructed by the host (it is a
-// pure function of the peer names).
+// This file implements whole-network state snapshots in the wire codec:
+// every peer's lists, replicas, replica locations and query history, and
+// every owner's documents, learning statistics and withdrawal ledger, so long
+// experiments checkpoint after the expensive share+train+learn phases and
+// simulations persist across process restarts. The Chord ring is not saved:
+// the host rebuilds it from the peer names. Lists are saved as the blocks the
+// index stores; every map is written in ascending key order and refused in
+// any other, so one state has one encoding. A document's length and sketch
+// are functions of its TF, recomputed on load.
 
-// snapshotVersion guards against decoding snapshots from incompatible
-// layouts. 2: a poll watermark is stored with the peer that issued it.
-const snapshotVersion = 2
+const (
+	snapshotMagic = "SPRITE snapshot\n"
+	// snapshotVersion 3: the wire codec, lists as stored blocks, the
+	// withdrawal ledger and replica locations (2 was a gob file).
+	snapshotVersion = 3
+)
 
-type snapshotFile struct {
-	Version int
-	Peers   []peerSnapshot
-	// DocOrder preserves the learning sweep order.
-	DocOrder []index.DocID
-}
-
-type peerSnapshot struct {
-	Addr     simnet.Addr
-	Postings []postingEntry
-	Replicas []postingEntry
-	History  []historyEntry
-	Seq      uint64
-	Owned    []docSnapshot
-}
-
-type postingEntry struct {
-	Term    string
-	Posting index.Posting
-}
-
-type historyEntry struct {
-	Terms []string
-	Seq   uint64
-}
-
-type docSnapshot struct {
-	ID          index.DocID
-	TF          map[string]int
-	Length      int
-	Indexed     []string
-	Stats       []termStatSnapshot
-	Since       map[string]pollMark
-	PublishedAt map[string]simnet.Addr
-	Banned      []string
-}
-
-type termStatSnapshot struct {
-	Term  string
-	QF    int
-	MaxQS float64
+// peerImage is one peer's part of a snapshot, live to write or decoded.
+type peerImage struct {
+	addr     simnet.Addr
+	indexing *indexingState
+	owned    map[index.DocID]*docState
 }
 
 // Snapshot serializes the complete SPRITE state of the network.
 func (n *Network) Snapshot(w io.Writer) error {
-	file := snapshotFile{Version: snapshotVersion, DocOrder: n.Documents()}
+	order := n.Documents()
+	var peers []peerImage
 	for _, p := range n.Peers() {
-		ps := peerSnapshot{Addr: p.Addr()}
-
-		p.indexing.mu.Lock()
-		for _, term := range p.indexing.ix.Terms() {
-			for posting := range p.indexing.ix.All(term) {
-				ps.Postings = append(ps.Postings, postingEntry{Term: term, Posting: posting})
-			}
-		}
-		for _, term := range p.indexing.replicas.Terms() {
-			for posting := range p.indexing.replicas.All(term) {
-				ps.Replicas = append(ps.Replicas, postingEntry{Term: term, Posting: posting})
-			}
-		}
-		for _, sq := range p.indexing.history {
-			ps.History = append(ps.History, historyEntry{
-				Terms: append([]string(nil), sq.terms...),
-				Seq:   sq.seq,
-			})
-		}
-		ps.Seq = p.indexing.seq
-		p.indexing.mu.Unlock()
-
 		p.mu.Lock()
-		var docIDs []index.DocID
-		for id := range p.owned {
-			docIDs = append(docIDs, id)
-		}
-		sort.Slice(docIDs, func(i, j int) bool { return docIDs[i] < docIDs[j] })
-		for _, id := range docIDs {
-			st := p.owned[id]
-			st.mu.Lock()
-			ds := docSnapshot{
-				ID:          id,
-				TF:          st.doc.TF,
-				Length:      st.doc.Length,
-				Since:       st.since,
-				PublishedAt: st.publishedAt,
-			}
-			for t := range st.indexed {
-				ds.Indexed = append(ds.Indexed, t)
-			}
-			sort.Strings(ds.Indexed)
-			var terms []string
-			for t := range st.stats {
-				terms = append(terms, t)
-			}
-			sort.Strings(terms)
-			for _, t := range terms {
-				ts := st.stats[t]
-				ds.Stats = append(ds.Stats, termStatSnapshot{Term: t, QF: ts.qf, MaxQS: ts.maxQS})
-			}
-			for t := range st.banned {
-				ds.Banned = append(ds.Banned, t)
-			}
-			st.mu.Unlock()
-			sort.Strings(ds.Banned)
-			ps.Owned = append(ps.Owned, ds)
-		}
+		peers = append(peers, peerImage{p.Addr(), &p.indexing, maps.Clone(p.owned)})
 		p.mu.Unlock()
-
-		file.Peers = append(file.Peers, ps)
 	}
-	if err := gob.NewEncoder(w).Encode(file); err != nil {
+	if _, err := w.Write(encodeSnapshot(peers, order)); err != nil {
 		return fmt.Errorf("core: snapshot: %w", err)
 	}
 	return nil
+}
+
+// encodeSnapshot writes the file, holding each indexing state's and each
+// document's lock while it reads it.
+func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
+	e := wire.NewEncoder([]byte(snapshotMagic))
+	e.Uint(snapshotVersion)
+	e.Uint(uint64(len(peers)))
+	for _, img := range peers {
+		e.String(string(img.addr))
+		s := img.indexing
+		s.mu.Lock()
+		for _, ix := range []*index.Inverted{s.ix, s.replicas} {
+			terms := ix.Terms()
+			e.Uint(uint64(len(terms)))
+			for _, t := range terms {
+				e.String(t)
+				encodeList(e, ix.Encoded(t))
+			}
+		}
+		writeSorted(e, s.replicaLocs, func(byDoc map[index.DocID][]simnet.Addr) {
+			writeSorted(e, byDoc, func(locs []simnet.Addr) { writeStrings(e, locs) })
+		})
+		e.Uint(uint64(len(s.history)))
+		for i := range s.history {
+			q := s.history[(s.oldest+i)%len(s.history)]
+			e.StringSlice(q.terms)
+			e.Uint(q.seq)
+		}
+		e.Uint(s.seq)
+		s.mu.Unlock()
+		writeSorted(e, img.owned, func(st *docState) {
+			st.mu.Lock()
+			defer st.mu.Unlock()
+			writeSorted(e, st.doc.TF, func(f int) { e.Int(int64(f)) })
+			writeSorted(e, st.indexed, func(bool) {})
+			writeSorted(e, st.stats, func(ts *termStat) { e.Int(int64(ts.qf)); e.Float(ts.maxQS) })
+			writeSorted(e, st.since, func(m pollMark) { e.String(string(m.At)); e.Uint(m.Since) })
+			writeSorted(e, st.publishedAt, func(a simnet.Addr) { e.String(string(a)) })
+			writeSorted(e, st.banned, func(bool) {})
+			writeSorted(e, st.stale, func(addrs []simnet.Addr) { writeStrings(e, addrs) })
+		})
+	}
+	writeStrings(e, order)
+	return e.Bytes()
 }
 
 // Restore loads a snapshot into this network. The network must have been
@@ -144,133 +102,169 @@ func (n *Network) Snapshot(w io.Writer) error {
 // The whole file is decoded and validated before anything is installed, so a
 // refused file leaves the network as it was.
 func (n *Network) Restore(r io.Reader) error {
-	var file snapshotFile
-	if err := gob.NewDecoder(r).Decode(&file); err != nil {
+	data, err := io.ReadAll(r)
+	if err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	owned, err := n.checkSnapshot(file)
+	peers, order, owners, err := n.decodeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("core: restore: %w", err)
 	}
 	// Whatever the caches held describes pre-restore state.
 	defer n.caches.invalidate()
-
-	n.ownerOf = make(map[index.DocID]*Peer)
-	for i, ps := range file.Peers {
-		p := n.peers[ps.Addr]
-
+	for _, img := range peers {
+		p, s := n.peers[img.addr], img.indexing
 		p.indexing.mu.Lock()
-		p.indexing.ix = index.NewInverted()
-		p.indexing.replicas = index.NewInverted()
-		// Replica-location records are rebuilt as post-restore publishes
-		// happen; stale pre-snapshot locations must not leak into them.
-		p.indexing.replicaLocs = nil
-		for _, e := range ps.Postings {
-			p.indexing.ix.Add(e.Term, e.Posting)
-		}
-		for _, e := range ps.Replicas {
-			p.indexing.replicas.Add(e.Term, e.Posting)
-		}
-		history := make([]storedQuery, 0, len(ps.History))
-		for _, h := range ps.History {
-			history = append(history, storedQuery{terms: h.Terms, seq: h.Seq})
-		}
-		p.indexing.restoreHistory(history)
-		p.indexing.seq = ps.Seq
+		p.indexing.ix, p.indexing.replicas, p.indexing.replicaLocs = s.ix, s.replicas, s.replicaLocs
+		// Oldest first is the order cacheQuery appends in and evicts from.
+		p.indexing.history, p.indexing.oldest, p.indexing.seq = s.history, 0, s.seq
 		p.indexing.mu.Unlock()
-
 		p.mu.Lock()
-		p.owned = owned[i]
-		for id := range owned[i] {
-			n.ownerOf[id] = p
-		}
+		p.owned = img.owned
 		p.mu.Unlock()
 	}
-	n.docOrder = file.DocOrder
+	n.ownerOf, n.docOrder = owners, order
 	return nil
 }
 
-// checkSnapshot validates a decoded snapshot against this network and builds
-// each peer's owned-document states, indexed like file.Peers. It refuses a
-// file that does not list every network peer exactly once, lists a document
-// under two peers or with a length its TF disagrees with, or whose DocOrder is
-// not exactly the owned documents, each once. Caller holds n.mu.
-func (n *Network) checkSnapshot(file snapshotFile) ([]map[index.DocID]*docState, error) {
-	if file.Version != snapshotVersion {
-		return nil, fmt.Errorf("snapshot version %d, want %d", file.Version, snapshotVersion)
+// decodeSnapshot reads encodeSnapshot's form into fresh state, with each
+// document's owner. It refuses a file that does not list every network peer
+// exactly once, lists a document under two peers, or whose order is not
+// exactly the owned documents, each once. Each list goes into its index whole
+// through Replace, which refuses blocks the index would not have written.
+// Caller holds n.mu.
+func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[index.DocID]*Peer, error) {
+	if !bytes.HasPrefix(data, []byte(snapshotMagic)) {
+		return nil, nil, nil, fmt.Errorf("not a version %d snapshot (bad magic)", snapshotVersion)
 	}
-	if len(file.Peers) != len(n.order) {
-		return nil, fmt.Errorf("snapshot has %d peers, network has %d", len(file.Peers), len(n.order))
+	d := wire.NewDecoder(data[len(snapshotMagic):])
+	if v := d.Uint(); d.Err() == nil && v != snapshotVersion {
+		return nil, nil, nil, fmt.Errorf("snapshot version %d, want %d", v, snapshotVersion)
 	}
-	listed := make(map[simnet.Addr]bool, len(file.Peers))
-	ownerOf := make(map[index.DocID]simnet.Addr)
-	owned := make([]map[index.DocID]*docState, len(file.Peers))
-	for i, ps := range file.Peers {
-		if _, ok := n.peers[ps.Addr]; !ok {
-			return nil, fmt.Errorf("snapshot peer %q not in network", ps.Addr)
+	peers := make([]peerImage, d.Count(7))
+	if d.Err() == nil && len(peers) != len(n.order) {
+		return nil, nil, nil, fmt.Errorf("snapshot has %d peers, network has %d", len(peers), len(n.order))
+	}
+	owners := make(map[index.DocID]*Peer)
+	seen := make(map[simnet.Addr]bool, len(peers))
+	for i := range peers {
+		addr := simnet.Addr(d.String())
+		if d.Err() == nil && (n.peers[addr] == nil || seen[addr]) {
+			d.Fail(fmt.Errorf("snapshot peer %q not in network or listed twice", addr))
 		}
-		if listed[ps.Addr] {
-			return nil, fmt.Errorf("snapshot lists peer %q twice", ps.Addr)
+		seen[addr] = true
+		s := &indexingState{ix: decodeLists(d), replicas: decodeLists(d)}
+		s.replicaLocs = make(map[string]map[index.DocID][]simnet.Addr)
+		readSorted(d, func(term string) {
+			s.replicaLocs[term] = make(map[index.DocID][]simnet.Addr)
+			readSorted(d, func(doc index.DocID) { s.replicaLocs[term][doc] = readStrings[simnet.Addr](d) })
+		})
+		s.history = make([]storedQuery, d.Count(2))
+		for j := range s.history {
+			s.history[j] = storedQuery{terms: d.StringSlice(), seq: d.Uint()}
 		}
-		listed[ps.Addr] = true
-		owned[i] = make(map[index.DocID]*docState, len(ps.Owned))
-		for _, ds := range ps.Owned {
-			if prev, dup := ownerOf[ds.ID]; dup {
-				return nil, fmt.Errorf("document %q listed under both %q and %q", ds.ID, prev, ps.Addr)
+		s.seq = d.Uint()
+		owned := make(map[index.DocID]*docState)
+		readSorted(d, func(id index.DocID) {
+			if prev := owners[id]; prev != nil {
+				d.Fail(fmt.Errorf("document %q listed under both %q and %q", id, prev.Addr(), addr))
 			}
-			ownerOf[ds.ID] = ps.Addr
-			st, err := restoreDoc(ds)
-			if err != nil {
-				return nil, err
-			}
-			owned[i][ds.ID] = st
-		}
+			owners[id], owned[id] = n.peers[addr], n.decodeDoc(d, id)
+		})
+		peers[i] = peerImage{addr, s, owned}
 	}
-	ordered := make(map[index.DocID]bool, len(file.DocOrder))
-	for _, id := range file.DocOrder {
-		if _, ok := ownerOf[id]; !ok {
-			return nil, fmt.Errorf("doc order references unknown document %q", id)
+	order := readStrings[index.DocID](d)
+	listed := make(map[index.DocID]bool, len(order))
+	for _, id := range order {
+		if d.Err() == nil && (owners[id] == nil || listed[id]) {
+			d.Fail(fmt.Errorf("doc order names document %q unknown or twice", id))
 		}
-		if ordered[id] {
-			return nil, fmt.Errorf("doc order lists document %q twice", id)
-		}
-		ordered[id] = true
+		listed[id] = true
 	}
-	if len(ordered) != len(ownerOf) {
-		return nil, fmt.Errorf("doc order lists %d documents, snapshot owns %d", len(ordered), len(ownerOf))
+	if d.Err() == nil && len(listed) != len(owners) {
+		d.Fail(fmt.Errorf("doc order lists %d documents, snapshot owns %d", len(listed), len(owners)))
 	}
-	return owned, nil
+	if d.Err() == nil && d.Remaining() > 0 {
+		d.Fail(fmt.Errorf("%d trailing bytes", d.Remaining()))
+	}
+	return peers, order, owners, d.Err()
 }
 
-// restoreDoc rebuilds one owned document's learning state.
-func restoreDoc(ds docSnapshot) (*docState, error) {
+// decodeDoc reads one owned document's learning state.
+func (n *Network) decodeDoc(d *wire.Decoder, id index.DocID) *docState {
+	tf := make(map[string]int)
+	readSorted(d, func(t string) { tf[t] = int(d.Int()) })
 	st := &docState{
-		doc:         corpus.NewDocument(ds.ID, ds.TF),
-		indexed:     make(map[string]bool, len(ds.Indexed)),
-		stats:       make(map[string]*termStat, len(ds.Stats)),
-		since:       ds.Since,
-		publishedAt: ds.PublishedAt,
+		doc:         corpus.NewDocument(id, tf),
+		indexed:     make(map[string]bool),
+		stats:       make(map[string]*termStat),
+		since:       make(map[string]pollMark),
+		publishedAt: make(map[string]simnet.Addr),
+		banned:      make(map[string]bool),
+		stale:       make(map[string][]simnet.Addr),
 	}
-	if st.doc.Length != ds.Length {
-		// TF is authoritative; Length is redundant but must agree.
-		return nil, fmt.Errorf("document %q length mismatch", ds.ID)
-	}
-	if st.since == nil {
-		st.since = make(map[string]pollMark)
-	}
-	for _, t := range ds.Indexed {
-		st.indexed[t] = true
-	}
-	for _, ts := range ds.Stats {
-		st.stats[ts.Term] = &termStat{qf: ts.QF, maxQS: ts.MaxQS}
-	}
-	if len(ds.Banned) > 0 {
-		st.banned = make(map[string]bool, len(ds.Banned))
-		for _, t := range ds.Banned {
-			st.banned[t] = true
+	st.sketch = n.docSketchFor(st.doc)
+	readSorted(d, func(t string) { st.indexed[t] = true })
+	readSorted(d, func(t string) { st.stats[t] = &termStat{qf: int(d.Int()), maxQS: d.Float()} })
+	readSorted(d, func(t string) { st.since[t] = pollMark{At: simnet.Addr(d.String()), Since: d.Uint()} })
+	readSorted(d, func(t string) { st.publishedAt[t] = simnet.Addr(d.String()) })
+	readSorted(d, func(t string) { st.banned[t] = true })
+	readSorted(d, func(t string) { st.stale[t] = readStrings[simnet.Addr](d) })
+	return st
+}
+
+// decodeLists reads a primary or replica index's terms and lists. The index
+// stores no empty list, so none may arrive.
+func decodeLists(d *wire.Decoder) *index.Inverted {
+	ix := index.NewInverted()
+	readSorted(d, func(term string) {
+		if l := decodeList(d); l.Len() == 0 {
+			d.Fail(fmt.Errorf("term %q has an empty list", term))
+		} else {
+			d.Fail(ix.Replace(term, l))
 		}
+	})
+	return ix
+}
+
+// writeSorted writes m as a count and its keys in ascending order, each
+// followed by what value writes of its value.
+func writeSorted[K ~string, V any](e *wire.Encoder, m map[K]V, value func(V)) {
+	e.Uint(uint64(len(m)))
+	for _, k := range sortedKeys(m) {
+		e.String(string(k))
+		value(m[k])
 	}
-	return st, nil
+}
+
+// readSorted reads writeSorted's form, calling value for each key to read
+// what follows it. Keys that do not strictly ascend poison the decoder.
+func readSorted[K ~string](d *wire.Decoder, value func(K)) {
+	var prev K
+	for i, n := 0, d.Count(1); i < n && d.Err() == nil; i++ {
+		k := K(d.String())
+		if i > 0 && k <= prev {
+			d.Fail(fmt.Errorf("key %q after %q: keys must ascend", k, prev))
+			return
+		}
+		prev = k
+		value(k)
+	}
+}
+
+func writeStrings[S ~string](e *wire.Encoder, list []S) {
+	e.Uint(uint64(len(list)))
+	for _, s := range list {
+		e.String(string(s))
+	}
+}
+
+func readStrings[S ~string](d *wire.Decoder) []S {
+	list := make([]S, d.Count(1))
+	for i := range list {
+		list[i] = S(d.String())
+	}
+	return list
 }

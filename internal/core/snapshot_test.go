@@ -3,19 +3,33 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
+	"fmt"
+	"io"
+	"maps"
 	"reflect"
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/spritedht/sprite/internal/chord"
+	"github.com/spritedht/sprite/internal/chordid"
+	"github.com/spritedht/sprite/internal/corpus"
+	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
+	"github.com/spritedht/sprite/internal/wire"
 )
 
+// snapshotConfig is the configuration of snapshotFixture and its twins.
+var snapshotConfig = Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 6, ReplicationFactor: 1, Parallelism: 1}
+
 // snapshotFixture builds a network with trained, learned state worth saving.
-func snapshotFixture(t *testing.T) *Network {
+func snapshotFixture(t testing.TB) *Network {
 	t.Helper()
-	n := testNetwork(t, 8, Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 6, ReplicationFactor: 1})
+	n := testNetwork(t, 8, snapshotConfig)
 	docs := []struct {
 		id string
 		tf map[string]int
@@ -45,7 +59,7 @@ func snapshotFixture(t *testing.T) *Network {
 }
 
 // freshTwin builds a new, empty network over an identical ring.
-func freshTwin(t *testing.T) *Network {
+func freshTwin(t testing.TB) *Network {
 	t.Helper()
 	net := simnet.New(1)
 	ring := chord.NewRing(net, chord.Config{})
@@ -53,23 +67,33 @@ func freshTwin(t *testing.T) *Network {
 		t.Fatal(err)
 	}
 	ring.Build()
-	n, err := NewNetwork(ring, Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 6, ReplicationFactor: 1})
+	n, err := NewNetwork(ring, snapshotConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return n
 }
 
-func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	orig := snapshotFixture(t)
+// saveBytes returns n's snapshot.
+func saveBytes(t testing.TB, n *Network) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
+	if err := n.Snapshot(&buf); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
+	return buf.Bytes()
+}
+
+func TestSnapshotRestoreRoundTrip(t *testing.T) {
+	orig := snapshotFixture(t)
+	snap := saveBytes(t, orig)
 
 	restored := freshTwin(t)
-	if err := restored.Restore(&buf); err != nil {
+	if err := restored.Restore(bytes.NewReader(snap)); err != nil {
 		t.Fatalf("Restore: %v", err)
+	}
+	if again := saveBytes(t, restored); !bytes.Equal(again, snap) {
+		t.Fatalf("Save → Load → Save is not byte-identical (%d vs %d bytes)", len(again), len(snap))
 	}
 
 	// Documents, index terms, and postings must match exactly.
@@ -100,11 +124,21 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if orig.TotalPostings() != restored.TotalPostings() {
 		t.Fatalf("postings differ: %d vs %d", orig.TotalPostings(), restored.TotalPostings())
 	}
-	// Histories must match.
-	for i, p := range orig.Peers() {
-		if got := restored.Peers()[i].HistoryLen(); got != p.HistoryLen() {
-			t.Fatalf("history length differs at %s: %d vs %d", p.Addr(), got, p.HistoryLen())
+	// Every primary entry's replica locations come back with it.
+	located := 0
+	for _, e := range orig.PrimarySnapshot() {
+		want := orig.ReplicaLocsAt(e.Peer, e.Term, e.Posting.Doc)
+		if got := restored.ReplicaLocsAt(e.Peer, e.Term, e.Posting.Doc); !reflect.DeepEqual(got, want) {
+			t.Fatalf("replica locations of %s/%q at %s = %v after restore, want %v", e.Posting.Doc, e.Term, e.Peer, got, want)
 		}
+		located += len(want)
+	}
+	if located == 0 {
+		t.Fatal("the fixture records no replica locations")
+	}
+	// Histories must match, oldest first.
+	if got, want := restored.histories(), orig.histories(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("histories differ after restore: %v vs %v", got, want)
 	}
 
 	// Behaviour must match: identical searches...
@@ -135,12 +169,144 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRestoreValidation(t *testing.T) {
-	orig := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
+// TestSnapshotBytesDeterministic: two builds of one state save one file.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	if a, b := saveBytes(t, snapshotFixture(t)), saveBytes(t, snapshotFixture(t)); !bytes.Equal(a, b) {
+		t.Fatalf("two builds of the fixture saved different snapshots (%d and %d bytes)", len(a), len(b))
+	}
+}
+
+// TestSnapshotKeepsBlocks: lists spanning several blocks are saved as stored
+// and installed whole, so the restored index has the same postings, blocks
+// and encoded bytes.
+func TestSnapshotKeepsBlocks(t *testing.T) {
+	cfg := Config{InitialTerms: 2}
+	orig := testNetwork(t, 8, cfg)
+	for i := 0; i < 700; i++ {
+		d := doc(fmt.Sprintf("doc%04d", i), map[string]int{"common": 3, fmt.Sprintf("only%04d", i): 1})
+		if err := orig.ShareCtx(context.Background(), orig.Peers()[i%8].Addr(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := saveBytes(t, orig)
+	restored := testNetwork(t, 8, cfg)
+	if err := restored.Restore(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
+	want, got := orig.IndexStats(), restored.IndexStats()
+	if want.Blocks <= want.Terms {
+		t.Fatalf("no list spans several blocks: %+v", want)
+	}
+	if got != want {
+		t.Fatalf("IndexStats after a round trip = %+v, want %+v", got, want)
+	}
+	if again := saveBytes(t, restored); !bytes.Equal(again, snap) {
+		t.Fatal("Save → Load → Save is not byte-identical")
+	}
+}
+
+// TestRestoreKeepsSketches: a restored owner recomputes its documents'
+// sketches, so similarity search and the postings learning publishes carry
+// them as before the save.
+func TestRestoreKeepsSketches(t *testing.T) {
+	cfg := Config{InitialTerms: 3, TermsPerIteration: 2, MaxIndexTerms: 6, Sketch: sketchConfig()}
+	orig := testNetwork(t, 8, cfg)
+	ids := similarCorpus(t, orig)
+	restored := testNetwork(t, 8, cfg)
+	if err := restored.Restore(bytes.NewReader(saveBytes(t, orig))); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		want, _ := orig.DocSketch(id)
+		if got, _ := restored.DocSketch(id); got != want || got == "" {
+			t.Fatalf("DocSketch(%s) after restore = %q, want %q", id, got, want)
+		}
+	}
+	a, err := orig.SearchSimilarCtx(context.Background(), "p5", "d0", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := restored.SearchSimilarCtx(context.Background(), "p5", "d0", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("SearchSimilarCtx after restore = %v, want %v", b, a)
+	}
+
+	// d0's fourth term is not indexed yet; queries for it make the next sweep
+	// publish it.
+	for range 3 {
+		if err := restored.InsertQueryCtx(context.Background(), "p2", []string{"delta"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := restored.LearnAllCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := restored.DocSketch("d0")
+	published := false
+	for _, e := range restored.PrimarySnapshot() {
+		if e.Term == "delta" && e.Posting.Doc == "d0" {
+			published = true
+			if e.Posting.Sketch != want {
+				t.Fatalf("the posting learning published for d0/delta carries sketch %q, want %q", e.Posting.Sketch, want)
+			}
+		}
+	}
+	if !published {
+		t.Fatal("learning did not publish d0/delta")
+	}
+}
+
+// TestRestoreCarriesWithdrawalLedger: a withdrawal that could not reach its
+// holder before the save is retried after the load. A sweep re-anchors a
+// term away from its crashed holder, which keeps the copy; in the restored
+// twin every peer is alive, the holder serves the term again, and
+// FlushStaleAll withdraws the copy there.
+func TestRestoreCarriesWithdrawalLedger(t *testing.T) {
+	cfg := Config{InitialTerms: 2}
+	orig := testNetwork(t, 10, cfg)
+	if err := orig.ShareCtx(context.Background(), "p0", doc("d", map[string]int{"alpha": 2, "beta": 1})); err != nil {
+		t.Fatal(err)
+	}
+	holder, _ := orig.Ring().Owner(chordid.HashKey("alpha"))
+	if holder.Addr() == "p0" {
+		t.Skip("the owner indexes the term itself (hash layout)")
+	}
+	orig.Ring().Fail(holder)
+	orig.Ring().StabilizeLists(64)
+	orig.Ring().RepairFingers()
+	if _, err := orig.LearnAllCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := orig.DocIndexInfo("d")
+	if got := before.Stale["alpha"]; len(got) != 1 || got[0] != holder.Addr() {
+		t.Fatalf("stale withdrawals for alpha = %v, want the crashed holder %s", got, holder.Addr())
+	}
+
+	twin := testNetwork(t, 10, cfg)
+	if err := twin.Restore(bytes.NewReader(saveBytes(t, orig))); err != nil {
+		t.Fatal(err)
+	}
+	if after, _ := twin.DocIndexInfo("d"); !reflect.DeepEqual(after.Stale, before.Stale) {
+		t.Fatalf("stale withdrawals after restore = %v, want %v", after.Stale, before.Stale)
+	}
+	if rl, err := twin.SearchCtx(context.Background(), "p1", []string{"alpha"}, 5); err != nil || len(rl) != 1 {
+		t.Fatalf("before the flush the withdrawn copy answers %v, %v; want d", rl, err)
+	}
+	twin.FlushStaleAll()
+	if rl, err := twin.SearchCtx(context.Background(), "p1", []string{"alpha"}, 5); err != nil || len(rl) != 0 {
+		t.Fatalf("after the flush a search returns %v, %v; want nothing", rl, err)
+	}
+	if info, _ := twin.DocIndexInfo("d"); len(info.Stale) != 0 {
+		t.Fatalf("stale withdrawals after the flush = %v, want none", info.Stale)
+	}
+}
+
+func TestRestoreValidation(t *testing.T) {
+	orig := snapshotFixture(t)
+	snap := saveBytes(t, orig)
 
 	// Wrong peer set.
 	net := simnet.New(1)
@@ -151,7 +317,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wrong.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := wrong.Restore(bytes.NewReader(snap)); err == nil {
 		t.Fatal("restore onto mismatched peer set succeeded")
 	}
 
@@ -164,7 +330,7 @@ func TestRestoreValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := small.Restore(bytes.NewReader(buf.Bytes())); err == nil {
+	if err := small.Restore(bytes.NewReader(snap)); err == nil {
 		t.Fatal("restore onto smaller network succeeded")
 	}
 
@@ -175,51 +341,55 @@ func TestRestoreValidation(t *testing.T) {
 	}
 
 	// Crafted files that decode but describe no network this one could be.
-	last := len(orig.Peers()) - 1
 	for _, c := range []struct {
 		name   string
-		mutate func(f *snapshotFile)
+		mutate func(peers []peerImage, order *[]index.DocID)
 	}{
-		{"peer listed twice, another missing", func(f *snapshotFile) {
-			f.Peers[last] = f.Peers[0]
+		{"peer listed twice, another missing", func(peers []peerImage, _ *[]index.DocID) {
+			peers[len(peers)-1] = peers[0]
 		}},
-		{"document under two peers", func(f *snapshotFile) {
-			f.Peers[last].Owned = append(f.Peers[last].Owned, f.Peers[0].Owned[0])
+		{"document under two peers", moveUnderLastPeer},
+		{"doc order repeats a document", func(_ []peerImage, order *[]index.DocID) {
+			*order = append(*order, (*order)[0])
 		}},
-		{"doc order repeats a document", func(f *snapshotFile) {
-			f.DocOrder = append(f.DocOrder, f.DocOrder[0])
+		{"doc order misses a document", func(_ []peerImage, order *[]index.DocID) {
+			*order = (*order)[1:]
 		}},
-		{"doc order misses a document", func(f *snapshotFile) {
-			f.DocOrder = f.DocOrder[1:]
-		}},
-		{"doc order names an unknown document", func(f *snapshotFile) {
-			f.DocOrder = append(f.DocOrder, "ghost")
+		{"doc order names an unknown document", func(_ []peerImage, order *[]index.DocID) {
+			*order = append(*order, "ghost")
 		}},
 	} {
 		target := freshTwin(t)
-		if err := target.Restore(bytes.NewReader(buf.Bytes())); err != nil {
+		if err := target.Restore(bytes.NewReader(snap)); err != nil {
 			t.Fatalf("%s: valid restore: %v", c.name, err)
 		}
-		if err := target.Restore(bytes.NewReader(craftSnapshot(t, buf.Bytes(), c.mutate))); err == nil {
+		if err := target.Restore(bytes.NewReader(craftSnapshot(t, snap, c.mutate))); err == nil {
 			t.Errorf("%s: restore succeeded", c.name)
 		}
 		learnWithin(t, c.name, target, 10*time.Second)
 	}
 }
 
+// moveUnderLastPeer lists the first owned document under the last peer too.
+func moveUnderLastPeer(peers []peerImage, _ *[]index.DocID) {
+	for _, img := range peers {
+		if len(img.owned) > 0 {
+			id := slices.Sorted(maps.Keys(img.owned))[0]
+			peers[len(peers)-1].owned[id] = img.owned[id]
+			return
+		}
+	}
+}
+
 // craftSnapshot decodes a snapshot, applies mutate, and re-encodes it.
-func craftSnapshot(t *testing.T, snap []byte, mutate func(f *snapshotFile)) []byte {
+func craftSnapshot(t *testing.T, snap []byte, mutate func(peers []peerImage, order *[]index.DocID)) []byte {
 	t.Helper()
-	var f snapshotFile
-	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&f); err != nil {
+	peers, order, _, err := freshTwin(t).decodeSnapshot(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mutate(&f)
-	var out bytes.Buffer
-	if err := gob.NewEncoder(&out).Encode(f); err != nil {
-		t.Fatal(err)
-	}
-	return out.Bytes()
+	mutate(peers, &order)
+	return encodeSnapshot(peers, order)
 }
 
 // learnWithin runs a learning sweep and fails if it has not returned within
@@ -246,16 +416,7 @@ func learnWithin(t *testing.T, name string, n *Network, d time.Duration) {
 // TestRestoreRefusalLeavesNetworkIntact: a file whose last peer fails
 // validation is refused before any earlier peer is wiped.
 func TestRestoreRefusalLeavesNetworkIntact(t *testing.T) {
-	orig := snapshotFixture(t)
-	var buf bytes.Buffer
-	if err := orig.Snapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	bad := craftSnapshot(t, buf.Bytes(), func(f *snapshotFile) {
-		last := &f.Peers[len(f.Peers)-1]
-		last.Owned = append(last.Owned, docSnapshot{ID: "late", TF: map[string]int{"tail": 2}, Length: 3})
-		f.DocOrder = append(f.DocOrder, "late")
-	})
+	bad := craftSnapshot(t, saveBytes(t, snapshotFixture(t)), moveUnderLastPeer)
 
 	target := snapshotFixture(t)
 	q := []string{"storage", "compaction"}
@@ -265,7 +426,7 @@ func TestRestoreRefusalLeavesNetworkIntact(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := target.Restore(bytes.NewReader(bad)); err == nil {
-		t.Fatal("restore with a length mismatch on the last peer succeeded")
+		t.Fatal("restore with a document listed under two peers succeeded")
 	}
 	if got := target.Documents(); !reflect.DeepEqual(got, docsBefore) {
 		t.Fatalf("Documents after refused restore = %v, want %v", got, docsBefore)
@@ -276,6 +437,109 @@ func TestRestoreRefusalLeavesNetworkIntact(t *testing.T) {
 	}
 	if len(rl) == 0 || !reflect.DeepEqual(rl, rlBefore) {
 		t.Fatalf("search after refused restore = %v, want %v", rl, rlBefore)
+	}
+}
+
+// onePeerFile writes a snapshot header for eight peers and the first, "p0",
+// whose lists, replica locations, history and documents body writes.
+func onePeerFile(body func(e *wire.Encoder)) []byte {
+	e := wire.NewEncoder([]byte(snapshotMagic))
+	e.Uint(snapshotVersion)
+	e.Uint(8)
+	e.String("p0")
+	body(e)
+	e.Raw(make([]byte, 64)) // room the eight peers' count asks for
+	return e.Bytes()
+}
+
+// rawList writes one term whose list is raw, framed as encodeList frames it.
+func rawList(e *wire.Encoder, term string, raw []byte) {
+	e.Uint(1)
+	e.String(term)
+	e.Uint(uint64(len(raw)))
+	e.Raw(raw)
+}
+
+// oversizedList is one canonical block of 257 postings, one more than any
+// block the index writes holds, framed as a one-block list.
+func oversizedList() []byte {
+	block := append(binary.AppendUvarint(nil, 257), 1, 0, 1, 'o')
+	prev := ""
+	for i := 0; i < 257; i++ {
+		doc := fmt.Sprintf("d%03d", i)
+		pre := 0
+		for pre < len(prev) && prev[pre] == doc[pre] {
+			pre++
+		}
+		block = append(append(block, byte(pre), byte(len(doc)-pre)), doc[pre:]...)
+		block = append(block, 0, 2<<5|2, 0)
+		prev = doc
+	}
+	return append(binary.AppendUvarint([]byte{1}, uint64(len(block))), block...)
+}
+
+// TestRestoreRefusesMalformedFiles: files that are not version 3 snapshots,
+// or whose maps, terms or blocks are not in the one form Save writes, are
+// refused with the network left as it was.
+func TestRestoreRefusesMalformedFiles(t *testing.T) {
+	snap := saveBytes(t, snapshotFixture(t))
+	var v2 bytes.Buffer
+	if err := gob.NewEncoder(&v2).Encode(struct{ Version int }{2}); err != nil {
+		t.Fatal(err)
+	}
+	flip := func(i int, b byte) []byte {
+		out := slices.Clone(snap)
+		out[i] = b
+		return out
+	}
+	// Two postings, the second's doc "db" written whole where encodeBlock
+	// would share the "d" it has in common with "da".
+	longhand := []byte{2, 1, 0, 1, 'o', 0, 2, 'd', 'a', 0, 2<<5 | 2, 0, 0, 2, 'd', 'b', 0, 2<<5 | 2, 0}
+	for _, c := range []struct {
+		name, err string
+		file      []byte
+	}{
+		{"gob version 2 file", "version 3", v2.Bytes()},
+		{"bad magic", "bad magic", flip(0, 's')},
+		{"wrong version", "version 4, want 3", flip(len(snapshotMagic), 4)},
+		{"truncated", "", snap[:len(snap)/2]},
+		{"trailing byte", "trailing", append(slices.Clone(snap), 0)},
+		{"unsorted terms", "must ascend", onePeerFile(func(e *wire.Encoder) {
+			l := index.NewInverted()
+			l.Add("b", index.Posting{Doc: "d", Owner: "p0", Freq: 1, DocLen: 1})
+			e.Uint(2)
+			for _, term := range []string{"b", "a"} {
+				e.String(term)
+				encodeList(e, l.Encoded("b"))
+			}
+		})},
+		{"repeated TF key", "must ascend", onePeerFile(func(e *wire.Encoder) {
+			e.Raw([]byte{0, 0, 0, 0, 0}) // no lists, replica locations or history; seq 0
+			e.Uint(1)
+			e.String("d")
+			e.Uint(2)
+			for range 2 {
+				e.String("tf")
+				e.Int(1)
+			}
+		})},
+		{"empty list", "empty list", onePeerFile(func(e *wire.Encoder) { rawList(e, "t", []byte{0}) })},
+		{"non-canonical block", "canonical", onePeerFile(func(e *wire.Encoder) {
+			rawList(e, "t", append([]byte{1, byte(len(longhand))}, longhand...))
+		})},
+		{"oversized block", "more than 256", onePeerFile(func(e *wire.Encoder) { rawList(e, "t", oversizedList()) })},
+	} {
+		target := freshTwin(t)
+		if err := target.Restore(bytes.NewReader(snap)); err != nil {
+			t.Fatal(err)
+		}
+		err := target.Restore(bytes.NewReader(c.file))
+		if err == nil || !strings.Contains(err.Error(), c.err) {
+			t.Errorf("%s: Restore = %v, want an error mentioning %q", c.name, err, c.err)
+		}
+		if !bytes.Equal(saveBytes(t, target), snap) {
+			t.Errorf("%s: refused file changed the network", c.name)
+		}
 	}
 }
 
@@ -299,4 +563,88 @@ func TestRestoreDiscardsPriorState(t *testing.T) {
 	if rl, _ := target.SearchCtx(context.Background(), "p1", []string{"leftover"}, 5); len(rl) != 0 {
 		t.Fatalf("pre-restore postings survived: %v", rl)
 	}
+}
+
+// FuzzSnapshotLoad: hostile bytes make Restore fail, never panic or allocate
+// beyond what the input could hold, and any file Restore accepts saves to a
+// file that loads and saves to itself.
+func FuzzSnapshotLoad(f *testing.F) {
+	snap := saveBytes(f, snapshotFixture(f))
+	f.Add(snap, uint8(0), uint16(0))
+	f.Add(snap, uint8(1), uint16(len(snap)/3))
+	f.Add(snap, uint8(2), uint16(len(snap)/2))
+	f.Add(saveBytes(f, freshTwin(f)), uint8(0), uint16(0))
+	a, b := freshTwin(f), freshTwin(f)
+	f.Fuzz(func(t *testing.T, data []byte, mode uint8, pos uint16) {
+		data = slices.Clone(data)
+		if len(data) > 0 {
+			switch mode % 3 {
+			case 1: // truncate
+				data = data[:int(pos)%len(data)]
+			case 2: // bit flip
+				data[int(pos)%len(data)] ^= 1 << (pos % 8)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := a.Restore(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20+uint64(1024*len(data)) {
+			t.Fatalf("restoring %d bytes allocated %d", len(data), grew)
+		}
+		if err != nil {
+			return
+		}
+		first := saveBytes(t, a)
+		if err := b.Restore(bytes.NewReader(first)); err != nil {
+			t.Fatalf("a saved snapshot does not load: %v", err)
+		}
+		if second := saveBytes(t, b); !bytes.Equal(first, second) {
+			t.Fatal("Save → Load → Save is not byte-stable")
+		}
+	})
+}
+
+// BenchmarkSnapshot saves and loads a deployment of the benchmark's postings
+// size — 16 peers, 2 000 synthetic documents, a trained history and one
+// learning sweep — and reports the file size.
+func BenchmarkSnapshot(b *testing.B) {
+	col, err := corpus.Synthesize(corpus.SynthConfig{NumDocs: 2000, Seed: 2007})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	n := testNetwork(b, 16, Config{Parallelism: 1})
+	peers := n.Peers()
+	for i, d := range col.Corpus.Docs() {
+		if err := n.ShareCtx(ctx, peers[i%len(peers)].Addr(), d); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4000; i++ {
+		if err := n.InsertQueryCtx(ctx, peers[i%len(peers)].Addr(), col.Queries[i%len(col.Queries)].Terms); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := n.LearnAllCtx(ctx); err != nil {
+		b.Fatal(err)
+	}
+	snap := saveBytes(b, n)
+	b.Run("save", func(b *testing.B) {
+		b.ReportMetric(float64(len(snap)), "file_bytes")
+		for range b.N {
+			if err := n.Snapshot(io.Discard); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		twin := testNetwork(b, 16, Config{Parallelism: 1})
+		b.ResetTimer()
+		for range b.N {
+			if err := twin.Restore(bytes.NewReader(snap)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

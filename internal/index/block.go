@@ -493,7 +493,7 @@ func (e Encoded) All() iter.Seq[Posting] {
 }
 
 // Slice decodes the full list into a fresh slice — the compatibility path
-// for callers that genuinely need random access (snapshots, the chaos
+// for callers that genuinely need random access (block decoding, the chaos
 // oracle). Nil when empty.
 func (e Encoded) Slice() []Posting {
 	if e.n == 0 {

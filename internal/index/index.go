@@ -20,6 +20,7 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"iter"
 	"slices"
@@ -277,6 +278,36 @@ func (ix *Inverted) RemoveDoc(doc DocID) int {
 		}
 	}
 	return removed
+}
+
+// Replace installs list as term's postings wholesale; an empty list deletes
+// the term. It refuses, leaving the index unchanged, any block the index would
+// not write itself: one over blockMax postings, or one not byte-identical to
+// encodeBlock of its postings — the form the splice edits.
+func (ix *Inverted) Replace(term string, list Encoded) error {
+	for i, b := range list.blocks {
+		if b.n > blockMax || !bytes.Equal(encodeBlock(decodeBlock(b)).data, b.data) {
+			return fmt.Errorf("index: %q block %d of %d postings is not in canonical form or holds more than %d", term, i, b.n, blockMax)
+		}
+	}
+	ix.count(ix.Encoded(term), -1)
+	ix.count(list, 1)
+	delete(ix.lists, term)
+	if list.n > 0 {
+		ix.lists[term] = &termList{blocks: list.blocks, n: list.n, bytes: list.bytes}
+	}
+	return nil
+}
+
+// count moves the posting totals by delta for every posting of list.
+func (ix *Inverted) count(list Encoded, delta int) {
+	ix.postings += delta * list.n
+	c := list.Cursor()
+	for doc, _, _, ok := c.NextBytes(); ok; doc, _, _, ok = c.NextBytes() {
+		if ix.docs[DocID(doc)] += delta; ix.docs[DocID(doc)] == 0 {
+			delete(ix.docs, DocID(doc))
+		}
+	}
 }
 
 // Encoded returns term's postings as an immutable compressed snapshot — the

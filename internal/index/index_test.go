@@ -376,3 +376,84 @@ func TestInvariantPostingsConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestReplaceInstallsListWholesale: Replace leaves the index exactly as
+// removing the term's postings and adding the new list's one by one would —
+// the same postings, totals, blocks and bytes — and an empty list deletes
+// the term.
+func TestReplaceInstallsListWholesale(t *testing.T) {
+	src := NewInverted()
+	for i := 0; i < 3*blockMax-5; i++ {
+		src.Add("t", post(fmt.Sprintf("doc%05d", i), i%7+1, 90+i%11))
+	}
+	if src.Encoded("t").NumBlocks() < 3 {
+		t.Fatalf("source list spans %d blocks, want several", src.Encoded("t").NumBlocks())
+	}
+	fill := func() *Inverted {
+		ix := NewInverted()
+		for i := 0; i < 400; i += 3 {
+			ix.Add("t", post(fmt.Sprintf("doc%05d", i), 9, 9))
+			ix.Add("t", post(fmt.Sprintf("old%05d", i), 1, 5))
+			ix.Add("u", post(fmt.Sprintf("old%05d", i), 2, 5))
+		}
+		return ix
+	}
+	got, want := fill(), fill()
+	if err := got.Replace("t", src.Encoded("t")); err != nil {
+		t.Fatal(err)
+	}
+	for p := range want.All("t") {
+		want.Remove("t", p.Doc)
+	}
+	for p := range src.All("t") {
+		want.Add("t", p)
+	}
+	if got.Stats() != want.Stats() || got.NumDocs() != want.NumDocs() {
+		t.Fatalf("Replace left %+v (%d docs), removing and adding %+v (%d docs)",
+			got.Stats(), got.NumDocs(), want.Stats(), want.NumDocs())
+	}
+	for _, term := range []string{"t", "u"} {
+		if !slices.Equal(slices.Collect(got.All(term)), slices.Collect(want.All(term))) {
+			t.Fatalf("%q differs after Replace", term)
+		}
+	}
+	if err := got.Replace("t", Encoded{}); err != nil || got.Has("t") {
+		t.Fatalf("Replace with an empty list: %v, term kept: %v", err, got.Has("t"))
+	}
+	if got.NumPostings() != got.DocFreq("u") || got.NumDocs() != got.DocFreq("u") {
+		t.Fatalf("after deleting t: %d postings of %d docs, want u's %d", got.NumPostings(), got.NumDocs(), got.DocFreq("u"))
+	}
+}
+
+// TestReplaceRefusesForeignBlocks: a block the index would not have written —
+// one past blockMax, or one whose bytes differ from encodeBlock of its
+// postings — is refused and the index left as it was.
+func TestReplaceRefusesForeignBlocks(t *testing.T) {
+	var big []Posting
+	for i := 0; i <= blockMax; i++ {
+		big = append(big, post(fmt.Sprintf("doc%05d", i), 1, 3))
+	}
+	b := encodeBlock(big)
+	oversized := Encoded{blocks: []*block{b}, n: b.n, bytes: len(b.data)}
+
+	// Two postings, the second's doc "db" written whole where encodeBlock
+	// would share the "d" it has in common with "da".
+	data := []byte{2, 1, 0, 1, 'o', 0, 2, 'd', 'a', 0, 2<<5 | 2, 0, 0, 2, 'd', 'b', 0, 2<<5 | 2, 0}
+	raw := append([]byte{1, byte(len(data))}, data...)
+	var longhand Encoded
+	if err := longhand.UnmarshalBinary(raw); err != nil {
+		t.Fatalf("the crafted block does not validate: %v", err)
+	}
+
+	ix := NewInverted()
+	ix.Add("t", post("d1", 1, 2))
+	before, list := ix.Stats(), slices.Collect(ix.All("t"))
+	for name, e := range map[string]Encoded{"oversized": oversized, "non-canonical": longhand} {
+		if err := ix.Replace("t", e); err == nil {
+			t.Errorf("%s block accepted", name)
+		}
+		if ix.Stats() != before || !slices.Equal(slices.Collect(ix.All("t")), list) {
+			t.Errorf("%s block refused but the index changed", name)
+		}
+	}
+}

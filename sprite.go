@@ -707,19 +707,19 @@ func (n *Network) SearchExpanded(peer, query string, k int, opts Expansion) ([]R
 	return out, expansion, err
 }
 
-// Save serializes the network's complete SPRITE state — every peer's index,
-// replicas, query history, and every owner's documents and learning
-// statistics — so a long-running session can be checkpointed and resumed
-// with Load. The overlay itself is not saved; it is reconstructed from the
-// peer names when the network is rebuilt.
+// Save writes the network's complete SPRITE state — every peer's lists,
+// replicas and query history, every owner's documents, learning statistics
+// and pending withdrawals — as one version 3 snapshot in the wire codec, the
+// same bytes for the same state, so a session can be resumed with Load. The
+// overlay is not saved; it is rebuilt from the peer names.
 func (n *Network) Save(w io.Writer) error {
 	return n.core.Snapshot(w)
 }
 
-// Load restores state saved by Save into this network. The network must
-// have been created with the same peer configuration (same Peers count,
-// prefix, and simulated transport); any state accumulated before Load is
-// discarded.
+// Load restores state saved by Save into this network, which must have the
+// same peer configuration (Peers count, prefix, simulated transport); prior
+// state is discarded. A file of another version, or one Save would not have
+// written, is refused whole, and the network is left as it was.
 func (n *Network) Load(r io.Reader) error {
 	return n.core.Restore(r)
 }
