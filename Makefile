@@ -45,17 +45,19 @@ bench-trace-route:
 # and one publish per owner, a poll goes straight to the peer the owner
 # published the term at, and a term's first publish to the peer the owner's
 # own node names for its key — a share's publishes too, one per indexing peer.
-# On the 4 096-peer ring, where an owner has about a quarter of a document and
-# its node rarely knows a key's arc, that leaves ≈ 24.1 messages per document
-# per iteration (routing every poll cost 46.4); on postings, 125 documents per
-# owner on 16 peers, ≈ 1.44 (one poll per term cost 16.3; routing each first
-# publish, 2.68), and a share ≈ 4.47 messages per document (routing each
-# initial term, 5.27). learn_msgs and share_msgs are counted during set-up,
-# which does not scale with --seconds, so one second reads what twelve do. The
-# ceilings are those readings plus about 2 %.
+# A key in the owner's own arc is served by the owner itself, without a
+# message. On the 4 096-peer ring, where an owner has about a quarter of a
+# document and its node rarely knows a key's arc, that leaves ≈ 24.1 messages
+# per document per iteration (routing every poll cost 46.4); on postings, 125
+# documents per owner on 16 peers, ≈ 0.52 (one poll per term cost 16.3;
+# routing each first publish, 2.68; walking the ring for the owner's own arc,
+# 1.44), and a share ≈ 4.16 messages per document (routing each initial term,
+# 5.27; walking for the owner's own arc, 4.47). learn_msgs and share_msgs are
+# counted during set-up, which does not scale with --seconds, so one second
+# reads what twelve do. The ceilings are those readings plus 2–7 %.
 LEARN_CEIL_route = 24.6
-LEARN_CEIL_postings = 1.47
-SHARE_CEIL_postings = 4.56
+LEARN_CEIL_postings = 0.56
+SHARE_CEIL_postings = 4.25
 
 bench-learn:
 	@for w in route postings; do \
@@ -71,13 +73,15 @@ bench-learn:
 
 # Query-traffic guard: a query names the indexing peer of nearly every term
 # from its own node's state — every finger knows its node's whole arc — and
-# sends each such peer one get_postings for all of its terms. On the two
-# 16-peer workloads that leaves ≈ 4.2 messages per query on postings and ≈ 4.0
-# on tcp (asking the ring for each term's peer, one get_postings per term,
-# cost 5.72 and 5.64). query_msgs is a count that repeats exactly for a seed;
-# one second's stream reads within a percent of twelve seconds'.
-FETCH_CEIL_postings = 4.4
-FETCH_CEIL_tcp = 4.3
+# sends each such peer one get_postings for all of its terms; a term in the
+# querier's own arc it serves itself. On the two 16-peer workloads that leaves
+# ≈ 3.88 messages per query on postings and ≈ 3.73 on tcp (asking the ring for
+# each term's peer, one get_postings per term, cost 5.72 and 5.64; walking the
+# ring for the querier's own arc, 4.16 and 4.01). query_msgs is a count that
+# repeats exactly for a seed; one second's stream reads within a percent of
+# twelve seconds'.
+FETCH_CEIL_postings = 4.0
+FETCH_CEIL_tcp = 3.9
 
 bench-fetch:
 	@for w in postings tcp; do \

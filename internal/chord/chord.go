@@ -617,11 +617,13 @@ type Sender func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simne
 // and under the same check, so a good one makes the route that one message
 // and a stale one costs the one refused round trip; one that is this node or
 // is not alive is not sent to, and the walk runs as if none had been given.
+// Before any hint, an alive node that Serves key is its own first stop, sent
+// the same envelope; its refusal (the predecessor changed since) costs no hop.
 //
 // A delivery error is returned as it is, together with the owner the message
 // was sent to; send is called once per node. A done ctx aborts the route with
 // an error wrapping ctx.Err(). span receives one child per routing hop and
-// the annotation hinted=true|false|rejected|caller.
+// the annotation hinted=true|false|rejected|caller|self.
 func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message, span *telemetry.Span, send Sender, hint simnet.Addr) (reply simnet.Message, owner Ref, hops int, err error) {
 	// The walk runs below this frame and returns before each delivery, so a
 	// handler at the far end of send does not execute on top of it.
@@ -634,6 +636,8 @@ func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message,
 	}()
 	var byHint bool
 	switch {
+	case n.Serves(key) && n.net.Alive(n.ref.Addr):
+		byHint, hinted, owner = true, "self", n.ref
 	case hint == "" || hint == n.ref.Addr:
 	case !n.net.Alive(hint):
 		n.met.hintUnreachable.Inc()
@@ -662,13 +666,16 @@ func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message,
 		if _, refused := reply.Payload.(notOwner); err != nil || !refused {
 			return reply, owner, w.hops, err
 		}
-		// The hint was stale. That round trip is spent; the walk carries on
-		// from the closest preceding node the same answer named (from this
-		// node, if the hint was the caller's), hints off.
+		// The hint was stale. A round trip is spent, unless this node refused
+		// its own stop; the walk carries on from the closest preceding node
+		// the same answer named (from this node, if the hint was the caller's
+		// or its own), hints off.
 		n.met.hintRejected.Inc()
+		if hinted != "self" {
+			w.hops++
+		}
 		hinted = "rejected"
 		w.hints, byHint = false, false
-		w.hops++
 	}
 }
 

@@ -439,19 +439,24 @@ func TestRouteAnnotatesSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr.Finish()
-		var hinted string
-		for _, a := range tr.Snapshot().Root.Attrs {
-			if a.Key == "hinted" {
-				hinted = fmt.Sprint(a.Value)
-			}
-		}
-		if hinted != "true" && hinted != "false" {
+		hinted := spanAttr(tr.Snapshot().Root, "hinted")
+		if hinted != "true" && hinted != "false" && hinted != "self" {
 			t.Fatalf("route span annotated hinted=%q", hinted)
 		}
 		seen[hinted] = true
 	}
 	if !seen["true"] {
 		t.Fatal("no route on a healthy 64-node ring was annotated hinted=true")
+	}
+	// A key in the routing node's own arc is its own first stop.
+	own := r.Nodes()[5]
+	tr := reg.StartTrace("route-test")
+	if _, owner, _, err := own.RouteVia(context.Background(), own.ID(), echoMsg(), tr.Root(), own.call, ""); err != nil || owner != own.Ref() {
+		t.Fatalf("Route of its own ID from %s = owner %s, %v", own.Addr(), owner, err)
+	}
+	tr.Finish()
+	if got := spanAttr(tr.Snapshot().Root, "hinted"); got != "self" {
+		t.Fatalf("route of a key in the node's own arc annotated hinted=%q, want self", got)
 	}
 	// A route on the caller's hint says so, and says when the hint was refused.
 	start := r.Nodes()[0]
@@ -466,16 +471,20 @@ func TestRouteAnnotatesSpan(t *testing.T) {
 			t.Fatalf("Route hinted %s = owner %s, %v; want %s", hint, owner, err, want)
 		}
 		tr.Finish()
-		var hinted string
-		for _, a := range tr.Snapshot().Root.Attrs {
-			if a.Key == "hinted" {
-				hinted = fmt.Sprint(a.Value)
-			}
-		}
-		if hinted != annotation {
+		if hinted := spanAttr(tr.Snapshot().Root, "hinted"); hinted != annotation {
 			t.Fatalf("route hinted %s annotated hinted=%q, want %q", hint, hinted, annotation)
 		}
 	}
+}
+
+// spanAttr is the value sp was annotated with under key, "" if none.
+func spanAttr(sp telemetry.SpanSnapshot, key string) string {
+	for _, a := range sp.Attrs {
+		if a.Key == key {
+			return fmt.Sprint(a.Value)
+		}
+	}
+	return ""
 }
 
 // routeStats routes key from start with the caller's hint and returns who
@@ -752,5 +761,125 @@ func TestServesIsTheOwnerArc(t *testing.T) {
 	}
 	if fresh.Serves(fresh.ID()) {
 		t.Fatal("a node with no predecessor serves its own ID")
+	}
+}
+
+// ownKeys returns count keys of n's own arc, (predecessor, n].
+func ownKeys(n *Node, count int) []chordid.ID { return keysIn(n.Predecessor().ID, n.ID(), count) }
+
+// A key in the routing node's own arc is delivered to the node itself, in the
+// envelope and under its own arc check, without a next_hop or any other
+// message — ahead of a caller's hint, which is not sent to.
+func TestRouteOwnArcStopsAtSelf(t *testing.T) {
+	r, w, reg := watchedRing(t, 64)
+	nodes := r.Nodes()
+	hops := reg.Histogram("chord.lookup.hops")
+	for i, n := range nodes[:16] {
+		for _, hint := range []simnet.Addr{"", nodes[(i+9)%len(nodes)].Addr()} {
+			for _, key := range ownKeys(n, 5) {
+				tr := reg.StartTrace("route-test")
+				enveloped, sum := w.enveloped, hops.Sum()
+				w.ResetStats()
+				reply, owner, routeHops, err := n.RouteVia(context.Background(), key, echoMsg(), tr.Root(), n.call, hint)
+				tr.Finish()
+				if err != nil || owner != n.Ref() || servedBy(reply) != n.Addr() || routeHops != 0 || hops.Sum() != sum {
+					t.Fatalf("own key %s from %s hinted %q: served by %v, owner %s, %d hops, %v", key.Short(), n.Addr(), hint, reply.Payload, owner, routeHops, err)
+				}
+				if st := w.Stats(); st.Calls != 0 || st.CallsByType[msgNextHop] != 0 {
+					t.Fatalf("own key %s from %s hinted %q: %d messages, %d of them next_hop; want none", key.Short(), n.Addr(), hint, st.Calls, st.CallsByType[msgNextHop])
+				}
+				if w.enveloped != enveloped+1 {
+					t.Fatalf("own key %s from %s: %d enveloped deliveries, want the one to itself", key.Short(), n.Addr(), w.enveloped-enveloped)
+				}
+				if got := spanAttr(tr.Snapshot().Root, "hinted"); got != "self" {
+					t.Fatalf("own key %s from %s: route annotated hinted=%q, want self", key.Short(), n.Addr(), got)
+				}
+			}
+		}
+	}
+	if w.violation != "" || w.refused != 0 {
+		t.Fatalf("%d refusals on a correct ring; %s", w.refused, w.violation)
+	}
+}
+
+// A node that cannot vouch for its own arc — no predecessor known, or not
+// alive — routes its own keys by walking the ring, as any other key.
+func TestRouteOwnArcWalksWhenSelfCannotServe(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		cripple func(*Ring, *Node)
+	}{
+		{"no predecessor", func(_ *Ring, n *Node) {
+			n.mu.Lock()
+			n.pred = Ref{}
+			n.mu.Unlock()
+		}},
+		{"failed", func(r *Ring, n *Node) { r.Fail(n) }},
+	} {
+		r, w, reg := watchedRing(t, 64)
+		n := r.Nodes()[7]
+		keys := ownKeys(n, 20)
+		c.cripple(r, n)
+		for _, key := range keys {
+			want, lookupHops, err := n.LookupCtx(context.Background(), key, nil)
+			if err != nil {
+				t.Fatalf("%s: LookupCtx: %v", c.name, err)
+			}
+			tr := reg.StartTrace("route-test")
+			w.ResetStats()
+			reply, owner, hops, err := n.RouteVia(context.Background(), key, echoMsg(), tr.Root(), n.call, "")
+			tr.Finish()
+			if err != nil || owner != want || servedBy(reply) != want.Addr {
+				t.Fatalf("%s: own key %s from %s: owner %s, %v; LookupCtx names %s", c.name, key.Short(), n.Addr(), owner, err, want)
+			}
+			if got := spanAttr(tr.Snapshot().Root, "hinted"); got == "self" || w.Stats().CallsByType[msgNextHop] == 0 || hops > lookupHops+1 {
+				t.Fatalf("%s: own key %s from %s: annotated hinted=%q, %d next_hop, %d hops (Lookup %d); want a walk", c.name, key.Short(), n.Addr(), got, w.Stats().CallsByType[msgNextHop], hops, lookupHops)
+			}
+		}
+		if w.violation != "" {
+			t.Fatalf("%s: %s", c.name, w.violation)
+		}
+	}
+}
+
+// A self stop the node refuses — its predecessor changed between the check
+// and the delivery — walks on with hints off: a plain lookup and the bare
+// delivery, the local refusal adding no hop to the route or to
+// chord.lookup.hops.
+func TestRouteOwnArcRefusedWalksOn(t *testing.T) {
+	r, w, reg := watchedRing(t, 64)
+	hist, rejected := reg.Histogram("chord.lookup.hops"), reg.Counter("chord.route.hint_rejected")
+	for _, n := range r.Nodes()[:16] {
+		pred := n.Predecessor()
+		for _, key := range ownKeys(n, 3) {
+			// A joiner at key takes it between the check and the handler.
+			send := func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+				if _, enveloped := msg.Payload.(routed); enveloped && to == n.Addr() {
+					n.notify(Ref{ID: key, Addr: "joiner"})
+				}
+				return n.call(ctx, to, msg)
+			}
+			_, lookupHops, err := n.LookupCtx(context.Background(), key, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refused, sum, before := w.refused, hist.Sum(), rejected.Value()
+			tr := reg.StartTrace("route-test")
+			w.ResetStats()
+			reply, owner, hops, err := n.RouteVia(context.Background(), key, echoMsg(), tr.Root(), send, "")
+			tr.Finish()
+			if err != nil || owner != n.Ref() || servedBy(reply) != n.Addr() {
+				t.Fatalf("own key %s from %s after a refused self stop: owner %s, %v", key.Short(), n.Addr(), owner, err)
+			}
+			if w.refused != refused+1 || rejected.Value() != before+1 || spanAttr(tr.Snapshot().Root, "hinted") != "rejected" {
+				t.Fatalf("own key %s from %s: %d refusals, hint_rejected +%d, annotated %q; want one each and rejected", key.Short(), n.Addr(), w.refused-refused, rejected.Value()-before, spanAttr(tr.Snapshot().Root, "hinted"))
+			}
+			if st := w.Stats(); hops != lookupHops || hist.Sum()-sum != int64(lookupHops) || st.Calls != int64(lookupHops) || st.CallsByType[msgNextHop] != int64(lookupHops) {
+				t.Fatalf("own key %s from %s: %d hops (histogram +%d), %d messages after the refusal; Lookup takes %d hops", key.Short(), n.Addr(), hops, hist.Sum()-sum, st.Calls, lookupHops)
+			}
+			n.mu.Lock()
+			n.pred = pred
+			n.mu.Unlock()
+		}
 	}
 }

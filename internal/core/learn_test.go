@@ -373,9 +373,9 @@ func TestDeadHolderCostsOnlyItsBatch(t *testing.T) {
 // stable 16-peer ring, fresh queries before each, and demands that a sweep
 // sends each indexing peer at most one poll per owner — at most owners ×
 // (peers − 1) remote polls, where the per-term iteration sent one per index
-// term — that none of them costs a routing round trip (only a key in the
-// owner's own arc still walks the ring), and that every document learns what
-// the per-term iteration learns.
+// term — that none of them costs a routing round trip (a key in the owner's
+// own arc is polled at the owner itself, without a message), and that every
+// document learns what the per-term iteration learns.
 func TestLearnPollsGoStraightToThePosting(t *testing.T) {
 	const peers, owners, iterations = 16, 4, 3
 	type iteration struct {
@@ -710,22 +710,28 @@ func TestConcurrentSweepsShareNoLockCycle(t *testing.T) {
 // stable 16-peer ring and demands that the share names every term's holder
 // from the owner's own node: one sprite.publish per distinct indexing peer, no
 // chord.next_hop round trip, and each term recorded at the peer that owns its
-// key. The terms avoid the owner's own arc, whose keys its node does not name
-// and still routes.
+// key. Two of the terms lie in the owner's own arc: their publish goes to the
+// owner itself, without a message.
 func TestSharePublishesOncePerHolder(t *testing.T) {
 	n, sim := cacheTestNetwork(t, 16, Config{InitialTerms: 12})
 	const owner = simnet.Addr("p0")
 	tf := map[string]int{}
 	holders := map[simnet.Addr]bool{}
+	own := 0
 	for i := 0; len(tf) < 12; i++ {
 		term := fmt.Sprintf("s%d", i)
-		if at, _ := n.Ring().Owner(chordid.HashKey(term)); at.Addr() != owner {
-			tf[term] = 1 + i%4
+		switch at, _ := n.Ring().Owner(chordid.HashKey(term)); {
+		case at.Addr() == owner && own < 2:
+			own++
+		case at.Addr() == owner || len(tf)-own == 10:
+			continue
+		default:
 			holders[at.Addr()] = true
 		}
+		tf[term] = 1 + i%4
 	}
-	if len(holders) < 2 || len(holders) == len(tf) {
-		t.Fatalf("%d terms on %d remote holders: no batch would carry two terms", len(tf), len(holders))
+	if len(holders) < 2 || len(holders) == len(tf)-own {
+		t.Fatalf("%d terms on %d remote holders: no batch would carry two terms", len(tf)-own, len(holders))
 	}
 	before := sim.Stats().CallsByType
 	if err := n.ShareCtx(context.Background(), owner, doc("d", tf)); err != nil {

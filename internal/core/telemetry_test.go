@@ -57,8 +57,9 @@ func TestSearchTracedProducesSpanTree(t *testing.T) {
 	// get_postings to an indexing peer the searcher's own node named, carrying
 	// every term that peer holds. A "term" span is a term that went by the
 	// ring: it says whether the route ended on an owner hint (one a node on
-	// the way gave, so never "caller") and holds chord.hop spans when the
-	// lookup left the issuing peer. On a healthy ring nothing is refused, so
+	// the way gave, so never "caller") or on the searcher itself ("self", a
+	// term in its own arc), and holds chord.hop spans when the lookup left the
+	// issuing peer. On a healthy ring nothing is refused, so
 	// every term is named exactly once.
 	named := map[string]int{}
 	batches, batchedTerms := 0, 0
@@ -80,8 +81,8 @@ func TestSearchTracedProducesSpanTree(t *testing.T) {
 				t.Fatalf("batch span annotated %v: want its terms and its indexing peer", ex.Attrs)
 			}
 		case "term":
-			if h := attrs["hinted"]; len(exTerms) != 1 || (h != "true" && h != "false" && h != "rejected") {
-				t.Fatalf("term span annotated %v: want one term and hinted=true|false|rejected", ex.Attrs)
+			if h := attrs["hinted"]; len(exTerms) != 1 || (h != "true" && h != "false" && h != "rejected" && h != "self") {
+				t.Fatalf("term span annotated %v: want one term and hinted=true|false|rejected|self", ex.Attrs)
 			}
 		default:
 			t.Fatalf("exchange span named %q, want the fixed name \"batch\" or \"term\"", ex.Name)
