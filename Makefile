@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
+.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -177,6 +177,15 @@ smoke-tcp:
 send-guard:
 	@calls=$$(grep -nE '\.(CallCtx|Route|RouteVia|Lookup|LookupCtx|LookupExcluding)\(' internal/core/*.go | grep -vE '^internal/core/(send\.go|[^:]*_test\.go):'); \
 	[ -z "$$calls" ] || { echo "send-guard: calls outside internal/core/send.go:"; echo "$$calls"; exit 1; }
+
+# Allocation guard: what one uncached search, one cached search, a
+# one-document sweep, one share and one unshare allocate on a fixed 16-peer
+# simnet deployment (Parallelism 1, telemetry off), held to the ceilings in
+# internal/core/alloc_test.go. Allocation counts repeat exactly for a
+# toolchain, so a path that starts allocating more fails here before any
+# wall-clock number moves.
+alloc-guard:
+	$(GO) test -count=1 -run 'TestAllocationCeilings' -v ./internal/core
 
 # Compressed-postings smoke: the block codec's property tests (compressed ≡
 # plain twin, marshal round-trip, cursor snapshot semantics, compression

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -178,6 +179,23 @@ func TestHotTermAdvisoryRetriesAfterFault(t *testing.T) {
 	sim.DropCalls(hotAt, 1<<20)
 	_, _ = n.LearnAllCtx(context.Background())
 	checkAdvisoryConsistent(t, n, docs, "faulted sweep")
+
+	// The polls land — one per owner — and flag the term; every withdrawal
+	// after them is lost, so each document's ban is rolled back and the term
+	// stays indexed.
+	sim.DropCallsAfter(hotAt, len(owners), 1<<20)
+	before := sim.Stats().CallsByDest[hotAt]
+	_, _ = n.LearnAllCtx(context.Background())
+	if sent := sim.Stats().CallsByDest[hotAt] - before; sent <= int64(len(owners)) {
+		t.Fatalf("withdrawals lost: %d calls to %s, so no withdrawal met the fault", sent, hotAt)
+	}
+	checkAdvisoryConsistent(t, n, docs, "withdrawals lost")
+	for _, d := range docs {
+		terms, _ := n.IndexedTerms(d.ID)
+		if banned := n.BannedTerms(d.ID); len(banned) != 0 || !slices.Contains(terms, "hot") {
+			t.Fatalf("withdrawals lost: %s bans %v and indexes %v, want no ban and hot indexed", d.ID, banned, terms)
+		}
+	}
 
 	sim.DropCalls(hotAt, 0)
 	if _, err := n.LearnAllCtx(context.Background()); err != nil {

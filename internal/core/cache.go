@@ -30,11 +30,11 @@ import (
 // lazily; see cache.Invalidate and cache.InvalidateKey).
 //
 //   - A write to one term's list invalidates that term's postings entry and
-//     no other: publish, unpublish, replica add/drop, handoff revert — every
-//     such message names its term — and hence share, unshare and learning
-//     (re-anchors included), which are made of them. Unshare and the
-//     stale-withdrawal retries also invalidate the terms whose holder they
-//     could not reach, since no handler ran there. Scoring a term reads
+//     no other: a publish or withdrawal item, replica add/drop, handoff
+//     revert — every such message names its term — and hence share, unshare
+//     and learning (re-anchors included), which are made of them. A
+//     withdrawal that could not reach its holder invalidates its term too,
+//     since no handler ran there. Scoring a term reads
 //     nothing but that term's list (its length is IndexedDF; SurrogateN is a
 //     constant), so nothing else can have gone stale.
 //   - An event that moves lists between peers flushes everything: handoff

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -233,6 +234,74 @@ func TestLearnRespectsCapAndReplaces(t *testing.T) {
 	}
 	if found {
 		t.Fatal("replaced term b still has postings in the DHT")
+	}
+
+	// The same sweep on a twin whose withdrawal of b is lost: b stays
+	// indexed where it was, its candidate y is not published, and the
+	// document fails.
+	twin, sim := cacheTestNetwork(t, 10, Config{InitialTerms: 2, TermsPerIteration: 5, MaxIndexTerms: 3})
+	if err := twin.ShareCtx(context.Background(), "p0", d); err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range [][]string{{"a", "x", "y"}, {"a", "x", "z"}, {"a", "x", "y"}, {"a", "y", "z"}} {
+		if err := twin.InsertQueryCtx(context.Background(), "p5", q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	info, _ := twin.DocIndexInfo("doc1")
+	bAt := info.PublishedAt["b"]
+	if bAt == "p0" {
+		t.Fatal("the owner holds b itself (hash layout): no call to drop")
+	}
+	sim.DropCallsAfter(bAt, 1, 1) // the poll goes through, the withdrawal does not
+	if _, err := twin.LearnAllCtx(context.Background()); err == nil {
+		t.Fatal("a sweep whose replacement failed returned no error")
+	}
+	terms, _ = twin.IndexedTerms("doc1")
+	if !slices.Contains(terms, "b") || slices.Contains(terms, "y") || len(terms) > 3 {
+		t.Fatalf("after the lost withdrawal doc1 indexes %v, want b kept and y not published", terms)
+	}
+	if got := holdersOf(twin, "b", "doc1"); len(got) != 1 || got[0] != bAt {
+		t.Fatalf("b held at %v after the lost withdrawal, want %s", got, bAt)
+	}
+	if got := holdersOf(twin, "y", "doc1"); len(got) != 0 {
+		t.Fatalf("the candidate y was published at %v", got)
+	}
+
+	// Two replacements, x for c and y for b, of which only c's withdrawal is
+	// lost: c stays and x is not published, while b goes and y takes its
+	// place.
+	both, sim := cacheTestNetwork(t, 10, Config{InitialTerms: 3, TermsPerIteration: 2, MaxIndexTerms: 3})
+	bNode, _ := both.Ring().Owner(chordid.HashKey("b"))
+	cNode, _ := both.Ring().Owner(chordid.HashKey("c"))
+	if bNode == cNode {
+		t.Fatal("b and c share a holder (hash layout): their withdrawals cannot fail apart")
+	}
+	owner := simnet.Addr("p0")
+	for _, p := range both.Peers() {
+		if owner = p.Addr(); owner != bNode.Addr() && owner != cNode.Addr() {
+			break
+		}
+	}
+	if err := both.ShareCtx(context.Background(), owner, doc("doc2", map[string]int{"a": 10, "b": 9, "c": 8, "x": 5, "y": 4})); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := both.InsertQueryCtx(context.Background(), "p5", []string{"a", "x", "y"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sim.DropCallsAfter(cNode.Addr(), 1, 1)
+	if _, err := both.LearnAllCtx(context.Background()); err == nil {
+		t.Fatal("a sweep whose replacement failed returned no error")
+	}
+	if terms, _ := both.IndexedTerms("doc2"); !slices.Equal(terms, []string{"a", "c", "y"}) {
+		t.Fatalf("after losing c's withdrawal doc2 indexes %v, want [a c y]", terms)
+	}
+	for term, want := range map[string]int{"b": 0, "c": 1, "x": 0, "y": 1} {
+		if got := holdersOf(both, term, "doc2"); len(got) != want {
+			t.Fatalf("%q held at %v, want %d copies", term, got, want)
+		}
 	}
 }
 

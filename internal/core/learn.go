@@ -1,41 +1,44 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"github.com/spritedht/sprite/internal/chordid"
-	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
 )
 
 // This file implements the learning iteration (§5.3, Algorithm 1) as one
-// sweep over a set of documents, in three network-wide phases with a barrier
+// sweep over a set of documents, in four network-wide phases with a barrier
 // between them:
 //
 //  1. Poll. Every owner sends each indexing peer one sprite.poll carrying
 //     every (document, term) item whose posting that peer holds
 //     (publishedAt), each with its watermark.
 //  2. Fold. Each document folds its answers in sorted-term order into the
-//     per-term statistics, runs the §7 hot-term advisory and rebuilds its rank
-//     list, deciding what to withdraw (done here) and what to publish, and
-//     re-anchors the postings a poll found missing (reanchor).
-//  3. Publish. Each owner sends each indexing peer one sprite.publish carrying
+//     per-term statistics, runs the §7 hot-term advisory, rebuilds its rank
+//     list and re-anchors the postings a poll found missing. It only decides
+//     what to withdraw (pulls) and what to publish, and sends nothing.
+//  3. Withdraw. Each owner sends each holder one sprite.publish carrying every
+//     withdrawal bound there (withdrawals): retired terms' postings and
+//     re-anchored postings' old copies.
+//  4. Publish. Each owner sends each indexing peer one sprite.publish carrying
 //     every publish bound there: a re-anchor to the peer that answered
 //     Missing, a term one of its documents has a holder for to that holder,
 //     and any other term to the peer its own node names for the key
-//     (chord.Node.LocalOwner), as a query's fetch does. No publish is routed
-//     first.
+//     (chord.Node.LocalOwner), as a query's fetch does.
 //
-// Poll and publish are two protocols (polls, publishes) of exchange
-// (send.go): a batch is addressed from the owner's records, so the holder
-// checks each item's key against its own arc (chord.Node.Serves) and refuses
-// what it does not serve. Refused items, items whose holder is the owner
-// itself or unknown, and every item of a batch whose holder is dead or did not
-// answer go alone by the term's key — exactly as a single poll or publish
-// always did — so a stale or dead holder costs only its own batch.
+// The phases are protocols of exchange (send.go). A poll or publish batch is
+// addressed from the owner's records, so the holder checks each item's key
+// against its own arc (chord.Node.Serves) and refuses what it does not serve.
+// Refused items, items whose holder is the owner itself or unknown, and every
+// item of a batch whose holder is dead or did not answer go alone by the
+// term's key, so a stale or dead holder costs only its own batch. Unshare, a
+// failed share and the stale-ledger flush are a withdraw phase alone.
 
 // sweepDoc is one document's part in a learning sweep.
 type sweepDoc struct {
@@ -47,13 +50,23 @@ type sweepDoc struct {
 	terms []string
 	// polls[i] answers terms[i]; its at is "" when nobody did.
 	polls []pollOut
-	// publish holds the terms the fold decided to publish, in decision order;
-	// landed[i] is where publish[i] went.
+	// pulls and publish hold what the fold decided, in decision order.
+	pulls   []pull
 	publish []string
 	added   int // publish[:added] are new terms, the rest re-anchored ones
-	landed  []publishResult
 	changes int
 	err     error
+}
+
+// pull withdraws d's posting for term from at, its holder of record ("" none).
+// A retiring pull takes the term out of the index, for cand when it is a
+// replacement; any other takes back a copy the index no longer uses.
+type pull struct {
+	d      *sweepDoc
+	term   string
+	at     simnet.Addr
+	retire bool
+	cand   string
 }
 
 // pollOut is one (document, term) poll's answer and the peer that gave it —
@@ -75,42 +88,40 @@ type learnItem struct {
 // index changes (publishes plus replacements) and the first error in document
 // order; a done ctx aborts the sweep before anything is folded.
 func (n *Network) learn(ctx context.Context, ids []index.DocID, owners []*Peer) (int, error) {
-	docs := openSweep(ids, owners)
-	defer func() {
-		for _, d := range docs {
-			d.st.mu.Unlock()
+	var docs []*sweepDoc
+	for i, id := range ids {
+		if p := owners[i]; p != nil {
+			if st := p.state(id); st != nil {
+				docs = append(docs, &sweepDoc{p: p, id: id, st: st})
+			}
 		}
-	}()
+	}
+	docs = lockDocs(docs)
+	defer unlockDocs(docs)
 	if len(docs) == 0 {
 		return 0, nil
+	}
+	for _, d := range docs {
+		d.terms = sortedKeys(d.st.indexed)
+		d.polls = make([]pollOut, len(d.terms))
+		n.met.learnRounds.Inc()
 	}
 	n.pollPhase(ctx, docs)
 	if err := ctx.Err(); err != nil {
 		return 0, fmt.Errorf("core: learning: %w", err)
 	}
-	errs := fanout.ForEach(ctx, n.exec, "fold", len(docs), func(ctx context.Context, i int) error {
-		d := docs[i]
-		d.p.foldPolls(ctx, d.st, d.terms, d.polls)
-		d.changes, d.err = d.p.applyRankList(ctx, d.st, func(term string) error {
-			d.st.indexed[term] = true
-			d.publish = append(d.publish, term)
-			return nil
-		})
-		d.added = len(d.publish)
-		d.p.reanchor(ctx, d.st, d.terms, d.polls, func(term string) { d.publish = append(d.publish, term) })
-		return nil
-	})
-	for i, err := range errs {
-		if err != nil {
-			docs[i].err = err
-		}
+	for _, d := range docs {
+		d.foldPolls()
+		d.applyRankList()
+		d.reanchor()
 	}
+	n.withdrawPhase(ctx, docs)
 	n.publishPhase(ctx, docs)
 
 	changes := 0
 	var first error
 	for _, d := range docs {
-		d.p.net.met.learnChanges.Add(int64(d.changes))
+		n.met.learnChanges.Add(int64(d.changes))
 		changes += d.changes
 		if d.err != nil && first == nil {
 			first = fmt.Errorf("core: learning %s: %w", d.id, d.err)
@@ -119,38 +130,31 @@ func (n *Network) learn(ctx context.Context, ids []index.DocID, owners []*Peer) 
 	return changes, first
 }
 
-// openSweep takes the state of every document still owned and holds its lock
-// for the sweep, in the order given. Locks are taken in doc-ID order, so two
-// sweeps cannot wait on each other in a cycle, and no peer lock is held
-// meanwhile (Snapshot takes a peer's lock, then its documents').
-func openSweep(ids []index.DocID, owners []*Peer) []*sweepDoc {
-	var found []*sweepDoc
-	for i, id := range ids {
-		p := owners[i]
-		if p == nil {
-			continue
-		}
-		if st := p.state(id); st != nil {
-			found = append(found, &sweepDoc{p: p, id: id, st: st})
-		}
+// lockDocs locks every document's state and returns, in the order given, the
+// documents still shared. Locks are taken in doc-ID order, so two sweeps
+// cannot wait on each other in a cycle, and no peer lock is held meanwhile
+// (Snapshot takes a peer's lock, then its documents').
+func lockDocs(docs []*sweepDoc) []*sweepDoc {
+	byID := docs
+	if len(docs) > 1 {
+		byID = slices.Clone(docs)
+		slices.SortFunc(byID, func(a, b *sweepDoc) int { return strings.Compare(string(a.id), string(b.id)) })
 	}
-	byID := append([]*sweepDoc(nil), found...)
-	sort.Slice(byID, func(i, j int) bool { return byID[i].id < byID[j].id })
 	for _, d := range byID {
 		d.st.mu.Lock()
 	}
-	docs := found[:0]
-	for _, d := range found {
+	return slices.DeleteFunc(docs, func(d *sweepDoc) bool {
 		if d.st.unshared {
 			d.st.mu.Unlock()
-			continue
 		}
-		d.terms = sortedKeys(d.st.indexed)
-		d.polls = make([]pollOut, len(d.terms))
-		d.p.net.met.learnRounds.Inc()
-		docs = append(docs, d)
+		return d.st.unshared
+	})
+}
+
+func unlockDocs(docs []*sweepDoc) {
+	for _, d := range docs {
+		d.st.mu.Unlock()
 	}
-	return docs
 }
 
 // pollPhase polls every document's index terms and leaves the answers in
@@ -195,16 +199,15 @@ func (n *Network) polls() *protocol[learnItem, pollOut] {
 			}
 			return simnet.Message{Type: msgPoll, Payload: req, Size: req.size()}
 		},
-		read: func(reply simnet.Message, at simnet.Addr, n int) ([]pollOut, []bool, error) {
+		read: func(reply simnet.Message, at simnet.Addr, got []pollOut, refused []bool) error {
 			resp, ok := reply.Payload.(pollResp)
-			if !ok || len(resp.Items) != n {
-				return nil, nil, badReply(reply, at, n)
+			if !ok || len(resp.Items) != len(got) {
+				return badReply(reply, at, len(got))
 			}
-			out, refused := make([]pollOut, n), make([]bool, n)
 			for k, r := range resp.Items {
-				out[k], refused[k] = pollOut{res: r, at: at}, r.Refused
+				got[k], refused[k] = pollOut{res: r, at: at}, r.Refused
 			}
-			return out, refused, nil
+			return nil
 		},
 		reask: func(it learnItem, sent, served simnet.Addr) bool {
 			mark := it.d.st.since[term(it)]
@@ -213,20 +216,21 @@ func (n *Network) polls() *protocol[learnItem, pollOut] {
 	}
 }
 
-// foldPolls is Algorithm 1's steps 1 and 2 for one document, given the
-// answers to its polls (polls[i] for terms[i]): advance each answered term's
-// watermark, retire the hot terms (§7) and fold the incremental query set Q′
-// into the running statistics (max qScore, cumulative QF).
-func (p *Peer) foldPolls(ctx context.Context, st *docState, terms []string, polls []pollOut) {
+// foldPolls is Algorithm 1's steps 1 and 2 for the document, given the
+// answers to its polls: advance each answered term's watermark, retire the hot
+// terms (§7) and fold the incremental query set Q′ into the running
+// statistics (max qScore, cumulative QF).
+func (d *sweepDoc) foldPolls() {
+	st, cfg := d.st, d.p.net.cfg
 	var incremental [][]string
 	var hot []string
-	for i, term := range terms {
-		if polls[i].at == "" {
+	for i, term := range d.terms {
+		if d.polls[i].at == "" {
 			continue
 		}
-		res := polls[i].res
-		st.since[term] = pollMark{At: polls[i].at, Since: res.NewSince}
-		if p.net.cfg.HotTermDF > 0 && res.IndexedDF >= p.net.cfg.HotTermDF {
+		res := d.polls[i].res
+		st.since[term] = pollMark{At: d.polls[i].at, Since: res.NewSince}
+		if cfg.HotTermDF > 0 && res.IndexedDF >= cfg.HotTermDF {
 			hot = append(hot, term)
 		}
 		incremental = append(incremental, res.Queries...)
@@ -237,7 +241,8 @@ func (p *Peer) foldPolls(ctx context.Context, st *docState, terms []string, poll
 	// is negligible, while their maintenance load on the indexing peer is
 	// maximal. The freed slots are refilled by this iteration's selection.
 	// Every owner reads the same pre-sweep IndexedDF, so every document of
-	// the sweep that indexes a hot term retires it.
+	// the sweep that indexes a hot term retires it. The ban commits only if
+	// the withdrawal goes through (pull.settle).
 	for _, term := range hot {
 		if len(st.indexed) <= 1 {
 			break // never strip a document's last index term
@@ -246,16 +251,7 @@ func (p *Peer) foldPolls(ctx context.Context, st *docState, terms []string, poll
 			st.banned = make(map[string]bool)
 		}
 		st.banned[term] = true
-		// The advisory commits only if the entry's removal went through. On
-		// failure (the indexing peer died between the poll and the removal)
-		// the ban is rolled back and the term stays indexed, so the next
-		// iteration retries. Keeping the ban while the entry survives would
-		// wedge the document: the term would never be re-selected or
-		// re-anchored, and the stale entry would resurface ownerless when the
-		// indexing peer recovers.
-		if err := p.unpublishTerm(ctx, st, term); err != nil {
-			delete(st.banned, term)
-		}
+		d.retire(term, "")
 	}
 
 	// Algorithm 1 lines 4–16.
@@ -282,36 +278,141 @@ func (p *Peer) foldPolls(ctx context.Context, st *docState, terms []string, poll
 
 // reanchor makes the peer that answered Missing the holder of record of every
 // term still indexed — its holder crashed, or its key moved to a peer nobody
-// handed the entry to — and has publish send the posting there: §1's owner
-// probing made effectful. The copy at a different previous holder goes first,
-// as its replica withdrawals could erase the new holder's fresh replicas; one
-// it cannot reach goes on the stale list. Re-anchors count in
-// sprite.learn.reanchored, not as index changes.
-func (p *Peer) reanchor(ctx context.Context, st *docState, terms []string, polls []pollOut, publish func(term string)) {
-	for i, term := range terms {
+// handed the entry to — and publishes the posting there: §1's owner probing
+// made effectful. The copy at a different previous holder is withdrawn first,
+// as its replica withdrawals could erase the new holder's fresh replicas.
+// Re-anchors count in sprite.learn.reanchored, not as index changes.
+func (d *sweepDoc) reanchor() {
+	st := d.st
+	for i, term := range d.terms {
 		last := st.publishedAt[term]
-		if !polls[i].res.Missing || !st.indexed[term] || last == "" {
+		if !d.polls[i].res.Missing || !st.indexed[term] || last == "" {
 			continue
 		}
-		if last != polls[i].at {
-			stale, err := p.sendUnpublish(ctx, dest{addr: last}, term, st.doc.ID)
-			if err != nil {
-				markStale(st, term, last)
-			}
-			for _, a := range stale {
-				markStale(st, term, a)
-			}
+		if last != d.polls[i].at {
+			d.pulls = append(d.pulls, pull{d: d, term: term, at: last})
 		}
-		st.publishedAt[term] = polls[i].at
-		p.net.met.learnReanchored.Inc()
-		publish(term)
+		st.publishedAt[term] = d.polls[i].at
+		d.p.net.met.learnReanchored.Inc()
+		d.publish = append(d.publish, term)
 	}
 }
 
-// publishResult is where one publish item landed, or why it did not.
-type publishResult struct {
-	at  simnet.Addr
-	err error
+// retire decides to withdraw term from the index, for cand ("" none).
+func (d *sweepDoc) retire(term, cand string) {
+	delete(d.st.indexed, term)
+	d.pulls = append(d.pulls, pull{d: d, term: term, at: d.st.publishedAt[term], retire: true, cand: cand})
+}
+
+// pullStale decides to withdraw every copy the stale ledger names, and empties
+// it. A record of a holder that left the network is dropped: its copies left
+// with it. So is one of the holder the term's record names again — it
+// migrated back, or a failed replica drop there was superseded by a fresh
+// publish — as withdrawing there would delete the live entry.
+func (d *sweepDoc) pullStale() {
+	for _, term := range sortedKeys(d.st.stale) {
+		for _, at := range d.st.stale[term] {
+			if _, ok := d.p.net.Peer(at); ok && d.st.publishedAt[term] != at {
+				d.pulls = append(d.pulls, pull{d: d, term: term, at: at})
+			}
+		}
+	}
+	d.st.stale = nil
+}
+
+// withdrawPhase sends the pulls of docs, never empty, and settles each.
+func (n *Network) withdrawPhase(ctx context.Context, docs []*sweepDoc) {
+	items := docs[0].pulls // one document's need no copy
+	if len(docs) > 1 {
+		items = nil
+		for _, d := range docs {
+			items = append(items, d.pulls...)
+		}
+	}
+	stale, errs := exchange(ctx, items, withdrawals)
+	for k, pl := range items {
+		pl.settle(stale[k], errs[k])
+	}
+}
+
+// withdrawals is the withdraw protocol: an item is a pull, answered with the
+// replica holders its holder could not reach. Its items ride sprite.publish
+// flagged, carrying term and document only, and are never arc-checked or
+// re-routed: an entry lives at the peer that last accepted it, whatever the
+// ring says now, and a withdrawal elsewhere would orphan it. So an item goes
+// to the holder its record names, the owner itself included, and fails with
+// its batch; only one naming none is routed by its key.
+var withdrawals = &protocol[pull, []simnet.Addr]{
+	stage:  "withdraw",
+	pinned: true,
+	from:   func(pl pull) *Peer { return pl.d.p },
+	term:   func(pl pull) string { return pl.term },
+	holder: func(pl pull) simnet.Addr { return pl.at },
+	request: func(_ simnet.Addr, items []pull, _ bool) simnet.Message {
+		req := publishReq{Items: make([]publishItem, len(items))}
+		for k, pl := range items {
+			req.Items[k] = publishItem{Term: pl.term, Posting: index.Posting{Doc: pl.d.id}, Withdraw: true}
+		}
+		return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
+	},
+	read: func(reply simnet.Message, at simnet.Addr, got [][]simnet.Addr, _ []bool) error {
+		resp, ok := reply.Payload.(publishResp)
+		if !ok {
+			return badReply(reply, at, len(got))
+		}
+		for _, a := range resp.Answers {
+			if a.Item >= 0 && a.Item < len(got) {
+				got[a.Item] = a.Stale
+			}
+		}
+		return nil
+	},
+}
+
+// settle applies the pull's outcome. Replica holders its holder could not
+// reach go on the stale ledger. A retired term the holder confirmed is
+// forgotten; one it did not stays indexed as before the fold, its ban rolled
+// back so that the next iteration retries (a ban kept while the entry
+// survives would wedge the document), a replacement's candidate is not
+// published and fails the document, and no new term past MaxIndexTerms is
+// published. An old copy not withdrawn goes on the stale ledger.
+func (pl pull) settle(stale []simnet.Addr, err error) {
+	d, st := pl.d, pl.d.st
+	for _, a := range stale {
+		markStale(st, pl.term, a)
+	}
+	if err == nil {
+		if pl.retire {
+			forgetTerm(st, pl.term)
+			d.p.net.met.termsRetired.Inc()
+		}
+		return
+	}
+	// No handler ran at the holder, so nothing dropped the term's cached list.
+	d.p.net.caches.invalidateTerm(pl.term)
+	if !pl.retire {
+		markStale(st, pl.term, pl.at)
+		return
+	}
+	st.indexed[pl.term] = true
+	delete(st.banned, pl.term)
+	if pl.cand != "" {
+		if k := slices.Index(d.publish[:d.added], pl.cand); k >= 0 {
+			d.cancel(k)
+		}
+		d.err = cmp.Or(d.err, fmt.Errorf("core: withdraw %q: %w", pl.term, err))
+	}
+	if len(st.indexed) > d.p.net.cfg.MaxIndexTerms && d.added > 0 {
+		d.cancel(d.added - 1)
+	}
+}
+
+// cancel takes back the decision to publish new term publish[k].
+func (d *sweepDoc) cancel(k int) {
+	delete(d.st.indexed, d.publish[k])
+	d.publish = slices.Delete(d.publish, k, k+1)
+	d.added--
+	d.changes--
 }
 
 // publishPhase publishes the terms the fold decided on and records where each
@@ -335,7 +436,6 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 				holders[k] = at
 			}
 		}
-		d.landed = make([]publishResult, len(d.publish))
 		for i := range d.publish {
 			items = append(items, learnItem{d, i})
 		}
@@ -351,22 +451,15 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 		return it.d.p.node.LocalOwner(chordid.HashKey(t)).Addr
 	}))
 	for k, it := range items {
-		it.d.landed[it.i] = publishResult{ats[k], errs[k]}
-	}
-
-	for _, d := range docs {
-		for i, t := range d.publish {
-			if r := d.landed[i]; r.err == nil {
-				d.p.recordPublished(d.st, t, r.at)
-				continue
-			}
-			forgetTerm(d.st, t)
-			if i < d.added {
-				d.changes--
-				if d.err == nil {
-					d.err = fmt.Errorf("core: publish %q: %w", t, d.landed[i].err)
-				}
-			}
+		d, t := it.d, it.d.publish[it.i]
+		if errs[k] == nil {
+			d.p.recordPublished(d.st, t, ats[k])
+			continue
+		}
+		forgetTerm(d.st, t)
+		if it.i < d.added {
+			d.changes--
+			d.err = cmp.Or(d.err, fmt.Errorf("core: publish %q: %w", t, errs[k]))
 		}
 	}
 }
@@ -388,21 +481,20 @@ func (n *Network) publishes(holder func(learnItem) simnet.Addr) *protocol[learnI
 			}
 			return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
 		},
-		read: func(reply simnet.Message, at simnet.Addr, n int) ([]simnet.Addr, []bool, error) {
+		read: func(reply simnet.Message, at simnet.Addr, got []simnet.Addr, refused []bool) error {
 			resp, ok := reply.Payload.(publishResp)
 			if !ok {
-				return nil, nil, badReply(reply, at, n)
+				return badReply(reply, at, len(got))
 			}
-			out, refused := make([]simnet.Addr, n), make([]bool, n)
-			for k := range out {
-				out[k] = at
+			for k := range got {
+				got[k] = at
 			}
-			for _, k := range resp.Refused {
-				if k >= 0 && k < n {
-					refused[k] = true
+			for _, a := range resp.Answers {
+				if a.Item >= 0 && a.Item < len(got) {
+					refused[a.Item] = a.Refused
 				}
 			}
-			return out, refused, nil
+			return nil
 		},
 	}
 }

@@ -40,8 +40,9 @@ func (n *Network) learnAllPerTerm(ctx context.Context) (int, error) {
 
 // learnDocPerTerm is one document's per-term iteration: every poll on the
 // poll protocol's one-item route (the path a batch's refused items take), then
-// the fold, then every publish routed and recorded the moment it is decided,
-// and every re-anchor sent straight to the peer that answered Missing.
+// the fold, then every withdrawal on the withdraw protocol's one-item form,
+// every new term's publish routed, and every re-anchor sent straight to the
+// peer that answered Missing.
 func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error) {
 	p.mu.Lock()
 	st := p.owned[id]
@@ -60,9 +61,21 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 	if err := fanout.FirstError(errs); err != nil {
 		return 0, err
 	}
-	p.foldPolls(ctx, st, terms, polls)
-	changes, err := p.applyRankList(ctx, st, func(term string) error { return p.publishTerm(ctx, st, term) })
-	p.reanchor(ctx, st, terms, polls, func(term string) {
+	d.polls = polls
+	d.foldPolls()
+	d.applyRankList()
+	d.reanchor()
+	for _, pl := range d.pulls {
+		stale, _, err := withdrawals.route(ctx, pl, dest{}, nil)
+		pl.settle(stale, err)
+	}
+	for i, term := range d.publish {
+		if i < d.added {
+			if err := p.publishTerm(ctx, st, term); err != nil {
+				return d.changes, err
+			}
+			continue
+		}
 		at, one := st.publishedAt[term], &sweepDoc{p: p, id: id, st: st, publish: []string{term}}
 		msg := p.net.publishes(nil).request(at, []learnItem{{one, 0}}, false)
 		if _, _, err := p.send(ctx, dest{addr: at}, msg, policy{}); err != nil {
@@ -70,6 +83,6 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 		} else {
 			p.recordPublished(st, term, at)
 		}
-	})
-	return changes, err
+	}
+	return d.changes, d.err
 }

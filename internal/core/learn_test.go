@@ -270,6 +270,20 @@ func pollBatches(msgs []sentMsg) map[[2]simnet.Addr][][]string {
 	return out
 }
 
+// withdraws reports whether msg is a sprite.publish of withdrawals only.
+func withdraws(msg simnet.Message) bool {
+	req, ok := msg.Payload.(publishReq)
+	if !ok || len(req.Items) == 0 {
+		return false
+	}
+	for _, it := range req.Items {
+		if !it.Withdraw {
+			return false
+		}
+	}
+	return true
+}
+
 // itemsByHolder lists each owner's (document, term) items by holder of
 // record, in the order a sweep polls them.
 func itemsByHolder(n *Network) map[[2]simnet.Addr][]string {
@@ -331,7 +345,7 @@ func TestDeadHolderCostsOnlyItsBatch(t *testing.T) {
 	}
 	msgs := f.log.drain()
 	for _, m := range msgs {
-		if m.to == dead && (m.req.Type == msgPoll || m.req.Type == msgPublish) {
+		if m.to == dead && (m.req.Type == msgPoll || m.req.Type == msgPublish && !withdraws(m.req)) {
 			t.Fatalf("%s sent %s to the dead holder %s", m.from, m.req.Type, dead)
 		}
 	}
@@ -596,6 +610,10 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// An owner leaving withdraws its documents' postings in batches.
+	if _, err := f.n.Leave("p1"); err != nil {
+		t.Fatal(err)
+	}
 	largest := map[string]int{}
 	for _, m := range f.log.drain() {
 		for _, msg := range []simnet.Message{m.req, m.reply} {
@@ -615,8 +633,14 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 				}
 			case publishReq:
 				what, items = "publishReq", len(p.Items)
+				if withdraws(msg) {
+					what = "withdrawal"
+				}
 			case publishResp:
-				what, items = "publishResp", len(p.Refused)
+				what, items = "publishResp", len(p.Answers)
+				for _, a := range p.Answers {
+					items += len(a.Stale)
+				}
 			default:
 				continue
 			}
@@ -630,7 +654,7 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 			largest[what] = max(largest[what], items)
 		}
 	}
-	for _, what := range []string{"pollReq", "pollResp", "publishReq"} {
+	for _, what := range []string{"pollReq", "pollResp", "publishReq", "withdrawal"} {
 		if largest[what] < 2 {
 			t.Fatalf("no %s carried more than one item", what)
 		}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -24,70 +26,51 @@ func (n *Network) Unshare(doc index.DocID) error {
 	if !ok {
 		return fmt.Errorf("core: document %q not shared", doc)
 	}
-	if err := p.unshare(doc); err != nil {
-		return err
+	if p.state(doc) == nil {
+		return fmt.Errorf("core: peer %s does not own %q", p.Addr(), doc)
 	}
+	p.unshare(doc)
 	n.forget(doc)
 	return nil
 }
 
-func (p *Peer) unshare(docID index.DocID) error {
-	st := p.state(docID)
-	if st == nil {
-		return fmt.Errorf("core: peer %s does not own %q", p.Addr(), docID)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.unshared = true
-	p.flushStale(st)
-	for _, term := range sortedKeys(st.indexed) {
-		// Best-effort: a dead indexing peer takes its entries with it.
-		if err := p.unpublishTerm(context.Background(), st, term); err != nil {
-			forgetTerm(st, term)
+// unshare withdraws the given documents of p's in one withdraw phase — every
+// indexed term's posting and every copy their stale ledgers still owe, one
+// sprite.publish per holder — and forgets them. Best-effort: a holder it
+// cannot reach keeps its copy until it dies. A sweep that waited for one of
+// the documents' locks finds it unshared and leaves it alone.
+func (p *Peer) unshare(ids ...index.DocID) {
+	var docs []*sweepDoc
+	for _, id := range ids {
+		if st := p.state(id); st != nil {
+			docs = append(docs, &sweepDoc{p: p, id: id, st: st})
 		}
-		// An unreachable indexing peer ran no msgUnpublish handler, so the
-		// handlers' invalidations don't cover every removal: drop the term's
-		// cached list here, reached or not.
-		p.net.caches.invalidateTerm(term)
 	}
+	docs = lockDocs(docs)
+	if len(docs) == 0 {
+		return
+	}
+	for _, d := range docs {
+		d.st.unshared = true
+		d.pulls = make([]pull, 0, len(d.st.indexed)+len(d.st.stale))
+		d.pullStale()
+		ledger := len(d.pulls)
+		for t := range d.st.indexed {
+			d.retire(t, "")
+		}
+		// Holder by holder, each's terms in order, so that every run sends
+		// alike and the exchange finds its batches laid out.
+		slices.SortFunc(d.pulls[ledger:], func(a, b pull) int {
+			return cmp.Or(strings.Compare(string(a.at), string(b.at)), strings.Compare(a.term, b.term))
+		})
+	}
+	p.net.withdrawPhase(context.Background(), docs)
+	unlockDocs(docs)
 	p.mu.Lock()
-	delete(p.owned, docID)
-	p.mu.Unlock()
-	return nil
-}
-
-// flushStale retries the withdrawals of possibly-stale copies left by failed
-// re-anchors and unshares (see docState.stale). Successfully reached holders
-// are forgotten; unreachable ones stay recorded for the next sweep. Callers
-// hold st.mu.
-func (p *Peer) flushStale(st *docState) {
-	for _, term := range sortedKeys(st.stale) {
-		var remaining []simnet.Addr
-		for _, addr := range st.stale[term] {
-			if st.publishedAt[term] == addr {
-				// The entry legitimately lives here now — it migrated back,
-				// or a failed replica drop at this peer was superseded by a
-				// fresh publish. The record is obsolete, not stale: retrying
-				// the withdrawal would delete the live entry.
-				continue
-			}
-			stale, err := p.sendUnpublish(context.Background(), dest{addr: addr}, term, st.doc.ID)
-			if err != nil {
-				remaining = append(remaining, addr)
-				continue
-			}
-			// The reached holder may itself have failed to withdraw replica
-			// copies it pushed earlier; keep chasing those.
-			remaining = append(remaining, stale...)
-		}
-		// As in unshare: a holder that stays unreachable invalidates nothing.
-		p.net.caches.invalidateTerm(term)
-		if len(remaining) == 0 {
-			delete(st.stale, term)
-		} else {
-			st.stale[term] = remaining
-		}
+	for _, d := range docs {
+		delete(p.owned, d.id)
 	}
+	p.mu.Unlock()
 }
 
 // markStale records that addr may still hold a withdrawn copy of term.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -217,5 +218,133 @@ func TestRefreshAfterRecoveryRestoresEntries(t *testing.T) {
 	}
 	if at := info.PublishedAt["alpha"]; at == holder.Addr() {
 		t.Fatalf("alpha still recorded at the crashed holder %s", at)
+	}
+
+	// The withdrawal was owed to the crashed holder and was not re-routed: its
+	// copy is still there when it recovers, and one flush message takes it.
+	sim := n.Ring().Net().(*simnet.Network)
+	n.Ring().Recover(holder)
+	if !n.peers[holder.Addr()].Index().Contains("alpha", "d") {
+		t.Fatalf("the recovered holder %s lost its copy of alpha before the flush", holder.Addr())
+	}
+	sim.ResetStats()
+	n.FlushStaleAll()
+	if st := sim.Stats(); st.Calls != 1 || st.CallsByDest[holder.Addr()] != 1 {
+		t.Fatalf("the flush sent %d messages, %d of them to %s; want the one withdrawal", st.Calls, st.CallsByDest[holder.Addr()], holder.Addr())
+	}
+	if n.peers[holder.Addr()].Index().Contains("alpha", "d") {
+		t.Fatalf("the recovered holder %s still holds alpha after the flush", holder.Addr())
+	}
+	if info, _ := n.DocIndexInfo("d"); len(info.Stale) != 0 {
+		t.Fatalf("stale withdrawals after the flush: %v", info.Stale)
+	}
+}
+
+// TestUnshareSendsOncePerHolder: withdrawing a document sends each remote
+// peer that holds one of its postings, or that its stale ledger owes a
+// withdrawal, exactly one message, whatever the number of terms it holds; and
+// a peer that leaves withdraws all of its documents in one message per holder
+// across them.
+func TestUnshareSendsOncePerHolder(t *testing.T) {
+	log := &msgLog{Network: simnet.New(1)}
+	ring := chord.NewRing(log, chord.Config{})
+	if _, err := ring.AddNodes("p", 16); err != nil {
+		t.Fatal(err)
+	}
+	ring.Build()
+	n, err := NewNetwork(ring, Config{InitialTerms: 14, MaxIndexTerms: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	words := func(d, count int) map[string]int {
+		tf := map[string]int{}
+		for i := 0; i < count; i++ {
+			tf[fmt.Sprintf("w%02d", (d*5+i)%40)] = 1 + i%4
+		}
+		return tf
+	}
+	if err := n.ShareCtx(context.Background(), "p0", doc("solo", words(0, 14))); err != nil {
+		t.Fatal(err)
+	}
+	for d := 1; d <= 3; d++ {
+		if err := n.ShareCtx(context.Background(), "p5", doc(fmt.Sprintf("d%d", d), words(d, 10))); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// remoteHolders is the set of peers other than owner that hold a posting
+	// of one of docs, and how many postings they hold.
+	remoteHolders := func(owner simnet.Addr, docs ...index.DocID) map[simnet.Addr]int {
+		out := map[simnet.Addr]int{}
+		for _, id := range docs {
+			info, _ := n.DocIndexInfo(id)
+			for _, at := range info.PublishedAt {
+				if at != owner {
+					out[at]++
+				}
+			}
+		}
+		return out
+	}
+	// sentTo counts the withdrawals from owner per peer.
+	sentTo := func(owner simnet.Addr, msgs []sentMsg) map[simnet.Addr]int {
+		out := map[simnet.Addr]int{}
+		for _, m := range msgs {
+			if m.from == owner && m.to != owner && (m.req.Type == msgPublish || m.req.Type == "sprite.unpublish") {
+				out[m.to]++
+			}
+		}
+		return out
+	}
+
+	want := remoteHolders("p0", "solo")
+	postings := 0
+	for _, c := range want {
+		postings += c
+	}
+	if postings <= len(want) {
+		t.Fatalf("solo's %d remote postings sit on %d peers: no peer holds two, the test shows nothing", postings, len(want))
+	}
+	// One stale-ledger entry, owed by a peer that holds none of solo's terms.
+	var stale simnet.Addr
+	for _, p := range n.Peers() {
+		if _, holds := want[p.Addr()]; !holds && p.Addr() != "p0" {
+			stale = p.Addr()
+			break
+		}
+	}
+	markStale(n.peers["p0"].state("solo"), "w00", stale)
+	want[stale]++
+
+	log.drain()
+	if err := n.Unshare("solo"); err != nil {
+		t.Fatal(err)
+	}
+	got := sentTo("p0", log.drain())
+	if len(got) != len(want) {
+		t.Fatalf("unshare sent to %v, want one message to each of %v", got, want)
+	}
+	for at := range want {
+		if got[at] != 1 {
+			t.Fatalf("unshare sent %d messages to %s, want 1 (all sent: %v)", got[at], at, got)
+		}
+	}
+
+	want = remoteHolders("p5", "d1", "d2", "d3")
+	log.drain()
+	if _, err := n.Leave("p5"); err != nil {
+		t.Fatal(err)
+	}
+	got = sentTo("p5", log.drain())
+	if len(got) != len(want) {
+		t.Fatalf("leave withdrew from %v, want one message to each of %v", got, want)
+	}
+	for at, c := range want {
+		if got[at] != 1 {
+			t.Fatalf("leave sent %d withdrawals to %s, which holds %d postings: want 1", got[at], at, c)
+		}
+	}
+	if left := n.TotalPostings(); left != 0 {
+		t.Fatalf("%d postings left after every document was withdrawn", left)
 	}
 }

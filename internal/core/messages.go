@@ -14,10 +14,9 @@ import (
 // owning Peer. Sizes are simulated wire sizes for bandwidth accounting.
 const (
 	// msgPublish carries (term, posting) pairs from an owner peer to the
-	// indexing peer responsible for the terms.
+	// indexing peer responsible for the terms, and the (term, doc) postings
+	// the owner withdraws from it.
 	msgPublish = "sprite.publish"
-	// msgUnpublish removes a (term, doc) posting — learning retired the term.
-	msgUnpublish = "sprite.unpublish"
 	// msgGetPostings retrieves a term's inverted list during query
 	// processing; it carries the full query so the indexing peer can cache
 	// it in its history (§3).
@@ -74,37 +73,57 @@ type publishReq struct {
 type publishItem struct {
 	Term    string
 	Posting index.Posting
+	// Withdraw asks the receiver to remove Posting.Doc's posting under Term,
+	// replicas included, instead of indexing one. It is never arc-checked.
+	Withdraw bool
 }
 
-// size is the request's simulated wire size: each item's term and posting,
-// so a batch of one costs what a single publish always has.
+// size is the request's simulated wire size: each item's term and posting —
+// a withdrawal's document — and a byte for each withdrawal's flags after the
+// first, so a batch of one costs what a single publish or unpublish always
+// has.
 func (r publishReq) size() int {
-	n := 0
+	n, pulls := 0, 0
 	for _, it := range r.Items {
+		if it.Withdraw {
+			n += len(it.Term) + len(it.Posting.Doc)
+			pulls++
+			continue
+		}
 		n += len(it.Term) + it.Posting.WireSize()
 	}
-	return n
+	return n + max(pulls-1, 0)
 }
 
-// publishResp lists, by position in the request, the items the receiver
-// refused because their keys are outside its arc; the rest it indexed.
+// publishResp answers, by position in the request, the items that need an
+// answer: those the receiver refused because their keys are outside its arc,
+// and the withdrawals that left replica copies behind. It indexed or withdrew
+// every other item.
 type publishResp struct {
-	Refused []int
+	Answers []publishAnswer
 }
 
-type unpublishReq struct {
-	Term string
-	Doc  index.DocID
+type publishAnswer struct {
+	Item    int
+	Refused bool
+	// Stale are the replica holders the receiver failed to reach while
+	// withdrawing the item's entry. The withdrawal consumed its record of
+	// them, so unless the owner queues them on its stale list and retries, no
+	// later operation addresses those copies.
+	Stale []simnet.Addr
 }
 
-type unpublishResp struct {
-	// StaleReplicas are replica holders the indexing peer failed to reach
-	// while withdrawing the entry's copies. Without reporting them, a drop
-	// lost to a crashed holder would orphan that replica forever: the holder
-	// list is consumed by the withdrawal, and no later operation addresses
-	// the entry at that peer. The owner queues these on the document's stale
-	// list and retries them like any other stale withdrawal.
-	StaleReplicas []simnet.Addr
+// size is the reply's simulated wire size: a byte, two for each refusal and
+// eight for each stale replica holder.
+func (r publishResp) size() int {
+	n := 1
+	for _, a := range r.Answers {
+		if a.Refused {
+			n += 2
+		}
+		n += 8 * len(a.Stale)
+	}
+	return n
 }
 
 // getPostingsReq asks one indexing peer for inverted lists: a single term's

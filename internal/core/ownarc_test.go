@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/simnet"
 )
@@ -176,4 +177,62 @@ func TestSearchOldOwnerArcDuringJoin(t *testing.T) {
 		}
 	}
 	search("old owner, stabilized", succ.Addr(), false)
+}
+
+// TestWithdrawalStaysAtOwnArcHolder: an owner that holds a posting of its own
+// arc keeps it when a node joins and takes the key over before it can accept
+// a handoff. Unsharing the document then withdraws the posting from the owner
+// — the holder its record names — and sends the key's new server nothing.
+func TestWithdrawalStaysAtOwnArcHolder(t *testing.T) {
+	log := &msgLog{Network: simnet.New(1)}
+	ring := chord.NewRing(log, chord.Config{})
+	if _, err := ring.AddNodes("p", 16); err != nil {
+		t.Fatal(err)
+	}
+	ring.Build()
+	n, err := NewNetwork(ring, Config{InitialTerms: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jID := chordid.HashKey("j0")
+	ownerNode, _ := ring.Owner(jID)
+	owner := ownerNode.Addr()
+	pred := ownerNode.Predecessor()
+	mine := termsIn("mine", 1, func(key chordid.ID) bool { return key.BetweenRightIncl(pred.ID, jID) })[0]
+	if err := n.ShareCtx(context.Background(), owner, doc("d", map[string]int{mine: 3, "x0": 2, "x1": 1})); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := n.DocIndexInfo("d"); info.PublishedAt[mine] != owner {
+		t.Fatalf("%q recorded at %s, want its owner %s", mine, info.PublishedAt[mine], owner)
+	}
+
+	j, err := ring.AddNode("j0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Join(ownerNode); err != nil {
+		t.Fatal(err)
+	}
+	ring.Stabilize(100)
+	ring.RepairFingers()
+	n.Adopt(j) // only now: the owner's handoff found no one to take the entry
+	if server, _ := ring.Owner(chordid.HashKey(mine)); server != j {
+		t.Fatalf("%q is served by %s after the join, want the joiner", mine, server.Addr())
+	}
+	if got := holdersOf(n, mine, "d"); len(got) != 1 || got[0] != owner {
+		t.Fatalf("%q held at %v after the join, want only %s", mine, got, owner)
+	}
+
+	log.drain()
+	if err := n.Unshare("d"); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range log.drain() {
+		if m.to == j.Addr() {
+			t.Fatalf("%s sent %s to the joiner, which holds nothing of d", m.from, m.req.Type)
+		}
+	}
+	if got := holdersOf(n, mine, "d"); len(got) != 0 {
+		t.Fatalf("%q still held at %v after the unshare", mine, got)
+	}
 }

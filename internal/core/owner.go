@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"github.com/spritedht/sprite/internal/cache"
-	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
@@ -146,8 +145,9 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 		// be done, and an unreachable indexing peer keeps its copy only until
 		// it dies or is recycled.
 		for _, t := range sortedKeys(st.indexed) {
-			p.unpublishTerm(context.Background(), st, t) //nolint:errcheck
+			d.retire(t, "")
 		}
+		p.net.withdrawPhase(context.Background(), []*sweepDoc{d})
 		return d.err
 	}
 	p.mu.Lock()
@@ -196,50 +196,6 @@ func (p *Peer) itemFor(st *docState, term string) publishItem {
 		DocLen: st.doc.Length,
 		Sketch: st.sketch,
 	}}
-}
-
-// unpublishTerm removes a retired term's posting from its indexing peer. The
-// entry lives at the peer that last accepted it (publishedAt), so the
-// removal is addressed there directly — after churn a fresh lookup can name
-// a different peer than the one actually holding the entry, and unpublishing
-// at the wrong peer would orphan the real copy. Local bookkeeping is dropped
-// only once the remote removal succeeds; on failure the term stays indexed,
-// so callers can retry, force-forget (unshare), or leave it for the next
-// learning sweep to re-anchor.
-func (p *Peer) unpublishTerm(ctx context.Context, st *docState, term string) error {
-	to := dest{addr: st.publishedAt[term]}
-	if to.addr == "" {
-		to.key = chordid.HashKey(term)
-	}
-	stale, err := p.sendUnpublish(ctx, to, term, st.doc.ID)
-	if err != nil {
-		return err
-	}
-	for _, a := range stale {
-		markStale(st, term, a)
-	}
-	forgetTerm(st, term)
-	p.net.met.termsRetired.Inc()
-	return nil
-}
-
-// sendUnpublish withdraws doc's posting for term at to. It returns the
-// replica holders the indexing peer could not reach while dropping the
-// entry's copies; callers must queue those on the document's stale list or
-// the copies leak.
-func (p *Peer) sendUnpublish(ctx context.Context, to dest, term string, doc index.DocID) ([]simnet.Addr, error) {
-	reply, at, err := p.send(ctx, to, simnet.Message{
-		Type:    msgUnpublish,
-		Payload: unpublishReq{Term: term, Doc: doc},
-		Size:    len(term) + len(doc),
-	}, policy{})
-	if err != nil {
-		return nil, fmt.Errorf("core: unpublish %q from %s: %w", term, at, err)
-	}
-	if resp, ok := reply.Payload.(unpublishResp); ok {
-		return resp.StaleReplicas, nil
-	}
-	return nil, nil
 }
 
 // indexedTerms returns the document's current global index terms, sorted.
@@ -459,18 +415,16 @@ func (p *Peer) rankList(st *docState) []rankedTerm {
 	return rl
 }
 
-// applyRankList is Algorithm 1's step 3 over st's rank list: publish up to
-// TermsPerIteration new high-Score terms; once the MaxIndexTerms cap is
-// reached, replace the lowest-scoring indexed terms instead (Fig. 2(a)'s
-// insertion + replacement behaviour). It returns the number of index changes
-// (publishes + replacements). Replaced terms are withdrawn here; each new term
-// goes to publish, which must add it to st.indexed before it returns nil —
-// the learning sweep defers the message and only marks the term.
-func (p *Peer) applyRankList(ctx context.Context, st *docState, publish func(term string) error) (int, error) {
-	rl := p.rankList(st)
-	budget := p.net.cfg.TermsPerIteration
-	cap := p.net.cfg.MaxIndexTerms
-	changes := 0
+// applyRankList is Algorithm 1's step 3 over the document's rank list:
+// publish up to TermsPerIteration new high-Score terms; once the MaxIndexTerms
+// cap is reached, replace the lowest-scoring indexed terms instead (Fig.
+// 2(a)'s insertion + replacement behaviour). It only decides, counting each
+// publish and replacement in d.changes.
+func (d *sweepDoc) applyRankList() {
+	st, cfg := d.st, d.p.net.cfg
+	rl := d.p.rankList(st)
+	budget := cfg.TermsPerIteration
+	cap := cfg.MaxIndexTerms
 
 	// indexedScore returns the replacement-priority score of a currently
 	// indexed term: learned terms use Score; never-queried terms (initial
@@ -479,7 +433,7 @@ func (p *Peer) applyRankList(ctx context.Context, st *docState, publish func(ter
 	// unqueried term c is not worth indexing.
 	indexedScore := func(t string) (float64, float64) {
 		if ts, ok := st.stats[t]; ok {
-			return ts.score(p.net.cfg.Score), ts.maxQS
+			return ts.score(cfg.Score), ts.maxQS
 		}
 		return -1, -1
 	}
@@ -492,10 +446,9 @@ func (p *Peer) applyRankList(ctx context.Context, st *docState, publish func(ter
 			continue
 		}
 		if len(st.indexed) < cap {
-			if err := publish(cand.term); err != nil {
-				return changes, err
-			}
-			changes++
+			st.indexed[cand.term] = true
+			d.publish = append(d.publish, cand.term)
+			d.changes++
 			budget--
 			continue
 		}
@@ -510,13 +463,10 @@ func (p *Peer) applyRankList(ctx context.Context, st *docState, publish func(ter
 			}
 		}
 		if cand.score > worstScore || (cand.score == worstScore && cand.qs > worstQS) {
-			if err := p.unpublishTerm(ctx, st, worst); err != nil {
-				return changes, err
-			}
-			if err := publish(cand.term); err != nil {
-				return changes, err
-			}
-			changes++
+			d.retire(worst, cand.term)
+			st.indexed[cand.term] = true
+			d.publish = append(d.publish, cand.term)
+			d.changes++
 			budget--
 		} else {
 			// Candidates are sorted descending; nothing further can win.
@@ -539,14 +489,13 @@ func (p *Peer) applyRankList(ctx context.Context, st *docState, publish func(ter
 			if st.indexed[term] || st.banned[term] {
 				continue
 			}
-			if err := publish(term); err != nil {
-				return changes, err
-			}
-			changes++
+			st.indexed[term] = true
+			d.publish = append(d.publish, term)
+			d.changes++
 			budget--
 		}
 	}
-	return changes, nil
+	d.added = len(d.publish)
 }
 
 func distinctTerms(terms []string) []string {

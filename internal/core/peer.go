@@ -74,25 +74,26 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 	case publishReq:
 		var resp publishResp
 		for i, it := range req.Items {
-			if req.CheckArc && !p.node.Serves(chordid.HashKey(it.Term)) {
-				resp.Refused = append(resp.Refused, i)
+			switch {
+			case it.Withdraw:
+				p.indexing.unpublish(it.Term, it.Posting.Doc)
+				// Also shed any replica copy held locally: stale-withdrawal
+				// retries address the holder directly, and a former replica
+				// target must be able to clear its copy through the same item.
+				p.indexing.dropReplica(it.Term, it.Posting.Doc)
+				if stale := p.replicateDrop(it.Term, it.Posting.Doc); len(stale) > 0 {
+					resp.Answers = append(resp.Answers, publishAnswer{Item: i, Stale: stale})
+				}
+			case req.CheckArc && !p.node.Serves(chordid.HashKey(it.Term)):
+				resp.Answers = append(resp.Answers, publishAnswer{Item: i, Refused: true})
 				continue
+			default:
+				p.indexing.publish(it.Term, it.Posting)
+				p.replicateOut(it.Term, it.Posting)
 			}
-			p.indexing.publish(it.Term, it.Posting)
-			p.replicateOut(it.Term, it.Posting)
 			p.net.caches.invalidateTerm(it.Term)
 		}
-		reply.Payload, reply.Size = resp, 1+2*len(resp.Refused)
-
-	case unpublishReq:
-		p.indexing.unpublish(req.Term, req.Doc)
-		// Also shed any replica copy held locally: stale-withdrawal retries
-		// address the holder directly, and a former replica target must be
-		// able to clear its copy through the same message.
-		p.indexing.dropReplica(req.Term, req.Doc)
-		stale := p.replicateDrop(req.Term, req.Doc)
-		p.net.caches.invalidateTerm(req.Term)
-		reply.Payload, reply.Size = unpublishResp{StaleReplicas: stale}, 1+8*len(stale)
+		reply.Payload, reply.Size = resp, resp.size()
 
 	case getPostingsReq:
 		resp := getPostingsResp{Items: make([]postingsList, len(req.Terms))}
@@ -211,6 +212,9 @@ func (p *Peer) replicaTargets() []simnet.Addr {
 // best-effort calls, so they fan out.
 func (p *Peer) replicateOut(term string, posting index.Posting) {
 	targets := p.replicaTargets()
+	if len(targets) == 0 {
+		return
+	}
 	p.indexing.recordReplicaLocs(term, posting.Doc, targets)
 	fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) error {
 		p.send(ctx, dest{addr: targets[i]}, simnet.Message{ //nolint:errcheck // best-effort, see above
@@ -231,6 +235,9 @@ func (p *Peer) replicateOut(term string, posting index.Posting) {
 // operation addresses the entry at that peer.
 func (p *Peer) replicateDrop(term string, doc index.DocID) []simnet.Addr {
 	targets := mergeAddrs(p.indexing.takeReplicaLocs(term, doc), p.replicaTargets())
+	if len(targets) == 0 {
+		return nil
+	}
 	errs := fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) error {
 		_, _, err := p.send(ctx, dest{addr: targets[i]}, simnet.Message{
 			Type:    msgReplicaDrop,

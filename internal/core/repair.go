@@ -342,11 +342,11 @@ func (n *Network) Repair() RepairStats {
 	return st
 }
 
-// FlushStaleAll retries every owner's pending stale withdrawals and repairs
-// records orphaned by graceful departures: it sends only the overdue
-// unpublishes and the orphaned re-publishes. Heal sequences run it
-// after Repair so recovered holders shed withdrawn copies and owners whose
-// recorded holder left the network re-anchor those terms.
+// FlushStaleAll retries every owner's pending stale withdrawals, one withdraw
+// phase per document, and repairs records orphaned by graceful departures: it
+// sends only the overdue withdrawals and the orphaned re-publishes. Heal
+// sequences run it after Repair so recovered holders shed withdrawn copies and
+// owners whose recorded holder left the network re-anchor those terms.
 func (n *Network) FlushStaleAll() {
 	docs, owners := n.sharedDocs()
 	for i, id := range docs {
@@ -359,30 +359,11 @@ func (n *Network) FlushStaleAll() {
 			continue
 		}
 		st.mu.Lock()
-		n.dropDepartedStale(st)
-		p.flushStale(st)
+		d := &sweepDoc{p: p, id: id, st: st}
+		d.pullStale()
+		n.withdrawPhase(context.Background(), []*sweepDoc{d})
 		p.reclaimOrphans(st)
 		st.mu.Unlock()
-	}
-}
-
-// dropDepartedStale removes stale-withdrawal targets that no longer exist: a
-// gracefully departed peer never comes back, so the retry can never land —
-// its copies died with it (or were handed off and are ledgered elsewhere).
-// Caller holds st.mu.
-func (n *Network) dropDepartedStale(st *docState) {
-	for term, addrs := range st.stale {
-		kept := addrs[:0]
-		for _, a := range addrs {
-			if _, ok := n.Peer(a); ok {
-				kept = append(kept, a)
-			}
-		}
-		if len(kept) == 0 {
-			delete(st.stale, term)
-		} else {
-			st.stale[term] = kept
-		}
 	}
 }
 
@@ -442,14 +423,20 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 		return rep, fmt.Errorf("core: peer %q cannot leave gracefully while failed", addr)
 	}
 
-	// Owner role: the documents leave with their owner.
+	// Owner role: the documents leave with their owner, in one withdraw
+	// phase. Best-effort: unreachable holders keep copies until they die.
+	var mine []index.DocID
 	docs, owners := n.sharedDocs()
 	for i, id := range docs {
 		if owners[i] == p {
-			n.Unshare(id) //nolint:errcheck // best-effort: unreachable holders keep copies until they die
-			rep.Docs++
+			mine = append(mine, id)
 		}
 	}
+	p.unshare(mine...)
+	for _, id := range mine {
+		n.forget(id)
+	}
+	rep.Docs = len(mine)
 
 	// Indexing role: hand every primary entry to the first alive successor.
 	var succ simnet.Addr

@@ -102,16 +102,15 @@ func (p *Peer) fetching(stage string, dts, query []string, record bool, span *te
 			}
 			return simnet.Message{Type: msgGetPostings, Payload: req, Size: req.size()}
 		},
-		read: func(reply simnet.Message, at simnet.Addr, n int) ([]termFetch, []bool, error) {
+		read: func(reply simnet.Message, at simnet.Addr, got []termFetch, refused []bool) error {
 			resp, ok := reply.Payload.(getPostingsResp)
-			if !ok || len(resp.Items) != n {
-				return nil, nil, badReply(reply, at, n)
+			if !ok || len(resp.Items) != len(got) {
+				return badReply(reply, at, len(got))
 			}
-			out, refused := make([]termFetch, n), make([]bool, n)
 			for k, list := range resp.Items {
-				out[k], refused[k] = termFetch{resp: list, peer: at}, list.Refused
+				got[k], refused[k] = termFetch{resp: list, peer: at}, list.Refused
 			}
-			return out, refused, nil
+			return nil
 		},
 	}
 }

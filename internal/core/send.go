@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/chordid"
@@ -15,13 +16,15 @@ import (
 // This file is the one way out of a peer: nothing else in the package calls
 // the transport or routes on the ring (`make send-guard` checks). send
 // delivers one message, to an address or routed by a key. exchange runs the
-// batched protocols on top of it — the learning sweep's poll and publish
-// (§5.3), the query's get_postings (§4): each indexing peer a peer addresses
-// from its own records gets one request carrying every item bound there, the
-// receiver checks each item's key against its own arc (chord.Node.Serves) and
-// refuses what it does not serve, and every item a batch does not settle goes
-// alone by its key through send. A protocol is a request builder and a reply
-// reader, which the batch and the one-item route (protocol.route) share.
+// batched protocols on top of it — the learning sweep's poll, withdraw and
+// publish (§5.3), the query's get_postings (§4): each indexing peer a peer
+// addresses from its own records gets one request carrying every item bound
+// there, the receiver checks each item's key against its own arc
+// (chord.Node.Serves) and refuses what it does not serve, and every item a
+// batch does not settle goes alone by its key through send. Withdrawals are
+// the exception (protocol.pinned): they go only to the holder the owner's
+// record names. A protocol is a request builder and a reply reader, which the
+// batch and the one-item route (protocol.route) share.
 
 // dest is where send delivers a message: to addr, or — addr "" — to the peer
 // that serves key, routed by the ring (chord.Node.RouteVia) with hint, when
@@ -131,6 +134,10 @@ type protocol[T, R any] struct {
 	span      *telemetry.Span
 	resilient bool // deliver under the network's resilience policy
 	hinted    bool // a routed item names its holder as the route's hint
+	// pinned keeps an item that names a holder at that holder, the sender
+	// itself included: it goes in the holder's batch and nowhere else, and a
+	// batch that fails fails its items. Only an item naming none is routed.
+	pinned bool
 
 	from   func(T) *Peer       // the peer an item goes from
 	term   func(T) string      // the term whose key routes an item
@@ -138,63 +145,85 @@ type protocol[T, R any] struct {
 	// request builds the message carrying items to to — a batch's holder, a
 	// routed item's hint — with checkArc set for a batch.
 	request func(to simnet.Addr, items []T, checkArc bool) simnet.Message
-	// read reads at's reply to n items: each item's outcome and whether at
-	// refused it, or an error if it is no such reply.
-	read func(reply simnet.Message, at simnet.Addr, n int) ([]R, []bool, error)
+	// read reads at's reply to len(got) items into got — each item's outcome —
+	// and refused — whether at refused it — or returns an error if it is no
+	// such reply.
+	read func(reply simnet.Message, at simnet.Addr, got []R, refused []bool) error
 	// reask, when set, reports whether an item whose route was built for sent
 	// but served by served is asked again, directly, built for served.
 	reask func(it T, sent, served simnet.Addr) bool
 }
 
 // job is one request of an exchange: a peer's items bound for one holder, or
-// — holder "" — one item for the route; idx are the items' input positions.
-type job[T any] struct {
-	p      *Peer
-	holder simnet.Addr
-	items  []T
-	idx    []int
+// — holder "" — one item for the route. Its items lie contiguous in the
+// exchange's buffers: idx are their input positions, got and refused their
+// answers from the holder.
+type job[T, R any] struct {
+	p       *Peer
+	holder  simnet.Addr
+	items   []T
+	idx     []int
+	got     []R
+	refused []bool
 }
 
 // exchange sends items under pr and returns their outcomes in item order. It
 // makes each peer's items bound for one holder a batch, in order of first
-// appearance, and an item whose holder is unknown or the peer itself a job of
-// its own, and fans the jobs out. A job with a live holder goes as one batch
-// first, in a "batch" span annotated with the holder and the terms. Every item
-// it did not settle — refused, unanswered, bound for a dead holder or for
-// none — goes alone by its key (route) in a "term" span, counted in rerouted
-// when it had a holder; on a resilient protocol an item of a batch that failed
-// fails over from the holder, as it would had it been routed there. An item
-// whose job never ran (ctx done) gets ctx's error.
+// appearance, and an item whose holder is unknown or — unless pr is pinned —
+// the peer itself a job of its own, and fans the jobs out. A job with a live
+// holder goes as one batch first, in a "batch" span annotated with the holder
+// and the terms. Every item it did not settle — refused, unanswered, bound for
+// a dead holder or for none — goes alone by its key (route) in a "term" span,
+// counted in rerouted when it had a holder; on a resilient protocol an item of
+// a batch that failed fails over from the holder, as it would had it been
+// routed there. A pinned protocol's batch goes to its holder dead or alive,
+// and is all its items get. An item whose job never ran (ctx done) gets ctx's
+// error.
 func exchange[T, R any](ctx context.Context, items []T, pr *protocol[T, R]) ([]R, []error) {
-	out, errs := make([]R, len(items)), make([]error, len(items))
-	if len(items) == 0 {
+	n := len(items)
+	out, errs := make([]R, n), make([]error, n)
+	if n == 0 {
 		return out, errs
 	}
-	// A query exchanges a handful of items on every search, so the jobs share
-	// one allocation and a job of its own is a window on items.
-	idx := make([]int, len(items))
-	jobs := make([]job[T], 0, len(items))
+	// The jobs share one allocation per buffer: each job's items, input
+	// positions and answers are windows on them, laid out job by job and
+	// filled in item order. Items that come job by job already — one holder,
+	// each alone on the route, or a caller's grouping — fill windows on
+	// themselves, each item in its own place, and answer into out directly.
+	jobs := make([]job[T, R], 0, n)
+	of := make([]int, 3*n) // item i's job; job k's size at n+k; positions from 2n
 	batch := make(map[[2]simnet.Addr]int)
 	for i, it := range items {
-		idx[i] = i
 		p, h := pr.from(it), pr.holder(it)
-		if h == "" || h == p.Addr() {
-			jobs = append(jobs, job[T]{p: p, items: items[i : i+1 : i+1], idx: idx[i : i+1 : i+1]})
-			continue
+		if h == p.Addr() && !pr.pinned {
+			h = ""
 		}
-		k := [2]simnet.Addr{p.Addr(), h}
-		j, ok := batch[k]
-		if !ok {
-			j = len(jobs)
-			batch[k] = j
-			jobs = append(jobs, job[T]{p: p, holder: h})
+		key := [2]simnet.Addr{p.Addr(), h}
+		if k, ok := batch[key]; ok && h != "" {
+			of[i] = k
+		} else {
+			of[i], batch[key] = len(jobs), len(jobs)
+			jobs = append(jobs, job[T, R]{p: p, holder: h})
 		}
-		jobs[j].items = append(jobs[j].items, it)
-		jobs[j].idx = append(jobs[j].idx, i)
+		of[n+of[i]]++
 	}
-	failed := fanout.ForEach(ctx, jobs[0].p.net.exec, pr.stage, len(jobs), func(ctx context.Context, k int) error {
+	grouped := slices.IsSorted(of[:n])
+	buf, idx, got, refused := items, of[2*n:], out, make([]bool, n)
+	if !grouped {
+		buf, got = make([]T, n), make([]R, n)
+	}
+	for k, start := 0, 0; k < len(jobs); k++ {
+		j, end := &jobs[k], start+of[n+k]
+		j.items, j.idx, j.got, j.refused = buf[start:start:end], idx[start:start:end], got[start:end], refused[start:end]
+		start = end
+	}
+	for i, it := range items {
+		j := &jobs[of[i]]
+		j.items, j.idx = append(j.items, it), append(j.idx, i)
+	}
+	_, failed := fanout.Map(ctx, jobs[0].p.net.exec, pr.stage, len(jobs), func(ctx context.Context, k int) (struct{}, error) {
 		pr.settle(ctx, &jobs[k], out, errs)
-		return nil
+		return struct{}{}, nil
 	})
 	for k, err := range failed {
 		for _, i := range jobs[k].idx {
@@ -208,11 +237,9 @@ func exchange[T, R any](ctx context.Context, items []T, pr *protocol[T, R]) ([]R
 
 // settle runs one job of exchange, writing its items' outcomes into out and
 // errs at their positions.
-func (pr *protocol[T, R]) settle(ctx context.Context, j *job[T], out []R, errs []error) {
-	var got []R
-	var refused []bool
+func (pr *protocol[T, R]) settle(ctx context.Context, j *job[T, R], out []R, errs []error) {
 	var err error
-	sent := j.holder != "" && j.p.net.ring.Net().Alive(j.holder)
+	sent := j.holder != "" && (pr.pinned || j.p.net.ring.Net().Alive(j.holder))
 	if sent {
 		bsp := pr.span.StartChild("batch")
 		bsp.Annotate("indexing_peer", string(j.holder))
@@ -221,7 +248,7 @@ func (pr *protocol[T, R]) settle(ctx context.Context, j *job[T], out []R, errs [
 		}
 		var reply simnet.Message
 		if reply, _, err = j.p.send(ctx, dest{addr: j.holder}, pr.request(j.holder, j.items, true), policy{bsp, pr.resilient}); err == nil {
-			got, refused, err = pr.read(reply, j.holder, len(j.items))
+			err = pr.read(reply, j.holder, j.got, j.refused)
 		}
 		if err != nil {
 			bsp.Annotate("error", err.Error())
@@ -229,8 +256,12 @@ func (pr *protocol[T, R]) settle(ctx context.Context, j *job[T], out []R, errs [
 		bsp.Finish()
 	}
 	for m, it := range j.items {
-		if sent && err == nil && !refused[m] {
-			out[j.idx[m]] = got[m]
+		if sent && err == nil && !j.refused[m] {
+			out[j.idx[m]] = j.got[m]
+			continue
+		}
+		if sent && pr.pinned {
+			errs[j.idx[m]] = err
 			continue
 		}
 		var d dest
@@ -248,10 +279,14 @@ func (pr *protocol[T, R]) settle(ctx context.Context, j *job[T], out []R, errs [
 
 // route is the protocol's one-item form: it sends it alone through send,
 // routed by its term's key with d's failover state and attempts timed under
-// span, and returns the item's outcome and the peer that gave it.
+// span — or, pinned, straight to the holder it names — and returns the item's
+// outcome and the peer that gave it.
 func (pr *protocol[T, R]) route(ctx context.Context, it T, d dest, span *telemetry.Span) (R, simnet.Addr, error) {
 	p, items := pr.from(it), []T{it}
 	d.key = chordid.HashKey(pr.term(it))
+	if pr.pinned {
+		d.addr = pr.holder(it)
+	}
 	if pr.hinted {
 		d.hint = pr.holder(it)
 	}
@@ -259,13 +294,12 @@ func (pr *protocol[T, R]) route(ctx context.Context, it T, d dest, span *telemet
 	if err == nil && pr.reask != nil && pr.reask(it, d.hint, at) {
 		reply, _, err = p.send(ctx, dest{addr: at}, pr.request(at, items, false), policy{})
 	}
-	var got []R
+	var got [1]R
 	if err == nil {
-		got, _, err = pr.read(reply, at, 1)
+		err = pr.read(reply, at, got[:], make([]bool, 1))
 	}
 	if err != nil {
-		var zero R
-		return zero, "", err
+		return got[0], "", err
 	}
 	return got[0], at, nil
 }

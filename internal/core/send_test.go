@@ -116,16 +116,15 @@ func TestExchangeSettlesEveryItemOnce(t *testing.T) {
 					}
 					return simnet.Message{Type: "stub", Payload: req, Size: 1}
 				},
-				read: func(reply simnet.Message, at simnet.Addr, n int) ([]string, []bool, error) {
+				read: func(reply simnet.Message, at simnet.Addr, got []string, refused []bool) error {
 					resp, ok := reply.Payload.(stubResp)
-					if !ok || len(resp.Served) != n {
-						return nil, nil, badReply(reply, at, n)
+					if !ok || len(resp.Served) != len(got) {
+						return badReply(reply, at, len(got))
 					}
-					refused := make([]bool, n)
 					for k, s := range resp.Served {
-						refused[k] = s == ""
+						got[k], refused[k] = s, s == ""
 					}
-					return resp.Served, refused, nil
+					return nil
 				},
 			}
 			out, errs := exchange(context.Background(), items, pr)

@@ -11,7 +11,7 @@ import (
 )
 
 // Binary codecs for SPRITE's application payloads — the postings fetches,
-// publishes/unpublishes, polls, and replica pushes that carry nearly all of
+// publishes and withdrawals, polls, and replica pushes that carry nearly all of
 // the system's bytes (§1's index-construction and maintenance cost). Every
 // payload type core sends is registered here or in similar.go: over a
 // socket, a type without a codec is an encode error at the caller. The
@@ -23,18 +23,41 @@ func init() {
 			e.Uint(uint64(len(r.Items)))
 			for _, it := range r.Items {
 				e.String(it.Term)
-				encodePosting(e, it.Posting)
+				var flags uint64
+				if it.Withdraw {
+					flags |= itemWithdraw
+				}
+				only := it.Posting == index.Posting{Doc: it.Posting.Doc}
+				if only {
+					flags |= itemDocOnly
+				}
+				e.Uint(flags)
+				if only {
+					e.String(string(it.Posting.Doc))
+				} else {
+					encodePosting(e, it.Posting)
+				}
 			}
 			e.Bool(r.CheckArc)
 		},
 		func(d *wire.Decoder) any {
 			var r publishReq
-			// A term's length byte and a posting's five fields.
-			if n := d.Count(6); n > 0 {
+			// A term's length byte, the flags and a document's length byte.
+			if n := d.Count(3); n > 0 {
 				r.Items = make([]publishItem, n)
 				for i := range r.Items {
-					r.Items[i].Term = d.String()
-					r.Items[i].Posting = decodePosting(d)
+					it := &r.Items[i]
+					it.Term = d.String()
+					flags := d.Uint()
+					if flags&^(itemWithdraw|itemDocOnly) != 0 {
+						d.Fail(errors.New("core: unknown publish item flags"))
+					}
+					it.Withdraw = flags&itemWithdraw != 0
+					if flags&itemDocOnly != 0 {
+						it.Posting.Doc = index.DocID(d.String())
+					} else {
+						it.Posting = decodePosting(d)
+					}
 					if d.Err() != nil {
 						break
 					}
@@ -47,53 +70,40 @@ func init() {
 	wire.RegisterBinary(wire.KindCoreBase+23, publishResp{},
 		func(e *wire.Encoder, v any) {
 			r := v.(publishResp)
-			e.Uint(uint64(len(r.Refused)))
-			for _, i := range r.Refused {
-				e.Int(int64(i))
+			e.Uint(uint64(len(r.Answers)))
+			for _, a := range r.Answers {
+				e.Int(int64(a.Item))
+				e.Bool(a.Refused)
+				e.Uint(uint64(len(a.Stale)))
+				for _, h := range a.Stale {
+					e.String(string(h))
+				}
 			}
 		},
 		func(d *wire.Decoder) any {
 			var r publishResp
-			if n := d.Count(1); n > 0 {
-				r.Refused = make([]int, n)
-				for i := range r.Refused {
-					r.Refused[i] = int(d.Int())
+			// An item's position, its refusal flag and its holder count.
+			if n := d.Count(3); n > 0 {
+				r.Answers = make([]publishAnswer, n)
+				for i := range r.Answers {
+					a := &r.Answers[i]
+					a.Item = int(d.Int())
+					a.Refused = d.Bool()
+					if m := d.Count(1); m > 0 {
+						a.Stale = make([]simnet.Addr, m)
+						for j := range a.Stale {
+							a.Stale[j] = simnet.Addr(d.String())
+						}
+					}
+					if d.Err() != nil {
+						break
+					}
 				}
 			}
 			return r
 		})
 
-	wire.RegisterBinary(wire.KindCoreBase+1, unpublishReq{},
-		func(e *wire.Encoder, v any) {
-			r := v.(unpublishReq)
-			e.String(r.Term)
-			e.String(string(r.Doc))
-		},
-		func(d *wire.Decoder) any {
-			var r unpublishReq
-			r.Term = d.String()
-			r.Doc = index.DocID(d.String())
-			return r
-		})
-
-	wire.RegisterBinary(wire.KindCoreBase+2, unpublishResp{},
-		func(e *wire.Encoder, v any) {
-			r := v.(unpublishResp)
-			e.Uint(uint64(len(r.StaleReplicas)))
-			for _, a := range r.StaleReplicas {
-				e.String(string(a))
-			}
-		},
-		func(d *wire.Decoder) any {
-			var r unpublishResp
-			if n := d.Count(1); n > 0 {
-				r.StaleReplicas = make([]simnet.Addr, n)
-				for i := range r.StaleReplicas {
-					r.StaleReplicas[i] = simnet.Addr(d.String())
-				}
-			}
-			return r
-		})
+	// Kinds +1 and +2 are retired (sprite.unpublish's): do not reuse them.
 
 	wire.RegisterBinary(wire.KindCoreBase+3, getPostingsReq{},
 		func(e *wire.Encoder, v any) {
@@ -497,6 +507,14 @@ func init() {
 const (
 	pollRefused = 1 << iota
 	pollMissing
+)
+
+// Bits of a publish item's flags varint: the item withdraws its posting, and
+// the posting is nothing but its document (a withdrawal's), which alone goes
+// on the wire.
+const (
+	itemWithdraw = 1 << iota
+	itemDocOnly
 )
 
 // encodeList ships a postings list's blocks exactly as the index stores them,

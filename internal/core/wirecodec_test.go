@@ -7,30 +7,37 @@ import (
 	"testing"
 
 	"github.com/spritedht/sprite/internal/index"
+	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/wire"
 )
 
 // The wire forms of the learning sweep's list payloads, byte for byte, and
-// their round trip; a batch of one keeps the simulated size a single poll or
-// publish always had.
+// their round trip; a batch of one keeps the simulated size a single poll,
+// publish or unpublish always had.
 func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	posting := index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7}
 	one := publishReq{Items: []publishItem{{Term: "ab", Posting: posting}}, CheckArc: true}
 	poll := pollReq{Docs: []pollDoc{{Doc: "d1", DocTerms: []string{"ab", "cd"}, Terms: []pollTerm{{Term: "ab", Since: 300}}}}, CheckArc: true}
 	answer := pollResp{Items: []pollResult{{Queries: [][]string{{"ab", "x"}}, NewSince: 5, IndexedDF: 2}, {Refused: true}}}
 	missing := pollResp{Items: []pollResult{{Missing: true, NewSince: 5}, {Refused: true}}}
+	pull := publishReq{Items: []publishItem{{Term: "ab", Posting: index.Posting{Doc: "d1"}, Withdraw: true}}}
+	stale := publishResp{Answers: []publishAnswer{{Item: 1, Stale: []simnet.Addr{"p3", "p4"}}}}
 	for _, c := range []struct {
 		name   string
 		value  any
 		golden string
 	}{
-		// count, then per item the term and the posting (doc, owner, zig-zag
-		// freq and length, sketch), then the arc-check flag.
-		{"publishReq", one, "0010" + "01" + "026162" + "026431" + "027030" + "06" + "0e" + "00" + "01"},
+		// count, then per item the term, the flags (withdraw 1, posting is
+		// its document only 2) and the posting (doc, owner, zig-zag freq and
+		// length, sketch) — or only its doc — then the arc-check flag.
+		{"publishReq", one, "0010" + "01" + "026162" + "00" + "026431" + "027030" + "06" + "0e" + "00" + "01"},
 		{"publishReq/empty", publishReq{}, "0010" + "00" + "00"},
-		// the refused positions, zig-zag.
-		{"publishResp", publishResp{Refused: []int{0, 2}}, "0027" + "02" + "00" + "04"},
+		{"publishReq/withdraw", pull, "0010" + "01" + "026162" + "03" + "026431" + "00"},
+		// count, then per answer the zig-zag position, the refusal flag and
+		// the stale replica holders.
+		{"publishResp", publishResp{Answers: []publishAnswer{{Item: 0, Refused: true}, {Item: 2, Refused: true}}}, "0027" + "02" + "00" + "01" + "00" + "04" + "01" + "00"},
 		{"publishResp/none", publishResp{}, "0027" + "00"},
+		{"publishResp/stale", stale, "0027" + "01" + "02" + "00" + "02" + "027033" + "027034"},
 		// count, then per document its ID, its terms and its polled terms,
 		// each with its watermark (300 = ac 02), then the arc-check flag.
 		{"pollReq", poll, "0016" + "01" + "026431" + "02" + "026162" + "026364" + "01" + "026162" + "ac02" + "01"},
@@ -57,6 +64,9 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	if _, err := wire.DecodeBinary([]byte{0x00, 0x17, 0x01, 0x04, 0x00, 0x00, 0x00}); err == nil || !strings.Contains(err.Error(), "flags") {
 		t.Fatalf("poll reply with an unknown flag: %v, want a flags error", err)
 	}
+	if _, err := wire.DecodeBinary([]byte{0x00, 0x10, 0x01, 0x02, 0x61, 0x62, 0x07, 0x02, 0x64, 0x31, 0x00}); err == nil || !strings.Contains(err.Error(), "flags") {
+		t.Fatalf("publish item with an unknown flag: %v, want a flags error", err)
+	}
 
 	// A single item's simulated size is the one it had before batching.
 	if got, want := one.size(), len("ab")+posting.WireSize(); got != want {
@@ -67,6 +77,17 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	}
 	if got, want := (pollResp{Items: answer.Items[:1]}).size(), 8+sizeTerms([]string{"ab", "x"}); got != want {
 		t.Fatalf("poll reply of one item: Size %d, want %d", got, want)
+	}
+	// A withdrawal of one item costs what a sprite.unpublish did: its term
+	// and document, and a reply of a byte and eight per stale replica holder.
+	if got, want := pull.size(), len("ab")+len("d1"); got != want {
+		t.Fatalf("withdrawal of one item: Size %d, want %d", got, want)
+	}
+	if got, want := (publishResp{Answers: []publishAnswer{{Stale: []simnet.Addr{"p3", "p4"}}}}).size(), 1+8*2; got != want {
+		t.Fatalf("withdrawal reply with two stale holders: Size %d, want %d", got, want)
+	}
+	if got, want := (publishResp{}).size(), 1; got != want {
+		t.Fatalf("withdrawal reply: Size %d, want %d", got, want)
 	}
 }
 

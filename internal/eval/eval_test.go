@@ -724,6 +724,10 @@ func TestRunLearnCost(t *testing.T) {
 	if len(res.Iterations) != 5 {
 		t.Fatalf("iterations = %v", res.Iterations)
 	}
+	// An unshare sends each remote holder of the document one message.
+	if last := res.TermsPerDoc[len(res.TermsPerDoc)-1]; res.UnshareMsgsPerDoc <= 0 || res.UnshareMsgsPerDoc > last {
+		t.Fatalf("unshare cost %.2f msgs/doc, want some, at most one per indexed term (%.2f)", res.UnshareMsgsPerDoc, last)
+	}
 	for i := range res.Iterations {
 		if res.MsgsPerDoc[i] <= 0 {
 			t.Fatalf("iteration %d reported no traffic", res.Iterations[i])

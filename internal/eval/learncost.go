@@ -1,5 +1,7 @@
 package eval
 
+import "fmt"
+
 // LearnCostResult quantifies the §1 maintenance-cost argument over time: the
 // DHT traffic of each learning iteration (polls + publications + removals),
 // per document, as the index grows from the initial F terms toward the cap.
@@ -17,10 +19,14 @@ type LearnCostResult struct {
 	FullMsgsPerDoc float64
 	// AvgHops is the measured mean routing cost per DHT operation.
 	AvgHops float64
+	// UnshareMsgsPerDoc is the traffic per document of unsharing every
+	// document after the last iteration.
+	UnshareMsgsPerDoc float64
 }
 
 // RunLearnCost trains the default deployment and measures the message cost
-// of each of the first five learning iterations.
+// of each of the first five learning iterations, then of unsharing every
+// document.
 func RunLearnCost(cfg Config) (*LearnCostResult, error) {
 	cfg = cfg.fillDefaults()
 	cfg.Core.TermsPerIteration = 5
@@ -52,7 +58,7 @@ func RunLearnCost(cfg Config) (*LearnCostResult, error) {
 		res.Iterations = append(res.Iterations, iter)
 		res.MsgsPerDoc = append(res.MsgsPerDoc, float64(stats.Calls)/docs)
 		totalHops += stats.CallsByType["chord.next_hop"]
-		hopOps += stats.CallsByType["sprite.poll"] + stats.CallsByType["sprite.publish"] + stats.CallsByType["sprite.unpublish"]
+		hopOps += stats.CallsByType["sprite.poll"] + stats.CallsByType["sprite.publish"]
 
 		terms := 0
 		for _, id := range dep.Net.Documents() {
@@ -67,6 +73,14 @@ func RunLearnCost(cfg Config) (*LearnCostResult, error) {
 	if hopOps > 0 {
 		res.AvgHops = float64(totalHops) / float64(hopOps)
 	}
+
+	dep.Sim.ResetStats()
+	for _, id := range dep.Net.Documents() {
+		if err := dep.Net.Unshare(id); err != nil {
+			return nil, err
+		}
+	}
+	res.UnshareMsgsPerDoc = float64(dep.Sim.Stats().Calls) / docs
 
 	// Analytic full-index maintenance: every distinct term of every document
 	// polled once per period, each poll costing (avg hops + 1) messages.
@@ -85,7 +99,10 @@ func (r *LearnCostResult) Report() *Report {
 		Title: "Learning/maintenance traffic per document per iteration (§1 cost argument)",
 		Columns: []Column{{"iteration", 0}, {"msgs_per_doc", 2}, {"terms_per_doc", 2},
 			{"full_msgs_per_doc", 2}, {"avg_hops", 2}},
-		Notes: []string{"full_msgs_per_doc is analytic: every distinct term of a document polled once per period at avg_hops + 1 messages."},
+		Notes: []string{
+			"full_msgs_per_doc is analytic: every distinct term of a document polled once per period at avg_hops + 1 messages.",
+			fmt.Sprintf("unsharing every document after iteration %d: %.2f msgs/doc.", len(r.Iterations), r.UnshareMsgsPerDoc),
+		},
 	}
 	for i, iter := range r.Iterations {
 		rep.Rows = append(rep.Rows, []any{iter, r.MsgsPerDoc[i], r.TermsPerDoc[i], r.FullMsgsPerDoc, r.AvgHops})

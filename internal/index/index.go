@@ -66,21 +66,16 @@ func (p Posting) WireSize() int {
 		uvarintLen(uint64(len(p.Sketch))) + len(p.Sketch)
 }
 
-// termList is one term's postings: a sequence of immutable encoded blocks
-// with ascending, disjoint doc-ID ranges. The struct itself is immutable
-// too — mutations build a fresh termList sharing the untouched blocks — so
-// an Encoded snapshot is a plain three-word copy.
-type termList struct {
-	blocks []*block
-	n      int // postings across all blocks
-	bytes  int // encoded bytes across all blocks
-}
-
 // Inverted is an in-memory inverted index over block-compressed postings:
 // term → immutable block sequence. The zero value is not ready to use;
 // create with NewInverted.
 type Inverted struct {
-	lists    map[string]*termList
+	// lists holds each term's postings: a sequence of immutable encoded
+	// blocks with ascending, disjoint doc-ID ranges, stored by value —
+	// mutations install a fresh block slice sharing the untouched blocks — so
+	// an Encoded snapshot is a plain three-word copy. A term with no postings
+	// has no entry.
+	lists    map[string]Encoded
 	docs     map[DocID]int // postings held per document
 	postings int
 
@@ -96,7 +91,7 @@ type Inverted struct {
 // NewInverted returns an empty index.
 func NewInverted() *Inverted {
 	return &Inverted{
-		lists: make(map[string]*termList),
+		lists: make(map[string]Encoded),
 		docs:  make(map[DocID]int),
 	}
 }
@@ -152,7 +147,7 @@ func rebuild(ps []Posting) []*block {
 // install replaces block bi of term's list with repl — none, one, or the two
 // halves of a split — in a fresh block slice (snapshots hold the old one),
 // moving the list's totals by the difference. A list left empty is deleted.
-func (ix *Inverted) install(term string, tl *termList, bi int, repl ...*block) {
+func (ix *Inverted) install(term string, tl Encoded, bi int, repl ...*block) {
 	old := tl.blocks[bi]
 	n, bytes := tl.n-old.n, tl.bytes-len(old.data)
 	for _, b := range repl {
@@ -167,7 +162,7 @@ func (ix *Inverted) install(term string, tl *termList, bi int, repl ...*block) {
 	blocks = append(blocks, tl.blocks[:bi]...)
 	blocks = append(blocks, repl...)
 	blocks = append(blocks, tl.blocks[bi+1:]...)
-	ix.lists[term] = &termList{blocks: blocks, n: n, bytes: bytes}
+	ix.lists[term] = Encoded{blocks: blocks, n: n, bytes: bytes}
 }
 
 // Add inserts a posting for term. Adding the same (term, doc) pair twice
@@ -192,16 +187,16 @@ func (ix *Inverted) Add(term string, p Posting) { ix.Put(term, p) }
 func (ix *Inverted) Put(term string, p Posting) (replaced bool) {
 	tl := ix.lists[term]
 	switch {
-	case tl == nil:
+	case tl.n == 0:
 		b := encodeBlock([]Posting{p})
-		ix.lists[term] = &termList{blocks: []*block{b}, n: 1, bytes: len(b.data)}
+		ix.lists[term] = Encoded{blocks: []*block{b}, n: 1, bytes: len(b.data)}
 	case p.Doc > tl.blocks[len(tl.blocks)-1].last && tl.blocks[len(tl.blocks)-1].n >= blockMax:
 		// The tail block is full: seal it and start the next.
 		b := encodeBlock([]Posting{p})
 		blocks := make([]*block, len(tl.blocks)+1)
 		copy(blocks, tl.blocks)
 		blocks[len(tl.blocks)] = b
-		ix.lists[term] = &termList{blocks: blocks, n: tl.n + 1, bytes: tl.bytes + len(b.data)}
+		ix.lists[term] = Encoded{blocks: blocks, n: tl.n + 1, bytes: tl.bytes + len(b.data)}
 	default:
 		bi := min(searchBlocks(tl.blocks, p.Doc), len(tl.blocks)-1)
 		old := tl.blocks[bi]
@@ -232,13 +227,13 @@ func (ix *Inverted) Put(term string, p Posting) (replaced bool) {
 // it was found. SPRITE's learning removes obsolete terms this way (§5.3).
 func (ix *Inverted) Remove(term string, doc DocID) bool {
 	tl := ix.lists[term]
-	return tl != nil && ix.removeFrom(term, tl, doc)
+	return tl.n > 0 && ix.removeFrom(term, tl, doc)
 }
 
 // removeFrom drops doc from term's list, installing the list's successor (or
 // deleting the term when its last posting goes). Reports whether doc was
 // present.
-func (ix *Inverted) removeFrom(term string, tl *termList, doc DocID) bool {
+func (ix *Inverted) removeFrom(term string, tl Encoded, doc DocID) bool {
 	bi := searchBlocks(tl.blocks, doc)
 	if bi == len(tl.blocks) || tl.blocks[bi].first > doc {
 		return false
@@ -294,7 +289,7 @@ func (ix *Inverted) Replace(term string, list Encoded) error {
 	ix.count(list, 1)
 	delete(ix.lists, term)
 	if list.n > 0 {
-		ix.lists[term] = &termList{blocks: list.blocks, n: list.n, bytes: list.bytes}
+		ix.lists[term] = list
 	}
 	return nil
 }
@@ -314,13 +309,7 @@ func (ix *Inverted) count(list Encoded, delta int) {
 // zero-copy form that is cached, shipped on the wire, and decoded lazily at
 // the querier. The zero Encoded (empty list) is returned for unindexed
 // terms.
-func (ix *Inverted) Encoded(term string) Encoded {
-	tl := ix.lists[term]
-	if tl == nil {
-		return Encoded{}
-	}
-	return Encoded{blocks: tl.blocks, n: tl.n, bytes: tl.bytes}
-}
+func (ix *Inverted) Encoded(term string) Encoded { return ix.lists[term] }
 
 // All iterates term's postings in ascending doc-ID order, decoding one
 // posting at a time. The sequence is a snapshot: mutations made while
@@ -340,24 +329,17 @@ func (ix *Inverted) Cursor(term string) *Cursor {
 // frequency* n'_k of §4 — the count of documents that chose the term as a
 // global index term, not the corpus-wide document frequency.
 func (ix *Inverted) DocFreq(term string) int {
-	tl := ix.lists[term]
-	if tl == nil {
-		return 0
-	}
-	return tl.n
+	return ix.lists[term].n
 }
 
 // Has reports whether term has at least one posting.
-func (ix *Inverted) Has(term string) bool { return ix.lists[term] != nil }
+func (ix *Inverted) Has(term string) bool { return ix.lists[term].n > 0 }
 
 // Contains reports whether term's list holds a posting of doc: a binary search
 // over the blocks' doc-ID ranges, then a walk of one block's front-coded doc
 // IDs. The walk uses the index's scratch space: it needs Add's exclusive access.
 func (ix *Inverted) Contains(term string, doc DocID) bool {
 	tl := ix.lists[term]
-	if tl == nil {
-		return false
-	}
 	bi := searchBlocks(tl.blocks, doc)
 	if bi == len(tl.blocks) || tl.blocks[bi].first > doc {
 		return false

@@ -35,8 +35,7 @@ func (ix *Inverted) TermsInArc(arc chordid.Arc) []string {
 // equal (an FNV fold over any input is nonzero in practice, and the empty
 // list is represented by absence).
 func (ix *Inverted) TermDigest(term string) uint64 {
-	tl := ix.lists[term]
-	if tl == nil || tl.n == 0 {
+	if ix.lists[term].n == 0 {
 		return 0
 	}
 	h := fnv.New64a()

@@ -14,7 +14,7 @@ import (
 func checkCanonical(t *testing.T, ix *Inverted, term string) {
 	t.Helper()
 	tl := ix.lists[term]
-	if tl == nil {
+	if tl.n == 0 {
 		return
 	}
 	n, size := 0, 0
@@ -103,7 +103,7 @@ func TestSpliceCanonicalForm(t *testing.T) {
 			// The block the write will land in, as index.go picks it.
 			var before []Posting
 			fresh := true // the write edits no existing block
-			if tl := ix.lists[term]; tl != nil {
+			if tl := ix.lists[term]; tl.n > 0 {
 				bi := min(searchBlocks(tl.blocks, p.Doc), len(tl.blocks)-1)
 				tail := tl.blocks[len(tl.blocks)-1]
 				if !(p.Doc > tail.last && tail.n >= blockMax) {

@@ -197,6 +197,30 @@ func FuzzBinaryProtocol(f *testing.F) {
 		items.Index(1).FieldByName("Refused").SetBool(true)
 		v.FieldByName("Items").Set(items)
 	}), uint8(2))
+	// A publish carrying a withdrawal beside a posting, and a reply naming a
+	// refusal and a withdrawal's stale replica holders, so that the mutator
+	// starts from the item flags varint and the reply's answer list.
+	f.Add(protocolSeed(f, "publishReq", func(v reflect.Value) {
+		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 2, 2)
+		items.Index(0).FieldByName("Term").SetString("chord")
+		items.Index(0).FieldByName("Posting").FieldByName("Doc").SetString("d1")
+		items.Index(0).FieldByName("Withdraw").SetBool(true)
+		items.Index(1).FieldByName("Term").SetString("ring")
+		items.Index(1).FieldByName("Posting").FieldByName("Doc").SetString("d2")
+		items.Index(1).FieldByName("Posting").FieldByName("Owner").SetString("p3")
+		items.Index(1).FieldByName("Posting").FieldByName("Freq").SetInt(2)
+		v.FieldByName("Items").Set(items)
+	}), uint8(4))
+	f.Add(protocolSeed(f, "publishResp", func(v reflect.Value) {
+		answers := reflect.MakeSlice(v.FieldByName("Answers").Type(), 2, 2)
+		answers.Index(0).FieldByName("Refused").SetBool(true)
+		answers.Index(1).FieldByName("Item").SetInt(1)
+		stale := answers.Index(1).FieldByName("Stale")
+		stale.Set(reflect.MakeSlice(stale.Type(), 2, 2))
+		stale.Index(0).SetString("p4")
+		stale.Index(1).SetString("p9")
+		v.FieldByName("Answers").Set(answers)
+	}), uint8(6))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint8) {
 		protos := wire.BinaryPrototypes()
 		if len(protos) == 0 {
