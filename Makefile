@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
+.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity similarity-check examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -215,6 +215,19 @@ smoke-similarity:
 	$(GO) test -race ./internal/sketch/
 	$(GO) test -race -run 'Similar' ./internal/core/ ./internal/ir/ ./internal/eval/ .
 	$(GO) run ./cmd/spritebench -similarity-tiers 1000 -similarity-peers 128 -similarity-queries 20 similarity
+
+# Similarity baseline guard: BENCH_similarity.json is the output of
+# `go run ./cmd/spritebench -json similarity` (≈ 16 s on 2 cores). Rerun it
+# and fail if any column other than wall_ms — the tier's real time — differs
+# from the committed file on either tier, so a change that moves the routed or
+# flooding arm's numbers regenerates the baseline in the same commit.
+SIMILARITY_FIELDS = [.[] | .experiment, (.report | .columns as $$c | ([$$c[] | select(. != "wall_ms")]), (.rows[] | [range(length) as $$i | select($$c[$$i] != "wall_ms") | .[$$i]]))]
+
+similarity-check:
+	@want=$$(jq -c '$(SIMILARITY_FIELDS)' BENCH_similarity.json) || exit 1; \
+	got=$$($(GO) run ./cmd/spritebench -json similarity | jq -c '$(SIMILARITY_FIELDS)') || exit 1; \
+	echo "similarity: $$got"; \
+	[ -n "$$got" ] && [ "$$got" = "$$want" ] || { echo "similarity-check: BENCH_similarity.json reads $$want"; exit 1; }
 
 # Examples smoke: each simulator example must print exactly its committed
 # examples/<name>/expected.txt — rankings, learned terms, message counts and
