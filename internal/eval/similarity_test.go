@@ -3,9 +3,10 @@ package eval
 import "testing"
 
 // TestRunSimilaritySmoke exercises the similarity benchmark end to end at
-// unit-test size and pins its structural contract: both arms answer every
-// query, the flooding arm bills one scan per remote peer, the routed arm
-// stays under it, and recall against the exact oracle is sane for both.
+// unit-test size and pins its contract: both arms answer every query, the
+// flooding arm's messages, bytes and recall equal the readings of the
+// network protocol it once was, and the refined routed arm's recall against
+// the exact oracle is not below the flood's.
 func TestRunSimilaritySmoke(t *testing.T) {
 	cfg := tiny()
 	res, err := RunSimilarity(cfg, []int{300}, 32, 10)
@@ -19,9 +20,17 @@ func TestRunSimilaritySmoke(t *testing.T) {
 	if tier.Docs != 300 || tier.Peers != 32 || tier.Queries != 10 {
 		t.Fatalf("tier shape wrong: %+v", tier)
 	}
-	// One sketch scan per remote peer: the issuer's self-scan is free.
-	if tier.FloodMsgs != 31 {
-		t.Errorf("flood msgs/query = %v, want 31", tier.FloodMsgs)
+	// The flood arm's bill and recall, pinned exactly: one sketch scan per
+	// remote peer (the issuer's self-scan is free), each reply carrying its
+	// peer's owned documents and sketches.
+	const (
+		wantFloodMsgs   = 31
+		wantFloodBytes  = 300792
+		wantFloodRecall = 0.74
+	)
+	if tier.FloodMsgs != wantFloodMsgs || tier.FloodBytes != wantFloodBytes || tier.FloodRecall != wantFloodRecall {
+		t.Errorf("flood msgs/bytes/recall per query = %v / %v / %v, want %v / %v / %v",
+			tier.FloodMsgs, tier.FloodBytes, tier.FloodRecall, wantFloodMsgs, wantFloodBytes, wantFloodRecall)
 	}
 	// The routed arm's bill is bounded by its parts: route-term lookups plus
 	// at most Refine term-vector fetches per query. (At this toy scale the
