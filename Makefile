@@ -220,7 +220,8 @@ smoke-similarity:
 # `go run ./cmd/spritebench -json similarity` (≈ 16 s on 2 cores). Rerun it
 # and fail if any column other than wall_ms — the tier's real time — differs
 # from the committed file on either tier, so a change that moves the routed or
-# flooding arm's numbers regenerates the baseline in the same commit.
+# flooding arm's numbers regenerates the baseline in the same commit. Both
+# sides are read with jq, which prints each number the same way.
 SIMILARITY_FIELDS = [.[] | .experiment, (.report | .columns as $$c | ([$$c[] | select(. != "wall_ms")]), (.rows[] | [range(length) as $$i | select($$c[$$i] != "wall_ms") | .[$$i]]))]
 
 similarity-check:

@@ -122,7 +122,6 @@ type netMetrics struct {
 	termsRetired     *telemetry.Counter
 	expansionRounds  *telemetry.Counter
 	simSearches      *telemetry.Counter
-	simFloods        *telemetry.Counter
 	simCandidates    *telemetry.Counter
 	retries          *telemetry.Counter
 	failovers        *telemetry.Counter
@@ -155,7 +154,6 @@ func newNetMetrics(reg *telemetry.Registry) netMetrics {
 		termsRetired:     reg.Counter("sprite.index.terms_retired"),
 		expansionRounds:  reg.Counter("sprite.search.expansions"),
 		simSearches:      reg.Counter("sprite.similar.searches"),
-		simFloods:        reg.Counter("sprite.similar.floods"),
 		simCandidates:    reg.Counter("sprite.similar.candidates"),
 		retries:          reg.Counter("sprite.resilience.retries"),
 		failovers:        reg.Counter("sprite.resilience.failovers"),

@@ -36,7 +36,7 @@ type docState struct {
 	doc *corpus.Document
 	// sketch is the document's serialized feature sketch, computed once at
 	// share time ("" when sketching is disabled) and immutable afterwards —
-	// readers outside mu (publish fan-outs, the flooding scan) rely on that.
+	// readers outside mu (publish fan-outs, DocSketch) rely on that.
 	sketch string
 	// indexed is the current set of global index terms.
 	indexed map[string]bool

@@ -153,10 +153,6 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 	case replicaRetireReq:
 		p.handleReplicaRetire(req)
 
-	case sketchScanReq:
-		resp := p.handleSketchScan()
-		reply.Payload, reply.Size = resp, sketchScanSize(resp)
-
 	default:
 		return simnet.Message{}, fmt.Errorf("core: peer %s: no handler for %q carrying %T", p.Addr(), msg.Type, msg.Payload)
 	}

@@ -8,11 +8,9 @@ import (
 	"sort"
 
 	"github.com/spritedht/sprite/internal/corpus"
-	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
-	"github.com/spritedht/sprite/internal/wire"
 )
 
 // This file implements the vector-similarity query path over the SPRITE
@@ -30,59 +28,13 @@ import (
 //     sketch against X's sketch, streamed through ir.SketchRanker straight
 //     off the compressed blocks.
 //
-// The flooding baseline (FloodSimilarCtx) asks every peer for the sketches of
-// the documents it owns — one message per peer — and ranks them all. It is
-// exact over reachable owners and exists as the measurement control: the
-// spritebench similarity experiment compares its message bill against the
-// term-routed path's at matched recall.
+// The experiment's flooding baseline is not a protocol: it is every owner's
+// document sketches ranked centrally, computed by internal/eval from
+// Network.DocSketch and Network.Owner.
 
 // ErrSketchDisabled reports a similarity query against a network whose
 // Config.Sketch is disabled.
 var ErrSketchDisabled = errors.New("core: sketching disabled (enable Config.Sketch)")
-
-// msgSketchScan asks a peer for the (doc ID, sketch) pairs of every document
-// it owns — the flooding baseline's per-peer read.
-const msgSketchScan = "sprite.sketch_scan"
-
-type sketchScanReq struct{}
-
-// docSketch is one owned document's identity and serialized sketch.
-type docSketch struct {
-	Doc    index.DocID
-	Sketch string
-}
-
-type sketchScanResp struct {
-	// Docs lists the peer's owned documents in ascending doc-ID order.
-	Docs []docSketch
-}
-
-func init() {
-	wire.RegisterBinary(wire.KindCoreBase+21, sketchScanReq{},
-		func(e *wire.Encoder, v any) {},
-		func(d *wire.Decoder) any { return sketchScanReq{} })
-
-	wire.RegisterBinary(wire.KindCoreBase+22, sketchScanResp{},
-		func(e *wire.Encoder, v any) {
-			r := v.(sketchScanResp)
-			e.Uint(uint64(len(r.Docs)))
-			for _, ds := range r.Docs {
-				e.String(string(ds.Doc))
-				e.String(ds.Sketch)
-			}
-		},
-		func(d *wire.Decoder) any {
-			var r sketchScanResp
-			if n := d.Count(2); n > 0 {
-				r.Docs = make([]docSketch, n)
-				for i := range r.Docs {
-					r.Docs[i].Doc = index.DocID(d.String())
-					r.Docs[i].Sketch = d.String()
-				}
-			}
-			return r
-		})
-}
 
 // docSketchFor serializes doc's sketch under the network configuration (""
 // when sketching is disabled).
@@ -329,79 +281,4 @@ func exactCosine(qw map[string]float64, qn float64, tf map[string]int) float64 {
 		return 0
 	}
 	return dot / (qn * math.Sqrt(n2))
-}
-
-// FloodSimilarCtx is the flooding baseline: ask every peer for its owned
-// documents' sketches (one message per peer, the querying peer's own
-// documents included via a self-call) and rank all of them against doc's
-// sketch. Exact over reachable owners, at a message bill linear in network
-// size — the control arm of BENCH_similarity.json. Peers that cannot be
-// reached contribute nothing, mirroring the routed path's degraded mode; a
-// done ctx aborts the flood.
-func (n *Network) FloodSimilarCtx(ctx context.Context, from simnet.Addr, doc index.DocID, k int) (ir.RankedList, error) {
-	qsketch, _, _, err := n.similarQuery(doc)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := n.Peer(from)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchPeer, from)
-	}
-	n.met.simFloods.Inc()
-	peers := n.Peers()
-	outs, errs := fanout.Map(ctx, n.exec, "sim_flood", len(peers), func(ctx context.Context, i int) (sketchScanResp, error) {
-		reply, at, err := p.send(ctx, dest{addr: peers[i].Addr()}, simnet.Message{
-			Type:    msgSketchScan,
-			Payload: sketchScanReq{},
-			Size:    1,
-		}, policy{})
-		if err != nil {
-			return sketchScanResp{}, err
-		}
-		resp, ok := reply.Payload.(sketchScanResp)
-		if !ok {
-			return resp, badReply(reply, at, 1)
-		}
-		return resp, nil
-	})
-	r := ir.NewSketchRanker([]byte(qsketch), k)
-	for i := range peers {
-		if errs[i] != nil {
-			if ctx.Err() != nil {
-				return nil, fmt.Errorf("core: flood scan %s: %w", peers[i].Addr(), errs[i])
-			}
-			continue
-		}
-		for _, ds := range outs[i].Docs {
-			if ds.Doc == doc {
-				continue
-			}
-			r.Offer([]byte(ds.Doc), []byte(ds.Sketch))
-		}
-	}
-	return r.Ranked(), nil
-}
-
-// handleSketchScan answers the flooding baseline's per-peer read: the
-// sketches of every document this peer owns, in ascending doc-ID order.
-// docState.sketch is immutable after share, so only the membership lock is
-// needed.
-func (p *Peer) handleSketchScan() sketchScanResp {
-	p.mu.Lock()
-	docs := make([]docSketch, 0, len(p.owned))
-	for id, st := range p.owned {
-		docs = append(docs, docSketch{Doc: id, Sketch: st.sketch})
-	}
-	p.mu.Unlock()
-	sort.Slice(docs, func(i, j int) bool { return docs[i].Doc < docs[j].Doc })
-	return sketchScanResp{Docs: docs}
-}
-
-// sketchScanSize is the response's simulated wire size.
-func sketchScanSize(r sketchScanResp) int {
-	n := 1
-	for _, ds := range r.Docs {
-		n += len(ds.Doc) + len(ds.Sketch) + 2
-	}
-	return n
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -64,21 +63,6 @@ func exactRanking(t *testing.T, n *Network, qdoc index.DocID, ids []index.DocID,
 	}
 	rl.Sort()
 	return rl.Top(k)
-}
-
-func TestFloodSimilarMatchesExactRanking(t *testing.T) {
-	n := testNetwork(t, 8, Config{InitialTerms: 3, Sketch: sketchConfig()})
-	ids := similarCorpus(t, n)
-	for _, q := range ids {
-		got, err := n.FloodSimilarCtx(context.Background(), "p3", q, 10)
-		if err != nil {
-			t.Fatalf("FloodSimilarCtx(%s): %v", q, err)
-		}
-		want := exactRanking(t, n, q, ids, 10)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("flood ranking for %s diverges\n got %v\nwant %v", q, got, want)
-		}
-	}
 }
 
 func TestSearchSimilarFindsNeighbors(t *testing.T) {
@@ -223,9 +207,6 @@ func TestSearchSimilarErrors(t *testing.T) {
 	if _, err := off.SearchSimilarCtx(context.Background(), "p1", "x", 5); !errors.Is(err, ErrSketchDisabled) {
 		t.Fatalf("disabled: err = %v, want ErrSketchDisabled", err)
 	}
-	if _, err := off.FloodSimilarCtx(context.Background(), "p1", "x", 5); !errors.Is(err, ErrSketchDisabled) {
-		t.Fatalf("disabled flood: err = %v, want ErrSketchDisabled", err)
-	}
 
 	on := testNetwork(t, 4, Config{InitialTerms: 2, Sketch: sketchConfig()})
 	if _, err := on.SearchSimilarCtx(context.Background(), "p1", "ghost", 5); !errors.Is(err, ErrNoSuchDoc) {
@@ -272,63 +253,14 @@ func TestSearchSimilarRecordsHistoryProbeDoesNot(t *testing.T) {
 	}
 }
 
-func TestFloodSimilarMessageBill(t *testing.T) {
-	// The baseline's cost model: one sketch-scan call per peer. The querying
-	// peer scans itself through the same path, but a self-call is free under
-	// simnet's default accounting, so the wire bill is N-1.
-	n := testNetwork(t, 12, Config{InitialTerms: 2, Sketch: sketchConfig()})
-	similarCorpus(t, n)
-	net := n.Ring().Net().(*simnet.Network)
-	net.ResetStats()
-	if _, err := n.FloodSimilarCtx(context.Background(), "p0", "d1", 5); err != nil {
-		t.Fatal(err)
-	}
-	if got := net.Stats().CallsByType[msgSketchScan]; got != 11 {
-		t.Fatalf("sketch scans = %d, want 11 (one per remote peer)", got)
-	}
-}
-
-func TestSketchScanHandlerSortedAndComplete(t *testing.T) {
-	n := testNetwork(t, 4, Config{InitialTerms: 2, Sketch: sketchConfig()})
-	for i := 0; i < 9; i++ {
-		// All on one peer, shared in scrambled ID order.
-		id := fmt.Sprintf("s%d", (i*4)%9)
-		if err := n.ShareCtx(context.Background(), "p1", doc(id, map[string]int{"w": i + 1})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p, _ := n.Owner("s0")
-	resp := p.handleSketchScan()
-	if len(resp.Docs) != 9 {
-		t.Fatalf("scan returned %d docs, want 9", len(resp.Docs))
-	}
-	for i := 1; i < len(resp.Docs); i++ {
-		if resp.Docs[i-1].Doc >= resp.Docs[i].Doc {
-			t.Fatalf("scan not sorted: %v", resp.Docs)
-		}
-	}
-	for _, ds := range resp.Docs {
-		want, ok := n.DocSketch(ds.Doc)
-		if !ok || ds.Sketch != want {
-			t.Fatalf("scan sketch for %s diverges from owner state", ds.Doc)
-		}
-	}
-}
-
 func TestSimilarMetrics(t *testing.T) {
 	n, reg := telemetryNetwork(t, 6, Config{InitialTerms: 3, Sketch: sketchConfig()})
 	similarCorpus(t, n)
 	if _, err := n.SearchSimilarCtx(context.Background(), "p0", "d0", 5); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.FloodSimilarCtx(context.Background(), "p0", "d0", 5); err != nil {
-		t.Fatal(err)
-	}
 	if got := reg.Counter("sprite.similar.searches").Value(); got != 1 {
 		t.Fatalf("similar.searches = %d, want 1", got)
-	}
-	if got := reg.Counter("sprite.similar.floods").Value(); got != 1 {
-		t.Fatalf("similar.floods = %d, want 1", got)
 	}
 	if got := reg.Counter("sprite.similar.candidates").Value(); got < 1 {
 		t.Fatalf("similar.candidates = %d, want >= 1", got)

@@ -13,7 +13,7 @@ import (
 // Binary codecs for SPRITE's application payloads — the postings fetches,
 // publishes and withdrawals, polls, and replica pushes that carry nearly all of
 // the system's bytes (§1's index-construction and maintenance cost). Every
-// payload type core sends is registered here or in similar.go: over a
+// payload type core sends is registered here: over a
 // socket, a type without a codec is an encode error at the caller. The
 // decoders normalize empty slices and maps to nil, as gob does.
 func init() {
@@ -103,7 +103,8 @@ func init() {
 			return r
 		})
 
-	// Kinds +1 and +2 are retired (sprite.unpublish's): do not reuse them.
+	// Kinds +1 and +2 are retired (sprite.unpublish's), as are +21 and +22
+	// (sprite.sketch_scan's): do not reuse them.
 
 	wire.RegisterBinary(wire.KindCoreBase+3, getPostingsReq{},
 		func(e *wire.Encoder, v any) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"encoding/hex"
 	"reflect"
 	"strings"
@@ -132,5 +133,17 @@ func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
 	list := ix.Encoded("ab")
 	if got, want := (getPostingsResp{Items: []postingsList{{Postings: list, IndexedDF: 1}}}).size(), list.Size()+8; got != want {
 		t.Fatalf("reply of one list: Size %d, want %d", got, want)
+	}
+}
+
+// Retired kinds stay unregistered: a frame naming sprite.unpublish's
+// (+1 / +2) or sprite.sketch_scan's (+21 / +22) is refused as unknown, so no
+// later payload can be mistaken for one of theirs.
+func TestRetiredKindsUnregistered(t *testing.T) {
+	for _, k := range []uint16{1, 2, 21, 22} {
+		frame := binary.BigEndian.AppendUint16(nil, wire.KindCoreBase+k)
+		if _, err := wire.DecodeBinary(frame); err == nil || !strings.Contains(err.Error(), "unknown binary kind") {
+			t.Errorf("KindCoreBase+%d: DecodeBinary err = %v, want an unknown kind", k, err)
+		}
 	}
 }

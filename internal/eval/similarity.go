@@ -13,6 +13,7 @@ import (
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
+	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/sketch"
 )
@@ -24,18 +25,20 @@ import (
 //   - Oracle: float64 cosine over the full 1+log₁₀(tf) weighted term vectors,
 //     computed centrally from the corpus — no sketching, no routing, no
 //     network. Its top-k per query document is the ground truth.
-//   - Routed arm: core.ProbeSimilar — candidates fetched through the query
-//     document's learned representative terms (O(RouteTerms · lookup) DHT
-//     messages per query), filtered by int8-sketch cosine, and the top Refine
-//     survivors re-scored exactly via one term-vector fetch each.
-//   - Flooding arm: core.FloodSimilar — every peer reports the sketches of
-//     its owned documents (O(peers) messages per query), pure sketch ranking.
-//     Exhaustive over candidates, so it isolates what routing costs in recall
-//     from what sketching costs.
+//   - Routed arm: core.Network.ProbeSimilarCtx — candidates fetched through
+//     the query document's learned representative terms (O(RouteTerms ·
+//     lookup) DHT messages per query), filtered by int8-sketch cosine, and
+//     the top Refine survivors re-scored exactly via one term-vector fetch
+//     each.
+//   - Flooding arm: every owner's document sketches, ranked centrally by
+//     sketch cosine (O(peers) messages per query). It is computed here from
+//     the owners' state, not sent (flood below). Exhaustive over candidates,
+//     so it isolates what routing costs in recall from what sketching costs.
 //
 // Recall@k is |arm's top-k ∩ oracle top-k| / k, averaged over the sampled
-// query documents. Messages and bytes come from the simulated transport's
-// accounting, divided by the query count. The headline the committed
+// query documents. The routed arm's messages and bytes come from the
+// simulated transport's accounting, the flood's from its cost model; both
+// are divided by the query count. The headline the committed
 // BENCH_similarity.json pins: on the 10k-document tier the routed arm keeps
 // recall@10 ≥ 0.9 while spending ≥5× fewer messages per query than flooding.
 
@@ -171,40 +174,83 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 	oracle := newCosineOracle(all)
 	tier := &SimilarityTier{Docs: docs, Peers: peers, Queries: queryDocs}
 
-	measure := func(search func(from simnet.Addr, doc index.DocID, k int) (interface{ Docs() []index.DocID }, error)) (msgs, bytes, recall float64, err error) {
-		snet.ResetStats()
-		sum := 0.0
-		for i, q := range queries {
-			rl, err := search(addrs[i%len(addrs)], q.ID, topK)
-			if err != nil && !errors.Is(err, core.ErrPartialResults) {
-				return 0, 0, 0, err
-			}
-			sum += overlap(rl.Docs(), oracle.topK(q, topK))
+	qn := float64(len(queries))
+	snet.ResetStats()
+	for i, q := range queries {
+		rl, err := n.ProbeSimilarCtx(context.Background(), addrs[i%len(addrs)], q.ID, topK)
+		if err != nil && !errors.Is(err, core.ErrPartialResults) {
+			return nil, fmt.Errorf("routed arm: %w", err)
 		}
-		st := snet.Stats()
-		qn := float64(len(queries))
-		return float64(st.Calls) / qn, float64(st.Bytes) / qn, sum / qn, nil
+		tier.RoutedRecall += overlap(rl.Docs(), oracle.topK(q, topK))
 	}
+	st := snet.Stats()
+	tier.RoutedMsgs, tier.RoutedBytes, tier.RoutedRecall = float64(st.Calls)/qn, float64(st.Bytes)/qn, tier.RoutedRecall/qn
 
-	tier.RoutedMsgs, tier.RoutedBytes, tier.RoutedRecall, err = measure(
-		func(from simnet.Addr, doc index.DocID, k int) (interface{ Docs() []index.DocID }, error) {
-			return n.ProbeSimilarCtx(context.Background(), from, doc, k)
-		})
-	if err != nil {
-		return nil, fmt.Errorf("routed arm: %w", err)
+	f := newFlood(n)
+	var floodMsgs, floodBytes int
+	for i, q := range queries {
+		rl, msgs, bytes := f.query(addrs[i%len(addrs)], q.ID, topK)
+		floodMsgs += msgs
+		floodBytes += bytes
+		tier.FloodRecall += overlap(rl.Docs(), oracle.topK(q, topK))
 	}
-	tier.FloodMsgs, tier.FloodBytes, tier.FloodRecall, err = measure(
-		func(from simnet.Addr, doc index.DocID, k int) (interface{ Docs() []index.DocID }, error) {
-			return n.FloodSimilarCtx(context.Background(), from, doc, k)
-		})
-	if err != nil {
-		return nil, fmt.Errorf("flooding arm: %w", err)
-	}
+	tier.FloodMsgs, tier.FloodBytes, tier.FloodRecall = float64(floodMsgs)/qn, float64(floodBytes)/qn, tier.FloodRecall/qn
 	if tier.RoutedMsgs > 0 {
 		tier.MsgAdvantage = tier.FloodMsgs / tier.RoutedMsgs
 	}
 	tier.WallMS = time.Since(start).Milliseconds()
 	return tier, nil
+}
+
+// flood is the flooding baseline, computed rather than sent. Its ranking and
+// its bill are fixed by which peer owns which document: the issuer asks every
+// other peer for the sketches of the documents it owns and ranks them all,
+// its own documents included, against the query document's sketch. Each
+// remote peer costs one message of 1 byte and a reply of 1 byte plus, per
+// owned document, its ID and sketch with a length byte each — what the
+// simulated transport metered when the flood was a protocol. A call to the
+// issuer itself is not metered.
+type flood struct {
+	docs     []index.DocID
+	sketches map[index.DocID][]byte
+	// reply is each peer's reply size; bytes is the sum over all peers of
+	// request and reply.
+	reply map[simnet.Addr]int
+	bytes int
+}
+
+func newFlood(n *core.Network) *flood {
+	peers := n.Peers()
+	f := &flood{
+		docs:     n.Documents(),
+		sketches: make(map[index.DocID][]byte),
+		reply:    make(map[simnet.Addr]int, len(peers)),
+	}
+	for _, p := range peers {
+		f.reply[p.Addr()] = 1
+	}
+	for _, d := range f.docs {
+		sk, _ := n.DocSketch(d)
+		owner, _ := n.Owner(d)
+		f.sketches[d] = []byte(sk)
+		f.reply[owner.Addr()] += len(d) + len(sk) + 2
+	}
+	for _, r := range f.reply {
+		f.bytes += 1 + r
+	}
+	return f
+}
+
+// query returns the flood's top-k for qdoc issued at from, and the messages
+// and bytes it costs.
+func (f *flood) query(from simnet.Addr, qdoc index.DocID, k int) (rl ir.RankedList, msgs, bytes int) {
+	r := ir.NewSketchRanker(f.sketches[qdoc], k)
+	for _, d := range f.docs {
+		if d != qdoc {
+			r.Offer([]byte(d), f.sketches[d])
+		}
+	}
+	return r.Ranked(), len(f.reply) - 1, f.bytes - (1 + f.reply[from])
 }
 
 // overlap is |got ∩ want| / |want| (recall of the oracle's set).

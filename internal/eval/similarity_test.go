@@ -1,6 +1,17 @@
 package eval
 
-import "testing"
+import (
+	"context"
+	"reflect"
+	"testing"
+
+	"github.com/spritedht/sprite/internal/chord"
+	"github.com/spritedht/sprite/internal/core"
+	"github.com/spritedht/sprite/internal/corpus"
+	"github.com/spritedht/sprite/internal/ir"
+	"github.com/spritedht/sprite/internal/simnet"
+	"github.com/spritedht/sprite/internal/sketch"
+)
 
 // TestRunSimilaritySmoke exercises the similarity benchmark end to end at
 // unit-test size and pins its contract: both arms answer every query, the
@@ -53,5 +64,65 @@ func TestRunSimilaritySmoke(t *testing.T) {
 	}
 	if got := len(res.Report().Rows); got != 1 {
 		t.Errorf("report has %d rows, want 1", got)
+	}
+}
+
+// TestFloodMatchesExactRanking: for every shared document as the query, from
+// every issuer in turn, the flood arm's ranking equals a brute-force sketch
+// cosine sort over all other shared documents — the issuer's own included —
+// and it bills one message per peer other than the issuer. Documents sit on
+// three of eight peers, so some peers own nothing.
+func TestFloodMatchesExactRanking(t *testing.T) {
+	cc := tiny().Corpus
+	cc.NumDocs = 60
+	col, err := corpus.Synthesize(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ring := chord.NewRing(simnet.New(1), chord.Config{})
+	if _, err := ring.AddNodes("peer", 8); err != nil {
+		t.Fatal(err)
+	}
+	ring.Build()
+	n, err := core.NewNetwork(ring, core.Config{
+		InitialTerms: 3,
+		Sketch:       sketch.Config{Enabled: true, Dims: 16, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Copies of the first two documents under other IDs sketch identically,
+	// so their originals' scores tie and the ascending doc-ID order decides.
+	docs := col.Corpus.Docs()
+	docs = append(docs, corpus.NewDocument("copy0", docs[0].TF), corpus.NewDocument("copy1", docs[1].TF))
+	peers := n.Peers()
+	for i, d := range docs {
+		if err := n.ShareCtx(context.Background(), peers[i%3].Addr(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ids := n.Documents()
+	f := newFlood(n)
+	for i, q := range ids {
+		qsk, _ := n.DocSketch(q)
+		want := make(ir.RankedList, 0, len(ids)-1)
+		for _, d := range ids {
+			if d == q {
+				continue
+			}
+			sk, _ := n.DocSketch(d)
+			want = append(want, ir.Hit{Doc: d, Score: sketch.CosineBytes([]byte(qsk), []byte(sk))})
+		}
+		want.Sort()
+		from := peers[i%len(peers)].Addr()
+		for _, k := range []int{10, len(ids)} {
+			got, msgs, _ := f.query(from, q, k)
+			if !reflect.DeepEqual(got, want.Top(k)) {
+				t.Fatalf("flood top-%d for %s from %s diverges\n got %v\nwant %v", k, q, from, got, want.Top(k))
+			}
+			if msgs != len(peers)-1 {
+				t.Fatalf("flood from %s sends %d messages, want %d", from, msgs, len(peers)-1)
+			}
+		}
 	}
 }
