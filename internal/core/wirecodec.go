@@ -13,9 +13,9 @@ import (
 // Binary codecs for SPRITE's application payloads — the postings fetches,
 // publishes and withdrawals, polls, and replica pushes that carry nearly all of
 // the system's bytes (§1's index-construction and maintenance cost). Every
-// payload type core sends is registered here: over a
-// socket, a type without a codec is an encode error at the caller. The
-// decoders normalize empty slices and maps to nil, as gob does.
+// payload type core sends is registered here: over a socket, a type without
+// a codec is an encode error at the caller. The decoders normalize empty
+// slices and maps to nil, as gob does.
 func init() {
 	wire.RegisterBinary(wire.KindCoreBase+0, publishReq{},
 		func(e *wire.Encoder, v any) {

@@ -175,26 +175,34 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 	tier := &SimilarityTier{Docs: docs, Peers: peers, Queries: queryDocs}
 
 	qn := float64(len(queries))
+	// Routed arm: real queries, metered by the simulated transport.
 	snet.ResetStats()
+	recall := 0.0
 	for i, q := range queries {
 		rl, err := n.ProbeSimilarCtx(context.Background(), addrs[i%len(addrs)], q.ID, topK)
 		if err != nil && !errors.Is(err, core.ErrPartialResults) {
 			return nil, fmt.Errorf("routed arm: %w", err)
 		}
-		tier.RoutedRecall += overlap(rl.Docs(), oracle.topK(q, topK))
+		recall += overlap(rl.Docs(), oracle.topK(q, topK))
 	}
 	st := snet.Stats()
-	tier.RoutedMsgs, tier.RoutedBytes, tier.RoutedRecall = float64(st.Calls)/qn, float64(st.Bytes)/qn, tier.RoutedRecall/qn
+	tier.RoutedMsgs = float64(st.Calls) / qn
+	tier.RoutedBytes = float64(st.Bytes) / qn
+	tier.RoutedRecall = recall / qn
 
+	// Flooding arm: computed from the owners' state, nothing sent.
 	f := newFlood(n)
-	var floodMsgs, floodBytes int
+	var msgs, bytes int
+	recall = 0
 	for i, q := range queries {
-		rl, msgs, bytes := f.query(addrs[i%len(addrs)], q.ID, topK)
-		floodMsgs += msgs
-		floodBytes += bytes
-		tier.FloodRecall += overlap(rl.Docs(), oracle.topK(q, topK))
+		rl, m, b := f.query(addrs[i%len(addrs)], q.ID, topK)
+		msgs += m
+		bytes += b
+		recall += overlap(rl.Docs(), oracle.topK(q, topK))
 	}
-	tier.FloodMsgs, tier.FloodBytes, tier.FloodRecall = float64(floodMsgs)/qn, float64(floodBytes)/qn, tier.FloodRecall/qn
+	tier.FloodMsgs = float64(msgs) / qn
+	tier.FloodBytes = float64(bytes) / qn
+	tier.FloodRecall = recall / qn
 	if tier.RoutedMsgs > 0 {
 		tier.MsgAdvantage = tier.FloodMsgs / tier.RoutedMsgs
 	}
@@ -207,9 +215,10 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 // other peer for the sketches of the documents it owns and ranks them all,
 // its own documents included, against the query document's sketch. Each
 // remote peer costs one message of 1 byte and a reply of 1 byte plus, per
-// owned document, its ID and sketch with a length byte each — what the
-// simulated transport metered when the flood was a protocol. A call to the
-// issuer itself is not metered.
+// owned document, its ID and sketch with a length byte each; a call to the
+// issuer itself is free. That is the cost model the simulated transport
+// applied when the flood was a core protocol, so the flood columns of
+// BENCH_similarity.json compare with every earlier run.
 type flood struct {
 	docs     []index.DocID
 	sketches map[index.DocID][]byte
