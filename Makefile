@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity similarity-check examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
+.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity similarity-check churn-check examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -196,14 +196,15 @@ smoke-postings:
 	$(GO) test -race -run 'Stream|Merge' ./internal/ir/
 
 # Placement smoke: the repair package's digest property tests, the join/leave
-# handoff + anti-entropy protocol suites in core, the learning sweep's
+# handoff + anti-entropy protocol suites in core, the replica pushes (one
+# sprite.replica per holder per publish request), the learning sweep's
 # re-anchoring of postings lost to a crash or a join without handoff
 # (TestRefresh*), the facade and REPL join/leave paths (race detector on all
 # of those), plus the mass-churn determinism soak and the stranded-entry
 # mutation test.
 smoke-repair:
 	$(GO) test -race ./internal/repair/
-	$(GO) test -race -run 'Handoff|Leave|Repair|AntiEntropy|Refresh' ./internal/core/
+	$(GO) test -race -run 'Handoff|Leave|Repair|AntiEntropy|Refresh|Replica' ./internal/core/
 	$(GO) test -race -run 'JoinLeave' . ./cmd/spritesim/
 	$(GO) test -run 'MassChurnSoak|StrandedEntry' ./internal/chaos/
 
@@ -229,6 +230,15 @@ similarity-check:
 	got=$$($(GO) run ./cmd/spritebench -json similarity | jq -c '$(SIMILARITY_FIELDS)') || exit 1; \
 	echo "similarity: $$got"; \
 	[ -n "$$got" ] && [ "$$got" = "$$want" ] || { echo "similarity-check: BENCH_similarity.json reads $$want"; exit 1; }
+
+# Churn baseline guard: BENCH_churn.json is the output of
+# `go run ./cmd/spritebench -json churn` (≈ 10 s on 2 cores). Its table has no
+# wall-clock column, so rerun it and fail on any byte of difference: a change
+# that moves a churn arm's quality or the membership waves' moved entries or
+# repair messages regenerates the baseline in the same commit.
+churn-check:
+	@got=$$($(GO) run ./cmd/spritebench -json churn) || exit 1; \
+	echo "$$got" | diff -u BENCH_churn.json - || { echo "churn-check: BENCH_churn.json differs from what spritebench prints"; exit 1; }
 
 # Examples smoke: each simulator example must print exactly its committed
 # examples/<name>/expected.txt — rankings, learned terms, message counts and

@@ -135,8 +135,8 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 				explained[entryKey{replica: true, peer: a, term: t, doc: id}] = true
 				// The holder also still owes withdrawals to its own recorded
 				// push set: those replicas are transitively pending, removed
-				// when the stale retry reaches the holder and its replicateDrop
-				// fans out.
+				// when the stale retry reaches the holder and its sprite.replica
+				// carries the withdrawal to them.
 				for _, r := range d.net.ReplicaLocsAt(a, t, id) {
 					explained[entryKey{replica: true, peer: r, term: t, doc: id}] = true
 				}

@@ -525,14 +525,30 @@ func (h *harness) join(d *deployment, name string) error {
 // leave departs name gracefully from one deployment. Entries whose owners
 // could not be told about the handoff enter the deployment's fault ledger:
 // they live at the leave-time successor with owner records that will only
-// re-anchor once the owner is reachable again (FlushStaleAll's reclaim).
+// re-anchor once the owner is reachable again (FlushStaleAll's reclaim). An
+// install that never reached the successor hands nothing over: the entries
+// leave with the peer, as a crash's would, and their replica copies are
+// orphans no record reaches, so they enter the ledger too.
 func (h *harness) leave(d *deployment, name string) error {
+	held := make(map[termDoc]bool)
+	for _, e := range d.net.PrimarySnapshot() {
+		if e.Peer == simnet.Addr(name) {
+			held[termDoc{e.Term, e.Posting.Doc}] = true
+		}
+	}
 	rep, err := d.net.Leave(simnet.Addr(name))
 	if err != nil {
 		return err
 	}
 	for _, e := range rep.Unrelocated {
 		d.tolerated[entryKey{peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
+	}
+	if rep.Handoffs == 0 && len(rep.Unrelocated) == 0 {
+		for _, e := range d.net.ReplicaSnapshot() {
+			if held[termDoc{e.Term, e.Posting.Doc}] {
+				d.tolerated[entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
+			}
+		}
 	}
 	delete(d.nodes, simnet.Addr(name))
 	d.ring.StabilizeLists(stabilizeRounds)

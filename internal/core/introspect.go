@@ -155,8 +155,8 @@ func (n *Network) BannedTerms(doc index.DocID) []string {
 }
 
 // ReplicaLocsAt returns the replica locations the indexing peer at addr has
-// recorded for (term, doc) — the push set the holder's replicateDrop will fan
-// out to when the entry is withdrawn. For a stale-listed holder, these are
+// recorded for (term, doc) — the replica holders the holder's sprite.replica
+// reaches when the entry is withdrawn. For a stale-listed holder, these are
 // replicas whose withdrawal is transitively pending: the owner only knows the
 // holder owes a withdrawal, and the holder's record is what reaches them.
 func (n *Network) ReplicaLocsAt(addr simnet.Addr, term string, doc index.DocID) []simnet.Addr {

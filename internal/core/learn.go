@@ -353,7 +353,7 @@ var withdrawals = &protocol[pull, []simnet.Addr]{
 		for k, pl := range items {
 			req.Items[k] = publishItem{Term: pl.term, Posting: index.Posting{Doc: pl.d.id}, Withdraw: true}
 		}
-		return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
+		return simnet.Message{Type: msgPublish, Payload: req, Size: itemsSize(req.Items)}
 	},
 	read: func(reply simnet.Message, at simnet.Addr, got [][]simnet.Addr, _ []bool) error {
 		resp, ok := reply.Payload.(publishResp)
@@ -479,22 +479,27 @@ func (n *Network) publishes(holder func(learnItem) simnet.Addr) *protocol[learnI
 			for _, it := range items {
 				req.Items = append(req.Items, it.d.p.itemFor(it.d.st, it.d.publish[it.i]))
 			}
-			return simnet.Message{Type: msgPublish, Payload: req, Size: req.size()}
+			return simnet.Message{Type: msgPublish, Payload: req, Size: itemsSize(req.Items)}
 		},
-		read: func(reply simnet.Message, at simnet.Addr, got []simnet.Addr, refused []bool) error {
-			resp, ok := reply.Payload.(publishResp)
-			if !ok {
-				return badReply(reply, at, len(got))
-			}
-			for k := range got {
-				got[k] = at
-			}
-			for _, a := range resp.Answers {
-				if a.Item >= 0 && a.Item < len(got) {
-					refused[a.Item] = a.Refused
-				}
-			}
-			return nil
-		},
+		read: readAccepted,
 	}
+}
+
+// readAccepted reads a publishResp: at accepted every item it did not refuse,
+// and a refused one has no peer — got may be exchange's output itself, which
+// is all a pinned protocol's refused item gets.
+func readAccepted(reply simnet.Message, at simnet.Addr, got []simnet.Addr, refused []bool) error {
+	resp, ok := reply.Payload.(publishResp)
+	if !ok {
+		return badReply(reply, at, len(got))
+	}
+	for k := range got {
+		got[k] = at
+	}
+	for _, a := range resp.Answers {
+		if a.Refused && a.Item >= 0 && a.Item < len(got) {
+			got[a.Item], refused[a.Item] = "", true
+		}
+	}
+	return nil
 }

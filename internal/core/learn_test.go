@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -596,12 +597,14 @@ func TestLearnSweepInflightBounded(t *testing.T) {
 }
 
 // TestLearnBatchSizesTrackEncodedLength: the simulated size of every poll and
-// publish of a sweep — requests and replies, batches and single items — is
-// within 8 bytes plus 2 per item of what the binary codec writes, an item
-// being a (document, term) pair, a publish, a refusal or, in a poll's reply,
-// also a returned query (whose term count a single poll's size never held).
+// publish of a sweep — requests and replies, batches and single items — and of
+// every replica push, relocate and handoff revert is within 8 bytes plus 2 per
+// item of what the binary codec writes, an item being a (document, term)
+// pair, a publish, a withdrawal, a relocated or reverted entry, a refusal or,
+// in a poll's reply, also a returned query (whose term count a single poll's
+// size never held).
 func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
-	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1})
+	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1, ReplicationFactor: 2})
 	f.halfJoin(t) // some items refused, some routed
 	f.log.drain()
 	for it := 0; it < 2; it++ {
@@ -610,11 +613,29 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// An owner leaving withdraws its documents' postings in batches.
+	// An owner leaving withdraws its documents' postings in batches, and
+	// its indexing role relocates its entries at their owners in batches.
 	if _, err := f.n.Leave("p1"); err != nil {
 		t.Fatal(err)
 	}
-	largest := map[string]int{}
+	// Handoffs whose owner cannot be told revert their installs: one entry,
+	// then all of the owner's entries at a peer.
+	var from *Peer
+	var entries []handoffEntry
+	for _, p := range f.n.Peers() {
+		entries = slices.DeleteFunc(p.primaryEntries(nil), func(e handoffEntry) bool { return e.Posting.Owner != "p2" })
+		if from = p; p.Addr() != "p2" && len(entries) > 1 {
+			break
+		}
+	}
+	target := from.node.SuccessorList()[0].Addr
+	for _, es := range [][]handoffEntry{entries[:1], entries} {
+		f.log.DropCalls("p2", 1)
+		if moved, _ := from.handoffEntries(target, es, false); moved != 0 {
+			t.Fatalf("handoff to %s moved %d entries of an unreachable owner", target, moved)
+		}
+	}
+	smallest, largest := map[string]int{}, map[string]int{}
 	for _, m := range f.log.drain() {
 		for _, msg := range []simnet.Message{m.req, m.reply} {
 			var what string
@@ -641,6 +662,15 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 				for _, a := range p.Answers {
 					items += len(a.Stale)
 				}
+			case replicaReq:
+				what, items = "replicaReq", len(p.Items)
+			case relocateReq:
+				what, items = "relocateReq", len(p.Items)
+			case handoffReq:
+				if !p.Revert {
+					continue
+				}
+				what, items = "revert", len(p.Entries)
 			default:
 				continue
 			}
@@ -651,12 +681,20 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 			if d := len(enc) - msg.Size; d < -(8+2*items) || d > 8+2*items {
 				t.Fatalf("%s of %d items: Size %d, %d bytes on the wire", what, items, msg.Size, len(enc))
 			}
+			if _, seen := smallest[what]; !seen || items < smallest[what] {
+				smallest[what] = items
+			}
 			largest[what] = max(largest[what], items)
 		}
 	}
-	for _, what := range []string{"pollReq", "pollResp", "publishReq", "withdrawal"} {
+	for _, what := range []string{"pollReq", "pollResp", "publishReq", "withdrawal", "replicaReq", "relocateReq", "revert"} {
 		if largest[what] < 2 {
 			t.Fatalf("no %s carried more than one item", what)
+		}
+	}
+	for _, what := range []string{"replicaReq", "relocateReq", "revert"} {
+		if smallest[what] != 1 {
+			t.Fatalf("no %s carried a single item (smallest %d)", what, smallest[what])
 		}
 	}
 }

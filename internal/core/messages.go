@@ -28,23 +28,19 @@ const (
 	// announces all global index terms and asks, per polled term, for the new
 	// queries for which this peer holds the closest term (§3).
 	msgPoll = "sprite.poll"
-	// msgReplica pushes a copy of an index entry to a successor peer (§7).
+	// msgReplica carries an indexing peer's applied publishes and
+	// withdrawals to one of its successor replica holders (§7).
 	msgReplica = "sprite.replica"
-	// msgReplicaDrop removes a replicated entry.
-	msgReplicaDrop = "sprite.replica_drop"
 
 	// msgHandoff batch-installs primary index entries at a peer whose arc now
 	// covers them — the first round of the join/leave handoff protocol (see
 	// internal/core/repair.go). The receiver serves them immediately but the
-	// sender remains their holder of record until relocation commits.
+	// sender remains their holder of record until relocation commits. With
+	// Revert set it takes back the entries whose relocation failed.
 	msgHandoff = "sprite.repair.handoff"
-	// msgHandoffDrop reverts one entry of an aborted handoff: the owner could
-	// not be told about the move, so the receiver's copy must go before the
-	// sender deletes nothing.
-	msgHandoffDrop = "sprite.repair.handoff_drop"
 	// msgRelocate asks a document's owner to rewrite its holder-of-record
-	// (publishedAt) for one term, compare-and-swap style: the flip commits
-	// only if the owner still believes the entry lives at the sender.
+	// (publishedAt) for each listed term, compare-and-swap style: a flip
+	// commits only if the owner still believes the entry lives at the sender.
 	msgRelocate = "sprite.relocate"
 	// msgRepairDigest opens an anti-entropy exchange: the primary holder of
 	// an arc sends its compact Merkle summary; the replica holder answers
@@ -78,21 +74,21 @@ type publishItem struct {
 	Withdraw bool
 }
 
-// size is the request's simulated wire size: each item's term and posting —
-// a withdrawal's document — and a byte for each withdrawal's flags after the
-// first, so a batch of one costs what a single publish or unpublish always
-// has.
-func (r publishReq) size() int {
-	n, pulls := 0, 0
-	for _, it := range r.Items {
-		if it.Withdraw {
+// itemsSize is an item list's simulated wire size: each item's term and
+// posting — a document-only item's document — and a byte for each
+// document-only item's flags after the first, so a list of one costs what a
+// single publish, unpublish, replica push or relocate always has.
+func itemsSize(items []publishItem) int {
+	n, only := 0, 0
+	for _, it := range items {
+		if it.Posting == (index.Posting{Doc: it.Posting.Doc}) {
 			n += len(it.Term) + len(it.Posting.Doc)
-			pulls++
+			only++
 			continue
 		}
 		n += len(it.Term) + it.Posting.WireSize()
 	}
-	return n + max(pulls-1, 0)
+	return n + max(only-1, 0)
 }
 
 // publishResp answers, by position in the request, the items that need an
@@ -281,14 +277,11 @@ type pollResult struct {
 	IndexedDF int
 }
 
+// replicaReq carries the items an indexing peer applied from one publish
+// request to one of its replica holders: each publish adds a replica copy,
+// each withdrawal removes one.
 type replicaReq struct {
-	Term    string
-	Posting index.Posting
-}
-
-type replicaDropReq struct {
-	Term string
-	Doc  index.DocID
+	Items []publishItem
 }
 
 // handoffEntry is one primary index entry in flight during a join/leave
@@ -303,6 +296,19 @@ type handoffEntry struct {
 
 type handoffReq struct {
 	Entries []handoffEntry
+	// Revert takes the entries — each its term and document only — back out
+	// of the receiver's primary index, with their replica locations: their
+	// relocation failed, so they live only where their owners' records say.
+	Revert bool
+}
+
+// size is the request's simulated wire size.
+func (r handoffReq) size() int {
+	n := 0
+	for _, e := range r.Entries {
+		n += len(e.Term) + e.Posting.WireSize() + 8*len(e.ReplicaLocs)
+	}
+	return n
 }
 
 // handoffResp reports, per entry of the request, whether the receiver's
@@ -310,30 +316,23 @@ type handoffReq struct {
 // pre-existing entry means the install merged with state the receiver owned
 // in its own right — typically a copy re-anchored there by orphan reclaim
 // while the sender still held a zombie duplicate. If the relocation CAS is
-// then refused, the sender must NOT revert the install: the drop would
+// then refused, the sender must NOT revert the install: the revert would
 // destroy the receiver's legitimate entry, not the sender's transfer.
 type handoffResp struct {
 	Existing []bool
 }
 
-type handoffDropReq struct {
-	Term string
-	Doc  index.DocID
-}
-
+// relocateReq asks one document owner to flip its holder-of-record for each
+// item — a term and, document-only, its posting — from From to To. The owner
+// answers with a publishResp refusing the items whose flip it did not commit.
 type relocateReq struct {
-	Term string
-	Doc  index.DocID
+	Items []publishItem
 	// From is the holder the sender believes the owner has on record; the
-	// owner refuses the flip if its record disagrees (the entry migrated
-	// some other way in the meantime).
+	// owner refuses an item's flip if its record disagrees (the entry
+	// migrated some other way in the meantime).
 	From simnet.Addr
-	// To is the entry's new holder.
+	// To is the entries' new holder.
 	To simnet.Addr
-}
-
-type relocateResp struct {
-	OK bool
 }
 
 type repairDigestReq struct {

@@ -9,7 +9,6 @@ import (
 
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/chordid"
-	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
 )
@@ -81,18 +80,15 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 				// retries address the holder directly, and a former replica
 				// target must be able to clear its copy through the same item.
 				p.indexing.dropReplica(it.Term, it.Posting.Doc)
-				if stale := p.replicateDrop(it.Term, it.Posting.Doc); len(stale) > 0 {
-					resp.Answers = append(resp.Answers, publishAnswer{Item: i, Stale: stale})
-				}
 			case req.CheckArc && !p.node.Serves(chordid.HashKey(it.Term)):
 				resp.Answers = append(resp.Answers, publishAnswer{Item: i, Refused: true})
 				continue
 			default:
 				p.indexing.publish(it.Term, it.Posting)
-				p.replicateOut(it.Term, it.Posting)
 			}
 			p.net.caches.invalidateTerm(it.Term)
 		}
+		p.replicate(req.Items, &resp)
 		reply.Payload, reply.Size = resp, resp.size()
 
 	case getPostingsReq:
@@ -115,18 +111,28 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		reply.Payload, reply.Size = resp, resp.size()
 
 	case replicaReq:
-		p.indexing.addReplica(req.Term, req.Posting)
-		p.net.caches.invalidateTerm(req.Term)
-
-	case replicaDropReq:
-		p.indexing.dropReplica(req.Term, req.Doc)
-		p.net.caches.invalidateTerm(req.Term)
+		for _, it := range req.Items {
+			if it.Withdraw {
+				p.indexing.dropReplica(it.Term, it.Posting.Doc)
+			} else {
+				p.indexing.addReplica(it.Term, it.Posting)
+			}
+			p.net.caches.invalidateTerm(it.Term)
+		}
 
 	case docTermsReq:
 		resp := p.handleDocTerms(req)
 		reply.Payload, reply.Size = resp, 8*len(resp.TF)
 
 	case handoffReq:
+		if req.Revert {
+			for _, e := range req.Entries {
+				p.indexing.unpublish(e.Term, e.Posting.Doc)
+				p.indexing.takeReplicaLocs(e.Term, e.Posting.Doc)
+				p.net.caches.invalidateTerm(e.Term)
+			}
+			break
+		}
 		resp := handoffResp{Existing: make([]bool, len(req.Entries))}
 		for i, e := range req.Entries {
 			resp.Existing[i] = p.indexing.publishReporting(e.Term, e.Posting)
@@ -135,13 +141,9 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		p.net.caches.invalidate()
 		reply.Payload, reply.Size = resp, 1+len(resp.Existing)
 
-	case handoffDropReq:
-		p.indexing.unpublish(req.Term, req.Doc)
-		p.indexing.takeReplicaLocs(req.Term, req.Doc)
-		p.net.caches.invalidateTerm(req.Term)
-
 	case relocateReq:
-		reply.Payload = p.handleRelocate(req)
+		resp := p.handleRelocate(req)
+		reply.Payload, reply.Size = resp, resp.size()
 
 	case repairDigestReq:
 		resp := p.handleRepairDigest(req)
@@ -200,55 +202,68 @@ func (p *Peer) replicaTargets() []simnet.Addr {
 	return out
 }
 
-// replicateOut pushes a freshly published entry to this peer's first
-// ReplicationFactor successors (§7: "we can replicate the indexes of a peer
-// in its successor peers"). The push targets are recorded so a later
-// withdrawal reaches every peer that actually holds a copy, even after the
-// successor set has rotated. The per-successor pushes are independent
-// best-effort calls, so they fan out.
-func (p *Peer) replicateOut(term string, posting index.Posting) {
-	targets := p.replicaTargets()
-	if len(targets) == 0 {
-		return
-	}
-	p.indexing.recordReplicaLocs(term, posting.Doc, targets)
-	fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) error {
-		p.send(ctx, dest{addr: targets[i]}, simnet.Message{ //nolint:errcheck // best-effort, see above
-			Type:    msgReplica,
-			Payload: replicaReq{Term: term, Posting: posting},
-			Size:    len(term) + posting.WireSize(),
-		}, policy{})
-		return nil
-	})
+// replicaItem is items[i] of a publish request bound for replica holder at.
+type replicaItem struct {
+	i  int
+	at simnet.Addr
 }
 
-// replicateDrop withdraws an entry's replicas: from every successor the
-// entry was ever pushed to (the recorded locations) plus the current replica
-// set, deduplicated. Without the recorded locations, copies pushed before a
-// successor-list rotation would leak forever. It returns the targets whose
-// withdrawal failed (dead or unreachable holders): the recorded locations are
-// consumed here, so an unreported failure would orphan that copy — no later
-// operation addresses the entry at that peer.
-func (p *Peer) replicateDrop(term string, doc index.DocID) []simnet.Addr {
-	targets := mergeAddrs(p.indexing.takeReplicaLocs(term, doc), p.replicaTargets())
-	if len(targets) == 0 {
-		return nil
-	}
-	errs := fanout.ForEach(context.Background(), p.net.exec, "replicate", len(targets), func(ctx context.Context, i int) error {
-		_, _, err := p.send(ctx, dest{addr: targets[i]}, simnet.Message{
-			Type:    msgReplicaDrop,
-			Payload: replicaDropReq{Term: term, Doc: doc},
-			Size:    len(term) + len(doc),
-		}, policy{})
-		return err
-	})
-	var failed []simnet.Addr
-	for i, err := range errs {
-		if err != nil {
-			failed = append(failed, targets[i])
+// replicate copies the items of a publish request that resp does not refuse
+// to the peer's replica holders (§7: "we can replicate the indexes of a peer
+// in its successor peers"). A publish goes to the first ReplicationFactor
+// successors, recorded so that a later withdrawal reaches every peer that
+// actually holds a copy, even after the successor set has rotated. A
+// withdrawal goes to the recorded locations, which it consumes, and the
+// current successors. Each holder gets one sprite.replica carrying every item
+// bound for it, best-effort; the holders a withdrawal failed to reach become
+// its answer's Stale, since no later operation addresses those copies
+// otherwise.
+func (p *Peer) replicate(items []publishItem, resp *publishResp) {
+	succ := p.replicaTargets()
+	var out []replicaItem
+	refused := resp.Answers // refusals only, in item order
+	for i, it := range items {
+		if len(refused) > 0 && refused[0].Item == i {
+			refused = refused[1:]
+			continue
+		}
+		targets := succ
+		if it.Withdraw {
+			targets = mergeAddrs(p.indexing.takeReplicaLocs(it.Term, it.Posting.Doc), succ)
+		} else {
+			p.indexing.recordReplicaLocs(it.Term, it.Posting.Doc, succ)
+		}
+		for _, at := range targets {
+			out = append(out, replicaItem{i, at})
 		}
 	}
-	return failed
+	if len(out) == 0 {
+		return
+	}
+	_, errs := exchange(context.Background(), out, &protocol[replicaItem, struct{}]{
+		stage:  "replicate",
+		pinned: true,
+		from:   func(replicaItem) *Peer { return p },
+		term:   func(ri replicaItem) string { return items[ri.i].Term },
+		holder: func(ri replicaItem) simnet.Addr { return ri.at },
+		request: func(_ simnet.Addr, batch []replicaItem, _ bool) simnet.Message {
+			req := replicaReq{Items: make([]publishItem, len(batch))}
+			for k, ri := range batch {
+				req.Items[k] = items[ri.i]
+			}
+			return simnet.Message{Type: msgReplica, Payload: req, Size: itemsSize(req.Items)}
+		},
+		read: func(simnet.Message, simnet.Addr, []struct{}, []bool) error { return nil },
+	})
+	for k, ri := range out { // an item's holders lie together
+		if errs[k] != nil && items[ri.i].Withdraw {
+			if n := len(resp.Answers); n == 0 || resp.Answers[n-1].Item != ri.i {
+				resp.Answers = append(resp.Answers, publishAnswer{Item: ri.i})
+			}
+			a := &resp.Answers[len(resp.Answers)-1]
+			a.Stale = append(a.Stale, ri.at)
+		}
+	}
 }
 
 // mergeAddrs unions two address lists, sorted for deterministic fan-out.
@@ -265,8 +280,8 @@ type indexingState struct {
 	ix       *index.Inverted
 	replicas *index.Inverted
 	// replicaLocs records, per (term, doc) in the primary index, which
-	// successor addresses hold replicas pushed by this peer. replicateDrop
-	// consumes it so withdrawals reach stale locations too.
+	// successor addresses hold replicas pushed by this peer. A withdrawal's
+	// replicate consumes it so withdrawals reach stale locations too.
 	replicaLocs map[string]map[index.DocID][]simnet.Addr
 	// history ascends by seq cyclically from index oldest: it is filled in
 	// arrival order and, once full, overwritten oldest-first like a ring.

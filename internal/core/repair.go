@@ -34,10 +34,11 @@ import (
 //
 //  1. install the entries at the new holder (both peers now serve them;
 //     the owner's record still points at the sender, which still holds them);
-//  2. per entry, ask the owner to relocate its record (compare-and-swap on
-//     the current holder);
+//  2. ask each owner, in one request for all of its entries, to relocate
+//     its records (compare-and-swap on the current holder, per entry);
 //  3. on a confirmed flip, delete the sender's copy; on a refused or
-//     unreachable owner, revert the installed copy instead.
+//     unreachable owner, revert the installed copy instead — all reverts in
+//     one request.
 //
 // Entries whose owner cannot confirm thus stay exactly where the owner
 // believes they are.
@@ -81,38 +82,27 @@ func (p *Peer) primaryEntries(arc *chordid.Arc) []handoffEntry {
 	return out
 }
 
-// handoffEntries runs the staged handoff protocol against target. With force
-// set (graceful leave — the sender is departing no matter what), entries
-// whose owner could not confirm the move are left installed at the target
-// anyway and returned as failed, their owner records now stale; without it
-// they are reverted at the target and stay with the sender. Returns the
-// count of cleanly relocated entries.
+// handoffEntries runs the staged handoff protocol against target: one
+// install, one sprite.relocate per owner of the moved entries and at most one
+// revert. With force set (graceful leave — the sender is departing no matter
+// what), entries whose owner could not confirm the move are left installed at
+// the target anyway and returned as failed, their owner records now stale;
+// without it they are reverted at the target and stay with the sender.
+// Returns the count of cleanly relocated entries. An install that fails moves
+// nothing and reports nothing: under force those entries die with the sender.
 func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force bool) (moved int, failed []handoffEntry) {
-	size := 0
-	for _, e := range entries {
-		size += len(e.Term) + e.Posting.WireSize() + 8*len(e.ReplicaLocs)
-	}
-	reply, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
-		Type:    msgHandoff,
-		Payload: handoffReq{Entries: entries},
-		Size:    size,
-	}, policy{})
+	ctx := context.Background()
+	install := handoffReq{Entries: entries}
+	reply, _, err := p.send(ctx, dest{addr: target}, simnet.Message{Type: msgHandoff, Payload: install, Size: install.size()}, policy{})
 	if err != nil {
-		// Target unreachable: nothing was installed, nothing moves. Under
-		// force the caller is departing and these entries die with it.
-		if force {
-			return 0, entries
-		}
 		return 0, nil
 	}
-	var existing []bool
-	if resp, ok := reply.Payload.(handoffResp); ok {
-		existing = resp.Existing
-	}
+	installed, _ := reply.Payload.(handoffResp)
+	flipped, _ := exchange(ctx, entries, p.relocations(target))
+	revert := handoffReq{Revert: true}
 	for i, e := range entries {
-		ok := p.relocateEntry(e, target)
 		switch {
-		case ok:
+		case flipped[i] != "":
 			p.indexing.unpublish(e.Term, e.Posting.Doc)
 			p.indexing.takeReplicaLocs(e.Term, e.Posting.Doc) // transferred with the entry
 			moved++
@@ -124,7 +114,7 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 			p.indexing.unpublish(e.Term, e.Posting.Doc)
 			p.indexing.takeReplicaLocs(e.Term, e.Posting.Doc)
 			failed = append(failed, e)
-		case i < len(existing) && existing[i]:
+		case i < len(installed.Existing) && installed.Existing[i]:
 			// The target already held this (term, doc) before the install —
 			// the batch merged with an entry the target owns in its own
 			// right (e.g. re-anchored there by orphan reclaim while this
@@ -132,16 +122,15 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 			// the target's legitimate entry, so the install stands and the
 			// sender keeps its copy for the owner's record to reconcile.
 		default:
-			// Revert round 1 so the entry exists only where the owner says.
-			// A failed revert means the target died mid-protocol — its state
-			// is gone (or will be rebuilt by its own repair), so the extra
-			// copy cannot linger.
-			p.send(context.Background(), dest{addr: target}, simnet.Message{ //nolint:errcheck
-				Type:    msgHandoffDrop,
-				Payload: handoffDropReq{Term: e.Term, Doc: e.Posting.Doc},
-				Size:    len(e.Term) + len(e.Posting.Doc),
-			}, policy{})
+			// Revert stage 1 so the entry exists only where the owner says.
+			revert.Entries = append(revert.Entries, handoffEntry{Term: e.Term, Posting: index.Posting{Doc: e.Posting.Doc}})
 		}
+	}
+	if len(revert.Entries) > 0 {
+		// A failed revert means the target died mid-protocol — its state is
+		// gone (or will be rebuilt by its own repair), so the extra copies
+		// cannot linger.
+		p.send(ctx, dest{addr: target}, simnet.Message{Type: msgHandoff, Payload: revert, Size: revert.size()}, policy{}) //nolint:errcheck
 	}
 	if moved > 0 || len(failed) > 0 {
 		p.net.caches.invalidate()
@@ -150,36 +139,50 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 	return moved, failed
 }
 
-// relocateEntry asks the entry's document owner to flip its holder-of-record
-// from this peer to target.
-func (p *Peer) relocateEntry(e handoffEntry, target simnet.Addr) bool {
-	reply, _, err := p.send(context.Background(), dest{addr: simnet.Addr(e.Posting.Owner)}, simnet.Message{
-		Type:    msgRelocate,
-		Payload: relocateReq{Term: e.Term, Doc: e.Posting.Doc, From: p.Addr(), To: target},
-		Size:    len(e.Term) + len(e.Posting.Doc) + 16,
-	}, policy{})
-	if err != nil {
-		return false
+// relocations is the relocate protocol of a handoff to target: an item is a
+// moved entry, answered with its owner if the owner flipped the holder of
+// record from this peer to target. It is pinned to the entry's owner — the
+// sender itself included — so each owner gets one request for all of its
+// entries, and an owner that cannot be reached flips none.
+func (p *Peer) relocations(target simnet.Addr) *protocol[handoffEntry, simnet.Addr] {
+	return &protocol[handoffEntry, simnet.Addr]{
+		stage:  "relocate",
+		pinned: true,
+		from:   func(handoffEntry) *Peer { return p },
+		term:   func(e handoffEntry) string { return e.Term },
+		holder: func(e handoffEntry) simnet.Addr { return simnet.Addr(e.Posting.Owner) },
+		request: func(_ simnet.Addr, entries []handoffEntry, _ bool) simnet.Message {
+			req := relocateReq{Items: make([]publishItem, len(entries)), From: p.Addr(), To: target}
+			for k, e := range entries {
+				req.Items[k] = publishItem{Term: e.Term, Posting: index.Posting{Doc: e.Posting.Doc}}
+			}
+			// Eight bytes per address: one item costs what a relocate always has.
+			return simnet.Message{Type: msgRelocate, Payload: req, Size: itemsSize(req.Items) + 16}
+		},
+		read: readAccepted,
 	}
-	resp, ok := reply.Payload.(relocateResp)
-	return ok && resp.OK
 }
 
 // handleRelocate is the owner side of the holder-of-record flip. The
 // compare-and-swap on From makes concurrent movers safe: whichever relocate
-// reaches the owner first wins, and the loser reverts its installed copy.
-func (p *Peer) handleRelocate(req relocateReq) relocateResp {
-	st := p.state(req.Doc)
-	if st == nil {
-		return relocateResp{}
+// reaches the owner first wins, and the loser reverts its installed copy. It
+// refuses each item whose flip it did not commit.
+func (p *Peer) handleRelocate(req relocateReq) publishResp {
+	var resp publishResp
+	for i, it := range req.Items {
+		flipped := false
+		if st := p.state(it.Posting.Doc); st != nil {
+			st.mu.Lock()
+			if flipped = st.indexed[it.Term] && st.publishedAt[it.Term] == req.From; flipped {
+				st.publishedAt[it.Term] = req.To
+			}
+			st.mu.Unlock()
+		}
+		if !flipped {
+			resp.Answers = append(resp.Answers, publishAnswer{Item: i, Refused: true})
+		}
 	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if !st.indexed[req.Term] || st.publishedAt[req.Term] != req.From {
-		return relocateResp{}
-	}
-	st.publishedAt[req.Term] = req.To
-	return relocateResp{OK: true}
+	return resp
 }
 
 // antiEntropy reconciles this peer's primary entries (restricted to its
@@ -241,7 +244,7 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 			continue
 		}
 		// The push created copies at target; record them so withdrawals
-		// reach this holder like any replicateOut target.
+		// reach this holder like any replica holder a publish copied to.
 		for _, tp := range set {
 			for post := range tp.Postings.All() {
 				p.indexing.recordReplicaLocs(tp.Term, post.Doc, []simnet.Addr{target})

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -275,5 +277,275 @@ func TestRepairTelemetryCounters(t *testing.T) {
 	snap = reg.Snapshot()
 	if depth := snap.Gauges["chord.successors.depth"]; depth <= 0 {
 		t.Errorf("chord.successors.depth gauge = %d, want > 0", depth)
+	}
+}
+
+// TestLeaveReportsOnlyInstalledEntries: when the departing peer's handoff
+// install never reaches its successor, nothing moved — the entries are lost
+// with the peer — so Leave reports no handoff and no entry as living at the
+// successor under a stale owner record.
+func TestLeaveReportsOnlyInstalledEntries(t *testing.T) {
+	net := simnet.New(3)
+	ring := chord.NewRing(net, chord.Config{})
+	if _, err := ring.AddNodes("m", 6); err != nil {
+		t.Fatal(err)
+	}
+	ring.Build()
+	n, err := NewNetwork(ring, Config{InitialTerms: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ShareCtx(context.Background(), "m0", doc("d", map[string]int{"terma": 4, "termb": 3, "termc": 2, "termd": 1})); err != nil {
+		t.Fatal(err)
+	}
+	var leaver *Peer
+	for _, p := range n.Peers() {
+		if p.Addr() != "m0" && p.Index().NumPostings() > 0 {
+			leaver = p
+			break
+		}
+	}
+	if leaver == nil {
+		t.Skip("no non-owner peer holds entries (hash layout)")
+	}
+	succ := leaver.node.SuccessorList()[0].Addr
+	net.DropCalls(succ, 1) // the leaver owns nothing: its first call to succ is the install
+	rep, err := n.Leave(leaver.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Handoffs != 0 || len(rep.Unrelocated) != 0 {
+		t.Fatalf("leave whose install was dropped reports %d handoffs and unrelocated %v, want none", rep.Handoffs, rep.Unrelocated)
+	}
+	if succPeer, _ := n.Peer(succ); succPeer.Index().NumPostings() != 0 {
+		t.Fatalf("successor %s holds %d postings after a dropped install", succ, succPeer.Index().NumPostings())
+	}
+}
+
+// TestJoinHandoffRelocatesOncePerOwner: a join handoff of k entries whose
+// documents have m < k distinct owners sends each owner one sprite.relocate
+// carrying all of its entries — m messages — and the owners' records follow.
+func TestJoinHandoffRelocatesOncePerOwner(t *testing.T) {
+	f := newLearnFixture(t, 8, 4, 40, Config{Parallelism: 1})
+	// The joiner takes over the keys between its ID and their current owner.
+	var name string
+	var moving []IndexEntry
+	for i := 0; i < 200 && name == ""; i++ {
+		cand := chordid.HashKey(nameFor(i))
+		moving = moving[:0]
+		owners := map[string]bool{}
+		for _, e := range f.n.PrimarySnapshot() {
+			key := chordid.HashKey(e.Term)
+			if holder, _ := f.ring.Owner(key); cand.BetweenLeftIncl(key, holder.ID()) {
+				moving = append(moving, e)
+				owners[e.Posting.Owner] = true
+			}
+		}
+		if len(owners) > 1 && len(moving) > len(owners) {
+			name = nameFor(i)
+		}
+	}
+	if name == "" {
+		t.Skip("no joiner candidate takes entries of several owners (hash layout)")
+	}
+	owners := map[string]bool{}
+	for _, e := range moving {
+		owners[e.Posting.Owner] = true
+	}
+
+	joiner, err := f.ring.AddNode(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.n.Adopt(joiner)
+	f.log.drain()
+	if err := joiner.Join(f.ring.Nodes()[0]); err != nil {
+		t.Fatal(err)
+	}
+	f.ring.Stabilize(200)
+	sent, _ := typeCounts(f.log.drain())
+	if relocates := sent[msgRelocate] + sent[msgRelocate+"/self"]; relocates != len(owners) {
+		t.Fatalf("handoff of %d entries with %d owners sent %d sprite.relocate (all sent: %v)", len(moving), len(owners), relocates, sent)
+	}
+	if sent[msgHandoff] != 1 {
+		t.Fatalf("join sent %d sprite.repair.handoff, want 1 install and no revert", sent[msgHandoff])
+	}
+	for _, e := range moving {
+		if di, _ := f.n.DocIndexInfo(e.Posting.Doc); di.PublishedAt[e.Term] != joiner.Addr() {
+			t.Fatalf("owner records %q of %s at %s, want the joiner %s", e.Term, e.Posting.Doc, di.PublishedAt[e.Term], joiner.Addr())
+		}
+	}
+}
+
+// TestReplicaOncePerHolderPerRequest: with ReplicationFactor 2, an indexing
+// peer copies each publish request it applies — a learning sweep's
+// multi-item batches and an unshare's withdrawals alike — to each of its two
+// successors in one sprite.replica carrying every applied item; no
+// per-entry push or drop is sent. Afterwards each primary's successors hold
+// exactly its entries' copies.
+func TestReplicaOncePerHolderPerRequest(t *testing.T) {
+	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1, ReplicationFactor: 2})
+	checkCopies := func(when string) {
+		t.Helper()
+		want := map[IndexEntry]bool{}
+		for _, e := range f.n.PrimarySnapshot() {
+			p, _ := f.n.Peer(e.Peer)
+			for _, at := range p.replicaTargets() {
+				want[IndexEntry{Peer: at, Term: e.Term, Posting: e.Posting}] = true
+			}
+		}
+		got := f.n.ReplicaSnapshot()
+		for _, e := range got {
+			if !want[e] {
+				t.Fatalf("%s: %s holds a replica of %q/%s that no predecessor indexes", when, e.Peer, e.Term, e.Posting.Doc)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d replicas held, want %d", when, len(got), len(want))
+		}
+	}
+	// checkPushes walks the log: under the sequential executor a handler's
+	// replica pushes are logged just before the publish they copy.
+	checkPushes := func(when string, msgs []sentMsg) (largest int) {
+		t.Helper()
+		var pending []sentMsg
+		for _, m := range msgs {
+			switch m.req.Type {
+			case msgReplica:
+				pending = append(pending, m)
+				continue
+			case msgPublish:
+			case "sprite.replica_drop":
+				t.Fatalf("%s: sent sprite.replica_drop", when)
+			default:
+				continue
+			}
+			req, _ := unrouted(m.req.Payload).(publishReq)
+			resp, ok := m.reply.Payload.(publishResp)
+			applied := 0
+			if ok { // a routed delivery its receiver refused ran no handler
+				applied = len(req.Items)
+				for _, a := range resp.Answers {
+					if a.Refused {
+						applied--
+					}
+				}
+			}
+			p, _ := f.n.Peer(m.to)
+			want := p.replicaTargets()
+			if applied == 0 {
+				want = nil
+			}
+			to := map[simnet.Addr]bool{}
+			for _, r := range pending {
+				to[r.to] = true
+			}
+			if len(pending) != len(want) || len(to) != len(want) {
+				t.Fatalf("%s: publish of %d applied items to %s copied in %d messages, want one to each of %v", when, applied, m.to, len(pending), want)
+			}
+			for _, r := range pending {
+				if r.from != m.to || !slices.Contains(want, r.to) || len(r.req.Payload.(replicaReq).Items) != applied {
+					t.Fatalf("%s: %s's publish of %d items copied by %s → %s carrying %d", when, m.to, applied, r.from, r.to, len(r.req.Payload.(replicaReq).Items))
+				}
+			}
+			largest = max(largest, applied)
+			pending = nil
+		}
+		if len(pending) != 0 {
+			t.Fatalf("%s: %d replica pushes copy no publish", when, len(pending))
+		}
+		return largest
+	}
+	checkCopies("after sharing")
+
+	f.queries(t, 150, false)
+	f.log.drain()
+	if _, err := f.n.LearnAllCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if largest := checkPushes("learning sweep", f.log.drain()); largest < 2 {
+		t.Fatalf("no sweep publish carried more than one item (largest %d)", largest)
+	}
+	checkCopies("after a learning sweep")
+
+	for _, id := range f.n.Documents()[:4] {
+		if err := f.n.Unshare(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if largest := checkPushes("unshare", f.log.drain()); largest < 1 {
+		t.Fatal("unshare withdrew nothing")
+	}
+	checkCopies("after unsharing")
+}
+
+// unrouted is a logged request's payload without chord's routed-delivery
+// envelope, if it has one.
+func unrouted(payload any) any {
+	if v := reflect.ValueOf(payload); v.Kind() == reflect.Struct {
+		if inner := v.FieldByName("Payload"); inner.IsValid() && v.FieldByName("Key").IsValid() {
+			return inner.Interface()
+		}
+	}
+	return payload
+}
+
+// TestHandoffRefusedRelocationReverts: an owner whose record no longer names
+// the sender refuses that entry's relocation, so the handoff reverts it at the
+// target — one sprite.repair.handoff with Revert set — and the sender keeps
+// it, while the owner's other entries in the same request move. Under force
+// the refused entry stays at the target and is reported failed.
+func TestHandoffRefusedRelocationReverts(t *testing.T) {
+	f := newLearnFixture(t, 8, 4, 40, Config{Parallelism: 1})
+	for _, force := range []bool{false, true} {
+		// A sender holding three entries of one owner, and another peer.
+		var from *Peer
+		var entries []handoffEntry
+		for _, p := range f.n.Peers() {
+			entries = slices.DeleteFunc(p.primaryEntries(nil), func(e handoffEntry) bool { return e.Posting.Owner != "p1" })
+			if from = p; len(entries) >= 3 {
+				break
+			}
+		}
+		if len(entries) < 3 {
+			t.Fatal("no peer holds three entries of p1")
+		}
+		entries = entries[:3]
+		target := from.node.SuccessorList()[0].Addr
+		victim := entries[1]
+		owner, _ := f.n.Peer("p1")
+		st := owner.state(victim.Posting.Doc)
+		st.mu.Lock()
+		st.publishedAt[victim.Term] = "elsewhere"
+		st.mu.Unlock()
+
+		f.log.drain()
+		moved, failed := from.handoffEntries(target, entries, force)
+		var reverts []handoffReq
+		for _, m := range f.log.drain() {
+			if req, ok := m.req.Payload.(handoffReq); ok && req.Revert {
+				reverts = append(reverts, req)
+			}
+		}
+		wantReverts, wantFailed := 1, 0
+		if force {
+			wantReverts, wantFailed = 0, 1
+		}
+		if moved != 2 || len(failed) != wantFailed || len(reverts) != wantReverts || !force && len(reverts[0].Entries) != 1 {
+			t.Fatalf("force %v: moved %d, failed %v, reverts %+v; want 2 moved, %d failed, %d revert of %q", force, moved, failed, reverts, wantFailed, wantReverts, victim.Term)
+		}
+		held := func(at simnet.Addr, e handoffEntry) bool {
+			p, _ := f.n.Peer(at)
+			return p.Index().Contains(e.Term, e.Posting.Doc)
+		}
+		for _, e := range entries {
+			stays := e.Term == victim.Term && !force
+			if held(target, e) == stays || held(from.Addr(), e) != stays {
+				t.Fatalf("force %v: %q of %s: target holds it %v, sender holds it %v", force, e.Term, e.Posting.Doc, held(target, e), held(from.Addr(), e))
+			}
+		}
+		st.mu.Lock()
+		st.publishedAt[victim.Term] = from.Addr() // where the revert left it
+		st.mu.Unlock()
 	}
 }

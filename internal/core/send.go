@@ -21,10 +21,11 @@ import (
 // addresses from its own records gets one request carrying every item bound
 // there, the receiver checks each item's key against its own arc
 // (chord.Node.Serves) and refuses what it does not serve, and every item a
-// batch does not settle goes alone by its key through send. Withdrawals are
-// the exception (protocol.pinned): they go only to the holder the owner's
-// record names. A protocol is a request builder and a reply reader, which the
-// batch and the one-item route (protocol.route) share.
+// batch does not settle goes alone by its key through send. Pinned protocols
+// (protocol.pinned) are the exception — withdrawals, an indexing peer's
+// replica pushes and a handoff's relocates: an item goes only to the peer it
+// names. A protocol is a request builder and a reply reader, which the batch
+// and the one-item route (protocol.route) share.
 
 // dest is where send delivers a message: to addr, or — addr "" — to the peer
 // that serves key, routed by the ring (chord.Node.RouteVia) with hint, when

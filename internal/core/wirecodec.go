@@ -20,49 +20,11 @@ func init() {
 	wire.RegisterBinary(wire.KindCoreBase+0, publishReq{},
 		func(e *wire.Encoder, v any) {
 			r := v.(publishReq)
-			e.Uint(uint64(len(r.Items)))
-			for _, it := range r.Items {
-				e.String(it.Term)
-				var flags uint64
-				if it.Withdraw {
-					flags |= itemWithdraw
-				}
-				only := it.Posting == index.Posting{Doc: it.Posting.Doc}
-				if only {
-					flags |= itemDocOnly
-				}
-				e.Uint(flags)
-				if only {
-					e.String(string(it.Posting.Doc))
-				} else {
-					encodePosting(e, it.Posting)
-				}
-			}
+			encodeItems(e, r.Items)
 			e.Bool(r.CheckArc)
 		},
 		func(d *wire.Decoder) any {
-			var r publishReq
-			// A term's length byte, the flags and a document's length byte.
-			if n := d.Count(3); n > 0 {
-				r.Items = make([]publishItem, n)
-				for i := range r.Items {
-					it := &r.Items[i]
-					it.Term = d.String()
-					flags := d.Uint()
-					if flags&^(itemWithdraw|itemDocOnly) != 0 {
-						d.Fail(errors.New("core: unknown publish item flags"))
-					}
-					it.Withdraw = flags&itemWithdraw != 0
-					if flags&itemDocOnly != 0 {
-						it.Posting.Doc = index.DocID(d.String())
-					} else {
-						it.Posting = decodePosting(d)
-					}
-					if d.Err() != nil {
-						break
-					}
-				}
-			}
+			r := publishReq{Items: decodeItems(d)}
 			r.CheckArc = d.Bool()
 			return r
 		})
@@ -103,8 +65,10 @@ func init() {
 			return r
 		})
 
-	// Kinds +1 and +2 are retired (sprite.unpublish's), as are +21 and +22
-	// (sprite.sketch_scan's): do not reuse them.
+	// Kinds +1 and +2 are retired (sprite.unpublish's), as are +9
+	// (sprite.replica_drop's), +13 (sprite.repair.handoff_drop's), +15 (the
+	// one-entry relocate's reply) and +21 and +22 (sprite.sketch_scan's): do
+	// not reuse them.
 
 	wire.RegisterBinary(wire.KindCoreBase+3, getPostingsReq{},
 		func(e *wire.Encoder, v any) {
@@ -247,30 +211,8 @@ func init() {
 		})
 
 	wire.RegisterBinary(wire.KindCoreBase+8, replicaReq{},
-		func(e *wire.Encoder, v any) {
-			r := v.(replicaReq)
-			e.String(r.Term)
-			encodePosting(e, r.Posting)
-		},
-		func(d *wire.Decoder) any {
-			var r replicaReq
-			r.Term = d.String()
-			r.Posting = decodePosting(d)
-			return r
-		})
-
-	wire.RegisterBinary(wire.KindCoreBase+9, replicaDropReq{},
-		func(e *wire.Encoder, v any) {
-			r := v.(replicaDropReq)
-			e.String(r.Term)
-			e.String(string(r.Doc))
-		},
-		func(d *wire.Decoder) any {
-			var r replicaDropReq
-			r.Term = d.String()
-			r.Doc = index.DocID(d.String())
-			return r
-		})
+		func(e *wire.Encoder, v any) { encodeItems(e, v.(replicaReq).Items) },
+		func(d *wire.Decoder) any { return replicaReq{Items: decodeItems(d)} })
 
 	wire.RegisterBinary(wire.KindCoreBase+10, docTermsReq{},
 		func(e *wire.Encoder, v any) { e.String(string(v.(docTermsReq).Doc)) },
@@ -288,6 +230,7 @@ func init() {
 					e.String(string(a))
 				}
 			}
+			e.Bool(r.Revert)
 		},
 		func(d *wire.Decoder) any {
 			var r handoffReq
@@ -307,6 +250,7 @@ func init() {
 					}
 				}
 			}
+			r.Revert = d.Bool()
 			return r
 		})
 
@@ -329,39 +273,19 @@ func init() {
 			return r
 		})
 
-	wire.RegisterBinary(wire.KindCoreBase+13, handoffDropReq{},
-		func(e *wire.Encoder, v any) {
-			r := v.(handoffDropReq)
-			e.String(r.Term)
-			e.String(string(r.Doc))
-		},
-		func(d *wire.Decoder) any {
-			var r handoffDropReq
-			r.Term = d.String()
-			r.Doc = index.DocID(d.String())
-			return r
-		})
-
 	wire.RegisterBinary(wire.KindCoreBase+14, relocateReq{},
 		func(e *wire.Encoder, v any) {
 			r := v.(relocateReq)
-			e.String(r.Term)
-			e.String(string(r.Doc))
+			encodeItems(e, r.Items)
 			e.String(string(r.From))
 			e.String(string(r.To))
 		},
 		func(d *wire.Decoder) any {
-			var r relocateReq
-			r.Term = d.String()
-			r.Doc = index.DocID(d.String())
+			r := relocateReq{Items: decodeItems(d)}
 			r.From = simnet.Addr(d.String())
 			r.To = simnet.Addr(d.String())
 			return r
 		})
-
-	wire.RegisterBinary(wire.KindCoreBase+15, relocateResp{},
-		func(e *wire.Encoder, v any) { e.Bool(v.(relocateResp).OK) },
-		func(d *wire.Decoder) any { return relocateResp{OK: d.Bool()} })
 
 	wire.RegisterBinary(wire.KindCoreBase+16, repairDigestReq{},
 		func(e *wire.Encoder, v any) {
@@ -511,12 +435,64 @@ const (
 )
 
 // Bits of a publish item's flags varint: the item withdraws its posting, and
-// the posting is nothing but its document (a withdrawal's), which alone goes
-// on the wire.
+// the posting is nothing but its document (a withdrawal's or a relocation's),
+// which alone goes on the wire.
 const (
 	itemWithdraw = 1 << iota
 	itemDocOnly
 )
+
+// encodeItems writes an item list — the one shared by sprite.publish,
+// sprite.replica and sprite.relocate: its count, then per item the term, the
+// flags and the posting, or only its document.
+func encodeItems(e *wire.Encoder, items []publishItem) {
+	e.Uint(uint64(len(items)))
+	for _, it := range items {
+		e.String(it.Term)
+		var flags uint64
+		if it.Withdraw {
+			flags |= itemWithdraw
+		}
+		only := it.Posting == index.Posting{Doc: it.Posting.Doc}
+		if only {
+			flags |= itemDocOnly
+		}
+		e.Uint(flags)
+		if only {
+			e.String(string(it.Posting.Doc))
+		} else {
+			encodePosting(e, it.Posting)
+		}
+	}
+}
+
+// decodeItems reads encodeItems' form; an unknown flag fails the decode.
+func decodeItems(d *wire.Decoder) []publishItem {
+	// A term's length byte, the flags and a document's length byte.
+	n := d.Count(3)
+	if n == 0 {
+		return nil
+	}
+	items := make([]publishItem, n)
+	for i := range items {
+		it := &items[i]
+		it.Term = d.String()
+		flags := d.Uint()
+		if flags&^(itemWithdraw|itemDocOnly) != 0 {
+			d.Fail(errors.New("core: unknown publish item flags"))
+		}
+		it.Withdraw = flags&itemWithdraw != 0
+		if flags&itemDocOnly != 0 {
+			it.Posting.Doc = index.DocID(d.String())
+		} else {
+			it.Posting = decodePosting(d)
+		}
+		if d.Err() != nil {
+			break
+		}
+	}
+	return items
+}
 
 // encodeList ships a postings list's blocks exactly as the index stores them,
 // length-prefixed; MarshalBinary only adds the block framing.

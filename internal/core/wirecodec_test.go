@@ -70,7 +70,7 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	}
 
 	// A single item's simulated size is the one it had before batching.
-	if got, want := one.size(), len("ab")+posting.WireSize(); got != want {
+	if got, want := itemsSize(one.Items), len("ab")+posting.WireSize(); got != want {
 		t.Fatalf("publish of one item: Size %d, want %d", got, want)
 	}
 	if got, want := poll.size(), len("ab")+sizeTerms([]string{"ab", "cd"})+8; got != want {
@@ -81,7 +81,7 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	}
 	// A withdrawal of one item costs what a sprite.unpublish did: its term
 	// and document, and a reply of a byte and eight per stale replica holder.
-	if got, want := pull.size(), len("ab")+len("d1"); got != want {
+	if got, want := itemsSize(pull.Items), len("ab")+len("d1"); got != want {
 		t.Fatalf("withdrawal of one item: Size %d, want %d", got, want)
 	}
 	if got, want := (publishResp{Answers: []publishAnswer{{Stale: []simnet.Addr{"p3", "p4"}}}}).size(), 1+8*2; got != want {
@@ -136,11 +136,59 @@ func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
 	}
 }
 
+// The wire forms of the replica push, the relocate and the handoff, byte for
+// byte, and their round trip: replicas and relocates are publishReq's item
+// list — a relocation's items in the document-only form — and a push or
+// relocate of one item keeps the simulated size a single one always had.
+func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
+	posting := index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7}
+	push := replicaReq{Items: []publishItem{{Term: "ab", Posting: posting}, {Term: "cd", Posting: index.Posting{Doc: "d2"}, Withdraw: true}}}
+	relocate := relocateReq{Items: []publishItem{{Term: "ab", Posting: index.Posting{Doc: "d1"}}, {Term: "cd", Posting: index.Posting{Doc: "d2"}}}, From: "p1", To: "p2"}
+	revert := handoffReq{Entries: []handoffEntry{{Term: "ab", Posting: index.Posting{Doc: "d1"}}}, Revert: true}
+	for _, c := range []struct {
+		name   string
+		value  any
+		golden string
+	}{
+		// publishReq's item list: count, then per item the term, the flags
+		// and the posting or only its document.
+		{"replicaReq", push, "0018" + "02" + "026162" + "00" + "026431" + "027030" + "06" + "0e" + "00" + "026364" + "03" + "026432"},
+		// the item list, every item document-only, then From and To.
+		{"relocateReq", relocate, "001e" + "02" + "026162" + "02" + "026431" + "026364" + "02" + "026432" + "027031" + "027032"},
+		// count, then per entry the term, the posting and the replica
+		// locations, then the revert flag.
+		{"handoffReq", handoffReq{Entries: []handoffEntry{{Term: "ab", Posting: posting, ReplicaLocs: []simnet.Addr{"p3"}}}},
+			"001c" + "01" + "026162" + "026431" + "027030" + "06" + "0e" + "00" + "01" + "027033" + "00"},
+		{"handoffReq/revert", revert, "001c" + "01" + "026162" + "026431" + "00" + "00" + "00" + "00" + "00" + "01"},
+	} {
+		enc, ok := wire.AppendBinary(nil, c.value)
+		if !ok {
+			t.Fatalf("%s: no binary codec", c.name)
+		}
+		if got := hex.EncodeToString(enc); got != c.golden {
+			t.Fatalf("%s encodes as\n  %s\nwant\n  %s", c.name, got, c.golden)
+		}
+		dec, err := wire.DecodeBinary(enc)
+		if err != nil || !reflect.DeepEqual(dec, c.value) {
+			t.Fatalf("%s: binary round trip = %#v, %v", c.name, dec, err)
+		}
+	}
+
+	if got, want := itemsSize(push.Items[:1]), len("ab")+posting.WireSize(); got != want {
+		t.Fatalf("replica push of one item: Size %d, want %d", got, want)
+	}
+	p := testNetwork(t, 2, Config{}).Peers()[0]
+	if got, want := p.relocations("p1").request("", []handoffEntry{{Term: "ab", Posting: posting}}, false).Size, len("ab")+len("d1")+16; got != want {
+		t.Fatalf("relocate of one item: Size %d, want %d", got, want)
+	}
+}
+
 // Retired kinds stay unregistered: a frame naming sprite.unpublish's
-// (+1 / +2) or sprite.sketch_scan's (+21 / +22) is refused as unknown, so no
-// later payload can be mistaken for one of theirs.
+// (+1 / +2), sprite.replica_drop's (+9), sprite.repair.handoff_drop's (+13),
+// the one-entry relocate reply's (+15) or sprite.sketch_scan's (+21 / +22) is
+// refused as unknown, so no later payload can be mistaken for one of theirs.
 func TestRetiredKindsUnregistered(t *testing.T) {
-	for _, k := range []uint16{1, 2, 21, 22} {
+	for _, k := range []uint16{1, 2, 9, 13, 15, 21, 22} {
 		frame := binary.BigEndian.AppendUint16(nil, wire.KindCoreBase+k)
 		if _, err := wire.DecodeBinary(frame); err == nil || !strings.Contains(err.Error(), "unknown binary kind") {
 			t.Errorf("KindCoreBase+%d: DecodeBinary err = %v, want an unknown kind", k, err)

@@ -221,6 +221,39 @@ func FuzzBinaryProtocol(f *testing.F) {
 		stale.Index(1).SetString("p9")
 		v.FieldByName("Answers").Set(answers)
 	}), uint8(6))
+	// The item lists publishReq shares: a replica push carrying a posting
+	// and a withdrawal, a relocate of two document-only items, and a handoff
+	// revert, so that the mutator starts from each multi-item form.
+	f.Add(protocolSeed(f, "replicaReq", func(v reflect.Value) {
+		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 2, 2)
+		items.Index(0).FieldByName("Term").SetString("chord")
+		items.Index(0).FieldByName("Posting").FieldByName("Doc").SetString("d1")
+		items.Index(0).FieldByName("Posting").FieldByName("Owner").SetString("p3")
+		items.Index(0).FieldByName("Posting").FieldByName("Freq").SetInt(2)
+		items.Index(1).FieldByName("Term").SetString("ring")
+		items.Index(1).FieldByName("Posting").FieldByName("Doc").SetString("d2")
+		items.Index(1).FieldByName("Withdraw").SetBool(true)
+		v.FieldByName("Items").Set(items)
+	}), uint8(7))
+	f.Add(protocolSeed(f, "relocateReq", func(v reflect.Value) {
+		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 2, 2)
+		for i, term := range []string{"chord", "ring"} {
+			items.Index(i).FieldByName("Term").SetString(term)
+			items.Index(i).FieldByName("Posting").FieldByName("Doc").SetString("d" + term)
+		}
+		v.FieldByName("Items").Set(items)
+		v.FieldByName("From").SetString("p1")
+		v.FieldByName("To").SetString("p2")
+	}), uint8(8))
+	f.Add(protocolSeed(f, "handoffReq", func(v reflect.Value) {
+		entries := reflect.MakeSlice(v.FieldByName("Entries").Type(), 2, 2)
+		for i, term := range []string{"chord", "ring"} {
+			entries.Index(i).FieldByName("Term").SetString(term)
+			entries.Index(i).FieldByName("Posting").FieldByName("Doc").SetString("d" + term)
+		}
+		v.FieldByName("Entries").Set(entries)
+		v.FieldByName("Revert").SetBool(true)
+	}), uint8(10))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint8) {
 		protos := wire.BinaryPrototypes()
 		if len(protos) == 0 {
