@@ -361,8 +361,8 @@ func execute(net *sprite.Network, tel *sprite.Telemetry, line string) bool {
 		}
 	case "cache":
 		p, r := net.CacheStats()
-		fmt.Printf("postings: hits=%d misses=%d coalesced=%d entries=%d hit-rate=%.3f\n",
-			p.Hits, p.Misses, p.Coalesced, p.Entries, p.HitRate)
+		fmt.Printf("postings: hits=%d misses=%d entries=%d hit-rate=%.3f\n",
+			p.Hits, p.Misses, p.Entries, p.HitRate)
 		fmt.Printf("results:  hits=%d misses=%d entries=%d hit-rate=%.3f\n",
 			r.Hits, r.Misses, r.Entries, r.HitRate)
 	default:

@@ -8,12 +8,12 @@
 // bound, approximate-byte accounting, generation-based invalidation in two scopes —
 // Invalidate bumps one global generation and every older entry dies lazily,
 // InvalidateKey bumps the generation of one key's stripe and only that
-// stripe's entries die — and singleflight request coalescing: N concurrent
-// misses on the same key issue exactly one fill, the other N−1 callers wait
-// and share the result. Every event — hit, miss, store, eviction, expiry,
-// stale-generation drop, coalesced wait — is counted, occupancy is tracked in
-// gauges, and lookup latency is recorded in a histogram when a telemetry
-// registry is installed.
+// stripe's entries die. A caller that reads remote state to fill a miss takes
+// a Mark first and stores with PutAt, which refuses the value if either
+// generation moved in between. Every event — hit, miss, store, eviction,
+// expiry, stale-generation drop — is counted, occupancy is tracked in gauges,
+// and lookup latency is recorded in a histogram when a telemetry registry is
+// installed.
 package cache
 
 import (
@@ -39,9 +39,7 @@ type Config struct {
 	Shards int
 	// Now supplies expiry timestamps, for TTL tests. Defaults to Clock.Now.
 	Now func() time.Time
-	// Clock supplies lookup timing and singleflight waits. Nil is the wall
-	// clock; virtual-time deployments inject their *vtime.Sim so a waiter
-	// coalesced on another caller's fill does not stall the scheduler.
+	// Clock supplies lookup timing. Nil is the wall clock.
 	Clock vtime.Clock
 	// Telemetry, when non-nil, receives counters/gauges/histograms named
 	// "<Name>.hits", "<Name>.entries", "<Name>.lookup_ns", … Nil disables
@@ -71,37 +69,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Outcome reports how GetOrFill satisfied a lookup.
-type Outcome int
-
-const (
-	// Hit means the value was served from the cache.
-	Hit Outcome = iota
-	// Filled means this caller ran the fill function.
-	Filled
-	// Coalesced means another caller's concurrent fill was shared.
-	Coalesced
-)
-
-// String implements fmt.Stringer for trace annotations.
-func (o Outcome) String() string {
-	switch o {
-	case Hit:
-		return "hit"
-	case Filled:
-		return "fill"
-	case Coalesced:
-		return "coalesced"
-	}
-	return "unknown"
-}
-
 // Stats is a point-in-time snapshot of the cache's counters and occupancy.
 type Stats struct {
 	Hits        int64 // lookups served from a live entry
-	Misses      int64 // lookups that found nothing servable (includes Coalesced)
-	Coalesced   int64 // misses that piggybacked on another caller's fill
-	Stores      int64 // values inserted (Put or successful fill)
+	Misses      int64 // lookups that found nothing servable
+	Stores      int64 // values inserted (Put or a PutAt that stored)
 	Evictions   int64 // entries dropped for capacity (LRU order)
 	Expirations int64 // entries dropped because their TTL elapsed
 	Invalidated int64 // entries dropped for belonging to an old generation (global or key)
@@ -130,19 +102,11 @@ type entry[V any] struct {
 	prev, next *entry[V]
 }
 
-// flight is one in-progress fill that concurrent misses wait on.
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-}
-
 // shard is one independently locked cache segment with its own LRU list.
 type shard[V any] struct {
-	mu       sync.Mutex
-	entries  map[string]*entry[V]
-	inflight map[string]*flight[V]
-	bytes    int64
+	mu      sync.Mutex
+	entries map[string]*entry[V]
+	bytes   int64
 	// head is most recently used, tail least.
 	head, tail *entry[V]
 }
@@ -150,8 +114,7 @@ type shard[V any] struct {
 // metrics mirrors the counters into a telemetry registry; all nil (inert)
 // without one.
 type metrics struct {
-	hits, misses, coalesced            *telemetry.Counter
-	stores, evictions                  *telemetry.Counter
+	hits, misses, stores, evictions    *telemetry.Counter
 	expirations, invalidated           *telemetry.Counter
 	entriesGauge, bytesGauge, genGauge *telemetry.Gauge
 	lookupNS                           *telemetry.Histogram
@@ -159,8 +122,8 @@ type metrics struct {
 
 // Cache is a sharded LRU+TTL cache from string keys to values of type V.
 // All methods are safe for concurrent use, and safe on a nil *Cache (a nil
-// cache behaves as permanently empty: Get misses, Put drops, GetOrFill runs
-// the fill every time), which is how a disabled cache is represented.
+// cache behaves as permanently empty: Get misses, Put and PutAt drop), which
+// is how a disabled cache is represented.
 type Cache[V any] struct {
 	cfg    Config
 	seed   maphash.Seed
@@ -171,9 +134,9 @@ type Cache[V any] struct {
 	// an extra miss and never a stale hit.
 	keyGens [keyStripes]atomic.Uint64
 
-	hits, misses, coalesced  atomic.Int64
-	stores, evictions        atomic.Int64
-	expirations, invalidated atomic.Int64
+	hits, misses, stores   atomic.Int64
+	evictions, expirations atomic.Int64
+	invalidated            atomic.Int64
 
 	met metrics
 }
@@ -183,16 +146,12 @@ func New[V any](cfg Config) *Cache[V] {
 	cfg = cfg.withDefaults()
 	c := &Cache[V]{cfg: cfg, seed: maphash.MakeSeed()}
 	for i := 0; i < cfg.Shards; i++ {
-		c.shards = append(c.shards, &shard[V]{
-			entries:  make(map[string]*entry[V]),
-			inflight: make(map[string]*flight[V]),
-		})
+		c.shards = append(c.shards, &shard[V]{entries: make(map[string]*entry[V])})
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		c.met = metrics{
 			hits:         reg.Counter(cfg.Name + ".hits"),
 			misses:       reg.Counter(cfg.Name + ".misses"),
-			coalesced:    reg.Counter(cfg.Name + ".coalesced"),
 			stores:       reg.Counter(cfg.Name + ".stores"),
 			evictions:    reg.Counter(cfg.Name + ".evictions"),
 			expirations:  reg.Counter(cfg.Name + ".expirations"),
@@ -302,107 +261,45 @@ func (c *Cache[V]) Put(key string, val V, bytes int) {
 	s.mu.Unlock()
 }
 
-// PutAt stores a value only if the cache is still at generation gen — the
-// generation the caller observed (via Generation) before computing val. A
-// caller that reads remote state, computes, and stores must use this instead
-// of Put: an Invalidate racing the computation (e.g. a peer failure injected
-// mid-search) would otherwise be erased by a Put of the stale value at the
-// new generation. The guard covers the global generation only; a caller that
-// must also survive InvalidateKey uses GetOrFill. Returns whether the value
-// was stored.
-func (c *Cache[V]) PutAt(gen uint64, key string, val V, bytes int) bool {
+// Mark is what a key's generations were when Mark(key) was called: PutAt
+// stores only if neither has moved since.
+type Mark struct{ gen, keyGen uint64 }
+
+// Mark returns key's generations, to be taken before reading the state a
+// later PutAt stores. Zero on a nil cache.
+func (c *Cache[V]) Mark(key string) Mark {
+	if c == nil {
+		return Mark{}
+	}
+	return Mark{c.gen.Load(), c.keyGenFor(key).Load()}
+}
+
+// PutAt stores a value only if no Invalidate, and no InvalidateKey of key's
+// stripe, happened since m was taken — since before val was read. A caller
+// that reads remote state, computes, and stores must use this instead of Put:
+// an invalidation racing the read (a write to the key, a peer failure
+// injected mid-search) would otherwise be erased by a Put of the stale value
+// at the new generation. Returns whether the value was stored.
+func (c *Cache[V]) PutAt(m Mark, key string, val V, bytes int) bool {
 	if c == nil {
 		return false
 	}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if gen != c.gen.Load() {
+	if m != c.Mark(key) {
 		return false
 	}
-	// Store tagged with the observed generation: an Invalidate that lands
+	// Store tagged with the marked generations: an invalidation that lands
 	// between the check above and a later lookup still kills the entry, since
-	// lookups compare the entry's generation against the current one.
-	c.storeLocked(s, key, val, int64(bytes), gen, c.keyGenFor(key).Load())
+	// lookups compare the entry's generations against the current ones.
+	c.storeLocked(s, key, val, int64(bytes), m.gen, m.keyGen)
 	return true
 }
 
-// GetOrFill returns the cached value for key, or runs fill to produce it.
-// Concurrent callers that miss on the same key are coalesced: exactly one
-// runs fill, the rest block and share its value (and error). Fill errors are
-// not cached. A fill that completes after Invalidate or InvalidateKey(key)
-// was called is returned to its waiters but not stored, so a fill started
-// against pre-invalidation state can never outlive the invalidation.
-//
-// fill returns the value and its approximate byte size.
-func (c *Cache[V]) GetOrFill(key string, fill func() (V, int, error)) (V, Outcome, error) {
-	if c == nil {
-		v, _, err := fill()
-		return v, Filled, err
-	}
-	start := c.cfg.Clock.Now()
-	s := c.shardFor(key)
-	keyGen := c.keyGenFor(key)
-	s.mu.Lock()
-	if e, live := c.lookupLocked(s, key, keyGen); live {
-		s.moveToFront(e)
-		val := e.val // copied under the lock, as in Get
-		s.mu.Unlock()
-		c.met.lookupNS.Observe(c.cfg.Clock.Now().Sub(start).Nanoseconds())
-		c.hits.Add(1)
-		c.met.hits.Inc()
-		return val, Hit, nil
-	}
-	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		c.met.lookupNS.Observe(c.cfg.Clock.Now().Sub(start).Nanoseconds())
-		c.misses.Add(1)
-		c.met.misses.Inc()
-		c.coalesced.Add(1)
-		c.met.coalesced.Inc()
-		// The filling goroutine may be sleeping through simulated latency:
-		// the wait on its completion is a real-channel wait the clock cannot
-		// see, so deregister for its duration.
-		c.cfg.Clock.Blocking(func() { <-f.done })
-		return f.val, Coalesced, f.err
-	}
-	f := &flight[V]{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-	c.met.lookupNS.Observe(c.cfg.Clock.Now().Sub(start).Nanoseconds())
-	c.misses.Add(1)
-	c.met.misses.Inc()
-
-	gen, kgen := c.gen.Load(), keyGen.Load()
-	val, bytes, err := fill()
-	f.val, f.err = val, err
-
-	s.mu.Lock()
-	delete(s.inflight, key)
-	if err == nil && gen == c.gen.Load() && kgen == keyGen.Load() {
-		c.storeLocked(s, key, val, int64(bytes), gen, kgen)
-	}
-	s.mu.Unlock()
-	close(f.done)
-	return val, Filled, err
-}
-
-// Delete removes the entry under key, if present.
-func (c *Cache[V]) Delete(key string) {
-	if c == nil {
-		return
-	}
-	s := c.shardFor(key)
-	s.mu.Lock()
-	if e, ok := s.entries[key]; ok {
-		c.removeLocked(s, e)
-	}
-	s.mu.Unlock()
-}
-
 // Invalidate bumps the cache generation: every entry stored before this call
-// is dead and will be dropped on its next lookup, and in-progress fills that
-// started before the bump will not be stored. O(1) regardless of size.
+// is dead and will be dropped on its next lookup, and a PutAt marked before
+// the bump stores nothing. O(1) regardless of size.
 func (c *Cache[V]) Invalidate() {
 	if c == nil {
 		return
@@ -412,38 +309,14 @@ func (c *Cache[V]) Invalidate() {
 }
 
 // InvalidateKey is Invalidate scoped to one key: the entry stored under key
-// before this call is dead, and an in-progress fill of key that started
-// before it will not be stored — which a Delete cannot promise, since the
-// fill would store its pre-write value afterwards. Other keys survive, save
-// the few that share key's generation stripe. O(len(key)).
+// before this call is dead, and a PutAt of key marked before it stores
+// nothing. Other keys survive, save the few that share key's generation
+// stripe. O(len(key)).
 func (c *Cache[V]) InvalidateKey(key string) {
 	if c == nil {
 		return
 	}
 	c.keyGenFor(key).Add(1)
-}
-
-// Generation returns the current global invalidation generation.
-func (c *Cache[V]) Generation() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.gen.Load()
-}
-
-// Len returns the number of entries currently held, including entries from
-// old generations that have not been touched (and lazily dropped) yet.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
 }
 
 // Stats snapshots the counters and occupancy. Safe on nil (all zeros).
@@ -454,7 +327,6 @@ func (c *Cache[V]) Stats() Stats {
 	st := Stats{
 		Hits:        c.hits.Load(),
 		Misses:      c.misses.Load(),
-		Coalesced:   c.coalesced.Load(),
 		Stores:      c.stores.Load(),
 		Evictions:   c.evictions.Load(),
 		Expirations: c.expirations.Load(),

@@ -1,11 +1,9 @@
 package cache
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -101,127 +99,6 @@ func TestGenerationInvalidation(t *testing.T) {
 	}
 }
 
-func TestGetOrFillBasics(t *testing.T) {
-	c := New[string](Config{MaxEntries: 8, Shards: 1})
-	fills := 0
-	fill := func() (string, int, error) { fills++; return "v", 1, nil }
-	v, out, err := c.GetOrFill("k", fill)
-	if err != nil || v != "v" || out != Filled {
-		t.Fatalf("cold GetOrFill = %q, %v, %v; want v, Filled, nil", v, out, err)
-	}
-	v, out, err = c.GetOrFill("k", fill)
-	if err != nil || v != "v" || out != Hit {
-		t.Fatalf("warm GetOrFill = %q, %v, %v; want v, Hit, nil", v, out, err)
-	}
-	if fills != 1 {
-		t.Fatalf("fill ran %d times; want 1", fills)
-	}
-}
-
-func TestGetOrFillErrorNotCached(t *testing.T) {
-	c := New[string](Config{MaxEntries: 8, Shards: 1})
-	boom := errors.New("boom")
-	_, _, err := c.GetOrFill("k", func() (string, int, error) { return "", 0, boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v; want boom", err)
-	}
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("failed fill was cached")
-	}
-	v, out, err := c.GetOrFill("k", func() (string, int, error) { return "ok", 2, nil })
-	if err != nil || v != "ok" || out != Filled {
-		t.Fatalf("retry after failed fill = %q, %v, %v", v, out, err)
-	}
-}
-
-func TestGetOrFillCoalescing(t *testing.T) {
-	c := New[int](Config{MaxEntries: 8, Shards: 1, Telemetry: telemetry.NewRegistry(), Name: "c"})
-	const n = 16
-	var fills atomic.Int64
-	gate := make(chan struct{})
-	started := make(chan struct{})
-	var once sync.Once
-
-	var wg sync.WaitGroup
-	results := make([]int, n)
-	outcomes := make([]Outcome, n)
-	for i := 0; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v, out, err := c.GetOrFill("k", func() (int, int, error) {
-				fills.Add(1)
-				once.Do(func() { close(started) })
-				<-gate // hold the fill open so the others pile up
-				return 42, 1, nil
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			results[i], outcomes[i] = v, out
-		}()
-	}
-	<-started
-	// Wait until the other n-1 callers are blocked on the flight. Coalesced
-	// is counted before blocking, so poll the counter.
-	for deadline := time.Now().Add(5 * time.Second); c.Stats().Coalesced < n-1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d callers coalesced", c.Stats().Coalesced)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(gate)
-	wg.Wait()
-
-	if got := fills.Load(); got != 1 {
-		t.Fatalf("fill ran %d times; want exactly 1", got)
-	}
-	filled, coalesced := 0, 0
-	for i := range results {
-		if results[i] != 42 {
-			t.Fatalf("caller %d got %d; want 42", i, results[i])
-		}
-		switch outcomes[i] {
-		case Filled:
-			filled++
-		case Coalesced:
-			coalesced++
-		}
-	}
-	if filled != 1 || coalesced != n-1 {
-		t.Fatalf("outcomes: %d filled, %d coalesced; want 1, %d", filled, coalesced, n-1)
-	}
-	if got := c.Stats().Coalesced; got != n-1 {
-		t.Fatalf("coalesce counter = %d; want %d", got, n-1)
-	}
-}
-
-func TestInvalidateDuringFillNotStored(t *testing.T) {
-	c := New[int](Config{MaxEntries: 8, Shards: 1})
-	inFill := make(chan struct{})
-	gate := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		v, _, err := c.GetOrFill("k", func() (int, int, error) {
-			close(inFill)
-			<-gate
-			return 7, 1, nil
-		})
-		if err != nil || v != 7 {
-			t.Errorf("filler got %d, %v", v, err)
-		}
-	}()
-	<-inFill
-	c.Invalidate() // the index changed while the fill was in flight
-	close(gate)
-	<-done
-	if _, ok := c.Get("k"); ok {
-		t.Fatal("fill that started before Invalidate was stored")
-	}
-}
-
 // differentStripeKey returns a key that does not share key's generation
 // stripe, so the pair exercises the scoping rather than a collision.
 func differentStripeKey(t *testing.T, key string) string {
@@ -265,43 +142,42 @@ func TestInvalidateKeyScope(t *testing.T) {
 	}
 }
 
+// TestInvalidateDuringFillNotStored: an Invalidate between a Mark and its
+// PutAt — the index changed while the value was being read — stores nothing.
+func TestInvalidateDuringFillNotStored(t *testing.T) {
+	c := New[int](Config{MaxEntries: 8, Shards: 1})
+	m := c.Mark("k")
+	c.Invalidate()
+	if c.PutAt(m, "k", 7, 1) {
+		t.Fatal("PutAt stored across an Invalidate")
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("value read before Invalidate was served")
+	}
+}
+
 // TestInvalidateKeyDuringFillNotStored is the key-scoped twin of
-// TestInvalidateDuringFillNotStored, with a coalesced waiter on the flight:
-// both callers get the value, the cache does not keep it.
+// TestInvalidateDuringFillNotStored: an InvalidateKey of the key between its
+// Mark and PutAt stores nothing, and one of a key on another stripe does not
+// get in the way.
 func TestInvalidateKeyDuringFillNotStored(t *testing.T) {
 	c := New[int](Config{MaxEntries: 8, Shards: 1})
-	inFill := make(chan struct{})
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	call := func(fill func() (int, int, error)) {
-		defer wg.Done()
-		if v, _, err := c.GetOrFill("k", fill); err != nil || v != 7 {
-			t.Errorf("GetOrFill = %d, %v; want 7, nil", v, err)
-		}
+	m := c.Mark("k")
+	c.InvalidateKey("k") // k's source changed while it was being read
+	if c.PutAt(m, "k", 7, 1) {
+		t.Fatal("PutAt stored across an InvalidateKey of its key")
 	}
-	wg.Add(1)
-	go call(func() (int, int, error) {
-		close(inFill)
-		<-gate
-		return 7, 1, nil
-	})
-	<-inFill
-	wg.Add(1)
-	go call(func() (int, int, error) {
-		t.Error("waiter ran its own fill instead of coalescing")
-		return 0, 0, nil
-	})
-	for deadline := time.Now().Add(5 * time.Second); c.Stats().Coalesced < 1; {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never coalesced on the flight")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	c.InvalidateKey("k") // k's source changed while the fill was in flight
-	close(gate)
-	wg.Wait()
 	if _, ok := c.Get("k"); ok {
-		t.Fatal("fill that started before InvalidateKey was stored")
+		t.Fatal("value read before InvalidateKey was served")
+	}
+
+	m = c.Mark("k")
+	c.InvalidateKey(differentStripeKey(t, "k"))
+	if !c.PutAt(m, "k", 8, 1) {
+		t.Fatal("InvalidateKey on another stripe blocked the store")
+	}
+	if v, ok := c.Get("k"); !ok || v != 8 {
+		t.Fatalf("Get(k) = %v, %v; want 8, true", v, ok)
 	}
 }
 
@@ -369,18 +245,13 @@ func TestNilCacheIsInert(t *testing.T) {
 		t.Fatal("nil cache hit")
 	}
 	c.Put("k", 1, 1)
-	c.Delete("k")
 	c.Invalidate()
 	c.InvalidateKey("k")
-	v, out, err := c.GetOrFill("k", func() (int, int, error) { return 9, 1, nil })
-	if err != nil || v != 9 || out != Filled {
-		t.Fatalf("nil GetOrFill = %d, %v, %v; want 9, Filled, nil", v, out, err)
+	if c.PutAt(c.Mark("k"), "k", 9, 1) {
+		t.Fatal("nil cache claimed to store")
 	}
 	if st := c.Stats(); st != (Stats{}) {
 		t.Fatalf("nil stats = %+v; want zero", st)
-	}
-	if c.Len() != 0 {
-		t.Fatal("nil Len != 0")
 	}
 }
 
@@ -405,17 +276,17 @@ func TestConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (g*31+i)%97)
-				switch i % 5 {
+				switch i % 4 {
 				case 0:
 					c.Put(key, i, 8)
 				case 1:
 					c.Get(key)
 				case 2:
-					c.GetOrFill(key, func() (int, int, error) { return i, 8, nil })
-				case 3:
-					c.Delete(key)
+					m := c.Mark(key)
+					c.Get(key)
+					c.PutAt(m, key, i, 8)
 				default:
-					if i%100 == 0 {
+					if i%100 == 3 {
 						c.Invalidate()
 					}
 					c.InvalidateKey(key)
@@ -425,17 +296,16 @@ func TestConcurrentHammer(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Len() > 64+4 {
-		t.Fatalf("cache grew past its bound: %d entries", c.Len())
+	if n := c.Stats().Entries; n > 64+4 {
+		t.Fatalf("cache grew past its bound: %d entries", n)
 	}
 }
 
 func TestPutAtGenerationGuard(t *testing.T) {
 	c := New[int](Config{MaxEntries: 8, Shards: 1})
 
-	// Current generation: stores and is served.
-	gen := c.Generation()
-	if !c.PutAt(gen, "a", 1, 1) {
+	// Nothing moved since the mark: stores and is served.
+	if !c.PutAt(c.Mark("a"), "a", 1, 1) {
 		t.Fatal("PutAt at the current generation refused")
 	}
 	if v, ok := c.Get("a"); !ok || v != 1 {
@@ -444,9 +314,9 @@ func TestPutAtGenerationGuard(t *testing.T) {
 
 	// The FailPeer race, deterministically: an invalidation lands between
 	// observing the generation and storing — the stale result must not stick.
-	gen = c.Generation()
+	m := c.Mark("b")
 	c.Invalidate()
-	if c.PutAt(gen, "b", 2, 1) {
+	if c.PutAt(m, "b", 2, 1) {
 		t.Fatal("PutAt accepted a store conditioned on a dead generation")
 	}
 	if _, ok := c.Get("b"); ok {
@@ -455,7 +325,7 @@ func TestPutAtGenerationGuard(t *testing.T) {
 
 	// A nil cache (caching disabled) ignores the store.
 	var nc *Cache[int]
-	if nc.PutAt(0, "x", 1, 1) {
+	if nc.PutAt(Mark{}, "x", 1, 1) {
 		t.Fatal("nil cache claimed to store")
 	}
 }

@@ -16,6 +16,7 @@ import (
 const (
 	allocsUncachedSearch = 64
 	allocsCachedSearch   = 33
+	allocsColdCached     = 80
 	allocsSweepOneDoc    = 67
 	allocsShare          = 86
 	allocsUnshare        = 39
@@ -39,8 +40,9 @@ func allocCeilingNetwork(t *testing.T, cache CacheConfig) *Network {
 	return n
 }
 
-// TestAllocationCeilings holds what one search, one single-document sweep,
-// one share and one unshare allocate to the ceilings above (ROADMAP item
+// TestAllocationCeilings holds what one search (uncached, served by the
+// postings cache, missing through it), one single-document sweep, one share
+// and one unshare allocate to the ceilings above (ROADMAP item
 // 16's gate; `make alloc-guard`).
 func TestAllocationCeilings(t *testing.T) {
 	if testing.Short() {
@@ -100,6 +102,14 @@ func TestAllocationCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// The same search with the caches flushed first: every term misses
+	// through the postings cache.
+	cold := testing.AllocsPerRun(runs, func() {
+		c.InvalidateCaches()
+		if _, err := c.SearchCtx(ctx, "p3", query, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
 
 	for _, r := range []struct {
 		what      string
@@ -107,6 +117,7 @@ func TestAllocationCeilings(t *testing.T) {
 	}{
 		{"uncached search", uncached, allocsUncachedSearch},
 		{"cached search", cached, allocsCachedSearch},
+		{"cold cached search", cold, allocsColdCached},
 		{"one-document sweep", sweep, allocsSweepOneDoc},
 		{"share", share, allocsShare},
 		{"unshare", unshare, allocsUnshare},

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/spritedht/sprite/internal/cache"
+	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
@@ -20,8 +21,8 @@ import (
 //     Chord lookup (O(log N) hops) plus the postings transfer — the dominant
 //     per-query expense. Under SPRITE's own premise of a skewed, repetitive
 //     query stream (§5), most fetches repeat recent ones; the cache serves
-//     them locally, with singleflight coalescing so N concurrent cold
-//     searches for a term issue one remote fetch.
+//     them locally. It is a lookup in front of the fetch: the terms it does
+//     not hold go out exactly as an uncached search sends them (fetchStage).
 //   - A result cache keyed by (canonical query terms, k) with a short TTL,
 //     for verbatim repeats of whole queries.
 //
@@ -46,8 +47,8 @@ import (
 //     term of its query.
 //
 // Learning stays unaffected by caching: a search served from cache still
-// records its query at the indexing peers via msgCacheQuery, so query
-// histories — and hence QF/qScore statistics — match an uncached run exactly.
+// records its query at the indexing peers (recordAt), so query histories —
+// and hence QF/qScore statistics — match an uncached run exactly.
 //
 // Staleness window: a peer failure is invisible to the core (it happens at
 // the transport), so cached postings owned by a just-failed peer are served
@@ -105,11 +106,11 @@ func (c CacheConfig) validate() error {
 	return nil
 }
 
-// resultEntry is one cached ranked list plus the indexing peers contacted to
-// compute it, so recorded repeats keep feeding those peers' query histories.
+// resultEntry is one cached ranked list plus the indexing peer of each of its
+// distinct terms, so recorded repeats keep feeding those peers' histories.
 type resultEntry struct {
 	rl    ir.RankedList
-	peers map[string]simnet.Addr // term → indexing peer
+	peers []simnet.Addr
 }
 
 // netCaches bundles the two query-path caches; both pointers are nil when
@@ -191,8 +192,8 @@ func resultBytes(e resultEntry) int {
 	for _, h := range e.rl {
 		n += len(h.Doc) + 16
 	}
-	for t, a := range e.peers {
-		n += len(t) + len(a)
+	for _, a := range e.peers {
+		n += len(a)
 	}
 	return n
 }
@@ -204,22 +205,24 @@ func postingsBytes(e termFetch) int {
 	return e.resp.Postings.Size() + len(e.peer) + 16
 }
 
-// recordQueryAt inserts the query into the indexing peer's history — the
-// side effect a recorded search's own msgGetPostings has, which a cache hit
-// or a shared fill sends none of — so caching never starves learning. It
-// reports the recording failure, so the result-cache-hit replay can count
-// dropped history entries (a silent drop skews learning); the postings-cache
-// path records best-effort, skipping an unreachable peer exactly as the
-// uncached path would. An unknown peer ("" — the term matched nothing when
-// the entry was cached) records nothing and is not an error.
-func (p *Peer) recordQueryAt(ctx context.Context, peer simnet.Addr, query []string) error {
-	if peer == "" {
-		return nil
+// recordAt inserts query into the history of each of peers — the side
+// effect a recorded search's own msgGetPostings has, which a cache hit sends
+// none of — so caching never starves learning. A failed recording is a
+// dropped history entry, counted in recordErrors so skewed learning under
+// partial outages is visible in telemetry. An unknown peer ("" — the term
+// matched nothing when the entry was cached) records nothing.
+func (p *Peer) recordAt(ctx context.Context, peers []simnet.Addr, query []string) {
+	msg := simnet.Message{Type: msgCacheQuery, Payload: cacheQueryReq{Query: query}, Size: sizeTerms(query)}
+	errs := fanout.ForEach(ctx, p.net.exec, "record", len(peers), func(ctx context.Context, i int) error {
+		if peers[i] == "" {
+			return nil
+		}
+		_, _, err := p.send(ctx, dest{addr: peers[i]}, msg, policy{})
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			p.net.met.recordErrors.Inc()
+		}
 	}
-	_, _, err := p.send(ctx, dest{addr: peer}, simnet.Message{
-		Type:    msgCacheQuery,
-		Payload: cacheQueryReq{Query: query},
-		Size:    sizeTerms(query),
-	}, policy{})
-	return err
 }

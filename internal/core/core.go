@@ -72,8 +72,9 @@ type Config struct {
 	// publishes/retires) and per-query traces. Nil disables instrumentation.
 	Telemetry *telemetry.Registry
 	// Cache configures the query-path caches (postings by term, results by
-	// query) with singleflight coalescing and write invalidation. The zero
-	// value disables caching, preserving the paper's exact message counts.
+	// query) with write invalidation; a postings miss is fetched as without
+	// them. The zero value disables caching, preserving the paper's exact
+	// message counts.
 	Cache CacheConfig
 	// Resilience configures the query path's fault tolerance (retry/backoff,
 	// per-attempt timeouts, replica failover). The zero value

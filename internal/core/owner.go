@@ -10,7 +10,6 @@ import (
 
 	"github.com/spritedht/sprite/internal/cache"
 	"github.com/spritedht/sprite/internal/corpus"
-	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -223,54 +222,60 @@ type termFetch struct {
 }
 
 // fetchStage is §4's fetch step, run by every query path (searchCtx,
-// searchSimilarCtx, SearchExpanded's first phase). With the postings cache
-// enabled the distinct terms dts fan out under stage one by one through the
-// cache, one "term" child span of span each: a miss fetches the term alone
-// (the postings protocol's one-item form), its get_postings recording query
-// as the uncached fetch does, and singleflight makes concurrent misses one
-// fetch; a hit or a caller that shared another's fetch records query at the
-// serving peer apart if record is set (recordQueryAt). Otherwise they go in
-// one get_postings per indexing peer (fetching). The fold walks dts in order,
-// so failures and counters match a sequential loop: a done ctx aborts with an
-// error wrapping ctx.Err(); any other failure skips the term (§7), counted in
-// termsSkipped and returned.
+// Network.similarCtx, SearchExpanded's first phase): it returns the lists of
+// the distinct terms dts of query, in dts order. A term the postings cache
+// holds is served from it and, if record is set, the query is recorded at
+// the peer that served it (recordAt). Every other term — all of them with the
+// cache off — goes in one exchange of the postings protocol (fetching), and
+// its answer is cached unless the term was invalidated since before the send
+// (cache.Mark). The fold walks dts in order, so failures and counters match a
+// sequential loop: a done ctx aborts with an error wrapping ctx.Err(); any
+// other failure skips the term (§7), counted in termsSkipped and returned.
 func (p *Peer) fetchStage(ctx context.Context, stage string, dts, query []string, record bool, span *telemetry.Span) ([]termFetch, []TermFailure, error) {
-	var outs []termFetch
-	var errs []error
-	if p.net.caches.postings != nil {
-		outs, errs = fanout.Map(ctx, p.net.exec, stage, len(dts), func(ctx context.Context, i int) (termFetch, error) {
-			return inTerm(span, dts[i], func(tsp *telemetry.Span) (termFetch, simnet.Addr, error) {
-				ent, outcome, err := p.net.caches.postings.GetOrFill(dts[i], func() (termFetch, int, error) {
-					ent, _, err := p.fetching(stage, dts[i:i+1], query, record, nil).route(ctx, 0, dest{}, tsp)
-					return ent, postingsBytes(ent), err
-				})
-				if err != nil {
-					return termFetch{}, "", err
-				}
-				tsp.Annotate("postings_cache", outcome.String())
-				if record && outcome != cache.Filled {
-					p.recordQueryAt(context.Background(), ent.peer, query) //nolint:errcheck // best-effort, see recordQueryAt
-				}
-				return ent, ent.peer, nil
-			})
-		})
-	} else {
-		items := make([]int, len(dts))
-		for i := range items {
-			items[i] = i
-		}
-		outs, errs = exchange(ctx, items, p.fetching(stage, dts, query, record, span))
-	}
-	var failed []TermFailure
-	for i, err := range errs {
-		if err == nil {
+	pc := p.net.caches.postings
+	var (
+		outs    []termFetch   // by position in dts; made at the first hit
+		hits    []simnet.Addr // the peers that served the hits
+		miss    []int         // the positions to fetch; made at the first miss
+		markBuf [8]cache.Mark // their marks, on the stack for most queries
+	)
+	marks := markBuf[:0]
+	for i, term := range dts {
+		if ent, ok := pc.Get(term); ok {
+			if outs == nil {
+				outs, hits = make([]termFetch, len(dts)), make([]simnet.Addr, 0, len(dts)-i)
+			}
+			outs[i], hits = ent, append(hits, ent.peer)
+			span.Annotate("postings_cache_hit", term)
 			continue
 		}
-		if ctx.Err() != nil {
-			return nil, nil, fmt.Errorf("core: fetch %q: %w", dts[i], err)
+		if miss == nil {
+			miss = make([]int, 0, len(dts)-i)
 		}
-		p.net.met.termsSkipped.Inc()
-		failed = append(failed, TermFailure{Term: dts[i], Err: err})
+		miss, marks = append(miss, i), append(marks, pc.Mark(term))
+	}
+	if record && len(hits) > 0 {
+		p.recordAt(ctx, hits, query)
+	}
+	if len(miss) == 0 {
+		return outs, nil, nil
+	}
+	got, errs := exchange(ctx, miss, p.fetching(stage, dts, query, record, span))
+	if outs == nil {
+		outs = got // every term missed: miss is 0, 1, …
+	}
+	var failed []TermFailure
+	for m, i := range miss {
+		if err := errs[m]; err != nil {
+			if ctx.Err() != nil {
+				return nil, nil, fmt.Errorf("core: fetch %q: %w", dts[i], err)
+			}
+			p.net.met.termsSkipped.Inc()
+			failed = append(failed, TermFailure{Term: dts[i], Err: err})
+			continue
+		}
+		outs[i] = got[m]
+		pc.PutAt(marks[m], dts[i], got[m], postingsBytes(got[m]))
 	}
 	return outs, failed, nil
 }
@@ -290,10 +295,10 @@ func (p *Peer) fetchStage(ctx context.Context, stage string, dts, query []string
 // When caching is enabled the result cache short-circuits verbatim repeats
 // of (query, k) and the postings cache short-circuits per-term fetches; both
 // keep the learning pipeline identical to the uncached run by re-recording
-// the query at each term's indexing peer (see recordQueryAt). Results are
-// stored only if the caches' generation did not move while the search ran, so
-// a concurrent invalidation (peer failure, index mutation) can never be
-// undone by a search that read the pre-invalidation state.
+// the query at each term's indexing peer (see recordAt). A result is stored
+// only if no invalidation happened while the search ran (cache.Mark), so a
+// concurrent invalidation (peer failure, index mutation) can never be undone
+// by a search that read the pre-invalidation state.
 func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool, span *telemetry.Span) (ir.RankedList, error) {
 	p.net.met.searches.Inc()
 	if p.net.cfg.Telemetry != nil {
@@ -311,28 +316,18 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 			span.Annotate("result_cache", "hit")
 			if record {
 				// The uncached path records the query once per distinct term
-				// at that term's indexing peer; replay the same fan-out so
-				// query histories (and hence learning) don't diverge. A failed
-				// recording is a dropped history entry — counted, so skewed
-				// learning under partial outages is visible in telemetry.
-				dts := distinctTerms(terms)
-				errs := fanout.ForEach(ctx, p.net.exec, "record", len(dts), func(ctx context.Context, i int) error {
-					return p.recordQueryAt(ctx, ent.peers[dts[i]], terms)
-				})
-				for _, rerr := range errs {
-					if rerr != nil {
-						p.net.met.recordErrors.Inc()
-					}
-				}
+				// at that term's indexing peer; replay the same recordings so
+				// query histories (and hence learning) don't diverge.
+				p.recordAt(ctx, ent.peers, terms)
 			}
 			// A copy, so the caller cannot reach the cached list — and never
 			// nil, so a query that matched nothing reads the same as uncached.
 			return append(ir.RankedList{}, ent.rl...), nil
 		}
 	}
-	// The generation observed before any remote read; the result is stored
-	// only if it is still current at store time (see cache.PutAt).
-	rcGen := rc.Generation()
+	// Marked before any remote read: the result is stored only if no
+	// invalidation happened since (see cache.PutAt).
+	mark := rc.Mark(rkey)
 
 	dts := distinctTerms(terms)
 	outs, failed, err := p.fetchStage(ctx, "fetch", dts, terms, record, span)
@@ -341,12 +336,12 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 	}
 	rl := ir.MergeTopK(p.mergeTerms(terms, dts, outs), k)
 	if rc != nil && len(failed) == 0 {
-		peers := make(map[string]simnet.Addr, len(dts))
-		for i, term := range dts {
-			peers[term] = outs[i].peer
+		peers := make([]simnet.Addr, len(dts))
+		for i := range dts {
+			peers[i] = outs[i].peer
 		}
 		ent := resultEntry{rl: append(ir.RankedList(nil), rl...), peers: peers}
-		rc.PutAt(rcGen, rkey, ent, resultBytes(ent))
+		rc.PutAt(mark, rkey, ent, resultBytes(ent))
 	}
 	return rl, p.partial(failed)
 }

@@ -39,17 +39,6 @@ func WithCallTimeout(d time.Duration) Option {
 	return func(t *Transport) { t.callTimeout = d }
 }
 
-// WithDeadPeerTTL sets how long a peer that failed a dial or timed out is
-// negative-cached as dead before calls and Alive probe it again (default
-// 1s). Non-positive values are ignored.
-func WithDeadPeerTTL(d time.Duration) Option {
-	return func(t *Transport) {
-		if d > 0 {
-			t.deadTTL = d
-		}
-	}
-}
-
 // WithIdleTimeout sets how long a pooled connection may sit with no
 // in-flight calls before the reaper closes it (default 60s). Non-positive
 // values are ignored.
@@ -68,6 +57,10 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(t *Transport) { t.tel = reg }
 }
 
+// deadPeerTTL is how long a peer that failed a dial or timed out is
+// negative-cached as dead before calls and Alive probe it again.
+const deadPeerTTL = time.Second
+
 // muxPressure is the in-flight count on the least-loaded connection above
 // which the pool dials another, up to maxConnsPerPeer.
 const muxPressure = 64
@@ -84,7 +77,7 @@ type Transport struct {
 	dialTimeout time.Duration
 	callTimeout time.Duration
 	idleTimeout time.Duration
-	deadTTL     time.Duration
+	deadTTL     time.Duration // deadPeerTTL; tests shorten it
 	tel         *telemetry.Registry
 	met         metrics
 
@@ -106,7 +99,7 @@ func New(opts ...Option) *Transport {
 		dialTimeout: 2 * time.Second,
 		callTimeout: 5 * time.Second,
 		idleTimeout: 60 * time.Second,
-		deadTTL:     time.Second,
+		deadTTL:     deadPeerTTL,
 		local:       make(map[simnet.Addr]*listener),
 		pools:       make(map[simnet.Addr]*pool),
 		deadUntil:   make(map[simnet.Addr]time.Time),

@@ -155,7 +155,8 @@ func TestConcurrentCallsMultiplexOnOneSocket(t *testing.T) {
 func TestReconnectAfterPeerRestart(t *testing.T) {
 	server := New()
 	defer server.Close()
-	client := New(WithDeadPeerTTL(50 * time.Millisecond))
+	client := New()
+	client.deadTTL = 50 * time.Millisecond
 	defer client.Close()
 	addr := freeAddrs(t, 1)[0]
 	server.Register(addr, echo())
@@ -337,7 +338,8 @@ func TestHandlerErrorPropagates(t *testing.T) {
 }
 
 func TestUnregisterStopsServing(t *testing.T) {
-	tr := New(WithDialTimeout(200*time.Millisecond), WithDeadPeerTTL(10*time.Millisecond))
+	tr := New(WithDialTimeout(200 * time.Millisecond))
+	tr.deadTTL = 10 * time.Millisecond
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
@@ -895,12 +897,13 @@ func TestMismatchedPayloadGetsErrorReply(t *testing.T) {
 }
 
 // TestDeadPeerTTLExpiryAndReuse covers the negative cache: a failed dial
-// marks the peer dead for the configured TTL (calls fail fast, Alive is false
+// marks the peer dead for the TTL (calls fail fast, Alive is false
 // without re-probing, even once the peer is up), and once the TTL passes the
 // address is probed — and usable — again.
 func TestDeadPeerTTLExpiryAndReuse(t *testing.T) {
 	const ttl = 150 * time.Millisecond
-	tr := New(WithDialTimeout(200*time.Millisecond), WithDeadPeerTTL(ttl))
+	tr := New(WithDialTimeout(200 * time.Millisecond))
+	tr.deadTTL = ttl
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 
@@ -940,20 +943,11 @@ func TestDeadPeerTTLExpiryAndReuse(t *testing.T) {
 // TestDeadPeerTTLDefault pins the default (1s) so the zero-config behaviour
 // stays what the overlay's failure handling was tuned against.
 func TestDeadPeerTTLDefault(t *testing.T) {
-	for _, c := range []struct {
-		opts []Option
-		want time.Duration
-	}{
-		{nil, time.Second},
-		{[]Option{WithDeadPeerTTL(-time.Second)}, time.Second},
-		{[]Option{WithDeadPeerTTL(3 * time.Second)}, 3 * time.Second},
-	} {
-		tr := New(c.opts...)
-		got := tr.deadTTL
-		tr.Close()
-		if got != c.want {
-			t.Fatalf("dead-peer TTL = %v, want %v", got, c.want)
-		}
+	tr := New()
+	got := tr.deadTTL
+	tr.Close()
+	if got != time.Second {
+		t.Fatalf("dead-peer TTL = %v, want 1s", got)
 	}
 }
 

@@ -17,10 +17,9 @@
 // The interface is deliberately wider than time.Now/time.Sleep: the
 // scheduler can only advance time safely when it knows which goroutines
 // count as runnable, so code running under a Clock must create goroutines
-// with GoGroup and wrap waits on non-virtual events (channel receives,
-// WaitGroups) in Blocking. The Wall implementations of those are the obvious
-// zero-cost passthroughs, so callers pay nothing for the discipline in
-// production.
+// with GoGroup and must not wait on non-virtual events (channel receives,
+// WaitGroups) while registered. Wall's GoGroup is a plain spawn-and-wait, so
+// callers pay nothing for the discipline in production.
 package vtime
 
 import (
@@ -51,15 +50,10 @@ type Clock interface {
 	// all return. The calling goroutine's runnable slot is handed to the
 	// group while it waits, so the wait itself never stalls virtual time.
 	GoGroup(n int, fn func(i int))
-
-	// Blocking runs fn with the calling goroutine deregistered from the
-	// clock, for waits on real events (channel receives, I/O) that the
-	// scheduler cannot see. Under Wall it just calls fn.
-	Blocking(fn func())
 }
 
 // Wall is the real-time clock: every method delegates to the standard
-// library, goroutine registration is free, and Blocking is the identity.
+// library and goroutine registration is free.
 var Wall Clock = wallClock{}
 
 // Default returns c, or Wall when c is nil — the idiom every integration
@@ -102,5 +96,3 @@ func (wallClock) GoGroup(n int, fn func(i int)) {
 	}
 	wg.Wait()
 }
-
-func (wallClock) Blocking(fn func()) { fn() }

@@ -35,11 +35,10 @@ var Epoch = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 // Cancellation is part of the event order: before firing a timed event the
 // scheduler first wakes, in sequence order, any parked sleeper whose context
 // is already done, so cancels triggered by virtual deadlines land at a
-// deterministic virtual instant. Waits on events the clock cannot see must
-// be wrapped in Blocking, and goroutines must not block on each other
-// through channels while registered; getting this wrong is loud — the
-// scheduler panics when every registered goroutine is blocked and no event
-// is pending.
+// deterministic virtual instant. A goroutine must not wait on an event the
+// clock cannot see (a channel, another goroutine, I/O) while registered;
+// getting this wrong is loud — the scheduler panics when every registered
+// goroutine is blocked and no event is pending.
 type Sim struct {
 	mu      sync.Mutex
 	now     time.Duration // virtual offset from Epoch
@@ -179,7 +178,7 @@ func (s *Sim) advanceLocked() func(time.Time) {
 			heap.Pop(&s.events)
 		}
 		if len(s.events) == 0 {
-			panic(fmt.Sprintf("vtime: deadlock: all %d registered goroutines blocked on virtual waits with no pending events (a real-event wait is missing a Blocking wrapper, or a goroutine was not registered via Attach/GoGroup)", s.workers))
+			panic(fmt.Sprintf("vtime: deadlock: all %d registered goroutines blocked on virtual waits with no pending events (a registered goroutine waits on a real event, or a goroutine was not registered via Attach/GoGroup)", s.workers))
 		}
 		ev := heap.Pop(&s.events).(*event)
 		if ev.at > s.now {
@@ -358,19 +357,4 @@ func (s *Sim) GoGroup(n int, fn func(i int)) {
 		}(i)
 	}
 	<-done
-}
-
-// Blocking runs fn with the caller deregistered, for waits on events the
-// scheduler cannot see (real channels, I/O, WaitGroups). Virtual time may
-// advance while fn runs; the caller is runnable again when fn returns.
-func (s *Sim) Blocking(fn func()) {
-	s.mu.Lock()
-	s.workers--
-	cb := s.advanceLocked()
-	s.mu.Unlock()
-	s.settle(cb)
-	fn()
-	s.mu.Lock()
-	s.workers++
-	s.mu.Unlock()
 }

@@ -30,11 +30,6 @@ func TestWallTimerAndGroup(t *testing.T) {
 	if got := sum.Load(); got != 28 {
 		t.Fatalf("GoGroup sum = %d, want 28", got)
 	}
-	ran := false
-	Wall.Blocking(func() { ran = true })
-	if !ran {
-		t.Fatal("Blocking did not run fn")
-	}
 	ctx, cancel := Wall.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	if _, ok := ctx.Deadline(); !ok {
@@ -205,26 +200,6 @@ func TestSimCancelSweep(t *testing.T) {
 	})
 }
 
-func TestSimBlocking(t *testing.T) {
-	s := NewSim()
-	s.Run(func() {
-		ch := make(chan time.Duration, 1)
-		detach := s.Attach() // registered before it starts, on its behalf
-		go func() {
-			defer detach()
-			_ = s.Sleep(context.Background(), 7*time.Millisecond)
-			ch <- s.Elapsed()
-		}()
-		var got time.Duration
-		// The receive is a real-channel wait: without Blocking the
-		// scheduler would count this goroutine runnable forever.
-		s.Blocking(func() { got = <-ch })
-		if got != 7*time.Millisecond {
-			t.Fatalf("background sleep finished at %v, want 7ms", got)
-		}
-	})
-}
-
 // TestSimDeterminism runs a randomized multi-goroutine workload twice with
 // the same seed and requires bit-identical timelines.
 func TestSimDeterminism(t *testing.T) {
@@ -285,10 +260,8 @@ func TestSimDeadlockPanics(t *testing.T) {
 		defer detach()
 		defer close(done)
 		defer func() { panicked <- recover() }()
-		// Registered goroutine blocks forever on a bare channel without
-		// Blocking: the other goroutine's deregistration must detect the
-		// stall. The sleeper below makes this goroutine the only one.
-		s.Blocking(func() {})   // no-op, keeps coverage honest
+		// A registered goroutine blocked with no event pending: advancing
+		// must detect the stall.
 		s.mu.Lock()             // simulate a missing event: block with blocked==workers
 		s.blocked++             // (white-box: a real caller gets here by wrapping a
 		cb := s.advanceLocked() // channel wait in a virtual wait incorrectly)

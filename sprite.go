@@ -117,8 +117,9 @@ type Options struct {
 	// WriteReport, WriteJSON, Handler, or Counter. Nil (the default) leaves
 	// instrumentation off at near-zero cost.
 	Telemetry *Telemetry
-	// Cache configures the query-path caches (postings by term with
-	// singleflight coalescing, whole results by query with a short TTL).
+	// Cache configures the query-path caches (postings by term, whole
+	// results by query with a short TTL). A postings miss is fetched exactly
+	// as an uncached search fetches it.
 	// The zero value disables caching, preserving the paper's exact message
 	// accounting. Every index mutation invalidates what it could have made
 	// stale — the written term's postings, or everything when lists move
@@ -218,7 +219,6 @@ type SketchOptions struct {
 type CacheStats struct {
 	Hits        int64 // lookups served from the cache
 	Misses      int64 // lookups that went to the network
-	Coalesced   int64 // lookups that piggybacked on an in-flight fetch
 	Evictions   int64 // entries dropped for capacity
 	Expirations int64 // entries dropped for age
 	Entries     int   // current occupancy
@@ -559,7 +559,6 @@ func fromCacheStats(st cache.Stats) CacheStats {
 	return CacheStats{
 		Hits:        st.Hits,
 		Misses:      st.Misses,
-		Coalesced:   st.Coalesced,
 		Evictions:   st.Evictions,
 		Expirations: st.Expirations,
 		Entries:     st.Entries,
