@@ -173,10 +173,18 @@ smoke-tcp:
 # One way out of a peer: in internal/core only send.go calls the transport
 # or routes on the ring, so routing, resilience, spans and batching have one
 # home. Fails naming every other non-test core line that calls CallCtx,
-# Route, RouteVia, Lookup, LookupCtx or LookupExcluding.
+# Route, RouteVia, Lookup, LookupCtx or LookupExcluding. And one message
+# cost: a message's Size is its payload's encoded length, set as it is handed
+# to the transport (core's send.go, chord's rpc) or returned by a handler
+# (core's peer.go, chord's HandleMessage), to wire.Size of the payload and
+# nothing else. Fails naming every other non-test core or chord line that
+# writes a Size: field or assigns .Size, so hand-written sizes cannot return.
 send-guard:
 	@calls=$$(grep -nE '\.(CallCtx|Route|RouteVia|Lookup|LookupCtx|LookupExcluding)\(' internal/core/*.go | grep -vE '^internal/core/(send\.go|[^:]*_test\.go):'); \
 	[ -z "$$calls" ] || { echo "send-guard: calls outside internal/core/send.go:"; echo "$$calls"; exit 1; }
+	@sizes=$$(grep -nE '\bSize:|\.Size =' internal/core/*.go internal/chord/*.go | grep -vE '^internal/(core|chord)/[^:]*_test\.go:' \
+		| grep -vE '^internal/(core/send|core/peer|chord/chord)\.go:[0-9]+:.*(Size: |\.Size = )wire\.Size\([A-Za-z_.]+\)([,})]|$$)'); \
+	[ -z "$$sizes" ] || { echo "send-guard: message sizes not set to wire.Size at a setter site:"; echo "$$sizes"; exit 1; }
 
 # Allocation guard: what one uncached search, one cached search, a
 # one-document sweep, one share and one unshare allocate on a fixed 16-peer

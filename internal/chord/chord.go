@@ -55,6 +55,7 @@ import (
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
+	"github.com/spritedht/sprite/internal/wire"
 )
 
 // Ref identifies a node: its ring position and network address. The zero Ref
@@ -352,46 +353,55 @@ func (n *Node) setFingerLocked(slot int, ref Ref, arc uint32) bool {
 }
 
 // HandleMessage implements simnet.Handler: overlay messages are served here,
-// anything else is forwarded to the application handler.
+// anything else is forwarded to the application handler. An overlay reply
+// costs its payload's encoded length.
 func (n *Node) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	var reply any
 	switch msg.Type {
 	case msgNextHop:
 		req, ok := msg.Payload.(nextHopReq)
 		if !ok {
 			return simnet.Message{}, n.badPayload(msg)
 		}
-		resp := n.nextHop(req)
-		return simnet.Message{Type: msg.Type, Payload: resp, Size: nextHopRespSize(resp)}, nil
+		reply = n.nextHop(req)
 	case msgGetState:
 		n.mu.Lock()
-		st := stateResp{Pred: n.pred, Succs: append([]Ref(nil), n.succs...)}
+		reply = stateResp{Pred: n.pred, Succs: append([]Ref(nil), n.succs...)}
 		n.mu.Unlock()
-		return simnet.Message{Type: msg.Type, Payload: st, Size: refSize * (1 + len(st.Succs))}, nil
 	case msgNotify:
 		cand, ok := msg.Payload.(Ref)
 		if !ok {
 			return simnet.Message{}, n.badPayload(msg)
 		}
 		n.notify(cand)
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
 	case msgPing:
-		return simnet.Message{Type: msg.Type, Size: 1}, nil
-	}
-	n.mu.Lock()
-	app := n.app
-	n.mu.Unlock()
-	if app == nil {
-		return simnet.Message{}, fmt.Errorf("chord: node %s: no handler for message type %q", n.ref, msg.Type)
-	}
-	if env, ok := msg.Payload.(routed); ok {
+	default:
+		n.mu.Lock()
+		app := n.app
+		n.mu.Unlock()
+		if app == nil {
+			return simnet.Message{}, fmt.Errorf("chord: node %s: no handler for message type %q", n.ref, msg.Type)
+		}
+		env, ok := msg.Payload.(routed)
+		if !ok {
+			return app.HandleMessage(from, msg)
+		}
 		// Sent on a hint, which may be stale: responsibility is decided here,
 		// by this node about its own arc.
-		if !n.Serves(env.Key) {
-			return simnet.Message{Type: msg.Type, Payload: notOwner{Key: env.Key}, Size: chordid.Bytes}, nil
+		if n.Serves(env.Key) {
+			msg.Payload = env.Payload
+			return app.HandleMessage(from, msg)
 		}
-		msg.Payload, msg.Size = env.Payload, msg.Size-chordid.Bytes
+		reply = notOwner{Key: env.Key}
 	}
-	return app.HandleMessage(from, msg)
+	return simnet.Message{Type: msg.Type, Payload: reply, Size: wire.Size(reply)}, nil
+}
+
+// rpc sends a message of type typ carrying payload from this node to to,
+// costing its payload's encoded length: the one way the overlay's own
+// requests go out.
+func (n *Node) rpc(ctx context.Context, to simnet.Addr, typ string, payload any) (simnet.Message, error) {
+	return n.net.CallCtx(ctx, n.ref.Addr, to, simnet.Message{Type: typ, Payload: payload, Size: wire.Size(payload)})
 }
 
 // badPayload is the error for an overlay message carrying another payload
@@ -411,21 +421,6 @@ func (n *Node) Serves(key chordid.ID) bool {
 	pred := n.pred
 	n.mu.Unlock()
 	return !pred.IsZero() && key.BetweenRightIncl(pred.ID, n.ref.ID)
-}
-
-// refSize is the simulated wire size of a Ref (16-byte ID + address).
-const refSize = 24
-
-// nextHopReqSize is the simulated wire size of a hop request: the key plus
-// one identifier per exclusion.
-func nextHopReqSize(exclude []chordid.ID) int { return chordid.Bytes * (1 + len(exclude)) }
-
-// nextHopRespSize is the simulated wire size of a hop answer.
-func nextHopRespSize(resp nextHopResp) int {
-	if resp.Hint.IsZero() {
-		return refSize
-	}
-	return 2 * refSize
 }
 
 // nextHop answers one step of an iterative lookup: if the key falls between
@@ -658,11 +653,7 @@ func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message,
 			hinted = "true"
 		}
 		n.met.hinted.Inc()
-		reply, err = send(ctx, owner.Addr, simnet.Message{
-			Type:    msg.Type,
-			Payload: routed{Key: key, Payload: msg.Payload},
-			Size:    msg.Size + chordid.Bytes,
-		})
+		reply, err = send(ctx, owner.Addr, simnet.Message{Type: msg.Type, Payload: routed{Key: key, Payload: msg.Payload}})
 		if _, refused := reply.Payload.(notOwner); err != nil || !refused {
 			return reply, owner, w.hops, err
 		}
@@ -748,11 +739,7 @@ func (n *Node) advance(ctx context.Context, w *walk, parent *telemetry.Span) (ta
 		} else {
 			sp := parent.StartChild("chord.hop")
 			sp.Annotate("to", string(w.cur.Addr))
-			reply, err := n.net.CallCtx(ctx, n.ref.Addr, w.cur.Addr, simnet.Message{
-				Type:    msgNextHop,
-				Payload: w.boxed,
-				Size:    nextHopReqSize(w.req.Exclude),
-			})
+			reply, err := n.rpc(ctx, w.cur.Addr, msgNextHop, w.boxed)
 			w.hops++
 			var ok bool
 			if resp, ok = reply.Payload.(nextHopResp); err == nil && !ok {
@@ -850,7 +837,7 @@ func (n *Node) stabilize() {
 
 	if succ.ID != self.ID {
 		ctx := context.Background()
-		reply, err := n.net.CallCtx(ctx, self.Addr, succ.Addr, simnet.Message{Type: msgGetState, Size: 1})
+		reply, err := n.rpc(ctx, succ.Addr, msgGetState, nil)
 		if st, ok := reply.Payload.(stateResp); err == nil && ok {
 			if !st.Pred.IsZero() && st.Pred.ID.Between(self.ID, succ.ID) && n.net.Alive(st.Pred.Addr) {
 				// Re-fetch state from the better successor — but re-check
@@ -861,7 +848,7 @@ func (n *Node) stabilize() {
 				// message loss (as is an answer that is no state): promote
 				// anyway and pick its list up next round.
 				cand := st.Pred
-				reply2, err2 := n.net.CallCtx(ctx, self.Addr, cand.Addr, simnet.Message{Type: msgGetState, Size: 1})
+				reply2, err2 := n.rpc(ctx, cand.Addr, msgGetState, nil)
 				if st2, ok := reply2.Payload.(stateResp); err2 == nil && ok {
 					succ, st = cand, st2
 				} else if n.net.Alive(cand.Addr) {
@@ -883,7 +870,7 @@ func (n *Node) stabilize() {
 			n.succs = newSuccs
 			n.mu.Unlock()
 			n.met.succDepth.Set(int64(len(newSuccs)))
-			n.net.CallCtx(ctx, self.Addr, succ.Addr, simnet.Message{Type: msgNotify, Payload: self, Size: refSize})
+			n.rpc(ctx, succ.Addr, msgNotify, self)
 		} else if !n.net.Alive(succ.Addr) {
 			// Successor died between the liveness check and the call; drop it.
 			n.mu.Lock()

@@ -12,7 +12,6 @@ import (
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
-	"github.com/spritedht/sprite/internal/wire"
 )
 
 const msgEcho = "test.echo"
@@ -672,70 +671,6 @@ func (rec *recorder) CallCtx(ctx context.Context, from, to simnet.Addr, msg simn
 	}
 	rec.mu.Unlock()
 	return reply, err
-}
-
-// The simulated sizes the byte counts are built from must track what the
-// binary codec really writes: per excluded ID, per hint, per envelope.
-func TestSimulatedSizesTrackEncodedLength(t *testing.T) {
-	rec := &recorder{Transport: simnet.New(1)}
-	r := NewRing(rec, Config{})
-	if _, err := r.AddNodes("peer", 64); err != nil {
-		t.Fatal(err)
-	}
-	r.Build()
-	echoRing(r)
-	nodes := r.Nodes()
-	for i := 0; i < 200; i++ {
-		key := chordid.HashKey(fmt.Sprintf("size-%d", i))
-		var exclude []chordid.ID
-		for j := 0; j < i%9; j++ {
-			exclude = append(exclude, nodes[(i+7*j)%len(nodes)].ID())
-		}
-		if _, _, err := nodes[i%len(nodes)].LookupExcluding(context.Background(), key, exclude, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := nodes[i%len(nodes)].RouteVia(context.Background(), key, echoMsg(), nil, nodes[i%len(nodes)].call, ""); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Allowed distance between Size and the encoded length: the 2-byte kind,
-	// a count or flag byte, and an address that is not exactly refSize−16
-	// bytes long (peer0…peer63 with its length byte: 6–7 of the 8 assumed).
-	const slack = 8
-	inner, _ := wire.AppendBinary(nil, echoMsg().Payload)
-	kinds := map[string]int{}
-	for _, m := range rec.msgs {
-		var what string
-		want := 0
-		switch p := m.Payload.(type) {
-		case nextHopReq:
-			what = fmt.Sprintf("nextHopReq/%d-excluded", len(p.Exclude))
-		case nextHopResp:
-			what = "nextHopResp"
-			if !p.Hint.IsZero() {
-				what = "nextHopResp/hint"
-			}
-		case routed:
-			// The application's own estimate is not under test, only what
-			// the envelope adds to it.
-			what, want = "routed", len(inner)-echoMsg().Size
-		default:
-			continue
-		}
-		enc, ok := wire.AppendBinary(nil, m.Payload)
-		if !ok {
-			t.Fatalf("%s has no binary codec", what)
-		}
-		kinds[what]++
-		if d := len(enc) - want - m.Size; d < -slack || d > slack {
-			t.Fatalf("%s: Size %d, %d bytes on the wire", what, m.Size, len(enc)-want)
-		}
-	}
-	for _, what := range []string{"nextHopReq/0-excluded", "nextHopReq/8-excluded", "nextHopResp", "nextHopResp/hint", "routed"} {
-		if kinds[what] == 0 {
-			t.Fatalf("no %s message was exchanged", what)
-		}
-	}
 }
 
 // Serves is the rule a routed delivery is checked by: on a built ring each key

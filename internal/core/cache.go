@@ -212,7 +212,7 @@ func postingsBytes(e termFetch) int {
 // partial outages is visible in telemetry. An unknown peer ("" — the term
 // matched nothing when the entry was cached) records nothing.
 func (p *Peer) recordAt(ctx context.Context, peers []simnet.Addr, query []string) {
-	msg := simnet.Message{Type: msgCacheQuery, Payload: cacheQueryReq{Query: query}, Size: sizeTerms(query)}
+	msg := simnet.Message{Type: msgCacheQuery, Payload: cacheQueryReq{Query: query}}
 	errs := fanout.ForEach(ctx, p.net.exec, "record", len(peers), func(ctx context.Context, i int) error {
 		if peers[i] == "" {
 			return nil

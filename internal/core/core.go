@@ -461,7 +461,6 @@ func (n *Network) InsertQueryCtx(ctx context.Context, from simnet.Addr, terms []
 		_, _, err := p.send(ctx, dest{key: chordid.HashKey(dts[i])}, simnet.Message{
 			Type:    msgCacheQuery,
 			Payload: cacheQueryReq{Query: terms},
-			Size:    sizeTerms(terms),
 		}, policy{})
 		return err
 	})

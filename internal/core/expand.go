@@ -87,7 +87,6 @@ func (p *Peer) fetchDocTerms(ctx context.Context, stage string, hits ir.RankedLi
 		reply, _, err := p.send(ctx, dest{addr: owner}, simnet.Message{
 			Type:    msgDocTerms,
 			Payload: docTermsReq{Doc: hits[i].Doc},
-			Size:    len(hits[i].Doc),
 		}, policy{})
 		// An offline owner, or one answering something else, gives no evidence.
 		resp, _ := reply.Payload.(docTermsResp)

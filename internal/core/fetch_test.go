@@ -10,7 +10,6 @@ import (
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
-	"github.com/spritedht/sprite/internal/wire"
 )
 
 // searchPerTerm is a recorded search as it ran before fetches were batched:
@@ -135,61 +134,4 @@ func TestBatchedFetchMatchesPerTermOracle(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestFetchSizesTrackEncodedLength is the postings side of chord's
-// TestSimulatedSizesTrackEncodedLength: the simulated size of every
-// get_postings request and reply — one term or many, with refusals and
-// without — is within 8 bytes of what the binary codec writes.
-func TestFetchSizesTrackEncodedLength(t *testing.T) {
-	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1})
-	f.halfJoin(t) // some terms refused, some routed
-	f.log.drain()
-	f.searchStream(t, 150, func(p *Peer, terms []string) (ir.RankedList, error) {
-		return p.searchCtx(context.Background(), terms, 10, true, nil)
-	})
-	seen := map[string]int{}
-	for _, m := range f.log.drain() {
-		for _, msg := range []simnet.Message{m.req, m.reply} {
-			var what string
-			switch p := msg.Payload.(type) {
-			case getPostingsReq:
-				what = fmt.Sprintf("request of %s", count(len(p.Terms)))
-			case getPostingsResp:
-				refused := 0
-				for _, it := range p.Items {
-					if it.Refused {
-						refused++
-					}
-				}
-				what = fmt.Sprintf("reply of %s, %s refused", count(len(p.Items)), count(refused))
-			default:
-				continue // a routed delivery's envelope is chord's to check
-			}
-			enc, ok := wire.AppendBinary(nil, msg.Payload)
-			if !ok {
-				t.Fatalf("%s has no binary codec", what)
-			}
-			if d := len(enc) - msg.Size; d < -8 || d > 8 {
-				t.Fatalf("%s: Size %d, %d bytes on the wire", what, msg.Size, len(enc))
-			}
-			seen[what]++
-		}
-	}
-	for _, what := range []string{"request of one", "request of several", "reply of one, none refused", "reply of several, none refused", "reply of several, one refused"} {
-		if seen[what] == 0 {
-			t.Fatalf("no get_postings %s was exchanged (saw %v)", what, seen)
-		}
-	}
-}
-
-// count names a count the way the size check groups them.
-func count(n int) string {
-	switch n {
-	case 0:
-		return "none"
-	case 1:
-		return "one"
-	}
-	return "several"
 }

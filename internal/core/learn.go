@@ -197,7 +197,7 @@ func (n *Network) polls() *protocol[learnItem, pollOut] {
 				doc := &req.Docs[len(req.Docs)-1]
 				doc.Terms = append(doc.Terms, pollTerm{Term: term(it), Since: it.d.st.since[term(it)].sinceAt(to)})
 			}
-			return simnet.Message{Type: msgPoll, Payload: req, Size: req.size()}
+			return simnet.Message{Type: msgPoll, Payload: req}
 		},
 		read: func(reply simnet.Message, at simnet.Addr, got []pollOut, refused []bool) error {
 			resp, ok := reply.Payload.(pollResp)
@@ -353,7 +353,7 @@ var withdrawals = &protocol[pull, []simnet.Addr]{
 		for k, pl := range items {
 			req.Items[k] = publishItem{Term: pl.term, Posting: index.Posting{Doc: pl.d.id}, Withdraw: true}
 		}
-		return simnet.Message{Type: msgPublish, Payload: req, Size: itemsSize(req.Items)}
+		return simnet.Message{Type: msgPublish, Payload: req}
 	},
 	read: func(reply simnet.Message, at simnet.Addr, got [][]simnet.Addr, _ []bool) error {
 		resp, ok := reply.Payload.(publishResp)
@@ -479,7 +479,7 @@ func (n *Network) publishes(holder func(learnItem) simnet.Addr) *protocol[learnI
 			for _, it := range items {
 				req.Items = append(req.Items, it.d.p.itemFor(it.d.st, it.d.publish[it.i]))
 			}
-			return simnet.Message{Type: msgPublish, Payload: req, Size: itemsSize(req.Items)}
+			return simnet.Message{Type: msgPublish, Payload: req}
 		},
 		read: readAccepted,
 	}

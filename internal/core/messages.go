@@ -11,7 +11,7 @@ import (
 )
 
 // SPRITE's application-level message types, dispatched by chord.Node to the
-// owning Peer. Sizes are simulated wire sizes for bandwidth accounting.
+// owning Peer. A message costs its payload's encoded length (wire.Size).
 const (
 	// msgPublish carries (term, posting) pairs from an owner peer to the
 	// indexing peer responsible for the terms, and the (term, doc) postings
@@ -74,23 +74,6 @@ type publishItem struct {
 	Withdraw bool
 }
 
-// itemsSize is an item list's simulated wire size: each item's term and
-// posting — a document-only item's document — and a byte for each
-// document-only item's flags after the first, so a list of one costs what a
-// single publish, unpublish, replica push or relocate always has.
-func itemsSize(items []publishItem) int {
-	n, only := 0, 0
-	for _, it := range items {
-		if it.Posting == (index.Posting{Doc: it.Posting.Doc}) {
-			n += len(it.Term) + len(it.Posting.Doc)
-			only++
-			continue
-		}
-		n += len(it.Term) + it.Posting.WireSize()
-	}
-	return n + max(only-1, 0)
-}
-
 // publishResp answers, by position in the request, the items that need an
 // answer: those the receiver refused because their keys are outside its arc,
 // and the withdrawals that left replica copies behind. It indexed or withdrew
@@ -107,19 +90,6 @@ type publishAnswer struct {
 	// them, so unless the owner queues them on its stale list and retries, no
 	// later operation addresses those copies.
 	Stale []simnet.Addr
-}
-
-// size is the reply's simulated wire size: a byte, two for each refusal and
-// eight for each stale replica holder.
-func (r publishResp) size() int {
-	n := 1
-	for _, a := range r.Answers {
-		if a.Refused {
-			n += 2
-		}
-		n += 8 * len(a.Stale)
-	}
-	return n
 }
 
 // getPostingsReq asks one indexing peer for inverted lists: a single term's
@@ -139,36 +109,9 @@ type getPostingsReq struct {
 	CheckArc bool
 }
 
-// size is the request's simulated wire size: the terms, a length byte for
-// each after the first, and the query — or one byte without one — so a
-// request for one term costs what a single fetch always has.
-func (r getPostingsReq) size() int {
-	n := len(r.Terms) - 1 + max(sizeTerms(r.Query), 1)
-	for _, t := range r.Terms {
-		n += len(t)
-	}
-	return n
-}
-
 // getPostingsResp answers a getPostingsReq term by term in request order.
 type getPostingsResp struct {
 	Items []postingsList
-}
-
-// size is the reply's simulated wire size: a byte for the count, a served
-// list its encoded bytes and 7 more for its framing, frequency and flags, and
-// a refused one the 5 bytes of its flag and empty fields. A reply of one list
-// costs what a single fetch's reply always has.
-func (r getPostingsResp) size() int {
-	n := 1
-	for _, it := range r.Items {
-		if it.Refused {
-			n += 5
-			continue
-		}
-		n += it.Postings.Size() + 7
-	}
-	return n
 }
 
 // postingsList is one term's answer to a getPostingsReq.
@@ -218,47 +161,10 @@ type pollTerm struct {
 	Since uint64
 }
 
-// size is the poll's simulated wire size. One (document, term) item costs
-// what a single poll always has — the term, the document's terms and an
-// 8-byte watermark — and every further document or term adds what the codec
-// writes for it: a document its ID, terms and two list counts, a term itself,
-// its length byte and a watermark varint of about two bytes.
-func (r pollReq) size() int {
-	n, terms := 8, 0
-	for i, d := range r.Docs {
-		n += sizeTerms(d.DocTerms)
-		if i > 0 {
-			n += len(d.Doc) + 3
-		}
-		for _, t := range d.Terms {
-			n += len(t.Term)
-		}
-		terms += len(d.Terms)
-	}
-	return n + 3*max(terms-1, 0)
-}
-
 // pollResp answers a pollReq item by item, document by document and term by
 // term in request order.
 type pollResp struct {
 	Items []pollResult
-}
-
-// size is the reply's simulated wire size. One served item costs what a
-// single poll's reply always has — its queries' terms and 8 bytes — and each
-// further item its queries' terms and 6 bytes, or a byte if refused.
-func (r pollResp) size() int {
-	n := 2
-	for _, it := range r.Items {
-		n++
-		if !it.Refused {
-			n += 5
-			for _, q := range it.Queries {
-				n += sizeTerms(q)
-			}
-		}
-	}
-	return n
 }
 
 type pollResult struct {
@@ -300,15 +206,6 @@ type handoffReq struct {
 	// of the receiver's primary index, with their replica locations: their
 	// relocation failed, so they live only where their owners' records say.
 	Revert bool
-}
-
-// size is the request's simulated wire size.
-func (r handoffReq) size() int {
-	n := 0
-	for _, e := range r.Entries {
-		n += len(e.Term) + e.Posting.WireSize() + 8*len(e.ReplicaLocs)
-	}
-	return n
 }
 
 // handoffResp reports, per entry of the request, whether the receiver's
@@ -378,16 +275,6 @@ type replicaRetireReq struct {
 	Holder simnet.Addr
 	Term   string
 	Docs   []index.DocID
-}
-
-// wire-size helpers (rough but consistent, for bandwidth accounting).
-
-func sizeTerms(terms []string) int {
-	n := 0
-	for _, t := range terms {
-		n += len(t) + 1
-	}
-	return n
 }
 
 // canonicalQuery is a query's keyword multiset as one string: its terms

@@ -11,6 +11,7 @@ import (
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
+	"github.com/spritedht/sprite/internal/wire"
 )
 
 // Peer is one SPRITE participant: a Chord node plus indexing-peer state (the
@@ -66,9 +67,9 @@ func (p *Peer) HistoryLen() int {
 // HandleMessage implements simnet.Handler for SPRITE's application messages.
 // It dispatches on the payload's type, which the codec decoded by its own
 // kind, so a message whose type string names another payload, or none, gets
-// an error, never a panic.
+// an error, never a panic. The reply costs its payload's encoded length.
 func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
-	reply := simnet.Message{Type: msg.Type, Size: 1}
+	reply := simnet.Message{Type: msg.Type}
 	switch req := msg.Payload.(type) {
 	case publishReq:
 		var resp publishResp
@@ -89,7 +90,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 			p.net.caches.invalidateTerm(it.Term)
 		}
 		p.replicate(req.Items, &resp)
-		reply.Payload, reply.Size = resp, resp.size()
+		reply.Payload = resp
 
 	case getPostingsReq:
 		resp := getPostingsResp{Items: make([]postingsList, len(req.Terms))}
@@ -100,7 +101,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 			}
 			resp.Items[i] = p.servePostings(term, req.Query, req.Record)
 		}
-		reply.Payload, reply.Size = resp, resp.size()
+		reply.Payload = resp
 
 	case cacheQueryReq:
 		p.indexing.cacheQuery(req.Query)
@@ -108,7 +109,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 
 	case pollReq:
 		resp := p.handlePoll(req)
-		reply.Payload, reply.Size = resp, resp.size()
+		reply.Payload = resp
 
 	case replicaReq:
 		for _, it := range req.Items {
@@ -122,7 +123,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 
 	case docTermsReq:
 		resp := p.handleDocTerms(req)
-		reply.Payload, reply.Size = resp, 8*len(resp.TF)
+		reply.Payload = resp
 
 	case handoffReq:
 		if req.Revert {
@@ -139,15 +140,15 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 			p.indexing.recordReplicaLocs(e.Term, e.Posting.Doc, e.ReplicaLocs)
 		}
 		p.net.caches.invalidate()
-		reply.Payload, reply.Size = resp, 1+len(resp.Existing)
+		reply.Payload = resp
 
 	case relocateReq:
 		resp := p.handleRelocate(req)
-		reply.Payload, reply.Size = resp, resp.size()
+		reply.Payload = resp
 
 	case repairDigestReq:
 		resp := p.handleRepairDigest(req)
-		reply.Payload, reply.Size = resp, 1+8*len(resp.Buckets)+16*len(resp.Local)
+		reply.Payload = resp
 
 	case repairPushReq:
 		p.handleRepairPush(req)
@@ -158,6 +159,7 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 	default:
 		return simnet.Message{}, fmt.Errorf("core: peer %s: no handler for %q carrying %T", p.Addr(), msg.Type, msg.Payload)
 	}
+	reply.Size = wire.Size(reply.Payload)
 	return reply, nil
 }
 
@@ -251,7 +253,7 @@ func (p *Peer) replicate(items []publishItem, resp *publishResp) {
 			for k, ri := range batch {
 				req.Items[k] = items[ri.i]
 			}
-			return simnet.Message{Type: msgReplica, Payload: req, Size: itemsSize(req.Items)}
+			return simnet.Message{Type: msgReplica, Payload: req}
 		},
 		read: func(simnet.Message, simnet.Addr, []struct{}, []bool) error { return nil },
 	})

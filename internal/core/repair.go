@@ -93,7 +93,7 @@ func (p *Peer) primaryEntries(arc *chordid.Arc) []handoffEntry {
 func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force bool) (moved int, failed []handoffEntry) {
 	ctx := context.Background()
 	install := handoffReq{Entries: entries}
-	reply, _, err := p.send(ctx, dest{addr: target}, simnet.Message{Type: msgHandoff, Payload: install, Size: install.size()}, policy{})
+	reply, _, err := p.send(ctx, dest{addr: target}, simnet.Message{Type: msgHandoff, Payload: install}, policy{})
 	if err != nil {
 		return 0, nil
 	}
@@ -130,7 +130,7 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 		// A failed revert means the target died mid-protocol — its state is
 		// gone (or will be rebuilt by its own repair), so the extra copies
 		// cannot linger.
-		p.send(ctx, dest{addr: target}, simnet.Message{Type: msgHandoff, Payload: revert, Size: revert.size()}, policy{}) //nolint:errcheck
+		p.send(ctx, dest{addr: target}, simnet.Message{Type: msgHandoff, Payload: revert}, policy{}) //nolint:errcheck
 	}
 	if moved > 0 || len(failed) > 0 {
 		p.net.caches.invalidate()
@@ -156,8 +156,7 @@ func (p *Peer) relocations(target simnet.Addr) *protocol[handoffEntry, simnet.Ad
 			for k, e := range entries {
 				req.Items[k] = publishItem{Term: e.Term, Posting: index.Posting{Doc: e.Posting.Doc}}
 			}
-			// Eight bytes per address: one item costs what a relocate always has.
-			return simnet.Message{Type: msgRelocate, Payload: req, Size: itemsSize(req.Items) + 16}
+			return simnet.Message{Type: msgRelocate, Payload: req}
 		},
 		read: readAccepted,
 	}
@@ -207,7 +206,6 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 		reply, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
 			Type:    msgRepairDigest,
 			Payload: repairDigestReq{Arc: arc, Summary: sum},
-			Size:    2*chordid.Bytes + 8*(1+repair.Buckets),
 		}, policy{})
 		if err != nil {
 			continue
@@ -225,21 +223,14 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 		divergent += len(need)
 		p.net.met.repairDivergent.Add(int64(len(need)))
 		set := make([]termPostings, 0, len(need))
-		size := 0
 		p.indexing.mu.Lock()
 		for _, t := range need {
-			list := p.indexing.ix.Encoded(t)
-			set = append(set, termPostings{Term: t, Postings: list})
-			size += len(t)
-			for post := range list.All() {
-				size += post.WireSize()
-			}
+			set = append(set, termPostings{Term: t, Postings: p.indexing.ix.Encoded(t)})
 		}
 		p.indexing.mu.Unlock()
 		if _, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
 			Type:    msgRepairPush,
 			Payload: repairPushReq{Arc: arc, Set: set},
-			Size:    size,
 		}, policy{}); err != nil {
 			continue
 		}
@@ -477,7 +468,6 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 		if _, _, err := p.send(context.Background(), dest{key: key}, simnet.Message{
 			Type:    msgReplicaRetire,
 			Payload: replicaRetireReq{Holder: addr, Term: term, Docs: held[term]},
-			Size:    len(term) + 8*len(held[term]),
 		}, policy{}); err == nil {
 			rep.Retired += len(held[term])
 		}

@@ -100,7 +100,7 @@ func (p *Peer) fetching(stage string, dts, query []string, record bool, span *te
 			for m, i := range items {
 				req.Terms[m] = dts[i]
 			}
-			return simnet.Message{Type: msgGetPostings, Payload: req, Size: req.size()}
+			return simnet.Message{Type: msgGetPostings, Payload: req}
 		},
 		read: func(reply simnet.Message, at simnet.Addr, got []termFetch, refused []bool) error {
 			resp, ok := reply.Payload.(getPostingsResp)

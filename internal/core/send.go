@@ -11,6 +11,7 @@ import (
 	"github.com/spritedht/sprite/internal/resilience"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
+	"github.com/spritedht/sprite/internal/wire"
 )
 
 // This file is the one way out of a peer: nothing else in the package calls
@@ -54,11 +55,14 @@ type policy struct {
 // send delivers msg to d and returns the reply and the peer that served it. A
 // routed message reaches its holder in the form RouteVia hands over, enveloped
 // or bare, and every retry repeats that form to the same peer; the delivery
-// runs in RouteVia's frame, not inside its walk. A done ctx stops retries and
+// runs in RouteVia's frame, not inside its walk. Whatever form it goes in is
+// what it costs: send sets its Size to the payload's encoded length
+// (wire.Size), the only place a request is sized. A done ctx stops retries and
 // failovers.
 func (p *Peer) send(ctx context.Context, d dest, msg simnet.Message, pol policy) (simnet.Message, simnet.Addr, error) {
 	attempts := 0
 	call := func(ctx context.Context, to simnet.Addr, m simnet.Message) (simnet.Message, error) {
+		m.Size = wire.Size(m.Payload)
 		attempt := func(ctx context.Context) (simnet.Message, error) {
 			sp := pol.span.StartChild(m.Type)
 			defer sp.Finish()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -495,11 +496,21 @@ func decodeItems(d *wire.Decoder) []publishItem {
 }
 
 // encodeList ships a postings list's blocks exactly as the index stores them,
-// length-prefixed; MarshalBinary only adds the block framing.
+// behind their length; AppendBinary only adds the block framing. The blocks
+// are appended to the encoder's own buffer and moved up to make room for the
+// length, so encoding a list — and sizing a reply that carries one — copies
+// them once and allocates nothing.
 func encodeList(e *wire.Encoder, l index.Encoded) {
-	raw, _ := l.MarshalBinary()
-	e.Uint(uint64(len(raw)))
-	e.Raw(raw)
+	b := e.Bytes()
+	start := len(b)
+	b, _ = l.AppendBinary(b)
+	n := len(b) - start
+	var pre [binary.MaxVarintLen64]byte
+	k := binary.PutUvarint(pre[:], uint64(n))
+	b = append(b, pre[:k]...)
+	copy(b[start+k:], b[start:start+n])
+	copy(b[start:], pre[:k])
+	*e = *wire.NewEncoder(b)
 }
 
 // decodeList reads encodeList's form. UnmarshalBinary revalidates every

@@ -13,8 +13,7 @@ import (
 )
 
 // The wire forms of the learning sweep's list payloads, byte for byte, and
-// their round trip; a batch of one keeps the simulated size a single poll,
-// publish or unpublish always had.
+// their round trip.
 func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	posting := index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7}
 	one := publishReq{Items: []publishItem{{Term: "ab", Posting: posting}}, CheckArc: true}
@@ -69,32 +68,10 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 		t.Fatalf("publish item with an unknown flag: %v, want a flags error", err)
 	}
 
-	// A single item's simulated size is the one it had before batching.
-	if got, want := itemsSize(one.Items), len("ab")+posting.WireSize(); got != want {
-		t.Fatalf("publish of one item: Size %d, want %d", got, want)
-	}
-	if got, want := poll.size(), len("ab")+sizeTerms([]string{"ab", "cd"})+8; got != want {
-		t.Fatalf("poll of one item: Size %d, want %d", got, want)
-	}
-	if got, want := (pollResp{Items: answer.Items[:1]}).size(), 8+sizeTerms([]string{"ab", "x"}); got != want {
-		t.Fatalf("poll reply of one item: Size %d, want %d", got, want)
-	}
-	// A withdrawal of one item costs what a sprite.unpublish did: its term
-	// and document, and a reply of a byte and eight per stale replica holder.
-	if got, want := itemsSize(pull.Items), len("ab")+len("d1"); got != want {
-		t.Fatalf("withdrawal of one item: Size %d, want %d", got, want)
-	}
-	if got, want := (publishResp{Answers: []publishAnswer{{Stale: []simnet.Addr{"p3", "p4"}}}}).size(), 1+8*2; got != want {
-		t.Fatalf("withdrawal reply with two stale holders: Size %d, want %d", got, want)
-	}
-	if got, want := (publishResp{}).size(), 1; got != want {
-		t.Fatalf("withdrawal reply: Size %d, want %d", got, want)
-	}
 }
 
 // The wire forms of the batched postings fetch, byte for byte, and their round
-// trip; a request or reply of one term keeps the simulated size a single
-// fetch always had, so routed fetches cost the bytes they did.
+// trip.
 func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -122,24 +99,11 @@ func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
 		}
 	}
 
-	if got, want := (getPostingsReq{Terms: []string{"ab"}, Query: []string{"ab", "x"}}).size(), len("ab")+sizeTerms([]string{"ab", "x"}); got != want {
-		t.Fatalf("request for one term: Size %d, want %d", got, want)
-	}
-	if got, want := (getPostingsReq{Terms: []string{"ab"}}).size(), len("ab")+1; got != want {
-		t.Fatalf("request for one term without a query: Size %d, want %d", got, want)
-	}
-	ix := index.NewInverted()
-	ix.Add("ab", index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7})
-	list := ix.Encoded("ab")
-	if got, want := (getPostingsResp{Items: []postingsList{{Postings: list, IndexedDF: 1}}}).size(), list.Size()+8; got != want {
-		t.Fatalf("reply of one list: Size %d, want %d", got, want)
-	}
 }
 
 // The wire forms of the replica push, the relocate and the handoff, byte for
 // byte, and their round trip: replicas and relocates are publishReq's item
-// list — a relocation's items in the document-only form — and a push or
-// relocate of one item keeps the simulated size a single one always had.
+// list, a relocation's items in the document-only form.
 func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
 	posting := index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7}
 	push := replicaReq{Items: []publishItem{{Term: "ab", Posting: posting}, {Term: "cd", Posting: index.Posting{Doc: "d2"}, Withdraw: true}}}
@@ -174,13 +138,6 @@ func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
 		}
 	}
 
-	if got, want := itemsSize(push.Items[:1]), len("ab")+posting.WireSize(); got != want {
-		t.Fatalf("replica push of one item: Size %d, want %d", got, want)
-	}
-	p := testNetwork(t, 2, Config{}).Peers()[0]
-	if got, want := p.relocations("p1").request("", []handoffEntry{{Term: "ab", Posting: posting}}, false).Size, len("ab")+len("d1")+16; got != want {
-		t.Fatalf("relocate of one item: Size %d, want %d", got, want)
-	}
 }
 
 // Retired kinds stay unregistered: a frame naming sprite.unpublish's

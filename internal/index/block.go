@@ -469,8 +469,8 @@ type Encoded struct {
 // Len returns the number of postings.
 func (e Encoded) Len() int { return e.n }
 
-// Size returns the encoded payload size in bytes — the footprint the cache
-// and bandwidth accounting charge for this list.
+// Size returns the encoded payload size in bytes — the footprint the postings
+// cache charges for this list.
 func (e Encoded) Size() int { return e.bytes }
 
 // NumBlocks returns the number of storage blocks backing the list.
@@ -518,7 +518,13 @@ func (e Encoded) MarshalBinary() ([]byte, error) {
 	for _, b := range e.blocks {
 		size += uvarintLen(uint64(len(b.data))) + len(b.data)
 	}
-	out := make([]byte, 0, size)
+	return e.AppendBinary(make([]byte, 0, size))
+}
+
+// AppendBinary appends MarshalBinary's bytes to out. Appending to a reused
+// buffer allocates nothing, which matters because every reply carrying a list
+// is sized by encoding it (wire.Size).
+func (e Encoded) AppendBinary(out []byte) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(len(e.blocks)))
 	for _, b := range e.blocks {
 		out = binary.AppendUvarint(out, uint64(len(b.data)))

@@ -55,17 +55,6 @@ func (p Posting) NormFreq() float64 {
 	return float64(p.Freq) / float64(p.DocLen)
 }
 
-// WireSize is the encoded size of the posting in bytes under the wire
-// package's binary codec: three length-prefixed strings (doc, owner, sketch)
-// and two zig-zag varints. Bandwidth telemetry and cache byte-accounting use
-// it, so it must agree with what internal/wire actually ships.
-func (p Posting) WireSize() int {
-	return uvarintLen(uint64(len(p.Doc))) + len(p.Doc) +
-		uvarintLen(uint64(len(p.Owner))) + len(p.Owner) +
-		uvarintLen(zigzag(int64(p.Freq))) + uvarintLen(zigzag(int64(p.DocLen))) +
-		uvarintLen(uint64(len(p.Sketch))) + len(p.Sketch)
-}
-
 // Inverted is an in-memory inverted index over block-compressed postings:
 // term → immutable block sequence. The zero value is not ready to use;
 // create with NewInverted.

@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -284,32 +283,6 @@ func TestNormFreq(t *testing.T) {
 	zero := post("d", 5, 0)
 	if got := zero.NormFreq(); got != 0 {
 		t.Fatalf("NormFreq with zero length = %v, want 0", got)
-	}
-}
-
-// WireSize must report exactly what the wire codec's posting layout ships:
-// three length-prefixed strings (doc, owner, sketch) and two zig-zag varints.
-func TestWireSizeVarintAccurate(t *testing.T) {
-	for _, p := range []Posting{
-		post("doc-1", 1, 10),
-		post("a-rather-long-document-identifier", 200, 100000),
-		{Doc: "", Owner: "", Freq: 0, DocLen: 0},
-		{Doc: "d", Owner: "o", Freq: -3, DocLen: -1},
-		{Doc: "d", Owner: "o", Freq: 2, DocLen: 9, Sketch: "\x01\x04abcd"},
-		{Doc: "d", Owner: "o", Freq: 2, DocLen: 9, Sketch: string(make([]byte, 300))},
-	} {
-		var b []byte
-		b = binary.AppendUvarint(b, uint64(len(p.Doc)))
-		b = append(b, p.Doc...)
-		b = binary.AppendUvarint(b, uint64(len(p.Owner)))
-		b = append(b, p.Owner...)
-		b = binary.AppendVarint(b, int64(p.Freq))
-		b = binary.AppendVarint(b, int64(p.DocLen))
-		b = binary.AppendUvarint(b, uint64(len(p.Sketch)))
-		b = append(b, p.Sketch...)
-		if got := p.WireSize(); got != len(b) {
-			t.Fatalf("WireSize(%+v) = %d, want %d", p, got, len(b))
-		}
 	}
 }
 

@@ -83,11 +83,13 @@ func TestCallRoundTripOverTCP(t *testing.T) {
 	if err := tr.LastError(); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: note{Text: "hello"}, Size: 5})
+	hello := note{Text: "hello"}
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: hello, Size: wire.Size(hello)})
 	if err != nil {
 		t.Fatalf("Call: %v", err)
 	}
-	if reply.Type != "ping.ok" || reply.Payload.(note).Text != "hello" || reply.Size != 5 {
+	// The reply costs its payload's encoded length: "hello" and its length byte.
+	if reply.Type != "ping.ok" || reply.Payload.(note).Text != "hello" || reply.Size != 6 {
 		t.Fatalf("reply = %+v", reply)
 	}
 }

@@ -31,8 +31,9 @@ import (
 type Addr string
 
 // Message is a typed payload exchanged between peers. Type drives both
-// dispatch and per-type accounting; Size is the simulated wire size in bytes
-// used for bandwidth accounting (it need not be exact, only consistent).
+// dispatch and per-type accounting; Size is what the message costs in bytes:
+// its payload's encoded length (wire.Size), kind prefix and frame header not
+// billed. The sender sets it; the network only sums it.
 type Message struct {
 	Type    string
 	Payload any

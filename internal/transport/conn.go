@@ -96,7 +96,7 @@ func (c *clientConn) call(from simnet.Addr, msg simnet.Message) (uint64, chan ca
 	c.mu.Unlock()
 	c.pool.inflight.Add(1)
 
-	frame, err := appendRequestFrame(nil, id, string(from), msg.Type, msg.Size, msg.Payload)
+	frame, err := appendRequestFrame(nil, id, string(from), msg.Type, msg.Payload)
 	if err != nil {
 		c.finish(id)
 		return 0, nil, err
@@ -282,18 +282,14 @@ func (s *serverConn) readLoop() {
 
 // dispatch decodes one request, runs the handler, and queues the response.
 func (s *serverConn) dispatch(req *request) {
-	payload, err := decodePayload(req.codec, req.payload)
+	msg, err := decodeMessage(req.msgType, req.codec, req.payload)
 	var reply simnet.Message
 	if err == nil {
 		h := s.l.currentHandler()
 		if h == nil {
 			err = fmt.Errorf("transport: no handler registered")
 		} else {
-			reply, err = h.HandleMessage(simnet.Addr(req.from), simnet.Message{
-				Type:    req.msgType,
-				Payload: payload,
-				Size:    req.size,
-			})
+			reply, err = h.HandleMessage(simnet.Addr(req.from), msg)
 		}
 	}
 	s.t.met.served(req.msgType)
@@ -304,11 +300,11 @@ func (s *serverConn) dispatch(req *request) {
 		// whole response.
 		reply = simnet.Message{}
 	}
-	frame, err := appendResponseFrame(nil, req.id, reply.Type, reply.Size, errMsg, reply.Payload)
+	frame, err := appendResponseFrame(nil, req.id, reply.Type, errMsg, reply.Payload)
 	if err != nil {
 		// Response payload failed to encode: report that instead so the
 		// caller is not left to time out.
-		if frame, err = appendResponseFrame(nil, req.id, "", 0, err.Error(), nil); err != nil {
+		if frame, err = appendResponseFrame(nil, req.id, "", err.Error(), nil); err != nil {
 			s.close()
 			return
 		}

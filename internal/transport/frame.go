@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/wire"
 )
 
@@ -15,19 +16,20 @@ import (
 //	+----------------+----------------------------------------------+
 //
 //	body (request):   kind=0 | id u64 BE | from str | type str |
-//	                  size uvarint | codec u8 | payload...
-//	body (response):  kind=1 | id u64 BE | type str | size uvarint |
-//	                  err str | codec u8 | payload...
+//	                  codec u8 | payload...
+//	body (response):  kind=1 | id u64 BE | type str | err str |
+//	                  codec u8 | payload...
 //
-// where `str` is a uvarint length followed by that many bytes, `size` is the
-// message's simulated accounting size, and the payload runs to the end of
-// the body (its length is implied by the frame length). `id` ties a response
-// to the request it answers, which is what lets many in-flight RPCs share
-// one socket: responses may come back in any order. `codec` is 0 for a nil
-// payload and 1 for one in the wire package's binary codec; any other value
-// is refused by the receiver. A payload type with no binary codec
-// (wire.RegisterBinary) fails to encode at the caller and never reaches the
-// socket.
+// where `str` is a uvarint length followed by that many bytes and the payload
+// runs to the end of the body (its length is implied by the frame length).
+// What a message costs is not sent: the receiver reads it off the payload, its
+// length without the 2-byte kind, which is the wire.Size the sender billed.
+// `id` ties a response to the request it answers, which is what lets many
+// in-flight RPCs share one socket: responses may come back in any order.
+// `codec` is 0 for a nil payload and 1 for one in the wire package's binary
+// codec; any other value is refused by the receiver. A payload type with no
+// binary codec (wire.RegisterBinary) fails to encode at the caller and never
+// reaches the socket.
 const (
 	frameRequest  = 0
 	frameResponse = 1
@@ -47,13 +49,12 @@ const (
 const DefaultMaxFrame = 64 << 20
 
 // appendRequestFrame encodes one request frame, including the length prefix.
-func appendRequestFrame(dst []byte, id uint64, from, msgType string, size int, payload any) ([]byte, error) {
+func appendRequestFrame(dst []byte, id uint64, from, msgType string, payload any) ([]byte, error) {
 	e := wire.NewEncoder(append(dst, 0, 0, 0, 0)) // length placeholder
 	e.Raw([]byte{frameRequest})
 	e.Raw(binary.BigEndian.AppendUint64(nil, id))
 	e.String(from)
 	e.String(msgType)
-	e.Uint(uint64(size))
 	if err := appendPayload(e, payload); err != nil {
 		return dst, fmt.Errorf("transport: encode %s request: %w", msgType, err)
 	}
@@ -61,12 +62,11 @@ func appendRequestFrame(dst []byte, id uint64, from, msgType string, size int, p
 }
 
 // appendResponseFrame encodes one response frame.
-func appendResponseFrame(dst []byte, id uint64, msgType string, size int, errMsg string, payload any) ([]byte, error) {
+func appendResponseFrame(dst []byte, id uint64, msgType string, errMsg string, payload any) ([]byte, error) {
 	e := wire.NewEncoder(append(dst, 0, 0, 0, 0))
 	e.Raw([]byte{frameResponse})
 	e.Raw(binary.BigEndian.AppendUint64(nil, id))
 	e.String(msgType)
-	e.Uint(uint64(size))
 	e.String(errMsg)
 	if err := appendPayload(e, payload); err != nil {
 		return dst, fmt.Errorf("transport: encode %s response: %w", msgType, err)
@@ -98,19 +98,24 @@ func appendPayload(e *wire.Encoder, payload any) error {
 	return nil
 }
 
-// decodePayload reverses appendPayload given the codec byte and raw bytes.
-func decodePayload(codec byte, data []byte) (any, error) {
+// decodeMessage reverses appendPayload given the codec byte and raw bytes:
+// a message of type msgType whose Size is the payload's length without its
+// 2-byte kind, the wire.Size its sender billed.
+func decodeMessage(msgType string, codec byte, data []byte) (simnet.Message, error) {
+	msg := simnet.Message{Type: msgType}
+	var err error
 	switch codec {
 	case codecNone:
 		if len(data) != 0 {
-			return nil, fmt.Errorf("transport: %d payload bytes on a codec-none frame", len(data))
+			err = fmt.Errorf("transport: %d payload bytes on a codec-none frame", len(data))
 		}
-		return nil, nil
 	case codecBinary:
-		return wire.DecodeBinary(data)
+		msg.Payload, err = wire.DecodeBinary(data)
+		msg.Size = len(data) - 2
 	default:
-		return nil, fmt.Errorf("transport: unknown payload codec %d", codec)
+		err = fmt.Errorf("transport: unknown payload codec %d", codec)
 	}
+	return msg, err
 }
 
 // request is a parsed request frame.
@@ -118,7 +123,6 @@ type request struct {
 	id      uint64
 	from    string
 	msgType string
-	size    int
 	codec   byte
 	payload []byte
 }
@@ -127,7 +131,6 @@ type request struct {
 type response struct {
 	id      uint64
 	msgType string
-	size    int
 	errMsg  string
 	codec   byte
 	payload []byte
@@ -164,7 +167,6 @@ func parseFrame(body []byte) (*request, *response, error) {
 		req := &request{id: id}
 		req.from = d.String()
 		req.msgType = d.String()
-		req.size = int(d.Uint())
 		req.codec, req.payload = finishParse(d)
 		if d.Err() != nil {
 			return nil, nil, fmt.Errorf("transport: malformed request frame: %w", d.Err())
@@ -173,7 +175,6 @@ func parseFrame(body []byte) (*request, *response, error) {
 	case frameResponse:
 		resp := &response{id: id}
 		resp.msgType = d.String()
-		resp.size = int(d.Uint())
 		resp.errMsg = d.String()
 		resp.codec, resp.payload = finishParse(d)
 		if d.Err() != nil {

@@ -563,12 +563,12 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 			t.met.errRemote.Inc()
 			return simnet.Message{}, fmt.Errorf("transport: remote %s: %s", to, res.resp.errMsg)
 		}
-		payload, err := decodePayload(res.resp.codec, res.resp.payload)
+		reply, err := decodeMessage(res.resp.msgType, res.resp.codec, res.resp.payload)
 		if err != nil {
 			t.met.errDecode.Inc()
 			return simnet.Message{}, fmt.Errorf("transport: reply from %s: %w", to, err)
 		}
-		return simnet.Message{Type: res.resp.msgType, Payload: payload, Size: res.resp.size}, nil
+		return reply, nil
 	case <-ctx.Done():
 		c.finish(id)
 		t.met.errCtx.Inc()

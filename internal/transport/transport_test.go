@@ -79,6 +79,45 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
+// A received message costs what its sender billed, wire.Size of its payload:
+// the frame carries no size of its own, and the receiver reads it off the
+// payload, its length without the kind. A message without a payload is free.
+func TestFrameSizeIsPayloadLength(t *testing.T) {
+	for _, payload := range []any{note{Text: "hello", Items: []string{"a", "bc"}}, note{}, nil} {
+		enc, _ := wire.AppendBinary(nil, payload)
+		want := max(len(enc)-2, 0)
+		reqFrame, err := appendRequestFrame(nil, 1, "client", "ping", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		respFrame, err := appendResponseFrame(nil, 1, "ping.ok", "", payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, _, err := parseFrame(reqFrame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, resp, err := parseFrame(respFrame[4:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range []struct {
+			what  string
+			codec byte
+			data  []byte
+		}{{"request", req.codec, req.payload}, {"response", resp.codec, resp.payload}} {
+			msg, err := decodeMessage("ping", f.codec, f.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg.Size != want || !reflect.DeepEqual(msg.Payload, payload) {
+				t.Fatalf("%s of %#v decodes to %#v of size %d, want size %d", f.what, payload, msg.Payload, msg.Size, want)
+			}
+		}
+	}
+}
+
 func TestPoolReusesOneConnAcrossSequentialCalls(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tr := New(WithTelemetry(reg))
@@ -789,7 +828,7 @@ func TestUnknownCodecByteGetsDecodeErrorReply(t *testing.T) {
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
-	frame, err := appendRequestFrame(nil, 7, "client", "ping", 0, nil)
+	frame, err := appendRequestFrame(nil, 7, "client", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -855,7 +894,7 @@ func TestMismatchedPayloadGetsErrorReply(t *testing.T) {
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
 	exchange := func(id uint64, msgType string, payload any) *response {
 		t.Helper()
-		frame, err := appendRequestFrame(nil, id, "client", msgType, 1, payload)
+		frame, err := appendRequestFrame(nil, id, "client", msgType, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -959,12 +998,14 @@ func TestTelemetryCountsCallsAndServes(t *testing.T) {
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
+	payload := note{Text: "hello"}
 	for i := 0; i < 3; i++ {
-		if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Size: 8}); err != nil {
+		if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: payload, Size: wire.Size(payload)}); err != nil {
 			t.Fatalf("Call: %v", err)
 		}
 	}
-	for name, want := range map[string]int64{"tcp.calls.ping": 3, "tcp.served.ping": 3, "tcp.bytes.ping": 48} {
+	// Each call bills the request and its echo, 7 bytes each.
+	for name, want := range map[string]int64{"tcp.calls.ping": 3, "tcp.served.ping": 3, "tcp.bytes.ping": 42} {
 		if got := reg.Counter(name).Value(); got != want {
 			t.Fatalf("%s = %d, want %d", name, got, want)
 		}

@@ -22,6 +22,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind ranges, one block per registering package, so the numbering is stable
@@ -103,16 +104,52 @@ func BinaryPrototypes() []any {
 // registered codec. When it reports false, dst is returned unchanged: the
 // value has no wire form.
 func AppendBinary(dst []byte, v any) ([]byte, bool) {
-	mu.Lock()
-	c, ok := binByType[reflect.TypeOf(v)]
-	mu.Unlock()
-	if !ok {
-		return dst, false
+	e := &Encoder{b: dst}
+	ok := e.Append(v)
+	return e.b, ok
+}
+
+// scratch holds encoders for Size to write into and throw away, each with at
+// most maxScratch bytes of buffer. Slots, not a sync.Pool: under the race
+// detector a pool drops what it is given at random, and Size must not
+// allocate there either. Four cover the sizings a few cores run at once; a
+// Size that finds every slot empty allocates.
+var scratch [4]atomic.Pointer[Encoder]
+
+const maxScratch = 64 << 10
+
+// Size returns what a message carrying v costs (simnet.Message.Size): the
+// length of v's encoded field stream, without the 2-byte kind, which is
+// framing. A nil payload, or one whose type has no codec, is 0. It encodes
+// into reused scratch, so it allocates nothing of its own.
+func Size(v any) int {
+	c := codecOf(v)
+	if c == nil {
+		return 0
 	}
-	e := Encoder{b: dst}
-	e.b = binary.BigEndian.AppendUint16(e.b, c.kind)
-	c.enc(&e, v)
-	return e.b, true
+	var e *Encoder
+	for i := 0; i < len(scratch) && e == nil; i++ {
+		e = scratch[i].Swap(nil)
+	}
+	if e == nil {
+		e = new(Encoder)
+	}
+	e.b = e.b[:0]
+	c.enc(e, v)
+	n := len(e.b)
+	for i := 0; i < len(scratch) && cap(e.b) <= maxScratch; i++ {
+		if scratch[i].CompareAndSwap(nil, e) {
+			break
+		}
+	}
+	return n
+}
+
+// codecOf returns v's registered codec, or nil (for a nil v too).
+func codecOf(v any) *binaryCodec {
+	mu.Lock()
+	defer mu.Unlock()
+	return binByType[reflect.TypeOf(v)]
 }
 
 // DecodeBinary decodes a payload produced by AppendBinary. Unknown kinds and
@@ -157,11 +194,13 @@ func (e *Encoder) Bytes() []byte { return e.b }
 // when it reports false. This is AppendBinary for callers composing a larger
 // frame in one buffer.
 func (e *Encoder) Append(v any) bool {
-	b, ok := AppendBinary(e.b, v)
-	if ok {
-		e.b = b
+	c := codecOf(v)
+	if c == nil {
+		return false
 	}
-	return ok
+	e.b = binary.BigEndian.AppendUint16(e.b, c.kind)
+	c.enc(e, v)
+	return true
 }
 
 // Uint appends v as an unsigned varint.

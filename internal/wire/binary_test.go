@@ -70,6 +70,31 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 }
 
+// Size is the encoded length without the 2-byte kind, 0 for a nil payload or
+// one without a codec, and allocates nothing once its scratch has grown: it
+// runs on every message.
+func TestSizeIsEncodedLength(t *testing.T) {
+	type notRegistered struct{ X int }
+	for _, v := range []any{
+		binPayload{},
+		binPayload{Term: "chord", Query: []string{"peer", "to", "peer"}},
+		binPayload{Term: strings.Repeat("x", 300)},
+		nil,
+		notRegistered{1},
+	} {
+		want := 0
+		if enc, ok := AppendBinary(nil, v); ok {
+			want = len(enc) - 2
+		}
+		if got := Size(v); got != want {
+			t.Fatalf("Size(%#v) = %d, want %d", v, got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { Size(v) }); allocs != 0 {
+			t.Fatalf("Size(%#v) allocates %v times", v, allocs)
+		}
+	}
+}
+
 func TestBinaryUnregisteredHasNoEncoding(t *testing.T) {
 	type notRegistered struct{ X int }
 	dst := []byte{1, 2}

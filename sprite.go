@@ -245,7 +245,7 @@ type Result struct {
 // Stats summarizes the simulated network traffic.
 type Stats struct {
 	Messages int64            // RPCs sent between distinct peers
-	Bytes    int64            // simulated payload bytes
+	Bytes    int64            // payload bytes: each message's encoded length
 	ByType   map[string]int64 // message count per protocol message type
 	Postings int              // index entries currently stored network-wide
 	Peers    int              // alive peers

@@ -112,6 +112,7 @@ type namedTransport struct {
 
 	mu    sync.Mutex
 	calls map[string]int
+	bytes map[string]int // request plus reply Size
 }
 
 func (nt *namedTransport) toReal(a simnet.Addr) simnet.Addr {
@@ -135,21 +136,25 @@ func (nt *namedTransport) Unregister(addr simnet.Addr) { nt.inner.Unregister(nt.
 func (nt *namedTransport) Alive(addr simnet.Addr) bool { return nt.inner.Alive(nt.toReal(addr)) }
 
 func (nt *namedTransport) CallCtx(ctx context.Context, from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	reply, err := nt.inner.CallCtx(ctx, nt.toReal(from), nt.toReal(to), msg)
 	if from != to {
 		nt.mu.Lock()
 		nt.calls[msg.Type]++
+		nt.bytes[msg.Type] += msg.Size + reply.Size
 		nt.mu.Unlock()
 	}
-	return nt.inner.CallCtx(ctx, nt.toReal(from), nt.toReal(to), msg)
+	return reply, err
 }
 
 // TestTransportTwinMessageCounts runs share, search, a protocol join, learn,
 // search again and one anti-entropy round on one replicated ring over the
 // simulator and over the socket transport, and requires the same rankings and
-// the same number of messages of every type — those of the learning iteration
-// and of the repair round on their own as well, and those of the searches
-// while the ring is half joined — the same index terms learned
-// and the same replica indexes after the repair. The learning iteration's
+// the same number of messages and bytes of every type — those of the learning
+// iteration and of the repair round on their own as well, and those of the
+// searches while the ring is half joined — the same index terms learned and
+// the same replica indexes after the repair. A byte is a request's or reply's
+// Size: over sockets a receiver reads it off the frame's payload, so equal
+// bytes mean both ends bill what the sender's wire.Size did. The learning iteration's
 // polls go to each holder of record in one batch and the items a holder
 // refuses go round on the ring; the repair round pushes the joiner's
 // successor the replica lists of the arc it handed off, block-compressed, so
@@ -182,7 +187,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	}
 	run := func(name string, inner simnet.Transport, closeFn func()) outcome {
 		defer closeFn()
-		nt := &namedTransport{inner: inner, real: map[simnet.Addr]simnet.Addr{}, logical: map[simnet.Addr]simnet.Addr{}, calls: map[string]int{}}
+		nt := &namedTransport{inner: inner, real: map[simnet.Addr]simnet.Addr{}, logical: map[simnet.Addr]simnet.Addr{}, calls: map[string]int{}, bytes: map[string]int{}}
 		if _, sockets := inner.(*simnet.Network); !sockets {
 			addrs, err := transport.FreeAddrs(peers + 1) // the last one is the joiner's
 			if err != nil {
@@ -260,6 +265,9 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 			for typ, c := range nt.calls {
 				calls[typ] = c
 			}
+			for typ, b := range nt.bytes {
+				calls[typ+" bytes"] = b
+			}
 			for _, c := range counters {
 				calls[c] = int(reg.Counter(c).Value())
 			}
@@ -329,7 +337,7 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 		t.Fatalf("tcp rankings differ from simnet:\n%v\nvs\n%v", got.rankings, want.rankings)
 	}
 	if !reflect.DeepEqual(got.calls, want.calls) || !reflect.DeepEqual(got.join, want.join) || !reflect.DeepEqual(got.learn, want.learn) || !reflect.DeepEqual(got.repair, want.repair) {
-		t.Fatalf("tcp message counts differ from simnet:\n%v, half-joined searches %v, learning %v, repair %v\nvs\n%v, half-joined searches %v, learning %v, repair %v",
+		t.Fatalf("tcp message counts or bytes differ from simnet:\n%v, half-joined searches %v, learning %v, repair %v\nvs\n%v, half-joined searches %v, learning %v, repair %v",
 			got.calls, got.join, got.learn, got.repair, want.calls, want.join, want.learn, want.repair)
 	}
 	if !reflect.DeepEqual(got.replicas, want.replicas) {
@@ -338,5 +346,5 @@ func TestTransportTwinMessageCounts(t *testing.T) {
 	if !reflect.DeepEqual(got.indexed, want.indexed) {
 		t.Fatalf("tcp learned other index terms than simnet:\n%v\nvs\n%v", got.indexed, want.indexed)
 	}
-	t.Logf("messages by type on both transports: %v, of which half-joined searches: %v, learning: %v, repair: %v", want.calls, want.join, want.learn, want.repair)
+	t.Logf("messages and bytes by type on both transports: %v, of which half-joined searches: %v, learning: %v, repair: %v", want.calls, want.join, want.learn, want.repair)
 }
