@@ -12,6 +12,7 @@ import (
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
+	"github.com/spritedht/sprite/internal/wire"
 )
 
 const msgEcho = "test.echo"
@@ -671,6 +672,69 @@ func (rec *recorder) CallCtx(ctx context.Context, from, to simnet.Addr, msg simn
 	}
 	rec.mu.Unlock()
 	return reply, err
+}
+
+// Every message the overlay sends costs exactly what the binary codec writes
+// for its payload: per excluded ID, per hint, per envelope. The delivery leg
+// is sized by its Sender; this one sizes it the way an application's must.
+func TestSimulatedSizesTrackEncodedLength(t *testing.T) {
+	rec := &recorder{Transport: simnet.New(1)}
+	r := NewRing(rec, Config{})
+	if _, err := r.AddNodes("peer", 64); err != nil {
+		t.Fatal(err)
+	}
+	r.Build()
+	echoRing(r)
+	nodes := r.Nodes()
+	for i := 0; i < 200; i++ {
+		key := chordid.HashKey(fmt.Sprintf("size-%d", i))
+		var exclude []chordid.ID
+		for j := 0; j < i%9; j++ {
+			exclude = append(exclude, nodes[(i+7*j)%len(nodes)].ID())
+		}
+		if _, _, err := nodes[i%len(nodes)].LookupExcluding(context.Background(), key, exclude, nil); err != nil {
+			t.Fatal(err)
+		}
+		n := nodes[i%len(nodes)]
+		sized := func(ctx context.Context, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+			msg.Size = wire.Size(msg.Payload)
+			return n.call(ctx, to, msg)
+		}
+		if _, _, _, err := n.RouteVia(context.Background(), key, echoMsg(), nil, sized, ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kinds := map[string]int{}
+	for _, m := range rec.msgs {
+		var what string
+		switch p := m.Payload.(type) {
+		case nextHopReq:
+			what = fmt.Sprintf("nextHopReq/%d-excluded", len(p.Exclude))
+		case nextHopResp:
+			what = "nextHopResp"
+			if !p.Hint.IsZero() {
+				what = "nextHopResp/hint"
+			}
+		case routed:
+			what = "routed"
+		default:
+			continue // the application's replies are its own to size
+		}
+		enc, ok := wire.AppendBinary(nil, m.Payload)
+		if !ok {
+			t.Fatalf("%s has no binary codec", what)
+		}
+		// The 2-byte kind is the frame's, not the payload's.
+		if m.Size != len(enc)-2 {
+			t.Fatalf("%s: Size %d, %d bytes encoded", what, m.Size, len(enc)-2)
+		}
+		kinds[what]++
+	}
+	for _, what := range []string{"nextHopReq/0-excluded", "nextHopReq/8-excluded", "nextHopResp", "nextHopResp/hint", "routed"} {
+		if kinds[what] == 0 {
+			t.Fatalf("no %s message was exchanged", what)
+		}
+	}
 }
 
 // Serves is the rule a routed delivery is checked by: on a built ring each key

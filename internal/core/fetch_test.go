@@ -135,3 +135,40 @@ func TestBatchedFetchMatchesPerTermOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestFetchSizesTrackEncodedLength is the postings side of chord's
+// TestSimulatedSizesTrackEncodedLength: every get_postings request and reply
+// — one term or many, with refusals and without — costs exactly what the
+// binary codec writes for its payload.
+func TestFetchSizesTrackEncodedLength(t *testing.T) {
+	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1})
+	f.halfJoin(t) // some terms refused, some routed
+	f.log.drain()
+	f.searchStream(t, 150, func(p *Peer, terms []string) (ir.RankedList, error) {
+		return p.searchCtx(context.Background(), terms, 10, true, nil)
+	})
+	seen := map[string]int{}
+	for _, m := range f.log.drain() {
+		for _, msg := range []simnet.Message{m.req, m.reply} {
+			switch msg.Payload.(type) {
+			case getPostingsReq, getPostingsResp:
+			default:
+				continue // a routed delivery's envelope is chord's to check
+			}
+			what := sizeCase(msg.Payload)
+			if want := encodedSize(t, msg); msg.Size != want {
+				t.Fatalf("%s: Size %d, %d bytes encoded", what, msg.Size, want)
+			}
+			seen[what]++
+		}
+	}
+	for _, what := range []string{
+		"get_postings request of one", "get_postings request of several",
+		"get_postings reply of one, none refused", "get_postings reply of several, none refused",
+		"get_postings reply of several, one refused",
+	} {
+		if seen[what] == 0 {
+			t.Fatalf("no %s was exchanged (saw %v)", what, seen)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -591,6 +592,104 @@ func TestLearnSweepInflightBounded(t *testing.T) {
 	t.Logf("sprite.fanout.inflight peak at Parallelism 8: sweep %d, per-term learn_doc → poll %d", batched, perTerm)
 	if batched > 8 {
 		t.Fatalf("sweep peaked at %d items in flight, bound 8", batched)
+	}
+}
+
+// TestLearnBatchSizesTrackEncodedLength: every poll and publish of a sweep —
+// requests and replies, batches and single items — and every replica push,
+// relocate and handoff revert costs exactly what the binary codec writes for
+// its payload. An item is a (document, term) pair, a publish, a withdrawal, a
+// relocated or reverted entry, a refusal or, in a poll's reply, also a
+// returned query.
+func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
+	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1, ReplicationFactor: 2})
+	f.halfJoin(t) // some items refused, some routed
+	f.log.drain()
+	for it := 0; it < 2; it++ {
+		f.queries(t, 150, false)
+		if _, err := f.n.LearnAllCtx(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// An owner leaving withdraws its documents' postings in batches, and
+	// its indexing role relocates its entries at their owners in batches.
+	if _, err := f.n.Leave("p1"); err != nil {
+		t.Fatal(err)
+	}
+	// Handoffs whose owner cannot be told revert their installs: one entry,
+	// then all of the owner's entries at a peer.
+	var from *Peer
+	var entries []handoffEntry
+	for _, p := range f.n.Peers() {
+		entries = slices.DeleteFunc(p.primaryEntries(nil), func(e handoffEntry) bool { return e.Posting.Owner != "p2" })
+		if from = p; p.Addr() != "p2" && len(entries) > 1 {
+			break
+		}
+	}
+	target := from.node.SuccessorList()[0].Addr
+	for _, es := range [][]handoffEntry{entries[:1], entries} {
+		f.log.DropCalls("p2", 1)
+		if moved, _ := from.handoffEntries(target, es, false); moved != 0 {
+			t.Fatalf("handoff to %s moved %d entries of an unreachable owner", target, moved)
+		}
+	}
+	smallest, largest := map[string]int{}, map[string]int{}
+	for _, m := range f.log.drain() {
+		for _, msg := range []simnet.Message{m.req, m.reply} {
+			var what string
+			items := 0
+			switch p := msg.Payload.(type) {
+			case pollReq:
+				what = "pollReq"
+				for _, d := range p.Docs {
+					items += len(d.Terms)
+				}
+			case pollResp:
+				what = "pollResp"
+				items = len(p.Items)
+				for _, r := range p.Items {
+					items += len(r.Queries)
+				}
+			case publishReq:
+				what, items = "publishReq", len(p.Items)
+				if withdraws(msg) {
+					what = "withdrawal"
+				}
+			case publishResp:
+				what, items = "publishResp", len(p.Answers)
+				for _, a := range p.Answers {
+					items += len(a.Stale)
+				}
+			case replicaReq:
+				what, items = "replicaReq", len(p.Items)
+			case relocateReq:
+				what, items = "relocateReq", len(p.Items)
+			case handoffReq:
+				if !p.Revert {
+					continue
+				}
+				what, items = "revert", len(p.Entries)
+			default:
+				continue
+			}
+			if want := encodedSize(t, msg); msg.Size != want {
+				t.Fatalf("%s of %d items: Size %d, %d bytes encoded", what, items, msg.Size, want)
+			}
+			if _, seen := smallest[what]; !seen || items < smallest[what] {
+				smallest[what] = items
+			}
+			largest[what] = max(largest[what], items)
+		}
+	}
+	for _, what := range []string{"pollReq", "pollResp", "publishReq", "withdrawal", "replicaReq", "relocateReq", "revert"} {
+		if largest[what] < 2 {
+			t.Fatalf("no %s carried more than one item", what)
+		}
+	}
+	for _, what := range []string{"replicaReq", "relocateReq", "revert"} {
+		if smallest[what] != 1 {
+			t.Fatalf("no %s carried a single item (smallest %d)", what, smallest[what])
+		}
 	}
 }
 

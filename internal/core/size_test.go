@@ -106,14 +106,7 @@ func TestSizeIsEncodedLength(t *testing.T) {
 	seen := map[string]int{}
 	for _, m := range f.log.drain() {
 		for _, msg := range []simnet.Message{m.req, m.reply} {
-			want := 0
-			if msg.Payload != nil {
-				enc, ok := wire.AppendBinary(nil, msg.Payload)
-				if !ok {
-					t.Fatalf("%s carries %T, which has no binary codec", msg.Type, msg.Payload)
-				}
-				want = len(enc) - 2
-			}
+			want := encodedSize(t, msg)
 			what := sizeCase(msg.Payload)
 			if msg.Size != want {
 				t.Fatalf("%s (%s): Size %d, %d bytes encoded", msg.Type, what, msg.Size, want)
@@ -146,6 +139,20 @@ func TestSizeIsEncodedLength(t *testing.T) {
 	if t.Failed() {
 		t.Logf("seen: %v", seen)
 	}
+}
+
+// encodedSize is what msg must cost: its payload's encoded length without the
+// 2-byte kind, or nothing when it carries no payload.
+func encodedSize(t *testing.T, msg simnet.Message) int {
+	t.Helper()
+	if msg.Payload == nil {
+		return 0
+	}
+	enc, ok := wire.AppendBinary(nil, msg.Payload)
+	if !ok {
+		t.Fatalf("%s carries %T, which has no binary codec", msg.Type, msg.Payload)
+	}
+	return len(enc) - 2
 }
 
 // sizeCase names the shape of a payload the size check must meet.
