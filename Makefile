@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity similarity-check churn-check examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
+.PHONY: check vet build test race bench bench-cpu bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity similarity-check churn-check examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -21,6 +21,15 @@ race:
 
 bench:
 	$(GO) test -run XXX -bench . -benchmem ./...
+
+# Per-layer CPU of a query's hot spots: one next-hop answer on a 4 096-node
+# ring (hops drawn from real lookups), sizing a get_postings reply and a
+# next_hop request, and scoring a query's lists. CI runs each once
+# (BENCHTIME=1x) so they keep compiling and running.
+BENCHTIME ?= 1s
+
+bench-cpu:
+	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir
 
 # The repository benchmark (bench/, a module of its own — see bench/README.md):
 # its harness tests, and one 12-second pass of the routing-bound workload.

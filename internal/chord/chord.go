@@ -49,6 +49,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 
@@ -190,7 +191,11 @@ type Node struct {
 	// resolves to succs[0] by definition, and a slot that resolves to this
 	// node itself routes nowhere, so neither is kept or refreshed.
 	fingers []finger
-	nextFix int // slot the next fixFinger call refreshes; walks from the top down
+	// inverted counts the stored fingers whose node lies short of their
+	// slot's start (see fingersChangedLocked); while it is zero a next-hop
+	// answer scans only the fingers below the key's slot.
+	inverted int
+	nextFix  int // slot the next fixFinger call refreshes; walks from the top down
 
 	app      simnet.Handler     // application handler for non-chord messages
 	predHook func(old, new Ref) // arc-change notification, see SetPredChangeHook
@@ -321,6 +326,19 @@ func slotOffset(slot int) chordid.ID {
 	return off
 }
 
+// fingersChangedLocked recounts the inverted fingers — those whose node lies
+// short of their slot's start — after any write to the table. Build and a
+// sound refresh never store one, since the successor of a slot's start lies
+// at or past it, but a refresh walk over stale successor lists can.
+func (n *Node) fingersChangedLocked() {
+	n.inverted = 0
+	for _, f := range n.fingers {
+		if n.ref.ID.Distance(f.ref.ID).Cmp(slotOffset(int(f.slot))) < 0 {
+			n.inverted++
+		}
+	}
+}
+
 // slotImpliedLocked reports whether slot starts in (self, succs[0]] — where
 // its value is succs[0] without asking anyone. Every lower slot is then
 // implied too. Slot 0 (offset 1) always is, so a downward walk ends here.
@@ -335,6 +353,7 @@ func (n *Node) setFingerLocked(slot int, ref Ref, arc uint32) bool {
 	i := sort.Search(len(n.fingers), func(i int) bool { return int(n.fingers[i].slot) >= slot })
 	found := i < len(n.fingers) && int(n.fingers[i].slot) == slot
 	f := finger{ref: ref, slot: uint16(slot), arc: arc}
+	defer n.fingersChangedLocked()
 	switch {
 	case ref.ID == n.ref.ID:
 		if found {
@@ -484,7 +503,7 @@ func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bo
 	// closest finger preceding the key — the rest need not be scored.
 	var bestDist chordid.ID
 	first := true
-	for i := len(n.fingers) - 1; i >= 0; i-- {
+	for i := n.fingersBelowLocked(key) - 1; i >= 0; i-- {
 		if r := n.fingers[i].ref; acceptable(r) {
 			best, bestDist, first, above = r, r.ID.Distance(key), false, i+1
 			break
@@ -499,6 +518,47 @@ func (n *Node) closestPrecedingLocked(key chordid.ID, excluded map[chordid.ID]bo
 		}
 	}
 	return best, above
+}
+
+// fingersBelowLocked returns how many stored fingers, from the bottom, the
+// scan for key's closest preceding finger must look at. A finger at or past
+// its slot's start precedes key only if the slot's offset is below the key's
+// distance, so the scan can start under the first slot at or past the key —
+// unless some finger is inverted, or the key is this node's own ID, whose
+// open interval (self, self) is the whole ring: then it scans them all.
+// Stored slots ascend without repeats, so at most slot − fingers[0].slot of
+// them lie below the key's slot, exactly that many when none is missing; a
+// finger above it that the count takes in is one the scan passes over.
+func (n *Node) fingersBelowLocked(key chordid.ID) int {
+	if n.inverted > 0 || key == n.ref.ID || len(n.fingers) == 0 {
+		return len(n.fingers)
+	}
+	slot := keySlot(n.ref.ID.Distance(key))
+	return min(max(slot-int(n.fingers[0].slot), 0), len(n.fingers))
+}
+
+// keySlot returns the lowest finger slot whose offset j·16^ℓ is at least d,
+// for d > 0, or fingerSlots when no offset is: d's leading hex digit names
+// level ℓ and digit j, and any lower digit set moves it one slot up. A digit
+// never straddles the two 64-bit halves.
+func keySlot(d chordid.ID) int {
+	hi, lo := binary.BigEndian.Uint64(d[:8]), binary.BigEndian.Uint64(d[8:])
+	var level int
+	var digit, rest uint64
+	if hi != 0 {
+		level = (127 - bits.LeadingZeros64(hi)) / fingerDigitBits
+		shift := level*fingerDigitBits - 64
+		digit, rest = hi>>shift, hi&(1<<shift-1)|lo
+	} else {
+		level = (63 - bits.LeadingZeros64(lo)) / fingerDigitBits
+		shift := level * fingerDigitBits
+		digit, rest = lo>>shift, lo&(1<<shift-1)
+	}
+	slot := level*fingerDigits + int(digit) - 1
+	if rest != 0 {
+		slot++
+	}
+	return slot
 }
 
 // ownerHintLocked names the node this node's own state says owns key, or the
@@ -914,6 +974,7 @@ func (n *Node) fixFinger() bool {
 	if n.slotImpliedLocked(slot) {
 		keep := sort.Search(len(n.fingers), func(i int) bool { return int(n.fingers[i].slot) > slot })
 		n.fingers = append(n.fingers[:0], n.fingers[keep:]...)
+		n.fingersChangedLocked()
 		n.nextFix = fingerSlots - 1
 		n.mu.Unlock()
 		return false
@@ -1006,6 +1067,7 @@ func (n *Node) dropPeer(gone Ref) {
 		}
 	}
 	n.fingers = fingers
+	n.fingersChangedLocked()
 }
 
 func (n *Node) adoptSuccessor(succ Ref) {

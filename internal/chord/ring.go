@@ -142,6 +142,7 @@ func (r *Ring) Build() {
 		for k, f := range top {
 			node.fingers[len(top)-1-k] = f
 		}
+		node.fingersChangedLocked()
 		node.nextFix = fingerSlots - 1
 		node.mu.Unlock()
 	}

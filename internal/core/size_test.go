@@ -139,6 +139,29 @@ func TestSizeIsEncodedLength(t *testing.T) {
 	if t.Failed() {
 		t.Logf("seen: %v", seen)
 	}
+
+	// A reply carrying a list of several blocks is sized exactly, and like
+	// every payload without allocating.
+	ix := index.NewInverted()
+	for i := 0; i < 700; i++ {
+		ix.Add("w1", index.Posting{Doc: index.DocID(fmt.Sprintf("d%04d", i)), Owner: "p1", Freq: 1 + i%5, DocLen: 40})
+	}
+	list := ix.Encoded("w1")
+	if list.NumBlocks() < 2 {
+		t.Fatalf("700 postings fill %d block", list.NumBlocks())
+	}
+	for _, payload := range []any{
+		getPostingsResp{Items: []postingsList{{Postings: list, IndexedDF: 700}, {Refused: true}, {Postings: list, FromReplica: true}}},
+		getPostingsReq{Terms: []string{"w1", "w2"}, Query: []string{"w1", "w2", "w3"}, Record: true},
+	} {
+		msg := simnet.Message{Payload: payload}
+		if got, want := wire.Size(payload), encodedSize(t, msg); got != want {
+			t.Fatalf("%s: Size %d, %d bytes encoded", sizeCase(payload), got, want)
+		}
+		if allocs := testing.AllocsPerRun(20, func() { wire.Size(payload) }); allocs != 0 {
+			t.Fatalf("%s: Size allocates %v times", sizeCase(payload), allocs)
+		}
+	}
 }
 
 // encodedSize is what msg must cost: its payload's encoded length without the

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -496,21 +495,13 @@ func decodeItems(d *wire.Decoder) []publishItem {
 }
 
 // encodeList ships a postings list's blocks exactly as the index stores them,
-// behind their length; AppendBinary only adds the block framing. The blocks
-// are appended to the encoder's own buffer and moved up to make room for the
-// length, so encoding a list — and sizing a reply that carries one — copies
-// them once and allocates nothing.
+// behind their length; AppendBinary only adds the block framing. Encoding a
+// list copies its blocks once, and sizing one only adds up their lengths.
 func encodeList(e *wire.Encoder, l index.Encoded) {
-	b := e.Bytes()
-	start := len(b)
-	b, _ = l.AppendBinary(b)
-	n := len(b) - start
-	var pre [binary.MaxVarintLen64]byte
-	k := binary.PutUvarint(pre[:], uint64(n))
-	b = append(b, pre[:k]...)
-	copy(b[start+k:], b[start:start+n])
-	copy(b[start:], pre[:k])
-	*e = *wire.NewEncoder(b)
+	e.Blob(l.BinaryLen(), func(b []byte) []byte {
+		b, _ = l.AppendBinary(b)
+		return b
+	})
 }
 
 // decodeList reads encodeList's form. UnmarshalBinary revalidates every

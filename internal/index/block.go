@@ -514,16 +514,21 @@ func (e Encoded) Slice() []Posting {
 // It is the list's wire form: getPostingsResp's binary codec ships these
 // bytes.
 func (e Encoded) MarshalBinary() ([]byte, error) {
-	size := 1
+	return e.AppendBinary(make([]byte, 0, e.BinaryLen()))
+}
+
+// BinaryLen returns the length of MarshalBinary's bytes without producing
+// them: what a message carrying the list is charged for it (wire.Size).
+func (e Encoded) BinaryLen() int {
+	n := uvarintLen(uint64(len(e.blocks)))
 	for _, b := range e.blocks {
-		size += uvarintLen(uint64(len(b.data))) + len(b.data)
+		n += uvarintLen(uint64(len(b.data))) + len(b.data)
 	}
-	return e.AppendBinary(make([]byte, 0, size))
+	return n
 }
 
 // AppendBinary appends MarshalBinary's bytes to out. Appending to a reused
-// buffer allocates nothing, which matters because every reply carrying a list
-// is sized by encoding it (wire.Size).
+// buffer allocates nothing.
 func (e Encoded) AppendBinary(out []byte) ([]byte, error) {
 	out = binary.AppendUvarint(out, uint64(len(e.blocks)))
 	for _, b := range e.blocks {

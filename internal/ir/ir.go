@@ -170,7 +170,7 @@ func (a *Accumulator) Accumulate(doc index.DocID, contribution float64, docLen i
 // plain-index arm) RankedTop are off every production path. They stay
 // exported only because bench/api.go pins them and bench/probes.go times
 // them as ir.collect_ns, ir.accumulate_ns and ir.rank_top_us, and bench/ does
-// not change in a PR that claims a gain; ROADMAP item 5 re-points those
+// not change in a PR that claims a gain; ROADMAP item 6(c) re-points those
 // probes at MergeTopK and deletes them.
 type Contribution struct {
 	Doc    index.DocID

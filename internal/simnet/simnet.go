@@ -32,8 +32,9 @@ type Addr string
 
 // Message is a typed payload exchanged between peers. Type drives both
 // dispatch and per-type accounting; Size is what the message costs in bytes:
-// its payload's encoded length (wire.Size), kind prefix and frame header not
-// billed. The sender sets it; the network only sums it.
+// its payload's encoded length (wire.Size, which counts the codec's lengths
+// without encoding), kind prefix and frame header not billed. The sender sets
+// it; the network only sums it.
 type Message struct {
 	Type    string
 	Payload any

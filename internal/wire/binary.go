@@ -19,6 +19,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"reflect"
 	"sort"
 	"sync"
@@ -56,11 +57,27 @@ type binaryCodec struct {
 	dec  DecodeFunc
 }
 
+// codecTable is the registry. It is never written once published:
+// RegisterBinary publishes a new table, so encoding and decoding read it
+// without a lock.
+type codecTable struct {
+	byKind map[uint16]*binaryCodec
+	byType map[reflect.Type]*binaryCodec
+}
+
 var (
-	mu        sync.Mutex
-	binByKind = make(map[uint16]*binaryCodec)
-	binByType = make(map[reflect.Type]*binaryCodec)
+	mu    sync.Mutex // serializes RegisterBinary
+	table atomic.Pointer[codecTable]
 )
+
+// codecs returns the current registry; before the first registration, the
+// empty one.
+func codecs() *codecTable {
+	if t := table.Load(); t != nil {
+		return t
+	}
+	return &codecTable{}
+}
 
 // RegisterBinary installs a binary codec for prototype's concrete type under
 // the given kind. Registration normally happens in package init functions;
@@ -69,32 +86,43 @@ var (
 func RegisterBinary(kind uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	mu.Lock()
 	defer mu.Unlock()
+	old := codecs()
 	t := reflect.TypeOf(prototype)
-	if prev, ok := binByKind[kind]; ok {
+	if prev, ok := old.byKind[kind]; ok {
 		panic(fmt.Sprintf("wire: binary kind %d already registered for %v", kind, prev.typ))
 	}
-	if _, ok := binByType[t]; ok {
+	if _, ok := old.byType[t]; ok {
 		panic(fmt.Sprintf("wire: binary codec already registered for %v", t))
 	}
+	next := &codecTable{
+		byKind: make(map[uint16]*binaryCodec, len(old.byKind)+1),
+		byType: make(map[reflect.Type]*binaryCodec, len(old.byType)+1),
+	}
+	for k, c := range old.byKind {
+		next.byKind[k] = c
+	}
+	for t, c := range old.byType {
+		next.byType[t] = c
+	}
 	c := &binaryCodec{kind: kind, typ: t, enc: enc, dec: dec}
-	binByKind[kind] = c
-	binByType[t] = c
+	next.byKind[kind] = c
+	next.byType[t] = c
+	table.Store(next)
 }
 
 // BinaryPrototypes returns one zero prototype per registered binary codec,
 // ordered by kind. Tests use it to round-trip every protocol payload
 // generically.
 func BinaryPrototypes() []any {
-	mu.Lock()
-	defer mu.Unlock()
-	kinds := make([]int, 0, len(binByKind))
-	for k := range binByKind {
+	byKind := codecs().byKind
+	kinds := make([]int, 0, len(byKind))
+	for k := range byKind {
 		kinds = append(kinds, int(k))
 	}
 	sort.Ints(kinds)
 	out := make([]any, 0, len(kinds))
 	for _, k := range kinds {
-		out = append(out, reflect.New(binByKind[uint16(k)].typ).Elem().Interface())
+		out = append(out, reflect.New(byKind[uint16(k)].typ).Elem().Interface())
 	}
 	return out
 }
@@ -109,36 +137,34 @@ func AppendBinary(dst []byte, v any) ([]byte, bool) {
 	return e.b, ok
 }
 
-// scratch holds encoders for Size to write into and throw away, each with at
-// most maxScratch bytes of buffer. Slots, not a sync.Pool: under the race
-// detector a pool drops what it is given at random, and Size must not
-// allocate there either. Four cover the sizings a few cores run at once; a
-// Size that finds every slot empty allocates.
-var scratch [4]atomic.Pointer[Encoder]
-
-const maxScratch = 64 << 10
+// counters holds sizing encoders for Size to reuse. Slots, not a sync.Pool:
+// under the race detector a pool drops what it is given at random, and Size
+// must not allocate there either. Four cover the sizings a few cores run at
+// once; a Size that finds every slot empty allocates.
+var counters [4]atomic.Pointer[Encoder]
 
 // Size returns what a message carrying v costs (simnet.Message.Size): the
 // length of v's encoded field stream, without the 2-byte kind, which is
-// framing. A nil payload, or one whose type has no codec, is 0. It encodes
-// into reused scratch, so it allocates nothing of its own.
+// framing. A nil payload, or one whose type has no codec, is 0. It runs v's
+// encoder in sizing mode, which adds up lengths and writes nothing, so it
+// allocates nothing of its own.
 func Size(v any) int {
 	c := codecOf(v)
 	if c == nil {
 		return 0
 	}
 	var e *Encoder
-	for i := 0; i < len(scratch) && e == nil; i++ {
-		e = scratch[i].Swap(nil)
+	for i := 0; i < len(counters) && e == nil; i++ {
+		e = counters[i].Swap(nil)
 	}
 	if e == nil {
-		e = new(Encoder)
+		e = &Encoder{sizing: true}
 	}
-	e.b = e.b[:0]
+	e.n = 0
 	c.enc(e, v)
-	n := len(e.b)
-	for i := 0; i < len(scratch) && cap(e.b) <= maxScratch; i++ {
-		if scratch[i].CompareAndSwap(nil, e) {
+	n := e.n
+	for i := 0; i < len(counters); i++ {
+		if counters[i].CompareAndSwap(nil, e) {
 			break
 		}
 	}
@@ -147,9 +173,7 @@ func Size(v any) int {
 
 // codecOf returns v's registered codec, or nil (for a nil v too).
 func codecOf(v any) *binaryCodec {
-	mu.Lock()
-	defer mu.Unlock()
-	return binByType[reflect.TypeOf(v)]
+	return codecs().byType[reflect.TypeOf(v)]
 }
 
 // DecodeBinary decodes a payload produced by AppendBinary. Unknown kinds and
@@ -160,9 +184,7 @@ func DecodeBinary(data []byte) (any, error) {
 		return nil, fmt.Errorf("wire: binary payload too short (%d bytes)", len(data))
 	}
 	kind := binary.BigEndian.Uint16(data)
-	mu.Lock()
-	c, ok := binByKind[kind]
-	mu.Unlock()
+	c, ok := codecs().byKind[kind]
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown binary kind %d", kind)
 	}
@@ -178,9 +200,13 @@ func DecodeBinary(data []byte) (any, error) {
 }
 
 // Encoder appends primitive values to a byte slice. The zero value appends
-// to a nil slice; use NewEncoder to reuse a buffer.
+// to a nil slice; use NewEncoder to reuse a buffer. The encoder Size runs a
+// codec with is in sizing mode: each primitive adds its encoded length to a
+// count and writes nothing.
 type Encoder struct {
-	b []byte
+	b      []byte
+	sizing bool
+	n      int // bytes counted in sizing mode
 }
 
 // NewEncoder returns an encoder appending to dst.
@@ -198,40 +224,93 @@ func (e *Encoder) Append(v any) bool {
 	if c == nil {
 		return false
 	}
-	e.b = binary.BigEndian.AppendUint16(e.b, c.kind)
+	if e.sizing {
+		e.n += 2
+	} else {
+		e.b = binary.BigEndian.AppendUint16(e.b, c.kind)
+	}
 	c.enc(e, v)
 	return true
 }
 
+// uvarintLen is the length of v's unsigned varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
 // Uint appends v as an unsigned varint.
-func (e *Encoder) Uint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
+func (e *Encoder) Uint(v uint64) {
+	if e.sizing {
+		e.n += uvarintLen(v)
+		return
+	}
+	e.b = binary.AppendUvarint(e.b, v)
+}
 
 // Int appends v as a zig-zag varint.
-func (e *Encoder) Int(v int64) { e.b = binary.AppendVarint(e.b, v) }
+func (e *Encoder) Int(v int64) {
+	if e.sizing {
+		e.n += uvarintLen(uint64(v<<1) ^ uint64(v>>63))
+		return
+	}
+	e.b = binary.AppendVarint(e.b, v)
+}
 
 // Bool appends one byte.
 func (e *Encoder) Bool(v bool) {
-	if v {
+	switch {
+	case e.sizing:
+		e.n++
+	case v:
 		e.b = append(e.b, 1)
-	} else {
+	default:
 		e.b = append(e.b, 0)
 	}
 }
 
 // Float appends v as 8 fixed bytes (IEEE 754 bits, big endian).
 func (e *Encoder) Float(v float64) {
+	if e.sizing {
+		e.n += 8
+		return
+	}
 	e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(v))
 }
 
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uint(uint64(len(s)))
+	if e.sizing {
+		e.n += len(s)
+		return
+	}
 	e.b = append(e.b, s...)
 }
 
 // Raw appends b verbatim, no length prefix — for fixed-width fields (ring
 // IDs) whose size both ends know.
-func (e *Encoder) Raw(b []byte) { e.b = append(e.b, b...) }
+func (e *Encoder) Raw(b []byte) {
+	if e.sizing {
+		e.n += len(b)
+		return
+	}
+	e.b = append(e.b, b...)
+}
+
+// Blob appends a length-prefixed run of n bytes that write appends to the
+// buffer it is given — a value with a binary form of its own, such as a
+// postings list, copied once into the frame. In sizing mode write is not
+// called. A write that appends other than n bytes is a bug in its codec and
+// panics.
+func (e *Encoder) Blob(n int, write func([]byte) []byte) {
+	e.Uint(uint64(n))
+	if e.sizing {
+		e.n += n
+		return
+	}
+	start := len(e.b)
+	if e.b = write(e.b); len(e.b)-start != n {
+		panic(fmt.Sprintf("wire: blob declared %d bytes, wrote %d", n, len(e.b)-start))
+	}
+}
 
 // StringSlice appends a count-prefixed string slice.
 func (e *Encoder) StringSlice(s []string) {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"reflect"
@@ -18,6 +19,7 @@ type binPayload struct {
 	Score float64
 	Query []string
 	ID    [4]byte
+	Blob  []byte
 }
 
 const kindBinPayload = KindTestBase + 7
@@ -34,6 +36,7 @@ func init() {
 			e.Float(p.Score)
 			e.StringSlice(p.Query)
 			e.Raw(p.ID[:])
+			e.Blob(len(p.Blob), func(b []byte) []byte { return append(b, p.Blob...) })
 		},
 		func(d *Decoder) any {
 			var p binPayload
@@ -44,6 +47,9 @@ func init() {
 			p.Score = d.Float()
 			p.Query = d.StringSlice()
 			copy(p.ID[:], d.Raw(len(p.ID)))
+			if n := d.Count(1); n > 0 {
+				p.Blob = d.Raw(n)
+			}
 			return p
 		})
 }
@@ -54,6 +60,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		{Term: "chord", Freq: -42, Count: 1 << 40, Hot: true, Score: 2.5,
 			Query: []string{"peer", "to", "peer"}, ID: [4]byte{1, 2, 3, 4}},
 		{Term: strings.Repeat("x", 300), Score: math.Inf(-1)},
+		{Blob: []byte("block bytes"), Freq: math.MinInt64, Count: math.MaxUint64},
 	}
 	for _, in := range cases {
 		data, ok := AppendBinary(nil, in)
@@ -71,14 +78,21 @@ func TestBinaryRoundTrip(t *testing.T) {
 }
 
 // Size is the encoded length without the 2-byte kind, 0 for a nil payload or
-// one without a codec, and allocates nothing once its scratch has grown: it
-// runs on every message.
+// one without a codec, and allocates nothing: it runs on every message. The
+// payloads reach every primitive at each of its lengths — varints of one and
+// several bytes, negative ones, floats, bools, raw and length-prefixed runs,
+// empty strings.
 func TestSizeIsEncodedLength(t *testing.T) {
 	type notRegistered struct{ X int }
 	for _, v := range []any{
 		binPayload{},
 		binPayload{Term: "chord", Query: []string{"peer", "to", "peer"}},
 		binPayload{Term: strings.Repeat("x", 300)},
+		binPayload{Term: "", Freq: -1, Count: 300, Hot: true, Score: -2.5,
+			Query: []string{"", "x", ""}, ID: [4]byte{0xff, 0, 1, 2}, Blob: []byte{0}},
+		binPayload{Freq: math.MinInt64, Count: math.MaxUint64, Score: math.NaN(),
+			Blob: []byte(strings.Repeat("b", 200))},
+		binPayload{Freq: math.MaxInt64, Count: 1 << 63, Query: []string{strings.Repeat("q", 128)}},
 		nil,
 		notRegistered{1},
 	} {
@@ -190,10 +204,36 @@ func TestBinaryPrototypesContainsRegistered(t *testing.T) {
 }
 
 func TestRegisterBinaryCollisionPanics(t *testing.T) {
+	for _, c := range []struct {
+		what      string
+		kind      uint16
+		prototype any
+	}{
+		{"duplicate kind", kindBinPayload, struct{ Y int }{}},
+		{"duplicate type", KindTestBase + 99, binPayload{}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s registration did not panic", c.what)
+				}
+			}()
+			RegisterBinary(c.kind, c.prototype, nil, nil)
+		}()
+	}
+	if _, err := DecodeBinary(binary.BigEndian.AppendUint16(nil, KindTestBase+99)); err == nil {
+		t.Fatal("a refused registration left its kind in the table")
+	}
+}
+
+// A blob whose writer appends other than it declared would desynchronize
+// every later field: it panics instead.
+func TestBlobLengthMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("duplicate kind registration did not panic")
+			t.Fatal("blob writing 3 bytes of a declared 2 did not panic")
 		}
 	}()
-	RegisterBinary(kindBinPayload, struct{ Y int }{}, nil, nil)
+	var e Encoder
+	e.Blob(2, func(b []byte) []byte { return append(b, 1, 2, 3) })
 }

@@ -53,7 +53,8 @@ func init() {
 
 // FuzzCodec fuzzes the wire codec the way the transport uses it: the payload
 // travels as an interface value, so encoding goes through the registry and
-// decoding must return the original concrete value bit-for-bit. Truncations
+// decoding must return the original concrete value bit-for-bit, and Size
+// counts exactly the bytes the encoding holds after its kind. Truncations
 // and the raw tail bytes are also fed to the decoder — corrupted frames must
 // fail with an error, never a panic.
 func FuzzCodec(f *testing.F) {
@@ -77,6 +78,9 @@ func FuzzCodec(f *testing.F) {
 		bin, ok := AppendBinary(nil, in)
 		if !ok {
 			t.Fatal("binary codec not registered for fuzzPayload")
+		}
+		if got := Size(in); got != len(bin)-2 {
+			t.Fatalf("Size = %d, encoding is %d bytes after the kind", got, len(bin)-2)
 		}
 		out, err := DecodeBinary(bin)
 		if err != nil {

@@ -156,7 +156,8 @@ func protocolSeed(f *testing.F, name string, set func(v reflect.Value)) []byte {
 // and core's, discovered through wire.BinaryPrototypes — filled with
 // fuzz-derived content, and demands the decoded value equal the original
 // under reflect.DeepEqual: a codec that drops, reorders or truncates a field
-// fails here. It then feeds the decoder truncations, single-bit corruptions,
+// fails here, and so does one whose sizing mode counts other than it writes
+// (wire.Size against the encoding's length). It then feeds the decoder truncations, single-bit corruptions,
 // and raw fuzz garbage, which must all fail (or decode to something) without
 // panicking or sizing an allocation from an unvalidated length.
 func FuzzBinaryProtocol(f *testing.F) {
@@ -268,6 +269,9 @@ func FuzzBinaryProtocol(f *testing.F) {
 			enc, ok := wire.AppendBinary(nil, val)
 			if !ok {
 				t.Fatalf("%T listed by BinaryPrototypes but not encodable", val)
+			}
+			if got := wire.Size(val); got != len(enc)-2 {
+				t.Fatalf("Size(%T) = %d, encoding is %d bytes after the kind", val, got, len(enc)-2)
 			}
 			dec, err := wire.DecodeBinary(enc)
 			if err != nil {

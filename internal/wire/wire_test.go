@@ -26,22 +26,36 @@ type late struct{ N uint64 }
 
 var registerLate sync.Once
 
-// TestRegisterConcurrent installs a codec while other goroutines encode,
-// decode and list through the registry; the race detector checks the locking.
+// TestRegisterConcurrent installs a codec while other goroutines size,
+// encode, decode and list through the registry, which they read without a
+// lock; the race detector checks that registration publishes a table no
+// reader sees written.
 func TestRegisterConcurrent(t *testing.T) {
+	ready := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			data, _ := AppendBinary(nil, binPayload{Term: "x"})
-			if _, err := DecodeBinary(data); err != nil {
-				t.Error(err)
+			<-ready
+			for j := 0; j < 50; j++ {
+				v := binPayload{Term: "x", Query: []string{"y"}}
+				data, _ := AppendBinary(nil, v)
+				if _, err := DecodeBinary(data); err != nil {
+					t.Error(err)
+				}
+				if got := Size(v); got != len(data)-2 {
+					t.Errorf("Size = %d, encoded %d", got, len(data)-2)
+				}
+				// Encodable or not, depending on the race.
+				if data, ok := AppendBinary(nil, late{1}); ok && Size(late{1}) != len(data)-2 {
+					t.Errorf("Size(late) disagrees with its encoding")
+				}
+				BinaryPrototypes()
 			}
-			AppendBinary(nil, late{1}) // encodable or not, depending on the race
-			BinaryPrototypes()
 		}()
 	}
+	close(ready)
 	registerLate.Do(func() {
 		RegisterBinary(KindTestBase+8, late{},
 			func(e *Encoder, v any) { e.Uint(v.(late).N) },
