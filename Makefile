@@ -217,13 +217,15 @@ smoke-postings:
 # sprite.replica per holder per publish request), the learning sweep's
 # re-anchoring of postings lost to a crash or a join without handoff
 # (TestRefresh*), the facade and REPL join/leave paths (race detector on all
-# of those), plus the mass-churn determinism soak and the stranded-entry
-# mutation test.
+# of those), plus the mass-churn determinism soak, the stranded-entry
+# mutation test and a 400-step chaos run (≈ 10 s on 2 cores), which gives the
+# leave and mass-leave ops a deeper run than chaos-smoke's 150 steps.
 smoke-repair:
 	$(GO) test -race ./internal/repair/
 	$(GO) test -race -run 'Handoff|Leave|Repair|AntiEntropy|Refresh|Replica' ./internal/core/
 	$(GO) test -race -run 'JoinLeave' . ./cmd/spritesim/
 	$(GO) test -run 'MassChurnSoak|StrandedEntry' ./internal/chaos/
+	$(GO) test ./internal/chaos -run TestChaos -chaos.steps=400
 
 # Similarity-retrieval smoke: the sketch package's property suite (projection
 # determinism, quantized-cosine bounds, codec round-trip), the end-to-end

@@ -192,8 +192,8 @@ func TestHotTermAdvisoryRetriesAfterFault(t *testing.T) {
 	checkAdvisoryConsistent(t, n, docs, "withdrawals lost")
 	for _, d := range docs {
 		terms, _ := n.IndexedTerms(d.ID)
-		if banned := n.BannedTerms(d.ID); len(banned) != 0 || !slices.Contains(terms, "hot") {
-			t.Fatalf("withdrawals lost: %s bans %v and indexes %v, want no ban and hot indexed", d.ID, banned, terms)
+		if di, _ := n.DocIndexInfo(d.ID); len(di.Banned) != 0 || !slices.Contains(terms, "hot") {
+			t.Fatalf("withdrawals lost: %s bans %v and indexes %v, want no ban and hot indexed", d.ID, di.Banned, terms)
 		}
 	}
 
@@ -210,8 +210,8 @@ func TestHotTermAdvisoryRetriesAfterFault(t *testing.T) {
 func checkHotRetired(t *testing.T, n *Network, docs []*corpus.Document, tag string) {
 	t.Helper()
 	for _, d := range docs {
-		if got := n.BannedTerms(d.ID); len(got) != 1 || got[0] != "hot" {
-			t.Fatalf("%s: banned terms for %s = %v, want [hot]", tag, d.ID, got)
+		if di, _ := n.DocIndexInfo(d.ID); len(di.Banned) != 1 || di.Banned[0] != "hot" {
+			t.Fatalf("%s: banned terms for %s = %v, want [hot]", tag, d.ID, di.Banned)
 		}
 	}
 }

@@ -180,8 +180,8 @@ func TestHotTermAdvisoryDropsUbiquitousTerm(t *testing.T) {
 		if len(terms) < 2 {
 			t.Fatalf("doc %s under-indexed after advisory: %v", id, terms)
 		}
-		if banned := n.BannedTerms(id); len(banned) != 1 || banned[0] != "ubiquit" {
-			t.Fatalf("doc %s banned %v, want [ubiquit]", id, banned)
+		if di, _ := n.DocIndexInfo(id); len(di.Banned) != 1 || di.Banned[0] != "ubiquit" {
+			t.Fatalf("doc %s banned %v, want [ubiquit]", id, di.Banned)
 		}
 	}
 	// A second iteration must not oscillate: a retired term is never

@@ -144,16 +144,6 @@ func (n *Network) DocIndexInfo(doc index.DocID) (DocIndex, bool) {
 	return di, true
 }
 
-// BannedTerms returns the hot-term-advisory bans for doc, sorted, or nil if
-// the document is not shared (or has none).
-func (n *Network) BannedTerms(doc index.DocID) []string {
-	di, ok := n.DocIndexInfo(doc)
-	if !ok {
-		return nil
-	}
-	return di.Banned
-}
-
 // ReplicaLocsAt returns the replica locations the indexing peer at addr has
 // recorded for (term, doc) — the replica holders the holder's sprite.replica
 // reaches when the entry is withdrawn. For a stale-listed holder, these are

@@ -49,10 +49,6 @@ const (
 	// msgRepairPush closes an anti-entropy exchange: the primary replaces the
 	// divergent terms' replica lists wholesale.
 	msgRepairPush = "sprite.repair.push"
-	// msgReplicaRetire tells a primary holder that a gracefully departing
-	// peer no longer holds the replicas recorded against it, so future
-	// withdrawals stop addressing a peer that left for good.
-	msgReplicaRetire = "sprite.repair.retire"
 )
 
 // publishReq carries (term, posting) pairs from one owner peer to one
@@ -267,14 +263,6 @@ type repairPushReq struct {
 	// exactly one primary, so every copy of it within the arc is the
 	// sender's to overwrite.
 	Set []termPostings
-}
-
-type replicaRetireReq struct {
-	// Holder is the departing replica holder to erase from the receiver's
-	// replica-location records.
-	Holder simnet.Addr
-	Term   string
-	Docs   []index.DocID
 }
 
 // canonicalQuery is a query's keyword multiset as one string: its terms

@@ -153,9 +153,6 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 	case repairPushReq:
 		p.handleRepairPush(req)
 
-	case replicaRetireReq:
-		p.handleReplicaRetire(req)
-
 	default:
 		return simnet.Message{}, fmt.Errorf("core: peer %s: no handler for %q carrying %T", p.Addr(), msg.Type, msg.Payload)
 	}
@@ -216,10 +213,11 @@ type replicaItem struct {
 // successors, recorded so that a later withdrawal reaches every peer that
 // actually holds a copy, even after the successor set has rotated. A
 // withdrawal goes to the recorded locations, which it consumes, and the
-// current successors. Each holder gets one sprite.replica carrying every item
-// bound for it, best-effort; the holders a withdrawal failed to reach become
-// its answer's Stale, since no later operation addresses those copies
-// otherwise.
+// current successors; a recorded holder that left the network is dropped, its
+// copies having left with it. Each holder gets one sprite.replica carrying
+// every item bound for it, best-effort; the holders a withdrawal failed to
+// reach become its answer's Stale, since no later operation addresses those
+// copies otherwise.
 func (p *Peer) replicate(items []publishItem, resp *publishResp) {
 	succ := p.replicaTargets()
 	var out []replicaItem
@@ -231,7 +229,11 @@ func (p *Peer) replicate(items []publishItem, resp *publishResp) {
 		}
 		targets := succ
 		if it.Withdraw {
-			targets = mergeAddrs(p.indexing.takeReplicaLocs(it.Term, it.Posting.Doc), succ)
+			locs := slices.DeleteFunc(p.indexing.takeReplicaLocs(it.Term, it.Posting.Doc), func(at simnet.Addr) bool {
+				_, member := p.net.Peer(at)
+				return !member
+			})
+			targets = mergeAddrs(locs, succ)
 		} else {
 			p.indexing.recordReplicaLocs(it.Term, it.Posting.Doc, succ)
 		}

@@ -22,8 +22,9 @@ import (
 //     its owner arc shrinks, and the entries that fell outside it are handed
 //     to the adopted peer immediately (newPeer installs the hook).
 //   - Graceful leave: Network.Leave hands the departing peer's primary
-//     entries to its ring successor and retires its replica-holder records
-//     at the primaries before unregistering it.
+//     entries to its ring successor before unregistering it. It tells no
+//     primary about the replicas it held: a primary's withdrawal skips any
+//     recorded replica holder that is no longer a network member.
 //   - Anti-entropy: primary holders periodically exchange compact Merkle
 //     summaries of their arc with their §7 replica holders and push only the
 //     divergent term lists (Network.Repair).
@@ -268,24 +269,6 @@ func (p *Peer) handleRepairPush(req repairPushReq) {
 	p.net.caches.invalidate()
 }
 
-// handleReplicaRetire erases a departing holder from the replica-location
-// records of the listed entries.
-func (p *Peer) handleReplicaRetire(req replicaRetireReq) {
-	p.indexing.mu.Lock()
-	defer p.indexing.mu.Unlock()
-	byDoc := p.indexing.replicaLocs[req.Term]
-	for _, doc := range req.Docs {
-		if locs := slices.DeleteFunc(byDoc[doc], func(a simnet.Addr) bool { return a == req.Holder }); len(locs) > 0 {
-			byDoc[doc] = locs
-		} else {
-			delete(byDoc, doc)
-		}
-	}
-	if len(byDoc) == 0 {
-		delete(p.indexing.replicaLocs, req.Term)
-	}
-}
-
 // RepairStats summarizes one Network.Repair sweep.
 type RepairStats struct {
 	// Moved is the number of primary entries relocated to their arc owner.
@@ -396,17 +379,15 @@ type LeaveReport struct {
 	// could not be told about the move — their records point at the departed
 	// peer until their own stale-handling catches up.
 	Unrelocated []IndexEntry
-	// Retired is the number of replica-location records cleared at primary
-	// holders.
-	Retired int
 }
 
 // Leave removes a peer gracefully. Before the node is spliced out of the
-// ring and unregistered, the peer (1) unshares every document it owns,
+// ring and unregistered, the peer (1) unshares every document it owns and
 // (2) hands its primary index entries to its ring successor through the
-// staged handoff protocol, and (3) retires itself from the replica-location
-// records of the primaries it held copies for. The departed peer is
-// forgotten by the network; the address cannot be revived.
+// staged handoff protocol. Its replicas leave with it unannounced: the
+// primaries' records of them are dropped by the withdrawals that would have
+// addressed them. The departed peer is forgotten by the network; the address
+// cannot be revived.
 func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 	p, ok := n.Peer(addr)
 	var rep LeaveReport
@@ -447,30 +428,6 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 			rep.Unrelocated = append(rep.Unrelocated, IndexEntry{Peer: succ, Term: e.Term, Posting: e.Posting})
 		}
 		sortEntries(rep.Unrelocated)
-	}
-
-	// Replica role: tell each term's primary this holder is going away, so
-	// recorded withdrawal targets do not chase a permanently absent peer.
-	p.indexing.mu.Lock()
-	heldTerms := p.indexing.replicas.Terms()
-	held := make(map[string][]index.DocID, len(heldTerms))
-	for _, term := range heldTerms {
-		for posting := range p.indexing.replicas.All(term) {
-			held[term] = append(held[term], posting.Doc)
-		}
-	}
-	p.indexing.mu.Unlock()
-	for _, term := range heldTerms {
-		key := chordid.HashKey(term)
-		if p.node.Serves(key) {
-			continue // the primary is the peer itself
-		}
-		if _, _, err := p.send(context.Background(), dest{key: key}, simnet.Message{
-			Type:    msgReplicaRetire,
-			Payload: replicaRetireReq{Holder: addr, Term: term, Docs: held[term]},
-		}, policy{}); err == nil {
-			rep.Retired += len(held[term])
-		}
 	}
 
 	// Depart: forget the peer, then splice the node out of the ring (which

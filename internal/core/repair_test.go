@@ -8,6 +8,7 @@ import (
 
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/chordid"
+	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
 )
@@ -166,6 +167,87 @@ func TestLeaveUnknownOrFailedPeer(t *testing.T) {
 	ring.Fail(ring.Nodes()[3])
 	if _, err := n.Leave(ring.Nodes()[3].Addr()); err == nil {
 		t.Fatal("graceful leave of a failed peer succeeded")
+	}
+}
+
+// TestLeaveOfReplicaHolderIsNeverCalledAgain: a replica holder leaves
+// without telling the primaries it held copies for, and their withdrawals —
+// a learning sweep's retirement of a hot term, then every document's unshare
+// — skip it by membership: no call is addressed to it, none fails and no
+// owner's stale ledger names it.
+func TestLeaveOfReplicaHolderIsNeverCalledAgain(t *testing.T) {
+	sim := simnet.New(5)
+	ring := chord.NewRing(sim, chord.Config{})
+	if _, err := ring.AddNodes("r", 8); err != nil {
+		t.Fatal(err)
+	}
+	ring.Build()
+	n, err := NewNetwork(ring, Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 4, HotTermDF: 3, ReplicationFactor: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := []*corpus.Document{
+		doc("d1", map[string]int{"hot": 9, "aa": 5, "bb": 3}),
+		doc("d2", map[string]int{"hot": 9, "cc": 5, "dd": 3}),
+		doc("d3", map[string]int{"hot": 9, "ee": 5, "ff": 3}),
+	}
+	for _, d := range docs {
+		if err := n.ShareCtx(context.Background(), "r0", d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	di, _ := n.DocIndexInfo("d1")
+	hotAt := di.PublishedAt["hot"]
+	var leaver simnet.Addr
+	for _, at := range n.ReplicaLocsAt(hotAt, "hot", "d1") {
+		if at != "r0" {
+			leaver = at
+		}
+	}
+	if leaver == "" {
+		t.Fatalf("no replica holder of hot at %s besides the owner", hotAt)
+	}
+	if _, err := n.Leave(leaver); err != nil {
+		t.Fatal(err)
+	}
+	before := sim.Stats()
+	check := func(tag string) {
+		t.Helper()
+		after := sim.Stats()
+		if calls := after.CallsByDest[leaver] - before.CallsByDest[leaver]; calls != 0 {
+			t.Errorf("%s: %d calls addressed to departed %s", tag, calls, leaver)
+		}
+		if after.Failed != before.Failed {
+			t.Errorf("%s: %d calls failed", tag, after.Failed-before.Failed)
+		}
+		for _, d := range docs {
+			if di, _ := n.DocIndexInfo(d.ID); len(di.Stale) != 0 {
+				t.Errorf("%s: %s's stale ledger is %v", tag, d.ID, di.Stale)
+			}
+		}
+	}
+	if _, err := n.LearnAllCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range docs {
+		if di, _ := n.DocIndexInfo(d.ID); !slices.Contains(di.Banned, "hot") {
+			t.Fatalf("the sweep did not retire hot from %s: banned %v", d.ID, di.Banned)
+		}
+	}
+	check("hot retired")
+	for _, d := range docs {
+		if err := n.Unshare(d.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("unshared")
+	for _, p := range n.Peers() {
+		p.indexing.mu.Lock()
+		left := p.indexing.replicaLocs
+		p.indexing.mu.Unlock()
+		if len(left) != 0 {
+			t.Errorf("%s still records replica locations %v", p.Addr(), left)
+		}
 	}
 }
 

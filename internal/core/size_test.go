@@ -68,9 +68,9 @@ func TestSizeIsEncodedLength(t *testing.T) {
 	}
 	f.log.DropCalls(unreachable, 0)
 
-	// An owner leaving withdraws its documents' postings in batches, its
-	// indexing role relocates its entries at their owners in batches, and its
-	// replica role retires the copies it holds.
+	// An owner leaving withdraws its documents' postings in batches and its
+	// indexing role relocates its entries at their owners in batches; its
+	// replica role sends nothing.
 	if _, err := f.n.Leave("p0"); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,6 @@ func TestSizeIsEncodedLength(t *testing.T) {
 		"relocate of one", "relocate of several",
 		"handoff of several", "core.handoffResp", "revert of one", "revert of several",
 		"core.repairDigestReq", "core.repairDigestResp", "repair push",
-		"core.replicaRetireReq",
 	} {
 		if seen[what] == 0 {
 			t.Errorf("no %s was exchanged", what)

@@ -67,8 +67,8 @@ func init() {
 
 	// Kinds +1 and +2 are retired (sprite.unpublish's), as are +9
 	// (sprite.replica_drop's), +13 (sprite.repair.handoff_drop's), +15 (the
-	// one-entry relocate's reply) and +21 and +22 (sprite.sketch_scan's): do
-	// not reuse them.
+	// one-entry relocate's reply), +19 (sprite.repair.retire's) and +21 and
+	// +22 (sprite.sketch_scan's): do not reuse them.
 
 	wire.RegisterBinary(wire.KindCoreBase+3, getPostingsReq{},
 		func(e *wire.Encoder, v any) {
@@ -369,29 +369,6 @@ func init() {
 					if d.Err() != nil {
 						break
 					}
-				}
-			}
-			return r
-		})
-
-	wire.RegisterBinary(wire.KindCoreBase+19, replicaRetireReq{},
-		func(e *wire.Encoder, v any) {
-			r := v.(replicaRetireReq)
-			e.String(string(r.Holder))
-			e.String(r.Term)
-			e.Uint(uint64(len(r.Docs)))
-			for _, doc := range r.Docs {
-				e.String(string(doc))
-			}
-		},
-		func(d *wire.Decoder) any {
-			var r replicaRetireReq
-			r.Holder = simnet.Addr(d.String())
-			r.Term = d.String()
-			if n := d.Count(1); n > 0 {
-				r.Docs = make([]index.DocID, n)
-				for i := range r.Docs {
-					r.Docs[i] = index.DocID(d.String())
 				}
 			}
 			return r

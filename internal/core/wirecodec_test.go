@@ -142,10 +142,11 @@ func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
 
 // Retired kinds stay unregistered: a frame naming sprite.unpublish's
 // (+1 / +2), sprite.replica_drop's (+9), sprite.repair.handoff_drop's (+13),
-// the one-entry relocate reply's (+15) or sprite.sketch_scan's (+21 / +22) is
-// refused as unknown, so no later payload can be mistaken for one of theirs.
+// the one-entry relocate reply's (+15), sprite.repair.retire's (+19) or
+// sprite.sketch_scan's (+21 / +22) is refused as unknown, so no later payload
+// can be mistaken for one of theirs.
 func TestRetiredKindsUnregistered(t *testing.T) {
-	for _, k := range []uint16{1, 2, 9, 13, 15, 21, 22} {
+	for _, k := range []uint16{1, 2, 9, 13, 15, 19, 21, 22} {
 		frame := binary.BigEndian.AppendUint16(nil, wire.KindCoreBase+k)
 		if _, err := wire.DecodeBinary(frame); err == nil || !strings.Contains(err.Error(), "unknown binary kind") {
 			t.Errorf("KindCoreBase+%d: DecodeBinary err = %v, want an unknown kind", k, err)

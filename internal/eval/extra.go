@@ -223,7 +223,7 @@ type ChurnResult struct {
 	LeaveMoved    int
 	IndexPostings int
 	// JoinRepairMsgs / LeaveRepairMsgs count repair-protocol calls (handoff,
-	// relocate, digest, push, retire) issued during each wave.
+	// relocate, digest, push) issued during each wave.
 	JoinRepairMsgs  int64
 	LeaveRepairMsgs int64
 }

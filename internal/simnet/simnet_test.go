@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -368,5 +369,52 @@ func TestSetSleepLatencyRuntimeToggle(t *testing.T) {
 	n.CallCtx(context.Background(), "a", "b", Message{Type: "ping"})
 	if time.Since(start) >= 2*d {
 		t.Fatal("latency slept after SetSleepLatency(false)")
+	}
+}
+
+func TestDropCallsAfterSkipsThenDrops(t *testing.T) {
+	net := New(1)
+	net.Register("a", echoHandler(t))
+	net.Register("b", echoHandler(t))
+	net.DropCallsAfter("b", 2, 3)
+
+	var got []bool
+	for i := 0; i < 7; i++ {
+		_, err := net.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 1})
+		got = append(got, err == nil)
+	}
+	want := []bool{true, true, false, false, false, true, true}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("skip-then-drop pattern = %v, want %v", got, want)
+	}
+	if net.PendingDrops() != 0 {
+		t.Fatalf("PendingDrops = %d after schedule exhausted", net.PendingDrops())
+	}
+	s := net.Stats()
+	if s.Dropped != 3 {
+		t.Fatalf("Dropped = %d, want 3", s.Dropped)
+	}
+}
+
+func TestDropCallsAfterClear(t *testing.T) {
+	net := New(1)
+	net.Register("a", echoHandler(t))
+	net.Register("b", echoHandler(t))
+	net.DropCallsAfter("b", 1, 5)
+	if net.PendingDrops() != 5 {
+		t.Fatalf("PendingDrops = %d, want 5", net.PendingDrops())
+	}
+	net.DropCallsAfter("b", 0, 0) // count <= 0 clears
+	if net.PendingDrops() != 0 {
+		t.Fatalf("PendingDrops = %d after clear", net.PendingDrops())
+	}
+	if _, err := net.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 1}); err != nil {
+		t.Fatalf("call after clear failed: %v", err)
+	}
+
+	net.DropCalls("b", 2)
+	net.ClearDrops()
+	if _, err := net.CallCtx(context.Background(), "a", "b", Message{Type: "ping", Size: 1}); err != nil {
+		t.Fatalf("call after ClearDrops failed: %v", err)
 	}
 }

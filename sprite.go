@@ -634,10 +634,10 @@ func (n *Network) JoinPeer(peer string) error {
 }
 
 // LeavePeer departs the named peer gracefully: its shared documents are
-// withdrawn (documents leave with their owner), its primary index entries
-// hand off to its successor with the owners' records rewritten to match,
-// and replica holders are told to retire its copies. It returns the number
-// of index entries handed off. A failed peer cannot leave gracefully —
+// withdrawn (documents leave with their owner) and its primary index entries
+// hand off to its successor with the owners' records rewritten to match. The
+// replicas it held leave with it unannounced; later withdrawals skip it. It
+// returns the number of index entries handed off. A failed peer cannot leave gracefully —
 // recover it first or let repair reclaim its arc.
 func (n *Network) LeavePeer(peer string) (handoffs int, err error) {
 	rep, err := n.core.Leave(simnet.Addr(peer))
