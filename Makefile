@@ -24,12 +24,14 @@ bench:
 
 # Per-layer CPU of a query's hot spots: one next-hop answer on a 4 096-node
 # ring (hops drawn from real lookups), sizing a get_postings reply and a
-# next_hop request, and scoring a query's lists. CI runs each once
-# (BENCHTIME=1x) so they keep compiling and running.
+# next_hop request, scoring a query's lists, recording a query at an indexing
+# peer and answering one poll item over a full history (512 or 75 distinct
+# queries). CI runs each once (BENCHTIME=1x) so they keep compiling and
+# running.
 BENCHTIME ?= 1s
 
 bench-cpu:
-	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir
+	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|CacheQuery|Poll|PollRepeats)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir ./internal/core
 
 # The repository benchmark (bench/, a module of its own — see bench/README.md):
 # its harness tests, and one 12-second pass of the routing-bound workload.

@@ -14,9 +14,9 @@ import (
 // change that allocates more on one of these paths fails
 // TestAllocationCeilings; one that allocates less lowers the ceiling with it.
 const (
-	allocsUncachedSearch = 64
-	allocsCachedSearch   = 33
-	allocsColdCached     = 80
+	allocsUncachedSearch = 49
+	allocsCachedSearch   = 30
+	allocsColdCached     = 52
 	allocsSweepOneDoc    = 67
 	allocsShare          = 86
 	allocsUnshare        = 39

@@ -49,8 +49,9 @@ type Config struct {
 	// ("we limit the maximum number of terms to be indexed to a small value
 	// (say, 30)", §5). Once reached, learning only replaces terms.
 	MaxIndexTerms int
-	// HistoryCap bounds each indexing peer's cached query history ("each
-	// indexing peer maintains only the most recently issued queries", §3).
+	// HistoryCap bounds each indexing peer's cached query history, in
+	// issuances ("each indexing peer maintains only the most recently issued
+	// queries", §3).
 	HistoryCap int
 	// ReplicationFactor is the number of successor peers each index entry is
 	// replicated to (§7). 0 disables replication.

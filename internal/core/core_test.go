@@ -479,16 +479,16 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 	}
 	p.indexing.mu.Lock()
 	defer p.indexing.mu.Unlock()
-	for _, sq := range p.indexing.history {
-		if canonicalQuery(sq.terms) == "q1" {
+	for _, is := range p.indexing.history.ring {
+		if canonicalQuery(p.indexing.history.queries[is.q].terms) == "q1" {
 			t.Fatal("oldest query not evicted")
 		}
 	}
 }
 
 func TestRepeatedQueriesCountAsIssuances(t *testing.T) {
-	// The paper's QF counts every issuance of a query, so the history keeps
-	// repeats as separate entries (bounded by HistoryCap).
+	// The paper's QF counts every issuance of a query, so the history counts
+	// repeats as separate issuances (bounded by HistoryCap).
 	n := testNetwork(t, 1, Config{HistoryCap: 10})
 	p := n.Peers()[0]
 	for i := 0; i < 5; i++ {

@@ -35,9 +35,8 @@ func (n *Network) histories() map[simnet.Addr][]string {
 	for _, p := range n.Peers() {
 		s := &p.indexing
 		s.mu.Lock()
-		for i := range s.history {
-			sq := s.history[(s.oldest+i)%len(s.history)]
-			out[p.Addr()] = append(out[p.Addr()], fmt.Sprint(sq.seq, sq.terms))
+		for _, q := range s.history.issuances() {
+			out[p.Addr()] = append(out[p.Addr()], fmt.Sprint(q.seq, q.terms))
 		}
 		s.mu.Unlock()
 	}

@@ -2,10 +2,14 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 
@@ -68,10 +72,21 @@ func (h *scanHistory) record(terms []string) {
 }
 
 // restoreInto moves the reference into a peer with another capacity, the way
-// Snapshot/Restore moves the real one: in arrival order, oldest first.
+// Snapshot/Restore moves the real one: in arrival order, oldest first, the
+// oldest dropped beyond the new capacity.
 func (h *scanHistory) restoreInto(cap int) {
 	h.cap = cap
-	sort.Slice(h.entries, func(i, j int) bool { return h.entries[i].seq < h.entries[j].seq })
+	h.entries = h.inArrivalOrder()
+	if len(h.entries) > cap {
+		h.entries = h.entries[len(h.entries)-cap:]
+	}
+}
+
+// inArrivalOrder returns the entries sorted by seq.
+func (h *scanHistory) inArrivalOrder() []refQuery {
+	out := slices.Clone(h.entries)
+	slices.SortFunc(out, func(a, b refQuery) int { return cmp.Compare(a.seq, b.seq) })
+	return out
 }
 
 func (h *scanHistory) poll(ix *index.Inverted, term string, doc index.DocID, docTerms []string, since uint64) pollResult {
@@ -96,8 +111,11 @@ func (h *scanHistory) poll(ix *index.Inverted, term string, doc index.DocID, doc
 		}
 		resp.Queries = append(resp.Queries, append([]string(nil), sq.terms...))
 	}
-	sort.Slice(resp.Queries, func(i, j int) bool {
-		return canonicalQuery(resp.Queries[i]) < canonicalQuery(resp.Queries[j])
+	slices.SortStableFunc(resp.Queries, func(a, b []string) int {
+		if c := strings.Compare(canonicalQuery(a), canonicalQuery(b)); c != 0 {
+			return c
+		}
+		return slices.Compare(a, b)
 	})
 	return resp
 }
@@ -110,27 +128,80 @@ func (h *scanHistory) multiset() map[string]int {
 	return m
 }
 
-// checkMemo demands that whatever an entry has memoised is what an eager
+// issuances returns the history's issuances in arrival order, each with its
+// query's terms.
+func (h *history) issuances() []refQuery {
+	out := make([]refQuery, len(h.ring))
+	for i := range out {
+		is := h.at(i)
+		out[i] = refQuery{terms: h.queries[is.q].terms, seq: is.seq}
+	}
+	return out
+}
+
+// checkMemo demands that whatever a query has memoised is what an eager
 // computation over its terms gives.
-func checkMemo(t *testing.T, history []storedQuery) {
+func checkMemo(t *testing.T, h *history) {
 	t.Helper()
-	for i, sq := range history {
+	for i, sq := range h.queries {
 		if sq.key == "" {
 			continue
 		}
 		if sq.key != canonicalQuery(sq.terms) || sq.hash != queryHash(sq.terms) {
-			t.Fatalf("history[%d] %v memoised (%q, %v), eager (%q, %v)",
+			t.Fatalf("queries[%d] %v memoised (%q, %v), eager (%q, %v)",
 				i, sq.terms, sq.key, sq.hash, canonicalQuery(sq.terms), queryHash(sq.terms))
 		}
 	}
 }
 
+// checkStore demands that the store hold exactly one query per distinct live
+// term sequence — fully evicted ones reclaimed, none merged — each with its
+// ring records' count and newest seq and found by its hash, and every other
+// slot free and listed once.
+func checkStore(t *testing.T, h *history) {
+	t.Helper()
+	counts := make([]int, len(h.queries))
+	newest := make([]uint64, len(h.queries))
+	for _, is := range h.ring {
+		counts[is.q]++
+		newest[is.q] = max(newest[is.q], is.seq)
+	}
+	distinct := map[string]int32{}
+	free := map[int32]bool{}
+	for _, q := range h.free {
+		free[q] = true
+	}
+	for i, sq := range h.queries {
+		q := int32(i)
+		if counts[i] == 0 {
+			if !free[q] || sq.terms != nil || sq.count != 0 {
+				t.Fatalf("queries[%d] %v has no issuance but is not a free slot (count %d, listed %v)", i, sq.terms, sq.count, free[q])
+			}
+			continue
+		}
+		if free[q] || sq.count != counts[i] || sq.newest != newest[i] {
+			t.Fatalf("queries[%d] %v: count %d newest %d free %v, ring says %d and %d", i, sq.terms, sq.count, sq.newest, free[q], counts[i], newest[i])
+		}
+		k := fmt.Sprintf("%q", sq.terms)
+		if prev, dup := distinct[k]; dup {
+			t.Fatalf("queries[%d] and [%d] both store %v", prev, i, sq.terms)
+		}
+		distinct[k] = q
+		if at, ok := h.slots[termsHash(sq.terms)]; !ok || at != q {
+			t.Fatalf("queries[%d] %v: its hash finds slot %d (%v)", i, sq.terms, at, ok)
+		}
+	}
+	if len(free) != len(h.free) || len(distinct)+len(free) != len(h.queries) || len(h.slots) != len(distinct) {
+		t.Fatalf("%d slots: %d live, %d free (%d listed), %d hashes", len(h.queries), len(distinct), len(free), len(h.free), len(h.slots))
+	}
+}
+
 // TestHistoryCursorMatchesScan drives random record / poll / snapshot-restore
 // sequences (restoring into smaller, equal and larger HistoryCap) through a
-// one-peer network and demands the same history slice, entry for entry, the
-// same poll responses and the same HistoryMultiset as the scanning, eagerly
-// hashing reference — so neither the eviction cursor nor the memoised keys
-// can be told from it.
+// one-peer network and demands the same issuances in arrival order, the same
+// poll responses and the same HistoryMultiset as the scanning, eagerly
+// hashing reference, which stores every issuance — so neither the distinct
+// store, the eviction cursor nor the memoised keys can be told from it.
 func TestHistoryCursorMatchesScan(t *testing.T) {
 	vocab := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -156,12 +227,12 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 			switch op := rng.Intn(20); {
 			case op < 15:
 				q := pick()
-				before := state.seq
+				before := state.history.seq
 				if err := n.InsertQueryCtx(context.Background(), "p0", q); err != nil {
 					t.Fatal(err)
 				}
 				// One recording per distinct term: every term lives here.
-				for i := before; i < state.seq; i++ {
+				for i := before; i < state.history.seq; i++ {
 					ref.record(q)
 				}
 			case op < 18:
@@ -169,8 +240,13 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 				docTerms := append(pick(), term)
 				polled := []index.DocID{"d", "ghost"}[rng.Intn(2)]
 				var since uint64
-				if state.seq > 0 {
-					since = uint64(rng.Int63n(int64(state.seq) + 1))
+				switch h := &state.history; {
+				case len(h.ring) > 0 && rng.Intn(2) == 0:
+					// From just before the oldest issuance to the newest:
+					// where the ring's tail is counted.
+					since = h.at(0).seq - 1 + uint64(rng.Intn(len(h.ring)+1))
+				case h.seq > 0:
+					since = uint64(rng.Int63n(int64(h.seq) + 1))
 				}
 				want := ref.poll(state.ix, term, polled, docTerms, since)
 				if got := state.poll(term, polled, docTerms, since, nil); !reflect.DeepEqual(got, want) {
@@ -188,17 +264,19 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 				ref.restoreInto(n.cfg.HistoryCap)
 				state = &n.Peers()[0].indexing
 			}
-			if state.seq != ref.seq || len(state.history) != len(ref.entries) {
+			got, want := state.history.issuances(), ref.inArrivalOrder()
+			if state.history.seq != ref.seq || len(got) != len(want) {
 				t.Fatalf("seed %d step %d: seq/len %d/%d, reference %d/%d",
-					seed, step, state.seq, len(state.history), ref.seq, len(ref.entries))
+					seed, step, state.history.seq, len(got), ref.seq, len(want))
 			}
-			for i, want := range ref.entries {
-				if got := state.history[i]; got.seq != want.seq || !reflect.DeepEqual(got.terms, want.terms) {
-					t.Fatalf("seed %d step %d: history[%d] = %v @%d, reference %v @%d",
-						seed, step, i, got.terms, got.seq, want.terms, want.seq)
+			for i := range want {
+				if got[i].seq != want[i].seq || !reflect.DeepEqual(got[i].terms, want[i].terms) {
+					t.Fatalf("seed %d step %d: issuance %d = %v @%d, reference %v @%d",
+						seed, step, i, got[i].terms, got[i].seq, want[i].terms, want[i].seq)
 				}
 			}
-			checkMemo(t, state.history)
+			checkStore(t, &state.history)
+			checkMemo(t, &state.history)
 			wantSet := map[simnet.Addr]map[string]int{}
 			if len(ref.entries) > 0 {
 				wantSet["p0"] = ref.multiset()
@@ -212,13 +290,13 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 
 // TestHistoryKeysAreLazy pins who pays for a stored query's key and hash: not
 // the recording, not HistoryMultiset, not a snapshot or a restore — only a
-// poll, and only for the entries it has to place.
+// poll, and only for the queries it has to place.
 func TestHistoryKeysAreLazy(t *testing.T) {
 	n := testNetwork(t, 1, Config{HistoryCap: 4})
 	state := &n.Peers()[0].indexing
 	keyed := func() []string {
 		var out []string
-		for _, sq := range state.history {
+		for _, sq := range state.history.queries {
 			if sq.key != "" {
 				out = append(out, sq.key)
 			}
@@ -231,7 +309,7 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 	}
 	n.HistoryMultiset()
 	if got := keyed(); len(got) != 0 {
-		t.Fatalf("entries never polled carry keys %q", got)
+		t.Fatalf("queries never polled carry keys %q", got)
 	}
 
 	// Entries 3 ({"a", "c"}) and 5 ({"e", "a"}) mention "a"; only 5 is past
@@ -242,9 +320,9 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 		t.Fatalf("poll = %v, want %v", before.Queries, want)
 	}
 	if got, want := keyed(), []string{"a e"}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("after one poll the keyed entries are %q, want %q", got, want)
+		t.Fatalf("after one poll the keyed queries are %q, want %q", got, want)
 	}
-	checkMemo(t, state.history)
+	checkMemo(t, &state.history)
 
 	var buf bytes.Buffer
 	if err := n.Snapshot(&buf); err != nil {
@@ -256,7 +334,7 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 	}
 	state = &n.Peers()[0].indexing
 	if got := keyed(); len(got) != 0 {
-		t.Fatalf("restored entries carry keys %q before any poll", got)
+		t.Fatalf("restored queries carry keys %q before any poll", got)
 	}
 	if after := poll(); !reflect.DeepEqual(after, before) {
 		t.Fatalf("poll after restore = %+v, before the snapshot %+v", after, before)
@@ -264,13 +342,12 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 }
 
 // TestHistoryConcurrentRecordAndPoll runs recorders and pollers against one
-// indexing state at once — the memo is written by poll into entries that
-// cacheQuery overwrites — and is meaningful under -race. What survives must
-// be internally consistent and a final poll must equal the eager reference
-// over the same entries.
+// indexing state at once — the memo is written by poll into queries that
+// cacheQuery reclaims and reuses — and is meaningful under -race. What survives must be internally consistent and a final poll must
+// equal the eager reference over the same issuances.
 func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
 	const recorders, pollers, perWorker = 4, 4, 300
-	state := &indexingState{ix: index.NewInverted(), historyCap: 64}
+	state := &indexingState{ix: index.NewInverted(), history: history{cap: 64}}
 	vocab := []string{"alpha", "beta", "gamma", "delta"}
 	var wg sync.WaitGroup
 	for w := 0; w < recorders; w++ {
@@ -294,14 +371,13 @@ func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
 	}
 	wg.Wait()
 
-	if state.seq != recorders*perWorker || len(state.history) != state.historyCap {
-		t.Fatalf("seq/len %d/%d, want %d/%d", state.seq, len(state.history), recorders*perWorker, state.historyCap)
+	h := &state.history
+	if h.seq != recorders*perWorker || len(h.ring) != h.cap {
+		t.Fatalf("seq/len %d/%d, want %d/%d", h.seq, len(h.ring), recorders*perWorker, h.cap)
 	}
-	checkMemo(t, state.history)
-	ref := &scanHistory{seq: state.seq}
-	for _, sq := range state.history {
-		ref.entries = append(ref.entries, refQuery{terms: sq.terms, seq: sq.seq})
-	}
+	checkStore(t, h)
+	checkMemo(t, h)
+	ref := &scanHistory{seq: h.seq, entries: h.issuances()}
 	for _, term := range vocab {
 		if got, want := state.poll(term, "d", vocab, 0, nil), ref.poll(state.ix, term, "d", vocab, 0); !reflect.DeepEqual(got, want) {
 			t.Fatalf("poll(%s) = %+v, reference %+v", term, got, want)
@@ -309,15 +385,77 @@ func TestHistoryConcurrentRecordAndPoll(t *testing.T) {
 	}
 }
 
-// TestCacheQueryAllocatesOnlyTheTermsCopy: at capacity a recording costs one
-// allocation — the copy of the caller's terms — whatever the query's length.
+// TestCacheQueryAllocatesOnlyTheTermsCopy: at capacity a repeat of a stored
+// query allocates nothing, and a new distinct query one allocation — the copy
+// of the caller's terms — whatever the query's length.
 func TestCacheQueryAllocatesOnlyTheTermsCopy(t *testing.T) {
-	state := &indexingState{ix: index.NewInverted(), historyCap: 8}
+	const runs = 200
+	state := &indexingState{ix: index.NewInverted(), history: history{cap: 8}}
 	q := []string{"delta", "alpha", "charlie", "bravo"}
-	for i := 0; i < state.historyCap; i++ {
+	for i := 0; i < state.history.cap; i++ {
 		state.cacheQuery(q)
 	}
-	if got := testing.AllocsPerRun(200, func() { state.cacheQuery(q) }); got != 1 {
-		t.Fatalf("cacheQuery at cap: %v allocs per call, want 1", got)
+	if got := testing.AllocsPerRun(runs, func() { state.cacheQuery(q) }); got != 0 {
+		t.Fatalf("repeated cacheQuery at cap: %v allocs per call, want 0", got)
+	}
+
+	// Distinct queries, each evicting the last issuance of an older one.
+	distinct := make([][]string, state.history.cap+runs+1)
+	for i := range distinct {
+		distinct[i] = []string{"delta", "alpha", fmt.Sprint("charlie", i), "bravo"}
+	}
+	next := 0
+	record := func() { state.cacheQuery(distinct[next]); next++ }
+	for i := 0; i < state.history.cap; i++ {
+		record()
+	}
+	if got := testing.AllocsPerRun(runs, record); got != 1 {
+		t.Fatalf("new distinct cacheQuery at cap: %v allocs per call, want 1", got)
+	}
+	checkStore(t, &state.history)
+}
+
+// TestRestoreTrimsHistoryToCap: a history restored into a smaller HistoryCap
+// keeps its newest issuances, seqs included, and stays within the cap as
+// recording goes on; polls answer what the reference's do.
+func TestRestoreTrimsHistoryToCap(t *testing.T) {
+	ctx := context.Background()
+	n := testNetwork(t, 1, Config{HistoryCap: 16})
+	if err := n.ShareCtx(ctx, "p0", doc("d", map[string]int{"alpha": 3, "beta": 2, "gamma": 1})); err != nil {
+		t.Fatal(err)
+	}
+	state, ref := &n.Peers()[0].indexing, &scanHistory{cap: 16}
+	for i := 0; i < 12; i++ {
+		q := [][]string{{"alpha"}, {"beta", "alpha"}, {"gamma"}, {"alpha", "delta"}, {"gamma", "beta"}}[i%5]
+		state.cacheQuery(q)
+		ref.record(q)
+	}
+	var buf bytes.Buffer
+	if err := n.Snapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	n = testNetwork(t, 1, Config{HistoryCap: 4})
+	if err := n.Restore(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ref.restoreInto(4)
+	p := n.Peers()[0]
+	state = &p.indexing
+	if got := p.HistoryLen(); got != 4 {
+		t.Fatalf("HistoryLen after restoring 12 issuances into cap 4 = %d", got)
+	}
+	if got, want := state.history.issuances(), ref.inArrivalOrder(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored issuances %v, want the newest four %v", got, want)
+	}
+	checkStore(t, &state.history)
+	for _, term := range []string{"alpha", "beta", "gamma"} {
+		docTerms := []string{"alpha", "beta", "gamma"}
+		if got, want := state.poll(term, "d", docTerms, 0, nil), ref.poll(state.ix, term, "d", docTerms, 0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("poll(%s) = %+v, reference %+v", term, got, want)
+		}
+	}
+	state.cacheQuery([]string{"beta"})
+	if got := p.HistoryLen(); got != 4 {
+		t.Fatalf("HistoryLen after one more recording = %d, want the cap of 4", got)
 	}
 }

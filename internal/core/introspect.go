@@ -86,10 +86,12 @@ func (n *Network) HistoryMultiset() map[simnet.Addr]map[string]int {
 	out := make(map[simnet.Addr]map[string]int)
 	for _, p := range n.Peers() {
 		p.indexing.mu.Lock()
-		if len(p.indexing.history) > 0 {
-			m := make(map[string]int, len(p.indexing.history))
-			for _, sq := range p.indexing.history {
-				m[canonicalQuery(sq.terms)]++
+		if h := &p.indexing.history; len(h.ring) > 0 {
+			m := make(map[string]int, len(h.queries))
+			for _, sq := range h.queries {
+				if sq.count > 0 {
+					m[canonicalQuery(sq.terms)] += sq.count
+				}
 			}
 			out[p.Addr()] = m
 		}

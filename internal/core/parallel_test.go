@@ -99,9 +99,9 @@ func peerHistories(n *Network) map[simnet.Addr][]string {
 	out := make(map[simnet.Addr][]string)
 	for _, p := range n.Peers() {
 		p.indexing.mu.Lock()
-		keys := make([]string, 0, len(p.indexing.history))
-		for _, sq := range p.indexing.history {
-			keys = append(keys, canonicalQuery(sq.terms))
+		keys := make([]string, 0, len(p.indexing.history.ring))
+		for _, q := range p.indexing.history.issuances() {
+			keys = append(keys, canonicalQuery(q.terms))
 		}
 		p.indexing.mu.Unlock()
 		sort.Strings(keys)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"github.com/spritedht/sprite/internal/chord"
@@ -36,9 +37,9 @@ func newPeer(n *Network, node *chord.Node) *Peer {
 		net:  n,
 		node: node,
 		indexing: indexingState{
-			ix:         index.NewInverted(),
-			replicas:   index.NewInverted(),
-			historyCap: n.cfg.HistoryCap,
+			ix:       index.NewInverted(),
+			replicas: index.NewInverted(),
+			history:  history{cap: n.cfg.HistoryCap},
 		},
 		owned: make(map[index.DocID]*docState),
 	}
@@ -57,11 +58,12 @@ func (p *Peer) Node() *chord.Node { return p.node }
 // Exposed read-only for experiments and tests.
 func (p *Peer) Index() *index.Inverted { return p.indexing.ix }
 
-// HistoryLen returns the number of queries currently cached at this peer.
+// HistoryLen returns the number of query issuances currently cached at this
+// peer.
 func (p *Peer) HistoryLen() int {
 	p.indexing.mu.Lock()
 	defer p.indexing.mu.Unlock()
-	return len(p.indexing.history)
+	return len(p.indexing.history.ring)
 }
 
 // HandleMessage implements simnet.Handler for SPRITE's application messages.
@@ -287,12 +289,7 @@ type indexingState struct {
 	// successor addresses hold replicas pushed by this peer. A withdrawal's
 	// replicate consumes it so withdrawals reach stale locations too.
 	replicaLocs map[string]map[index.DocID][]simnet.Addr
-	// history ascends by seq cyclically from index oldest: it is filled in
-	// arrival order and, once full, overwritten oldest-first like a ring.
-	history    []storedQuery
-	oldest     int
-	historyCap int
-	seq        uint64
+	history     history
 }
 
 // recordReplicaLocs unions targets into the replica-location record for
@@ -330,20 +327,43 @@ func (s *indexingState) takeReplicaLocs(term string, doc index.DocID) []simnet.A
 	return locs
 }
 
-// storedQuery is one cached query: its keyword set and arrival sequence
-// number. Recording stores nothing else. The canonical key and the query
-// hash (§3: "every cached query is hashed also, which can be precomputed
-// offline") are off the query's path: canon computes both, once, the first
-// time a poll has to place the entry, so an entry evicted before any poll
-// reached it never pays for them.
-type storedQuery struct {
-	terms []string
-	seq   uint64
-	key   string     // canonicalQuery(terms); "" until canon has run
-	hash  chordid.ID // chordid.HashKey(key); valid once key is set
+// history is an indexing peer's bounded query history: the most recent
+// issuances (§3), each distinct term sequence stored once. The ring holds one
+// record per issuance in arrival order; evicting one decrements its query's
+// count, and a query whose count reaches zero is reclaimed.
+type history struct {
+	queries []storedQuery    // by slot; a slot with no terms is free
+	free    []int32          // free slots
+	slots   map[uint64]int32 // termsHash → the slot of the query it finds
+	// ring ascends by seq cyclically from index oldest: it is filled in
+	// arrival order and, once full, overwritten oldest-first.
+	ring   []issuance
+	oldest int
+	cap    int
+	seq    uint64 // the newest issuance's; survives eviction
 }
 
-// canon memoises the entry's canonical key and ring hash and returns the
+// issuance is one recording of a query: its slot and arrival sequence number.
+type issuance struct {
+	q   int32
+	seq uint64
+}
+
+// storedQuery is one distinct cached query: its keyword sequence, how many of
+// its issuances the ring holds and the newest one's seq. Recording stores
+// nothing else. The canonical key and the query hash (§3: "every cached query
+// is hashed also, which can be precomputed offline") are off the query's
+// path: canon computes both, once, the first time a poll has to place the
+// query, so a query evicted before any poll reached it never pays for them.
+type storedQuery struct {
+	terms  []string
+	count  int
+	newest uint64
+	key    string     // canonicalQuery(terms); "" until canon has run
+	hash   chordid.ID // chordid.HashKey(key); valid once key is set
+}
+
+// canon memoises the query's canonical key and ring hash and returns the
 // hash. The caller holds the indexing state's lock.
 func (sq *storedQuery) canon() chordid.ID {
 	if sq.key == "" {
@@ -351,6 +371,82 @@ func (sq *storedQuery) canon() chordid.ID {
 		sq.hash = chordid.HashKey(sq.key)
 	}
 	return sq.hash
+}
+
+// termsHash is FNV-1a over the exact term sequence, each term terminated by
+// 0xff, a byte no UTF-8 text holds: it finds a query's slot, and equality of
+// the sequences decides.
+func termsHash(terms []string) uint64 {
+	h := uint64(14695981039346656037)
+	for _, t := range terms {
+		for i := 0; i < len(t); i++ {
+			h = (h ^ uint64(t[i])) * 1099511628211
+		}
+		h = (h ^ 0xff) * 1099511628211
+	}
+	return h
+}
+
+// add records an issuance of terms with sequence number seq, newer than any
+// the history holds, evicting the oldest issuance at capacity. A repeat of a
+// stored query allocates nothing; a new one allocates the copy of its terms.
+// A sequence whose hash finds another query is stored without an index entry:
+// never merged with it, only not found again.
+func (h *history) add(terms []string, seq uint64) {
+	hk := termsHash(terms)
+	q, found := h.slots[hk]
+	if !found || !slices.Equal(h.queries[q].terms, terms) {
+		q = h.insert(slices.Clone(terms))
+		if !found {
+			if h.slots == nil {
+				h.slots = make(map[uint64]int32)
+			}
+			h.slots[hk] = q
+		}
+	}
+	sq := &h.queries[q]
+	sq.count++
+	sq.newest = seq
+	h.seq = seq
+	if len(h.ring) < h.cap {
+		h.ring = append(h.ring, issuance{q, seq})
+		return
+	}
+	h.release(h.ring[h.oldest].q)
+	h.ring[h.oldest] = issuance{q, seq}
+	h.oldest = (h.oldest + 1) % len(h.ring)
+}
+
+// insert stores a new distinct query in a free slot and returns the slot.
+func (h *history) insert(terms []string) int32 {
+	sq := storedQuery{terms: terms}
+	if n := len(h.free); n > 0 {
+		q := h.free[n-1]
+		h.free = h.free[:n-1]
+		h.queries[q] = sq
+		return q
+	}
+	h.queries = append(h.queries, sq)
+	return int32(len(h.queries) - 1)
+}
+
+// release drops one issuance of slot q's query, reclaiming the slot with its
+// last.
+func (h *history) release(q int32) {
+	sq := &h.queries[q]
+	if sq.count--; sq.count > 0 {
+		return
+	}
+	if hk := termsHash(sq.terms); h.slots[hk] == q {
+		delete(h.slots, hk)
+	}
+	*sq = storedQuery{}
+	h.free = append(h.free, q)
+}
+
+// at returns the i-th oldest issuance.
+func (h *history) at(i int) issuance {
+	return h.ring[(h.oldest+i)%len(h.ring)]
 }
 
 func (s *indexingState) publish(term string, p index.Posting) {
@@ -404,11 +500,11 @@ func (s *indexingState) postings(term string) postingsList {
 	return postingsList{}
 }
 
-// cacheQuery records a query issuance in the bounded history. Repeats are
-// stored as separate entries — the paper's history is "the most recently
-// issued queries" (§3), and QF deliberately counts every issuance, which is
-// exactly what makes popular queries weigh more under skewed workloads
-// (the Fig. 4(b) "w-zipf" effect). The capacity bound evicts the oldest
+// cacheQuery records a query issuance in the bounded history. QF counts every
+// issuance — the paper's history is "the most recently issued queries" (§3),
+// which is exactly what makes popular queries weigh more under skewed
+// workloads (the Fig. 4(b) "w-zipf" effect) — so a repeat is one more
+// issuance of its stored query. The capacity bound evicts the oldest
 // issuance.
 func (s *indexingState) cacheQuery(terms []string) {
 	if len(terms) == 0 {
@@ -416,15 +512,7 @@ func (s *indexingState) cacheQuery(terms []string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seq++
-	sq := storedQuery{terms: append([]string(nil), terms...), seq: s.seq}
-	if len(s.history) >= s.historyCap {
-		// Evict the oldest issuance.
-		s.history[s.oldest] = sq
-		s.oldest = (s.oldest + 1) % len(s.history)
-		return
-	}
-	s.history = append(s.history, sq)
+	s.history.add(terms, s.history.seq+1)
 }
 
 // handlePoll answers a poll item by item. A CheckArc request's items whose
@@ -450,25 +538,25 @@ func (p *Peer) handlePoll(req pollReq) pollResp {
 }
 
 // poll answers one (document, term) item of an owner's index-update poll:
-// among cached queries newer than the watermark since that mention term,
+// among cached issuances newer than the watermark since that mention term,
 // return those for which term is the closest of the document's global index
 // terms to the query hash — guaranteeing each query is shipped to the owner
 // by exactly one indexing peer (§3) — and whether the primary index lacks
-// doc's posting under term. ids memoises the ring positions of docTerms (see
-// closestTerm) and may be shared by polls of the same document's terms; nil
-// allocates one.
+// doc's posting under term. It walks the distinct queries, electing once per
+// query, and answers one copy of an elected query per issuance newer than
+// since, ordered by canonical key, then term sequence. ids memoises the ring
+// positions of docTerms (see closestTerm) and may be shared by polls of the
+// same document's terms; nil allocates one.
 func (s *indexingState) poll(term string, doc index.DocID, docTerms []string, since uint64, ids []termID) pollResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	resp := pollResult{Missing: !s.ix.Contains(term, doc), NewSince: s.seq, IndexedDF: s.ix.DocFreq(term)}
-	var matched []*storedQuery // valid while s.mu is held
-	for i := range s.history {
-		sq := &s.history[i]
-		if sq.seq <= since {
-			continue
-		}
-		if !containsTerm(sq.terms, term) {
-			continue
+	h := &s.history
+	resp := pollResult{Missing: !s.ix.Contains(term, doc), NewSince: h.seq, IndexedDF: s.ix.DocFreq(term)}
+	var matched []int32
+	for i := range h.queries {
+		sq := &h.queries[i]
+		if sq.newest <= since || !containsTerm(sq.terms, term) {
+			continue // a free slot's newest is 0
 		}
 		if ids == nil {
 			ids = make([]termID, len(docTerms))
@@ -480,17 +568,46 @@ func (s *indexingState) poll(term string, doc index.DocID, docTerms []string, si
 		if closestTerm(sq.canon(), sq.terms, docTerms, ids) != term {
 			continue
 		}
-		matched = append(matched, sq)
+		matched = append(matched, int32(i))
 	}
 	if len(matched) == 0 {
 		return resp
 	}
+	// An elected query answers one copy per issuance newer than since: all of
+	// its issuances when since precedes the oldest, else its records in the
+	// ring's tail after since.
+	var fresh []int // by slot; nil when every issuance is newer than since
+	if since >= h.at(0).seq {
+		fresh = make([]int, len(h.queries))
+		for i := sort.Search(len(h.ring), func(i int) bool { return h.at(i).seq > since }); i < len(h.ring); i++ {
+			fresh[h.at(i).q]++
+		}
+	}
+	copies := func(q int32) int {
+		if fresh != nil {
+			return fresh[q]
+		}
+		return h.queries[q].count
+	}
 	// Deterministic order for the owner's incremental processing: by
-	// canonical key, which canon left in every matched entry.
-	sort.Slice(matched, func(i, j int) bool { return matched[i].key < matched[j].key })
-	resp.Queries = make([][]string, len(matched))
-	for i, m := range matched {
-		resp.Queries[i] = append([]string(nil), m.terms...)
+	// canonical key, which canon left in every elected query, then by terms.
+	slices.SortFunc(matched, func(a, b int32) int {
+		qa, qb := &h.queries[a], &h.queries[b]
+		if c := strings.Compare(qa.key, qb.key); c != 0 {
+			return c
+		}
+		return slices.Compare(qa.terms, qb.terms)
+	})
+	n := 0
+	for _, q := range matched {
+		n += copies(q)
+	}
+	resp.Queries = make([][]string, 0, n)
+	for _, q := range matched {
+		terms := slices.Clone(h.queries[q].terms) // shared by the query's copies
+		for range copies(q) {
+			resp.Queries = append(resp.Queries, terms)
+		}
 	}
 	return resp
 }

@@ -72,13 +72,14 @@ func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
 		writeSorted(e, s.replicaLocs, func(byDoc map[index.DocID][]simnet.Addr) {
 			writeSorted(e, byDoc, func(locs []simnet.Addr) { writeStrings(e, locs) })
 		})
-		e.Uint(uint64(len(s.history)))
-		for i := range s.history {
-			q := s.history[(s.oldest+i)%len(s.history)]
-			e.StringSlice(q.terms)
-			e.Uint(q.seq)
+		h := &s.history
+		e.Uint(uint64(len(h.ring)))
+		for i := range h.ring {
+			is := h.at(i)
+			e.StringSlice(h.queries[is.q].terms)
+			e.Uint(is.seq)
 		}
-		e.Uint(s.seq)
+		e.Uint(h.seq)
 		s.mu.Unlock()
 		writeSorted(e, img.owned, func(st *docState) {
 			st.mu.Lock()
@@ -118,8 +119,7 @@ func (n *Network) Restore(r io.Reader) error {
 		p, s := n.peers[img.addr], img.indexing
 		p.indexing.mu.Lock()
 		p.indexing.ix, p.indexing.replicas, p.indexing.replicaLocs = s.ix, s.replicas, s.replicaLocs
-		// Oldest first is the order cacheQuery appends in and evicts from.
-		p.indexing.history, p.indexing.oldest, p.indexing.seq = s.history, 0, s.seq
+		p.indexing.history = s.history
 		p.indexing.mu.Unlock()
 		p.mu.Lock()
 		p.owned = img.owned
@@ -161,11 +161,23 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 			s.replicaLocs[term] = make(map[index.DocID][]simnet.Addr)
 			readSorted(d, func(doc index.DocID) { s.replicaLocs[term][doc] = readStrings[simnet.Addr](d) })
 		})
-		s.history = make([]storedQuery, d.Count(2))
-		for j := range s.history {
-			s.history[j] = storedQuery{terms: d.StringSlice(), seq: d.Uint()}
+		// The issuances replay oldest first into the network's cap, which
+		// drops the oldest of a longer history.
+		s.history.cap = n.cfg.HistoryCap
+		for j, m := 0, d.Count(2); j < m && d.Err() == nil; j++ {
+			switch terms, seq := d.StringSlice(), d.Uint(); {
+			case d.Err() != nil:
+			case len(terms) == 0 || seq <= s.history.seq:
+				d.Fail(fmt.Errorf("peer %q: history entry %d has %d terms at seq %d, after seq %d", addr, j, len(terms), seq, s.history.seq))
+			default:
+				s.history.add(terms, seq)
+			}
 		}
-		s.seq = d.Uint()
+		seq := d.Uint()
+		if d.Err() == nil && seq < s.history.seq {
+			d.Fail(fmt.Errorf("peer %q: history seq %d behind its newest entry's %d", addr, seq, s.history.seq))
+		}
+		s.history.seq = seq
 		owned := make(map[index.DocID]*docState)
 		readSorted(d, func(id index.DocID) {
 			if prev := owners[id]; prev != nil {

@@ -452,6 +452,20 @@ func onePeerFile(body func(e *wire.Encoder)) []byte {
 	return e.Bytes()
 }
 
+// historyFile is a one-peer file whose peer holds no lists, the history
+// entries given, oldest first, and seq.
+func historyFile(seq uint64, entries ...refQuery) []byte {
+	return onePeerFile(func(e *wire.Encoder) {
+		e.Raw([]byte{0, 0, 0}) // no lists or replica locations
+		e.Uint(uint64(len(entries)))
+		for _, q := range entries {
+			e.StringSlice(q.terms)
+			e.Uint(q.seq)
+		}
+		e.Uint(seq)
+	})
+}
+
 // rawList writes one term whose list is raw, framed as encodeList frames it.
 func rawList(e *wire.Encoder, term string, raw []byte) {
 	e.Uint(1)
@@ -523,6 +537,9 @@ func TestRestoreRefusesMalformedFiles(t *testing.T) {
 				e.Int(1)
 			}
 		})},
+		{"history seqs not ascending", "after seq 5", historyFile(5, refQuery{[]string{"a"}, 5}, refQuery{[]string{"b"}, 5})},
+		{"empty history query", "0 terms", historyFile(2, refQuery{[]string{"a"}, 1}, refQuery{nil, 2})},
+		{"history seq behind its entries", "behind", historyFile(6, refQuery{[]string{"a"}, 7})},
 		{"empty list", "empty list", onePeerFile(func(e *wire.Encoder) { rawList(e, "t", []byte{0}) })},
 		{"non-canonical block", "canonical", onePeerFile(func(e *wire.Encoder) {
 			rawList(e, "t", append([]byte{1, byte(len(longhand))}, longhand...))
