@@ -25,13 +25,14 @@ bench:
 # Per-layer CPU of a query's hot spots: one next-hop answer on a 4 096-node
 # ring (hops drawn from real lookups), sizing a get_postings reply and a
 # next_hop request, scoring a query's lists, recording a query at an indexing
-# peer and answering one poll item over a full history (512 or 75 distinct
-# queries). CI runs each once (BENCHTIME=1x) so they keep compiling and
+# peer, answering one poll item over a full history (512 or 75 distinct
+# queries) and one limit-2 fan-out over three items that each need 16 KB of
+# stack. CI runs each once (BENCHTIME=1x) so they keep compiling and
 # running.
 BENCHTIME ?= 1s
 
 bench-cpu:
-	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|CacheQuery|Poll|PollRepeats)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir ./internal/core
+	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|CacheQuery|Poll|PollRepeats|MapDeepStack)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir ./internal/core ./internal/fanout
 
 # The repository benchmark (bench/, a module of its own — see bench/README.md):
 # its harness tests, and one 12-second pass of the routing-bound workload.

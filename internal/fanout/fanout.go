@@ -36,12 +36,18 @@
 // nesting free of deadlock — no item ever waits for a slot its ancestors
 // hold — and callers that need a global bound flatten their work into one
 // Map instead, as the learning sweep's phases do.
+//
+// A parallel Map spawns at most Limit()-1 helpers: the calling goroutine is
+// worker 0, because its stack has already grown to the depth a send reaches
+// while a fresh goroutine's stack grows again on the way down. A one-item
+// call spawns nothing, and a three-item call at limit 2 spawns one.
 package fanout
 
 import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/spritedht/sprite/internal/telemetry"
 	"github.com/spritedht/sprite/internal/vtime"
@@ -49,8 +55,9 @@ import (
 
 // Executor runs independent items with bounded parallelism. The zero value is
 // not usable; create one with New. An Executor is safe for concurrent use and
-// holds no pooled goroutines: each Map call spawns (and joins) at most
-// Limit() workers, so nested fan-outs compose without deadlock.
+// holds no pooled goroutines: each Map call runs at most Limit() workers, the
+// calling goroutine and up to Limit()-1 helpers it spawns and joins, so nested
+// fan-outs compose without deadlock.
 type Executor struct {
 	limit    int
 	reg      *telemetry.Registry
@@ -68,7 +75,7 @@ func New(limit int, reg *telemetry.Registry) *Executor {
 	return NewClocked(limit, reg, nil)
 }
 
-// NewClocked is New with an explicit clock: worker goroutines register with
+// NewClocked is New with an explicit clock: helper goroutines register with
 // it and stage latencies are measured on it. A nil clock is the wall clock
 // (New's behavior); virtual-time deployments pass their *vtime.Sim so a
 // fan-out's workers participate in deterministic scheduling.
@@ -92,9 +99,6 @@ func (e *Executor) Limit() int {
 	}
 	return e.limit
 }
-
-// Parallel reports whether the executor actually fans out (limit > 1).
-func (e *Executor) Parallel() bool { return e.Limit() > 1 }
 
 // stageHist resolves (and caches) the latency histogram for a pipeline
 // stage. Stage names land in telemetry as "sprite.fanout.stage.<name>_us".
@@ -164,28 +168,16 @@ func Map[T any](ctx context.Context, e *Executor, stage string, n int, fn func(c
 
 	// Workers pull indices from a shared cursor; each slot in values/errs is
 	// written by exactly one worker, so no result-side locking is needed.
-	// GoGroup registers the workers with the executor's clock (a plain
-	// spawn-and-wait under the wall clock): under virtual time the caller's
-	// runnable slot transfers to the group, so a fan-out never stalls the
+	// GoGroup runs worker 0 on the calling goroutine, whose stack has already
+	// grown, and registers the workers-1 helpers it starts with the
+	// executor's clock: under virtual time a caller left waiting for its
+	// helpers gives up its runnable slot, so a fan-out never stalls the
 	// scheduler while its workers sleep through simulated latency.
-	var (
-		mu   sync.Mutex
-		next int
-	)
-	take := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= n {
-			return 0, false
-		}
-		i := next
-		next++
-		return i, true
-	}
+	var next atomic.Int64
 	e.clock.GoGroup(workers, func(int) {
 		for {
-			i, ok := take()
-			if !ok {
+			i := int(next.Add(1) - 1)
+			if i >= n {
 				return
 			}
 			if cerr := ctx.Err(); cerr != nil {

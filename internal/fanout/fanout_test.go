@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -108,11 +109,48 @@ func TestNestedMapBoundIsPerCall(t *testing.T) {
 	}
 }
 
+// A parallel Map's caller is its first worker: limit 3 over three items held
+// at a barrier runs two more goroutines than before the call, and limit 3
+// over one item runs none.
+func TestMapCallerIsFirstWorker(t *testing.T) {
+	e := New(3, nil)
+	before := runtime.NumGoroutine()
+	var arrived atomic.Int64
+	var during int
+	release := make(chan struct{})
+	_, errs := Map(context.Background(), e, "test", 3, func(context.Context, int) (struct{}, error) {
+		if arrived.Add(1) == 3 {
+			during = runtime.NumGoroutine()
+			close(release)
+		}
+		<-release
+		return struct{}{}, nil
+	})
+	if err := FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+	if during-before != 2 {
+		t.Fatalf("three items at limit 3 ran %d extra goroutines, want 2", during-before)
+	}
+
+	before = runtime.NumGoroutine()
+	_, errs = Map(context.Background(), e, "test", 1, func(context.Context, int) (struct{}, error) {
+		during = runtime.NumGoroutine()
+		return struct{}{}, nil
+	})
+	if err := FirstError(errs); err != nil {
+		t.Fatal(err)
+	}
+	if during != before {
+		t.Fatalf("one item at limit 3 ran %d extra goroutines, want 0", during-before)
+	}
+}
+
 func TestSequentialModeRunsInline(t *testing.T) {
 	// Limit 1 must run items in index order on the calling goroutine.
 	e := New(1, nil)
-	if e.Parallel() {
-		t.Fatal("limit-1 executor claims to be parallel")
+	if e.Limit() != 1 {
+		t.Fatalf("Limit() = %d, want 1", e.Limit())
 	}
 	var order []int
 	vals, errs := Map(context.Background(), e, "test", 5, func(_ context.Context, i int) (int, error) {
@@ -244,5 +282,35 @@ func TestMapEmpty(t *testing.T) {
 	})
 	if len(vals) != 0 || len(errs) != 0 {
 		t.Fatalf("n=0 returned %d values, %d errors", len(vals), len(errs))
+	}
+}
+
+// deepStack recurses until about depth KB of stack frames are live, the depth
+// a send reaches on its way down to a handler.
+//
+//go:noinline
+func deepStack(depth int) int {
+	var frame [1024]byte
+	frame[depth%len(frame)] = byte(depth)
+	if depth <= 1 {
+		return int(frame[1])
+	}
+	return deepStack(depth-1) + int(frame[depth%len(frame)])
+}
+
+var deepSink int
+
+// BenchmarkMapDeepStack is a mixed query's fan-out: limit 2 over three items
+// whose bodies each need about 16 KB of stack. A worker on a fresh goroutine
+// grows its stack to that depth before the item can run.
+func BenchmarkMapDeepStack(b *testing.B) {
+	e := New(2, nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		vals, _ := Map(ctx, e, "deep", 3, func(context.Context, int) (int, error) {
+			return deepStack(16), nil
+		})
+		deepSink += vals[0]
 	}
 }

@@ -18,8 +18,11 @@
 // scheduler can only advance time safely when it knows which goroutines
 // count as runnable, so code running under a Clock must create goroutines
 // with GoGroup and must not wait on non-virtual events (channel receives,
-// WaitGroups) while registered. Wall's GoGroup is a plain spawn-and-wait, so
-// callers pay nothing for the discipline in production.
+// WaitGroups) while registered. Under both clocks GoGroup runs its first
+// item on the calling goroutine, whose stack has already grown, and starts
+// a goroutine only for each other item: a fresh goroutine's small stack
+// grows again on the way down a send, and that regrowth is the price a
+// fan-out pays per helper.
 package vtime
 
 import (
@@ -46,9 +49,11 @@ type Clock interface {
 	// Now) and expiry is a deterministic scheduler event.
 	WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc)
 
-	// GoGroup runs fn(0..n-1) on n registered goroutines and blocks until
-	// all return. The calling goroutine's runnable slot is handed to the
-	// group while it waits, so the wait itself never stalls virtual time.
+	// GoGroup runs fn(0..n-1) and blocks until all return: fn(0) on the
+	// calling goroutine, every other index on a new registered goroutine,
+	// so a group of n starts n-1. n <= 0 calls nothing. If helpers are still
+	// running when fn(0) returns, the caller gives up its runnable slot
+	// while it waits, so the wait itself never stalls virtual time.
 	GoGroup(n int, fn func(i int))
 }
 
@@ -86,13 +91,17 @@ func (wallClock) WithTimeout(parent context.Context, d time.Duration) (context.C
 }
 
 func (wallClock) GoGroup(n int, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
 	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
 			fn(i)
 		}(i)
 	}
+	fn(0)
 	wg.Wait()
 }

@@ -321,22 +321,24 @@ func (s *Sim) removeEvent(ev *event) {
 	s.mu.Unlock()
 }
 
-// GoGroup runs fn(0..n-1) on n registered goroutines and blocks until all
-// return. The caller's runnable slot transfers to the group: the parent
-// deregisters while waiting, and the last child to exit re-registers the
-// parent's slot in the same critical section as its own exit, so there is no
-// instant at which the scheduler could advance between "children done" and
-// "parent runnable". This is the primitive fanout.Map builds on.
+// GoGroup runs fn(0) on the calling goroutine and fn(1..n-1) on n-1 new
+// registered goroutines, and blocks until all return. The caller keeps its
+// runnable slot while it runs fn(0), so the group adds n-1 workers. If it
+// finishes last it simply returns, still registered. Otherwise it
+// deregisters while waiting, and the last helper to exit re-registers the
+// caller's slot in the same critical section as its own exit, so there is
+// no instant at which the scheduler could advance between "group done" and
+// "caller runnable". This is the primitive fanout.Map builds on.
 func (s *Sim) GoGroup(n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
 	done := make(chan struct{})
-	remaining := n
+	remaining := n // the caller's fn(0) included
 	s.mu.Lock()
-	s.workers += n - 1 // n children in, parent's slot lent to the group
+	s.workers += n - 1
 	s.mu.Unlock()
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		go func(i int) {
 			defer func() {
 				s.mu.Lock()
@@ -344,7 +346,7 @@ func (s *Sim) GoGroup(n int, fn func(i int)) {
 				remaining--
 				last := remaining == 0
 				if last {
-					s.workers++ // hand the slot back to the parent
+					s.workers++ // hand the slot back to the waiting caller
 				}
 				cb := s.advanceLocked()
 				s.mu.Unlock()
@@ -356,5 +358,16 @@ func (s *Sim) GoGroup(n int, fn func(i int)) {
 			fn(i)
 		}(i)
 	}
+	fn(0)
+	s.mu.Lock()
+	remaining--
+	if remaining == 0 {
+		s.mu.Unlock()
+		return
+	}
+	s.workers-- // wait unregistered; the last helper hands the slot back
+	cb := s.advanceLocked()
+	s.mu.Unlock()
+	s.settle(cb)
 	<-done
 }

@@ -1,9 +1,11 @@
 package vtime
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,33 +99,119 @@ func TestSimOrdering(t *testing.T) {
 	}
 }
 
-// TestSimGoGroupHandoff checks the parent-slot handoff: virtual time keeps
-// advancing while the parent waits for the group, and the parent resumes
-// with a consistent worker count (a second group still works).
+// goid returns the calling goroutine's ID, read off the "goroutine N [...]"
+// header runtime.Stack writes.
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestGoGroupCallerRunsFirstItem checks GoGroup's contract on both clocks:
+// fn(0) runs on the calling goroutine, every other index on a goroutine of
+// its own, and n <= 0 calls nothing.
+func TestGoGroupCallerRunsFirstItem(t *testing.T) {
+	check := func(t *testing.T, c Clock) {
+		const n = 4
+		caller := goid()
+		ids := make([]string, n)
+		c.GoGroup(n, func(i int) { ids[i] = goid() })
+		if ids[0] != caller {
+			t.Errorf("fn(0) ran on goroutine %s, want the caller's %s", ids[0], caller)
+		}
+		ran := map[string]int{caller: 0}
+		for i := 1; i < n; i++ {
+			if j, ok := ran[ids[i]]; ok {
+				t.Errorf("fn(%d) ran on goroutine %s, as fn(%d) did", i, ids[i], j)
+			}
+			ran[ids[i]] = i
+		}
+		for _, n := range []int{0, -1} {
+			c.GoGroup(n, func(i int) { t.Errorf("GoGroup(%d) called fn(%d)", n, i) })
+		}
+	}
+	t.Run("Wall", func(t *testing.T) { check(t, Wall) })
+	t.Run("Sim", func(t *testing.T) {
+		s := NewSim()
+		s.Run(func() { check(t, s) })
+	})
+}
+
+// TestSimGoGroupHandoff checks the caller's slot: virtual time keeps
+// advancing while the caller waits for its helpers, a caller that finishes
+// last stays registered, and the caller resumes with a consistent worker
+// count (a later group still works).
 func TestSimGoGroupHandoff(t *testing.T) {
 	s := NewSim()
+	registered := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.workers
+	}
+	sleep := func(d time.Duration) { _ = s.Sleep(context.Background(), d) }
 	s.Run(func() {
-		s.GoGroup(4, func(i int) {
-			_ = s.Sleep(context.Background(), time.Duration(i)*time.Millisecond)
-		})
-		if got := s.Elapsed(); got != 3*time.Millisecond {
-			t.Errorf("after group 1: Elapsed = %v, want 3ms", got)
+		step := func(name string, want time.Duration) {
+			t.Helper()
+			if got := s.Elapsed(); got != want {
+				t.Errorf("after %s: Elapsed = %v, want %v", name, got, want)
+			}
+			if got := registered(); got != 1 {
+				t.Errorf("after %s: %d registered goroutines, want the caller alone", name, got)
+			}
 		}
-		s.GoGroup(2, func(i int) {
-			_ = s.Sleep(context.Background(), time.Millisecond)
+		s.GoGroup(4, func(i int) { sleep(time.Duration(i) * time.Millisecond) })
+		step("group 1", 3*time.Millisecond)
+		s.GoGroup(2, func(i int) { sleep(time.Millisecond) })
+		step("group 2", 4*time.Millisecond)
+
+		// fn(0) sleeps longest: the caller finishes last and returns still
+		// registered, the helpers gone.
+		s.GoGroup(3, func(i int) {
+			sleep(time.Duration(3-i) * time.Millisecond)
+			if i == 0 {
+				if got := registered(); got != 1 {
+					t.Errorf("caller finished last beside %d registered goroutines, want itself alone", got)
+				}
+			}
 		})
-		if got := s.Elapsed(); got != 4*time.Millisecond {
-			t.Errorf("after group 2: Elapsed = %v, want 4ms", got)
-		}
-		// Nested groups: a child lends its slot to its own group.
+		step("caller-last group", 7*time.Millisecond)
+
+		// fn(0) returns at once: the caller waits unregistered, so at 1ms the
+		// two helpers are the only registered goroutines.
+		s.GoGroup(3, func(i int) {
+			if i == 0 {
+				return
+			}
+			sleep(time.Duration(i) * time.Millisecond)
+			if i == 1 {
+				if got := registered(); got != 2 {
+					t.Errorf("caller waiting: %d registered goroutines, want the 2 helpers", got)
+				}
+			}
+		})
+		step("caller-first group", 9*time.Millisecond)
+
+		// Nested groups: a helper lends its slot to its own group.
 		s.GoGroup(2, func(i int) {
+			s.GoGroup(2, func(j int) { sleep(time.Millisecond) })
+		})
+		step("nested group", 10*time.Millisecond)
+
+		// A group opened inside fn(0) runs on the caller too, its first item
+		// included, while the outer helper sleeps beside it.
+		caller := goid()
+		s.GoGroup(2, func(i int) {
+			if i == 1 {
+				sleep(time.Millisecond)
+				return
+			}
 			s.GoGroup(2, func(j int) {
-				_ = s.Sleep(context.Background(), time.Millisecond)
+				if j == 0 && goid() != caller {
+					t.Error("nested fn(0) left the caller's goroutine")
+				}
+				sleep(time.Duration(j+2) * time.Millisecond)
 			})
 		})
-		if got := s.Elapsed(); got != 5*time.Millisecond {
-			t.Errorf("after nested group: Elapsed = %v, want 5ms", got)
-		}
+		step("group nested in fn(0)", 13*time.Millisecond)
 	})
 }
 
