@@ -26,13 +26,14 @@ bench:
 # ring (hops drawn from real lookups), sizing a get_postings reply and a
 # next_hop request, scoring a query's lists, recording a query at an indexing
 # peer, answering one poll item over a full history (512 or 75 distinct
-# queries) and one limit-2 fan-out over three items that each need 16 KB of
-# stack. CI runs each once (BENCHTIME=1x) so they keep compiling and
+# queries), one limit-2 fan-out over three items that each need 16 KB of
+# stack, and one loopback echo call with 1 and with 16 concurrent callers
+# sharing a connection. CI runs each once (BENCHTIME=1x) so they keep compiling and
 # running.
 BENCHTIME ?= 1s
 
 bench-cpu:
-	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|CacheQuery|Poll|PollRepeats|MapDeepStack)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir ./internal/core ./internal/fanout
+	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|CacheQuery|Poll|PollRepeats|MapDeepStack|Call)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir ./internal/core ./internal/fanout ./internal/transport
 
 # The repository benchmark (bench/, a module of its own — see bench/README.md):
 # its harness tests, and one 12-second pass of the routing-bound workload.
@@ -172,12 +173,14 @@ smoke-determinism:
 	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run 'Virtual' ./internal/eval/ ./internal/chaos/ .
 
 # Real-socket transport smoke: the TCP transport (pool lifecycle, mux demux,
-# reconnect, timeout taxonomy, frame cap, unencodable payloads), the binary
+# reconnect, timeout taxonomy, frame cap, unencodable payloads) five times
+# over, since callers and handlers write frames on their own goroutines; the binary
 # codec, and the facade twin tests that demand identical rankings and message
 # counts from simnet and TCP — all under the race detector. Then a guard that
 # the system has one codec: no non-test package may import encoding/gob.
 smoke-tcp:
-	$(GO) test -race ./internal/transport/ ./internal/wire/ ./internal/fanout/
+	$(GO) test -race -count=5 ./internal/transport/
+	$(GO) test -race ./internal/wire/
 	$(GO) test -race -run 'TransportTwin' .
 	@gob=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | awk '/ encoding\/gob( |$$)/ { print $$1 }'); \
 	[ -z "$$gob" ] || { echo "smoke-tcp: encoding/gob imported by $$gob"; exit 1; }

@@ -6,16 +6,17 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"github.com/spritedht/sprite/internal/fanout"
 	"github.com/spritedht/sprite/internal/simnet"
 )
 
 // errConnClosed is the internal "this conn is no longer usable" sentinel a
-// call sees when its frame was never handed to the kernel (push refused).
-// Such calls are safe to retry on a fresh connection because the peer cannot
-// have observed them; CallCtx does exactly that, once.
+// call sees when its frame was never handed to the kernel (the connection
+// was retired before the write). Such calls are safe to retry on a fresh
+// connection because the peer cannot have observed them; CallCtx does
+// exactly that, once.
 var errConnClosed = errors.New("transport: connection closed")
 
 // callResult is what the reader (or the closer) delivers to a waiting call.
@@ -24,18 +25,73 @@ type callResult struct {
 	err  error
 }
 
-// clientConn is one pooled, multiplexed client socket to a single peer.
-// Calls from any number of goroutines encode a request frame, park a result
-// channel in the pending map under a fresh request ID, and push the frame
-// into the outbound window; a writer goroutine drains the window in bursts
-// (micro-batching: one buffered write + flush per burst, however many calls
-// landed in it), and a reader goroutine demultiplexes response frames back
-// to the pending channels by ID.
+// frameWriter is the write side of one socket, shared by every goroutine
+// that sends on it: callers write their own requests, handlers their own
+// replies. A writer announces itself in waiting, buffers its frame under mu
+// and flushes only if no other writer is waiting by then, so the last
+// writer of a burst flushes for all of them (group commit): N concurrent
+// frames, one flush, one syscall; a lone frame flushes at once.
+type frameWriter struct {
+	t       *Transport
+	c       net.Conn
+	waiting atomic.Int32
+	closed  atomic.Bool
+
+	mu     sync.Mutex
+	bw     *bufio.Writer
+	frames int // buffered since the last flush
+	bytes  int
+}
+
+func newFrameWriter(t *Transport, c net.Conn) *frameWriter {
+	return &frameWriter{t: t, c: c, bw: bufio.NewWriterSize(c, 64<<10)}
+}
+
+// write buffers frame and flushes it unless another writer is waiting to
+// buffer its own. It returns errConnClosed, without touching the socket,
+// once close has been called; any other error is the socket's, and the
+// caller retires the connection. A nil error means the frame was buffered:
+// a failure of the flush that later carries it retires the connection too.
+func (w *frameWriter) write(frame []byte) error {
+	w.waiting.Add(1)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed.Load() {
+		w.waiting.Add(-1)
+		return errConnClosed
+	}
+	if w.frames == 0 {
+		// One deadline per flush, set before the first write of its burst:
+		// a frame larger than the buffer goes straight to the socket.
+		w.c.SetWriteDeadline(time.Now().Add(w.t.callTimeout))
+	}
+	_, err := w.bw.Write(frame)
+	w.frames++
+	w.bytes += len(frame)
+	if w.waiting.Add(-1) > 0 && err == nil {
+		return nil
+	}
+	if err == nil {
+		err = w.bw.Flush()
+	}
+	if err != nil {
+		w.closed.Store(true)
+		return err
+	}
+	w.t.met.observeBatch(w.frames, w.bytes)
+	w.frames, w.bytes = 0, 0
+	return nil
+}
+
+// clientConn is the one pooled, multiplexed client socket to a peer. A call
+// registers a result channel in the pending map under a fresh request ID
+// and writes its own request frame; a reader goroutine demultiplexes
+// response frames back to the pending channels by ID.
 type clientConn struct {
 	t    *Transport
 	pool *pool
 	c    net.Conn
-	out  *fanout.Window[[]byte]
+	w    *frameWriter
 
 	mu       sync.Mutex
 	pending  map[uint64]chan callResult
@@ -44,30 +100,23 @@ type clientConn struct {
 	closeErr error
 
 	inflight int64 // guarded by mu; mirrored into the pool's gauge
-	lastUsed int64 // unix nanos of last call completion; atomic via mu
+	lastUsed int64 // unix nanos of the last call's start or end; guarded by mu
 }
 
 func newClientConn(t *Transport, p *pool, c net.Conn) *clientConn {
 	cc := &clientConn{
-		t:       t,
-		pool:    p,
-		c:       c,
-		out:     fanout.NewWindow[[]byte](),
-		pending: make(map[uint64]chan callResult),
+		t:        t,
+		pool:     p,
+		c:        c,
+		w:        newFrameWriter(t, c),
+		pending:  make(map[uint64]chan callResult),
+		lastUsed: time.Now().UnixNano(),
 	}
-	cc.touch()
-	go cc.writeLoop()
 	go cc.readLoop()
 	return cc
 }
 
-func (c *clientConn) touch() {
-	c.mu.Lock()
-	c.lastUsed = time.Now().UnixNano()
-	c.mu.Unlock()
-}
-
-// idleSince reports the last-use time and current in-flight count for the
+// idleState reports the last-use time and current in-flight count for the
 // pool reaper.
 func (c *clientConn) idleState() (lastUsed time.Time, inflight int64) {
 	c.mu.Lock()
@@ -75,16 +124,15 @@ func (c *clientConn) idleState() (lastUsed time.Time, inflight int64) {
 	return time.Unix(0, c.lastUsed), c.inflight
 }
 
-// call performs one RPC over this connection. done is the caller's deadline
-// channel (per-call timer or ctx); the caller classifies the error.
+// call sends one request over this connection and returns the channel its
+// result arrives on. The error wraps errConnClosed when the connection was
+// retired before the frame was written; a frame that reached the socket and
+// then failed is reported through the channel, like a reset mid-call.
 func (c *clientConn) call(from simnet.Addr, msg simnet.Message) (uint64, chan callResult, error) {
 	c.mu.Lock()
 	if c.closed {
 		err := c.closeErr
 		c.mu.Unlock()
-		if err == nil {
-			err = errConnClosed
-		}
 		return 0, nil, fmt.Errorf("%w: %v", errConnClosed, err)
 	}
 	c.nextID++
@@ -98,26 +146,25 @@ func (c *clientConn) call(from simnet.Addr, msg simnet.Message) (uint64, chan ca
 
 	frame, err := appendRequestFrame(nil, id, string(from), msg.Type, msg.Payload)
 	if err != nil {
-		c.finish(id)
+		c.take(id)
 		return 0, nil, err
 	}
 	c.t.met.countCodec(msg.Payload, len(frame))
-	if !c.out.Push(frame) {
-		c.finish(id)
-		c.mu.Lock()
-		closeErr := c.closeErr
-		c.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %v", errConnClosed, closeErr)
+	if err := c.w.write(frame); errors.Is(err, errConnClosed) {
+		c.take(id)
+		return 0, nil, err
+	} else if err != nil {
+		c.close(fmt.Errorf("transport: write: %w", err))
 	}
 	return id, ch, nil
 }
 
-// finish deregisters a call (completed, canceled, or timed out) and drops
-// the in-flight accounting. Idempotent per ID: the reader deletes the entry
-// when it delivers, so a late finish after delivery is a no-op.
-func (c *clientConn) finish(id uint64) {
+// take deregisters a call (answered, canceled, or timed out), drops the
+// in-flight accounting and returns its pending channel, if still
+// registered. A second take of the same ID is a no-op.
+func (c *clientConn) take(id uint64) (chan callResult, bool) {
 	c.mu.Lock()
-	_, ok := c.pending[id]
+	ch, ok := c.pending[id]
 	if ok {
 		delete(c.pending, id)
 		c.inflight--
@@ -127,48 +174,7 @@ func (c *clientConn) finish(id uint64) {
 	if ok {
 		c.pool.inflight.Add(-1)
 	}
-}
-
-// take removes and returns the pending channel for id, if still registered.
-func (c *clientConn) take(id uint64) (chan callResult, bool) {
-	c.mu.Lock()
-	ch, ok := c.pending[id]
-	if ok {
-		delete(c.pending, id)
-		c.inflight--
-	}
-	c.mu.Unlock()
-	if ok {
-		c.pool.inflight.Add(-1)
-	}
 	return ch, ok
-}
-
-// writeLoop drains the outbound window and writes each burst with a single
-// buffered write + flush — the transport's micro-batching. Concurrent calls
-// that queue while a flush is in progress coalesce into the next burst.
-func (c *clientConn) writeLoop() {
-	bw := bufio.NewWriterSize(c.c, 64<<10)
-	for {
-		burst, ok := c.out.Drain()
-		if !ok {
-			return
-		}
-		var bytes int
-		for _, f := range burst {
-			bytes += len(f)
-			if _, err := bw.Write(f); err != nil {
-				c.close(fmt.Errorf("transport: write: %w", err))
-				return
-			}
-		}
-		c.c.SetWriteDeadline(time.Now().Add(c.t.callTimeout))
-		if err := bw.Flush(); err != nil {
-			c.close(fmt.Errorf("transport: flush: %w", err))
-			return
-		}
-		c.t.met.observeBatch(len(burst), bytes)
-	}
 }
 
 // readLoop parses response frames and routes them to waiting calls. Any read
@@ -195,8 +201,9 @@ func (c *clientConn) readLoop() {
 	}
 }
 
-// close retires the connection: fails every pending call, stops both loops,
-// and removes it from the pool. Idempotent.
+// close retires the connection: removes it from the pool, refuses further
+// writes, closes the socket (which stops the reader) and fails every
+// pending call. Idempotent.
 func (c *clientConn) close(err error) {
 	c.mu.Lock()
 	if c.closed {
@@ -210,7 +217,8 @@ func (c *clientConn) close(err error) {
 	c.inflight = 0
 	c.mu.Unlock()
 
-	c.out.Close()
+	c.pool.remove(c)
+	c.w.closed.Store(true)
 	c.c.Close()
 	for _, ch := range pend {
 		ch <- callResult{err: fmt.Errorf("%w: %v", errConnClosed, err)}
@@ -218,49 +226,23 @@ func (c *clientConn) close(err error) {
 	if n := len(pend); n > 0 {
 		c.pool.inflight.Add(-int64(n))
 	}
-	c.pool.remove(c)
 }
 
 // serverConn is the accepting side of one multiplexed socket: a reader that
-// dispatches each request frame on its own goroutine, and the same
-// window-batched writer for responses (concurrent handlers' replies coalesce
-// into shared flushes).
+// dispatches each request frame on its own goroutine, where the handler's
+// reply is written through the socket's shared frameWriter (concurrent
+// handlers' replies group-commit into shared flushes).
 type serverConn struct {
-	t   *Transport
-	l   *listener
-	c   net.Conn
-	out *fanout.Window[[]byte]
+	t *Transport
+	l *listener
+	c net.Conn
+	w *frameWriter
 }
 
 func newServerConn(t *Transport, l *listener, c net.Conn) *serverConn {
-	sc := &serverConn{t: t, l: l, c: c, out: fanout.NewWindow[[]byte]()}
-	go sc.writeLoop()
+	sc := &serverConn{t: t, l: l, c: c, w: newFrameWriter(t, c)}
 	go sc.readLoop()
 	return sc
-}
-
-func (s *serverConn) writeLoop() {
-	bw := bufio.NewWriterSize(s.c, 64<<10)
-	for {
-		burst, ok := s.out.Drain()
-		if !ok {
-			return
-		}
-		var bytes int
-		for _, f := range burst {
-			bytes += len(f)
-			if _, err := bw.Write(f); err != nil {
-				s.close()
-				return
-			}
-		}
-		s.c.SetWriteDeadline(time.Now().Add(s.t.callTimeout))
-		if err := bw.Flush(); err != nil {
-			s.close()
-			return
-		}
-		s.t.met.observeBatch(len(burst), bytes)
-	}
 }
 
 func (s *serverConn) readLoop() {
@@ -280,7 +262,7 @@ func (s *serverConn) readLoop() {
 	}
 }
 
-// dispatch decodes one request, runs the handler, and queues the response.
+// dispatch decodes one request, runs the handler, and writes the response.
 func (s *serverConn) dispatch(req *request) {
 	msg, err := decodeMessage(req.msgType, req.codec, req.payload)
 	var reply simnet.Message
@@ -311,11 +293,13 @@ func (s *serverConn) dispatch(req *request) {
 	} else {
 		s.t.met.countCodec(reply.Payload, len(frame))
 	}
-	s.out.Push(frame) // a refused push means the conn died; the client copes
+	if s.w.write(frame) != nil {
+		s.close() // the client sees the reset and fails the call
+	}
 }
 
 func (s *serverConn) close() {
-	s.out.Close()
+	s.w.closed.Store(true)
 	s.c.Close()
 	s.l.removeConn(s)
 }

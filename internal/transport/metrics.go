@@ -54,8 +54,8 @@ func (m *metrics) init(tel *telemetry.Registry) {
 	m.errDecode = tel.Counter("tcp.errors.decode")
 }
 
-// observeBatch records one writer flush: how many frames coalesced and their
-// total bytes.
+// observeBatch records one flush: how many frames it carried and their total
+// bytes.
 func (m *metrics) observeBatch(frames, bytes int) {
 	m.batchFrames.Observe(int64(frames))
 	m.batchBytes.Observe(int64(bytes))

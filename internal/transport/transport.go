@@ -1,8 +1,9 @@
-// Package transport is the TCP implementation of simnet.Transport:
-// persistent per-peer connection pools, request-ID multiplexing so any number
-// of in-flight RPCs share a socket, the length-prefixed binary codec of
-// internal/wire for every payload, and per-destination micro-batching of
-// concurrent sends into single buffered writes.
+// Package transport is the TCP implementation of simnet.Transport: one
+// persistent connection per peer, request-ID multiplexing so any number of
+// in-flight RPCs share it, the length-prefixed binary codec of internal/wire
+// for every payload, and group commit: each caller writes its own request
+// and each handler its own reply, and concurrent frames on one socket share
+// a flush.
 //
 // The contract is the simnet one: transport-level failures (dial refused,
 // peer hung, connection reset mid-call) wrap simnet.ErrUnreachable so the
@@ -61,18 +62,9 @@ func WithTelemetry(reg *telemetry.Registry) Option {
 // negative-cached as dead before calls and Alive probe it again.
 const deadPeerTTL = time.Second
 
-// muxPressure is the in-flight count on the least-loaded connection above
-// which the pool dials another, up to maxConnsPerPeer.
-const muxPressure = 64
-
-// maxConnsPerPeer caps the pool size per destination. The pool dials a second
-// connection only when every existing one has muxPressure calls in flight, so
-// the cap is a burst valve, not a target.
-const maxConnsPerPeer = 2
-
 // Transport is a pooled, multiplexed TCP implementation of simnet.Transport.
 // One instance can host many local peers (each Register binds a listener)
-// and pools outbound connections per destination address.
+// and keeps one outbound connection per destination address.
 type Transport struct {
 	dialTimeout time.Duration
 	callTimeout time.Duration
@@ -236,7 +228,9 @@ func (t *Transport) Close() {
 		l.closeAll()
 	}
 	for _, p := range ps {
-		p.closeAll(errors.New("transport closed"))
+		if c := p.current(); c != nil {
+			c.close(errors.New("transport closed"))
+		}
 	}
 	<-t.reapDone
 }
@@ -257,16 +251,15 @@ func (t *Transport) serve(l *listener) {
 	}
 }
 
-// pool holds the client connections to one destination.
+// pool holds the one client connection to a destination.
 type pool struct {
 	t        *Transport
 	addr     simnet.Addr
 	inflight *telemetry.Gauge
 
-	mu      sync.Mutex
-	conns   []*clientConn
-	dialing int
-	dialed  chan struct{} // closed when an in-progress dial completes; nil when idle
+	mu     sync.Mutex
+	conn   *clientConn
+	dialed chan struct{} // non-nil while a dial is in progress; closed when it completes
 }
 
 func (t *Transport) pool(addr simnet.Addr) *pool {
@@ -280,29 +273,25 @@ func (t *Transport) pool(addr simnet.Addr) *pool {
 	return p
 }
 
-// get returns a connection to use for one call: the least-loaded open
-// connection, dialing a new one when the pool is empty or every connection
-// is above the mux-pressure threshold and the cap allows. Concurrent callers
-// arriving at an empty pool coalesce onto one dial instead of each opening a
-// socket — the point of pooling is that a burst of fan-out calls shares
-// connections.
+// current returns the open connection, or nil.
+func (p *pool) current() *clientConn {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.conn
+}
+
+// get returns the connection to use for one call, dialing it if the pool is
+// empty. Concurrent callers arriving at an empty pool coalesce onto one dial
+// instead of each opening a socket.
 func (p *pool) get(ctx context.Context) (*clientConn, error) {
 	for {
 		p.mu.Lock()
-		best := p.leastLoadedLocked()
-		if best != nil {
-			_, inflight := best.idleState()
-			if len(p.conns)+p.dialing >= maxConnsPerPeer || inflight < muxPressure {
-				p.mu.Unlock()
-				return best, nil
-			}
+		if c := p.conn; c != nil {
+			p.mu.Unlock()
+			return c, nil
 		}
-		if best == nil && p.dialing > 0 {
-			// Someone else is already dialing the first connection; share it.
-			if p.dialed == nil {
-				p.dialed = make(chan struct{})
-			}
-			wait := p.dialed
+		if wait := p.dialed; wait != nil {
+			// Someone else is already dialing; share it.
 			p.mu.Unlock()
 			select {
 			case <-wait:
@@ -312,41 +301,20 @@ func (p *pool) get(ctx context.Context) (*clientConn, error) {
 				return nil, fmt.Errorf("transport: dial %s: %w", p.addr, ctx.Err())
 			}
 		}
-		p.dialing++
+		wait := make(chan struct{})
+		p.dialed = wait
 		p.mu.Unlock()
 
 		c, err := p.dial(ctx)
 		p.mu.Lock()
-		p.dialing--
-		if p.dialed != nil {
-			close(p.dialed)
-			p.dialed = nil
-		}
+		p.dialed = nil
 		p.mu.Unlock()
-		if err != nil {
-			if best != nil {
-				// The existing connection outranks a failed growth dial.
-				return best, nil
-			}
-			return nil, err
-		}
-		return c, nil
+		close(wait)
+		return c, err
 	}
 }
 
-func (p *pool) leastLoadedLocked() *clientConn {
-	var best *clientConn
-	var bestLoad int64
-	for _, c := range p.conns {
-		_, load := c.idleState()
-		if best == nil || load < bestLoad {
-			best, bestLoad = c, load
-		}
-	}
-	return best
-}
-
-// dial establishes, registers, and returns a fresh connection.
+// dial establishes, pools, and returns a fresh connection.
 func (p *pool) dial(ctx context.Context) (*clientConn, error) {
 	t := p.t
 	d := net.Dialer{Timeout: t.dialTimeout}
@@ -364,7 +332,14 @@ func (p *pool) dial(ctx context.Context) (*clientConn, error) {
 		tc.SetNoDelay(true)
 	}
 	c := newClientConn(t, p, nc)
+	p.mu.Lock()
+	p.conn = c
+	p.mu.Unlock()
+	t.met.dials.Inc()
+	t.met.connsOpen.Add(1)
 
+	// Pooled before this check, so a concurrent Close either sees the
+	// connection or is seen here.
 	t.mu.Lock()
 	closed := t.closed
 	if !closed {
@@ -375,43 +350,20 @@ func (p *pool) dial(ctx context.Context) (*clientConn, error) {
 		c.close(errors.New("transport closed"))
 		return nil, fmt.Errorf("transport: dial %s: transport closed", p.addr)
 	}
-	p.mu.Lock()
-	p.conns = append(p.conns, c)
-	p.mu.Unlock()
-	t.met.dials.Inc()
-	t.met.connsOpen.Add(1)
 	return c, nil
 }
 
 // remove drops a retired connection from the pool.
 func (p *pool) remove(c *clientConn) {
 	p.mu.Lock()
-	for i, pc := range p.conns {
-		if pc == c {
-			p.conns = append(p.conns[:i], p.conns[i+1:]...)
-			p.mu.Unlock()
-			p.t.met.connsOpen.Add(-1)
-			return
-		}
+	ok := p.conn == c
+	if ok {
+		p.conn = nil
 	}
 	p.mu.Unlock()
-}
-
-// closeAll retires every connection (transport shutdown).
-func (p *pool) closeAll(cause error) {
-	p.mu.Lock()
-	conns := append([]*clientConn(nil), p.conns...)
-	p.mu.Unlock()
-	for _, c := range conns {
-		c.close(cause)
+	if ok {
+		p.t.met.connsOpen.Add(-1)
 	}
-}
-
-// size reports open connections in this pool.
-func (p *pool) size() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.conns)
 }
 
 // OpenConns reports the total pooled client connections currently open —
@@ -425,7 +377,9 @@ func (t *Transport) OpenConns() int {
 	t.mu.Unlock()
 	n := 0
 	for _, p := range pools {
-		n += p.size()
+		if p.current() != nil {
+			n++
+		}
 	}
 	return n
 }
@@ -462,19 +416,18 @@ func (t *Transport) reapOnce(now time.Time) {
 	t.mu.Unlock()
 	idle := int64(0)
 	for _, p := range pools {
-		p.mu.Lock()
-		conns := append([]*clientConn(nil), p.conns...)
-		p.mu.Unlock()
-		for _, c := range conns {
-			lastUsed, inflight := c.idleState()
-			if inflight > 0 {
-				continue
-			}
-			if now.Sub(lastUsed) > t.idleTimeout {
-				c.close(errors.New("idle timeout"))
-			} else {
-				idle++
-			}
+		c := p.current()
+		if c == nil {
+			continue
+		}
+		lastUsed, inflight := c.idleState()
+		if inflight > 0 {
+			continue
+		}
+		if now.Sub(lastUsed) > t.idleTimeout {
+			c.close(errors.New("idle timeout"))
+		} else {
+			idle++
 		}
 	}
 	t.met.connsIdle.Set(idle)
@@ -518,6 +471,7 @@ func (t *Transport) CallCtx(ctx context.Context, from, to simnet.Addr, msg simne
 			// The frame never reached the kernel; safe to retry once on a
 			// fresh connection (covers a pooled conn retired by a peer
 			// restart between calls).
+			p.remove(c)
 			lastErr = err
 			continue
 		}
@@ -546,7 +500,6 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 	}
 	select {
 	case res := <-ch:
-		c.touch()
 		if res.err != nil {
 			// Connection died mid-call: the request may or may not have been
 			// delivered, so this is unreachable, not retryable, and the peer
@@ -570,7 +523,7 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 		}
 		return reply, nil
 	case <-ctx.Done():
-		c.finish(id)
+		c.take(id)
 		t.met.errCtx.Inc()
 		return simnet.Message{}, fmt.Errorf("transport: %s to %s: %w", msg.Type, to, ctx.Err())
 	case <-time.After(t.callTimeout):
@@ -578,7 +531,7 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 		// timeout: presume it wedged, retire the shared socket (other calls
 		// on it fail fast instead of waiting out their own timers), and
 		// negative-cache the peer.
-		c.finish(id)
+		c.take(id)
 		c.close(fmt.Errorf("call timeout after %v", t.callTimeout))
 		t.markDead(to)
 		t.met.errTimeout.Inc()
@@ -587,7 +540,7 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 }
 
 // Alive reports reachability: local listeners are authoritative, then the
-// negative cache, then any open pooled connection; otherwise it probes with
+// negative cache, then an open pooled connection; otherwise it probes with
 // a dial whose connection is kept in the pool (a successful probe warms the
 // path the next call uses).
 func (t *Transport) Alive(addr simnet.Addr) bool {
@@ -606,7 +559,7 @@ func (t *Transport) Alive(addr simnet.Addr) bool {
 		return false
 	}
 	p := t.pool(addr)
-	if p.size() > 0 {
+	if p.current() != nil {
 		return true
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), t.dialTimeout)

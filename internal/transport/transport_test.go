@@ -7,8 +7,10 @@ import (
 	"fmt"
 	"net"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -138,9 +140,10 @@ func TestPoolReusesOneConnAcrossSequentialCalls(t *testing.T) {
 }
 
 // TestConcurrentCallsMultiplexOnOneSocket is the mux guarantee: many calls
-// in flight at once, all answered, over a single pooled connection.
+// in flight at once, all answered, over a single pooled connection however
+// many are in flight.
 func TestConcurrentCallsMultiplexOnOneSocket(t *testing.T) {
-	const callers = 32
+	const callers = 128
 	arrived := make(chan struct{}, callers)
 	release := make(chan struct{})
 	tr := New()
@@ -168,8 +171,8 @@ func TestConcurrentCallsMultiplexOnOneSocket(t *testing.T) {
 			}
 		}(i)
 	}
-	// Wait until every request is simultaneously in a handler, so all 32
-	// are provably in flight together, then check the socket count.
+	// Wait until every request is simultaneously in a handler, so all of
+	// them are provably in flight together, then check the socket count.
 	for i := 0; i < callers; i++ {
 		select {
 		case <-arrived:
@@ -185,6 +188,152 @@ func TestConcurrentCallsMultiplexOnOneSocket(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// TestGroupCommitFlushesEveryFrame: concurrent calls group-commit their
+// frames, and every frame is flushed exactly once — one request and one
+// reply per call, none stranded in a buffer.
+func TestGroupCommitFlushesEveryFrame(t *testing.T) {
+	const calls = 64
+	reg := telemetry.NewRegistry()
+	tr := New(WithTelemetry(reg))
+	defer tr.Close()
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
+	var wg sync.WaitGroup
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping", Payload: note{Text: fmt.Sprint(i)}}); err != nil {
+				errs <- err
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	// A reply's flush is recorded just after it returns, possibly after
+	// its caller has already read the reply.
+	frames := reg.Histogram("tcp.batch.frames")
+	deadline := time.Now().Add(5 * time.Second)
+	for frames.Sum() < 2*calls && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := frames.Sum(); got != 2*calls {
+		t.Fatalf("tcp.batch.frames sum = %d after %d calls, want %d", got, calls, 2*calls)
+	}
+	if flushes := frames.Count(); flushes < 2 || flushes > 2*calls {
+		t.Fatalf("%d flushes for %d frames", flushes, 2*calls)
+	}
+}
+
+// TestCloseLeavesNoGoroutines: after calls have opened both sides of a
+// connection, Close ends every goroutine the transport started.
+func TestCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	tr := New()
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	tr.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, %d before New", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRetiredPooledConnIsRetried: a call handed a pooled connection that
+// close has already retired writes nothing to it (errConnClosed), and is
+// retried once on a freshly dialed connection, where it succeeds.
+func TestRetiredPooledConnIsRetried(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := New(WithTelemetry(reg))
+	defer tr.Close()
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
+		t.Fatal(err)
+	}
+	p := tr.pool(addr)
+	stale := p.current()
+	stale.close(errors.New("retired"))
+	if err := stale.w.write([]byte("frame")); !errors.Is(err, errConnClosed) {
+		t.Fatalf("write after close: err = %v, want errConnClosed", err)
+	}
+	// The pool handed stale to this call just before close removed it.
+	p.mu.Lock()
+	p.conn = stale
+	p.mu.Unlock()
+	tr.met.connsOpen.Add(1)
+
+	reply, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"})
+	if err != nil || reply.Type != "ping.ok" {
+		t.Fatalf("call on a retired pooled conn: %+v, %v", reply, err)
+	}
+	if got := reg.Counter("tcp.dials").Value(); got != 2 {
+		t.Fatalf("tcp.dials = %d, want 2 (the first connection and the retry's)", got)
+	}
+	if c := p.current(); c == nil || c == stale || tr.OpenConns() != 1 || reg.Gauge("tcp.conns.open").Value() != 1 {
+		t.Fatalf("pool after the retry: conn %p (stale %p), OpenConns %d, tcp.conns.open %d", c, stale, tr.OpenConns(), reg.Gauge("tcp.conns.open").Value())
+	}
+	if negativeCached(tr, addr) {
+		t.Fatal("a retried call negative-cached its peer")
+	}
+}
+
+// BenchmarkCall is one echo round trip over loopback, with 1 caller and with
+// 16 concurrent callers sharing the pooled connection.
+func BenchmarkCall(b *testing.B) {
+	for _, callers := range []int{1, 16} {
+		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+			tr := New()
+			defer tr.Close()
+			addrs, err := FreeAddrs(1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			addr := addrs[0]
+			tr.Register(addr, echo())
+			msg := simnet.Message{Type: "ping", Payload: note{Text: "hello"}}
+			if _, err := tr.CallCtx(context.Background(), "client", addr, msg); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			for range callers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if _, err := tr.CallCtx(context.Background(), "client", addr, msg); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 
@@ -773,6 +922,27 @@ func TestLargePayloadOverTCP(t *testing.T) {
 	}
 	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
 		t.Fatalf("listener stopped serving after an oversized frame: %v", err)
+	}
+}
+
+// TestLargeFrameAfterIdle: a frame larger than the write buffer goes
+// straight to the socket, and must do so under a fresh write deadline, not
+// the one the previous flush set and idleness let expire.
+func TestLargeFrameAfterIdle(t *testing.T) {
+	tr := New(WithCallTimeout(100 * time.Millisecond))
+	defer tr.Close()
+	addr := freeAddrs(t, 1)[0]
+	tr.Register(addr, echo())
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(300 * time.Millisecond)
+	big := note{Text: "big", Items: make([]string, 20_000)} // ≈ 220 KB
+	for i := range big.Items {
+		big.Items[i] = fmt.Sprintf("term%06d", i)
+	}
+	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "big", Payload: big}); err != nil {
+		t.Fatalf("large call after idle: %v", err)
 	}
 }
 
