@@ -24,16 +24,16 @@ bench:
 
 # Per-layer CPU of a query's hot spots: one next-hop answer on a 4 096-node
 # ring (hops drawn from real lookups), sizing a get_postings reply and a
-# next_hop request, scoring a query's lists, recording a query at an indexing
-# peer, answering one poll item over a full history (512 or 75 distinct
-# queries), one limit-2 fan-out over three items that each need 16 KB of
-# stack, and one loopback echo call with 1 and with 16 concurrent callers
-# sharing a connection. CI runs each once (BENCHTIME=1x) so they keep compiling and
-# running.
+# next_hop request, decoding a 60-posting list, scoring one long list and one
+# query's four lists, recording a query at an indexing peer, answering one
+# poll item over a full history (512 or 75 distinct queries), one limit-2
+# fan-out over three items that each need 16 KB of stack, and one loopback
+# echo call with 1 and with 16 concurrent callers sharing a connection. CI
+# runs each once (BENCHTIME=1x) so they keep compiling and running.
 BENCHTIME ?= 1s
 
 bench-cpu:
-	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|CacheQuery|Poll|PollRepeats|MapDeepStack|Call)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/ir ./internal/core ./internal/fanout ./internal/transport
+	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|ScoreQuery|CursorScan|CacheQuery|Poll|PollRepeats|MapDeepStack|Call)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/index ./internal/ir ./internal/core ./internal/fanout ./internal/transport
 
 # The repository benchmark (bench/, a module of its own — see bench/README.md):
 # its harness tests, and one 12-second pass of the routing-bound workload.

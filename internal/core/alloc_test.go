@@ -14,12 +14,12 @@ import (
 // change that allocates more on one of these paths fails
 // TestAllocationCeilings; one that allocates less lowers the ceiling with it.
 const (
-	allocsUncachedSearch = 49
-	allocsCachedSearch   = 30
-	allocsColdCached     = 52
-	allocsSweepOneDoc    = 67
-	allocsShare          = 86
-	allocsUnshare        = 39
+	allocsUncachedSearch = 32
+	allocsCachedSearch   = 13
+	allocsColdCached     = 35
+	allocsSweepOneDoc    = 46
+	allocsShare          = 58
+	allocsUnshare        = 37
 )
 
 // allocCeilingNetwork is the deployment the ceilings are read on: 16 peers on

@@ -347,7 +347,7 @@ func (p *Peer) searchCtx(ctx context.Context, terms []string, k int, record bool
 }
 
 // mergeTerms is ir.MergeTopK's input over the fetched lists: one weighted
-// cursor per term that matched anything, in dts (query) order.
+// list per term that matched anything, in dts (query) order.
 func (p *Peer) mergeTerms(terms, dts []string, outs []termFetch) []ir.MergeTerm {
 	qtf := make(map[string]int, len(terms))
 	for _, t := range terms {
@@ -358,10 +358,10 @@ func (p *Peer) mergeTerms(terms, dts []string, outs []termFetch) []ir.MergeTerm 
 	for i, term := range dts {
 		if df := outs[i].resp.IndexedDF; df > 0 {
 			merge = append(merge, ir.MergeTerm{
-				Cursor: outs[i].resp.Postings.Cursor(),
-				WQ:     ir.QueryWeight(qtf[term], len(terms), n, df),
-				N:      n,
-				DF:     df,
+				List: outs[i].resp.Postings,
+				WQ:   ir.QueryWeight(qtf[term], len(terms), n, df),
+				N:    n,
+				DF:   df,
 			})
 		}
 	}

@@ -78,3 +78,37 @@ func BenchmarkInvertedRemove(b *testing.B) {
 		ix.Remove("t", ps[perm[i%benchDocs]].Doc)
 	}
 }
+
+// BenchmarkCursorScan is the scoring path's decode: one op walks a list the
+// size the postings workload fetches — 60 postings of the corpus's doc%05d
+// IDs, doc lengths 80–180 — with NextBytes, the way the index.cursor_ns
+// probe does:
+//
+//	go test -run XXX -bench CursorScan -benchmem ./internal/index
+func BenchmarkCursorScan(b *testing.B) {
+	const perList = 60
+	rng := rand.New(rand.NewSource(1))
+	ix := NewInverted()
+	for _, d := range rng.Perm(2000)[:perList] {
+		ix.Add("t", Posting{
+			Doc:    DocID(fmt.Sprintf("doc%05d", d)),
+			Owner:  fmt.Sprintf("peer%02d", d%16),
+			Freq:   1 + rng.Intn(9),
+			DocLen: 80 + rng.Intn(101),
+		})
+	}
+	e := ix.Encoded("t")
+	b.ReportAllocs()
+	b.ResetTimer()
+	sink := 0
+	for i := 0; i < b.N; i++ {
+		c := e.Cursor()
+		for _, f, _, ok := c.NextBytes(); ok; _, f, _, ok = c.NextBytes() {
+			sink += f
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*perList), "ns/posting")
+	if sink == 0 {
+		b.Fatal("decoded nothing")
+	}
+}

@@ -202,9 +202,9 @@ type Cursor struct {
 	owners    []string // materialized on first Next; NextBytes leaves it nil
 	lastOwner int      // owner index of the posting NextBytes just returned
 
-	doc    []byte // scratch: the previous posting's doc bytes
-	sketch []byte // the last posting's sketch bytes, aliasing the block data
-	err    error
+	doc          []byte // scratch: the previous posting's doc bytes
+	skOff, skEnd int    // the last posting's sketch: data[skOff:skEnd]
+	err          error
 }
 
 // Err returns the first decode error the cursor hit, if any. A truncated or
@@ -249,6 +249,7 @@ func (c *Cursor) openBlock() bool {
 		b := c.blocks[c.bi]
 		c.bi++
 		c.data, c.off = b.data, 0
+		c.skOff, c.skEnd = 0, 0
 		c.owners = nil
 		c.doc = c.doc[:0]
 		n, ok := c.uvarint()
@@ -336,54 +337,70 @@ func (c *Cursor) materializeOwners() bool {
 
 // NextBytes decodes the next posting without materializing strings: doc
 // aliases the cursor's scratch buffer and is valid only until the next call.
-// This is the scoring hot path — the accumulator probes its map with the raw
-// bytes and only a first-seen doc ID is ever copied to a string. The four
-// per-posting varints are decoded inline on local data/off copies (nearly
-// all are single bytes); only a multi-byte value falls back to the uvarint
-// method, which the compiler refuses to inline.
+// This is the scoring hot path, so the common posting shape — a one-byte
+// prefix, suffix, owner index and sketch length, a packed tf/doclen field of
+// at most two bytes (every doc length below 256) and no escaped frequency —
+// is read in one shape check straight off the block bytes. That check
+// covers every length and index the general decoder checks; any other shape,
+// well formed or not, goes to decode, which reads each field at any width and
+// reports what is wrong.
 func (c *Cursor) NextBytes() (doc []byte, freq, docLen int, ok bool) {
 	if c.left == 0 && !c.openBlock() {
 		return nil, 0, 0, false
 	}
 	data, off := c.data, c.off
+	if off+1 < len(data) {
+		pre, suf := int(data[off]), int(data[off+1])
+		o := off + 2 + suf // the owner index; the packed field and the sketch length follow
+		// One byte each, a prefix of the previous doc, and room for the
+		// suffix, the owner index and one byte each of the rest.
+		if pre|suf < 0x80 && pre <= len(c.doc) && o+3 <= len(data) {
+			oi, packed, s := int(data[o]), uint64(data[o+1]), o+2
+			if packed >= 0x80 {
+				packed = packed&0x7f | uint64(data[s])<<7
+				s++
+			}
+			// The packed field ended by its second byte with no escape, the
+			// owner index is one byte naming a dictionary entry, and the
+			// one-byte sketch length fits with its sketch.
+			if s < len(data) && data[s-1] < 0x80 && oi < min(c.ownerCnt, 0x80) && packed&31 != freqEscape {
+				if slen := int(data[s]); slen < 0x80 && slen < len(data)-s {
+					c.doc = c.doc[:pre] // a reslice and an append in place write no pointer
+					c.doc = append(c.doc, data[off+2:o]...)
+					c.lastOwner = oi
+					c.skOff, c.skEnd = s+1, s+1+slen
+					c.off = c.skEnd
+					c.left--
+					return c.doc, int(unzigzag(packed & 31)), int(unzigzag(packed >> 5)), true
+				}
+			}
+		}
+	}
+	return c.decode()
+}
 
-	var pre uint64
-	if off < len(data) && data[off] < 0x80 {
-		pre, off = uint64(data[off]), off+1
-	} else {
-		c.off = off
-		if pre, ok = c.uvarint(); !ok {
-			return nil, 0, 0, false
-		}
-		off = c.off
-	}
-	var suf uint64
-	if off < len(data) && data[off] < 0x80 {
-		suf, off = uint64(data[off]), off+1
-	} else {
-		c.off = off
-		if suf, ok = c.uvarint(); !ok {
-			return nil, 0, 0, false
-		}
-		off = c.off
-	}
-	if pre > uint64(len(c.doc)) || suf > uint64(len(data)-off) {
-		c.fail("doc entry: prefix %d of %d, suffix %d of %d remaining",
-			pre, len(c.doc), suf, len(data)-off)
+// decode is NextBytes' general decoder: it reads every field at any width
+// through uvarint and validates each length and index before using it.
+func (c *Cursor) decode() (doc []byte, freq, docLen int, ok bool) {
+	pre, ok := c.uvarint()
+	if !ok {
 		return nil, 0, 0, false
 	}
-	c.doc = append(c.doc[:pre], data[off:off+int(suf)]...)
-	off += int(suf)
+	suf, ok := c.uvarint()
+	if !ok {
+		return nil, 0, 0, false
+	}
+	if pre > uint64(len(c.doc)) || suf > uint64(len(c.data)-c.off) {
+		c.fail("doc entry: prefix %d of %d, suffix %d of %d remaining",
+			pre, len(c.doc), suf, len(c.data)-c.off)
+		return nil, 0, 0, false
+	}
+	c.doc = append(c.doc[:pre], c.data[c.off:c.off+int(suf)]...)
+	c.off += int(suf)
 
-	var oi uint64
-	if off < len(data) && data[off] < 0x80 {
-		oi, off = uint64(data[off]), off+1
-	} else {
-		c.off = off
-		if oi, ok = c.uvarint(); !ok {
-			return nil, 0, 0, false
-		}
-		off = c.off
+	oi, ok := c.uvarint()
+	if !ok {
+		return nil, 0, 0, false
 	}
 	if oi >= uint64(c.ownerCnt) {
 		c.fail("owner index %d out of %d", oi, c.ownerCnt)
@@ -391,47 +408,27 @@ func (c *Cursor) NextBytes() (doc []byte, freq, docLen int, ok bool) {
 	}
 	c.lastOwner = int(oi)
 
-	var packed uint64
-	if off < len(data) && data[off] < 0x80 {
-		packed, off = uint64(data[off]), off+1
-	} else {
-		c.off = off
-		if packed, ok = c.uvarint(); !ok {
-			return nil, 0, 0, false
-		}
-		off = c.off
+	packed, ok := c.uvarint()
+	if !ok {
+		return nil, 0, 0, false
 	}
 	zf := packed & 31
 	if zf == freqEscape {
-		c.off = off
 		if zf, ok = c.uvarint(); !ok {
 			return nil, 0, 0, false
 		}
-		off = c.off
 	}
 
-	var slen uint64
-	if off < len(data) && data[off] < 0x80 {
-		slen, off = uint64(data[off]), off+1
-	} else {
-		c.off = off
-		if slen, ok = c.uvarint(); !ok {
-			return nil, 0, 0, false
-		}
-		off = c.off
-	}
-	if slen > uint64(len(data)-off) {
-		c.fail("sketch length %d exceeds %d remaining bytes", slen, len(data)-off)
+	slen, ok := c.uvarint()
+	if !ok {
 		return nil, 0, 0, false
 	}
-	if slen == 0 {
-		c.sketch = nil
-	} else {
-		c.sketch = data[off : off+int(slen) : off+int(slen)]
-		off += int(slen)
+	if slen > uint64(len(c.data)-c.off) {
+		c.fail("sketch length %d exceeds %d remaining bytes", slen, len(c.data)-c.off)
+		return nil, 0, 0, false
 	}
-
-	c.off = off
+	c.skOff, c.skEnd = c.off, c.off+int(slen)
+	c.off = c.skEnd
 	c.left--
 	return c.doc, int(unzigzag(zf)), int(unzigzag(packed >> 5)), true
 }
@@ -440,7 +437,12 @@ func (c *Cursor) NextBytes() (doc []byte, freq, docLen int, ok bool) {
 // NextBytes/Next call produced, or nil when the posting carries none. The
 // slice aliases the immutable block data, so unlike the doc bytes it stays
 // valid across further cursor advances.
-func (c *Cursor) SketchBytes() []byte { return c.sketch }
+func (c *Cursor) SketchBytes() []byte {
+	if c.skOff == c.skEnd {
+		return nil
+	}
+	return c.data[c.skOff:c.skEnd:c.skEnd]
+}
 
 // Next decodes the next posting, owner included. It reports false at the end
 // of the postings or on malformed input (check Err to tell the two apart).
@@ -452,7 +454,7 @@ func (c *Cursor) Next() (Posting, bool) {
 	if c.owners == nil && !c.materializeOwners() {
 		return Posting{}, false
 	}
-	return Posting{Doc: DocID(doc), Owner: c.owners[c.lastOwner], Freq: freq, DocLen: docLen, Sketch: string(c.sketch)}, true
+	return Posting{Doc: DocID(doc), Owner: c.owners[c.lastOwner], Freq: freq, DocLen: docLen, Sketch: string(c.SketchBytes())}, true
 }
 
 // Encoded is an immutable snapshot of one term's block-compressed postings.
@@ -478,6 +480,15 @@ func (e Encoded) NumBlocks() int { return len(e.blocks) }
 
 // Cursor returns a streaming decoder positioned before the first posting.
 func (e Encoded) Cursor() *Cursor { return &Cursor{blocks: e.blocks} }
+
+// CursorWith returns Cursor's decoder by value, decoding doc IDs into
+// scratch's backing array (an ID longer than cap(scratch) grows it by
+// append). A caller that walks many lists at once (ir.MergeTopK) holds its
+// cursors in one slice and carves their scratch from one buffer, so it
+// allocates nothing per list.
+func (e Encoded) CursorWith(scratch []byte) Cursor {
+	return Cursor{blocks: e.blocks, doc: scratch[:0]}
+}
 
 // All iterates the postings in ascending doc-ID order. Malformed blocks end
 // the sequence early (use Cursor directly to observe the error).

@@ -1,10 +1,12 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -283,9 +285,114 @@ func TestEncodedZeroRoundTrip(t *testing.T) {
 	}
 }
 
+// checkDecoders walks blocks twice in step, with NextBytes and with the
+// general decoder alone (nextGeneral). The two must agree posting for posting
+// on doc, freq, docLen and SketchBytes, and on where and how they stop. It
+// returns the number of postings decoded.
+func checkDecoders(t *testing.T, blocks []*block) int {
+	t.Helper()
+	fast, general := Cursor{blocks: blocks}, Cursor{blocks: blocks}
+	for n := 0; ; n++ {
+		fd, ff, fl, fok := fast.NextBytes()
+		gd, gf, gl, gok := general.nextGeneral()
+		fs, gs := fast.SketchBytes(), general.SketchBytes()
+		if fok != gok || !bytes.Equal(fd, gd) || ff != gf || fl != gl ||
+			!bytes.Equal(fs, gs) || (fs == nil) != (gs == nil) {
+			t.Fatalf("posting %d: NextBytes (%q,%d,%d,%v, sketch %x) vs general (%q,%d,%d,%v, sketch %x)",
+				n, fd, ff, fl, fok, fs, gd, gf, gl, gok, gs)
+		}
+		if !fok {
+			if fmt.Sprint(fast.Err()) != fmt.Sprint(general.Err()) {
+				t.Fatalf("after %d postings: NextBytes err %v, general err %v", n, fast.Err(), general.Err())
+			}
+			return n
+		}
+	}
+}
+
+// TestNextBytesFallbacks: each posting shape NextBytes' fast path leaves to
+// the general decoder decodes to what was stored, and the two decoders
+// agree on it and on every truncation of its block, down to a posting that
+// ends exactly where the block does.
+func TestNextBytesFallbacks(t *testing.T) {
+	// Zero bytes and one-byte fields: a field misread at the wrong width
+	// lands on bytes that still pass as a posting, so only the values tell.
+	long := strings.Repeat("\x00", 150)
+	manyOwners := make([]Posting, 200) // owner indexes past 127 take two bytes
+	for i := range manyOwners {
+		manyOwners[i] = Posting{Doc: DocID(fmt.Sprintf("doc%05d", i)), Owner: fmt.Sprintf("peer%03d", i), Freq: 1, DocLen: i % 2}
+	}
+	cases := map[string][]Posting{
+		"three-byte packed field": {
+			{Doc: "doc00001", Owner: "p", Freq: 2, DocLen: 256},
+			{Doc: "doc00002", Owner: "p", Freq: 1, DocLen: 70000},
+			{Doc: "doc00003", Owner: "p", Freq: 3, DocLen: 255}, // the widest two-byte field
+		},
+		"escaped freq": {
+			{Doc: "doc00001", Owner: "p", Freq: 16, DocLen: 90},
+			{Doc: "doc00002", Owner: "p", Freq: 15, DocLen: 90}, // the largest packed freq
+			{Doc: "doc00003", Owner: "p", Freq: -16, DocLen: 90},
+		},
+		"suffix of 128 bytes or more": {
+			{Doc: DocID(long), Owner: "p", Freq: 1, DocLen: 0},
+			{Doc: DocID(long[:127] + "y"), Owner: "p", Freq: 1, DocLen: 0},
+		},
+		"prefix of 128 bytes or more": {
+			{Doc: DocID(long + "\x00"), Owner: "p", Freq: 0, DocLen: 0},
+			{Doc: DocID(long + "\x00\x00"), Owner: "p", Freq: 0, DocLen: 0},
+		},
+		"sketch of 128 bytes or more": {
+			{Doc: "doc00001", Owner: "p", Freq: 1, DocLen: 90, Sketch: strings.Repeat("s", 128)},
+			{Doc: "doc00002", Owner: "p", Freq: 1, DocLen: 90, Sketch: strings.Repeat("t", 127)},
+		},
+		"multi-byte owner index": manyOwners,
+		"fast posting at the block's end": {
+			{Doc: "doc00001", Owner: "p", Freq: 1, DocLen: 90},
+			{Doc: "doc00002", Owner: "p", Freq: 1, DocLen: 200, Sketch: "abc"},
+		},
+	}
+	for name, ps := range cases {
+		ix := NewInverted()
+		for _, p := range ps {
+			ix.Add("t", p)
+		}
+		e := ix.Encoded("t")
+		want := slices.Clone(ps)
+		slices.SortFunc(want, func(a, b Posting) int { return strings.Compare(string(a.Doc), string(b.Doc)) })
+		if got := e.Slice(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: decoded %+v, want %+v", name, got, want)
+		}
+		if n := checkDecoders(t, e.blocks); n != len(ps) {
+			t.Fatalf("%s: decoders agree on %d of %d postings", name, n, len(ps))
+		}
+		for _, b := range e.blocks {
+			for cut := range b.data {
+				checkDecoders(t, []*block{{data: b.data[:cut]}})
+			}
+		}
+	}
+	// Malformed postings in the common shape: the fast path must leave each
+	// to the general decoder's error. Header: 1 posting, 1 owner "p".
+	for name, data := range map[string][]byte{
+		"prefix past the previous doc": {1, 1, 0, 1, 'p', 5, 1, 'a', 0, 66, 0},
+		"owner index out of range":     {1, 1, 0, 1, 'p', 0, 1, 'a', 1, 66, 0},
+		"sketch past the block":        {1, 1, 0, 1, 'p', 0, 1, 'a', 0, 66, 2, 's'},
+		"suffix past the block":        {1, 1, 0, 1, 'p', 0, 9, 'a', 0, 66, 0},
+	} {
+		if n := checkDecoders(t, []*block{{data: data}}); n != 0 {
+			t.Fatalf("%s: decoded %d postings", name, n)
+		}
+		c := Cursor{blocks: []*block{{data: data}}}
+		if _, _, _, ok := c.NextBytes(); ok || c.Err() == nil {
+			t.Fatalf("%s: decoded without an error", name)
+		}
+	}
+}
+
 // FuzzPostingsBlock pins the decode safety contract: valid encodings round
 // trip cleanly, and truncated, bit-flipped, or arbitrary garbage input never
-// panics — it either decodes or returns an error.
+// panics — it either decodes or returns an error. NextBytes' fast path and
+// the general decoder agree on every input.
 func FuzzPostingsBlock(f *testing.F) {
 	seedIx := NewInverted()
 	for i := 0; i < 40; i++ {
@@ -309,9 +416,15 @@ func FuzzPostingsBlock(f *testing.F) {
 				mutated[int(pos)%len(mutated)] ^= 1 << (pos % 8)
 			}
 		}
+		// Read as one raw block, accepted or not, the bytes decode alike
+		// through NextBytes and through the general decoder.
+		checkDecoders(t, []*block{{data: mutated}})
 		var e Encoded
 		if err := e.UnmarshalBinary(mutated); err != nil {
 			return
+		}
+		if n := checkDecoders(t, e.blocks); n != e.Len() {
+			t.Fatalf("decoders agree on %d of %d postings", n, e.Len())
 		}
 		// Accepted input must decode fully and consistently: the cursor
 		// yields exactly Len postings in strictly ascending doc order with

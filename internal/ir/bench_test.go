@@ -17,7 +17,7 @@ func benchFixture(n int) ([]index.Posting, *index.Inverted) {
 	ps := make([]index.Posting, 0, n)
 	for i := 0; i < n; i++ {
 		ps = append(ps, index.Posting{
-			Doc:    index.DocID(fmt.Sprintf("doc%06d", i)),
+			Doc:    index.DocID(fmt.Sprintf("doc%05d", i)),
 			Owner:  fmt.Sprintf("peer%02d", rng.Intn(64)),
 			Freq:   1 + rng.Intn(9),
 			DocLen: 60 + rng.Intn(180),
@@ -50,7 +50,7 @@ func BenchmarkMergeTopK(b *testing.B) {
 	ps, ix := benchFixture(50000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MergeTopK([]MergeTerm{{Cursor: ix.Cursor("t"), WQ: 0.37, N: LargeN, DF: len(ps)}}, 10)
+		MergeTopK([]MergeTerm{{List: ix.Encoded("t"), WQ: 0.37, N: LargeN, DF: len(ps)}}, 10)
 	}
 }
 
@@ -69,7 +69,7 @@ func BenchmarkScoreQuery(b *testing.B) {
 	for t := 0; t < terms; t++ {
 		for _, d := range rng.Perm(docs)[:perTerm] {
 			ix.Add(fmt.Sprint("t", t), index.Posting{
-				Doc:    index.DocID(fmt.Sprintf("doc%06d", d)),
+				Doc:    index.DocID(fmt.Sprintf("doc%05d", d)),
 				Owner:  fmt.Sprintf("peer%02d", d%16),
 				Freq:   1 + rng.Intn(9),
 				DocLen: 60 + rng.Intn(180),
@@ -87,7 +87,7 @@ func BenchmarkScoreQuery(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			mts := make([]MergeTerm, 0, terms)
 			for _, e := range lists {
-				mts = append(mts, MergeTerm{Cursor: e.Cursor(), WQ: wq, N: LargeN, DF: perTerm})
+				mts = append(mts, MergeTerm{List: e, WQ: wq, N: LargeN, DF: perTerm})
 			}
 			scoreSink = MergeTopK(mts, k)
 		}

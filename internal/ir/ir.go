@@ -8,6 +8,7 @@ package ir
 import (
 	"math"
 	"slices"
+	"strings"
 
 	"github.com/spritedht/sprite/internal/index"
 )
@@ -207,15 +208,6 @@ func (a *Accumulator) Ranked() RankedList {
 	return rl
 }
 
-// rankAfter reports whether x belongs strictly after y in rank order —
-// the same total order Sort uses (descending score, ascending DocID).
-func rankAfter(x, y Hit) bool {
-	if x.Score != y.Score {
-		return x.Score < y.Score
-	}
-	return x.Doc > y.Doc
-}
-
 // RankedTop returns the k best hits in rank order. It is equivalent to
 // Ranked().Top(k) — (score, doc) is a strict total order, so the top-k set
 // and its order are unique — but selects through a bounded heap instead of
@@ -228,31 +220,111 @@ func (a *Accumulator) RankedTop(k int) RankedList {
 	if k <= 0 {
 		return RankedList{}
 	}
-	t := topkHeap{h: make(RankedList, 0, k), k: k}
+	t := newTopK(k, make([]byte, k*docSlot))
 	for i := range a.entries {
 		e := &a.entries[i]
-		t.offer(Hit{Doc: e.doc, Score: Similarity(e.dot, e.docLen)})
+		offer(&t, string(e.doc), Similarity(e.dot, e.docLen))
 	}
 	return t.ranked()
 }
 
-// topkHeap selects the k best hits under rankAfter's total order. The heap
-// keeps the worst hit at the root, so each candidate is compared against the
-// worst hit currently kept; (score, doc) being a strict total order makes
+// docSlot is how many doc-ID bytes a heap slot (and a merge cursor's
+// scratch) is carved with up front. The corpus's IDs are 8 bytes; a longer
+// one grows its own slot by append.
+const docSlot = 16
+
+// topkHeap selects the k best candidates under rankAfter's total order. The
+// heap keeps the worst candidate at the root, so each offer is compared
+// against the worst one kept; (score, doc) being a strict total order makes
 // the selected set and its final order independent of offer order.
+//
+// The heap owns its doc bytes: a kept candidate is copied into a slot carved
+// from one buffer, and a replacement is copied over the evicted one's slot,
+// so an offered doc ID may alias a buffer the caller reuses and selection
+// allocates nothing per candidate. ranked cuts the k result strings from one
+// allocation.
 type topkHeap struct {
-	h RankedList
-	k int
+	h     []slot
+	k     int
+	spare []byte // slot storage not yet handed out
+}
+
+// slot is one kept candidate.
+type slot struct {
+	doc   []byte
+	score float64
+}
+
+// newTopK returns a heap for the k best candidates whose first slots are
+// carved from spare, docSlot bytes each; a slot past those is allocated on
+// its own.
+func newTopK(k int, spare []byte) topkHeap {
+	return topkHeap{h: make([]slot, 0, min(k, len(spare)/docSlot)), k: k, spare: spare}
+}
+
+// rankAfter reports whether x belongs strictly after y in rank order — the
+// total order Sort uses (descending score, ascending doc ID).
+func rankAfter(x, y *slot) bool {
+	if x.score != y.score {
+		return x.score < y.score
+	}
+	return docAfter(x.doc, y.doc)
+}
+
+// offer considers one candidate, keeping it only if fewer than k are held or
+// it beats the worst kept one — rankAfter's decision, NaN scores included,
+// made before doc is copied anywhere.
+func offer[D string | []byte](t *topkHeap, doc D, score float64) {
+	if len(t.h) < t.k {
+		var b []byte
+		if len(t.spare) >= docSlot {
+			b, t.spare = t.spare[:0:docSlot], t.spare[docSlot:]
+		}
+		t.h = append(t.h, slot{doc: append(b, doc...), score: score})
+		for c := len(t.h) - 1; c > 0; { // sift up
+			p := (c - 1) / 2
+			if !rankAfter(&t.h[c], &t.h[p]) {
+				break
+			}
+			t.h[c], t.h[p] = t.h[p], t.h[c]
+			c = p
+		}
+		return
+	}
+	w := &t.h[0]
+	if w.score != score {
+		if !(w.score < score) {
+			return
+		}
+	} else if !docAfter(w.doc, doc) {
+		return
+	}
+	w.doc = w.doc[:0] // a reslice and an append in place write no pointer
+	w.doc = append(w.doc, doc...)
+	w.score = score
+	t.siftDown(0)
+}
+
+// docAfter reports whether a sorts lexicographically after b — the doc
+// tie-break of rankAfter, also for a candidate that is not in a slot yet.
+func docAfter[D string | []byte](a []byte, b D) bool {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return a[i] > b[i]
+		}
+	}
+	return len(a) > len(b)
 }
 
 func (t *topkHeap) siftDown(i int) {
 	h := t.h
 	for {
 		w := i
-		if l := 2*i + 1; l < len(h) && rankAfter(h[l], h[w]) {
+		if l := 2*i + 1; l < len(h) && rankAfter(&h[l], &h[w]) {
 			w = l
 		}
-		if r := 2*i + 2; r < len(h) && rankAfter(h[r], h[w]) {
+		if r := 2*i + 2; r < len(h) && rankAfter(&h[r], &h[w]) {
 			w = r
 		}
 		if w == i {
@@ -263,31 +335,27 @@ func (t *topkHeap) siftDown(i int) {
 	}
 }
 
-// offer considers one candidate, keeping it only if fewer than k hits are
-// held or it beats the worst kept hit.
-func (t *topkHeap) offer(hit Hit) {
-	if len(t.h) < t.k {
-		t.h = append(t.h, hit)
-		for c := len(t.h) - 1; c > 0; { // sift up
-			p := (c - 1) / 2
-			if !rankAfter(t.h[c], t.h[p]) {
-				break
-			}
-			t.h[c], t.h[p] = t.h[p], t.h[c]
-			c = p
-		}
-		return
-	}
-	if rankAfter(t.h[0], hit) { // better than the worst kept hit
-		t.h[0] = hit
-		t.siftDown(0)
-	}
-}
-
-// ranked finalizes the selection in rank order.
+// ranked finalizes the selection in rank order. Call it once, after the
+// last offer: the hits' doc IDs are cut from one string built here.
 func (t *topkHeap) ranked() RankedList {
-	t.h.Sort()
-	return t.h
+	n := 0
+	for i := range t.h {
+		n += len(t.h[i].doc)
+	}
+	var ids strings.Builder
+	ids.Grow(n)
+	for i := range t.h {
+		ids.Write(t.h[i].doc)
+	}
+	all := ids.String()
+	rl := make(RankedList, len(t.h))
+	for i := range t.h {
+		d := len(t.h[i].doc)
+		rl[i] = Hit{Doc: index.DocID(all[:d]), Score: t.h[i].score}
+		all = all[d:]
+	}
+	rl.Sort()
+	return rl
 }
 
 // Metrics holds the two standard retrieval-quality measures (§6): with top K

@@ -2,6 +2,8 @@ package ir
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"math"
 
 	"github.com/spritedht/sprite/internal/index"
@@ -13,7 +15,8 @@ import (
 // stream — the document can be scored completely and offered to a bounded
 // top-k heap the moment the merge reaches it. No per-document map entry or
 // materialized string is ever built for documents that do not reach the
-// top k; a query's working state is the cursors plus k hits.
+// top k; a query's working state is one slice of cursors, one byte buffer
+// carved into their doc scratch and the heap's k slots, and the heap.
 //
 // The rankings are bit-identical to accumulating the same streams term by
 // term: each document's dot product sums its per-term contributions in query
@@ -21,29 +24,68 @@ import (
 // order), and (score, doc) is a strict total order, so top-k selection is
 // insensitive to the order documents are offered in.
 
-// MergeTerm is one query term's input to MergeTopK: a cursor over the
-// term's postings plus the term's scoring inputs.
+// MergeTerm is one query term's input to MergeTopK: the term's postings plus
+// its scoring inputs.
 type MergeTerm struct {
-	Cursor *index.Cursor
-	WQ     float64 // query-side weight of the term
-	N      int     // collection size for the IDF factor
-	DF     int     // term document frequency
+	List index.Encoded // the term's postings
+	WQ   float64       // query-side weight of the term
+	N    int           // collection size for the IDF factor
+	DF   int           // term document frequency
 }
 
-// mergeState is one term's position in the merge: the head posting decoded
-// off its cursor. doc aliases the cursor's scratch buffer and is valid until
-// the cursor's next advance.
+// mergeState is one term's position in the merge: its cursor, held by value
+// (live-term compaction moves the states, and nothing points into one), and
+// the head posting decoded off it. doc aliases the cursor's scratch and is
+// valid until the cursor's next advance; key is doc's first 8 bytes.
 type mergeState struct {
-	cur          *index.Cursor
-	wq, idf      float64
+	cur          index.Cursor
+	key          uint64
 	doc          []byte
 	freq, docLen int
+	wq, idf      float64
 }
 
 // advance decodes the term's next head and reports whether there was one.
 func (s *mergeState) advance() (ok bool) {
 	s.doc, s.freq, s.docLen, ok = s.cur.NextBytes()
+	s.key = docKey(s.doc)
 	return ok
+}
+
+// docKey is doc's first 8 bytes as a big-endian integer, zero-padded. Two
+// docs whose keys differ order as their keys do: a shorter ID's padding is
+// no greater than the byte the longer one has there.
+func docKey(doc []byte) uint64 {
+	if len(doc) >= 8 {
+		return binary.BigEndian.Uint64(doc)
+	}
+	var k uint64
+	for i, b := range doc {
+		k |= uint64(b) << (56 - 8*i)
+	}
+	return k
+}
+
+// cmpHeads orders two heads by doc ID, as bytes.Compare would. Only equal
+// keys look at the bytes: then the docs share their first 8 bytes, or one
+// (of at most 8) is a prefix of the other, padding equal to the longer's
+// zero bytes, and the lengths decide.
+func cmpHeads(a, b *mergeState) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	return cmpTails(a.doc, b.doc)
+}
+
+// cmpTails is cmpHeads for two docs with equal keys.
+func cmpTails(a, b []byte) int {
+	if len(a) <= 8 || len(b) <= 8 {
+		return cmp.Compare(len(a), len(b))
+	}
+	return bytes.Compare(a[8:], b[8:])
 }
 
 // contribution is the head posting's share of its document's dot product:
@@ -66,33 +108,41 @@ func MergeTopK(terms []MergeTerm, k int) RankedList {
 	if k <= 0 {
 		return RankedList{}
 	}
+	candidates := 0
+	for _, t := range terms {
+		if t.DF > 0 && t.N > 0 {
+			candidates += t.DF
+		}
+	}
+	// DF is the list's length wherever a list is scored whole, which bounds
+	// the hits; the heap grows past the hint if a caller's DF is smaller.
+	// One buffer holds every cursor's doc scratch, then the heap's slots.
+	scratch := make([]byte, (len(terms)+min(k, candidates))*docSlot)
+	top := newTopK(k, scratch[len(terms)*docSlot:])
+
 	// live holds the terms that still have a head, in terms order; an
 	// exhausted term is cut out so the loop below never looks at it again.
 	live := make([]mergeState, 0, len(terms))
-	candidates := 0
-	for _, t := range terms {
-		s := mergeState{cur: t.Cursor, wq: t.WQ}
+	for i, t := range terms {
+		s := mergeState{cur: t.List.CursorWith(scratch[i*docSlot : (i+1)*docSlot]), wq: t.WQ}
 		if t.DF > 0 && t.N > 0 {
 			s.idf = math.Log(float64(t.N) / float64(t.DF))
-			candidates += t.DF
 		}
 		if s.advance() {
 			live = append(live, s)
 		}
 	}
-	// DF is the list's length wherever a list is scored whole, which bounds
-	// the hits; the heap grows past the hint if a caller's DF is smaller.
-	top := topkHeap{h: make(RankedList, 0, min(k, candidates)), k: k}
-	eq := make([]int, 0, len(live)) // the live terms whose head is the current doc
-	for len(live) > 0 {
+	var eqBuf [8]int
+	eq := eqBuf[:0] // the live terms whose head is the current doc
+	for len(live) > 1 {
 		// One comparison pass finds the smallest head and every term sharing
 		// it, ascending — the addition order of the per-term accumulator.
-		minDoc := live[0].doc
+		m := 0
 		eq = append(eq[:0], 0)
 		for i := 1; i < len(live); i++ {
-			switch c := bytes.Compare(live[i].doc, minDoc); {
+			switch c := cmpHeads(&live[i], &live[m]); {
 			case c < 0:
-				minDoc = live[i].doc
+				m = i
 				eq = append(eq[:0], i)
 			case c == 0:
 				eq = append(eq, i)
@@ -105,8 +155,8 @@ func MergeTopK(terms []MergeTerm, k int) RankedList {
 			dot += s.contribution()
 			docLen = s.docLen
 		}
-		// minDoc aliases a cursor's scratch: offer it before that cursor moves.
-		top.offerKey(minDoc, Similarity(dot, docLen))
+		// The head aliases a cursor's scratch: offer it before that cursor moves.
+		offer(&top, live[m].doc, Similarity(dot, docLen))
 		// Advance back to front so cutting an exhausted term out does not
 		// shift the positions still to visit.
 		for n := len(eq) - 1; n >= 0; n-- {
@@ -115,41 +165,12 @@ func MergeTopK(terms []MergeTerm, k int) RankedList {
 			}
 		}
 	}
-	return top.ranked()
-}
-
-// offerKey is offer for a candidate whose doc ID is still raw bytes: the
-// string is materialized only when the candidate is actually kept, so the
-// merge allocates nothing for the documents a query discards. The
-// keep-or-skip decision mirrors rankAfter exactly, including its treatment
-// of equal and unordered (NaN) scores.
-func (t *topkHeap) offerKey(doc []byte, score float64) {
-	if len(t.h) < t.k {
-		t.offer(Hit{Doc: index.DocID(doc), Score: score})
-		return
-	}
-	w := t.h[0]
-	better := false
-	if w.Score != score {
-		better = w.Score < score
-	} else {
-		better = stringAfterBytes(w.Doc, doc)
-	}
-	if !better {
-		return
-	}
-	t.h[0] = Hit{Doc: index.DocID(doc), Score: score}
-	t.siftDown(0)
-}
-
-// stringAfterBytes reports whether s sorts lexicographically after b — the
-// doc tie-break of rankAfter, evaluated without converting b to a string.
-func stringAfterBytes(s index.DocID, b []byte) bool {
-	n := min(len(s), len(b))
-	for i := 0; i < n; i++ {
-		if s[i] != b[i] {
-			return s[i] > b[i]
+	// One term left: its heads are the remaining documents, in order.
+	if len(live) == 1 {
+		s := &live[0]
+		for ok := true; ok; ok = s.advance() {
+			offer(&top, s.doc, Similarity(s.contribution(), s.docLen))
 		}
 	}
-	return len(s) > len(b)
+	return top.ranked()
 }

@@ -7,8 +7,8 @@ import (
 // SketchRanker is the similarity-query counterpart of MergeTopK: a streaming
 // top-k selector over candidate documents scored by sketch cosine against a
 // query sketch. The query path feeds it straight off postings cursors — doc
-// IDs as raw bytes, sketches aliasing immutable block data — and only a
-// candidate that actually enters the top k ever materializes a string.
+// IDs as raw bytes, sketches aliasing immutable block data — through the
+// same top-k heap, so only the k IDs finally ranked become strings.
 //
 // Candidates deduplicate first-wins by doc ID: a document reached through
 // several routing terms is scored once, on the sketch its first appearance
@@ -32,14 +32,15 @@ func NewSketchRanker(query []byte, k int) *SketchRanker {
 	return &SketchRanker{
 		query: query,
 		seen:  make(map[string]struct{}),
-		top:   topkHeap{h: make(RankedList, 0, k), k: k},
+		top:   newTopK(k, make([]byte, k*docSlot)),
 	}
 }
 
 // Offer considers one candidate document. doc may alias a cursor scratch
-// buffer — it is only copied if the candidate is kept. A missing or malformed
-// sketch scores 0 (sketch.CosineBytes's convention), so such documents rank
-// behind every positively-correlated candidate instead of failing the query.
+// buffer — it is only copied, into a slot the ranker owns, if the candidate
+// is kept. A missing or malformed sketch scores 0 (sketch.CosineBytes's
+// convention), so such documents rank behind every positively-correlated
+// candidate instead of failing the query.
 func (r *SketchRanker) Offer(doc, sk []byte) {
 	if r.top.k <= 0 {
 		return
@@ -48,7 +49,7 @@ func (r *SketchRanker) Offer(doc, sk []byte) {
 		return
 	}
 	r.seen[string(doc)] = struct{}{}
-	r.top.offerKey(doc, sketch.CosineBytes(r.query, sk))
+	offer(&r.top, doc, sketch.CosineBytes(r.query, sk))
 }
 
 // Candidates returns the number of distinct documents offered so far.

@@ -72,7 +72,7 @@ func TestStreamPathsBitIdentical(t *testing.T) {
 	)
 	want := sliceOracle([]oracleTerm{{ps, wq, df}}, n).Ranked()
 
-	merged := MergeTopK([]MergeTerm{{Cursor: ix.Cursor("t"), WQ: wq, N: n, DF: df}}, len(ps))
+	merged := MergeTopK([]MergeTerm{{List: ix.Encoded("t"), WQ: wq, N: n, DF: df}}, len(ps))
 	if !reflect.DeepEqual(merged, want) {
 		t.Fatal("MergeTopK diverges from the slice loop")
 	}
@@ -104,7 +104,29 @@ func TestMergeTopKMatchesAccumulator(t *testing.T) {
 		}
 		return out
 	}
+	// shaped gives ids equal frequency and length, so each document's score
+	// ties with every other one under the same terms and the doc-ID order
+	// decides the cut: the merge's 8-byte key compares and the heap's
+	// tie-break are both on the line.
+	shaped := func(ids ...string) []index.Posting {
+		ps := make([]index.Posting, len(ids))
+		for i, id := range ids {
+			ps[i] = index.Posting{Doc: index.DocID(id), Owner: "peer00", Freq: 2, DocLen: 100}
+		}
+		return ps
+	}
+	short := []string{"a", "ab", "abc", "d", "doc1", "doc12", "doc1234", "zzzzzzz"}
+	eight := []string{"doc00001", "doc00002", "doc00010", "abcdefgh", "abcdefgi", "zzzzzzzz"}
+	shared8 := []string{"doc00001a", "doc00001b", "doc00001", "doc000010", "doc00001aa", "doc00001ab", "doc00002zz"}
+	prefixes := []string{"ab", "ab\x00", "ab\x00\x00", "ab\x01", "abc", "\x00", "\x00\x00",
+		"doc0000", "doc0000\x00", "doc00000", "doc00000\x00", "doc00000\x00\x00", "doc000000"}
 	cases := map[string][][]index.Posting{
+		// IDs shorter than 8 bytes, and exactly 8, under overlapping terms.
+		"ids-up-to-8-bytes": {shaped(short...), shaped(eight...), shaped(slices.Concat(short[2:], eight[:3])...)},
+		// IDs longer than 8 bytes whose first 8 are the same.
+		"ids-sharing-8-bytes": {shaped(shared8...), shaped(shared8[1:4]...), shaped(shared8[3:]...)},
+		// One ID a prefix of another, trailing 0x00 bytes included.
+		"prefix-ids": {shaped(prefixes...), shaped(prefixes[1:7]...), shaped(prefixes[5:]...)},
 		// Overlapping doc sets, differing df and weights.
 		"overlap": {randomPostings(rng, 200+rng.Intn(200)), randomPostings(rng, 200+rng.Intn(200)), randomPostings(rng, 200+rng.Intn(200))},
 		// Every document under every term: each merge step folds all heads.
@@ -128,7 +150,7 @@ func TestMergeTopKMatchesAccumulator(t *testing.T) {
 		for _, k := range []int{1, 3, 10, 100, 5000} {
 			mts := make([]MergeTerm, len(lists))
 			for i, o := range oracle {
-				mts[i] = MergeTerm{Cursor: ix.Cursor(fmt.Sprint("term", i)), WQ: o.wq, N: n, DF: o.df}
+				mts[i] = MergeTerm{List: ix.Encoded(fmt.Sprint("term", i)), WQ: o.wq, N: n, DF: o.df}
 			}
 			acc := sliceOracle(oracle, n)
 			want := acc.Ranked().Top(k)
@@ -143,6 +165,44 @@ func TestMergeTopKMatchesAccumulator(t *testing.T) {
 	for _, k := range []int{0, -1, 10} {
 		if got := MergeTopK(nil, k); got == nil || len(got) != 0 {
 			t.Fatalf("MergeTopK(nil, %d) = %#v, want a non-nil empty list", k, got)
+		}
+	}
+}
+
+// The heap's tie-break, fed out of doc order: with every score equal, the k
+// kept are the k smallest IDs whatever order they arrive in — through
+// RankedTop (string candidates) and SketchRanker (byte candidates aliasing
+// one scratch buffer) alike. The IDs are prefixes of one another, trailing
+// 0x00 bytes included, so only the lengths tell some of them apart.
+func TestTopKTieBreakAnyOrder(t *testing.T) {
+	ids := []string{"ab", "ab\x00", "ab\x00\x00", "ab\x01", "abc", "\x00", "\x00\x00",
+		"doc0000", "doc0000\x00", "doc00000", "doc00000\x00", "doc00000\x00\x00", "doc000000", "doc00001a"}
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 20; round++ {
+		order := slices.Clone(ids)
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		if round == 0 {
+			slices.Sort(order)
+			slices.Reverse(order) // every candidate beats the worst kept one
+		}
+		acc := NewAccumulator()
+		for _, id := range order {
+			acc.Accumulate(index.DocID(id), 1, 4)
+		}
+		for k := 1; k < len(ids); k++ {
+			want := acc.Ranked().Top(k)
+			if got := acc.RankedTop(k); !reflect.DeepEqual(got, want) {
+				t.Fatalf("order %q k=%d: RankedTop %v, want %v", order, k, got.Docs(), want.Docs())
+			}
+			r := NewSketchRanker(nil, k)
+			scratch := make([]byte, 0, 16)
+			for _, id := range order {
+				scratch = append(scratch[:0], id...)
+				r.Offer(scratch, nil)
+			}
+			if got := r.Ranked().Docs(); !reflect.DeepEqual(got, want.Docs()) {
+				t.Fatalf("order %q k=%d: SketchRanker %q, want %q", order, k, got, want.Docs())
+			}
 		}
 	}
 }
