@@ -482,12 +482,14 @@ func (e Encoded) NumBlocks() int { return len(e.blocks) }
 func (e Encoded) Cursor() *Cursor { return &Cursor{blocks: e.blocks} }
 
 // CursorWith returns Cursor's decoder by value, decoding doc IDs into
-// scratch's backing array (an ID longer than cap(scratch) grows it by
-// append). A caller that walks many lists at once (ir.MergeTopK) holds its
+// scratch[:len(scratch)] and never past it: the cursor's buffer is capped at
+// len(scratch), so an ID longer than that moves to a buffer of its own by
+// append instead of writing over whatever follows scratch in its backing
+// array. A caller that walks many lists at once (ir.MergeTopK) holds its
 // cursors in one slice and carves their scratch from one buffer, so it
 // allocates nothing per list.
 func (e Encoded) CursorWith(scratch []byte) Cursor {
-	return Cursor{blocks: e.blocks, doc: scratch[:0]}
+	return Cursor{blocks: e.blocks, doc: scratch[:0:len(scratch)]}
 }
 
 // All iterates the postings in ascending doc-ID order. Malformed blocks end

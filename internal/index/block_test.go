@@ -209,6 +209,35 @@ func TestCursorNextBytes(t *testing.T) {
 	}
 }
 
+// CursorWith decodes into its scratch and never past it: IDs longer than the
+// scratch grow a buffer of their own, and the bytes that follow the scratch
+// in its backing array — another cursor's region, in ir.MergeTopK — stay as
+// they were.
+func TestCursorWithStaysInScratch(t *testing.T) {
+	ix := NewInverted()
+	for i := 0; i < 80; i++ {
+		ix.Add("t", post(fmt.Sprintf("collection/archive/%03d/%s", i%9, strings.Repeat("x", i%23)), 1+i%5, 40+i))
+	}
+	want := slices.Collect(ix.All("t"))
+	buf := bytes.Repeat([]byte{0xAA}, 64)
+	cur := ix.Encoded("t").CursorWith(buf[:16])
+	for i := 0; ; i++ {
+		doc, freq, docLen, ok := cur.NextBytes()
+		if !ok {
+			if i != len(want) || cur.Err() != nil {
+				t.Fatalf("ended at %d of %d (err %v)", i, len(want), cur.Err())
+			}
+			break
+		}
+		if w := want[i]; DocID(doc) != w.Doc || freq != w.Freq || docLen != w.DocLen {
+			t.Fatalf("posting %d: (%s,%d,%d), want %+v", i, doc, freq, docLen, w)
+		}
+	}
+	if !bytes.Equal(buf[16:], bytes.Repeat([]byte{0xAA}, 48)) {
+		t.Fatalf("CursorWith wrote past its scratch: % x", buf[16:])
+	}
+}
+
 // Sketches must survive the block codec byte-for-byte, via both the Posting
 // field and the cursor's zero-copy SketchBytes accessor, across block
 // boundaries and mixed sketched/unsketched postings.

@@ -223,14 +223,15 @@ func (a *Accumulator) RankedTop(k int) RankedList {
 	t := newTopK(k, make([]byte, k*docSlot))
 	for i := range a.entries {
 		e := &a.entries[i]
-		offer(&t, string(e.doc), Similarity(e.dot, e.docLen))
+		offer(&t, []byte(e.doc), Similarity(e.dot, e.docLen))
 	}
 	return t.ranked()
 }
 
 // docSlot is how many doc-ID bytes a heap slot (and a merge cursor's
-// scratch) is carved with up front. The corpus's IDs are 8 bytes; a longer
-// one grows its own slot by append.
+// scratch) is carved with up front. The corpus's IDs are 8 bytes. Slots and
+// cursor scratch are capped at docSlot, so a longer ID moves to a buffer of
+// its own by append, never into the region that follows.
 const docSlot = 16
 
 // topkHeap selects the k best candidates under rankAfter's total order. The
@@ -274,7 +275,7 @@ func rankAfter(x, y *slot) bool {
 // offer considers one candidate, keeping it only if fewer than k are held or
 // it beats the worst kept one — rankAfter's decision, NaN scores included,
 // made before doc is copied anywhere.
-func offer[D string | []byte](t *topkHeap, doc D, score float64) {
+func offer(t *topkHeap, doc []byte, score float64) {
 	if len(t.h) < t.k {
 		var b []byte
 		if len(t.spare) >= docSlot {
@@ -307,7 +308,7 @@ func offer[D string | []byte](t *topkHeap, doc D, score float64) {
 
 // docAfter reports whether a sorts lexicographically after b — the doc
 // tie-break of rankAfter, also for a candidate that is not in a slot yet.
-func docAfter[D string | []byte](a []byte, b D) bool {
+func docAfter(a, b []byte) bool {
 	n := min(len(a), len(b))
 	for i := 0; i < n; i++ {
 		if a[i] != b[i] {

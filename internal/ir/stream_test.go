@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"github.com/spritedht/sprite/internal/index"
@@ -120,7 +121,23 @@ func TestMergeTopKMatchesAccumulator(t *testing.T) {
 	shared8 := []string{"doc00001a", "doc00001b", "doc00001", "doc000010", "doc00001aa", "doc00001ab", "doc00002zz"}
 	prefixes := []string{"ab", "ab\x00", "ab\x00\x00", "ab\x01", "abc", "\x00", "\x00\x00",
 		"doc0000", "doc0000\x00", "doc00000", "doc00000\x00", "doc00000\x00\x00", "doc000000"}
+	// long holds IDs of 20 to 40 bytes sharing long prefixes: each is longer
+	// than a cursor's scratch region and a heap slot as carved, so decoding
+	// one must grow its own buffer, never run into a neighbour's.
+	var long []string
+	for i := 0; i < 60; i++ {
+		id := fmt.Sprintf("collection/archive/%03d/%s", i%7, strings.Repeat("x", i%19))
+		long = append(long, id)
+	}
+	long = slices.Compact(slices.Sorted(slices.Values(long)))
+	var everyOther []string
+	for i := 0; i < len(long); i += 2 {
+		everyOther = append(everyOther, long[i])
+	}
 	cases := map[string][][]index.Posting{
+		// IDs longer than any carved buffer, under overlapping terms; the
+		// last term drains alone over the others' kept IDs.
+		"ids-longer-than-16-bytes": {shaped(long...), shaped(everyOther...), reweigh(shaped(long[5:40]...)), shaped(long[len(long)/2:]...)},
 		// IDs shorter than 8 bytes, and exactly 8, under overlapping terms.
 		"ids-up-to-8-bytes": {shaped(short...), shaped(eight...), shaped(slices.Concat(short[2:], eight[:3])...)},
 		// IDs longer than 8 bytes whose first 8 are the same.
