@@ -204,11 +204,14 @@ send-guard:
 # Allocation guard: what one uncached search, one cached search, a
 # one-document sweep, one share and one unshare allocate on a fixed 16-peer
 # simnet deployment (Parallelism 1, telemetry off), held to the ceilings in
-# internal/core/alloc_test.go. Allocation counts repeat exactly for a
-# toolchain, so a path that starts allocating more fails here before any
+# internal/core/alloc_test.go; and what one loopback echo call allocates on
+# the TCP transport, with telemetry off and on, held to the ceiling in
+# internal/transport/transport_test.go. Allocation counts repeat exactly for
+# a toolchain, so a path that starts allocating more fails here before any
 # wall-clock number moves.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestAllocationCeilings' -v ./internal/core
+	$(GO) test -count=1 -run 'TestCallAllocations' -v ./internal/transport
 
 # Compressed-postings smoke: the block codec's property tests (compressed ≡
 # plain twin, marshal round-trip, cursor snapshot semantics, compression
@@ -282,7 +285,9 @@ chaos-smoke:
 	$(GO) test ./internal/chaos -run TestChaos -chaos.steps=150 -timeout 5m
 
 # Native Go fuzz targets, 10s each: the text pipeline (never panic, stemming
-# idempotent), the wire codec (payload round-trip, garbage never panics),
+# idempotent), the wire codec (payload round-trip, garbage never panics), the
+# TCP transport's frame parser (hostile bodies refused or parsed inside their
+# bounds, encoded frames round-tripping every field),
 # the postings blocks (decode of garbage, and write sequences through the
 # encoded splice staying canonical and valid), and snapshot loading (hostile
 # files refused without a panic or an allocation beyond the input, accepted
@@ -295,6 +300,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzAnalyzerTerms -fuzztime=10s ./internal/text
 	$(GO) test -run=NONE -fuzz=FuzzCodec -fuzztime=10s ./internal/wire
 	$(GO) test -run=NONE -fuzz=FuzzBinaryProtocol -fuzztime=10s ./internal/wire
+	$(GO) test -run=NONE -fuzz=FuzzFrame -fuzztime=10s ./internal/transport
 	$(GO) test -run=NONE -fuzz=FuzzPostingsBlock -fuzztime=10s ./internal/index
 	$(GO) test -run=NONE -fuzz=FuzzPostingsSplice -fuzztime=10s ./internal/index
 	$(GO) test -run=NONE -fuzz='FuzzSketch$$' -fuzztime=10s ./internal/sketch

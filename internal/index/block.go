@@ -285,6 +285,17 @@ func (c *Cursor) openBlock() bool {
 func (c *Cursor) skipOwners() bool {
 	var prevLen uint64
 	for i := 0; i < c.ownerCnt; i++ {
+		// Nearly every entry's prefix and suffix lengths fit one byte each:
+		// skip those in one step, bounds checked as below. Anything else,
+		// a bad entry included, takes the general path, which reports it.
+		if c.off+1 < len(c.data) {
+			pre, suf := c.data[c.off], c.data[c.off+1]
+			if pre|suf < 0x80 && uint64(pre) <= prevLen && int(suf) <= len(c.data)-c.off-2 {
+				c.off += 2 + int(suf)
+				prevLen = uint64(pre) + uint64(suf)
+				continue
+			}
+		}
 		pre, ok := c.uvarint()
 		if !ok {
 			return false

@@ -76,7 +76,11 @@ type Transport interface {
 	// expired context fails immediately with an error wrapping ctx.Err()
 	// (never ErrUnreachable, so retry layers do not retry a caller that gave
 	// up), and deadlines bound the call's duration. Call sites with no
-	// deadline to carry pass context.Background().
+	// deadline to carry pass context.Background(). A call from a peer to
+	// itself (from == to, to registered on this transport) crosses no
+	// network: its handler runs on the caller's goroutine, and the call is
+	// counted only as a local bypass, never as traffic, since a peer reading
+	// its own index costs nothing in the paper's cost model.
 	CallCtx(ctx context.Context, from, to Addr, msg Message) (Message, error)
 	// Alive reports whether addr is believed reachable. Implementations may
 	// be optimistic — a true result does not guarantee the next CallCtx
@@ -368,9 +372,8 @@ func (n *Network) aliveLocked(addr Addr) bool {
 
 // CallCtx performs a synchronous RPC from one peer to another. The reply and
 // error come from the destination handler; transport-level failures surface
-// as ErrUnreachable. Calls from a peer to itself bypass the network and are
-// not metered, matching the usual DHT cost model in which local index access
-// costs nothing. A context that is already done fails immediately with an
+// as ErrUnreachable. Calls from a peer to itself bypass the network, as
+// Transport says; a failed peer's call to itself is unreachable. A context that is already done fails immediately with an
 // error wrapping ctx.Err() (never ErrUnreachable), and a call whose simulated
 // round trip would overrun the context's deadline fails with
 // context.DeadlineExceeded — the simulator's stand-in for a wall-clock

@@ -21,7 +21,7 @@ var errConnClosed = errors.New("transport: connection closed")
 
 // callResult is what the reader (or the closer) delivers to a waiting call.
 type callResult struct {
-	resp *response
+	resp frame
 	err  error
 }
 
@@ -144,13 +144,15 @@ func (c *clientConn) call(from simnet.Addr, msg simnet.Message) (uint64, chan ca
 	c.mu.Unlock()
 	c.pool.inflight.Add(1)
 
-	frame, err := appendRequestFrame(nil, id, string(from), msg.Type, msg.Payload)
+	e := getEncoder()
+	defer putEncoder(e)
+	req, err := encodeRequest(e, id, string(from), msg.Type, msg.Payload)
 	if err != nil {
 		c.take(id)
 		return 0, nil, err
 	}
-	c.t.met.countCodec(msg.Payload, len(frame))
-	if err := c.w.write(frame); errors.Is(err, errConnClosed) {
+	c.t.met.countCodec(msg.Payload, len(req))
+	if err := c.w.write(req); errors.Is(err, errConnClosed) {
 		c.take(id)
 		return 0, nil, err
 	} else if err != nil {
@@ -182,14 +184,18 @@ func (c *clientConn) take(id uint64) (chan callResult, bool) {
 // the pool dials fresh on the next use.
 func (c *clientConn) readLoop() {
 	br := bufio.NewReaderSize(c.c, 64<<10)
+	table := make(names)
 	for {
 		body, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			c.close(fmt.Errorf("transport: read: %w", err))
 			return
 		}
-		_, resp, err := parseFrame(body)
-		if err != nil || resp == nil {
+		resp, err := parseFrame(body, table)
+		if err == nil && resp.kind != frameResponse {
+			err = errors.New("request frame on a client connection")
+		}
+		if err != nil {
 			c.close(fmt.Errorf("transport: protocol error: %v", err))
 			return
 		}
@@ -247,14 +253,15 @@ func newServerConn(t *Transport, l *listener, c net.Conn) *serverConn {
 
 func (s *serverConn) readLoop() {
 	br := bufio.NewReaderSize(s.c, 64<<10)
+	table := make(names)
 	for {
 		body, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			s.close()
 			return
 		}
-		req, _, err := parseFrame(body)
-		if err != nil || req == nil {
+		req, err := parseFrame(body, table)
+		if err != nil || req.kind != frameRequest {
 			s.close()
 			return
 		}
@@ -263,7 +270,7 @@ func (s *serverConn) readLoop() {
 }
 
 // dispatch decodes one request, runs the handler, and writes the response.
-func (s *serverConn) dispatch(req *request) {
+func (s *serverConn) dispatch(req frame) {
 	msg, err := decodeMessage(req.msgType, req.codec, req.payload)
 	var reply simnet.Message
 	if err == nil {
@@ -282,18 +289,20 @@ func (s *serverConn) dispatch(req *request) {
 		// whole response.
 		reply = simnet.Message{}
 	}
-	frame, err := appendResponseFrame(nil, req.id, reply.Type, errMsg, reply.Payload)
+	e := getEncoder()
+	defer putEncoder(e)
+	resp, err := encodeResponse(e, req.id, reply.Type, errMsg, reply.Payload)
 	if err != nil {
 		// Response payload failed to encode: report that instead so the
 		// caller is not left to time out.
-		if frame, err = appendResponseFrame(nil, req.id, "", err.Error(), nil); err != nil {
+		if resp, err = encodeResponse(e, req.id, "", err.Error(), nil); err != nil {
 			s.close()
 			return
 		}
 	} else {
-		s.t.met.countCodec(reply.Payload, len(frame))
+		s.t.met.countCodec(reply.Payload, len(resp))
 	}
-	if s.w.write(frame) != nil {
+	if s.w.write(resp) != nil {
 		s.close() // the client sees the reset and fails the call
 	}
 }

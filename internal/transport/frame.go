@@ -1,9 +1,11 @@
 package transport
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/wire"
@@ -48,40 +50,66 @@ const (
 // absurd values before allocating for them.
 const DefaultMaxFrame = 64 << 20
 
-// appendRequestFrame encodes one request frame, including the length prefix.
-func appendRequestFrame(dst []byte, id uint64, from, msgType string, payload any) ([]byte, error) {
-	e := wire.NewEncoder(append(dst, 0, 0, 0, 0)) // length placeholder
-	e.Raw([]byte{frameRequest})
-	e.Raw(binary.BigEndian.AppendUint64(nil, id))
+// frameEncoders holds the encoders frames are built in, each keeping its
+// buffer from frame to frame. A frame may be handed back once
+// frameWriter.write returns: by then bufio has copied it or the socket has
+// taken it.
+var frameEncoders = sync.Pool{New: func() any { return new(wire.Encoder) }}
+
+// maxPooledFrame is the largest buffer handed back to frameEncoders; a larger
+// one, a bulk reply's, is left to the collector rather than kept for every
+// small frame after it.
+const maxPooledFrame = 64 << 10
+
+func getEncoder() *wire.Encoder { return frameEncoders.Get().(*wire.Encoder) }
+
+func putEncoder(e *wire.Encoder) {
+	if cap(e.Bytes()) <= maxPooledFrame {
+		frameEncoders.Put(e)
+	}
+}
+
+// encodeRequest encodes one request frame, length prefix included, into e,
+// replacing what e held. The frame is e's buffer: it is valid until e is
+// used again.
+func encodeRequest(e *wire.Encoder, id uint64, from, msgType string, payload any) ([]byte, error) {
+	beginFrame(e, frameRequest, id)
 	e.String(from)
 	e.String(msgType)
 	if err := appendPayload(e, payload); err != nil {
-		return dst, fmt.Errorf("transport: encode %s request: %w", msgType, err)
+		return nil, fmt.Errorf("transport: encode %s request: %w", msgType, err)
 	}
-	return finishFrame(dst, e.Bytes())
+	return finishFrame(e.Bytes())
 }
 
-// appendResponseFrame encodes one response frame.
-func appendResponseFrame(dst []byte, id uint64, msgType string, errMsg string, payload any) ([]byte, error) {
-	e := wire.NewEncoder(append(dst, 0, 0, 0, 0))
-	e.Raw([]byte{frameResponse})
-	e.Raw(binary.BigEndian.AppendUint64(nil, id))
+// encodeResponse encodes one response frame into e, as encodeRequest does.
+func encodeResponse(e *wire.Encoder, id uint64, msgType string, errMsg string, payload any) ([]byte, error) {
+	beginFrame(e, frameResponse, id)
 	e.String(msgType)
 	e.String(errMsg)
 	if err := appendPayload(e, payload); err != nil {
-		return dst, fmt.Errorf("transport: encode %s response: %w", msgType, err)
+		return nil, fmt.Errorf("transport: encode %s response: %w", msgType, err)
 	}
-	return finishFrame(dst, e.Bytes())
+	return finishFrame(e.Bytes())
+}
+
+// beginFrame empties e and writes a length placeholder, the kind and the ID.
+func beginFrame(e *wire.Encoder, kind byte, id uint64) {
+	var head [4 + frameHeaderLen]byte
+	head[4] = kind
+	binary.BigEndian.PutUint64(head[5:], id)
+	e.Reset()
+	e.Raw(head[:])
 }
 
 // finishFrame back-fills the length prefix and enforces the frame cap.
-func finishFrame(dst, framed []byte) ([]byte, error) {
-	body := len(framed) - len(dst) - 4
+func finishFrame(frame []byte) ([]byte, error) {
+	body := len(frame) - 4
 	if body > DefaultMaxFrame {
-		return dst, fmt.Errorf("transport: frame body %d bytes exceeds cap %d", body, DefaultMaxFrame)
+		return nil, fmt.Errorf("transport: frame body %d bytes exceeds cap %d", body, DefaultMaxFrame)
 	}
-	binary.BigEndian.PutUint32(framed[len(dst):], uint32(body))
-	return framed, nil
+	binary.BigEndian.PutUint32(frame, uint32(body))
+	return frame, nil
 }
 
 // appendPayload writes the codec byte and the encoded payload, or fails when
@@ -118,31 +146,51 @@ func decodeMessage(msgType string, codec byte, data []byte) (simnet.Message, err
 	return msg, err
 }
 
-// request is a parsed request frame.
-type request struct {
+// frame is one parsed frame body. Its strings come from the reading
+// connection's names table, and its payload is a slice of the body, which
+// readFrame allocates per frame and never reuses: the payload, and anything
+// decoded from it, stays valid for as long as it is referenced.
+type frame struct {
+	kind    byte
 	id      uint64
-	from    string
+	from    string // requests only
 	msgType string
+	errMsg  string // responses only
 	codec   byte
 	payload []byte
 }
 
-// response is a parsed response frame.
-type response struct {
-	id      uint64
-	msgType string
-	errMsg  string
-	codec   byte
-	payload []byte
+// names interns the message types and sender names one connection's reader
+// parses, so a name seen before costs no allocation. Only its reader uses
+// it. It keeps at most maxNames names of at most maxNameLen bytes each, so
+// hostile input cannot grow it without bound: any other name is allocated
+// per frame.
+type names map[string]string
+
+const (
+	maxNames   = 256
+	maxNameLen = 64
+)
+
+func (n names) intern(b []byte) string {
+	if s, ok := n[string(b)]; ok {
+		return s
+	}
+	s := string(b)
+	if len(n) < maxNames && len(b) <= maxNameLen {
+		n[s] = s
+	}
+	return s
 }
 
 // readFrame reads one length-prefixed frame body from r, enforcing the cap.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
+func readFrame(r *bufio.Reader, maxFrame int) ([]byte, error) {
+	head, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(lenBuf[:])
+	n := binary.BigEndian.Uint32(head)
+	r.Discard(4) // Peek has buffered them
 	if int(n) > maxFrame {
 		return nil, fmt.Errorf("transport: frame of %d bytes exceeds cap %d", n, maxFrame)
 	}
@@ -156,41 +204,39 @@ func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
 	return body, nil
 }
 
-// parseFrame splits a frame body into its typed form: (*request, nil) or
-// (nil, *response).
-func parseFrame(body []byte) (*request, *response, error) {
-	kind := body[0]
-	id := binary.BigEndian.Uint64(body[1:frameHeaderLen])
-	d := wire.NewDecoder(body[frameHeaderLen:])
-	switch kind {
-	case frameRequest:
-		req := &request{id: id}
-		req.from = d.String()
-		req.msgType = d.String()
-		req.codec, req.payload = finishParse(d)
-		if d.Err() != nil {
-			return nil, nil, fmt.Errorf("transport: malformed request frame: %w", d.Err())
-		}
-		return req, nil, nil
-	case frameResponse:
-		resp := &response{id: id}
-		resp.msgType = d.String()
-		resp.errMsg = d.String()
-		resp.codec, resp.payload = finishParse(d)
-		if d.Err() != nil {
-			return nil, nil, fmt.Errorf("transport: malformed response frame: %w", d.Err())
-		}
-		return nil, resp, nil
-	default:
-		return nil, nil, fmt.Errorf("transport: unknown frame kind %d", kind)
+// parseFrame splits a frame body into its fields in place, taking names
+// from table. A body that is short, of an unknown kind, or whose strings
+// overrun it is refused.
+func parseFrame(body []byte, table names) (frame, error) {
+	if len(body) < frameHeaderLen {
+		return frame{}, fmt.Errorf("transport: frame of %d bytes shorter than header", len(body))
 	}
+	f := frame{kind: body[0], id: binary.BigEndian.Uint64(body[1:frameHeaderLen])}
+	if f.kind != frameRequest && f.kind != frameResponse {
+		return frame{}, fmt.Errorf("transport: unknown frame kind %d", f.kind)
+	}
+	first, rest, ok := cutString(body[frameHeaderLen:])
+	var second []byte
+	if ok {
+		second, rest, ok = cutString(rest)
+	}
+	if !ok || len(rest) == 0 {
+		return frame{}, fmt.Errorf("transport: malformed frame of kind %d", f.kind)
+	}
+	f.codec, f.payload = rest[0], rest[1:]
+	if f.kind == frameRequest {
+		f.from, f.msgType = table.intern(first), table.intern(second)
+	} else {
+		f.msgType, f.errMsg = table.intern(first), string(second)
+	}
+	return f, nil
 }
 
-// finishParse reads the codec byte and hands back the payload tail.
-func finishParse(d *wire.Decoder) (byte, []byte) {
-	var codec byte
-	if b := d.Raw(1); len(b) == 1 {
-		codec = b[0]
+// cutString splits a uvarint-length-prefixed string off the front of b.
+func cutString(b []byte) (s, rest []byte, ok bool) {
+	n, k := binary.Uvarint(b)
+	if k <= 0 || n > uint64(len(b)-k) {
+		return nil, nil, false
 	}
-	return codec, d.Raw(d.Remaining())
+	return b[k : k+int(n)], b[k+int(n):], true
 }

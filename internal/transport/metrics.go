@@ -1,22 +1,31 @@
 package transport
 
 import (
+	"maps"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/spritedht/sprite/internal/telemetry"
 )
 
-// metrics caches the transport's fixed-name instruments so the hot path
-// never takes the registry lock. All fields are nil (valid no-ops) when no
-// registry is installed; only the per-type counters still resolve names per
-// call.
+// metrics caches the transport's instruments so the hot path never takes
+// the registry lock or builds a name. Every instrument is nil (a valid
+// no-op) when no registry is installed.
 type metrics struct {
 	tel *telemetry.Registry
 
-	dials      *telemetry.Counter
-	dialErrors *telemetry.Counter
-	connsOpen  *telemetry.Gauge
-	connsIdle  *telemetry.Gauge
+	// types maps a message type to its per-type counters. It is copied on
+	// write under typesMu and read without a lock; it stops growing at
+	// maxTypes, past which a type's counters are resolved per call.
+	types   atomic.Pointer[map[string]*typeCounters]
+	typesMu sync.Mutex
+
+	localBypass *telemetry.Counter
+	dials       *telemetry.Counter
+	dialErrors  *telemetry.Counter
+	connsOpen   *telemetry.Gauge
+	connsIdle   *telemetry.Gauge
 
 	batchFrames *telemetry.Histogram
 	batchBytes  *telemetry.Histogram
@@ -36,6 +45,8 @@ type metrics struct {
 
 func (m *metrics) init(tel *telemetry.Registry) {
 	m.tel = tel
+	m.types.Store(&map[string]*typeCounters{})
+	m.localBypass = tel.Counter("tcp.local_bypass")
 	m.dials = tel.Counter("tcp.dials")
 	m.dialErrors = tel.Counter("tcp.errors.dial")
 	m.connsOpen = tel.Gauge("tcp.conns.open")
@@ -69,13 +80,46 @@ func (m *metrics) countCodec(payload any, frameBytes int) {
 	}
 }
 
+// typeCounters are one message type's counters.
+type typeCounters struct {
+	calls, bytes, served *telemetry.Counter
+}
+
+// maxTypes bounds the per-type cache: a peer sending ever new type names
+// makes the registry grow, as it always has, but not this copied map.
+const maxTypes = 256
+
+// forType returns msgType's counters, resolving them in the registry on the
+// type's first use.
+func (m *metrics) forType(msgType string) *typeCounters {
+	if tc := (*m.types.Load())[msgType]; tc != nil {
+		return tc
+	}
+	tc := &typeCounters{
+		calls:  m.tel.Counter("tcp.calls." + msgType),
+		bytes:  m.tel.Counter("tcp.bytes." + msgType),
+		served: m.tel.Counter("tcp.served." + msgType),
+	}
+	m.typesMu.Lock()
+	defer m.typesMu.Unlock()
+	old := *m.types.Load()
+	if len(old) < maxTypes {
+		next := make(map[string]*typeCounters, len(old)+1)
+		maps.Copy(next, old)
+		next[msgType] = tc
+		m.types.Store(&next)
+	}
+	return tc
+}
+
 // call records one successful round trip.
 func (m *metrics) call(msgType string, bytes int, elapsed time.Duration) {
 	if m.tel == nil {
 		return
 	}
-	m.tel.Counter("tcp.calls." + msgType).Inc()
-	m.tel.Counter("tcp.bytes." + msgType).Add(int64(bytes))
+	tc := m.forType(msgType)
+	tc.calls.Inc()
+	tc.bytes.Add(int64(bytes))
 	m.latency.Observe(elapsed.Microseconds())
 }
 
@@ -84,5 +128,5 @@ func (m *metrics) served(msgType string) {
 	if m.tel == nil {
 		return
 	}
-	m.tel.Counter("tcp.served." + msgType).Inc()
+	m.forType(msgType).served.Inc()
 }

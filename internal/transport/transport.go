@@ -434,7 +434,9 @@ func (t *Transport) reapOnce(now time.Time) {
 }
 
 // CallCtx performs a synchronous RPC over a pooled connection, honoring ctx.
-// Caller-initiated cancellation wraps
+// A call from a peer registered here to itself skips the socket, as
+// simnet.Transport says; its handler's error reaches the caller as text, as
+// it would over the socket. Caller-initiated cancellation wraps
 // ctx.Err(); transport failures — dial refused, negative-cached dead peer,
 // per-call timeout against a wedged peer, connection reset mid-call — wrap
 // simnet.ErrUnreachable. A call whose request frame provably never reached
@@ -450,6 +452,12 @@ func (t *Transport) CallCtx(ctx context.Context, from, to simnet.Addr, msg simne
 	if t.closed {
 		t.mu.Unlock()
 		return simnet.Message{}, fmt.Errorf("%w: %s: transport closed", simnet.ErrUnreachable, to)
+	}
+	if from == to {
+		if l := t.local[to]; l != nil {
+			t.mu.Unlock()
+			return t.callSelf(l, to, msg)
+		}
 	}
 	if until, ok := t.deadUntil[to]; ok && time.Now().Before(until) {
 		t.mu.Unlock()
@@ -488,6 +496,42 @@ func (t *Transport) CallCtx(ctx context.Context, from, to simnet.Addr, msg simne
 	return simnet.Message{}, fmt.Errorf("%w: %s: %v", simnet.ErrUnreachable, to, lastErr)
 }
 
+// callSelf runs a call from the peer at addr to itself, without a socket,
+// a frame or the codec, and without per-type metering: like simnet, the
+// transport counts a peer reading its own state only in tcp.local_bypass.
+func (t *Transport) callSelf(l *listener, addr simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+	t.met.localBypass.Inc()
+	h := l.currentHandler()
+	if h == nil {
+		t.met.errRemote.Inc()
+		return simnet.Message{}, fmt.Errorf("transport: remote %s: no handler registered", addr)
+	}
+	reply, err := h.HandleMessage(addr, msg)
+	if err != nil {
+		t.met.errRemote.Inc()
+		return simnet.Message{}, fmt.Errorf("transport: remote %s: %v", addr, err)
+	}
+	return reply, nil
+}
+
+// callTimers pools the per-call timeout timers. Under Go 1.23 timer
+// semantics (go.mod says 1.23) a stopped timer delivers no stale tick, so
+// one can be Reset for the next call as soon as it is stopped.
+var callTimers sync.Pool
+
+func startTimer(d time.Duration) *time.Timer {
+	if tm, ok := callTimers.Get().(*time.Timer); ok {
+		tm.Reset(d)
+		return tm
+	}
+	return time.NewTimer(d)
+}
+
+func stopTimer(tm *time.Timer) {
+	tm.Stop()
+	callTimers.Put(tm)
+}
+
 // callOn runs one attempt over a specific connection.
 func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.Addr, msg simnet.Message) (simnet.Message, error) {
 	id, ch, err := c.call(from, msg)
@@ -498,6 +542,8 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 		t.met.errEncode.Inc()
 		return simnet.Message{}, err
 	}
+	timeout := startTimer(t.callTimeout)
+	defer stopTimer(timeout)
 	select {
 	case res := <-ch:
 		if res.err != nil {
@@ -526,7 +572,7 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 		c.take(id)
 		t.met.errCtx.Inc()
 		return simnet.Message{}, fmt.Errorf("transport: %s to %s: %w", msg.Type, to, ctx.Err())
-	case <-time.After(t.callTimeout):
+	case <-timeout.C:
 		// The peer accepted the frame but never answered within the call
 		// timeout: presume it wedged, retire the shared socket (other calls
 		// on it fail fast instead of waiting out their own timers), and

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -88,19 +89,19 @@ func TestFrameSizeIsPayloadLength(t *testing.T) {
 	for _, payload := range []any{note{Text: "hello", Items: []string{"a", "bc"}}, note{}, nil} {
 		enc, _ := wire.AppendBinary(nil, payload)
 		want := max(len(enc)-2, 0)
-		reqFrame, err := appendRequestFrame(nil, 1, "client", "ping", payload)
+		reqFrame, err := encodeRequest(new(wire.Encoder), 1, "client", "ping", payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		respFrame, err := appendResponseFrame(nil, 1, "ping.ok", "", payload)
+		respFrame, err := encodeResponse(new(wire.Encoder), 1, "ping.ok", "", payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req, _, err := parseFrame(reqFrame[4:])
+		req, err := parseFrame(reqFrame[4:], make(names))
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, resp, err := parseFrame(respFrame[4:])
+		resp, err := parseFrame(respFrame[4:], make(names))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,6 +335,112 @@ func BenchmarkCall(b *testing.B) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// callAllocsCeiling is what one echo call of a short note allocates, caller,
+// server and both decodes together, as testing.AllocsPerRun reads it (Go
+// 1.24, linux/amd64): the pending channel, the two frame bodies, the
+// dispatch goroutine, and the codec's work on the payload. It read 37 with
+// every frame encoded from nil, parsed by copying and timed by time.After.
+const callAllocsCeiling = 12
+
+// TestCallAllocations holds one echo call's allocations to
+// callAllocsCeiling, and a call with telemetry on to no more than one with
+// it off: a type's counters are resolved on its first call, not on every
+// one. Under -race, sync.Pool drops items at random and the reading means
+// nothing.
+func TestCallAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	measure := func(opts ...Option) float64 {
+		tr := New(opts...)
+		defer tr.Close()
+		addr := freeAddrs(t, 1)[0]
+		tr.Register(addr, echo())
+		msg := simnet.Message{Type: "ping", Payload: note{Text: "hello"}}
+		call := func() {
+			if _, err := tr.CallCtx(context.Background(), "client", addr, msg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		call() // dials, and resolves ping's counters
+		return testing.AllocsPerRun(200, call)
+	}
+	off := measure()
+	on := measure(WithTelemetry(telemetry.NewRegistry()))
+	t.Logf("allocations per call: %.0f with telemetry off, %.0f with it on", off, on)
+	if off > callAllocsCeiling {
+		t.Errorf("one echo call allocates %.0f times, ceiling %d", off, callAllocsCeiling)
+	}
+	if on > off {
+		t.Errorf("telemetry adds %.0f allocations per call", on-off)
+	}
+}
+
+// TestSelfCallSkipsSocket: a call from a peer registered here to itself runs
+// its handler without a dial or a connection, as simnet runs it, and is
+// counted only in tcp.local_bypass. A done context still fails it first, and
+// a self address registered nowhere is unreachable as before.
+func TestSelfCallSkipsSocket(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tr := New(WithTelemetry(reg))
+	defer tr.Close()
+	addrs := freeAddrs(t, 2)
+	self, unbound := addrs[0], addrs[1]
+	var handled int
+	var seen simnet.Addr
+	tr.Register(self, simnet.HandlerFunc(func(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+		handled++
+		seen = from
+		if msg.Type == "fail" {
+			return simnet.Message{}, errors.New("refused")
+		}
+		return simnet.Message{Type: msg.Type + ".ok", Payload: msg.Payload, Size: msg.Size}, nil
+	}))
+	payload := note{Text: "hello", Items: []string{"a"}}
+	reply, err := tr.CallCtx(context.Background(), self, self, simnet.Message{Type: "ping", Payload: payload, Size: wire.Size(payload)})
+	if err != nil {
+		t.Fatalf("self-call: %v", err)
+	}
+	if reply.Type != "ping.ok" || !reflect.DeepEqual(reply.Payload, payload) || reply.Size != wire.Size(payload) {
+		t.Fatalf("self-call reply = %+v", reply)
+	}
+	if seen != self {
+		t.Fatalf("handler saw the call from %q, want %q", seen, self)
+	}
+	if _, err := tr.CallCtx(context.Background(), self, self, simnet.Message{Type: "fail"}); err == nil ||
+		errors.Is(err, simnet.ErrUnreachable) || !strings.Contains(err.Error(), "refused") {
+		t.Fatalf("self-call to a failing handler: %v, want its error as text", err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := tr.CallCtx(ctx, self, self, simnet.Message{Type: "ping"}); !errors.Is(err, context.Canceled) || errors.Is(err, simnet.ErrUnreachable) {
+		t.Fatalf("self-call with a done ctx: %v, want context.Canceled", err)
+	}
+	if handled != 2 {
+		t.Fatalf("handler ran %d times, want 2 (not for the canceled call)", handled)
+	}
+	if got := reg.Counter("tcp.dials").Value(); got != 0 {
+		t.Fatalf("tcp.dials = %d after self-calls, want 0", got)
+	}
+	if got := tr.OpenConns(); got != 0 {
+		t.Fatalf("OpenConns = %d after self-calls, want 0", got)
+	}
+	if got := reg.Counter("tcp.local_bypass").Value(); got != 2 {
+		t.Fatalf("tcp.local_bypass = %d, want 2", got)
+	}
+	if got := reg.Counter("tcp.calls.ping").Value(); got != 0 {
+		t.Fatalf("tcp.calls.ping = %d, want 0: a self-call is not metered", got)
+	}
+
+	if _, err := tr.CallCtx(context.Background(), unbound, unbound, simnet.Message{Type: "ping"}); !errors.Is(err, simnet.ErrUnreachable) {
+		t.Fatalf("self-call at an unregistered address: %v, want ErrUnreachable", err)
 	}
 }
 
@@ -902,7 +1009,7 @@ func TestLargePayloadOverTCP(t *testing.T) {
 	}
 
 	// Send side. The slice is never written, so its pages are never touched.
-	if _, err := finishFrame(nil, make([]byte, 4+DefaultMaxFrame+1)); err == nil {
+	if _, err := finishFrame(make([]byte, 4+DefaultMaxFrame+1)); err == nil {
 		t.Fatal("frame body over DefaultMaxFrame accepted for sending")
 	}
 
@@ -998,37 +1105,38 @@ func TestUnknownCodecByteGetsDecodeErrorReply(t *testing.T) {
 	defer tr.Close()
 	addr := freeAddrs(t, 1)[0]
 	tr.Register(addr, echo())
-	frame, err := appendRequestFrame(nil, 7, "client", "ping", nil)
+	ping, err := encodeRequest(new(wire.Encoder), 7, "client", "ping", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame[len(frame)-1] = 2 // the codec byte, last in a frame with no payload
+	ping[len(ping)-1] = 2 // the codec byte, last in a frame with no payload
 	conn, err := net.DialTimeout("tcp", string(addr), time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	exchange := func(frame []byte) *response {
+	br := bufio.NewReader(conn)
+	exchange := func(req []byte) frame {
 		t.Helper()
-		if _, err := conn.Write(frame); err != nil {
+		if _, err := conn.Write(req); err != nil {
 			t.Fatal(err)
 		}
-		body, err := readFrame(conn, DefaultMaxFrame)
+		body, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("no reply: %v", err)
 		}
-		_, resp, err := parseFrame(body)
-		if err != nil || resp == nil {
+		resp, err := parseFrame(body, make(names))
+		if err != nil || resp.kind != frameResponse {
 			t.Fatalf("reply is not a response frame: %v", err)
 		}
 		return resp
 	}
-	if resp := exchange(frame); resp.id != 7 || !strings.Contains(resp.errMsg, "unknown payload codec 2") {
+	if resp := exchange(ping); resp.id != 7 || !strings.Contains(resp.errMsg, "unknown payload codec 2") {
 		t.Fatalf("reply = %+v, want id 7 and an unknown-codec error", resp)
 	}
-	frame[len(frame)-1] = codecNone
-	if resp := exchange(frame); resp.errMsg != "" || resp.msgType != "ping.ok" {
+	ping[len(ping)-1] = codecNone
+	if resp := exchange(ping); resp.errMsg != "" || resp.msgType != "ping.ok" {
 		t.Fatalf("next frame on the same connection: %+v", resp)
 	}
 	if _, err := tr.CallCtx(context.Background(), "client", addr, simnet.Message{Type: "ping"}); err != nil {
@@ -1062,21 +1170,22 @@ func TestMismatchedPayloadGetsErrorReply(t *testing.T) {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	exchange := func(id uint64, msgType string, payload any) *response {
+	br := bufio.NewReader(conn)
+	exchange := func(id uint64, msgType string, payload any) frame {
 		t.Helper()
-		frame, err := appendRequestFrame(nil, id, "client", msgType, payload)
+		req, err := encodeRequest(new(wire.Encoder), id, "client", msgType, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := conn.Write(frame); err != nil {
+		if _, err := conn.Write(req); err != nil {
 			t.Fatal(err)
 		}
-		body, err := readFrame(conn, DefaultMaxFrame)
+		body, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("%s: no reply: %v", msgType, err)
 		}
-		_, resp, err := parseFrame(body)
-		if err != nil || resp == nil || resp.id != id {
+		resp, err := parseFrame(body, make(names))
+		if err != nil || resp.kind != frameResponse || resp.id != id {
 			t.Fatalf("%s: reply is not the response frame: %+v, %v", msgType, resp, err)
 		}
 		return resp

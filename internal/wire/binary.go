@@ -215,6 +215,10 @@ func NewEncoder(dst []byte) *Encoder { return &Encoder{b: dst} }
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.b }
 
+// Reset empties the buffer and keeps its capacity, so one encoder can build
+// message after message without growing a buffer for each.
+func (e *Encoder) Reset() { e.b = e.b[:0] }
+
 // Append appends v's full binary encoding (kind prefix included) in place,
 // reporting whether v's type had a registered codec; the buffer is unchanged
 // when it reports false. This is AppendBinary for callers composing a larger
