@@ -25,6 +25,11 @@ type callResult struct {
 	err  error
 }
 
+// resultChans holds the channels calls wait for their results on, each
+// buffered for the one result it receives. A channel goes back only once
+// that result has been received.
+var resultChans = sync.Pool{New: func() any { return make(chan callResult, 1) }}
+
 // frameWriter is the write side of one socket, shared by every goroutine
 // that sends on it: callers write their own requests, handlers their own
 // replies. A writer announces itself in waiting, buffers its frame under mu
@@ -137,7 +142,7 @@ func (c *clientConn) call(from simnet.Addr, msg simnet.Message) (uint64, chan ca
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan callResult, 1)
+	ch := resultChans.Get().(chan callResult)
 	c.pending[id] = ch
 	c.inflight++
 	c.lastUsed = time.Now().UnixNano()
@@ -235,9 +240,9 @@ func (c *clientConn) close(err error) {
 }
 
 // serverConn is the accepting side of one multiplexed socket: a reader that
-// dispatches each request frame on its own goroutine, where the handler's
-// reply is written through the socket's shared frameWriter (concurrent
-// handlers' replies group-commit into shared flushes).
+// hands each request frame to one of the transport's serve workers, where
+// the handler's reply is written through the socket's shared frameWriter
+// (concurrent handlers' replies group-commit into shared flushes).
 type serverConn struct {
 	t *Transport
 	l *listener
@@ -265,7 +270,7 @@ func (s *serverConn) readLoop() {
 			s.close()
 			return
 		}
-		go s.dispatch(req)
+		s.t.handOff(serveJob{s: s, req: req})
 	}
 }
 

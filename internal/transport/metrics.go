@@ -21,11 +21,12 @@ type metrics struct {
 	types   atomic.Pointer[map[string]*typeCounters]
 	typesMu sync.Mutex
 
-	localBypass *telemetry.Counter
-	dials       *telemetry.Counter
-	dialErrors  *telemetry.Counter
-	connsOpen   *telemetry.Gauge
-	connsIdle   *telemetry.Gauge
+	localBypass  *telemetry.Counter
+	serveWorkers *telemetry.Counter
+	dials        *telemetry.Counter
+	dialErrors   *telemetry.Counter
+	connsOpen    *telemetry.Gauge
+	connsIdle    *telemetry.Gauge
 
 	batchFrames *telemetry.Histogram
 	batchBytes  *telemetry.Histogram
@@ -47,6 +48,7 @@ func (m *metrics) init(tel *telemetry.Registry) {
 	m.tel = tel
 	m.types.Store(&map[string]*typeCounters{})
 	m.localBypass = tel.Counter("tcp.local_bypass")
+	m.serveWorkers = tel.Counter("tcp.serve_workers")
 	m.dials = tel.Counter("tcp.dials")
 	m.dialErrors = tel.Counter("tcp.errors.dial")
 	m.connsOpen = tel.Gauge("tcp.conns.open")

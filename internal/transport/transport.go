@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/spritedht/sprite/internal/simnet"
@@ -80,7 +81,12 @@ type Transport struct {
 	lastErr   error
 	closed    bool
 
-	reapStop chan struct{}
+	// work hands a parsed request to a parked serve worker (serveWorker);
+	// idleWorkers counts the workers parked on it.
+	work        chan serveJob
+	idleWorkers atomic.Int32
+
+	done     chan struct{} // closed by Close: stops the reaper and every parked worker
 	reapDone chan struct{}
 }
 
@@ -95,7 +101,8 @@ func New(opts ...Option) *Transport {
 		local:       make(map[simnet.Addr]*listener),
 		pools:       make(map[simnet.Addr]*pool),
 		deadUntil:   make(map[simnet.Addr]time.Time),
-		reapStop:    make(chan struct{}),
+		work:        make(chan serveJob),
+		done:        make(chan struct{}),
 		reapDone:    make(chan struct{}),
 	}
 	for _, o := range opts {
@@ -223,7 +230,7 @@ func (t *Transport) Close() {
 	t.pools = make(map[simnet.Addr]*pool)
 	t.mu.Unlock()
 
-	close(t.reapStop)
+	close(t.done)
 	for _, l := range ls {
 		l.closeAll()
 	}
@@ -235,19 +242,78 @@ func (t *Transport) Close() {
 	<-t.reapDone
 }
 
+// Accept back-off, net/http's rule: a failed Accept (out of descriptors,
+// say) waits minAcceptDelay, doubling up to maxAcceptDelay, before the next
+// one, so a persistent error cannot spin the loop; a successful one resets
+// the delay.
+const (
+	minAcceptDelay = 5 * time.Millisecond
+	maxAcceptDelay = time.Second
+)
+
 func (t *Transport) serve(l *listener) {
+	var delay time.Duration
 	for {
 		conn, err := l.ln.Accept()
 		if err != nil {
+			delay = max(min(2*delay, maxAcceptDelay), minAcceptDelay)
+			tm := time.NewTimer(delay)
 			select {
 			case <-l.done:
+				tm.Stop()
 				return
-			default:
+			case <-tm.C:
 				continue
 			}
 		}
+		delay = 0
 		sc := newServerConn(t, l, conn)
 		l.addConn(sc)
+	}
+}
+
+// maxIdleWorkers caps the serve workers parked waiting for a request; a
+// worker that finishes a request while this many are parked exits instead.
+const maxIdleWorkers = 64
+
+// serveJob is one parsed request and the connection its reply goes out on.
+type serveJob struct {
+	s   *serverConn
+	req frame
+}
+
+// handOff passes a request to a parked serve worker, or starts a new worker
+// with it when none is parked, so a connection's reader never waits for a
+// handler: a handler may block, replicating to other peers or calling back
+// to its caller over this very connection.
+func (t *Transport) handOff(j serveJob) {
+	select {
+	case t.work <- j:
+	default:
+		t.met.serveWorkers.Inc()
+		go t.serveWorker(j)
+	}
+}
+
+// serveWorker runs requests one after another on one goroutine, whose stack,
+// grown by the deepest handler it has run, serves every later request on any
+// connection of this transport. It exits when maxIdleWorkers others are
+// parked or the transport is closed.
+func (t *Transport) serveWorker(j serveJob) {
+	for {
+		j.s.dispatch(j.req)
+		j = serveJob{} // a parked worker keeps no frame body alive
+		if t.idleWorkers.Add(1) > maxIdleWorkers {
+			t.idleWorkers.Add(-1)
+			return
+		}
+		select {
+		case j = <-t.work:
+			t.idleWorkers.Add(-1)
+		case <-t.done:
+			t.idleWorkers.Add(-1)
+			return
+		}
 	}
 }
 
@@ -399,7 +465,7 @@ func (t *Transport) reapLoop() {
 	defer tick.Stop()
 	for {
 		select {
-		case <-t.reapStop:
+		case <-t.done:
 			return
 		case <-tick.C:
 			t.reapOnce(time.Now())
@@ -546,6 +612,10 @@ func (t *Transport) callOn(ctx context.Context, c *clientConn, from, to simnet.A
 	defer stopTimer(timeout)
 	select {
 	case res := <-ch:
+		// take removed ch from pending before its one result was sent, so
+		// nothing sends on it again: it can serve another call. A channel
+		// abandoned below is left to the collector.
+		resultChans.Put(ch)
 		if res.err != nil {
 			// Connection died mid-call: the request may or may not have been
 			// delivered, so this is unreachable, not retryable, and the peer

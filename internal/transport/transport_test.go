@@ -301,10 +301,21 @@ func TestRetiredPooledConnIsRetried(t *testing.T) {
 }
 
 // BenchmarkCall is one echo round trip over loopback, with 1 caller and with
-// 16 concurrent callers sharing the pooled connection.
+// 16 concurrent callers sharing the pooled connection, and with 1 caller
+// whose handler needs about 16 KB of stack, as a query's handlers do: a
+// goroutine new to the request would grow its stack to that depth before
+// the handler could run.
 func BenchmarkCall(b *testing.B) {
-	for _, callers := range []int{1, 16} {
-		b.Run(fmt.Sprintf("callers=%d", callers), func(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		callers int
+		handler simnet.Handler
+	}{
+		{"callers=1", 1, echo()},
+		{"callers=16", 16, echo()},
+		{"deep-handler", 1, deepEcho()},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			tr := New()
 			defer tr.Close()
 			addrs, err := FreeAddrs(1)
@@ -312,7 +323,7 @@ func BenchmarkCall(b *testing.B) {
 				b.Fatal(err)
 			}
 			addr := addrs[0]
-			tr.Register(addr, echo())
+			tr.Register(addr, bc.handler)
 			msg := simnet.Message{Type: "ping", Payload: note{Text: "hello"}}
 			if _, err := tr.CallCtx(context.Background(), "client", addr, msg); err != nil {
 				b.Fatal(err)
@@ -321,7 +332,7 @@ func BenchmarkCall(b *testing.B) {
 			b.ResetTimer()
 			var next atomic.Int64
 			var wg sync.WaitGroup
-			for range callers {
+			for range bc.callers {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -338,15 +349,37 @@ func BenchmarkCall(b *testing.B) {
 	}
 }
 
+// deepEcho is echo run below about 16 KB of stack frames.
+func deepEcho() simnet.Handler {
+	h := echo()
+	return simnet.HandlerFunc(func(from simnet.Addr, msg simnet.Message) (simnet.Message, error) {
+		deepStack(16)
+		return h.HandleMessage(from, msg)
+	})
+}
+
+// deepStack recurses until about depth KB of stack frames are live.
+//
+//go:noinline
+func deepStack(depth int) int {
+	var frame [1024]byte
+	frame[depth%len(frame)] = byte(depth)
+	if depth <= 1 {
+		return int(frame[1])
+	}
+	return deepStack(depth-1) + int(frame[depth%len(frame)])
+}
+
 // raceEnabled is set by race_test.go when the race detector is on.
 var raceEnabled bool
 
 // callAllocsCeiling is what one echo call of a short note allocates, caller,
 // server and both decodes together, as testing.AllocsPerRun reads it (Go
-// 1.24, linux/amd64): the pending channel, the two frame bodies, the
-// dispatch goroutine, and the codec's work on the payload. It read 37 with
-// every frame encoded from nil, parsed by copying and timed by time.After.
-const callAllocsCeiling = 12
+// 1.24, linux/amd64): the two frame bodies, the codec's decoding of the
+// payload on each side, and the echo handler's reply type. The pending
+// channel, the serve worker and the decoder are reused, not allocated per
+// call.
+const callAllocsCeiling = 7
 
 // TestCallAllocations holds one echo call's allocations to
 // callAllocsCeiling, and a call with telemetry on to no more than one with

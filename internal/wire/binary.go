@@ -47,7 +47,7 @@ type EncodeFunc func(e *Encoder, v any)
 
 // DecodeFunc reads one value back. On malformed input it should rely on the
 // decoder's sticky error (the caller checks d.Err) and may return a partial
-// value.
+// value. It must not keep d once it returns: DecodeBinary reuses decoders.
 type DecodeFunc func(d *Decoder) any
 
 type binaryCodec struct {
@@ -188,16 +188,25 @@ func DecodeBinary(data []byte) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown binary kind %d", kind)
 	}
-	d := Decoder{b: data[2:]}
-	v := c.dec(&d)
-	if d.err != nil {
-		return nil, fmt.Errorf("wire: decode kind %d (%v): %w", kind, c.typ, d.err)
+	d := decoders.Get().(*Decoder)
+	d.b = data[2:]
+	v := c.dec(d)
+	err, trailing := d.err, len(d.b)-d.off
+	*d = Decoder{}
+	decoders.Put(d)
+	if err != nil {
+		return nil, fmt.Errorf("wire: decode kind %d (%v): %w", kind, c.typ, err)
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("wire: decode kind %d (%v): %d trailing bytes", kind, c.typ, len(d.b)-d.off)
+	if trailing != 0 {
+		return nil, fmt.Errorf("wire: decode kind %d (%v): %d trailing bytes", kind, c.typ, trailing)
 	}
 	return v, nil
 }
+
+// decoders holds DecodeBinary's decoders, emptied before they are handed
+// back. A decoder a codec's function is given would otherwise escape to the
+// heap, since that function is called through a value.
+var decoders = sync.Pool{New: func() any { return new(Decoder) }}
 
 // Encoder appends primitive values to a byte slice. The zero value appends
 // to a nil slice; use NewEncoder to reuse a buffer. The encoder Size runs a
