@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-cpu bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity similarity-check churn-check examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
+.PHONY: check vet build test race bench bench-cpu bench-test bench-route bench-learn bench-fetch bench-trace-route bench-trace-mixed bench-trace-postings cover coverage-gate smoke-churn smoke-parallel smoke-tcp send-guard api-guard alloc-guard smoke-scale smoke-determinism smoke-postings smoke-repair smoke-similarity similarity-check churn-check examples-smoke chaos-smoke fuzz-smoke vulncheck experiments experiments-check
 
 check: vet build race
 
@@ -200,6 +200,16 @@ send-guard:
 	@sizes=$$(grep -nE '\bSize:|\.Size =' internal/core/*.go internal/chord/*.go | grep -vE '^internal/(core|chord)/[^:]*_test\.go:' \
 		| grep -vE '^internal/(core/send|core/peer|chord/chord)\.go:[0-9]+:.*(Size: |\.Size = )wire\.Size\([A-Za-z_.]+\)([,})]|$$)'); \
 	[ -z "$$sizes" ] || { echo "send-guard: message sizes not set to wire.Size at a setter site:"; echo "$$sizes"; exit 1; }
+
+# API and doc guards, on one go/ast census of the tree (census_test.go): every
+# exported function or method declared in a non-test file under internal/
+# has a use outside _test.go files (bench/, cmd/ and examples/ count) unless
+# census_test.go's testOnlyAPI names it with its reason, and every
+# identifier-shaped backticked token in DESIGN.md and README.md names
+# something the tree declares. `go test -run TestCensus -v .` prints the
+# non-test and test lines of each package from the same census.
+api-guard:
+	$(GO) test -count=1 -run '^(TestExportedNamesHaveCallers|TestDocsNameOnlyDeclaredIdentifiers|TestCensusGuardsOnFixture)$$' .
 
 # Allocation guard: what one uncached search, one cached search, a
 # one-document sweep, one share and one unshare allocate on a fixed 16-peer

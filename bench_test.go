@@ -33,11 +33,15 @@ import (
 
 // benchConfig is the bench-sized experimental setup.
 func benchConfig() eval.Config {
-	cfg := eval.DefaultConfig()
-	cfg.Corpus = corpus.SynthConfig{NumDocs: 500, NumTopics: 6, NumQueries: 24, Seed: 17}
-	cfg.QueryGen = querygen.Config{Seed: 23}
-	cfg.Peers = 32
-	return cfg
+	return eval.Config{
+		Corpus:             corpus.SynthConfig{NumDocs: 500, NumTopics: 6, NumQueries: 24, Seed: 17},
+		QueryGen:           querygen.Config{Seed: 23},
+		Peers:              32,
+		TopK:               20,
+		LearningIterations: 3,
+		TrainFraction:      0.5,
+		Seed:               31,
+	}
 }
 
 var printOnce sync.Map

@@ -8,7 +8,7 @@ import (
 )
 
 func testCorpus() *corpus.Corpus {
-	return corpus.MustNew([]*corpus.Document{
+	return mustCorpus([]*corpus.Document{
 		// d1 is about chord/dht; d2 about chord/music; d3 background.
 		corpus.NewDocument("d1", map[string]int{"chord": 5, "dht": 4, "peer": 3, "net": 1}),
 		corpus.NewDocument("d2", map[string]int{"chord": 4, "music": 6, "guitar": 2}),
@@ -111,4 +111,13 @@ func TestCentralMatchesExactDF(t *testing.T) {
 	if got := s.Index().DocFreq("chord"); got != c.DocFreq("chord") {
 		t.Fatalf("index df %d != corpus df %d", got, c.DocFreq("chord"))
 	}
+}
+
+// mustCorpus is corpus.New for the tests' known-good documents.
+func mustCorpus(docs []*corpus.Document) *corpus.Corpus {
+	c, err := corpus.New(docs)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

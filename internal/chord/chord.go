@@ -628,16 +628,7 @@ func (n *Node) notify(cand Ref) {
 // using the exclusion protocol; they fail only if no live owner is reachable
 // within maxLookupHops.
 func (n *Node) Lookup(key chordid.ID) (Ref, int, error) {
-	return n.lookupFrom(context.Background(), n.ref, key, nil, nil)
-}
-
-// LookupCtx is Lookup honoring ctx and recording one child span per remote
-// hop under parent (a nil parent, the no-telemetry case, is accepted and
-// free): every hop RPC carries the caller's deadline, and a canceled context
-// aborts the lookup with an error wrapping ctx.Err() rather than excluding
-// the hop and routing on.
-func (n *Node) LookupCtx(ctx context.Context, key chordid.ID, parent *telemetry.Span) (Ref, int, error) {
-	return n.lookupFrom(ctx, n.ref, key, nil, parent)
+	return n.lookup(context.Background(), key, nil, nil)
 }
 
 // LookupExcluding resolves the owner of key as if the excluded nodes had
@@ -645,9 +636,11 @@ func (n *Node) LookupCtx(ctx context.Context, key chordid.ID, parent *telemetry.
 // exactly where §7 successor replication placed the key's replicas. This is
 // the failover primitive of the resilient read path: after the true owner
 // proves unreachable, look the key up again excluding it to find the replica
-// holder.
+// holder. Every hop RPC carries ctx's deadline, a canceled ctx aborts the
+// lookup with an error wrapping ctx.Err(), and each remote hop is a child
+// span of parent (nil when tracing is off).
 func (n *Node) LookupExcluding(ctx context.Context, key chordid.ID, exclude []chordid.ID, parent *telemetry.Span) (Ref, int, error) {
-	return n.lookupFrom(ctx, n.ref, key, append([]chordid.ID(nil), exclude...), parent)
+	return n.lookup(ctx, key, append([]chordid.ID(nil), exclude...), parent)
 }
 
 // Sender performs the delivery leg of a route: one request/reply exchange
@@ -730,12 +723,11 @@ func (n *Node) RouteVia(ctx context.Context, key chordid.ID, msg simnet.Message,
 	}
 }
 
-// lookupFrom resolves key's owner starting at an arbitrary node (used by
-// Lookup with start = self, and by JoinRemote with start = a bootstrap peer
-// known only by address), with the exclusion list seeded from exclude. It
-// never acts on an owner hint, which a bare lookup has no way to verify.
-func (n *Node) lookupFrom(ctx context.Context, start Ref, key chordid.ID, exclude []chordid.ID, parent *telemetry.Span) (Ref, int, error) {
-	w := n.newWalk(start, key, exclude)
+// lookup resolves key's owner starting at this node, with the exclusion
+// list seeded from exclude. It never acts on an owner hint, which a bare
+// lookup has no way to verify.
+func (n *Node) lookup(ctx context.Context, key chordid.ID, exclude []chordid.ID, parent *telemetry.Span) (Ref, int, error) {
+	w := n.newWalk(n.ref, key, exclude)
 	owner, _, err := n.advance(ctx, &w, parent)
 	n.observeLookup(owner, w.hops)
 	return owner, w.hops, err
@@ -1020,21 +1012,6 @@ func (n *Node) Join(bootstrap *Node) error {
 	succ, _, err := bootstrap.Lookup(n.ref.ID)
 	if err != nil {
 		return fmt.Errorf("chord: join via %s: %w", bootstrap.ref, err)
-	}
-	n.adoptSuccessor(succ)
-	return nil
-}
-
-// JoinRemote attaches this node to the ring containing a peer known only by
-// its network address — the join path of a cross-process deployment, where
-// no *Node handle for the bootstrap exists. The successor of this node's ID
-// is resolved by running the iterative lookup protocol starting at the
-// bootstrap peer; stabilization then repairs predecessors, successor lists,
-// and fingers as usual.
-func (n *Node) JoinRemote(bootstrap simnet.Addr) error {
-	succ, _, err := n.lookupFrom(context.Background(), Ref{Addr: bootstrap}, n.ref.ID, nil, nil)
-	if err != nil {
-		return fmt.Errorf("chord: join via %s: %w", bootstrap, err)
 	}
 	n.adoptSuccessor(succ)
 	return nil

@@ -122,9 +122,9 @@ func TestJoinAllConverges(t *testing.T) {
 	if _, err := r.AddNodes("j", 20); err != nil {
 		t.Fatal(err)
 	}
-	rounds, err := r.JoinAll(200)
+	rounds, err := joinAll(r, 200)
 	if err != nil {
-		t.Fatalf("JoinAll: %v", err)
+		t.Fatalf("joinAll: %v", err)
 	}
 	if !r.Converged() {
 		t.Fatalf("ring not converged after %d rounds", rounds)
@@ -387,34 +387,6 @@ func TestRefString(t *testing.T) {
 	}
 }
 
-func TestJoinRemoteSimulated(t *testing.T) {
-	net := simnet.New(13)
-	r := NewRing(net, Config{})
-	if _, err := r.AddNodes("jr", 10); err != nil {
-		t.Fatal(err)
-	}
-	r.Build()
-	boot := r.Nodes()[0]
-
-	// A node on the same transport joins knowing only the bootstrap address.
-	joiner := NewNode(net, "remote-joiner", Config{})
-	if err := joiner.JoinRemote(boot.Addr()); err != nil {
-		t.Fatalf("JoinRemote: %v", err)
-	}
-	want, _ := r.Owner(joiner.ID())
-	if got := joiner.Successor(); got.ID != want.ID() {
-		t.Fatalf("joiner successor = %s, want %s", got.ID.Short(), want.ID().Short())
-	}
-}
-
-func TestJoinRemoteUnreachableBootstrap(t *testing.T) {
-	net := simnet.New(14)
-	joiner := NewNode(net, "lonely", Config{})
-	if err := joiner.JoinRemote("nobody-home"); err == nil {
-		t.Fatal("JoinRemote to unreachable bootstrap succeeded")
-	}
-}
-
 func TestLookupDeterministic(t *testing.T) {
 	r := buildRing(t, 32, Config{})
 	n := r.Nodes()[5]
@@ -493,4 +465,24 @@ func TestSuccessorListMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// joinAll joins every node into one ring through the first node, then runs
+// stabilization until the successor structure matches the oracle (or rounds
+// is exhausted). It returns the number of rounds used.
+func joinAll(r *Ring, rounds int) (int, error) {
+	r.sortNodes()
+	if len(r.order) <= 1 {
+		return 0, nil
+	}
+	boot := r.order[0]
+	for _, n := range r.order {
+		if n == boot {
+			continue
+		}
+		if err := n.Join(boot); err != nil {
+			return 0, err
+		}
+	}
+	return r.Stabilize(rounds), nil
 }

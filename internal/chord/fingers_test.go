@@ -163,8 +163,8 @@ func TestFixFingersConvergeToBuild(t *testing.T) {
 	if _, err := r.AddNodes("cv", 64); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.JoinAll(400); err != nil {
-		t.Fatalf("JoinAll: %v", err)
+	if _, err := joinAll(r, 400); err != nil {
+		t.Fatalf("joinAll: %v", err)
 	}
 	r.StabilizeLists(400)
 	if !r.ConvergedLists() {

@@ -194,26 +194,6 @@ func (r *Ring) idsAlivePreserveOrder() []chordid.ID {
 	return ids
 }
 
-// JoinAll joins every node into one ring through the first node, then runs
-// stabilization until the successor structure matches the oracle (or rounds
-// is exhausted). It returns the number of rounds used.
-func (r *Ring) JoinAll(rounds int) (int, error) {
-	r.sortNodes()
-	if len(r.order) <= 1 {
-		return 0, nil
-	}
-	boot := r.order[0]
-	for _, n := range r.order {
-		if n == boot {
-			continue
-		}
-		if err := n.Join(boot); err != nil {
-			return 0, err
-		}
-	}
-	return r.Stabilize(rounds), nil
-}
-
 // Stabilize runs up to rounds rounds of the periodic protocol on every node
 // (stabilize + one finger refresh per node per round), stopping early once
 // every alive node's successor matches the oracle. It returns the number of

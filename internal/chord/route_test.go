@@ -249,7 +249,7 @@ func TestRouteRoundTripBound(t *testing.T) {
 
 // routeAgainstLookup routes every key from a random node and requires,
 // whatever state the ring is in, that each delivery is served by the node
-// LookupCtx names and costs at most one round trip more than looking the
+// LookupExcluding names and costs at most one round trip more than looking the
 // owner up and calling it.
 func routeAgainstLookup(t *testing.T, r *Ring, w *hintWatch, keys []chordid.ID) {
 	t.Helper()
@@ -257,16 +257,16 @@ func routeAgainstLookup(t *testing.T, r *Ring, w *hintWatch, keys []chordid.ID) 
 	rng := rand.New(rand.NewSource(5))
 	for _, key := range keys {
 		start := alive[rng.Intn(len(alive))]
-		ref, lookupHops, err := start.LookupCtx(context.Background(), key, nil)
+		ref, lookupHops, err := start.LookupExcluding(context.Background(), key, nil, nil)
 		if err != nil {
-			t.Fatalf("LookupCtx: %v", err)
+			t.Fatalf("LookupExcluding: %v", err)
 		}
 		reply, owner, hops, err := start.RouteVia(context.Background(), key, echoMsg(), nil, start.call, "")
 		if err != nil {
 			t.Fatalf("Route: %v", err)
 		}
 		if owner != ref || servedBy(reply) != ref.Addr {
-			t.Fatalf("key %s from %s: Route reached %s, LookupCtx names %s", key.Short(), start.Addr(), servedBy(reply), ref)
+			t.Fatalf("key %s from %s: Route reached %s, LookupExcluding names %s", key.Short(), start.Addr(), servedBy(reply), ref)
 		}
 		if hops > lookupHops+1 {
 			t.Fatalf("key %s from %s: Route spent %d routing round trips, Lookup %d — more than one wasted", key.Short(), start.Addr(), hops, lookupHops)
@@ -820,16 +820,16 @@ func TestRouteOwnArcWalksWhenSelfCannotServe(t *testing.T) {
 		keys := ownKeys(n, 20)
 		c.cripple(r, n)
 		for _, key := range keys {
-			want, lookupHops, err := n.LookupCtx(context.Background(), key, nil)
+			want, lookupHops, err := n.LookupExcluding(context.Background(), key, nil, nil)
 			if err != nil {
-				t.Fatalf("%s: LookupCtx: %v", c.name, err)
+				t.Fatalf("%s: LookupExcluding: %v", c.name, err)
 			}
 			tr := reg.StartTrace("route-test")
 			w.ResetStats()
 			reply, owner, hops, err := n.RouteVia(context.Background(), key, echoMsg(), tr.Root(), n.call, "")
 			tr.Finish()
 			if err != nil || owner != want || servedBy(reply) != want.Addr {
-				t.Fatalf("%s: own key %s from %s: owner %s, %v; LookupCtx names %s", c.name, key.Short(), n.Addr(), owner, err, want)
+				t.Fatalf("%s: own key %s from %s: owner %s, %v; LookupExcluding names %s", c.name, key.Short(), n.Addr(), owner, err, want)
 			}
 			if got := spanAttr(tr.Snapshot().Root, "hinted"); got == "self" || w.Stats().CallsByType[msgNextHop] == 0 || hops > lookupHops+1 {
 				t.Fatalf("%s: own key %s from %s: annotated hinted=%q, %d next_hop, %d hops (Lookup %d); want a walk", c.name, key.Short(), n.Addr(), got, w.Stats().CallsByType[msgNextHop], hops, lookupHops)
@@ -858,7 +858,7 @@ func TestRouteOwnArcRefusedWalksOn(t *testing.T) {
 				}
 				return n.call(ctx, to, msg)
 			}
-			_, lookupHops, err := n.LookupCtx(context.Background(), key, nil)
+			_, lookupHops, err := n.LookupExcluding(context.Background(), key, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

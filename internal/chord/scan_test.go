@@ -77,7 +77,7 @@ func referenceNextHop(n *Node, req nextHopReq) nextHopResp {
 func countInverted(n *Node) int {
 	count := 0
 	for _, f := range n.fingers {
-		if f.ref.ID.BetweenLeftIncl(n.ref.ID, slotStart(n.ref.ID, int(f.slot))) {
+		if start := slotStart(n.ref.ID, int(f.slot)); f.ref.ID == n.ref.ID || f.ref.ID.Between(n.ref.ID, start) {
 			count++
 		}
 	}

@@ -60,9 +60,9 @@ func TestLookupTracedBuildsHopSpans(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		// Find a key that needs at least one remote hop so the span tree is
 		// non-trivial.
-		_, hops, err = nodes[0].LookupCtx(context.Background(), chordid.HashKey(fmt.Sprintf("k%d", i)), tr.Root())
+		_, hops, err = nodes[0].LookupExcluding(context.Background(), chordid.HashKey(fmt.Sprintf("k%d", i)), nil, tr.Root())
 		if err != nil {
-			t.Fatalf("LookupCtx: %v", err)
+			t.Fatalf("LookupExcluding: %v", err)
 		}
 		if hops > 0 {
 			break

@@ -21,9 +21,6 @@ func (a Arc) Contains(key ID) bool { return key.BetweenRightIncl(a.From, a.To) }
 // ContainsKey reports whether the hashed text key falls inside the arc.
 func (a Arc) ContainsKey(key string) bool { return a.Contains(HashKey(key)) }
 
-// Wraps reports whether the arc crosses the zero point of the ring.
-func (a Arc) Wraps() bool { return a.From.Cmp(a.To) >= 0 }
-
 // IsFull reports whether the arc covers the entire ring (From == To).
 func (a Arc) IsFull() bool { return a.From.Cmp(a.To) == 0 }
 

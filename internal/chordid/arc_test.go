@@ -14,14 +14,8 @@ func TestArcContains(t *testing.T) {
 	if !arc.Contains(FromUint64(150)) || arc.Contains(c) {
 		t.Error("interior/exterior membership wrong")
 	}
-	if arc.Wraps() {
-		t.Error("(100,200] reported as wrapping")
-	}
 
 	wrap := OwnerArc(c, a) // (300, 100]: wraps through zero
-	if !wrap.Wraps() {
-		t.Error("(300,100] not reported as wrapping")
-	}
 	if !wrap.Contains(FromUint64(50)) || !wrap.Contains(FromUint64(400)) {
 		t.Error("wrapping arc misses members on either side of zero")
 	}

@@ -13,7 +13,6 @@ import (
 	"crypto/md5"
 	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"math/bits"
 )
 
@@ -31,11 +30,6 @@ type ID [Bytes]byte
 // HashKey maps an arbitrary string key onto the ring with MD5.
 func HashKey(key string) ID {
 	return ID(md5.Sum([]byte(key)))
-}
-
-// HashBytes maps a byte slice onto the ring with MD5.
-func HashBytes(b []byte) ID {
-	return ID(md5.Sum(b))
 }
 
 // FromUint64 returns the ID whose numeric value is v. It is mainly useful in
@@ -66,20 +60,6 @@ func (id ID) String() string {
 // Short renders the first 4 bytes of the identifier, for compact logs.
 func (id ID) Short() string {
 	return hex.EncodeToString(id[:4])
-}
-
-// ParseID parses a 32-digit hex string produced by String.
-func ParseID(s string) (ID, error) {
-	var id ID
-	b, err := hex.DecodeString(s)
-	if err != nil {
-		return id, fmt.Errorf("chordid: parse %q: %w", s, err)
-	}
-	if len(b) != Bytes {
-		return id, fmt.Errorf("chordid: parse %q: want %d bytes, got %d", s, Bytes, len(b))
-	}
-	copy(id[:], b)
-	return id, nil
 }
 
 // Cmp compares two identifiers as unsigned integers, returning -1, 0, or +1.
@@ -163,14 +143,6 @@ func (id ID) Between(a, b ID) bool {
 // is the test Chord uses to decide whether a key is owned by the successor b.
 func (id ID) BetweenRightIncl(a, b ID) bool {
 	if id.Cmp(b) == 0 {
-		return true
-	}
-	return id.Between(a, b)
-}
-
-// BetweenLeftIncl reports whether id lies on the clockwise arc [a, b).
-func (id ID) BetweenLeftIncl(a, b ID) bool {
-	if id.Cmp(a) == 0 {
 		return true
 	}
 	return id.Between(a, b)

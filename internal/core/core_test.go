@@ -228,7 +228,7 @@ func TestLearnRespectsCapAndReplaces(t *testing.T) {
 	// Unpublished terms must be gone from the DHT.
 	found := false
 	for _, p := range n.Peers() {
-		if p.Index().Has("b") {
+		if p.Index().DocFreq("b") != 0 {
 			found = true
 		}
 	}

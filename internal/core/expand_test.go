@@ -209,7 +209,7 @@ func TestHotTermAdvisoryDisabledByDefault(t *testing.T) {
 	}
 	stillIndexed := false
 	for _, p := range n.Peers() {
-		if p.Index().Has("common") {
+		if p.Index().DocFreq("common") != 0 {
 			stillIndexed = true
 		}
 	}

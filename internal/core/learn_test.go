@@ -463,9 +463,10 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 			// are addressed to that peer.
 			var moved []string
 			oldHolders := map[simnet.Addr]bool{}
+			joinID := chordid.HashKey(joinName)
 			for _, term := range terms {
 				key := chordid.HashKey(term)
-				if holder, _ := ring.Owner(key); chordid.HashKey(joinName).BetweenLeftIncl(key, holder.ID()) {
+				if holder, _ := ring.Owner(key); joinID == key || joinID.Between(key, holder.ID()) {
 					moved = append(moved, term)
 					oldHolders[holder.Addr()] = true
 				}

@@ -42,7 +42,7 @@ func findJoiner(ring *chord.Ring) string {
 		for _, term := range []string{"terma", "termb", "termc", "termd"} {
 			key := chordid.HashKey(term)
 			owner, _ := ring.Owner(key)
-			if cand.BetweenLeftIncl(key, owner.ID()) {
+			if cand == key || cand.Between(key, owner.ID()) {
 				return nameFor(i)
 			}
 		}
@@ -418,7 +418,7 @@ func TestJoinHandoffRelocatesOncePerOwner(t *testing.T) {
 		owners := map[string]bool{}
 		for _, e := range f.n.PrimarySnapshot() {
 			key := chordid.HashKey(e.Term)
-			if holder, _ := f.ring.Owner(key); cand.BetweenLeftIncl(key, holder.ID()) {
+			if holder, _ := f.ring.Owner(key); cand == key || cand.Between(key, holder.ID()) {
 				moving = append(moving, e)
 				owners[e.Posting.Owner] = true
 			}

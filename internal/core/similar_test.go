@@ -373,7 +373,7 @@ func TestPostingSketchSurvivesDHTRoundTrip(t *testing.T) {
 	if want == "" {
 		t.Fatal("owner sketch empty")
 	}
-	if !sketch.Valid([]byte(want)) {
+	if err := new(sketch.Vector).UnmarshalBinary([]byte(want)); err != nil {
 		t.Fatal("owner sketch not a valid serialized vector")
 	}
 	found := false

@@ -78,16 +78,6 @@ type Query struct {
 	Relevant map[index.DocID]bool
 }
 
-// HasTerm reports whether the query contains term.
-func (q *Query) HasTerm(term string) bool {
-	for _, t := range q.Terms {
-		if t == term {
-			return true
-		}
-	}
-	return false
-}
-
 // Key returns a canonical string form of the query's keyword set, usable for
 // hashing and deduplication: sorted terms joined by spaces.
 func (q *Query) Key() string {
@@ -148,15 +138,6 @@ func New(docs []*Document) (*Corpus, error) {
 	return c, nil
 }
 
-// MustNew is New for statically known-good inputs (tests, generators).
-func MustNew(docs []*Document) *Corpus {
-	c, err := New(docs)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // N returns the number of documents.
 func (c *Corpus) N() int { return len(c.docs) }
 
@@ -174,13 +155,8 @@ func (c *Corpus) Doc(id index.DocID) (*Document, bool) {
 // exact document frequency a centralized system has (§6).
 func (c *Corpus) DocFreq(term string) int { return c.num[term] }
 
-// TotalFreq returns Freq(t), the total occurrences of term in the corpus.
-func (c *Corpus) TotalFreq(term string) int { return c.freq[term] }
-
-// Distribution returns the paper's corpus-importance metric
+// distribution is the paper's corpus-importance metric
 // Distribution(t) = Freq(t) × Num(t) (§6.1 Phase 1).
-func (c *Corpus) Distribution(term string) int64 { return c.distribution(term) }
-
 func (c *Corpus) distribution(term string) int64 {
 	return int64(c.freq[term]) * int64(c.num[term])
 }

@@ -45,9 +45,6 @@ func TestTopTermsDeterministic(t *testing.T) {
 
 func TestQueryHelpers(t *testing.T) {
 	q := &Query{ID: "q", Terms: []string{"b", "a"}}
-	if !q.HasTerm("a") || q.HasTerm("z") {
-		t.Fatal("HasTerm misbehaved")
-	}
 	if q.Key() != "a b" {
 		t.Fatalf("Key = %q, want %q", q.Key(), "a b")
 	}
@@ -58,7 +55,7 @@ func TestQueryHelpers(t *testing.T) {
 }
 
 func TestCorpusStats(t *testing.T) {
-	c := MustNew([]*Document{
+	c := mustNew([]*Document{
 		NewDocument("d1", map[string]int{"x": 3, "y": 1}),
 		NewDocument("d2", map[string]int{"x": 2, "z": 4}),
 	})
@@ -68,11 +65,11 @@ func TestCorpusStats(t *testing.T) {
 	if c.DocFreq("x") != 2 || c.DocFreq("y") != 1 || c.DocFreq("absent") != 0 {
 		t.Fatal("DocFreq wrong")
 	}
-	if c.TotalFreq("x") != 5 {
-		t.Fatalf("TotalFreq(x) = %d, want 5", c.TotalFreq("x"))
+	if c.freq["x"] != 5 {
+		t.Fatalf("Freq(x) = %d, want 5", c.freq["x"])
 	}
-	if c.Distribution("x") != 10 { // Freq 5 × Num 2
-		t.Fatalf("Distribution(x) = %d, want 10", c.Distribution("x"))
+	if c.distribution("x") != 10 { // Freq 5 × Num 2
+		t.Fatalf("Distribution(x) = %d, want 10", c.distribution("x"))
 	}
 	if d, ok := c.Doc("d1"); !ok || d.ID != "d1" {
 		t.Fatal("Doc lookup failed")
@@ -91,7 +88,7 @@ func TestNewRejectsDuplicateIDs(t *testing.T) {
 
 func TestSimilarTerms(t *testing.T) {
 	// Distributions: a=1·1=1, b=2·1=2, c=3·1=3, d=10·1=10, e=11·1=11.
-	c := MustNew([]*Document{
+	c := mustNew([]*Document{
 		NewDocument("d1", map[string]int{"a": 1, "b": 2, "c": 3, "d": 10, "e": 11}),
 	})
 	got := c.SimilarTerms("c", 2)
@@ -115,7 +112,7 @@ func TestSimilarTerms(t *testing.T) {
 }
 
 func TestSimilarTermsUnknownTerm(t *testing.T) {
-	c := MustNew([]*Document{NewDocument("d1", map[string]int{"a": 1, "b": 5})})
+	c := mustNew([]*Document{NewDocument("d1", map[string]int{"a": 1, "b": 5})})
 	// Unknown term has Distribution 0; nearest neighbours are still returned.
 	got := c.SimilarTerms("zzz", 1)
 	if len(got) != 1 || got[0] != "a" {
@@ -222,7 +219,7 @@ func TestSynthesizeZipfSkew(t *testing.T) {
 	terms := c.Terms()
 	maxFreq, sum := 0, 0
 	for _, term := range terms {
-		f := c.TotalFreq(term)
+		f := c.freq[term]
 		sum += f
 		if f > maxFreq {
 			maxFreq = f
@@ -319,7 +316,7 @@ func TestCollectionJSONRoundTrip(t *testing.T) {
 	}
 	// Global statistics must be identical too.
 	for _, term := range col.Corpus.Terms()[:10] {
-		if got.Corpus.Distribution(term) != col.Corpus.Distribution(term) {
+		if got.Corpus.distribution(term) != col.Corpus.distribution(term) {
 			t.Fatalf("Distribution(%s) differs after round trip", term)
 		}
 	}
@@ -360,4 +357,13 @@ func TestReadCollectionMinimalValid(t *testing.T) {
 	if !col.Queries[0].Relevant["d1"] {
 		t.Fatal("judgments lost")
 	}
+}
+
+// mustNew is New for the tests' known-good documents.
+func mustNew(docs []*Document) *Corpus {
+	c, err := New(docs)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

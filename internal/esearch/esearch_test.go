@@ -9,7 +9,7 @@ import (
 )
 
 func testCorpus() *corpus.Corpus {
-	return corpus.MustNew([]*corpus.Document{
+	return mustCorpus([]*corpus.Document{
 		corpus.NewDocument("d1", map[string]int{"alpha": 9, "beta": 8, "gamma": 2, "delta": 1}),
 		corpus.NewDocument("d2", map[string]int{"alpha": 3, "epsilon": 7, "zeta": 5}),
 	})
@@ -37,10 +37,10 @@ func TestIndexesOnlyTopK(t *testing.T) {
 		t.Fatal(err)
 	}
 	// d1's top-2: alpha, beta. gamma/delta must not be indexed.
-	if !s.Index().Has("alpha") || !s.Index().Has("beta") {
+	if s.Index().DocFreq("alpha") == 0 || s.Index().DocFreq("beta") == 0 {
 		t.Fatal("top terms not indexed")
 	}
-	if s.Index().Has("gamma") || s.Index().Has("delta") {
+	if s.Index().DocFreq("gamma") != 0 || s.Index().DocFreq("delta") != 0 {
 		t.Fatal("non-top terms leaked into index")
 	}
 	if got := s.Index().NumPostings(); got != 4 {
@@ -116,7 +116,7 @@ func tieCorpus(n int) *corpus.Corpus {
 			map[string]int{"alpha": 5, "beta": 3, "gamma": 2},
 		))
 	}
-	return corpus.MustNew(docs)
+	return mustCorpus(docs)
 }
 
 // TestSearchTieBreakByDocID: exact score ties must order by ascending DocID —
@@ -163,4 +163,13 @@ func TestSearchDeterministicAcrossRuns(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mustCorpus is corpus.New for the tests' known-good documents.
+func mustCorpus(docs []*corpus.Document) *corpus.Corpus {
+	c, err := corpus.New(docs)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

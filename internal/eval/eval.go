@@ -76,21 +76,6 @@ type Config struct {
 	VirtualTime bool
 }
 
-// DefaultConfig returns the paper's experimental setup (§6.2) at the
-// laptop-size scale documented in DESIGN.md.
-func DefaultConfig() Config {
-	return Config{
-		Corpus:             corpus.SynthConfig{Seed: 17},
-		QueryGen:           querygen.Config{Seed: 23},
-		Peers:              64,
-		Core:               core.Config{},
-		TopK:               20,
-		LearningIterations: 3,
-		TrainFraction:      0.5,
-		Seed:               31,
-	}
-}
-
 func (c Config) fillDefaults() Config {
 	if c.Peers == 0 {
 		c.Peers = 64

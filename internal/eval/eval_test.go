@@ -26,11 +26,15 @@ import (
 // tiny returns a configuration small enough for unit tests but large enough
 // for the learning dynamics to be visible.
 func tiny() Config {
-	cfg := DefaultConfig()
-	cfg.Corpus = corpus.SynthConfig{NumDocs: 300, NumTopics: 4, NumQueries: 12, Seed: 17}
-	cfg.QueryGen = querygen.Config{PerOriginal: 4, Seed: 23}
-	cfg.Peers = 16
-	return cfg
+	return Config{
+		Corpus:             corpus.SynthConfig{NumDocs: 300, NumTopics: 4, NumQueries: 12, Seed: 17},
+		QueryGen:           querygen.Config{PerOriginal: 4, Seed: 23},
+		Peers:              16,
+		TopK:               20,
+		LearningIterations: 3,
+		TrainFraction:      0.5,
+		Seed:               31,
+	}
 }
 
 func TestSetupSplitsQueries(t *testing.T) {

@@ -212,17 +212,12 @@ func (ix *Inverted) Put(term string, p Posting) (replaced bool) {
 	return replaced
 }
 
-// Remove deletes the posting for (term, doc) if present and reports whether
-// it was found. SPRITE's learning removes obsolete terms this way (§5.3).
+// Remove deletes the posting for (term, doc) if present, installing the
+// list's successor (or deleting the term when its last posting goes), and
+// reports whether it was found. SPRITE's learning removes obsolete terms this
+// way (§5.3).
 func (ix *Inverted) Remove(term string, doc DocID) bool {
 	tl := ix.lists[term]
-	return tl.n > 0 && ix.removeFrom(term, tl, doc)
-}
-
-// removeFrom drops doc from term's list, installing the list's successor (or
-// deleting the term when its last posting goes). Reports whether doc was
-// present.
-func (ix *Inverted) removeFrom(term string, tl Encoded, doc DocID) bool {
 	bi := searchBlocks(tl.blocks, doc)
 	if bi == len(tl.blocks) || tl.blocks[bi].first > doc {
 		return false
@@ -241,27 +236,6 @@ func (ix *Inverted) removeFrom(term string, tl Encoded, doc DocID) bool {
 		delete(ix.docs, doc)
 	}
 	return true
-}
-
-// RemoveDoc deletes every posting belonging to doc (un-sharing a document).
-// It returns the number of postings removed. A doc the index holds nothing
-// of costs one map probe; otherwise per-term cost is a block-range binary
-// search — only terms that actually hold the doc walk a block — and the scan
-// over terms ends at the doc's last posting.
-func (ix *Inverted) RemoveDoc(doc DocID) int {
-	held := ix.docs[doc]
-	if held == 0 {
-		return 0
-	}
-	removed := 0
-	for term, tl := range ix.lists {
-		if ix.removeFrom(term, tl, doc) {
-			if removed++; removed == held {
-				break
-			}
-		}
-	}
-	return removed
 }
 
 // Replace installs list as term's postings wholesale; an empty list deletes
@@ -321,9 +295,6 @@ func (ix *Inverted) DocFreq(term string) int {
 	return ix.lists[term].n
 }
 
-// Has reports whether term has at least one posting.
-func (ix *Inverted) Has(term string) bool { return ix.lists[term].n > 0 }
-
 // Contains reports whether term's list holds a posting of doc: a binary search
 // over the blocks' doc-ID ranges, then a walk of one block's front-coded doc
 // IDs. The walk uses the index's scratch space: it needs Add's exclusive access.
@@ -351,8 +322,7 @@ func (ix *Inverted) Terms() []string {
 func (ix *Inverted) NumTerms() int { return len(ix.lists) }
 
 // NumDocs returns the number of distinct documents the index currently holds
-// at least one posting of: a document leaves the count with its last posting,
-// whether Remove or RemoveDoc took it.
+// at least one posting of: a document leaves the count with its last posting.
 func (ix *Inverted) NumDocs() int { return len(ix.docs) }
 
 // NumPostings returns the total number of postings across all terms — the

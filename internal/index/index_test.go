@@ -69,15 +69,15 @@ func TestEncodedSnapshotImmutable(t *testing.T) {
 
 	snap = ix.Encoded("t")
 	cur := snap.Cursor() // a cursor opened before the mutation must survive it too
-	ix.RemoveDoc("d2")
+	ix.Remove("t", "d2")
 	if got := snap.Slice(); len(got) != 1 || got[0].Doc != "d2" {
-		t.Fatalf("snapshot mutated by RemoveDoc: %v", got)
+		t.Fatalf("snapshot mutated by Remove: %v", got)
 	}
 	if p, ok := cur.Next(); !ok || p.Doc != "d2" {
 		t.Fatalf("pre-mutation cursor = %+v, %v", p, ok)
 	}
 	if got := slices.Collect(ix.All("t")); got != nil {
-		t.Fatalf("fresh read missed RemoveDoc: %v", got)
+		t.Fatalf("fresh read missed Remove: %v", got)
 	}
 
 	// The same, byte for byte, for each of the four edits the splice makes
@@ -151,7 +151,7 @@ func TestRemove(t *testing.T) {
 	if !ix.Remove("t", "d2") {
 		t.Fatal("Remove d2 failed")
 	}
-	if ix.Has("t") {
+	if ix.NumTerms() != 0 {
 		t.Fatal("term with no postings still present")
 	}
 }
@@ -184,15 +184,17 @@ func TestContainsMatchesScan(t *testing.T) {
 	}
 }
 
+// Unsharing a document removes its posting under each term: a term only it
+// held goes, the others keep their other documents.
 func TestRemoveDoc(t *testing.T) {
 	ix := NewInverted()
 	ix.Add("a", post("d1", 1, 10))
 	ix.Add("b", post("d1", 2, 10))
 	ix.Add("b", post("d2", 1, 20))
-	if got := ix.RemoveDoc("d1"); got != 2 {
-		t.Fatalf("RemoveDoc removed %d postings, want 2", got)
+	if got := removeDoc(ix, "d1"); got != 2 {
+		t.Fatalf("removeDoc removed %d postings, want 2", got)
 	}
-	if ix.Has("a") {
+	if ix.DocFreq("a") != 0 || ix.NumTerms() != 1 {
 		t.Fatal("term a should be gone")
 	}
 	if ix.DocFreq("b") != 1 {
@@ -220,11 +222,11 @@ func TestNumDocsFollowsRemove(t *testing.T) {
 		if st.NumDocs() != 1 {
 			t.Fatalf("%s: NumDocs = %d after d1's last posting went, want 1", name, st.NumDocs())
 		}
-		if got := st.RemoveDoc("d1"); got != 0 {
-			t.Fatalf("%s: RemoveDoc of a doc already gone removed %d", name, got)
+		if got := removeDoc(st, "d1"); got != 0 {
+			t.Fatalf("%s: removeDoc of a doc already gone removed %d", name, got)
 		}
-		if got := st.RemoveDoc("d2"); got != 1 || st.NumDocs() != 0 || st.NumTerms() != 0 {
-			t.Fatalf("%s: RemoveDoc(d2) = %d, left %d docs in %d terms", name, got, st.NumDocs(), st.NumTerms())
+		if got := removeDoc(st, "d2"); got != 1 || st.NumDocs() != 0 || st.NumTerms() != 0 {
+			t.Fatalf("%s: removeDoc(d2) = %d, left %d docs in %d terms", name, got, st.NumDocs(), st.NumTerms())
 		}
 	}
 }
@@ -390,8 +392,8 @@ func TestReplaceInstallsListWholesale(t *testing.T) {
 			t.Fatalf("%q differs after Replace", term)
 		}
 	}
-	if err := got.Replace("t", Encoded{}); err != nil || got.Has("t") {
-		t.Fatalf("Replace with an empty list: %v, term kept: %v", err, got.Has("t"))
+	if err := got.Replace("t", Encoded{}); err != nil || got.DocFreq("t") != 0 {
+		t.Fatalf("Replace with an empty list: %v, term kept: %v", err, got.DocFreq("t"))
 	}
 	if got.NumPostings() != got.DocFreq("u") || got.NumDocs() != got.DocFreq("u") {
 		t.Fatalf("after deleting t: %d postings of %d docs, want u's %d", got.NumPostings(), got.NumDocs(), got.DocFreq("u"))

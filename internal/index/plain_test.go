@@ -13,10 +13,8 @@ import (
 type Store interface {
 	Add(term string, p Posting)
 	Remove(term string, doc DocID) bool
-	RemoveDoc(doc DocID) int
 	All(term string) iter.Seq[Posting]
 	DocFreq(term string) int
-	Has(term string) bool
 	Terms() []string
 	NumTerms() int
 	NumDocs() int
@@ -104,19 +102,13 @@ func (px *Plain) Remove(term string, doc DocID) bool {
 	return true
 }
 
-// RemoveDoc deletes every posting belonging to doc and returns the number
-// removed.
-func (px *Plain) RemoveDoc(doc DocID) int {
-	held := px.docs[doc]
-	if held == 0 {
-		return 0
-	}
+// removeDoc deletes every posting of doc from st, one Remove per term as
+// unsharing a document does, and returns the number removed.
+func removeDoc(st Store, doc DocID) int {
 	removed := 0
-	for term := range px.lists {
-		if px.Remove(term, doc) {
-			if removed++; removed == held {
-				break
-			}
+	for _, term := range st.Terms() {
+		if st.Remove(term, doc) {
+			removed++
 		}
 	}
 	return removed
@@ -139,8 +131,6 @@ func (px *Plain) All(term string) iter.Seq[Posting] {
 func (px *Plain) DocFreq(term string) int { return len(px.lists[term]) }
 
 // Has reports whether term has at least one posting.
-func (px *Plain) Has(term string) bool { return len(px.lists[term]) > 0 }
-
 // Terms returns all indexed terms in sorted order.
 func (px *Plain) Terms() []string {
 	out := make([]string, 0, len(px.lists))

@@ -136,8 +136,8 @@ func TestSpliceCanonicalForm(t *testing.T) {
 					t.Fatalf("seed %d step %d: Remove of %s went through rebuild", seed, step, p.Doc)
 				}
 			default:
-				if ra, rb := ix.RemoveDoc(p.Doc), px.RemoveDoc(p.Doc); ra != rb || ix.rebuilds > was {
-					t.Fatalf("seed %d step %d: RemoveDoc(%s) = %d, plain %d, rebuilt=%v", seed, step, p.Doc, ra, rb, ix.rebuilds > was)
+				if ra, rb := removeDoc(ix, p.Doc), removeDoc(px, p.Doc); ra != rb || ix.rebuilds > was {
+					t.Fatalf("seed %d step %d: removeDoc(%s) = %d, plain %d, rebuilt=%v", seed, step, p.Doc, ra, rb, ix.rebuilds > was)
 				}
 				for _, other := range ix.Terms() {
 					checkCanonical(t, ix, other)
@@ -271,8 +271,8 @@ func FuzzPostingsSplice(f *testing.F) {
 					t.Fatalf("Remove(%s,%s) disagrees with the reference", term, d)
 				}
 			case 7:
-				if ix.RemoveDoc(d) != px.RemoveDoc(d) {
-					t.Fatalf("RemoveDoc(%s) disagrees with the reference", d)
+				if removeDoc(ix, d) != removeDoc(px, d) {
+					t.Fatalf("removeDoc(%s) disagrees with the reference", d)
 				}
 			default:
 				add(term, id, x)

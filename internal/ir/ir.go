@@ -421,45 +421,3 @@ func Ratio(system, baseline Metrics) Metrics {
 	}
 	return out
 }
-
-// F1 returns the harmonic mean of precision and recall, 0 if both are 0.
-func (m Metrics) F1() float64 {
-	if m.Precision+m.Recall == 0 {
-		return 0
-	}
-	return 2 * m.Precision * m.Recall / (m.Precision + m.Recall)
-}
-
-// AveragePrecision computes the average of the precision values at each rank
-// where a relevant document appears in the returned list, normalized by the
-// total number of relevant documents — the per-query component of MAP.
-// An empty relevant set yields 0.
-func AveragePrecision(returned []index.DocID, relevant map[index.DocID]bool) float64 {
-	if len(relevant) == 0 {
-		return 0
-	}
-	hits := 0
-	sum := 0.0
-	seen := make(map[index.DocID]bool, len(returned))
-	for i, d := range returned {
-		if relevant[d] && !seen[d] {
-			seen[d] = true
-			hits++
-			sum += float64(hits) / float64(i+1)
-		}
-	}
-	return sum / float64(len(relevant))
-}
-
-// MeanAveragePrecision averages per-query AP values (MAP). Empty input
-// yields 0.
-func MeanAveragePrecision(aps []float64) float64 {
-	if len(aps) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, ap := range aps {
-		s += ap
-	}
-	return s / float64(len(aps))
-}

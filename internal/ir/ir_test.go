@@ -274,56 +274,3 @@ func TestSimilarityMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestF1(t *testing.T) {
-	m := Metrics{Precision: 0.5, Recall: 0.5}
-	if got := m.F1(); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("F1 = %v, want 0.5", got)
-	}
-	if (Metrics{}).F1() != 0 {
-		t.Fatal("F1 of zero metrics must be 0")
-	}
-	// F1 is at most the arithmetic mean.
-	m = Metrics{Precision: 0.9, Recall: 0.1}
-	if m.F1() > (m.Precision+m.Recall)/2 {
-		t.Fatal("F1 above arithmetic mean")
-	}
-}
-
-func TestAveragePrecision(t *testing.T) {
-	rel := map[index.DocID]bool{"a": true, "b": true}
-	// a at rank 1 (P=1), b at rank 3 (P=2/3) → AP = (1 + 2/3)/2 = 5/6.
-	got := AveragePrecision([]index.DocID{"a", "x", "b"}, rel)
-	if math.Abs(got-5.0/6.0) > 1e-12 {
-		t.Fatalf("AP = %v, want 5/6", got)
-	}
-	// Missing relevant docs penalize via the |relevant| denominator.
-	got = AveragePrecision([]index.DocID{"a"}, rel)
-	if math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("AP with one found = %v, want 0.5", got)
-	}
-	if AveragePrecision([]index.DocID{"a"}, nil) != 0 {
-		t.Fatal("AP with empty relevant set must be 0")
-	}
-	// Duplicates in the returned list must not double-count.
-	got = AveragePrecision([]index.DocID{"a", "a", "b"}, rel)
-	if math.Abs(got-(1.0+2.0/3.0)/2) > 1e-12 {
-		t.Fatalf("AP with dup = %v", got)
-	}
-}
-
-func TestAveragePrecisionPerfectRanking(t *testing.T) {
-	rel := map[index.DocID]bool{"a": true, "b": true, "c": true}
-	if got := AveragePrecision([]index.DocID{"a", "b", "c"}, rel); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("perfect AP = %v, want 1", got)
-	}
-}
-
-func TestMeanAveragePrecision(t *testing.T) {
-	if got := MeanAveragePrecision([]float64{1, 0, 0.5}); math.Abs(got-0.5) > 1e-12 {
-		t.Fatalf("MAP = %v, want 0.5", got)
-	}
-	if MeanAveragePrecision(nil) != 0 {
-		t.Fatal("MAP of nothing must be 0")
-	}
-}

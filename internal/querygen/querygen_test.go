@@ -3,6 +3,7 @@ package querygen
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func TestGenerateOverlapRespected(t *testing.T) {
 		orig := byID[origID]
 		shared := 0
 		for _, term := range q.Terms {
-			if orig.HasTerm(term) {
+			if slices.Contains(orig.Terms, term) {
 				shared++
 			}
 		}
@@ -407,6 +408,14 @@ func TestDerivedSetPreservesTermDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Distribution(t) = Freq(t) × Num(t), from the documents.
+	freq, num := map[string]int64{}, map[string]int64{}
+	for _, d := range col.Corpus.Docs() {
+		for tm, f := range d.TF {
+			freq[tm] += int64(f)
+			num[tm]++
+		}
+	}
 	meanLogDist := func(qs []*corpus.Query, skipOriginals bool) float64 {
 		sum, n := 0.0, 0
 		for _, q := range qs {
@@ -414,7 +423,7 @@ func TestDerivedSetPreservesTermDistribution(t *testing.T) {
 				continue
 			}
 			for _, tm := range q.Terms {
-				if d := col.Corpus.Distribution(tm); d > 0 {
+				if d := freq[tm] * num[tm]; d > 0 {
 					sum += math.Log(float64(d))
 					n++
 				}

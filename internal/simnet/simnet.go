@@ -133,17 +133,6 @@ type Stats struct {
 	PeersAlive  int              // currently registered and reachable peers
 }
 
-// TypesSorted returns the message types seen so far in sorted order, for
-// stable report output.
-func (s Stats) TypesSorted() []string {
-	out := make([]string, 0, len(s.CallsByType))
-	for t := range s.CallsByType {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Network is the simulated transport. It is safe for concurrent use.
 //
 // All pseudo-randomness (latency draws) comes from the per-Network source

@@ -205,17 +205,6 @@ func TestPeersSorted(t *testing.T) {
 	}
 }
 
-func TestTypesSorted(t *testing.T) {
-	n := New(1)
-	n.Register("b", echoHandler(t))
-	n.CallCtx(context.Background(), "a", "b", Message{Type: "zeta"})
-	n.CallCtx(context.Background(), "a", "b", Message{Type: "alpha"})
-	types := n.Stats().TypesSorted()
-	if len(types) != 2 || types[0] != "alpha" || types[1] != "zeta" {
-		t.Fatalf("TypesSorted() = %v", types)
-	}
-}
-
 func TestConcurrentCalls(t *testing.T) {
 	n := New(1)
 	n.Register("b", echoHandler(t))

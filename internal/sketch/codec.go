@@ -3,8 +3,8 @@
 // The serialized sketch (formatV1: a format byte, a uvarint width, then the
 // int8 components) is the form that actually travels and is scored: postings
 // carry it verbatim inside index.Encoded blocks, the postings cache accounts
-// its bytes, and CosineBytes/HammingBytes rank candidates straight off the
-// encoded payload. Decoding follows the wire package's safety discipline —
+// its bytes, and CosineBytes ranks candidates straight off the encoded
+// payload. Decoding follows the wire package's safety discipline —
 // every declared length is validated against the bytes remaining before any
 // allocation is sized from it, and malformed input yields an error (or a
 // zero score), never a panic.
@@ -86,12 +86,6 @@ func components(b []byte) (comp []byte, ok bool) {
 	return b[off:], true
 }
 
-// Valid reports whether b is a well-formed serialized sketch.
-func Valid(b []byte) bool {
-	_, ok := components(b)
-	return ok
-}
-
 // CosineBytes scores two serialized sketches without decoding them into
 // vectors: integer dot and norms over the raw component bytes, one float
 // division at the end. Malformed input or mismatched widths score 0 — a
@@ -116,26 +110,6 @@ func CosineBytes(a, b []byte) float64 {
 		return 0
 	}
 	return float64(dot) / math.Sqrt(float64(na)*float64(nb))
-}
-
-// HammingBytes is the sign-distance of two serialized sketches. Malformed
-// input or mismatched widths return the maximal distance MaxDims + 1.
-func HammingBytes(a, b []byte) int {
-	ca, ok := components(a)
-	if !ok {
-		return MaxDims + 1
-	}
-	cb, ok := components(b)
-	if !ok || len(ca) != len(cb) {
-		return MaxDims + 1
-	}
-	d := 0
-	for i := range ca {
-		if (int8(ca[i]) < 0) != (int8(cb[i]) < 0) {
-			d++
-		}
-	}
-	return d
 }
 
 // The standalone wire codec: a Vector payload travels under its own kind as

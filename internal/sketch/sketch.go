@@ -13,17 +13,16 @@
 // Accumulation folds terms in sorted order, pinning float addition order the
 // same way the query path pins scoring order (see DESIGN.md § Determinism).
 //
-// The serialized form is scored directly: Cosine and Hamming operate on the
+// The serialized form is scored directly: CosineBytes operates on the
 // encoded bytes with integer arithmetic (one float division at the end), so
-// re-ranking a candidate stream never materializes a decoded vector. Both
-// tolerate malformed bytes — a garbage sketch scores zero, it never panics
+// re-ranking a candidate stream never materializes a decoded vector. It
+// tolerates malformed bytes — a garbage sketch scores zero, it never panics
 // (FuzzSketch pins this).
 package sketch
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"sort"
 )
 
@@ -218,73 +217,4 @@ func (s *Sketcher) Sketch(tf map[string]int) Vector {
 func (s *Sketcher) SketchBytes(tf map[string]int) []byte {
 	b, _ := s.Sketch(tf).MarshalBinary()
 	return b
-}
-
-// FloatCosine is the float64 cosine of two projections — the reference the
-// quantized scorer is property-tested against.
-func FloatCosine(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
-}
-
-// Cosine is the exact cosine similarity of two quantized vectors: the dot
-// product and norms are integer sums (int8·int8 cannot overflow int64 at
-// MaxDims), with a single float division at the end — bit-identical
-// wherever it is computed.
-func (v Vector) Cosine(o Vector) float64 {
-	if len(v) != len(o) || len(v) == 0 {
-		return 0
-	}
-	var dot, nv, no int64
-	for i := range v {
-		a, b := int64(v[i]), int64(o[i])
-		dot += a * b
-		nv += a * a
-		no += b * b
-	}
-	if nv == 0 || no == 0 {
-		return 0
-	}
-	return float64(dot) / math.Sqrt(float64(nv)*float64(no))
-}
-
-// Hamming is the sign-distance of two quantized vectors: the number of
-// dimensions whose sign bits differ (a zero component counts as
-// non-negative). Mismatched widths return Dims-agnostic max: len(v)+len(o).
-func (v Vector) Hamming(o Vector) int {
-	if len(v) != len(o) {
-		return len(v) + len(o)
-	}
-	d := 0
-	i := 0
-	// Pack sign bits 64 at a time and popcount the XOR.
-	for ; i+64 <= len(v); i += 64 {
-		var a, b uint64
-		for j := 0; j < 64; j++ {
-			if v[i+j] < 0 {
-				a |= 1 << uint(j)
-			}
-			if o[i+j] < 0 {
-				b |= 1 << uint(j)
-			}
-		}
-		d += bits.OnesCount64(a ^ b)
-	}
-	for ; i < len(v); i++ {
-		if (v[i] < 0) != (o[i] < 0) {
-			d++
-		}
-	}
-	return d
 }

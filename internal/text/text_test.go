@@ -60,7 +60,7 @@ func TestStopWords(t *testing.T) {
 			t.Errorf("%q should not be a stop word", w)
 		}
 	}
-	if got := len(StopWords()); got != 33 {
+	if got := len(luceneStopWords); got != 33 {
 		t.Errorf("Lucene default stop list has 33 entries, got %d", got)
 	}
 }
@@ -326,7 +326,7 @@ func TestStopWordsAreNotStemTargets(t *testing.T) {
 	// The pipeline removes stop words before stemming; verify no stop word
 	// would stem into a content term that could collide surprisingly.
 	var a Analyzer
-	for _, w := range StopWords() {
+	for w := range luceneStopWords {
 		if got := a.Terms(w); len(got) != 0 {
 			t.Errorf("stop word %q survived the pipeline as %v", w, got)
 		}

@@ -50,17 +50,6 @@ var luceneStopWords = map[string]bool{
 // English stop-word list.
 func IsStopWord(tok string) bool { return luceneStopWords[tok] }
 
-// StopWords returns a copy of the stop-word set, for callers that need to
-// enumerate it (e.g. corpus generators that must avoid emitting stop words
-// as content terms).
-func StopWords() []string {
-	out := make([]string, 0, len(luceneStopWords))
-	for w := range luceneStopWords {
-		out = append(out, w)
-	}
-	return out
-}
-
 // Analyzer bundles the full pipeline with optional knobs. The zero value is
 // the paper's default pipeline (stop-word removal on, stemming on, minimum
 // token length 2).

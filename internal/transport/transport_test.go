@@ -915,40 +915,6 @@ func TestFreeAddrsDistinct(t *testing.T) {
 	}
 }
 
-// TestJoinRemoteAcrossTransports joins a node hosted on one Transport into a
-// ring hosted on another, knowing only the bootstrap's TCP address — the
-// cross-process join path.
-func TestJoinRemoteAcrossTransports(t *testing.T) {
-	trA := New(WithDialTimeout(500 * time.Millisecond))
-	defer trA.Close()
-	trB := New(WithDialTimeout(500 * time.Millisecond))
-	defer trB.Close()
-
-	addrs := freeAddrs(t, 5)
-	ring := chord.NewRing(trA, chord.Config{})
-	for _, a := range addrs[:4] {
-		if _, err := ring.AddNode(string(a)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ring.Build()
-
-	// The joiner lives on a different Transport instance — it shares nothing
-	// with the ring but the wire protocol.
-	joiner := chord.NewNode(trB, string(addrs[4]), chord.Config{})
-	if err := joiner.JoinRemote(addrs[0]); err != nil {
-		t.Fatalf("JoinRemote: %v", err)
-	}
-	succ := joiner.Successor()
-	if succ.IsZero() || succ.ID == joiner.ID() {
-		t.Fatalf("joiner successor = %v", succ)
-	}
-	want, _ := ring.Owner(joiner.ID())
-	if succ.ID != want.ID() {
-		t.Fatalf("joiner successor = %s, want %s", succ.ID.Short(), want.ID().Short())
-	}
-}
-
 func TestReRegisterSwapsHandler(t *testing.T) {
 	tr := New()
 	defer tr.Close()

@@ -21,7 +21,6 @@ import (
 	"math"
 	"math/bits"
 	"reflect"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -108,23 +107,6 @@ func RegisterBinary(kind uint16, prototype any, enc EncodeFunc, dec DecodeFunc) 
 	next.byKind[kind] = c
 	next.byType[t] = c
 	table.Store(next)
-}
-
-// BinaryPrototypes returns one zero prototype per registered binary codec,
-// ordered by kind. Tests use it to round-trip every protocol payload
-// generically.
-func BinaryPrototypes() []any {
-	byKind := codecs().byKind
-	kinds := make([]int, 0, len(byKind))
-	for k := range byKind {
-		kinds = append(kinds, int(k))
-	}
-	sort.Ints(kinds)
-	out := make([]any, 0, len(kinds))
-	for _, k := range kinds {
-		out = append(out, reflect.New(byKind[uint16(k)].typ).Elem().Interface())
-	}
-	return out
 }
 
 // AppendBinary appends the binary encoding of v — a 2-byte kind followed by
