@@ -27,13 +27,14 @@ bench:
 # next_hop request, decoding a 60-posting list, scoring one long list and one
 # query's four lists, recording a query at an indexing peer, answering one
 # poll item over a full history (512 or 75 distinct queries), one limit-2
-# fan-out over three items that each need 16 KB of stack, and one loopback
+# fan-out over three items that each need 16 KB of stack and one over three
+# items of about 0.3 µs of CPU (a caller that outruns its helper), and one loopback
 # echo call with 1 and with 16 concurrent callers sharing a connection. CI
 # runs each once (BENCHTIME=1x) so they keep compiling and running.
 BENCHTIME ?= 1s
 
 bench-cpu:
-	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|ScoreQuery|CursorScan|CacheQuery|Poll|PollRepeats|MapDeepStack|Call)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/index ./internal/ir ./internal/core ./internal/fanout ./internal/transport
+	$(GO) test -run XXX -bench '^Benchmark(NextHop|Size|MergeTopK|ScoreQuery|CursorScan|CacheQuery|Poll|PollRepeats|MapDeepStack|MapShortItems|Call)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/chord ./internal/wire ./internal/index ./internal/ir ./internal/core ./internal/fanout ./internal/transport
 
 # The repository benchmark (bench/, a module of its own — see bench/README.md):
 # its harness tests, and one 12-second pass of the routing-bound workload.
@@ -151,10 +152,11 @@ smoke-churn:
 	$(GO) test -race -run 'Churn|Resilien|Failover|Partial|TestDo|Backoff|Jitter|Classify' ./...
 
 # Fast concurrency smoke: the query execution engine's determinism and race
-# regression tests (sequential ≡ parallel), plus the fanout executor and
-# accumulator arrival-order property tests, all under the race detector.
+# regression tests (sequential ≡ parallel), plus the fanout executor, the
+# GoGroup primitive it stands on (wall and virtual clock) and the accumulator
+# arrival-order property tests, all under the race detector.
 smoke-parallel:
-	$(GO) test -race -run 'Parallel|Fanout|Map|ForEach|Accumulator|RankedTop|SleepingLatency' ./internal/fanout/ ./internal/core/ ./internal/ir/ ./internal/simnet/
+	$(GO) test -race -run 'Parallel|Fanout|Map|ForEach|Accumulator|RankedTop|SleepingLatency|GoGroup' ./internal/fanout/ ./internal/core/ ./internal/ir/ ./internal/simnet/ ./internal/vtime/
 
 # Virtual-time smoke: the event scheduler's own suite, the wall/virtual twin
 # and same-seed determinism regressions, a unit-sized scale sweep, and the
@@ -165,12 +167,14 @@ smoke-scale:
 	$(GO) test -run 'Virtual|TestRunScale' ./internal/eval/ ./internal/chaos/
 	$(GO) test -run 'TestVirtualTime' .
 
-# The twin and same-seed determinism tests of smoke-scale at one scheduler
-# width: `make smoke-determinism GOMAXPROCS=2`. CI runs it at 1, 2 and 8 so
-# that a scheduling-dependent quantity cannot slip into the determinism
-# contract on a host size nobody tried.
+# The twin and same-seed determinism tests of smoke-scale, and core's
+# sequential ≡ parallel test, at one scheduler width:
+# `make smoke-determinism GOMAXPROCS=2`. CI runs it at 1, 2 and 8 so that a
+# scheduling-dependent quantity cannot slip into the determinism contract on
+# a host size nobody tried; at 1 a fan-out's helper most often never runs.
 smoke-determinism:
 	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run 'Virtual' ./internal/eval/ ./internal/chaos/ .
+	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run '^TestParallelDeterminismMatchesSequential$$' ./internal/core/
 
 # Real-socket transport smoke: the TCP transport (pool lifecycle, mux demux,
 # reconnect, timeout taxonomy, frame cap, unencodable payloads) five times

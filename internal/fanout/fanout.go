@@ -37,14 +37,20 @@
 // hold — and callers that need a global bound flatten their work into one
 // Map instead, as the learning sweep's phases do.
 //
-// A parallel Map spawns at most Limit()-1 helpers: the calling goroutine is
+// A parallel Map starts at most Limit()-1 helpers: the calling goroutine is
 // worker 0, because its stack has already grown to the depth a send reaches
 // while a fresh goroutine's stack grows again on the way down. A one-item
-// call spawns nothing, and a three-item call at limit 2 spawns one.
+// call starts nothing, and a three-item call at limit 2 starts one. The
+// caller waits only for the items a helper claimed, not for the helpers: one
+// that has run every item itself returns at once, and a helper scheduled
+// after the items are drained runs nothing. Such helpers briefly outlive
+// their call, so an executor bounds the helpers it has started that have not
+// run yet (maxUnstartedHelpers): past the bound a caller yields to them first.
 package fanout
 
 import (
 	"context"
+	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -56,17 +62,34 @@ import (
 // Executor runs independent items with bounded parallelism. The zero value is
 // not usable; create one with New. An Executor is safe for concurrent use and
 // holds no pooled goroutines: each Map call runs at most Limit() workers, the
-// calling goroutine and up to Limit()-1 helpers it spawns and joins, so nested
-// fan-outs compose without deadlock.
+// calling goroutine and up to Limit()-1 helpers it starts, and returns once
+// every item has, so nested fan-outs compose without deadlock.
 type Executor struct {
 	limit    int
 	reg      *telemetry.Registry
 	clock    vtime.Clock
 	inflight *telemetry.Gauge
 
-	mu     sync.Mutex
-	stages map[string]*telemetry.Histogram
+	// unstarted counts the helpers Map has started that have not yet run
+	// their claim.
+	unstarted atomic.Int64
+
+	// stages maps a stage name to its latency histogram. It is copied on
+	// write under stagesMu and read without a lock.
+	stages   atomic.Pointer[map[string]*telemetry.Histogram]
+	stagesMu sync.Mutex
 }
+
+// maxUnstartedHelpers bounds an executor's helpers that have been started but
+// not scheduled yet. A caller that runs its items faster than the scheduler
+// starts its helpers leaves one behind per call, and on a busy processor they
+// pile up. Past the bound a caller yields its thread before it starts more,
+// so the waiting helpers run, find nothing and exit. It does not run its
+// items alone or join its helpers instead: whether the bound is reached
+// depends on how the host schedules goroutines, so the choice must change
+// neither the virtual timeline (alone, sleeping items would run in turn) nor
+// what a call allocates.
+const maxUnstartedHelpers = 64
 
 // New returns an executor bounded to limit concurrent items. limit <= 0
 // derives the bound from GOMAXPROCS; limit 1 is the legacy sequential mode.
@@ -83,13 +106,14 @@ func NewClocked(limit int, reg *telemetry.Registry, clk vtime.Clock) *Executor {
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
-	return &Executor{
+	e := &Executor{
 		limit:    limit,
 		reg:      reg,
 		clock:    vtime.Default(clk),
 		inflight: reg.Gauge("sprite.fanout.inflight"),
-		stages:   make(map[string]*telemetry.Histogram),
 	}
+	e.stages.Store(&map[string]*telemetry.Histogram{})
+	return e
 }
 
 // Limit returns the executor's concurrency bound (always >= 1).
@@ -106,13 +130,20 @@ func (e *Executor) stageHist(stage string) *telemetry.Histogram {
 	if e == nil || e.reg == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	h, ok := e.stages[stage]
-	if !ok {
-		h = e.reg.Histogram("sprite.fanout.stage." + stage + "_us")
-		e.stages[stage] = h
+	if h := (*e.stages.Load())[stage]; h != nil {
+		return h
 	}
+	e.stagesMu.Lock()
+	defer e.stagesMu.Unlock()
+	old := *e.stages.Load()
+	if h := old[stage]; h != nil {
+		return h
+	}
+	h := e.reg.Histogram("sprite.fanout.stage." + stage + "_us")
+	next := make(map[string]*telemetry.Histogram, len(old)+1)
+	maps.Copy(next, old)
+	next[stage] = h
+	e.stages.Store(&next)
 	return h
 }
 
@@ -170,9 +201,16 @@ func Map[T any](ctx context.Context, e *Executor, stage string, n int, fn func(c
 	// written by exactly one worker, so no result-side locking is needed.
 	// GoGroup runs worker 0 on the calling goroutine, whose stack has already
 	// grown, and registers the workers-1 helpers it starts with the
-	// executor's clock: under virtual time a caller left waiting for its
-	// helpers gives up its runnable slot, so a fan-out never stalls the
-	// scheduler while its workers sleep through simulated latency.
+	// executor's clock. A helper claims a place in the group only while
+	// indices are left, so the caller, whose worker returns once the cursor
+	// is drained, waits for the items helpers are still running and for no
+	// helper that found nothing. Under virtual time a caller left waiting
+	// gives up its runnable slot, so a fan-out never stalls the scheduler
+	// while its workers sleep through simulated latency.
+	if e.unstarted.Load() >= maxUnstartedHelpers {
+		runtime.Gosched()
+	}
+	e.unstarted.Add(int64(workers - 1))
 	var next atomic.Int64
 	e.clock.GoGroup(workers, func(int) {
 		for {
@@ -186,6 +224,9 @@ func Map[T any](ctx context.Context, e *Executor, stage string, n int, fn func(c
 			}
 			e.run(hist, func() { values[i], errs[i] = fn(ctx, i) })
 		}
+	}, func() bool {
+		e.unstarted.Add(-1)
+		return next.Load() < int64(n)
 	})
 	return values, errs
 }

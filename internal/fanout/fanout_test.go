@@ -1,6 +1,7 @@
 package fanout
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -109,12 +110,28 @@ func TestNestedMapBoundIsPerCall(t *testing.T) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has stopped
+// falling: helpers of an earlier Map that found no item left may still be
+// on their way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for steady := 0; steady < 5; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, steady = m, 0
+		} else {
+			steady++
+		}
+	}
+	return n
+}
+
 // A parallel Map's caller is its first worker: limit 3 over three items held
 // at a barrier runs two more goroutines than before the call, and limit 3
 // over one item runs none.
 func TestMapCallerIsFirstWorker(t *testing.T) {
 	e := New(3, nil)
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	var arrived atomic.Int64
 	var during int
 	release := make(chan struct{})
@@ -133,7 +150,7 @@ func TestMapCallerIsFirstWorker(t *testing.T) {
 		t.Fatalf("three items at limit 3 ran %d extra goroutines, want 2", during-before)
 	}
 
-	before = runtime.NumGoroutine()
+	before = settledGoroutines()
 	_, errs = Map(context.Background(), e, "test", 1, func(context.Context, int) (struct{}, error) {
 		during = runtime.NumGoroutine()
 		return struct{}{}, nil
@@ -143,6 +160,102 @@ func TestMapCallerIsFirstWorker(t *testing.T) {
 	}
 	if during != before {
 		t.Fatalf("one item at limit 3 ran %d extra goroutines, want 0", during-before)
+	}
+}
+
+// goid returns the calling goroutine's ID, read off the "goroutine N [...]"
+// header runtime.Stack writes.
+func goid() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// spin burns about rounds nanoseconds of CPU without touching memory or the
+// scheduler.
+//
+//go:noinline
+func spin(rounds int) uint64 {
+	x := uint64(rounds)
+	for i := 0; i < rounds; i++ {
+		x = x*6364136223846793005 + 1442695040888963407
+	}
+	return x
+}
+
+// On one P the helper a limit-2 Map starts is not scheduled while the caller
+// runs CPU-only items, so the caller runs all three and returns before the
+// helper has claimed: it does not wait for a helper that would find nothing.
+// A GC can hand the P over mid-call, so a few attempts are allowed.
+func TestMapReturnsBeforeHelperRuns(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := New(2, nil)
+	caller := goid()
+	for attempt := 1; ; attempt++ {
+		settledGoroutines()
+		ran := make([]string, 3)
+		_, errs := Map(context.Background(), e, "test", 3, func(_ context.Context, i int) (struct{}, error) {
+			_ = spin(300)
+			ran[i] = goid()
+			return struct{}{}, nil
+		})
+		if err := FirstError(errs); err != nil {
+			t.Fatal(err)
+		}
+		if e.unstarted.Load() == 1 {
+			for i, id := range ran {
+				if id != caller {
+					t.Errorf("item %d ran on goroutine %s before the helper started, want the caller's %s", i, id, caller)
+				}
+			}
+			return
+		}
+		if attempt == 10 {
+			t.Fatalf("in %d attempts Map never returned before its helper ran", attempt)
+		}
+	}
+}
+
+// Under -race: a caller reads values and errs the moment Map returns, so a
+// helper's writes must happen before the return, and a helper that claimed
+// nothing must write nothing.
+func TestMapResultsVisibleOnReturn(t *testing.T) {
+	e := New(2, nil)
+	for r := 0; r < 2000; r++ {
+		vals, errs := Map(context.Background(), e, "test", 3, func(_ context.Context, i int) (int, error) {
+			_ = spin(100)
+			return r + i, nil
+		})
+		for i := range vals {
+			if vals[i] != r+i || errs[i] != nil {
+				t.Fatalf("round %d: vals[%d], errs[%d] = %d, %v, want %d, nil", r, i, i, vals[i], errs[i], r+i)
+			}
+		}
+	}
+}
+
+// A caller that outruns the scheduler leaves a helper behind per call; on
+// one P a tight loop would pile them up until it is preempted. The executor
+// bounds them: the loop never runs more than maxUnstartedHelpers goroutines
+// beyond the baseline, plus a few the runtime may start.
+func TestMapHelpersPileUpOnlyToTheCap(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	e := New(2, nil)
+	base := settledGoroutines()
+	peak := base
+	for r := 0; r < 5000; r++ {
+		Map(context.Background(), e, "test", 3, func(context.Context, int) (struct{}, error) {
+			return struct{}{}, nil
+		})
+		if g := runtime.NumGoroutine(); g > peak {
+			peak = g
+		}
+	}
+	if limit := base + maxUnstartedHelpers + 4; peak > limit {
+		t.Fatalf("a tight loop of Maps peaked at %d goroutines, want at most %d (baseline %d + cap %d + 4)", peak, limit, base, maxUnstartedHelpers)
+	}
+	settledGoroutines()
+	if u := e.unstarted.Load(); u != 0 {
+		t.Fatalf("%d helpers still counted unstarted after they all ran", u)
 	}
 }
 
@@ -257,6 +370,31 @@ func TestTelemetryInflightAndStages(t *testing.T) {
 	}
 }
 
+// Stage histograms are resolved without a lock on a copied map: calls that
+// meet new stages at once must each land in the one histogram of their
+// stage.
+func TestStageHistogramsResolvedConcurrently(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := New(2, reg)
+	const callers, stages = 8, 4
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for s := 0; s < stages; s++ {
+				ForEach(context.Background(), e, fmt.Sprintf("s%d", (c+s)%stages), 3, func(context.Context, int) error { return nil })
+			}
+		}()
+	}
+	wg.Wait()
+	for s := 0; s < stages; s++ {
+		if got := reg.Histogram(fmt.Sprintf("sprite.fanout.stage.s%d_us", s)).Count(); got != callers*3 {
+			t.Errorf("stage s%d histogram count = %d, want %d", s, got, callers*3)
+		}
+	}
+}
+
 func TestForEachAndFirstError(t *testing.T) {
 	e := New(4, nil)
 	errs := ForEach(context.Background(), e, "test", 6, func(_ context.Context, i int) error {
@@ -312,5 +450,21 @@ func BenchmarkMapDeepStack(b *testing.B) {
 			return deepStack(16), nil
 		})
 		deepSink += vals[0]
+	}
+}
+
+// BenchmarkMapShortItems is a fan-out whose items are cheap next to a helper:
+// limit 2 over three items of about 0.3 µs of CPU each, as a query's
+// in-process postings fetches are. The caller usually runs all three before
+// its helper is scheduled.
+func BenchmarkMapShortItems(b *testing.B) {
+	e := New(2, nil)
+	ctx := context.Background()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Map(ctx, e, "short", 3, func(context.Context, int) (struct{}, error) {
+			_ = spin(300)
+			return struct{}{}, nil
+		})
 	}
 }

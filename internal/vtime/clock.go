@@ -22,7 +22,10 @@
 // item on the calling goroutine, whose stack has already grown, and starts
 // a goroutine only for each other item: a fresh goroutine's small stack
 // grows again on the way down a send, and that regrowth is the price a
-// fan-out pays per helper.
+// fan-out pays per helper. A group given a claim waits only for the helpers
+// that claimed work: a caller that has done all of it itself returns
+// without waiting for a helper to be scheduled, and a helper that starts
+// after that runs nothing.
 package vtime
 
 import (
@@ -49,12 +52,22 @@ type Clock interface {
 	// Now) and expiry is a deterministic scheduler event.
 	WithTimeout(parent context.Context, d time.Duration) (context.Context, context.CancelFunc)
 
-	// GoGroup runs fn(0..n-1) and blocks until all return: fn(0) on the
-	// calling goroutine, every other index on a new registered goroutine,
-	// so a group of n starts n-1. n <= 0 calls nothing. If helpers are still
-	// running when fn(0) returns, the caller gives up its runnable slot
-	// while it waits, so the wait itself never stalls virtual time.
-	GoGroup(n int, fn func(i int))
+	// GoGroup runs fn(0) on the calling goroutine and starts n-1 helpers for
+	// fn(1..n-1), then waits for every helper that has claimed its part. n <= 0
+	// calls nothing.
+	//
+	// Without claim, each helper has claimed from the start: GoGroup returns
+	// once every fn(i) has returned. With claim, every helper calls claim() as
+	// it starts, and runs fn(i) only if claim() returns true and fn(0) is
+	// still running; the caller, once fn(0) has returned, waits only for the
+	// helpers that did. A helper that starts later returns at once, possibly
+	// after GoGroup has. So a claim suits workers that pull items from a
+	// shared cursor, where fn(0) returns only once the cursor is drained:
+	// claim reports whether items are left.
+	//
+	// A caller still waiting when fn(0) returns gives up its runnable slot, so
+	// the wait itself never stalls virtual time.
+	GoGroup(n int, fn func(i int), claim ...func() bool)
 }
 
 // Wall is the real-time clock: every method delegates to the standard
@@ -90,18 +103,54 @@ func (wallClock) WithTimeout(parent context.Context, d time.Duration) (context.C
 	return context.WithTimeout(parent, d)
 }
 
-func (wallClock) GoGroup(n int, fn func(i int)) {
+func (wallClock) GoGroup(n int, fn func(i int), claim ...func() bool) {
 	if n <= 0 {
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(n - 1)
+	g := &wallGroup{}
+	if len(claim) == 0 {
+		g.wg.Add(n - 1)
+	} else {
+		g.claim = claim[0]
+	}
 	for i := 1; i < n; i++ {
-		go func(i int) {
-			defer wg.Done()
-			fn(i)
-		}(i)
+		go g.help(fn, i)
 	}
 	fn(0)
-	wg.Wait()
+	if g.claim != nil {
+		g.mu.Lock()
+		g.closed = true
+		g.mu.Unlock()
+	}
+	g.wg.Wait()
+}
+
+// wallGroup is one GoGroup call on the wall clock. wg counts the helpers
+// the caller waits for: all n-1 without a claim; with one, each helper that
+// claimed before the caller closed the group. Such a helper adds itself
+// under mu, so its Add happens before the caller's Wait or not at all.
+type wallGroup struct {
+	claim  func() bool
+	mu     sync.Mutex
+	closed bool
+	wg     sync.WaitGroup
+}
+
+func (g *wallGroup) help(fn func(int), i int) {
+	if g.claim != nil {
+		if !g.claim() {
+			return
+		}
+		g.mu.Lock()
+		open := !g.closed
+		if open {
+			g.wg.Add(1)
+		}
+		g.mu.Unlock()
+		if !open {
+			return
+		}
+	}
+	defer g.wg.Done()
+	fn(i)
 }

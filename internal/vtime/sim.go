@@ -322,52 +322,86 @@ func (s *Sim) removeEvent(ev *event) {
 }
 
 // GoGroup runs fn(0) on the calling goroutine and fn(1..n-1) on n-1 new
-// registered goroutines, and blocks until all return. The caller keeps its
-// runnable slot while it runs fn(0), so the group adds n-1 workers. If it
-// finishes last it simply returns, still registered. Otherwise it
-// deregisters while waiting, and the last helper to exit re-registers the
-// caller's slot in the same critical section as its own exit, so there is
-// no instant at which the scheduler could advance between "group done" and
-// "caller runnable". This is the primitive fanout.Map builds on.
-func (s *Sim) GoGroup(n int, fn func(i int)) {
+// registered goroutines, under Clock.GoGroup's contract. The caller keeps its
+// runnable slot while it runs fn(0), and every helper is registered before
+// it starts, so virtual time cannot advance past a helper that has not yet
+// claimed. A helper whose claim fails deregisters and exits. When fn(0)
+// returns and no claimed helper is still running, the caller simply
+// returns, still registered. Otherwise it deregisters while waiting, and
+// the last claimed helper to exit re-registers the caller's slot in the same
+// critical section as its own exit, so there is no instant at which the
+// scheduler could advance between "group done" and "caller runnable". This
+// is the primitive fanout.Map builds on.
+func (s *Sim) GoGroup(n int, fn func(i int), claim ...func() bool) {
 	if n <= 0 {
 		return
 	}
-	done := make(chan struct{})
-	remaining := n // the caller's fn(0) included
+	g := &simGroup{}
+	if len(claim) == 0 {
+		g.running = n - 1
+	} else {
+		g.claim = claim[0]
+	}
 	s.mu.Lock()
 	s.workers += n - 1
 	s.mu.Unlock()
 	for i := 1; i < n; i++ {
-		go func(i int) {
-			defer func() {
-				s.mu.Lock()
-				s.workers--
-				remaining--
-				last := remaining == 0
-				if last {
-					s.workers++ // hand the slot back to the waiting caller
-				}
-				cb := s.advanceLocked()
-				s.mu.Unlock()
-				if last {
-					close(done)
-				}
-				s.settle(cb)
-			}()
-			fn(i)
-		}(i)
+		go s.help(g, fn, i)
 	}
 	fn(0)
 	s.mu.Lock()
-	remaining--
-	if remaining == 0 {
+	g.closed = true
+	if g.running == 0 {
 		s.mu.Unlock()
 		return
 	}
+	g.done = make(chan struct{})
 	s.workers-- // wait unregistered; the last helper hands the slot back
 	cb := s.advanceLocked()
 	s.mu.Unlock()
 	s.settle(cb)
-	<-done
+	<-g.done
+}
+
+// simGroup is one GoGroup call on a Sim, guarded by the Sim's lock. running
+// counts the claimed helpers that have not exited: all n-1 without a claim.
+// done is made when the caller starts to wait.
+type simGroup struct {
+	claim   func() bool
+	closed  bool
+	running int
+	done    chan struct{}
+}
+
+func (s *Sim) help(g *simGroup, fn func(int), i int) {
+	if g.claim != nil {
+		claimed := g.claim()
+		s.mu.Lock()
+		claimed = claimed && !g.closed
+		if claimed {
+			g.running++
+		}
+		s.mu.Unlock()
+		if !claimed {
+			s.deregister()
+			return
+		}
+	}
+	defer func() {
+		s.mu.Lock()
+		s.workers--
+		g.running--
+		var done chan struct{}
+		if g.running == 0 && g.closed {
+			s.workers++ // hand the slot back to the waiting caller
+			done = g.done
+		}
+		cb := s.advanceLocked()
+		s.mu.Unlock()
+		if done != nil {
+			close(done)
+		}
+		s.settle(cb)
+	}()
+	fn(i)
 }

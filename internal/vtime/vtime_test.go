@@ -212,6 +212,61 @@ func TestSimGoGroupHandoff(t *testing.T) {
 			})
 		})
 		step("group nested in fn(0)", 13*time.Millisecond)
+
+		// Claimed groups: three workers pull three items off a cursor and
+		// claim a place only while items are left.
+		var next atomic.Int64
+		items := func(n int64, d time.Duration) (func(int), func() bool) {
+			next.Store(0)
+			work := func(int) {
+				for next.Add(1) <= n {
+					sleep(d)
+				}
+			}
+			return work, func() bool { return next.Load() < n }
+		}
+
+		// The caller's first item sleeps, so both helpers start and claim
+		// the other two before virtual time moves: one round, not three.
+		work, claim := items(3, time.Millisecond)
+		s.GoGroup(3, work, claim)
+		step("claimed group", 14*time.Millisecond)
+
+		// A helper whose claim fails deregisters and exits without running,
+		// and the caller's sleep does not wait for it.
+		s.GoGroup(3, func(i int) {
+			if i > 0 {
+				t.Errorf("fn(%d) ran after its claim failed", i)
+			}
+			sleep(2 * time.Millisecond)
+		}, func() bool { return false })
+		step("refused group", 16*time.Millisecond)
+
+		// CPU-only items: the caller may drain the cursor and return while
+		// its helpers are still registered but unscheduled. They hold
+		// virtual time until they start, find nothing and deregister, so the
+		// next sleep advances exactly its own length.
+		work, claim = items(3, 0)
+		s.GoGroup(3, work, claim)
+		sleep(time.Millisecond)
+		step("drained group", 17*time.Millisecond)
+
+		// fn(0) sleeps for no time, which lets both helpers start and claim,
+		// and returns while they still hold their items: the caller waits
+		// unregistered, and the last helper hands its slot back.
+		s.GoGroup(3, func(i int) {
+			if i == 0 {
+				sleep(0)
+				return
+			}
+			sleep(time.Duration(i) * time.Millisecond)
+			if i == 1 {
+				if got := registered(); got != 2 {
+					t.Errorf("caller waiting on claimed helpers: %d registered goroutines, want the 2 helpers", got)
+				}
+			}
+		}, func() bool { return true })
+		step("caller-first claimed group", 19*time.Millisecond)
 	})
 }
 

@@ -137,8 +137,12 @@ type Options struct {
 	// itself, one DHT route per other term) run concurrently per query, and
 	// how many exchanges each phase of a learning sweep runs at once. 0 (the
 	// default) derives the bound from GOMAXPROCS; 1 forces the legacy
-	// sequential path. Rankings, query histories, and message accounting are
-	// bit-identical across settings — only wall-clock latency changes.
+	// sequential path. Above 1 the calling goroutine is the first worker and
+	// waits only for the exchanges a helper took, never for a helper that
+	// found none left, so a fan-out of short in-process exchanges costs
+	// little more than running them in turn. Rankings, query histories, and
+	// message accounting are bit-identical across settings — only wall-clock
+	// latency changes.
 	Parallelism int
 	// Sketch enables vector-similarity retrieval: every shared document
 	// carries a compact random-projection sketch of its term vector inside
