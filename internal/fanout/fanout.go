@@ -44,13 +44,14 @@
 // caller waits only for the items a helper claimed, not for the helpers: one
 // that has run every item itself returns at once, and a helper scheduled
 // after the items are drained runs nothing. Such helpers briefly outlive
-// their call, so an executor bounds the helpers it has started that have not
-// run yet (maxUnstartedHelpers): past the bound a caller yields to them first.
+// their call, so an executor counts the helpers it has started that have not
+// run yet: once 64 wait (maxUnstartedHelpers), a caller yields its thread
+// once before it starts more. That is not a hard bound: callers on several
+// processors can pass it between a yield and their start.
 package fanout
 
 import (
 	"context"
-	"maps"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -74,21 +75,22 @@ type Executor struct {
 	// their claim.
 	unstarted atomic.Int64
 
-	// stages maps a stage name to its latency histogram. It is copied on
-	// write under stagesMu and read without a lock.
-	stages   atomic.Pointer[map[string]*telemetry.Histogram]
-	stagesMu sync.Mutex
+	mu     sync.Mutex
+	stages map[string]*telemetry.Histogram
 }
 
-// maxUnstartedHelpers bounds an executor's helpers that have been started but
-// not scheduled yet. A caller that runs its items faster than the scheduler
-// starts its helpers leaves one behind per call, and on a busy processor they
-// pile up. Past the bound a caller yields its thread before it starts more,
-// so the waiting helpers run, find nothing and exit. It does not run its
-// items alone or join its helpers instead: whether the bound is reached
-// depends on how the host schedules goroutines, so the choice must change
-// neither the virtual timeline (alone, sleeping items would run in turn) nor
-// what a call allocates.
+// maxUnstartedHelpers is how many of an executor's helpers may be started but
+// not yet scheduled before a caller yields. A caller that runs its items
+// faster than the scheduler starts its helpers leaves one behind per call,
+// and on a busy processor they pile up. Once this many wait, a caller yields
+// its thread once (runtime.Gosched) before it starts more, so the waiting
+// helpers can run, find nothing and exit; then it starts its own whatever
+// the count. The pile stays near this size for one caller on one processor
+// (TestMapYieldsToPiledUpHelpers), but concurrent callers can pass it. A
+// caller does not run its items alone or join its helpers instead: whether
+// the count is reached depends on how the host schedules goroutines, so the
+// choice must change neither the virtual timeline (alone, sleeping items
+// would run in turn) nor what a call allocates.
 const maxUnstartedHelpers = 64
 
 // New returns an executor bounded to limit concurrent items. limit <= 0
@@ -106,14 +108,13 @@ func NewClocked(limit int, reg *telemetry.Registry, clk vtime.Clock) *Executor {
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
-	e := &Executor{
+	return &Executor{
 		limit:    limit,
 		reg:      reg,
 		clock:    vtime.Default(clk),
 		inflight: reg.Gauge("sprite.fanout.inflight"),
+		stages:   make(map[string]*telemetry.Histogram),
 	}
-	e.stages.Store(&map[string]*telemetry.Histogram{})
-	return e
 }
 
 // Limit returns the executor's concurrency bound (always >= 1).
@@ -130,20 +131,13 @@ func (e *Executor) stageHist(stage string) *telemetry.Histogram {
 	if e == nil || e.reg == nil {
 		return nil
 	}
-	if h := (*e.stages.Load())[stage]; h != nil {
-		return h
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	h, ok := e.stages[stage]
+	if !ok {
+		h = e.reg.Histogram("sprite.fanout.stage." + stage + "_us")
+		e.stages[stage] = h
 	}
-	e.stagesMu.Lock()
-	defer e.stagesMu.Unlock()
-	old := *e.stages.Load()
-	if h := old[stage]; h != nil {
-		return h
-	}
-	h := e.reg.Histogram("sprite.fanout.stage." + stage + "_us")
-	next := make(map[string]*telemetry.Histogram, len(old)+1)
-	maps.Copy(next, old)
-	next[stage] = h
-	e.stages.Store(&next)
 	return h
 }
 
