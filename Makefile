@@ -167,14 +167,17 @@ smoke-scale:
 	$(GO) test -run 'Virtual|TestRunScale' ./internal/eval/ ./internal/chaos/
 	$(GO) test -run 'TestVirtualTime' .
 
-# The twin and same-seed determinism tests of smoke-scale, and core's
-# sequential ≡ parallel test, at one scheduler width:
-# `make smoke-determinism GOMAXPROCS=2`. CI runs it at 1, 2 and 8 so that a
-# scheduling-dependent quantity cannot slip into the determinism contract on
-# a host size nobody tried; at 1 a fan-out's helper most often never runs.
+# The twin and same-seed determinism tests of smoke-scale, core's
+# sequential ≡ parallel test and the virtual clock's own timeline tests, at
+# one scheduler width: `make smoke-determinism GOMAXPROCS=2`. CI runs it at
+# 1, 2 and 8 so that a scheduling-dependent quantity cannot slip into the
+# determinism contract on a host size nobody tried; at 1 a fan-out's helper
+# most often never runs. Which worker takes which item off a GoGroup's
+# cursor depends on the host's scheduler; Elapsed must not.
 smoke-determinism:
 	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run 'Virtual' ./internal/eval/ ./internal/chaos/ .
 	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run '^TestParallelDeterminismMatchesSequential$$' ./internal/core/
+	GOMAXPROCS=$(GOMAXPROCS) $(GO) test -count=1 -run '^(TestSimDeterminism|TestSimGoGroupHandoff|TestSimOrdering)$$' ./internal/vtime/
 
 # Real-socket transport smoke: the TCP transport (pool lifecycle, mux demux,
 # reconnect, timeout taxonomy, frame cap, unencodable payloads) five times
@@ -192,14 +195,14 @@ smoke-tcp:
 # One way out of a peer: in internal/core only send.go calls the transport
 # or routes on the ring, so routing, resilience, spans and batching have one
 # home. Fails naming every other non-test core line that calls CallCtx,
-# Route, RouteVia, Lookup, LookupCtx or LookupExcluding. And one message
+# RouteVia, Lookup or LookupExcluding. And one message
 # cost: a message's Size is its payload's encoded length, set as it is handed
 # to the transport (core's send.go, chord's rpc) or returned by a handler
 # (core's peer.go, chord's HandleMessage), to wire.Size of the payload and
 # nothing else. Fails naming every other non-test core or chord line that
 # writes a Size: field or assigns .Size, so hand-written sizes cannot return.
 send-guard:
-	@calls=$$(grep -nE '\.(CallCtx|Route|RouteVia|Lookup|LookupCtx|LookupExcluding)\(' internal/core/*.go | grep -vE '^internal/core/(send\.go|[^:]*_test\.go):'); \
+	@calls=$$(grep -nE '\.(CallCtx|RouteVia|Lookup|LookupExcluding)\(' internal/core/*.go | grep -vE '^internal/core/(send\.go|[^:]*_test\.go):'); \
 	[ -z "$$calls" ] || { echo "send-guard: calls outside internal/core/send.go:"; echo "$$calls"; exit 1; }
 	@sizes=$$(grep -nE '\bSize:|\.Size =' internal/core/*.go internal/chord/*.go | grep -vE '^internal/(core|chord)/[^:]*_test\.go:' \
 		| grep -vE '^internal/(core/send|core/peer|chord/chord)\.go:[0-9]+:.*(Size: |\.Size = )wire\.Size\([A-Za-z_.]+\)([,})]|$$)'); \

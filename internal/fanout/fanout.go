@@ -41,20 +41,16 @@
 // worker 0, because its stack has already grown to the depth a send reaches
 // while a fresh goroutine's stack grows again on the way down. A one-item
 // call starts nothing, and a three-item call at limit 2 starts one. The
-// caller waits only for the items a helper claimed, not for the helpers: one
-// that has run every item itself returns at once, and a helper scheduled
-// after the items are drained runs nothing. Such helpers briefly outlive
-// their call, so an executor counts the helpers it has started that have not
-// run yet: once 64 wait (maxUnstartedHelpers), a caller yields its thread
-// once before it starts more. That is not a hard bound: callers on several
-// processors can pass it between a yield and their start.
+// items are pulled off a cursor that vtime.Clock.GoGroup owns, and the caller
+// waits for the items, not for the helpers: one that has run every item
+// itself returns at once, and a helper scheduled after the items are drained
+// runs nothing (GoGroup also keeps such helpers from piling up).
 package fanout
 
 import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/spritedht/sprite/internal/telemetry"
 	"github.com/spritedht/sprite/internal/vtime"
@@ -71,27 +67,9 @@ type Executor struct {
 	clock    vtime.Clock
 	inflight *telemetry.Gauge
 
-	// unstarted counts the helpers Map has started that have not yet run
-	// their claim.
-	unstarted atomic.Int64
-
 	mu     sync.Mutex
 	stages map[string]*telemetry.Histogram
 }
-
-// maxUnstartedHelpers is how many of an executor's helpers may be started but
-// not yet scheduled before a caller yields. A caller that runs its items
-// faster than the scheduler starts its helpers leaves one behind per call,
-// and on a busy processor they pile up. Once this many wait, a caller yields
-// its thread once (runtime.Gosched) before it starts more, so the waiting
-// helpers can run, find nothing and exit; then it starts its own whatever
-// the count. The pile stays near this size for one caller on one processor
-// (TestMapYieldsToPiledUpHelpers), but concurrent callers can pass it. A
-// caller does not run its items alone or join its helpers instead: whether
-// the count is reached depends on how the host schedules goroutines, so the
-// choice must change neither the virtual timeline (alone, sleeping items
-// would run in turn) nor what a call allocates.
-const maxUnstartedHelpers = 64
 
 // New returns an executor bounded to limit concurrent items. limit <= 0
 // derives the bound from GOMAXPROCS; limit 1 is the legacy sequential mode.
@@ -191,36 +169,17 @@ func Map[T any](ctx context.Context, e *Executor, stage string, n int, fn func(c
 		return values, errs
 	}
 
-	// Workers pull indices from a shared cursor; each slot in values/errs is
-	// written by exactly one worker, so no result-side locking is needed.
-	// GoGroup runs worker 0 on the calling goroutine, whose stack has already
-	// grown, and registers the workers-1 helpers it starts with the
-	// executor's clock. A helper claims a place in the group only while
-	// indices are left, so the caller, whose worker returns once the cursor
-	// is drained, waits for the items helpers are still running and for no
-	// helper that found nothing. Under virtual time a caller left waiting
+	// Each slot in values/errs is written by exactly one worker, so no
+	// result-side locking is needed. GoGroup registers the helpers it starts
+	// with the executor's clock; under virtual time a caller left waiting
 	// gives up its runnable slot, so a fan-out never stalls the scheduler
 	// while its workers sleep through simulated latency.
-	if e.unstarted.Load() >= maxUnstartedHelpers {
-		runtime.Gosched()
-	}
-	e.unstarted.Add(int64(workers - 1))
-	var next atomic.Int64
-	e.clock.GoGroup(workers, func(int) {
-		for {
-			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				errs[i] = cerr
-				continue
-			}
-			e.run(hist, func() { values[i], errs[i] = fn(ctx, i) })
+	e.clock.GoGroup(workers, n, func(i int) {
+		if cerr := ctx.Err(); cerr != nil {
+			errs[i] = cerr
+			return
 		}
-	}, func() bool {
-		e.unstarted.Add(-1)
-		return next.Load() < int64(n)
+		e.run(hist, func() { values[i], errs[i] = fn(ctx, i) })
 	})
 	return values, errs
 }

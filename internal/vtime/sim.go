@@ -46,6 +46,7 @@ type Sim struct {
 	events  eventHeap
 	workers int // registered goroutines
 	blocked int // registered goroutines parked in a virtual wait
+	pile        // GoGroup helpers started and not yet run
 }
 
 // NewSim returns a virtual clock at Epoch with no registered goroutines.
@@ -321,34 +322,29 @@ func (s *Sim) removeEvent(ev *event) {
 	s.mu.Unlock()
 }
 
-// GoGroup runs fn(0) on the calling goroutine and fn(1..n-1) on n-1 new
-// registered goroutines, under Clock.GoGroup's contract. The caller keeps its
-// runnable slot while it runs fn(0), and every helper is registered before
-// it starts, so virtual time cannot advance past a helper that has not yet
-// claimed. A helper whose claim fails deregisters and exits. When fn(0)
-// returns and no claimed helper is still running, the caller simply
-// returns, still registered. Otherwise it deregisters while waiting, and
-// the last claimed helper to exit re-registers the caller's slot in the same
-// critical section as its own exit, so there is no instant at which the
-// scheduler could advance between "group done" and "caller runnable". This
-// is the primitive fanout.Map builds on.
-func (s *Sim) GoGroup(n int, fn func(i int), claim ...func() bool) {
+// GoGroup runs fn(0) on the calling goroutine and the other items on it and
+// on min(workers, n) - 1 new registered goroutines, under Clock.GoGroup's
+// contract. The caller keeps its runnable slot while it runs its items, and
+// every helper is registered before it starts, so virtual time cannot advance
+// past a helper that has not yet joined. A helper that finds the cursor
+// drained deregisters and exits. When the caller finds the cursor drained
+// and no joined helper is still running, it simply returns, still
+// registered. Otherwise it deregisters while waiting, and the last joined
+// helper to exit re-registers the caller's slot in the same critical section
+// as its own exit, so there is no instant at which the scheduler could
+// advance between "group done" and "caller runnable". This is the primitive
+// fanout.Map builds on.
+func (s *Sim) GoGroup(workers, n int, fn func(i int)) {
 	if n <= 0 {
 		return
 	}
-	g := &simGroup{}
-	if len(claim) == 0 {
-		g.running = n - 1
-	} else {
-		g.claim = claim[0]
-	}
+	g := &simGroup{group: group{fn: fn, n: int64(n)}}
+	k := max(min(workers, n)-1, 0)
 	s.mu.Lock()
-	s.workers += n - 1
+	s.workers += k
 	s.mu.Unlock()
-	for i := 1; i < n; i++ {
-		go s.help(g, fn, i)
-	}
-	fn(0)
+	s.spawn(k, func() { s.help(g) })
+	g.drain(0)
 	s.mu.Lock()
 	g.closed = true
 	if g.running == 0 {
@@ -363,45 +359,40 @@ func (s *Sim) GoGroup(n int, fn func(i int), claim ...func() bool) {
 	<-g.done
 }
 
-// simGroup is one GoGroup call on a Sim, guarded by the Sim's lock. running
-// counts the claimed helpers that have not exited: all n-1 without a claim.
-// done is made when the caller starts to wait.
+// simGroup is one GoGroup call on a Sim, whose lock is the group lock.
+// running counts the joined helpers that have not exited; done is made when
+// the caller starts to wait.
 type simGroup struct {
-	claim   func() bool
-	closed  bool
+	group
 	running int
 	done    chan struct{}
 }
 
-func (s *Sim) help(g *simGroup, fn func(int), i int) {
-	if g.claim != nil {
-		claimed := g.claim()
-		s.mu.Lock()
-		claimed = claimed && !g.closed
-		if claimed {
-			g.running++
-		}
-		s.mu.Unlock()
-		if !claimed {
-			s.deregister()
-			return
-		}
+func (s *Sim) help(g *simGroup) {
+	s.unstarted.Add(-1)
+	s.mu.Lock()
+	joined := g.open()
+	if joined {
+		g.running++
 	}
-	defer func() {
-		s.mu.Lock()
-		s.workers--
-		g.running--
-		var done chan struct{}
-		if g.running == 0 && g.closed {
-			s.workers++ // hand the slot back to the waiting caller
-			done = g.done
-		}
-		cb := s.advanceLocked()
-		s.mu.Unlock()
-		if done != nil {
-			close(done)
-		}
-		s.settle(cb)
-	}()
-	fn(i)
+	s.mu.Unlock()
+	if !joined {
+		s.deregister()
+		return
+	}
+	g.drain(g.next.Add(1))
+	s.mu.Lock()
+	s.workers--
+	g.running--
+	var done chan struct{}
+	if g.running == 0 && g.closed {
+		s.workers++ // hand the slot back to the waiting caller
+		done = g.done
+	}
+	cb := s.advanceLocked()
+	s.mu.Unlock()
+	if done != nil {
+		close(done)
+	}
+	s.settle(cb)
 }

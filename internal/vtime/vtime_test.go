@@ -28,7 +28,7 @@ func TestWallSleep(t *testing.T) {
 
 func TestWallTimerAndGroup(t *testing.T) {
 	var sum atomic.Int64
-	Wall.GoGroup(8, func(i int) { sum.Add(int64(i)) })
+	Wall.GoGroup(8, 8, func(i int) { sum.Add(int64(i)) })
 	if got := sum.Load(); got != 28 {
 		t.Fatalf("GoGroup sum = %d, want 28", got)
 	}
@@ -74,7 +74,7 @@ func TestSimOrdering(t *testing.T) {
 	var mu sync.Mutex
 	var order []string
 	s.Run(func() {
-		s.GoGroup(3, func(i int) {
+		s.GoGroup(3, 3, func(i int) {
 			// Sleep i+1 units twice: wake order must be strictly by
 			// virtual timestamp regardless of goroutine scheduling.
 			for round := 0; round < 2; round++ {
@@ -106,40 +106,113 @@ func goid() string {
 	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
 }
 
-// TestGoGroupCallerRunsFirstItem checks GoGroup's contract on both clocks:
-// fn(0) runs on the calling goroutine, every other index on a goroutine of
-// its own, and n <= 0 calls nothing.
-func TestGoGroupCallerRunsFirstItem(t *testing.T) {
-	check := func(t *testing.T, c Clock) {
-		const n = 4
-		caller := goid()
-		ids := make([]string, n)
-		c.GoGroup(n, func(i int) { ids[i] = goid() })
-		if ids[0] != caller {
-			t.Errorf("fn(0) ran on goroutine %s, want the caller's %s", ids[0], caller)
-		}
-		ran := map[string]int{caller: 0}
-		for i := 1; i < n; i++ {
-			if j, ok := ran[ids[i]]; ok {
-				t.Errorf("fn(%d) ran on goroutine %s, as fn(%d) did", i, ids[i], j)
-			}
-			ran[ids[i]] = i
-		}
-		for _, n := range []int{0, -1} {
-			c.GoGroup(n, func(i int) { t.Errorf("GoGroup(%d) called fn(%d)", n, i) })
+// settledGoroutines returns the goroutine count once it has stopped
+// falling: helpers of an earlier group that found the cursor drained may
+// still be on their way out.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for steady := 0; steady < 5; {
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m < n {
+			n, steady = m, 0
+		} else {
+			steady++
 		}
 	}
-	t.Run("Wall", func(t *testing.T) { check(t, Wall) })
+	return n
+}
+
+// TestGoGroupCallerRunsFirstItem checks GoGroup's contract on both clocks:
+// every index runs exactly once, fn(0) on the calling goroutine, on at most
+// min(workers, n) goroutines, and n <= 0 calls nothing. fn(0) reads the
+// clock, as an item timed on it does, until the group's helpers have
+// started, so they join while the caller drains the cursor and closes the
+// group; on Sim each read takes the group lock a joining helper needs.
+func TestGoGroupCallerRunsFirstItem(t *testing.T) {
+	check := func(t *testing.T, c Clock, p *pile) {
+		caller := goid()
+		for _, tc := range []struct{ workers, n, most int }{
+			{4, 4, 4}, {2, 3, 2}, {3, 7, 3}, {8, 2, 2}, {1, 5, 1}, {0, 3, 1},
+		} {
+			for round := 0; round < 300; round++ {
+				runs := make([]atomic.Int32, tc.n)
+				var mu sync.Mutex
+				ran := map[string]bool{}
+				c.GoGroup(tc.workers, tc.n, func(i int) {
+					runs[i].Add(1)
+					id := goid()
+					if i == 0 {
+						if id != caller {
+							t.Errorf("fn(0) ran on goroutine %s, want the caller's %s", id, caller)
+						}
+						for k := 0; k < 1000 && p.unstarted.Load() > 0; k++ {
+							c.Now()
+						}
+					}
+					mu.Lock()
+					ran[id] = true
+					mu.Unlock()
+				})
+				for i := range runs {
+					if r := runs[i].Load(); r != 1 {
+						t.Fatalf("GoGroup(%d, %d): fn(%d) ran %d times by the return, want once", tc.workers, tc.n, i, r)
+					}
+				}
+				if len(ran) > tc.most {
+					t.Fatalf("GoGroup(%d, %d) ran items on %d goroutines, want at most %d", tc.workers, tc.n, len(ran), tc.most)
+				}
+			}
+		}
+		for _, n := range []int{0, -1} {
+			c.GoGroup(4, n, func(i int) { t.Errorf("GoGroup(4, %d) called fn(%d)", n, i) })
+		}
+	}
+	t.Run("Wall", func(t *testing.T) { check(t, Wall, &Wall.(*wallClock).pile) })
 	t.Run("Sim", func(t *testing.T) {
 		s := NewSim()
-		s.Run(func() { check(t, s) })
+		s.Run(func() { check(t, s, &s.pile) })
+	})
+}
+
+// A caller that outruns the scheduler leaves a helper behind per group; on
+// one P a tight loop would pile them up until it is preempted. Once
+// maxUnstartedHelpers wait, the caller yields and they drain: one caller's
+// loop never runs more goroutines than that beyond the baseline, plus a few
+// the runtime may start, and the clock's count returns to 0.
+func TestGoGroupYieldsToPiledUpHelpers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check := func(t *testing.T, c Clock, p *pile) {
+		base := settledGoroutines()
+		peak := base
+		for r := 0; r < 5000; r++ {
+			c.GoGroup(2, 3, func(int) {})
+			if g := runtime.NumGoroutine(); g > peak {
+				peak = g
+			}
+		}
+		if limit := base + maxUnstartedHelpers + 4; peak > limit {
+			t.Fatalf("a tight loop of groups peaked at %d goroutines, want at most %d (baseline %d + cap %d + 4)", peak, limit, base, maxUnstartedHelpers)
+		}
+		settledGoroutines()
+		if u := p.unstarted.Load(); u != 0 {
+			t.Fatalf("%d helpers still counted unstarted after they all ran", u)
+		}
+	}
+	t.Run("Wall", func(t *testing.T) { check(t, Wall, &Wall.(*wallClock).pile) })
+	t.Run("Sim", func(t *testing.T) {
+		s := NewSim()
+		s.Run(func() { check(t, s, &s.pile) })
+		if s.workers != 0 {
+			t.Fatalf("%d goroutines still registered after the helpers drained", s.workers)
+		}
 	})
 }
 
 // TestSimGoGroupHandoff checks the caller's slot: virtual time keeps
 // advancing while the caller waits for its helpers, a caller that finishes
 // last stays registered, and the caller resumes with a consistent worker
-// count (a later group still works).
+// count (a later group still works). Which worker takes which item off the
+// cursor depends on the host's scheduler; Elapsed must not.
 func TestSimGoGroupHandoff(t *testing.T) {
 	s := NewSim()
 	registered := func() int {
@@ -158,14 +231,16 @@ func TestSimGoGroupHandoff(t *testing.T) {
 				t.Errorf("after %s: %d registered goroutines, want the caller alone", name, got)
 			}
 		}
-		s.GoGroup(4, func(i int) { sleep(time.Duration(i) * time.Millisecond) })
+		// Every item sleeps, so time holds until each helper has started and
+		// taken one: a worker per item.
+		s.GoGroup(4, 4, func(i int) { sleep(time.Duration(i) * time.Millisecond) })
 		step("group 1", 3*time.Millisecond)
-		s.GoGroup(2, func(i int) { sleep(time.Millisecond) })
+		s.GoGroup(2, 2, func(i int) { sleep(time.Millisecond) })
 		step("group 2", 4*time.Millisecond)
 
 		// fn(0) sleeps longest: the caller finishes last and returns still
 		// registered, the helpers gone.
-		s.GoGroup(3, func(i int) {
+		s.GoGroup(3, 3, func(i int) {
 			sleep(time.Duration(3-i) * time.Millisecond)
 			if i == 0 {
 				if got := registered(); got != 1 {
@@ -175,10 +250,13 @@ func TestSimGoGroupHandoff(t *testing.T) {
 		})
 		step("caller-last group", 7*time.Millisecond)
 
-		// fn(0) returns at once: the caller waits unregistered, so at 1ms the
-		// two helpers are the only registered goroutines.
-		s.GoGroup(3, func(i int) {
+		// fn(0) sleeps for no time, which lets both helpers start and take
+		// the other items, and returns while they still hold them: the caller
+		// finds the cursor drained and waits unregistered, and the last
+		// helper hands its slot back.
+		s.GoGroup(3, 3, func(i int) {
 			if i == 0 {
+				sleep(0)
 				return
 			}
 			sleep(time.Duration(i) * time.Millisecond)
@@ -191,20 +269,20 @@ func TestSimGoGroupHandoff(t *testing.T) {
 		step("caller-first group", 9*time.Millisecond)
 
 		// Nested groups: a helper lends its slot to its own group.
-		s.GoGroup(2, func(i int) {
-			s.GoGroup(2, func(j int) { sleep(time.Millisecond) })
+		s.GoGroup(2, 2, func(i int) {
+			s.GoGroup(2, 2, func(j int) { sleep(time.Millisecond) })
 		})
 		step("nested group", 10*time.Millisecond)
 
 		// A group opened inside fn(0) runs on the caller too, its first item
 		// included, while the outer helper sleeps beside it.
 		caller := goid()
-		s.GoGroup(2, func(i int) {
+		s.GoGroup(2, 2, func(i int) {
 			if i == 1 {
 				sleep(time.Millisecond)
 				return
 			}
-			s.GoGroup(2, func(j int) {
+			s.GoGroup(2, 2, func(j int) {
 				if j == 0 && goid() != caller {
 					t.Error("nested fn(0) left the caller's goroutine")
 				}
@@ -213,60 +291,37 @@ func TestSimGoGroupHandoff(t *testing.T) {
 		})
 		step("group nested in fn(0)", 13*time.Millisecond)
 
-		// Claimed groups: three workers pull three items off a cursor and
-		// claim a place only while items are left.
-		var next atomic.Int64
-		items := func(n int64, d time.Duration) (func(int), func() bool) {
-			next.Store(0)
-			work := func(int) {
-				for next.Add(1) <= n {
-					sleep(d)
-				}
+		// Seven 1 ms items on three workers: each worker that wakes takes the
+		// next item, so they run in three rounds whoever takes which.
+		var runs [7]atomic.Int32
+		s.GoGroup(3, 7, func(i int) {
+			runs[i].Add(1)
+			sleep(time.Millisecond)
+		})
+		for i := range runs {
+			if r := runs[i].Load(); r != 1 {
+				t.Errorf("cursor group: fn(%d) ran %d times, want once", i, r)
 			}
-			return work, func() bool { return next.Load() < n }
 		}
+		step("cursor group", 16*time.Millisecond)
 
-		// The caller's first item sleeps, so both helpers start and claim
-		// the other two before virtual time moves: one round, not three.
-		work, claim := items(3, time.Millisecond)
-		s.GoGroup(3, work, claim)
-		step("claimed group", 14*time.Millisecond)
-
-		// A helper whose claim fails deregisters and exits without running,
-		// and the caller's sleep does not wait for it.
-		s.GoGroup(3, func(i int) {
-			if i > 0 {
-				t.Errorf("fn(%d) ran after its claim failed", i)
+		// Eight workers over two items start one helper, registered beside
+		// the caller before either item runs.
+		s.GoGroup(8, 2, func(i int) {
+			if got := registered(); got != 2 {
+				t.Errorf("capped group: %d registered goroutines, want the caller and 1 helper", got)
 			}
 			sleep(2 * time.Millisecond)
-		}, func() bool { return false })
-		step("refused group", 16*time.Millisecond)
+		})
+		step("capped group", 18*time.Millisecond)
 
 		// CPU-only items: the caller may drain the cursor and return while
 		// its helpers are still registered but unscheduled. They hold
-		// virtual time until they start, find nothing and deregister, so the
-		// next sleep advances exactly its own length.
-		work, claim = items(3, 0)
-		s.GoGroup(3, work, claim)
+		// virtual time until they start, find the cursor drained and
+		// deregister, so the next sleep advances exactly its own length.
+		s.GoGroup(3, 3, func(int) {})
 		sleep(time.Millisecond)
-		step("drained group", 17*time.Millisecond)
-
-		// fn(0) sleeps for no time, which lets both helpers start and claim,
-		// and returns while they still hold their items: the caller waits
-		// unregistered, and the last helper hands its slot back.
-		s.GoGroup(3, func(i int) {
-			if i == 0 {
-				sleep(0)
-				return
-			}
-			sleep(time.Duration(i) * time.Millisecond)
-			if i == 1 {
-				if got := registered(); got != 2 {
-					t.Errorf("caller waiting on claimed helpers: %d registered goroutines, want the 2 helpers", got)
-				}
-			}
-		}, func() bool { return true })
-		step("caller-first claimed group", 19*time.Millisecond)
+		step("drained group", 19*time.Millisecond)
 	})
 }
 
@@ -325,7 +380,7 @@ func TestSimCancelSweep(t *testing.T) {
 	s.Run(func() {
 		ctx, cancel := context.WithCancel(context.Background())
 		var sleepErr error
-		s.GoGroup(2, func(i int) {
+		s.GoGroup(2, 2, func(i int) {
 			if i == 0 {
 				sleepErr = s.Sleep(ctx, time.Hour)
 				return
@@ -351,7 +406,7 @@ func TestSimDeterminism(t *testing.T) {
 		var mu sync.Mutex
 		var trace []string
 		s.Run(func() {
-			s.GoGroup(8, func(i int) {
+			s.GoGroup(8, 8, func(i int) {
 				rng := rand.New(rand.NewSource(int64(i) * 7919))
 				for step := 0; step < 50; step++ {
 					d := time.Duration(rng.Intn(5)+1) * time.Millisecond
