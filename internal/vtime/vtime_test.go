@@ -202,6 +202,8 @@ func TestGoGroupYieldsToPiledUpHelpers(t *testing.T) {
 	t.Run("Sim", func(t *testing.T) {
 		s := NewSim()
 		s.Run(func() { check(t, s, &s.pile) })
+		s.mu.Lock()
+		defer s.mu.Unlock()
 		if s.workers != 0 {
 			t.Fatalf("%d goroutines still registered after the helpers drained", s.workers)
 		}
