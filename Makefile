@@ -225,9 +225,12 @@ api-guard:
 # the TCP transport, with telemetry off and on, held to the ceiling in
 # internal/transport/transport_test.go. Allocation counts repeat exactly for
 # a toolchain, so a path that starts allocating more fails here before any
-# wall-clock number moves.
+# wall-clock number moves. On the same core deployment, what one owned
+# document and one history issuance keep live on the heap, held to the
+# ceilings of TestHeapCeilings: a layout that keeps more per document or per
+# issuance fails here before mem_heap_mb moves.
 alloc-guard:
-	$(GO) test -count=1 -run 'TestAllocationCeilings' -v ./internal/core
+	$(GO) test -count=1 -run 'TestAllocationCeilings|TestHeapCeilings' -v ./internal/core
 	$(GO) test -count=1 -run 'TestCallAllocations' -v ./internal/transport
 
 # Compressed-postings smoke: the block codec's property tests (compressed ≡

@@ -92,7 +92,7 @@ type termDoc struct {
 // step, faults active or not:
 //
 //   - Every live document's indexed term has its primary entry exactly where
-//     the owner's publishedAt record says (owners only record successful
+//     the owner's holder of record says (owners only record successful
 //     publishes, entries only vanish through acknowledged withdrawals — so
 //     this direction holds even mid-fault).
 //   - Every primary entry is explained: the owner indexes it there, or it is

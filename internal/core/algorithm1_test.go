@@ -42,8 +42,8 @@ func naiveScore(history [][]string, d *corpus.Document, term string) float64 {
 
 // foldIncremental replays the stream in batches through the same folding
 // logic learnDoc uses (via a docState).
-func foldIncremental(batches [][][]string, d *corpus.Document) map[string]*termStat {
-	stats := make(map[string]*termStat)
+func foldIncremental(batches [][][]string, d *corpus.Document) map[string]ownedTerm {
+	stats := make(map[string]ownedTerm)
 	for _, batch := range batches {
 		for _, q := range batch {
 			qs := qScore(q, d)
@@ -52,14 +52,11 @@ func foldIncremental(batches [][][]string, d *corpus.Document) map[string]*termS
 					continue
 				}
 				ts := stats[t]
-				if ts == nil {
-					ts = &termStat{}
-					stats[t] = ts
-				}
 				ts.qf++
 				if qs > ts.maxQS {
 					ts.maxQS = qs
 				}
+				stats[t] = ts
 			}
 		}
 	}
@@ -234,7 +231,7 @@ func TestPollDedupAtScale(t *testing.T) {
 
 	// Count deliveries per keyword set across a manual poll sweep of all
 	// indexed terms with fresh watermarks.
-	docTerms := sortedKeys(st.indexed)
+	docTerms := st.indexedTerms()
 	delivered := map[string]int{}
 	for _, term := range docTerms {
 		ref, _, err := p.node.Lookup(hashOfTerm(term))

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
+	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
 )
@@ -15,19 +17,20 @@ import (
 // TestAllocationCeilings; one that allocates less lowers the ceiling with it.
 const (
 	allocsUncachedSearch = 32
+	allocsParallelSearch = 35
 	allocsCachedSearch   = 13
 	allocsColdCached     = 35
-	allocsSweepOneDoc    = 46
-	allocsShare          = 58
+	allocsSweepOneDoc    = 45
+	allocsShare          = 54
 	allocsUnshare        = 37
 )
 
 // allocCeilingNetwork is the deployment the ceilings are read on: 16 peers on
-// simnet, Parallelism 1, telemetry off, 40 shared documents of 12 terms each,
-// five of them indexed.
-func allocCeilingNetwork(t *testing.T, cache CacheConfig) *Network {
+// simnet at the given parallelism, telemetry off, 40 shared documents of 12
+// terms each, five of them indexed.
+func allocCeilingNetwork(t *testing.T, cache CacheConfig, parallelism int) *Network {
 	t.Helper()
-	n := testNetwork(t, 16, Config{InitialTerms: 5, TermsPerIteration: 2, MaxIndexTerms: 5, Parallelism: 1, Cache: cache})
+	n := testNetwork(t, 16, Config{InitialTerms: 5, TermsPerIteration: 2, MaxIndexTerms: 5, Parallelism: parallelism, Cache: cache})
 	for d := 0; d < 40; d++ {
 		tf := map[string]int{}
 		for k := 0; k < 12; k++ {
@@ -41,9 +44,9 @@ func allocCeilingNetwork(t *testing.T, cache CacheConfig) *Network {
 }
 
 // TestAllocationCeilings holds what one search (uncached, served by the
-// postings cache, missing through it), one single-document sweep, one share
-// and one unshare allocate to the ceilings above (ROADMAP item
-// 16's gate; `make alloc-guard`).
+// postings cache, missing through it, and uncached at Parallelism 2), one
+// single-document sweep, one share and one unshare allocate to the ceilings
+// above (ROADMAP item 16's gate; `make alloc-guard`).
 func TestAllocationCeilings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation readings need the full deployment")
@@ -52,9 +55,26 @@ func TestAllocationCeilings(t *testing.T) {
 	query := []string{"t01", "t08", "t15"}
 	const runs = 20
 
-	n := allocCeilingNetwork(t, CacheConfig{})
+	n := allocCeilingNetwork(t, CacheConfig{}, 1)
 	uncached := testing.AllocsPerRun(runs, func() {
 		if _, err := n.SearchCtx(ctx, "p3", query, 10); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	// The parallel fan-out's helpers run on goroutines whose descriptors
+	// the runtime allocates once and then reuses: searches run first, so
+	// that the reading — taken at GOMAXPROCS 1, where a helper waits to
+	// run — finds them made. Unwarmed, a fresh process's first reading was
+	// one higher now and then.
+	par := allocCeilingNetwork(t, CacheConfig{}, 2)
+	for range 10 {
+		if _, err := par.SearchCtx(ctx, "p3", query, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	parallel := testing.AllocsPerRun(runs, func() {
+		if _, err := par.SearchCtx(ctx, "p3", query, 10); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -93,7 +113,7 @@ func TestAllocationCeilings(t *testing.T) {
 		next++
 	})
 
-	c := allocCeilingNetwork(t, CacheConfig{Enabled: true, DisableResults: true})
+	c := allocCeilingNetwork(t, CacheConfig{Enabled: true, DisableResults: true}, 1)
 	if _, err := c.SearchCtx(ctx, "p3", query, 10); err != nil { // fill the postings cache
 		t.Fatal(err)
 	}
@@ -116,6 +136,7 @@ func TestAllocationCeilings(t *testing.T) {
 		got, ceil float64
 	}{
 		{"uncached search", uncached, allocsUncachedSearch},
+		{"uncached search at Parallelism 2", parallel, allocsParallelSearch},
 		{"cached search", cached, allocsCachedSearch},
 		{"cold cached search", cold, allocsColdCached},
 		{"one-document sweep", sweep, allocsSweepOneDoc},
@@ -125,6 +146,101 @@ func TestAllocationCeilings(t *testing.T) {
 		t.Logf("%s: %v allocations (ceiling %v)", r.what, r.got, r.ceil)
 		if r.got > r.ceil {
 			t.Errorf("%s allocates %v, over its ceiling of %v", r.what, r.got, r.ceil)
+		}
+	}
+}
+
+// Heap ceilings: what one owned document and one history issuance keep live
+// on allocCeilingNetwork's deployment, as TestHeapCeilings reads them — a
+// HeapAlloc delta after runtime.GC (Go 1.24, linux/amd64). The readings,
+// 1332.1 and 4.20 bytes, repeat within 0.1 % at GOMAXPROCS 1, 2 and 8; each
+// ceiling is its reading plus 5 %. An owner that keeps its four per-term
+// maps again reads 1 893 and a ring that stores each issuance's seq beside
+// its slot 20.2, and both fail.
+const (
+	heapPerOwnedDoc = 1399
+	heapPerIssuance = 4.41
+)
+
+// liveHeap collects twice, so that sync.Pool's victim caches are empty too,
+// and returns the live heap.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestHeapCeilings holds the live heap of an owned document — its owner's
+// records after a share and a learning sweep, and its postings at the
+// indexing peers — and of a history issuance at cap to the ceilings above
+// (`make alloc-guard`).
+func TestHeapCeilings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("heap readings need the full deployment")
+	}
+	ctx := context.Background()
+	n := allocCeilingNetwork(t, CacheConfig{}, 1)
+	peers := n.Peers()
+	// Queries the sweeps learn from, recorded before the first reading.
+	for q := 0; q < 300; q++ {
+		terms := []string{fmt.Sprintf("t%02d", q%30), fmt.Sprintf("t%02d", (q*11+3)%30)}
+		if err := n.InsertQueryCtx(ctx, peers[q%len(peers)].Addr(), terms); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Documents h000… are shared and learned one by one; the first warm
+	// up, so that the goroutine descriptors the runtime keeps for good
+	// already exist at the first reading.
+	const warm, docs = 20, 200
+	batch := make([]*corpus.Document, warm+docs)
+	for d := range batch {
+		tf := map[string]int{}
+		for k := 0; k < 12; k++ {
+			tf[fmt.Sprintf("t%02d", (d+k*7)%30)] = 1 + (d+k)%5
+		}
+		batch[d] = doc(fmt.Sprintf("h%03d", d), tf)
+	}
+	shareAndLearn := func(from, to int) {
+		for d := from; d < to; d++ {
+			if err := n.ShareCtx(ctx, peers[d%len(peers)].Addr(), batch[d]); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n.LearnDocCtx(ctx, batch[d].ID); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	shareAndLearn(0, warm)
+	before := liveHeap()
+	shareAndLearn(warm, warm+docs)
+	perDoc := float64(liveHeap()-before) / docs
+	runtime.KeepAlive(n)
+
+	// One peer's empty history filled to its cap from eight distinct
+	// queries, recorded as a get_postings request records them.
+	h := &allocCeilingNetwork(t, CacheConfig{}, 1).Peers()[0].indexing
+	queries := make([][]string, 8)
+	for i := range queries {
+		queries[i] = []string{fmt.Sprintf("t%02d", i), fmt.Sprintf("t%02d", i+8)}
+	}
+	before = liveHeap()
+	for i := range h.history.cap {
+		h.cacheQuery(queries[i%len(queries)])
+	}
+	perIssuance := float64(liveHeap()-before) / float64(h.history.cap)
+
+	for _, r := range []struct {
+		what      string
+		got, ceil float64
+	}{
+		{"bytes per owned document", perDoc, heapPerOwnedDoc},
+		{"bytes per history issuance", perIssuance, heapPerIssuance},
+	} {
+		t.Logf("%s: %.2f (ceiling %v)", r.what, r.got, r.ceil)
+		if r.got > r.ceil {
+			t.Errorf("%s: %.2f, over its ceiling of %v", r.what, r.got, r.ceil)
 		}
 	}
 }

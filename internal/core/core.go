@@ -544,11 +544,16 @@ func (n *Network) LearnDocCtx(ctx context.Context, doc index.DocID) (int, error)
 // IndexedTerms returns the current global index terms of a shared document,
 // sorted.
 func (n *Network) IndexedTerms(doc index.DocID) ([]string, error) {
-	p, ok := n.Owner(doc)
-	if !ok {
+	p, st := n.ownedDoc(doc)
+	if p == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchDoc, doc)
 	}
-	return p.indexedTerms(doc), nil
+	if st == nil {
+		return nil, nil // unshared since the lookup
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.indexedTerms(), nil
 }
 
 // TotalPostings sums the postings stored across all indexing peers' primary

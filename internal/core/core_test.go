@@ -378,17 +378,17 @@ func TestQScore(t *testing.T) {
 
 func TestTermStatScoreMatchesPaperExample(t *testing.T) {
 	// Fig. 2(b): qScore 0.75 with QF 20 → 0.75·log₁₀20 = 0.975.
-	ts := &termStat{qf: 20, maxQS: 0.75}
+	ts := ownedTerm{qf: 20, maxQS: 0.75}
 	if got := ts.score(ScoreQScoreLogQF); math.Abs(got-0.975) > 0.001 {
 		t.Fatalf("score = %v, want ≈0.975", got)
 	}
 	// 0.33·log₁₀32 ≈ 0.497 (the paper rounds its inputs and prints 0.501).
-	ts = &termStat{qf: 32, maxQS: 0.33}
+	ts = ownedTerm{qf: 32, maxQS: 0.33}
 	if got := ts.score(ScoreQScoreLogQF); math.Abs(got-0.4967) > 0.001 {
 		t.Fatalf("score = %v, want ≈0.4967", got)
 	}
 	// QF = 1 → log 1 = 0.
-	ts = &termStat{qf: 1, maxQS: 0.9}
+	ts = ownedTerm{qf: 1, maxQS: 0.9}
 	if got := ts.score(ScoreQScoreLogQF); got != 0 {
 		t.Fatalf("score with QF=1 = %v, want 0", got)
 	}
@@ -479,8 +479,8 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 	}
 	p.indexing.mu.Lock()
 	defer p.indexing.mu.Unlock()
-	for _, is := range p.indexing.history.ring {
-		if canonicalQuery(p.indexing.history.queries[is.q].terms) == "q1" {
+	for _, q := range p.indexing.history.ring {
+		if canonicalQuery(p.indexing.history.queries[q].terms) == "q1" {
 			t.Fatal("oldest query not evicted")
 		}
 	}

@@ -133,8 +133,7 @@ func (h *scanHistory) multiset() map[string]int {
 func (h *history) issuances() []refQuery {
 	out := make([]refQuery, len(h.ring))
 	for i := range out {
-		is := h.at(i)
-		out[i] = refQuery{terms: h.queries[is.q].terms, seq: is.seq}
+		out[i] = refQuery{terms: h.queries[h.at(i)].terms, seq: h.seqAt(i)}
 	}
 	return out
 }
@@ -162,9 +161,10 @@ func checkStore(t *testing.T, h *history) {
 	t.Helper()
 	counts := make([]int, len(h.queries))
 	newest := make([]uint64, len(h.queries))
-	for _, is := range h.ring {
-		counts[is.q]++
-		newest[is.q] = max(newest[is.q], is.seq)
+	for i := range h.ring {
+		q := h.at(i)
+		counts[q]++
+		newest[q] = max(newest[q], h.seqAt(i))
 	}
 	distinct := map[string]int32{}
 	free := map[int32]bool{}
@@ -244,7 +244,7 @@ func TestHistoryCursorMatchesScan(t *testing.T) {
 				case len(h.ring) > 0 && rng.Intn(2) == 0:
 					// From just before the oldest issuance to the newest:
 					// where the ring's tail is counted.
-					since = h.at(0).seq - 1 + uint64(rng.Intn(len(h.ring)+1))
+					since = h.seqAt(0) - 1 + uint64(rng.Intn(len(h.ring)+1))
 				case h.seq > 0:
 					since = uint64(rng.Int63n(int64(h.seq) + 1))
 				}

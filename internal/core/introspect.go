@@ -128,11 +128,13 @@ func (n *Network) DocIndexInfo(doc index.DocID) (DocIndex, bool) {
 	defer st.mu.Unlock()
 	di := DocIndex{
 		Owner:       p.Addr(),
-		Terms:       sortedKeys(st.indexed),
-		PublishedAt: make(map[string]simnet.Addr, len(st.publishedAt)),
+		Terms:       st.indexedTerms(),
+		PublishedAt: make(map[string]simnet.Addr),
 	}
-	for t, a := range st.publishedAt {
-		di.PublishedAt[t] = a
+	for t, ot := range st.terms {
+		if ot.at != "" {
+			di.PublishedAt[t] = ot.at
+		}
 	}
 	if len(st.banned) > 0 {
 		di.Banned = sortedKeys(st.banned)
@@ -200,8 +202,9 @@ func (n *Network) RelocatePrimaryEntry(from, to simnet.Addr, term string, doc in
 	if owner, ok := n.Peer(simnet.Addr(moved.Owner)); ok {
 		if st := owner.state(doc); st != nil {
 			st.mu.Lock()
-			if st.publishedAt[term] == from {
-				st.publishedAt[term] = to
+			if ot := st.terms[term]; ot.at == from {
+				ot.at = to
+				st.set(term, ot)
 			}
 			st.mu.Unlock()
 		}

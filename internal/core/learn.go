@@ -18,7 +18,7 @@ import (
 //
 //  1. Poll. Every owner sends each indexing peer one sprite.poll carrying
 //     every (document, term) item whose posting that peer holds
-//     (publishedAt), each with its watermark.
+//     (its holder of record), each with its watermark.
 //  2. Fold. Each document folds its answers in sorted-term order into the
 //     per-term statistics, runs the §7 hot-term advisory, rebuilds its rank
 //     list and re-anchors the postings a poll found missing. It only decides
@@ -102,7 +102,7 @@ func (n *Network) learn(ctx context.Context, ids []index.DocID, owners []*Peer) 
 		return 0, nil
 	}
 	for _, d := range docs {
-		d.terms = sortedKeys(d.st.indexed)
+		d.terms = d.st.indexedTerms()
 		d.polls = make([]pollOut, len(d.terms))
 		n.met.learnRounds.Inc()
 	}
@@ -187,7 +187,7 @@ func (n *Network) polls() *protocol[learnItem, pollOut] {
 		hinted:   true,
 		from:     func(it learnItem) *Peer { return it.d.p },
 		term:     term,
-		holder:   func(it learnItem) simnet.Addr { return it.d.st.publishedAt[term(it)] },
+		holder:   func(it learnItem) simnet.Addr { return it.d.st.terms[term(it)].at },
 		request: func(to simnet.Addr, items []learnItem, checkArc bool) simnet.Message {
 			req := pollReq{CheckArc: checkArc}
 			for _, it := range items {
@@ -195,7 +195,7 @@ func (n *Network) polls() *protocol[learnItem, pollOut] {
 					req.Docs = append(req.Docs, pollDoc{Doc: it.d.id, DocTerms: it.d.terms})
 				}
 				doc := &req.Docs[len(req.Docs)-1]
-				doc.Terms = append(doc.Terms, pollTerm{Term: term(it), Since: it.d.st.since[term(it)].sinceAt(to)})
+				doc.Terms = append(doc.Terms, pollTerm{Term: term(it), Since: it.d.st.terms[term(it)].mark.sinceAt(to)})
 			}
 			return simnet.Message{Type: msgPoll, Payload: req}
 		},
@@ -210,7 +210,7 @@ func (n *Network) polls() *protocol[learnItem, pollOut] {
 			return nil
 		},
 		reask: func(it learnItem, sent, served simnet.Addr) bool {
-			mark := it.d.st.since[term(it)]
+			mark := it.d.st.terms[term(it)].mark
 			return mark.sinceAt(served) != mark.sinceAt(sent)
 		},
 	}
@@ -229,7 +229,9 @@ func (d *sweepDoc) foldPolls() {
 			continue
 		}
 		res := d.polls[i].res
-		st.since[term] = pollMark{At: d.polls[i].at, Since: res.NewSince}
+		ot := st.terms[term]
+		ot.mark = pollMark{At: d.polls[i].at, Since: res.NewSince}
+		st.terms[term] = ot // not empty, and its flag unchanged
 		if cfg.HotTermDF > 0 && res.IndexedDF >= cfg.HotTermDF {
 			hot = append(hot, term)
 		}
@@ -244,7 +246,7 @@ func (d *sweepDoc) foldPolls() {
 	// the sweep that indexes a hot term retires it. The ban commits only if
 	// the withdrawal goes through (pull.settle).
 	for _, term := range hot {
-		if len(st.indexed) <= 1 {
+		if st.nIndexed <= 1 {
 			break // never strip a document's last index term
 		}
 		if st.banned == nil {
@@ -254,8 +256,14 @@ func (d *sweepDoc) foldPolls() {
 		d.retire(term, "")
 	}
 
-	// Algorithm 1 lines 4–16.
-	for _, q := range incremental {
+	// Algorithm 1 lines 4–16. A poll answers a query once per issuance, the
+	// copies in a row, so each run of equal queries folds once, adding its
+	// length to QF.
+	for k, n := 0, 1; k < len(incremental); k, n = k+n, 1 {
+		q := incremental[k]
+		for k+n < len(incremental) && slices.Equal(incremental[k+n], q) {
+			n++
+		}
 		qs := qScore(q, st.doc)
 		for i, t := range q {
 			// Each distinct term once: queries are a handful of terms, so a
@@ -263,15 +271,10 @@ func (d *sweepDoc) foldPolls() {
 			if containsTerm(q[:i], t) || !st.doc.Contains(t) {
 				continue
 			}
-			ts := st.stats[t]
-			if ts == nil {
-				ts = &termStat{}
-				st.stats[t] = ts
-			}
-			ts.qf++
-			if qs > ts.maxQS {
-				ts.maxQS = qs
-			}
+			ot := st.terms[t]
+			ot.qf += int32(n)
+			ot.maxQS = max(ot.maxQS, qs)
+			st.terms[t] = ot // not empty, and its flag unchanged
 		}
 	}
 }
@@ -285,14 +288,15 @@ func (d *sweepDoc) foldPolls() {
 func (d *sweepDoc) reanchor() {
 	st := d.st
 	for i, term := range d.terms {
-		last := st.publishedAt[term]
-		if !d.polls[i].res.Missing || !st.indexed[term] || last == "" {
+		ot := st.terms[term]
+		if !d.polls[i].res.Missing || !ot.indexed || ot.at == "" {
 			continue
 		}
-		if last != d.polls[i].at {
-			d.pulls = append(d.pulls, pull{d: d, term: term, at: last})
+		if ot.at != d.polls[i].at {
+			d.pulls = append(d.pulls, pull{d: d, term: term, at: ot.at})
 		}
-		st.publishedAt[term] = d.polls[i].at
+		ot.at = d.polls[i].at
+		st.set(term, ot)
 		d.p.net.met.learnReanchored.Inc()
 		d.publish = append(d.publish, term)
 	}
@@ -300,8 +304,8 @@ func (d *sweepDoc) reanchor() {
 
 // retire decides to withdraw term from the index, for cand ("" none).
 func (d *sweepDoc) retire(term, cand string) {
-	delete(d.st.indexed, term)
-	d.pulls = append(d.pulls, pull{d: d, term: term, at: d.st.publishedAt[term], retire: true, cand: cand})
+	d.st.index(term, false)
+	d.pulls = append(d.pulls, pull{d: d, term: term, at: d.st.terms[term].at, retire: true, cand: cand})
 }
 
 // pullStale decides to withdraw every copy the stale ledger names, and empties
@@ -312,7 +316,7 @@ func (d *sweepDoc) retire(term, cand string) {
 func (d *sweepDoc) pullStale() {
 	for _, term := range sortedKeys(d.st.stale) {
 		for _, at := range d.st.stale[term] {
-			if _, ok := d.p.net.Peer(at); ok && d.st.publishedAt[term] != at {
+			if _, ok := d.p.net.Peer(at); ok && d.st.terms[term].at != at {
 				d.pulls = append(d.pulls, pull{d: d, term: term, at: at})
 			}
 		}
@@ -394,7 +398,7 @@ func (pl pull) settle(stale []simnet.Addr, err error) {
 		markStale(st, pl.term, pl.at)
 		return
 	}
-	st.indexed[pl.term] = true
+	st.index(pl.term, true)
 	delete(st.banned, pl.term)
 	if pl.cand != "" {
 		if k := slices.Index(d.publish[:d.added], pl.cand); k >= 0 {
@@ -402,14 +406,14 @@ func (pl pull) settle(stale []simnet.Addr, err error) {
 		}
 		d.err = cmp.Or(d.err, fmt.Errorf("core: withdraw %q: %w", pl.term, err))
 	}
-	if len(st.indexed) > d.p.net.cfg.MaxIndexTerms && d.added > 0 {
+	if st.nIndexed > d.p.net.cfg.MaxIndexTerms && d.added > 0 {
 		d.cancel(d.added - 1)
 	}
 }
 
 // cancel takes back the decision to publish new term publish[k].
 func (d *sweepDoc) cancel(k int) {
-	delete(d.st.indexed, d.publish[k])
+	d.st.index(d.publish[k], false)
 	d.publish = slices.Delete(d.publish, k, k+1)
 	d.added--
 	d.changes--
@@ -431,9 +435,9 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 	holders := make(map[ownerTerm]simnet.Addr)
 	var items []learnItem
 	for _, d := range docs {
-		for t, at := range d.st.publishedAt {
-			if k := (ownerTerm{d.p, t}); holders[k] == "" {
-				holders[k] = at
+		for t, ot := range d.st.terms {
+			if k := (ownerTerm{d.p, t}); ot.at != "" && holders[k] == "" {
+				holders[k] = ot.at
 			}
 		}
 		for i := range d.publish {
@@ -443,7 +447,7 @@ func (n *Network) publishPhase(ctx context.Context, docs []*sweepDoc) {
 	ats, errs := exchange(ctx, items, n.publishes(func(it learnItem) simnet.Addr {
 		t := it.d.publish[it.i]
 		if it.i >= it.d.added {
-			return it.d.st.publishedAt[t] // the peer that answered Missing
+			return it.d.st.terms[t].at // the peer that answered Missing
 		}
 		if at := holders[ownerTerm{it.d.p, t}]; at != "" {
 			return at

@@ -52,7 +52,7 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	terms := sortedKeys(st.indexed)
+	terms := st.indexedTerms()
 	d := &sweepDoc{p: p, id: id, st: st, terms: terms}
 	polls, errs := fanout.Map(ctx, p.net.exec, "poll", len(terms), func(ctx context.Context, i int) (pollOut, error) {
 		out, _, _ := p.net.polls().route(ctx, learnItem{d, i}, dest{}, nil)
@@ -76,7 +76,7 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 			}
 			continue
 		}
-		at, one := st.publishedAt[term], &sweepDoc{p: p, id: id, st: st, publish: []string{term}}
+		at, one := st.terms[term].at, &sweepDoc{p: p, id: id, st: st, publish: []string{term}}
 		msg := p.net.publishes(nil).request(at, []learnItem{{one, 0}}, false)
 		if _, _, err := p.send(ctx, dest{addr: at}, msg, policy{}); err != nil {
 			forgetTerm(st, term)

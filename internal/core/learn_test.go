@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -134,12 +135,7 @@ func (f *learnFixture) queries(t *testing.T, count int, search bool) {
 }
 
 // docView is everything a learning iteration leaves in one document's state.
-type docView struct {
-	Indexed     []string
-	Stats       map[string]termStat
-	Since       map[string]pollMark
-	PublishedAt map[string]simnet.Addr
-}
+type docView map[string]ownedTerm
 
 func (n *Network) docViews() map[index.DocID]docView {
 	out := map[index.DocID]docView{}
@@ -147,18 +143,8 @@ func (n *Network) docViews() map[index.DocID]docView {
 		p.mu.Lock()
 		for id, st := range p.owned {
 			st.mu.Lock()
-			v := docView{Indexed: sortedKeys(st.indexed), Stats: map[string]termStat{}, Since: map[string]pollMark{}, PublishedAt: map[string]simnet.Addr{}}
-			for t, ts := range st.stats {
-				v.Stats[t] = *ts
-			}
-			for t, m := range st.since {
-				v.Since[t] = m
-			}
-			for t, at := range st.publishedAt {
-				v.PublishedAt[t] = at
-			}
+			out[id] = maps.Clone(st.terms)
 			st.mu.Unlock()
-			out[id] = v
 		}
 		p.mu.Unlock()
 	}
@@ -364,8 +350,8 @@ func TestDeadHolderCostsOnlyItsBatch(t *testing.T) {
 	for _, id := range f.n.Documents() {
 		p, _ := f.n.Owner(id)
 		st := p.owned[id]
-		for term, at := range st.publishedAt {
-			if mark := st.since[term]; at == dead && (mark.At == "" || mark.At == dead) {
+		for term, ot := range st.terms {
+			if mark := ot.mark; ot.at == dead && (mark.At == "" || mark.At == dead) {
 				t.Fatalf("%s/%s: watermark %+v, want one from the peer that now serves the key", id, term, mark)
 			}
 		}
@@ -512,7 +498,7 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 			}
 			owner, _ := n.Peer(ownerAddr)
 			for _, id := range docs {
-				old := owner.owned[id].since[moved[0]]
+				old := owner.owned[id].terms[moved[0]].mark
 				if old.At == "" || old.At == joiner.Addr() || old.Since < 6 {
 					t.Fatalf("%s: watermark of %q before the move = %+v, want one of the old indexing peer's past 6", id, moved[0], old)
 				}
@@ -531,11 +517,11 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 			for _, id := range docs {
 				st := owner.owned[id]
 				for _, term := range moved {
-					if at := st.publishedAt[term]; (at == joiner.Addr()) != (mode != "ring") {
+					if at := st.terms[term].at; (at == joiner.Addr()) != (mode != "ring") {
 						t.Fatalf("mode %s: %s/%q published at %s", mode, id, term, at)
 					}
 				}
-				before[id] = st.stats[moved[0]].qf
+				before[id] = int(st.terms[moved[0]].qf)
 			}
 			refused := 0 // the moved terms' items the old holder refuses
 			if mode == "ring" {
@@ -563,11 +549,11 @@ func TestPollWatermarkBelongsToItsPeer(t *testing.T) {
 				refused = 0 // only the first sweep finds the postings misplaced
 				for _, id := range docs {
 					st := owner.owned[id]
-					if got := st.stats[moved[0]].qf - before[id]; got != want {
+					if got := int(st.terms[moved[0]].qf) - before[id]; got != want {
 						t.Fatalf("%s: learning round %d after the move folded %d queries of %q, want %d", id, round+1, got, moved[0], want)
 					}
-					before[id] = st.stats[moved[0]].qf
-					if mark := st.since[moved[0]]; mark != (pollMark{At: joiner.Addr(), Since: fresh}) {
+					before[id] = int(st.terms[moved[0]].qf)
+					if mark := st.terms[moved[0]].mark; mark != (pollMark{At: joiner.Addr(), Since: fresh}) {
 						t.Fatalf("%s: watermark of %q after round %d = %+v, want the joiner's %d", id, moved[0], round+1, mark, fresh)
 					}
 				}
@@ -757,8 +743,8 @@ func TestConcurrentSweepsShareNoLockCycle(t *testing.T) {
 	views := f.n.docViews()
 	for _, e := range f.n.PrimarySnapshot() {
 		v, ok := views[e.Posting.Doc]
-		if !ok || v.PublishedAt[e.Term] != e.Peer {
-			t.Fatalf("%s holds %s/%s, which its owner does not record there (%v)", e.Peer, e.Posting.Doc, e.Term, v.PublishedAt)
+		if !ok || v[e.Term].at != e.Peer {
+			t.Fatalf("%s holds %s/%s, which its owner does not record there (%v)", e.Peer, e.Posting.Doc, e.Term, v)
 		}
 	}
 }

@@ -52,11 +52,13 @@ func (p *Peer) unshare(ids ...index.DocID) {
 	}
 	for _, d := range docs {
 		d.st.unshared = true
-		d.pulls = make([]pull, 0, len(d.st.indexed)+len(d.st.stale))
+		d.pulls = make([]pull, 0, d.st.nIndexed+len(d.st.stale))
 		d.pullStale()
 		ledger := len(d.pulls)
-		for t := range d.st.indexed {
-			d.retire(t, "")
+		for t, ot := range d.st.terms {
+			if ot.indexed {
+				d.retire(t, "")
+			}
 		}
 		// Holder by holder, each's terms in order, so that every run sends
 		// alike and the exchange finds its batches laid out.

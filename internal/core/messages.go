@@ -38,8 +38,8 @@ const (
 	// sender remains their holder of record until relocation commits. With
 	// Revert set it takes back the entries whose relocation failed.
 	msgHandoff = "sprite.repair.handoff"
-	// msgRelocate asks a document's owner to rewrite its holder-of-record
-	// (publishedAt) for each listed term, compare-and-swap style: a flip
+	// msgRelocate asks a document's owner to rewrite its holder of record
+	// for each listed term, compare-and-swap style: a flip
 	// commits only if the owner still believes the entry lives at the sender.
 	msgRelocate = "sprite.relocate"
 	// msgRepairDigest opens an anti-entropy exchange: the primary holder of

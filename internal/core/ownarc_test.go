@@ -100,8 +100,8 @@ func TestSweepPollsOwnPostingWithoutMessages(t *testing.T) {
 		t.Fatalf("a sweep over postings the owner holds itself sent %d messages: %v", st.Calls, st.CallsByType)
 	}
 	v := n.docViews()["d"]
-	if v.Stats[terms[0]].qf == 0 || v.PublishedAt[terms[3]] != owner.Addr() {
-		t.Fatalf("after the sweep %s has QF %d and %s is published at %q; want queries counted and the owner", terms[0], v.Stats[terms[0]].qf, terms[3], v.PublishedAt[terms[3]])
+	if v[terms[0]].qf == 0 || v[terms[3]].at != owner.Addr() {
+		t.Fatalf("after the sweep %s has QF %d and %s is published at %q; want queries counted and the owner", terms[0], v[terms[0]].qf, terms[3], v[terms[3]].at)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,19 +38,11 @@ type docState struct {
 	// share time ("" when sketching is disabled) and immutable afterwards —
 	// readers outside mu (publish fan-outs, DocSketch) rely on that.
 	sketch string
-	// indexed is the current set of global index terms.
-	indexed map[string]bool
-	// stats holds QF and max-qScore per document term that appeared in any
-	// seen query ("At every owner peer, for each term in a document, two
-	// values are stored: qScore and QF", §5.1).
-	stats map[string]*termStat
-	// since is the per-term poll watermark into the history of the indexing
-	// peer that issued it: only newer queries are pulled (the incremental
-	// query set Q′).
-	since map[string]pollMark
-	// publishedAt remembers which peer last accepted each term's posting: the
-	// one polls and withdrawals address, and a re-anchor moves away from.
-	publishedAt map[string]simnet.Addr
+	// terms holds a record per index term and per document term a seen
+	// query named; nIndexed counts the index terms, for the MaxIndexTerms
+	// cap. A write that may empty a record or flip its flag goes through set.
+	terms    map[string]ownedTerm
+	nIndexed int
 	// banned holds terms retired by the §7 hot-term advisory; they are never
 	// re-selected for this document ("The document owner peers can then
 	// discard the term and pick an analogously important term to index").
@@ -63,6 +56,19 @@ type docState struct {
 	// before the document left and locked it after must leave it alone, or
 	// it would publish postings for a document nobody owns.
 	unshared bool
+}
+
+// ownedTerm is the owner's record of a term: its statistics ("At every owner
+// peer, for each term in a document, two values are stored: qScore and QF",
+// §5.1), whether it is an index term, its holder of record — the peer that
+// last accepted its posting, which polls and withdrawals address — and the
+// poll watermark that pulls only newer queries (the incremental set Q′).
+type ownedTerm struct {
+	at      simnet.Addr // "" none
+	mark    pollMark    // its At may differ from at: a poll routed past the holder
+	maxQS   float64     // the largest qScore of a query naming the term
+	qf      int32       // QF(t), the queries naming it
+	indexed bool
 }
 
 // pollMark is a poll watermark with the peer it belongs to: Since is a
@@ -81,27 +87,57 @@ func (m pollMark) sinceAt(at simnet.Addr) uint64 {
 	return m.Since
 }
 
-type termStat struct {
-	qf    int     // cumulative query frequency QF(t)
-	maxQS float64 // largest qScore over all queries containing t
+// set stores ot as term's record, dropping one that holds nothing, and keeps
+// nIndexed.
+func (st *docState) set(term string, ot ownedTerm) {
+	switch old := st.terms[term]; {
+	case ot.indexed && !old.indexed:
+		st.nIndexed++
+	case old.indexed && !ot.indexed:
+		st.nIndexed--
+	}
+	if ot == (ownedTerm{}) {
+		delete(st.terms, term)
+	} else {
+		st.terms[term] = ot
+	}
+}
+
+// index flags term as an index term, or takes the flag off.
+func (st *docState) index(term string, on bool) {
+	ot := st.terms[term]
+	ot.indexed = on
+	st.set(term, ot)
+}
+
+// indexedTerms returns the document's global index terms, sorted.
+func (st *docState) indexedTerms() []string {
+	terms := make([]string, 0, st.nIndexed)
+	for t, ot := range st.terms {
+		if ot.indexed {
+			terms = append(terms, t)
+		}
+	}
+	slices.Sort(terms)
+	return terms
 }
 
 // score computes the learning rank score under the configured variant. The
 // paper's combined formula is Score(t, D) = qScore · log₁₀(QF) (§5.3; the
 // worked example in Fig. 2(b) uses base-10 logarithms: 0.75·log 20 = 0.975).
-func (ts *termStat) score(v ScoreVariant) float64 {
-	if ts.qf <= 0 {
+func (ot ownedTerm) score(v ScoreVariant) float64 {
+	if ot.qf <= 0 {
 		return 0
 	}
 	switch v {
 	case ScoreQScoreOnly:
-		return ts.maxQS
+		return ot.maxQS
 	case ScoreQFOnly:
-		return float64(ts.qf)
+		return float64(ot.qf)
 	case ScoreQScoreTimesQF:
-		return ts.maxQS * float64(ts.qf)
+		return ot.maxQS * float64(ot.qf)
 	default:
-		return ts.maxQS * math.Log10(float64(ts.qf))
+		return ot.maxQS * math.Log10(float64(ot.qf))
 	}
 }
 
@@ -127,13 +163,7 @@ func qScore(queryTerms []string, doc *corpus.Document) float64 {
 // first global index terms. They go as the publish phase of a one-document
 // learning sweep: one sprite.publish per indexing peer the owner's node names.
 func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
-	st := &docState{
-		doc:     doc,
-		sketch:  p.net.docSketchFor(doc),
-		indexed: make(map[string]bool),
-		stats:   make(map[string]*termStat),
-		since:   make(map[string]pollMark),
-	}
+	st := &docState{doc: doc, sketch: p.net.docSketchFor(doc), terms: make(map[string]ownedTerm)}
 	d := &sweepDoc{p: p, id: doc.ID, st: st, publish: doc.TopTerms(p.net.cfg.InitialTerms)}
 	d.added = len(d.publish)
 	p.net.publishPhase(ctx, []*sweepDoc{d})
@@ -143,7 +173,7 @@ func (p *Peer) share(ctx context.Context, doc *corpus.Document) error {
 		// shared. Best-effort, on a fresh context — the caller's may already
 		// be done, and an unreachable indexing peer keeps its copy only until
 		// it dies or is recycled.
-		for _, t := range sortedKeys(st.indexed) {
+		for _, t := range st.indexedTerms() {
 			d.retire(t, "")
 		}
 		p.net.withdrawPhase(context.Background(), []*sweepDoc{d})
@@ -171,18 +201,17 @@ func (p *Peer) publishTerm(ctx context.Context, st *docState, term string) error
 // recordPublished notes that target accepted term's posting.
 func (p *Peer) recordPublished(st *docState, term string, target simnet.Addr) {
 	p.net.met.termsPublished.Inc()
-	st.indexed[term] = true
-	if st.publishedAt == nil {
-		st.publishedAt = make(map[string]simnet.Addr)
-	}
-	st.publishedAt[term] = target
+	ot := st.terms[term]
+	ot.indexed, ot.at = true, target
+	st.set(term, ot)
 }
 
-// forgetTerm drops term from st's index bookkeeping, sending nothing.
+// forgetTerm drops term from st's index bookkeeping, keeping its learning
+// statistics, and sends nothing.
 func forgetTerm(st *docState, term string) {
-	delete(st.indexed, term)
-	delete(st.since, term)
-	delete(st.publishedAt, term)
+	ot := st.terms[term]
+	ot.indexed, ot.at, ot.mark = false, "", pollMark{}
+	st.set(term, ot)
 }
 
 // itemFor is st's (term, posting) pair for term. It only reads st, so it is
@@ -195,17 +224,6 @@ func (p *Peer) itemFor(st *docState, term string) publishItem {
 		DocLen: st.doc.Length,
 		Sketch: st.sketch,
 	}}
-}
-
-// indexedTerms returns the document's current global index terms, sorted.
-func (p *Peer) indexedTerms(doc index.DocID) []string {
-	st := p.state(doc)
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return sortedKeys(st.indexed)
 }
 
 // errNotOwned reports a learning request for a document this peer no longer
@@ -388,9 +406,15 @@ type rankedTerm struct {
 
 func (p *Peer) rankList(st *docState) []rankedTerm {
 	variant := p.net.cfg.Score
-	rl := make([]rankedTerm, 0, len(st.stats))
-	for t, ts := range st.stats {
-		rl = append(rl, rankedTerm{term: t, score: ts.score(variant), qs: ts.maxQS, tf: st.doc.TF[t]})
+	var rl []rankedTerm // made at the first learned term
+	for t, ot := range st.terms {
+		if ot.qf == 0 {
+			continue
+		}
+		if rl == nil {
+			rl = make([]rankedTerm, 0, len(st.terms))
+		}
+		rl = append(rl, rankedTerm{term: t, score: ot.score(variant), qs: ot.maxQS, tf: st.doc.TF[t]})
 	}
 	// Sort by Score; ties (notably QF=1 ⇒ Score=0) break by qScore, then
 	// document term frequency, then term, keeping selection deterministic.
@@ -426,32 +450,38 @@ func (d *sweepDoc) applyRankList() {
 	// frequency picks the learner knows nothing about) rank below everything
 	// and are the first to be replaced — cf. Fig. 1, where frequent-but-
 	// unqueried term c is not worth indexing.
-	indexedScore := func(t string) (float64, float64) {
-		if ts, ok := st.stats[t]; ok {
-			return ts.score(cfg.Score), ts.maxQS
+	indexedScore := func(ot ownedTerm) (float64, float64) {
+		if ot.qf > 0 {
+			return ot.score(cfg.Score), ot.maxQS
 		}
 		return -1, -1
+	}
+	add := func(term string) {
+		st.index(term, true)
+		d.publish = append(d.publish, term)
+		d.changes++
+		budget--
 	}
 
 	for _, cand := range rl {
 		if budget == 0 {
 			break
 		}
-		if st.indexed[cand.term] || st.banned[cand.term] {
+		if st.terms[cand.term].indexed || st.banned[cand.term] {
 			continue
 		}
-		if len(st.indexed) < cap {
-			st.indexed[cand.term] = true
-			d.publish = append(d.publish, cand.term)
-			d.changes++
-			budget--
+		if st.nIndexed < cap {
+			add(cand.term)
 			continue
 		}
 		// At the cap: find the weakest indexed term and replace it if the
 		// candidate ranks strictly higher.
 		worst, worstScore, worstQS := "", math.Inf(1), math.Inf(1)
-		for t := range st.indexed {
-			s, q := indexedScore(t)
+		for t, ot := range st.terms {
+			if !ot.indexed {
+				continue
+			}
+			s, q := indexedScore(ot)
 			if s < worstScore || (s == worstScore && q < worstQS) ||
 				(s == worstScore && q == worstQS && t > worst) {
 				worst, worstScore, worstQS = t, s, q
@@ -459,10 +489,7 @@ func (d *sweepDoc) applyRankList() {
 		}
 		if cand.score > worstScore || (cand.score == worstScore && cand.qs > worstQS) {
 			d.retire(worst, cand.term)
-			st.indexed[cand.term] = true
-			d.publish = append(d.publish, cand.term)
-			d.changes++
-			budget--
+			add(cand.term)
 		} else {
 			// Candidates are sorted descending; nothing further can win.
 			break
@@ -476,18 +503,14 @@ func (d *sweepDoc) applyRankList() {
 	// F + iterations·TermsPerIteration), so a document with a thin query
 	// history degrades gracefully to the static frequency scheme instead of
 	// being under-indexed.
-	if budget > 0 && len(st.indexed) < cap {
+	if budget > 0 && st.nIndexed < cap {
 		for _, term := range st.doc.TopTerms(len(st.doc.TF)) {
-			if budget == 0 || len(st.indexed) >= cap {
+			if budget == 0 || st.nIndexed >= cap {
 				break
 			}
-			if st.indexed[term] || st.banned[term] {
-				continue
+			if !st.terms[term].indexed && !st.banned[term] {
+				add(term)
 			}
-			st.indexed[term] = true
-			d.publish = append(d.publish, term)
-			d.changes++
-			budget--
 		}
 	}
 	d.added = len(d.publish)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -328,25 +327,20 @@ func (s *indexingState) takeReplicaLocs(term string, doc index.DocID) []simnet.A
 }
 
 // history is an indexing peer's bounded query history: the most recent
-// issuances (§3), each distinct term sequence stored once. The ring holds one
-// record per issuance in arrival order; evicting one decrements its query's
+// issuances (§3), each distinct term sequence stored once. The ring holds each
+// issuance's query slot in arrival order; evicting one decrements its query's
 // count, and a query whose count reaches zero is reclaimed.
 type history struct {
 	queries []storedQuery    // by slot; a slot with no terms is free
 	free    []int32          // free slots
 	slots   map[uint64]int32 // termsHash → the slot of the query it finds
 	// ring ascends by seq cyclically from index oldest: it is filled in
-	// arrival order and, once full, overwritten oldest-first.
-	ring   []issuance
+	// arrival order and, once full, overwritten oldest-first. Issuance seqs
+	// are consecutive, so a slot's position is its seq (seqAt).
+	ring   []int32
 	oldest int
 	cap    int
 	seq    uint64 // the newest issuance's; survives eviction
-}
-
-// issuance is one recording of a query: its slot and arrival sequence number.
-type issuance struct {
-	q   int32
-	seq uint64
 }
 
 // storedQuery is one distinct cached query: its keyword sequence, how many of
@@ -387,12 +381,12 @@ func termsHash(terms []string) uint64 {
 	return h
 }
 
-// add records an issuance of terms with sequence number seq, newer than any
-// the history holds, evicting the oldest issuance at capacity. A repeat of a
-// stored query allocates nothing; a new one allocates the copy of its terms.
-// A sequence whose hash finds another query is stored without an index entry:
-// never merged with it, only not found again.
-func (h *history) add(terms []string, seq uint64) {
+// add records an issuance of terms as the next seq, evicting the oldest
+// issuance at capacity. A repeat of a stored query allocates nothing; a new
+// one allocates the copy of its terms. A sequence whose hash finds another
+// query is stored without an index entry: never merged with it, only not
+// found again.
+func (h *history) add(terms []string) {
 	hk := termsHash(terms)
 	q, found := h.slots[hk]
 	if !found || !slices.Equal(h.queries[q].terms, terms) {
@@ -404,16 +398,16 @@ func (h *history) add(terms []string, seq uint64) {
 			h.slots[hk] = q
 		}
 	}
+	h.seq++
 	sq := &h.queries[q]
 	sq.count++
-	sq.newest = seq
-	h.seq = seq
+	sq.newest = h.seq
 	if len(h.ring) < h.cap {
-		h.ring = append(h.ring, issuance{q, seq})
+		h.ring = append(h.ring, q)
 		return
 	}
-	h.release(h.ring[h.oldest].q)
-	h.ring[h.oldest] = issuance{q, seq}
+	h.release(h.ring[h.oldest])
+	h.ring[h.oldest] = q
 	h.oldest = (h.oldest + 1) % len(h.ring)
 }
 
@@ -444,9 +438,14 @@ func (h *history) release(q int32) {
 	h.free = append(h.free, q)
 }
 
-// at returns the i-th oldest issuance.
-func (h *history) at(i int) issuance {
+// at returns the query slot of the i-th oldest issuance.
+func (h *history) at(i int) int32 {
 	return h.ring[(h.oldest+i)%len(h.ring)]
+}
+
+// seqAt returns the i-th oldest issuance's seq.
+func (h *history) seqAt(i int) uint64 {
+	return h.seq - uint64(len(h.ring)) + 1 + uint64(i)
 }
 
 func (s *indexingState) publish(term string, p index.Posting) {
@@ -512,7 +511,7 @@ func (s *indexingState) cacheQuery(terms []string) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.history.add(terms, s.history.seq+1)
+	s.history.add(terms)
 }
 
 // handlePoll answers a poll item by item. A CheckArc request's items whose
@@ -575,12 +574,13 @@ func (s *indexingState) poll(term string, doc index.DocID, docTerms []string, si
 	}
 	// An elected query answers one copy per issuance newer than since: all of
 	// its issuances when since precedes the oldest, else its records in the
-	// ring's tail after since.
+	// ring's tail after since. An elected query is newer than since, so
+	// since is behind the newest issuance and the tail is not empty.
 	var fresh []int // by slot; nil when every issuance is newer than since
-	if since >= h.at(0).seq {
+	if oldest := h.seqAt(0); since >= oldest {
 		fresh = make([]int, len(h.queries))
-		for i := sort.Search(len(h.ring), func(i int) bool { return h.at(i).seq > since }); i < len(h.ring); i++ {
-			fresh[h.at(i).q]++
+		for i := int(since-oldest) + 1; i < len(h.ring); i++ {
+			fresh[h.at(i)]++
 		}
 	}
 	copies := func(q int32) int {

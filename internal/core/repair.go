@@ -173,8 +173,10 @@ func (p *Peer) handleRelocate(req relocateReq) publishResp {
 		flipped := false
 		if st := p.state(it.Posting.Doc); st != nil {
 			st.mu.Lock()
-			if flipped = st.indexed[it.Term] && st.publishedAt[it.Term] == req.From; flipped {
-				st.publishedAt[it.Term] = req.To
+			ot := st.terms[it.Term]
+			if flipped = ot.indexed && ot.at == req.From; flipped {
+				ot.at = req.To
+				st.set(it.Term, ot)
 			}
 			st.mu.Unlock()
 		}
@@ -352,9 +354,9 @@ func (n *Network) FlushStaleAll() {
 // to the orphaned records, not the index. Caller holds st.mu.
 func (p *Peer) reclaimOrphans(st *docState) int {
 	reclaimed := 0
-	for _, term := range sortedKeys(st.indexed) {
-		at, ok := st.publishedAt[term]
-		if !ok {
+	for _, term := range st.indexedTerms() {
+		at := st.terms[term].at
+		if at == "" {
 			continue
 		}
 		if _, exists := p.net.Peer(at); exists {

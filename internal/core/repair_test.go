@@ -598,7 +598,9 @@ func TestHandoffRefusedRelocationReverts(t *testing.T) {
 		owner, _ := f.n.Peer("p1")
 		st := owner.state(victim.Posting.Doc)
 		st.mu.Lock()
-		st.publishedAt[victim.Term] = "elsewhere"
+		ot := st.terms[victim.Term]
+		ot.at = "elsewhere"
+		st.set(victim.Term, ot)
 		st.mu.Unlock()
 
 		f.log.drain()
@@ -627,7 +629,8 @@ func TestHandoffRefusedRelocationReverts(t *testing.T) {
 			}
 		}
 		st.mu.Lock()
-		st.publishedAt[victim.Term] = from.Addr() // where the revert left it
+		ot.at = from.Addr() // where the revert left it
+		st.set(victim.Term, ot)
 		st.mu.Unlock()
 	}
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"github.com/spritedht/sprite/internal/corpus"
@@ -60,17 +62,8 @@ func (n *Network) DocSketch(doc index.DocID) (string, bool) {
 // global index terms ranked by document frequency (ties by term), capped at
 // k. st.mu must be held.
 func routeTermsLocked(st *docState, k int) []string {
-	terms := make([]string, 0, len(st.indexed))
-	for t := range st.indexed {
-		terms = append(terms, t)
-	}
-	sort.Slice(terms, func(i, j int) bool {
-		fi, fj := st.doc.TF[terms[i]], st.doc.TF[terms[j]]
-		if fi != fj {
-			return fi > fj
-		}
-		return terms[i] < terms[j]
-	})
+	terms := st.indexedTerms() // sorted, so equal frequencies stay in term order
+	slices.SortStableFunc(terms, func(a, b string) int { return cmp.Compare(st.doc.TF[b], st.doc.TF[a]) })
 	if k > 0 && len(terms) > k {
 		terms = terms[:k]
 	}

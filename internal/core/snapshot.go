@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"slices"
 
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
@@ -75,9 +76,8 @@ func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
 		h := &s.history
 		e.Uint(uint64(len(h.ring)))
 		for i := range h.ring {
-			is := h.at(i)
-			e.StringSlice(h.queries[is.q].terms)
-			e.Uint(is.seq)
+			e.StringSlice(h.queries[h.at(i)].terms)
+			e.Uint(h.seqAt(i))
 		}
 		e.Uint(h.seq)
 		s.mu.Unlock()
@@ -85,10 +85,21 @@ func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
 			st.mu.Lock()
 			defer st.mu.Unlock()
 			writeSorted(e, st.doc.TF, func(f int) { e.Int(int64(f)) })
-			writeSorted(e, st.indexed, func(bool) {})
-			writeSorted(e, st.stats, func(ts *termStat) { e.Int(int64(ts.qf)); e.Float(ts.maxQS) })
-			writeSorted(e, st.since, func(m pollMark) { e.String(string(m.At)); e.Uint(m.Since) })
-			writeSorted(e, st.publishedAt, func(a simnet.Addr) { e.String(string(a)) })
+			// The records go as four sorted sections, one per part: index
+			// terms, statistics, watermarks and holders.
+			terms := sortedKeys(st.terms)
+			part := func(has func(ownedTerm) bool, value func(ownedTerm)) {
+				in := slices.DeleteFunc(slices.Clone(terms), func(t string) bool { return !has(st.terms[t]) })
+				e.Uint(uint64(len(in)))
+				for _, t := range in {
+					e.String(t)
+					value(st.terms[t])
+				}
+			}
+			part(func(ot ownedTerm) bool { return ot.indexed }, func(ownedTerm) {})
+			part(func(ot ownedTerm) bool { return ot.qf > 0 }, func(ot ownedTerm) { e.Int(int64(ot.qf)); e.Float(ot.maxQS) })
+			part(func(ot ownedTerm) bool { return ot.mark.At != "" }, func(ot ownedTerm) { e.String(string(ot.mark.At)); e.Uint(ot.mark.Since) })
+			part(func(ot ownedTerm) bool { return ot.at != "" }, func(ot ownedTerm) { e.String(string(ot.at)) })
 			writeSorted(e, st.banned, func(bool) {})
 			writeSorted(e, st.stale, func(addrs []simnet.Addr) { writeStrings(e, addrs) })
 		})
@@ -162,22 +173,27 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 			readSorted(d, func(doc index.DocID) { s.replicaLocs[term][doc] = readStrings[simnet.Addr](d) })
 		})
 		// The issuances replay oldest first into the network's cap, which
-		// drops the oldest of a longer history.
-		s.history.cap = n.cfg.HistoryCap
-		for j, m := 0, d.Count(2); j < m && d.Err() == nil; j++ {
+		// drops the oldest of a longer history. The ring keeps no seqs, only
+		// their order: they must be consecutive, as recording numbers them,
+		// and the peer's seq the newest one's.
+		h := &s.history
+		h.cap = n.cfg.HistoryCap
+		entries := d.Count(2)
+		for j := 0; j < entries && d.Err() == nil; j++ {
 			switch terms, seq := d.StringSlice(), d.Uint(); {
 			case d.Err() != nil:
-			case len(terms) == 0 || seq <= s.history.seq:
-				d.Fail(fmt.Errorf("peer %q: history entry %d has %d terms at seq %d, after seq %d", addr, j, len(terms), seq, s.history.seq))
+			case len(terms) == 0 || seq <= h.seq || j > 0 && seq != h.seq+1:
+				d.Fail(fmt.Errorf("peer %q: history entry %d has %d terms at seq %d, after seq %d: want consecutive seqs", addr, j, len(terms), seq, h.seq))
 			default:
-				s.history.add(terms, seq)
+				h.seq = seq - 1
+				h.add(terms)
 			}
 		}
-		seq := d.Uint()
-		if d.Err() == nil && seq < s.history.seq {
-			d.Fail(fmt.Errorf("peer %q: history seq %d behind its newest entry's %d", addr, seq, s.history.seq))
+		if seq := d.Uint(); d.Err() == nil && (seq < h.seq || entries > 0 && seq > h.seq) {
+			d.Fail(fmt.Errorf("peer %q: history seq %d, its newest entry's %d: behind or ahead", addr, seq, h.seq))
+		} else {
+			h.seq = seq
 		}
-		s.history.seq = seq
 		owned := make(map[index.DocID]*docState)
 		readSorted(d, func(id index.DocID) {
 			if prev := owners[id]; prev != nil {
@@ -209,19 +225,24 @@ func (n *Network) decodeDoc(d *wire.Decoder, id index.DocID) *docState {
 	tf := make(map[string]int)
 	readSorted(d, func(t string) { tf[t] = int(d.Int()) })
 	st := &docState{
-		doc:         corpus.NewDocument(id, tf),
-		indexed:     make(map[string]bool),
-		stats:       make(map[string]*termStat),
-		since:       make(map[string]pollMark),
-		publishedAt: make(map[string]simnet.Addr),
-		banned:      make(map[string]bool),
-		stale:       make(map[string][]simnet.Addr),
+		doc:    corpus.NewDocument(id, tf),
+		terms:  make(map[string]ownedTerm),
+		banned: make(map[string]bool),
+		stale:  make(map[string][]simnet.Addr),
 	}
 	st.sketch = n.docSketchFor(st.doc)
-	readSorted(d, func(t string) { st.indexed[t] = true })
-	readSorted(d, func(t string) { st.stats[t] = &termStat{qf: int(d.Int()), maxQS: d.Float()} })
-	readSorted(d, func(t string) { st.since[t] = pollMark{At: simnet.Addr(d.String()), Since: d.Uint()} })
-	readSorted(d, func(t string) { st.publishedAt[t] = simnet.Addr(d.String()) })
+	// Each section reads one part of its terms' records.
+	part := func(value func(ot *ownedTerm)) {
+		readSorted(d, func(t string) {
+			ot := st.terms[t]
+			value(&ot)
+			st.set(t, ot)
+		})
+	}
+	part(func(ot *ownedTerm) { ot.indexed = true })
+	part(func(ot *ownedTerm) { ot.qf, ot.maxQS = int32(d.Int()), d.Float() })
+	part(func(ot *ownedTerm) { ot.mark = pollMark{simnet.Addr(d.String()), d.Uint()} })
+	part(func(ot *ownedTerm) { ot.at = simnet.Addr(d.String()) })
 	readSorted(d, func(t string) { st.banned[t] = true })
 	readSorted(d, func(t string) { st.stale[t] = readStrings[simnet.Addr](d) })
 	return st
@@ -273,10 +294,7 @@ func writeStrings[S ~string](e *wire.Encoder, list []S) {
 	}
 }
 
+// readStrings reads writeStrings' form; an empty list reads as nil.
 func readStrings[S ~string](d *wire.Decoder) []S {
-	list := make([]S, d.Count(1))
-	for i := range list {
-		list[i] = S(d.String())
-	}
-	return list
+	return readList(d, 1, func(s *S) { *s = S(d.String()) })
 }

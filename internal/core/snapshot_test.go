@@ -107,17 +107,25 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("indexed terms for %s differ: %v vs %v", id, a, b)
 		}
 	}
-	// Every poll watermark must come back with the peer that issued it.
+	// Every owner record must come back, each poll watermark with the peer
+	// that issued it.
 	for i, p := range orig.Peers() {
 		for id, st := range p.owned {
-			got := restored.Peers()[i].owned[id].since
-			if len(st.since) == 0 || !reflect.DeepEqual(got, st.since) {
-				t.Fatalf("poll watermarks of %s differ after restore: %v vs %v", id, got, st.since)
+			got := restored.Peers()[i].owned[id]
+			if !reflect.DeepEqual(got.terms, st.terms) || got.nIndexed != st.nIndexed {
+				t.Fatalf("owner records of %s differ after restore: %v vs %v", id, got.terms, st.terms)
 			}
-			for term, mark := range got {
-				if mark.At != st.publishedAt[term] {
-					t.Fatalf("watermark of %s/%q belongs to %q, posting is at %q", id, term, mark.At, st.publishedAt[term])
+			marks := 0
+			for term, ot := range got.terms {
+				if ot.mark.At == "" {
+					continue
 				}
+				if marks++; ot.mark.At != ot.at {
+					t.Fatalf("watermark of %s/%q belongs to %q, posting is at %q", id, term, ot.mark.At, ot.at)
+				}
+			}
+			if marks == 0 {
+				t.Fatalf("%s has no poll watermark to restore", id)
 			}
 		}
 	}
@@ -540,6 +548,8 @@ func TestRestoreRefusesMalformedFiles(t *testing.T) {
 		{"history seqs not ascending", "after seq 5", historyFile(5, refQuery{[]string{"a"}, 5}, refQuery{[]string{"b"}, 5})},
 		{"empty history query", "0 terms", historyFile(2, refQuery{[]string{"a"}, 1}, refQuery{nil, 2})},
 		{"history seq behind its entries", "behind", historyFile(6, refQuery{[]string{"a"}, 7})},
+		{"history seqs not consecutive", "consecutive", historyFile(7, refQuery{[]string{"a"}, 5}, refQuery{[]string{"b"}, 7})},
+		{"history seq ahead of its entries", "ahead", historyFile(8, refQuery{[]string{"a"}, 7})},
 		{"empty list", "empty list", onePeerFile(func(e *wire.Encoder) { rawList(e, "t", []byte{0}) })},
 		{"non-canonical block", "canonical", onePeerFile(func(e *wire.Encoder) {
 			rawList(e, "t", append([]byte{1, byte(len(longhand))}, longhand...))
@@ -591,6 +601,8 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(snap, uint8(1), uint16(len(snap)/3))
 	f.Add(snap, uint8(2), uint16(len(snap)/2))
 	f.Add(saveBytes(f, freshTwin(f)), uint8(0), uint16(0))
+	f.Add(historyFile(7, refQuery{[]string{"a"}, 5}, refQuery{[]string{"b"}, 7}), uint8(0), uint16(0))
+	f.Add(historyFile(8, refQuery{[]string{"a"}, 7}), uint8(0), uint16(0))
 	a, b := freshTwin(f), freshTwin(f)
 	f.Fuzz(func(t *testing.T, data []byte, mode uint8, pos uint16) {
 		data = slices.Clone(data)

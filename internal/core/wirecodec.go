@@ -36,33 +36,16 @@ func init() {
 			for _, a := range r.Answers {
 				e.Int(int64(a.Item))
 				e.Bool(a.Refused)
-				e.Uint(uint64(len(a.Stale)))
-				for _, h := range a.Stale {
-					e.String(string(h))
-				}
+				writeStrings(e, a.Stale)
 			}
 		},
 		func(d *wire.Decoder) any {
-			var r publishResp
 			// An item's position, its refusal flag and its holder count.
-			if n := d.Count(3); n > 0 {
-				r.Answers = make([]publishAnswer, n)
-				for i := range r.Answers {
-					a := &r.Answers[i]
-					a.Item = int(d.Int())
-					a.Refused = d.Bool()
-					if m := d.Count(1); m > 0 {
-						a.Stale = make([]simnet.Addr, m)
-						for j := range a.Stale {
-							a.Stale[j] = simnet.Addr(d.String())
-						}
-					}
-					if d.Err() != nil {
-						break
-					}
-				}
-			}
-			return r
+			return publishResp{Answers: readList(d, 3, func(a *publishAnswer) {
+				a.Item = int(d.Int())
+				a.Refused = d.Bool()
+				a.Stale = readStrings[simnet.Addr](d)
+			})}
 		})
 
 	// Kinds +1 and +2 are retired (sprite.unpublish's), as are +9
@@ -99,23 +82,14 @@ func init() {
 			}
 		},
 		func(d *wire.Decoder) any {
-			var r getPostingsResp
 			// The refusal flag, the list's length and block count, the
 			// document frequency and the replica flag.
-			if n := d.Count(5); n > 0 {
-				r.Items = make([]postingsList, n)
-				for i := range r.Items {
-					it := &r.Items[i]
-					it.Refused = d.Bool()
-					it.Postings = decodeList(d)
-					it.IndexedDF = int(d.Int())
-					it.FromReplica = d.Bool()
-					if d.Err() != nil {
-						break
-					}
-				}
-			}
-			return r
+			return getPostingsResp{Items: readList(d, 5, func(it *postingsList) {
+				it.Refused = d.Bool()
+				it.Postings = decodeList(d)
+				it.IndexedDF = int(d.Int())
+				it.FromReplica = d.Bool()
+			})}
 		})
 
 	wire.RegisterBinary(wire.KindCoreBase+5, cacheQueryReq{},
@@ -140,23 +114,11 @@ func init() {
 		func(d *wire.Decoder) any {
 			var r pollReq
 			// A document's ID length byte and its two list counts.
-			if n := d.Count(3); n > 0 {
-				r.Docs = make([]pollDoc, n)
-				for i := range r.Docs {
-					doc := &r.Docs[i]
-					doc.Doc = index.DocID(d.String())
-					doc.DocTerms = d.StringSlice()
-					if m := d.Count(2); m > 0 {
-						doc.Terms = make([]pollTerm, m)
-						for j := range doc.Terms {
-							doc.Terms[j] = pollTerm{Term: d.String(), Since: d.Uint()}
-						}
-					}
-					if d.Err() != nil {
-						break
-					}
-				}
-			}
+			r.Docs = readList(d, 3, func(doc *pollDoc) {
+				doc.Doc = index.DocID(d.String())
+				doc.DocTerms = d.StringSlice()
+				doc.Terms = readList(d, 2, func(t *pollTerm) { *t = pollTerm{Term: d.String(), Since: d.Uint()} })
+			})
 			r.CheckArc = d.Bool()
 			return r
 		})
@@ -183,31 +145,17 @@ func init() {
 			}
 		},
 		func(d *wire.Decoder) any {
-			var r pollResp
 			// The flags, the query count and two varints.
-			if n := d.Count(4); n > 0 {
-				r.Items = make([]pollResult, n)
-				for i := range r.Items {
-					it := &r.Items[i]
-					flags := d.Uint()
-					if flags&^(pollRefused|pollMissing) != 0 {
-						d.Fail(errors.New("core: unknown poll flags"))
-					}
-					it.Refused, it.Missing = flags&pollRefused != 0, flags&pollMissing != 0
-					if m := d.Count(1); m > 0 {
-						it.Queries = make([][]string, m)
-						for j := range it.Queries {
-							it.Queries[j] = d.StringSlice()
-						}
-					}
-					it.NewSince = d.Uint()
-					it.IndexedDF = int(d.Int())
-					if d.Err() != nil {
-						break
-					}
+			return pollResp{Items: readList(d, 4, func(it *pollResult) {
+				flags := d.Uint()
+				if flags&^(pollRefused|pollMissing) != 0 {
+					d.Fail(errors.New("core: unknown poll flags"))
 				}
-			}
-			return r
+				it.Refused, it.Missing = flags&pollRefused != 0, flags&pollMissing != 0
+				it.Queries = readList(d, 1, func(q *[]string) { *q = d.StringSlice() })
+				it.NewSince = d.Uint()
+				it.IndexedDF = int(d.Int())
+			})}
 		})
 
 	wire.RegisterBinary(wire.KindCoreBase+8, replicaReq{},
@@ -225,31 +173,17 @@ func init() {
 			for _, ent := range r.Entries {
 				e.String(ent.Term)
 				encodePosting(e, ent.Posting)
-				e.Uint(uint64(len(ent.ReplicaLocs)))
-				for _, a := range ent.ReplicaLocs {
-					e.String(string(a))
-				}
+				writeStrings(e, ent.ReplicaLocs)
 			}
 			e.Bool(r.Revert)
 		},
 		func(d *wire.Decoder) any {
 			var r handoffReq
-			if n := d.Count(3); n > 0 {
-				r.Entries = make([]handoffEntry, n)
-				for i := range r.Entries {
-					r.Entries[i].Term = d.String()
-					r.Entries[i].Posting = decodePosting(d)
-					if m := d.Count(1); m > 0 {
-						r.Entries[i].ReplicaLocs = make([]simnet.Addr, m)
-						for j := range r.Entries[i].ReplicaLocs {
-							r.Entries[i].ReplicaLocs[j] = simnet.Addr(d.String())
-						}
-					}
-					if d.Err() != nil {
-						break
-					}
-				}
-			}
+			r.Entries = readList(d, 3, func(ent *handoffEntry) {
+				ent.Term = d.String()
+				ent.Posting = decodePosting(d)
+				ent.ReplicaLocs = readStrings[simnet.Addr](d)
+			})
 			r.Revert = d.Bool()
 			return r
 		})
@@ -263,14 +197,7 @@ func init() {
 			}
 		},
 		func(d *wire.Decoder) any {
-			var r handoffResp
-			if n := d.Count(1); n > 0 {
-				r.Existing = make([]bool, n)
-				for i := range r.Existing {
-					r.Existing[i] = d.Bool()
-				}
-			}
-			return r
+			return handoffResp{Existing: readList(d, 1, func(b *bool) { *b = d.Bool() })}
 		})
 
 	wire.RegisterBinary(wire.KindCoreBase+14, relocateReq{},
@@ -325,12 +252,7 @@ func init() {
 		func(d *wire.Decoder) any {
 			var r repairDigestResp
 			r.InSync = d.Bool()
-			if n := d.Count(1); n > 0 {
-				r.Buckets = make([]int, n)
-				for i := range r.Buckets {
-					r.Buckets[i] = int(d.Int())
-				}
-			}
+			r.Buckets = readList(d, 1, func(b *int) { *b = int(d.Int()) })
 			if n := d.Count(2); n > 0 {
 				r.Local = make(map[string]uint64, n)
 				for i := 0; i < n; i++ {
@@ -361,16 +283,10 @@ func init() {
 			copy(r.Arc.From[:], d.Raw(chordid.Bytes))
 			copy(r.Arc.To[:], d.Raw(chordid.Bytes))
 			// A term's length byte, the list's length and its block count.
-			if n := d.Count(3); n > 0 {
-				r.Set = make([]termPostings, n)
-				for i := range r.Set {
-					r.Set[i].Term = d.String()
-					r.Set[i].Postings = decodeList(d)
-					if d.Err() != nil {
-						break
-					}
-				}
-			}
+			r.Set = readList(d, 3, func(tp *termPostings) {
+				tp.Term = d.String()
+				tp.Postings = decodeList(d)
+			})
 			return r
 		})
 
@@ -446,13 +362,7 @@ func encodeItems(e *wire.Encoder, items []publishItem) {
 // decodeItems reads encodeItems' form; an unknown flag fails the decode.
 func decodeItems(d *wire.Decoder) []publishItem {
 	// A term's length byte, the flags and a document's length byte.
-	n := d.Count(3)
-	if n == 0 {
-		return nil
-	}
-	items := make([]publishItem, n)
-	for i := range items {
-		it := &items[i]
+	return readList(d, 3, func(it *publishItem) {
 		it.Term = d.String()
 		flags := d.Uint()
 		if flags&^(itemWithdraw|itemDocOnly) != 0 {
@@ -464,11 +374,24 @@ func decodeItems(d *wire.Decoder) []publishItem {
 		} else {
 			it.Posting = decodePosting(d)
 		}
-		if d.Err() != nil {
+	})
+}
+
+// readList reads a count, then each element with read, stopping at the first
+// error; min is the fewest bytes an element takes, and an empty list reads as
+// nil.
+func readList[T any](d *wire.Decoder, min int, read func(*T)) []T {
+	n := d.Count(min)
+	if n == 0 {
+		return nil
+	}
+	list := make([]T, n)
+	for i := range list {
+		if read(&list[i]); d.Err() != nil {
 			break
 		}
 	}
-	return items
+	return list
 }
 
 // encodeList ships a postings list's blocks exactly as the index stores them,

@@ -174,6 +174,34 @@ func TestGoGroupCallerRunsFirstItem(t *testing.T) {
 	})
 }
 
+// TestWallGoGroupRunsEveryItemBeforeReturn races a wall group's helpers
+// against its caller at the end of the cursor: eight items of a few clock
+// reads each, in 50 000 groups. A helper that takes an index before it joins
+// can lose that race — the caller drains the cursor, closes the group and
+// returns while the helper waits for the group lock, and the item runs late
+// or never. At GOMAXPROCS 2 that mutant fails this test in 60 of 60 runs;
+// at GOMAXPROCS 1 a helper never runs beside its caller, and it passes.
+func TestWallGoGroupRunsEveryItemBeforeReturn(t *testing.T) {
+	const groups, n = 50000, 8
+	runs := make([]atomic.Int32, n)
+	for r := range groups {
+		for i := range runs {
+			runs[i].Store(0)
+		}
+		Wall.GoGroup(n, n, func(i int) {
+			runs[i].Add(1)
+			for range 1 + (r+i)%3 {
+				Wall.Now()
+			}
+		})
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("group %d: fn(%d) ran %d times by the return, want once", r, i, got)
+			}
+		}
+	}
+}
+
 // A caller that outruns the scheduler leaves a helper behind per group; on
 // one P a tight loop would pile them up until it is preempted. Once
 // maxUnstartedHelpers wait, the caller yields and they drain: one caller's
