@@ -213,10 +213,13 @@ send-guard:
 # has a use outside _test.go files (bench/, cmd/ and examples/ count) unless
 # census_test.go's testOnlyAPI names it with its reason, and every
 # identifier-shaped backticked token in DESIGN.md and README.md names
-# something the tree declares. `go test -run TestCensus -v .` prints the
-# non-test and test lines of each package from the same census.
+# something the tree declares; and no non-test file outside internal/deploy
+# and bench/ calls simnet.New, transport.New, vtime.NewSim, chord.NewRing or
+# core.NewNetwork (a deployment is built with deploy.New). `go test -run
+# TestCensus -v .` prints the non-test and test lines of each package from
+# the same census.
 api-guard:
-	$(GO) test -count=1 -run '^(TestExportedNamesHaveCallers|TestDocsNameOnlyDeclaredIdentifiers|TestCensusGuardsOnFixture)$$' .
+	$(GO) test -count=1 -run '^(TestExportedNamesHaveCallers|TestDocsNameOnlyDeclaredIdentifiers|TestDeploymentsBuiltOneWay|TestCensusGuardsOnFixture)$$' .
 
 # Allocation guard: what one uncached search, one cached search, a
 # one-document sweep, one share and one unshare allocate on a fixed 16-peer

@@ -214,6 +214,52 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 }
 
+// deployBuilders are the constructors that wire a transport, a ring and a
+// core network together. Only internal/deploy, and the benchmark module,
+// may name them: every other site builds its deployment with deploy.New.
+var deployBuilders = map[string]bool{
+	"simnet.New": true, "transport.New": true, "vtime.NewSim": true,
+	"chord.NewRing": true, "core.NewNetwork": true,
+}
+
+// handBuiltDeployments reports, as file:line, each use of a deployBuilders
+// constructor in a non-test file outside internal/deploy and bench/.
+func handBuiltDeployments(c *census) []string {
+	var problems []string
+	for _, f := range c.files {
+		if f.test || strings.HasPrefix(f.path, "internal/deploy/") || strings.HasPrefix(f.path, "bench/") {
+			continue
+		}
+		internal := map[string]string{} // import name → internal/ package
+		for _, imp := range f.ast.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if _, pkg, ok := strings.Cut(p, "/internal/"); ok {
+				name := path.Base(p)
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+				internal[name] = pkg
+			}
+		}
+		ast.Inspect(f.ast, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && deployBuilders[internal[x.Name]+"."+sel.Sel.Name] {
+					problems = append(problems, fmt.Sprintf("%s:%d: %s.%s builds a deployment by hand; call deploy.New",
+						f.path, c.fset.Position(sel.Pos()).Line, internal[x.Name], sel.Sel.Name))
+				}
+			}
+			return true
+		})
+	}
+	return problems
+}
+
+func TestDeploymentsBuiltOneWay(t *testing.T) {
+	for _, p := range handBuiltDeployments(mustTreeCensus(t)) {
+		t.Error(p)
+	}
+}
+
 var (
 	docBackticked = regexp.MustCompile("`([^`\n]+)`")
 	docCallArgs   = regexp.MustCompile(`\([\w., *]*\)$`)
@@ -363,7 +409,7 @@ func TestDocsNameOnlyDeclaredIdentifiers(t *testing.T) {
 	}
 }
 
-// TestCensusGuardsOnFixture runs both guards on a small tree parsed from
+// TestCensusGuardsOnFixture runs the guards on a small tree parsed from
 // strings, so each rule is seen to hold without depending on the real one.
 func TestCensusGuardsOnFixture(t *testing.T) {
 	file := func(src string) *fstest.MapFile { return &fstest.MapFile{Data: []byte(src)} }
@@ -398,6 +444,7 @@ import (
 	"strings"
 
 	"example.com/internal/a"
+	sim "example.com/internal/simnet"
 )
 
 const msgPing = "demo.ping"
@@ -407,6 +454,7 @@ func main() {
 	_ = strings.ToUpper(g.Greet())
 	a.UsedByCmd()
 	a.Gained()
+	_ = sim.New(1)
 }
 `),
 	})
@@ -425,6 +473,12 @@ func main() {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("uncalledAPI on the fixture:\n got %q\nwant %q", got, want)
+	}
+
+	got = handBuiltDeployments(c)
+	want = []string{"cmd/tool/main.go:17: simnet.New builds a deployment by hand; call deploy.New"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("handBuiltDeployments on the fixture:\n got %q\nwant %q", got, want)
 	}
 
 	doc := "`a.T.Greet`, `(*T).Greet()`, `demo.ping`, `ping`, `tool`, `strings.Gone`, `main.go`, `abc1234`, " +

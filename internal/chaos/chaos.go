@@ -36,10 +36,10 @@ import (
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
+	"github.com/spritedht/sprite/internal/deploy"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/sketch"
-	"github.com/spritedht/sprite/internal/vtime"
 )
 
 // Config parameterizes one chaos run. The zero value is not usable; Run
@@ -187,15 +187,11 @@ func Run(cfg Config) Result {
 }
 
 // deployment is one network under test plus its per-network checker state.
+// Every network-touching step attaches to the virtual clock (if any) through
+// Run; the invariant checks are introspective and need no attachment.
 type deployment struct {
+	*deploy.Deployment
 	label string
-	sim   *simnet.Network
-	ring  *chord.Ring
-	net   *core.Network
-	// clk is the deployment's virtual clock (nil unless Config.VirtualTime).
-	// Every network-touching step attaches through run; the invariant checks
-	// are introspective and need no attachment.
-	clk   *vtime.Sim
 	nodes map[simnet.Addr]*chord.Node
 	// prev is the stats snapshot of the previous step, for monotonicity.
 	prev simnet.Stats
@@ -219,21 +215,6 @@ type entryKey struct {
 const chaosLinkDelay = 200 * time.Microsecond
 
 func (c Config) newDeployment(label string, cacheOn bool) (*deployment, error) {
-	var (
-		clk      *vtime.Sim
-		snetOpts []simnet.Option
-	)
-	if c.VirtualTime {
-		clk = vtime.NewSim()
-		snetOpts = append(snetOpts,
-			simnet.WithClock(clk),
-			simnet.WithLatency(simnet.UniformLatency(chaosLinkDelay, chaosLinkDelay)))
-	}
-	sim := simnet.New(c.Seed, snetOpts...)
-	if c.VirtualTime {
-		sim.SetSleepLatency(true)
-	}
-	ring := chord.NewRing(sim, chord.Config{})
 	coreCfg := core.Config{
 		InitialTerms:      3,
 		TermsPerIteration: 2,
@@ -252,49 +233,25 @@ func (c Config) newDeployment(label string, cacheOn bool) (*deployment, error) {
 	if cacheOn {
 		coreCfg.Cache = core.CacheConfig{Enabled: true}
 	}
-	if clk != nil {
-		coreCfg.Clock = clk
+	spec := deploy.Spec{Peers: c.Peers, Prefix: "c", Seed: c.Seed, Core: coreCfg}
+	if c.VirtualTime {
+		spec.Virtual, spec.LinkDelay, spec.SleepLinks = true, chaosLinkDelay, true
 	}
-	d := &deployment{
-		label:     label,
-		sim:       sim,
-		ring:      ring,
-		clk:       clk,
-		nodes:     make(map[simnet.Addr]*chord.Node, c.Peers),
-		tolerated: make(map[entryKey]bool),
-	}
-	var (
-		added []*chord.Node
-		err   error
-	)
-	d.run(func() {
-		added, err = ring.AddNodes("c", c.Peers)
-		if err != nil {
-			return
-		}
-		ring.Build()
-		d.net, err = core.NewNetwork(ring, coreCfg)
-	})
+	dep, err := deploy.New(spec)
 	if err != nil {
 		return nil, err
 	}
-	for _, nd := range added {
+	d := &deployment{
+		Deployment: dep,
+		label:      label,
+		nodes:      make(map[simnet.Addr]*chord.Node, c.Peers),
+		tolerated:  make(map[entryKey]bool),
+		prev:       dep.Sim.Stats(),
+	}
+	for _, nd := range dep.Ring.Nodes() {
 		d.nodes[nd.Addr()] = nd
 	}
-	d.prev = sim.Stats()
 	return d, nil
-}
-
-// run executes fn with the calling goroutine registered on the deployment's
-// virtual clock, so slept link delays inside are scheduled virtually. Under
-// the wall clock it calls fn directly. Safe to call from concurrent batch
-// goroutines: each attaches independently.
-func (d *deployment) run(fn func()) {
-	if d.clk == nil {
-		fn()
-		return
-	}
-	d.clk.Run(fn)
 }
 
 // harness executes one operation sequence against the primary deployment
@@ -358,7 +315,7 @@ func (h *harness) deployments() []*deployment {
 }
 
 func (h *harness) faultsActive() bool {
-	return h.loss > 0 || len(h.failed) > 0 || h.pri.sim.PendingDrops() > 0
+	return h.loss > 0 || len(h.failed) > 0 || h.pri.Sim.PendingDrops() > 0
 }
 
 // quiescent reports whether the expensive oracle-placement checks are valid:
@@ -414,15 +371,15 @@ func (h *harness) digest() uint64 {
 	hash := fnv.New64a()
 	for _, d := range h.deployments() {
 		fmt.Fprintf(hash, "deployment|%s\n", d.label)
-		for _, e := range d.net.PrimarySnapshot() {
+		for _, e := range d.Net.PrimarySnapshot() {
 			fmt.Fprintf(hash, "p|%s|%s|%s|%s|%d|%d\n",
 				e.Peer, e.Term, e.Posting.Doc, e.Posting.Owner, e.Posting.Freq, e.Posting.DocLen)
 		}
-		for _, e := range d.net.ReplicaSnapshot() {
+		for _, e := range d.Net.ReplicaSnapshot() {
 			fmt.Fprintf(hash, "r|%s|%s|%s|%s|%d|%d\n",
 				e.Peer, e.Term, e.Posting.Doc, e.Posting.Owner, e.Posting.Freq, e.Posting.DocLen)
 		}
-		hist := d.net.HistoryMultiset()
+		hist := d.Net.HistoryMultiset()
 		addrs := make([]string, 0, len(hist))
 		for a := range hist {
 			addrs = append(addrs, string(a))
@@ -474,7 +431,7 @@ func (h *harness) runOne(seed int64, step int, op Op) *Violation {
 	}
 	outs := make([]opOut, 0, 2)
 	for _, d := range h.deployments() {
-		d.run(func() { outs = append(outs, h.apply(d, op)) })
+		d.Run(func() { outs = append(outs, h.apply(d, op)) })
 	}
 	h.updateModel(op, outs[0].err == nil)
 	h.sabotage()
@@ -504,7 +461,7 @@ func (h *harness) runBatch(seed int64, start int, batch []Op) *Violation {
 			}
 			outs := make([]opOut, 0, 2)
 			for _, d := range h.deployments() {
-				d.run(func() { outs = append(outs, h.apply(d, batch[i])) })
+				d.Run(func() { outs = append(outs, h.apply(d, batch[i])) })
 			}
 			slots[i].outs = outs
 		}(i)
@@ -524,7 +481,7 @@ func (h *harness) runBatch(seed int64, start int, batch []Op) *Violation {
 
 func (h *harness) sabotage() {
 	if h.cfg.Sabotage != nil {
-		h.cfg.Sabotage(h.pri.net)
+		h.cfg.Sabotage(h.pri.Net)
 	}
 }
 
@@ -598,7 +555,7 @@ func (h *harness) finalSweep(seed int64, step int) *Violation {
 	for _, id := range docs {
 		for _, d := range h.deployments() {
 			var err error
-			d.run(func() { err = d.net.Unshare(index.DocID(id)) })
+			d.Run(func() { err = d.Net.Unshare(index.DocID(id)) })
 			if err != nil {
 				return h.pinMaybe(&Violation{
 					Invariant: "leaks",

@@ -25,7 +25,7 @@ import (
 // counters are monotone and internally balanced, and the transport's view of
 // peer liveness matches the harness model.
 func checkStats(d *deployment, wantFailed, wantAlive int) *Violation {
-	cur := d.sim.Stats()
+	cur := d.Sim.Stats()
 	bad := func(format string, args ...any) *Violation {
 		return &Violation{Invariant: "telemetry", Msg: d.label + ": " + fmt.Sprintf(format, args...)}
 	}
@@ -112,8 +112,8 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 	explained := make(map[entryKey]bool) // allowed to exist
 	banned := make(map[termDoc]bool)
 	live := make(map[termDoc]bool)
-	for _, id := range d.net.Documents() {
-		di, ok := d.net.DocIndexInfo(id)
+	for _, id := range d.Net.Documents() {
+		di, ok := d.Net.DocIndexInfo(id)
 		if !ok {
 			continue
 		}
@@ -137,7 +137,7 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 				// push set: those replicas are transitively pending, removed
 				// when the stale retry reaches the holder and its sprite.replica
 				// carries the withdrawal to them.
-				for _, r := range d.net.ReplicaLocsAt(a, t, id) {
+				for _, r := range d.Net.ReplicaLocsAt(a, t, id) {
 					explained[entryKey{replica: true, peer: r, term: t, doc: id}] = true
 				}
 			}
@@ -147,7 +147,7 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 		}
 	}
 	actual := make(map[entryKey]bool)
-	for _, e := range d.net.PrimarySnapshot() {
+	for _, e := range d.Net.PrimarySnapshot() {
 		k := entryKey{peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
 		actual[k] = true
 		if explained[k] || d.tolerated[k] {
@@ -173,7 +173,7 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 	}
 	for k := range expected {
 		if !actual[k] {
-			if _, ok := d.net.Peer(k.peer); !ok {
+			if _, ok := d.Net.Peer(k.peer); !ok {
 				// The recorded holder left the network gracefully while the
 				// owner was unreachable: the entry lives on at the leave-time
 				// successor (ledgered there), and the record re-anchors when
@@ -186,7 +186,7 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 		}
 	}
 	zombies := d.toleratedPrimaryTermDocs()
-	for _, e := range d.net.ReplicaSnapshot() {
+	for _, e := range d.Net.ReplicaSnapshot() {
 		k := entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
 		if live[termDoc{e.Term, e.Posting.Doc}] || explained[k] || d.tolerated[k] {
 			continue
@@ -229,11 +229,11 @@ func (d *deployment) toleratedPrimaryTermDocs() map[termDoc]bool {
 // stranded-entry mutation), and leftovers of documents no longer shared.
 // Entries in the fault ledger are excused.
 func checkStranded(d *deployment) *Violation {
-	for _, e := range d.net.PrimarySnapshot() {
+	for _, e := range d.Net.PrimarySnapshot() {
 		if d.tolerated[entryKey{peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] {
 			continue
 		}
-		node, ok := d.ring.Owner(chordid.HashKey(e.Term))
+		node, ok := d.Ring.Owner(chordid.HashKey(e.Term))
 		if !ok {
 			return &Violation{Invariant: "stranded",
 				Msg: fmt.Sprintf("%s: no oracle owner for term %q", d.label, e.Term)}
@@ -256,16 +256,16 @@ func checkPlacement(d *deployment) *Violation {
 		return &Violation{Invariant: "placement", Msg: d.label + ": " + fmt.Sprintf(format, args...)}
 	}
 	primary := make(map[entryKey]bool)
-	for _, e := range d.net.PrimarySnapshot() {
+	for _, e := range d.Net.PrimarySnapshot() {
 		primary[entryKey{peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
 	}
 	replica := make(map[entryKey]bool)
-	for _, e := range d.net.ReplicaSnapshot() {
+	for _, e := range d.Net.ReplicaSnapshot() {
 		replica[entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
 	}
-	rf := d.net.Config().ReplicationFactor
-	for _, id := range d.net.Documents() {
-		di, ok := d.net.DocIndexInfo(id)
+	rf := d.Net.Config().ReplicationFactor
+	for _, id := range d.Net.Documents() {
+		di, ok := d.Net.DocIndexInfo(id)
 		if !ok {
 			continue
 		}
@@ -273,7 +273,7 @@ func checkPlacement(d *deployment) *Violation {
 			return bad("doc %s has stale withdrawals pending on a healed network: %v", id, di.Stale)
 		}
 		for _, t := range di.Terms {
-			node, ok := d.ring.Owner(chordid.HashKey(t))
+			node, ok := d.Ring.Owner(chordid.HashKey(t))
 			if !ok {
 				return bad("no oracle owner for term %q", t)
 			}
@@ -284,7 +284,7 @@ func checkPlacement(d *deployment) *Violation {
 			if !primary[entryKey{peer: at, term: t, doc: id}] {
 				return bad("term %q of %s missing primary entry at oracle owner %s", t, id, at)
 			}
-			for _, succ := range successorsOf(d.ring, node, rf) {
+			for _, succ := range successorsOf(d.Ring, node, rf) {
 				if !replica[entryKey{replica: true, peer: succ, term: t, doc: id}] {
 					return bad("term %q of %s missing replica at %s (successor of %s)",
 						t, id, succ, node.Addr())
@@ -327,7 +327,7 @@ func successorsOf(ring *chord.Ring, node *chord.Node, rf int) []simnet.Addr {
 // the primary and twin cached the same query multiset at every peer,
 // regardless of cache hits short-circuiting network fetches.
 func checkHistories(pri, twin *deployment) *Violation {
-	a, b := pri.net.HistoryMultiset(), twin.net.HistoryMultiset()
+	a, b := pri.Net.HistoryMultiset(), twin.Net.HistoryMultiset()
 	for addr, am := range a {
 		bm := b[addr]
 		for q, n := range am {
@@ -352,11 +352,11 @@ func checkHistories(pri, twin *deployment) *Violation {
 // checkEmpty verifies invariant 5's entry half after the final unshare-all:
 // nothing survives in any index except entries the fault ledger excuses.
 func checkEmpty(d *deployment) *Violation {
-	if docs := d.net.Documents(); len(docs) > 0 {
+	if docs := d.Net.Documents(); len(docs) > 0 {
 		return &Violation{Invariant: "leaks",
 			Msg: fmt.Sprintf("%s: %d documents still shared after unshare-all: %v", d.label, len(docs), docs)}
 	}
-	for _, e := range d.net.PrimarySnapshot() {
+	for _, e := range d.Net.PrimarySnapshot() {
 		k := entryKey{peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
 		if !d.tolerated[k] {
 			return &Violation{Invariant: "leaks",
@@ -364,7 +364,7 @@ func checkEmpty(d *deployment) *Violation {
 		}
 	}
 	zombies := d.toleratedPrimaryTermDocs()
-	for _, e := range d.net.ReplicaSnapshot() {
+	for _, e := range d.Net.ReplicaSnapshot() {
 		k := entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
 		if !d.tolerated[k] && !zombies[termDoc{e.Term, e.Posting.Doc}] {
 			return &Violation{Invariant: "leaks",
@@ -385,7 +385,7 @@ func oracleSearch(d *deployment, terms []string, k int, skip map[string]bool) ir
 	for _, t := range terms {
 		qtf[t]++
 	}
-	n := d.net.Config().SurrogateN
+	n := d.Net.Config().SurrogateN
 	acc := ir.NewAccumulator()
 	seen := make(map[string]bool, len(terms))
 	for _, term := range terms {
@@ -396,11 +396,11 @@ func oracleSearch(d *deployment, terms []string, k int, skip map[string]bool) ir
 		if skip[term] {
 			continue
 		}
-		node, ok := d.ring.Owner(chordid.HashKey(term))
+		node, ok := d.Ring.Owner(chordid.HashKey(term))
 		if !ok {
 			continue
 		}
-		ps, _, ok := d.net.ServedPostings(node.Addr(), term)
+		ps, _, ok := d.Net.ServedPostings(node.Addr(), term)
 		if !ok || len(ps) == 0 {
 			continue
 		}
@@ -421,11 +421,11 @@ func oracleSearch(d *deployment, terms []string, k int, skip map[string]bool) ir
 // approximate. Terms in skip (reported lost by the search) are excluded.
 // Valid for Refine = 0 configurations, which is what chaos deployments run.
 func oracleSimilar(d *deployment, doc index.DocID, k int, skip map[string]bool) ir.RankedList {
-	qsketch, ok := d.net.DocSketch(doc)
+	qsketch, ok := d.Net.DocSketch(doc)
 	if !ok {
 		return nil
 	}
-	route, err := d.net.SimilarRouteTerms(doc)
+	route, err := d.Net.SimilarRouteTerms(doc)
 	if err != nil {
 		return nil
 	}
@@ -434,11 +434,11 @@ func oracleSimilar(d *deployment, doc index.DocID, k int, skip map[string]bool) 
 		if skip[term] {
 			continue
 		}
-		node, ok := d.ring.Owner(chordid.HashKey(term))
+		node, ok := d.Ring.Owner(chordid.HashKey(term))
 		if !ok {
 			continue
 		}
-		ps, _, ok := d.net.ServedPostings(node.Addr(), term)
+		ps, _, ok := d.Net.ServedPostings(node.Addr(), term)
 		if !ok {
 			continue
 		}

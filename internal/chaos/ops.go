@@ -411,34 +411,34 @@ func (h *harness) apply(d *deployment, op Op) opOut {
 		if !ok {
 			return opOut{err: fmt.Errorf("chaos: unknown doc %s", op.Doc)}
 		}
-		return opOut{err: d.net.ShareCtx(context.Background(), simnet.Addr(op.Peer), doc)}
+		return opOut{err: d.Net.ShareCtx(context.Background(), simnet.Addr(op.Peer), doc)}
 	case KUnshare:
-		return opOut{err: d.net.Unshare(index.DocID(op.Doc))}
+		return opOut{err: d.Net.Unshare(index.DocID(op.Doc))}
 	case KSearch:
-		rl, err := d.net.SearchCtx(context.Background(), simnet.Addr(op.Peer), op.Terms, op.K)
+		rl, err := d.Net.SearchCtx(context.Background(), simnet.Addr(op.Peer), op.Terms, op.K)
 		return opOut{rl: rl, err: err}
 	case KSimilar:
-		rl, err := d.net.SearchSimilarCtx(context.Background(), simnet.Addr(op.Peer), index.DocID(op.Doc), op.K)
+		rl, err := d.Net.SearchSimilarCtx(context.Background(), simnet.Addr(op.Peer), index.DocID(op.Doc), op.K)
 		return opOut{rl: rl, err: err}
 	case KSearchExpanded:
-		rl, exp, err := d.net.SearchExpanded(simnet.Addr(op.Peer), op.Terms, op.K, core.ExpandOptions{})
+		rl, exp, err := d.Net.SearchExpanded(simnet.Addr(op.Peer), op.Terms, op.K, core.ExpandOptions{})
 		return opOut{rl: rl, exp: exp, err: err}
 	case KInsertQuery:
-		return opOut{err: d.net.InsertQueryCtx(context.Background(), simnet.Addr(op.Peer), op.Terms)}
+		return opOut{err: d.Net.InsertQueryCtx(context.Background(), simnet.Addr(op.Peer), op.Terms)}
 	case KLearn:
-		_, err := d.net.LearnAllCtx(context.Background())
+		_, err := d.Net.LearnAllCtx(context.Background())
 		return opOut{err: err}
 	case KFail:
-		d.sim.Fail(simnet.Addr(op.Peer))
-		d.ring.StabilizeLists(stabilizeRounds)
-		d.ring.RepairFingers()
-		d.net.InvalidateCaches()
+		d.Sim.Fail(simnet.Addr(op.Peer))
+		d.Ring.StabilizeLists(stabilizeRounds)
+		d.Ring.RepairFingers()
+		d.Net.InvalidateCaches()
 		return opOut{}
 	case KRecover:
-		d.sim.Recover(simnet.Addr(op.Peer))
-		d.ring.StabilizeLists(stabilizeRounds)
-		d.ring.RepairFingers()
-		d.net.InvalidateCaches()
+		d.Sim.Recover(simnet.Addr(op.Peer))
+		d.Ring.StabilizeLists(stabilizeRounds)
+		d.Ring.RepairFingers()
+		d.Net.InvalidateCaches()
 		return opOut{}
 	case KJoin:
 		return opOut{err: h.join(d, op.Peer)}
@@ -468,10 +468,10 @@ func (h *harness) apply(d *deployment, op Op) opOut {
 		}
 		return opOut{}
 	case KLoss:
-		d.sim.SetPacketLoss(op.Loss)
+		d.Sim.SetPacketLoss(op.Loss)
 		return opOut{}
 	case KDrop:
-		d.sim.DropCallsAfter(simnet.Addr(op.Peer), op.Skip, op.Count)
+		d.Sim.DropCallsAfter(simnet.Addr(op.Peer), op.Skip, op.Count)
 		return opOut{}
 	}
 	return opOut{err: fmt.Errorf("chaos: unhandled op %s", op)}
@@ -480,11 +480,11 @@ func (h *harness) apply(d *deployment, op Op) opOut {
 // join adds a named node to a deployment's ring through the join protocol and
 // adopts it into the SPRITE network.
 func (h *harness) join(d *deployment, name string) error {
-	node, err := d.ring.AddNode(name)
+	node, err := d.Ring.AddNode(name)
 	if err != nil {
 		return err
 	}
-	d.net.Adopt(node)
+	d.Net.Adopt(node)
 	// Bootstrap off any alive member — base peers may have left gracefully,
 	// so fall back to the sorted membership when none remain.
 	var boot simnet.Addr
@@ -516,9 +516,9 @@ func (h *harness) join(d *deployment, name string) error {
 		return err
 	}
 	d.nodes[node.Addr()] = node
-	d.ring.StabilizeLists(stabilizeRounds)
-	d.ring.RepairFingers()
-	d.net.InvalidateCaches()
+	d.Ring.StabilizeLists(stabilizeRounds)
+	d.Ring.RepairFingers()
+	d.Net.InvalidateCaches()
 	return nil
 }
 
@@ -531,12 +531,12 @@ func (h *harness) join(d *deployment, name string) error {
 // orphans no record reaches, so they enter the ledger too.
 func (h *harness) leave(d *deployment, name string) error {
 	held := make(map[termDoc]bool)
-	for _, e := range d.net.PrimarySnapshot() {
+	for _, e := range d.Net.PrimarySnapshot() {
 		if e.Peer == simnet.Addr(name) {
 			held[termDoc{e.Term, e.Posting.Doc}] = true
 		}
 	}
-	rep, err := d.net.Leave(simnet.Addr(name))
+	rep, err := d.Net.Leave(simnet.Addr(name))
 	if err != nil {
 		return err
 	}
@@ -544,16 +544,16 @@ func (h *harness) leave(d *deployment, name string) error {
 		d.tolerated[entryKey{peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
 	}
 	if rep.Handoffs == 0 && len(rep.Unrelocated) == 0 {
-		for _, e := range d.net.ReplicaSnapshot() {
+		for _, e := range d.Net.ReplicaSnapshot() {
 			if held[termDoc{e.Term, e.Posting.Doc}] {
 				d.tolerated[entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
 			}
 		}
 	}
 	delete(d.nodes, simnet.Addr(name))
-	d.ring.StabilizeLists(stabilizeRounds)
-	d.ring.RepairFingers()
-	d.net.InvalidateCaches()
+	d.Ring.StabilizeLists(stabilizeRounds)
+	d.Ring.RepairFingers()
+	d.Net.InvalidateCaches()
 	return nil
 }
 
@@ -573,23 +573,23 @@ func (h *harness) heal() *Violation {
 	sort.Strings(names)
 	for _, d := range h.deployments() {
 		var v *Violation
-		d.run(func() {
+		d.Run(func() {
 			for _, n := range names {
-				d.sim.Recover(simnet.Addr(n))
+				d.Sim.Recover(simnet.Addr(n))
 			}
-			d.sim.ClearDrops()
-			d.sim.SetPacketLoss(0)
-			d.ring.StabilizeLists(stabilizeRounds)
-			d.ring.RepairFingers()
-			if !d.ring.ConvergedLists() {
+			d.Sim.ClearDrops()
+			d.Sim.SetPacketLoss(0)
+			d.Ring.StabilizeLists(stabilizeRounds)
+			d.Ring.RepairFingers()
+			if !d.Ring.ConvergedLists() {
 				v = &Violation{Invariant: "heal",
 					Msg: fmt.Sprintf("%s: ring did not converge after %d stabilization rounds", d.label, stabilizeRounds)}
 				return
 			}
-			d.net.InvalidateCaches()
-			d.net.FlushStaleAll()
-			d.net.Repair()
-			d.net.FlushStaleAll()
+			d.Net.InvalidateCaches()
+			d.Net.FlushStaleAll()
+			d.Net.Repair()
+			d.Net.FlushStaleAll()
 		})
 		if v != nil {
 			return v

@@ -14,15 +14,14 @@ import (
 	"time"
 
 	"github.com/spritedht/sprite/internal/central"
-	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
+	"github.com/spritedht/sprite/internal/deploy"
 	"github.com/spritedht/sprite/internal/esearch"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/querygen"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/telemetry"
-	"github.com/spritedht/sprite/internal/vtime"
 )
 
 // Config assembles the full experimental setup of §6.2.
@@ -152,19 +151,11 @@ func Setup(cfg Config) (*Env, error) {
 }
 
 // Deployment is one running SPRITE network over the environment's corpus.
+// Its simulator is kept for its accounting and fault-injection
+// capabilities; on a virtual clock, wrap every phase that drives it in Run.
 type Deployment struct {
+	*deploy.Deployment
 	Env *Env
-	// Sim is the simulated transport (kept directly for its accounting and
-	// fault-injection capabilities).
-	Sim  *simnet.Network
-	Ring *chord.Ring
-	Net  *core.Network
-	// Clk is the deployment's virtual clock (nil unless Config.VirtualTime):
-	// the transport, retry layer, and fan-out engine all schedule on
-	// it. Wrap deployment-touching phases in Run so the driving goroutine
-	// participates in virtual scheduling.
-	Clk   *vtime.Sim
-	addrs []simnet.Addr
 	// issue counts round-robin query issuers so load spreads across peers.
 	issue int
 }
@@ -173,62 +164,24 @@ type Deployment struct {
 // network with the given core configuration. Documents are NOT shared yet;
 // call ShareAll after inserting the training queries, per the §6.2 order.
 func (e *Env) NewDeployment(coreCfg core.Config) (*Deployment, error) {
-	var snetOpts []simnet.Option
-	if e.Cfg.Telemetry != nil {
-		snetOpts = append(snetOpts, simnet.WithTelemetry(e.Cfg.Telemetry))
-	}
-	if e.Cfg.LinkDelay > 0 {
-		snetOpts = append(snetOpts, simnet.WithLatency(simnet.UniformLatency(e.Cfg.LinkDelay, e.Cfg.LinkDelay)))
-	}
-	var clk *vtime.Sim
-	if e.Cfg.VirtualTime {
-		clk = vtime.NewSim()
-		snetOpts = append(snetOpts, simnet.WithClock(clk))
-		coreCfg.Clock = clk
-	}
-	snet := simnet.New(e.Cfg.Seed+1, snetOpts...)
-	ring := chord.NewRing(snet, chord.Config{Telemetry: e.Cfg.Telemetry})
-	if _, err := ring.AddNodes("peer", e.Cfg.Peers); err != nil {
-		return nil, fmt.Errorf("eval: ring: %w", err)
-	}
-	ring.Build()
-	coreCfg.Telemetry = e.Cfg.Telemetry
-	n, err := core.NewNetwork(ring, coreCfg)
+	dep, err := deploy.New(deploy.Spec{
+		Peers:     e.Cfg.Peers,
+		Prefix:    "peer",
+		Seed:      e.Cfg.Seed + 1,
+		Virtual:   e.Cfg.VirtualTime,
+		LinkDelay: e.Cfg.LinkDelay,
+		Telemetry: e.Cfg.Telemetry,
+		Core:      coreCfg,
+	})
 	if err != nil {
 		return nil, fmt.Errorf("eval: network: %w", err)
 	}
-	d := &Deployment{Env: e, Sim: snet, Ring: ring, Net: n, Clk: clk}
-	for _, p := range n.Peers() {
-		d.addrs = append(d.addrs, p.Addr())
-	}
-	return d, nil
-}
-
-// Run executes fn with the calling goroutine registered on the deployment's
-// virtual clock, so every virtual wait inside (slept link latency, backoff,
-// timeouts) is scheduled deterministically. Under the wall clock (Clk nil)
-// it simply calls fn. All phases that drive a virtual deployment — training,
-// sharing, learning, measuring — must go through here.
-func (d *Deployment) Run(fn func()) {
-	if d.Clk == nil {
-		fn()
-		return
-	}
-	d.Clk.Run(fn)
-}
-
-// Clock returns the deployment's clock: the virtual clock when one is
-// installed, the wall clock otherwise. Never nil.
-func (d *Deployment) Clock() vtime.Clock {
-	if d.Clk == nil {
-		return vtime.Wall
-	}
-	return d.Clk
+	return &Deployment{Deployment: dep, Env: e}, nil
 }
 
 // nextIssuer returns the next query-issuing peer, round-robin.
 func (d *Deployment) nextIssuer() simnet.Addr {
-	a := d.addrs[d.issue%len(d.addrs)]
+	a := d.Addrs[d.issue%len(d.Addrs)]
 	d.issue++
 	return a
 }
@@ -294,7 +247,7 @@ func zipfRanks(n, volume int, slope float64, seed int64) []int {
 // publishes its initial index terms.
 func (d *Deployment) ShareAll() error {
 	for i, doc := range d.Env.Col.Corpus.Docs() {
-		owner := d.addrs[i%len(d.addrs)]
+		owner := d.Addrs[i%len(d.Addrs)]
 		if err := d.Net.ShareCtx(context.Background(), owner, doc); err != nil {
 			return fmt.Errorf("eval: share %s: %w", doc.ID, err)
 		}

@@ -6,10 +6,7 @@ import (
 	"runtime/debug"
 	"time"
 
-	"github.com/spritedht/sprite/internal/chord"
-	"github.com/spritedht/sprite/internal/core"
-	"github.com/spritedht/sprite/internal/simnet"
-	"github.com/spritedht/sprite/internal/vtime"
+	"github.com/spritedht/sprite/internal/deploy"
 )
 
 // ScaleArm is one ring size of the scale sweep: a full deployment trained
@@ -125,23 +122,21 @@ func RunScale(cfg Config, rings []int, volume int, slope float64, delay time.Dur
 	return res, nil
 }
 
-// runScaleArm builds, trains, and measures one ring size. The deployment is
-// assembled here rather than through NewDeployment because the sweep sets the
-// ring size per arm and runs the transport with lean stats.
+// runScaleArm builds, trains, and measures one ring size: a virtual
+// deployment with lean stats, link delay accounted but not slept, at
+// Parallelism 1 and without telemetry.
 func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration) (ScaleArm, error) {
 	wallStart := time.Now()
-	clk := vtime.NewSim()
-	snet := simnet.New(env.Cfg.Seed+1,
-		simnet.WithClock(clk),
-		simnet.WithLatency(simnet.UniformLatency(delay, delay)),
-		simnet.WithLeanStats())
-	ring := chord.NewRing(snet, chord.Config{})
-
 	coreCfg := env.Cfg.Core
 	coreCfg.Parallelism = 1
-	coreCfg.Telemetry = nil
-	coreCfg.Clock = clk
-	d := &Deployment{Env: env, Sim: snet, Ring: ring, Clk: clk}
+	dep, err := deploy.New(deploy.Spec{
+		Peers: peers, Prefix: "peer", Seed: env.Cfg.Seed + 1,
+		Virtual: true, LinkDelay: delay, Lean: true, Core: coreCfg,
+	})
+	if err != nil {
+		return ScaleArm{}, err
+	}
+	d := &Deployment{Deployment: dep, Env: env}
 
 	arm := ScaleArm{Peers: peers, Queries: volume}
 	var (
@@ -149,17 +144,6 @@ func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration
 		runErr  error
 	)
 	d.Run(func() {
-		if _, runErr = ring.AddNodes("peer", peers); runErr != nil {
-			return
-		}
-		ring.Build()
-		d.Net, runErr = core.NewNetwork(ring, coreCfg)
-		if runErr != nil {
-			return
-		}
-		for _, p := range d.Net.Peers() {
-			d.addrs = append(d.addrs, p.Addr())
-		}
 		if runErr = d.InsertQueries(env.Train); runErr != nil {
 			return
 		}
@@ -173,15 +157,15 @@ func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration
 		// The measured stream: volume Zipf draws over the test set, link
 		// delays slept on the virtual clock, per-query latency sampled
 		// exactly. Training above ran with latency accounted but not slept.
-		searcher := timedSearcher(d.SpriteSearcher(), clk, &samples)
+		searcher := timedSearcher(d.SpriteSearcher(), d.Clock, &samples)
 		d.Sim.ResetStats()
 		d.Sim.SetSleepLatency(true)
-		vStart := clk.Elapsed()
+		vStart := d.Clock.Elapsed()
 		for _, r := range zipfRanks(len(env.Test), volume, slope, env.Cfg.Seed+7) {
 			q := env.Test[r]
 			searcher(q.Terms, env.Cfg.TopK)
 		}
-		arm.VirtualSecs = (clk.Elapsed() - vStart).Seconds()
+		arm.VirtualSecs = (d.Clock.Elapsed() - vStart).Seconds()
 		d.Sim.SetSleepLatency(false)
 		st := d.Sim.Stats()
 		arm.MsgsPerQuery = float64(st.Calls) / float64(volume)
@@ -200,7 +184,7 @@ func runScaleArm(env *Env, peers, volume int, slope float64, delay time.Duration
 		// above are already taken.
 		d.Sim.ResetStats()
 		stride, sampled, rounds := (peers+fixSample-1)/fixSample, 0, 0
-		for i, n := range ring.Nodes() {
+		for i, n := range d.Ring.Nodes() {
 			arm.Fingers += float64(n.FingerCount())
 			if i%stride == 0 {
 				rounds += n.RepairFingers()

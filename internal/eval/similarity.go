@@ -9,9 +9,9 @@ import (
 	"sort"
 	"time"
 
-	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
+	"github.com/spritedht/sprite/internal/deploy"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -131,12 +131,6 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 		return nil, fmt.Errorf("corpus: %w", err)
 	}
 
-	snet := simnet.New(cfg.Seed + 1)
-	ring := chord.NewRing(snet, chord.Config{})
-	if _, err := ring.AddNodes("peer", peers); err != nil {
-		return nil, fmt.Errorf("ring: %w", err)
-	}
-	ring.Build()
 	coreCfg := cfg.Core
 	coreCfg.Sketch = sketch.Config{
 		Enabled:    true,
@@ -145,14 +139,11 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 		Seed:       uint64(cfg.Seed),
 		Refine:     similarityRefine,
 	}
-	n, err := core.NewNetwork(ring, coreCfg)
+	dep, err := deploy.New(deploy.Spec{Peers: peers, Prefix: "peer", Seed: cfg.Seed + 1, Core: coreCfg})
 	if err != nil {
 		return nil, fmt.Errorf("network: %w", err)
 	}
-	addrs := make([]simnet.Addr, 0, peers)
-	for _, p := range n.Peers() {
-		addrs = append(addrs, p.Addr())
-	}
+	n, addrs := dep.Net, dep.Addrs
 	for i, doc := range col.Corpus.Docs() {
 		if err := n.ShareCtx(context.Background(), addrs[i%len(addrs)], doc); err != nil {
 			return nil, fmt.Errorf("share %s: %w", doc.ID, err)
@@ -176,7 +167,7 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 
 	qn := float64(len(queries))
 	// Routed arm: real queries, metered by the simulated transport.
-	snet.ResetStats()
+	dep.Sim.ResetStats()
 	recall := 0.0
 	for i, q := range queries {
 		rl, err := n.ProbeSimilarCtx(context.Background(), addrs[i%len(addrs)], q.ID, topK)
@@ -185,7 +176,7 @@ func runSimilarityTier(cfg Config, docs, peers, queryDocs, topK int) (*Similarit
 		}
 		recall += overlap(rl.Docs(), oracle.topK(q, topK))
 	}
-	st := snet.Stats()
+	st := dep.Sim.Stats()
 	tier.RoutedMsgs = float64(st.Calls) / qn
 	tier.RoutedBytes = float64(st.Bytes) / qn
 	tier.RoutedRecall = recall / qn

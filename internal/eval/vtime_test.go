@@ -57,10 +57,13 @@ func trainAndRender(t *testing.T, cfg Config) (rankings string, virtualNS int64,
 		}
 		dep.Sim.ResetStats()
 		dep.Sim.SetSleepLatency(true)
-		start := dep.Clock().Now()
+		var start time.Duration
+		if dep.Clock != nil {
+			start = dep.Clock.Elapsed()
+		}
 		rankings = renderRankings(dep, cfg.TopK)
-		if dep.Clk != nil {
-			virtualNS = dep.Clock().Now().Sub(start).Nanoseconds()
+		if dep.Clock != nil {
+			virtualNS = (dep.Clock.Elapsed() - start).Nanoseconds()
 		}
 		dep.Sim.SetSleepLatency(false)
 	})

@@ -101,7 +101,7 @@ func TestSearchCtxPartialResults(t *testing.T) {
 	// holder to be unreachable while still resolvable — drop its calls
 	// instead. Recover first, then inject the transient fault.
 	n.RecoverPeer(victim)
-	sim := n.sim
+	sim := n.dep.Sim
 	if sim == nil {
 		t.Fatal("simulated transport expected")
 	}
@@ -169,7 +169,7 @@ func TestResilientSearchRecoversFromTransientDrops(t *testing.T) {
 	// Every peer drops its next 2 calls; with 3 retries each fetch still
 	// lands.
 	for _, p := range n.Peers() {
-		n.sim.DropCalls(simnet.Addr(p), 2)
+		n.dep.Sim.DropCalls(simnet.Addr(p), 2)
 	}
 	res, err = n.SearchTermsCtx(context.Background(), "peer1", []string{"vwxyz"}, 5)
 	if err != nil {

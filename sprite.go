@@ -37,12 +37,12 @@ import (
 	"github.com/spritedht/sprite/internal/chord"
 	"github.com/spritedht/sprite/internal/core"
 	"github.com/spritedht/sprite/internal/corpus"
+	"github.com/spritedht/sprite/internal/deploy"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/ir"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/sketch"
 	"github.com/spritedht/sprite/internal/text"
-	"github.com/spritedht/sprite/internal/transport"
 	"github.com/spritedht/sprite/internal/vtime"
 )
 
@@ -257,22 +257,18 @@ type Stats struct {
 
 // Network is a running SPRITE deployment.
 type Network struct {
-	opts      Options
-	analyzer  text.Analyzer
-	transport simnet.Transport
-	sim       *simnet.Network      // nil in TCP mode
-	tcp       *transport.Transport // nil unless TCP mode
-	vclk      *vtime.Sim           // nil unless Options.VirtualTime
-	ring      *chord.Ring
-	core      *core.Network
-	peers     []string
+	opts     Options
+	analyzer text.Analyzer
+	dep      *deploy.Deployment
+	core     *core.Network
+	peers    []string
 }
 
 // VirtualClock returns the deployment's deterministic event clock, or nil
 // when the network runs on the wall clock (Options.VirtualTime unset). Use
 // it to read simulated elapsed time (Elapsed) or to register experiment
 // goroutines (Run/Go) so their sleeps participate in virtual scheduling.
-func (n *Network) VirtualClock() *vtime.Sim { return n.vclk }
+func (n *Network) VirtualClock() *vtime.Sim { return n.dep.Clock }
 
 // New builds a network of opts.Peers peers, wires the Chord overlay, and
 // attaches a SPRITE peer to every node.
@@ -289,99 +285,53 @@ func New(opts Options) (*Network, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	reg := opts.Telemetry.registry()
-	if opts.VirtualTime && opts.TCP {
-		return nil, errors.New("sprite: VirtualTime requires the in-process simulator (incompatible with TCP)")
-	}
-	var (
-		tport simnet.Transport
-		sim   *simnet.Network
-		tcp   *transport.Transport
-		vclk  *vtime.Sim
-	)
-	if opts.VirtualTime {
-		vclk = vtime.NewSim()
-	}
-	if opts.TCP {
-		tcp = transport.New(transport.WithTelemetry(reg))
-		tport = tcp
-	} else {
-		snetOpts := []simnet.Option{simnet.WithTelemetry(reg)}
-		if vclk != nil {
-			snetOpts = append(snetOpts, simnet.WithClock(vclk))
-		}
-		sim = simnet.New(opts.Seed, snetOpts...)
-		tport = sim
-	}
-	ring := chord.NewRing(tport, chord.Config{Telemetry: reg})
-	if opts.TCP {
-		addrs, err := transport.FreeAddrs(opts.Peers)
-		if err != nil {
-			return nil, fmt.Errorf("sprite: %w", err)
-		}
-		for _, a := range addrs {
-			if _, err := ring.AddNode(string(a)); err != nil {
-				return nil, fmt.Errorf("sprite: %w", err)
-			}
-		}
-		if err := tcp.LastError(); err != nil {
-			return nil, fmt.Errorf("sprite: %w", err)
-		}
-	} else if _, err := ring.AddNodes(opts.PeerPrefix, opts.Peers); err != nil {
-		return nil, fmt.Errorf("sprite: %w", err)
-	}
-	ring.Build()
-	var coreClock vtime.Clock
-	if vclk != nil {
-		coreClock = vclk
-	}
-	c, err := core.NewNetwork(ring, core.Config{
-		Clock:             coreClock,
-		InitialTerms:      opts.InitialTerms,
-		TermsPerIteration: opts.TermsPerIteration,
-		MaxIndexTerms:     opts.MaxIndexTerms,
-		HistoryCap:        opts.HistoryCap,
-		ReplicationFactor: opts.Replicas,
-		HotTermDF:         opts.HotTermDF,
-		Parallelism:       opts.Parallelism,
-		Telemetry:         reg,
-		Cache: core.CacheConfig{
-			Enabled:         opts.Cache.Enabled,
-			PostingsEntries: opts.Cache.PostingsEntries,
-			PostingsTTL:     opts.Cache.PostingsTTL,
-			ResultTTL:       opts.Cache.ResultTTL,
-		},
-		Sketch: sketch.Config{
-			Enabled:    opts.Sketch.Enabled,
-			Dims:       opts.Sketch.Dims,
-			RouteTerms: opts.Sketch.RouteTerms,
-			Seed:       uint64(opts.Sketch.Seed),
-			Refine:     opts.Sketch.Refine,
-		},
-		Resilience: core.ResilienceConfig{
-			MaxRetries:         opts.Resilience.MaxRetries,
-			BaseBackoff:        opts.Resilience.BaseBackoff,
-			PerCallTimeout:     opts.Resilience.PerCallTimeout,
-			FailoverToReplicas: opts.Resilience.FailoverToReplicas,
-			JitterSeed:         opts.Seed,
+	dep, err := deploy.New(deploy.Spec{
+		Peers:     opts.Peers,
+		Prefix:    opts.PeerPrefix,
+		Seed:      opts.Seed,
+		TCP:       opts.TCP,
+		Virtual:   opts.VirtualTime,
+		Telemetry: opts.Telemetry.registry(),
+		Core: core.Config{
+			InitialTerms:      opts.InitialTerms,
+			TermsPerIteration: opts.TermsPerIteration,
+			MaxIndexTerms:     opts.MaxIndexTerms,
+			HistoryCap:        opts.HistoryCap,
+			ReplicationFactor: opts.Replicas,
+			HotTermDF:         opts.HotTermDF,
+			Parallelism:       opts.Parallelism,
+			Cache: core.CacheConfig{
+				Enabled:         opts.Cache.Enabled,
+				PostingsEntries: opts.Cache.PostingsEntries,
+				PostingsTTL:     opts.Cache.PostingsTTL,
+				ResultTTL:       opts.Cache.ResultTTL,
+			},
+			Sketch: sketch.Config{
+				Enabled:    opts.Sketch.Enabled,
+				Dims:       opts.Sketch.Dims,
+				RouteTerms: opts.Sketch.RouteTerms,
+				Seed:       uint64(opts.Sketch.Seed),
+				Refine:     opts.Sketch.Refine,
+			},
+			Resilience: core.ResilienceConfig{
+				MaxRetries:         opts.Resilience.MaxRetries,
+				BaseBackoff:        opts.Resilience.BaseBackoff,
+				PerCallTimeout:     opts.Resilience.PerCallTimeout,
+				FailoverToReplicas: opts.Resilience.FailoverToReplicas,
+				JitterSeed:         opts.Seed,
+			},
 		},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("sprite: %w", err)
 	}
 	n := &Network{
-		opts:      opts,
-		analyzer:  text.Analyzer{KeepStopWords: opts.KeepStopWords, NoStemming: opts.NoStemming},
-		transport: tport,
-		sim:       sim,
-		tcp:       tcp,
-		vclk:      vclk,
-		ring:      ring,
-		core:      c,
+		opts:     opts,
+		analyzer: text.Analyzer{KeepStopWords: opts.KeepStopWords, NoStemming: opts.NoStemming},
+		dep:      dep,
+		core:     dep.Net,
 	}
-	for _, p := range c.Peers() {
-		n.peers = append(n.peers, string(p.Addr()))
-	}
+	n.refreshPeerList()
 	return n, nil
 }
 
@@ -501,7 +451,7 @@ func (n *Network) IndexedTerms(docID string) ([]string, error) {
 // message handlers, so without the explicit drop a warm cache would keep
 // serving the dead peer's postings past the configured TTL.
 func (n *Network) FailPeer(peer string) {
-	if fi, ok := n.transport.(simnet.FaultInjector); ok {
+	if fi, ok := n.dep.Transport.(simnet.FaultInjector); ok {
 		fi.Fail(simnet.Addr(peer))
 		n.core.InvalidateCaches()
 	}
@@ -510,7 +460,7 @@ func (n *Network) FailPeer(peer string) {
 // RecoverPeer brings a failed peer back (invalidating the query caches, like
 // FailPeer). No-op in TCP mode.
 func (n *Network) RecoverPeer(peer string) {
-	if fi, ok := n.transport.(simnet.FaultInjector); ok {
+	if fi, ok := n.dep.Transport.(simnet.FaultInjector); ok {
 		fi.Recover(simnet.Addr(peer))
 		n.core.InvalidateCaches()
 	}
@@ -518,7 +468,7 @@ func (n *Network) RecoverPeer(peer string) {
 
 // Stabilize runs up to rounds rounds of Chord stabilization, repairing the
 // overlay after failures or recoveries. It returns the rounds executed.
-func (n *Network) Stabilize(rounds int) int { return n.ring.Stabilize(rounds) }
+func (n *Network) Stabilize(rounds int) int { return n.dep.Ring.Stabilize(rounds) }
 
 // Stats snapshots the simulated network counters and index footprint. In
 // TCP mode only the index footprint and peer count are populated (per-call
@@ -529,8 +479,8 @@ func (n *Network) Stats() Stats {
 		Peers:    len(n.peers),
 		ByType:   map[string]int64{},
 	}
-	if n.sim != nil {
-		s := n.sim.Stats()
+	if n.dep.Sim != nil {
+		s := n.dep.Sim.Stats()
 		out.Messages = s.Calls
 		out.Bytes = s.Bytes
 		out.ByType = s.CallsByType
@@ -582,19 +532,15 @@ func (n *Network) InvalidateCaches() { n.core.InvalidateCaches() }
 // ResetStats zeroes the traffic counters (the index footprint is
 // unaffected). No-op in TCP mode.
 func (n *Network) ResetStats() {
-	if n.sim != nil {
-		n.sim.ResetStats()
+	if n.dep.Sim != nil {
+		n.dep.Sim.ResetStats()
 	}
 }
 
 // Close releases transport resources (TCP listeners, pooled connections).
 // Simulated networks hold no external resources, so Close is then a no-op.
 // The network is unusable afterwards.
-func (n *Network) Close() {
-	if n.tcp != nil {
-		n.tcp.Close()
-	}
-}
+func (n *Network) Close() { n.dep.Close() }
 
 // Unshare withdraws a shared document: its index entries are removed from
 // the network and the owner forgets it.
@@ -613,8 +559,8 @@ func (n *Network) JoinPeer(peer string) error {
 		return fmt.Errorf("sprite: peer %q already exists", peer)
 	}
 	var boot *chord.Node
-	for _, nd := range n.ring.Nodes() {
-		if n.sim == nil || n.sim.Alive(nd.Addr()) {
+	for _, nd := range n.dep.Ring.Nodes() {
+		if n.dep.Sim == nil || n.dep.Sim.Alive(nd.Addr()) {
 			boot = nd
 			break
 		}
@@ -622,7 +568,7 @@ func (n *Network) JoinPeer(peer string) error {
 	if boot == nil {
 		return fmt.Errorf("sprite: no alive peer to bootstrap %q", peer)
 	}
-	node, err := n.ring.AddNode(peer)
+	node, err := n.dep.Ring.AddNode(peer)
 	if err != nil {
 		return fmt.Errorf("sprite: %w", err)
 	}
@@ -630,8 +576,8 @@ func (n *Network) JoinPeer(peer string) error {
 	if err := node.Join(boot); err != nil {
 		return fmt.Errorf("sprite: %w", err)
 	}
-	n.ring.StabilizeLists(64)
-	n.ring.RepairFingers()
+	n.dep.Ring.StabilizeLists(64)
+	n.dep.Ring.RepairFingers()
 	n.core.InvalidateCaches()
 	n.refreshPeerList()
 	return nil
@@ -648,8 +594,8 @@ func (n *Network) LeavePeer(peer string) (handoffs int, err error) {
 	if err != nil {
 		return 0, fmt.Errorf("sprite: %w", err)
 	}
-	n.ring.StabilizeLists(64)
-	n.ring.RepairFingers()
+	n.dep.Ring.StabilizeLists(64)
+	n.dep.Ring.RepairFingers()
 	n.core.InvalidateCaches()
 	n.refreshPeerList()
 	return rep.Handoffs, nil

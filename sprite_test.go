@@ -5,8 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 func newNet(t *testing.T, opts Options) *Network {
@@ -434,6 +436,22 @@ func TestTCPModeEndToEnd(t *testing.T) {
 	n.ResetStats()
 	if s := n.Stats(); s.Postings == 0 || s.Peers != 6 {
 		t.Fatalf("TCP stats = %+v", s)
+	}
+}
+
+// TestFailedTCPNewLeavesNoGoroutines: a New that fails after the TCP
+// listeners are up (core refuses the configuration) closes the transport.
+func TestFailedTCPNewLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	if _, err := New(Options{TCP: true, Peers: 4, Parallelism: -1}); err == nil {
+		t.Fatal("Parallelism -1 accepted")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after a failed New, %d before", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
