@@ -27,18 +27,50 @@ func TestHintCodecsGoldenAndRoundTrip(t *testing.T) {
 	b := Ref{ID: seqID(0x80), Addr: "peer22"}
 	ida, idb := hex.EncodeToString(a.ID[:]), hex.EncodeToString(b.ID[:])
 	refA, refB := ida+"05"+hex.EncodeToString([]byte("peer1")), idb+"06"+hex.EncodeToString([]byte("peer22"))
-	for _, c := range []struct {
-		name   string
-		value  any
-		golden string
-	}{
+	checkGoldens(t, []goldenCase{
 		{"nextHopResp", nextHopResp{Ref: a}, "0002" + "00" + refA},
 		{"nextHopResp/done", nextHopResp{Done: true, Ref: a}, "0002" + "01" + refA},
 		{"nextHopResp/hint", nextHopResp{Ref: a, Hint: b}, "0002" + "02" + refA + refB},
 		{"routed", routed{Key: a.ID, Payload: b}, "0005" + ida + "0004" + refB},
 		{"routed/nil", routed{Key: a.ID}, "0005" + ida},
 		{"notOwner", notOwner{Key: b.ID}, "0006" + idb},
-	} {
+	})
+}
+
+// The wire forms of a lookup hop's request, a stabilization round's state and
+// a bare node reference, byte for byte, and their round trip.
+func TestRingCodecsGoldenAndRoundTrip(t *testing.T) {
+	a := Ref{ID: seqID(0x10), Addr: "peer1"}
+	b := Ref{ID: seqID(0x80), Addr: "peer22"}
+	c := seqID(0x30)
+	ida, idb, idc := hex.EncodeToString(a.ID[:]), hex.EncodeToString(b.ID[:]), hex.EncodeToString(c[:])
+	// A reference is its ID, then its address behind the address's length.
+	refA, refB := ida+"05"+hex.EncodeToString([]byte("peer1")), idb+"06"+hex.EncodeToString([]byte("peer22"))
+	zero := strings.Repeat("00", chordid.Bytes)
+	checkGoldens(t, []goldenCase{
+		// the key, then count and the excluded IDs.
+		{"nextHopReq", nextHopReq{Key: a.ID, Exclude: []chordid.ID{b.ID, c}}, "0001" + ida + "02" + idb + idc},
+		{"nextHopReq/none excluded", nextHopReq{Key: a.ID}, "0001" + ida + "00"},
+		// the predecessor, then count and the successors.
+		{"stateResp", stateResp{Pred: a, Succs: []Ref{b, a}}, "0003" + refA + "02" + refB + refA},
+		{"stateResp/empty", stateResp{}, "0003" + zero + "00" + "00"},
+		{"Ref", a, "0004" + refA},
+		{"Ref/zero", Ref{}, "0004" + zero + "00"},
+	})
+}
+
+// goldenCase is a payload and its wire form, kind included, in hex.
+type goldenCase struct {
+	name   string
+	value  any
+	golden string
+}
+
+// checkGoldens encodes each case's value, compares the bytes with its golden
+// string and decodes them back to the value.
+func checkGoldens(t *testing.T, cases []goldenCase) {
+	t.Helper()
+	for _, c := range cases {
 		enc, ok := wire.AppendBinary(nil, c.value)
 		if !ok {
 			t.Fatalf("%s: no binary codec", c.name)

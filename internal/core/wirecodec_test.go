@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/index"
+	"github.com/spritedht/sprite/internal/repair"
 	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/wire"
 )
@@ -22,11 +24,7 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	missing := pollResp{Items: []pollResult{{Missing: true, NewSince: 5}, {Refused: true}}}
 	pull := publishReq{Items: []publishItem{{Term: "ab", Posting: index.Posting{Doc: "d1"}, Withdraw: true}}}
 	stale := publishResp{Answers: []publishAnswer{{Item: 1, Stale: []simnet.Addr{"p3", "p4"}}}}
-	for _, c := range []struct {
-		name   string
-		value  any
-		golden string
-	}{
+	checkGoldens(t, []goldenCase{
 		// count, then per item the term, the flags (withdraw 1, posting is
 		// its document only 2) and the posting (doc, owner, zig-zag freq and
 		// length, sketch) — or only its doc — then the arc-check flag.
@@ -46,19 +44,7 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 		// bytes a refusal bool wrote before there was a second flag.
 		{"pollResp", answer, "0017" + "02" + "00" + "01" + "02" + "026162" + "0178" + "05" + "04" + "01" + "00" + "00" + "00"},
 		{"pollResp/missing", missing, "0017" + "02" + "02" + "00" + "05" + "00" + "01" + "00" + "00" + "00"},
-	} {
-		enc, ok := wire.AppendBinary(nil, c.value)
-		if !ok {
-			t.Fatalf("%s: no binary codec", c.name)
-		}
-		if got := hex.EncodeToString(enc); got != c.golden {
-			t.Fatalf("%s encodes as\n  %s\nwant\n  %s", c.name, got, c.golden)
-		}
-		dec, err := wire.DecodeBinary(enc)
-		if err != nil || !reflect.DeepEqual(dec, c.value) {
-			t.Fatalf("%s: binary round trip = %#v, %v", c.name, dec, err)
-		}
-	}
+	})
 
 	// A flag the codec does not know is an error, not a silently dropped bit.
 	if _, err := wire.DecodeBinary([]byte{0x00, 0x17, 0x01, 0x04, 0x00, 0x00, 0x00}); err == nil || !strings.Contains(err.Error(), "flags") {
@@ -73,11 +59,7 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 // The wire forms of the batched postings fetch, byte for byte, and their round
 // trip.
 func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
-	for _, c := range []struct {
-		name   string
-		value  any
-		golden string
-	}{
+	checkGoldens(t, []goldenCase{
 		// the terms, the query, the record and arc-check flags.
 		{"getPostingsReq", getPostingsReq{Terms: []string{"ab", "cd"}, Query: []string{"ab", "cd", "x"}, Record: true, CheckArc: true},
 			"0013" + "02" + "026162" + "026364" + "03" + "026162" + "026364" + "0178" + "01" + "01"},
@@ -85,19 +67,9 @@ func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
 		// empty block sequence), the zig-zag IndexedDF and the replica flag.
 		{"getPostingsResp", getPostingsResp{Items: []postingsList{{Refused: true}, {IndexedDF: 2, FromReplica: true}}},
 			"0014" + "02" + "01" + "01" + "00" + "00" + "00" + "00" + "01" + "00" + "04" + "01"},
-	} {
-		enc, ok := wire.AppendBinary(nil, c.value)
-		if !ok {
-			t.Fatalf("%s: no binary codec", c.name)
-		}
-		if got := hex.EncodeToString(enc); got != c.golden {
-			t.Fatalf("%s encodes as\n  %s\nwant\n  %s", c.name, got, c.golden)
-		}
-		dec, err := wire.DecodeBinary(enc)
-		if err != nil || !reflect.DeepEqual(dec, c.value) {
-			t.Fatalf("%s: binary round trip = %#v, %v", c.name, dec, err)
-		}
-	}
+		// the query.
+		{"cacheQueryReq", cacheQueryReq{Query: []string{"ab", "x"}}, "0015" + "02" + "026162" + "0178"},
+	})
 
 }
 
@@ -109,11 +81,7 @@ func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
 	push := replicaReq{Items: []publishItem{{Term: "ab", Posting: posting}, {Term: "cd", Posting: index.Posting{Doc: "d2"}, Withdraw: true}}}
 	relocate := relocateReq{Items: []publishItem{{Term: "ab", Posting: index.Posting{Doc: "d1"}}, {Term: "cd", Posting: index.Posting{Doc: "d2"}}}, From: "p1", To: "p2"}
 	revert := handoffReq{Entries: []handoffEntry{{Term: "ab", Posting: index.Posting{Doc: "d1"}}}, Revert: true}
-	for _, c := range []struct {
-		name   string
-		value  any
-		golden string
-	}{
+	checkGoldens(t, []goldenCase{
 		// publishReq's item list: count, then per item the term, the flags
 		// and the posting or only its document.
 		{"replicaReq", push, "0018" + "02" + "026162" + "00" + "026431" + "027030" + "06" + "0e" + "00" + "026364" + "03" + "026432"},
@@ -124,7 +92,54 @@ func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
 		{"handoffReq", handoffReq{Entries: []handoffEntry{{Term: "ab", Posting: posting, ReplicaLocs: []simnet.Addr{"p3"}}}},
 			"001c" + "01" + "026162" + "026431" + "027030" + "06" + "0e" + "00" + "01" + "027033" + "00"},
 		{"handoffReq/revert", revert, "001c" + "01" + "026162" + "026431" + "00" + "00" + "00" + "00" + "00" + "01"},
-	} {
+		// count, then per entry whether the receiver already held it.
+		{"handoffResp", handoffResp{Existing: []bool{true, false}}, "0024" + "02" + "01" + "00"},
+	})
+
+}
+
+// The wire forms of query expansion's term-vector fetch and of anti-entropy's
+// three payloads, byte for byte, and their round trip. A map goes out in no
+// particular order, so each map here holds one entry.
+func TestExpandRepairCodecsGoldenAndRoundTrip(t *testing.T) {
+	ix := index.NewInverted()
+	ix.Add("ab", index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7})
+	list, _ := ix.Encoded("ab").MarshalBinary()
+	arc := chordid.Arc{From: chordid.FromUint64(1), To: chordid.FromUint64(2)}
+	ids := hex.EncodeToString(arc.From[:]) + hex.EncodeToString(arc.To[:])
+	summary := repair.Summary{Root: 300}
+	summary.Buckets[1] = 5
+	checkGoldens(t, []goldenCase{
+		// the document.
+		{"docTermsReq", docTermsReq{Doc: "d1"}, "001a" + "026431"},
+		// the found flag, the term frequencies (count, then per term the
+		// term and its zig-zag frequency) and the zig-zag length.
+		{"docTermsResp", docTermsResp{Found: true, TF: map[string]int{"ab": 3}, Length: 7}, "001b" + "01" + "01" + "026162" + "06" + "0e"},
+		{"docTermsResp/missing", docTermsResp{}, "001b" + "00" + "00" + "00"},
+		// the arc's two IDs, then the root and every bucket of the summary.
+		{"repairDigestReq", repairDigestReq{Arc: arc, Summary: summary}, "0020" + ids + "ac02" + "00" + "05" + strings.Repeat("00", repair.Buckets-2)},
+		// the in-sync flag, the divergent buckets (count, zig-zag each) and
+		// the local digests (count, then per term the term and its digest).
+		{"repairDigestResp", repairDigestResp{Buckets: []int{1, 3}, Local: map[string]uint64{"ab": 300}}, "0021" + "00" + "02" + "02" + "06" + "01" + "026162" + "ac02"},
+		{"repairDigestResp/in sync", repairDigestResp{InSync: true}, "0021" + "01" + "00" + "00"},
+		// the arc's two IDs, then count, then per term the term and its
+		// list behind the list's length.
+		{"repairPushReq", repairPushReq{Arc: arc, Set: []termPostings{{Term: "ab", Postings: ix.Encoded("ab")}}}, "0022" + ids + "01" + "026162" + "10" + hex.EncodeToString(list)},
+	})
+}
+
+// goldenCase is a payload and its wire form, kind included, in hex.
+type goldenCase struct {
+	name   string
+	value  any
+	golden string
+}
+
+// checkGoldens encodes each case's value, compares the bytes with its golden
+// string and decodes them back to the value.
+func checkGoldens(t *testing.T, cases []goldenCase) {
+	t.Helper()
+	for _, c := range cases {
 		enc, ok := wire.AppendBinary(nil, c.value)
 		if !ok {
 			t.Fatalf("%s: no binary codec", c.name)
@@ -137,7 +152,6 @@ func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
 			t.Fatalf("%s: binary round trip = %#v, %v", c.name, dec, err)
 		}
 	}
-
 }
 
 // Retired kinds stay unregistered: a frame naming sprite.unpublish's
