@@ -231,10 +231,14 @@ api-guard:
 # wall-clock number moves. On the same core deployment, what one owned
 # document and one history issuance keep live on the heap, held to the
 # ceilings of TestHeapCeilings: a layout that keeps more per document or per
-# issuance fails here before mem_heap_mb moves.
+# issuance fails here before mem_heap_mb moves. And what decoding the
+# overlay's hot payloads allocates, held to the ceilings in
+# internal/chord/wirecodec_test.go: a decode that starts copying ring IDs or
+# an envelope's payload fails here.
 alloc-guard:
 	$(GO) test -count=1 -run 'TestAllocationCeilings|TestHeapCeilings' -v ./internal/core
 	$(GO) test -count=1 -run 'TestCallAllocations' -v ./internal/transport
+	$(GO) test -count=1 -run 'TestDecodeAllocations' -v ./internal/chord
 
 # Compressed-postings smoke: the block codec's property tests (compressed ≡
 # plain twin, marshal round-trip, cursor snapshot semantics, compression
@@ -327,7 +331,6 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzPostingsBlock -fuzztime=10s ./internal/index
 	$(GO) test -run=NONE -fuzz=FuzzPostingsSplice -fuzztime=10s ./internal/index
 	$(GO) test -run=NONE -fuzz='FuzzSketch$$' -fuzztime=10s ./internal/sketch
-	$(GO) test -run=NONE -fuzz=FuzzSketchCodec -fuzztime=10s ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzSnapshotLoad -fuzztime=10s -fuzzminimizetime=10x ./internal/core
 
 # Generated experiment tables: each block of EXPERIMENTS.md that opens with

@@ -201,6 +201,7 @@ var testOnlyAPI = map[string]string{
 	"telemetry.Snapshot.Deterministic":  "eval: TestVirtualDeterminismAcrossRuns compares snapshots without wall-clock fields",
 	"chordid.FromUint64":                "chord, index and chordid tests place nodes and keys at legible ring positions",
 	"transport.WithDialTimeout":         "internal/nettransport's test-only package (left as it is) bounds its dials",
+	"wire.RegisterBinary":               "internal/nettransport's test-only package (left as it is) registers its payload's codec",
 	"core.PartialError.Unwrap":          "errors.Is and errors.As call it through the error chain",
 	"eval.Report.MarshalJSON":           "encoding/json calls it through json.Marshaler",
 }

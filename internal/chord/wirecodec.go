@@ -5,7 +5,6 @@ import (
 	"errors"
 
 	"github.com/spritedht/sprite/internal/chordid"
-	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/wire"
 )
 
@@ -28,135 +27,85 @@ const (
 )
 
 func init() {
-	wire.RegisterBinary(wire.KindChordBase+0, nextHopReq{},
-		func(e *wire.Encoder, v any) {
-			r := v.(nextHopReq)
-			e.Raw(r.Key[:])
-			e.Uint(uint64(len(r.Exclude)))
-			for _, id := range r.Exclude {
-				e.Raw(id[:])
-			}
-		},
-		func(d *wire.Decoder) any {
-			var r nextHopReq
-			copy(r.Key[:], d.Raw(chordid.Bytes))
-			if n := d.Count(chordid.Bytes); n > 0 {
-				r.Exclude = make([]chordid.ID, n)
-				for i := range r.Exclude {
-					copy(r.Exclude[i][:], d.Raw(chordid.Bytes))
-				}
-			}
-			return r
-		})
+	wire.Register(wire.KindChordBase+0, nextHopReq{}, func(w *wire.Walker, v any) any {
+		r, _ := v.(nextHopReq)
+		w.Fixed(r.Key[:])
+		wire.List(w, &r.Exclude, chordid.Bytes, func(w *wire.Walker, id *chordid.ID) { w.Fixed(id[:]) })
+		return wire.Decoded(w, r)
+	})
 
-	wire.RegisterBinary(wire.KindChordBase+1, nextHopResp{},
-		func(e *wire.Encoder, v any) {
-			r := v.(nextHopResp)
-			var flags uint64
-			if r.Done {
-				flags |= flagDone
-			}
-			if !r.Hint.IsZero() {
-				flags |= flagHint
-			}
-			e.Uint(flags)
-			encodeRef(e, r.Ref)
-			if flags&flagHint != 0 {
-				encodeRef(e, r.Hint)
-			}
-		},
-		func(d *wire.Decoder) any {
-			var r nextHopResp
-			flags := d.Uint()
+	wire.Register(wire.KindChordBase+1, nextHopResp{}, func(w *wire.Walker, v any) any {
+		r, _ := v.(nextHopResp)
+		var flags uint64
+		if r.Done {
+			flags |= flagDone
+		}
+		if !r.Hint.IsZero() {
+			flags |= flagHint
+		}
+		if w.Uint(&flags); w.Decoding() {
 			if flags&^(flagDone|flagHint) != 0 {
-				d.Fail(errors.New("chord: unknown next-hop flags"))
+				w.Fail(errors.New("chord: unknown next-hop flags"))
 			}
 			r.Done = flags&flagDone != 0
-			r.Ref = decodeRef(d)
-			if flags&flagHint != 0 {
-				r.Hint = decodeRef(d)
-			}
-			return r
-		})
+		}
+		walkRef(w, &r.Ref)
+		if flags&flagHint != 0 {
+			walkRef(w, &r.Hint)
+		}
+		return wire.Decoded(w, r)
+	})
 
-	wire.RegisterBinary(wire.KindChordBase+2, stateResp{},
-		func(e *wire.Encoder, v any) {
-			r := v.(stateResp)
-			encodeRef(e, r.Pred)
-			e.Uint(uint64(len(r.Succs)))
-			for _, s := range r.Succs {
-				encodeRef(e, s)
-			}
-		},
-		func(d *wire.Decoder) any {
-			var r stateResp
-			r.Pred = decodeRef(d)
-			// A Ref is at least ID + one length byte on the wire.
-			if n := d.Count(chordid.Bytes + 1); n > 0 {
-				r.Succs = make([]Ref, n)
-				for i := range r.Succs {
-					r.Succs[i] = decodeRef(d)
-				}
-			}
-			return r
-		})
+	wire.Register(wire.KindChordBase+2, stateResp{}, func(w *wire.Walker, v any) any {
+		r, _ := v.(stateResp)
+		walkRef(w, &r.Pred)
+		// A Ref is at least ID + one length byte on the wire.
+		wire.List(w, &r.Succs, chordid.Bytes+1, walkRef)
+		return wire.Decoded(w, r)
+	})
 
-	wire.RegisterBinary(wire.KindChordBase+3, Ref{},
-		func(e *wire.Encoder, v any) { encodeRef(e, v.(Ref)) },
-		func(d *wire.Decoder) any { return decodeRef(d) })
+	wire.Register(wire.KindChordBase+3, Ref{}, func(w *wire.Walker, v any) any {
+		r, _ := v.(Ref)
+		walkRef(w, &r)
+		return wire.Decoded(w, r)
+	})
 
 	// The envelope is the key followed by the application payload's own
 	// kind-prefixed encoding, running to the end of the value. A nil payload
 	// is no bytes; a payload without a binary codec cannot cross a socket
 	// inside an envelope and is written as the unassigned kind 0, which the
-	// receiver refuses.
-	wire.RegisterBinary(kindRouted, routed{},
-		func(e *wire.Encoder, v any) {
-			r := v.(routed)
-			e.Raw(r.Key[:])
-			if r.Payload != nil && !e.Append(r.Payload) {
-				e.Raw([]byte{0, 0})
+	// receiver refuses. The payload is decoded where it lies in the frame.
+	wire.Register(kindRouted, routed{}, func(w *wire.Walker, v any) any {
+		r, _ := v.(routed)
+		w.Fixed(r.Key[:])
+		if !w.Decoding() {
+			if r.Payload != nil && !w.Append(r.Payload) {
+				w.Fixed([]byte{0, 0})
 			}
-		},
-		func(d *wire.Decoder) any {
-			var r routed
-			copy(r.Key[:], d.Raw(chordid.Bytes))
-			inner := d.Raw(d.Remaining())
-			if len(inner) == 0 {
-				return r
-			}
-			// Checked before decoding, so a frame of envelopes all the way
-			// down costs one comparison, not one stack frame per level.
-			if len(inner) >= 2 && binary.BigEndian.Uint16(inner) == kindRouted {
-				d.Fail(errors.New("chord: routed envelope inside a routed envelope"))
-				return r
-			}
-			v, err := wire.DecodeBinary(inner)
-			d.Fail(err)
-			r.Payload = v
-			return r
-		})
+			return nil
+		}
+		switch inner := w.Rest(); {
+		case len(inner) == 0:
+		// Checked before decoding, so a frame of envelopes all the way down
+		// costs one comparison, not one stack frame per level.
+		case len(inner) >= 2 && binary.BigEndian.Uint16(inner) == kindRouted:
+			w.Fail(errors.New("chord: routed envelope inside a routed envelope"))
+		default:
+			var err error
+			r.Payload, err = wire.DecodeBinary(inner)
+			w.Fail(err)
+		}
+		return r
+	})
 
-	wire.RegisterBinary(wire.KindChordBase+5, notOwner{},
-		func(e *wire.Encoder, v any) {
-			r := v.(notOwner)
-			e.Raw(r.Key[:])
-		},
-		func(d *wire.Decoder) any {
-			var r notOwner
-			copy(r.Key[:], d.Raw(chordid.Bytes))
-			return r
-		})
+	wire.Register(wire.KindChordBase+5, notOwner{}, func(w *wire.Walker, v any) any {
+		r, _ := v.(notOwner)
+		w.Fixed(r.Key[:])
+		return wire.Decoded(w, r)
+	})
 }
 
-func encodeRef(e *wire.Encoder, r Ref) {
-	e.Raw(r.ID[:])
-	e.String(string(r.Addr))
-}
-
-func decodeRef(d *wire.Decoder) Ref {
-	var r Ref
-	copy(r.ID[:], d.Raw(chordid.Bytes))
-	r.Addr = simnet.Addr(d.String())
-	return r
+func walkRef(w *wire.Walker, r *Ref) {
+	w.Fixed(r.ID[:])
+	wire.StringAs(w, &r.Addr)
 }

@@ -124,3 +124,42 @@ func TestRoutedDecoderRejectsHostileFrames(t *testing.T) {
 		t.Fatal("envelope around an unregistered payload type decoded")
 	}
 }
+
+// raceEnabled is set by race_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestDecodeAllocations holds what decoding the overlay's payloads allocates
+// to ceilings (Go 1.24, linux/amd64): a ring ID is read into the value's own
+// array, and an envelope decodes its inner payload where it lies, so only a
+// value's strings, slices and interface box allocate. A decoder that starts
+// copying fixed-width fields or inner payloads fails here. Under -race,
+// sync.Pool drops walkers at random and the reading means nothing.
+func TestDecodeAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	a := Ref{ID: seqID(0x10), Addr: "peer1"}
+	b := Ref{ID: seqID(0x80), Addr: "peer22"}
+	for _, c := range []struct {
+		name    string
+		value   any
+		ceiling float64
+	}{
+		{"nextHopResp", nextHopResp{Ref: a}, 2},
+		{"hinted nextHopResp", nextHopResp{Ref: a, Hint: b}, 3},
+		{"nextHopReq with 2 exclusions", nextHopReq{Key: a.ID, Exclude: []chordid.ID{a.ID, b.ID}}, 2},
+		{"stateResp with 3 successors", stateResp{Pred: a, Succs: []Ref{b, a, b}}, 6},
+		{"routed{Ref}", routed{Key: a.ID, Payload: b}, 3},
+	} {
+		enc, _ := wire.AppendBinary(nil, c.value)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := wire.DecodeBinary(enc); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %.0f allocations", c.name, allocs)
+		if allocs > c.ceiling {
+			t.Errorf("decoding %s allocates %.0f times, ceiling %.0f", c.name, allocs, c.ceiling)
+		}
+	}
+}

@@ -56,6 +56,7 @@ func (n *Network) Snapshot(w io.Writer) error {
 // document's lock while it reads it.
 func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
 	e := wire.NewEncoder([]byte(snapshotMagic))
+	w := e.Walker()
 	e.Uint(snapshotVersion)
 	e.Uint(uint64(len(peers)))
 	for _, img := range peers {
@@ -67,11 +68,12 @@ func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
 			e.Uint(uint64(len(terms)))
 			for _, t := range terms {
 				e.String(t)
-				encodeList(e, ix.Encoded(t))
+				l := ix.Encoded(t)
+				walkList(w, &l)
 			}
 		}
 		writeSorted(e, s.replicaLocs, func(byDoc map[index.DocID][]simnet.Addr) {
-			writeSorted(e, byDoc, func(locs []simnet.Addr) { writeStrings(e, locs) })
+			writeSorted(e, byDoc, func(locs []simnet.Addr) { walkStrings(w, &locs) })
 		})
 		h := &s.history
 		e.Uint(uint64(len(h.ring)))
@@ -101,10 +103,10 @@ func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
 			part(func(ot ownedTerm) bool { return ot.mark.At != "" }, func(ot ownedTerm) { e.String(string(ot.mark.At)); e.Uint(ot.mark.Since) })
 			part(func(ot ownedTerm) bool { return ot.at != "" }, func(ot ownedTerm) { e.String(string(ot.at)) })
 			writeSorted(e, st.banned, func(bool) {})
-			writeSorted(e, st.stale, func(addrs []simnet.Addr) { writeStrings(e, addrs) })
+			writeSorted(e, st.stale, func(addrs []simnet.Addr) { walkStrings(w, &addrs) })
 		})
 	}
-	writeStrings(e, order)
+	walkStrings(w, &order)
 	return e.Bytes()
 }
 
@@ -151,6 +153,7 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 		return nil, nil, nil, fmt.Errorf("not a version %d snapshot (bad magic)", snapshotVersion)
 	}
 	d := wire.NewDecoder(data[len(snapshotMagic):])
+	w := d.Walker()
 	if v := d.Uint(); d.Err() == nil && v != snapshotVersion {
 		return nil, nil, nil, fmt.Errorf("snapshot version %d, want %d", v, snapshotVersion)
 	}
@@ -166,11 +169,15 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 			d.Fail(fmt.Errorf("snapshot peer %q not in network or listed twice", addr))
 		}
 		seen[addr] = true
-		s := &indexingState{ix: decodeLists(d), replicas: decodeLists(d)}
+		s := &indexingState{ix: decodeLists(d, w), replicas: decodeLists(d, w)}
 		s.replicaLocs = make(map[string]map[index.DocID][]simnet.Addr)
 		readSorted(d, func(term string) {
 			s.replicaLocs[term] = make(map[index.DocID][]simnet.Addr)
-			readSorted(d, func(doc index.DocID) { s.replicaLocs[term][doc] = readStrings[simnet.Addr](d) })
+			readSorted(d, func(doc index.DocID) {
+				var locs []simnet.Addr
+				walkStrings(w, &locs)
+				s.replicaLocs[term][doc] = locs
+			})
 		})
 		// The issuances replay oldest first into the network's cap, which
 		// drops the oldest of a longer history. The ring keeps no seqs, only
@@ -199,11 +206,12 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 			if prev := owners[id]; prev != nil {
 				d.Fail(fmt.Errorf("document %q listed under both %q and %q", id, prev.Addr(), addr))
 			}
-			owners[id], owned[id] = n.peers[addr], n.decodeDoc(d, id)
+			owners[id], owned[id] = n.peers[addr], n.decodeDoc(d, w, id)
 		})
 		peers[i] = peerImage{addr, s, owned}
 	}
-	order := readStrings[index.DocID](d)
+	var order []index.DocID
+	walkStrings(w, &order)
 	listed := make(map[index.DocID]bool, len(order))
 	for _, id := range order {
 		if d.Err() == nil && (owners[id] == nil || listed[id]) {
@@ -220,8 +228,8 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 	return peers, order, owners, d.Err()
 }
 
-// decodeDoc reads one owned document's learning state.
-func (n *Network) decodeDoc(d *wire.Decoder, id index.DocID) *docState {
+// decodeDoc reads one owned document's learning state; w walks d.
+func (n *Network) decodeDoc(d *wire.Decoder, w *wire.Walker, id index.DocID) *docState {
 	tf := make(map[string]int)
 	readSorted(d, func(t string) { tf[t] = int(d.Int()) })
 	st := &docState{
@@ -244,16 +252,21 @@ func (n *Network) decodeDoc(d *wire.Decoder, id index.DocID) *docState {
 	part(func(ot *ownedTerm) { ot.mark = pollMark{simnet.Addr(d.String()), d.Uint()} })
 	part(func(ot *ownedTerm) { ot.at = simnet.Addr(d.String()) })
 	readSorted(d, func(t string) { st.banned[t] = true })
-	readSorted(d, func(t string) { st.stale[t] = readStrings[simnet.Addr](d) })
+	readSorted(d, func(t string) {
+		var holders []simnet.Addr
+		walkStrings(w, &holders)
+		st.stale[t] = holders
+	})
 	return st
 }
 
 // decodeLists reads a primary or replica index's terms and lists. The index
-// stores no empty list, so none may arrive.
-func decodeLists(d *wire.Decoder) *index.Inverted {
+// stores no empty list, so none may arrive. w walks d.
+func decodeLists(d *wire.Decoder, w *wire.Walker) *index.Inverted {
 	ix := index.NewInverted()
 	readSorted(d, func(term string) {
-		if l := decodeList(d); l.Len() == 0 {
+		var l index.Encoded
+		if walkList(w, &l); l.Len() == 0 {
 			d.Fail(fmt.Errorf("term %q has an empty list", term))
 		} else {
 			d.Fail(ix.Replace(term, l))
@@ -285,16 +298,4 @@ func readSorted[K ~string](d *wire.Decoder, value func(K)) {
 		prev = k
 		value(k)
 	}
-}
-
-func writeStrings[S ~string](e *wire.Encoder, list []S) {
-	e.Uint(uint64(len(list)))
-	for _, s := range list {
-		e.String(string(s))
-	}
-}
-
-// readStrings reads writeStrings' form; an empty list reads as nil.
-func readStrings[S ~string](d *wire.Decoder) []S {
-	return readList(d, 1, func(s *S) { *s = S(d.String()) })
 }

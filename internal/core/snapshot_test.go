@@ -474,7 +474,7 @@ func historyFile(seq uint64, entries ...refQuery) []byte {
 	})
 }
 
-// rawList writes one term whose list is raw, framed as encodeList frames it.
+// rawList writes one term whose list is raw, framed as walkList frames it.
 func rawList(e *wire.Encoder, term string, raw []byte) {
 	e.Uint(1)
 	e.String(term)
@@ -532,7 +532,8 @@ func TestRestoreRefusesMalformedFiles(t *testing.T) {
 			e.Uint(2)
 			for _, term := range []string{"b", "a"} {
 				e.String(term)
-				encodeList(e, l.Encoded("b"))
+				list := l.Encoded("b")
+				walkList(e.Walker(), &list)
 			}
 		})},
 		{"repeated TF key", "must ascend", onePeerFile(func(e *wire.Encoder) {

@@ -1,4 +1,4 @@
-// Serialization and wire codecs for sketches.
+// Serialization of sketches.
 //
 // The serialized sketch (formatV1: a format byte, a uvarint width, then the
 // int8 components) is the form that actually travels and is scored: postings
@@ -14,8 +14,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-
-	"github.com/spritedht/sprite/internal/wire"
 )
 
 // MarshalBinary encodes the vector in formatV1.
@@ -110,31 +108,4 @@ func CosineBytes(a, b []byte) float64 {
 		return 0
 	}
 	return float64(dot) / math.Sqrt(float64(na)*float64(nb))
-}
-
-// The standalone wire codec: a Vector payload travels under its own kind as
-// its length-prefixed MarshalBinary bytes (FuzzSketchCodec).
-func init() {
-	wire.RegisterBinary(wire.KindSketchBase+0, Vector(nil),
-		func(e *wire.Encoder, v any) {
-			raw, _ := v.(Vector).MarshalBinary()
-			e.Uint(uint64(len(raw)))
-			e.Raw(raw)
-		},
-		func(d *wire.Decoder) any {
-			var v Vector
-			n := d.Uint()
-			if n > uint64(d.Remaining()) {
-				d.Fail(fmt.Errorf("sketch: payload length %d exceeds %d remaining bytes", n, d.Remaining()))
-				return v
-			}
-			raw := d.Raw(int(n))
-			if d.Err() != nil {
-				return v
-			}
-			if err := v.UnmarshalBinary(raw); err != nil {
-				d.Fail(err)
-			}
-			return v
-		})
 }

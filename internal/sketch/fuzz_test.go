@@ -3,8 +3,6 @@ package sketch
 import (
 	"bytes"
 	"testing"
-
-	"github.com/spritedht/sprite/internal/wire"
 )
 
 // FuzzSketch feeds arbitrary bytes to the sketch decoder and the serialized
@@ -34,40 +32,6 @@ func FuzzSketch(f *testing.F) {
 		}
 		if c := CosineBytes(a, b); c < -1.0000001 || c > 1.0000001 || c != c {
 			t.Fatalf("cosine %v out of range", c)
-		}
-	})
-}
-
-// FuzzSketchCodec drives the wire codec (AppendBinary/DecodeBinary) with
-// generated vectors, which must round-trip exactly.
-func FuzzSketchCodec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{0, 127, 255, 1})
-	f.Add(bytes.Repeat([]byte{0x80}, 300))
-	f.Fuzz(func(t *testing.T, comp []byte) {
-		if len(comp) > MaxDims {
-			comp = comp[:MaxDims]
-		}
-		var v Vector
-		for _, b := range comp {
-			v = append(v, int8(b))
-		}
-
-		enc, ok := wire.AppendBinary(nil, v)
-		if !ok {
-			t.Fatalf("Vector has no binary codec registered")
-		}
-		got, err := wire.DecodeBinary(enc)
-		if err != nil {
-			t.Fatalf("binary decode: %v", err)
-		}
-		bv, ok := got.(Vector)
-		if !ok {
-			t.Fatalf("binary decode returned %T", got)
-		}
-
-		if !bytes.Equal(toBytes(bv), toBytes(v)) {
-			t.Fatalf("binary codec changed the vector")
 		}
 	})
 }

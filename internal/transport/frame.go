@@ -30,7 +30,7 @@ import (
 // in-flight RPCs share one socket: responses may come back in any order.
 // `codec` is 0 for a nil payload and 1 for one in the wire package's binary
 // codec; any other value is refused by the receiver. A payload type with no
-// binary codec (wire.RegisterBinary) fails to encode at the caller and never
+// binary codec (wire.Register) fails to encode at the caller and never
 // reaches the socket.
 const (
 	frameRequest  = 0

@@ -33,18 +33,12 @@ type note struct {
 }
 
 func init() {
-	wire.RegisterBinary(wire.KindTestBase, note{},
-		func(e *wire.Encoder, v any) {
-			n := v.(note)
-			e.String(n.Text)
-			e.StringSlice(n.Items)
-		},
-		func(d *wire.Decoder) any {
-			var n note
-			n.Text = d.String()
-			n.Items = d.StringSlice()
-			return n
-		})
+	wire.Register(wire.KindTestBase, note{}, func(w *wire.Walker, v any) any {
+		n, _ := v.(note)
+		w.String(&n.Text)
+		wire.List(w, &n.Items, 1, (*wire.Walker).String)
+		return wire.Decoded(w, n)
+	})
 }
 
 func echo() simnet.Handler {

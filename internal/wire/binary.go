@@ -1,9 +1,12 @@
 // Package wire is the codec for every protocol payload that crosses a
 // socket: a hand-rolled binary encoding per registered type.
 //
-// Each payload type is assigned a stable 16-bit kind and a pair of
-// hand-written encode/decode functions over varint/length-prefixed
-// primitives — no type descriptors on the wire, no reflection per value. A
+// Each payload type is assigned a stable 16-bit kind and one walk function
+// that visits its fields in wire order through a Walker, over
+// varint/length-prefixed primitives — no type descriptors on the wire, no
+// reflection per value. The same walk encodes a value (AppendBinary),
+// decodes one (DecodeBinary) and sizes one (Size), so a payload's fields are
+// written once and its size is its encoding's length by construction. A
 // type that never registered a codec cannot be sent: AppendBinary reports
 // false and the transport fails the call with an encode error.
 //
@@ -16,6 +19,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -34,38 +38,43 @@ const (
 	KindChordBase uint16 = 1
 	// KindCoreBase .. KindCoreBase+31 are reserved for internal/core.
 	KindCoreBase uint16 = 16
-	// KindSketchBase .. KindSketchBase+7 are reserved for internal/sketch.
-	KindSketchBase uint16 = 48
 	// KindTestBase and up are free for tests.
 	KindTestBase uint16 = 4096
 )
 
-// EncodeFunc appends v's binary form to the encoder. It must handle exactly
-// the concrete type it was registered for.
-type EncodeFunc func(e *Encoder, v any)
+// WalkFunc visits one payload's fields in wire order. Encoding or sizing, v
+// is the value and the walk returns nil; decoding, v is nil and the walk
+// returns the value it read (Decoded). It must handle exactly the concrete
+// type it was registered for: it copies v into a variable of that type
+// (r, _ := v.(T)), walks pointers to r's fields with static calls, and boxes
+// r only when decoding, so sizing allocates nothing. On malformed input it
+// relies on the decoder's sticky error (DecodeBinary checks it) and may
+// return a partial value. It must not keep w once it returns: walkers are
+// reused.
+type WalkFunc func(w *Walker, v any) any
 
-// DecodeFunc reads one value back. On malformed input it should rely on the
-// decoder's sticky error (the caller checks d.Err) and may return a partial
-// value. It must not keep d once it returns: DecodeBinary reuses decoders.
-type DecodeFunc func(d *Decoder) any
+// EncodeFunc and DecodeFunc are the two halves of a codec registered with
+// RegisterBinary.
+type (
+	EncodeFunc func(e *Encoder, v any)
+	DecodeFunc func(d *Decoder) any
+)
 
 type binaryCodec struct {
 	kind uint16
 	typ  reflect.Type
-	enc  EncodeFunc
-	dec  DecodeFunc
+	walk WalkFunc
 }
 
-// codecTable is the registry. It is never written once published:
-// RegisterBinary publishes a new table, so encoding and decoding read it
-// without a lock.
+// codecTable is the registry. It is never written once published: Register
+// publishes a new table, so encoding and decoding read it without a lock.
 type codecTable struct {
 	byKind map[uint16]*binaryCodec
 	byType map[reflect.Type]*binaryCodec
 }
 
 var (
-	mu    sync.Mutex // serializes RegisterBinary
+	mu    sync.Mutex // serializes Register
 	table atomic.Pointer[codecTable]
 )
 
@@ -78,11 +87,11 @@ func codecs() *codecTable {
 	return &codecTable{}
 }
 
-// RegisterBinary installs a binary codec for prototype's concrete type under
-// the given kind. Registration normally happens in package init functions;
+// Register installs walk as the codec of prototype's concrete type under the
+// given kind. Registration normally happens in package init functions;
 // duplicate kinds or types panic immediately (a mis-wired codec table must
 // never reach the network).
-func RegisterBinary(kind uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
+func Register(kind uint16, prototype any, walk WalkFunc) {
 	mu.Lock()
 	defer mu.Unlock()
 	old := codecs()
@@ -103,10 +112,29 @@ func RegisterBinary(kind uint16, prototype any, enc EncodeFunc, dec DecodeFunc) 
 	for t, c := range old.byType {
 		next.byType[t] = c
 	}
-	c := &binaryCodec{kind: kind, typ: t, enc: enc, dec: dec}
+	c := &binaryCodec{kind: kind, typ: t, walk: walk}
 	next.byKind[kind] = c
 	next.byType[t] = c
 	table.Store(next)
+}
+
+// RegisterBinary registers a codec written as an encoder and a decoder, for
+// a caller that has no walk. It sizes a value by encoding it into a scratch
+// buffer.
+func RegisterBinary(kind uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
+	Register(kind, prototype, func(w *Walker, v any) any {
+		switch {
+		case w.d != nil:
+			return dec(w.d)
+		case w.e != nil:
+			enc(w.e, v)
+		default:
+			var e Encoder
+			enc(&e, v)
+			w.n += len(e.b)
+		}
+		return nil
+	})
 }
 
 // AppendBinary appends the binary encoding of v — a 2-byte kind followed by
@@ -119,34 +147,34 @@ func AppendBinary(dst []byte, v any) ([]byte, bool) {
 	return e.b, ok
 }
 
-// counters holds sizing encoders for Size to reuse. Slots, not a sync.Pool:
+// counters holds sizing walkers for Size to reuse. Slots, not a sync.Pool:
 // under the race detector a pool drops what it is given at random, and Size
 // must not allocate there either. Four cover the sizings a few cores run at
 // once; a Size that finds every slot empty allocates.
-var counters [4]atomic.Pointer[Encoder]
+var counters [4]atomic.Pointer[Walker]
 
 // Size returns what a message carrying v costs (simnet.Message.Size): the
 // length of v's encoded field stream, without the 2-byte kind, which is
 // framing. A nil payload, or one whose type has no codec, is 0. It runs v's
-// encoder in sizing mode, which adds up lengths and writes nothing, so it
-// allocates nothing of its own.
+// walk in the sizing direction, which adds up lengths and writes nothing, so
+// it allocates nothing of its own.
 func Size(v any) int {
 	c := codecOf(v)
 	if c == nil {
 		return 0
 	}
-	var e *Encoder
-	for i := 0; i < len(counters) && e == nil; i++ {
-		e = counters[i].Swap(nil)
+	var w *Walker
+	for i := 0; i < len(counters) && w == nil; i++ {
+		w = counters[i].Swap(nil)
 	}
-	if e == nil {
-		e = &Encoder{sizing: true}
+	if w == nil {
+		w = new(Walker)
 	}
-	e.n = 0
-	c.enc(e, v)
-	n := e.n
+	c.walk(w, v)
+	n := w.n
+	w.n = 0
 	for i := 0; i < len(counters); i++ {
-		if counters[i].CompareAndSwap(nil, e) {
+		if counters[i].CompareAndSwap(nil, w) {
 			break
 		}
 	}
@@ -170,12 +198,13 @@ func DecodeBinary(data []byte) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("wire: unknown binary kind %d", kind)
 	}
-	d := decoders.Get().(*Decoder)
-	d.b = data[2:]
-	v := c.dec(d)
-	err, trailing := d.err, len(d.b)-d.off
-	*d = Decoder{}
-	decoders.Put(d)
+	w := walkers.Get().(*Walker)
+	w.dec = Decoder{b: data[2:]}
+	w.d = &w.dec
+	v := c.walk(w, nil)
+	err, trailing := w.dec.err, w.dec.Remaining()
+	*w = Walker{}
+	walkers.Put(w)
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode kind %d (%v): %w", kind, c.typ, err)
 	}
@@ -185,19 +214,255 @@ func DecodeBinary(data []byte) (any, error) {
 	return v, nil
 }
 
-// decoders holds DecodeBinary's decoders, emptied before they are handed
-// back. A decoder a codec's function is given would otherwise escape to the
-// heap, since that function is called through a value.
-var decoders = sync.Pool{New: func() any { return new(Decoder) }}
+// walkers holds the walkers DecodeBinary and Encoder.Append run codecs with,
+// emptied before they are handed back. A walker a codec is given would
+// otherwise escape to the heap, since the codec is called through a value.
+var walkers = sync.Pool{New: func() any { return new(Walker) }}
+
+// Walker runs a payload's walk in one of three directions. Encoding, it
+// appends each field to an Encoder; decoding, it reads each field from a
+// Decoder, whose sticky error poisons every later read; sizing (neither), it
+// adds up the lengths encoding would write. Its methods take pointers to
+// fields: encoding and sizing only read them, decoding only writes them, so
+// a walk may be run over a value other goroutines read.
+type Walker struct {
+	e   *Encoder // encoding
+	d   *Decoder // decoding
+	n   int      // sizing: bytes counted
+	dec Decoder  // what d points at when DecodeBinary runs the walk
+}
+
+// Walker returns a walker that encodes into e, for a writer that mixes a
+// payload's walk into an encoding of its own.
+func (e *Encoder) Walker() *Walker { return &Walker{e: e} }
+
+// Walker returns a walker that decodes from d, sharing d's position and
+// sticky error.
+func (d *Decoder) Walker() *Walker { return &Walker{d: d} }
+
+// Decoding reports whether w reads the fields it is given, rather than
+// writing or counting them.
+func (w *Walker) Decoding() bool { return w.d != nil }
+
+// Fail records err as the decode's sticky error if none is set yet; walks
+// whose payloads carry structure beyond the primitive layer (flag words,
+// embedded encoded blocks) use it to poison the decode when their own
+// validation rejects the bytes. Encoding and sizing, it does nothing.
+func (w *Walker) Fail(err error) {
+	if w.d != nil {
+		w.d.Fail(err)
+	}
+}
+
+// uvarintLen is the length of v's unsigned varint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// Uint walks an unsigned varint.
+func (w *Walker) Uint(v *uint64) {
+	switch {
+	case w.d != nil:
+		*v = w.d.Uint()
+	case w.e != nil:
+		w.e.Uint(*v)
+	default:
+		w.n += uvarintLen(*v)
+	}
+}
+
+// Int walks a zig-zag varint.
+func (w *Walker) Int(v *int64) {
+	switch {
+	case w.d != nil:
+		*v = w.d.Int()
+	case w.e != nil:
+		w.e.Int(*v)
+	default:
+		w.n += uvarintLen(uint64(*v<<1) ^ uint64(*v>>63))
+	}
+}
+
+// Bool walks one byte; decoding, any nonzero value is true.
+func (w *Walker) Bool(v *bool) {
+	switch {
+	case w.d != nil:
+		*v = w.d.Bool()
+	case w.e != nil:
+		w.e.Bool(*v)
+	default:
+		w.n++
+	}
+}
+
+// String walks a length-prefixed string.
+func (w *Walker) String(v *string) {
+	switch {
+	case w.d != nil:
+		*v = w.d.String()
+	case w.e != nil:
+		w.e.String(*v)
+	default:
+		w.n += uvarintLen(uint64(len(*v))) + len(*v)
+	}
+}
+
+// Fixed walks len(b) verbatim bytes with no length prefix — a fixed-width
+// field (a ring ID) whose size both ends know. Decoding fills b itself, so
+// a value's own array is read in place.
+func (w *Walker) Fixed(b []byte) {
+	switch {
+	case w.d != nil:
+		copy(b, w.d.take(uint64(len(b)), "fixed-width field"))
+	case w.e != nil:
+		w.e.Raw(b)
+	default:
+		w.n += len(b)
+	}
+}
+
+// Blob walks a length-prefixed run of n bytes that write appends to the
+// buffer it is given — a value with a binary form of its own, such as a
+// postings list, copied once into the frame. Sizing counts the run and does
+// not call write. Decoding returns a copy of the run for the caller to parse
+// (nil when it is empty or the decode has failed), and n and write go
+// unused. A write that appends other than n bytes is a bug in its walk and
+// panics.
+func (w *Walker) Blob(n int, write func([]byte) []byte) []byte {
+	switch {
+	case w.d != nil:
+		if raw := w.d.take(w.d.Uint(), "blob"); len(raw) > 0 {
+			return bytes.Clone(raw)
+		}
+	case w.e != nil:
+		w.e.Uint(uint64(n))
+		start := len(w.e.b)
+		if w.e.b = write(w.e.b); len(w.e.b)-start != n {
+			panic(fmt.Sprintf("wire: blob declared %d bytes, wrote %d", n, len(w.e.b)-start))
+		}
+	default:
+		w.n += uvarintLen(uint64(n)) + n
+	}
+	return nil
+}
+
+// Append walks v's full binary encoding, kind prefix included, where an
+// envelope carries another payload. It reports whether v's type had a
+// registered codec, writing nothing when it had not. Decoding, it does
+// nothing and reports false: an envelope's walk reads its payload with Rest
+// and DecodeBinary.
+func (w *Walker) Append(v any) bool {
+	c := codecOf(v)
+	if c == nil || w.d != nil {
+		return false
+	}
+	if w.e != nil {
+		w.e.b = binary.BigEndian.AppendUint16(w.e.b, c.kind)
+	} else {
+		w.n += 2
+	}
+	c.walk(w, v)
+	return true
+}
+
+// Rest consumes and returns the unread input, in place: an envelope's
+// payload, which runs to the end of the value. It is nil unless decoding,
+// and once the decode has failed.
+func (w *Walker) Rest() []byte {
+	if w.d == nil {
+		return nil
+	}
+	return w.d.take(uint64(w.d.Remaining()), "rest")
+}
+
+// StringAs walks a field whose type is a string.
+func StringAs[S ~string](w *Walker, v *S) {
+	s := string(*v)
+	w.String(&s)
+	if w.d != nil {
+		*v = S(s)
+	}
+}
+
+// IntAs walks a field whose type is a signed integer as a zig-zag varint.
+func IntAs[I ~int | ~int32 | ~int64](w *Walker, v *I) {
+	x := int64(*v)
+	w.Int(&x)
+	if w.d != nil {
+		*v = I(x)
+	}
+}
+
+// List walks a count-prefixed list, each element with walk. Decoding, min is
+// the fewest bytes an element takes on the wire, and a count the remaining
+// input cannot hold fails before anything is allocated; an empty list reads
+// as nil, and the first error stops the read.
+func List[T any](w *Walker, list *[]T, min int, walk func(*Walker, *T)) {
+	if w.d == nil {
+		n := uint64(len(*list))
+		w.Uint(&n)
+		for i := range *list {
+			walk(w, &(*list)[i])
+		}
+		return
+	}
+	n := w.d.Count(min)
+	if n == 0 {
+		return
+	}
+	out := make([]T, n)
+	for i := range out {
+		if walk(w, &out[i]); w.d.err != nil {
+			break
+		}
+	}
+	*list = out
+}
+
+// Map walks a count-prefixed map, each entry with walk, which is handed a
+// key and a value and returns them: encoding or sizing, each entry of m in
+// map order; decoding, zero ones, and what it returns goes into the map. It
+// takes and returns values, not pointers, so that sizing a map allocates
+// nothing. Decoding, min is the fewest bytes an entry takes, as for List; an
+// empty map reads as nil, and the first error stops the read.
+func Map[K comparable, V any](w *Walker, m *map[K]V, min int, walk func(w *Walker, k K, v V) (K, V)) {
+	if w.d == nil {
+		n := uint64(len(*m))
+		w.Uint(&n)
+		for k, v := range *m {
+			walk(w, k, v)
+		}
+		return
+	}
+	n := w.d.Count(min)
+	if n == 0 {
+		return
+	}
+	out := make(map[K]V, n)
+	for i := 0; i < n; i++ {
+		var (
+			k K
+			v V
+		)
+		if k, v = walk(w, k, v); w.d.err != nil {
+			break
+		}
+		out[k] = v
+	}
+	*m = out
+}
+
+// Decoded returns what a walk returns: r boxed when w decodes, nil when it
+// encodes or sizes, so those directions box nothing.
+func Decoded[T any](w *Walker, r T) any {
+	if w.d != nil {
+		return r
+	}
+	return nil
+}
 
 // Encoder appends primitive values to a byte slice. The zero value appends
-// to a nil slice; use NewEncoder to reuse a buffer. The encoder Size runs a
-// codec with is in sizing mode: each primitive adds its encoded length to a
-// count and writes nothing.
+// to a nil slice; use NewEncoder to reuse a buffer.
 type Encoder struct {
-	b      []byte
-	sizing bool
-	n      int // bytes counted in sizing mode
+	b []byte
 }
 
 // NewEncoder returns an encoder appending to dst.
@@ -215,97 +480,42 @@ func (e *Encoder) Reset() { e.b = e.b[:0] }
 // when it reports false. This is AppendBinary for callers composing a larger
 // frame in one buffer.
 func (e *Encoder) Append(v any) bool {
-	c := codecOf(v)
-	if c == nil {
-		return false
-	}
-	if e.sizing {
-		e.n += 2
-	} else {
-		e.b = binary.BigEndian.AppendUint16(e.b, c.kind)
-	}
-	c.enc(e, v)
-	return true
+	w := walkers.Get().(*Walker)
+	w.e = e
+	ok := w.Append(v)
+	w.e = nil
+	walkers.Put(w)
+	return ok
 }
-
-// uvarintLen is the length of v's unsigned varint.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Uint appends v as an unsigned varint.
-func (e *Encoder) Uint(v uint64) {
-	if e.sizing {
-		e.n += uvarintLen(v)
-		return
-	}
-	e.b = binary.AppendUvarint(e.b, v)
-}
+func (e *Encoder) Uint(v uint64) { e.b = binary.AppendUvarint(e.b, v) }
 
 // Int appends v as a zig-zag varint.
-func (e *Encoder) Int(v int64) {
-	if e.sizing {
-		e.n += uvarintLen(uint64(v<<1) ^ uint64(v>>63))
-		return
-	}
-	e.b = binary.AppendVarint(e.b, v)
-}
+func (e *Encoder) Int(v int64) { e.b = binary.AppendVarint(e.b, v) }
 
 // Bool appends one byte.
 func (e *Encoder) Bool(v bool) {
-	switch {
-	case e.sizing:
-		e.n++
-	case v:
+	if v {
 		e.b = append(e.b, 1)
-	default:
+	} else {
 		e.b = append(e.b, 0)
 	}
 }
 
 // Float appends v as 8 fixed bytes (IEEE 754 bits, big endian).
 func (e *Encoder) Float(v float64) {
-	if e.sizing {
-		e.n += 8
-		return
-	}
 	e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(v))
 }
 
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uint(uint64(len(s)))
-	if e.sizing {
-		e.n += len(s)
-		return
-	}
 	e.b = append(e.b, s...)
 }
 
-// Raw appends b verbatim, no length prefix — for fixed-width fields (ring
-// IDs) whose size both ends know.
-func (e *Encoder) Raw(b []byte) {
-	if e.sizing {
-		e.n += len(b)
-		return
-	}
-	e.b = append(e.b, b...)
-}
-
-// Blob appends a length-prefixed run of n bytes that write appends to the
-// buffer it is given — a value with a binary form of its own, such as a
-// postings list, copied once into the frame. In sizing mode write is not
-// called. A write that appends other than n bytes is a bug in its codec and
-// panics.
-func (e *Encoder) Blob(n int, write func([]byte) []byte) {
-	e.Uint(uint64(n))
-	if e.sizing {
-		e.n += n
-		return
-	}
-	start := len(e.b)
-	if e.b = write(e.b); len(e.b)-start != n {
-		panic(fmt.Sprintf("wire: blob declared %d bytes, wrote %d", n, len(e.b)-start))
-	}
-}
+// Raw appends b verbatim, no length prefix.
+func (e *Encoder) Raw(b []byte) { e.b = append(e.b, b...) }
 
 // StringSlice appends a count-prefixed string slice.
 func (e *Encoder) StringSlice(s []string) {
@@ -380,61 +590,35 @@ func (d *Decoder) Int() int64 {
 
 // Bool reads one byte; any nonzero value is true.
 func (d *Decoder) Bool() bool {
-	if d.err != nil {
-		return false
-	}
-	if d.off >= len(d.b) {
-		d.fail("truncated bool at offset %d", d.off)
-		return false
-	}
-	v := d.b[d.off] != 0
-	d.off++
-	return v
+	b := d.take(1, "bool")
+	return len(b) == 1 && b[0] != 0
 }
 
 // Float reads 8 fixed bytes.
 func (d *Decoder) Float() float64 {
-	if d.err != nil {
-		return 0
+	if b := d.take(8, "float"); b != nil {
+		return math.Float64frombits(binary.BigEndian.Uint64(b))
 	}
-	if d.Remaining() < 8 {
-		d.fail("truncated float at offset %d", d.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.b[d.off:]))
-	d.off += 8
-	return v
+	return 0
 }
 
 // String reads a length-prefixed string. The declared length is validated
 // against the remaining input before the string is materialized.
-func (d *Decoder) String() string {
-	n := d.Uint()
+func (d *Decoder) String() string { return string(d.take(d.Uint(), "string")) }
+
+// take consumes n bytes where they lie, or fails the decode, naming what the
+// bytes were to hold.
+func (d *Decoder) take(n uint64, what string) []byte {
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > uint64(d.Remaining()) {
-		d.fail("declared string length %d exceeds %d remaining bytes", n, d.Remaining())
-		return ""
+		d.fail("%s of %d bytes exceeds %d remaining bytes", what, n, d.Remaining())
+		return nil
 	}
-	s := string(d.b[d.off : d.off+int(n)])
+	b := d.b[d.off : d.off+int(n)]
 	d.off += int(n)
-	return s
-}
-
-// Raw reads n verbatim bytes into a fresh slice.
-func (d *Decoder) Raw(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || n > d.Remaining() {
-		d.fail("declared raw length %d exceeds %d remaining bytes", n, d.Remaining())
-		return nil
-	}
-	out := make([]byte, n)
-	copy(out, d.b[d.off:])
-	d.off += n
-	return out
+	return b
 }
 
 // Count reads an element count whose elements each occupy at least minBytes

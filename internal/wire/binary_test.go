@@ -26,32 +26,30 @@ const kindBinPayload = KindTestBase + 7
 
 func init() {
 	gob.Register(binPayload{}) // for TestEmptySliceDecodesNilLikeGob's oracle
-	RegisterBinary(kindBinPayload, binPayload{},
-		func(e *Encoder, v any) {
-			p := v.(binPayload)
-			e.String(p.Term)
-			e.Int(p.Freq)
-			e.Uint(p.Count)
-			e.Bool(p.Hot)
-			e.Float(p.Score)
-			e.StringSlice(p.Query)
-			e.Raw(p.ID[:])
-			e.Blob(len(p.Blob), func(b []byte) []byte { return append(b, p.Blob...) })
-		},
-		func(d *Decoder) any {
-			var p binPayload
-			p.Term = d.String()
-			p.Freq = d.Int()
-			p.Count = d.Uint()
-			p.Hot = d.Bool()
-			p.Score = d.Float()
-			p.Query = d.StringSlice()
-			copy(p.ID[:], d.Raw(len(p.ID)))
-			if n := d.Count(1); n > 0 {
-				p.Blob = d.Raw(n)
-			}
-			return p
-		})
+	Register(kindBinPayload, binPayload{}, func(w *Walker, v any) any {
+		p, _ := v.(binPayload)
+		w.String(&p.Term)
+		w.Int(&p.Freq)
+		w.Uint(&p.Count)
+		w.Bool(&p.Hot)
+		walkFloat(w, &p.Score)
+		List(w, &p.Query, 1, (*Walker).String)
+		w.Fixed(p.ID[:])
+		blob := w.Blob(len(p.Blob), func(b []byte) []byte { return append(b, p.Blob...) })
+		if w.Decoding() {
+			p.Blob = blob
+		}
+		return Decoded(w, p)
+	})
+}
+
+// walkFloat walks a float as its IEEE 754 bits in a varint: the test payloads
+// carry floats, and no protocol payload does.
+func walkFloat(w *Walker, f *float64) {
+	bits := math.Float64bits(*f)
+	if w.Uint(&bits); w.Decoding() {
+		*f = math.Float64frombits(bits)
+	}
 }
 
 func TestBinaryRoundTrip(t *testing.T) {
@@ -80,8 +78,8 @@ func TestBinaryRoundTrip(t *testing.T) {
 // Size is the encoded length without the 2-byte kind, 0 for a nil payload or
 // one without a codec, and allocates nothing: it runs on every message. The
 // payloads reach every primitive at each of its lengths — varints of one and
-// several bytes, negative ones, floats, bools, raw and length-prefixed runs,
-// empty strings.
+// several bytes, negative ones, floats, bools, fixed-width and
+// length-prefixed runs, empty strings.
 func TestSizeIsEncodedLength(t *testing.T) {
 	type notRegistered struct{ X int }
 	for _, v := range []any{
@@ -218,7 +216,7 @@ func TestRegisterBinaryCollisionPanics(t *testing.T) {
 					t.Fatalf("%s registration did not panic", c.what)
 				}
 			}()
-			RegisterBinary(c.kind, c.prototype, nil, nil)
+			Register(c.kind, c.prototype, nil)
 		}()
 	}
 	if _, err := DecodeBinary(binary.BigEndian.AppendUint16(nil, KindTestBase+99)); err == nil {
@@ -234,6 +232,6 @@ func TestBlobLengthMismatchPanics(t *testing.T) {
 			t.Fatal("blob writing 3 bytes of a declared 2 did not panic")
 		}
 	}()
-	var e Encoder
-	e.Blob(2, func(b []byte) []byte { return append(b, 1, 2, 3) })
+	w := NewEncoder(nil).Walker()
+	w.Blob(2, func(b []byte) []byte { return append(b, 1, 2, 3) })
 }

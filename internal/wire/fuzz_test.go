@@ -8,7 +8,7 @@ import (
 
 // fuzzPayload mirrors the shape of the protocol payloads that cross the
 // transport's frames (strings, integers, nested structs, slices), so the
-// round trip exercises the same encoder paths without depending on the
+// round trip exercises the same walker paths without depending on the
 // unexported message types of internal/core and internal/chord.
 type fuzzPayload struct {
 	Term  string
@@ -27,28 +27,17 @@ type fuzzInner struct {
 const kindFuzzPayload = KindTestBase + 100
 
 func init() {
-	RegisterBinary(kindFuzzPayload, fuzzPayload{},
-		func(e *Encoder, v any) {
-			p := v.(fuzzPayload)
-			e.String(p.Term)
-			e.String(p.Doc)
-			e.Int(p.Freq)
-			e.Int(int64(p.Hops))
-			e.StringSlice(p.Addrs)
-			e.String(p.Inner.Key)
-			e.Float(p.Inner.Score)
-		},
-		func(d *Decoder) any {
-			var p fuzzPayload
-			p.Term = d.String()
-			p.Doc = d.String()
-			p.Freq = d.Int()
-			p.Hops = int(d.Int())
-			p.Addrs = d.StringSlice()
-			p.Inner.Key = d.String()
-			p.Inner.Score = d.Float()
-			return p
-		})
+	Register(kindFuzzPayload, fuzzPayload{}, func(w *Walker, v any) any {
+		p, _ := v.(fuzzPayload)
+		w.String(&p.Term)
+		w.String(&p.Doc)
+		w.Int(&p.Freq)
+		IntAs(w, &p.Hops)
+		List(w, &p.Addrs, 1, (*Walker).String)
+		w.String(&p.Inner.Key)
+		walkFloat(w, &p.Inner.Score)
+		return Decoded(w, p)
+	})
 }
 
 // FuzzCodec fuzzes the wire codec the way the transport uses it: the payload

@@ -6,7 +6,7 @@ import (
 
 	"github.com/spritedht/sprite/internal/wire"
 
-	// Imported for their init-time wire.RegisterBinary calls: the fuzz below
+	// Imported for their init-time wire.Register calls: the fuzz below
 	// round-trips every registered protocol payload, so the registries of
 	// both protocol packages must be populated.
 	_ "github.com/spritedht/sprite/internal/chord"
@@ -156,7 +156,7 @@ func protocolSeed(f *testing.F, name string, set func(v reflect.Value)) []byte {
 // and core's, discovered through wire.BinaryPrototypes — filled with
 // fuzz-derived content, and demands the decoded value equal the original
 // under reflect.DeepEqual: a codec that drops, reorders or truncates a field
-// fails here, and so does one whose sizing mode counts other than it writes
+// fails here, and so does a walk whose sizing direction counts other than it writes
 // (wire.Size against the encoding's length). It then feeds the decoder truncations, single-bit corruptions,
 // and raw fuzz garbage, which must all fail (or decode to something) without
 // panicking or sizing an allocation from an unvalidated length.

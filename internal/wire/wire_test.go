@@ -57,9 +57,11 @@ func TestRegisterConcurrent(t *testing.T) {
 	}
 	close(ready)
 	registerLate.Do(func() {
-		RegisterBinary(KindTestBase+8, late{},
-			func(e *Encoder, v any) { e.Uint(v.(late).N) },
-			func(d *Decoder) any { return late{d.Uint()} })
+		Register(KindTestBase+8, late{}, func(w *Walker, v any) any {
+			r, _ := v.(late)
+			w.Uint(&r.N)
+			return Decoded(w, r)
+		})
 	})
 	wg.Wait()
 	if _, ok := AppendBinary(nil, late{1}); !ok {
