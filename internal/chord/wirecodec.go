@@ -15,7 +15,7 @@ import (
 // walk. The simulator passes payloads by value and never uses these codecs;
 // over a socket they are the only encoding.
 
-// kindRouted is the envelope's kind, which its own decoder must recognize to
+// kindRouted is the envelope's kind, which its own walk must recognize to
 // refuse an envelope inside an envelope.
 const kindRouted = wire.KindChordBase + 4
 
@@ -84,13 +84,14 @@ func init() {
 			}
 			return nil
 		}
-		switch inner := w.Rest(); {
-		case len(inner) == 0:
+		inner := w.Rest()
 		// Checked before decoding, so a frame of envelopes all the way down
 		// costs one comparison, not one stack frame per level.
-		case len(inner) >= 2 && binary.BigEndian.Uint16(inner) == kindRouted:
+		if len(inner) >= 2 && binary.BigEndian.Uint16(inner) == kindRouted {
 			w.Fail(errors.New("chord: routed envelope inside a routed envelope"))
-		default:
+			return r
+		}
+		if len(inner) > 0 {
 			var err error
 			r.Payload, err = wire.DecodeBinary(inner)
 			w.Fail(err)

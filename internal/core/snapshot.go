@@ -173,11 +173,7 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 		s.replicaLocs = make(map[string]map[index.DocID][]simnet.Addr)
 		readSorted(d, func(term string) {
 			s.replicaLocs[term] = make(map[index.DocID][]simnet.Addr)
-			readSorted(d, func(doc index.DocID) {
-				var locs []simnet.Addr
-				walkStrings(w, &locs)
-				s.replicaLocs[term][doc] = locs
-			})
+			readSorted(d, func(doc index.DocID) { s.replicaLocs[term][doc] = readStrings[simnet.Addr](w) })
 		})
 		// The issuances replay oldest first into the network's cap, which
 		// drops the oldest of a longer history. The ring keeps no seqs, only
@@ -210,8 +206,7 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 		})
 		peers[i] = peerImage{addr, s, owned}
 	}
-	var order []index.DocID
-	walkStrings(w, &order)
+	order := readStrings[index.DocID](w)
 	listed := make(map[index.DocID]bool, len(order))
 	for _, id := range order {
 		if d.Err() == nil && (owners[id] == nil || listed[id]) {
@@ -252,11 +247,7 @@ func (n *Network) decodeDoc(d *wire.Decoder, w *wire.Walker, id index.DocID) *do
 	part(func(ot *ownedTerm) { ot.mark = pollMark{simnet.Addr(d.String()), d.Uint()} })
 	part(func(ot *ownedTerm) { ot.at = simnet.Addr(d.String()) })
 	readSorted(d, func(t string) { st.banned[t] = true })
-	readSorted(d, func(t string) {
-		var holders []simnet.Addr
-		walkStrings(w, &holders)
-		st.stale[t] = holders
-	})
+	readSorted(d, func(t string) { st.stale[t] = readStrings[simnet.Addr](w) })
 	return st
 }
 
@@ -298,4 +289,10 @@ func readSorted[K ~string](d *wire.Decoder, value func(K)) {
 		prev = k
 		value(k)
 	}
+}
+
+// readStrings reads walkStrings' form; an empty list reads as nil.
+func readStrings[S ~string](w *wire.Walker) (list []S) {
+	walkStrings(w, &list)
+	return list
 }
