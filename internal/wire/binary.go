@@ -382,8 +382,8 @@ func StringAs[S ~string](w *Walker, v *S) {
 	}
 }
 
-// IntAs walks a field whose type is a signed integer as a zig-zag varint.
-func IntAs[I ~int | ~int32 | ~int64](w *Walker, v *I) {
+// IntAs walks a field whose type is an int as a zig-zag varint.
+func IntAs[I ~int](w *Walker, v *I) {
 	x := int64(*v)
 	w.Int(&x)
 	if w.d != nil {
