@@ -246,7 +246,7 @@ func TestPollDedupAtScale(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, q := range reply.Payload.(pollResp).Items[0].Queries {
-			delivered[canonicalQuery(q)]++
+			delivered[canonicalQuery(q.Terms)] += q.Copies
 		}
 	}
 	if len(delivered) == 0 {
@@ -258,5 +258,28 @@ func TestPollDedupAtScale(t *testing.T) {
 		if got := delivered[key]; got != want {
 			t.Fatalf("query %q delivered %d times, issued %d times", key, got, want)
 		}
+	}
+}
+
+// TestFoldSaturatesQF: QF is an int32 that counts issuances, and a poll
+// answer's counts each reach math.MaxInt32, so the fold saturates rather
+// than wraps. Two entries of one query in a row — a query that sits in two
+// history slots — fold as one run.
+func TestFoldSaturatesQF(t *testing.T) {
+	n := testNetwork(t, 4, Config{})
+	if err := n.ShareCtx(context.Background(), "p0", doc("D", map[string]int{"aaa": 3})); err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := n.Owner("D")
+	st := owner.owned["D"]
+	ot := st.terms["aaa"]
+	ot.qf = math.MaxInt32 - 1
+	st.terms["aaa"] = ot
+	q := polledQuery{Terms: []string{"aaa"}, Copies: math.MaxInt32}
+	d := &sweepDoc{p: owner, id: "D", st: st, terms: []string{"aaa"},
+		polls: []pollOut{{res: pollResult{Queries: []polledQuery{q, q}}, at: ot.at}}}
+	d.foldPolls()
+	if got := st.terms["aaa"]; got.qf != math.MaxInt32 || got.maxQS != 1 {
+		t.Fatalf("after folding 2 × MaxInt32 issuances onto QF MaxInt32 − 1: QF %d, max qScore %v; want QF %d, max qScore 1", got.qf, got.maxQS, int32(math.MaxInt32))
 	}
 }

@@ -458,7 +458,9 @@ func TestPollDeduplication(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		count += len(reply.Payload.(pollResp).Items[0].Queries)
+		for _, q := range reply.Payload.(pollResp).Items[0].Queries {
+			count += q.Copies
+		}
 	}
 	if count != 1 {
 		t.Fatalf("query returned %d times across polls, want exactly 1", count)

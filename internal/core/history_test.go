@@ -47,8 +47,8 @@ type refQuery struct {
 // scanHistory is the reference the production history is pinned against. It
 // finds its eviction victim by scanning for the smallest seq (the production
 // one keeps a cursor), and its poll memoises nothing: every entry and every
-// candidate of its election is hashed afresh, and the result sorted by
-// canonicalising inside the comparator.
+// candidate of its election is hashed afresh, and the elected issuances
+// sorted by canonicalising inside the comparator, then counted run by run.
 type scanHistory struct {
 	entries []refQuery
 	cap     int
@@ -96,6 +96,7 @@ func (h *scanHistory) poll(ix *index.Inverted, term string, doc index.DocID, doc
 			resp.Missing = false
 		}
 	}
+	var issued [][]string
 	for _, sq := range h.entries {
 		if sq.seq <= since || !containsTerm(sq.terms, term) {
 			continue
@@ -109,14 +110,23 @@ func (h *scanHistory) poll(ix *index.Inverted, term string, doc index.DocID, doc
 		if eagerClosestTerm(queryHash(sq.terms), candidates) != term {
 			continue
 		}
-		resp.Queries = append(resp.Queries, append([]string(nil), sq.terms...))
+		issued = append(issued, append([]string(nil), sq.terms...))
 	}
-	slices.SortStableFunc(resp.Queries, func(a, b []string) int {
+	slices.SortStableFunc(issued, func(a, b []string) int {
 		if c := strings.Compare(canonicalQuery(a), canonicalQuery(b)); c != 0 {
 			return c
 		}
 		return slices.Compare(a, b)
 	})
+	// Each distinct query once, counting its issuances: equal ones sorted
+	// into a run.
+	for _, q := range issued {
+		if n := len(resp.Queries); n > 0 && slices.Equal(resp.Queries[n-1].Terms, q) {
+			resp.Queries[n-1].Copies++
+			continue
+		}
+		resp.Queries = append(resp.Queries, polledQuery{Terms: q, Copies: 1})
+	}
 	return resp
 }
 
@@ -316,7 +326,7 @@ func TestHistoryKeysAreLazy(t *testing.T) {
 	// the watermark, so only 5 is placed.
 	poll := func() pollResult { return state.poll("a", "d", []string{"a"}, 3, nil) }
 	before := poll()
-	if want := [][]string{{"e", "a"}}; !reflect.DeepEqual(before.Queries, want) {
+	if want := []polledQuery{{Terms: []string{"e", "a"}, Copies: 1}}; !reflect.DeepEqual(before.Queries, want) {
 		t.Fatalf("poll = %v, want %v", before.Queries, want)
 	}
 	if got, want := keyed(), []string{"a e"}; !reflect.DeepEqual(got, want) {

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -222,7 +223,7 @@ func (n *Network) polls() *protocol[learnItem, pollOut] {
 // statistics (max qScore, cumulative QF).
 func (d *sweepDoc) foldPolls() {
 	st, cfg := d.st, d.p.net.cfg
-	var incremental [][]string
+	var incremental []polledQuery
 	var hot []string
 	for i, term := range d.terms {
 		if d.polls[i].at == "" {
@@ -256,13 +257,15 @@ func (d *sweepDoc) foldPolls() {
 		d.retire(term, "")
 	}
 
-	// Algorithm 1 lines 4–16. A poll answers a query once per issuance, the
-	// copies in a row, so each run of equal queries folds once, adding its
-	// length to QF.
-	for k, n := 0, 1; k < len(incremental); k, n = k+n, 1 {
-		q := incremental[k]
-		for k+n < len(incremental) && slices.Equal(incremental[k+n], q) {
-			n++
+	// Algorithm 1 lines 4–16. A poll answers a query once with its issuance
+	// count; a query whose hash collided in the history sits in two slots and
+	// comes back as two entries in a row, so each run of equal queries folds
+	// once, adding its counts to QF.
+	for k := 0; k < len(incremental); {
+		q := incremental[k].Terms
+		var n int64
+		for ; k < len(incremental) && slices.Equal(incremental[k].Terms, q); k++ {
+			n += int64(incremental[k].Copies)
 		}
 		qs := qScore(q, st.doc)
 		for i, t := range q {
@@ -272,7 +275,7 @@ func (d *sweepDoc) foldPolls() {
 				continue
 			}
 			ot := st.terms[t]
-			ot.qf += int32(n)
+			ot.qf = int32(min(int64(ot.qf)+n, math.MaxInt32)) // saturates
 			ot.maxQS = max(ot.maxQS, qs)
 			st.terms[t] = ot // not empty, and its flag unchanged
 		}

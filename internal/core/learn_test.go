@@ -587,7 +587,7 @@ func TestLearnSweepInflightBounded(t *testing.T) {
 // relocate and handoff revert costs exactly what the binary codec writes for
 // its payload. An item is a (document, term) pair, a publish, a withdrawal, a
 // relocated or reverted entry, a refusal or, in a poll's reply, also a
-// returned query.
+// returned query's entry, however many issuances it counts.
 func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1, ReplicationFactor: 2})
 	f.halfJoin(t) // some items refused, some routed

@@ -169,14 +169,24 @@ type pollResult struct {
 	Refused bool
 	// Missing reports that the answering peer serves the term's key but holds
 	// no primary posting of the document under it (see reanchor).
-	Missing  bool
-	Queries  [][]string
+	Missing bool
+	// Queries lists each elected query once, with how many of its issuances
+	// are newer than the watermark.
+	Queries  []polledQuery
 	NewSince uint64
 	// IndexedDF is the polled term's current indexed document frequency at
 	// this peer — the signal behind the §7 hot-term advisory: a very high
 	// value means the term's IDF is negligible and owners are better off
 	// spending the index slot elsewhere.
 	IndexedDF int
+}
+
+// polledQuery is one query a poll returns: its keyword sequence and its
+// issuance count, which Algorithm 1 adds to each term's QF. The count is at
+// least 1 and at most math.MaxInt32.
+type polledQuery struct {
+	Terms  []string
+	Copies int
 }
 
 // replicaReq carries the items an indexing peer applied from one publish

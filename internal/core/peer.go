@@ -529,7 +529,11 @@ func (p *Peer) handlePoll(req pollReq) pollResp {
 			}
 			r := p.indexing.poll(t.Term, d.Doc, d.DocTerms, t.Since, ids)
 			p.net.met.pollsServed.Inc()
-			p.net.met.pollQueries.Add(int64(len(r.Queries)))
+			issuances := 0
+			for _, q := range r.Queries {
+				issuances += q.Copies
+			}
+			p.net.met.pollQueries.Add(int64(issuances))
 			resp.Items = append(resp.Items, r)
 		}
 	}
@@ -542,10 +546,10 @@ func (p *Peer) handlePoll(req pollReq) pollResp {
 // terms to the query hash — guaranteeing each query is shipped to the owner
 // by exactly one indexing peer (§3) — and whether the primary index lacks
 // doc's posting under term. It walks the distinct queries, electing once per
-// query, and answers one copy of an elected query per issuance newer than
-// since, ordered by canonical key, then term sequence. ids memoises the ring
-// positions of docTerms (see closestTerm) and may be shared by polls of the
-// same document's terms; nil allocates one.
+// query, and answers each elected query once with its number of issuances
+// newer than since, ordered by canonical key, then term sequence. ids
+// memoises the ring positions of docTerms (see closestTerm) and may be shared
+// by polls of the same document's terms; nil allocates one.
 func (s *indexingState) poll(term string, doc index.DocID, docTerms []string, since uint64, ids []termID) pollResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -572,22 +576,16 @@ func (s *indexingState) poll(term string, doc index.DocID, docTerms []string, si
 	if len(matched) == 0 {
 		return resp
 	}
-	// An elected query answers one copy per issuance newer than since: all of
-	// its issuances when since precedes the oldest, else its records in the
-	// ring's tail after since. An elected query is newer than since, so
-	// since is behind the newest issuance and the tail is not empty.
+	// An elected query counts its issuances newer than since: all of them
+	// when since precedes the oldest, else its records in the ring's tail
+	// after since. An elected query is newer than since, so since is behind
+	// the newest issuance and the count is at least 1.
 	var fresh []int // by slot; nil when every issuance is newer than since
 	if oldest := h.seqAt(0); since >= oldest {
 		fresh = make([]int, len(h.queries))
 		for i := int(since-oldest) + 1; i < len(h.ring); i++ {
 			fresh[h.at(i)]++
 		}
-	}
-	copies := func(q int32) int {
-		if fresh != nil {
-			return fresh[q]
-		}
-		return h.queries[q].count
 	}
 	// Deterministic order for the owner's incremental processing: by
 	// canonical key, which canon left in every elected query, then by terms.
@@ -598,16 +596,14 @@ func (s *indexingState) poll(term string, doc index.DocID, docTerms []string, si
 		}
 		return slices.Compare(qa.terms, qb.terms)
 	})
-	n := 0
-	for _, q := range matched {
-		n += copies(q)
-	}
-	resp.Queries = make([][]string, 0, n)
-	for _, q := range matched {
-		terms := slices.Clone(h.queries[q].terms) // shared by the query's copies
-		for range copies(q) {
-			resp.Queries = append(resp.Queries, terms)
+	resp.Queries = make([]polledQuery, len(matched))
+	for k, q := range matched {
+		sq := &h.queries[q]
+		copies := sq.count
+		if fresh != nil {
+			copies = fresh[q]
 		}
+		resp.Queries[k] = polledQuery{Terms: slices.Clone(sq.terms), Copies: copies}
 	}
 	return resp
 }

@@ -163,6 +163,51 @@ func TestSizeIsEncodedLength(t *testing.T) {
 	}
 }
 
+// TestPollReplyCountsIssuances: a poll reply carries an elected query once,
+// whatever its issuance count. One peer records a query once and another 300
+// times; their answers to the same poll differ by at most 2 bytes — the
+// count's varint and NewSince's — and the owner whose sweep polls the second
+// reads QF 300 for the query's term.
+func TestPollReplyCountsIssuances(t *testing.T) {
+	ctx := context.Background()
+	n := testNetwork(t, 8, Config{})
+	if err := n.ShareCtx(ctx, "p0", doc("D", map[string]int{"aaa": 3})); err != nil {
+		t.Fatal(err)
+	}
+	owner, _ := n.Owner("D")
+	st := owner.owned["D"]
+	holder, ok := n.Peer(st.terms["aaa"].at)
+	if !ok {
+		t.Fatalf("aaa's holder of record %q is not a peer", st.terms["aaa"].at)
+	}
+	other := n.Peers()[0]
+	if other == holder {
+		other = n.Peers()[1]
+	}
+	query := []string{"aaa"}
+	other.indexing.cacheQuery(query)
+	for range 300 {
+		holder.indexing.cacheQuery(query)
+	}
+
+	docTerms := st.indexedTerms()
+	once := pollResp{Items: []pollResult{other.indexing.poll("aaa", "D", docTerms, 0, nil)}}
+	many := pollResp{Items: []pollResult{holder.indexing.poll("aaa", "D", docTerms, 0, nil)}}
+	if a, b := wire.Size(once), wire.Size(many); b-a > 2 {
+		t.Fatalf("poll reply of 300 issuances is %d bytes, of one %d: want at most 2 more", b, a)
+	}
+	if got, want := many.Items[0].Queries, []polledQuery{{Terms: query, Copies: 300}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("poll of 300 issuances answers %v, want %v", got, want)
+	}
+
+	if _, err := n.LearnDocCtx(ctx, "D"); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.terms["aaa"].qf; got != 300 {
+		t.Fatalf("QF of aaa after a sweep = %d, want 300", got)
+	}
+}
+
 // encodedSize is what msg must cost: its payload's encoded length without the
 // 2-byte kind, or nothing when it carries no payload.
 func encodedSize(t *testing.T, msg simnet.Message) int {

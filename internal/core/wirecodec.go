@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/wire"
@@ -97,7 +98,18 @@ func init() {
 				}
 				it.Refused, it.Missing = flags&pollRefused != 0, flags&pollMissing != 0
 			}
-			wire.List(w, &it.Queries, 1, walkStrings[string])
+			// A query's term count and its issuance count.
+			wire.List(w, &it.Queries, 2, func(w *wire.Walker, q *polledQuery) {
+				walkStrings(w, &q.Terms)
+				copies := uint64(q.Copies)
+				if w.Uint(&copies); w.Decoding() {
+					// A zero count would raise max qScore without adding QF.
+					if copies == 0 || copies > math.MaxInt32 {
+						w.Fail(errors.New("core: poll query count out of range"))
+					}
+					q.Copies = int(copies)
+				}
+			})
 			w.Uint(&it.NewSince)
 			wire.IntAs(w, &it.IndexedDF)
 		})

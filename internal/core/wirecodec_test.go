@@ -20,8 +20,8 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	posting := index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7}
 	one := publishReq{Items: []publishItem{{Term: "ab", Posting: posting}}, CheckArc: true}
 	poll := pollReq{Docs: []pollDoc{{Doc: "d1", DocTerms: []string{"ab", "cd"}, Terms: []pollTerm{{Term: "ab", Since: 300}}}}, CheckArc: true}
-	answer := pollResp{Items: []pollResult{{Queries: [][]string{{"ab", "x"}}, NewSince: 5, IndexedDF: 2}, {Refused: true}}}
-	missing := pollResp{Items: []pollResult{{Missing: true, NewSince: 5}, {Refused: true}}}
+	answer := pollResp{Items: []pollResult{{Queries: []polledQuery{{Terms: []string{"ab", "x"}, Copies: 300}}, NewSince: 5, IndexedDF: 2}, {Refused: true}}}
+	missing := pollResp{Items: []pollResult{{Missing: true, Queries: []polledQuery{{Terms: []string{"y"}, Copies: 1}}, NewSince: 5}, {Refused: true}}}
 	pull := publishReq{Items: []publishItem{{Term: "ab", Posting: index.Posting{Doc: "d1"}, Withdraw: true}}}
 	stale := publishResp{Answers: []publishAnswer{{Item: 1, Stale: []simnet.Addr{"p3", "p4"}}}}
 	checkGoldens(t, []goldenCase{
@@ -39,12 +39,26 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 		// count, then per document its ID, its terms and its polled terms,
 		// each with its watermark (300 = ac 02), then the arc-check flag.
 		{"pollReq", poll, "0016" + "01" + "026431" + "02" + "026162" + "026364" + "01" + "026162" + "ac02" + "01"},
-		// count, then per item the flags (refused 1, missing 2), the queries,
-		// NewSince and the zig-zag IndexedDF. An item with no flag set is the
-		// bytes a refusal bool wrote before there was a second flag.
-		{"pollResp", answer, "0017" + "02" + "00" + "01" + "02" + "026162" + "0178" + "05" + "04" + "01" + "00" + "00" + "00"},
-		{"pollResp/missing", missing, "0017" + "02" + "02" + "00" + "05" + "00" + "01" + "00" + "00" + "00"},
+		// count, then per item the flags (refused 1, missing 2), the queries
+		// (each its terms, then its issuance count: 300 = ac 02), NewSince
+		// and the zig-zag IndexedDF. An item with no flag set is the bytes a
+		// refusal bool wrote before there was a second flag.
+		{"pollResp", answer, "0017" + "02" + "00" + "01" + "02" + "026162" + "0178" + "ac02" + "05" + "04" + "01" + "00" + "00" + "00"},
+		{"pollResp/missing", missing, "0017" + "02" + "02" + "01" + "01" + "0179" + "01" + "05" + "00" + "01" + "00" + "00" + "00"},
 	})
+
+	// A query count of zero would raise max qScore without adding QF, and
+	// one above math.MaxInt32 would not fit QF: both are errors.
+	for _, count := range []string{"00", "8080808008"} {
+		raw, _ := hex.DecodeString("0017" + "01" + "00" + "01" + "01" + "0178" + count + "05" + "00")
+		if _, err := wire.DecodeBinary(raw); err == nil || !strings.Contains(err.Error(), "count") {
+			t.Fatalf("poll reply with query count %s: %v, want a count error", count, err)
+		}
+	}
+	raw, _ := hex.DecodeString("0017" + "01" + "00" + "01" + "01" + "0178" + "ffffffff07" + "05" + "00")
+	if _, err := wire.DecodeBinary(raw); err != nil {
+		t.Fatalf("poll reply with query count math.MaxInt32: %v", err)
+	}
 
 	// A flag the codec does not know is an error, not a silently dropped bit.
 	if _, err := wire.DecodeBinary([]byte{0x00, 0x17, 0x01, 0x04, 0x00, 0x00, 0x00}); err == nil || !strings.Contains(err.Error(), "flags") {

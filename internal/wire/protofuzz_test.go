@@ -1,6 +1,7 @@
 package wire_test
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -98,6 +99,10 @@ func fill(t *testing.T, v reflect.Value, fd *feeder) {
 			if !v.Type().Field(i).IsExported() {
 				continue
 			}
+			if counted[v.Type().Name()+"."+v.Type().Field(i).Name] {
+				v.Field(i).SetInt(1 + int64(fd.uint64()%math.MaxInt32))
+				continue
+			}
 			fill(t, v.Field(i), fd)
 		}
 	case reflect.Interface:
@@ -121,6 +126,11 @@ func fill(t *testing.T, v reflect.Value, fd *feeder) {
 		t.Fatalf("fill: unsupported kind %v in %v — extend the filler alongside the new payload field", v.Kind(), v.Type())
 	}
 }
+
+// counted names the int fields, as type.field, whose codec refuses a value
+// outside [1, math.MaxInt32]: fill draws them from that range, and the
+// corruptions and raw garbage below reach the rest.
+var counted = map[string]bool{"polledQuery.Copies": true}
 
 func hasInterfaceField(t reflect.Type) bool {
 	if t.Kind() != reflect.Struct {
@@ -198,6 +208,19 @@ func FuzzBinaryProtocol(f *testing.F) {
 		items.Index(1).FieldByName("Refused").SetBool(true)
 		v.FieldByName("Items").Set(items)
 	}), uint8(2))
+	// A poll reply answering two queries, one issued once and one 300 times,
+	// so that the mutator starts from the entries' issuance counts.
+	f.Add(protocolSeed(f, "pollResp", func(v reflect.Value) {
+		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 1, 1)
+		queries := items.Index(0).FieldByName("Queries")
+		queries.Set(reflect.MakeSlice(queries.Type(), 2, 2))
+		for i, copies := range []int64{1, 300} {
+			queries.Index(i).FieldByName("Terms").Set(reflect.ValueOf([]string{"chord", []string{"hash", "ring"}[i]}))
+			queries.Index(i).FieldByName("Copies").SetInt(copies)
+		}
+		items.Index(0).FieldByName("NewSince").SetUint(301)
+		v.FieldByName("Items").Set(items)
+	}), uint8(12))
 	// A publish carrying a withdrawal beside a posting, and a reply naming a
 	// refusal and a withdrawal's stale replica holders, so that the mutator
 	// starts from the item flags varint and the reply's answer list.
