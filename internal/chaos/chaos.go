@@ -7,9 +7,10 @@
 //
 //  1. Index/replica consistency: every live document's indexed terms have
 //     their primary entry exactly where the owner recorded it, nothing the
-//     owner disowns survives outside the fault ledger, and (at quiescent
-//     points) primaries sit with the ring's oracle owner with replicas on its
-//     successors.
+//     owner disowns survives outside the fault ledger, (at quiescent points)
+//     primaries sit with the ring's oracle owner, and (right after each
+//     Repair) replicas sit on its successors and none of a withdrawn posting
+//     survives.
 //  2. Oracle agreement: each search's ranked list is bit-identical to a
 //     shadow ranking recomputed from introspected ground truth.
 //  3. Cache transparency: a twin network with caching off produces identical
@@ -83,13 +84,13 @@ type Config struct {
 	// (default 3).
 	MinAlive int
 	// EpochEvery is the step interval for the expensive quiescent checks —
-	// oracle index placement and replica presence (default 25).
+	// oracle index placement and stranded entries (default 25).
 	EpochEvery int
 	// MaxShrinkReplays caps the replays the shrinker may spend (default 150).
 	MaxShrinkReplays int
 	// Sabotage, if set, runs against the primary network after every
-	// operation. Mutation tests use it to inject state corruption and assert
-	// the invariant registry catches it.
+	// operation and right after every Repair. Mutation tests use it to inject
+	// state corruption and assert the invariant registry catches it.
 	Sabotage func(*core.Network)
 	// VirtualTime runs each deployment on its own deterministic event clock
 	// (internal/vtime) with a constant, actually-slept link delay on every
@@ -200,6 +201,10 @@ type deployment struct {
 	// — exactly the garbage a real system accrues from crashed holders — but
 	// an unexplained entry appearing with no fault active is a violation.
 	tolerated map[entryKey]bool
+	// sinceRepair holds every (term, doc) pair live at some step since the
+	// last completed Repair: a replica of one may linger until the next
+	// Repair, whose anti-entropy is what removes a withdrawn posting's copies.
+	sinceRepair map[termDoc]bool
 }
 
 type entryKey struct {
@@ -242,11 +247,12 @@ func (c Config) newDeployment(label string, cacheOn bool) (*deployment, error) {
 		return nil, err
 	}
 	d := &deployment{
-		Deployment: dep,
-		label:      label,
-		nodes:      make(map[simnet.Addr]*chord.Node, c.Peers),
-		tolerated:  make(map[entryKey]bool),
-		prev:       dep.Sim.Stats(),
+		Deployment:  dep,
+		label:       label,
+		nodes:       make(map[simnet.Addr]*chord.Node, c.Peers),
+		tolerated:   make(map[entryKey]bool),
+		sinceRepair: make(map[termDoc]bool),
+		prev:        dep.Sim.Stats(),
 	}
 	for _, nd := range dep.Ring.Nodes() {
 		d.nodes[nd.Addr()] = nd
@@ -532,9 +538,9 @@ func (h *harness) pinMaybe(v *Violation, seed int64, step int, op *Op) *Violatio
 	return v
 }
 
-// finalSweep heals the network, withdraws every live document, and verifies
-// nothing leaked: the global index must be empty modulo the fault ledger, and
-// the goroutine count must settle back to the baseline.
+// finalSweep heals the network, withdraws every live document, runs one
+// Repair, and verifies nothing leaked: the global index must be empty modulo
+// the fault ledger, and the goroutine count must settle back to the baseline.
 func (h *harness) finalSweep(seed int64, step int) *Violation {
 	if v := h.heal(); v != nil {
 		return h.pinMaybe(v, seed, step, nil)
@@ -566,6 +572,10 @@ func (h *harness) finalSweep(seed int64, step int) *Violation {
 		delete(h.shared, id)
 	}
 	for _, d := range h.deployments() {
+		d.Run(func() { d.Net.Repair() })
+		if v := h.afterRepair(d); v != nil {
+			return h.pinMaybe(v, seed, step, nil)
+		}
 		if v := checkEmpty(d); v != nil {
 			return h.pinMaybe(v, seed, step, nil)
 		}
@@ -573,6 +583,20 @@ func (h *harness) finalSweep(seed int64, step int) *Violation {
 	if v := h.checkGoroutines(); v != nil {
 		return h.pinMaybe(v, seed, step, nil)
 	}
+	return nil
+}
+
+// afterRepair runs right after a Repair on a healed deployment: the sabotage
+// hook (primary only), then the replica bound, and it opens the next
+// between-repairs window with the pairs live now.
+func (h *harness) afterRepair(d *deployment) *Violation {
+	if d == h.pri {
+		h.sabotage()
+	}
+	if v := checkReplicas(d); v != nil {
+		return v
+	}
+	d.sinceRepair = livePairs(d)
 	return nil
 }
 

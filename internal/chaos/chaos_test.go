@@ -281,8 +281,9 @@ func TestChaosMutationCatchesStrandedEntry(t *testing.T) {
 
 // TestChaosMutationCatchesReplicaBug is the harness's own acceptance test: a
 // deliberately injected bug — a replica entry silently vanishing after every
-// operation — must be caught by the invariant registry and shrunk to a small
-// reproduction. If this test fails, the chaos harness is blind.
+// operation and right after every Repair — must be caught by the post-Repair
+// replica bound and shrunk to a small reproduction. If this test fails, the
+// chaos harness is blind.
 func TestChaosMutationCatchesReplicaBug(t *testing.T) {
 	sabotage := func(n *core.Network) {
 		if rs := n.ReplicaSnapshot(); len(rs) > 0 {
@@ -294,14 +295,13 @@ func TestChaosMutationCatchesReplicaBug(t *testing.T) {
 		Seed:              3,
 		Steps:             steps(60),
 		ReplicationFactor: 2,
-		EpochEvery:        1, // quiescent run: placement is checked every step
 		Sabotage:          sabotage,
 	})
 	if res.Violation == nil {
 		t.Fatal("sabotaged run passed: the invariant registry is blind to replica loss")
 	}
-	if res.Violation.Invariant != "placement" {
-		t.Errorf("violation invariant = %q, want placement (%v)", res.Violation.Invariant, res.Violation)
+	if res.Violation.Invariant != "replicas" {
+		t.Errorf("violation invariant = %q, want replicas (%v)", res.Violation.Invariant, res.Violation)
 	}
 	if res.Repro == nil {
 		t.Fatalf("violation did not reproduce on replay: %v", res.Violation)

@@ -19,7 +19,7 @@ import (
 // (core.Network's PrimarySnapshot/ReplicaSnapshot/DocIndexInfo/ServedPostings
 // and simnet.Network's Stats), return a named *Violation, and call it from
 // harness.checkStep (per-step), checkPlacement's call sites (quiescent
-// points), or finalSweep. See DESIGN.md § Correctness tooling.
+// points), harness.afterRepair (right after each Repair), or finalSweep. See DESIGN.md § Correctness tooling.
 
 // checkStats verifies telemetry conservation (invariant 4): transport
 // counters are monotone and internally balanced, and the transport's view of
@@ -102,8 +102,9 @@ type termDoc struct {
 //     excused.
 //   - A term the advisory banned for a live document must have NO surviving
 //     primary entry — never excusable (the stale-advisory bug).
-//   - Replica entries must correspond to live (term, doc) pairs or be in the
-//     ledger.
+//   - A replica entry's pair is live, or was live at some step since the
+//     last completed Repair (anti-entropy is what removes a withdrawn
+//     posting's copies), or the entry is in the ledger.
 func checkLedger(d *deployment, faultCtx bool) *Violation {
 	bad := func(format string, args ...any) *Violation {
 		return &Violation{Invariant: "index_consistency", Msg: d.label + ": " + fmt.Sprintf(format, args...)}
@@ -119,6 +120,7 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 		}
 		for _, t := range di.Terms {
 			live[termDoc{t, id}] = true
+			d.sinceRepair[termDoc{t, id}] = true
 			if at, ok := di.PublishedAt[t]; ok {
 				k := entryKey{peer: at, term: t, doc: id}
 				expected[k] = true
@@ -129,17 +131,9 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 			for _, a := range holders {
 				// A stale holder may be carrying the withdrawn copy in either
 				// role: its primary index (an unreached indexing peer) or its
-				// replica index (a replica drop that failed and was reported
-				// back for stale-list retry).
+				// replica index, which a withdrawal item also clears.
 				explained[entryKey{peer: a, term: t, doc: id}] = true
 				explained[entryKey{replica: true, peer: a, term: t, doc: id}] = true
-				// The holder also still owes withdrawals to its own recorded
-				// push set: those replicas are transitively pending, removed
-				// when the stale retry reaches the holder and its sprite.replica
-				// carries the withdrawal to them.
-				for _, r := range d.Net.ReplicaLocsAt(a, t, id) {
-					explained[entryKey{replica: true, peer: r, term: t, doc: id}] = true
-				}
 			}
 		}
 		for _, b := range di.Banned {
@@ -188,19 +182,20 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 	zombies := d.toleratedPrimaryTermDocs()
 	for _, e := range d.Net.ReplicaSnapshot() {
 		k := entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
-		if live[termDoc{e.Term, e.Posting.Doc}] || explained[k] || d.tolerated[k] {
+		td := termDoc{e.Term, e.Posting.Doc}
+		if live[td] || explained[k] || d.tolerated[k] {
 			continue
 		}
-		if zombies[termDoc{e.Term, e.Posting.Doc}] {
-			// A descendant of ledgered garbage: anti-entropy keeps a holder's
+		if zombies[td] || faultCtx {
+			// A descendant of ledgered garbage — anti-entropy keeps a holder's
 			// replica set in sync with its primary arc, so a tolerated zombie
-			// primary legitimately re-replicates until a withdrawal reaches it.
+			// primary legitimately re-replicates until a withdrawal reaches
+			// it — or a copy left while faults were active.
 			d.tolerated[k] = true
 			continue
 		}
-		if faultCtx {
-			d.tolerated[k] = true
-			continue
+		if d.sinceRepair[td] {
+			continue // withdrawn since the last Repair, which has yet to drop it
 		}
 		return bad("unexplained replica entry (%s, %q, %s) with no fault active",
 			e.Peer, e.Term, e.Posting.Doc)
@@ -249,8 +244,8 @@ func checkStranded(d *deployment) *Violation {
 
 // checkPlacement verifies oracle index placement (invariant 1b) at quiescent
 // points: every live document's terms sit with the ring's oracle owner, the
-// owner holds the primary entry, replicas exist on the owner's first
-// ReplicationFactor successors, and no stale withdrawals are pending.
+// owner holds the primary entry, and no stale withdrawals are pending.
+// Replicas are checked right after each Repair instead (checkReplicas).
 func checkPlacement(d *deployment) *Violation {
 	bad := func(format string, args ...any) *Violation {
 		return &Violation{Invariant: "placement", Msg: d.label + ": " + fmt.Sprintf(format, args...)}
@@ -259,11 +254,6 @@ func checkPlacement(d *deployment) *Violation {
 	for _, e := range d.Net.PrimarySnapshot() {
 		primary[entryKey{peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
 	}
-	replica := make(map[entryKey]bool)
-	for _, e := range d.Net.ReplicaSnapshot() {
-		replica[entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}] = true
-	}
-	rf := d.Net.Config().ReplicationFactor
 	for _, id := range d.Net.Documents() {
 		di, ok := d.Net.DocIndexInfo(id)
 		if !ok {
@@ -284,11 +274,54 @@ func checkPlacement(d *deployment) *Violation {
 			if !primary[entryKey{peer: at, term: t, doc: id}] {
 				return bad("term %q of %s missing primary entry at oracle owner %s", t, id, at)
 			}
-			for _, succ := range successorsOf(d.Ring, node, rf) {
-				if !replica[entryKey{replica: true, peer: succ, term: t, doc: id}] {
-					return bad("term %q of %s missing replica at %s (successor of %s)",
-						t, id, succ, node.Addr())
-				}
+		}
+	}
+	return nil
+}
+
+// livePairs returns the (term, doc) pairs some shared document indexes.
+func livePairs(d *deployment) map[termDoc]bool {
+	live := make(map[termDoc]bool)
+	for _, id := range d.Net.Documents() {
+		if di, ok := d.Net.DocIndexInfo(id); ok {
+			for _, t := range di.Terms {
+				live[termDoc{t, id}] = true
+			}
+		}
+	}
+	return live
+}
+
+// checkReplicas verifies the replica bound (invariant 1c) right after a
+// Repair on a healed network: every live (term, doc) whose primary entry sits
+// with its term's oracle owner has a replica on each of that owner's first
+// ReplicationFactor successors, and no replica of a pair no document indexes
+// survives outside the fault ledger.
+func checkReplicas(d *deployment) *Violation {
+	bad := func(format string, args ...any) *Violation {
+		return &Violation{Invariant: "replicas", Msg: d.label + ": " + fmt.Sprintf(format, args...)}
+	}
+	live := livePairs(d)
+	replica := make(map[entryKey]bool)
+	zombies := d.toleratedPrimaryTermDocs()
+	for _, e := range d.Net.ReplicaSnapshot() {
+		k := entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
+		replica[k] = true
+		if td := (termDoc{e.Term, e.Posting.Doc}); !live[td] && !d.tolerated[k] && !zombies[td] {
+			return bad("replica entry (%s, %q, %s) of a withdrawn posting survived a Repair", e.Peer, e.Term, e.Posting.Doc)
+		}
+	}
+	rf := d.Net.Config().ReplicationFactor
+	for _, e := range d.Net.PrimarySnapshot() {
+		td := termDoc{e.Term, e.Posting.Doc}
+		node, ok := d.Ring.Owner(chordid.HashKey(e.Term))
+		if !live[td] || !ok || node.Addr() != e.Peer {
+			continue
+		}
+		for _, succ := range successorsOf(d.Ring, node, rf) {
+			if !replica[entryKey{replica: true, peer: succ, term: e.Term, doc: e.Posting.Doc}] {
+				return bad("term %q of %s has no replica at %s (successor of %s) after a Repair",
+					e.Term, e.Posting.Doc, succ, e.Peer)
 			}
 		}
 	}

@@ -561,8 +561,9 @@ func (h *harness) leave(d *deployment, name string) error {
 // injected faults, repair the ring, and run the peer-driven maintenance sweep
 // — misplaced entries shed to their arc owners, replica sets reconcile via
 // anti-entropy, and owners flush stale withdrawals and reclaim records
-// orphaned by departures. No learning sweep is involved: placement after a
-// heal is entirely the repair subsystem's doing. heal is also the first
+// orphaned by departures; the replica bound is checked right after the
+// Repair. No learning sweep is involved: placement after a heal is entirely
+// the repair subsystem's doing. heal is also the first
 // stage of the final sweep, so it must always converge — failure to do so is
 // itself a violation.
 func (h *harness) heal() *Violation {
@@ -589,11 +590,14 @@ func (h *harness) heal() *Violation {
 			d.Net.InvalidateCaches()
 			d.Net.FlushStaleAll()
 			d.Net.Repair()
-			d.Net.FlushStaleAll()
 		})
+		if v == nil {
+			v = h.afterRepair(d)
+		}
 		if v != nil {
 			return v
 		}
+		d.Run(d.Net.FlushStaleAll)
 	}
 	h.failed = make(map[string]bool)
 	h.loss = 0
