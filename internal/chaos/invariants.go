@@ -179,7 +179,7 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 				k.term, k.doc, k.peer)
 		}
 	}
-	zombies := d.toleratedPrimaryTermDocs()
+	zombies := d.toleratedTermDocs()
 	for _, e := range d.Net.ReplicaSnapshot() {
 		k := entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
 		td := termDoc{e.Term, e.Posting.Doc}
@@ -187,10 +187,9 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 			continue
 		}
 		if zombies[td] || faultCtx {
-			// A descendant of ledgered garbage — anti-entropy keeps a holder's
-			// replica set in sync with its primary arc, so a tolerated zombie
-			// primary legitimately re-replicates until a withdrawal reaches
-			// it — or a copy left while faults were active.
+			// A descendant of ledgered garbage — anti-entropy spreads what a
+			// peer serves for its arc, so a tolerated zombie legitimately
+			// re-replicates — or a copy left while faults were active.
 			d.tolerated[k] = true
 			continue
 		}
@@ -203,16 +202,15 @@ func checkLedger(d *deployment, faultCtx bool) *Violation {
 	return nil
 }
 
-// toleratedPrimaryTermDocs returns the (term, doc) pairs that have a primary
-// copy in the fault ledger. Replica copies of such pairs are excusable
-// wherever they surface: the §7 anti-entropy exchange re-replicates whatever
-// a holder's primary arc contains, garbage included.
-func (d *deployment) toleratedPrimaryTermDocs() map[termDoc]bool {
+// toleratedTermDocs returns the (term, doc) pairs that have a copy in the
+// fault ledger. Replica copies of such pairs are excusable wherever they
+// surface: the §7 anti-entropy exchange re-replicates whatever a peer serves
+// for its arc — its primary list, or its replica list where it has none —
+// garbage included.
+func (d *deployment) toleratedTermDocs() map[termDoc]bool {
 	out := make(map[termDoc]bool)
 	for k := range d.tolerated {
-		if !k.replica {
-			out[termDoc{k.term, k.doc}] = true
-		}
+		out[termDoc{k.term, k.doc}] = true
 	}
 	return out
 }
@@ -303,7 +301,7 @@ func checkReplicas(d *deployment) *Violation {
 	}
 	live := livePairs(d)
 	replica := make(map[entryKey]bool)
-	zombies := d.toleratedPrimaryTermDocs()
+	zombies := d.toleratedTermDocs()
 	for _, e := range d.Net.ReplicaSnapshot() {
 		k := entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
 		replica[k] = true
@@ -396,7 +394,7 @@ func checkEmpty(d *deployment) *Violation {
 				Msg: fmt.Sprintf("%s: leaked primary entry (%s, %q, %s) after unshare-all", d.label, e.Peer, e.Term, e.Posting.Doc)}
 		}
 	}
-	zombies := d.toleratedPrimaryTermDocs()
+	zombies := d.toleratedTermDocs()
 	for _, e := range d.Net.ReplicaSnapshot() {
 		k := entryKey{replica: true, peer: e.Peer, term: e.Term, doc: e.Posting.Doc}
 		if !d.tolerated[k] && !zombies[termDoc{e.Term, e.Posting.Doc}] {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"strings"
 	"sync"
@@ -36,9 +37,10 @@ func newPeer(n *Network, node *chord.Node) *Peer {
 		net:  n,
 		node: node,
 		indexing: indexingState{
-			ix:       index.NewInverted(),
-			replicas: index.NewInverted(),
-			history:  history{cap: n.cfg.HistoryCap},
+			ix:         index.NewInverted(),
+			replicas:   index.NewInverted(),
+			reconciled: make(map[simnet.Addr]chordid.Arc),
+			history:    history{cap: n.cfg.HistoryCap},
 		},
 		owned: make(map[index.DocID]*docState),
 	}
@@ -288,7 +290,10 @@ type indexingState struct {
 	// successor addresses hold replicas pushed by this peer. A withdrawal's
 	// replicate consumes it so withdrawals reach stale locations too.
 	replicaLocs map[string]map[index.DocID][]simnet.Addr
-	history     history
+	// reconciled records, per replica holder, the arc this peer last
+	// reconciled there: the copies it answers for at that holder.
+	reconciled map[simnet.Addr]chordid.Arc
+	history    history
 }
 
 // recordReplicaLocs unions targets into the replica-location record for
@@ -480,6 +485,23 @@ func (s *indexingState) dropReplica(term string, doc index.DocID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.replicas.Remove(term, doc)
+}
+
+// servedDigests returns the digest of each term in arc as the peer serves
+// it (see postings): its primary list, or its replica list where it has
+// none. Caller holds s.mu.
+func (s *indexingState) servedDigests(arc chordid.Arc) map[string]uint64 {
+	out := s.replicas.ArcDigests(arc)
+	maps.Copy(out, s.ix.ArcDigests(arc))
+	return out
+}
+
+// served returns term's list as postings serves it. Caller holds s.mu.
+func (s *indexingState) served(term string) index.Encoded {
+	if e := s.ix.Encoded(term); e.Len() > 0 {
+		return e
+	}
+	return s.replicas.Encoded(term)
 }
 
 // postings serves a term's inverted list, falling back to successor replicas

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"slices"
 	"sort"
 
@@ -187,14 +188,12 @@ func (p *Peer) handleRelocate(req relocateReq) publishResp {
 	return resp
 }
 
-// antiEntropy reconciles this peer's primary entries (restricted to its
-// owner arc) with each of its §7 replica holders: one summary round trip
-// when in sync, plus one push of exactly the divergent term lists when not.
-// Terms the replica holder has but the primary does not are left alone — a
-// primary that just absorbed a dead predecessor's arc has not absorbed its
-// entries, and those replicas may be the only live copies failover can
-// serve. Deletions propagate through the withdrawal path instead, which
-// knows every recorded copy.
+// antiEntropy reconciles what this peer serves for its owner arc with each
+// of its §7 replica holders, and records the arc as the one reconciled
+// there. A peer serves its primary list for a term, or its replica list
+// where it has none (indexingState.postings), so a peer that absorbed a dead
+// predecessor's arc spreads that arc's surviving copies instead of dropping
+// them.
 func (p *Peer) antiEntropy() (reconciles, divergent int) {
 	pred := p.node.Predecessor()
 	if pred.Addr == "" {
@@ -202,50 +201,111 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 	}
 	arc := chordid.OwnerArc(pred.ID, p.node.ID())
 	p.indexing.mu.Lock()
-	digests := p.indexing.ix.ArcDigests(arc)
+	served := p.indexing.servedDigests(arc)
 	p.indexing.mu.Unlock()
-	sum := repair.Fold(digests)
-	for _, target := range p.replicaTargets() {
-		reply, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
-			Type:    msgRepairDigest,
-			Payload: repairDigestReq{Arc: arc, Summary: sum},
-		}, policy{})
-		if err != nil {
-			continue
-		}
-		reconciles++
-		p.net.met.repairReconciles.Inc()
-		resp, ok := reply.Payload.(repairDigestResp)
-		if !ok || resp.InSync {
-			continue
-		}
-		need, _ := repair.DiffTerms(repair.InBuckets(digests, resp.Buckets), resp.Local)
-		if len(need) == 0 {
-			continue
-		}
-		divergent += len(need)
-		p.net.met.repairDivergent.Add(int64(len(need)))
-		set := make([]termPostings, 0, len(need))
+	for _, h := range p.replicaTargets() {
 		p.indexing.mu.Lock()
-		for _, t := range need {
-			set = append(set, termPostings{Term: t, Postings: p.indexing.ix.Encoded(t)})
+		// A pending drop of a joiner's keys keeps its wider arc on record.
+		was, ok := p.indexing.reconciled[h]
+		if _, pending := lost(was, arc); !ok || !pending {
+			p.indexing.reconciled[h] = arc
 		}
 		p.indexing.mu.Unlock()
-		if _, _, err := p.send(context.Background(), dest{addr: target}, simnet.Message{
-			Type:    msgRepairPush,
-			Payload: repairPushReq{Arc: arc, Set: set},
-		}, policy{}); err != nil {
-			continue
-		}
-		// The push created copies at target; record them so withdrawals
-		// reach this holder like any replica holder a publish copied to.
-		for _, tp := range set {
-			for post := range tp.Postings.All() {
-				p.indexing.recordReplicaLocs(tp.Term, post.Doc, []simnet.Addr{target})
-			}
+		n, err := p.reconcile(h, arc, served)
+		if err == nil {
+			reconciles++
+			divergent += n
 		}
 	}
 	return reconciles, divergent
+}
+
+// retireHolders sends each holder this peer last reconciled an arc with one
+// more reconcile, against an empty authority, over the part of that arc it no
+// longer answers for there: all of it once the holder is not among targets,
+// the part a joiner took from this peer's arc while it still is. A holder's
+// record goes once that reconcile is done or the holder has left the network,
+// its copies with it. Repair runs it for every peer before any peer's
+// antiEntropy, so a joiner's fresh push never precedes a drop; a graceful
+// Leave runs it with no targets.
+func (p *Peer) retireHolders(targets []simnet.Addr) (reconciles, divergent int) {
+	var arc chordid.Arc
+	if pred := p.node.Predecessor(); pred.Addr != "" {
+		arc = chordid.OwnerArc(pred.ID, p.node.ID())
+	}
+	p.indexing.mu.Lock()
+	recs := maps.Clone(p.indexing.reconciled)
+	p.indexing.mu.Unlock()
+	for _, h := range sortedKeys(recs) {
+		gone, drop := recs[h], true
+		kept := slices.Contains(targets, h)
+		if kept {
+			gone, drop = lost(recs[h], arc)
+		}
+		if !drop {
+			continue
+		}
+		n, err := p.reconcile(h, gone, nil)
+		if err == nil {
+			reconciles++
+			divergent += n
+		} else if _, member := p.net.Peer(h); member {
+			continue // retried at the next Repair
+		}
+		p.indexing.mu.Lock()
+		if delete(p.indexing.reconciled, h); kept {
+			p.indexing.reconciled[h] = arc
+		}
+		p.indexing.mu.Unlock()
+	}
+	return reconciles, divergent
+}
+
+// lost returns the part of was, an arc this peer reconciled, that its arc now
+// lacks, and whether there is one: a joiner's keys, when arc starts inside
+// was. Both arcs end at this peer.
+func lost(was, arc chordid.Arc) (chordid.Arc, bool) {
+	if arc.IsFull() || arc.From == was.From || !was.Contains(arc.From) {
+		return chordid.Arc{}, false
+	}
+	return chordid.Arc{From: was.From, To: arc.From}, true
+}
+
+// reconcile runs one digest exchange with holder h over arc against
+// authority, the term digests h's replica lists there should match, and
+// pushes what differs in one request: each divergent term's list as this
+// peer serves it, and each term h holds outside authority as an empty list,
+// which h drops. It returns the number of terms pushed.
+func (p *Peer) reconcile(h simnet.Addr, arc chordid.Arc, authority map[string]uint64) (int, error) {
+	ctx := context.Background()
+	reply, _, err := p.send(ctx, dest{addr: h}, simnet.Message{
+		Type:    msgRepairDigest,
+		Payload: repairDigestReq{Arc: arc, Summary: repair.Fold(authority)},
+	}, policy{})
+	if err != nil {
+		return 0, err
+	}
+	p.net.met.repairReconciles.Inc()
+	resp, ok := reply.Payload.(repairDigestResp)
+	if !ok || resp.InSync {
+		return 0, nil
+	}
+	need, drop := repair.DiffTerms(repair.InBuckets(authority, resp.Buckets), resp.Local)
+	if len(need)+len(drop) == 0 {
+		return 0, nil
+	}
+	set := make([]termPostings, 0, len(need)+len(drop))
+	p.indexing.mu.Lock()
+	for _, t := range need {
+		set = append(set, termPostings{Term: t, Postings: p.indexing.served(t)})
+	}
+	p.indexing.mu.Unlock()
+	for _, t := range drop {
+		set = append(set, termPostings{Term: t})
+	}
+	p.net.met.repairDivergent.Add(int64(len(set)))
+	_, _, err = p.send(ctx, dest{addr: h}, simnet.Message{Type: msgRepairPush, Payload: repairPushReq{Arc: arc, Set: set}}, policy{})
+	return len(set), err
 }
 
 // handleRepairDigest is the replica holder's side of the summary exchange.
@@ -260,8 +320,9 @@ func (p *Peer) handleRepairDigest(req repairDigestReq) repairDigestResp {
 	return repairDigestResp{Buckets: div, Local: repair.InBuckets(local, div)}
 }
 
-// handleRepairPush installs the pushed terms' replica lists wholesale. A list
-// Replace refuses keeps the old one, which the next digest exchange re-pushes.
+// handleRepairPush installs the pushed terms' replica lists wholesale, an
+// empty one dropping the term. A list Replace refuses keeps the old one,
+// which the next digest exchange re-pushes.
 func (p *Peer) handleRepairPush(req repairPushReq) {
 	p.indexing.mu.Lock()
 	for _, tp := range req.Set {
@@ -285,10 +346,13 @@ type RepairStats struct {
 
 // Repair runs one peer-driven maintenance sweep: every alive peer sheds
 // misplaced primary entries to its predecessor (repeated until a fixpoint,
-// so chains of misplacement drain), then every primary reconciles its arc
-// with its replica holders. It involves no owners and no per-term lookups —
-// its message cost is proportional to what actually diverged, not to the
-// index size.
+// so chains of misplacement drain), then every peer retires the replica
+// holders it no longer answers to, then every peer reconciles what it serves
+// for its arc with its replica holders. It involves no owners and no
+// per-term lookups — its message cost is proportional to what actually
+// diverged, not to the index size. Once it has run, every posting published
+// before it has ReplicationFactor copies on its indexing peer's successors
+// and every posting withdrawn before it has none.
 func (n *Network) Repair() RepairStats {
 	var st RepairStats
 	// A misplaced entry moves at least one hop counter-clockwise per round,
@@ -309,10 +373,13 @@ func (n *Network) Repair() RepairStats {
 		}
 	}
 	if n.cfg.ReplicationFactor > 0 {
-		for _, p := range n.Peers() {
-			if !n.ring.Net().Alive(p.Addr()) {
-				continue
-			}
+		alive := slices.DeleteFunc(n.Peers(), func(p *Peer) bool { return !n.ring.Net().Alive(p.Addr()) })
+		for _, p := range alive {
+			r, d := p.retireHolders(p.replicaTargets())
+			st.Reconciles += r
+			st.Divergent += d
+		}
+		for _, p := range alive {
 			r, d := p.antiEntropy()
 			st.Reconciles += r
 			st.Divergent += d
@@ -414,6 +481,10 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 		n.forget(id)
 	}
 	rep.Docs = len(mine)
+	// Its replica holders drop its arc's copies: the successor serves the
+	// entries handed to it, never a copy a withdrawal since the last Repair
+	// left behind.
+	p.retireHolders(nil)
 
 	// Indexing role: hand every primary entry to the first alive successor.
 	var succ simnet.Addr
