@@ -198,7 +198,6 @@ func uncalledAPI(c *census, allow map[string]string) []string {
 var testOnlyAPI = map[string]string{
 	"core.Network.RelocatePrimaryEntry": "chaos: TestChaosMutationCatchesStrandedEntry plants a misplaced primary",
 	"core.Network.DropReplicaEntry":     "chaos: TestChaosMutationCatchesReplicaBug drops a replica behind the repair path",
-	"core.Network.ReplicaLocsAt":        "core tests read the eager replica locations until they go",
 	"telemetry.Snapshot.Deterministic":  "eval: TestVirtualDeterminismAcrossRuns compares snapshots without wall-clock fields",
 	"chordid.FromUint64":                "chord, index and chordid tests place nodes and keys at legible ring positions",
 	"transport.WithDialTimeout":         "internal/nettransport's test-only package (left as it is) bounds its dials",

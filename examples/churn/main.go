@@ -1,7 +1,7 @@
 // Churn: peers crash and the index survives. With successor replication
-// (§7 of the paper) every published index entry is copied to the indexing
-// peer's successors, so lookups that route around a dead peer land on a
-// replica and queries keep working. The example kills peers one by one and
+// (§7 of the paper) a Repair copies every published index entry to the
+// indexing peer's successors, so lookups that route around a dead peer land
+// on a replica and queries keep working. The example kills peers one by one and
 // shows that a replicated network keeps answering while an unreplicated one
 // starts losing terms.
 //
@@ -77,6 +77,7 @@ func answered(net *sprite.Network) int {
 func main() {
 	plain := build(0)
 	replicated := build(2)
+	replicated.Repair() // anti-entropy makes the successor copies
 
 	fmt.Printf("%-28s %-16s %-16s\n", "", "no replication", "2 replicas")
 	fmt.Printf("%-28s %d/%d answered    %d/%d answered\n",

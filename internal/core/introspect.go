@@ -113,7 +113,7 @@ type DocIndex struct {
 	// Banned are the terms retired by the hot-term advisory, sorted.
 	Banned []string
 	// Stale maps terms to peers that may still hold a withdrawn copy
-	// (failed migration withdrawals pending retry).
+	// (failed withdrawals pending retry).
 	Stale map[string][]simnet.Addr
 }
 
@@ -146,21 +146,6 @@ func (n *Network) DocIndexInfo(doc index.DocID) (DocIndex, bool) {
 		}
 	}
 	return di, true
-}
-
-// ReplicaLocsAt returns the replica locations the indexing peer at addr has
-// recorded for (term, doc) — the replica holders the holder's sprite.replica
-// reaches when the entry is withdrawn. For a stale-listed holder, these are
-// replicas whose withdrawal is transitively pending: the owner only knows the
-// holder owes a withdrawal, and the holder's record is what reaches them.
-func (n *Network) ReplicaLocsAt(addr simnet.Addr, term string, doc index.DocID) []simnet.Addr {
-	p, ok := n.Peer(addr)
-	if !ok {
-		return nil
-	}
-	p.indexing.mu.Lock()
-	defer p.indexing.mu.Unlock()
-	return append([]simnet.Addr(nil), p.indexing.replicaLocs[term][doc]...)
 }
 
 // RelocatePrimaryEntry forcibly moves one primary entry from one indexing

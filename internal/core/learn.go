@@ -336,20 +336,20 @@ func (n *Network) withdrawPhase(ctx context.Context, docs []*sweepDoc) {
 			items = append(items, d.pulls...)
 		}
 	}
-	stale, errs := exchange(ctx, items, withdrawals)
+	_, errs := exchange(ctx, items, withdrawals)
 	for k, pl := range items {
-		pl.settle(stale[k], errs[k])
+		pl.settle(errs[k])
 	}
 }
 
-// withdrawals is the withdraw protocol: an item is a pull, answered with the
-// replica holders its holder could not reach. Its items ride sprite.publish
+// withdrawals is the withdraw protocol: an item is a pull, settled by its
+// batch's reply or failure alone. Its items ride sprite.publish
 // flagged, carrying term and document only, and are never arc-checked or
 // re-routed: an entry lives at the peer that last accepted it, whatever the
 // ring says now, and a withdrawal elsewhere would orphan it. So an item goes
 // to the holder its record names, the owner itself included, and fails with
 // its batch; only one naming none is routed by its key.
-var withdrawals = &protocol[pull, []simnet.Addr]{
+var withdrawals = &protocol[pull, struct{}]{
 	stage:  "withdraw",
 	pinned: true,
 	from:   func(pl pull) *Peer { return pl.d.p },
@@ -362,32 +362,22 @@ var withdrawals = &protocol[pull, []simnet.Addr]{
 		}
 		return simnet.Message{Type: msgPublish, Payload: req}
 	},
-	read: func(reply simnet.Message, at simnet.Addr, got [][]simnet.Addr, _ []bool) error {
-		resp, ok := reply.Payload.(publishResp)
-		if !ok {
+	read: func(reply simnet.Message, at simnet.Addr, got []struct{}, _ []bool) error {
+		if _, ok := reply.Payload.(publishResp); !ok {
 			return badReply(reply, at, len(got))
-		}
-		for _, a := range resp.Answers {
-			if a.Item >= 0 && a.Item < len(got) {
-				got[a.Item] = a.Stale
-			}
 		}
 		return nil
 	},
 }
 
-// settle applies the pull's outcome. Replica holders its holder could not
-// reach go on the stale ledger. A retired term the holder confirmed is
+// settle applies the pull's outcome. A retired term the holder confirmed is
 // forgotten; one it did not stays indexed as before the fold, its ban rolled
 // back so that the next iteration retries (a ban kept while the entry
 // survives would wedge the document), a replacement's candidate is not
 // published and fails the document, and no new term past MaxIndexTerms is
 // published. An old copy not withdrawn goes on the stale ledger.
-func (pl pull) settle(stale []simnet.Addr, err error) {
+func (pl pull) settle(err error) {
 	d, st := pl.d, pl.d.st
-	for _, a := range stale {
-		markStale(st, pl.term, a)
-	}
 	if err == nil {
 		if pl.retire {
 			forgetTerm(st, pl.term)

@@ -66,8 +66,8 @@ func (p *Peer) learnDocPerTerm(ctx context.Context, id index.DocID) (int, error)
 	d.applyRankList()
 	d.reanchor()
 	for _, pl := range d.pulls {
-		stale, _, err := withdrawals.route(ctx, pl, dest{}, nil)
-		pl.settle(stale, err)
+		_, _, err := withdrawals.route(ctx, pl, dest{}, nil)
+		pl.settle(err)
 	}
 	for i, term := range d.publish {
 		if i < d.added {

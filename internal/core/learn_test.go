@@ -583,8 +583,8 @@ func TestLearnSweepInflightBounded(t *testing.T) {
 }
 
 // TestLearnBatchSizesTrackEncodedLength: every poll and publish of a sweep —
-// requests and replies, batches and single items — and every replica push,
-// relocate and handoff revert costs exactly what the binary codec writes for
+// requests and replies, batches and single items — and every relocate and
+// handoff revert costs exactly what the binary codec writes for
 // its payload. An item is a (document, term) pair, a publish, a withdrawal, a
 // relocated or reverted entry, a refusal or, in a poll's reply, also a
 // returned query's entry, however many issuances it counts.
@@ -644,11 +644,6 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 				}
 			case publishResp:
 				what, items = "publishResp", len(p.Answers)
-				for _, a := range p.Answers {
-					items += len(a.Stale)
-				}
-			case replicaReq:
-				what, items = "replicaReq", len(p.Items)
 			case relocateReq:
 				what, items = "relocateReq", len(p.Items)
 			case handoffReq:
@@ -668,12 +663,12 @@ func TestLearnBatchSizesTrackEncodedLength(t *testing.T) {
 			largest[what] = max(largest[what], items)
 		}
 	}
-	for _, what := range []string{"pollReq", "pollResp", "publishReq", "withdrawal", "replicaReq", "relocateReq", "revert"} {
+	for _, what := range []string{"pollReq", "pollResp", "publishReq", "withdrawal", "relocateReq", "revert"} {
 		if largest[what] < 2 {
 			t.Fatalf("no %s carried more than one item", what)
 		}
 	}
-	for _, what := range []string{"replicaReq", "relocateReq", "revert"} {
+	for _, what := range []string{"relocateReq", "revert"} {
 		if smallest[what] != 1 {
 			t.Fatalf("no %s carried a single item (smallest %d)", what, smallest[what])
 		}

@@ -28,10 +28,6 @@ const (
 	// announces all global index terms and asks, per polled term, for the new
 	// queries for which this peer holds the closest term (§3).
 	msgPoll = "sprite.poll"
-	// msgReplica carries an indexing peer's applied publishes and
-	// withdrawals to one of its successor replica holders (§7).
-	msgReplica = "sprite.replica"
-
 	// msgHandoff batch-installs primary index entries at a peer whose arc now
 	// covers them — the first round of the join/leave handoff protocol (see
 	// internal/core/repair.go). The receiver serves them immediately but the
@@ -47,7 +43,7 @@ const (
 	// with the per-term digests of the divergent buckets (or "in sync").
 	msgRepairDigest = "sprite.repair.digest"
 	// msgRepairPush closes an anti-entropy exchange: the primary replaces the
-	// divergent terms' replica lists wholesale.
+	// divergent terms' replica lists wholesale and drops the terms it lacks.
 	msgRepairPush = "sprite.repair.push"
 )
 
@@ -66,13 +62,13 @@ type publishItem struct {
 	Term    string
 	Posting index.Posting
 	// Withdraw asks the receiver to remove Posting.Doc's posting under Term,
-	// replicas included, instead of indexing one. It is never arc-checked.
+	// from its primary and its replica index, instead of indexing one. It is
+	// never arc-checked.
 	Withdraw bool
 }
 
-// publishResp answers, by position in the request, the items that need an
-// answer: those the receiver refused because their keys are outside its arc,
-// and the withdrawals that left replica copies behind. It indexed or withdrew
+// publishResp answers, by position in the request, the items the receiver
+// refused because their keys are outside its arc. It indexed or withdrew
 // every other item.
 type publishResp struct {
 	Answers []publishAnswer
@@ -81,11 +77,6 @@ type publishResp struct {
 type publishAnswer struct {
 	Item    int
 	Refused bool
-	// Stale are the replica holders the receiver failed to reach while
-	// withdrawing the item's entry. The withdrawal consumed its record of
-	// them, so unless the owner queues them on its stale list and retries, no
-	// later operation addresses those copies.
-	Stale []simnet.Addr
 }
 
 // getPostingsReq asks one indexing peer for inverted lists: a single term's
@@ -189,28 +180,18 @@ type polledQuery struct {
 	Copies int
 }
 
-// replicaReq carries the items an indexing peer applied from one publish
-// request to one of its replica holders: each publish adds a replica copy,
-// each withdrawal removes one.
-type replicaReq struct {
-	Items []publishItem
-}
-
 // handoffEntry is one primary index entry in flight during a join/leave
-// handoff: the posting plus the sender's recorded replica locations, which
-// transfer with the entry so the new holder's withdrawals keep reaching
-// every copy ever pushed.
+// handoff.
 type handoffEntry struct {
-	Term        string
-	Posting     index.Posting
-	ReplicaLocs []simnet.Addr
+	Term    string
+	Posting index.Posting
 }
 
 type handoffReq struct {
 	Entries []handoffEntry
 	// Revert takes the entries — each its term and document only — back out
-	// of the receiver's primary index, with their replica locations: their
-	// relocation failed, so they live only where their owners' records say.
+	// of the receiver's primary index: their relocation failed, so they live
+	// only where their owners' records say.
 	Revert bool
 }
 
@@ -243,8 +224,8 @@ type repairDigestReq struct {
 	// holder keeps copies for many primaries, and only the sender's slice of
 	// the key space is the sender's to reconcile.
 	Arc chordid.Arc
-	// Summary is the two-level Merkle digest of the sender's primary entries
-	// in Arc (see internal/repair).
+	// Summary is the two-level Merkle digest of the lists the sender serves
+	// in Arc (see internal/repair), or of none when it retires the holder.
 	Summary repair.Summary
 }
 
@@ -269,9 +250,9 @@ type termPostings struct {
 
 type repairPushReq struct {
 	Arc chordid.Arc
-	// Set replaces each term's replica list wholesale. A term belongs to
-	// exactly one primary, so every copy of it within the arc is the
-	// sender's to overwrite.
+	// Set replaces each term's replica list wholesale, an empty list dropping
+	// the term. A term belongs to exactly one primary, so every copy of it
+	// within the arc is the sender's to overwrite.
 	Set []termPostings
 }
 

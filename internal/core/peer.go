@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"maps"
 	"slices"
@@ -80,9 +79,9 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 			switch {
 			case it.Withdraw:
 				p.indexing.unpublish(it.Term, it.Posting.Doc)
-				// Also shed any replica copy held locally: stale-withdrawal
-				// retries address the holder directly, and a former replica
-				// target must be able to clear its copy through the same item.
+				// Also shed any replica copy held locally: a stale-withdrawal
+				// retry addresses the holder directly, whatever role it
+				// holds the copy in now.
 				p.indexing.dropReplica(it.Term, it.Posting.Doc)
 			case req.CheckArc && !p.node.Serves(chordid.HashKey(it.Term)):
 				resp.Answers = append(resp.Answers, publishAnswer{Item: i, Refused: true})
@@ -92,7 +91,6 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 			}
 			p.net.caches.invalidateTerm(it.Term)
 		}
-		p.replicate(req.Items, &resp)
 		reply.Payload = resp
 
 	case getPostingsReq:
@@ -114,16 +112,6 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		resp := p.handlePoll(req)
 		reply.Payload = resp
 
-	case replicaReq:
-		for _, it := range req.Items {
-			if it.Withdraw {
-				p.indexing.dropReplica(it.Term, it.Posting.Doc)
-			} else {
-				p.indexing.addReplica(it.Term, it.Posting)
-			}
-			p.net.caches.invalidateTerm(it.Term)
-		}
-
 	case docTermsReq:
 		resp := p.handleDocTerms(req)
 		reply.Payload = resp
@@ -132,7 +120,6 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		if req.Revert {
 			for _, e := range req.Entries {
 				p.indexing.unpublish(e.Term, e.Posting.Doc)
-				p.indexing.takeReplicaLocs(e.Term, e.Posting.Doc)
 				p.net.caches.invalidateTerm(e.Term)
 			}
 			break
@@ -140,7 +127,6 @@ func (p *Peer) HandleMessage(from simnet.Addr, msg simnet.Message) (simnet.Messa
 		resp := handoffResp{Existing: make([]bool, len(req.Entries))}
 		for i, e := range req.Entries {
 			resp.Existing[i] = p.indexing.publishReporting(e.Term, e.Posting)
-			p.indexing.recordReplicaLocs(e.Term, e.Posting.Doc, e.ReplicaLocs)
 		}
 		p.net.caches.invalidate()
 		reply.Payload = resp
@@ -185,7 +171,7 @@ func (p *Peer) servePostings(term string, query []string, record bool) postingsL
 }
 
 // replicaTargets returns the first ReplicationFactor successors excluding the
-// peer itself — the §7 replica set for entries this peer indexes.
+// peer itself — the §7 replica set anti-entropy keeps this peer's arc on.
 func (p *Peer) replicaTargets() []simnet.Addr {
 	r := p.net.cfg.ReplicationFactor
 	if r <= 0 {
@@ -204,131 +190,16 @@ func (p *Peer) replicaTargets() []simnet.Addr {
 	return out
 }
 
-// replicaItem is items[i] of a publish request bound for replica holder at.
-type replicaItem struct {
-	i  int
-	at simnet.Addr
-}
-
-// replicate copies the items of a publish request that resp does not refuse
-// to the peer's replica holders (§7: "we can replicate the indexes of a peer
-// in its successor peers"). A publish goes to the first ReplicationFactor
-// successors, recorded so that a later withdrawal reaches every peer that
-// actually holds a copy, even after the successor set has rotated. A
-// withdrawal goes to the recorded locations, which it consumes, and the
-// current successors; a recorded holder that left the network is dropped, its
-// copies having left with it. Each holder gets one sprite.replica carrying
-// every item bound for it, best-effort; the holders a withdrawal failed to
-// reach become its answer's Stale, since no later operation addresses those
-// copies otherwise.
-func (p *Peer) replicate(items []publishItem, resp *publishResp) {
-	succ := p.replicaTargets()
-	var out []replicaItem
-	refused := resp.Answers // refusals only, in item order
-	for i, it := range items {
-		if len(refused) > 0 && refused[0].Item == i {
-			refused = refused[1:]
-			continue
-		}
-		targets := succ
-		if it.Withdraw {
-			locs := slices.DeleteFunc(p.indexing.takeReplicaLocs(it.Term, it.Posting.Doc), func(at simnet.Addr) bool {
-				_, member := p.net.Peer(at)
-				return !member
-			})
-			targets = mergeAddrs(locs, succ)
-		} else {
-			p.indexing.recordReplicaLocs(it.Term, it.Posting.Doc, succ)
-		}
-		for _, at := range targets {
-			out = append(out, replicaItem{i, at})
-		}
-	}
-	if len(out) == 0 {
-		return
-	}
-	_, errs := exchange(context.Background(), out, &protocol[replicaItem, struct{}]{
-		stage:  "replicate",
-		pinned: true,
-		from:   func(replicaItem) *Peer { return p },
-		term:   func(ri replicaItem) string { return items[ri.i].Term },
-		holder: func(ri replicaItem) simnet.Addr { return ri.at },
-		request: func(_ simnet.Addr, batch []replicaItem, _ bool) simnet.Message {
-			req := replicaReq{Items: make([]publishItem, len(batch))}
-			for k, ri := range batch {
-				req.Items[k] = items[ri.i]
-			}
-			return simnet.Message{Type: msgReplica, Payload: req}
-		},
-		read: func(simnet.Message, simnet.Addr, []struct{}, []bool) error { return nil },
-	})
-	for k, ri := range out { // an item's holders lie together
-		if errs[k] != nil && items[ri.i].Withdraw {
-			if n := len(resp.Answers); n == 0 || resp.Answers[n-1].Item != ri.i {
-				resp.Answers = append(resp.Answers, publishAnswer{Item: ri.i})
-			}
-			a := &resp.Answers[len(resp.Answers)-1]
-			a.Stale = append(a.Stale, ri.at)
-		}
-	}
-}
-
-// mergeAddrs unions two address lists, sorted for deterministic fan-out.
-func mergeAddrs(a, b []simnet.Addr) []simnet.Addr {
-	out := append(append(make([]simnet.Addr, 0, len(a)+len(b)), a...), b...)
-	slices.Sort(out)
-	return slices.Compact(out)
-}
-
 // indexingState is the indexing-peer role's state: primary inverted lists,
 // successor replicas held on behalf of other peers, and the query history.
 type indexingState struct {
 	mu       sync.Mutex
 	ix       *index.Inverted
 	replicas *index.Inverted
-	// replicaLocs records, per (term, doc) in the primary index, which
-	// successor addresses hold replicas pushed by this peer. A withdrawal's
-	// replicate consumes it so withdrawals reach stale locations too.
-	replicaLocs map[string]map[index.DocID][]simnet.Addr
 	// reconciled records, per replica holder, the arc this peer last
 	// reconciled there: the copies it answers for at that holder.
 	reconciled map[simnet.Addr]chordid.Arc
 	history    history
-}
-
-// recordReplicaLocs unions targets into the replica-location record for
-// (term, doc).
-func (s *indexingState) recordReplicaLocs(term string, doc index.DocID, targets []simnet.Addr) {
-	if len(targets) == 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.replicaLocs == nil {
-		s.replicaLocs = make(map[string]map[index.DocID][]simnet.Addr)
-	}
-	byDoc := s.replicaLocs[term]
-	if byDoc == nil {
-		byDoc = make(map[index.DocID][]simnet.Addr)
-		s.replicaLocs[term] = byDoc
-	}
-	byDoc[doc] = mergeAddrs(byDoc[doc], targets)
-}
-
-// takeReplicaLocs removes and returns the recorded replica locations for
-// (term, doc).
-func (s *indexingState) takeReplicaLocs(term string, doc index.DocID) []simnet.Addr {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	byDoc := s.replicaLocs[term]
-	locs := byDoc[doc]
-	if byDoc != nil {
-		delete(byDoc, doc)
-		if len(byDoc) == 0 {
-			delete(s.replicaLocs, term)
-		}
-	}
-	return locs
 }
 
 // history is an indexing peer's bounded query history: the most recent
@@ -473,12 +344,6 @@ func (s *indexingState) unpublish(term string, doc index.DocID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.ix.Remove(term, doc)
-}
-
-func (s *indexingState) addReplica(term string, p index.Posting) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.replicas.Add(term, p)
 }
 
 func (s *indexingState) dropReplica(term string, doc index.DocID) {

@@ -22,13 +22,13 @@ import (
 //   - Join handoff: when stabilization makes a node adopt a new predecessor,
 //     its owner arc shrinks, and the entries that fell outside it are handed
 //     to the adopted peer immediately (newPeer installs the hook).
-//   - Graceful leave: Network.Leave hands the departing peer's primary
-//     entries to its ring successor before unregistering it. It tells no
-//     primary about the replicas it held: a primary's withdrawal skips any
-//     recorded replica holder that is no longer a network member.
-//   - Anti-entropy: primary holders periodically exchange compact Merkle
-//     summaries of their arc with their §7 replica holders and push only the
-//     divergent term lists (Network.Repair).
+//   - Graceful leave: Network.Leave retires the departing peer's replica
+//     holders and hands its primary entries to its ring successor before
+//     unregistering it. The replicas it held for others leave with it.
+//   - Anti-entropy, the only way replicas are made and removed: in
+//     Network.Repair each peer exchanges a compact Merkle summary of what it
+//     serves for its arc with each of its §7 replica holders and pushes only
+//     the divergent term lists, dropping the terms it no longer serves.
 //
 // The handoff protocol must preserve the owner-ledger invariant — if an
 // owner records term t as published at X, then X holds the entry — at every
@@ -66,8 +66,8 @@ func (p *Peer) shedToPred() int {
 }
 
 // primaryEntries snapshots the primary entries whose term keys fall outside
-// arc, with their recorded replica locations — every entry for a nil arc
-// (graceful leave hands the whole index over, not a misplaced subset).
+// arc — every entry for a nil arc (graceful leave hands the whole index over,
+// not a misplaced subset).
 func (p *Peer) primaryEntries(arc *chordid.Arc) []handoffEntry {
 	p.indexing.mu.Lock()
 	defer p.indexing.mu.Unlock()
@@ -77,8 +77,7 @@ func (p *Peer) primaryEntries(arc *chordid.Arc) []handoffEntry {
 			continue
 		}
 		for posting := range p.indexing.ix.All(term) {
-			locs := append([]simnet.Addr(nil), p.indexing.replicaLocs[term][posting.Doc]...)
-			out = append(out, handoffEntry{Term: term, Posting: posting, ReplicaLocs: locs})
+			out = append(out, handoffEntry{Term: term, Posting: posting})
 		}
 	}
 	return out
@@ -106,7 +105,6 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 		switch {
 		case flipped[i] != "":
 			p.indexing.unpublish(e.Term, e.Posting.Doc)
-			p.indexing.takeReplicaLocs(e.Term, e.Posting.Doc) // transferred with the entry
 			moved++
 		case force:
 			// The owner is unreachable (or disagrees); its record now points
@@ -114,7 +112,6 @@ func (p *Peer) handoffEntries(target simnet.Addr, entries []handoffEntry, force 
 			// that keeps the term findable — queries route there — and the
 			// owner's next stale flush or learning sweep reconciles the record.
 			p.indexing.unpublish(e.Term, e.Posting.Doc)
-			p.indexing.takeReplicaLocs(e.Term, e.Posting.Doc)
 			failed = append(failed, e)
 		case i < len(installed.Existing) && installed.Existing[i]:
 			// The target already held this (term, doc) before the install —
@@ -245,12 +242,13 @@ func (p *Peer) retireHolders(targets []simnet.Addr) (reconciles, divergent int) 
 		if !drop {
 			continue
 		}
-		n, err := p.reconcile(h, gone, nil)
-		if err == nil {
+		if _, member := p.net.Peer(h); member {
+			n, err := p.reconcile(h, gone, nil)
+			if err != nil {
+				continue // retried at the next Repair
+			}
 			reconciles++
 			divergent += n
-		} else if _, member := p.net.Peer(h); member {
-			continue // retried at the next Repair
 		}
 		p.indexing.mu.Lock()
 		if delete(p.indexing.reconciled, h); kept {

@@ -171,10 +171,11 @@ func TestLeaveUnknownOrFailedPeer(t *testing.T) {
 }
 
 // TestLeaveOfReplicaHolderIsNeverCalledAgain: a replica holder leaves
-// without telling the primaries it held copies for, and their withdrawals —
-// a learning sweep's retirement of a hot term, then every document's unshare
-// — skip it by membership: no call is addressed to it, none fails and no
-// owner's stale ledger names it.
+// without telling the primaries it held copies for. Withdrawals never address
+// a replica holder — a learning sweep's retirement of a hot term, then every
+// document's unshare — and the next Repair forgets it by membership: no call
+// is addressed to it, none fails, and neither an owner's stale ledger nor a
+// primary's record of reconciled holders names it.
 func TestLeaveOfReplicaHolderIsNeverCalledAgain(t *testing.T) {
 	sim := simnet.New(5)
 	ring := chord.NewRing(sim, chord.Config{})
@@ -196,16 +197,15 @@ func TestLeaveOfReplicaHolderIsNeverCalledAgain(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	di, _ := n.DocIndexInfo("d1")
-	hotAt := di.PublishedAt["hot"]
+	n.Repair()
 	var leaver simnet.Addr
-	for _, at := range n.ReplicaLocsAt(hotAt, "hot", "d1") {
-		if at != "r0" {
-			leaver = at
+	for _, e := range n.ReplicaSnapshot() {
+		if e.Term == "hot" && e.Posting.Doc == "d1" && e.Peer != "r0" {
+			leaver = e.Peer
 		}
 	}
 	if leaver == "" {
-		t.Fatalf("no replica holder of hot at %s besides the owner", hotAt)
+		t.Fatal("no replica holder of hot besides the owner")
 	}
 	if _, err := n.Leave(leaver); err != nil {
 		t.Fatal(err)
@@ -241,12 +241,15 @@ func TestLeaveOfReplicaHolderIsNeverCalledAgain(t *testing.T) {
 		}
 	}
 	check("unshared")
+	ring.StabilizeLists(64)
+	n.Repair()
+	check("repaired")
 	for _, p := range n.Peers() {
 		p.indexing.mu.Lock()
-		left := p.indexing.replicaLocs
+		_, named := p.indexing.reconciled[leaver]
 		p.indexing.mu.Unlock()
-		if len(left) != 0 {
-			t.Errorf("%s still records replica locations %v", p.Addr(), left)
+		if named {
+			t.Errorf("%s still records departed %s as a replica holder", p.Addr(), leaver)
 		}
 	}
 }
@@ -286,6 +289,7 @@ func TestRepairSweepFixesStrandedEntry(t *testing.T) {
 
 func TestAntiEntropyRestoresLostReplica(t *testing.T) {
 	n, _ := joinableNetwork(t, Config{InitialTerms: 4, ReplicationFactor: 2})
+	n.Repair()
 	reps := n.ReplicaSnapshot()
 	if len(reps) == 0 {
 		t.Fatal("no replicas to lose")
@@ -459,13 +463,11 @@ func TestJoinHandoffRelocatesOncePerOwner(t *testing.T) {
 	}
 }
 
-// TestReplicaOncePerHolderPerRequest: with ReplicationFactor 2, an indexing
-// peer copies each publish request it applies — a learning sweep's
-// multi-item batches and an unshare's withdrawals alike — to each of its two
-// successors in one sprite.replica carrying every applied item; no
-// per-entry push or drop is sent. Afterwards each primary's successors hold
-// exactly its entries' copies.
-func TestReplicaOncePerHolderPerRequest(t *testing.T) {
+// TestRepairAloneReplicates: with ReplicationFactor 2, sharing and a
+// learning sweep send no sprite.replica and leave no copy anywhere; one
+// Repair then leaves each primary's successors holding exactly its entries'
+// copies, as one more does after unsharing.
+func TestRepairAloneReplicates(t *testing.T) {
 	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1, ReplicationFactor: 2})
 	checkCopies := func(when string) {
 		t.Helper()
@@ -486,79 +488,158 @@ func TestReplicaOncePerHolderPerRequest(t *testing.T) {
 			t.Fatalf("%s: %d replicas held, want %d", when, len(got), len(want))
 		}
 	}
-	// checkPushes walks the log: under the sequential executor a handler's
-	// replica pushes are logged just before the publish they copy.
-	checkPushes := func(when string, msgs []sentMsg) (largest int) {
-		t.Helper()
-		var pending []sentMsg
-		for _, m := range msgs {
-			switch m.req.Type {
-			case msgReplica:
-				pending = append(pending, m)
-				continue
-			case msgPublish:
-			case "sprite.replica_drop":
-				t.Fatalf("%s: sent sprite.replica_drop", when)
-			default:
-				continue
-			}
-			req, _ := unrouted(m.req.Payload).(publishReq)
-			resp, ok := m.reply.Payload.(publishResp)
-			applied := 0
-			if ok { // a routed delivery its receiver refused ran no handler
-				applied = len(req.Items)
-				for _, a := range resp.Answers {
-					if a.Refused {
-						applied--
-					}
-				}
-			}
-			p, _ := f.n.Peer(m.to)
-			want := p.replicaTargets()
-			if applied == 0 {
-				want = nil
-			}
-			to := map[simnet.Addr]bool{}
-			for _, r := range pending {
-				to[r.to] = true
-			}
-			if len(pending) != len(want) || len(to) != len(want) {
-				t.Fatalf("%s: publish of %d applied items to %s copied in %d messages, want one to each of %v", when, applied, m.to, len(pending), want)
-			}
-			for _, r := range pending {
-				if r.from != m.to || !slices.Contains(want, r.to) || len(r.req.Payload.(replicaReq).Items) != applied {
-					t.Fatalf("%s: %s's publish of %d items copied by %s → %s carrying %d", when, m.to, applied, r.from, r.to, len(r.req.Payload.(replicaReq).Items))
-				}
-			}
-			largest = max(largest, applied)
-			pending = nil
-		}
-		if len(pending) != 0 {
-			t.Fatalf("%s: %d replica pushes copy no publish", when, len(pending))
-		}
-		return largest
-	}
-	checkCopies("after sharing")
-
 	f.queries(t, 150, false)
-	f.log.drain()
 	if _, err := f.n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if largest := checkPushes("learning sweep", f.log.drain()); largest < 2 {
-		t.Fatalf("no sweep publish carried more than one item (largest %d)", largest)
+	if sent, _ := typeCounts(f.log.drain()); sent["sprite.replica"] != 0 {
+		t.Fatalf("sharing and learning sent %d sprite.replica", sent["sprite.replica"])
 	}
-	checkCopies("after a learning sweep")
+	if got := f.n.ReplicaSnapshot(); len(got) != 0 {
+		t.Fatalf("%d replicas before any Repair", len(got))
+	}
+	f.n.Repair()
+	checkCopies("after one Repair")
 
 	for _, id := range f.n.Documents()[:4] {
 		if err := f.n.Unshare(id); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if largest := checkPushes("unshare", f.log.drain()); largest < 1 {
-		t.Fatal("unshare withdrew nothing")
+	f.n.Repair()
+	checkCopies("after unsharing and one Repair")
+}
+
+// TestWithdrawnReplicasLastUntilRepair: a withdrawn posting's replicas stay
+// where the last Repair put them until the next Repair, which drops them
+// with the terms no primary serves any more.
+func TestWithdrawnReplicasLastUntilRepair(t *testing.T) {
+	n, _ := joinableNetwork(t, Config{InitialTerms: 4, ReplicationFactor: 2})
+	copies := func() int {
+		c := 0
+		for _, e := range n.ReplicaSnapshot() {
+			if e.Posting.Doc == "d" {
+				c++
+			}
+		}
+		return c
 	}
-	checkCopies("after unsharing")
+	n.Repair()
+	if got := copies(); got != 4*2 {
+		t.Fatalf("%d replicas of d's 4 terms after a Repair, want 8", got)
+	}
+	if err := n.Unshare("d"); err != nil {
+		t.Fatal(err)
+	}
+	if got := copies(); got != 8 {
+		t.Fatalf("%d replicas of d right after its unshare, want the 8 the Repair made", got)
+	}
+	if st := n.Repair(); st.Divergent == 0 {
+		t.Fatalf("the Repair after an unshare found nothing to drop: %+v", st)
+	}
+	if got := copies(); got != 0 {
+		t.Fatalf("%d replicas of unshared d survive a Repair", got)
+	}
+}
+
+// TestRepairSpreadsAbsorbedArc: a primary fails and its successor absorbs
+// its arc, serving the replicas it holds of it. A Repair spreads those copies
+// to the successor's own replica holders instead of dropping them, and a
+// search still finds every term the failed peer indexed.
+func TestRepairSpreadsAbsorbedArc(t *testing.T) {
+	n, ring := joinableNetwork(t, Config{InitialTerms: 4, ReplicationFactor: 2})
+	n.Repair()
+	var dead *Peer
+	for _, p := range n.Peers() {
+		if p.Addr() != "m0" && p.Index().NumPostings() > 0 {
+			dead = p
+			break
+		}
+	}
+	if dead == nil {
+		t.Skip("no non-owner peer holds entries (hash layout)")
+	}
+	lost := n.PrimarySnapshot()
+	lost = slices.DeleteFunc(lost, func(e IndexEntry) bool { return e.Peer != dead.Addr() })
+	ring.Fail(dead.node)
+	ring.StabilizeLists(64)
+	ring.RepairFingers()
+	n.Repair()
+
+	absorber, _ := n.Peer(dead.node.SuccessorList()[0].Addr)
+	replica := map[IndexEntry]bool{}
+	for _, e := range n.ReplicaSnapshot() {
+		replica[e] = true
+	}
+	for _, e := range lost {
+		for _, at := range absorber.replicaTargets() {
+			if !replica[IndexEntry{Peer: at, Term: e.Term, Posting: e.Posting}] {
+				t.Errorf("%s, holder of absorbing %s, lacks the dead arc's %q/%s", at, absorber.Addr(), e.Term, e.Posting.Doc)
+			}
+		}
+		rl, err := n.SearchCtx(context.Background(), "m0", []string{e.Term}, 5)
+		if err != nil || len(rl) != 1 {
+			t.Errorf("search for %q after the Repair: %v, %v", e.Term, rl, err)
+		}
+	}
+}
+
+// TestJoinRetiresPushedOutHolder: a joiner landing between a primary and its
+// first successor pushes the primary's second successor out of its replica
+// set; the next Repair leaves that holder nothing of the primary's arc, and
+// the joiner a copy of all of it.
+func TestJoinRetiresPushedOutHolder(t *testing.T) {
+	n, ring := joinableNetwork(t, Config{InitialTerms: 4, ReplicationFactor: 2})
+	n.Repair()
+	var primary *Peer
+	var name string
+	for _, p := range n.Peers() {
+		if p.Index().NumPostings() == 0 {
+			continue
+		}
+		succ := p.node.SuccessorList()[0].ID
+		for i := 0; i < 200 && name == ""; i++ {
+			if chordid.HashKey(nameFor(i)).Between(p.node.ID(), succ) {
+				primary, name = p, nameFor(i)
+			}
+		}
+		if name != "" {
+			break
+		}
+	}
+	if name == "" {
+		t.Skip("no joiner candidate lands after a primary (hash layout)")
+	}
+	pushedOut := primary.node.SuccessorList()[1].Addr
+	arc := chordid.OwnerArc(primary.node.Predecessor().ID, primary.node.ID())
+	inArc := func(at simnet.Addr) (n int) {
+		for _, e := range primary.net.ReplicaSnapshot() {
+			if e.Peer == at && arc.ContainsKey(e.Term) {
+				n++
+			}
+		}
+		return n
+	}
+	if inArc(pushedOut) == 0 {
+		t.Fatalf("%s holds nothing of %s's arc before the join", pushedOut, primary.Addr())
+	}
+	joiner, err := ring.AddNode(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Adopt(joiner)
+	if err := joiner.Join(ring.Nodes()[0]); err != nil {
+		t.Fatal(err)
+	}
+	ring.Stabilize(200)
+	ring.RepairFingers()
+	n.Repair()
+	if got := inArc(pushedOut); got != 0 {
+		t.Fatalf("%s, pushed out of %s's replica set by %s, still holds %d of its arc's lists", pushedOut, primary.Addr(), name, got)
+	}
+	if got, want := inArc(joiner.Addr()), primary.Index().NumPostings(); got != want {
+		t.Fatalf("joiner %s holds %d copies of %s's arc, want %d", name, got, primary.Addr(), want)
+	}
 }
 
 // unrouted is a logged request's payload without chord's routed-delivery

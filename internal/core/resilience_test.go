@@ -106,6 +106,7 @@ func TestSearchFailoverMatchesHealthyRun(t *testing.T) {
 			t.Fatalf("Share %s: %v", id, err)
 		}
 	}
+	n.Repair() // the replicas a failover reads
 	owner := ownerOfTerm(t, n, "failover")
 	searcher := searcherAvoiding(t, n, owner.Addr())
 

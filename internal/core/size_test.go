@@ -19,9 +19,9 @@ import (
 // kind, and a message without a payload costs nothing. The scenario reaches
 // every shape the protocols send: joins half stabilized (refused items,
 // re-routed ones, hinted hop answers, envelopes and their refusals), searches,
-// an expanded one, two learning sweeps, a lookup with exclusions, a withdrawal whose replica
-// holder cannot be reached (stale holders), a Leave, both handoff reverts and
-// a Repair that pushes a lost replica back.
+// an expanded one, two learning sweeps, a lookup with exclusions, a Leave,
+// both handoff reverts, a Repair that pushes a lost replica back and a Leave
+// whose holders drop its arc's copies.
 func TestSizeIsEncodedLength(t *testing.T) {
 	f := newLearnFixture(t, 16, 4, 40, Config{Parallelism: 1, ReplicationFactor: 2})
 	ctx := context.Background()
@@ -46,27 +46,6 @@ func TestSizeIsEncodedLength(t *testing.T) {
 	if _, _, err := p0.node.LookupExcluding(ctx, chordid.HashKey("w1"), exclude, nil); err != nil {
 		t.Fatal(err)
 	}
-
-	// A withdrawal whose holder cannot copy it to its first replica holder
-	// answers with that holder stale.
-	doc := index.DocID("d5")
-	info, _ := f.n.DocIndexInfo(doc)
-	var holder *Peer
-	for _, at := range info.PublishedAt {
-		if p, ok := f.n.Peer(at); ok && len(p.replicaTargets()) > 0 {
-			holder = p
-			break
-		}
-	}
-	if holder == nil {
-		t.Fatalf("no holder of %s has a replica holder", doc)
-	}
-	unreachable := holder.replicaTargets()[0]
-	f.log.DropCalls(unreachable, 1000)
-	if err := f.n.Unshare(doc); err != nil {
-		t.Fatal(err)
-	}
-	f.log.DropCalls(unreachable, 0)
 
 	// An owner leaving withdraws its documents' postings in batches and its
 	// indexing role relocates its entries at their owners in batches; its
@@ -102,6 +81,10 @@ func TestSizeIsEncodedLength(t *testing.T) {
 	if st := f.n.Repair(); st.Divergent == 0 {
 		t.Fatalf("anti-entropy saw no divergence despite a lost replica: %+v", st)
 	}
+	// A peer that leaves retires its holders: each push drops its terms.
+	if _, err := f.n.Leave(f.n.Peers()[1].Addr()); err != nil {
+		t.Fatal(err)
+	}
 
 	seen := map[string]int{}
 	for _, m := range f.log.drain() {
@@ -125,11 +108,10 @@ func TestSizeIsEncodedLength(t *testing.T) {
 		"core.cacheQueryReq", "core.docTermsReq", "core.docTermsResp",
 		"poll of one", "poll of several", "poll reply of several", "poll reply refusing",
 		"publish of one", "publish of several", "withdrawal of one", "withdrawal of several",
-		"publish reply", "publish reply refusing", "publish reply naming stale holders",
-		"replica push of one", "replica push of several",
+		"publish reply", "publish reply refusing",
 		"relocate of one", "relocate of several",
 		"handoff of several", "core.handoffResp", "revert of one", "revert of several",
-		"core.repairDigestReq", "core.repairDigestResp", "repair push",
+		"core.repairDigestReq", "core.repairDigestResp", "repair push", "repair push dropping",
 	} {
 		if seen[what] == 0 {
 			t.Errorf("no %s was exchanged", what)
@@ -256,17 +238,10 @@ func sizeCase(payload any) string {
 		}
 		return "publish of " + count(len(p.Items))
 	case publishResp:
-		for _, a := range p.Answers {
-			if len(a.Stale) > 0 {
-				return "publish reply naming stale holders"
-			}
-		}
 		if len(p.Answers) > 0 {
 			return "publish reply refusing"
 		}
 		return "publish reply"
-	case replicaReq:
-		return "replica push of " + count(len(p.Items))
 	case relocateReq:
 		return "relocate of " + count(len(p.Items))
 	case handoffReq:
@@ -275,6 +250,11 @@ func sizeCase(payload any) string {
 		}
 		return "handoff of " + count(len(p.Entries))
 	case repairPushReq:
+		for _, tp := range p.Set {
+			if tp.Postings.Len() == 0 {
+				return "repair push dropping"
+			}
+		}
 		return "repair push"
 	}
 	// chord's payloads, seen from outside their package.

@@ -7,6 +7,7 @@ import (
 	"maps"
 	"slices"
 
+	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/corpus"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/simnet"
@@ -14,7 +15,7 @@ import (
 )
 
 // This file implements whole-network state snapshots in the wire codec:
-// every peer's lists, replicas, replica locations and query history, and
+// every peer's lists, replicas, reconciled arcs and query history, and
 // every owner's documents, learning statistics and withdrawal ledger, so long
 // experiments checkpoint after the expensive share+train+learn phases and
 // simulations persist across process restarts. The Chord ring is not saved:
@@ -25,9 +26,10 @@ import (
 
 const (
 	snapshotMagic = "SPRITE snapshot\n"
-	// snapshotVersion 3: the wire codec, lists as stored blocks, the
-	// withdrawal ledger and replica locations (2 was a gob file).
-	snapshotVersion = 3
+	// snapshotVersion 4: the wire codec, lists as stored blocks, the
+	// withdrawal ledger and each peer's reconciled arc per replica holder (3
+	// saved per-posting replica locations instead; 2 was a gob file).
+	snapshotVersion = 4
 )
 
 // peerImage is one peer's part of a snapshot, live to write or decoded.
@@ -72,9 +74,7 @@ func encodeSnapshot(peers []peerImage, order []index.DocID) []byte {
 				walkList(w, &l)
 			}
 		}
-		writeSorted(e, s.replicaLocs, func(byDoc map[index.DocID][]simnet.Addr) {
-			writeSorted(e, byDoc, func(locs []simnet.Addr) { walkStrings(w, &locs) })
-		})
+		writeSorted(e, s.reconciled, func(arc chordid.Arc) { walkArc(w, &arc) })
 		h := &s.history
 		e.Uint(uint64(len(h.ring)))
 		for i := range h.ring {
@@ -131,7 +131,7 @@ func (n *Network) Restore(r io.Reader) error {
 	for _, img := range peers {
 		p, s := n.peers[img.addr], img.indexing
 		p.indexing.mu.Lock()
-		p.indexing.ix, p.indexing.replicas, p.indexing.replicaLocs = s.ix, s.replicas, s.replicaLocs
+		p.indexing.ix, p.indexing.replicas, p.indexing.reconciled = s.ix, s.replicas, s.reconciled
 		p.indexing.history = s.history
 		p.indexing.mu.Unlock()
 		p.mu.Lock()
@@ -169,11 +169,11 @@ func (n *Network) decodeSnapshot(data []byte) ([]peerImage, []index.DocID, map[i
 			d.Fail(fmt.Errorf("snapshot peer %q not in network or listed twice", addr))
 		}
 		seen[addr] = true
-		s := &indexingState{ix: decodeLists(d, w), replicas: decodeLists(d, w)}
-		s.replicaLocs = make(map[string]map[index.DocID][]simnet.Addr)
-		readSorted(d, func(term string) {
-			s.replicaLocs[term] = make(map[index.DocID][]simnet.Addr)
-			readSorted(d, func(doc index.DocID) { s.replicaLocs[term][doc] = readStrings[simnet.Addr](w) })
+		s := &indexingState{ix: decodeLists(d, w), replicas: decodeLists(d, w), reconciled: make(map[simnet.Addr]chordid.Arc)}
+		readSorted(d, func(h simnet.Addr) {
+			var arc chordid.Arc
+			walkArc(w, &arc)
+			s.reconciled[h] = arc
 		})
 		// The issuances replay oldest first into the network's cap, which
 		// drops the oldest of a longer history. The ring keeps no seqs, only

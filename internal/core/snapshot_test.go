@@ -26,7 +26,8 @@ import (
 // snapshotConfig is the configuration of snapshotFixture and its twins.
 var snapshotConfig = Config{InitialTerms: 2, TermsPerIteration: 2, MaxIndexTerms: 6, ReplicationFactor: 1, Parallelism: 1}
 
-// snapshotFixture builds a network with trained, learned state worth saving.
+// snapshotFixture builds a network with trained, learned and replicated state
+// worth saving.
 func snapshotFixture(t testing.TB) *Network {
 	t.Helper()
 	n := testNetwork(t, 8, snapshotConfig)
@@ -55,6 +56,7 @@ func snapshotFixture(t testing.TB) *Network {
 	if _, err := n.LearnAllCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	n.Repair()
 	return n
 }
 
@@ -132,17 +134,16 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if orig.TotalPostings() != restored.TotalPostings() {
 		t.Fatalf("postings differ: %d vs %d", orig.TotalPostings(), restored.TotalPostings())
 	}
-	// Every primary entry's replica locations come back with it.
-	located := 0
-	for _, e := range orig.PrimarySnapshot() {
-		want := orig.ReplicaLocsAt(e.Peer, e.Term, e.Posting.Doc)
-		if got := restored.ReplicaLocsAt(e.Peer, e.Term, e.Posting.Doc); !reflect.DeepEqual(got, want) {
-			t.Fatalf("replica locations of %s/%q at %s = %v after restore, want %v", e.Posting.Doc, e.Term, e.Peer, got, want)
-		}
-		located += len(want)
+	// Every replica comes back, and every peer's record of the arc it last
+	// reconciled at each replica holder.
+	if got, want := restored.ReplicaSnapshot(), orig.ReplicaSnapshot(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("replicas after restore = %v, want %v", got, want)
 	}
-	if located == 0 {
-		t.Fatal("the fixture records no replica locations")
+	for i, p := range orig.Peers() {
+		want := p.indexing.reconciled
+		if got := restored.Peers()[i].indexing.reconciled; len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s's reconciled holders after restore = %v, want %v", p.Addr(), got, want)
+		}
 	}
 	// Histories must match, oldest first.
 	if got, want := restored.histories(), orig.histories(); !reflect.DeepEqual(got, want) {
@@ -449,7 +450,7 @@ func TestRestoreRefusalLeavesNetworkIntact(t *testing.T) {
 }
 
 // onePeerFile writes a snapshot header for eight peers and the first, "p0",
-// whose lists, replica locations, history and documents body writes.
+// whose lists, reconciled arcs, history and documents body writes.
 func onePeerFile(body func(e *wire.Encoder)) []byte {
 	e := wire.NewEncoder([]byte(snapshotMagic))
 	e.Uint(snapshotVersion)
@@ -464,7 +465,7 @@ func onePeerFile(body func(e *wire.Encoder)) []byte {
 // entries given, oldest first, and seq.
 func historyFile(seq uint64, entries ...refQuery) []byte {
 	return onePeerFile(func(e *wire.Encoder) {
-		e.Raw([]byte{0, 0, 0}) // no lists or replica locations
+		e.Raw([]byte{0, 0, 0}) // no lists or reconciled arcs
 		e.Uint(uint64(len(entries)))
 		for _, q := range entries {
 			e.StringSlice(q.terms)
@@ -500,7 +501,8 @@ func oversizedList() []byte {
 	return append(binary.AppendUvarint([]byte{1}, uint64(len(block))), block...)
 }
 
-// TestRestoreRefusesMalformedFiles: files that are not version 3 snapshots,
+// TestRestoreRefusesMalformedFiles: files that are not version 4 snapshots —
+// a version 3 file, which saved per-posting replica locations, included —
 // or whose maps, terms or blocks are not in the one form Save writes, are
 // refused with the network left as it was.
 func TestRestoreRefusesMalformedFiles(t *testing.T) {
@@ -521,9 +523,10 @@ func TestRestoreRefusesMalformedFiles(t *testing.T) {
 		name, err string
 		file      []byte
 	}{
-		{"gob version 2 file", "version 3", v2.Bytes()},
+		{"gob version 2 file", "version 4", v2.Bytes()},
 		{"bad magic", "bad magic", flip(0, 's')},
-		{"wrong version", "version 4, want 3", flip(len(snapshotMagic), 4)},
+		{"version 3 file", "version 3, want 4", flip(len(snapshotMagic), 3)},
+		{"wrong version", "version 5, want 4", flip(len(snapshotMagic), 5)},
 		{"truncated", "", snap[:len(snap)/2]},
 		{"trailing byte", "trailing", append(slices.Clone(snap), 0)},
 		{"unsorted terms", "must ascend", onePeerFile(func(e *wire.Encoder) {
@@ -537,7 +540,7 @@ func TestRestoreRefusesMalformedFiles(t *testing.T) {
 			}
 		})},
 		{"repeated TF key", "must ascend", onePeerFile(func(e *wire.Encoder) {
-			e.Raw([]byte{0, 0, 0, 0, 0}) // no lists, replica locations or history; seq 0
+			e.Raw([]byte{0, 0, 0, 0, 0}) // no lists, reconciled arcs or history; seq 0
 			e.Uint(1)
 			e.String("d")
 			e.Uint(2)

@@ -4,12 +4,13 @@ import (
 	"errors"
 	"math"
 
+	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/wire"
 )
 
 // Binary codecs for SPRITE's application payloads — the postings fetches,
-// publishes and withdrawals, polls, and replica pushes that carry nearly all of
+// publishes and withdrawals, polls, and repair pushes that carry nearly all of
 // the system's bytes (§1's index-construction and maintenance cost). Every
 // payload type core sends is registered here as one walk over its fields:
 // over a socket, a type without a codec is an encode error at the caller.
@@ -24,19 +25,19 @@ func init() {
 
 	wire.Register(wire.KindCoreBase+23, publishResp{}, func(w *wire.Walker, v any) any {
 		r, _ := v.(publishResp)
-		// An item's position, its refusal flag and its holder count.
-		wire.List(w, &r.Answers, 3, func(w *wire.Walker, a *publishAnswer) {
+		// An item's position and its refusal flag.
+		wire.List(w, &r.Answers, 2, func(w *wire.Walker, a *publishAnswer) {
 			wire.IntAs(w, &a.Item)
 			w.Bool(&a.Refused)
-			walkStrings(w, &a.Stale)
 		})
 		return wire.Decoded(w, r)
 	})
 
-	// Kinds +1 and +2 are retired (sprite.unpublish's), as are +9
-	// (sprite.replica_drop's), +13 (sprite.repair.handoff_drop's), +15 (the
-	// one-entry relocate's reply), +19 (sprite.repair.retire's) and +21 and
-	// +22 (sprite.sketch_scan's): do not reuse them.
+	// Kinds +1 and +2 are retired (sprite.unpublish's), as are +8
+	// (sprite.replica's), +9 (sprite.replica_drop's), +13
+	// (sprite.repair.handoff_drop's), +15 (the one-entry relocate's reply),
+	// +19 (sprite.repair.retire's) and +21 and +22 (sprite.sketch_scan's):
+	// do not reuse them.
 
 	wire.Register(wire.KindCoreBase+3, getPostingsReq{}, func(w *wire.Walker, v any) any {
 		r, _ := v.(getPostingsReq)
@@ -116,12 +117,6 @@ func init() {
 		return wire.Decoded(w, r)
 	})
 
-	wire.Register(wire.KindCoreBase+8, replicaReq{}, func(w *wire.Walker, v any) any {
-		r, _ := v.(replicaReq)
-		walkItems(w, &r.Items)
-		return wire.Decoded(w, r)
-	})
-
 	wire.Register(wire.KindCoreBase+10, docTermsReq{}, func(w *wire.Walker, v any) any {
 		r, _ := v.(docTermsReq)
 		wire.StringAs(w, &r.Doc)
@@ -143,10 +138,9 @@ func init() {
 
 	wire.Register(wire.KindCoreBase+12, handoffReq{}, func(w *wire.Walker, v any) any {
 		r, _ := v.(handoffReq)
-		wire.List(w, &r.Entries, 3, func(w *wire.Walker, ent *handoffEntry) {
+		wire.List(w, &r.Entries, 2, func(w *wire.Walker, ent *handoffEntry) {
 			w.String(&ent.Term)
 			walkPosting(w, &ent.Posting)
-			walkStrings(w, &ent.ReplicaLocs)
 		})
 		w.Bool(&r.Revert)
 		return wire.Decoded(w, r)
@@ -168,8 +162,7 @@ func init() {
 
 	wire.Register(wire.KindCoreBase+16, repairDigestReq{}, func(w *wire.Walker, v any) any {
 		r, _ := v.(repairDigestReq)
-		w.Fixed(r.Arc.From[:])
-		w.Fixed(r.Arc.To[:])
+		walkArc(w, &r.Arc)
 		w.Uint(&r.Summary.Root)
 		for i := range r.Summary.Buckets {
 			w.Uint(&r.Summary.Buckets[i])
@@ -191,8 +184,7 @@ func init() {
 
 	wire.Register(wire.KindCoreBase+18, repairPushReq{}, func(w *wire.Walker, v any) any {
 		r, _ := v.(repairPushReq)
-		w.Fixed(r.Arc.From[:])
-		w.Fixed(r.Arc.To[:])
+		walkArc(w, &r.Arc)
 		// A term's length byte, the list's length and its block count.
 		wire.List(w, &r.Set, 3, func(w *wire.Walker, tp *termPostings) {
 			w.String(&tp.Term)
@@ -216,8 +208,8 @@ const (
 	itemDocOnly
 )
 
-// walkItems walks an item list — the one shared by sprite.publish,
-// sprite.replica and sprite.relocate: its count, then per item the term, the
+// walkItems walks an item list — the one shared by sprite.publish and
+// sprite.relocate: its count, then per item the term, the
 // flags and the posting, or only its document. An unknown flag fails the
 // decode.
 func walkItems(w *wire.Walker, items *[]publishItem) {
@@ -267,6 +259,12 @@ func walkPosting(w *wire.Walker, p *index.Posting) {
 	wire.IntAs(w, &p.Freq)
 	wire.IntAs(w, &p.DocLen)
 	w.String(&p.Sketch)
+}
+
+// walkArc walks an arc as its two ring identifiers.
+func walkArc(w *wire.Walker, a *chordid.Arc) {
+	w.Fixed(a.From[:])
+	w.Fixed(a.To[:])
 }
 
 // walkStrings walks a count-prefixed list of strings; an empty list reads as

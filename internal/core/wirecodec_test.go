@@ -10,7 +10,6 @@ import (
 	"github.com/spritedht/sprite/internal/chordid"
 	"github.com/spritedht/sprite/internal/index"
 	"github.com/spritedht/sprite/internal/repair"
-	"github.com/spritedht/sprite/internal/simnet"
 	"github.com/spritedht/sprite/internal/wire"
 )
 
@@ -23,7 +22,6 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 	answer := pollResp{Items: []pollResult{{Queries: []polledQuery{{Terms: []string{"ab", "x"}, Copies: 300}}, NewSince: 5, IndexedDF: 2}, {Refused: true}}}
 	missing := pollResp{Items: []pollResult{{Missing: true, Queries: []polledQuery{{Terms: []string{"y"}, Copies: 1}}, NewSince: 5}, {Refused: true}}}
 	pull := publishReq{Items: []publishItem{{Term: "ab", Posting: index.Posting{Doc: "d1"}, Withdraw: true}}}
-	stale := publishResp{Answers: []publishAnswer{{Item: 1, Stale: []simnet.Addr{"p3", "p4"}}}}
 	checkGoldens(t, []goldenCase{
 		// count, then per item the term, the flags (withdraw 1, posting is
 		// its document only 2) and the posting (doc, owner, zig-zag freq and
@@ -31,11 +29,9 @@ func TestLearnCodecsGoldenAndRoundTrip(t *testing.T) {
 		{"publishReq", one, "0010" + "01" + "026162" + "00" + "026431" + "027030" + "06" + "0e" + "00" + "01"},
 		{"publishReq/empty", publishReq{}, "0010" + "00" + "00"},
 		{"publishReq/withdraw", pull, "0010" + "01" + "026162" + "03" + "026431" + "00"},
-		// count, then per answer the zig-zag position, the refusal flag and
-		// the stale replica holders.
-		{"publishResp", publishResp{Answers: []publishAnswer{{Item: 0, Refused: true}, {Item: 2, Refused: true}}}, "0027" + "02" + "00" + "01" + "00" + "04" + "01" + "00"},
+		// count, then per answer the zig-zag position and the refusal flag.
+		{"publishResp", publishResp{Answers: []publishAnswer{{Item: 0, Refused: true}, {Item: 2, Refused: true}}}, "0027" + "02" + "00" + "01" + "04" + "01"},
 		{"publishResp/none", publishResp{}, "0027" + "00"},
-		{"publishResp/stale", stale, "0027" + "01" + "02" + "00" + "02" + "027033" + "027034"},
 		// count, then per document its ID, its terms and its polled terms,
 		// each with its watermark (300 = ac 02), then the arc-check flag.
 		{"pollReq", poll, "0016" + "01" + "026431" + "02" + "026162" + "026364" + "01" + "026162" + "ac02" + "01"},
@@ -87,25 +83,21 @@ func TestFetchCodecsGoldenAndRoundTrip(t *testing.T) {
 
 }
 
-// The wire forms of the replica push, the relocate and the handoff, byte for
-// byte, and their round trip: replicas and relocates are publishReq's item
-// list, a relocation's items in the document-only form.
-func TestReplicaRelocateCodecsGoldenAndRoundTrip(t *testing.T) {
+// The wire forms of the relocate and the handoff, byte for byte, and their
+// round trip: a relocate is publishReq's item list, its items in the
+// document-only form.
+func TestRelocateHandoffCodecsGoldenAndRoundTrip(t *testing.T) {
 	posting := index.Posting{Doc: "d1", Owner: "p0", Freq: 3, DocLen: 7}
-	push := replicaReq{Items: []publishItem{{Term: "ab", Posting: posting}, {Term: "cd", Posting: index.Posting{Doc: "d2"}, Withdraw: true}}}
 	relocate := relocateReq{Items: []publishItem{{Term: "ab", Posting: index.Posting{Doc: "d1"}}, {Term: "cd", Posting: index.Posting{Doc: "d2"}}}, From: "p1", To: "p2"}
 	revert := handoffReq{Entries: []handoffEntry{{Term: "ab", Posting: index.Posting{Doc: "d1"}}}, Revert: true}
 	checkGoldens(t, []goldenCase{
-		// publishReq's item list: count, then per item the term, the flags
-		// and the posting or only its document.
-		{"replicaReq", push, "0018" + "02" + "026162" + "00" + "026431" + "027030" + "06" + "0e" + "00" + "026364" + "03" + "026432"},
 		// the item list, every item document-only, then From and To.
 		{"relocateReq", relocate, "001e" + "02" + "026162" + "02" + "026431" + "026364" + "02" + "026432" + "027031" + "027032"},
-		// count, then per entry the term, the posting and the replica
-		// locations, then the revert flag.
-		{"handoffReq", handoffReq{Entries: []handoffEntry{{Term: "ab", Posting: posting, ReplicaLocs: []simnet.Addr{"p3"}}}},
-			"001c" + "01" + "026162" + "026431" + "027030" + "06" + "0e" + "00" + "01" + "027033" + "00"},
-		{"handoffReq/revert", revert, "001c" + "01" + "026162" + "026431" + "00" + "00" + "00" + "00" + "00" + "01"},
+		// count, then per entry the term and the posting, then the revert
+		// flag.
+		{"handoffReq", handoffReq{Entries: []handoffEntry{{Term: "ab", Posting: posting}}},
+			"001c" + "01" + "026162" + "026431" + "027030" + "06" + "0e" + "00" + "00"},
+		{"handoffReq/revert", revert, "001c" + "01" + "026162" + "026431" + "00" + "00" + "00" + "00" + "01"},
 		// count, then per entry whether the receiver already held it.
 		{"handoffResp", handoffResp{Existing: []bool{true, false}}, "0024" + "02" + "01" + "00"},
 	})
@@ -139,6 +131,8 @@ func TestExpandRepairCodecsGoldenAndRoundTrip(t *testing.T) {
 		// the arc's two IDs, then count, then per term the term and its
 		// list behind the list's length.
 		{"repairPushReq", repairPushReq{Arc: arc, Set: []termPostings{{Term: "ab", Postings: ix.Encoded("ab")}}}, "0022" + ids + "01" + "026162" + "10" + hex.EncodeToString(list)},
+		// a dropped term goes with an empty list.
+		{"repairPushReq/drop", repairPushReq{Arc: arc, Set: []termPostings{{Term: "cd"}}}, "0022" + ids + "01" + "026364" + "0100"},
 	})
 }
 
@@ -169,12 +163,13 @@ func checkGoldens(t *testing.T, cases []goldenCase) {
 }
 
 // Retired kinds stay unregistered: a frame naming sprite.unpublish's
-// (+1 / +2), sprite.replica_drop's (+9), sprite.repair.handoff_drop's (+13),
+// (+1 / +2), sprite.replica's (+8), sprite.replica_drop's (+9),
+// sprite.repair.handoff_drop's (+13),
 // the one-entry relocate reply's (+15), sprite.repair.retire's (+19) or
 // sprite.sketch_scan's (+21 / +22) is refused as unknown, so no later payload
 // can be mistaken for one of theirs.
 func TestRetiredKindsUnregistered(t *testing.T) {
-	for _, k := range []uint16{1, 2, 9, 13, 15, 19, 21, 22} {
+	for _, k := range []uint16{1, 2, 8, 9, 13, 15, 19, 21, 22} {
 		frame := binary.BigEndian.AppendUint16(nil, wire.KindCoreBase+k)
 		if _, err := wire.DecodeBinary(frame); err == nil || !strings.Contains(err.Error(), "unknown binary kind") {
 			t.Errorf("KindCoreBase+%d: DecodeBinary err = %v, want an unknown kind", k, err)

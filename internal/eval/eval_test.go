@@ -328,20 +328,25 @@ func TestRunChurn(t *testing.T) {
 	if res.PostingsLost <= 0 {
 		t.Fatal("no postings reported lost at 25% failures")
 	}
-	// Replication must not be worse than no replication.
-	if res.Replicated.Precision+1e-9 < res.NoReplication.Precision {
+	// Before any Repair there is no replica: the window arm reads what no
+	// replication reads. After one, replication must not be worse.
+	if res.Replicated != res.NoReplication {
+		t.Errorf("dead peers before any Repair: %+v with replication, %+v without", res.Replicated, res.NoReplication)
+	}
+	if res.ReplicatedRepaired.Precision+1e-9 < res.NoReplication.Precision {
 		t.Errorf("replication hurt precision: %.3f vs %.3f",
-			res.Replicated.Precision, res.NoReplication.Precision)
+			res.ReplicatedRepaired.Precision, res.NoReplication.Precision)
 	}
-	// Under transient churn the resilient read path must not be worse than
-	// the bare one, and its counters must show it actually worked: retries
-	// against the dropped holders, then failovers to the replica holders.
-	if res.FailoverOn.Recall+1e-9 < res.FailoverOff.Recall {
+	// Under transient churn after a Repair the resilient read path must not
+	// be worse than the bare one, and its counters must show it actually
+	// worked: retries against the dropped holders, then failovers to the
+	// replica holders.
+	if res.FailoverOnRepaired.Recall+1e-9 < res.FailoverOff.Recall {
 		t.Errorf("failover hurt recall: %.3f vs %.3f",
-			res.FailoverOn.Recall, res.FailoverOff.Recall)
+			res.FailoverOnRepaired.Recall, res.FailoverOff.Recall)
 	}
-	if res.On.Retries == 0 || res.On.Failovers == 0 {
-		t.Errorf("failover-on arm counters flat: %+v", res.On)
+	if res.OnRepaired.Retries == 0 || res.OnRepaired.Failovers == 0 {
+		t.Errorf("failover-on arm counters flat: %+v", res.OnRepaired)
 	}
 	if res.Off != (ResilienceCounters{Partials: res.Off.Partials}) {
 		t.Errorf("failover-off arm retried or failed over: %+v", res.Off)
@@ -472,6 +477,11 @@ func TestRunMaintenance(t *testing.T) {
 	}
 	if res.SweepMsgs == 0 {
 		t.Error("the sweep reported zero message cost")
+	}
+	// Replicas made by one Repair keep recall above the degraded level.
+	if res.RepairMsgs == 0 || res.ReplicatedRepaired.Recall < res.Degraded.Recall {
+		t.Errorf("replicated after a Repair of %d messages: recall %v, degraded %v",
+			res.RepairMsgs, res.ReplicatedRepaired.Recall, res.Degraded.Recall)
 	}
 	if _, err := RunMaintenance(tiny(), -0.1, 2); err == nil {
 		t.Error("negative failFraction accepted")

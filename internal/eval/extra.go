@@ -185,16 +185,23 @@ func snapshotResilience(reg *telemetry.Registry) ResilienceCounters {
 // state itself (Baseline / NoReplication / Replicated).
 //
 // Transient churn: the same fraction of peers stays in the ring but drops
-// every call — alive to the overlay, unreachable to the read path. Replicas
-// exist in both arms; only the resilient read path (retry + failover to the
-// replica holder) can reach them, so FailoverOff vs FailoverOn isolates what
-// the fault-tolerant query path buys on top of replication.
+// every call — alive to the overlay, unreachable to the read path. Only the
+// resilient read path (retry + failover to the replica holder) can reach a
+// replica, so FailoverOff vs FailoverOn isolates what the fault-tolerant
+// query path buys on top of replication.
+//
+// Replicas are made by Repair's anti-entropy alone. Replicated and
+// FailoverOn inject their faults in the window before any Repair, when no
+// replica exists yet; ReplicatedRepaired and FailoverOnRepaired inject the
+// same faults after one Repair.
 type ChurnResult struct {
 	FailedFraction float64
 	Baseline       ir.Metrics // ratio to centralized, healthy network
 	NoReplication  ir.Metrics // after failures, ReplicationFactor = 0
-	Replicated     ir.Metrics // after failures, ReplicationFactor > 0
-	Replicas       int
+	Replicated     ir.Metrics // after failures, ReplicationFactor > 0, no Repair yet
+	// ReplicatedRepaired is Replicated with one Repair before the failures.
+	ReplicatedRepaired ir.Metrics
+	Replicas           int
 	// PostingsLost is the fraction of primary index postings stored on the
 	// failed peers — the state replication must cover.
 	PostingsLost float64
@@ -205,6 +212,10 @@ type ChurnResult struct {
 	FailoverOn  ir.Metrics // retries + failover to replica holders
 	Off         ResilienceCounters
 	On          ResilienceCounters
+	// FailoverOnRepaired / OnRepaired are FailoverOn / On with one Repair
+	// before the faults.
+	FailoverOnRepaired ir.Metrics
+	OnRepaired         ResilienceCounters
 
 	// Peer-driven placement arms: the ring grows by JoinedPeers fresh peers,
 	// then those same peers retire gracefully. No learning sweep runs in
@@ -239,7 +250,8 @@ type ChurnResult struct {
 // Transient arms (failover off/on, both with replication) keep the faulty
 // peers alive but drop every call addressed to them, the failure signature
 // retries and replica failover exist for; each arm runs under its own
-// telemetry registry so its resilience counters are separable.
+// telemetry registry so its resilience counters are separable. The repaired
+// arms run one Repair between learning and the faults.
 func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, error) {
 	cfg = cfg.fillDefaults()
 	if failFraction < 0 || failFraction >= 1 {
@@ -251,7 +263,7 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 	}
 	centralAbs := Measure(env.CentralSearcher(), env.Test, cfg.TopK)
 
-	build := func(coreCfg core.Config) (*Deployment, error) {
+	build := func(coreCfg core.Config, repaired bool) (*Deployment, error) {
 		dep, err := env.NewDeployment(coreCfg)
 		if err != nil {
 			return nil, err
@@ -264,6 +276,9 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 		}
 		if err := dep.Learn(cfg.LearningIterations); err != nil {
 			return nil, err
+		}
+		if repaired {
+			dep.Net.Repair()
 		}
 		return dep, nil
 	}
@@ -287,7 +302,7 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 	noReplication := cfg.Core
 	noReplication.ReplicationFactor = 0
 
-	noRep, err := build(noReplication)
+	noRep, err := build(noReplication, false)
 	if err != nil {
 		return nil, err
 	}
@@ -308,14 +323,22 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 		res.PostingsLost = float64(lost) / float64(total)
 	}
 
-	rep, err := build(withReplication)
-	if err != nil {
+	dead := func(repaired bool) (ir.Metrics, error) {
+		rep, err := build(withReplication, repaired)
+		if err != nil {
+			return ir.Metrics{}, err
+		}
+		for _, n := range faulty(rep) {
+			rep.Ring.Fail(n)
+		}
+		return ir.Ratio(Measure(rep.SpriteSearcher(), env.Test, cfg.TopK), centralAbs), nil
+	}
+	if res.Replicated, err = dead(false); err != nil {
 		return nil, err
 	}
-	for _, n := range faulty(rep) {
-		rep.Ring.Fail(n)
+	if res.ReplicatedRepaired, err = dead(true); err != nil {
+		return nil, err
 	}
-	res.Replicated = ir.Ratio(Measure(rep.SpriteSearcher(), env.Test, cfg.TopK), centralAbs)
 
 	// Transient arms: the faulty peers stay alive (so lookups still resolve
 	// them as holders — chord only routes around the dead) but drop every call
@@ -328,13 +351,13 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 	if rotateEvery <= 0 {
 		rotateEvery = (len(env.Test) + 3) / 4
 	}
-	transient := func(rc core.ResilienceConfig) (ir.Metrics, ResilienceCounters, error) {
+	transient := func(rc core.ResilienceConfig, repaired bool) (ir.Metrics, ResilienceCounters, error) {
 		reg := telemetry.NewRegistry()
 		saved := env.Cfg.Telemetry
 		env.Cfg.Telemetry = reg
 		coreCfg := withReplication
 		coreCfg.Resilience = rc
-		dep, err := build(coreCfg)
+		dep, err := build(coreCfg, repaired)
 		env.Cfg.Telemetry = saved
 		if err != nil {
 			return ir.Metrics{}, ResilienceCounters{}, err
@@ -368,17 +391,20 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 		return m, snapshotResilience(reg), nil
 	}
 
-	res.FailoverOff, res.Off, err = transient(core.ResilienceConfig{})
+	res.FailoverOff, res.Off, err = transient(core.ResilienceConfig{}, false)
 	if err != nil {
 		return nil, err
 	}
-	res.FailoverOn, res.On, err = transient(core.ResilienceConfig{
+	failover := core.ResilienceConfig{
 		MaxRetries:         2,
 		BaseBackoff:        100 * time.Microsecond,
 		FailoverToReplicas: true,
 		JitterSeed:         cfg.Seed + 7,
-	})
-	if err != nil {
+	}
+	if res.FailoverOn, res.On, err = transient(failover, false); err != nil {
+		return nil, err
+	}
+	if res.FailoverOnRepaired, res.OnRepaired, err = transient(failover, true); err != nil {
 		return nil, err
 	}
 
@@ -387,7 +413,7 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 	// gracefully. Recovery is the repair subsystem's alone — arc-change
 	// handoffs fire during stabilization, Repair() finishes leftovers and
 	// reconciles replica sets — with no learning sweep in either arm.
-	place, err := build(withReplication)
+	place, err := build(withReplication, false)
 	if err != nil {
 		return nil, err
 	}
@@ -464,7 +490,8 @@ func RunChurn(cfg Config, failFraction float64, replicas int) (*ChurnResult, err
 // Report renders the result, one row per arm. The resilience counters
 // (sprite.resilience.*) come from each transient arm's own registry; faulty
 // is the fraction of peers failed or dropping calls in the arm, and
-// postings_lost the fraction of primary postings the dead peers held. moved
+// postings_lost the fraction of primary postings the dead peers held. A
+// _repaired row injects its window row's faults after one Repair. moved
 // counts primary entries that changed holder during a membership wave, and
 // the index_total row's moved the whole index that re-publishing every
 // entry would move.
@@ -486,8 +513,10 @@ func (r *ChurnResult) Report() *Report {
 	row("healthy", r.Baseline, none, 0, 0, 0, 0)
 	row("dead_no_replication", r.NoReplication, none, 0, 0, f, r.PostingsLost)
 	row(fmt.Sprintf("dead_%d_replicas", r.Replicas), r.Replicated, none, 0, 0, f, r.PostingsLost)
+	row(fmt.Sprintf("dead_%d_replicas_repaired", r.Replicas), r.ReplicatedRepaired, none, 0, 0, f, r.PostingsLost)
 	row("transient_failover_off", r.FailoverOff, r.Off, 0, 0, f, 0)
 	row("transient_failover_on", r.FailoverOn, r.On, 0, 0, f, 0)
+	row("transient_failover_on_repaired", r.FailoverOnRepaired, r.OnRepaired, 0, 0, f, 0)
 	row(fmt.Sprintf("mass_join_%d_repair", r.JoinedPeers), r.AfterMassJoin, none, r.JoinMoved, r.JoinRepairMsgs, 0, 0)
 	row(fmt.Sprintf("mass_leave_%d_repair", r.JoinedPeers), r.AfterMassLeave, none, r.LeaveMoved, r.LeaveRepairMsgs, 0, 0)
 	row("index_total", ir.Metrics{}, none, r.IndexPostings, 0, 0, 0)

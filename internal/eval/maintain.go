@@ -17,17 +17,22 @@ type MaintenanceResult struct {
 	Healthy        ir.Metrics // ratio to centralized before failures
 	Degraded       ir.Metrics // after failures, no recovery
 	AfterSweep     ir.Metrics // after failures + one learning sweep
-	Replicated     ir.Metrics // after failures, with successor replication
-	SweepMoved     int64      // postings the sweep re-anchored
-	SweepMsgs      int64      // messages the sweep cost
-	Replicas       int
+	Replicated     ir.Metrics // after failures, replication on but no Repair yet
+	// ReplicatedRepaired is Replicated with one Repair, which makes the
+	// replicas, before the failures; RepairMsgs is that Repair's messages.
+	ReplicatedRepaired ir.Metrics
+	RepairMsgs         int64
+	SweepMoved         int64 // postings the sweep re-anchored
+	SweepMsgs          int64 // messages the sweep cost
+	Replicas           int
 }
 
 // RunMaintenance trains and learns a deployment, fails a fraction of peers,
 // and measures retrieval quality (a) degraded, (b) after the owners run one
 // more learning sweep, whose polls find the failed peers' postings missing at
 // the failover peers and re-publish them there, and (c) on an identical
-// deployment that had successor replication on from the start.
+// deployment that had successor replication on from the start, failed
+// before any Repair and, once more, after one.
 func RunMaintenance(cfg Config, failFraction float64, replicas int) (*MaintenanceResult, error) {
 	cfg = cfg.fillDefaults()
 	if failFraction < 0 || failFraction >= 1 {
@@ -94,11 +99,21 @@ func RunMaintenance(cfg Config, failFraction float64, replicas int) (*Maintenanc
 	}
 	fail(rep)
 	res.Replicated = ir.Ratio(Measure(rep.SpriteSearcher(), env.Test, cfg.TopK), centralAbs)
+
+	if rep, err = build(replicas); err != nil {
+		return nil, err
+	}
+	before = rep.Sim.Stats().Calls
+	rep.Net.Repair()
+	res.RepairMsgs = rep.Sim.Stats().Calls - before
+	fail(rep)
+	res.ReplicatedRepaired = ir.Ratio(Measure(rep.SpriteSearcher(), env.Test, cfg.TopK), centralAbs)
 	return res, nil
 }
 
 // Report renders the result; moved and msgs are what the owners' learning
-// sweep re-anchored and cost, and faulty the fraction of peers failed.
+// sweep re-anchored and cost — msgs, on the _repaired row, what its Repair
+// cost — and faulty the fraction of peers failed.
 func (r *MaintenanceResult) Report() *Report {
 	f := r.FailedFraction
 	return &Report{
@@ -109,6 +124,7 @@ func (r *MaintenanceResult) Report() *Report {
 			{"degraded", r.Degraded.Precision, r.Degraded.Recall, int64(0), int64(0), f},
 			{"after_sweep", r.AfterSweep.Precision, r.AfterSweep.Recall, r.SweepMoved, r.SweepMsgs, f},
 			{fmt.Sprintf("replicated_%d", r.Replicas), r.Replicated.Precision, r.Replicated.Recall, int64(0), int64(0), f},
+			{fmt.Sprintf("replicated_%d_repaired", r.Replicas), r.ReplicatedRepaired.Precision, r.ReplicatedRepaired.Recall, int64(0), r.RepairMsgs, f},
 		},
 	}
 }

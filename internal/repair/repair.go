@@ -7,9 +7,10 @@
 // re-publish them. The repair subsystem inverts that: the peers holding the
 // data keep it placed. Indexing peers hand entries to a joiner the moment
 // stabilization adopts it as predecessor, a gracefully leaving peer pushes
-// its entries to its successor before unregistering, and primary holders
-// periodically exchange per-arc digests with their K replica holders,
-// reconciling only divergent subtrees. This package holds the transport-free
+// its entries to its successor before unregistering, and every peer
+// exchanges per-arc digests of what it serves with its K replica holders,
+// pushing the divergent lists and dropping the withdrawn ones — the only
+// way replicas are made and removed. This package holds the transport-free
 // pieces — digest folding, divergence detection, term-set diffing — so they
 // are testable in isolation; internal/core drives the message protocol.
 package repair

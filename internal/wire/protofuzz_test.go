@@ -221,9 +221,9 @@ func FuzzBinaryProtocol(f *testing.F) {
 		items.Index(0).FieldByName("NewSince").SetUint(301)
 		v.FieldByName("Items").Set(items)
 	}), uint8(12))
-	// A publish carrying a withdrawal beside a posting, and a reply naming a
-	// refusal and a withdrawal's stale replica holders, so that the mutator
-	// starts from the item flags varint and the reply's answer list.
+	// A publish carrying a withdrawal beside a posting, and a reply naming two
+	// refusals, so that the mutator starts from the item flags varint and the
+	// reply's answer list.
 	f.Add(protocolSeed(f, "publishReq", func(v reflect.Value) {
 		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 2, 2)
 		items.Index(0).FieldByName("Term").SetString("chord")
@@ -239,26 +239,12 @@ func FuzzBinaryProtocol(f *testing.F) {
 		answers := reflect.MakeSlice(v.FieldByName("Answers").Type(), 2, 2)
 		answers.Index(0).FieldByName("Refused").SetBool(true)
 		answers.Index(1).FieldByName("Item").SetInt(1)
-		stale := answers.Index(1).FieldByName("Stale")
-		stale.Set(reflect.MakeSlice(stale.Type(), 2, 2))
-		stale.Index(0).SetString("p4")
-		stale.Index(1).SetString("p9")
+		answers.Index(1).FieldByName("Refused").SetBool(true)
 		v.FieldByName("Answers").Set(answers)
 	}), uint8(6))
-	// The item lists publishReq shares: a replica push carrying a posting
-	// and a withdrawal, a relocate of two document-only items, and a handoff
-	// revert, so that the mutator starts from each multi-item form.
-	f.Add(protocolSeed(f, "replicaReq", func(v reflect.Value) {
-		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 2, 2)
-		items.Index(0).FieldByName("Term").SetString("chord")
-		items.Index(0).FieldByName("Posting").FieldByName("Doc").SetString("d1")
-		items.Index(0).FieldByName("Posting").FieldByName("Owner").SetString("p3")
-		items.Index(0).FieldByName("Posting").FieldByName("Freq").SetInt(2)
-		items.Index(1).FieldByName("Term").SetString("ring")
-		items.Index(1).FieldByName("Posting").FieldByName("Doc").SetString("d2")
-		items.Index(1).FieldByName("Withdraw").SetBool(true)
-		v.FieldByName("Items").Set(items)
-	}), uint8(7))
+	// The item list publishReq shares, a relocate of two document-only
+	// items, and a handoff revert, so that the mutator starts from each
+	// multi-item form.
 	f.Add(protocolSeed(f, "relocateReq", func(v reflect.Value) {
 		items := reflect.MakeSlice(v.FieldByName("Items").Type(), 2, 2)
 		for i, term := range []string{"chord", "ring"} {

@@ -91,7 +91,10 @@ type Options struct {
 	// 4096 queries).
 	HistoryCap int
 	// Replicas is the number of successor peers each index entry is
-	// replicated to, for fault tolerance (default 0 = off).
+	// replicated to, for fault tolerance (default 0 = off). Repair makes and
+	// removes the copies: once a Repair has run after an entry was
+	// published it has Replicas copies, and once one has run after it was
+	// withdrawn it has none.
 	Replicas int
 	// Seed makes all simulation randomness reproducible (default 1).
 	Seed int64
@@ -444,8 +447,8 @@ func (n *Network) IndexedTerms(docID string) ([]string, error) {
 
 // FailPeer simulates a crash of the named peer: it stops answering until
 // RecoverPeer. Lookups route around it; with Replicas > 0 its index entries
-// remain servable from successor replicas. No-op in TCP mode (real peers
-// fail by going away, not by decree).
+// published before the last Repair remain servable from successor replicas.
+// No-op in TCP mode (real peers fail by going away, not by decree).
 //
 // The query caches are invalidated: a failure happens below the core's
 // message handlers, so without the explicit drop a warm cache would keep
@@ -612,8 +615,10 @@ type RepairStats struct {
 // Repair runs one peer-driven maintenance sweep: every peer sheds primary
 // entries outside its arc back toward their owner, and (with Replicas > 0)
 // reconciles its replica holders through compact Merkle digests, pushing
-// only the divergent term lists, at O(entries in changed arcs). An
-// unreplicated posting lost in a crash is LearnCtx's to re-publish.
+// only the divergent term lists and dropping the withdrawn ones, at
+// O(entries in changed arcs). It is the only way replicas are made and
+// removed. An unreplicated posting lost in a crash is LearnCtx's to
+// re-publish.
 func (n *Network) Repair() RepairStats {
 	st := n.core.Repair()
 	n.core.FlushStaleAll()

@@ -183,6 +183,7 @@ func TestFailoverWithReplication(t *testing.T) {
 	if err := n.ShareTerms("peer0", "d", map[string]int{"failsafe": 4, "redundant": 2}); err != nil {
 		t.Fatal(err)
 	}
+	n.Repair() // replicas exist once a Repair has run after the publish
 	res, err := n.SearchTermsCtx(context.Background(), "peer5", []string{"failsafe"}, 5)
 	if err != nil || len(res) != 1 {
 		t.Fatalf("pre-failure search: %v %+v", err, res)
