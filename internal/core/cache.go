@@ -31,8 +31,8 @@ import (
 // lazily; see cache.Invalidate and cache.InvalidateKey).
 //
 //   - A write to one term's list invalidates that term's postings entry and
-//     no other: a publish or withdrawal item, a replica item, a handoff
-//     revert's entry — every such item names its term — and hence share, unshare
+//     no other: a publish or withdrawal item, a handoff revert's entry —
+//     every such item names its term — and hence share, unshare
 //     and learning (re-anchors included), which are made of them. A
 //     withdrawal that could not reach its holder invalidates its term too,
 //     since no handler ran there. Scoring a term reads

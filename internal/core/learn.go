@@ -285,8 +285,7 @@ func (d *sweepDoc) foldPolls() {
 // reanchor makes the peer that answered Missing the holder of record of every
 // term still indexed — its holder crashed, or its key moved to a peer nobody
 // handed the entry to — and publishes the posting there: §1's owner probing
-// made effectful. The copy at a different previous holder is withdrawn first,
-// as its replica withdrawals could erase the new holder's fresh replicas.
+// made effectful. The copy at a different previous holder is withdrawn.
 // Re-anchors count in sprite.learn.reanchored, not as index changes.
 func (d *sweepDoc) reanchor() {
 	st := d.st
@@ -314,8 +313,7 @@ func (d *sweepDoc) retire(term, cand string) {
 // pullStale decides to withdraw every copy the stale ledger names, and empties
 // it. A record of a holder that left the network is dropped: its copies left
 // with it. So is one of the holder the term's record names again — it
-// migrated back, or a failed replica drop there was superseded by a fresh
-// publish — as withdrawing there would delete the live entry.
+// migrated back — as withdrawing there would delete the live entry.
 func (d *sweepDoc) pullStale() {
 	for _, term := range sortedKeys(d.st.stale) {
 		for _, at := range d.st.stale[term] {
@@ -342,14 +340,14 @@ func (n *Network) withdrawPhase(ctx context.Context, docs []*sweepDoc) {
 	}
 }
 
-// withdrawals is the withdraw protocol: an item is a pull, settled by its
-// batch's reply or failure alone. Its items ride sprite.publish
+// withdrawals is the withdraw protocol: an item is a pull, answered with its
+// holder, which never refuses one. Its items ride sprite.publish
 // flagged, carrying term and document only, and are never arc-checked or
 // re-routed: an entry lives at the peer that last accepted it, whatever the
 // ring says now, and a withdrawal elsewhere would orphan it. So an item goes
 // to the holder its record names, the owner itself included, and fails with
 // its batch; only one naming none is routed by its key.
-var withdrawals = &protocol[pull, struct{}]{
+var withdrawals = &protocol[pull, simnet.Addr]{
 	stage:  "withdraw",
 	pinned: true,
 	from:   func(pl pull) *Peer { return pl.d.p },
@@ -362,12 +360,7 @@ var withdrawals = &protocol[pull, struct{}]{
 		}
 		return simnet.Message{Type: msgPublish, Payload: req}
 	},
-	read: func(reply simnet.Message, at simnet.Addr, got []struct{}, _ []bool) error {
-		if _, ok := reply.Payload.(publishResp); !ok {
-			return badReply(reply, at, len(got))
-		}
-		return nil
-	},
+	read: readAccepted,
 }
 
 // settle applies the pull's outcome. A retired term the holder confirmed is

@@ -18,9 +18,9 @@ import (
 // that probe (reanchor in learn.go re-publishes a posting its holder lost).
 
 // Unshare withdraws a document from the network: every published index term
-// is removed from its indexing peer (and replicas), and the owner forgets
-// the document's learning state. Terms whose indexing peer is unreachable
-// are skipped — their entries die with the peer.
+// is removed from its indexing peer (its replicas at the next Repair), and
+// the owner forgets the document's learning state. Terms whose indexing peer
+// is unreachable are skipped — their entries die with the peer.
 func (n *Network) Unshare(doc index.DocID) error {
 	p, ok := n.Owner(doc)
 	if !ok {

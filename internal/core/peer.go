@@ -380,10 +380,8 @@ func (s *indexingState) postings(term string) postingsList {
 	if e := s.ix.Encoded(term); e.Len() > 0 {
 		return postingsList{Postings: e, IndexedDF: e.Len()}
 	}
-	if re := s.replicas.Encoded(term); re.Len() > 0 {
-		return postingsList{Postings: re, IndexedDF: re.Len(), FromReplica: true}
-	}
-	return postingsList{}
+	re := s.replicas.Encoded(term)
+	return postingsList{Postings: re, IndexedDF: re.Len(), FromReplica: re.Len() > 0}
 }
 
 // cacheQuery records a query issuance in the bounded history. QF counts every

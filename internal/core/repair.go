@@ -234,10 +234,10 @@ func (p *Peer) retireHolders(targets []simnet.Addr) (reconciles, divergent int) 
 	recs := maps.Clone(p.indexing.reconciled)
 	p.indexing.mu.Unlock()
 	for _, h := range sortedKeys(recs) {
-		gone, drop := recs[h], true
+		gone, drop := lost(recs[h], arc)
 		kept := slices.Contains(targets, h)
-		if kept {
-			gone, drop = lost(recs[h], arc)
+		if !kept {
+			gone, drop = recs[h], true
 		}
 		if !drop {
 			continue

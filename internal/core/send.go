@@ -23,9 +23,8 @@ import (
 // there, the receiver checks each item's key against its own arc
 // (chord.Node.Serves) and refuses what it does not serve, and every item a
 // batch does not settle goes alone by its key through send. Pinned protocols
-// (protocol.pinned) are the exception — withdrawals, an indexing peer's
-// replica pushes and a handoff's relocates: an item goes only to the peer it
-// names. A protocol is a request builder and a reply reader, which the batch
+// (protocol.pinned) are the exception — withdrawals and a handoff's
+// relocates: an item goes only to the peer it names. A protocol is a request builder and a reply reader, which the batch
 // and the one-item route (protocol.route) share.
 
 // dest is where send delivers a message: to addr, or — addr "" — to the peer
