@@ -258,8 +258,8 @@ smoke-postings:
 	$(GO) test -race -run 'Stream|Merge' ./internal/ir/
 
 # Placement smoke: the repair package's digest property tests, the join/leave
-# handoff + anti-entropy protocol suites in core, the replica pushes (one
-# sprite.replica per holder per publish request), the learning sweep's
+# handoff + anti-entropy protocol suites in core, replicas made and dropped
+# by Repair alone (none sent on a publish), the learning sweep's
 # re-anchoring of postings lost to a crash or a join without handoff
 # (TestRefresh*), the facade and REPL join/leave paths (race detector on all
 # of those), plus the mass-churn determinism soak, the stranded-entry

@@ -36,10 +36,9 @@ func newPeer(n *Network, node *chord.Node) *Peer {
 		net:  n,
 		node: node,
 		indexing: indexingState{
-			ix:         index.NewInverted(),
-			replicas:   index.NewInverted(),
-			reconciled: make(map[simnet.Addr]chordid.Arc),
-			history:    history{cap: n.cfg.HistoryCap},
+			ix:       index.NewInverted(),
+			replicas: index.NewInverted(),
+			history:  history{cap: n.cfg.HistoryCap},
 		},
 		owned: make(map[index.DocID]*docState),
 	}
@@ -197,7 +196,8 @@ type indexingState struct {
 	ix       *index.Inverted
 	replicas *index.Inverted
 	// reconciled records, per replica holder, the arc this peer last
-	// reconciled there: the copies it answers for at that holder.
+	// reconciled there: the copies it answers for at that holder. It is nil
+	// until the peer first reconciles.
 	reconciled map[simnet.Addr]chordid.Arc
 	history    history
 }

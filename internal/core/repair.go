@@ -190,15 +190,18 @@ func (p *Peer) handleRelocate(req relocateReq) publishResp {
 // there. A peer serves its primary list for a term, or its replica list
 // where it has none (indexingState.postings), so a peer that absorbed a dead
 // predecessor's arc spreads that arc's surviving copies instead of dropping
-// them.
-func (p *Peer) antiEntropy() (reconciles, divergent int) {
+// them. It adds its exchanges and the terms they pushed to st.
+func (p *Peer) antiEntropy(st *RepairStats) {
 	pred := p.node.Predecessor()
 	if pred.Addr == "" {
-		return 0, 0
+		return
 	}
 	arc := chordid.OwnerArc(pred.ID, p.node.ID())
 	p.indexing.mu.Lock()
 	served := p.indexing.servedDigests(arc)
+	if p.indexing.reconciled == nil {
+		p.indexing.reconciled = make(map[simnet.Addr]chordid.Arc)
+	}
 	p.indexing.mu.Unlock()
 	for _, h := range p.replicaTargets() {
 		p.indexing.mu.Lock()
@@ -208,13 +211,11 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 			p.indexing.reconciled[h] = arc
 		}
 		p.indexing.mu.Unlock()
-		n, err := p.reconcile(h, arc, served)
-		if err == nil {
-			reconciles++
-			divergent += n
+		if n, err := p.reconcile(h, arc, served); err == nil {
+			st.Reconciles++
+			st.Divergent += n
 		}
 	}
-	return reconciles, divergent
 }
 
 // retireHolders sends each holder this peer last reconciled an arc with one
@@ -224,8 +225,8 @@ func (p *Peer) antiEntropy() (reconciles, divergent int) {
 // record goes once that reconcile is done or the holder has left the network,
 // its copies with it. Repair runs it for every peer before any peer's
 // antiEntropy, so a joiner's fresh push never precedes a drop; a graceful
-// Leave runs it with no targets.
-func (p *Peer) retireHolders(targets []simnet.Addr) (reconciles, divergent int) {
+// Leave runs it with no targets. It adds its exchanges to st.
+func (p *Peer) retireHolders(targets []simnet.Addr, st *RepairStats) {
 	var arc chordid.Arc
 	if pred := p.node.Predecessor(); pred.Addr != "" {
 		arc = chordid.OwnerArc(pred.ID, p.node.ID())
@@ -247,8 +248,8 @@ func (p *Peer) retireHolders(targets []simnet.Addr) (reconciles, divergent int) 
 			if err != nil {
 				continue // retried at the next Repair
 			}
-			reconciles++
-			divergent += n
+			st.Reconciles++
+			st.Divergent += n
 		}
 		p.indexing.mu.Lock()
 		if delete(p.indexing.reconciled, h); kept {
@@ -256,7 +257,6 @@ func (p *Peer) retireHolders(targets []simnet.Addr) (reconciles, divergent int) 
 		}
 		p.indexing.mu.Unlock()
 	}
-	return reconciles, divergent
 }
 
 // lost returns the part of was, an arc this peer reconciled, that its arc now
@@ -373,14 +373,10 @@ func (n *Network) Repair() RepairStats {
 	if n.cfg.ReplicationFactor > 0 {
 		alive := slices.DeleteFunc(n.Peers(), func(p *Peer) bool { return !n.ring.Net().Alive(p.Addr()) })
 		for _, p := range alive {
-			r, d := p.retireHolders(p.replicaTargets())
-			st.Reconciles += r
-			st.Divergent += d
+			p.retireHolders(p.replicaTargets(), &st)
 		}
 		for _, p := range alive {
-			r, d := p.antiEntropy()
-			st.Reconciles += r
-			st.Divergent += d
+			p.antiEntropy(&st)
 		}
 	}
 	return st
@@ -482,7 +478,7 @@ func (n *Network) Leave(addr simnet.Addr) (LeaveReport, error) {
 	// Its replica holders drop its arc's copies: the successor serves the
 	// entries handed to it, never a copy a withdrawal since the last Repair
 	// left behind.
-	p.retireHolders(nil)
+	p.retireHolders(nil, &RepairStats{})
 
 	// Indexing role: hand every primary entry to the first alive successor.
 	var succ simnet.Addr

@@ -584,11 +584,11 @@ func TestRepairSpreadsAbsorbedArc(t *testing.T) {
 	}
 }
 
-// TestJoinRetiresPushedOutHolder: a joiner landing between a primary and its
+// TestJoinRetiresPushedOutReplicaHolder: a joiner landing between a primary and its
 // first successor pushes the primary's second successor out of its replica
 // set; the next Repair leaves that holder nothing of the primary's arc, and
 // the joiner a copy of all of it.
-func TestJoinRetiresPushedOutHolder(t *testing.T) {
+func TestJoinRetiresPushedOutReplicaHolder(t *testing.T) {
 	n, ring := joinableNetwork(t, Config{InitialTerms: 4, ReplicationFactor: 2})
 	n.Repair()
 	var primary *Peer
