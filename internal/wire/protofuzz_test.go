@@ -264,6 +264,14 @@ func FuzzBinaryProtocol(f *testing.F) {
 		v.FieldByName("Entries").Set(entries)
 		v.FieldByName("Revert").SetBool(true)
 	}), uint8(10))
+	// An anti-entropy push dropping two terms, each sent as an empty list,
+	// so that the mutator starts from the drop form.
+	f.Add(protocolSeed(f, "repairPushReq", func(v reflect.Value) {
+		set := reflect.MakeSlice(v.FieldByName("Set").Type(), 2, 2)
+		set.Index(0).FieldByName("Term").SetString("chord")
+		set.Index(1).FieldByName("Term").SetString("ring")
+		v.FieldByName("Set").Set(set)
+	}), uint8(13))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint8) {
 		protos := wire.BinaryPrototypes()
 		if len(protos) == 0 {
