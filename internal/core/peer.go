@@ -352,36 +352,35 @@ func (s *indexingState) dropReplica(term string, doc index.DocID) {
 	s.replicas.Remove(term, doc)
 }
 
-// servedDigests returns the digest of each term in arc as the peer serves
-// it (see postings): its primary list, or its replica list where it has
-// none. Caller holds s.mu.
+// served returns the list the peer serves for term, and whether it is a
+// replica's: its primary list, falling back to successor replicas when the
+// primary list is empty — the failover path that makes peer crashes
+// survivable (§7), and what anti-entropy spreads. Caller holds s.mu.
+func (s *indexingState) served(term string) (index.Encoded, bool) {
+	if e := s.ix.Encoded(term); e.Len() > 0 {
+		return e, false
+	}
+	re := s.replicas.Encoded(term)
+	return re, re.Len() > 0
+}
+
+// servedDigests returns the digest of each term in arc as served serves it.
+// Caller holds s.mu.
 func (s *indexingState) servedDigests(arc chordid.Arc) map[string]uint64 {
 	out := s.replicas.ArcDigests(arc)
 	maps.Copy(out, s.ix.ArcDigests(arc))
 	return out
 }
 
-// served returns term's list as postings serves it. Caller holds s.mu.
-func (s *indexingState) served(term string) index.Encoded {
-	if e := s.ix.Encoded(term); e.Len() > 0 {
-		return e
-	}
-	return s.replicas.Encoded(term)
-}
-
-// postings serves a term's inverted list, falling back to successor replicas
-// when the primary list is empty — the failover path that makes peer crashes
-// survivable (§7). The response carries the index's immutable encoded blocks
-// zero-copy: mutations swap in fresh blocks, so the snapshot stays valid
-// after the lock is released.
+// postings answers a fetch of term with the list the peer serves. The
+// response carries the index's immutable encoded blocks zero-copy: mutations
+// swap in fresh blocks, so the snapshot stays valid after the lock is
+// released.
 func (s *indexingState) postings(term string) postingsList {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.ix.Encoded(term); e.Len() > 0 {
-		return postingsList{Postings: e, IndexedDF: e.Len()}
-	}
-	re := s.replicas.Encoded(term)
-	return postingsList{Postings: re, IndexedDF: re.Len(), FromReplica: re.Len() > 0}
+	l, fromReplica := s.served(term)
+	return postingsList{Postings: l, IndexedDF: l.Len(), FromReplica: fromReplica}
 }
 
 // cacheQuery records a query issuance in the bounded history. QF counts every

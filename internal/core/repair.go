@@ -188,7 +188,7 @@ func (p *Peer) handleRelocate(req relocateReq) publishResp {
 // antiEntropy reconciles what this peer serves for its owner arc with each
 // of its §7 replica holders, and records the arc as the one reconciled
 // there. A peer serves its primary list for a term, or its replica list
-// where it has none (indexingState.postings), so a peer that absorbed a dead
+// where it has none (indexingState.served), so a peer that absorbed a dead
 // predecessor's arc spreads that arc's surviving copies instead of dropping
 // them. It adds its exchanges and the terms they pushed to st.
 func (p *Peer) antiEntropy(st *RepairStats) {
@@ -295,7 +295,8 @@ func (p *Peer) reconcile(h simnet.Addr, arc chordid.Arc, authority map[string]ui
 	set := make([]termPostings, 0, len(need)+len(drop))
 	p.indexing.mu.Lock()
 	for _, t := range need {
-		set = append(set, termPostings{Term: t, Postings: p.indexing.served(t)})
+		l, _ := p.indexing.served(t)
+		set = append(set, termPostings{Term: t, Postings: l})
 	}
 	p.indexing.mu.Unlock()
 	for _, t := range drop {
