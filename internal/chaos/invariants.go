@@ -19,7 +19,8 @@ import (
 // (core.Network's PrimarySnapshot/ReplicaSnapshot/DocIndexInfo/ServedPostings
 // and simnet.Network's Stats), return a named *Violation, and call it from
 // harness.checkStep (per-step), checkPlacement's call sites (quiescent
-// points), harness.afterRepair (right after each Repair), or finalSweep. See DESIGN.md § Correctness tooling.
+// points), harness.afterRepair (right after each Repair), or finalSweep. See
+// DESIGN.md § Correctness tooling.
 
 // checkStats verifies telemetry conservation (invariant 4): transport
 // counters are monotone and internally balanced, and the transport's view of
@@ -243,7 +244,7 @@ func checkStranded(d *deployment) *Violation {
 // checkPlacement verifies oracle index placement (invariant 1b) at quiescent
 // points: every live document's terms sit with the ring's oracle owner, the
 // owner holds the primary entry, and no stale withdrawals are pending.
-// Replicas are checked right after each Repair instead (checkReplicas).
+// Replicas are checked right after each Repair (checkReplicas).
 func checkPlacement(d *deployment) *Violation {
 	bad := func(format string, args ...any) *Violation {
 		return &Violation{Invariant: "placement", Msg: d.label + ": " + fmt.Sprintf(format, args...)}
